@@ -396,6 +396,39 @@ func BenchmarkRepeatedCommunityQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkColdView times the uncached-view query: AppFast and AppInc over a
+// stream of distinct query vertices on syn1 at full scale (one 30 000-vertex
+// 4-core), so every query pays distance + sort + prefix-oracle build — the
+// cost of any query that follows a write. It is for local iteration on that
+// rebuild; the evidence for a claim is the bench/ run.
+func BenchmarkColdView(b *testing.B) {
+	ds, err := sacsearch.LoadDataset("syn1", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Far more vertices than a community keeps views for, so cycling
+	// through them never finds a view warm.
+	queries := sacsearch.QueryWorkload(ds.Graph, benchK, 512, benchSeed)
+	for _, algo := range []struct {
+		name string
+		run  func(s *sacsearch.Searcher, q sacsearch.V) error
+	}{
+		{"AppFast", func(s *sacsearch.Searcher, q sacsearch.V) error { _, err := s.AppFast(q, benchK, 0.5); return err }},
+		{"AppInc", func(s *sacsearch.Searcher, q sacsearch.V) error { _, err := s.AppInc(q, benchK); return err }},
+	} {
+		b.Run(algo.name, func(b *testing.B) {
+			s := sacsearch.NewSearcher(ds.Graph)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := algo.run(s, queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Figure 12(f-j): exact algorithms vs k ---------------------------------
 
 // BenchmarkFig12Exact times Exact against Exact+ on queries whose candidate

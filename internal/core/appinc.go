@@ -68,9 +68,10 @@ func (s *Searcher) AppIncCtx(ctx context.Context, q graph.V, k int) (*Result, er
 	}
 	// The full candidate set X is itself feasible (it is q's connected
 	// k-structure), so the loop must have returned. Reaching here means the
-	// necessary-condition bookkeeping skipped the final check; run it.
+	// necessary-condition bookkeeping skipped the final check — or a
+	// cancellation inside the oracle build answered it nil; run it.
 	if c := s.feasible(cand.verts, q, k); c != nil {
 		return s.finish(s.buildResult(q, k, c, cand.maxDist()), start), nil
 	}
-	return nil, ErrNoCommunity
+	return s.ctxResult(nil, ErrNoCommunity)
 }

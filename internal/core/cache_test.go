@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sacsearch/internal/geom"
@@ -166,8 +167,9 @@ func TestCandidateCachingDisabled(t *testing.T) {
 	}
 }
 
-// TestSortByDist cross-checks the dual-slice sort against a straightforward
-// reference on adversarial-ish inputs.
+// TestSortByDist checks the dual-slice sort on adversarial-ish inputs: the
+// result is in strict (distance, vertex id) order on both the insertion and
+// the radix path, and verts and dists stay in step.
 func TestSortByDist(t *testing.T) {
 	cases := [][]float64{
 		{},
@@ -189,16 +191,33 @@ func TestSortByDist(t *testing.T) {
 	}
 	cases = append(cases, pipe)
 
-	for ci, dists := range cases {
-		d := append([]float64(nil), dists...)
-		v := make([]graph.V, len(d))
-		for i := range v {
-			v[i] = graph.V(i)
+	// Random distances drawn from few distinct values: long tie runs on both
+	// sides of the insertion/radix threshold.
+	rnd := rand.New(rand.NewSource(3))
+	for _, n := range []int{distInsertionThreshold - 1, distInsertionThreshold, 2000} {
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = math.Sqrt(float64(rnd.Intn(n/4+1))) / 7
 		}
-		sortByDist(v, d)
+		cases = append(cases, r)
+	}
+
+	var sorter distSorter
+	for ci, dists := range cases {
+		// Vertex v sits at distance dists[v]; present them in shuffled order
+		// so the id tie-break cannot come from input order.
+		v := make([]graph.V, len(dists))
+		for i, p := range rnd.Perm(len(dists)) {
+			v[i] = graph.V(p)
+		}
+		d := make([]float64, len(dists))
+		for i := range v {
+			d[i] = dists[v[i]]
+		}
+		sorter.sort(v, d)
 		for i := 1; i < len(d); i++ {
-			if d[i-1] > d[i] {
-				t.Fatalf("case %d: dists not sorted at %d: %v", ci, i, d)
+			if d[i-1] > d[i] || d[i-1] == d[i] && v[i-1] >= v[i] {
+				t.Fatalf("case %d: not in (distance, id) order at %d: %v %v", ci, i, d, v)
 			}
 		}
 		// The permutation must be consistent: v[i]'s original distance is d[i].

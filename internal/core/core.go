@@ -151,6 +151,7 @@ type Searcher struct {
 	localOf    []int32
 	localValid *graph.Marker
 	lp         localPeeler
+	oracleBuf  oracleScratch
 
 	// Scratch buffers shared by the algorithms.
 	distBuf   []float64
@@ -169,6 +170,7 @@ type Searcher struct {
 	cand     candidateSet
 	ownVerts []graph.V
 	ownDists []float64
+	distSort distSorter
 
 	// sGrid indexes the working candidate set of the query in flight: X for
 	// Exact, S (the k-ĉore inside O(q, 2γ)) for AppAcc/ExactPlus. Circle
@@ -487,7 +489,7 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 		for _, v := range s.ownVerts {
 			s.ownDists = append(s.ownDists, qp.Dist(s.g.Loc(v)))
 		}
-		sortByDist(s.ownVerts, s.ownDists)
+		s.distSort.sort(s.ownVerts, s.ownDists)
 		s.cand = candidateSet{verts: s.ownVerts, dists: s.ownDists}
 		s.stats.CandidateSize = len(s.ownVerts)
 		return &s.cand, nil
@@ -515,7 +517,7 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 		for _, v := range vw.verts {
 			vw.dists = append(vw.dists, qp.Dist(s.g.Loc(v)))
 		}
-		sortByDist(vw.verts, vw.dists)
+		s.distSort.sort(vw.verts, vw.dists)
 		vw.epoch = epoch
 		vw.oracle.built = false
 	}

@@ -1,115 +1,95 @@
 package core
 
-import "sacsearch/internal/graph"
+import (
+	"math"
+	"slices"
 
-// sortByDist sorts verts and dists in tandem by ascending distance. It
-// replaces the old sort.Sort(byDist{...}) adapter: the sort.Interface boxing
-// allocated on every query and every comparison went through two interface
-// calls. This is a plain introsort over the two parallel slices — insertion
-// sort below a small threshold, median-of-three quicksort above it, and a
-// heapsort fallback when recursion grows past 2·log₂(n) so crafted inputs
-// cannot go quadratic.
-func sortByDist(verts []graph.V, dists []float64) {
+	"sacsearch/internal/graph"
+)
+
+// distSorter orders a candidate set by (distance from q, vertex id). The
+// tie-break makes a sorted view a pure function of (graph, q): co-located
+// vertices would otherwise keep whatever order the membership BFS of the
+// first query into the community happened to leave them in, and AppInc —
+// which grows the prefix one vertex at a time — would answer differently
+// depending on cache history.
+//
+// Distances are non-negative, so their IEEE-754 bit patterns order like the
+// values and an LSD radix sort over the 64-bit patterns sorts them in O(n)
+// with no data-dependent worst case. The passes ping-pong between the
+// caller's slices and the sorter's own pair, which a Searcher keeps across
+// queries.
+type distSorter struct {
+	verts []graph.V
+	dists []float64
+}
+
+const (
+	// One pass per byte of the key; an even count, so the last pass lands in
+	// the caller's slices.
+	radixPasses = 8
+
+	// Below this size an insertion sort beats the radix passes' fixed cost.
+	distInsertionThreshold = 48
+)
+
+// sort sorts verts and dists in tandem by ascending (distance, vertex id).
+func (ds *distSorter) sort(verts []graph.V, dists []float64) {
 	n := len(dists)
-	if n < 2 {
+	if n < distInsertionThreshold {
+		insertionDist(verts, dists)
 		return
 	}
-	depth := 0
-	for m := n; m > 0; m >>= 1 {
-		depth += 2
+	if cap(ds.dists) < n {
+		ds.verts = make([]graph.V, n)
+		ds.dists = make([]float64, n)
 	}
-	quickDist(verts, dists, 0, n-1, depth)
-}
-
-const distInsertionThreshold = 12
-
-func quickDist(verts []graph.V, dists []float64, lo, hi, depth int) {
-	for hi-lo >= distInsertionThreshold {
-		if depth == 0 {
-			heapDist(verts, dists, lo, hi)
-			return
-		}
-		depth--
-		p := partitionDist(verts, dists, lo, hi)
-		// Recurse into the smaller side, loop on the larger: O(log n) stack.
-		if p-lo < hi-p {
-			quickDist(verts, dists, lo, p-1, depth)
-			lo = p + 1
-		} else {
-			quickDist(verts, dists, p+1, hi, depth)
-			hi = p - 1
+	var count [radixPasses][256]int32
+	for _, d := range dists {
+		key := math.Float64bits(d)
+		for p := range count {
+			count[p][byte(key>>(8*p))]++
 		}
 	}
-	insertionDist(verts, dists, lo, hi)
+	srcV, srcD, dstV, dstD := verts, dists, ds.verts[:n], ds.dists[:n]
+	for p := range count {
+		c := &count[p]
+		sum := int32(0)
+		for i, k := range c {
+			c[i] = sum
+			sum += k
+		}
+		shift := 8 * p
+		for i, d := range srcD {
+			digit := byte(math.Float64bits(d) >> shift)
+			at := c[digit]
+			c[digit]++
+			dstD[at], dstV[at] = d, srcV[i]
+		}
+		srcV, srcD, dstV, dstD = dstV, dstD, srcV, srcD
+	}
+	// The passes are stable, so equal distances sit in input order; put each
+	// such run in vertex-id order.
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && dists[hi] == dists[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.Sort(verts[lo:hi])
+		}
+		lo = hi
+	}
 }
 
-func insertionDist(verts []graph.V, dists []float64, lo, hi int) {
-	for i := lo + 1; i <= hi; i++ {
+func insertionDist(verts []graph.V, dists []float64) {
+	for i := 1; i < len(dists); i++ {
 		d, v := dists[i], verts[i]
 		j := i - 1
-		for j >= lo && dists[j] > d {
+		for j >= 0 && (dists[j] > d || dists[j] == d && verts[j] > v) {
 			dists[j+1], verts[j+1] = dists[j], verts[j]
 			j--
 		}
 		dists[j+1], verts[j+1] = d, v
 	}
-}
-
-// partitionDist picks a median-of-three pivot, moves it to hi, and does a
-// standard Lomuto partition.
-func partitionDist(verts []graph.V, dists []float64, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	if dists[mid] < dists[lo] {
-		swapDist(verts, dists, mid, lo)
-	}
-	if dists[hi] < dists[lo] {
-		swapDist(verts, dists, hi, lo)
-	}
-	if dists[hi] < dists[mid] {
-		swapDist(verts, dists, hi, mid)
-	}
-	swapDist(verts, dists, mid, hi-1)
-	pivot := dists[hi-1]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if dists[j] < pivot {
-			swapDist(verts, dists, i, j)
-			i++
-		}
-	}
-	swapDist(verts, dists, i, hi-1)
-	return i
-}
-
-func heapDist(verts []graph.V, dists []float64, lo, hi int) {
-	n := hi - lo + 1
-	for root := n/2 - 1; root >= 0; root-- {
-		siftDist(verts, dists, lo, root, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		swapDist(verts, dists, lo, lo+end)
-		siftDist(verts, dists, lo, 0, end)
-	}
-}
-
-func siftDist(verts []graph.V, dists []float64, lo, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && dists[lo+child] < dists[lo+child+1] {
-			child++
-		}
-		if dists[lo+root] >= dists[lo+child] {
-			return
-		}
-		swapDist(verts, dists, lo+root, lo+child)
-		root = child
-	}
-}
-
-func swapDist(verts []graph.V, dists []float64, i, j int) {
-	dists[i], dists[j] = dists[j], dists[i]
-	verts[i], verts[j] = verts[j], verts[i]
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"sacsearch/internal/graph"
 )
@@ -15,11 +16,20 @@ import (
 //
 //   - coreAt[v]: the smallest i with v ∈ core(X[:i]) — computed by deleting
 //     vertices farthest-first and cascading the k-core peel; each vertex
-//     dies exactly once, so the sweep is O(E_induced).
+//     dies exactly once, so the sweep is O(E_induced). The order of death is
+//     coreAt-descending, so read backwards it is the activation order of
+//     the next pass — no sort.
 //   - joinAt[v]: the smallest i with v in q's connected component of
-//     core(X[:i]) — computed by activating vertices in ascending coreAt
-//     order under a union-find and stamping sets the moment they merge with
-//     q's set; each vertex is stamped once, so this is O(E α(n)).
+//     core(X[:i]), i.e. the bottleneck (min over paths of max coreAt)
+//     distance from q. Vertices activate in ascending coreAt; one joins the
+//     moment it is active and adjacent to q's component, and floods the
+//     active vertices behind it. Each vertex joins once and scans its
+//     adjacency at most twice, so this is O(E_induced) too.
+//   - the emitted community is a stable counting sort of the members by
+//     joinAt (integers in [1, n]): O(n).
+//
+// The whole build is O(n + E_induced) on Searcher-owned scratch and
+// allocates nothing once that scratch and the view's slices have grown.
 //
 // A probe at prefix i then reduces to one binary search: infeasible iff
 // i < joinAt[q], otherwise the community is the joinAt-ascending vertex
@@ -29,9 +39,11 @@ import (
 //
 // The oracle is exact, not approximate: its answers equal
 // kcore.Peeler.KCoreWithin on the same prefix (as sets; callers never
-// depend on member order). It applies only to the k-core structure metric
-// and only to probes whose S is literally a prefix of the current sorted
-// view; everything else (circle subsets, θ-SAC, k-truss/k-clique) takes the
+// depend on member order, but the order — ascending joinAt, ties by local
+// id — is pinned because MCC arithmetic over it is not order-independent
+// at the ulp level). It applies only to the k-core structure metric and
+// only to probes whose S is literally a prefix of the current sorted view;
+// everything else (circle subsets, θ-SAC, k-truss/k-clique) takes the
 // generic peelers.
 type prefixOracle struct {
 	built       bool
@@ -43,164 +55,181 @@ type prefixOracle struct {
 // prefixFeasible answers feasible(view.verts[:i], q, k) via the oracle,
 // building it on first use. The returned slice is oracle-owned; callers
 // that retain it must copy (they already must, for every feasible path).
+// A build abandoned by cancellation answers nil; the caller's next loop
+// boundary reports the latched context error.
 func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.V, k int) []graph.V {
-	if !vw.oracle.built {
-		s.buildPrefixOracle(e, vw, q, k)
+	if !vw.oracle.built && !s.buildPrefixOracle(e, vw, q, k) {
+		return nil
 	}
 	o := &vw.oracle
 	if int32(i) < o.minFeasible {
 		return nil
 	}
-	cnt := sort.Search(len(o.joinAt), func(j int) bool { return o.joinAt[j] > int32(i) })
+	// The members with joinAt ≤ i: everything before the first joinAt ≥ i+1.
+	cnt, _ := slices.BinarySearch(o.joinAt, int32(i)+1)
 	return o.comm[:cnt]
 }
 
-// buildPrefixOracle runs the reverse-deletion sweep and the union-find
-// joining pass for (vw, k). Runs once per view per location epoch; cost is
-// O(E_induced + n α(n)).
-func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) {
+// oracleScratch is the working memory of buildPrefixOracle, indexed by local
+// id (or sorted position) and reused across builds. It belongs to one
+// Searcher: Pool workers build concurrently.
+type oracleScratch struct {
+	localAt []int32 // local id at each sorted position; the flood queue after the sweep
+	deg     []int32 // induced degree among the living; the counting-sort buckets after the sweep
+	coreAt  []int32 // by local id; negated joinAt once the vertex has joined
+	order   []int32 // death order of the sweep, which doubles as its cascade queue
+}
+
+func (sc *oracleScratch) ensure(n int) {
+	if cap(sc.localAt) >= n {
+		return
+	}
+	sc.localAt = make([]int32, n)
+	sc.deg = make([]int32, n+1) // buckets 0..n
+	sc.coreAt = make([]int32, n)
+	sc.order = make([]int32, n)
+}
+
+// deadDeg overwrites the degree of a vertex the sweep deletes outright, so
+// that no later decrement can bring it back to k-1.
+const deadDeg = math.MinInt32 / 2
+
+// buildPrefixOracle runs the reverse-deletion sweep, the joining pass and
+// the counting sort for (vw, k), in O(n + E_induced). It runs once per view
+// per location epoch. It reports false, leaving the oracle unbuilt, when the
+// query's context fires mid-build.
+func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
 	if e.adjOff == nil {
 		e.buildInduced(s.g, s.localOf, s.localValid)
 	}
 	n := len(vw.verts)
-	o := &vw.oracle
-	o.built = true
-	o.comm = o.comm[:0]
-	o.joinAt = o.joinAt[:0]
+	sc := &s.oracleBuf
+	sc.ensure(n)
+	localAt, deg, coreAt, order := sc.localAt[:n], sc.deg[:n], sc.coreAt[:n], sc.order[:n]
+	adjOff, adj := e.adjOff, e.adjLocal
 
-	// localAt[pos] = local id of the vertex at sorted position pos.
-	localAt := make([]int32, n)
 	for pos, v := range vw.verts {
 		localAt[pos] = s.localOf[v]
 	}
+	// The full set is the connected k-ĉore, so every vertex starts with
+	// induced degree ≥ k. The sweep keeps "alive ⟺ deg ≥ k": a cascaded
+	// vertex stops at k-1 and only falls further, a deleted one is set to
+	// deadDeg, so neither needs a separate removed flag and the inner loop
+	// decrements unconditionally.
+	for lv := range deg {
+		deg[lv] = adjOff[lv+1] - adjOff[lv]
+	}
 
 	// Reverse deletion: coreAt[lv] = smallest prefix length whose maximal
-	// k-core contains lv. The full set is the connected k-ĉore, so every
-	// vertex starts with induced degree ≥ k and alive.
-	deg := make([]int32, n)
-	for lv := 0; lv < n; lv++ {
-		deg[lv] = e.adjOff[lv+1] - e.adjOff[lv]
-	}
-	coreAt := make([]int32, n)
-	removed := make([]bool, n)
-	stack := make([]int32, 0, n)
-	for i := n; i >= 1; i-- {
+	// k-core contains lv.
+	kk := int32(k)
+	died := 0
+	for i := int32(n); i >= 1; i-- {
 		w := localAt[i-1]
-		if removed[w] {
+		if deg[w] < kk {
 			continue
 		}
 		// Deleting position i-1 shrinks the prefix below i: w dies here, and
 		// so does everything its removal cascades.
-		stack = append(stack[:0], w)
-		removed[w] = true
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			coreAt[x] = int32(i)
-			for _, y := range e.adjLocal[e.adjOff[x]:e.adjOff[x+1]] {
-				if removed[y] {
-					continue
-				}
+		deg[w] = deadDeg
+		head := died
+		order[died] = w
+		died++
+		for ; head < died; head++ {
+			x := order[head]
+			coreAt[x] = i
+			for _, y := range adj[adjOff[x]:adjOff[x+1]] {
 				deg[y]--
-				if deg[y] == int32(k)-1 {
-					removed[y] = true
-					stack = append(stack, y)
+				if deg[y] == kk-1 {
+					order[died] = y
+					died++
 				}
 			}
 		}
 	}
 
-	// Forward joining pass: activate vertices in ascending coreAt (position
-	// order breaks ties deterministically), union with active neighbors, and
-	// stamp a set's members the moment it merges with q's set.
-	qLocal := s.localOf[q]
-	actOrder := make([]int32, n)
-	for pos := range actOrder {
-		actOrder[pos] = localAt[pos]
+	if s.canceled() {
+		return false
 	}
-	sort.SliceStable(actOrder, func(a, b int) bool { return coreAt[actOrder[a]] < coreAt[actOrder[b]] })
 
-	parent := make([]int32, n)
-	size := make([]int32, n)
-	hasQ := make([]bool, n)
-	head := make([]int32, n) // member-list head per root
-	next := make([]int32, n) // member-list links
-	tail := make([]int32, n)
-	active := removed        // reuse: reset to false = inactive
-	joined := make([]int32, n)
-	for lv := 0; lv < n; lv++ {
-		active[lv] = false
-		parent[lv] = int32(lv)
-		size[lv] = 1
-		head[lv] = int32(lv)
-		tail[lv] = int32(lv)
-		next[lv] = -1
-		joined[lv] = -1
+	// Joining pass: walk the death order backwards (ascending coreAt). q
+	// joins when it activates; any other vertex joins when it is active and
+	// a neighbor already has, and then floods every active vertex reachable
+	// from it. Nothing can join before q does, so the walk starts at q.
+	// coreAt doubles as the join record — a vertex that joins at prefix i
+	// has its (positive) coreAt overwritten with -i — so the flood's test
+	// "active and not joined yet" reads one word per edge.
+	qLocal := s.localOf[q]
+	queue := localAt
+	idx := n - 1
+	for order[idx] != qLocal {
+		idx--
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	stamp := func(root, at int32) {
-		for m := head[root]; m >= 0; m = next[m] {
-			joined[m] = at
-		}
-	}
-	union := func(a, b, at int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if hasQ[ra] {
-			stamp(rb, at)
-		} else if hasQ[rb] {
-			stamp(ra, at)
-		}
-		if size[ra] < size[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		size[ra] += size[rb]
-		hasQ[ra] = hasQ[ra] || hasQ[rb]
-		next[tail[ra]] = head[rb]
-		tail[ra] = tail[rb]
-	}
-	for _, lv := range actOrder {
+	for ; idx >= 0; idx-- {
+		lv := order[idx]
 		at := coreAt[lv]
-		active[lv] = true
-		if lv == qLocal {
-			hasQ[lv] = true
-			joined[lv] = at
-			// Everything already merged into q's singleton-to-be cannot
-			// exist: q activates alone, neighbors union below.
+		if at < 0 {
+			continue
 		}
-		for _, lu := range e.adjLocal[e.adjOff[lv]:e.adjOff[lv+1]] {
-			if active[lu] && coreAt[lu] <= at {
-				union(lv, lu, at)
+		if lv != qLocal && !anyJoined(adj[adjOff[lv]:adjOff[lv+1]], coreAt) {
+			continue
+		}
+		coreAt[lv] = -at
+		queue[0] = lv
+		for head, tail := 0, 1; head < tail; head++ {
+			x := queue[head]
+			for _, y := range adj[adjOff[x]:adjOff[x+1]] {
+				// 1 ≤ coreAt[y] ≤ at, as one unsigned comparison.
+				if uint32(coreAt[y]-1) < uint32(at) {
+					coreAt[y] = -at
+					queue[tail] = y
+					tail++
+				}
 			}
 		}
 	}
 
-	// Emit q's community in ascending join order. Every member joins by
-	// prefix n (the full set is connected), so joined is set for all of
-	// q's final component; vertices outside it keep joined = -1 — they are
-	// never in any feasible prefix answer... they ARE in the k-core for
-	// large prefixes but not in q's component, which is exactly what
-	// KCoreWithin excludes.
-	o.minFeasible = joined[qLocal]
-	idx := make([]int32, 0, n)
-	for lv := int32(0); lv < int32(n); lv++ {
-		if joined[lv] >= 0 {
-			idx = append(idx, lv)
+	// Emit q's community in ascending join order, ties by local id: a stable
+	// counting sort. Every member joins by prefix n (the full set is
+	// connected); a vertex left positive would be outside q's final
+	// component, which KCoreWithin excludes too.
+	count := sc.deg[:n+1]
+	clear(count)
+	for _, c := range coreAt {
+		if c < 0 {
+			count[-c]++
 		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return joined[idx[a]] < joined[idx[b]] })
-	for _, lv := range idx {
-		o.comm = append(o.comm, e.members[lv])
-		o.joinAt = append(o.joinAt, joined[lv])
+	total := int32(0)
+	for j := 1; j <= n; j++ {
+		c := count[j]
+		count[j] = total
+		total += c
 	}
+	o := &vw.oracle
+	o.comm = slices.Grow(o.comm[:0], int(total))[:total]
+	o.joinAt = slices.Grow(o.joinAt[:0], int(total))[:total]
+	for lv, c := range coreAt {
+		if c > 0 {
+			continue
+		}
+		p := count[-c]
+		count[-c]++
+		o.comm[p] = e.members[lv]
+		o.joinAt[p] = -c
+	}
+	o.minFeasible = -coreAt[qLocal]
+	o.built = true
+	return true
+}
+
+// anyJoined reports whether any of nbrs has joined q's component (its coreAt
+// is negated, see buildPrefixOracle).
+func anyJoined(nbrs, coreAt []int32) bool {
+	for _, u := range nbrs {
+		if coreAt[u] < 0 {
+			return true
+		}
+	}
+	return false
 }

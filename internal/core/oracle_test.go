@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/kcore"
 )
@@ -109,6 +113,220 @@ func TestCachedMatchesUncachedAlgorithms(t *testing.T) {
 						seed, algo.name, q, k, rc.MCC, rc.Delta, ru.MCC, ru.Delta)
 				}
 			}
+		}
+	}
+}
+
+// latticeGraph is a random graph whose vertices sit on a coarse side×side
+// lattice, so many are co-located and many more are equidistant from any
+// query vertex: the tie-heavy input the sorted view and the oracle's
+// counting sort must order deterministically.
+func latticeGraph(seed int64, n, m, side int) *graph.Graph {
+	rnd := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetLoc(graph.V(v), geom.Point{
+			X: float64(rnd.Intn(side)) / float64(side),
+			Y: float64(rnd.Intn(side)) / float64(side),
+		})
+	}
+	for i := 0; i < m; i++ {
+		if u, v := graph.V(rnd.Intn(n)), graph.V(rnd.Intn(n)); u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
+// TestPrefixOracleDuplicateDistances is the property test of the linear
+// build: on random lattice graphs, for every prefix length of a view the
+// oracle's answer equals kcore.Peeler.KCoreWithin as a set, the view is in
+// (distance, vertex id) order, and the emitted community is in ascending
+// joinAt with ties in ascending local id — the order ExactPlus's δ depends
+// on at the ulp level.
+func TestPrefixOracleDuplicateDistances(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := latticeGraph(seed, 300, 1100+100*int(seed), 9)
+		s := NewSearcher(g)
+		peeler := kcore.NewPeeler(g)
+		rnd := rand.New(rand.NewSource(seed * 11))
+		for trial := 0; trial < 4; trial++ {
+			q := graph.V(rnd.Intn(g.NumVertices()))
+			k := 2 + rnd.Intn(4)
+			if s.CoreNumber(q) < k {
+				continue
+			}
+			s.begin()
+			cand, err := s.candidates(q, k)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			ties := 0
+			for i := 1; i < len(cand.verts); i++ {
+				if cand.dists[i-1] == cand.dists[i] {
+					ties++
+					if cand.verts[i-1] >= cand.verts[i] {
+						t.Fatalf("seed %d q=%d: view ties not in vertex-id order at %d", seed, q, i)
+					}
+				} else if cand.dists[i-1] > cand.dists[i] {
+					t.Fatalf("seed %d q=%d: view not sorted at %d", seed, q, i)
+				}
+			}
+			if ties < len(cand.verts)/4 {
+				t.Fatalf("seed %d q=%d: only %d ties among %d candidates; fixture lost its duplicates",
+					seed, q, ties, len(cand.verts))
+			}
+			e, vw := s.curEntry, s.curView
+			for i := 1; i <= len(cand.verts); i++ {
+				got := slices.Clone(s.prefixFeasible(e, vw, i, q, k))
+				want := slices.Clone(peeler.KCoreWithin(cand.verts[:i], q, k))
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d q=%d k=%d prefix %d: oracle %v != peeler %v", seed, q, k, i, got, want)
+				}
+			}
+			o := &vw.oracle
+			if len(o.comm) != len(cand.verts) || len(o.joinAt) != len(o.comm) {
+				t.Fatalf("seed %d q=%d: oracle emits %d of %d members", seed, q, len(o.comm), len(cand.verts))
+			}
+			for j := 1; j < len(o.comm); j++ {
+				if o.joinAt[j-1] > o.joinAt[j] ||
+					o.joinAt[j-1] == o.joinAt[j] && s.localOf[o.comm[j-1]] >= s.localOf[o.comm[j]] {
+					t.Fatalf("seed %d q=%d k=%d: emitted order breaks (joinAt, local id) at %d", seed, q, k, j)
+				}
+			}
+		}
+	}
+}
+
+// TestViewIndependentOfCacheHistory pins the deterministic tie order end to
+// end: AppInc grows its prefix one vertex at a time, so among co-located
+// vertices its answer depends on their order in the view. Two searchers
+// whose membership cache was filled by different first queries (different
+// BFS orders) must agree exactly with each other and with an uncached one.
+func TestViewIndependentOfCacheHistory(t *testing.T) {
+	g := latticeGraph(7, 300, 1500, 9)
+	base := NewSearcher(g)
+	var members []graph.V
+	for v := 0; v < g.NumVertices() && members == nil; v++ {
+		if base.CoreNumber(graph.V(v)) >= 4 {
+			cand, err := base.candidates(graph.V(v), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members = slices.Clone(cand.verts)
+		}
+	}
+	if len(members) < 100 {
+		t.Fatalf("4-core community has %d members; fixture too small", len(members))
+	}
+	a, b, fresh := NewSearcher(g), NewSearcher(g), NewSearcher(g)
+	fresh.SetCandidateCaching(false)
+	if _, err := a.AppInc(members[0], 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AppInc(members[len(members)-1], 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range members[:40] {
+		ra, errA := a.AppInc(q, 4)
+		rb, errB := b.AppInc(q, 4)
+		rf, errF := fresh.AppInc(q, 4)
+		if errA != nil || errB != nil || errF != nil {
+			t.Fatalf("q=%d: %v / %v / %v", q, errA, errB, errF)
+		}
+		for _, r := range []*Result{rb, rf} {
+			if !slices.Equal(ra.Members, r.Members) || ra.MCC != r.MCC || ra.Delta != r.Delta {
+				t.Fatalf("q=%d: AppInc depends on cache history: %d members δ=%v vs %d members δ=%v",
+					q, len(ra.Members), ra.Delta, len(r.Members), r.Delta)
+			}
+		}
+	}
+}
+
+// TestViewRebuildDoesNotAllocate pins the allocation-free steady state: once
+// a community is cached and the searcher's scratch has grown to it, staling
+// a view (a check-in) and rebuilding it — distances, sort, prefix oracle —
+// allocates nothing.
+func TestViewRebuildDoesNotAllocate(t *testing.T) {
+	g := latticeGraph(3, 400, 2400, 40)
+	s := NewSearcher(g)
+	var q1, q2 graph.V = -1, -1
+	for v := 0; v < g.NumVertices(); v++ {
+		if s.CoreNumber(graph.V(v)) >= 4 {
+			if q1 < 0 {
+				q1 = graph.V(v)
+			} else {
+				q2 = graph.V(v)
+			}
+		}
+	}
+	rebuild := func(q graph.V) {
+		s.begin()
+		cand, err := s.candidates(q, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.prefixFeasible(s.curEntry, s.curView, len(cand.verts), q, 4) == nil {
+			t.Fatal("full candidate set infeasible")
+		}
+	}
+	rebuild(q1)
+	rebuild(q2)
+	if s.curEntry.views[1].q != q1 || len(s.curView.verts) < 200 {
+		t.Fatalf("fixture: q1=%d and q2=%d must share one large community", q1, q2)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		g.SetLoc(q1, g.Loc(q1)) // bumps the location epoch: every view is stale
+		rebuild(q2)
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding a stale view allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestCancelInsideOracleBuild covers the build's own cancellation point: a
+// context that fires between the sweep and the joining pass leaves the
+// oracle unbuilt, the query reports ErrCanceled, and the next query on that
+// view rebuilds it and matches a fresh searcher. Every fuse length is
+// tried, so whichever loop boundary the context fires at, the searcher
+// recovers.
+func TestCancelInsideOracleBuild(t *testing.T) {
+	g := latticeGraph(5, 300, 1500, 9)
+	var q graph.V
+	for s := NewSearcher(g); s.CoreNumber(q) < 4; q++ {
+	}
+	want, err := NewSearcher(g).AppInc(q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewSearcher(g)
+	s.begin()
+	if _, err := s.candidates(q, 4); err != nil {
+		t.Fatal(err)
+	}
+	s.beginCtx(newCountdown(0))
+	if s.buildPrefixOracle(s.curEntry, s.curView, q, 4) || s.curView.oracle.built {
+		t.Fatal("oracle build completed under a dead context")
+	}
+
+	dry := newCountdown(math.MaxInt64)
+	if _, err := s.AppIncCtx(dry, q, 4); err != nil {
+		t.Fatal(err)
+	}
+	for fuse := int64(0); fuse < dry.calls.Load(); fuse++ {
+		g.SetLoc(q, g.Loc(q)) // stale the view so the build runs again
+		if res, err := s.AppIncCtx(newCountdown(fuse), q, 4); res != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("fuse %d: res=%v err=%v, want ErrCanceled", fuse, res, err)
+		}
+		got, err := s.AppInc(q, 4)
+		if err != nil {
+			t.Fatalf("fuse %d: query after cancel: %v", fuse, err)
+		}
+		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
+			t.Fatalf("fuse %d: answer after a canceled build differs from a fresh searcher's", fuse)
 		}
 	}
 }

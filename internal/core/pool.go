@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -20,23 +21,33 @@ import (
 // out a worker rebound to the exact snapshot a reader pinned — an O(1)
 // pointer adoption that keeps the worker's warmed cache, not a re-clone.
 //
+// Idle workers sit on a LIFO free list, not in a sync.Pool: a sync.Pool is
+// emptied by the garbage collector, and a worker's value is its warm cache —
+// after a collection every Get would clone a cold searcher and the next
+// queries would each rebuild a view. The list hands out the most recently
+// returned (warmest) worker first and keeps at most maxIdle of them, so
+// what it retains is bounded by the concurrency the machine can actually
+// run; a burst beyond that is cloned on demand and dropped on Put.
+//
 // The zero Pool is not usable; create one with NewPool. All methods are safe
 // for concurrent use.
 type Pool struct {
 	base    atomic.Pointer[Searcher]
-	p       sync.Pool
 	created atomic.Int64
+	maxIdle int
+
+	mu   sync.Mutex
+	idle []*Searcher
 }
 
 // NewPool creates a pool of clones of base. base itself is never handed
 // out, so it remains safe to use on the caller's own goroutine.
 func NewPool(base *Searcher) *Pool {
-	pl := &Pool{}
+	// Twice the processors: a request that is preempted between its query
+	// and its Put still finds room, so steady traffic never drops a warm
+	// worker.
+	pl := &Pool{maxIdle: 2 * runtime.GOMAXPROCS(0)}
 	pl.base.Store(base)
-	pl.p.New = func() any {
-		pl.created.Add(1)
-		return pl.base.Load().Clone()
-	}
 	return pl
 }
 
@@ -50,16 +61,28 @@ func (p *Pool) Base() *Searcher { return p.base.Load() }
 func (p *Pool) SetBase(base *Searcher) { p.base.Store(base) }
 
 // Created returns the number of worker clones this pool has ever created —
-// the pool-size signal /api/health reports (sync.Pool does not expose its
-// idle count; clones are only created when all existing ones are busy, so
-// the high-water mark tracks peak concurrency).
+// the pool-size signal /api/health reports. Clones are only created when no
+// idle worker is left, so the count tracks peak concurrency (plus whatever
+// bursts beyond maxIdle had to re-clone).
 func (p *Pool) Created() int64 { return p.created.Load() }
 
 // Get returns a Searcher for exclusive use by the calling goroutine, bound
 // to whatever base it last served (the pool's current base for fresh
 // clones). Return it with Put when done; Searchers that are never Put are
 // simply collected. Snapshot readers use GetFor instead.
-func (p *Pool) Get() *Searcher { return p.p.Get().(*Searcher) }
+func (p *Pool) Get() *Searcher {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		s := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return s
+	}
+	p.mu.Unlock()
+	p.created.Add(1)
+	return p.base.Load().Clone()
+}
 
 // GetFor returns a Searcher rebound to base's graph and decomposition — the
 // snapshot-pinned variant of Get. The rebind is O(1) and keeps the worker's
@@ -71,7 +94,13 @@ func (p *Pool) GetFor(base *Searcher) *Searcher {
 }
 
 // Put returns a Searcher obtained from Get or GetFor to the pool.
-func (p *Pool) Put(s *Searcher) { p.p.Put(s) }
+func (p *Pool) Put(s *Searcher) {
+	p.mu.Lock()
+	if len(p.idle) < p.maxIdle {
+		p.idle = append(p.idle, s)
+	}
+	p.mu.Unlock()
+}
 
 // Do runs f with a pooled Searcher, returning the Searcher afterwards even
 // if f panics.

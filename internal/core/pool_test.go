@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -101,10 +102,6 @@ func TestPoolDo(t *testing.T) {
 	if !membersEqual(members, vQ, vC, vD) {
 		t.Fatalf("Pool.Do result = %v", members)
 	}
-	// Workers warm their caches while checked out; whether a particular
-	// Get returns a recycled or fresh clone is up to sync.Pool (race mode
-	// deliberately randomizes retention), so only the warm-while-held
-	// property is asserted.
 	w := pool.Get()
 	if _, err := w.AppFast(vQ, 2, 0.5); err != nil {
 		t.Fatal(err)
@@ -113,9 +110,41 @@ func TestPoolDo(t *testing.T) {
 		t.Fatal("worker did not warm its cache")
 	}
 	pool.Put(w)
-	w2 := pool.Get()
-	defer pool.Put(w2)
-	if _, err := w2.AppFast(vQ, 2, 0.5); err != nil {
+}
+
+// TestPoolKeepsWarmWorkersAcrossGC pins what the free list is for: an idle
+// worker, with its warm cache, outlives garbage collections (a sync.Pool
+// drops it within two), the warmest worker is handed out first, and
+// retention is capped.
+func TestPoolKeepsWarmWorkersAcrossGC(t *testing.T) {
+	pool := NewPool(NewSearcher(figure3()))
+	cold, warm := pool.Get(), pool.Get()
+	if _, err := warm.AppFast(vQ, 2, 0.5); err != nil {
 		t.Fatal(err)
+	}
+	pool.Put(cold)
+	pool.Put(warm)
+	runtime.GC()
+	runtime.GC()
+	if got := pool.Get(); got != warm || got.CachedCommunities() == 0 {
+		t.Fatal("Get after GC did not return the most recently used, still warm worker")
+	}
+	if got := pool.Get(); got != cold {
+		t.Fatal("second Get did not return the other idle worker")
+	}
+	if c := pool.Created(); c != 2 {
+		t.Fatalf("Created = %d after recycling two workers, want 2", c)
+	}
+
+	// A burst beyond the idle cap is cloned on demand and not retained.
+	burst := make([]*Searcher, pool.maxIdle+3)
+	for i := range burst {
+		burst[i] = pool.Get()
+	}
+	for _, w := range burst {
+		pool.Put(w)
+	}
+	if len(pool.idle) != pool.maxIdle {
+		t.Fatalf("pool retains %d idle workers, want the cap %d", len(pool.idle), pool.maxIdle)
 	}
 }

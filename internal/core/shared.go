@@ -56,6 +56,9 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 	if s.structure != StructureKCore {
 		return nil
 	}
+	// Drop whatever context the builder's last query left armed: the table
+	// is shared read-only, so every oracle in it must be built to completion.
+	s.begin()
 	p := &SharedPlans{
 		g:         s.g,
 		topoEpoch: s.g.TopoEpoch(),
@@ -99,7 +102,7 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 			for _, v := range vw.verts {
 				vw.dists = append(vw.dists, qp.Dist(s.g.Loc(v)))
 			}
-			sortByDist(vw.verts, vw.dists)
+			s.distSort.sort(vw.verts, vw.dists)
 			s.bindLocal(e)
 			s.buildPrefixOracle(e, vw, key.Q, key.K)
 		}

@@ -171,7 +171,7 @@ func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 	}
 
 	// Warm one worker's cache and keep it checked out so we provably re-use
-	// the warmed searcher (sync.Pool recycling is not guaranteed).
+	// the warmed searcher.
 	w := pool.Get()
 	r1, err := w.AppFast(q, k, 0.5)
 	if err != nil {

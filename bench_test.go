@@ -11,6 +11,7 @@
 package sacsearch_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -510,7 +511,7 @@ func BenchmarkFig13Dynamic(b *testing.B) {
 			}
 			return res.Members, res.MCC, nil
 		}
-		timelines, err := sacsearch.Replay(g, checkins, movers, ccfg.Days*0.25, benchK, search)
+		timelines, err := sacsearch.Replay(context.Background(), g, checkins, movers, ccfg.Days*0.25, benchK, search)
 		if err != nil {
 			b.Fatal(err)
 		}

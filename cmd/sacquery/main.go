@@ -32,7 +32,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/dataset"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 )
 
 func main() {
@@ -230,7 +230,7 @@ func runBaseline(g *graph.Graph, q core.Query) error {
 	fmt.Printf("%s community: %d members, MCC center (%.4f, %.4f) radius %.6f\n",
 		q.Algo, len(members), mcc.C.X, mcc.C.Y, mcc.R)
 	fmt.Printf("avg internal degree %.2f, distPr %.6f\n",
-		community.AvgInternalDegree(g, members), metrics.DistPr(g, members, 1))
+		community.AvgInternalDegree(g, members), quality.DistPr(g, members, 1))
 	return nil
 }
 

@@ -15,19 +15,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"sacsearch/internal/debugserve"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/router"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/telemetry"
@@ -95,37 +92,10 @@ func main() {
 		logger.Info("all shards up", "shards", m.Shards, "mapChecksum", fmt.Sprintf("%08x", m.Checksum()))
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *qTimeout + 15*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("sacrouter: routing %d shards (%d vertices, %d edges at cut) on %s\n",
 		m.Shards, m.N, m.Edges, *addr)
-
-	select {
-	case err := <-errc:
+	if err := httpapi.ListenAndServe(*addr, rt, *qTimeout, *grace, logger, rt.DrainSubscriptions); err != nil {
 		log.Fatalf("sacrouter: %v", err)
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining", "grace", *grace)
-		// Close standing-query streams (flushed deltas + terminal bye) so
-		// the open SSE responses finish and Shutdown's drain can complete.
-		rt.DrainSubscriptions()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("shutdown failed", "err", err)
-		}
 	}
 }
 

@@ -56,24 +56,20 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"sacsearch/internal/dataset"
 	"sacsearch/internal/debugserve"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/replica"
 	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
@@ -242,43 +238,12 @@ func main() {
 		vertices, edges = snap.Graph().NumVertices(), snap.Edges()
 	}
 
-	// ReadHeaderTimeout bounds slow-loris headers; WriteTimeout leaves room
-	// for the query deadline plus response encoding so the server never cuts
-	// off a legitimate slow Exact before the API-level deadline does.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *qTimeout + 15*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("sacserver: serving %s (%d vertices, %d edges) on %s (API /v1, deprecated alias /api)\n",
 		srvName, vertices, edges, *addr)
-
-	select {
-	case err := <-errc:
+	if err := httpapi.ListenAndServe(*addr, api, *qTimeout, *grace, logger, api.DrainSubscriptions); err != nil {
 		log.Fatalf("sacserver: %v", err)
-	case <-ctx.Done():
-		stop() // a second signal kills immediately
-		logger.Info("signal received, draining", "grace", *grace)
-		// Standing-query streams first: flush pending deltas and send each
-		// subscriber the terminal bye, so the open SSE responses finish and
-		// Shutdown's drain below can complete.
-		api.DrainSubscriptions()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("shutdown failed", "err", err)
-		}
-		logger.Info("drained, stopping snapshot writer")
 	}
+	logger.Info("drained, stopping snapshot writer")
 }
 
 // runFence executes the one-shot -fence action: make the leader at addr

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -38,7 +39,7 @@ func main() {
 	const k = 3 // every guest knows ≥ 3 others at the party
 
 	start := time.Now()
-	items := sacsearch.BatchSearch(s, sacsearch.BatchWorkload(hosts, k), sacsearch.BatchOptions{
+	items := sacsearch.BatchSearch(context.Background(), s, sacsearch.BatchWorkload(hosts, k), sacsearch.BatchOptions{
 		// The batch rides the same registry template a /v1/batch request
 		// does: one Query selects the algorithm and parameters for all hosts.
 		Template: sacsearch.Query{Algo: "appacc", EpsA: sacsearch.Float(0.5)},

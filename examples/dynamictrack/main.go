@@ -42,7 +42,7 @@ func main() {
 		return res.Members, res.MCC, nil
 	}
 	const k = 3
-	timelines, err := sacsearch.ReplayWithEdges(g, checkins, churn, movers,
+	timelines, err := sacsearch.ReplayWithEdges(context.Background(), g, checkins, churn, movers,
 		200 /* warm-up days */, k, search, sacsearch.ApplyEdgesVia(s))
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package sacsearch_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -13,7 +14,7 @@ func TestFacadeBatch(t *testing.T) {
 	g := buildToy(t)
 	s := sacsearch.NewSearcher(g)
 	queries := sacsearch.BatchWorkload([]sacsearch.V{0, 3, 0}, 2)
-	items := sacsearch.BatchSearch(s, queries, sacsearch.BatchOptions{
+	items := sacsearch.BatchSearch(context.Background(), s, queries, sacsearch.BatchOptions{
 		Algorithm: sacsearch.BatchExactPlus,
 		Workers:   2,
 	})
@@ -50,7 +51,7 @@ func TestFacadeBatchStream(t *testing.T) {
 	in <- sacsearch.BatchQuery{Q: 3, K: 2}
 	close(in)
 	n := 0
-	for it := range sacsearch.BatchStream(s, in, sacsearch.BatchOptions{Workers: 2}) {
+	for it := range sacsearch.BatchStream(context.Background(), s, in, sacsearch.BatchOptions{Workers: 2}) {
 		if it.Err != nil {
 			t.Fatalf("stream: %v", it.Err)
 		}
@@ -154,7 +155,7 @@ func TestFacadeBatchEquivalenceProperty(t *testing.T) {
 			return true
 		}
 		s := sacsearch.NewSearcher(g)
-		items := sacsearch.BatchSearch(s, sacsearch.BatchWorkload(qs, 4),
+		items := sacsearch.BatchSearch(context.Background(), s, sacsearch.BatchWorkload(qs, 4),
 			sacsearch.BatchOptions{Workers: workers})
 		for i, q := range qs {
 			want, err := s.AppFast(q, 4, 0.5)
@@ -198,7 +199,7 @@ func TestFacadeDynamicTopology(t *testing.T) {
 		}
 		return res.Members, res.MCC, nil
 	}
-	timelines, err := sacsearch.ReplayWithEdges(g, checkins, churn, movers, 450, 2, search, sacsearch.ApplyEdgesVia(s))
+	timelines, err := sacsearch.ReplayWithEdges(context.Background(), g, checkins, churn, movers, 450, 2, search, sacsearch.ApplyEdgesVia(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,6 +119,19 @@ func (s *Searcher) Structure() Structure { return s.structure }
 // resolve validates and defaults a Query against this searcher, returning
 // the algorithm spec and the concrete parameter values to run with.
 func (s *Searcher) resolve(q Query) (*AlgoSpec, resolvedParams, error) {
+	return resolveQuery(q, s.g.NumVertices(), s.structure)
+}
+
+// ValidateQuery reports whether q is a well-formed request over an n-vertex
+// graph served under structure metric st — Searcher.ValidateQuery for a
+// caller that holds no searcher (the shard router validates against its
+// shard map), with the same check order and messages.
+func ValidateQuery(q Query, n int, st Structure) error {
+	_, _, err := resolveQuery(q, n, st)
+	return err
+}
+
+func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParams, error) {
 	var p resolvedParams
 	spec, ok := LookupAlgo(q.Algo)
 	if !ok {
@@ -131,14 +144,14 @@ func (s *Searcher) resolve(q Query) (*AlgoSpec, resolvedParams, error) {
 			return nil, p, &QueryError{Code: ErrCodeStructureMismatch, Field: "structure",
 				Reason: fmt.Sprintf("unknown structure metric %q", q.Structure)}
 		}
-		if st != s.structure {
+		if st != structure {
 			return nil, p, &QueryError{Code: ErrCodeStructureMismatch, Field: "structure",
-				Reason: fmt.Sprintf("searcher serves the %v metric, query wants %v", s.structure, st)}
+				Reason: fmt.Sprintf("searcher serves the %v metric, query wants %v", structure, st)}
 		}
 	}
-	if q.Q < 0 || int(q.Q) >= s.g.NumVertices() {
+	if q.Q < 0 || int(q.Q) >= n {
 		return nil, p, &QueryError{Code: ErrCodeInvalidQuery, Field: "q",
-			Reason: fmt.Sprintf("query vertex %d out of range [0,%d)", q.Q, s.g.NumVertices())}
+			Reason: fmt.Sprintf("query vertex %d out of range [0,%d)", q.Q, n)}
 	}
 	if q.K < 1 {
 		return nil, p, &QueryError{Code: ErrCodeInvalidQuery, Field: "k",

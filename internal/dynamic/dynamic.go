@@ -21,7 +21,7 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 )
 
 // Snapshot is one community observed for a tracked user at one check-in.
@@ -163,15 +163,15 @@ func Decay(timelines map[graph.V][]Snapshot, etas []float64) []DecayPoint {
 				if s.Time-prev.Time < eta {
 					continue
 				}
-				cjs = append(cjs, metrics.CJS(prev.Members, s.Members))
-				cao = append(cao, metrics.CAO(prev.MCC, s.MCC))
+				cjs = append(cjs, quality.CJS(prev.Members, s.Members))
+				cao = append(cao, quality.CAO(prev.MCC, s.MCC))
 				prev = s
 			}
 		}
 		out = append(out, DecayPoint{
 			EtaDays: eta,
-			CJS:     metrics.Mean(cjs),
-			CAO:     metrics.Mean(cao),
+			CJS:     quality.Mean(cjs),
+			CAO:     quality.Mean(cao),
 			Pairs:   len(cjs),
 		})
 	}

@@ -7,7 +7,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/dataset"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 )
 
 // Figure 9 — approximation ratios: theoretical versus measured. The paper
@@ -77,7 +77,7 @@ func fig9(cfg Config, sweep []float64, base float64, run func(*core.Searcher, gr
 				Dataset:     name,
 				Eps:         eps,
 				Theoretical: base + eps,
-				Actual:      metrics.Mean(ratios),
+				Actual:      quality.Mean(ratios),
 				Queries:     len(ratios),
 			})
 		}
@@ -143,18 +143,18 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 				if len(members) == 0 {
 					continue
 				}
-				radii = append(radii, metrics.Radius(g, members))
-				dists = append(dists, metrics.DistPr(g, members, cfg.Seed))
+				radii = append(radii, quality.Radius(g, members))
+				dists = append(dists, quality.DistPr(g, members, cfg.Seed))
 				degs = append(degs, community.AvgInternalDegree(g, members))
 				sizes = append(sizes, float64(len(members)))
 			}
 			rows = append(rows, Fig10Row{
 				Dataset: name,
 				Method:  m.name,
-				Radius:  metrics.Mean(radii),
-				DistPr:  metrics.Mean(dists),
-				AvgDeg:  metrics.Mean(degs),
-				Size:    metrics.Mean(sizes),
+				Radius:  quality.Mean(radii),
+				DistPr:  quality.Mean(dists),
+				AvgDeg:  quality.Mean(degs),
+				Size:    quality.Mean(sizes),
 				Found:   len(radii),
 			})
 		}
@@ -231,8 +231,8 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 				Dataset:     name,
 				Theta:       theta,
 				NonEmptyPct: 100 * float64(nonEmpty) / float64(len(qs)),
-				AvgRadius:   metrics.Mean(radii),
-				ExactRadius: metrics.Mean(exact),
+				AvgRadius:   quality.Mean(radii),
+				ExactRadius: quality.Mean(exact),
 			})
 		}
 	}

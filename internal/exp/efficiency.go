@@ -8,7 +8,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/dataset"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 )
 
 // Figure 12 — efficiency. Three panels per dataset: approximation
@@ -227,7 +227,7 @@ func Fig14(cfg Config) ([]Fig14Row, error) {
 			}
 			rows = append(rows, Fig14Row{
 				Dataset: name, EpsA: eps,
-				MeanTime: mean, MeanF1: metrics.Mean(f1s), Queries: len(results),
+				MeanTime: mean, MeanF1: quality.Mean(f1s), Queries: len(results),
 			})
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"sacsearch/internal/batch"
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 )
 
 // The extensions experiment validates the Section 6 roadmap features the
@@ -48,7 +48,7 @@ func ExtStructures(cfg Config) ([]ExtStructureRow, error) {
 			}
 			rows = append(rows, ExtStructureRow{
 				Dataset: name, Structure: st.String(),
-				Found: len(radii), Radius: metrics.Mean(radii), Size: metrics.Mean(sizes),
+				Found: len(radii), Radius: quality.Mean(radii), Size: quality.Mean(sizes),
 			})
 		}
 	}
@@ -91,7 +91,7 @@ func ExtMinDiam(cfg Config) ([]ExtDiamRow, error) {
 			}
 			rows = append(rows, ExtDiamRow{
 				Dataset: name, Method: m.name,
-				MeanDiam: metrics.Mean(diams), MeanRadius: metrics.Mean(radii),
+				MeanDiam: quality.Mean(diams), MeanRadius: quality.Mean(radii),
 				MeanTimePerQ: mean,
 			})
 		}

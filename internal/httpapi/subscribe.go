@@ -1,0 +1,143 @@
+package httpapi
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+
+	"sacsearch/internal/core"
+	"sacsearch/internal/graph"
+	"sacsearch/internal/subscribe"
+)
+
+// Standing queries: GET /v1/subscribe registers (or resumes) a standing SAC
+// query and streams its result as Server-Sent Events — an init frame with
+// the full current community, then a delta frame whenever a change reshapes
+// it. See the README's "Standing queries" section for the wire contract.
+
+// Subscriptions is the standing-query table ServeSubscribe works against: a
+// server's subscribe.Manager, or the router's dispatcher over the shard
+// feeds.
+type Subscriptions interface {
+	Register(id string, q core.Query) (*subscribe.Sub, error)
+	Hub() *subscribe.Hub
+}
+
+// parseSubscribeQuery decodes the standing query from /v1/subscribe URL
+// parameters — the GET-shaped twin of a POST /v1/query body. Numeric
+// failures surface as the same invalid_query envelopes a malformed POST
+// body would get.
+func parseSubscribeQuery(r *http.Request) (core.Query, error) {
+	var cq core.Query
+	vals := r.URL.Query()
+	intField := func(name string) (int64, error) {
+		raw := vals.Get(name)
+		if raw == "" {
+			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
+				Reason: fmt.Sprintf("missing required parameter %q", name)}
+		}
+		n, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil {
+			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
+				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
+		}
+		return n, nil
+	}
+	q, err := intField("q")
+	if err != nil {
+		return cq, err
+	}
+	k, err := intField("k")
+	if err != nil {
+		return cq, err
+	}
+	cq.Q, cq.K = graph.V(q), int(k)
+	cq.Algo = vals.Get("algo")
+	cq.Structure = vals.Get("structure")
+	for _, name := range []string{"epsF", "epsA", "theta"} {
+		raw := vals.Get(name)
+		if raw == "" {
+			continue // absent: the registry default applies
+		}
+		f, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return cq, &core.QueryError{Code: core.ErrCodeInvalidParam, Field: name,
+				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
+		}
+		_ = cq.SetParam(name, f) // the names above are exactly the ones it binds
+	}
+	return cq, nil
+}
+
+// ServeSubscribe serves GET /v1/subscribe against subs. Registration and
+// resume share the route: a request whose id matches a live subscription
+// attaches to it (replaying per Last-Event-ID); an unknown id with a
+// Last-Event-ID is a 404 unknown_subscription (the resume state is gone —
+// re-subscribe fresh); anything else registers a new standing query.
+// validate is the front-end's full query validation (vertex range, k,
+// structure, params) — against the current snapshot on a server, against
+// the shard map on a router.
+func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subscriptions, validate func(core.Query) error) {
+	cq, err := parseSubscribeQuery(r)
+	if err == nil {
+		err = validate(cq)
+	}
+	if err != nil {
+		WriteQueryError(w, r, err)
+		return
+	}
+	// Canonicalize the algorithm name so SameQuery and event payloads
+	// compare like with like.
+	spec, _ := core.LookupAlgo(cq.Algo)
+	cq.Algo = spec.Name
+	raw := r.URL.Query().Get("id")
+	id := sanitizeRequestID(raw)
+	if raw != "" && id == "" {
+		WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+			fmt.Sprintf("malformed subscription id %q", raw))
+		return
+	}
+	lastID, hasLast := subscribe.ParseLastEventID(r)
+	var sub *subscribe.Sub
+	if id != "" {
+		if existing, found := subs.Hub().Get(id); found {
+			if !subscribe.SameQuery(existing.Query, cq) {
+				WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+					fmt.Sprintf("subscription %q is bound to a different query", id))
+				return
+			}
+			sub = existing
+		}
+	} else {
+		id = "sub-" + c.newRequestID()
+	}
+	if sub == nil {
+		if hasLast {
+			WriteError(w, r, http.StatusNotFound, CodeUnknownSubscription, "id",
+				fmt.Sprintf("unknown subscription %q: resume window expired, subscribe fresh", id))
+			return
+		}
+		sub, err = subs.Register(id, cq)
+	}
+	var st *subscribe.Stream
+	var replay []subscribe.Event
+	if err == nil {
+		st, replay, err = sub.Attach(lastID, hasLast)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, subscribe.ErrLimit):
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, r, http.StatusTooManyRequests, CodeSubscriptionLimit, "",
+			fmt.Sprintf("subscription limit reached (%d active)", subs.Hub().Active()))
+		return
+	default: // ErrClosed (draining), or a lost Register/Register race
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+			"subscriptions unavailable: "+err.Error())
+		return
+	}
+	defer sub.Detach(st)
+	subscribe.ServeSSE(w, r, st, replay, c.Heartbeat)
+}

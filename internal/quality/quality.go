@@ -1,4 +1,4 @@
-// Package metrics implements the community-quality measures of Section 5:
+// Package quality implements the community-quality measures of Section 5:
 //
 //	radius  — the MCC radius of the community (Section 5.2.2)
 //	distPr  — average pairwise member distance (Section 5.2.2)
@@ -6,7 +6,7 @@
 //	CAO     — community area overlap, Equation 10
 //
 // plus the summary statistics the experiment tables report.
-package metrics
+package quality
 
 import (
 	"math"

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
@@ -40,15 +39,9 @@ import (
 
 // routeAssembled gathers the cross-shard k-core closure around q and runs
 // the query locally. owner is q's shard (already consulted and uncertified).
-func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*server.QueryResponse, error) {
-	resp, _, err := rt.routeAssembledGathered(ctx, cq, owner)
-	return resp, err
-}
-
-// routeAssembledGathered is routeAssembled plus the gathered vertex ids —
-// a superset of the candidate set X, which the standing-query layer uses as
-// its check-in watch set.
-func (rt *Router) routeAssembledGathered(ctx context.Context, cq core.Query, owner int) (*server.QueryResponse, []int64, error) {
+// It also returns the gathered vertex ids — a superset of the candidate set
+// X, which the standing-query layer uses as its check-in watch set.
+func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*server.QueryResponse, []int64, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()
 	collected := make(map[int64]client.ShardVertex)
@@ -70,17 +63,12 @@ func (rt *Router) routeAssembledGathered(ctx context.Context, cq core.Query, own
 		rt.expandRounds.Inc()
 		expansions := make([]*client.ShardExpansion, len(shards))
 		errs := make([]error, len(shards))
-		var wg sync.WaitGroup
-		for i, s := range shards {
-			wg.Add(1)
-			go func(i, s int) {
-				defer wg.Done()
-				lctx, span := rt.leg(ctx, "expand", s)
-				defer span.End()
-				expansions[i], errs[i] = rt.sets[s].ShardExpand(lctx, cq.K, pending[s])
-			}(i, s)
-		}
-		wg.Wait()
+		fanOut(len(shards), func(i int) {
+			s := shards[i]
+			lctx, span := rt.leg(ctx, "expand", s)
+			defer span.End()
+			expansions[i], errs[i] = rt.sets[s].ShardExpand(lctx, cq.K, pending[s])
+		})
 		pending = make([][]int64, rt.m.Shards)
 		for i, exp := range expansions {
 			if errs[i] != nil {
@@ -140,17 +128,11 @@ func (rt *Router) routeTheta(ctx context.Context, cq core.Query) (*server.QueryR
 	theta := *cq.Theta // required parameter; validated before routing
 	gathered := make([][]client.ShardVertex, rt.m.Shards)
 	errs := make([]error, rt.m.Shards)
-	var wg sync.WaitGroup
-	for s := 0; s < rt.m.Shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lctx, span := rt.leg(ctx, "range", s)
-			defer span.End()
-			gathered[s], errs[s] = rt.sets[s].ShardRange(lctx, loc.X, loc.Y, theta)
-		}(s)
-	}
-	wg.Wait()
+	fanOut(rt.m.Shards, func(s int) {
+		lctx, span := rt.leg(ctx, "range", s)
+		defer span.End()
+		gathered[s], errs[s] = rt.sets[s].ShardRange(lctx, loc.X, loc.Y, theta)
+	})
 	collected := make(map[int64]client.ShardVertex)
 	for s, vs := range gathered {
 		if errs[s] != nil {
@@ -219,23 +201,12 @@ func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int6
 	if err != nil {
 		return nil, err
 	}
-	members := make([]graph.V, len(res.Members))
+	// Remap the answer back to global ids in place: res is request-private.
 	for i, m := range res.Members {
-		members[i] = graph.V(ids[m])
+		res.Members[i] = graph.V(ids[m])
 	}
+	res.Query = cq.Q
 	spec, _ := core.LookupAlgo(cq.Algo)
-	return &server.QueryResponse{
-		Q:       cq.Q,
-		K:       res.K,
-		Members: members,
-		MCC:     server.CircleJSON{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R},
-		Delta:   res.Delta,
-		Stats: server.StatsJSON{
-			CandidateSize:     res.Stats.CandidateSize,
-			FeasibilityChecks: res.Stats.FeasibilityChecks,
-			BinaryIters:       res.Stats.BinaryIters,
-			ElapsedMicros:     res.Stats.Elapsed.Microseconds(),
-			Algorithm:         spec.Name,
-		},
-	}, nil
+	resp := server.ToQueryResponse(spec.Name, res)
+	return &resp, nil
 }

@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"time"
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 )
 
@@ -35,44 +35,15 @@ func (rt *Router) writeRouteError(w http.ResponseWriter, r *http.Request, err er
 		rt.writeLegError(w, r, lf.shard, lf.err)
 		return
 	}
-	writeQueryError(w, r, err)
+	httpapi.WriteQueryError(w, r, err)
 }
 
-// validateQuery is the router's copy of the searcher's graph-independent
-// validation, in the same check order and with the same messages, so a
-// request rejected here gets the envelope a single server would send.
+// validateQuery is the searcher's own validation run against the shard map,
+// so a request rejected here gets the envelope a single server would send.
 // Sharded topologies serve the k-core metric (the certificate and assembly
 // are k-core constructions), so any other structure is a mismatch.
 func (rt *Router) validateQuery(cq core.Query) error {
-	if _, ok := core.LookupAlgo(cq.Algo); !ok {
-		return &core.QueryError{Code: core.ErrCodeUnknownAlgorithm, Field: "algo",
-			Reason: fmt.Sprintf("unknown algorithm %q", cq.Algo)}
-	}
-	if cq.Structure != "" {
-		st, err := core.ParseStructure(cq.Structure)
-		if err != nil {
-			return &core.QueryError{Code: core.ErrCodeStructureMismatch, Field: "structure",
-				Reason: fmt.Sprintf("unknown structure metric %q", cq.Structure)}
-		}
-		if st != core.StructureKCore {
-			return &core.QueryError{Code: core.ErrCodeStructureMismatch, Field: "structure",
-				Reason: fmt.Sprintf("searcher serves the %v metric, query wants %v", core.StructureKCore, st)}
-		}
-	}
-	if cq.Q < 0 || int(cq.Q) >= rt.m.N {
-		return &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: "q",
-			Reason: fmt.Sprintf("query vertex %d out of range [0,%d)", cq.Q, rt.m.N)}
-	}
-	if cq.K < 1 {
-		return &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: "k",
-			Reason: fmt.Sprintf("k = %d must be ≥ 1", cq.K)}
-	}
-	if cq.Timeout < 0 {
-		return &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: "timeout",
-			Reason: fmt.Sprintf("timeout %v must be non-negative", cq.Timeout)}
-	}
-	_, err := core.ValidateParams(cq)
-	return err
+	return core.ValidateQuery(cq, rt.m.N, core.StructureKCore)
 }
 
 // toClientQuery converts the core request to the typed client's shape for a
@@ -115,21 +86,12 @@ func fromClientResult(res *client.Result) server.QueryResponse {
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !rt.decodeJSON(w, r, &req) {
+	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	cq := core.Query{
-		Algo:      req.Algo,
-		Q:         req.Q,
-		K:         req.K,
-		EpsF:      req.EpsF,
-		EpsA:      req.EpsA,
-		Theta:     req.Theta,
-		Structure: req.Structure,
-		Timeout:   time.Duration(req.TimeoutMillis) * time.Millisecond,
-	}
+	cq := req.ToQuery()
 	if err := rt.validateQuery(cq); err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
@@ -139,48 +101,23 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeRouteError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, *resp)
+	httpapi.WriteJSON(w, http.StatusOK, *resp)
 }
 
-// route answers one validated query: owner-first with the certificate fast
-// path, falling back to cross-shard assembly. θ-SAC always assembles — its
-// catchment disk is defined over current locations, which drift across
-// ownership boundaries, so no shard can certify containment topologically.
+// route answers one validated query (see routeGathered, which it runs
+// without the watch-set leg).
 func (rt *Router) route(ctx context.Context, cq core.Query) (*server.QueryResponse, error) {
-	spec, _ := core.LookupAlgo(cq.Algo)
-	if spec.Name == "theta" {
-		rt.queryPath.With("theta").Inc()
-		return rt.routeTheta(ctx, cq)
-	}
-	owner := rt.m.OwnerOf(cq.Q)
-	lctx, span := rt.leg(ctx, "search", owner)
-	verdict, err := rt.sets[owner].ShardSearch(lctx, toClientQuery(cq))
-	span.End()
-	if err != nil {
-		return nil, &legFailure{owner, err}
-	}
-	if verdict.Contained {
-		rt.queryPath.With("certified").Inc()
-		if verdict.NoCommunity {
-			return nil, core.ErrNoCommunity
-		}
-		if verdict.Result == nil {
-			return nil, &legFailure{owner, errors.New("contained verdict carried no result")}
-		}
-		resp := fromClientResult(verdict.Result)
-		return &resp, nil
-	}
-	rt.queryPath.With("assembled").Inc()
-	return rt.routeAssembled(ctx, cq, owner)
+	resp, _, err := rt.routeGathered(ctx, cq, false)
+	return resp, err
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if !rt.decodeJSON(w, r, &req) {
+	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
+		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
 		return
 	}
 	// Template validation fails the whole batch with one 400, exactly like
@@ -194,14 +131,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Structure: req.Structure,
 	}
 	if _, err := core.ValidateParams(template); err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	if template.Structure != "" {
 		probe := template
 		probe.Q, probe.K = 0, 1
 		if err := rt.validateQuery(probe); err != nil {
-			writeQueryError(w, r, err)
+			httpapi.WriteQueryError(w, r, err)
 			return
 		}
 	}
@@ -250,12 +187,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// 503, mirroring the single server's status-keyed behavior.
 	for i, d := range deadlined {
 		if d {
-			writeError(w, r, http.StatusServiceUnavailable, server.CodeDeadlineExceeded, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded, "",
 				"batch deadline exceeded: "+items[i].Error)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, server.BatchResponse{Items: items})
+	httpapi.WriteJSON(w, http.StatusOK, server.BatchResponse{Items: items})
 }
 
 // routeErrorMessage renders a routing error as a batch item's error string.
@@ -281,5 +218,5 @@ func isDeadline(err error) bool {
 		return true
 	}
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == server.CodeDeadlineExceeded
+	return errors.As(err, &apiErr) && apiErr.Code == httpapi.CodeDeadlineExceeded
 }

@@ -36,14 +36,10 @@ package router
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,6 +48,7 @@ import (
 	"sacsearch/client"
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/telemetry"
@@ -107,27 +104,6 @@ func (c Config) queryTimeout() time.Duration {
 	return 15 * time.Second
 }
 
-func (c Config) subscribeHeartbeat() time.Duration {
-	if c.SubscribeHeartbeat > 0 {
-		return c.SubscribeHeartbeat
-	}
-	return 15 * time.Second
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 1 << 20
-}
-
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
-}
-
 // Router is the /v1 front of a sharded topology. It is safe for concurrent
 // use and holds no graph state beyond the shard map — all data lives on the
 // shards.
@@ -136,8 +112,8 @@ type Router struct {
 	m        *shard.Map
 	checksum uint32
 	sets     []*client.Set // one endpoint group per shard
+	api      httpapi.Core  // request middleware, envelope, /v1/subscribe handler
 	mux      *http.ServeMux
-	nextID   atomic.Uint64
 	// edges tracks the global undirected edge count as seen through this
 	// router: the partition-time count plus every Changed mutation routed
 	// here. Writes that bypass the router are not reflected.
@@ -147,7 +123,6 @@ type Router struct {
 	inflight atomic.Int64
 	start    time.Time
 
-	httpMet telemetry.HTTPMetrics
 	// legsTotal counts outbound shard calls by kind (search, expand, range,
 	// vertex, checkin, edge, info, health).
 	legsTotal *telemetry.CounterVec
@@ -182,7 +157,15 @@ func New(cfg Config) (*Router, error) {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 	}
-	rt.httpMet = telemetry.NewHTTPMetrics(cfg.Metrics)
+	rt.api = httpapi.Core{
+		IDPrefix:     "rtr-",
+		Logger:       cfg.Logger,
+		Metrics:      telemetry.NewHTTPMetrics(cfg.Metrics),
+		SlowRequest:  cfg.SlowQueryThreshold,
+		TraceHook:    cfg.TraceHook,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Heartbeat:    cfg.SubscribeHeartbeat,
+	}
 	rt.legsTotal = cfg.Metrics.CounterVec("sac_router_legs_total",
 		"Outbound shard calls issued by the router, by kind.", "kind")
 	rt.queryPath = cfg.Metrics.CounterVec("sac_router_query_path_total",
@@ -213,146 +196,11 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Handler returns the router as an http.Handler.
-func (rt *Router) Handler() http.Handler { return rt }
-
-// ServeHTTP stamps the request id, roots the request's trace span, records
-// the sac_http_* instruments and recovers panics into 500 envelopes — the
-// same discipline as the server's, so envelopes (and dashboards) stay
-// uniform across the topology.
+// ServeHTTP routes through the shared request middleware
+// (httpapi.Core.Serve) — the same discipline as the server's, so envelopes
+// (and dashboards) stay uniform across the topology.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := sanitizeRequestID(r.Header.Get("X-Request-Id"))
-	if id == "" {
-		id = rt.newRequestID()
-	}
-	w.Header().Set("X-Request-Id", id)
-	route := telemetry.RouteLabel(r.URL.Path)
-	ctx := context.WithValue(r.Context(), requestIDKey{}, id)
-	ctx, span := telemetry.StartSpan(ctx, r.Method+" "+route)
-	span.Remote = sanitizeRequestID(r.Header.Get(telemetry.TraceHeader))
-	w.Header().Set(telemetry.TraceHeader, span.ID)
-	r = r.WithContext(ctx)
-	rw := &trackingWriter{ResponseWriter: w}
-	start := time.Now()
-	rt.httpMet.Inflight.Add(1)
-	defer func() {
-		p := recover()
-		if p != nil && p != http.ErrAbortHandler {
-			rt.cfg.logger().Error("panic serving request",
-				"method", r.Method, "path", r.URL.Path, "requestId", id,
-				"spanId", span.ID, "panic", p, "stack", string(debug.Stack()))
-			if !rw.wrote {
-				writeError(rw, r, http.StatusInternalServerError, server.CodeInternal, "",
-					"internal server error (request "+id+")")
-			}
-		}
-		span.End()
-		elapsed := time.Since(start)
-		rt.httpMet.Inflight.Add(-1)
-		rt.httpMet.Requests.With(route, r.Method, strconv.Itoa(rw.status())).Inc()
-		rt.httpMet.Duration.With(route).Observe(elapsed.Seconds())
-		if t := rt.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
-			rt.cfg.logger().Warn("slow request",
-				"method", r.Method, "route", route, "requestId", id, "spanId", span.ID,
-				"elapsed", elapsed, "status", rw.status(), "trace", "\n"+span.Tree())
-		}
-		if rt.cfg.TraceHook != nil {
-			rt.cfg.TraceHook(span)
-		}
-	}()
-	rt.mux.ServeHTTP(rw, r)
-}
-
-type trackingWriter struct {
-	http.ResponseWriter
-	wrote bool
-	code  int
-}
-
-func (w *trackingWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-	}
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *trackingWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Unwrap exposes the underlying writer so http.ResponseController can
-// reach Flusher and per-request write deadlines (SSE streams need both).
-func (w *trackingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// status is the response code sent to the client (200 when the handler
-// never called WriteHeader explicitly).
-func (w *trackingWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-type requestIDKey struct{}
-
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(requestIDKey{}).(string)
-	return id
-}
-
-func sanitizeRequestID(id string) string {
-	if len(id) == 0 || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
-func (rt *Router) newRequestID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("rtr-%012d", rt.nextID.Add(1))
-	}
-	return "rtr-" + hex.EncodeToString(b[:])
-}
-
-// --- envelope helpers ------------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, status int, code, field, msg string) {
-	writeJSON(w, status, server.ErrorJSON{Error: msg, Code: code, Field: field, RequestID: requestID(r)})
-}
-
-// writeQueryError mirrors the server's mapping of core errors onto
-// envelopes, so a router-local assembly run and a single server produce the
-// same response for the same failure.
-func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
-	var qe *core.QueryError
-	switch {
-	case errors.As(err, &qe):
-		writeError(w, r, http.StatusBadRequest, qe.Code, qe.Field, err.Error())
-	case errors.Is(err, core.ErrNoCommunity):
-		writeError(w, r, http.StatusNotFound, server.CodeNoCommunity, "", err.Error())
-	case errors.Is(err, core.ErrCanceled):
-		writeError(w, r, http.StatusServiceUnavailable, server.CodeDeadlineExceeded, "", err.Error())
-	default:
-		writeError(w, r, http.StatusUnprocessableEntity, server.CodeQueryFailed, "", err.Error())
-	}
+	rt.api.Serve(w, r, rt.mux)
 }
 
 // writeLegError reports a failed shard leg. A deterministic shard verdict —
@@ -365,16 +213,16 @@ func (rt *Router) writeLegError(w http.ResponseWriter, r *http.Request, shardID 
 	if errors.As(err, &apiErr) {
 		forward := apiErr.Status != http.StatusServiceUnavailable &&
 			apiErr.Status != http.StatusTooManyRequests
-		if apiErr.Code == server.CodeDeadlineExceeded {
+		if apiErr.Code == httpapi.CodeDeadlineExceeded {
 			forward = true
 		}
 		if forward {
-			writeError(w, r, apiErr.Status, apiErr.Code, apiErr.Field, apiErr.Message)
+			httpapi.WriteError(w, r, apiErr.Status, apiErr.Code, apiErr.Field, apiErr.Message)
 			return
 		}
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, r, http.StatusServiceUnavailable, server.CodeShardUnavailable, "",
+	httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeShardUnavailable, "",
 		fmt.Sprintf("shard %d unavailable: %v", shardID, err))
 }
 
@@ -383,7 +231,7 @@ func (rt *Router) writeLegError(w http.ResponseWriter, r *http.Request, shardID 
 // the request through router and shard logs alike.
 func (rt *Router) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
-	if id := requestID(r); id != "" {
+	if id := httpapi.RequestID(r); id != "" {
 		ctx = client.WithRequestID(ctx, id)
 	}
 	return context.WithTimeout(ctx, rt.cfg.queryTimeout())
@@ -399,21 +247,6 @@ func (rt *Router) leg(ctx context.Context, kind string, shardID int) (context.Co
 	return client.WithTraceSpan(ctx, span.ID), span
 }
 
-func (rt *Router) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.maxBodyBytes())
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, server.CodeBodyTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, r, http.StatusBadRequest, server.CodeInvalidJSON, "", "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
 // --- topology endpoints ----------------------------------------------------
 
 // shardProbe is one shard's /v1/shard/info outcome during a fan-out.
@@ -426,16 +259,25 @@ type shardProbe struct {
 func (rt *Router) probeShards(ctx context.Context) []shardProbe {
 	rt.legsTotal.With("info").Add(uint64(len(rt.sets)))
 	probes := make([]shardProbe, len(rt.sets))
+	fanOut(len(rt.sets), func(i int) {
+		probes[i].info, probes[i].err = rt.sets[i].ShardInfo(ctx)
+	})
+	return probes
+}
+
+// fanOut runs f(0) … f(n-1) concurrently and returns when all have — the
+// shape of every scatter in the router: n is a handful of shards and each f
+// is one leg writing its own slot of the caller's result slices.
+func fanOut(n int, f func(i int)) {
 	var wg sync.WaitGroup
-	for i := range rt.sets {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			probes[i].info, probes[i].err = rt.sets[i].ShardInfo(ctx)
+			f(i)
 		}(i)
 	}
 	wg.Wait()
-	return probes
 }
 
 // probeProblem classifies one probe against the router's own map: "" means
@@ -480,24 +322,18 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]shardHealth, len(rt.sets))
 	rt.legsTotal.With("health").Add(uint64(len(rt.sets)))
-	var wg sync.WaitGroup
-	for i := range rt.sets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h, err := rt.sets[i].Health(ctx)
-			sh := shardHealth{Shard: i}
-			if err != nil {
-				sh.Status = "unreachable"
-				sh.Error = err.Error()
-			} else {
-				sh.Status = h.Status
-				sh.Health = h
-			}
-			out[i] = sh
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(rt.sets), func(i int) {
+		h, err := rt.sets[i].Health(ctx)
+		sh := shardHealth{Shard: i}
+		if err != nil {
+			sh.Status = "unreachable"
+			sh.Error = err.Error()
+		} else {
+			sh.Status = h.Status
+			sh.Health = h
+		}
+		out[i] = sh
+	})
 	status := "ok"
 	for _, sh := range out {
 		if sh.Status != "ok" && sh.Status != "readonly" {
@@ -505,7 +341,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":           status,
 		"role":             "router",
 		"apiVersions":      []string{"v1"},
@@ -528,19 +364,19 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	for id, p := range rt.probeShards(ctx) {
 		if problem := rt.probeProblem(id, p); problem != "" {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, server.CodeNotReady, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
 				fmt.Sprintf("shard %d not ready: %s", id, problem))
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "role": "router"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": "router"})
 }
 
 // handleAlgorithms serves the registry locally: the router runs the same
 // core package as the shards, so the schema cannot drift from what routed
 // queries accept.
 func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, core.Algorithms())
+	httpapi.WriteJSON(w, http.StatusOK, core.Algorithms())
 }
 
 // handleVertex proxies to the owner. The degree is global (an owner
@@ -550,12 +386,12 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "id",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "id",
 			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
 		return
 	}
 	if id < 0 || id >= rt.m.N {
-		writeError(w, r, http.StatusNotFound, server.CodeUnknownVertex, "id",
+		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "id",
 			fmt.Sprintf("unknown vertex %d", id))
 		return
 	}
@@ -569,7 +405,7 @@ func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
 		rt.writeLegError(w, r, owner, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"id": v.ID, "x": v.X, "y": v.Y, "degree": v.Degree, "core": v.Core,
 	})
 }
@@ -581,11 +417,11 @@ func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
 // assembled answer ever reads.
 func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	var req server.CheckinRequest
-	if !rt.decodeJSON(w, r, &req) {
+	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.V < 0 || int(req.V) >= rt.m.N {
-		writeError(w, r, http.StatusNotFound, server.CodeUnknownVertex, "v",
+		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "v",
 			fmt.Sprintf("unknown vertex %d", req.V))
 		return
 	}
@@ -599,7 +435,7 @@ func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
 		rt.writeLegError(w, r, owner, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleEdge fans the mutation to both endpoints' owners (one leg when they
@@ -610,18 +446,18 @@ func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
 // idempotent, so the retry is always safe.
 func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 	var req server.EdgeRequest
-	if !rt.decodeJSON(w, r, &req) {
+	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	for _, v := range [2]graph.V{req.U, req.V} {
 		if v < 0 || int(v) >= rt.m.N {
-			writeError(w, r, http.StatusNotFound, server.CodeUnknownVertex, "",
+			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "",
 				fmt.Sprintf("unknown vertex %d", v))
 			return
 		}
 	}
 	if req.U == req.V {
-		writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "",
 			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
 		return
 	}
@@ -632,7 +468,7 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 	case "delete":
 		insert = false
 	default:
-		writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "op",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "op",
 			fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
 		return
 	}
@@ -644,17 +480,11 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]*client.EdgeResult, len(owners))
 	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, o := range owners {
-		wg.Add(1)
-		go func(i, o int) {
-			defer wg.Done()
-			lctx, span := rt.leg(ctx, "edge", o)
-			defer span.End()
-			results[i], errs[i] = rt.sets[o].Edge(lctx, int64(req.U), int64(req.V), insert)
-		}(i, o)
-	}
-	wg.Wait()
+	fanOut(len(owners), func(i int) {
+		lctx, span := rt.leg(ctx, "edge", owners[i])
+		defer span.End()
+		results[i], errs[i] = rt.sets[owners[i]].Edge(lctx, int64(req.U), int64(req.V), insert)
+	})
 	for i, err := range errs {
 		if err != nil {
 			rt.writeLegError(w, r, owners[i], err)
@@ -671,7 +501,7 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 			rt.edges.Add(-1)
 		}
 	}
-	writeJSON(w, http.StatusOK, server.EdgeResponse{
+	httpapi.WriteJSON(w, http.StatusOK, server.EdgeResponse{
 		OK: true, Changed: changed, Edges: int(rt.edges.Load()),
 	})
 }

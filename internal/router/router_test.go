@@ -55,6 +55,16 @@ func (tp *topology) routerHandler(t *testing.T) *Router {
 
 func newTopology(t *testing.T, g *graph.Graph, shards int) *topology {
 	t.Helper()
+	// A real registry so tests can read the router's counters (nil would
+	// no-op every instrument).
+	return newTopologyWith(t, g, shards, server.Config{}, Config{Metrics: telemetry.NewRegistry()})
+}
+
+// newTopologyWith is newTopology with explicit settings: scfg configures the
+// reference server and every shard server (Shard is filled per shard), rcfg
+// the router (Map and Shards are filled here).
+func newTopologyWith(t *testing.T, g *graph.Graph, shards int, scfg server.Config, rcfg Config) *topology {
+	t.Helper()
 	tp := &topology{g: g}
 	var err error
 	tp.m, err = shard.Partition(g, shards)
@@ -62,7 +72,7 @@ func newTopology(t *testing.T, g *graph.Graph, shards int) *topology {
 		t.Fatal(err)
 	}
 
-	ref := server.New("single", g.Clone())
+	ref := server.NewWithConfig("single", g.Clone(), scfg)
 	t.Cleanup(ref.Close)
 	tp.single = httptest.NewServer(ref)
 	t.Cleanup(tp.single.Close)
@@ -77,7 +87,9 @@ func newTopology(t *testing.T, g *graph.Graph, shards int) *topology {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := server.NewWithConfig(fmt.Sprintf("shard-%d", id), sub, server.Config{Shard: sv})
+		shardCfg := scfg
+		shardCfg.Shard = sv
+		srv := server.NewWithConfig(fmt.Sprintf("shard-%d", id), sub, shardCfg)
 		t.Cleanup(srv.Close)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
@@ -85,9 +97,8 @@ func newTopology(t *testing.T, g *graph.Graph, shards int) *topology {
 		urls[id] = []string{ts.URL}
 	}
 
-	// A real registry so tests can read the router's counters (nil would
-	// no-op every instrument).
-	rt, err := New(Config{Map: tp.m, Shards: urls, Metrics: telemetry.NewRegistry()})
+	rcfg.Map, rcfg.Shards = tp.m, urls
+	rt, err := New(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,7 @@ package router
 import (
 	"context"
 	"errors"
-	"fmt"
-	"log/slog"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,26 +14,33 @@ import (
 )
 
 // Router-held standing queries. The router serves the same GET /v1/subscribe
-// contract as a single server, but its invalidation signal is the shards'
-// publication firehoses (GET /v1/shard/watch): one watcher per shard tails
-// the feed (failing over across the shard's endpoints), and a dispatcher
-// gates the registered subscriptions against the merged change summaries.
+// contract as a single server through the same handler and the same
+// dispatcher (subscribe.Dispatcher); this file is the router's Backend. Its
+// invalidation signal is the shards' publication firehoses
+// (GET /v1/shard/watch): one watcher per shard tails the feed (failing over
+// across the shard's endpoints) and merges each frame into the dispatcher's
+// pending summary.
 //
-// The router cannot scan global core numbers the way a single engine can,
-// so its gate is coarser but still sound: any edge event anywhere
-// re-evaluates everything (topology changes are what reshape candidate
-// sets), while check-ins re-evaluate only subscriptions whose gathered
-// candidate superset — the certified shard's expansion, or the assembled
-// path's collected vertex set — contains the moved vertex. θ-SAC always
-// re-evaluates; a resync frame (watcher reconnected with a gap, or a shard
-// re-synced) re-evaluates everything. Evaluations reuse the certified /
-// assembled routing paths, so a standing query's answers are exactly what
-// /v1/query would have returned at the same moment.
+// Gate soundness: the router cannot scan global core numbers the way a
+// single engine can, so its gate is coarser but still sound: any edge event
+// anywhere re-evaluates everything (topology changes are what reshape
+// candidate sets), while check-ins re-evaluate only subscriptions whose
+// gathered candidate superset — the certified shard's expansion, or the
+// assembled path's collected vertex set — contains the moved vertex. A
+// resync frame (watcher reconnected with a gap, or a shard re-synced)
+// re-evaluates everything. Evaluations reuse the certified / assembled
+// routing paths, so a standing query's answers are exactly what /v1/query
+// would have returned at the same moment.
 
-// routeGathered answers one query like route, additionally returning the
-// gathered watch set: vertex ids known to cover the candidate set X
-// (nil = unknown; callers must then treat every check-in as relevant).
-func (rt *Router) routeGathered(ctx context.Context, cq core.Query) (*server.QueryResponse, []int64, error) {
+// routeGathered answers one validated query: owner-first with the
+// certificate fast path, falling back to cross-shard assembly. θ-SAC always
+// assembles — its catchment disk is defined over current locations, which
+// drift across ownership boundaries, so no shard can certify containment
+// topologically. With watch set it also returns the gathered watch set:
+// vertex ids known to cover the candidate set X (nil = unknown; callers must
+// then treat every check-in as relevant), at the price of one more expand
+// leg on the certified path.
+func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*server.QueryResponse, []int64, error) {
 	spec, _ := core.LookupAlgo(cq.Algo)
 	if spec.Name == "theta" {
 		rt.queryPath.With("theta").Inc()
@@ -59,143 +63,108 @@ func (rt *Router) routeGathered(ctx context.Context, cq core.Query) (*server.Que
 			return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
 		}
 		resp := fromClientResult(verdict.Result)
+		if !watch {
+			return &resp, nil, nil
+		}
 		// Contained means the whole candidate set lives on the owner; one
 		// expansion round fetches it for the watch set. A failed expansion
 		// degrades to watch-everything, never to a missed invalidation.
 		ectx, espan := rt.leg(ctx, "expand", owner)
 		exp, eerr := rt.sets[owner].ShardExpand(ectx, cq.K, []int64{int64(cq.Q)})
 		espan.End()
-		var watch []int64
+		var gathered []int64
 		if eerr == nil {
-			watch = make([]int64, 0, len(exp.Members))
+			gathered = make([]int64, 0, len(exp.Members))
 			for _, m := range exp.Members {
-				watch = append(watch, m.V)
+				gathered = append(gathered, m.V)
 			}
 		}
-		return &resp, watch, nil
+		return &resp, gathered, nil
 	}
 	rt.queryPath.With("assembled").Inc()
-	return rt.routeAssembledGathered(ctx, cq, owner)
+	return rt.routeAssembled(ctx, cq, owner)
 }
 
 // maxPendCheckins bounds the coalesced check-in set between dispatch
 // rounds; past it the round degrades to evaluate-everything.
 const maxPendCheckins = 4096
 
-// rpend is the change summary coalesced between router dispatch rounds.
+// rpend is the router's pending summary: the feed frames coalesced between
+// dispatch rounds.
 type rpend struct {
-	has      bool // any feed event arrived
-	reg      bool // a registration arrived
 	full     bool // resync (or overflow): evaluate everything
 	topo     bool // at least one edge event
 	checkins map[int64]struct{}
-	at       time.Time
 }
 
-// rgate is the router's per-subscription gate state (Sub.Gate), owned by
-// the dispatch loop.
+// rgate is the router's per-subscription gate state (Sub.Gate), rebuilt by
+// every successful evaluation.
 type rgate struct {
-	needsInit   bool
-	forceEval   bool
-	alwaysEval  bool // θ-SAC
 	noCommunity bool
 	watch       map[int64]struct{} // candidate superset; nil = unknown
 }
 
-// routerSubs drives the router's standing queries.
+// routerSubs drives the router's standing queries: the shared dispatcher
+// over the routed evaluation paths, fed by one feed watcher per shard.
 type routerSubs struct {
-	rt  *Router
-	hub *subscribe.Hub
+	*subscribe.Dispatcher[rpend]
+	rt *Router
 
-	mu   sync.Mutex
-	pend rpend
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// Watchers start with the first registration and run until Drain.
+	// Watchers start with the first registration and run until drain.
 	watchOnce sync.Once
 	watchWG   sync.WaitGroup
 	ctx       context.Context
 	cancel    context.CancelFunc
-
-	closeOnce sync.Once
 }
 
 func newRouterSubs(rt *Router) *routerSubs {
-	rs := &routerSubs{
-		rt: rt,
-		hub: subscribe.NewHub(subscribe.Options{
-			Metrics:          rt.cfg.Metrics,
-			MaxSubscriptions: rt.cfg.MaxSubscriptions,
-		}),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	rs := &routerSubs{rt: rt}
 	rs.ctx, rs.cancel = context.WithCancel(context.Background())
-	go rs.dispatchLoop()
+	rs.Dispatcher = subscribe.NewDispatcher[rpend](subscribe.Options{
+		Metrics:          rt.cfg.Metrics,
+		MaxSubscriptions: rt.cfg.MaxSubscriptions,
+	}, rt.cfg.Logger, rs)
 	return rs
 }
 
-func (rs *routerSubs) logger() *slog.Logger { return rs.rt.cfg.logger() }
-
-func (rs *routerSubs) kickNow() {
-	select {
-	case rs.kick <- struct{}{}:
-	default:
+// Register creates the subscription and lazily starts the shard watchers, so
+// a router nobody subscribes through holds no feed streams open.
+func (rs *routerSubs) Register(id string, cq core.Query) (*subscribe.Sub, error) {
+	sub, err := rs.Dispatcher.Register(id, cq)
+	if err == nil {
+		rs.watchOnce.Do(func() {
+			for s := 0; s < rs.rt.m.Shards; s++ {
+				rs.watchWG.Add(1)
+				go rs.watchShard(s)
+			}
+		})
 	}
-}
-
-// register creates the subscription and lazily starts the shard watchers.
-func (rs *routerSubs) register(id string, cq core.Query, alwaysEval bool) (*subscribe.Sub, error) {
-	sub, err := rs.hub.Register(id, cq)
-	if err != nil {
-		return nil, err
-	}
-	sub.Gate = &rgate{needsInit: true, alwaysEval: alwaysEval}
-	rs.watchOnce.Do(func() {
-		for s := 0; s < rs.rt.m.Shards; s++ {
-			rs.watchWG.Add(1)
-			go rs.watchShard(s)
-		}
-	})
-	rs.mu.Lock()
-	rs.pend.reg = true
-	rs.mu.Unlock()
-	rs.kickNow()
-	return sub, nil
+	return sub, err
 }
 
 // note merges one feed event into the pending summary.
 func (rs *routerSubs) note(ev client.WatchEvent) {
-	rs.mu.Lock()
-	rs.pend.has = true
-	if rs.pend.at.IsZero() {
-		rs.pend.at = time.Now()
-	}
-	if ev.Resync {
-		rs.pend.full = true
-		rs.pend.checkins = nil
-	}
-	if len(ev.Edges) > 0 {
-		rs.pend.topo = true
-	}
-	if !rs.pend.full && len(ev.Checkins) > 0 {
-		if rs.pend.checkins == nil {
-			rs.pend.checkins = make(map[int64]struct{}, len(ev.Checkins))
+	rs.Merge(func(p *rpend) {
+		if ev.Resync {
+			p.full = true
+			p.checkins = nil
 		}
-		for _, v := range ev.Checkins {
-			rs.pend.checkins[v] = struct{}{}
+		if len(ev.Edges) > 0 {
+			p.topo = true
 		}
-		if len(rs.pend.checkins) > maxPendCheckins {
-			rs.pend.full = true
-			rs.pend.checkins = nil
+		if !p.full && len(ev.Checkins) > 0 {
+			if p.checkins == nil {
+				p.checkins = make(map[int64]struct{}, len(ev.Checkins))
+			}
+			for _, v := range ev.Checkins {
+				p.checkins[v] = struct{}{}
+			}
+			if len(p.checkins) > maxPendCheckins {
+				p.full = true
+				p.checkins = nil
+			}
 		}
-	}
-	rs.mu.Unlock()
-	rs.kickNow()
+	})
 }
 
 // watchShard tails one shard's publication feed, rotating across the
@@ -243,73 +212,19 @@ func (rs *routerSubs) watchShard(s int) {
 	}
 }
 
-func (rs *routerSubs) dispatchLoop() {
-	defer close(rs.done)
-	sweep := time.NewTicker(30 * time.Second)
-	defer sweep.Stop()
-	for {
-		select {
-		case <-rs.stop:
-			return
-		case <-sweep.C:
-			rs.hub.Sweep()
-			continue
-		case <-rs.kick:
-		}
-		for {
-			rs.mu.Lock()
-			p := rs.pend
-			rs.pend = rpend{}
-			rs.mu.Unlock()
-			if !p.has && !p.reg {
-				break
-			}
-			rs.dispatch(p)
-		}
-	}
-}
+// Begin has no state to pin: every routed evaluation reads the shards live.
+func (rs *routerSubs) Begin(*rpend) (uint64, bool) { return 0, true }
 
-func (rs *routerSubs) dispatch(p rpend) {
-	var evals []*subscribe.Sub
-	for _, sub := range rs.hub.Snapshot() {
-		g := sub.Gate.(*rgate)
-		switch {
-		case g.needsInit || g.forceEval:
-			evals = append(evals, sub)
-		case !p.has:
-		case gateNeeds(g, p):
-			evals = append(evals, sub)
-		default:
-			rs.hub.Skipped().Inc()
-		}
-	}
-	if len(evals) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, sub := range evals {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(sub *subscribe.Sub) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rs.evaluate(sub, p.at)
-		}(sub)
-	}
-	wg.Wait()
-}
-
-// gateNeeds is the router's invalidation gate; see the file comment above
-// for the soundness argument.
-func gateNeeds(g *rgate, p rpend) bool {
-	if g.alwaysEval || p.full || p.topo {
+// Gate is the router's invalidation gate; see the file comment above for
+// the soundness argument.
+func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
+	if p.full || p.topo {
 		return true
 	}
 	// Only check-ins remain. A move reshapes the answer only if it touches
 	// the candidate set, and a no-community verdict (q outside the global
 	// k-core) is purely topological — moves cannot flip it.
+	g := sub.Gate.(*rgate)
 	if g.noCommunity || len(p.checkins) == 0 {
 		return false
 	}
@@ -324,125 +239,46 @@ func gateNeeds(g *rgate, p rpend) bool {
 	return false
 }
 
-func (rs *routerSubs) evaluate(sub *subscribe.Sub, at time.Time) {
-	g := sub.Gate.(*rgate)
-	ctx, cancel := context.WithTimeout(rs.ctx, rs.rt.cfg.queryTimeout())
+// Evaluate answers one standing query through the routed paths and records
+// the gathered watch set for the gate.
+func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalResult, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rs.rt.cfg.queryTimeout())
 	defer cancel()
-	rs.hub.Evals().Inc()
-	resp, watch, err := rs.rt.routeGathered(ctx, sub.Query)
+	resp, watch, err := rs.rt.routeGathered(ctx, sub.Query, true)
 	var er subscribe.EvalResult
+	g := &rgate{}
 	switch {
 	case err == nil:
 		er.Members = resp.Members
 		er.MCC = subscribe.Circle{X: resp.MCC.X, Y: resp.MCC.Y, R: resp.MCC.R}
 		er.Delta = resp.Delta
-	case errors.Is(err, core.ErrNoCommunity):
-		er.NoCommunity = true
-		watch = nil
-	default:
-		g.forceEval = true
-		rs.logger().Warn("routed standing query evaluation failed; will retry on next publication",
-			"sub", sub.ID, "q", int64(sub.Query.Q), "k", sub.Query.K, "err", err)
-		return
-	}
-	g.needsInit, g.forceEval = false, false
-	g.noCommunity = er.NoCommunity
-	if watch != nil {
-		g.watch = make(map[int64]struct{}, len(watch))
-		for _, v := range watch {
-			g.watch[v] = struct{}{}
-		}
-	} else {
-		g.watch = nil
-	}
-	sub.Apply(&er, at)
-}
-
-// drain stops the watchers and dispatcher, flushes pending rounds, and
-// closes every subscription stream with a terminal bye.
-func (rs *routerSubs) drain() {
-	rs.closeOnce.Do(func() {
-		rs.cancel()
-		rs.watchWG.Wait()
-		close(rs.stop)
-		<-rs.done
-		rs.mu.Lock()
-		p := rs.pend
-		rs.pend = rpend{}
-		rs.mu.Unlock()
-		if p.has || p.reg {
-			rs.dispatch(p)
-		}
-		rs.hub.CloseAll()
-	})
-}
-
-// handleSubscribe serves GET /v1/subscribe on the router — the same wire
-// contract as a single server's, evaluated through the routed paths.
-func (rt *Router) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	cq, err := server.ParseSubscribeQuery(r)
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	if err := rt.validateQuery(cq); err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	spec, _ := core.LookupAlgo(cq.Algo)
-	cq.Algo = spec.Name
-	id := sanitizeRequestID(r.URL.Query().Get("id"))
-	if raw := r.URL.Query().Get("id"); raw != "" && id == "" {
-		writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "id",
-			fmt.Sprintf("malformed subscription id %q", raw))
-		return
-	}
-	lastID, hasLast := subscribe.ParseLastEventID(r)
-	var sub *subscribe.Sub
-	if id != "" {
-		if existing, found := rt.subs.hub.Get(id); found {
-			if !subscribe.SameQuery(existing.Query, cq) {
-				writeError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "id",
-					fmt.Sprintf("subscription %q is bound to a different query", id))
-				return
+		if watch != nil {
+			g.watch = make(map[int64]struct{}, len(watch))
+			for _, v := range watch {
+				g.watch[v] = struct{}{}
 			}
-			sub = existing
 		}
-	} else {
-		id = "sub-" + rt.newRequestID()
+	case errors.Is(err, core.ErrNoCommunity):
+		er.NoCommunity, g.noCommunity = true, true
+	default:
+		return nil, err
 	}
-	if sub == nil {
-		if hasLast {
-			writeError(w, r, http.StatusNotFound, server.CodeUnknownSubscription, "id",
-				fmt.Sprintf("unknown subscription %q: resume window expired, subscribe fresh", id))
-			return
-		}
-		sub, err = rt.subs.register(id, cq, spec.Name == "theta")
-		switch {
-		case err == nil:
-		case err == subscribe.ErrLimit:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusTooManyRequests, server.CodeSubscriptionLimit, "",
-				fmt.Sprintf("subscription limit reached (%d active)", rt.subs.hub.Active()))
-			return
-		default:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, server.CodeNotReady, "",
-				"subscriptions unavailable: "+err.Error())
-			return
-		}
-	}
-	st, replay, err := sub.Attach(lastID, hasLast)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable, server.CodeNotReady, "", "router draining")
-		return
-	}
-	defer sub.Detach(st)
-	subscribe.ServeSSE(w, r, st, replay, rt.cfg.subscribeHeartbeat())
+	sub.Gate = g
+	return &er, nil
 }
 
-// DrainSubscriptions flushes pending deltas, writes the terminal bye to
-// every subscription stream, and stops the shard watchers. cmd/sacrouter
-// calls it on SIGTERM before http.Server.Shutdown.
-func (rt *Router) DrainSubscriptions() { rt.subs.drain() }
+// handleSubscribe serves GET /v1/subscribe on the router — the same handler
+// as a single server's, validated against the shard map and evaluated
+// through the routed paths.
+func (rt *Router) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+	rt.api.ServeSubscribe(w, r, rt.subs, rt.validateQuery)
+}
+
+// DrainSubscriptions stops the shard watchers, flushes pending deltas and
+// writes the terminal bye to every subscription stream. cmd/sacrouter calls
+// it on SIGTERM before http.Server.Shutdown.
+func (rt *Router) DrainSubscriptions() {
+	rt.subs.cancel()
+	rt.subs.watchWG.Wait()
+	rt.subs.Close()
+}

@@ -173,7 +173,7 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 		t.Fatal("no init")
 	}
 
-	gsub, ok := rtHandler.subs.hub.Get("gated")
+	gsub, ok := rtHandler.subs.Hub().Get("gated")
 	if !ok {
 		t.Fatal("subscription not registered on the router")
 	}
@@ -188,8 +188,8 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 			movers = append(movers, int64(v))
 		}
 	}
-	skipped0 := rtHandler.subs.hub.Skipped().Value()
-	evals0 := rtHandler.subs.hub.Evals().Value()
+	skipped0 := rtHandler.subs.Hub().Skipped().Value()
+	evals0 := rtHandler.subs.Hub().Evals().Value()
 	ctx := t.Context()
 	for i, v := range movers {
 		if err := tp.routerCl.CheckIn(ctx, v, 0.9+float64(i)*0.001, 0.9); err != nil {
@@ -197,14 +197,14 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for rtHandler.subs.hub.Skipped().Value() <= skipped0 {
+	for rtHandler.subs.Hub().Skipped().Value() <= skipped0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("router gate never skipped: skipped %d -> %d, evals %d -> %d",
-				skipped0, rtHandler.subs.hub.Skipped().Value(), evals0, rtHandler.subs.hub.Evals().Value())
+				skipped0, rtHandler.subs.Hub().Skipped().Value(), evals0, rtHandler.subs.Hub().Evals().Value())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := rtHandler.subs.hub.Evals().Value(); got != evals0 {
+	if got := rtHandler.subs.Hub().Evals().Value(); got != evals0 {
 		t.Errorf("far-away moves re-evaluated the routed standing query (%d -> %d)", evals0, got)
 	}
 }

@@ -48,14 +48,10 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -65,6 +61,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/replica"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/snapshot"
@@ -74,32 +71,31 @@ import (
 	"sacsearch/internal/version"
 )
 
-// Machine-readable error codes of the /v1 error envelope. Codes originating
-// in query validation (core.QueryError) pass through verbatim:
-// unknown_algorithm, invalid_param, missing_param, invalid_query,
-// structure_mismatch.
+// The error envelope and its machine-readable codes are defined once, in
+// internal/httpapi, for the server and the router alike; they are re-exported
+// here under the names this package's handlers, its tests and the fake
+// servers in client tests have always used.
 const (
-	CodeInvalidJSON      = "invalid_json"
-	CodeBodyTooLarge     = "body_too_large"
-	CodeInvalidArgument  = "invalid_argument"
-	CodeUnknownVertex    = "unknown_vertex"
-	CodeNoCommunity      = "no_community"
-	CodeDeadlineExceeded = "deadline_exceeded"
-	CodeUnavailable      = "unavailable"
-	CodeQueryFailed      = "query_failed"
-	CodeReadOnly         = "read_only"
-	CodeStaleRead        = "stale_read"
-	CodeNotReady         = "not_ready"
-	CodeInternal         = "internal"
-	CodeWrongShard       = "wrong_shard"
-	CodeShardUnavailable = "shard_unavailable"
-	// CodeUnknownSubscription: a Last-Event-ID resume names a subscription
-	// id this node no longer holds (expired, or a different node); the
-	// client should drop its resume state and subscribe fresh.
-	CodeUnknownSubscription = "unknown_subscription"
-	// CodeSubscriptionLimit: the standing-query table is full.
-	CodeSubscriptionLimit = "subscription_limit"
+	CodeInvalidJSON         = httpapi.CodeInvalidJSON
+	CodeBodyTooLarge        = httpapi.CodeBodyTooLarge
+	CodeInvalidArgument     = httpapi.CodeInvalidArgument
+	CodeUnknownVertex       = httpapi.CodeUnknownVertex
+	CodeNoCommunity         = httpapi.CodeNoCommunity
+	CodeDeadlineExceeded    = httpapi.CodeDeadlineExceeded
+	CodeUnavailable         = httpapi.CodeUnavailable
+	CodeQueryFailed         = httpapi.CodeQueryFailed
+	CodeReadOnly            = httpapi.CodeReadOnly
+	CodeStaleRead           = httpapi.CodeStaleRead
+	CodeNotReady            = httpapi.CodeNotReady
+	CodeInternal            = httpapi.CodeInternal
+	CodeWrongShard          = httpapi.CodeWrongShard
+	CodeShardUnavailable    = httpapi.CodeShardUnavailable
+	CodeUnknownSubscription = httpapi.CodeUnknownSubscription
+	CodeSubscriptionLimit   = httpapi.CodeSubscriptionLimit
 )
+
+// ErrorJSON is the structured error envelope every non-2xx response carries.
+type ErrorJSON = httpapi.ErrorJSON
 
 // Config tunes a Server. The zero value serves defaults.
 type Config struct {
@@ -174,13 +170,6 @@ func (c Config) queryTimeout() time.Duration {
 	return 15 * time.Second
 }
 
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 1 << 20
-}
-
 func (c Config) stalenessBound() time.Duration {
 	if c.StalenessBound != 0 {
 		return c.StalenessBound
@@ -188,27 +177,19 @@ func (c Config) stalenessBound() time.Duration {
 	return 10 * time.Second
 }
 
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
-}
-
 // Server serves SAC queries over one spatial graph — as a standalone
 // in-memory server, a durable leader, or a read-only replica.
 type Server struct {
-	name   string
-	eng    *snapshot.Engine  // nil in replica mode (the follower owns engines)
-	st     *store.Store      // non-nil when serving a durable store
-	rep    *replica.Follower // non-nil in replica mode
-	cfg    Config
-	mux    *http.ServeMux
-	nextID atomic.Uint64 // request-id fallback counter
-	start  time.Time     // boot time, for health's uptimeSeconds
+	name  string
+	eng   *snapshot.Engine  // nil in replica mode (the follower owns engines)
+	st    *store.Store      // non-nil when serving a durable store
+	rep   *replica.Follower // non-nil in replica mode
+	cfg   Config
+	api   httpapi.Core // request middleware, envelope, /v1/subscribe handler
+	mux   *http.ServeMux
+	start time.Time // boot time, for health's uptimeSeconds
 
 	// Instruments; all nil-safe no-ops when cfg.Metrics is nil.
-	httpMet      telemetry.HTTPMetrics
 	queryDur     *telemetry.HistogramVec // per-algorithm search latency
 	statCand     *telemetry.CounterVec   // per-algorithm core.Stats counters
 	statFeas     *telemetry.CounterVec
@@ -280,7 +261,15 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		start: time.Now(),
 	}
 	reg := cfg.Metrics // nil-safe: every constructor below no-ops on nil
-	s.httpMet = telemetry.NewHTTPMetrics(reg)
+	s.api = httpapi.Core{
+		IDPrefix:     "req-",
+		Logger:       cfg.Logger,
+		Metrics:      telemetry.NewHTTPMetrics(reg),
+		SlowRequest:  cfg.SlowQueryThreshold,
+		TraceHook:    cfg.TraceHook,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Heartbeat:    cfg.SubscribeHeartbeat,
+	}
 	s.queryDur = reg.HistogramVec("sac_query_duration_seconds",
 		"SAC search latency by algorithm (single queries and shard legs).", nil, "algo")
 	s.statCand = reg.CounterVec("sac_query_candidate_vertices_total",
@@ -328,7 +317,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 			return nil
 		},
 		Hub:    subscribe.Options{Metrics: reg, MaxSubscriptions: cfg.MaxSubscriptions},
-		Logger: cfg.logger(),
+		Logger: cfg.Logger,
 	})
 	if cfg.Shard != nil {
 		s.feed = subscribe.NewFeed(subscribe.Options{Metrics: reg})
@@ -420,147 +409,28 @@ func (s *Server) readEngine(w http.ResponseWriter, r *http.Request) (*snapshot.E
 	rs := s.rep.Status()
 	if !rs.Synced {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
 			"replica has not completed its initial sync")
 		return nil, false
 	}
 	if bound := s.cfg.stalenessBound(); bound > 0 && rs.LagSeconds > bound.Seconds() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable, CodeStaleRead, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeStaleRead, "",
 			fmt.Sprintf("replica is %.1fs behind the leader (bound %s)", rs.LagSeconds, bound))
 		return nil, false
 	}
 	return s.rep.Engine(), true
 }
 
-// Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler { return s }
-
-// ServeHTTP implements http.Handler: it assigns the request id, starts the
-// request's root trace span (linking it to the caller's span when the
-// X-Trace-Span header names one), stamps deprecation metadata on legacy
-// /api/* calls, then routes. On the way out it observes the sac_http_*
-// metrics, logs slow requests with their full span tree, and hands the
-// finished span to cfg.TraceHook. A handler panic is recovered here: the
-// stack is logged with the request and span ids, and — if the handler had
-// not started its response — the client gets a 500 envelope instead of a
-// severed connection.
+// ServeHTTP implements http.Handler: it stamps deprecation metadata on
+// legacy /api/* calls, then routes through the shared request middleware
+// (httpapi.Core.Serve: request id, root span, metrics, panic recovery).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := sanitizeRequestID(r.Header.Get("X-Request-Id"))
-	if id == "" {
-		id = s.newRequestID()
-	}
-	w.Header().Set("X-Request-Id", id)
 	if rest, ok := strings.CutPrefix(r.URL.Path, "/api/"); ok {
 		w.Header().Set("Deprecation", "true")
 		w.Header().Set("Link", `</v1/`+rest+`>; rel="successor-version"`)
 	}
-	route := telemetry.RouteLabel(r.URL.Path)
-	ctx := context.WithValue(r.Context(), requestIDKey{}, id)
-	ctx, span := telemetry.StartSpan(ctx, r.Method+" "+route)
-	span.Remote = sanitizeRequestID(r.Header.Get(telemetry.TraceHeader))
-	w.Header().Set(telemetry.TraceHeader, span.ID)
-	r = r.WithContext(ctx)
-	rw := &trackingWriter{ResponseWriter: w}
-	start := time.Now()
-	s.httpMet.Inflight.Add(1)
-	defer func() {
-		p := recover()
-		if p != nil && p != http.ErrAbortHandler {
-			s.cfg.logger().Error("panic serving request",
-				"method", r.Method, "path", r.URL.Path, "requestId", id,
-				"spanId", span.ID, "panic", p, "stack", string(debug.Stack()))
-			if !rw.wrote {
-				writeError(rw, r, http.StatusInternalServerError, CodeInternal, "",
-					"internal server error (request "+id+")")
-			}
-		}
-		span.End()
-		elapsed := time.Since(start)
-		s.httpMet.Inflight.Add(-1)
-		s.httpMet.Requests.With(route, r.Method, strconv.Itoa(rw.status())).Inc()
-		s.httpMet.Duration.With(route).Observe(elapsed.Seconds())
-		if t := s.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
-			s.cfg.logger().Warn("slow request",
-				"method", r.Method, "route", route, "requestId", id, "spanId", span.ID,
-				"elapsed", elapsed, "status", rw.status(), "trace", "\n"+span.Tree())
-		}
-		if s.cfg.TraceHook != nil {
-			s.cfg.TraceHook(span)
-		}
-	}()
-	s.mux.ServeHTTP(rw, r)
-}
-
-// trackingWriter records whether the response has started (so the panic
-// recovery knows if a 500 envelope can still be sent) and the status code
-// (for the request metrics).
-type trackingWriter struct {
-	http.ResponseWriter
-	wrote bool
-	code  int
-}
-
-func (w *trackingWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-	}
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *trackingWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer's Flush
-// and SetWriteDeadline — the SSE handlers need both.
-func (w *trackingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// status is the response code sent to the client (200 when the handler
-// never called WriteHeader explicitly).
-func (w *trackingWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-type requestIDKey struct{}
-
-// requestID returns the id ServeHTTP assigned to this request.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(requestIDKey{}).(string)
-	return id
-}
-
-// sanitizeRequestID accepts a caller-supplied request id only if it is
-// short and plain (letters, digits, dot, dash, underscore) — anything else
-// is discarded and replaced server-side.
-func sanitizeRequestID(id string) string {
-	if len(id) == 0 || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
-// newRequestID generates a fresh request id.
-func (s *Server) newRequestID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("req-%012d", s.nextID.Add(1))
-	}
-	return "req-" + hex.EncodeToString(b[:])
+	s.api.Serve(w, r, s.mux)
 }
 
 // --- wire types -----------------------------------------------------------
@@ -602,8 +472,8 @@ type QueryRequest struct {
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 }
 
-// toQuery converts the wire shape to the core request.
-func (r QueryRequest) toQuery() core.Query {
+// ToQuery converts the wire shape to the core request.
+func (r QueryRequest) ToQuery() core.Query {
 	return core.Query{
 		Algo:      r.Algo,
 		Q:         r.Q,
@@ -681,23 +551,7 @@ type EdgeResponse struct {
 	Edges   int  `json:"edges"`
 }
 
-// ErrorJSON is the structured error envelope every non-2xx response
-// carries: a human-readable message (the legacy "error" field, kept for
-// pre-/v1 clients), a machine-readable code, the offending field when
-// known, and the request id for correlation.
-type ErrorJSON struct {
-	Error     string `json:"error"`
-	Code      string `json:"code"`
-	Field     string `json:"field,omitempty"`
-	RequestID string `json:"requestId,omitempty"`
-}
-
 // --- handlers ---------------------------------------------------------------
-
-// writeError emits the structured envelope on every non-2xx path.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code, field, msg string) {
-	writeJSON(w, status, ErrorJSON{Error: msg, Code: code, Field: field, RequestID: requestID(r)})
-}
 
 // handleHealth reports the node's role in the replication topology, a
 // top-level status verdict, and the published snapshot's epochs, writer
@@ -784,7 +638,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		health["status"] = "ok"
 	}
-	writeJSON(w, http.StatusOK, health)
+	httpapi.WriteJSON(w, http.StatusOK, health)
 }
 
 // handleReady is the orchestration probe: 200 once this node can serve
@@ -796,12 +650,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.rep != nil {
 		if rs := s.rep.Status(); !rs.Synced {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
 				"replica has not completed its initial sync")
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "role": s.role()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": s.role()})
 }
 
 // handleAlgorithms serves the algorithm registry verbatim: names, aliases,
@@ -809,7 +663,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // response is generated from core.Algorithms, so it can never drift from
 // what /v1/query actually accepts.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, core.Algorithms())
+	httpapi.WriteJSON(w, http.StatusOK, core.Algorithms())
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -824,18 +678,18 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	// pre-/v1 server did) hides client bugs behind retry loops.
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
 			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
 		return
 	}
 	if id < 0 || id >= g.NumVertices() {
-		writeError(w, r, http.StatusNotFound, CodeUnknownVertex, "id",
+		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "id",
 			fmt.Sprintf("unknown vertex %d", id))
 		return
 	}
 	v := graph.V(id)
 	loc := g.Loc(v)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"id":     v,
 		"x":      loc.X,
 		"y":      loc.Y,
@@ -844,50 +698,15 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeJSON decodes a POST body under the configured size cap, translating
-// an exceeded cap into 413 and malformed JSON into 400. It reports whether
-// decoding succeeded; on failure the response has been written.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, r, http.StatusBadRequest, CodeInvalidJSON, "", "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
 // requestCtx derives the per-request context: the client's own cancellation
 // plus the server's query deadline.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), s.cfg.queryTimeout())
 }
 
-// writeQueryError maps a query error onto a status code and envelope.
-func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
-	var qe *core.QueryError
-	switch {
-	case errors.As(err, &qe):
-		writeError(w, r, http.StatusBadRequest, qe.Code, qe.Field, err.Error())
-	case errors.Is(err, core.ErrNoCommunity):
-		writeError(w, r, http.StatusNotFound, CodeNoCommunity, "", err.Error())
-	case errors.Is(err, core.ErrCanceled):
-		// The deadline fired (a vanished client never reads the response, so
-		// in practice this status reports server-side timeouts).
-		writeError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded, "", err.Error())
-	default:
-		writeError(w, r, http.StatusUnprocessableEntity, CodeQueryFailed, "", err.Error())
-	}
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	eng, ok := s.readEngine(w, r)
@@ -920,10 +739,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer searcher.SetParallelism(prev)
 	}
 	ctx, qspan := telemetry.StartSpan(ctx, "search")
-	res, err := searcher.Search(ctx, req.toQuery())
+	res, err := searcher.Search(ctx, req.ToQuery())
 	qspan.End()
 	if err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	spec, _ := core.LookupAlgo(req.Algo) // Search succeeded, so the name resolves
@@ -931,7 +750,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qspan.SetAttr("q", req.Q)
 	qspan.SetAttr("k", req.K)
 	s.observeQuery(spec.Name, res.Stats)
-	writeJSON(w, http.StatusOK, toQueryResponse(spec.Name, res))
+	httpapi.WriteJSON(w, http.StatusOK, ToQueryResponse(spec.Name, res))
 }
 
 // observeQuery records one successful search's latency and the paper's
@@ -947,11 +766,11 @@ func (s *Server) observeQuery(algo string, st core.Stats) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
+		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
 		return
 	}
 	// The template carries everything but q and k; validating it up front
@@ -966,7 +785,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Structure: req.Structure,
 	}
 	if _, err := core.ValidateParams(template); err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	// The whole batch runs pinned to one snapshot: the Snap is the worker
@@ -986,7 +805,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err := worker.ValidateQuery(core.Query{Q: 0, K: 1, Structure: template.Structure})
 		snap.Put(worker)
 		if err != nil {
-			writeQueryError(w, r, err)
+			httpapi.WriteQueryError(w, r, err)
 			return
 		}
 	}
@@ -1014,7 +833,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// client's retry re-runs the batch.)
 	for _, it := range items {
 		if it.Err != nil && errors.Is(it.Err, core.ErrCanceled) {
-			writeError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded, "",
 				"batch deadline exceeded: "+it.Err.Error())
 			return
 		}
@@ -1031,7 +850,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items[i] = out
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.
@@ -1052,7 +871,7 @@ func (s *Server) writeWriteError(w http.ResponseWriter, r *http.Request, err err
 		// against the rest of its endpoint set and finds the new leader.
 		status, code = http.StatusServiceUnavailable, CodeReadOnly
 	}
-	writeError(w, r, status, code, "", err.Error())
+	httpapi.WriteError(w, r, status, code, "", err.Error())
 }
 
 // admitWrite rejects mutations on a replica before any decoding happens.
@@ -1061,7 +880,7 @@ func (s *Server) admitWrite(w http.ResponseWriter, r *http.Request) bool {
 	if s.rep == nil {
 		return true
 	}
-	writeError(w, r, http.StatusServiceUnavailable, CodeReadOnly, "",
+	httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeReadOnly, "",
 		"replica is read-only; send writes to the leader")
 	return false
 }
@@ -1088,11 +907,11 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckinRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.V < 0 || int(req.V) >= s.eng.NumVertices() {
-		writeError(w, r, http.StatusNotFound, CodeUnknownVertex, "v",
+		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "v",
 			fmt.Sprintf("unknown vertex %d", req.V))
 		return
 	}
@@ -1101,7 +920,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	// assembled answer ever reads, and letting writes land on it would fork
 	// it from the owner's authoritative state.
 	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.V) {
-		writeError(w, r, http.StatusBadRequest, CodeWrongShard, "v",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "v",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
 				req.V, s.cfg.Shard.Map.OwnerOf(req.V), s.cfg.Shard.ID))
 		return
@@ -1110,7 +929,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	// every distance sort it touches and ±Inf breaks geom.MCC, silently, on
 	// queries that may run long after this request returned 200.
 	if !geom.Finite(req.X) || !geom.Finite(req.Y) {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "x",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "x",
 			fmt.Sprintf("coordinates (%v, %v) must be finite", req.X, req.Y))
 		return
 	}
@@ -1120,7 +939,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 		s.writeWriteError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleEdge mutates the friendship graph through the writer goroutine,
@@ -1132,18 +951,18 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EdgeRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	for _, v := range [2]graph.V{req.U, req.V} {
 		if v < 0 || int(v) >= s.eng.NumVertices() {
-			writeError(w, r, http.StatusNotFound, CodeUnknownVertex, "",
+			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "",
 				fmt.Sprintf("unknown vertex %d", v))
 			return
 		}
 	}
 	if req.U == req.V {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "",
 			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
 		return
 	}
@@ -1151,7 +970,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	// endpoint; an edge owned entirely elsewhere belongs to other shards
 	// (the router fans a cross-shard edge to both owners).
 	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.U) && !s.cfg.Shard.Owns(req.V) {
-		writeError(w, r, http.StatusBadRequest, CodeWrongShard, "",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "",
 			fmt.Sprintf("edge (%d,%d) has no endpoint owned by shard %d", req.U, req.V, s.cfg.Shard.ID))
 		return
 	}
@@ -1162,7 +981,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	case "delete":
 		insert = false
 	default:
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "op",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "op",
 			fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
 		return
 	}
@@ -1173,11 +992,12 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 		s.writeWriteError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EdgeResponse{OK: true, Changed: changed, Edges: s.eng.Current().Edges()})
+	httpapi.WriteJSON(w, http.StatusOK, EdgeResponse{OK: true, Changed: changed, Edges: s.eng.Current().Edges()})
 }
 
-// toQueryResponse converts a core result to the wire shape.
-func toQueryResponse(algo string, res *core.Result) QueryResponse {
+// ToQueryResponse converts a core result to the wire shape, labelling its
+// stats with the canonical algorithm name.
+func ToQueryResponse(algo string, res *core.Result) QueryResponse {
 	return QueryResponse{
 		Q:       res.Query,
 		K:       res.K,
@@ -1192,12 +1012,4 @@ func toQueryResponse(algo string, res *core.Result) QueryResponse {
 			Algorithm:         algo,
 		},
 	}
-}
-
-// writeJSON writes v with the given status; encoding errors are reported to
-// the client only through a truncated body (the status line is already out).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -7,6 +7,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/snapshot"
 )
@@ -113,7 +114,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	g := snap.Graph()
 	owned, ghosts := s.cfg.Shard.Counts(g)
-	writeJSON(w, http.StatusOK, ShardInfoResponse{
+	httpapi.WriteJSON(w, http.StatusOK, ShardInfoResponse{
 		ShardID:     s.cfg.Shard.ID,
 		Shards:      s.cfg.Shard.Map.Shards,
 		MapChecksum: s.cfg.Shard.Map.Checksum(),
@@ -130,7 +131,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // forwarding the error envelope is indistinguishable from a single server.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	eng, ok := s.readEngine(w, r)
@@ -140,13 +141,13 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	searcher := snap.Get()
 	defer snap.Put(searcher)
-	q := req.toQuery()
+	q := req.ToQuery()
 	if err := searcher.ValidateQuery(q); err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	if !s.cfg.Shard.Owns(req.Q) {
-		writeError(w, r, http.StatusBadRequest, CodeWrongShard, "q",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "q",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
 				req.Q, s.cfg.Shard.Map.OwnerOf(req.Q), s.cfg.Shard.ID))
 		return
@@ -154,40 +155,40 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	// The certificate covers the k-core candidate construction; θ-SAC scans
 	// a fixed disk instead and is always assembled router-side.
 	if spec, _ := core.LookupAlgo(req.Algo); spec != nil && spec.Name == "theta" {
-		writeJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
+		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
 		return
 	}
 	alive, certified := s.certFor(eng, snap).Contained(req.Q, req.K)
 	if !alive {
 		// q has fewer than k supporting neighbors even if every unseen edge
 		// survives: ErrNoCommunity is the exact global answer.
-		writeJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, NoCommunity: true})
+		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, NoCommunity: true})
 		return
 	}
 	if !certified {
-		writeJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
+		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	res, err := searcher.Search(ctx, q)
 	if err != nil {
-		writeQueryError(w, r, err)
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	spec, _ := core.LookupAlgo(req.Algo)
 	s.observeQuery(spec.Name, res.Stats)
-	resp := toQueryResponse(spec.Name, res)
-	writeJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, Result: &resp})
+	resp := ToQueryResponse(spec.Name, res)
+	httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, Result: &resp})
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	var req ShardExpandRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.K < 1 {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "k",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "k",
 			fmt.Sprintf("k must be >= 1, got %d", req.K))
 		return
 	}
@@ -199,12 +200,12 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	g := snap.Graph()
 	for _, v := range req.Seeds {
 		if v < 0 || int(v) >= g.NumVertices() {
-			writeError(w, r, http.StatusNotFound, CodeUnknownVertex, "seeds",
+			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "seeds",
 				fmt.Sprintf("unknown vertex %d", v))
 			return
 		}
 		if !s.cfg.Shard.Owns(v) {
-			writeError(w, r, http.StatusBadRequest, CodeWrongShard, "seeds",
+			httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "seeds",
 				fmt.Sprintf("seed %d is owned by shard %d, not shard %d",
 					v, s.cfg.Shard.Map.OwnerOf(v), s.cfg.Shard.ID))
 			return
@@ -215,16 +216,16 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	for i, v := range members {
 		resp.Members[i] = shardVertex(g, v)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 	var req ShardRangeRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !geom.Finite(req.X) || !geom.Finite(req.Y) || !geom.Finite(req.R) || req.R < 0 {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "r",
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "r",
 			fmt.Sprintf("disk (%v, %v, r=%v) must be finite with r >= 0", req.X, req.Y, req.R))
 		return
 	}
@@ -243,7 +244,7 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 			resp.Members = append(resp.Members, shardVertex(g, graph.V(v)))
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardVertex snapshots one owned vertex for the wire: location plus full

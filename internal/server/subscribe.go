@@ -1,161 +1,26 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/subscribe"
 )
 
-// Standing queries: GET /v1/subscribe registers (or resumes) a standing SAC
-// query and streams its result as Server-Sent Events — an init frame with
-// the full current community, then a delta frame whenever a published
-// snapshot changes it. See the README's "Standing queries" section for the
-// wire contract.
-
-func (c Config) subscribeHeartbeat() time.Duration {
-	if c.SubscribeHeartbeat > 0 {
-		return c.SubscribeHeartbeat
-	}
-	return 15 * time.Second
-}
-
-// ParseSubscribeQuery decodes the standing query from /v1/subscribe URL
-// parameters — the GET-shaped twin of QueryRequest.toQuery. Numeric
-// failures surface as the same invalid_query envelopes a malformed POST
-// body would get. Exported so the router serves the identical contract.
-func ParseSubscribeQuery(r *http.Request) (core.Query, error) {
-	var cq core.Query
-	vals := r.URL.Query()
-	intField := func(name string) (int64, error) {
-		raw := vals.Get(name)
-		if raw == "" {
-			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
-				Reason: fmt.Sprintf("missing required parameter %q", name)}
-		}
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
-				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
-		}
-		return n, nil
-	}
-	floatField := func(name string) (*float64, error) {
-		raw := vals.Get(name)
-		if raw == "" {
-			return nil, nil
-		}
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, &core.QueryError{Code: core.ErrCodeInvalidParam, Field: name,
-				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
-		}
-		return &f, nil
-	}
-	q, err := intField("q")
-	if err != nil {
-		return cq, err
-	}
-	k, err := intField("k")
-	if err != nil {
-		return cq, err
-	}
-	cq.Q, cq.K = graph.V(q), int(k)
-	cq.Algo = vals.Get("algo")
-	cq.Structure = vals.Get("structure")
-	if cq.EpsF, err = floatField("epsF"); err != nil {
-		return cq, err
-	}
-	if cq.EpsA, err = floatField("epsA"); err != nil {
-		return cq, err
-	}
-	if cq.Theta, err = floatField("theta"); err != nil {
-		return cq, err
-	}
-	return cq, nil
-}
-
-// handleSubscribe serves GET /v1/subscribe. Registration and resume share
-// the route: a request whose id matches a live subscription attaches to it
-// (replaying per Last-Event-ID); an unknown id with a Last-Event-ID is a
-// 404 unknown_subscription (the resume state is gone — re-subscribe
-// fresh); anything else registers a new standing query.
+// handleSubscribe serves GET /v1/subscribe through the shared handler; the
+// server's part is the read gate and validation against its own snapshot.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	eng, ok := s.readEngine(w, r)
 	if !ok {
 		return
 	}
-	cq, err := ParseSubscribeQuery(r)
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	// Full validation (vertex range, k, structure, params) against the
-	// current snapshot, and canonicalization of the algorithm name so
-	// SameQuery and event payloads compare like with like.
-	sn := eng.Current()
-	worker := sn.Get()
-	err = worker.ValidateQuery(cq)
-	sn.Put(worker)
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	spec, _ := core.LookupAlgo(cq.Algo)
-	cq.Algo = spec.Name
-	id := sanitizeRequestID(r.URL.Query().Get("id"))
-	if raw := r.URL.Query().Get("id"); raw != "" && id == "" {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
-			fmt.Sprintf("malformed subscription id %q", raw))
-		return
-	}
-	lastID, hasLast := subscribe.ParseLastEventID(r)
-	var sub *subscribe.Sub
-	if id != "" {
-		if existing, found := s.subs.Get(id); found {
-			if !subscribe.SameQuery(existing.Query, cq) {
-				writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
-					fmt.Sprintf("subscription %q is bound to a different query", id))
-				return
-			}
-			sub = existing
-		}
-	} else {
-		id = "sub-" + s.newRequestID()
-	}
-	if sub == nil {
-		if hasLast {
-			writeError(w, r, http.StatusNotFound, CodeUnknownSubscription, "id",
-				fmt.Sprintf("unknown subscription %q: resume window expired, subscribe fresh", id))
-			return
-		}
-		sub, err = s.subs.Register(id, cq)
-		switch {
-		case err == nil:
-		case err == subscribe.ErrLimit:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusTooManyRequests, CodeSubscriptionLimit, "",
-				fmt.Sprintf("subscription limit reached (%d active)", s.subs.Hub().Active()))
-			return
-		default: // ErrClosed (draining) or a lost Register/Register race
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
-				"subscriptions unavailable: "+err.Error())
-			return
-		}
-	}
-	st, replay, err := sub.Attach(lastID, hasLast)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, "", "server draining")
-		return
-	}
-	defer sub.Detach(st)
-	subscribe.ServeSSE(w, r, st, replay, s.cfg.subscribeHeartbeat())
+	s.api.ServeSubscribe(w, r, s.subs, func(cq core.Query) error {
+		sn := eng.Current()
+		worker := sn.Get()
+		defer sn.Put(worker)
+		return worker.ValidateQuery(cq)
+	})
 }
 
 // handleShardWatch serves GET /v1/shard/watch: the shard's publication
@@ -168,9 +33,9 @@ func (s *Server) handleShardWatch(w http.ResponseWriter, r *http.Request) {
 	st, replay, err := s.feed.Attach(lastID, hasLast)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable, CodeNotReady, "", "server draining")
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "", "server draining")
 		return
 	}
 	defer s.feed.Detach(st)
-	subscribe.ServeSSE(w, r, st, replay, s.cfg.subscribeHeartbeat())
+	subscribe.ServeSSE(w, r, st, replay, s.cfg.SubscribeHeartbeat)
 }

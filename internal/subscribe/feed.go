@@ -31,7 +31,6 @@ type WatchJSON struct {
 // over SSE, with the same ring/resume/shed machinery as subscription
 // streams. It is the raw signal a router's own invalidation gates run on.
 type Feed struct {
-	ringLen   int
 	streamBuf int
 	sheds     *telemetry.Counter
 
@@ -42,12 +41,11 @@ type Feed struct {
 	closed  bool
 }
 
-// NewFeed builds a publication feed; opt supplies ring and buffer sizes
+// NewFeed builds a publication feed; opt supplies the stream buffer size
 // (metrics feed only the shed counter — evaluation metrics belong to the
 // router consuming the feed).
 func NewFeed(opt Options) *Feed {
 	return &Feed{
-		ringLen:   opt.ringLen(),
 		streamBuf: opt.streamBuf(),
 		sheds: opt.Metrics.Counter("sac_shard_watch_sheds_total",
 			"Shard-watch streams dropped for falling more than one buffer behind."),
@@ -100,9 +98,9 @@ func (f *Feed) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
 	ev := Event{Seq: f.nextSeq, Kind: kind, Data: data}
 	f.nextSeq++
 	f.ring = append(f.ring, ev)
-	if len(f.ring) > f.ringLen {
-		copy(f.ring, f.ring[len(f.ring)-f.ringLen:])
-		f.ring = f.ring[:f.ringLen]
+	if len(f.ring) > ringLen {
+		copy(f.ring, f.ring[len(f.ring)-ringLen:])
+		f.ring = f.ring[:ringLen]
 	}
 	fanout(f.streams, ev, f.sheds)
 }
@@ -155,16 +153,7 @@ func (f *Feed) Close() {
 		f.nextSeq = 1
 	}
 	data, _ := json.Marshal(ByeJSON{Reason: "server draining"})
-	ev := Event{Seq: f.nextSeq, Kind: KindBye, Data: data}
+	byeAll(f.streams, Event{Seq: f.nextSeq, Kind: KindBye, Data: data})
 	f.nextSeq++
-	for st := range f.streams {
-		if !st.shed {
-			select {
-			case st.C <- ev:
-			default:
-			}
-		}
-		close(st.C)
-	}
 	f.streams = make(map[*Stream]struct{})
 }

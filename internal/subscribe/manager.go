@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"log/slog"
-	"runtime"
-	"sync"
 	"time"
 
 	"sacsearch/internal/core"
@@ -24,75 +22,35 @@ type ManagerOptions struct {
 	Hub Options
 	// Logger receives evaluation failures. Default slog.Default().
 	Logger *slog.Logger
-	// EvalWorkers bounds concurrent re-evaluations per dispatch round
-	// (default GOMAXPROCS).
-	EvalWorkers int
-	// EvalTimeout bounds one re-evaluation (default 10s). An evaluation
-	// that times out leaves the subscription's last result standing and
-	// forces a retry on the next publication.
-	EvalTimeout time.Duration
-	// SweepEvery is the reap cadence for expired detached subscriptions
-	// (default 30s).
-	SweepEvery time.Duration
 }
 
-func (o ManagerOptions) logger() *slog.Logger {
-	if o.Logger != nil {
-		return o.Logger
-	}
-	return slog.Default()
-}
-
-func (o ManagerOptions) evalWorkers() int {
-	if o.EvalWorkers > 0 {
-		return o.EvalWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o ManagerOptions) evalTimeout() time.Duration {
-	if o.EvalTimeout > 0 {
-		return o.EvalTimeout
-	}
-	return 10 * time.Second
-}
-
-func (o ManagerOptions) sweepEvery() time.Duration {
-	if o.SweepEvery > 0 {
-		return o.SweepEvery
-	}
-	return 30 * time.Second
-}
+// evalTimeout bounds one engine re-evaluation. An evaluation that times out
+// leaves the subscription's last result standing and is retried on the next
+// publication.
+const evalTimeout = 10 * time.Second
 
 // maxPendEvents bounds the coalesced event list; past it the pending work
 // degrades to a full re-evaluation, which every gate treats as "evaluate
 // everything" — cheaper than scanning an unbounded backlog per sub.
 const maxPendEvents = 4096
 
-// pend is the work coalesced between dispatch rounds: the latest published
-// snapshot and every applied event since the last round.
+// pend is the engine's pending summary: the latest published snapshot and
+// every applied event since the last round.
 type pend struct {
 	snap   *snapshot.Snap
 	events []snapshot.AppliedEvent
 	full   bool // unknown or oversized change set: gate everything in
-	has    bool // a publication arrived
-	reg    bool // a registration arrived
-	at     time.Time // arrival of the oldest un-dispatched publication
 }
 
-// gate is the Manager's per-subscription invalidation state, owned by the
-// dispatch loop (stored in Sub.Gate).
+// gate is the engine backend's per-subscription invalidation state
+// (Sub.Gate), rebuilt by every successful evaluation.
 type gate struct {
-	needsInit  bool
-	forceEval  bool // last evaluation failed; retry on the next publication
-	alwaysEval bool // θ-SAC: the catchment disk reads every location
-	kcore      bool // structure metric is k-core (core-number scans are valid)
-	lastSeq    uint64
-	q          graph.V
-	k          int
+	kcore   bool // structure metric is k-core (core-number scans are valid)
+	lastSeq uint64
 	// Candidate closure of (q, k) as of the last evaluation. members is the
 	// candidate set X (nil when q had no community), frontier its outside
-	// neighbors, in marks members 1 and frontier 2.
+	// neighbors, in marks members 1 and frontier 2. Left empty for θ-SAC,
+	// which the dispatcher never gates.
 	members  []graph.V
 	frontier []graph.V
 	in       map[graph.V]byte
@@ -103,10 +61,11 @@ const (
 	inFrontier = 2
 )
 
-// Manager drives standing queries off one snapshot engine: it coalesces
-// post-publish notifications, filters subscriptions through the
-// invalidation gate, re-runs the affected ones on pooled workers pinned to
-// the published snapshot, and applies the diffs to the Hub.
+// Manager drives standing queries off one snapshot engine: the Dispatcher
+// with the single-engine Backend. Notify coalesces post-publish
+// notifications, the gate filters subscriptions against the applied events,
+// and the affected ones re-run on pooled workers pinned to the published
+// snapshot.
 //
 // Gate soundness (k-core structure): every registered algorithm except
 // θ-SAC is a pure function of induced(X) and the locations of X, where X is
@@ -119,43 +78,17 @@ const (
 // change), or a frontier vertex's core number reached k (X can only grow
 // through its frontier, or via a new edge landing on X, which case (a
 // touched endpoint) already catches). A subscription with no community
-// re-evaluates only when q's own core number reaches k. θ-SAC and non-k-core
-// structure metrics fall back to always-evaluate on the relevant event kind.
+// re-evaluates only when q's own core number reaches k. Non-k-core structure
+// metrics fall back to always-evaluate on any topology event.
 type Manager struct {
-	opt ManagerOptions
-	hub *Hub
-
-	mu   sync.Mutex
-	pend pend
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// processed is the newest snapshot seq whose dispatch round completed —
-	// tests use it to wait for quiescence.
-	processedMu sync.Mutex
-	processed   uint64
-
-	closeOnce sync.Once
+	*Dispatcher[pend]
 }
 
 // NewManager builds and starts a Manager. Hook it to an engine with
 // eng.SetOnPublish(m.Notify) (or replica.Follower.SetOnPublish).
 func NewManager(opt ManagerOptions) *Manager {
-	m := &Manager{
-		opt:  opt,
-		hub:  NewHub(opt.Hub),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go m.dispatchLoop()
-	return m
+	return &Manager{NewDispatcher[pend](opt.Hub, opt.Logger, engineBackend{opt.Current})}
 }
-
-// Hub exposes the delivery core (metrics, Active).
-func (m *Manager) Hub() *Hub { return m.hub }
 
 // Notify is the engine's post-publish hook. It runs on the writer's
 // critical path, so it only coalesces: record the newest snapshot, append
@@ -163,171 +96,48 @@ func (m *Manager) Hub() *Hub { return m.hub }
 // is unknown (a replica resync swapped the whole engine) and every
 // subscription must re-evaluate.
 func (m *Manager) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
-	m.mu.Lock()
-	m.pend.snap = snap
-	m.pend.has = true
-	if m.pend.at.IsZero() {
-		m.pend.at = time.Now()
-	}
-	if events == nil {
-		m.pend.full = true
-		m.pend.events = nil
-	} else if !m.pend.full {
-		m.pend.events = append(m.pend.events, events...)
-		if len(m.pend.events) > maxPendEvents {
-			m.pend.full = true
-			m.pend.events = nil
+	m.Merge(func(p *pend) {
+		p.snap = snap
+		if events == nil {
+			p.full = true
+			p.events = nil
+		} else if !p.full {
+			p.events = append(p.events, events...)
+			if len(p.events) > maxPendEvents {
+				p.full = true
+				p.events = nil
+			}
 		}
-	}
-	m.mu.Unlock()
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Register creates a standing query under id and schedules its initial
-// evaluation; the resulting init event arrives on any attached stream. The
-// query must be pre-validated with a canonical Algo name.
-func (m *Manager) Register(id string, q core.Query) (*Sub, error) {
-	spec, ok := core.LookupAlgo(q.Algo)
-	if !ok {
-		return nil, errors.New("subscribe: unvalidated query reached Register")
-	}
-	q.Algo = spec.Name
-	sub, err := m.hub.Register(id, q)
-	if err != nil {
-		return nil, err
-	}
-	sub.Gate = &gate{needsInit: true, alwaysEval: spec.Name == "theta"}
-	m.mu.Lock()
-	m.pend.reg = true
-	m.mu.Unlock()
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-	return sub, nil
-}
-
-// Get looks a subscription up by id.
-func (m *Manager) Get(id string) (*Sub, bool) { return m.hub.Get(id) }
-
-// ProcessedSeq returns the newest snapshot sequence fully dispatched
-// (evaluations applied). Tests poll it for quiescence.
-func (m *Manager) ProcessedSeq() uint64 {
-	m.processedMu.Lock()
-	defer m.processedMu.Unlock()
-	return m.processed
-}
-
-// Close stops the dispatcher and drains every stream with a terminal bye.
-// Pending publications are dispatched first, so already-applied writes
-// reach subscribers before the goodbye.
-func (m *Manager) Close() {
-	m.closeOnce.Do(func() {
-		close(m.stop)
-		<-m.done
-		m.drainPending()
-		m.hub.CloseAll()
 	})
 }
 
-// drainPending runs one final dispatch so deltas from writes that committed
-// before the drain reach their streams ahead of the bye.
-func (m *Manager) drainPending() {
-	m.mu.Lock()
-	p := m.pend
-	m.pend = pend{}
-	m.mu.Unlock()
-	if p.has || p.reg {
-		m.dispatch(p)
-	}
+// engineBackend answers standing queries from one engine's snapshots.
+type engineBackend struct {
+	current func() *snapshot.Snap
 }
 
-func (m *Manager) dispatchLoop() {
-	defer close(m.done)
-	sweep := time.NewTicker(m.opt.sweepEvery())
-	defer sweep.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-sweep.C:
-			m.hub.Sweep()
-			continue
-		case <-m.kick:
-		}
-		for {
-			m.mu.Lock()
-			p := m.pend
-			m.pend = pend{}
-			m.mu.Unlock()
-			if !p.has && !p.reg {
-				break
-			}
-			m.dispatch(p)
-		}
+// Begin pins the round to the notified snapshot, or — on a registration-only
+// round — to the newest published one. A replica before its first sync has
+// neither; initial evaluations then wait for the post-sync notification.
+func (b engineBackend) Begin(p *pend) (uint64, bool) {
+	if p.snap == nil {
+		p.snap = b.current()
 	}
+	if p.snap == nil {
+		return 0, false
+	}
+	return p.snap.Seq(), true
 }
 
-// dispatch runs one round: gate every subscription against the coalesced
-// events, re-evaluate the survivors concurrently, record progress.
-func (m *Manager) dispatch(p pend) {
-	snap := p.snap
-	if snap == nil {
-		snap = m.opt.Current()
-	}
-	if snap == nil {
-		// Replica before first sync: initial evaluations wait for the
-		// post-sync full notification; re-mark so they are not lost.
-		m.mu.Lock()
-		m.pend.reg = m.pend.reg || p.reg
-		m.mu.Unlock()
-		return
-	}
-	var evals []*Sub
-	for _, sub := range m.hub.Snapshot() {
-		g := sub.Gate.(*gate)
-		switch {
-		case g.needsInit || g.forceEval:
-			evals = append(evals, sub)
-		case !p.has:
-			// registration-only kick: nothing changed for this sub
-		case !p.full && snap.Seq() <= g.lastSeq:
-			// already evaluated this state (initial eval ran on it)
-		case m.gateNeeds(g, p, snap):
-			evals = append(evals, sub)
-		default:
-			m.hub.skipped.Inc()
-		}
-	}
-	if len(evals) > 0 {
-		sem := make(chan struct{}, m.opt.evalWorkers())
-		var wg sync.WaitGroup
-		for _, sub := range evals {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(sub *Sub) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				m.evaluate(sub, snap, p.at)
-			}(sub)
-		}
-		wg.Wait()
-	}
-	m.processedMu.Lock()
-	if snap.Seq() > m.processed {
-		m.processed = snap.Seq()
-	}
-	m.processedMu.Unlock()
-}
-
-// gateNeeds decides whether the coalesced events can have changed this
+// Gate decides whether the coalesced events can have changed this
 // subscription's answer; see the Manager doc comment for the argument.
-func (m *Manager) gateNeeds(g *gate, p pend, snap *snapshot.Snap) bool {
-	if g.alwaysEval || p.full {
+func (engineBackend) Gate(sub *Sub, p *pend) bool {
+	g := sub.Gate.(*gate)
+	if p.full {
 		return true
+	}
+	if p.snap.Seq() <= g.lastSeq {
+		return false // already evaluated this state (the initial eval ran on it)
 	}
 	topo := false
 	for i := range p.events {
@@ -351,7 +161,7 @@ func (m *Manager) gateNeeds(g *gate, p pend, snap *snapshot.Snap) bool {
 		// topology change re-evaluates.
 		return true
 	}
-	return m.coreCascade(g, snap)
+	return coreCascade(g, sub.Query, p.snap)
 }
 
 // coreCascade scans the new snapshot's core numbers for the non-local ways
@@ -359,33 +169,30 @@ func (m *Manager) gateNeeds(g *gate, p pend, snap *snapshot.Snap) bool {
 // entering it. (Frontier vertices have core < k at evaluation time: a
 // frontier vertex already in the k-core would be a k-core neighbor of X and
 // hence inside X.)
-func (m *Manager) coreCascade(g *gate, snap *snapshot.Snap) bool {
-	k := g.k
+func coreCascade(g *gate, q core.Query, snap *snapshot.Snap) bool {
 	if g.members == nil {
-		return snap.CoreNumber(g.q) >= k
+		return snap.CoreNumber(q.Q) >= q.K
 	}
 	for _, v := range g.members {
-		if snap.CoreNumber(v) < k {
+		if snap.CoreNumber(v) < q.K {
 			return true
 		}
 	}
 	for _, f := range g.frontier {
-		if snap.CoreNumber(f) >= k {
+		if snap.CoreNumber(f) >= q.K {
 			return true
 		}
 	}
 	return false
 }
 
-// evaluate re-runs one standing query pinned to snap, refreshes the gate
-// closure, and applies the diff.
-func (m *Manager) evaluate(sub *Sub, snap *snapshot.Snap, publishedAt time.Time) {
-	g := sub.Gate.(*gate)
-	s := snap.Get()
-	defer snap.Put(s)
-	ctx, cancel := context.WithTimeout(context.Background(), m.opt.evalTimeout())
+// Evaluate re-runs one standing query pinned to the round's snapshot and
+// refreshes the gate closure.
+func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
+	s := p.snap.Get()
+	defer p.snap.Put(s)
+	ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
 	defer cancel()
-	m.hub.evals.Inc()
 	res, err := s.Search(ctx, sub.Query)
 	var er EvalResult
 	switch {
@@ -396,27 +203,19 @@ func (m *Manager) evaluate(sub *Sub, snap *snapshot.Snap, publishedAt time.Time)
 	case errors.Is(err, core.ErrNoCommunity):
 		er.NoCommunity = true
 	default:
-		g.forceEval = true
-		m.opt.logger().Warn("standing query evaluation failed; will retry on next publication",
-			"sub", sub.ID, "q", int64(sub.Query.Q), "k", sub.Query.K, "err", err)
-		return
+		return nil, err
 	}
-	g.needsInit = false
-	g.forceEval = false
-	g.lastSeq = snap.Seq()
-	g.kcore = s.Structure() == core.StructureKCore
-	g.q = sub.Query.Q
-	g.k = sub.Query.K
-	if !g.alwaysEval {
-		members, frontier := s.CandidateClosure(sub.Query.Q, sub.Query.K)
-		g.members, g.frontier = members, frontier
-		g.in = make(map[graph.V]byte, len(members)+len(frontier))
-		for _, v := range members {
+	g := &gate{lastSeq: p.snap.Seq(), kcore: s.Structure() == core.StructureKCore}
+	if !sub.always {
+		g.members, g.frontier = s.CandidateClosure(sub.Query.Q, sub.Query.K)
+		g.in = make(map[graph.V]byte, len(g.members)+len(g.frontier))
+		for _, v := range g.members {
 			g.in[v] = inMember
 		}
-		for _, f := range frontier {
+		for _, f := range g.frontier {
 			g.in[f] = inFrontier
 		}
 	}
-	sub.Apply(&er, publishedAt)
+	sub.Gate = g
+	return &er, nil
 }

@@ -8,14 +8,16 @@
 //     last delivered result, a bounded ring of recent events for
 //     Last-Event-ID resume, and any number of attached SSE streams with
 //     slow-consumer shedding.
-//   - An evaluation driver that decides *when* a subscription's answer may
-//     have changed and recomputes it. Manager (manager.go) is the
-//     single-engine driver hooked on snapshot.Engine's post-publish point;
-//     the router package builds its own driver over the per-shard
-//     publication feeds (feed.go).
+//   - The evaluation driver (dispatcher.go): one Dispatcher decides *when* a
+//     subscription's answer may have changed and recomputes it, through the
+//     Backend its front-end supplies. Manager (manager.go) is the
+//     single-engine backend, hooked on snapshot.Engine's post-publish point;
+//     the router package supplies its own over the per-shard publication
+//     feeds (feed.go).
 //
-// The driver owns each subscription's gate state exclusively (Sub.Gate);
-// the delivery core never touches it, so drivers need no locks there.
+// The dispatcher's rounds own each subscription's gate state exclusively
+// (Sub.Gate and the evaluation flags); the delivery core never touches it
+// after creating the Sub, so backends need no locks there.
 package subscribe
 
 import (
@@ -90,7 +92,8 @@ type ByeJSON struct {
 	Reason string `json:"reason"`
 }
 
-// EvalResult is one evaluation's outcome, handed to Sub.Apply by a driver.
+// EvalResult is one evaluation's outcome, handed to Sub.Apply by the
+// dispatcher.
 // Members must be ascending (core.Result order) and are retained.
 type EvalResult struct {
 	Members     []graph.V
@@ -142,30 +145,26 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// MaxSubscriptions caps registered subscriptions (default 1024).
 	MaxSubscriptions int
-	// RingLen is how many past events each subscription retains for
-	// Last-Event-ID resume (default 64). A resume beyond the ring gets a
-	// fresh init instead.
-	RingLen int
 	// StreamBuf is each attached stream's channel buffer (default 32). A
 	// consumer that falls this far behind is shed and must resume.
 	StreamBuf int
-	// ResumeTTL is how long a subscription with no attached stream is kept
-	// for resume before Sweep reaps it (default 2m).
-	ResumeTTL time.Duration
 }
+
+const (
+	// ringLen is how many past events each subscription (and each shard
+	// feed) retains for Last-Event-ID resume. A resume beyond the ring gets
+	// a fresh init (a resync frame on a feed) instead.
+	ringLen = 64
+	// resumeTTL is how long a subscription with no attached stream is kept
+	// for resume before Sweep reaps it.
+	resumeTTL = 2 * time.Minute
+)
 
 func (o Options) maxSubs() int {
 	if o.MaxSubscriptions > 0 {
 		return o.MaxSubscriptions
 	}
 	return 1024
-}
-
-func (o Options) ringLen() int {
-	if o.RingLen > 0 {
-		return o.RingLen
-	}
-	return 64
 }
 
 func (o Options) streamBuf() int {
@@ -175,15 +174,8 @@ func (o Options) streamBuf() int {
 	return 32
 }
 
-func (o Options) resumeTTL() time.Duration {
-	if o.ResumeTTL > 0 {
-		return o.ResumeTTL
-	}
-	return 2 * time.Minute
-}
-
-// Hub is the delivery core shared by every subscription driver: the
-// registered subscriptions, their limits, and the sac_subscription_*
+// Hub is the delivery core under the Dispatcher: the registered
+// subscriptions, their limits, and the sac_subscription_*
 // instruments. Safe for concurrent use.
 type Hub struct {
 	opt Options
@@ -221,10 +213,10 @@ func NewHub(opt Options) *Hub {
 	}
 }
 
-// Evals exposes the evaluations counter to drivers.
+// Evals exposes the evaluations counter (tests).
 func (h *Hub) Evals() *telemetry.Counter { return h.evals }
 
-// Skipped exposes the skipped-by-gate counter to drivers.
+// Skipped exposes the skipped-by-gate counter (tests).
 func (h *Hub) Skipped() *telemetry.Counter { return h.skipped }
 
 // Register creates a subscription under id. The query must already be
@@ -244,10 +236,14 @@ func (h *Hub) Register(id string, q core.Query) (*Sub, error) {
 		return nil, ErrLimit
 	}
 	sub := &Sub{
-		ID:      id,
-		Query:   q,
-		hub:     h,
-		streams: make(map[*Stream]struct{}),
+		ID:    id,
+		Query: q,
+		// The dispatcher's flags are set before the Sub is published in the
+		// table, so a concurrent round never sees one half-built.
+		needsInit: true,
+		always:    q.Algo == "theta",
+		hub:       h,
+		streams:   make(map[*Stream]struct{}),
 		// Starts detached: a subscription whose client never attaches (or
 		// never comes back) is reaped by Sweep after the resume TTL.
 		detachedAt: time.Now(),
@@ -265,22 +261,8 @@ func (h *Hub) Get(id string) (*Sub, bool) {
 	return sub, ok
 }
 
-// Remove unregisters a subscription and closes its streams.
-func (h *Hub) Remove(id string) {
-	h.mu.Lock()
-	sub, ok := h.subs[id]
-	if ok {
-		delete(h.subs, id)
-		h.active.Set(float64(len(h.subs)))
-	}
-	h.mu.Unlock()
-	if ok {
-		sub.terminate("subscription removed")
-	}
-}
-
 // Snapshot returns the registered subscriptions (order unspecified) — the
-// working set of one driver dispatch round.
+// working set of one dispatch round.
 func (h *Hub) Snapshot() []*Sub {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -299,9 +281,9 @@ func (h *Hub) Active() int {
 }
 
 // Sweep reaps subscriptions that have had no attached stream for the resume
-// TTL, returning how many it removed. Drivers call it periodically.
+// TTL, returning how many it removed. The dispatcher calls it periodically.
 func (h *Hub) Sweep() int {
-	cutoff := time.Now().Add(-h.opt.resumeTTL())
+	cutoff := time.Now().Add(-resumeTTL)
 	var dead []*Sub
 	h.mu.Lock()
 	for id, sub := range h.subs {
@@ -323,8 +305,8 @@ func (h *Hub) Sweep() int {
 
 // CloseAll is the drain path: every attached stream gets a terminal bye
 // event (after whatever deltas it already buffered) and is closed, and
-// further Registers fail with ErrClosed. The driver must have stopped
-// dispatching first, so no Apply races the close.
+// further Registers fail with ErrClosed. The dispatcher must have stopped
+// its rounds first, so no Apply races the close.
 func (h *Hub) CloseAll() {
 	h.mu.Lock()
 	h.closed = true
@@ -347,15 +329,21 @@ type Sub struct {
 	ID string
 	// Query is the validated standing query (canonical Algo name).
 	Query core.Query
-	// Gate is driver-private invalidation state. Only the owning driver's
-	// dispatch loop reads or writes it; the delivery core never does.
+	// Gate is the Backend's invalidation state as of the last successful
+	// evaluation (nil before it). Only the dispatcher's rounds read or write
+	// it — Backend.Evaluate sets it, Backend.Gate reads it.
 	Gate any
+
+	// Evaluation bookkeeping, owned by the dispatcher's rounds like Gate.
+	needsInit bool // no result delivered yet: evaluate on the next round
+	retry     bool // last evaluation failed: evaluate on the next round
+	always    bool // θ-SAC: the catchment disk reads every location, never gated
 
 	hub *Hub
 
 	mu         sync.Mutex
 	st         state
-	ring       []Event // contiguous seqs, at most opt.RingLen
+	ring       []Event // contiguous seqs, at most ringLen
 	nextSeq    uint64  // seq the next event will take (first event = 1)
 	streams    map[*Stream]struct{}
 	detachedAt time.Time // zero while any stream is attached
@@ -389,6 +377,21 @@ func fanout(streams map[*Stream]struct{}, ev Event, sheds *telemetry.Counter) {
 			close(st.Shed)
 			sheds.Inc()
 		}
+	}
+}
+
+// byeAll ends every stream: the terminal event goes to each one that can
+// still take it (a full buffer outranks the goodbye), then the stream is
+// closed. Caller holds the owning mutex.
+func byeAll(streams map[*Stream]struct{}, bye Event) {
+	for st := range streams {
+		if !st.shed {
+			select {
+			case st.C <- bye:
+			default:
+			}
+		}
+		close(st.C)
 	}
 }
 
@@ -457,9 +460,9 @@ func (sub *Sub) append(kind string, payload EventJSON) {
 	ev := Event{Seq: sub.nextSeq, Kind: kind, Data: data}
 	sub.nextSeq++
 	sub.ring = append(sub.ring, ev)
-	if max := sub.hub.opt.ringLen(); len(sub.ring) > max {
-		copy(sub.ring, sub.ring[len(sub.ring)-max:])
-		sub.ring = sub.ring[:max]
+	if len(sub.ring) > ringLen {
+		copy(sub.ring, sub.ring[len(sub.ring)-ringLen:])
+		sub.ring = sub.ring[:ringLen]
 	}
 	fanout(sub.streams, ev, sub.hub.sheds)
 }
@@ -542,17 +545,8 @@ func (sub *Sub) terminate(reason string) {
 		sub.nextSeq = 1
 	}
 	data, _ := json.Marshal(ByeJSON{Sub: sub.ID, Reason: reason})
-	ev := Event{Seq: sub.nextSeq, Kind: KindBye, Data: data}
+	byeAll(sub.streams, Event{Seq: sub.nextSeq, Kind: KindBye, Data: data})
 	sub.nextSeq++
-	for st := range sub.streams {
-		if !st.shed {
-			select {
-			case st.C <- ev:
-			default: // a full buffer outranks the goodbye
-			}
-		}
-		close(st.C)
-	}
 	sub.streams = make(map[*Stream]struct{})
 }
 

@@ -44,14 +44,14 @@ func RouteLabel(path string) string {
 		}
 		seg, tail, _ := strings.Cut(rest, "/")
 		switch seg {
-		case "health", "ready", "algorithms", "query", "batch", "checkin", "edge":
+		case "health", "ready", "algorithms", "query", "batch", "checkin", "edge", "subscribe":
 			return p + "/" + seg
 		case "vertex":
 			return p + "/vertex/{id}"
 		case "shard":
 			verb, _, _ := strings.Cut(tail, "/")
 			switch verb {
-			case "info", "search", "expand", "range":
+			case "info", "search", "expand", "range", "watch":
 				return p + "/shard/" + verb
 			}
 		}

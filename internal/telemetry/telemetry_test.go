@@ -293,3 +293,34 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		t.Errorf("%d children, want 8", got)
 	}
 }
+
+// TestRouteLabel: every route the API reference lists (api_doc_test.go's
+// table) keeps its own bounded label — none may fall into "other", which is
+// reserved for paths no daemon serves.
+func TestRouteLabel(t *testing.T) {
+	for path, want := range map[string]string{
+		"/v1/health":       "/v1/health",
+		"/v1/ready":        "/v1/ready",
+		"/v1/algorithms":   "/v1/algorithms",
+		"/v1/vertex/17":    "/v1/vertex/{id}",
+		"/v1/query":        "/v1/query",
+		"/v1/batch":        "/v1/batch",
+		"/v1/checkin":      "/v1/checkin",
+		"/v1/edge":         "/v1/edge",
+		"/v1/shard/info":   "/v1/shard/info",
+		"/v1/shard/search": "/v1/shard/search",
+		"/v1/shard/expand": "/v1/shard/expand",
+		"/v1/shard/range":  "/v1/shard/range",
+		"/v1/subscribe":    "/v1/subscribe",
+		"/v1/shard/watch":  "/v1/shard/watch",
+		"/metrics":         "/metrics",
+		"/api/query":       "/api/query",
+		"/v1/shard/nope":   "other",
+		"/v2/query":        "other",
+		"/wp-login.php":    "other",
+	} {
+		if got := RouteLabel(path); got != want {
+			t.Errorf("RouteLabel(%q) = %q, want %q", path, got, want)
+		}
+	}
+}

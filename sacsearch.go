@@ -86,7 +86,7 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/metrics"
+	"sacsearch/internal/quality"
 	"sacsearch/internal/replica"
 	"sacsearch/internal/router"
 	"sacsearch/internal/shard"
@@ -415,49 +415,29 @@ type BatchSource = batch.Source
 
 // BatchSearch answers every query using cloned searchers on parallel
 // workers, deduplicating identical queries; items come back in input order.
-func BatchSearch(s *Searcher, queries []BatchQuery, opt BatchOptions) []BatchItem {
-	return batch.Run(context.Background(), s, queries, opt)
-}
-
-// BatchSearchCtx is BatchSearch with a deadline: when ctx fires, in-flight
-// queries return ErrCanceled at their next loop boundary and undispatched
-// queries fail without running.
-func BatchSearchCtx(ctx context.Context, s *Searcher, queries []BatchQuery, opt BatchOptions) []BatchItem {
+// When ctx fires, in-flight queries return ErrCanceled at their next loop
+// boundary and undispatched queries fail without running.
+func BatchSearch(ctx context.Context, s *Searcher, queries []BatchQuery, opt BatchOptions) []BatchItem {
 	return batch.Run(ctx, s, queries, opt)
-}
-
-// BatchStream answers queries from a channel as they arrive, emitting items
-// as they complete; the output channel closes when in closes and all
-// in-flight work is done.
-func BatchStream(s *Searcher, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
-	return batch.Stream(context.Background(), s, in, opt)
 }
 
 // BatchSearchOn is BatchSearch over an existing worker source; reusing one
 // pool across batches keeps the workers' candidate caches warm.
-func BatchSearchOn(p BatchSource, queries []BatchQuery, opt BatchOptions) []BatchItem {
-	return batch.RunOn(context.Background(), p, queries, opt)
-}
-
-// BatchSearchOnCtx is BatchSearchOn with a deadline (see BatchSearchCtx).
-func BatchSearchOnCtx(ctx context.Context, p BatchSource, queries []BatchQuery, opt BatchOptions) []BatchItem {
+func BatchSearchOn(ctx context.Context, p BatchSource, queries []BatchQuery, opt BatchOptions) []BatchItem {
 	return batch.RunOn(ctx, p, queries, opt)
 }
 
-// BatchStreamCtx is BatchStream with cancellation: when ctx fires, queries
-// still arriving come back immediately as ErrCanceled items (the caller
-// remains responsible for closing in).
-func BatchStreamCtx(ctx context.Context, s *Searcher, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
+// BatchStream answers queries from a channel as they arrive, emitting items
+// as they complete; the output channel closes when in closes and all
+// in-flight work is done. When ctx fires, queries still arriving come back
+// immediately as ErrCanceled items (the caller remains responsible for
+// closing in).
+func BatchStream(ctx context.Context, s *Searcher, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
 	return batch.Stream(ctx, s, in, opt)
 }
 
 // BatchStreamOn is BatchStream over an existing worker source.
-func BatchStreamOn(p BatchSource, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
-	return batch.StreamOn(context.Background(), p, in, opt)
-}
-
-// BatchStreamOnCtx is BatchStreamOn with cancellation (see BatchStreamCtx).
-func BatchStreamOnCtx(ctx context.Context, p BatchSource, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
+func BatchStreamOn(ctx context.Context, p BatchSource, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
 	return batch.StreamOn(ctx, p, in, opt)
 }
 
@@ -542,27 +522,17 @@ type (
 )
 
 // Replay applies a check-in stream to g and snapshots the tracked users'
-// communities from splitTime on.
-func Replay(g *Graph, checkins []Checkin, tracked []V, splitTime float64, k int, search SearchFunc) (map[V][]Snapshot, error) {
-	return dynamic.Replay(context.Background(), g, checkins, tracked, splitTime, k, search)
-}
-
-// ReplayCtx is Replay with cancellation: when ctx fires the replay aborts
-// between events with the context's error.
-func ReplayCtx(ctx context.Context, g *Graph, checkins []Checkin, tracked []V, splitTime float64, k int, search SearchFunc) (map[V][]Snapshot, error) {
+// communities from splitTime on. When ctx fires the replay aborts between
+// events with the context's error.
+func Replay(ctx context.Context, g *Graph, checkins []Checkin, tracked []V, splitTime float64, k int, search SearchFunc) (map[V][]Snapshot, error) {
 	return dynamic.Replay(ctx, g, checkins, tracked, splitTime, k, search)
 }
 
 // ReplayWithEdges replays friendship churn interleaved with check-ins on one
 // clock; each tracked search sees the graph exactly as it stood at that
 // instant. Wire apply with ApplyEdgesVia(searcher) so the searcher's core
-// decomposition stays current incrementally.
-func ReplayWithEdges(g *Graph, checkins []Checkin, edges []EdgeEvent, tracked []V, splitTime float64, k int, search SearchFunc, apply EdgeApplyFunc) (map[V][]Snapshot, error) {
-	return dynamic.ReplayWithEdges(context.Background(), g, checkins, edges, tracked, splitTime, k, search, apply)
-}
-
-// ReplayWithEdgesCtx is ReplayWithEdges with cancellation (see ReplayCtx).
-func ReplayWithEdgesCtx(ctx context.Context, g *Graph, checkins []Checkin, edges []EdgeEvent, tracked []V, splitTime float64, k int, search SearchFunc, apply EdgeApplyFunc) (map[V][]Snapshot, error) {
+// decomposition stays current incrementally. Cancellation is as in Replay.
+func ReplayWithEdges(ctx context.Context, g *Graph, checkins []Checkin, edges []EdgeEvent, tracked []V, splitTime float64, k int, search SearchFunc, apply EdgeApplyFunc) (map[V][]Snapshot, error) {
 	return dynamic.ReplayWithEdges(ctx, g, checkins, edges, tracked, splitTime, k, search, apply)
 }
 
@@ -587,18 +557,18 @@ func Decay(timelines map[V][]Snapshot, etas []float64) []DecayPoint {
 // Quality metrics (Section 5 measures).
 
 // CommunityRadius returns the MCC radius of the members' locations.
-func CommunityRadius(g *Graph, members []V) float64 { return metrics.Radius(g, members) }
+func CommunityRadius(g *Graph, members []V) float64 { return quality.Radius(g, members) }
 
 // CommunityDistPr returns the average pairwise distance between members.
 func CommunityDistPr(g *Graph, members []V, seed int64) float64 {
-	return metrics.DistPr(g, members, seed)
+	return quality.DistPr(g, members, seed)
 }
 
 // CJS is the community Jaccard similarity (Equation 9).
-func CJS(a, b []V) float64 { return metrics.CJS(a, b) }
+func CJS(a, b []V) float64 { return quality.CJS(a, b) }
 
 // CAO is the community area overlap of two MCCs (Equation 10).
-func CAO(a, b Circle) float64 { return metrics.CAO(a, b) }
+func CAO(a, b Circle) float64 { return quality.CAO(a, b) }
 
 // AvgInternalDegree returns the mean degree of members within the subgraph
 // they induce.

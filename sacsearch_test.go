@@ -1,6 +1,7 @@
 package sacsearch_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -140,7 +141,7 @@ func TestFacadeDynamicReplay(t *testing.T) {
 		}
 		return res.Members, res.MCC, nil
 	}
-	timelines, err := sacsearch.Replay(g, checkins, movers, 200, 3, search)
+	timelines, err := sacsearch.Replay(context.Background(), g, checkins, movers, 200, 3, search)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,11 @@ func (s *Searcher) ExactPlusCtx(ctx context.Context, q graph.V, k int, epsA floa
 	if s.ctxErr != nil {
 		return s.ctxResult(nil, nil)
 	}
+	// δ is the optimum's radius as the result reports it (over the sorted
+	// members), not rcur, whose last bits depend on the order the winning
+	// feasibility check happened to emit the community in.
 	res := s.buildResult(q, k, best, rcur)
+	res.Delta = res.MCC.R
 	return s.finish(res, start), nil
 }
 

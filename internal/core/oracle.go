@@ -25,8 +25,8 @@ import (
 //     moment it is active and adjacent to q's component, and floods the
 //     active vertices behind it. Each vertex joins once and scans its
 //     adjacency at most twice, so this is O(E_induced) too.
-//   - the emitted community is a stable counting sort of the members by
-//     joinAt (integers in [1, n]): O(n).
+//   - the emitted community is a stable counting sort of the view by joinAt
+//     (integers in [1, n]): O(n).
 //
 // The whole build is O(n + E_induced) on Searcher-owned scratch and
 // allocates nothing once that scratch and the view's slices have grown.
@@ -39,9 +39,11 @@ import (
 //
 // The oracle is exact, not approximate: its answers equal
 // kcore.Peeler.KCoreWithin on the same prefix (as sets; callers never
-// depend on member order, but the order — ascending joinAt, ties by local
-// id — is pinned because MCC arithmetic over it is not order-independent
-// at the ulp level). It applies only to the k-core structure metric and
+// depend on member order, but the order — ascending joinAt, ties by rank in
+// the view, hence a function of the graph and q alone and not of which
+// member's BFS filled the cache — is pinned because MCC arithmetic over it
+// is not order-independent at the ulp level, and AppAcc's anchors and
+// Exact+'s δ are built on such radii). It applies only to the k-core structure metric and
 // only to probes whose S is literally a prefix of the current sorted view;
 // everything else (circle subsets, θ-SAC, k-truss/k-clique) takes the
 // generic peelers.
@@ -74,10 +76,11 @@ func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.
 // id (or sorted position) and reused across builds. It belongs to one
 // Searcher: Pool workers build concurrently.
 type oracleScratch struct {
-	localAt []int32 // local id at each sorted position; the flood queue after the sweep
+	localAt []int32 // local id at each sorted position
 	deg     []int32 // induced degree among the living; the counting-sort buckets after the sweep
 	coreAt  []int32 // by local id; negated joinAt once the vertex has joined
 	order   []int32 // death order of the sweep, which doubles as its cascade queue
+	queue   []int32 // the joining pass's flood queue
 }
 
 func (sc *oracleScratch) ensure(n int) {
@@ -88,6 +91,7 @@ func (sc *oracleScratch) ensure(n int) {
 	sc.deg = make([]int32, n+1) // buckets 0..n
 	sc.coreAt = make([]int32, n)
 	sc.order = make([]int32, n)
+	sc.queue = make([]int32, n)
 }
 
 // deadDeg overwrites the degree of a vertex the sweep deletes outright, so
@@ -160,7 +164,7 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 	// has its (positive) coreAt overwritten with -i — so the flood's test
 	// "active and not joined yet" reads one word per edge.
 	qLocal := s.localOf[q]
-	queue := localAt
+	queue := sc.queue[:n]
 	idx := n - 1
 	for order[idx] != qLocal {
 		idx--
@@ -189,9 +193,9 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 		}
 	}
 
-	// Emit q's community in ascending join order, ties by local id: a stable
-	// counting sort. Every member joins by prefix n (the full set is
-	// connected); a vertex left positive would be outside q's final
+	// Emit q's community in ascending join order, ties by view rank: a stable
+	// counting sort over the view. Every member joins by prefix n (the full
+	// set is connected); a vertex left positive would be outside q's final
 	// component, which KCoreWithin excludes too.
 	count := sc.deg[:n+1]
 	clear(count)
@@ -209,13 +213,14 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 	o := &vw.oracle
 	o.comm = slices.Grow(o.comm[:0], int(total))[:total]
 	o.joinAt = slices.Grow(o.joinAt[:0], int(total))[:total]
-	for lv, c := range coreAt {
+	for rank, lv := range localAt {
+		c := coreAt[lv]
 		if c > 0 {
 			continue
 		}
 		p := count[-c]
 		count[-c]++
-		o.comm[p] = e.members[lv]
+		o.comm[p] = vw.verts[rank]
 		o.joinAt[p] = -c
 	}
 	o.minFeasible = -coreAt[qLocal]

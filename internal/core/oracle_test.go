@@ -142,8 +142,8 @@ func latticeGraph(seed int64, n, m, side int) *graph.Graph {
 // build: on random lattice graphs, for every prefix length of a view the
 // oracle's answer equals kcore.Peeler.KCoreWithin as a set, the view is in
 // (distance, vertex id) order, and the emitted community is in ascending
-// joinAt with ties in ascending local id — the order ExactPlus's δ depends
-// on at the ulp level.
+// joinAt with ties in view order — the order ExactPlus's δ depends on at the
+// ulp level, which must not depend on cache history.
 func TestPrefixOracleDuplicateDistances(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := latticeGraph(seed, 300, 1100+100*int(seed), 9)
@@ -190,10 +190,14 @@ func TestPrefixOracleDuplicateDistances(t *testing.T) {
 			if len(o.comm) != len(cand.verts) || len(o.joinAt) != len(o.comm) {
 				t.Fatalf("seed %d q=%d: oracle emits %d of %d members", seed, q, len(o.comm), len(cand.verts))
 			}
+			rank := make(map[graph.V]int, len(cand.verts))
+			for i, v := range cand.verts {
+				rank[v] = i
+			}
 			for j := 1; j < len(o.comm); j++ {
 				if o.joinAt[j-1] > o.joinAt[j] ||
-					o.joinAt[j-1] == o.joinAt[j] && s.localOf[o.comm[j-1]] >= s.localOf[o.comm[j]] {
-					t.Fatalf("seed %d q=%d k=%d: emitted order breaks (joinAt, local id) at %d", seed, q, k, j)
+					o.joinAt[j-1] == o.joinAt[j] && rank[o.comm[j-1]] >= rank[o.comm[j]] {
+					t.Fatalf("seed %d q=%d k=%d: emitted order breaks (joinAt, view rank) at %d", seed, q, k, j)
 				}
 			}
 		}
@@ -240,6 +244,63 @@ func TestViewIndependentOfCacheHistory(t *testing.T) {
 			if !slices.Equal(ra.Members, r.Members) || ra.MCC != r.MCC || ra.Delta != r.Delta {
 				t.Fatalf("q=%d: AppInc depends on cache history: %d members δ=%v vs %d members δ=%v",
 					q, len(ra.Members), ra.Delta, len(r.Members), r.Delta)
+			}
+		}
+	}
+}
+
+// TestAnswersIndependentOfCacheHistory is the same property for the
+// algorithms that read the oracle's emitted community rather than the view:
+// AppAcc anchors on radii of MCCs computed over it, and Exact+ reports such a
+// radius as δ. Two searchers whose membership cache was filled from opposite
+// ends of the community — different BFS orders, hence different local ids —
+// must give the same members, MCC and δ. The fixtures are ones where they did
+// not while the oracle broke joinAt ties by local id (AppAcc: 71 against 100
+// members on the first) and Exact/Exact+ reported the scan's running radius
+// (δ off in the last bits on the last two).
+func TestAnswersIndependentOfCacheHistory(t *testing.T) {
+	ctx := t.Context()
+	for _, c := range []struct {
+		g    *graph.Graph
+		k    int
+		algo string
+	}{
+		{latticeGraph(12, 300, 1500, 9), 4, "appacc"},
+		{latticeGraph(15, 200, 600, 1000), 3, "appacc"},
+		{latticeGraph(137, 160, 480, 1000), 2, "exact+"},
+		{latticeGraph(150, 200, 700, 1000), 3, "exact+"},
+	} {
+		base := NewSearcher(c.g)
+		var members []graph.V
+		for v := 0; v < c.g.NumVertices() && members == nil; v++ {
+			if base.CoreNumber(graph.V(v)) >= c.k {
+				cand, err := base.candidates(graph.V(v), c.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				members = slices.Clone(cand.verts)
+			}
+		}
+		if len(members) < 3 {
+			t.Fatalf("%s k=%d: community has %d members; fixture too small", c.algo, c.k, len(members))
+		}
+		a, b := NewSearcher(c.g), NewSearcher(c.g)
+		if _, err := a.AppInc(members[0], c.k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.AppInc(members[len(members)-1], c.k); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range members {
+			query := Query{Q: q, K: c.k, Algo: c.algo}
+			ra, errA := a.Search(ctx, query)
+			rb, errB := b.Search(ctx, query)
+			if errA != nil || errB != nil {
+				t.Fatalf("%s q=%d k=%d: %v / %v", c.algo, q, c.k, errA, errB)
+			}
+			if !slices.Equal(ra.Members, rb.Members) || ra.MCC != rb.MCC || ra.Delta != rb.Delta {
+				t.Fatalf("%s q=%d k=%d depends on cache history: %d members δ=%v vs %d members δ=%v",
+					c.algo, q, c.k, len(ra.Members), ra.Delta, len(rb.Members), rb.Delta)
 			}
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"sacsearch/internal/exp"
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
+	"sacsearch/internal/snapshot"
 	"sacsearch/internal/spatial"
 )
 
@@ -425,6 +426,72 @@ func BenchmarkColdView(b *testing.B) {
 				if err := algo.run(s, queries[i%len(queries)]); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkChurnQuery times what a hot query costs right after a write, in
+// process: syn1 at full scale behind a snapshot.Engine, sixteen hot vertices
+// queried round-robin through the engine's pooled worker, one write
+// (untimed) before every query. AfterCheckin moves a uniform vertex by a
+// Gaussian step, so the view must follow a moved member; AfterEdge inserts a
+// random edge and deletes it the next time round, so the cached community
+// must survive an edge op. Hit is the same loop with no write, the floor
+// both are measured against — allocations included: a repaired view should
+// allocate what a hit does. For local iteration; the evidence for a claim
+// is the bench/ run.
+func BenchmarkChurnQuery(b *testing.B) {
+	ds, err := sacsearch.LoadDataset("syn1", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hot := sacsearch.QueryWorkload(ds.Graph, benchK, 16, benchSeed)
+	eligible := sacsearch.QueryWorkload(ds.Graph, benchK, 4096, benchSeed+1)
+	ctx := context.Background()
+	for _, arm := range []struct {
+		name  string
+		write func(eng *snapshot.Engine, rnd *rand.Rand, i int) error
+	}{
+		{"Hit", func(*snapshot.Engine, *rand.Rand, int) error { return nil }},
+		{"AfterCheckin", func(eng *snapshot.Engine, rnd *rand.Rand, _ int) error {
+			v := sacsearch.V(rnd.Intn(eng.NumVertices()))
+			p := eng.Current().Graph().Loc(v)
+			return eng.CheckIn(ctx, v, geom.Point{X: p.X + rnd.NormFloat64()*0.01, Y: p.Y + rnd.NormFloat64()*0.01})
+		}},
+		{"AfterEdge", func(eng *snapshot.Engine, _ *rand.Rand, i int) error {
+			// Round i/2 inserts its edge on the even call and deletes it on
+			// the odd one, so |E| stays put.
+			u, w := eligible[(i/2*7)%len(eligible)], eligible[(i/2*13+1)%len(eligible)]
+			_, err := eng.UpdateEdge(ctx, u, w, i%2 == 0)
+			return err
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
+			defer eng.Close()
+			rnd := rand.New(rand.NewSource(benchSeed))
+			query := func(i int) {
+				sn := eng.Current()
+				w := sn.Get()
+				_, err := w.AppFast(hot[i%len(hot)], benchK, 0.5)
+				sn.Put(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range hot {
+				query(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := arm.write(eng, rnd, i); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				query(i)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func (s *Searcher) AppIncCtx(ctx context.Context, q graph.V, k int) (*Result, er
 			}
 		}
 		if c := s.feasible(cand.verts[:i+1], q, k); c != nil {
-			return s.finish(s.buildResult(q, k, c, cand.dists[i]), start), nil
+			return s.finish(s.buildResult(q, k, c, cand.dist(i)), start), nil
 		}
 	}
 	// The full candidate set X is itself feasible (it is q's connected

@@ -1,25 +1,32 @@
 package core
 
 import (
+	"slices"
+
 	"sacsearch/internal/graph"
 )
 
 // Candidate-set cache. The candidate set X of a query (q, k) is the
 // connected k-structure (k-ĉore, k-truss community or k-clique community)
-// containing q — a function of the immutable topology only. Server and batch
-// traffic is dominated by repeated queries into the same few communities
-// (hot users re-query, nearby users share a community), so the Searcher
-// memoizes membership per community and per k: every member vertex maps to
-// the same entry, and any later query from any member skips the BFS /
-// decomposition walk entirely.
+// containing q — a function of topology only. Server and batch traffic is
+// dominated by repeated queries into the same few communities (hot users
+// re-query, nearby users share a community), so the Searcher memoizes
+// membership per community and per k: every member vertex maps to the same
+// entry, and any later query from any member skips the BFS / decomposition
+// walk entirely. An entry also keeps the community's induced CSR and, per
+// recent query vertex, the members in (distance, id) order with the prefix
+// oracle built over that order (oracle.go).
 //
-// Locations are mutable (check-ins), so distances are NOT part of the
-// membership cache. Each entry additionally keeps the sorted (verts, dists)
-// view of its most recent query vertex, validated against the graph's
-// location epoch: a repeated (q, k) query with no intervening SetLoc reuses
-// the fully sorted candidate set at zero cost, while a moved location or a
-// different query vertex recomputes distances in place (still without
-// re-running the BFS).
+// Both locations (check-ins) and topology (edge ops) change under a live
+// searcher. Entries and views are stamped with the point of the graph's
+// mutation timeline they reflect, and a lookup that finds an older stamp
+// asks the graph's journal what happened in between (repair.go): a view
+// moves the members that checked in to their new ranks, an entry checks that
+// the edges that came and went left the community intact and patches its
+// CSR. Starting over — a fresh BFS, a full re-sort — is what happens on
+// first use, when the journal no longer reaches the stamp, or when the gap
+// is too large for repair to pay; a repeated (q, k) with nothing relevant in
+// between reuses everything at zero cost.
 //
 // The cache belongs to one Searcher and inherits its no-concurrent-use
 // contract; Clone starts with an empty cache.
@@ -30,15 +37,33 @@ type cacheKey struct {
 	k int32
 }
 
-// sortedView is a community's candidate set ordered by distance from one
-// query vertex, validated by the location epoch it was computed at. The
-// embedded oracle memoizes prefix-feasibility answers for this ordering
-// (see oracle.go); it is rebuilt with the view.
+// stamp is a point on a graph's mutation timeline: the two epochs, whose sum
+// is the journal sequence (graph.Seq). An equal topology epoch means no edge
+// op in between and an equal location epoch no check-in, however far apart
+// the two points are; only when the relevant one differs is the journal
+// asked for the gap.
+type stamp struct {
+	loc, topo uint64
+}
+
+func (st stamp) seq() uint64 { return st.loc + st.topo }
+
+// stampOf returns the timeline point g is at.
+func stampOf(g *graph.Graph) stamp { return stamp{loc: g.LocEpoch(), topo: g.TopoEpoch()} }
+
+// now returns the timeline point of the searcher's (adopted) graph.
+func (s *Searcher) now() stamp { return stampOf(s.g) }
+
+// sortedView is a community's candidate set in ascending (distance from q,
+// id) order as of the locations at at. Distances are not stored: the one at
+// rank i is recomputed from the graph (candidateSet.dist) by the expression
+// the sort keyed on. The embedded oracle memoizes prefix-feasibility answers
+// for this ordering (see oracle.go); it stands until the order or an induced
+// edge changes.
 type sortedView struct {
 	q      graph.V
-	epoch  uint64
-	verts  []graph.V // ascending by distance from q
-	dists  []float64 // parallel to verts
+	at     stamp
+	verts  []graph.V
 	oracle prefixOracle
 }
 
@@ -54,6 +79,7 @@ const maxViewsPerEntry = 32
 // only by the query vertex itself.
 type cacheEntry struct {
 	members []graph.V // immutable after store; discovery (BFS) order
+	at      stamp     // members and the induced CSR reflect the topology here
 
 	// Distance-sorted views of recent query vertices, most recent first.
 	views []sortedView
@@ -69,11 +95,14 @@ type cacheEntry struct {
 	adjLocal []int32
 }
 
-// buildInduced materializes the induced adjacency. localOf must already map
-// every member to its local id, with valid marking membership.
+// buildInduced materializes the induced adjacency, into the entry's previous
+// arrays when they are large enough. localOf must already map every member
+// to its local id, with valid marking membership. A row lists the member's
+// neighbors in ascending global id, which respliceRow reproduces.
 func (e *cacheEntry) buildInduced(g *graph.Graph, localOf []int32, valid *graph.Marker) {
 	n := len(e.members)
-	e.adjOff = make([]int32, n+1)
+	e.adjOff = slices.Grow(e.adjOff[:0], n+1)[:n+1]
+	e.adjOff[0] = 0
 	for i, v := range e.members {
 		d := int32(0)
 		for _, u := range g.Neighbors(v) {
@@ -83,7 +112,7 @@ func (e *cacheEntry) buildInduced(g *graph.Graph, localOf []int32, valid *graph.
 		}
 		e.adjOff[i+1] = e.adjOff[i] + d
 	}
-	e.adjLocal = make([]int32, e.adjOff[n])
+	e.adjLocal = slices.Grow(e.adjLocal[:0], int(e.adjOff[n]))[:e.adjOff[n]]
 	cursor := int32(0)
 	for _, v := range e.members {
 		for _, u := range g.Neighbors(v) {
@@ -126,7 +155,7 @@ func (c *candCache) lookup(v graph.V, k int) (*cacheEntry, bool) {
 // fixed subgraph) but NOT for k-clique percolation, where communities
 // overlap at shared vertices; overlapping structures must pass fanout=false
 // so the entry is keyed by q alone.
-func (c *candCache) store(q graph.V, k int, members []graph.V, fanout bool) *cacheEntry {
+func (c *candCache) store(q graph.V, k int, members []graph.V, at stamp, fanout bool) *cacheEntry {
 	if c.index == nil {
 		c.index = make(map[cacheKey]*cacheEntry)
 	}
@@ -134,7 +163,7 @@ func (c *candCache) store(q graph.V, k int, members []graph.V, fanout bool) *cac
 		c.index = make(map[cacheKey]*cacheEntry)
 		c.vertices = 0
 	}
-	e := &cacheEntry{members: members}
+	e := &cacheEntry{members: members, at: at}
 	if members == nil || !fanout {
 		c.index[cacheKey{q, int32(k)}] = e
 	} else {
@@ -146,17 +175,28 @@ func (c *candCache) store(q graph.V, k int, members []graph.V, fanout bool) *cac
 	return e
 }
 
+// remove drops e, found under (q, k), and every other key that leads to it.
+func (c *candCache) remove(e *cacheEntry, q graph.V, k int) {
+	delete(c.index, cacheKey{q, int32(k)})
+	for _, v := range e.members {
+		if key := (cacheKey{v, int32(k)}); c.index[key] == e {
+			delete(c.index, key)
+		}
+	}
+	c.vertices -= len(e.members)
+}
+
 // viewFor returns the sorted-view slot for query vertex q, moved to the
-// front of the entry's view list. ok reports whether the slot already holds
-// a view for q that is current at epoch; when false the caller must fill
-// verts/dists (backing storage in the slot is reusable) and stamp epoch.
-func (e *cacheEntry) viewFor(q graph.V, epoch uint64) (vw *sortedView, ok bool) {
+// front of the entry's view list. held reports whether the slot already
+// holds q's view (as of its stamp); when false the slot was recycled — its
+// backing storage is reusable — and the caller must fill verts and stamp it.
+func (e *cacheEntry) viewFor(q graph.V) (vw *sortedView, held bool) {
 	for i := range e.views {
 		if e.views[i].q == q {
 			v := e.views[i]
 			copy(e.views[1:i+1], e.views[:i])
 			e.views[0] = v
-			return &e.views[0], v.epoch == epoch
+			return &e.views[0], true
 		}
 	}
 	// Not present: recycle the tail slot (evicting its owner when full) and

@@ -7,7 +7,8 @@ import (
 // CandidateClosure returns the candidate set X of (q, k) — the connected
 // k-structure containing q — together with its frontier: the vertices
 // outside X adjacent to a member. members is nil when q has no community at
-// this k. Both slices are freshly allocated.
+// this k. Both slices are freshly allocated; the marking runs on the
+// searcher's scratch, so like a query this is not safe for concurrent use.
 //
 // The standing-query layer uses the closure as an invalidation gate: every
 // registered algorithm except θ-SAC is a pure function of induced(X) and the
@@ -22,9 +23,10 @@ func (s *Searcher) CandidateClosure(q graph.V, k int) (members, frontier []graph
 	if members == nil {
 		return nil, nil
 	}
-	in := graph.NewMarker(s.g.NumVertices())
+	in, seen := s.inX, s.visited
+	in.Reset()
 	in.MarkAll(members)
-	seen := graph.NewMarker(s.g.NumVertices())
+	seen.Reset()
 	for _, v := range members {
 		for _, u := range s.g.Neighbors(v) {
 			if !in.Has(u) && !seen.Has(u) {

@@ -80,6 +80,10 @@ type Stats struct {
 	BinaryIters       int           // binary-search iterations (AppFast, AppAcc)
 	F1Size            int           // |F1| potential fixed vertices (Exact+)
 	CacheHits         int           // candidate sets served from the membership cache
+	ViewHits          int           // sorted views reused as they stood
+	ViewRepairs       int           // sorted views brought current by moving checked-in members
+	ViewRebuilds      int           // sorted views computed and sorted from scratch
+	EntriesDropped    int           // cached communities a topology change (or a lost journal) invalidated
 	Elapsed           time.Duration // wall-clock time of the query
 }
 
@@ -131,14 +135,14 @@ type Searcher struct {
 	cliqueChk *kclique.Checker
 
 	// Candidate-set cache (see cache.go). noCache disables it; the repeated-
-	// query benchmarks use the toggle to measure what the cache buys.
-	// cacheTopo is the graph topology epoch the cache contents were built
-	// at: community membership, induced CSRs and prefix oracles are all
-	// topology-derived, so an epoch mismatch drops the whole cache before
-	// the next lookup (all-or-nothing, matching the eviction policy).
-	cache     candCache
-	noCache   bool
-	cacheTopo uint64
+	// query benchmarks use the toggle to measure what the cache buys. Entries
+	// and views carry the timeline stamp they reflect and are repaired from
+	// the graph's mutation journal when a lookup finds them behind
+	// (repair.go); rep is that repair's scratch and the free list of oracle
+	// buffers invalidated views hand back.
+	cache   candCache
+	noCache bool
+	rep     repairScratch
 
 	// curEntry/curView identify the cache entry and sorted view of the query
 	// in flight (nil when caching is off or the query bypassed the cache);
@@ -166,10 +170,11 @@ type Searcher struct {
 	visited   *graph.Marker
 
 	// cand is the query's candidate set view. With caching on it aliases the
-	// cache entry's sorted slices; with caching off it owns ownVerts/ownDists.
+	// cache entry's sorted view; with caching off it owns ownVerts. sortKeys
+	// holds the distances a sort runs on and nothing afterwards.
 	cand     candidateSet
 	ownVerts []graph.V
-	ownDists []float64
+	sortKeys []float64
 	distSort distSorter
 
 	// sGrid indexes the working candidate set of the query in flight: X for
@@ -395,31 +400,63 @@ func (s *Searcher) minQueryNeighbors(k int) int {
 
 // candidateSet is the vertex list X of q's connected k-structure, sorted by
 // ascending distance from q (Algorithm 1, lines 2-3). Every feasible
-// solution is a subset of X, so all algorithms operate inside it.
+// solution is a subset of X, so all algorithms operate inside it. Distances
+// are read off the graph's locations, not stored.
 type candidateSet struct {
-	verts []graph.V // ascending by dist from q; verts[0] == q
-	dists []float64 // parallel to verts
+	verts []graph.V    // ascending by (dist from q, id); verts[0] == q
+	locs  []geom.Point // the graph's locations
+	qp    geom.Point   // q's location
+}
+
+// distFrom is the sort key of v in a view around a vertex at qp; every
+// distance a candidate set reports goes through this one expression, so the
+// value recomputed at a rank is the float64 the sort ordered by.
+func distFrom(qp geom.Point, locs []geom.Point, v graph.V) float64 { return qp.Dist(locs[v]) }
+
+// dist returns the distance from q of the candidate at rank i.
+func (c *candidateSet) dist(i int) float64 { return distFrom(c.qp, c.locs, c.verts[i]) }
+
+// rankBeyond returns the number of candidates within distance r of q (with
+// geometric tolerance): the first rank whose distance reaches r+Eps.
+func (c *candidateSet) rankBeyond(r float64) int {
+	r += geom.Eps
+	return sort.Search(len(c.verts), func(i int) bool { return c.dist(i) >= r })
 }
 
 // prefixWithin returns the prefix of verts whose distance from q is ≤ r
 // (with geometric tolerance).
-func (c *candidateSet) prefixWithin(r float64) []graph.V {
-	i := sort.SearchFloat64s(c.dists, r+geom.Eps)
-	return c.verts[:i]
-}
+func (c *candidateSet) prefixWithin(r float64) []graph.V { return c.verts[:c.rankBeyond(r)] }
 
 // nextDistAfter returns the smallest candidate distance strictly greater
 // than r, or -1 when none exists.
 func (c *candidateSet) nextDistAfter(r float64) float64 {
-	i := sort.SearchFloat64s(c.dists, r+geom.Eps)
-	if i >= len(c.dists) {
+	i := c.rankBeyond(r)
+	if i >= len(c.verts) {
 		return -1
 	}
-	return c.dists[i]
+	return c.dist(i)
 }
 
 // maxDist returns the largest candidate distance.
-func (c *candidateSet) maxDist() float64 { return c.dists[len(c.dists)-1] }
+func (c *candidateSet) maxDist() float64 { return c.dist(len(c.verts) - 1) }
+
+// bindCand points the query's candidate set at verts, sorted around q.
+func (s *Searcher) bindCand(q graph.V, verts []graph.V) *candidateSet {
+	s.cand = candidateSet{verts: verts, locs: s.g.Locs(), qp: s.g.Loc(q)}
+	s.stats.CandidateSize = len(verts)
+	return &s.cand
+}
+
+// sortAround puts verts in ascending (distance from q, id) order.
+func (s *Searcher) sortAround(q graph.V, verts []graph.V) {
+	keys := slices.Grow(s.sortKeys[:0], len(verts))
+	qp, locs := s.g.Loc(q), s.g.Locs()
+	for _, v := range verts {
+		keys = append(keys, distFrom(qp, locs, v))
+	}
+	s.distSort.sort(verts, keys)
+	s.sortKeys = keys
+}
 
 // communityOf walks the topology for the connected k-structure containing q
 // (nil when none exists). The returned slice is freshly allocated.
@@ -437,11 +474,13 @@ func (s *Searcher) communityOf(q graph.V, k int) []graph.V {
 // candidates builds the candidate set for (q, k), or ErrNoCommunity.
 //
 // With caching on (the default), membership comes from the per-community
-// cache whenever any member of q's community was queried before at this k —
-// topology is immutable, so membership never goes stale. Distances are
-// location-derived and therefore revalidated against the graph's location
-// epoch: a repeated (q, k) with no intervening SetLoc reuses the sorted view
-// outright; otherwise distances are recomputed and re-sorted in place.
+// cache whenever any member of q's community was queried before at this k,
+// and the order from the view q left there. Either may be behind the graph —
+// the searcher's own graph was mutated, or a pooled worker adopted a newer
+// snapshot — and is then brought current from the mutation journal: see
+// revalidate for what keeps an entry across edge ops and refreshView for how
+// a view follows check-ins. What cannot be repaired is recomputed here, as
+// on first use.
 func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	// Candidate construction — community BFS, induced CSR, distance sort —
 	// is the dominant pre-loop cost of the cheap algorithms on a cold
@@ -450,20 +489,12 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	if s.canceled() {
 		return nil, s.canceledError()
 	}
-	// Topology-epoch check: any edge churn since the cache was filled makes
-	// every memoized membership, induced CSR and prefix oracle suspect, so
-	// the whole cache is dropped. Core numbers themselves are maintained
-	// incrementally (ApplyEdgeInsert/ApplyEdgeRemove), not here.
-	if te := s.g.TopoEpoch(); te != s.cacheTopo {
-		s.cache.clear()
-		s.localEntry = nil
-		s.cacheTopo = te
-	}
 	// A shared plan table (batch execution pinned to one snapshot) answers
 	// first: the plan's entry and view are fully prebuilt — induced CSR and
 	// prefix oracle included — so every lazy-build mutation path is a no-op
 	// and the plan is safe to share read-only across workers. The lookup is
-	// epoch-guarded; a stale table silently falls through to the normal path.
+	// guarded by the graph and its timeline stamp; a stale table silently
+	// falls through to the normal path.
 	if p := s.sharedPlans; p != nil {
 		if pl := p.lookup(s.g, q, k); pl != nil {
 			if pl.entry.members == nil {
@@ -472,10 +503,9 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 			s.curEntry = pl.entry
 			s.curView = &pl.view
 			s.bindLocal(pl.entry)
-			s.cand = candidateSet{verts: pl.view.verts, dists: pl.view.dists}
-			s.stats.CandidateSize = len(pl.view.verts)
 			s.stats.CacheHits++
-			return &s.cand, nil
+			s.stats.ViewHits++
+			return s.bindCand(q, pl.view.verts), nil
 		}
 	}
 	if s.noCache {
@@ -484,49 +514,29 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 			return nil, ErrNoCommunity
 		}
 		s.ownVerts = append(s.ownVerts[:0], members...)
-		s.ownDists = s.ownDists[:0]
-		qp := s.g.Loc(q)
-		for _, v := range s.ownVerts {
-			s.ownDists = append(s.ownDists, qp.Dist(s.g.Loc(v)))
-		}
-		s.distSort.sort(s.ownVerts, s.ownDists)
-		s.cand = candidateSet{verts: s.ownVerts, dists: s.ownDists}
-		s.stats.CandidateSize = len(s.ownVerts)
-		return &s.cand, nil
+		s.sortAround(q, s.ownVerts)
+		return s.bindCand(q, s.ownVerts), nil
 	}
 
 	e, ok := s.cache.lookup(q, k)
+	ok = ok && s.revalidate(e, q, k)
 	if !ok {
 		// k-clique communities overlap (clique percolation), so their
 		// entries are keyed by the query vertex alone; k-core and k-truss
 		// communities partition vertices per k and fan out to every member.
 		fanout := s.structure != StructureKClique
-		e = s.cache.store(q, k, s.communityOf(q, k), fanout)
+		e = s.cache.store(q, k, s.communityOf(q, k), s.now(), fanout)
 	} else {
 		s.stats.CacheHits++
 	}
 	if e.members == nil {
 		return nil, ErrNoCommunity
 	}
-	epoch := s.g.LocEpoch()
-	vw, current := e.viewFor(q, epoch)
-	if !current {
-		vw.verts = append(vw.verts[:0], e.members...)
-		vw.dists = vw.dists[:0]
-		qp := s.g.Loc(q)
-		for _, v := range vw.verts {
-			vw.dists = append(vw.dists, qp.Dist(s.g.Loc(v)))
-		}
-		s.distSort.sort(vw.verts, vw.dists)
-		vw.epoch = epoch
-		vw.oracle.built = false
-	}
+	s.bindLocal(e)
+	vw := s.refreshView(e, q)
 	s.curEntry = e
 	s.curView = vw
-	s.bindLocal(e)
-	s.cand = candidateSet{verts: vw.verts, dists: vw.dists}
-	s.stats.CandidateSize = len(vw.verts)
-	return &s.cand, nil
+	return s.bindCand(q, vw.verts), nil
 }
 
 // buildResult copies members, computes their MCC and snapshots the stats.

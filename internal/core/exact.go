@@ -39,7 +39,6 @@ func (s *Searcher) ExactCtx(ctx context.Context, q graph.V, k int) (*Result, err
 		return nil, err
 	}
 	X := cand.verts
-	d := cand.dists
 	qLoc := s.g.Loc(q)
 
 	// Index the candidate set once; every enumerated circle then gathers its
@@ -85,14 +84,14 @@ func (s *Searcher) ExactCtx(ctx context.Context, q graph.V, k int) (*Result, err
 	}
 
 	if ws := s.parWorkersFor(len(X) - 2); ws != nil {
-		if r, c, ok := s.exactScanPar(ctx, ws, X, d, qLoc, q, k, rcur); ok {
+		if r, c, ok := s.exactScanPar(ctx, ws, X, qLoc, q, k, rcur); ok {
 			rcur = r
 			best = append(best[:0], c...)
 		}
 	} else {
 	enum:
 		for i := 2; i < len(X); i++ {
-			if d[i] > 2*rcur {
+			if cand.dist(i) > 2*rcur {
 				break // Algorithm 1, line 13
 			}
 			for j := 0; j < i; j++ {

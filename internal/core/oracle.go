@@ -29,7 +29,9 @@ import (
 //     (integers in [1, n]): O(n).
 //
 // The whole build is O(n + E_induced) on Searcher-owned scratch and
-// allocates nothing once that scratch and the view's slices have grown.
+// allocates nothing once that scratch has grown and the view has output
+// slices — its own from the last build, or a pair an invalidated oracle
+// handed to the searcher's free list (repair.go).
 //
 // A probe at prefix i then reduces to one binary search: infeasible iff
 // i < joinAt[q], otherwise the community is the joinAt-ascending vertex
@@ -99,9 +101,10 @@ func (sc *oracleScratch) ensure(n int) {
 const deadDeg = math.MinInt32 / 2
 
 // buildPrefixOracle runs the reverse-deletion sweep, the joining pass and
-// the counting sort for (vw, k), in O(n + E_induced). It runs once per view
-// per location epoch. It reports false, leaving the oracle unbuilt, when the
-// query's context fires mid-build.
+// the counting sort for (vw, k), in O(n + E_induced). It runs when a view is
+// first probed and again after its order or an induced edge changed. It
+// reports false, leaving the oracle unbuilt, when the query's context fires
+// mid-build.
 func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
 	if e.adjOff == nil {
 		e.buildInduced(s.g, s.localOf, s.localValid)
@@ -211,6 +214,7 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 		total += c
 	}
 	o := &vw.oracle
+	s.adoptOracleBuffers(o)
 	o.comm = slices.Grow(o.comm[:0], int(total))[:total]
 	o.joinAt = slices.Grow(o.joinAt[:0], int(total))[:total]
 	for rank, lv := range localAt {

@@ -163,12 +163,12 @@ func TestPrefixOracleDuplicateDistances(t *testing.T) {
 			}
 			ties := 0
 			for i := 1; i < len(cand.verts); i++ {
-				if cand.dists[i-1] == cand.dists[i] {
+				if cand.dist(i-1) == cand.dist(i) {
 					ties++
 					if cand.verts[i-1] >= cand.verts[i] {
 						t.Fatalf("seed %d q=%d: view ties not in vertex-id order at %d", seed, q, i)
 					}
-				} else if cand.dists[i-1] > cand.dists[i] {
+				} else if cand.dist(i-1) > cand.dist(i) {
 					t.Fatalf("seed %d q=%d: view not sorted at %d", seed, q, i)
 				}
 			}

@@ -218,7 +218,7 @@ func (w *Searcher) tryCirclePar(cc geom.Circle, ord enumOrd, qLoc geom.Point, q 
 // radius going in; the return mirrors reducePar. The parent's stats and
 // cancellation latch absorb the workers' on return; the winning member slice
 // is owned by the winning worker and must be copied before the next query.
-func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V, d []float64, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
 	var rsh sharedRadius
 	rsh.init(seed)
 	var next atomic.Int64
@@ -244,13 +244,13 @@ func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V
 					hi = len(X)
 				}
 				for i := lo; i < hi; i++ {
-					if d[i] > 2*rsh.load() {
-						// d ascends with i and the shared incumbent only
-						// shrinks, so no later strip can pass either
-						// (Algorithm 1, line 13).
+					pi := s.g.Loc(X[i])
+					if qLoc.Dist(pi) > 2*rsh.load() {
+						// The distance from q ascends with i and the shared
+						// incumbent only shrinks, so no later strip can pass
+						// either (Algorithm 1, line 13).
 						return
 					}
-					pi := s.g.Loc(X[i])
 					for j := 0; j < i; j++ {
 						if w.canceled() {
 							return

@@ -1,6 +1,10 @@
 package core
 
-import "sacsearch/internal/graph"
+import (
+	"slices"
+
+	"sacsearch/internal/graph"
+)
 
 // Shared candidate plans. A batch of queries pinned to one snapshot repeats
 // the same per-community work on every worker: the membership BFS, the
@@ -19,14 +23,13 @@ import "sacsearch/internal/graph"
 // The table is immutable after Build: entries are stored with their induced
 // CSR forced and views with their oracle forced, so every lazy-build
 // mutation path in the cached hot paths short-circuits and concurrent
-// workers only ever read. Lookups are guarded by the graph pointer and both
-// epochs; any churn since Build makes every lookup miss and the searcher
-// falls back to its own cache — a stale table can cost time, never
+// workers only ever read. Lookups are guarded by the graph pointer and its
+// timeline stamp; any churn since Build makes every lookup miss and the
+// searcher falls back to its own cache — a stale table can cost time, never
 // correctness.
 type SharedPlans struct {
 	g           *graph.Graph
-	topoEpoch   uint64
-	locEpoch    uint64
+	at          stamp
 	plans       map[cacheKey]*sharedPlan
 	communities int
 }
@@ -60,10 +63,9 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 	// is shared read-only, so every oracle in it must be built to completion.
 	s.begin()
 	p := &SharedPlans{
-		g:         s.g,
-		topoEpoch: s.g.TopoEpoch(),
-		locEpoch:  s.g.LocEpoch(),
-		plans:     make(map[cacheKey]*sharedPlan, len(keys)),
+		g:     s.g,
+		at:    s.now(),
+		plans: make(map[cacheKey]*sharedPlan, len(keys)),
 	}
 	// entryFor fans every built entry out to all community members, so later
 	// keys into the same community reuse the BFS and induced CSR.
@@ -79,7 +81,7 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 		e, ok := entryFor[ck]
 		if !ok {
 			members := s.communityOf(key.Q, key.K)
-			e = &cacheEntry{members: members}
+			e = &cacheEntry{members: members, at: p.at}
 			if members == nil {
 				entryFor[ck] = e
 			} else {
@@ -95,14 +97,9 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 		if e.members != nil {
 			vw := &pl.view
 			vw.q = key.Q
-			vw.epoch = p.locEpoch
-			vw.verts = append([]graph.V(nil), e.members...)
-			vw.dists = make([]float64, 0, len(e.members))
-			qp := s.g.Loc(key.Q)
-			for _, v := range vw.verts {
-				vw.dists = append(vw.dists, qp.Dist(s.g.Loc(v)))
-			}
-			s.distSort.sort(vw.verts, vw.dists)
+			vw.at = p.at
+			vw.verts = slices.Clone(e.members)
+			s.sortAround(key.Q, vw.verts)
 			s.bindLocal(e)
 			s.buildPrefixOracle(e, vw, key.Q, key.K)
 		}
@@ -117,7 +114,7 @@ func BuildSharedPlans(s *Searcher, keys []PlanKey) *SharedPlans {
 // lookup returns the plan for (q, k) when the table was built for exactly
 // this graph at its current epochs, else nil.
 func (p *SharedPlans) lookup(g *graph.Graph, q graph.V, k int) *sharedPlan {
-	if p.g != g || p.topoEpoch != g.TopoEpoch() || p.locEpoch != g.LocEpoch() {
+	if p.g != g || p.at != stampOf(g) {
 		return nil
 	}
 	return p.plans[cacheKey{q, int32(k)}]

@@ -11,9 +11,9 @@ import (
 // views cheap. SnapshotOnto derives a base Searcher for a freshly published
 // clone without re-running the O(m) decomposition, and AdoptFrom rebinds a
 // pooled worker to a snapshot's base in O(1) so the worker's scratch space
-// and warmed candidate cache survive across publications — epoch-validated
-// caches self-invalidate exactly when the snapshot's location or topology
-// epoch actually moved.
+// and warmed candidate cache survive across publications — the snapshot's
+// graph carries the mutation journal of the timeline it was cut from, and
+// the cache repairs itself from it on the next query (repair.go).
 
 // SnapshotOnto returns a base Searcher over g — an immutable clone of this
 // searcher's graph — carrying a private copy of the current core
@@ -52,10 +52,14 @@ func (s *Searcher) SnapshotOnto(g *graph.Graph, coresFrom *Searcher) *Searcher {
 // the pooled-worker half of snapshot serving: the graph pointer, core slice
 // and truss map are swapped in O(1); scratch buffers (sized to the vertex
 // count, which snapshots never change) and the candidate cache carry over.
-// Cached memberships, induced subgraphs and sorted views revalidate against
-// the adopted graph's topology and location epochs on the next query — the
-// epochs are inherited from one mutation timeline, so an unchanged epoch
-// means an unchanged graph.
+// Cached memberships, induced subgraphs and sorted views are stamped with the
+// point of the mutation timeline they reflect; the next query compares the
+// stamp with the adopted graph's and absorbs the journaled mutations in
+// between — or starts over when the adopted snapshot is older than the stamp
+// or more than a journal's length ahead of it. All snapshots a worker adopts
+// must come off one timeline (one engine's writer graph and its clones), so
+// an equal epoch means an unchanged graph and a journal gap is the whole
+// difference.
 //
 // Both searchers must use the same structure metric and vertex count;
 // mismatches panic (adoption across datasets is a programming bug).

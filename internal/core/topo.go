@@ -17,8 +17,8 @@ import (
 //
 // The decomposition slice is shared by every clone, so applying an update
 // through any one searcher refreshes all workers drawn from the same pool;
-// candidate caches self-invalidate on the next query via the graph's
-// topology epoch. Updates follow the same locking discipline as SetLoc:
+// candidate caches check the journaled edge ops against their communities on
+// the next query and keep what the ops left intact (repair.go). Updates follow the same locking discipline as SetLoc:
 // callers must serialize them with ALL queries on ALL searchers over the
 // graph (the server uses its write lock).
 

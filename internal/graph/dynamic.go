@@ -2,18 +2,21 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Dynamic topology. A built Graph stores its adjacency in CSR form, which is
 // compact and cache-friendly but cannot absorb edge churn in place. AddEdge
-// and RemoveEdge therefore write through a delta layer: the first mutation
-// touching a vertex copies its CSR row into an owned, sorted slice in the
-// patched map (copy-on-write), and every later read of that vertex serves the
-// patched row instead of the CSR row. Merging happens at write time — O(deg)
-// per endpoint — so Neighbors stays allocation-free and safe for concurrent
-// readers between mutations, which is what the server's RWMutex discipline
-// (queries under RLock, mutations under Lock) relies on.
+// and RemoveEdge therefore write through a delta layer: a mutation touching a
+// vertex stores a new sorted row for it in the patched map, and every later
+// read of that vertex serves the patched row instead of the CSR row. A stored
+// row is never edited, so Clone shares rows (and the map, until the next edge
+// mutation on either side) instead of copying edge history on every snapshot
+// publication. Merging happens at write time — O(deg) per endpoint — so
+// Neighbors stays allocation-free and safe for concurrent readers between
+// mutations, which is what the server's RWMutex discipline (queries under
+// RLock, mutations under Lock) relies on.
 //
 // When the patched fraction grows past compactFraction the delta layer is
 // folded back into a fresh CSR (Compact), bounding both the map overhead and
@@ -21,10 +24,11 @@ import (
 // the topology: the topology epoch is NOT bumped, so caches keyed on it stay
 // valid across a compaction.
 //
-// Mutating topology invalidates every topology-derived structure built from
-// the graph — core decompositions, candidate caches, spatial candidate
-// indexes. Consumers detect staleness by comparing TopoEpoch; core numbers
-// are kept current incrementally by kcore.Maintainer (or a Searcher's
+// Mutating topology stales every topology-derived structure built from the
+// graph — core decompositions, candidate caches, spatial candidate indexes.
+// Consumers detect it by comparing TopoEpoch (or Seq) and learn which edges
+// changed from the mutation journal (journal.go); core numbers are kept
+// current incrementally by kcore.Maintainer (or a Searcher's
 // ApplyEdgeInsert/ApplyEdgeRemove, which wraps one).
 
 // compactMinPatched and compactFraction gate automatic compaction: the delta
@@ -62,10 +66,12 @@ func (g *Graph) AddEdge(u, v V) bool {
 	if g.HasEdge(u, v) {
 		return false
 	}
+	g.ownPatched()
 	g.insertArc(u, v)
 	g.insertArc(v, u)
 	g.m++
 	g.topoEpoch++
+	g.record(MutAddEdge, u, v)
 	g.maybeCompact()
 	return true
 }
@@ -85,46 +91,48 @@ func (g *Graph) RemoveEdge(u, v V) bool {
 	if !g.HasEdge(u, v) {
 		return false
 	}
+	g.ownPatched()
 	g.removeArc(u, v)
 	g.removeArc(v, u)
 	g.m--
 	g.topoEpoch++
+	g.record(MutRemoveEdge, u, v)
 	g.maybeCompact()
 	return true
 }
 
-// patchRow returns v's adjacency as an owned, mutable slice, copying the CSR
-// row into the delta layer on first touch.
-func (g *Graph) patchRow(v V) []V {
-	if g.patched == nil {
+// ownPatched makes the patched map safe to write: created on first use, and
+// copied (rows shared) when a Clone may still be reading it.
+func (g *Graph) ownPatched() {
+	switch {
+	case g.patched == nil:
 		g.patched = make(map[V][]V)
+	case g.patchedShared.Load():
+		g.patched = maps.Clone(g.patched)
 	}
-	nb, ok := g.patched[v]
-	if !ok {
-		base := g.adj[g.offsets[v]:g.offsets[v+1]]
-		nb = make([]V, len(base), len(base)+4)
-		copy(nb, base)
-		g.patched[v] = nb
-	}
-	return nb
+	g.patchedShared.Store(false)
 }
 
-// insertArc adds v to u's adjacency row, keeping it sorted.
+// insertArc stores u's adjacency row with v added, keeping it sorted.
 func (g *Graph) insertArc(u, v V) {
-	nb := g.patchRow(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	nb = append(nb, 0)
-	copy(nb[i+1:], nb[i:])
+	old := g.Neighbors(u)
+	i, _ := slices.BinarySearch(old, v)
+	nb := make([]V, len(old)+1)
+	copy(nb, old[:i])
 	nb[i] = v
+	copy(nb[i+1:], old[i:])
 	g.patched[u] = nb
 }
 
-// removeArc deletes v from u's adjacency row. The caller has already checked
-// the edge exists.
+// removeArc stores u's adjacency row with v deleted. The caller has already
+// checked the edge exists.
 func (g *Graph) removeArc(u, v V) {
-	nb := g.patchRow(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	g.patched[u] = append(nb[:i], nb[i+1:]...)
+	old := g.Neighbors(u)
+	i, _ := slices.BinarySearch(old, v)
+	nb := make([]V, len(old)-1)
+	copy(nb, old[:i])
+	copy(nb[i:], old[i+1:])
+	g.patched[u] = nb
 }
 
 // maybeCompact folds the delta layer into the CSR when it has grown past the
@@ -157,4 +165,5 @@ func (g *Graph) Compact() {
 	g.offsets = offsets
 	g.adj = adj
 	g.patched = nil
+	g.patchedShared.Store(false)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -227,6 +228,47 @@ func TestCloneIsolatesTopology(t *testing.T) {
 	c.AddEdge(1, 19)
 	if g.HasEdge(1, 19) {
 		t.Fatal("mutating the clone leaked into the original")
+	}
+}
+
+// TestCloneSharesEdgeHistory pins what publication cost depends on: with
+// hundreds of patched rows a Clone allocates a fixed handful of objects (it
+// shares the rows and the map), and a chain of clones still diverges
+// correctly whichever side mutates which row afterwards — checked against
+// graphs rebuilt from each side's own edge set.
+func TestCloneSharesEdgeHistory(t *testing.T) {
+	const n = 4000 // below the compaction threshold at 600 patched rows
+	g, edges := randomGraphEdges(n, 3*n, 17)
+	for v := V(0); g.PatchedVertices() < 600; v++ {
+		if w := v + n/2; g.AddEdge(v, w) {
+			edges[[2]V{v, w}] = true
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { g.Clone() }); allocs > 3 {
+		t.Fatalf("Clone with %d patched rows allocates %v objects, want the struct and the location copy",
+			g.PatchedVertices(), allocs)
+	}
+
+	sides := []*Graph{g, g.Clone(), nil}
+	sides[2] = sides[1].Clone()
+	sides[1].Freeze() // a published snapshot in the middle of the chain
+	sets := []map[[2]V]bool{edges, nil, maps.Clone(edges)}
+	frozenWant := rebuild(n, edges, g.Locs())
+	rnd := rand.New(rand.NewSource(23))
+	for step := 0; step < 400; step++ {
+		i := 2 * rnd.Intn(2) // the writer or the far clone
+		u, w := V(rnd.Intn(700)), V(n/2+rnd.Intn(700))
+		if sides[i].HasEdge(u, w) {
+			sides[i].RemoveEdge(u, w)
+			delete(sets[i], [2]V{u, w})
+		} else {
+			sides[i].AddEdge(u, w)
+			sets[i][[2]V{u, w}] = true
+		}
+	}
+	requireSameTopology(t, sides[1], frozenWant)
+	for _, i := range []int{0, 2} {
+		requireSameTopology(t, sides[i], rebuild(n, sets[i], sides[i].Locs()))
 	}
 }
 

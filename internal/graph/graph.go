@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"sacsearch/internal/geom"
 )
@@ -36,11 +37,18 @@ type Graph struct {
 	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []V
 
-	// patched holds the adjacency rows mutated since the last compaction:
-	// AddEdge/RemoveEdge copy a vertex's CSR row here on first touch and
-	// edit the copy in place (see dynamic.go). nil when the graph has no
-	// pending deltas, which keeps the static read path at one nil check.
+	// patched holds the adjacency rows mutated since the last compaction
+	// (see dynamic.go). A row is immutable once stored — AddEdge/RemoveEdge
+	// store a new one — so clones share rows, and share the map itself until
+	// one side's next edge mutation copies it (patchedShared). nil when the
+	// graph has no pending deltas, which keeps the static read path at one
+	// nil check.
 	patched map[V][]V
+	// patchedShared is set on both sides by Clone: some other Graph may be
+	// reading this map, so the next edge mutation must copy it first. Atomic
+	// because Clone is a read of the graph as far as callers are concerned,
+	// and concurrent readers are legal.
+	patchedShared atomic.Bool
 
 	locs   []geom.Point
 	m      int      // number of undirected edges
@@ -60,6 +68,10 @@ type Graph struct {
 	// same way. Topology-derived caches (community memberships, induced
 	// subgraphs, core numbers) validate against it.
 	topoEpoch uint64
+
+	// journal remembers the last journalLen mutations, so a cache stamped
+	// with an older Seq can ask what happened since (see journal.go).
+	journal [journalLen]Mutation
 }
 
 // NumVertices returns |V|. Safe to call concurrently with topology
@@ -110,6 +122,7 @@ func (g *Graph) SetLoc(v V, p geom.Point) {
 	g.mustBeMutable()
 	g.locs[v] = p
 	g.locEpoch++
+	g.record(MutSetLoc, v, 0)
 }
 
 // Freeze marks the graph immutable: every later SetLoc, AddEdge, RemoveEdge
@@ -199,12 +212,15 @@ func (g *Graph) NearestNeighbor(q V) V {
 	return best
 }
 
-// Clone returns a deep copy of the graph. The CSR slices are shared — they
-// are never edited in place (mutations go through the delta layer and
-// compaction replaces them wholesale) — while the delta layer, locations and
-// labels are copied so the clone can diverge, which the dynamic-replay
-// experiments and snapshot publication rely on. The clone is always mutable,
-// even when g is frozen.
+// Clone returns an independent copy of the graph: either side can mutate
+// without the other seeing it, which the dynamic-replay experiments and
+// snapshot publication rely on. Locations and labels are copied. Adjacency
+// is shared — the CSR slices and the delta layer's rows are never edited in
+// place, and the delta layer's map is copied by whichever side mutates an
+// edge next — so a clone costs the location copy however much edge history
+// the graph carries. The mutation journal and both epochs carry over: the
+// clone continues the same timeline. The clone is always mutable, even when
+// g is frozen.
 func (g *Graph) Clone() *Graph {
 	locs := make([]geom.Point, len(g.locs))
 	copy(locs, g.locs)
@@ -213,18 +229,16 @@ func (g *Graph) Clone() *Graph {
 		labels = make([]string, len(g.labels))
 		copy(labels, g.labels)
 	}
-	var patched map[V][]V
-	if g.patched != nil {
-		patched = make(map[V][]V, len(g.patched))
-		for v, nb := range g.patched {
-			patched[v] = append([]V(nil), nb...)
-		}
-	}
-	return &Graph{
-		n: g.n, offsets: g.offsets, adj: g.adj, patched: patched,
+	c := &Graph{
+		n: g.n, offsets: g.offsets, adj: g.adj, patched: g.patched,
 		locs: locs, m: g.m, labels: labels,
-		locEpoch: g.locEpoch, topoEpoch: g.topoEpoch,
+		locEpoch: g.locEpoch, topoEpoch: g.topoEpoch, journal: g.journal,
 	}
+	if g.patched != nil {
+		c.patchedShared.Store(true)
+		g.patchedShared.Store(true)
+	}
+	return c
 }
 
 // Builder accumulates edges and locations, then produces an immutable Graph.

@@ -196,8 +196,11 @@ type Server struct {
 	statBinIters *telemetry.CounterVec
 	statCircles  *telemetry.CounterVec
 	statCacheHit *telemetry.CounterVec
-	parBudget    *telemetry.Counter // requested parallelism-budget goroutines
-	parEffective *telemetry.Counter // goroutines actually granted under load
+	statRepairs  *telemetry.CounterVec // sorted views repaired from the mutation journal
+	statRebuilds *telemetry.CounterVec // sorted views computed from scratch
+	statDropped  *telemetry.CounterVec // cached communities invalidated
+	parBudget    *telemetry.Counter    // requested parallelism-budget goroutines
+	parEffective *telemetry.Counter    // goroutines actually granted under load
 
 	// inflight counts query and batch requests being served right now; it
 	// scales the per-query parallelism budget down under concurrent load.
@@ -282,6 +285,12 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		"Covering circles enumerated, by algorithm.", "algo")
 	s.statCacheHit = reg.CounterVec("sac_query_cache_hits_total",
 		"Candidate-cache hits, by algorithm.", "algo")
+	s.statRepairs = reg.CounterVec("sac_query_view_repairs_total",
+		"Sorted candidate views brought current by repositioning checked-in members, by algorithm.", "algo")
+	s.statRebuilds = reg.CounterVec("sac_query_view_rebuilds_total",
+		"Sorted candidate views computed and sorted from scratch, by algorithm.", "algo")
+	s.statDropped = reg.CounterVec("sac_query_cache_entries_dropped_total",
+		"Cached communities dropped because an edge op changed them or the mutation journal no longer reached them, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
 		"Goroutines the configured per-query parallelism budget would grant.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
@@ -762,6 +771,9 @@ func (s *Server) observeQuery(algo string, st core.Stats) {
 	s.statBinIters.With(algo).Add(uint64(st.BinaryIters))
 	s.statCircles.With(algo).Add(uint64(st.CirclesExamined))
 	s.statCacheHit.With(algo).Add(uint64(st.CacheHits))
+	s.statRepairs.With(algo).Add(uint64(st.ViewRepairs))
+	s.statRebuilds.With(algo).Add(uint64(st.ViewRebuilds))
+	s.statDropped.With(algo).Add(uint64(st.EntriesDropped))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -18,15 +18,26 @@
 //	                                            ▼
 //	queries ──► Current() ──► Snap.Get() ──► pooled worker rebound to the
 //	            (atomic load)               pinned snapshot (AdoptFrom: O(1),
-//	                                        warm candidate cache kept)
+//	                                        warm candidate cache kept and
+//	                                        repaired from the journal)
 //
 // Writers batch: every event waits for the publication that contains it
 // (read-your-writes), but a burst of events is applied together and
-// published once, so publication cost — an O(n) location copy plus an O(n)
-// core-slice copy; the CSR is shared — amortizes over the burst. Workers
-// rebind across snapshots instead of re-cloning, and their epoch-validated
-// candidate caches drop exactly the state the snapshot actually invalidated
-// (sorted views on a location change, memberships on a topology change).
+// published once, so publication cost amortizes over the burst. That cost is
+// an O(n) location copy, plus an O(n) core-slice copy only when the batch
+// held an edge op: the CSR, the delta layer's rows and — until the writer's
+// next edge op — its row map are shared with the clone, and a location-only
+// publication shares the previous snapshot's core slice too.
+//
+// Workers rebind across snapshots instead of re-cloning. The clone carries
+// the writer graph's epochs and mutation journal, so a worker's candidate
+// cache, stamped with the timeline point it last reflected, repairs itself
+// from the journaled gap on its next query: members that checked in move to
+// their new rank in a sorted view, a community re-checks the edges that came
+// and went and is kept unless they changed it (core.Searcher.AdoptFrom,
+// internal/core/repair.go). Adopting an older snapshot than the worker last
+// served, or one more than a journal's length ahead, starts that cache state
+// over.
 package snapshot
 
 import (

@@ -49,8 +49,12 @@ type gate struct {
 	lastSeq uint64
 	// Candidate closure of (q, k) as of the last evaluation. members is the
 	// candidate set X (nil when q had no community), frontier its outside
-	// neighbors, in marks members 1 and frontier 2. Left empty for θ-SAC,
-	// which the dispatcher never gates.
+	// neighbors, in marks members 1 and frontier 2; in is nil for θ-SAC,
+	// which the dispatcher never gates. The closure is a function of
+	// topology alone, so an evaluation on a snapshot at the same topology
+	// epoch (topo) as the last one takes it over instead of walking the
+	// community again.
+	topo     uint64
 	members  []graph.V
 	frontier []graph.V
 	in       map[graph.V]byte
@@ -189,6 +193,14 @@ func coreCascade(g *gate, q core.Query, snap *snapshot.Snap) bool {
 // Evaluate re-runs one standing query pinned to the round's snapshot and
 // refreshes the gate closure.
 func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
+	prev, _ := sub.Gate.(*gate)
+	if p.full && prev != nil {
+		// An unknown change set can mean the engine itself was swapped
+		// (replica resync), and epochs of different engines do not compare.
+		// Forget the closure before anything can fail, so that a retry in a
+		// later, ordinary round cannot take it over either.
+		prev.in = nil
+	}
 	s := p.snap.Get()
 	defer p.snap.Put(s)
 	ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
@@ -205,8 +217,12 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	default:
 		return nil, err
 	}
-	g := &gate{lastSeq: p.snap.Seq(), kcore: s.Structure() == core.StructureKCore}
-	if !sub.always {
+	g := &gate{lastSeq: p.snap.Seq(), kcore: s.Structure() == core.StructureKCore, topo: p.snap.TopoEpoch()}
+	switch {
+	case sub.always:
+	case prev != nil && prev.in != nil && prev.topo == g.topo:
+		g.members, g.frontier, g.in = prev.members, prev.frontier, prev.in
+	default:
 		g.members, g.frontier = s.CandidateClosure(sub.Query.Q, sub.Query.K)
 		g.in = make(map[graph.V]byte, len(g.members)+len(g.frontier))
 		for _, v := range g.members {

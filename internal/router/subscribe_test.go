@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sacsearch/client"
+	"sacsearch/internal/graph"
 )
 
 // replayView folds a subscription's event stream into the state a consumer
@@ -188,6 +189,7 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 			movers = append(movers, int64(v))
 		}
 	}
+	awaitShardWatchers(t, tp, rg.watch)
 	skipped0 := rtHandler.subs.Hub().Skipped().Value()
 	evals0 := rtHandler.subs.Hub().Evals().Value()
 	ctx := t.Context()
@@ -206,6 +208,69 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 	}
 	if got := rtHandler.subs.Hub().Evals().Value(); got != evals0 {
 		t.Errorf("far-away moves re-evaluated the routed standing query (%d -> %d)", evals0, got)
+	}
+}
+
+// awaitShardWatchers returns once every shard's feed watcher is attached and
+// its opening frame has been dispatched. The watchers attach in the
+// background after the first registration, and each feed opens with a
+// synthesized resync frame that re-evaluates everything — a far-away move
+// included, if its notification shares that dispatch round.
+//
+// A check-in is published by its owner shard alone. So the gate can skip a
+// probe owned by shard s only once s's watcher has delivered it, which puts
+// that watcher's resync in an earlier, finished round; a probe the watcher
+// missed (it attached later and resynced instead) or that shared a round
+// with a resync shows up as an evaluation and is repeated. A shard whose
+// every vertex is watched can never be skipped; it goes last, when an
+// evaluation after its probe can only be its own watcher's doing, and the
+// probe itself is then given time to land.
+func awaitShardWatchers(t *testing.T, tp *topology, watch map[int64]struct{}) {
+	t.Helper()
+	hub := tp.rt.subs.Hub()
+	deadline := time.Now().Add(15 * time.Second)
+	// probe checks v in somewhere new and reports which counter answered.
+	probes := 0
+	probe := func(v int64) (skipped bool) {
+		skipped0, evals0 := hub.Skipped().Value(), hub.Evals().Value()
+		probes++
+		if err := tp.routerCl.CheckIn(t.Context(), v, 0.8+float64(probes)*0.001, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		for hub.Skipped().Value() == skipped0 && hub.Evals().Value() == evals0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the owner of %d delivered neither a publication nor a resync", v)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return hub.Skipped().Value() > skipped0
+	}
+	const landed = 100 * time.Millisecond // a frame crosses loopback in about one
+	watchedProbe := int64(-1)             // a vertex of the one shard that is watched throughout
+	for s := 0; s < tp.m.Shards; s++ {
+		owned, outside := int64(-1), int64(-1)
+		for v := 0; v < tp.g.NumVertices() && outside < 0; v++ {
+			if tp.m.OwnerOf(graph.V(v)) == s {
+				owned = int64(v)
+				if _, in := watch[owned]; !in {
+					outside = owned
+				}
+			}
+		}
+		switch {
+		case outside >= 0:
+			for !probe(outside) {
+				time.Sleep(landed)
+			}
+		case watchedProbe >= 0:
+			t.Fatalf("two shards without a vertex outside the watch set")
+		default:
+			watchedProbe = owned
+		}
+	}
+	if watchedProbe >= 0 {
+		probe(watchedProbe)
+		time.Sleep(landed)
 	}
 }
 

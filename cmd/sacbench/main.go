@@ -1,5 +1,5 @@
-// Command sacbench regenerates the paper's tables and figures and tracks
-// the query hot path's performance trajectory.
+// Command sacbench regenerates the paper's tables and figures and hosts the
+// two CI safety gates that measure in process.
 //
 // Usage:
 //
@@ -7,35 +7,27 @@
 //	sacbench -exp all -scale 0.1 -queries 200 -datasets brightkite,gowalla
 //	sacbench -list                      # show available experiment ids
 //	sacbench -exp fig12exact -paper     # start from the paper-sized config
-//	sacbench -benchjson BENCH_4.json    # machine-readable perf snapshot
 //	sacbench -exp fig10 -load g.sacg    # bench a saved graph file
-//	sacbench -benchjson BENCH_8.json -scale 1 -gate-parallel 2  # CI scaling gate
+//	sacbench -gate-telemetry 5          # CI: telemetry overhead gate
+//	sacbench -datasets syn1 -scale 1 -gate-parallel 2  # CI: scaling gate
 //	sacbench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //
 // Output goes to stdout; redirect to keep a record alongside EXPERIMENTS.md.
-// The -benchjson report records repeated-query ns/op and allocs/op with the
-// candidate cache on/off, the cache speedup, batch scaling per worker
-// count, edge-churn throughput (incremental core maintenance vs
-// re-decomposition), serving throughput (lock-coupled vs snapshot-isolated
-// reads under concurrent churn, plus mid-Exact cancellation latency),
-// durability costs (WAL append throughput per fsync policy, crash-recovery
-// time vs WAL length with and without checkpoint truncation), sharding
-// latency, intra-query parallelism (serial vs parallel Exact/Exact+
-// across worker counts, shared-oracle batching on/off), and telemetry
-// overhead (the instrumented query hot path vs the same path on a nil
-// registry), so regressions are visible PR over PR.
+// Performance is tracked by the bench/ module, which drives real server
+// processes over HTTP; nothing here records a trajectory.
 //
-// -gate-parallel turns the parallelism section into a CI gate: the run
-// fails unless the best measured Exact/Exact+ speedup reaches the given
+// -gate-parallel fails the run unless the best measured Exact/Exact+
+// speedup of parallel over serial circle enumeration reaches the given
 // factor. Machines with fewer than 4 CPUs skip the gate with a log line
 // instead of failing — a 1-core runner measuring ~1× is expected physics,
-// not a regression. -gate-telemetry fails the run when the measured
-// telemetry overhead exceeds the given percentage (5 is the documented
-// bar).
+// not a regression. -gate-telemetry fails the run when the instrumented
+// query hot path costs more than the given percentage over the same path
+// on a nil registry (5 is the documented bar). Both measure on the first
+// configured dataset and print one result line to stderr.
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,37 +35,35 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"flag"
-
 	"sacsearch/internal/exp"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // run is main's body behind one normal return path, so the profile-flushing
 // defers execute on failures too (os.Exit would skip them).
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("sacbench", flag.ExitOnError)
 	var (
-		expID     = flag.String("exp", "", "experiment id to run, or 'all'")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		paper     = flag.Bool("paper", false, "start from the paper-sized config (hours) instead of the quick one")
-		datasets  = flag.String("datasets", "", "comma-separated dataset names (default from config)")
-		scale     = flag.Float64("scale", 0, "dataset scale in (0,1] (0 = config default)")
-		queries   = flag.Int("queries", 0, "queries per dataset (0 = config default)")
-		k         = flag.Int("k", 0, "default minimum degree (0 = config default)")
-		seed      = flag.Int64("seed", 0, "workload seed (0 = config default)")
-		load      = flag.String("load", "", "bench a saved binary graph file instead of the dataset presets")
-		benchJSON = flag.String("benchjson", "", "write the hot-path perf report as JSON to this file ('-' for stdout)")
+		expID    = fs.String("exp", "", "experiment id to run, or 'all'")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		paper    = fs.Bool("paper", false, "start from the paper-sized config (hours) instead of the quick one")
+		datasets = fs.String("datasets", "", "comma-separated dataset names (default from config)")
+		scale    = fs.Float64("scale", 0, "dataset scale in (0,1] (0 = config default)")
+		queries  = fs.Int("queries", 0, "queries per dataset (0 = config default)")
+		k        = fs.Int("k", 0, "default minimum degree (0 = config default)")
+		seed     = fs.Int64("seed", 0, "workload seed (0 = config default)")
+		load     = fs.String("load", "", "bench a saved binary graph file instead of the dataset presets")
 
-		procs         = flag.Int("procs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default, normally all cores)")
-		gateParallel  = flag.Float64("gate-parallel", 0, "with -benchjson: fail unless the best parallel Exact/Exact+ speedup reaches this factor (skipped with a log line when NumCPU < 4)")
-		gateTelemetry = flag.Float64("gate-telemetry", 0, "with -benchjson: fail when telemetry overhead exceeds this percentage of the uninstrumented hot path")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		procs         = fs.Int("procs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default, normally all cores)")
+		gateParallel  = fs.Float64("gate-parallel", 0, "fail unless the best parallel Exact/Exact+ speedup reaches this factor (skipped with a log line when NumCPU < 4)")
+		gateTelemetry = fs.Float64("gate-telemetry", 0, "fail when telemetry overhead exceeds this percentage of the uninstrumented hot path")
+		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile    = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
@@ -121,8 +111,9 @@ func run() int {
 		}
 		return 0
 	}
-	if *expID == "" && *benchJSON == "" {
-		fmt.Fprintln(os.Stderr, "sacbench: -exp or -benchjson is required (try -list)")
+	gating := *gateParallel > 0 || *gateTelemetry > 0
+	if *expID == "" && !gating {
+		fmt.Fprintln(os.Stderr, "sacbench: -exp, -gate-telemetry or -gate-parallel is required (try -list)")
 		return 2
 	}
 
@@ -153,40 +144,9 @@ func run() int {
 		cfg.Datasets = []string{base}
 	}
 
-	if *benchJSON != "" {
-		rep, err := exp.Perf(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: %v\n", err)
-			return 1
-		}
-		out := os.Stdout
-		if *benchJSON != "-" {
-			f, err := os.Create(*benchJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sacbench: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: %v\n", err)
-			return 1
-		}
-		if *gateParallel > 0 {
-			if code := gate(rep, *gateParallel); code != 0 {
-				return code
-			}
-		}
-		if *gateTelemetry > 0 {
-			if code := gateOverhead(rep, *gateTelemetry); code != 0 {
-				return code
-			}
-		}
-		if *expID == "" {
-			return 0
+	if gating {
+		if code := runGates(cfg, *gateTelemetry, *gateParallel); code != 0 || *expID == "" {
+			return code
 		}
 	}
 
@@ -203,41 +163,36 @@ func run() int {
 	return 0
 }
 
-// gate enforces -gate-parallel against the report's parallelism section.
-// The bar applies to the best speedup either exact algorithm reached; small
-// machines skip with an explanatory line so single-core CI runners don't
-// fail on physics.
-func gate(rep *exp.PerfReport, threshold float64) int {
-	if runtime.NumCPU() < 4 {
-		fmt.Fprintf(os.Stderr, "sacbench: -gate-parallel %.2g skipped: only %d CPUs (need ≥ 4 for a meaningful scaling gate)\n",
-			threshold, runtime.NumCPU())
-		return 0
+// runGates measures and judges the requested gates (a zero bound means not
+// requested) on cfg's first dataset, one stderr line each.
+func runGates(cfg exp.Config, telemetryPct, parallelX float64) int {
+	ds, qs, err := exp.LoadWorkload(cfg, cfg.Datasets[0])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sacbench: %v\n", err)
+		return 1
 	}
-	best := 0.0
-	for _, ap := range []*exp.ParallelAlgoPerf{rep.Parallel.Exact, rep.Parallel.ExactPlus} {
-		if ap != nil && ap.MaxSpeedup > best {
-			best = ap.MaxSpeedup
+	report := func(line string, ok bool) bool {
+		fmt.Fprintf(os.Stderr, "sacbench: %s\n", line)
+		return ok
+	}
+	if parallelX > 0 {
+		best := 0.0
+		if runtime.NumCPU() >= minGateCPUs {
+			best = measureParallel(ds.Graph, qs, cfg)
+		}
+		if !report(parallelVerdict(best, parallelX, runtime.NumCPU())) {
+			return 1
 		}
 	}
-	if best < threshold {
-		fmt.Fprintf(os.Stderr, "sacbench: parallel gate FAILED: best Exact/Exact+ speedup %.2fx < required %.2fx (gomaxprocs %d, numcpu %d)\n",
-			best, threshold, runtime.GOMAXPROCS(0), runtime.NumCPU())
-		return 1
+	if telemetryPct > 0 {
+		cost, err := measureTelemetry(ds.Graph, qs, cfg.K)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sacbench: %v\n", err)
+			return 1
+		}
+		if !report(telemetryVerdict(cost, telemetryPct)) {
+			return 1
+		}
 	}
-	fmt.Fprintf(os.Stderr, "sacbench: parallel gate passed: best speedup %.2fx ≥ %.2fx\n", best, threshold)
-	return 0
-}
-
-// gateOverhead enforces -gate-telemetry: the instrumented query hot path
-// must cost no more than the given percentage over the nil-registry run.
-func gateOverhead(rep *exp.PerfReport, maxPct float64) int {
-	tp := rep.Telemetry
-	if tp.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "sacbench: telemetry gate FAILED: overhead %.2f%% > allowed %.2f%% (base %.0f ns/op, instrumented %.0f ns/op)\n",
-			tp.OverheadPct, maxPct, tp.BaseNsPerOp, tp.InstrumentedNsPerOp)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "sacbench: telemetry gate passed: overhead %.2f%% ≤ %.2f%% (base %.0f ns/op, instrumented %.0f ns/op)\n",
-		tp.OverheadPct, maxPct, tp.BaseNsPerOp, tp.InstrumentedNsPerOp)
 	return 0
 }

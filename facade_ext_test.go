@@ -15,8 +15,8 @@ func TestFacadeBatch(t *testing.T) {
 	s := sacsearch.NewSearcher(g)
 	queries := sacsearch.BatchWorkload([]sacsearch.V{0, 3, 0}, 2)
 	items := sacsearch.BatchSearch(context.Background(), s, queries, sacsearch.BatchOptions{
-		Algorithm: sacsearch.BatchExactPlus,
-		Workers:   2,
+		Template: sacsearch.Query{Algo: "exact+"},
+		Workers:  2,
 	})
 	if len(items) != 3 {
 		t.Fatalf("items = %d", len(items))

@@ -16,6 +16,10 @@
 //     (RunOn/StreamOn), the workers' warmed caches survive between batches
 //     too.
 //
+// A batch names its algorithm the way a single query does: Options.Template
+// is a core.Query (any registered algorithm, parameters included) whose Q
+// and K each item fills in, dispatched through the registry.
+//
 // Every entry point takes a context: when it fires, in-flight queries stop
 // at their next loop boundary and return core.ErrCanceled, and queries not
 // yet dispatched are failed with the same error without running — a batch
@@ -42,41 +46,6 @@ type Source interface {
 	Put(*core.Searcher)
 }
 
-// Algo selects the SAC algorithm a batch runs.
-type Algo int
-
-const (
-	// AlgoAppFast runs AppFast(εF) — the default: fastest with a 2+εF
-	// guarantee.
-	AlgoAppFast Algo = iota
-	// AlgoAppInc runs AppInc (parameter-free 2-approximation).
-	AlgoAppInc
-	// AlgoAppAcc runs AppAcc(εA) (1+εA approximation).
-	AlgoAppAcc
-	// AlgoExactPlus runs ExactPlus(εA) (exact).
-	AlgoExactPlus
-	// AlgoExact runs the naive Exact — correctness baseline, small graphs
-	// only.
-	AlgoExact
-)
-
-func (a Algo) String() string {
-	switch a {
-	case AlgoAppFast:
-		return "AppFast"
-	case AlgoAppInc:
-		return "AppInc"
-	case AlgoAppAcc:
-		return "AppAcc"
-	case AlgoExactPlus:
-		return "ExactPlus"
-	case AlgoExact:
-		return "Exact"
-	default:
-		return fmt.Sprintf("Algo(%d)", int(a))
-	}
-}
-
 // Query is one SAC request.
 type Query struct {
 	Q graph.V
@@ -95,46 +64,16 @@ type Item struct {
 	Err    error
 }
 
-// Options configures a batch run. The zero value runs AppFast(0.5) on
-// GOMAXPROCS workers.
-//
-// Algorithm selection goes through the core algorithm registry: the
-// preferred form is Template, a core.Query carrying the algorithm name and
-// parameters (its Q and K are overwritten per batch item). The legacy
-// enum-plus-epsilons fields remain as a thin mapping onto a template, so
-// existing callers keep working unchanged.
+// Options configures a batch run. The zero value runs the registry's
+// default algorithm (AppFast(0.5)) on GOMAXPROCS workers.
 type Options struct {
 	// Workers is the number of concurrent searchers; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// Template, when its Algo is non-empty, selects the algorithm and
-	// parameters for every item in the batch — any registered algorithm,
-	// θ-SAC included. Per-item Q and K replace the template's. Template
-	// wins over the legacy Algorithm/EpsF/EpsA fields.
+	// Template selects the algorithm and parameters for every item in the
+	// batch — any registered algorithm, θ-SAC included — as a core.Query
+	// whose Q and K are replaced per item. An empty Algo means
+	// core.DefaultAlgo and absent parameters take the registry's defaults.
 	Template core.Query
-	// Algorithm selects the SAC algorithm (default AlgoAppFast). Legacy;
-	// prefer Template.
-	Algorithm Algo
-	// EpsF is AppFast's εF (default 0.5 when zero and Algorithm is
-	// AlgoAppFast; 0 is meaningful only if EpsFSet). Legacy; prefer
-	// Template.
-	EpsF float64
-	// EpsFSet marks EpsF as deliberately zero (AppFast(0) is the AppInc
-	// result, which is a valid choice). Legacy; prefer Template.
-	EpsFSet bool
-	// EpsA is AppAcc's / ExactPlus's εA (default 0.5 for AppAcc, 1e-3 for
-	// ExactPlus). Legacy; prefer Template.
-	EpsA float64
-	// SharedOracle front-loads one shared candidate plan table for the
-	// batch's distinct (q, k) pairs — community BFS, induced CSR and prefix
-	// oracle built once on a single worker and shared read-only by every
-	// worker in the call — instead of each worker rebuilding them in its own
-	// cache. Worth it when many queries land in the same communities (the
-	// common event-recommendation shape). Applies to Run/RunOn with the
-	// k-core structure metric and a candidate-based algorithm; other
-	// configurations ignore it. The table is epoch-guarded, so a snapshot
-	// republication between build and execution costs time, never
-	// correctness.
-	SharedOracle bool
 }
 
 func (o Options) workers() int {
@@ -142,40 +81,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// template resolves the algorithm selection to one core.Query the registry
-// can dispatch: Template verbatim when set, otherwise the legacy enum and
-// epsilon fields translated to the equivalent query (absent parameters stay
-// nil pointers so the registry's defaults apply — which match the legacy
-// defaults: εF 0.5, εA 0.5 for AppAcc and 1e-3 for ExactPlus).
-func (o Options) template() core.Query {
-	if o.Template.Algo != "" {
-		return o.Template
-	}
-	t := o.Template // keep Structure/Timeout if a caller set them without Algo
-	switch o.Algorithm {
-	case AlgoAppInc:
-		t.Algo = "appinc"
-	case AlgoAppAcc:
-		t.Algo = "appacc"
-		if o.EpsA != 0 {
-			t.EpsA = core.Float(o.EpsA)
-		}
-	case AlgoExactPlus:
-		t.Algo = "exact+"
-		if o.EpsA != 0 {
-			t.EpsA = core.Float(o.EpsA)
-		}
-	case AlgoExact:
-		t.Algo = "exact"
-	default:
-		t.Algo = "appfast"
-		if o.EpsF != 0 || o.EpsFSet {
-			t.EpsF = core.Float(o.EpsF)
-		}
-	}
-	return t
 }
 
 // run dispatches one query on one searcher through the unified Search entry
@@ -233,29 +138,9 @@ func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 		}
 	}
 
-	tmpl := opt.template()
 	workers := opt.workers()
 	if workers > len(order) {
 		workers = len(order)
-	}
-
-	// Shared-oracle mode: plan the deduplicated (q, k) set once, up front, on
-	// a single worker. BuildSharedPlans returns nil for structure metrics
-	// without prefix oracles, and θ-SAC never touches the candidate
-	// machinery, so those fall back to the unshared path unchanged.
-	var plans *core.SharedPlans
-	if opt.SharedOracle && ctx.Err() == nil {
-		if spec, ok := core.LookupAlgo(tmpl.Algo); !ok || spec.Name != "theta" {
-			keys := make([]core.PlanKey, len(order))
-			for i, q := range order {
-				keys[i] = core.PlanKey{Q: q.Q, K: q.K}
-			}
-			func() {
-				w := p.Get()
-				defer p.Put(w)
-				plans = core.BuildSharedPlans(w, keys)
-			}()
-		}
 	}
 
 	if workers <= 1 {
@@ -266,16 +151,12 @@ func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 		func() {
 			w := p.Get()
 			defer p.Put(w)
-			if plans != nil {
-				w.SetSharedPlans(plans)
-				defer w.SetSharedPlans(nil)
-			}
 			for i, q := range order {
 				if err := ctx.Err(); err != nil {
 					cancelFrom(i, err)
 					return
 				}
-				res, err := run(ctx, w, q, tmpl)
+				res, err := run(ctx, w, q, opt.Template)
 				items[slots[q].first] = Item{Query: q, Result: res, Err: err}
 			}
 		}()
@@ -288,12 +169,8 @@ func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 				defer wg.Done()
 				ws := p.Get()
 				defer p.Put(ws)
-				if plans != nil {
-					ws.SetSharedPlans(plans)
-					defer ws.SetSharedPlans(nil)
-				}
 				for q := range feed {
-					res, err := run(ctx, ws, q, tmpl)
+					res, err := run(ctx, ws, q, opt.Template)
 					items[slots[q].first] = Item{Query: q, Result: res, Err: err}
 				}
 			}()
@@ -339,7 +216,6 @@ func Stream(ctx context.Context, s *core.Searcher, in <-chan Query, opt Options)
 // leaks nothing as long as in is eventually closed.
 func StreamOn(ctx context.Context, p Source, in <-chan Query, opt Options) <-chan Item {
 	out := make(chan Item)
-	tmpl := opt.template()
 	workers := opt.workers()
 	// send delivers one item, except after cancellation, when it refuses to
 	// block on an abandoned consumer: the worker must get back to draining
@@ -370,7 +246,7 @@ func StreamOn(ctx context.Context, p Source, in <-chan Query, opt Options) <-cha
 					send(Item{Query: q, Err: canceledErr(err)})
 					continue
 				}
-				res, err := run(ctx, ws, q, tmpl)
+				res, err := run(ctx, ws, q, opt.Template)
 				send(Item{Query: q, Result: res, Err: err})
 			}
 		}()

@@ -194,48 +194,31 @@ func TestRunWorkerCountsAgree(t *testing.T) {
 	}
 }
 
+// TestRunAlgorithms runs a batch under every registered algorithm, named
+// through Template the way every caller names one.
 func TestRunAlgorithms(t *testing.T) {
 	g := clusteredGraph(23, 5, 6, 10)
 	s := core.NewSearcher(g)
 	queries := []Query{{Q: 0, K: 4}, {Q: 6, K: 4}}
-	for _, algo := range []Algo{AlgoAppFast, AlgoAppInc, AlgoAppAcc, AlgoExactPlus, AlgoExact} {
-		items := Run(context.Background(), s, queries, Options{Algorithm: algo, Workers: 2})
+	for _, spec := range core.Algorithms() {
+		tmpl := core.Query{Algo: spec.Name}
+		if spec.Name == "theta" {
+			tmpl.Theta = core.Float(0.4) // θ-SAC's one required parameter
+		}
+		items := Run(context.Background(), s, queries, Options{Template: tmpl, Workers: 2})
 		for i, it := range items {
 			if it.Err != nil && !errors.Is(it.Err, core.ErrNoCommunity) {
-				t.Fatalf("%v item %d: %v", algo, i, it.Err)
+				t.Fatalf("%s item %d: %v", spec.Name, i, it.Err)
 			}
 			if it.Err == nil && !it.Result.Contains(queries[i].Q) {
-				t.Fatalf("%v item %d: community misses q", algo, i)
+				t.Fatalf("%s item %d: community misses q", spec.Name, i)
 			}
 		}
 	}
 }
 
-// TestLegacyOptionsTemplate pins the mapping from the legacy enum-and-
-// epsilon Options fields onto the registry template: absent epsilons stay
-// nil (the registry's per-algorithm defaults match the old batch defaults),
-// EpsFSet turns an explicit 0 into a present parameter, and an explicit
-// Template wins outright.
-func TestLegacyOptionsTemplate(t *testing.T) {
-	if tm := (Options{}).template(); tm.Algo != "appfast" || tm.EpsF != nil {
-		t.Fatalf("zero Options template = %+v", tm)
-	}
-	if tm := (Options{EpsFSet: true}).template(); tm.EpsF == nil || *tm.EpsF != 0 {
-		t.Fatalf("EpsFSet template = %+v", tm)
-	}
-	if tm := (Options{Algorithm: AlgoExactPlus}).template(); tm.Algo != "exact+" || tm.EpsA != nil {
-		t.Fatalf("ExactPlus template = %+v", tm)
-	}
-	if tm := (Options{Algorithm: AlgoAppAcc, EpsA: 0.25}).template(); tm.Algo != "appacc" || *tm.EpsA != 0.25 {
-		t.Fatalf("AppAcc template = %+v", tm)
-	}
-	if tm := (Options{Algorithm: AlgoExact, Template: core.Query{Algo: "theta", Theta: core.Float(0.2)}}).template(); tm.Algo != "theta" || *tm.Theta != 0.2 {
-		t.Fatalf("explicit Template lost: %+v", tm)
-	}
-}
-
-// TestTemplateTheta runs a θ-SAC batch through the registry template — an
-// algorithm the legacy enum could not express.
+// TestTemplateTheta pins a θ-SAC batch, parameter and all, against the
+// direct call.
 func TestTemplateTheta(t *testing.T) {
 	g := clusteredGraph(23, 5, 6, 10)
 	s := core.NewSearcher(g)
@@ -266,21 +249,6 @@ func slicesEqualV(a, b []graph.V) bool {
 		}
 	}
 	return true
-}
-
-func TestAlgoString(t *testing.T) {
-	for algo, want := range map[Algo]string{
-		AlgoAppFast:   "AppFast",
-		AlgoAppInc:    "AppInc",
-		AlgoAppAcc:    "AppAcc",
-		AlgoExactPlus: "ExactPlus",
-		AlgoExact:     "Exact",
-		Algo(99):      "Algo(99)",
-	} {
-		if got := algo.String(); got != want {
-			t.Fatalf("Algo(%d).String() = %q, want %q", int(algo), got, want)
-		}
-	}
 }
 
 func TestStream(t *testing.T) {
@@ -345,89 +313,5 @@ func BenchmarkBatch(b *testing.B) {
 				Run(context.Background(), s, queries, Options{Workers: workers})
 			}
 		})
-	}
-}
-
-// TestSharedOracleMatchesUnshared pins the shared-plan differential: with
-// SharedOracle on, every item — across worker counts and every candidate-
-// based algorithm — must match the unshared run exactly.
-func TestSharedOracleMatchesUnshared(t *testing.T) {
-	g := clusteredGraph(13, 6, 8, 20)
-	s := core.NewSearcher(g)
-	var queries []Query
-	for v := 0; v < g.NumVertices(); v += 2 {
-		queries = append(queries, Query{Q: graph.V(v), K: 4})
-		queries = append(queries, Query{Q: graph.V(v), K: 4}) // duplicates exercise fan-out
-	}
-	for _, algo := range []string{"appfast", "appinc", "appacc", "exact+"} {
-		tmpl := core.Query{Algo: algo}
-		base := RunOn(context.Background(), core.NewPool(s), queries, Options{Workers: 1, Template: tmpl})
-		for _, workers := range []int{1, 4} {
-			shared := RunOn(context.Background(), core.NewPool(s), queries,
-				Options{Workers: workers, Template: tmpl, SharedOracle: true})
-			if len(shared) != len(base) {
-				t.Fatalf("%s workers=%d: %d items vs %d", algo, workers, len(shared), len(base))
-			}
-			for i := range base {
-				if (base[i].Err != nil) != (shared[i].Err != nil) {
-					t.Fatalf("%s workers=%d item %d: err %v vs %v", algo, workers, i, shared[i].Err, base[i].Err)
-				}
-				if base[i].Err != nil {
-					continue
-				}
-				if !sameMembers(base[i].Result.Members, shared[i].Result.Members) {
-					t.Fatalf("%s workers=%d item %d: members %v vs %v",
-						algo, workers, i, shared[i].Result.Members, base[i].Result.Members)
-				}
-				if base[i].Result.MCC != shared[i].Result.MCC {
-					t.Fatalf("%s workers=%d item %d: MCC %+v vs %+v",
-						algo, workers, i, shared[i].Result.MCC, base[i].Result.MCC)
-				}
-			}
-		}
-	}
-}
-
-// TestSharedPlansEpochFallback pins the staleness guard: a plan table built
-// before a location mutation must miss afterwards (epoch changed), with the
-// searcher transparently falling back to its own candidate path and still
-// answering correctly.
-func TestSharedPlansEpochFallback(t *testing.T) {
-	g := clusteredGraph(17, 4, 8, 10)
-	builder := core.NewSearcher(g)
-	plans := core.BuildSharedPlans(builder, []core.PlanKey{{Q: 0, K: 4}, {Q: 5, K: 4}})
-	if plans == nil || plans.Len() == 0 {
-		t.Fatal("no plans built")
-	}
-
-	// Fresh-table sanity: planned query answers match an unplanned searcher.
-	s := core.NewSearcher(g)
-	want, werr := s.AppFast(0, 4, 0.5)
-	ps := core.NewSearcher(g)
-	ps.SetSharedPlans(plans)
-	got, gerr := ps.AppFast(0, 4, 0.5)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("fresh table: err %v vs %v", gerr, werr)
-	}
-	if werr == nil && !sameMembers(want.Members, got.Members) {
-		t.Fatalf("fresh table: members %v vs %v", got.Members, want.Members)
-	}
-
-	// Mutate a location: the epoch guard must reject the table and the
-	// searcher must still answer — possibly differently, matching any
-	// plain searcher on the mutated graph.
-	g.SetLoc(0, geom.Point{X: 0.99, Y: 0.99})
-	want2, werr2 := core.NewSearcher(g).AppFast(0, 4, 0.5)
-	got2, gerr2 := ps.AppFast(0, 4, 0.5)
-	if (werr2 == nil) != (gerr2 == nil) {
-		t.Fatalf("stale table: err %v vs %v", gerr2, werr2)
-	}
-	if werr2 == nil {
-		if !sameMembers(want2.Members, got2.Members) {
-			t.Fatalf("stale table: members %v vs %v", got2.Members, want2.Members)
-		}
-		if want2.MCC != got2.MCC {
-			t.Fatalf("stale table: MCC %+v vs %+v", got2.MCC, want2.MCC)
-		}
 	}
 }

@@ -48,11 +48,8 @@ type stamp struct {
 
 func (st stamp) seq() uint64 { return st.loc + st.topo }
 
-// stampOf returns the timeline point g is at.
-func stampOf(g *graph.Graph) stamp { return stamp{loc: g.LocEpoch(), topo: g.TopoEpoch()} }
-
 // now returns the timeline point of the searcher's (adopted) graph.
-func (s *Searcher) now() stamp { return stampOf(s.g) }
+func (s *Searcher) now() stamp { return stamp{loc: s.g.LocEpoch(), topo: s.g.TopoEpoch()} }
 
 // sortedView is a community's candidate set in ascending (distance from q,
 // id) order as of the locations at at. Distances are not stored: the one at

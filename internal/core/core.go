@@ -204,11 +204,6 @@ type Searcher struct {
 	parWorkers []*Searcher
 	parGrid    *spatial.SubGrid
 
-	// sharedPlans, when set, resolves candidate sets from an immutable
-	// prebuilt plan table shared read-only across searchers (see shared.go);
-	// epoch-guarded, with transparent fallback to the normal path.
-	sharedPlans *SharedPlans
-
 	stats Stats // counters for the query in flight
 
 	// qctx is the context of the query in flight (nil when the query is not
@@ -488,25 +483,6 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	// loops.
 	if s.canceled() {
 		return nil, s.canceledError()
-	}
-	// A shared plan table (batch execution pinned to one snapshot) answers
-	// first: the plan's entry and view are fully prebuilt — induced CSR and
-	// prefix oracle included — so every lazy-build mutation path is a no-op
-	// and the plan is safe to share read-only across workers. The lookup is
-	// guarded by the graph and its timeline stamp; a stale table silently
-	// falls through to the normal path.
-	if p := s.sharedPlans; p != nil {
-		if pl := p.lookup(s.g, q, k); pl != nil {
-			if pl.entry.members == nil {
-				return nil, ErrNoCommunity
-			}
-			s.curEntry = pl.entry
-			s.curView = &pl.view
-			s.bindLocal(pl.entry)
-			s.stats.CacheHits++
-			s.stats.ViewHits++
-			return s.bindCand(q, pl.view.verts), nil
-		}
 	}
 	if s.noCache {
 		members := s.communityOf(q, k)

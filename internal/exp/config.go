@@ -91,8 +91,10 @@ func loadDataset(cfg Config, name string) (*dataset.Dataset, error) {
 	return &dataset.Dataset{Name: base, Graph: g, Scale: 1}, nil
 }
 
-// loadWorkload builds one dataset and its query set.
-func loadWorkload(cfg Config, name string) (*dataset.Dataset, []graph.V, error) {
+// LoadWorkload builds one dataset and its query set. Exported for
+// cmd/sacbench's gates, which measure on the same workload the experiments
+// run.
+func LoadWorkload(cfg Config, name string) (*dataset.Dataset, []graph.V, error) {
 	ds, err := loadDataset(cfg, name)
 	if err != nil {
 		return nil, nil, err

@@ -47,7 +47,7 @@ func DefaultFig13Config() Fig13Config {
 // selected movers, and returns the CJS/CAO decay points.
 func Fig13(cfg Fig13Config) ([]dynamic.DecayPoint, error) {
 	name := cfg.Datasets[0]
-	ds, _, err := loadWorkload(cfg.Config, name)
+	ds, _, err := LoadWorkload(cfg.Config, name)
 	if err != nil {
 		return nil, err
 	}

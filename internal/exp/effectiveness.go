@@ -46,7 +46,7 @@ func Fig9AppAcc(cfg Config) ([]Fig9Row, error) {
 func fig9(cfg Config, sweep []float64, base float64, run func(*core.Searcher, graph.V, float64) (*core.Result, error)) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ type Fig10Row struct {
 func Fig10(cfg Config) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +201,7 @@ var thetaSweep = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 func Fig11(cfg Config) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}

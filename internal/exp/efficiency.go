@@ -58,7 +58,7 @@ func approxAlgos(s *core.Searcher) []struct {
 func Fig12Approx(cfg Config) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func Fig12Approx(cfg Config) ([]Fig12Row, error) {
 func Fig12Exact(cfg Config) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ const fig14MaxQueries = 6
 func Fig14(cfg Config) ([]Fig14Row, error) {
 	var rows []Fig14Row
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}

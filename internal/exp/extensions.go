@@ -31,7 +31,7 @@ type ExtStructureRow struct {
 func ExtStructures(cfg Config) ([]ExtStructureRow, error) {
 	var rows []ExtStructureRow
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +68,7 @@ type ExtDiamRow struct {
 func ExtMinDiam(cfg Config) ([]ExtDiamRow, error) {
 	var rows []ExtDiamRow
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func ExtBatch(cfg Config) ([]ExtBatchRow, error) {
 	var rows []ExtBatchRow
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for _, name := range cfg.Datasets {
-		ds, qs, err := loadWorkload(cfg, name)
+		ds, qs, err := LoadWorkload(cfg, name)
 		if err != nil {
 			return nil, err
 		}

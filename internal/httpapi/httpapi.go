@@ -56,9 +56,6 @@ type Core struct {
 	TraceHook func(*telemetry.Span)
 	// MaxBodyBytes caps every body DecodeJSON reads. Non-positive means 1 MiB.
 	MaxBodyBytes int64
-	// Heartbeat is the keep-alive interval on ServeSubscribe's streams.
-	// Non-positive means subscribe.ServeSSE's default.
-	Heartbeat time.Duration
 
 	nextID atomic.Uint64 // request-id fallback counter
 }

@@ -139,5 +139,5 @@ func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subsc
 		return
 	}
 	defer sub.Detach(st)
-	subscribe.ServeSSE(w, r, st, replay, c.Heartbeat)
+	subscribe.ServeSSE(w, r, st, replay)
 }

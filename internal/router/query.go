@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 
 	"sacsearch/client"
@@ -144,13 +143,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
+	workers := min(req.FanOut(), len(req.Queries))
 	items := make([]server.BatchItemJSON, len(req.Queries))
 	deadlined := make([]bool, len(req.Queries))
 	var wg sync.WaitGroup

@@ -92,9 +92,6 @@ type Config struct {
 	// MaxSubscriptions caps concurrently live standing queries held by this
 	// router (GET /v1/subscribe). Default 1024.
 	MaxSubscriptions int
-	// SubscribeHeartbeat is the SSE keep-alive comment interval on standing
-	// query streams. Default 15s.
-	SubscribeHeartbeat time.Duration
 }
 
 func (c Config) queryTimeout() time.Duration {
@@ -164,7 +161,6 @@ func New(cfg Config) (*Router, error) {
 		SlowRequest:  cfg.SlowQueryThreshold,
 		TraceHook:    cfg.TraceHook,
 		MaxBodyBytes: cfg.MaxBodyBytes,
-		Heartbeat:    cfg.SubscribeHeartbeat,
 	}
 	rt.legsTotal = cfg.Metrics.CounterVec("sac_router_legs_total",
 		"Outbound shard calls issued by the router, by kind.", "kind")
@@ -420,9 +416,7 @@ func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if req.V < 0 || int(req.V) >= rt.m.N {
-		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "v",
-			fmt.Sprintf("unknown vertex %d", req.V))
+	if !req.Validate(w, r, rt.m.N) {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
@@ -449,27 +443,8 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	for _, v := range [2]graph.V{req.U, req.V} {
-		if v < 0 || int(v) >= rt.m.N {
-			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "",
-				fmt.Sprintf("unknown vertex %d", v))
-			return
-		}
-	}
-	if req.U == req.V {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "",
-			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
-		return
-	}
-	var insert bool
-	switch req.Op {
-	case "insert":
-		insert = true
-	case "delete":
-		insert = false
-	default:
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "op",
-			fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
+	insert, ok := req.Validate(w, r, rt.m.N)
+	if !ok {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)

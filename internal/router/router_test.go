@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,6 +331,60 @@ func TestRoutedBatch(t *testing.T) {
 				t.Fatalf("item %d member %d differs", i, j)
 			}
 		}
+	}
+}
+
+// searchLegPeak is a transport that records how many /v1/shard/search legs
+// were in flight at once. A routed query opens with exactly one such leg, so
+// the peak is the number of batch workers routing concurrently.
+type searchLegPeak struct {
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (p *searchLegPeak) add(d int) {
+	p.mu.Lock()
+	p.cur += d
+	p.peak = max(p.peak, p.cur)
+	p.mu.Unlock()
+}
+
+func (p *searchLegPeak) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/shard/search" {
+		p.add(1)
+		defer p.add(-1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRoutedBatchWorkersClamped pins the bound on the client-supplied
+// fan-out at the router: "workers" far above GOMAXPROCS must not size the
+// worker loop — every worker assembling a cross-shard query builds a cold
+// searcher — and the batch still answers every item.
+func TestRoutedBatchWorkersClamped(t *testing.T) {
+	limit := runtime.GOMAXPROCS(0)
+	g := testGraph(300, 1300, 55)
+	var legs searchLegPeak
+	tp := newTopologyWith(t, g, 2, server.Config{}, Config{
+		ClientOptions: []client.Option{client.WithHTTPClient(&http.Client{Transport: &legs})},
+	})
+	var qs []client.BatchQuery
+	for i := 0; i < 16*limit+32; i++ {
+		qs = append(qs, client.BatchQuery{Q: int64(i * 7 % g.NumVertices()), K: 2})
+	}
+	items, err := tp.routerCl.Batch(t.Context(), qs, &client.BatchOptions{Algo: "appfast", Workers: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != len(qs) {
+		t.Fatalf("items = %d, want %d", len(items), len(qs))
+	}
+	legs.mu.Lock()
+	peak := legs.peak
+	legs.mu.Unlock()
+	if peak < 1 || peak > limit {
+		t.Fatalf("batch of %d queries with workers=100000 ran %d search legs at once, want 1..GOMAXPROCS (%d)",
+			len(qs), peak, limit)
 	}
 }
 

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -106,11 +107,6 @@ type Config struct {
 	// MaxBodyBytes caps every POST body; larger payloads are rejected with
 	// 413 before decoding. Default 1 MiB.
 	MaxBodyBytes int64
-	// WriterQueue and WriterBatch configure the snapshot engine's event
-	// queue capacity and maximum events applied per publication (defaults
-	// from internal/snapshot).
-	WriterQueue int
-	WriterBatch int
 	// StalenessBound is how far behind the leader a replica may be while
 	// still serving reads; beyond it, reads are shed with 503 + Retry-After
 	// (stale answers are worse than brief unavailability once the client has
@@ -148,9 +144,6 @@ type Config struct {
 	// GET /v1/subscribe; past it registrations fail with 429
 	// subscription_limit. Default 1024.
 	MaxSubscriptions int
-	// SubscribeHeartbeat is the SSE heartbeat interval on subscription
-	// streams (default 15s; tests shorten it).
-	SubscribeHeartbeat time.Duration
 	// QueryParallelism is the intra-query parallelism budget for /v1/query:
 	// a lone Exact or ExactPlus request fans its circle enumeration over up
 	// to this many goroutines. The budget is divided by the number of query
@@ -226,18 +219,13 @@ func New(name string, g *graph.Graph) *Server {
 
 // NewWithConfig creates a server over g with explicit configuration.
 func NewWithConfig(name string, g *graph.Graph, cfg Config) *Server {
-	return newServer(name, snapshot.New(g, snapshot.Options{
-		QueueLen: cfg.WriterQueue,
-		BatchMax: cfg.WriterBatch,
-		Metrics:  cfg.Metrics,
-	}), nil, nil, cfg)
+	return newServer(name, snapshot.New(g, snapshot.Options{Metrics: cfg.Metrics}), nil, nil, cfg)
 }
 
 // NewWithStore creates a server over an open durable store: writes ride the
 // store's write-ahead log (write-visible implies logged), the health
 // response gains the durability stats, and Close shuts the store down
-// (final checkpoint included). The store's engine options win over
-// cfg.WriterQueue/WriterBatch — they were fixed at store.Open.
+// (final checkpoint included).
 func NewWithStore(name string, st *store.Store, cfg Config) *Server {
 	return newServer(name, st.Engine(), st, nil, cfg)
 }
@@ -271,7 +259,6 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		SlowRequest:  cfg.SlowQueryThreshold,
 		TraceHook:    cfg.TraceHook,
 		MaxBodyBytes: cfg.MaxBodyBytes,
-		Heartbeat:    cfg.SubscribeHeartbeat,
 	}
 	s.queryDur = reg.HistogramVec("sac_query_duration_seconds",
 		"SAC search latency by algorithm (single queries and shard legs).", nil, "algo")
@@ -523,6 +510,19 @@ type BatchRequest struct {
 	Workers   int              `json:"workers,omitempty"`
 }
 
+// FanOut is the number of workers the batch runs on: the request's
+// "workers", clamped to GOMAXPROCS — which is also the default when the
+// field is absent, so a client can only lower the fan-out. The field arrives
+// from outside and every worker holds a searcher with its own caches (a
+// cold one per cross-shard query on the router), so it must not size
+// anything unclamped.
+func (r *BatchRequest) FanOut() int {
+	if limit := runtime.GOMAXPROCS(0); r.Workers <= 0 || r.Workers > limit {
+		return limit
+	}
+	return r.Workers
+}
+
 // BatchResponse carries per-query answers; failed queries have Error set.
 type BatchResponse struct {
 	Items []BatchItemJSON `json:"items"`
@@ -544,11 +544,57 @@ type CheckinRequest struct {
 	Y float64 `json:"y"`
 }
 
+// Validate checks the request against a graph of n vertices — the single
+// server's, or the whole topology's on a router — and on a violation writes
+// the error envelope and returns false.
+func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n int) bool {
+	if req.V < 0 || int(req.V) >= n {
+		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "v",
+			fmt.Sprintf("unknown vertex %d", req.V))
+		return false
+	}
+	// Reject non-finite coordinates before they reach the graph: NaN poisons
+	// every distance sort it touches and ±Inf breaks geom.MCC, silently, on
+	// queries that may run long after this request returned 200.
+	if !geom.Finite(req.X) || !geom.Finite(req.Y) {
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "x",
+			fmt.Sprintf("coordinates (%v, %v) must be finite", req.X, req.Y))
+		return false
+	}
+	return true
+}
+
 // EdgeRequest inserts or deletes one undirected friendship edge.
 type EdgeRequest struct {
 	U  graph.V `json:"u"`
 	V  graph.V `json:"v"`
 	Op string  `json:"op"` // insert | delete
+}
+
+// Validate checks the request against a graph of n vertices and decodes Op.
+// On a violation it writes the error envelope and returns ok false.
+func (req *EdgeRequest) Validate(w http.ResponseWriter, r *http.Request, n int) (insert, ok bool) {
+	for _, v := range [2]graph.V{req.U, req.V} {
+		if v < 0 || int(v) >= n {
+			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "",
+				fmt.Sprintf("unknown vertex %d", v))
+			return false, false
+		}
+	}
+	if req.U == req.V {
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "",
+			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
+		return false, false
+	}
+	switch req.Op {
+	case "insert":
+		return true, true
+	case "delete":
+		return false, true
+	}
+	httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "op",
+		fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
+	return false, false
 }
 
 // EdgeResponse reports the outcome of an edge update. Changed is false when
@@ -833,7 +879,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	items := batch.RunOn(ctx, snap, queries, batch.Options{
-		Workers:  req.Workers,
+		Workers:  req.FanOut(),
 		Template: template,
 	})
 	// A batch whose deadline actually cut queries short is a server-side
@@ -922,9 +968,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if req.V < 0 || int(req.V) >= s.eng.NumVertices() {
-		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "v",
-			fmt.Sprintf("unknown vertex %d", req.V))
+	if !req.Validate(w, r, s.eng.NumVertices()) {
 		return
 	}
 	// A sharded node only accepts check-ins for vertices it owns: a ghost's
@@ -935,14 +979,6 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "v",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
 				req.V, s.cfg.Shard.Map.OwnerOf(req.V), s.cfg.Shard.ID))
-		return
-	}
-	// Reject non-finite coordinates before they reach the graph: NaN poisons
-	// every distance sort it touches and ±Inf breaks geom.MCC, silently, on
-	// queries that may run long after this request returned 200.
-	if !geom.Finite(req.X) || !geom.Finite(req.Y) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "x",
-			fmt.Sprintf("coordinates (%v, %v) must be finite", req.X, req.Y))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -966,16 +1002,8 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	for _, v := range [2]graph.V{req.U, req.V} {
-		if v < 0 || int(v) >= s.eng.NumVertices() {
-			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "",
-				fmt.Sprintf("unknown vertex %d", v))
-			return
-		}
-	}
-	if req.U == req.V {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "",
-			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
+	insert, ok := req.Validate(w, r, s.eng.NumVertices())
+	if !ok {
 		return
 	}
 	// A sharded node materializes exactly the edges with at least one owned
@@ -984,17 +1012,6 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.U) && !s.cfg.Shard.Owns(req.V) {
 		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "",
 			fmt.Sprintf("edge (%d,%d) has no endpoint owned by shard %d", req.U, req.V, s.cfg.Shard.ID))
-		return
-	}
-	var insert bool
-	switch req.Op {
-	case "insert":
-		insert = true
-	case "delete":
-		insert = false
-	default:
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "op",
-			fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"sacsearch/internal/core"
+	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/store"
@@ -276,6 +278,55 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchWorkersClamped pins the bound on the client-supplied fan-out:
+// "workers" far above GOMAXPROCS must not size the worker set — every
+// worker is a pooled searcher clone with its own caches — and the batch
+// still answers every item.
+func TestBatchWorkersClamped(t *testing.T) {
+	limit := runtime.GOMAXPROCS(0)
+	if got := (&BatchRequest{Workers: 100000}).FanOut(); got != limit {
+		t.Fatalf("FanOut() = %d for workers 100000, want GOMAXPROCS = %d", got, limit)
+	}
+	if got := (&BatchRequest{}).FanOut(); got != limit {
+		t.Fatalf("FanOut() = %d for absent workers, want GOMAXPROCS = %d", got, limit)
+	}
+	if got := (&BatchRequest{Workers: 1}).FanOut(); got != 1 {
+		t.Fatalf("FanOut() = %d for workers 1, want 1", got)
+	}
+
+	// Queries slow enough (a 3000-vertex graph, every view cold) that an
+	// unclamped run has all its workers holding a clone at once.
+	b := gen.SocialGraph(3000, 13000, 5)
+	gen.PlaceSpatial(b, 0.03, 0.08, 6)
+	srv := New("test", b.Build())
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	req := BatchRequest{Workers: 100000}
+	for i := 0; i < 8*limit+16; i++ { // distinct vertices: none deduplicated away
+		req.Queries = append(req.Queries, BatchQueryJSON{Q: graph.V(i * 7), K: 3})
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d body %s", resp.StatusCode, body)
+	}
+	var out BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Items) != len(req.Queries) {
+		t.Fatalf("items = %d, want %d", len(out.Items), len(req.Queries))
+	}
+	var health struct {
+		PoolClones int `json:"poolClones"`
+	}
+	getJSON(t, ts.URL+"/v1/health", &health)
+	if health.PoolClones < 1 || health.PoolClones > limit {
+		t.Fatalf("batch of %d queries with workers=100000 made %d pool clones, want 1..GOMAXPROCS (%d)",
+			len(req.Queries), health.PoolClones, limit)
+	}
+}
+
 func TestCheckinMovesCommunities(t *testing.T) {
 	ts, g := newTestServer(t)
 	// Query before the move.
@@ -406,7 +457,7 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 		t.Fatalf("epsF=0 radius %v not tighter than default %v", exact.MCC.R, def.MCC.R)
 	}
 
-	// The batch path plumbs the same distinction through EpsFSet.
+	// The batch path carries the same distinction in its template's EpsF pointer.
 	mkBatch := func(epsF *float64) BatchRequest {
 		req := BatchRequest{EpsF: epsF}
 		req.Queries = append(req.Queries, struct {

@@ -37,5 +37,5 @@ func (s *Server) handleShardWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.feed.Detach(st)
-	subscribe.ServeSSE(w, r, st, replay, s.cfg.SubscribeHeartbeat)
+	subscribe.ServeSSE(w, r, st, replay)
 }

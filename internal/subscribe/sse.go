@@ -22,13 +22,17 @@ func ParseLastEventID(r *http.Request) (id uint64, ok bool) {
 	return id, true
 }
 
+// heartbeat is the interval between the comment lines that keep
+// intermediaries from closing an idle stream.
+const heartbeat = 15 * time.Second
+
 // ServeSSE pumps one attached stream over a text/event-stream response:
-// replay first, then live events, with comment heartbeats every heartbeat
+// replay first, then live events, with a comment line every heartbeat
 // interval so intermediaries keep the connection alive. It returns when the
 // client disconnects, the stream is shed (slow consumer) or closed (drain —
 // the terminal bye event has then already been written), or a write fails.
 // The caller owns Attach/Detach.
-func ServeSSE(w http.ResponseWriter, r *http.Request, st *Stream, replay []Event, heartbeat time.Duration) {
+func ServeSSE(w http.ResponseWriter, r *http.Request, st *Stream, replay []Event) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -46,9 +50,6 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, st *Stream, replay []Event
 		}
 	}
 	_ = rc.Flush()
-	if heartbeat <= 0 {
-		heartbeat = 15 * time.Second
-	}
 	hb := time.NewTicker(heartbeat)
 	defer hb.Stop()
 	for {

@@ -246,25 +246,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.child(nil, func() renderable { return &Gauge{} }).(*Gauge)
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(vals ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(vals, func() renderable { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVec returns a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.getFamily(name, help, "gauge", labels)}
-}
-
 // gaugeFunc renders a callback as a gauge sample.
 type gaugeFunc struct{ fn func() float64 }
 

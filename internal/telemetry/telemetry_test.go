@@ -42,8 +42,8 @@ sac_c 2.5
 // newline.
 func TestEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeVec("sac_esc", "help with \\ backslash\nand newline", "path").
-		With("a\\b\"c\nd").Set(1)
+	r.CounterVec("sac_esc", "help with \\ backslash\nand newline", "path").
+		With("a\\b\"c\nd").Inc()
 	got := render(r)
 	wantHelp := `# HELP sac_esc help with \\ backslash\nand newline`
 	wantSample := `sac_esc{path="a\\b\"c\nd"} 1`
@@ -143,7 +143,6 @@ func TestNilRegistry(t *testing.T) {
 	r.CounterVec("b", "x", "l").With("v").Inc()
 	r.Gauge("c", "x").Set(1)
 	r.Gauge("c", "x").Add(1)
-	r.GaugeVec("d", "x", "l").With("v").Set(1)
 	r.GaugeFunc("e", "x", func() float64 { return 1 })
 	r.CounterFunc("f", "x", func() uint64 { return 1 })
 	r.Histogram("g", "x", nil).Observe(1)

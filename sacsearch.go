@@ -394,19 +394,9 @@ type (
 	BatchQuery = batch.Query
 	// BatchItem is one answered batch query.
 	BatchItem = batch.Item
-	// BatchOptions configures workers, algorithm and parameters of a batch.
+	// BatchOptions configures a batch: the worker count and a Query template
+	// naming the algorithm and its parameters.
 	BatchOptions = batch.Options
-	// BatchAlgo selects the algorithm a batch runs.
-	BatchAlgo = batch.Algo
-)
-
-// Batch algorithm choices.
-const (
-	BatchAppFast   = batch.AlgoAppFast
-	BatchAppInc    = batch.AlgoAppInc
-	BatchAppAcc    = batch.AlgoAppAcc
-	BatchExactPlus = batch.AlgoExactPlus
-	BatchExact     = batch.AlgoExact
 )
 
 // BatchSource supplies searcher workers to a batch: a *Pool, or a published

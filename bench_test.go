@@ -616,34 +616,17 @@ func BenchmarkFig14ExactPlusEps(b *testing.B) {
 
 // --- Ablations (DESIGN.md §7) -----------------------------------------------
 
-// BenchmarkAblationBinarySearch compares AppFast's index-aware bracket
-// narrowing against plain midpoint bisection (same 2+εF guarantee).
-func BenchmarkAblationBinarySearch(b *testing.B) {
-	f := fixture(b)
-	b.Run("IndexAware", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.searcher.AppFast(f.query(i), benchK, 0.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PureBisect", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.searcher.AppFastBisect(f.query(i), benchK, 0.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationRangeQuery compares the uniform-grid circle range query
 // against a linear scan over all vertex locations.
 func BenchmarkAblationRangeQuery(b *testing.B) {
 	f := fixture(b)
 	g := f.ds.Graph
-	grid := spatial.NewGridForGraph(g, 8)
+	all := make([]sacsearch.V, g.NumVertices())
+	for v := range all {
+		all[v] = sacsearch.V(v)
+	}
+	var grid spatial.SubGrid
+	grid.Build(g, all, 8)
 	rng := rand.New(rand.NewSource(benchSeed))
 	circles := make([]geom.Circle, 64)
 	for i := range circles {

@@ -201,7 +201,7 @@ func measureParallel(g *graph.Graph, queries []graph.V, cfg exp.Config) float64 
 	if bestSize > 0 {
 		return max(
 			speedup(func() error { _, err := s.Exact(bestQ, cfg.K); return err }),
-			speedup(func() error { _, err := s.ExactPlusDefault(bestQ, cfg.K); return err }),
+			speedup(func() error { _, err := exp.ExactPlus(s, bestQ, cfg.K); return err }),
 		)
 	}
 	// Full-scale fallback: smallest feasible candidate at escalating k.
@@ -220,7 +220,7 @@ func measureParallel(g *graph.Graph, queries []graph.V, cfg exp.Config) float64 
 			}
 		}
 		if fbSize > 0 {
-			return speedup(func() error { _, err := s.ExactPlusDefault(fbQ, k); return err })
+			return speedup(func() error { _, err := exp.ExactPlus(s, fbQ, k); return err })
 		}
 	}
 	return 0

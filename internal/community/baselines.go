@@ -9,14 +9,11 @@
 //   - GeoModu — Chen et al. [4]: community detection by modularity
 //     maximization over geo-weighted edges (w = 1/d^µ), implemented with the
 //     Louvain method; the community containing the query vertex is returned.
-//   - RadiusOnly — the strawman of Section 5.2.2 (point 3): every vertex
-//     inside O(q, θ), with no structure requirement at all.
 package community
 
 import (
 	"container/heap"
 
-	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/kcore"
 )
@@ -135,21 +132,6 @@ func (s *Searcher) Local(q graph.V, k int) []graph.V {
 		return out
 	}
 	return nil
-}
-
-// RadiusOnly returns every vertex located inside O(q, θ), with no structure
-// requirement — the strawman community of Section 5.2.2 used to show that
-// locations alone are not enough.
-func (s *Searcher) RadiusOnly(q graph.V, theta float64) []graph.V {
-	c := geom.Circle{C: s.g.Loc(q), R: theta}
-	var out []graph.V
-	n := s.g.NumVertices()
-	for v := 0; v < n; v++ {
-		if c.Contains(s.g.Loc(graph.V(v))) {
-			out = append(out, graph.V(v))
-		}
-	}
-	return out
 }
 
 // AvgInternalDegree returns the average degree of the given vertices within

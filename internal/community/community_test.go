@@ -155,21 +155,6 @@ func TestLocalContainsQueryAndConnected(t *testing.T) {
 	}
 }
 
-func TestRadiusOnly(t *testing.T) {
-	g := twoCliques(4)
-	s := NewSearcher(g)
-	got := s.RadiusOnly(0, 0.2)
-	// Only the near clique (all within 0.2 of vertex 0).
-	if len(got) != 4 {
-		t.Fatalf("RadiusOnly = %v", got)
-	}
-	// Zero radius: just q (plus exact co-located vertices).
-	got = s.RadiusOnly(0, 0)
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("RadiusOnly(0) = %v", got)
-	}
-}
-
 func TestAvgInternalDegree(t *testing.T) {
 	g := twoCliques(4)
 	if got := AvgInternalDegree(g, []graph.V{0, 1, 2, 3}); got != 3 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"sacsearch/internal/geom"
@@ -49,41 +48,19 @@ func (st *appAccState) reset() {
 // threshold β = δ·εA/(√2(2+εA)) and gap α' = δ·εA/4, Lemma 7 bounds the
 // ratio by 1+εA.
 func (s *Searcher) AppAcc(q graph.V, k int, epsA float64) (*Result, error) {
-	return s.AppAccCtx(context.Background(), q, k, epsA)
+	return s.Search(context.Background(), Query{Algo: "appacc", Q: q, K: k, EpsA: &epsA})
 }
 
-// AppAccCtx is AppAcc with cancellation: the context is checked once per
-// anchor and once per anchor binary-search iteration, returning ErrCanceled
-// when it fires.
-func (s *Searcher) AppAccCtx(ctx context.Context, q graph.V, k int, epsA float64) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if epsA <= 0 || epsA >= 1 {
-		return nil, fmt.Errorf("core: εA = %v must be in (0,1)", epsA)
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	st, err := s.appAcc(q, k, epsA)
-	if err != nil {
-		return nil, err
-	}
-	if s.ctxErr != nil {
-		return s.ctxResult(nil, nil)
-	}
-	res := s.buildResult(q, k, st.members, st.delta)
-	return s.finish(res, start), nil
+// appAccBody is AppAcc's body.
+func (s *Searcher) appAccBody(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
+	st := s.appAcc(cand, q, k, p.epsA)
+	return st.members, st.delta, nil
 }
 
-// appAcc runs the full anchor refinement and returns its state.
-func (s *Searcher) appAcc(q graph.V, k int, epsA float64) (*appAccState, error) {
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
+// appAcc runs the full anchor refinement and returns its state. The context
+// is checked once per anchor and once per anchor binary-search iteration; a
+// canceled refinement returns the state as far as it got.
+func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *appAccState {
 	// Step 1: Φ, δ, γ via the εF = 0 binary search (Algorithm 4, line 2).
 	phi, delta := s.appFastSearch(cand, q, k, 0)
 	gamma := s.g.MCCOf(phi).R
@@ -97,7 +74,7 @@ func (s *Searcher) appAcc(q graph.V, k int, epsA float64) (*appAccState, error) 
 	if gamma <= geom.Eps {
 		// All of Φ sits at one point: radius 0 cannot be improved.
 		st.degenerate = true
-		return st, nil
+		return st
 	}
 
 	// Step 2: S ← the k-ĉore containing q within O(q, 2γ); by Corollary 2 it
@@ -121,13 +98,13 @@ func (s *Searcher) appAcc(q graph.V, k int, epsA float64) (*appAccState, error) 
 
 	for frontier.Len() > 0 && frontier.Half()*2 >= betaMin {
 		if s.canceled() {
-			return st, nil
+			return st
 		}
 		cells := frontier.Cells()
 		cover := cells[0].CoverRadius() // √2·β/2 for width β cells
 		for i := range cells {
 			if s.canceled() {
-				return st, nil
+				return st
 			}
 			cell := &cells[i]
 			// Pruning1: the optimal center o satisfies |o,q| ≤ ropt ≤ rcur,
@@ -168,7 +145,7 @@ func (s *Searcher) appAcc(q graph.V, k int, epsA float64) (*appAccState, error) 
 			return s.noPruning2 || c.InfeasibleR < st.rcur+c.CoverRadius()
 		})
 	}
-	return st, nil
+	return st
 }
 
 // anchorSearch binary-searches the smallest radius around anchor cell.C that

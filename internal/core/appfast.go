@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"sacsearch/internal/graph"
@@ -15,57 +14,13 @@ import (
 // the early-stopping gap α = r·εF/(2+εF) of Lemma 5. εF = 0 converges to
 // exactly the AppInc result Φ.
 func (s *Searcher) AppFast(q graph.V, k int, epsF float64) (*Result, error) {
-	return s.AppFastCtx(context.Background(), q, k, epsF)
+	return s.Search(context.Background(), Query{Algo: "appfast", Q: q, K: k, EpsF: &epsF})
 }
 
-// AppFastCtx is AppFast with cancellation: the context is checked once per
-// binary-search iteration, returning ErrCanceled when it fires.
-func (s *Searcher) AppFastCtx(ctx context.Context, q graph.V, k int, epsF float64) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if epsF < 0 {
-		return nil, fmt.Errorf("core: εF = %v must be non-negative", epsF)
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
-	members, delta := s.appFastSearch(cand, q, k, epsF)
-	if s.ctxErr != nil {
-		return s.ctxResult(nil, nil)
-	}
-	return s.finish(s.buildResult(q, k, members, delta), start), nil
-}
-
-// AppFastBisect is AppFast with the candidate-index refinements disabled:
-// the bracket is narrowed by plain midpoint bisection (l ← r on an
-// infeasible probe) instead of snapping l to the next candidate distance and
-// u to max|q,v| over the found community. It exists only so the ablation
-// benchmarks can quantify what the index-aware narrowing buys; the guarantee
-// is the same (2+εF).
-func (s *Searcher) AppFastBisect(q graph.V, k int, epsF float64) (*Result, error) {
-	start := s.begin()
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if epsF < 0 {
-		return nil, fmt.Errorf("core: εF = %v must be non-negative", epsF)
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
-	members, delta := s.appFastBisectSearch(cand, q, k, epsF)
-	return s.finish(s.buildResult(q, k, members, delta), start), nil
+// appFast is AppFast's body.
+func (s *Searcher) appFast(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
+	members, delta := s.appFastSearch(cand, q, k, p.epsF)
+	return members, delta, nil
 }
 
 // queryNeighborLowerBound returns the distance to q's needQ-th nearest
@@ -93,46 +48,12 @@ func (s *Searcher) queryNeighborLowerBound(cand *candidateSet, q graph.V, needQ 
 	return nbr[needQ-1]
 }
 
-// appFastBisectSearch is appFastSearch without the candidate-distance
-// snapping: pure midpoint bisection with the Lemma 5 stopping gap.
-func (s *Searcher) appFastBisectSearch(cand *candidateSet, q graph.V, k int, epsF float64) ([]graph.V, float64) {
-	l := s.queryNeighborLowerBound(cand, q, s.minQueryNeighbors(k))
-	u := cand.maxDist()
-
-	best := append(s.fastBuf[:0], cand.verts...)
-	s.fastBuf = best
-	bestDelta := u
-
-	for u-l > 1e-8 {
-		if s.canceled() {
-			break
-		}
-		s.stats.BinaryIters++
-		r := (l + u) / 2
-		alpha := r * epsF / (2 + epsF)
-		S := cand.prefixWithin(r)
-		if c := s.feasible(S, q, k); c != nil {
-			best = append(best[:0], c...)
-			bestDelta = s.maxDistFrom(s.g.Loc(q), c)
-			if r-l <= alpha {
-				return best, bestDelta
-			}
-			u = r
-		} else {
-			if u-r <= alpha {
-				return best, bestDelta
-			}
-			l = r
-		}
-	}
-	return best, bestDelta
-}
-
 // appFastSearch runs the radius binary search over the candidate set and
 // returns the best community found together with the radius δ of the
 // smallest q-centered circle known to contain it. The returned slice is
-// scratch-owned (valid until the next appFastSearch / appFastBisectSearch
-// call on this Searcher); callers that retain it must copy.
+// scratch-owned (valid until the next appFastSearch call on this Searcher);
+// callers that retain it must copy. The context is checked once per
+// binary-search iteration.
 func (s *Searcher) appFastSearch(cand *candidateSet, q graph.V, k int, epsF float64) ([]graph.V, float64) {
 	// Lower/upper bounds of Eq (1): any feasible solution keeps at least
 	// minQueryNeighbors(k) of q's neighbors inside the circle, so δ is at

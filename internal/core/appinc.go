@@ -13,32 +13,19 @@ import (
 //
 // The returned Result carries Φ (Members), γ (MCC.R) and δ (Delta).
 func (s *Searcher) AppInc(q graph.V, k int) (*Result, error) {
-	return s.AppIncCtx(context.Background(), q, k)
+	return s.Search(context.Background(), Query{Algo: "appinc", Q: q, K: k})
 }
 
-// AppIncCtx is AppInc with cancellation: the context is checked once per
-// grown prefix, returning ErrCanceled when it fires.
-func (s *Searcher) AppIncCtx(ctx context.Context, q graph.V, k int) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
-
+// appInc is AppInc's body: the growth loop, which checks the context once
+// per grown prefix.
+func (s *Searcher) appInc(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	// inX marks the growing prefix S; qNbrs counts |S ∩ nb(q)|.
 	s.inX.Reset()
 	qNbrs := 0
 	needQ := s.minQueryNeighbors(k)
 	for i, v := range cand.verts {
 		if s.canceled() {
-			return s.ctxResult(nil, nil)
+			return nil, 0, nil
 		}
 		s.inX.Mark(v)
 		if v != q && s.g.HasEdge(q, v) {
@@ -63,7 +50,7 @@ func (s *Searcher) AppIncCtx(ctx context.Context, q graph.V, k int) (*Result, er
 			}
 		}
 		if c := s.feasible(cand.verts[:i+1], q, k); c != nil {
-			return s.finish(s.buildResult(q, k, c, cand.dist(i)), start), nil
+			return c, cand.dist(i), nil
 		}
 	}
 	// The full candidate set X is itself feasible (it is q's connected
@@ -71,7 +58,7 @@ func (s *Searcher) AppIncCtx(ctx context.Context, q graph.V, k int) (*Result, er
 	// necessary-condition bookkeeping skipped the final check — or a
 	// cancellation inside the oracle build answered it nil; run it.
 	if c := s.feasible(cand.verts, q, k); c != nil {
-		return s.finish(s.buildResult(q, k, c, cand.maxDist()), start), nil
+		return c, cand.maxDist(), nil
 	}
-	return s.ctxResult(nil, ErrNoCommunity)
+	return nil, 0, ErrNoCommunity
 }

@@ -14,6 +14,11 @@
 //	ExactPlus — Algorithm 5, ratio 1,      AppAcc + O(m·|F1|³)
 //	ThetaSAC  — Global [29] restricted to the circle O(q, θ)
 //
+// Every query enters through Searcher.Search, which validates it against the
+// algorithm registry (registry.go) and runs the chosen algorithm's body
+// through the one query lifecycle (Searcher.run); the per-algorithm methods
+// are one-line conveniences that build a Query and call Search.
+//
 // Structure cohesiveness is pluggable: the default is the minimum-degree
 // k-core metric; the k-truss and k-clique metrics (Section 3 "Remarks") are
 // available via StructureKTruss and StructureKClique.
@@ -317,21 +322,11 @@ func (s *Searcher) Graph() *graph.Graph { return s.g }
 // CoreNumber returns the k-core number of v.
 func (s *Searcher) CoreNumber(v graph.V) int { return int(s.cores[v]) }
 
-// checkQuery validates q and k.
-func (s *Searcher) checkQuery(q graph.V, k int) error {
-	if q < 0 || int(q) >= s.g.NumVertices() {
-		return fmt.Errorf("core: query vertex %d out of range [0,%d)", q, s.g.NumVertices())
-	}
-	if k < 0 {
-		return fmt.Errorf("core: k = %d must be non-negative", k)
-	}
-	return nil
-}
-
-// trivialK reports whether k is below the threshold where the community is
-// just q (k = 0) or q plus its nearest neighbor (Section 4.1), and builds
-// that result. handled is true when the query was resolved here.
-func (s *Searcher) trivialK(q graph.V, k int) (res *Result, handled bool, err error) {
+// trivialK resolves the orders at which the optimum needs no search
+// (Section 4.1): q alone for a 1-clique, q plus its nearest neighbor when a
+// single edge already satisfies the structure. handled is true when the
+// query was resolved here.
+func (s *Searcher) trivialK(q graph.V, k int) (members []graph.V, delta float64, handled bool, err error) {
 	limit := 1 // k-core: k=1 pairs with the nearest neighbor
 	switch s.structure {
 	case StructureKTruss:
@@ -339,21 +334,18 @@ func (s *Searcher) trivialK(q graph.V, k int) (res *Result, handled bool, err er
 	case StructureKClique:
 		if k == 1 {
 			// q alone is a 1-clique: the optimal community has radius 0.
-			return s.buildResult(q, k, []graph.V{q}, 0), true, nil
+			return []graph.V{q}, 0, true, nil
 		}
 		limit = 2 // a 2-clique is just an edge
 	}
-	if k == 0 {
-		return s.buildResult(q, k, []graph.V{q}, 0), true, nil
+	if k > limit {
+		return nil, 0, false, nil
 	}
-	if k <= limit {
-		nn := s.g.NearestNeighbor(q)
-		if nn < 0 {
-			return nil, true, ErrNoCommunity
-		}
-		return s.buildResult(q, k, []graph.V{q, nn}, s.g.Dist(q, nn)), true, nil
+	nn := s.g.NearestNeighbor(q)
+	if nn < 0 {
+		return nil, 0, true, ErrNoCommunity
 	}
-	return nil, false, nil
+	return []graph.V{q, nn}, s.g.Dist(q, nn), true, nil
 }
 
 // feasible returns the maximal connected structure (k-core or k-truss)
@@ -515,40 +507,71 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	return s.bindCand(q, vw.verts), nil
 }
 
+// deltaIsRadius is the δ a body returns to report the result's own MCC
+// radius (the exact algorithms): the radius over the sorted members, not the
+// scan's running value, whose last bits depend on the order the winning
+// feasibility check happened to emit the community in.
+const deltaIsRadius = -1
+
 // buildResult copies members, computes their MCC and snapshots the stats.
 func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float64) *Result {
 	ms := make([]graph.V, len(members))
 	copy(ms, members)
 	slices.Sort(ms)
 	s.ptsBuf = s.g.Points(ms, s.ptsBuf[:0])
-	res := &Result{
+	mcc := geom.MCC(s.ptsBuf)
+	if delta == deltaIsRadius {
+		delta = mcc.R
+	}
+	return &Result{
 		Query:   q,
 		K:       k,
 		Members: ms,
-		MCC:     geom.MCC(s.ptsBuf),
+		MCC:     mcc,
 		Delta:   delta,
 		Stats:   s.stats,
 	}
-	return res
 }
 
-// begin resets the per-query state and returns the start time.
-func (s *Searcher) begin() time.Time {
-	s.stats = Stats{}
-	s.curEntry = nil
-	s.curView = nil
-	s.qctx = nil
-	s.ctxErr = nil
-	s.qdeadline = time.Time{}
-	return time.Now()
-}
+// algoBody is what one algorithm contributes to a query: from the armed
+// searcher, the candidate set, q, k and the resolved parameters to the
+// community and its δ. The returned slice may be scratch-owned; run copies
+// it.
+type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolvedParams) (members []graph.V, delta float64, err error)
 
-// finish stamps elapsed time onto the result.
-func (s *Searcher) finish(res *Result, start time.Time) *Result {
-	if res != nil {
-		res.Stats.Elapsed = time.Since(start)
+// run is the query lifecycle, the only place one runs: reset the per-query
+// state and arm ctx, open the way Algorithm 1 does (lines 2-3: trivial k,
+// then q's k-ĉore sorted by distance from q), hand the candidate set to the
+// algorithm's body, and turn what it found — or the cancellation it latched —
+// into the Result. circleOnly is θ-SAC, which gathers from O(q, θ) instead of
+// the candidate set and has no trivial k; its body gets a nil cand.
+func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, body algoBody, circleOnly bool) (*Result, error) {
+	start := time.Now()
+	s.begin(ctx)
+	var (
+		cand    *candidateSet
+		members []graph.V
+		delta   float64
+		handled bool
+		err     error
+	)
+	if !circleOnly {
+		if members, delta, handled, err = s.trivialK(q, k); !handled {
+			cand, err = s.candidates(q, k)
+		}
 	}
-	return res
+	if !handled && err == nil {
+		members, delta, err = body(s, cand, q, k, p)
+	}
+	if s.ctxErr != nil {
+		return nil, s.canceledError()
+	}
+	if err != nil {
+		return nil, err
+	}
+	res := s.buildResult(q, k, members, delta)
+	res.Stats.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // maxDistFrom returns the largest distance from p to any member's location.

@@ -279,17 +279,9 @@ func TestSeparateComponent(t *testing.T) {
 func TestTrivialK(t *testing.T) {
 	g := figure3()
 	s := NewSearcher(g)
-	// k = 0: just q.
-	res, err := s.Exact(vQ, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !membersEqual(res.Members, vQ) || res.Radius() != 0 {
-		t.Fatalf("k=0 result = %v r=%v", res.Members, res.Radius())
-	}
 	// k = 1: q plus its nearest neighbor (A, B and D tie at √5; the
 	// smallest-distance neighbor scanned first wins — A).
-	res, err = s.AppInc(vQ, 1)
+	res, err := s.AppInc(vQ, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,19 +7,18 @@ import (
 	"time"
 )
 
-// Context-aware query execution. Every algorithm has a *Ctx variant that
-// checks the context at its loop boundaries — each binary-search iteration,
-// each circle-enumeration step, each anchor — so an abandoned HTTP client or
-// an expired batch deadline stops burning CPU mid-query instead of running a
-// multi-second Exact to completion. The plain variants delegate to the *Ctx
-// ones with a background context and compile down to the same code path; a
-// context with no cancellation costs nothing per iteration.
+// Context-aware query execution. Search takes the context and run arms it;
+// the algorithm bodies check it at their loop boundaries — each binary-search
+// iteration, each circle-enumeration step, each anchor — so an abandoned HTTP
+// client or an expired batch deadline stops burning CPU mid-query instead of
+// running a multi-second Exact to completion. A context with no cancellation
+// (what the per-algorithm conveniences pass) costs nothing per iteration.
 //
 // Cancellation is sticky per query: the first loop boundary that observes
 // ctx.Err() latches it, every later boundary short-circuits on the latched
-// value without re-querying the context, and the top of the call stack
-// converts it into ErrCanceled. Partial per-query state is discarded by the
-// next query's begin, so a canceled Searcher is immediately reusable.
+// value without re-querying the context, and run converts it into
+// ErrCanceled. Partial per-query state is discarded by the next query's
+// begin, so a canceled Searcher is immediately reusable.
 
 // ErrCanceled is returned when a query's context is canceled or its deadline
 // expires before the query completes. The underlying context error is
@@ -27,14 +26,20 @@ import (
 // errors.Is(err, context.DeadlineExceeded) also report the cause.
 var ErrCanceled = errors.New("core: query canceled")
 
-// beginCtx is begin plus context arming. A context that can never be
-// canceled (nil Done channel: Background, TODO, pure value contexts) is not
-// stored, so the per-iteration check reduces to one nil comparison. The
+// begin resets the per-query state and arms ctx. A context that can never
+// be canceled (nil Done channel: Background, TODO, pure value contexts) is
+// not stored, so the per-iteration check reduces to one nil comparison. The
 // deadline, if any, is captured so canceled can consult the clock directly:
 // a saturated GOMAXPROCS=1 process can delay the context's own timer
 // goroutine by a full preemption quantum (~10ms), and a compute loop that
 // polls Err would inherit that delay.
-func (s *Searcher) beginCtx(ctx context.Context) {
+func (s *Searcher) begin(ctx context.Context) {
+	s.stats = Stats{}
+	s.curEntry = nil
+	s.curView = nil
+	s.qctx = nil
+	s.ctxErr = nil
+	s.qdeadline = time.Time{}
 	if ctx != nil && ctx.Done() != nil {
 		s.qctx = ctx
 		if d, ok := ctx.Deadline(); ok {
@@ -86,14 +91,4 @@ func (s *Searcher) canceledTick() bool {
 // canceledError wraps the latched context error in ErrCanceled.
 func (s *Searcher) canceledError() error {
 	return fmt.Errorf("%w: %w", ErrCanceled, s.ctxErr)
-}
-
-// ctxResult converts the latched cancellation into the (nil, ErrCanceled)
-// return, or passes (res, err) through untouched when the query ran to
-// completion.
-func (s *Searcher) ctxResult(res *Result, err error) (*Result, error) {
-	if s.ctxErr != nil {
-		return nil, s.canceledError()
-	}
-	return res, err
 }

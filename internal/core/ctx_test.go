@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,77 +55,87 @@ func ctxTestGraph() *graph.Graph {
 	return b.Build()
 }
 
-type ctxAlgo struct {
-	name string
-	run  func(s *Searcher, ctx context.Context) (*Result, error)
-}
-
-func ctxAlgos() []ctxAlgo {
-	return []ctxAlgo{
-		{"ExactCtx", func(s *Searcher, ctx context.Context) (*Result, error) { return s.ExactCtx(ctx, 0, 4) }},
-		{"AppIncCtx", func(s *Searcher, ctx context.Context) (*Result, error) { return s.AppIncCtx(ctx, 0, 4) }},
-		{"AppFastCtx", func(s *Searcher, ctx context.Context) (*Result, error) { return s.AppFastCtx(ctx, 0, 4, 0) }},
-		{"AppAccCtx", func(s *Searcher, ctx context.Context) (*Result, error) { return s.AppAccCtx(ctx, 0, 4, 0.3) }},
-		{"ExactPlusCtx", func(s *Searcher, ctx context.Context) (*Result, error) { return s.ExactPlusCtx(ctx, 0, 4, 0.3) }},
+// ctxQueries is one query per registered algorithm on ctxTestGraph, so a new
+// registry entry is cancellation-tested without being listed here.
+func ctxQueries(t *testing.T) []Query {
+	t.Helper()
+	var qs []Query
+	for _, spec := range Algorithms() {
+		q := Query{Algo: spec.Name, Q: 0, K: 4}
+		for _, p := range spec.Params {
+			v := 0.3
+			if p.Name == "epsF" {
+				v = 0 // AppFast(0): the most binary-search iterations
+			}
+			if err := q.SetParam(p.Name, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qs = append(qs, q)
 	}
+	return qs
 }
 
-// TestCtxCancellationBounded fires the context mid-run and asserts each
-// algorithm (a) returns ErrCanceled wrapping the context error, and (b)
-// performs at most one further loop-boundary check after the firing one —
-// the latch in Searcher.canceled.
+// TestCtxCancellationBounded fires the context mid-query and asserts that
+// Search, for every registered algorithm, (a) returns ErrCanceled wrapping
+// the context error, (b) performs at most one further loop-boundary check
+// after the firing one — the latch in Searcher.canceled — and (c) leaves the
+// searcher reusable.
 func TestCtxCancellationBounded(t *testing.T) {
 	g := ctxTestGraph()
-	for _, a := range ctxAlgos() {
+	for _, q := range ctxQueries(t) {
 		s := NewSearcher(g)
 
 		// Dry run on a fuse that never blows: counts the algorithm's total
 		// loop-boundary checks, proving the canceled run below fires mid-run
-		// rather than after completion.
+		// rather than after completion. θ-SAC has two (before its BFS, before
+		// its peel); everything else has many.
 		dry := newCountdown(math.MaxInt64)
-		if _, err := a.run(s, dry); err != nil {
-			t.Fatalf("%s dry run: %v", a.name, err)
+		want, err := s.Search(dry, q)
+		if err != nil {
+			t.Fatalf("%s dry run: %v", q.Algo, err)
 		}
 		total := dry.calls.Load()
-		if total < 4 {
-			t.Fatalf("%s: only %d loop-boundary checks; graph too small for a mid-run cancel", a.name, total)
+		if total < 2 {
+			t.Fatalf("%s: only %d loop-boundary checks; no mid-run cancel possible", q.Algo, total)
 		}
 
 		fuse := total / 2
 		cd := newCountdown(fuse)
-		res, err := a.run(s, cd)
+		res, err := s.Search(cd, q)
 		if res != nil || !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s canceled: res=%v err=%v, want ErrCanceled", a.name, res, err)
+			t.Fatalf("%s canceled: res=%v err=%v, want ErrCanceled", q.Algo, res, err)
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s canceled: %v does not wrap context.Canceled", a.name, err)
+			t.Fatalf("%s canceled: %v does not wrap context.Canceled", q.Algo, err)
 		}
 		if after := cd.calls.Load() - fuse; after > 1 {
-			t.Fatalf("%s: %d loop-boundary checks after the context fired, want ≤ 1", a.name, after)
+			t.Fatalf("%s: %d loop-boundary checks after the context fired, want ≤ 1", q.Algo, after)
 		}
 
-		// The searcher is immediately reusable: the next query must succeed
-		// with no residue from the canceled one.
-		if _, err := a.run(s, context.Background()); err != nil {
-			t.Fatalf("%s after cancel: %v", a.name, err)
+		// The searcher is immediately reusable: the next query must give the
+		// dry run's answer, with no residue from the canceled one.
+		got, err := s.Search(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s after cancel: %v", q.Algo, err)
+		}
+		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
+			t.Fatalf("%s after cancel: answer differs from the one before it", q.Algo)
 		}
 	}
 }
 
 // TestCtxPreCanceled covers the already-dead-context path for every
-// algorithm including θ-SAC (whose single O(m) phases make a mid-run fuse
-// meaningless).
+// algorithm.
 func TestCtxPreCanceled(t *testing.T) {
 	g := ctxTestGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	algos := append(ctxAlgos(), ctxAlgo{"ThetaSACCtx",
-		func(s *Searcher, c context.Context) (*Result, error) { return s.ThetaSACCtx(c, 0, 4, 0.2) }})
-	for _, a := range algos {
+	for _, q := range ctxQueries(t) {
 		s := NewSearcher(g)
-		res, err := a.run(s, ctx)
+		res, err := s.Search(ctx, q)
 		if res != nil || !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s pre-canceled: res=%v err=%v", a.name, res, err)
+			t.Fatalf("%s pre-canceled: res=%v err=%v", q.Algo, res, err)
 		}
 	}
 }
@@ -136,15 +147,15 @@ func TestCtxDeadlineExceededIsWrapped(t *testing.T) {
 	s := NewSearcher(g)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := s.ExactCtx(ctx, 0, 4)
+	_, err := s.Search(ctx, Query{Algo: "exact", Q: 0, K: 4})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }
 
-// TestCtxBackgroundUnchanged pins that the plain entry points still answer
-// queries and that a background context costs no Err calls at all (the
-// nil-Done fast path).
+// TestCtxBackgroundUnchanged pins that a context that can never be canceled
+// is not armed at all (the nil-Done fast path), and that the convenience
+// methods are Search on such a context.
 func TestCtxBackgroundUnchanged(t *testing.T) {
 	g := ctxTestGraph()
 	s := NewSearcher(g)
@@ -152,11 +163,14 @@ func TestCtxBackgroundUnchanged(t *testing.T) {
 	if err != nil || len(res.Members) == 0 {
 		t.Fatalf("Exact: %v %v", res, err)
 	}
-	res2, err := s.ExactCtx(context.Background(), 0, 4)
+	if s.qctx != nil {
+		t.Fatal("a background context was armed")
+	}
+	res2, err := s.Search(context.Background(), Query{Algo: "exact", Q: 0, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Members) != len(res2.Members) || res.MCC != res2.MCC {
-		t.Fatalf("ExactCtx(Background) diverged: %v vs %v", res.Members, res2.Members)
+	if !slices.Equal(res.Members, res2.Members) || res.MCC != res2.MCC || res.Delta != res2.Delta {
+		t.Fatalf("Search(Background) diverged from Exact: %v vs %v", res.Members, res2.Members)
 	}
 }

@@ -19,25 +19,13 @@ import (
 // Worst-case cost is O(m·n³); this is the paper's deliberately naive
 // baseline and is only practical on small graphs.
 func (s *Searcher) Exact(q graph.V, k int) (*Result, error) {
-	return s.ExactCtx(context.Background(), q, k)
+	return s.Search(context.Background(), Query{Algo: "exact", Q: q, K: k})
 }
 
-// ExactCtx is Exact with cancellation: the context is checked once per
-// enumerated candidate pair (bounding the work after cancellation to the
-// triples of one pair), returning ErrCanceled when it fires.
-func (s *Searcher) ExactCtx(ctx context.Context, q graph.V, k int) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
+// exact is Exact's body. The context is checked once per enumerated
+// candidate pair, bounding the work after cancellation to the triples of one
+// pair.
+func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	X := cand.verts
 	qLoc := s.g.Loc(q)
 
@@ -84,7 +72,7 @@ func (s *Searcher) ExactCtx(ctx context.Context, q graph.V, k int) (*Result, err
 	}
 
 	if ws := s.parWorkersFor(len(X) - 2); ws != nil {
-		if r, c, ok := s.exactScanPar(ctx, ws, X, qLoc, q, k, rcur); ok {
+		if r, c, ok := s.exactScanPar(ws, X, qLoc, q, k, rcur); ok {
 			rcur = r
 			best = append(best[:0], c...)
 		}
@@ -119,15 +107,7 @@ func (s *Searcher) ExactCtx(ctx context.Context, q graph.V, k int) (*Result, err
 		}
 	}
 	s.bestBuf = best
-	if s.ctxErr != nil {
-		return s.ctxResult(nil, nil)
-	}
-	// δ is the optimum's radius as the result reports it (over the sorted
-	// members), not rcur, whose last bits depend on the order the winning
-	// feasibility check happened to emit the community in.
-	res := s.buildResult(q, k, best, rcur)
-	res.Delta = res.MCC.R
-	return s.finish(res, start), nil
+	return best, deltaIsRadius, nil
 }
 
 // gridTargetPerCell is the bucket occupancy the per-query candidate grid

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -20,34 +19,21 @@ const sqrt3 = 1.7320508075688772
 // from F1 — typically orders of magnitude fewer than Exact's — with the
 // Lemma 2 distance filters √3·r⁻ ≤ |v1,v2| ≤ 2·rcur.
 func (s *Searcher) ExactPlus(q graph.V, k int, epsA float64) (*Result, error) {
-	return s.ExactPlusCtx(context.Background(), q, k, epsA)
+	return s.Search(context.Background(), Query{Algo: "exact+", Q: q, K: k, EpsA: &epsA})
 }
 
-// ExactPlusCtx is ExactPlus with cancellation: the AppAcc phase checks per
+// exactPlus is ExactPlus's body. The AppAcc phase checks the context per
 // anchor and per binary-search iteration, the enumeration phase once per F1
-// pair, returning ErrCanceled when the context fires.
-func (s *Searcher) ExactPlusCtx(ctx context.Context, q graph.V, k int, epsA float64) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if epsA <= 0 || epsA >= 1 {
-		return nil, fmt.Errorf("core: εA = %v must be in (0,1)", epsA)
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finish(res, start), err
-	}
-	st, err := s.appAcc(q, k, epsA)
-	if err != nil {
-		return nil, err
-	}
+// pair.
+func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
+	epsA := p.epsA
+	st := s.appAcc(cand, q, k, epsA)
 	if s.ctxErr != nil {
-		return s.ctxResult(nil, nil)
+		return nil, 0, nil
 	}
 	if st.degenerate {
 		// γ = 0: Φ has radius 0, which is optimal.
-		return s.finish(s.buildResult(q, k, st.members, st.delta), start), nil
+		return st.members, st.delta, nil
 	}
 
 	// Annulus bounds around surviving anchors (Eqs. 7 and 8).
@@ -107,7 +93,7 @@ func (s *Searcher) ExactPlusCtx(ctx context.Context, q graph.V, k int, epsA floa
 	// Algorithm 5, lines 6-10. rcur tightens as better solutions appear,
 	// narrowing the filters further.
 	if ws := s.parWorkersFor(len(f1)); ws != nil {
-		if r, c, ok := s.exactPlusScanPar(ctx, ws, f1, rMinus, qLoc, q, k, rcur); ok {
+		if r, c, ok := s.exactPlusScanPar(ws, f1, rMinus, qLoc, q, k, rcur); ok {
 			rcur = r
 			best = append(best[:0], c...)
 		}
@@ -150,23 +136,5 @@ func (s *Searcher) ExactPlusCtx(ctx context.Context, q graph.V, k int, epsA floa
 		}
 	}
 	s.bestBuf = best
-	if s.ctxErr != nil {
-		return s.ctxResult(nil, nil)
-	}
-	// δ is the optimum's radius as the result reports it (over the sorted
-	// members), not rcur, whose last bits depend on the order the winning
-	// feasibility check happened to emit the community in.
-	res := s.buildResult(q, k, best, rcur)
-	res.Delta = res.MCC.R
-	return s.finish(res, start), nil
-}
-
-// exactPlusDefaultEps is the εA the paper uses for Exact+ in the efficiency
-// experiments (Figure 12, εA = 10⁻⁴ — our unit-square datasets are smaller,
-// so 10⁻³ yields the same |F1| regime at lower anchor cost).
-const exactPlusDefaultEps = 1e-3
-
-// ExactPlusDefault runs ExactPlus with the default εA.
-func (s *Searcher) ExactPlusDefault(q graph.V, k int) (*Result, error) {
-	return s.ExactPlus(q, k, exactPlusDefaultEps)
+	return best, deltaIsRadius, nil
 }

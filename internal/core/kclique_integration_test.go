@@ -106,21 +106,19 @@ func TestKCliqueTrivialK(t *testing.T) {
 	g := figure3()
 	s := NewSearcherWithStructure(g, StructureKClique)
 
-	// k = 0 and k = 1: q alone (a vertex is a 1-clique).
-	for k := 0; k <= 1; k++ {
-		res, err := s.AppFast(vQ, k, 0.5)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !membersEqual(res.Members, vQ) {
-			t.Fatalf("k=%d members = %v, want {Q}", k, res.Members)
-		}
-		if res.Radius() != 0 {
-			t.Fatalf("k=%d radius = %v, want 0", k, res.Radius())
-		}
+	// k = 1: q alone (a vertex is a 1-clique).
+	res, err := s.AppFast(vQ, 1, 0.5)
+	if err != nil {
+		t.Fatalf("k=1: %v", err)
+	}
+	if !membersEqual(res.Members, vQ) {
+		t.Fatalf("k=1 members = %v, want {Q}", res.Members)
+	}
+	if res.Radius() != 0 {
+		t.Fatalf("k=1 radius = %v, want 0", res.Radius())
 	}
 	// k = 2: q plus its nearest neighbor (an edge is a 2-clique).
-	res, err := s.ExactPlus(vQ, 2, 0.1)
+	res, err = s.ExactPlus(vQ, 2, 0.1)
 	if err != nil {
 		t.Fatalf("k=2: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -90,7 +91,6 @@ func TestCachedMatchesUncachedAlgorithms(t *testing.T) {
 				{"AppInc", func(s *Searcher) (*Result, error) { return s.AppInc(q, k) }},
 				{"AppFast0", func(s *Searcher) (*Result, error) { return s.AppFast(q, k, 0) }},
 				{"AppFast05", func(s *Searcher) (*Result, error) { return s.AppFast(q, k, 0.5) }},
-				{"AppFastBisect", func(s *Searcher) (*Result, error) { return s.AppFastBisect(q, k, 0.5) }},
 				{"AppAcc", func(s *Searcher) (*Result, error) { return s.AppAcc(q, k, 0.4) }},
 				{"Exact", func(s *Searcher) (*Result, error) { return s.Exact(q, k) }},
 				{"ExactPlus", func(s *Searcher) (*Result, error) { return s.ExactPlus(q, k, 0.2) }},
@@ -156,7 +156,7 @@ func TestPrefixOracleDuplicateDistances(t *testing.T) {
 			if s.CoreNumber(q) < k {
 				continue
 			}
-			s.begin()
+			s.begin(context.Background())
 			cand, err := s.candidates(q, k)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -324,7 +324,7 @@ func TestViewRebuildDoesNotAllocate(t *testing.T) {
 		}
 	}
 	rebuild := func(q graph.V) {
-		s.begin()
+		s.begin(context.Background())
 		cand, err := s.candidates(q, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -364,22 +364,22 @@ func TestCancelInsideOracleBuild(t *testing.T) {
 	}
 
 	s := NewSearcher(g)
-	s.begin()
+	s.begin(context.Background())
 	if _, err := s.candidates(q, 4); err != nil {
 		t.Fatal(err)
 	}
-	s.beginCtx(newCountdown(0))
+	s.qctx = newCountdown(0)
 	if s.buildPrefixOracle(s.curEntry, s.curView, q, 4) || s.curView.oracle.built {
 		t.Fatal("oracle build completed under a dead context")
 	}
 
 	dry := newCountdown(math.MaxInt64)
-	if _, err := s.AppIncCtx(dry, q, 4); err != nil {
+	if _, err := s.Search(dry, Query{Algo: "appinc", Q: q, K: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for fuse := int64(0); fuse < dry.calls.Load(); fuse++ {
 		g.SetLoc(q, g.Loc(q)) // stale the view so the build runs again
-		if res, err := s.AppIncCtx(newCountdown(fuse), q, 4); res != nil || !errors.Is(err, ErrCanceled) {
+		if res, err := s.Search(newCountdown(fuse), Query{Algo: "appinc", Q: q, K: 4}); res != nil || !errors.Is(err, ErrCanceled) {
 			t.Fatalf("fuse %d: res=%v err=%v, want ErrCanceled", fuse, res, err)
 		}
 		got, err := s.AppInc(q, 4)

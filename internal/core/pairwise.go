@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -52,20 +52,23 @@ func DiameterOf(g *graph.Graph, members []graph.V) float64 {
 // and returns the maximal community inside it (diameter ≤ 2δ ≤ 2·Dopt).
 // Result.Delta carries the achieved diameter.
 func (s *Searcher) MinDiam2Approx(q graph.V, k int) (*Result, error) {
-	start := s.begin()
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finishDiam(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
+	return s.minDiam(q, k, (*Searcher).minDiam2Approx)
+}
+
+func (s *Searcher) minDiam2Approx(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	members, _ := s.appFastSearch(cand, q, k, 0)
-	res := s.buildResult(q, k, members, 0)
-	return s.finishDiam(res, start), nil
+	return members, DiameterOf(s.g, members), nil
+}
+
+// minDiam runs one minimum-diameter body through the query lifecycle. The
+// variants are not in the wire registry, so (q, k) is checked as the
+// registry checks it for any query; trivial k needs no body, its δ (the
+// distance from q to its nearest neighbor, or 0) being the diameter already.
+func (s *Searcher) minDiam(q graph.V, k int, body algoBody) (*Result, error) {
+	if err := s.ValidateQuery(Query{Q: q, K: k}); err != nil {
+		return nil, err
+	}
+	return s.run(context.Background(), q, k, resolvedParams{}, body, false)
 }
 
 // MinDiamLens returns a connected k-structure community containing q whose
@@ -82,18 +85,10 @@ func (s *Searcher) MinDiam2Approx(q graph.V, k int) (*Result, error) {
 // ball(q, D2) matter, where D2 is MinDiam2Approx's achieved diameter, and
 // pair distances beyond D2 never improve on it.
 func (s *Searcher) MinDiamLens(q graph.V, k int) (*Result, error) {
-	start := s.begin()
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finishDiam(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
+	return s.minDiam(q, k, (*Searcher).minDiamLens)
+}
 
+func (s *Searcher) minDiamLens(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	// Upper bound from the 2-approximation.
 	bestMembers, _ := s.appFastSearch(cand, q, k, 0)
 	bestDiam := DiameterOf(s.g, bestMembers)
@@ -152,16 +147,7 @@ func (s *Searcher) MinDiamLens(q graph.V, k int) (*Result, error) {
 		}
 	}
 	s.subBuf = lens
-	res := s.buildResult(q, k, best, 0)
-	return s.finishDiam(res, start), nil
-}
-
-// finishDiam stamps elapsed time and stores the achieved diameter in Delta.
-func (s *Searcher) finishDiam(res *Result, start time.Time) *Result {
-	if res != nil {
-		res.Delta = DiameterOf(s.g, res.Members)
-	}
-	return s.finish(res, start)
+	return best, bestDiam, nil
 }
 
 // MinDiamBrute enumerates every member subset of the candidate set (which
@@ -171,20 +157,13 @@ func (s *Searcher) finishDiam(res *Result, start time.Time) *Result {
 const maxBrute = 20
 
 func (s *Searcher) MinDiamBrute(q graph.V, k int) (*Result, error) {
-	start := s.begin()
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if res, handled, err := s.trivialK(q, k); handled {
-		return s.finishDiam(res, start), err
-	}
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		return nil, err
-	}
+	return s.minDiam(q, k, (*Searcher).minDiamBrute)
+}
+
+func (s *Searcher) minDiamBrute(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	X := cand.verts
 	if len(X) > maxBrute {
-		return nil, fmt.Errorf("core: MinDiamBrute candidate set too large (%d > %d)", len(X), maxBrute)
+		return nil, 0, fmt.Errorf("core: MinDiamBrute candidate set too large (%d > %d)", len(X), maxBrute)
 	}
 	qi := -1
 	for i, v := range X {
@@ -215,8 +194,7 @@ func (s *Searcher) MinDiamBrute(q graph.V, k int) (*Result, error) {
 		}
 	}
 	if best == nil {
-		return nil, ErrNoCommunity
+		return nil, 0, ErrNoCommunity
 	}
-	res := s.buildResult(q, k, best, 0)
-	return s.finishDiam(res, start), nil
+	return best, bestDiam, nil
 }

@@ -118,13 +118,14 @@ func TestMinDiamTrivialAndErrors(t *testing.T) {
 	g := figure3()
 	s := NewSearcher(g)
 
-	res, err := s.MinDiam2Approx(vQ, 0)
-	if err != nil || len(res.Members) != 1 || res.Delta != 0 {
-		t.Fatalf("k=0: res=%v err=%v", res, err)
-	}
-	res, err = s.MinDiamLens(vQ, 1)
-	if err != nil || len(res.Members) != 2 {
+	res, err := s.MinDiamLens(vQ, 1)
+	if err != nil || len(res.Members) != 2 || res.Delta != DiameterOf(g, res.Members) {
 		t.Fatalf("k=1: res=%v err=%v", res, err)
+	}
+	// The variants take the registry's (q, k) rules: k = 0 is invalid.
+	var qe *QueryError
+	if _, err := s.MinDiam2Approx(vQ, 0); !errors.As(err, &qe) || qe.Field != "k" {
+		t.Fatalf("k=0: err = %v, want a QueryError on k", err)
 	}
 
 	if _, err := s.MinDiam2Approx(vF, 3); !errors.Is(err, ErrNoCommunity) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -125,16 +124,15 @@ func (s *Searcher) parWorkersFor(width int) []*Searcher {
 	return ws
 }
 
-// prepPar arms one worker for a scan: fresh per-query state, the parent's
-// query context, the parent's candidate grid, and — when the parent's query
-// went through the candidate cache — the parent's cache entry, with the
-// induced CSR forced ahead of time so the workers' concurrent feasibility
-// checks never race on the lazy build. Workers never see the parent's
-// sorted view: their gathers are circle subsets, which take the
+// prepPar arms one worker for a scan: fresh per-query state under the
+// parent's armed context, the parent's candidate grid, and — when the
+// parent's query went through the candidate cache — the parent's cache entry,
+// with the induced CSR forced ahead of time so the workers' concurrent
+// feasibility checks never race on the lazy build. Workers never see the
+// parent's sorted view: their gathers are circle subsets, which take the
 // kcoreWithinCached path against the shared (now read-only) entry.
-func (s *Searcher) prepPar(ctx context.Context, w *Searcher) {
-	w.begin()
-	w.beginCtx(ctx)
+func (s *Searcher) prepPar(w *Searcher) {
+	w.begin(s.qctx)
 	w.parGrid = &s.sGrid
 	if e := s.curEntry; e != nil {
 		if e.adjOff == nil {
@@ -218,7 +216,7 @@ func (w *Searcher) tryCirclePar(cc geom.Circle, ord enumOrd, qLoc geom.Point, q 
 // radius going in; the return mirrors reducePar. The parent's stats and
 // cancellation latch absorb the workers' on return; the winning member slice
 // is owned by the winning worker and must be copied before the next query.
-func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+func (s *Searcher) exactScanPar(ws []*Searcher, X []graph.V, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
 	var rsh sharedRadius
 	rsh.init(seed)
 	var next atomic.Int64
@@ -226,7 +224,7 @@ func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V
 	bests := make([]parBest, len(ws))
 	var wg sync.WaitGroup
 	for wi, w := range ws {
-		s.prepPar(ctx, w)
+		s.prepPar(w)
 		bests[wi].r = math.Inf(1)
 		wg.Add(1)
 		go func(w *Searcher, b *parBest) {
@@ -286,14 +284,14 @@ func (s *Searcher) exactScanPar(ctx context.Context, ws []*Searcher, X []graph.V
 // across ws, strips of the first fixed-vertex index claimed dynamically.
 // Same contract as exactScanPar; rMinus is the fixed annulus inner radius of
 // the d12 filter (the 2·rcur upper bound reads the shared incumbent).
-func (s *Searcher) exactPlusScanPar(ctx context.Context, ws []*Searcher, f1 []graph.V, rMinus float64, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+func (s *Searcher) exactPlusScanPar(ws []*Searcher, f1 []graph.V, rMinus float64, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
 	var rsh sharedRadius
 	rsh.init(seed)
 	var next atomic.Int64
 	bests := make([]parBest, len(ws))
 	var wg sync.WaitGroup
 	for wi, w := range ws {
-		s.prepPar(ctx, w)
+		s.prepPar(w)
 		bests[wi].r = math.Inf(1)
 		wg.Add(1)
 		go func(w *Searcher, b *parBest) {

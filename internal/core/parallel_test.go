@@ -226,7 +226,7 @@ func TestParallelExactCancellation(t *testing.T) {
 		// The shared countdownCtx fake (ctx_test.go) fires after countdown
 		// Err consultations — deterministic mid-enumeration cancellation.
 		ctx := newCountdown(countdown)
-		res, err := ps.ExactCtx(ctx, q, k)
+		res, err := ps.Search(ctx, Query{Algo: "exact", Q: q, K: k})
 		if res != nil || !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d: want ErrCanceled, got res=%v err=%v", workers, res, err)
 		}

@@ -8,9 +8,9 @@ import (
 	"sacsearch/internal/graph"
 )
 
-// Query is the unified SAC request: one value expresses everything the six
-// per-algorithm entry points accept, so every layer — facade, batch, HTTP,
-// CLI, bench — speaks a single request shape. Zero values mean "default":
+// Query is the SAC request: one value expresses everything the six
+// algorithms accept, so every layer — facade, batch, HTTP, CLI, bench —
+// speaks a single request shape. Zero values mean "default":
 // an empty Algo runs DefaultAlgo, nil parameter pointers take the
 // registry's per-algorithm defaults, an empty Structure accepts whatever
 // metric the searcher was built with, and a zero Timeout applies no
@@ -232,13 +232,14 @@ func (s *Searcher) ValidateQuery(q Query) error {
 	return err
 }
 
-// Search is the unified entry point: it validates and defaults q through
-// the algorithm registry, then dispatches to the chosen algorithm's *Ctx
-// implementation — so for any valid query, Search returns exactly what the
-// corresponding legacy method (Exact, AppFast, ...) returns. Invalid
-// queries fail with a *QueryError before any work happens. A positive
-// q.Timeout bounds the query with its own deadline on top of ctx;
-// cancellation surfaces as ErrCanceled.
+// Search is the one entry point every query takes: it validates and
+// defaults q through the algorithm registry — the only validation, the only
+// set of defaults — and runs the body the registry names through the query
+// lifecycle (run). Invalid queries fail with a *QueryError before any work
+// happens. A positive q.Timeout bounds the query with its own deadline on
+// top of ctx; cancellation surfaces as ErrCanceled. The per-algorithm methods
+// (Exact, AppFast, ...) are conveniences that build a Query and call Search
+// with a background context.
 func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
 	spec, p, err := s.resolve(q)
 	if err != nil {
@@ -249,5 +250,5 @@ func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	return spec.run(ctx, s, q, p)
+	return s.run(ctx, q.Q, q.K, p, spec.body, spec.circleOnly)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,65 @@ func TestQueryDefaults(t *testing.T) {
 	// The accepted structure name matching the searcher's metric passes.
 	if err := s.ValidateQuery(Query{Q: 1, K: 2, Structure: "kcore"}); err != nil {
 		t.Fatalf("matching structure rejected: %v", err)
+	}
+}
+
+// TestConveniencesAreSearch pins that the per-algorithm methods carry no
+// validation and no defaults of their own: k = 0, θ = 0 and a NaN ε — all of
+// which the methods used to let through or reject by different rules — fail
+// through each of them with exactly the *QueryError Search returns, and an
+// exact+ query with no epsA runs with the registry's default, the only place
+// that default is written.
+func TestConveniencesAreSearch(t *testing.T) {
+	s := NewSearcher(figure3())
+	ctx := context.Background()
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		q    Query
+		conv func() (*Result, error)
+	}{
+		{"exact k=0", Query{Algo: "exact", Q: vQ}, func() (*Result, error) { return s.Exact(vQ, 0) }},
+		{"exact+ k=0", Query{Algo: "exact+", Q: vQ, EpsA: Float(0.5)}, func() (*Result, error) { return s.ExactPlus(vQ, 0, 0.5) }},
+		{"appinc k=0", Query{Algo: "appinc", Q: vQ}, func() (*Result, error) { return s.AppInc(vQ, 0) }},
+		{"appfast k=0", Query{Algo: "appfast", Q: vQ, EpsF: Float(0.5)}, func() (*Result, error) { return s.AppFast(vQ, 0, 0.5) }},
+		{"appacc k=0", Query{Algo: "appacc", Q: vQ, EpsA: Float(0.5)}, func() (*Result, error) { return s.AppAcc(vQ, 0, 0.5) }},
+		{"theta k=0", Query{Algo: "theta", Q: vQ, Theta: Float(1)}, func() (*Result, error) { return s.ThetaSAC(vQ, 0, 1) }},
+		{"theta θ=0", Query{Algo: "theta", Q: vQ, K: 2, Theta: Float(0)}, func() (*Result, error) { return s.ThetaSAC(vQ, 2, 0) }},
+		{"theta θ=NaN", Query{Algo: "theta", Q: vQ, K: 2, Theta: &nan}, func() (*Result, error) { return s.ThetaSAC(vQ, 2, nan) }},
+		{"appfast εF=NaN", Query{Algo: "appfast", Q: vQ, K: 2, EpsF: &nan}, func() (*Result, error) { return s.AppFast(vQ, 2, nan) }},
+		{"appacc εA=NaN", Query{Algo: "appacc", Q: vQ, K: 2, EpsA: &nan}, func() (*Result, error) { return s.AppAcc(vQ, 2, nan) }},
+		{"exact+ εA=NaN", Query{Algo: "exact+", Q: vQ, K: 2, EpsA: &nan}, func() (*Result, error) { return s.ExactPlus(vQ, 2, nan) }},
+	}
+	for _, tc := range cases {
+		var viaSearch, viaConv *QueryError
+		if _, err := s.Search(ctx, tc.q); !errors.As(err, &viaSearch) {
+			t.Fatalf("%s: Search err = %v, want *QueryError", tc.name, err)
+		}
+		if res, err := tc.conv(); res != nil || !errors.As(err, &viaConv) {
+			t.Fatalf("%s: convenience returned (%v, %v), want *QueryError", tc.name, res, err)
+		}
+		if *viaSearch != *viaConv {
+			t.Fatalf("%s: Search failed with %+v, the convenience with %+v", tc.name, *viaSearch, *viaConv)
+		}
+	}
+
+	p, _ := mustLookup(t, "exact+").Param("epsA")
+	// A fresh searcher each, so the cache counters agree too.
+	absent, err := NewSearcher(figure3()).Search(ctx, Query{Algo: "exact+", Q: vQ, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := NewSearcher(figure3()).Search(ctx, Query{Algo: "exact+", Q: vQ, K: 2, EpsA: Float(p.Default)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent.Stats.Elapsed, explicit.Stats.Elapsed = 0, 0
+	// The work counters (anchors, |F1|, circles) depend on εA, so equal stats
+	// say the same εA ran, not only that the same optimum was found.
+	if !slices.Equal(absent.Members, explicit.Members) || absent.MCC != explicit.MCC ||
+		absent.Delta != explicit.Delta || absent.Stats != explicit.Stats {
+		t.Fatalf("exact+ without epsA = %+v, with the registry default %+v", absent, explicit)
 	}
 }
 

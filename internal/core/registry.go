@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,11 +9,10 @@ import (
 
 // The algorithm registry: the single source of truth for which SAC
 // algorithms exist, what parameters each takes, how those parameters are
-// validated and defaulted, and how a unified Query is dispatched onto the
-// per-algorithm implementations. The facade, the batch layer, the HTTP
-// server's /v1/algorithms and request decoding, the sacquery CLI flags and
-// the bench harness all derive from this table rather than hard-coding
-// their own copies of the algorithm list.
+// validated and defaulted, and which body Search runs for a Query. The
+// facade, the batch layer, the HTTP server's /v1/algorithms and request
+// decoding, the sacquery CLI flags and the bench harness all derive from
+// this table rather than hard-coding their own copies of the algorithm list.
 
 // DefaultAlgo is the algorithm a Query with an empty Algo runs — AppFast,
 // the fastest algorithm with a guarantee, matching the HTTP server's
@@ -112,7 +110,10 @@ type AlgoSpec struct {
 	// Params are the algorithm-specific parameters (q and k are universal).
 	Params []ParamSpec `json:"params"`
 
-	run func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error)
+	// body is what Search's lifecycle runs; circleOnly marks θ-SAC, which
+	// gathers from O(q, θ) instead of the candidate set (see Searcher.run).
+	body       algoBody
+	circleOnly bool
 }
 
 // Param returns the spec's parameter named name, if any.
@@ -136,17 +137,13 @@ var registry = []*AlgoSpec{
 			Name: "epsF", Doc: "early-stopping slack; 0 converges to the AppInc answer",
 			Default: 0.5, Min: 0, Max: math.Inf(1),
 		}},
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.AppFastCtx(ctx, q.Q, q.K, p.epsF)
-		},
+		body: (*Searcher).appFast,
 	},
 	{
 		Name:  "appinc",
 		Ratio: "2",
 		Doc:   "parameter-free incremental 2-approximation (Algorithm 2)",
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.AppIncCtx(ctx, q.Q, q.K)
-		},
+		body:  (*Searcher).appInc,
 	},
 	{
 		Name:  "appacc",
@@ -156,30 +153,27 @@ var registry = []*AlgoSpec{
 			Name: "epsA", Doc: "approximation slack",
 			Default: 0.5, Min: 0, Max: 1, MinExcl: true, MaxExcl: true,
 		}},
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.AppAccCtx(ctx, q.Q, q.K, p.epsA)
-		},
+		body: (*Searcher).appAccBody,
 	},
 	{
 		Name:    "exact+",
 		Aliases: []string{"exactplus"},
 		Ratio:   "1",
 		Doc:     "exact search via AppAcc-pruned circle enumeration (Algorithm 5)",
+		// The paper runs Exact+ at εA = 10⁻⁴ in the efficiency experiments
+		// (Figure 12); our unit-square datasets are smaller, so 10⁻³ yields
+		// the same |F1| regime at lower anchor cost.
 		Params: []ParamSpec{{
 			Name: "epsA", Doc: "slack of the internal AppAcc phase (smaller = tighter pruning)",
 			Default: 1e-3, Min: 0, Max: 1, MinExcl: true, MaxExcl: true,
 		}},
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.ExactPlusCtx(ctx, q.Q, q.K, p.epsA)
-		},
+		body: (*Searcher).exactPlus,
 	},
 	{
 		Name:  "exact",
 		Ratio: "1",
 		Doc:   "naive exact enumeration (Algorithm 1); correctness baseline",
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.ExactCtx(ctx, q.Q, q.K)
-		},
+		body:  (*Searcher).exact,
 	},
 	{
 		Name:    "theta",
@@ -190,9 +184,8 @@ var registry = []*AlgoSpec{
 			Name: "theta", Doc: "catchment circle radius", Required: true,
 			Min: 0, Max: math.Inf(1), MinExcl: true,
 		}},
-		run: func(ctx context.Context, s *Searcher, q Query, p resolvedParams) (*Result, error) {
-			return s.ThetaSACCtx(ctx, q.Q, q.K, p.theta)
-		},
+		body:       (*Searcher).thetaSAC,
+		circleOnly: true,
 	},
 }
 

@@ -256,7 +256,7 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 		t.Fatalf("fixture: %d and %d are already adjacent", mover, other)
 	}
 	probe := func() {
-		s.begin()
+		s.begin(context.Background())
 		cand, err := s.candidates(q, 4)
 		if err != nil {
 			t.Fatal(err)

@@ -4,75 +4,59 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
+	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 
 	"sacsearch/internal/graph"
 )
 
-// TestSearchMatchesLegacyDifferential is the unified-API contract test:
-// for every one of the six algorithms, Searcher.Search(ctx, Query) must
-// return results identical to the legacy per-algorithm method — same
-// members, same MCC, same δ — or fail with the same sentinel. The Search
-// side runs on pooled workers across goroutines, so `go test -race` also
-// proves the unified path is safe under the pool.
+// hashMembers is the member-list digest searchGolden records: FNV-64a over
+// each id's four little-endian bytes.
+func hashMembers(ms []graph.V) uint64 {
+	h := fnv.New64a()
+	for _, v := range ms {
+		h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	}
+	return h.Sum64()
+}
+
+// TestSearchMatchesLegacyDifferential is the unified-API contract test: for
+// every one of the six algorithms, Searcher.Search(ctx, Query) must return
+// what the legacy per-algorithm implementation returned — same members, same
+// MCC, same δ, bit for bit — or fail with the same sentinel. The legacy
+// implementations are gone (their methods are conveniences over Search now),
+// so their side is searchGolden, recorded before they went. The Search side
+// runs on pooled workers across goroutines, so `go test -race` also proves
+// the unified path is safe under the pool.
 func TestSearchMatchesLegacyDifferential(t *testing.T) {
 	g := clusteredGraph(17, 5, 7, 25)
-	legacy := NewSearcher(g)
 	pool := NewPool(NewSearcher(g))
 
-	type variant struct {
-		name   string
-		query  Query // Q and K filled per case
-		legacy func(q graph.V, k int) (*Result, error)
+	params := map[string]Query{
+		"exact":   {},
+		"exact+":  {EpsA: Float(1e-3)},
+		"appinc":  {},
+		"appfast": {EpsF: Float(0.5)},
+		"appacc":  {EpsA: Float(0.5)},
+		"theta":   {Theta: Float(0.3)},
 	}
-	variants := []variant{
-		{"exact", Query{Algo: "exact"},
-			func(q graph.V, k int) (*Result, error) { return legacy.Exact(q, k) }},
-		{"exact+", Query{Algo: "exact+", EpsA: Float(1e-3)},
-			func(q graph.V, k int) (*Result, error) { return legacy.ExactPlus(q, k, 1e-3) }},
-		{"appinc", Query{Algo: "appinc"},
-			func(q graph.V, k int) (*Result, error) { return legacy.AppInc(q, k) }},
-		{"appfast", Query{Algo: "appfast", EpsF: Float(0.5)},
-			func(q graph.V, k int) (*Result, error) { return legacy.AppFast(q, k, 0.5) }},
-		{"appacc", Query{Algo: "appacc", EpsA: Float(0.5)},
-			func(q graph.V, k int) (*Result, error) { return legacy.AppAcc(q, k, 0.5) }},
-		{"theta", Query{Algo: "theta", Theta: Float(0.3)},
-			func(q graph.V, k int) (*Result, error) { return legacy.ThetaSAC(q, k, 0.3) }},
+	covered := map[string]bool{}
+	for _, row := range searchGolden {
+		covered[row.algo] = true
 	}
-
-	type testCase struct {
-		variant
-		q graph.V
-		k int
-	}
-	var cases []testCase
-	step := g.NumVertices() / 12
-	if step < 1 {
-		step = 1
-	}
-	for _, v := range variants {
-		for q := 0; q < g.NumVertices(); q += step {
-			for _, k := range []int{2, 4} {
-				cases = append(cases, testCase{v, graph.V(q), k})
-			}
+	for _, spec := range Algorithms() {
+		if !covered[spec.Name] {
+			t.Fatalf("searchGolden has no rows for registered algorithm %q", spec.Name)
 		}
 	}
 
-	// Legacy answers first, serially, on their own searcher.
-	type expectation struct {
+	type outcome struct {
 		res *Result
 		err error
 	}
-	want := make([]expectation, len(cases))
-	for i, tc := range cases {
-		res, err := tc.legacy(tc.q, tc.k)
-		want[i] = expectation{res, err}
-	}
-
-	// Unified answers concurrently on pooled workers.
-	got := make([]expectation, len(cases))
+	got := make([]outcome, len(searchGolden))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -80,38 +64,39 @@ func TestSearchMatchesLegacyDifferential(t *testing.T) {
 			defer wg.Done()
 			ws := pool.Get()
 			defer pool.Put(ws)
-			for i := w; i < len(cases); i += 4 {
-				cq := cases[i].query
-				cq.Q, cq.K = cases[i].q, cases[i].k
+			for i := w; i < len(searchGolden); i += 4 {
+				row := searchGolden[i]
+				cq := params[row.algo]
+				cq.Algo, cq.Q, cq.K = row.algo, graph.V(row.q), row.k
 				res, err := ws.Search(context.Background(), cq)
-				got[i] = expectation{res, err}
+				got[i] = outcome{res, err}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	for i, tc := range cases {
-		label := fmt.Sprintf("%s q=%d k=%d", tc.name, tc.q, tc.k)
-		w, g := want[i], got[i]
-		if (w.err == nil) != (g.err == nil) {
-			t.Fatalf("%s: legacy err = %v, Search err = %v", label, w.err, g.err)
-		}
-		if w.err != nil {
-			if !errors.Is(g.err, ErrNoCommunity) || !errors.Is(w.err, ErrNoCommunity) {
-				t.Fatalf("%s: error mismatch: legacy %v, Search %v", label, w.err, g.err)
+	for i, row := range searchGolden {
+		label := fmt.Sprintf("%s q=%d k=%d", row.algo, row.q, row.k)
+		res, err := got[i].res, got[i].err
+		if row.n == 0 {
+			if !errors.Is(err, ErrNoCommunity) {
+				t.Fatalf("%s: legacy answered ErrNoCommunity, Search (%v, %v)", label, res, err)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(w.res.Members, g.res.Members) {
-			t.Fatalf("%s: members differ:\nlegacy %v\nsearch %v", label, w.res.Members, g.res.Members)
+		if err != nil {
+			t.Fatalf("%s: legacy answered %d members, Search err = %v", label, row.n, err)
 		}
-		if w.res.MCC != g.res.MCC || w.res.Delta != g.res.Delta {
-			t.Fatalf("%s: geometry differs: legacy MCC %+v δ %v, search MCC %+v δ %v",
-				label, w.res.MCC, w.res.Delta, g.res.MCC, g.res.Delta)
+		if len(res.Members) != row.n || hashMembers(res.Members) != row.members {
+			t.Fatalf("%s: members differ from legacy (%d members, hash %#x): %v",
+				label, row.n, row.members, res.Members)
 		}
-		if w.res.Query != g.res.Query || w.res.K != g.res.K {
-			t.Fatalf("%s: echo differs: legacy (%d,%d), search (%d,%d)",
-				label, w.res.Query, w.res.K, g.res.Query, g.res.K)
+		if math.Float64bits(res.MCC.C.X) != row.cx || math.Float64bits(res.MCC.C.Y) != row.cy ||
+			math.Float64bits(res.MCC.R) != row.r || math.Float64bits(res.Delta) != row.delta64 {
+			t.Fatalf("%s: geometry differs from legacy: MCC %+v δ %v", label, res.MCC, res.Delta)
+		}
+		if int(res.Query) != row.q || res.K != row.k {
+			t.Fatalf("%s: echo differs: (%d,%d)", label, res.Query, res.K)
 		}
 	}
 }

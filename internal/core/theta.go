@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -15,39 +14,26 @@ import (
 // (ErrNoCommunity), too large and the community is not spatially compact —
 // the sensitivity Figure 11 quantifies.
 func (s *Searcher) ThetaSAC(q graph.V, k int, theta float64) (*Result, error) {
-	return s.ThetaSACCtx(context.Background(), q, k, theta)
+	return s.Search(context.Background(), Query{Algo: "theta", Q: q, K: k, Theta: &theta})
 }
 
-// ThetaSACCtx is ThetaSAC with cancellation: the context is checked between
-// the BFS gather and the single feasibility peel (the two O(m) phases),
-// returning ErrCanceled when it fires.
-func (s *Searcher) ThetaSACCtx(ctx context.Context, q graph.V, k int, theta float64) (*Result, error) {
-	start := s.begin()
-	s.beginCtx(ctx)
-	if err := s.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if theta < 0 {
-		return nil, fmt.Errorf("core: θ = %v must be non-negative", theta)
-	}
-	if k == 0 {
-		res := s.buildResult(q, k, []graph.V{q}, 0)
-		return s.finish(res, start), nil
-	}
+// thetaSAC is ThetaSAC's body; it gathers from the circle, not from the
+// candidate set, so cand is nil. The context is checked before the BFS gather
+// and before the single feasibility peel (the two O(m) phases).
+func (s *Searcher) thetaSAC(_ *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
 	if s.canceled() {
-		return s.ctxResult(nil, nil)
+		return nil, 0, nil
 	}
-	circle := geom.Circle{C: s.g.Loc(q), R: theta}
+	circle := geom.Circle{C: s.g.Loc(q), R: p.theta}
 	inCircle := func(v graph.V) bool { return circle.Contains(s.g.Loc(v)) }
 	S := graph.BFSFrom(s.g, q, inCircle, s.visited, s.vertBuf[:0])
 	s.vertBuf = S
 	s.stats.CandidateSize = len(S)
 	if s.canceled() {
-		return s.ctxResult(nil, nil)
+		return nil, 0, nil
 	}
 	if c := s.feasible(S, q, k); c != nil {
-		res := s.buildResult(q, k, c, theta)
-		return s.finish(res, start), nil
+		return c, p.theta, nil
 	}
-	return nil, ErrNoCommunity
+	return nil, 0, ErrNoCommunity
 }

@@ -18,9 +18,9 @@ import (
 // The decomposition slice is shared by every clone, so applying an update
 // through any one searcher refreshes all workers drawn from the same pool;
 // candidate caches check the journaled edge ops against their communities on
-// the next query and keep what the ops left intact (repair.go). Updates follow the same locking discipline as SetLoc:
-// callers must serialize them with ALL queries on ALL searchers over the
-// graph (the server uses its write lock).
+// the next query and keep what the ops left intact (repair.go). Like SetLoc,
+// updates must be serialized with ALL queries on ALL searchers over the
+// graph.
 
 // ApplyEdgeInsert inserts the undirected edge {u, v} and incrementally
 // updates the shared k-core decomposition. It reports whether the edge set

@@ -10,6 +10,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -105,6 +106,13 @@ func LoadWorkload(cfg Config, name string) (*dataset.Dataset, []graph.V, error) 
 			name, cfg.Scale, cfg.MinCore)
 	}
 	return ds, qs, nil
+}
+
+// ExactPlus answers (q, k) with Exact+ at the registry's default εA — the
+// ground truth the effectiveness experiments and the parallel gate measure
+// against.
+func ExactPlus(s *core.Searcher, q graph.V, k int) (*core.Result, error) {
+	return s.Search(context.Background(), core.Query{Algo: "exact+", Q: q, K: k})
 }
 
 // runTimed executes fn over the queries and returns mean wall time per

@@ -64,7 +64,7 @@ func Fig13(cfg Fig13Config) ([]dynamic.DecayPoint, error) {
 		if cfg.FastSearch {
 			res, err = s.AppFast(q, k, 0.5)
 		} else {
-			res, err = s.ExactPlusDefault(q, k)
+			res, err = ExactPlus(s, q, k)
 		}
 		if err != nil {
 			return nil, geom.Circle{}, err

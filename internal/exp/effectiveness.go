@@ -54,7 +54,7 @@ func fig9(cfg Config, sweep []float64, base float64, run func(*core.Searcher, gr
 		// Ground truth per query via the exact algorithm.
 		optimal := map[graph.V]float64{}
 		for _, q := range qs {
-			res, err := s.ExactPlusDefault(q, cfg.K)
+			res, err := ExactPlus(s, q, cfg.K)
 			if err != nil {
 				continue
 			}
@@ -134,7 +134,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			{"AppInc", sacMembers(func(q graph.V) (*core.Result, error) { return sac.AppInc(q, cfg.K) })},
 			{"AppFast(0.5)", sacMembers(func(q graph.V) (*core.Result, error) { return sac.AppFast(q, cfg.K, 0.5) })},
 			{"AppAcc(0.5)", sacMembers(func(q graph.V) (*core.Result, error) { return sac.AppAcc(q, cfg.K, 0.5) })},
-			{"Exact+", sacMembers(func(q graph.V) (*core.Result, error) { return sac.ExactPlusDefault(q, cfg.K) })},
+			{"Exact+", sacMembers(func(q graph.V) (*core.Result, error) { return ExactPlus(sac, q, cfg.K) })},
 		}
 		for _, m := range methods {
 			var radii, dists, degs, sizes []float64
@@ -209,7 +209,7 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 		// Exact+ ground truth once per query, shared across the θ sweep.
 		optimal := map[graph.V]float64{}
 		for _, q := range qs {
-			if opt, err := s.ExactPlusDefault(q, cfg.K); err == nil {
+			if opt, err := ExactPlus(s, q, cfg.K); err == nil {
 				optimal[q] = opt.Radius()
 			}
 		}

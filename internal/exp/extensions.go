@@ -39,7 +39,7 @@ func ExtStructures(cfg Config) ([]ExtStructureRow, error) {
 			s := core.NewSearcherWithStructure(ds.Graph, st)
 			var radii, sizes []float64
 			for _, q := range qs {
-				res, err := s.ExactPlusDefault(q, cfg.K)
+				res, err := ExactPlus(s, q, cfg.K)
 				if err != nil {
 					continue
 				}
@@ -78,7 +78,7 @@ func ExtMinDiam(cfg Config) ([]ExtDiamRow, error) {
 			name string
 			run  func(q graph.V) (*core.Result, error)
 		}{
-			{"ExactPlus(MCC)", func(q graph.V) (*core.Result, error) { return s.ExactPlusDefault(q, cfg.K) }},
+			{"ExactPlus(MCC)", func(q graph.V) (*core.Result, error) { return ExactPlus(s, q, cfg.K) }},
 			{"MinDiam2Approx", func(q graph.V) (*core.Result, error) { return s.MinDiam2Approx(q, cfg.K) }},
 			{"MinDiamLens", func(q graph.V) (*core.Result, error) { return s.MinDiamLens(q, cfg.K) }},
 		}

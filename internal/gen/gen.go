@@ -75,36 +75,6 @@ func PowerLawGraph(n, m int, seed int64) *graph.Builder {
 	return b
 }
 
-// RMATGraph generates an R-MAT graph with 2^scale vertices and m edge
-// samples using the standard (a,b,c,d) recursive quadrant probabilities.
-// GTGraph's default R-MAT parameters are a=0.45, b=0.15, c=0.15, d=0.25.
-func RMATGraph(scale uint, m int, a, b, c float64, seed int64) *graph.Builder {
-	rnd := rand.New(rand.NewSource(seed))
-	n := 1 << scale
-	bld := graph.NewBuilder(n)
-	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for bit := 0; bit < int(scale); bit++ {
-			r := rnd.Float64()
-			switch {
-			case r < a:
-				// upper-left: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
-		if u != v {
-			bld.AddEdge(graph.V(u), graph.V(v))
-		}
-	}
-	return bld
-}
-
 // CommunityOverlay spends roughly extraEdges additional edges planting
 // dense groups over the builder's vertices: repeatedly pick a random group
 // of 12-40 vertices and wire it with edge probability ≈0.55. Preferential

@@ -68,17 +68,6 @@ func (c Circle) Contains(p Point) bool {
 	return c.C.Dist2(p) <= r*r
 }
 
-// ContainsStrict reports whether p lies inside the disk with no tolerance.
-func (c Circle) ContainsStrict(p Point) bool {
-	return c.C.Dist2(p) <= c.R*c.R
-}
-
-// ContainsCircle reports whether the closed disk o lies entirely inside c,
-// with tolerance Eps.
-func (c Circle) ContainsCircle(o Circle) bool {
-	return c.C.Dist(o.C)+o.R <= c.R+Eps
-}
-
 // Area returns the area of the disk.
 func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 

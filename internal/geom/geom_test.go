@@ -61,20 +61,6 @@ func TestCircleContains(t *testing.T) {
 	}
 }
 
-func TestContainsCircle(t *testing.T) {
-	big := Circle{C: Point{0, 0}, R: 2}
-	small := Circle{C: Point{0.5, 0}, R: 1}
-	if !big.ContainsCircle(small) {
-		t.Fatal("big should contain small")
-	}
-	if small.ContainsCircle(big) {
-		t.Fatal("small should not contain big")
-	}
-	if !big.ContainsCircle(big) {
-		t.Fatal("a circle contains itself")
-	}
-}
-
 func TestCircleFrom2(t *testing.T) {
 	c := CircleFrom2(Point{0, 0}, Point{2, 0})
 	if c.C != (Point{1, 0}) || !almostEq(c.R, 1, 1e-12) {

@@ -15,8 +15,7 @@ import (
 // mutation on either side) instead of copying edge history on every snapshot
 // publication. Merging happens at write time — O(deg) per endpoint — so
 // Neighbors stays allocation-free and safe for concurrent readers between
-// mutations, which is what the server's RWMutex discipline (queries under
-// RLock, mutations under Lock) relies on.
+// mutations.
 //
 // When the patched fraction grows past compactFraction the delta layer is
 // folded back into a fresh CSR (Compact), bounding both the map overhead and

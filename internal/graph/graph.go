@@ -290,9 +290,6 @@ func (b *Builder) HasLoc(v V) bool { return b.hasLo[v] }
 // LocOf returns the location recorded for v (the zero Point when unset).
 func (b *Builder) LocOf(v V) geom.Point { return b.locs[v] }
 
-// NumEdgesAdded returns the raw count of AddEdge calls (before dedup).
-func (b *Builder) NumEdgesAdded() int { return len(b.us) }
-
 // Build produces the immutable CSR graph, deduplicating parallel edges.
 func (b *Builder) Build() *Graph {
 	n := b.n

@@ -233,41 +233,6 @@ func TestBFSFrom(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	comp, count := ConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (triangle, pair, isolated)", count)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Fatal("0,1,2 should share a component")
-	}
-	if comp[3] != comp[4] || comp[3] == comp[0] {
-		t.Fatal("3,4 component wrong")
-	}
-	if comp[5] == comp[0] || comp[5] == comp[3] {
-		t.Fatal("5 should be alone")
-	}
-}
-
-func TestComponentOf(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	g := b.Build()
-	got := sortedCopy(ComponentOf(g, 0))
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("ComponentOf(0) = %v", got)
-	}
-	if got := ComponentOf(g, 4); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("ComponentOf(4) = %v", got)
-	}
-}
-
 func TestRoundTripIO(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	n := 50

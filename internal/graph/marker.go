@@ -68,40 +68,3 @@ func BFSFrom(g *Graph, src V, include func(V) bool, visited *Marker, dst []V) []
 	}
 	return dst
 }
-
-// ConnectedComponents returns a component id per vertex and the number of
-// components, considering the whole graph.
-func ConnectedComponents(g *Graph) (comp []int32, count int) {
-	n := g.NumVertices()
-	comp = make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	queue := make([]V, 0, n)
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := int32(count)
-		count++
-		queue = queue[:0]
-		queue = append(queue, V(s))
-		comp[s] = id
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] < 0 {
-					comp[u] = id
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return comp, count
-}
-
-// ComponentOf returns the vertices of the connected component containing src.
-func ComponentOf(g *Graph, src V) []V {
-	visited := NewMarker(g.NumVertices())
-	return BFSFrom(g, src, func(V) bool { return true }, visited, nil)
-}

@@ -16,12 +16,12 @@ import (
 //
 // The Maintainer updates the core slice in place. That slice may be shared —
 // core.Searcher clones share one decomposition — so a single Maintainer
-// update under the owner's write lock refreshes every searcher at once.
+// update refreshes every searcher at once.
 
 // Maintainer keeps a core decomposition current across edge insertions and
 // removals. It owns scratch sized to the graph, so repeated updates do not
 // allocate; it is not safe for concurrent use (callers serialize updates
-// with queries, e.g. via the server's write lock).
+// with queries).
 type Maintainer struct {
 	g    *graph.Graph
 	core []int32

@@ -25,10 +25,6 @@ func Root(c geom.Point, half float64) Cell {
 	return Cell{C: c, Half: half}
 }
 
-// Width returns the edge length of the cell (the paper's β for cells at the
-// level where β equals the width).
-func (c Cell) Width() float64 { return 2 * c.Half }
-
 // Children returns the four equal quadrants of the cell. Each child's
 // InfeasibleR is inherited, reduced by the center-to-center distance
 // (√2·Half/2): if no feasible solution fits in O(parent, r), none fits in

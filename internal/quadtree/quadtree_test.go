@@ -9,8 +9,8 @@ import (
 
 func TestRootAndWidth(t *testing.T) {
 	r := Root(geom.Point{X: 1, Y: 2}, 0.5)
-	if r.Width() != 1 {
-		t.Fatalf("Width = %v", r.Width())
+	if r.C != (geom.Point{X: 1, Y: 2}) || r.Half != 0.5 {
+		t.Fatalf("Root = %+v, want centre (1,2) and half-width 0.5", r)
 	}
 	if got := r.CoverRadius(); math.Abs(got-math.Sqrt2*0.5) > 1e-12 {
 		t.Fatalf("CoverRadius = %v", got)

@@ -106,9 +106,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Median returns the median, 0 for empty input.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Percentile returns the p-th percentile (nearest-rank), 0 for empty input.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
@@ -124,20 +121,4 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// GeoMean returns the geometric mean of positive values, ignoring
-// non-positive entries; 0 when none qualify. Ratio aggregates use it.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }

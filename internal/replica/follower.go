@@ -27,9 +27,6 @@ type FollowerOptions struct {
 	// Dial overrides the connection factory (tests route through the fault
 	// proxy here). Defaults to a 5-second TCP dial.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// Engine tunes the snapshot engines built from received snapshots.
-	// Persist and InitialSeq are owned by the follower and must be zero.
-	Engine snapshot.Options
 	// BackoffMin/BackoffMax bound the jittered reconnect backoff
 	// (defaults 50 ms / 2 s).
 	BackoffMin, BackoffMax time.Duration
@@ -137,9 +134,6 @@ type Follower struct {
 func NewFollower(opt FollowerOptions) (*Follower, error) {
 	if opt.Leader == "" {
 		return nil, errors.New("replica: follower needs a leader address")
-	}
-	if opt.Engine.Persist != nil || opt.Engine.InitialSeq != 0 {
-		return nil, errors.New("replica: Options.Engine.Persist/InitialSeq are owned by the follower")
 	}
 	f := &Follower{opt: opt, done: make(chan struct{})}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
@@ -403,7 +397,7 @@ func (f *Follower) receiveSnapshot(conn net.Conn, resp response) error {
 	if err != nil {
 		return err
 	}
-	eng := snapshot.New(g, f.opt.Engine)
+	eng := snapshot.New(g, snapshot.Options{})
 	if fn := f.onPublish.Load(); fn != nil {
 		eng.SetOnPublish(*fn)
 	}

@@ -299,3 +299,38 @@ func TestRoutedDrainFlushesPendingChange(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeoutMillisBounded pins that a client-chosen timeoutMillis too large
+// for a time.Duration is refused, on the server, on the router and on a
+// shard's /v1/shard/search alike, rather than multiplied out and wrapped:
+// into a 448 µs deadline (answering 503 deadline_exceeded), a negative one,
+// or zero (no per-query deadline at all).
+func TestTimeoutMillisBounded(t *testing.T) {
+	g := testGraph(200, 900, 17)
+	tp := newTopology(t, g, 2)
+	tiers := map[string]string{
+		"server": tp.single.URL + "/v1/query",
+		"router": tp.router.URL + "/v1/query",
+		"shard":  tp.shards[0].URL + "/v1/shard/search",
+	}
+	for _, millis := range []string{
+		"18446744073710",      // ×1e6 wraps to 448 µs
+		"9223372036855",       // wraps negative
+		"4611686018427387904", // wraps to exactly 0
+		"-9223372036855",      // wraps positive
+	} {
+		for tier, url := range tiers {
+			got := do(t, "POST", url, `{"q":0,"k":3,"timeoutMillis":`+millis+`}`, nil)
+			if got.status != 400 || got.env.Code != "invalid_query" || got.env.Field != "timeoutMillis" {
+				t.Errorf("%s timeoutMillis=%s: %d code=%q field=%q, want 400 invalid_query on timeoutMillis",
+					tier, millis, got.status, got.env.Code, got.env.Field)
+			}
+		}
+	}
+	// The largest representable value is a (very long) timeout, not an error.
+	for tier, url := range tiers {
+		if got := do(t, "POST", url, `{"q":0,"k":3,"timeoutMillis":9223372036854}`, nil); got.status != 200 {
+			t.Errorf("%s timeoutMillis=9223372036854: status %d (%s), want 200", tier, got.status, got.env.Error)
+		}
+	}
+}

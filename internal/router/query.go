@@ -88,8 +88,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	cq := req.ToQuery()
-	if err := rt.validateQuery(cq); err != nil {
+	cq, err := req.ToQuery()
+	if err == nil {
+		err = rt.validateQuery(cq)
+	}
+	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
@@ -115,31 +118,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
+	// The template fails the whole batch with one 400, exactly like the
+	// single server.
+	template, ok := req.Template(w, r, rt.validateQuery)
+	if !ok {
 		return
-	}
-	// Template validation fails the whole batch with one 400, exactly like
-	// the single server: algorithm and parameters through the registry,
-	// structure against the (k-core) topology.
-	template := core.Query{
-		Algo:      req.Algo,
-		EpsF:      req.EpsF,
-		EpsA:      req.EpsA,
-		Theta:     req.Theta,
-		Structure: req.Structure,
-	}
-	if _, err := core.ValidateParams(template); err != nil {
-		httpapi.WriteQueryError(w, r, err)
-		return
-	}
-	if template.Structure != "" {
-		probe := template
-		probe.Q, probe.K = 0, 1
-		if err := rt.validateQuery(probe); err != nil {
-			httpapi.WriteQueryError(w, r, err)
-			return
-		}
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()

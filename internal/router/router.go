@@ -40,14 +40,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
@@ -380,20 +378,13 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // local one, a lower bound on the global core number — documented in the
 // README's sharding section.
 func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "id",
-			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
-		return
-	}
-	if id < 0 || id >= rt.m.N {
-		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "id",
-			fmt.Sprintf("unknown vertex %d", id))
+	id, ok := server.PathVertex(w, r, rt.m.N)
+	if !ok {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	owner := rt.m.OwnerOf(graph.V(id))
+	owner := rt.m.OwnerOf(id)
 	lctx, span := rt.leg(ctx, "vertex", owner)
 	v, err := rt.sets[owner].Vertex(lctx, int64(id))
 	span.End()

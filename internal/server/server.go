@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -468,8 +469,18 @@ type QueryRequest struct {
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 }
 
-// ToQuery converts the wire shape to the core request.
-func (r QueryRequest) ToQuery() core.Query {
+// maxTimeoutMillis is the largest timeoutMillis a time.Duration can hold.
+const maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// ToQuery converts the wire shape to the core request. It is the one place
+// /v1/query, /v1/shard/search and the router turn timeoutMillis into a
+// Duration, so it is where a value the multiplication would wrap — into a
+// microsecond deadline, a negative one, or none at all — is refused.
+func (r QueryRequest) ToQuery() (core.Query, error) {
+	if r.TimeoutMillis > maxTimeoutMillis || r.TimeoutMillis < -maxTimeoutMillis {
+		return core.Query{}, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: "timeoutMillis",
+			Reason: fmt.Sprintf("timeoutMillis = %d out of range (at most %d)", r.TimeoutMillis, maxTimeoutMillis)}
+	}
 	return core.Query{
 		Algo:      r.Algo,
 		Q:         r.Q,
@@ -479,7 +490,7 @@ func (r QueryRequest) ToQuery() core.Query {
 		Theta:     r.Theta,
 		Structure: r.Structure,
 		Timeout:   time.Duration(r.TimeoutMillis) * time.Millisecond,
-	}
+	}, nil
 }
 
 // QueryResponse is one SAC answer.
@@ -523,6 +534,41 @@ func (r *BatchRequest) FanOut() int {
 	return r.Workers
 }
 
+// Template checks everything about the batch that is not per item and
+// returns the query each item completes with its own q and k. Validating the
+// template up front through the registry fails the whole batch with one 400
+// (empty batch, bad algorithm name, out-of-range epsilon, a structure metric
+// the front-end does not serve) before any worker runs, instead of a 200
+// whose every item errored; per-item problems — unknown vertex, k < 1 —
+// surface as item errors. validate is the front-end's whole-query check (a
+// searcher's ValidateQuery, the router's against its shard map), used for the
+// structure assertion. On a violation the error envelope is written and ok
+// is false.
+func (req *BatchRequest) Template(w http.ResponseWriter, r *http.Request, validate func(core.Query) error) (template core.Query, ok bool) {
+	if len(req.Queries) == 0 {
+		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
+		return template, false
+	}
+	template = core.Query{
+		Algo:      req.Algo,
+		EpsF:      req.EpsF,
+		EpsA:      req.EpsA,
+		Theta:     req.Theta,
+		Structure: req.Structure,
+	}
+	_, err := core.ValidateParams(template)
+	if err == nil && template.Structure != "" {
+		probe := template
+		probe.Q, probe.K = 0, 1
+		err = validate(probe)
+	}
+	if err != nil {
+		httpapi.WriteQueryError(w, r, err)
+		return template, false
+	}
+	return template, true
+}
+
 // BatchResponse carries per-query answers; failed queries have Error set.
 type BatchResponse struct {
 	Items []BatchItemJSON `json:"items"`
@@ -562,6 +608,26 @@ func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n in
 		return false
 	}
 	return true
+}
+
+// PathVertex reads the {id} segment of /v1/vertex/{id} against a graph of n
+// vertices. A malformed id is the caller's syntax error (400); a well-formed
+// id naming no vertex is a lookup miss (404) — conflating them hides client
+// bugs behind retry loops. On either it writes the error envelope and
+// returns ok false.
+func PathVertex(w http.ResponseWriter, r *http.Request, n int) (v graph.V, ok bool) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
+		return 0, false
+	}
+	if id < 0 || id >= n {
+		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "id",
+			fmt.Sprintf("unknown vertex %d", id))
+		return 0, false
+	}
+	return graph.V(id), true
 }
 
 // EdgeRequest inserts or deletes one undirected friendship edge.
@@ -728,21 +794,10 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := eng.Current()
 	g := snap.Graph()
-	// A malformed id is the caller's syntax error (400); a well-formed id
-	// naming no vertex is a lookup miss (404). Conflating them (as the
-	// pre-/v1 server did) hides client bugs behind retry loops.
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
-			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
+	v, ok := PathVertex(w, r, g.NumVertices())
+	if !ok {
 		return
 	}
-	if id < 0 || id >= g.NumVertices() {
-		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "id",
-			fmt.Sprintf("unknown vertex %d", id))
-		return
-	}
-	v := graph.V(id)
 	loc := g.Loc(v)
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"id":     v,
@@ -766,6 +821,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, ok := s.readEngine(w, r)
 	if !ok {
+		return
+	}
+	q, err := req.ToQuery()
+	if err != nil {
+		httpapi.WriteQueryError(w, r, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -794,7 +854,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer searcher.SetParallelism(prev)
 	}
 	ctx, qspan := telemetry.StartSpan(ctx, "search")
-	res, err := searcher.Search(ctx, req.ToQuery())
+	res, err := searcher.Search(ctx, q)
 	qspan.End()
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
@@ -827,25 +887,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
-		return
-	}
-	// The template carries everything but q and k; validating it up front
-	// through the registry fails the whole batch with one 400 (bad
-	// algorithm name, out-of-range epsilon) before any worker runs.
-	// Per-item problems — unknown vertex, k < 1 — surface as item errors.
-	template := core.Query{
-		Algo:      req.Algo,
-		EpsF:      req.EpsF,
-		EpsA:      req.EpsA,
-		Theta:     req.Theta,
-		Structure: req.Structure,
-	}
-	if _, err := core.ValidateParams(template); err != nil {
-		httpapi.WriteQueryError(w, r, err)
-		return
-	}
 	// The whole batch runs pinned to one snapshot: the Snap is the worker
 	// source, so every worker is rebound to the same published state and the
 	// batch deadline cancels stragglers mid-algorithm.
@@ -854,18 +895,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := eng.Current()
-	// The structure assertion is also batch-level, not per-item: an unknown
-	// name or a metric the server does not serve fails the whole request
-	// with the same 400 a single query gets, instead of a 200 whose every
-	// item errored.
-	if template.Structure != "" {
+	template, ok := req.Template(w, r, func(q core.Query) error {
 		worker := snap.Get()
-		err := worker.ValidateQuery(core.Query{Q: 0, K: 1, Structure: template.Structure})
-		snap.Put(worker)
-		if err != nil {
-			httpapi.WriteQueryError(w, r, err)
-			return
-		}
+		defer snap.Put(worker)
+		return worker.ValidateQuery(q)
+	})
+	if !ok {
+		return
 	}
 	queries := make([]batch.Query, len(req.Queries))
 	for i, q := range req.Queries {

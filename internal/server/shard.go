@@ -141,8 +141,11 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	searcher := snap.Get()
 	defer snap.Put(searcher)
-	q := req.ToQuery()
-	if err := searcher.ValidateQuery(q); err != nil {
+	q, err := req.ToQuery()
+	if err == nil {
+		err = searcher.ValidateQuery(q)
+	}
+	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}

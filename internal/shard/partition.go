@@ -1,10 +1,10 @@
 // Package shard partitions a spatial graph into per-shard subgraphs for the
 // scatter-gather serving topology (cmd/sacrouter over N sacserver shards).
 //
-// The partitioner is spatial and deterministic: vertices are bucketed by the
-// uniform grid the query path already uses (internal/spatial), cells are
-// walked in row-major order, and contiguous runs of cells are assigned to
-// shards greedily so vertex counts stay balanced. SAC queries are spatially
+// The partitioner is spatial and deterministic: vertices are bucketed by a
+// uniform grid over their bounding box (gridCells), cells are walked in
+// row-major order, and contiguous runs of cells are assigned to shards
+// greedily so vertex counts stay balanced. SAC queries are spatially
 // local — the answer lives inside a small circle around q — so grid-contiguous
 // shards keep most candidate communities inside one shard.
 //
@@ -21,9 +21,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/spatial"
 )
 
 // cellsPerShard is the grid granularity target: enough cells per shard that
@@ -81,22 +82,22 @@ func Partition(g *graph.Graph, shards int) (*Map, error) {
 	if target < 1 {
 		target = 1
 	}
-	grid := spatial.NewGrid(g.Locs(), target)
-	cols, rows := grid.Dims()
+	cellOf, ncells := gridCells(g.Locs(), target)
+	count := make([]int, ncells)
+	for _, c := range cellOf {
+		count[c]++
+	}
 
-	owner := make([]uint16, n)
+	cellOwner := make([]uint16, ncells)
 	cur := 0
 	curCount := 0
 	remaining := n
 	remainingShards := shards
 	quota := (remaining + remainingShards - 1) / remainingShards
-	for idx := 0; idx < cols*rows; idx++ {
-		bucket := grid.Bucket(idx)
-		for _, v := range bucket {
-			owner[v] = uint16(cur)
-		}
-		curCount += len(bucket)
-		remaining -= len(bucket)
+	for idx, c := range count {
+		cellOwner[idx] = uint16(cur)
+		curCount += c
+		remaining -= c
 		if curCount >= quota && cur < shards-1 {
 			cur++
 			curCount = 0
@@ -105,6 +106,10 @@ func Partition(g *graph.Graph, shards int) (*Map, error) {
 				quota = (remaining + remainingShards - 1) / remainingShards
 			}
 		}
+	}
+	owner := make([]uint16, n)
+	for v, c := range cellOf {
+		owner[v] = cellOwner[c]
 	}
 
 	m := &Map{Shards: shards, N: n, Owner: owner}
@@ -120,6 +125,40 @@ func Partition(g *graph.Graph, shards int) (*Map, error) {
 		}
 	}
 	return m, nil
+}
+
+// gridCells buckets pts (non-empty) into a uniform grid of square cells over
+// their bounding box, sized for roughly perCell points each, and returns
+// every point's row-major cell index with the cell count. The sizing is part
+// of the shard-map format in all but name: shards cut from one graph file on
+// different machines agree only while it stays as it is (TestPartitionGolden).
+func gridCells(pts []geom.Point, perCell int) (cellOf []int32, ncells int) {
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for _, p := range pts {
+		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+	}
+	w, h := maxX-minX, maxY-minY
+	if w <= 0 {
+		w = 1e-9
+	}
+	if h <= 0 {
+		h = 1e-9
+	}
+	cells := math.Max(float64(len(pts))/float64(perCell), 1)
+	cell := math.Sqrt(w * h / cells) // square-ish: cols·rows ≈ cells
+	if cell <= 0 || math.IsNaN(cell) {
+		cell = math.Max(w, h)
+	}
+	cols, rows := int(w/cell)+1, int(h/cell)+1
+	cellOf = make([]int32, len(pts))
+	for i, p := range pts {
+		cx := max(0, min(int((p.X-minX)/cell), cols-1))
+		cy := max(0, min(int((p.Y-minY)/cell), rows-1))
+		cellOf[i] = int32(cy*cols + cx)
+	}
+	return cellOf, cols * rows
 }
 
 // Subgraph extracts shard id's serving graph: the full global vertex-id

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"sacsearch/internal/dataset"
 	"sacsearch/internal/gen"
 	"sacsearch/internal/graph"
 )
@@ -418,4 +419,35 @@ func inducedComponent(g *graph.Graph, keep map[graph.V]bool, q graph.V, k int) m
 		}
 	}
 	return comp
+}
+
+// TestPartitionGolden pins the cut itself: the checksums below were recorded
+// at the commit before Partition took over its own bucketisation from the
+// spatial package's since-deleted all-vertex grid (558b64b), so any drift in
+// the cell sizing — which would make shards cut on different builds
+// disagree — fails here.
+func TestPartitionGolden(t *testing.T) {
+	for _, tc := range []struct {
+		dataset  string
+		scale    float64
+		shards   int
+		checksum uint32
+	}{
+		{"syn1", 0.1, 2, 0x477ea4d3},
+		{"syn1", 0.1, 4, 0x4b3ce8c5},
+		{"brightkite", 0.05, 2, 0x7db46118},
+	} {
+		d, err := dataset.Load(tc.dataset, tc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Partition(d.Graph, tc.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Checksum(); got != tc.checksum {
+			t.Fatalf("%s@%v × %d shards: map checksum %#08x, want %#08x",
+				tc.dataset, tc.scale, tc.shards, got, tc.checksum)
+		}
+	}
 }

@@ -81,13 +81,6 @@ type AppliedEvent struct {
 
 // Options configures an Engine. The zero value serves defaults.
 type Options struct {
-	// QueueLen is the writer queue capacity; writes beyond it block the
-	// submitter (back-pressure, not unbounded buffering). Default 1024.
-	QueueLen int
-	// BatchMax is the most events the writer applies before publishing a
-	// snapshot. Larger batches amortize publication cost under write bursts
-	// at the price of write latency. Default 128.
-	BatchMax int
 	// Persist, when non-nil, is the durability hook: the writer goroutine
 	// calls it with each batch's state-changing events after applying them
 	// and before publishing the snapshot that contains them — so a write
@@ -103,14 +96,6 @@ type Options struct {
 	// engine starts from (the recovered checkpoint plus replayed tail).
 	// Snapshots report it as WalSeq until the first persisted batch.
 	InitialSeq uint64
-	// Parallelism is the intra-query parallelism budget stamped on the base
-	// searcher — every worker drawn from a snapshot inherits it, so Exact
-	// and ExactPlus enumeration fans out over up to this many goroutines
-	// per query. 0 (the default) and 1 mean serial. Servers that take
-	// concurrent traffic should cap the per-query budget under load (see
-	// server.Config.QueryParallelism) rather than setting a large value
-	// here unconditionally.
-	Parallelism int
 	// Metrics, when non-nil, receives the engine's instrumentation:
 	// publish latency and batch-coalescing histograms plus queue-depth and
 	// progress gauges read at scrape time. Gauge registration is last-wins,
@@ -126,19 +111,15 @@ type Options struct {
 	OnPublish func(*Snap, []AppliedEvent)
 }
 
-func (o Options) queueLen() int {
-	if o.QueueLen > 0 {
-		return o.QueueLen
-	}
-	return 1024
-}
-
-func (o Options) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
-	}
-	return 128
-}
+const (
+	// queueLen is the writer queue capacity; writes beyond it block the
+	// submitter (back-pressure, not unbounded buffering).
+	queueLen = 1024
+	// batchMax is the most events the writer applies before publishing a
+	// snapshot. Larger batches amortize publication cost under write bursts
+	// at the price of write latency.
+	batchMax = 128
+)
 
 // Engine owns one mutable spatial graph and serves immutable snapshots of
 // it. All methods are safe for concurrent use; the mutable graph is touched
@@ -215,13 +196,12 @@ func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{
 		g:       g,
 		base:    core.NewSearcher(g),
-		events:  make(chan event, opt.queueLen()),
+		events:  make(chan event, queueLen),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		persist: opt.Persist,
 		walSeq:  opt.InitialSeq,
 	}
-	e.base.SetParallelism(opt.Parallelism)
 	if opt.OnPublish != nil {
 		e.SetOnPublish(opt.OnPublish)
 	}
@@ -243,7 +223,7 @@ func New(g *graph.Graph, opt Options) *Engine {
 		reg.GaugeFunc("sac_engine_pool_clones", "Searcher clones created by the snapshot pool.",
 			func() float64 { return float64(e.PoolClones()) })
 	}
-	go e.writer(opt.batchMax())
+	go e.writer()
 	return e
 }
 
@@ -371,7 +351,7 @@ func (e *Engine) submit(ctx context.Context, ev event) (result, error) {
 // bursts of events, applies them, logs the batch through the persist hook
 // (one group commit per burst), publishes one snapshot, and only then
 // releases the events' waiters.
-func (e *Engine) writer(batchMax int) {
+func (e *Engine) writer() {
 	defer close(e.done)
 	pending := make([]event, 0, batchMax)
 	results := make([]result, 0, batchMax)

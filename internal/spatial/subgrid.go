@@ -1,3 +1,8 @@
+// Package spatial implements the uniform-grid point index of the SAC query
+// path. SAC search repeatedly gathers "all vertices inside circle O(c, r)"
+// (AppAcc's anchor probes, the Exact / Exact+ circle enumeration, Exact+'s
+// annulus filter); SubGrid answers those range queries in time proportional
+// to the number of touched cells instead of the whole candidate set.
 package spatial
 
 import (
@@ -11,9 +16,9 @@ import (
 // designed for the SAC query hot path: it is rebuilt once per query over the
 // candidate set and probed by many circle range queries (Exact and Exact+
 // enumerate O(|X|²)–O(|X|³) circles; AppAcc gathers a prefix per
-// binary-search probe per anchor). Unlike Grid it stores its buckets in CSR
-// form — three flat slices reused across Build calls — so steady-state
-// rebuilds allocate nothing and queries touch contiguous memory.
+// binary-search probe per anchor). It stores its buckets in CSR form — three
+// flat slices reused across Build calls — so steady-state rebuilds allocate
+// nothing and queries touch contiguous memory.
 //
 // A SubGrid snapshots the subset's locations at Build time; rebuild after
 // location updates. It is not safe for concurrent use.
@@ -125,7 +130,7 @@ func (sg *SubGrid) cellOf(p geom.Point) int {
 }
 
 // InCircle appends every indexed vertex inside the closed disk c (with
-// geom.Eps tolerance, matching Grid.InCircle) to dst and returns dst.
+// geom.Eps tolerance) to dst and returns dst.
 func (sg *SubGrid) InCircle(c geom.Circle, dst []graph.V) []graph.V {
 	if c.R < 0 || len(sg.ids) == 0 {
 		return dst
@@ -180,4 +185,14 @@ func (sg *SubGrid) InAnnulus(center geom.Point, rInner, rOuter float64, dst []gr
 		}
 	}
 	return dst
+}
+
+func clampInt(v, lo, hi int) int {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -109,17 +110,54 @@ func TestSubGridRebuildReuse(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state Build allocates %v times per run", allocs)
 	}
-	// Empty and degenerate inputs.
-	sg.Build(g, nil, 4)
+}
+
+// TestEmptyGrid rebuilds a populated grid over nothing: the previous contents
+// must be gone and every query empty.
+func TestEmptyGrid(t *testing.T) {
+	sg := allVerticesGrid(randomPoints(50, 2), 4)
+	sg.Build(nil, nil, 4)
 	if sg.Len() != 0 {
 		t.Fatal("empty build not empty")
 	}
-	if out := sg.InCircle(geom.Circle{C: geom.Point{}, R: 1}, nil); len(out) != 0 {
-		t.Fatalf("empty grid returned %v", out)
+	if out := sg.InCircle(geom.Circle{C: geom.Point{X: 0.5, Y: 0.5}, R: 10}, nil); len(out) != 0 {
+		t.Fatalf("InCircle on empty = %v", out)
 	}
-	sg.Build(g, subset[:1], 4)
-	if out := sg.InCircle(geom.Circle{C: g.Loc(subset[0]), R: 0}, nil); len(out) != 1 {
-		t.Fatalf("single-point grid query = %v", out)
+	if out := sg.InAnnulus(geom.Point{X: 0.5, Y: 0.5}, 0, 10, nil); len(out) != 0 {
+		t.Fatalf("InAnnulus on empty = %v", out)
+	}
+}
+
+func TestSinglePoint(t *testing.T) {
+	sg := allVerticesGrid([]geom.Point{{X: 0.3, Y: 0.7}}, 4)
+	got := sg.InCircle(geom.Circle{C: geom.Point{X: 0.3, Y: 0.7}, R: 0}, nil)
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("InCircle = %v", got)
+	}
+	if got := sg.InCircle(geom.Circle{C: geom.Point{X: 0.9, Y: 0.9}, R: 0.1}, nil); len(got) != 0 {
+		t.Fatalf("miss = %v", got)
+	}
+}
+
+// TestInAnnulus is a hand-checked annulus that cuts on both sides: the
+// centre point falls inside the inner radius, the far point beyond the outer.
+func TestInAnnulus(t *testing.T) {
+	sg := allVerticesGrid([]geom.Point{
+		{X: 0.5, Y: 0.5},  // center, dist 0
+		{X: 0.6, Y: 0.5},  // dist 0.1
+		{X: 0.8, Y: 0.5},  // dist 0.3
+		{X: 0.95, Y: 0.5}, // dist 0.45
+	}, 1)
+	got := sg.InAnnulus(geom.Point{X: 0.5, Y: 0.5}, 0.05, 0.35, nil)
+	slices.Sort(got)
+	if !slices.Equal(got, []graph.V{1, 2}) {
+		t.Fatalf("annulus = %v, want [1 2]", got)
+	}
+	// Inner radius 0 includes the center point.
+	got = sg.InAnnulus(geom.Point{X: 0.5, Y: 0.5}, 0, 0.35, nil)
+	slices.Sort(got)
+	if !slices.Equal(got, []graph.V{0, 1, 2}) {
+		t.Fatalf("annulus with rInner=0 = %v", got)
 	}
 }
 
@@ -168,5 +206,100 @@ func TestSubGridAnnulusTinyInner(t *testing.T) {
 	got := sg.InAnnulus(geom.Point{X: 0.5, Y: 0.5}, 5e-10, 0.2, nil)
 	if len(got) != 2 {
 		t.Fatalf("tiny rInner dropped the center vertex: got %v", got)
+	}
+}
+
+// allVerticesGrid returns a SubGrid over all vertices of a graph of isolated
+// vertices at pts — the whole-graph index the range-query ablation uses.
+func allVerticesGrid(pts []geom.Point, targetPerCell int) *SubGrid {
+	b := graph.NewBuilder(len(pts))
+	all := make([]graph.V, len(pts))
+	for i, p := range pts {
+		b.SetLoc(graph.V(i), p)
+		all[i] = graph.V(i)
+	}
+	sg := new(SubGrid)
+	sg.Build(b.Build(), all, targetPerCell)
+	return sg
+}
+
+func randomPoints(n int, seed int64) []geom.Point {
+	rnd := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: rnd.Float64(), Y: rnd.Float64()}
+	}
+	return pts
+}
+
+// inCircleMatchesBrute reports whether sg.InCircle(c) is exactly the points
+// of pts inside c.
+func inCircleMatchesBrute(sg *SubGrid, pts []geom.Point, c geom.Circle) bool {
+	var want []graph.V
+	for i, p := range pts {
+		if c.Contains(p) {
+			want = append(want, graph.V(i))
+		}
+	}
+	got := sg.InCircle(c, nil)
+	slices.Sort(got)
+	return slices.Equal(got, want)
+}
+
+// TestInCircleMatchesBrute indexes a whole 2000-vertex graph and probes with
+// circles whose centres and reach go beyond the indexed extent, so the cell
+// range clamps on every side.
+func TestInCircleMatchesBrute(t *testing.T) {
+	pts := randomPoints(2000, 42)
+	sg := allVerticesGrid(pts, 4)
+	rnd := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 100; trial++ {
+		c := geom.Circle{
+			C: geom.Point{X: rnd.Float64() * 1.2, Y: rnd.Float64() * 1.2},
+			R: rnd.Float64() * 0.4,
+		}
+		if !inCircleMatchesBrute(sg, pts, c) {
+			t.Fatalf("trial %d circle %+v: InCircle differs from the linear scan", trial, c)
+		}
+	}
+}
+
+func TestInCircleNegativeRadius(t *testing.T) {
+	sg := allVerticesGrid(randomPoints(10, 1), 4)
+	if got := sg.InCircle(geom.Circle{C: geom.Point{X: 0.5, Y: 0.5}, R: -1}, nil); len(got) != 0 {
+		t.Fatalf("negative radius = %v", got)
+	}
+}
+
+// TestDegenerateAllSamePoint collapses both extents of the bounding box at
+// once (TestSubGridAnisotropicBounded collapses one).
+func TestDegenerateAllSamePoint(t *testing.T) {
+	pts := make([]geom.Point, 20)
+	for i := range pts {
+		pts[i] = geom.Point{X: 0.5, Y: 0.5}
+	}
+	sg := allVerticesGrid(pts, 4)
+	if got := sg.InCircle(geom.Circle{C: geom.Point{X: 0.5, Y: 0.5}, R: 0.01}, nil); len(got) != 20 {
+		t.Fatalf("got %d, want 20", len(got))
+	}
+	if got := sg.InCircle(geom.Circle{C: geom.Point{X: 0.6, Y: 0.5}, R: 0.01}, nil); len(got) != 0 {
+		t.Fatalf("miss returned %v", got)
+	}
+}
+
+// Property: InCircle returns exactly the brute-force set for arbitrary
+// circles and point clouds, down to a single point.
+func TestInCircleProperty(t *testing.T) {
+	f := func(seed int64, nRaw uint8, cxRaw, cyRaw, rRaw uint16) bool {
+		pts := randomPoints(int(nRaw%100)+1, seed)
+		sg := allVerticesGrid(pts, 3)
+		c := geom.Circle{
+			C: geom.Point{X: float64(cxRaw) / 65535, Y: float64(cyRaw) / 65535},
+			R: float64(rRaw) / 65535 * 0.5,
+		}
+		return inCircleMatchesBrute(sg, pts, c)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -81,9 +81,6 @@ type Options struct {
 	// CheckpointEvents additionally triggers a checkpoint once this many WAL
 	// records accumulate past the last one (0 disables the event trigger).
 	CheckpointEvents uint64
-	// Engine passes through the snapshot engine's queue and batch tuning.
-	// Persist and InitialSeq are owned by the store and must be left zero.
-	Engine snapshot.Options
 	// Metrics, when non-nil, instruments the store and is forwarded to the
 	// WAL and engine it owns: fsync and publish latency histograms,
 	// checkpoint duration, segment gauges.
@@ -171,9 +168,6 @@ func HasState(dataDir string) bool {
 // Open recovers (or bootstraps) the durable store rooted at dataDir and
 // starts its engine and checkpointer. Close releases both.
 func Open(dataDir string, opt Options) (*Store, error) {
-	if opt.Engine.Persist != nil || opt.Engine.InitialSeq != 0 {
-		return nil, errors.New("store: Options.Engine.Persist/InitialSeq are owned by the store")
-	}
 	if _, err := wal.ParsePolicy(string(opt.Fsync)); err != nil {
 		return nil, err
 	}
@@ -259,13 +253,11 @@ func Open(dataDir string, opt Options) (*Store, error) {
 		st.sinceCkpt.Store(0)
 	}
 
-	engOpt := opt.Engine
-	engOpt.Persist = st.persistBatch
-	engOpt.InitialSeq = log.LastSeq()
-	if engOpt.Metrics == nil {
-		engOpt.Metrics = opt.Metrics
-	}
-	st.eng = snapshot.New(g, engOpt)
+	st.eng = snapshot.New(g, snapshot.Options{
+		Persist:    st.persistBatch,
+		InitialSeq: log.LastSeq(),
+		Metrics:    opt.Metrics,
+	})
 	st.ckptDur = opt.Metrics.Histogram("sac_store_checkpoint_duration_seconds",
 		"Checkpoint write latency (snapshot serialization plus WAL truncation).",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60})

@@ -2,10 +2,8 @@ package subscribe
 
 import (
 	"encoding/json"
-	"sync"
 
 	"sacsearch/internal/snapshot"
-	"sacsearch/internal/telemetry"
 )
 
 // Feed event kinds on the /v1/shard/watch wire.
@@ -31,26 +29,19 @@ type WatchJSON struct {
 // over SSE, with the same ring/resume/shed machinery as subscription
 // streams. It is the raw signal a router's own invalidation gates run on.
 type Feed struct {
-	streamBuf int
-	sheds     *telemetry.Counter
-
-	mu      sync.Mutex
-	ring    []Event
-	nextSeq uint64
-	streams map[*Stream]struct{}
-	closed  bool
+	eventLog
 }
 
 // NewFeed builds a publication feed; opt supplies the stream buffer size
 // (metrics feed only the shed counter — evaluation metrics belong to the
 // router consuming the feed).
 func NewFeed(opt Options) *Feed {
-	return &Feed{
+	return &Feed{eventLog: eventLog{
 		streamBuf: opt.streamBuf(),
 		sheds: opt.Metrics.Counter("sac_shard_watch_sheds_total",
 			"Shard-watch streams dropped for falling more than one buffer behind."),
 		streams: make(map[*Stream]struct{}),
-	}
+	}}
 }
 
 // Notify is the engine's post-publish hook: it summarizes one publication
@@ -87,22 +78,10 @@ func (f *Feed) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
 	if f.closed {
 		return
 	}
-	if f.nextSeq == 0 {
-		f.nextSeq = 1
-	}
-	payload.Seq = f.nextSeq
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	ev := Event{Seq: f.nextSeq, Kind: kind, Data: data}
-	f.nextSeq++
-	f.ring = append(f.ring, ev)
-	if len(f.ring) > ringLen {
-		copy(f.ring, f.ring[len(f.ring)-ringLen:])
-		f.ring = f.ring[:ringLen]
-	}
-	fanout(f.streams, ev, f.sheds)
+	f.append(kind, func(seq uint64) any {
+		payload.Seq = seq
+		return payload
+	})
 }
 
 // Attach adds a watcher. The replay is either the ring tail after a
@@ -114,23 +93,11 @@ func (f *Feed) Attach(lastEventID uint64, hasLast bool) (*Stream, []Event, error
 	if f.closed {
 		return nil, nil, ErrClosed
 	}
-	st := newStream(f.streamBuf)
-	f.streams[st] = struct{}{}
-	var latest uint64
-	if f.nextSeq > 0 {
-		latest = f.nextSeq - 1
-	}
-	if hasLast && lastEventID == latest {
-		return st, nil, nil
-	}
-	if hasLast && lastEventID < latest && len(f.ring) > 0 && f.ring[0].Seq <= lastEventID+1 {
-		tail := f.ring[lastEventID+1-f.ring[0].Seq:]
-		replay := make([]Event, len(tail))
-		copy(replay, tail)
-		return st, replay, nil
-	}
-	data, _ := json.Marshal(WatchJSON{Seq: latest, Resync: true})
-	return st, []Event{{Seq: latest, Kind: KindResync, Data: data}}, nil
+	st, replay := f.attach(lastEventID, hasLast, func(latest uint64) Event {
+		data, _ := json.Marshal(WatchJSON{Seq: latest, Resync: true})
+		return Event{Seq: latest, Kind: KindResync, Data: data}
+	})
+	return st, replay, nil
 }
 
 // Detach removes a watcher stream.
@@ -145,15 +112,5 @@ func (f *Feed) Detach(st *Stream) {
 func (f *Feed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.closed = true
-	if f.nextSeq == 0 {
-		f.nextSeq = 1
-	}
-	data, _ := json.Marshal(ByeJSON{Reason: "server draining"})
-	byeAll(f.streams, Event{Seq: f.nextSeq, Kind: KindBye, Data: data})
-	f.nextSeq++
-	f.streams = make(map[*Stream]struct{})
+	f.bye(ByeJSON{Reason: "server draining"})
 }

@@ -5,7 +5,8 @@
 // The package splits into two halves:
 //
 //   - The delivery core (this file): a Hub of subscriptions, each holding the
-//     last delivered result, a bounded ring of recent events for
+//     last delivered result and an event log (eventlog.go, shared with the
+//     shard publication Feed): a bounded ring of recent events for
 //     Last-Event-ID resume, and any number of attached SSE streams with
 //     slow-consumer shedding.
 //   - The evaluation driver (dispatcher.go): one Dispatcher decides *when* a
@@ -243,7 +244,7 @@ func (h *Hub) Register(id string, q core.Query) (*Sub, error) {
 		needsInit: true,
 		always:    q.Algo == "theta",
 		hub:       h,
-		streams:   make(map[*Stream]struct{}),
+		eventLog:  eventLog{streamBuf: h.opt.streamBuf(), sheds: h.sheds, streams: make(map[*Stream]struct{})},
 		// Starts detached: a subscription whose client never attaches (or
 		// never comes back) is reaped by Sweep after the resume TTL.
 		detachedAt: time.Now(),
@@ -341,58 +342,9 @@ type Sub struct {
 
 	hub *Hub
 
-	mu         sync.Mutex
-	st         state
-	ring       []Event // contiguous seqs, at most ringLen
-	nextSeq    uint64  // seq the next event will take (first event = 1)
-	streams    map[*Stream]struct{}
+	eventLog             // the resume ring and the attached streams; its mu guards the rest
+	st         state     // the last delivered result
 	detachedAt time.Time // zero while any stream is attached
-	closed     bool
-}
-
-// Stream is one attached consumer. Read events from C; when Shed is closed
-// the consumer fell a full buffer behind and the server dropped it — close
-// the transport and let the client resume with Last-Event-ID.
-type Stream struct {
-	C    chan Event
-	Shed chan struct{}
-	shed bool // guarded by the owning Sub's (or Feed's) mu
-}
-
-func newStream(buf int) *Stream {
-	return &Stream{C: make(chan Event, buf), Shed: make(chan struct{})}
-}
-
-// fanout delivers ev to every live stream without ever blocking: a stream
-// whose buffer is full is shed instead. Caller holds the owning mutex.
-func fanout(streams map[*Stream]struct{}, ev Event, sheds *telemetry.Counter) {
-	for st := range streams {
-		if st.shed {
-			continue
-		}
-		select {
-		case st.C <- ev:
-		default:
-			st.shed = true
-			close(st.Shed)
-			sheds.Inc()
-		}
-	}
-}
-
-// byeAll ends every stream: the terminal event goes to each one that can
-// still take it (a full buffer outranks the goodbye), then the stream is
-// closed. Caller holds the owning mutex.
-func byeAll(streams map[*Stream]struct{}, bye Event) {
-	for st := range streams {
-		if !st.shed {
-			select {
-			case st.C <- bye:
-			default:
-			}
-		}
-		close(st.C)
-	}
 }
 
 // Apply records one evaluation's outcome: it diffs against the last
@@ -438,33 +390,16 @@ func (sub *Sub) Apply(r *EvalResult, publishedAt time.Time) {
 		delta:       r.Delta,
 		hash:        hash,
 	}
-	sub.append(kind, payload)
+	sub.append(kind, func(seq uint64) any {
+		payload.Seq = seq
+		return payload
+	})
 	if kind == KindDelta {
 		sub.hub.deltas.Inc()
 		if !publishedAt.IsZero() {
 			sub.hub.latency.Observe(time.Since(publishedAt).Seconds())
 		}
 	}
-}
-
-// append seals one event into the ring and fans it out. Caller holds sub.mu.
-func (sub *Sub) append(kind string, payload EventJSON) {
-	if sub.nextSeq == 0 {
-		sub.nextSeq = 1
-	}
-	payload.Seq = sub.nextSeq
-	data, err := json.Marshal(payload)
-	if err != nil { // payload is plain numbers and strings; cannot happen
-		return
-	}
-	ev := Event{Seq: sub.nextSeq, Kind: kind, Data: data}
-	sub.nextSeq++
-	sub.ring = append(sub.ring, ev)
-	if len(sub.ring) > ringLen {
-		copy(sub.ring, sub.ring[len(sub.ring)-ringLen:])
-		sub.ring = sub.ring[:ringLen]
-	}
-	fanout(sub.streams, ev, sub.hub.sheds)
 }
 
 // Attach adds a consumer stream. replay holds what the consumer must see
@@ -479,25 +414,13 @@ func (sub *Sub) Attach(lastEventID uint64, hasLast bool) (*Stream, []Event, erro
 	if sub.closed {
 		return nil, nil, ErrClosed
 	}
-	st := newStream(sub.hub.opt.streamBuf())
-	sub.streams[st] = struct{}{}
-	sub.detachedAt = time.Time{}
+	synth := sub.initEvent
 	if !sub.st.valid {
-		return st, nil, nil
+		synth = nil
 	}
-	latest := sub.nextSeq - 1
-	if hasLast {
-		if lastEventID == latest {
-			return st, nil, nil
-		}
-		if lastEventID < latest && len(sub.ring) > 0 && sub.ring[0].Seq <= lastEventID+1 {
-			tail := sub.ring[lastEventID+1-sub.ring[0].Seq:]
-			replay := make([]Event, len(tail))
-			copy(replay, tail)
-			return st, replay, nil
-		}
-	}
-	return st, []Event{sub.initEvent(latest)}, nil
+	st, replay := sub.attach(lastEventID, hasLast, synth)
+	sub.detachedAt = time.Time{}
+	return st, replay, nil
 }
 
 // initEvent synthesizes a full-state init frame at the given seq (the state
@@ -537,17 +460,7 @@ func (sub *Sub) Detach(st *Stream) {
 func (sub *Sub) terminate(reason string) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
-	if sub.closed {
-		return
-	}
-	sub.closed = true
-	if sub.nextSeq == 0 {
-		sub.nextSeq = 1
-	}
-	data, _ := json.Marshal(ByeJSON{Sub: sub.ID, Reason: reason})
-	byeAll(sub.streams, Event{Seq: sub.nextSeq, Kind: KindBye, Data: data})
-	sub.nextSeq++
-	sub.streams = make(map[*Stream]struct{})
+	sub.bye(ByeJSON{Sub: sub.ID, Reason: reason})
 }
 
 // SameQuery reports whether two validated queries denote the same standing

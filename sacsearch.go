@@ -22,8 +22,9 @@
 // check-in streams. Serving is snapshot-isolated: a ServingEngine owns the
 // mutable graph in one writer goroutine and publishes immutable
 // ServingSnapshot views through an atomic pointer, so queries run with zero
-// locks; every algorithm has a *Ctx variant that honors cancellation and
-// deadlines mid-query (ErrCanceled). Serving state is durable on request:
+// locks; Searcher.Search takes a context, and every algorithm honors its
+// cancellation and deadline mid-query (ErrCanceled). Serving state is
+// durable on request:
 // OpenStore wraps the engine with a write-ahead log, checkpoints and crash
 // recovery (write-visible implies logged; with FsyncAlways, on disk), and
 // SaveGraph/LoadGraph persist built graphs in the checksummed binary
@@ -60,10 +61,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Members, res.MCC)
 //
-// Search is the unified entry point: one Query value selects the algorithm
-// by registry name and carries its parameters, validated and defaulted
-// against the algorithm registry (Algorithms). The legacy per-algorithm
-// methods (s.Exact, s.ExactPlus, s.AppInc, ...) remain as thin equivalents.
+// Search is the entry point every query takes: one Query value selects the
+// algorithm by registry name and carries its parameters, validated and
+// defaulted against the algorithm registry (Algorithms). The per-algorithm
+// methods (s.Exact, s.ExactPlus, s.AppInc, ...) are one-line conveniences
+// that build a Query and call Search with a background context.
 // Remote callers get the same shape over HTTP — the versioned /v1 API of
 // cmd/sacserver — through the typed client package sacsearch/client.
 //
@@ -199,10 +201,10 @@ func ParseStructure(name string) (Structure, error) { return core.ParseStructure
 var ErrNoCommunity = core.ErrNoCommunity
 
 // ErrCanceled reports that a query's context was canceled or its deadline
-// expired mid-algorithm. Every Searcher method has a *Ctx variant
-// (ExactCtx, AppFastCtx, ...) that checks its context at loop boundaries;
-// the underlying context error is wrapped, so errors.Is against
-// context.Canceled or context.DeadlineExceeded reports the cause.
+// expired mid-algorithm: Searcher.Search arms the context it is given and
+// every algorithm checks it at its loop boundaries. The underlying context
+// error is wrapped, so errors.Is against context.Canceled or
+// context.DeadlineExceeded reports the cause.
 var ErrCanceled = core.ErrCanceled
 
 // NewSearcher prepares SAC search over g with the minimum-degree metric.
@@ -234,7 +236,8 @@ type (
 	// ServingSnapshot is one immutable published graph view; it is a
 	// BatchSource, so whole batches run pinned to one state.
 	ServingSnapshot = snapshot.Snap
-	// ServingOptions tunes the writer queue length and publication batch.
+	// ServingOptions wires an engine's durability, metrics and post-publish
+	// hooks; the zero value serves an in-memory engine.
 	ServingOptions = snapshot.Options
 )
 

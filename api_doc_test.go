@@ -9,9 +9,8 @@ import (
 // TestReadmeMatchesRegistry keeps the README's "API v1" reference honest
 // against the algorithm registry: every registered algorithm name, every
 // parameter name, every /v1 route and every error code the server can emit
-// must appear in the documentation, and the deprecation of the unversioned
-// routes must be called out. The reference is written by hand but checked
-// against the registry, so the two cannot drift apart silently.
+// must appear in the documentation. The reference is written by hand but
+// checked against the registry, so the two cannot drift apart silently.
 func TestReadmeMatchesRegistry(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -68,7 +67,7 @@ func TestReadmeMatchesRegistry(t *testing.T) {
 	}
 
 	for _, needle := range []string{
-		"deprecated", "Deprecation", "X-Request-Id", "sacsearch/client",
+		"X-Request-Id", "sacsearch/client",
 		"X-Trace-Span", "uptimeSeconds", "build",
 	} {
 		if !strings.Contains(section, needle) {

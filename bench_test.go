@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 5), one testing.B function per artifact, plus the ablation
-// benches DESIGN.md §7 calls out. Quality figures (9, 10, 11, 13, 14b)
+// (Section 5), one testing.B function per artifact, plus the range-query
+// ablation DESIGN.md §7 calls out. Quality figures (9, 10, 11, 13, 14b)
 // report their headline number through b.ReportMetric in the figure's own
 // unit next to the usual ns/op; efficiency figures (12, 14a) are plain
 // timing benches.
@@ -614,7 +614,7 @@ func BenchmarkFig14ExactPlusEps(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §7) -----------------------------------------------
+// --- Ablation (DESIGN.md §7) ------------------------------------------------
 
 // BenchmarkAblationRangeQuery compares the uniform-grid circle range query
 // against a linear scan over all vertex locations.
@@ -652,50 +652,6 @@ func BenchmarkAblationRangeQuery(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationAppAccPruning quantifies AppAcc's Pruning2 (inherited
-// infeasible radii cutting quadtree subtrees).
-func BenchmarkAblationAppAccPruning(b *testing.B) {
-	f := fixture(b)
-	run := func(b *testing.B, enabled bool) {
-		f.searcher.SetPruning2(enabled)
-		defer f.searcher.SetPruning2(true)
-		var anchors float64
-		for i := 0; i < b.N; i++ {
-			res, err := f.searcher.AppAcc(f.query(i), benchK, 0.5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			anchors += float64(res.Stats.AnchorsProcessed)
-		}
-		b.ReportMetric(anchors/float64(b.N), "anchors")
-	}
-	b.Run("Pruning2On", func(b *testing.B) { run(b, true) })
-	b.Run("Pruning2Off", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkAblationExactPlusAnnulus quantifies Exact+'s fixed-vertex annulus
-// filter; with it off, the pair/triple enumeration runs over every candidate
-// in O(q, 2γ).
-func BenchmarkAblationExactPlusAnnulus(b *testing.B) {
-	f := exactWorkload(b)
-	run := func(b *testing.B, enabled bool) {
-		f.searcher.SetAnnulusPruning(enabled)
-		defer f.searcher.SetAnnulusPruning(true)
-		var f1 float64
-		for i := 0; i < b.N; i++ {
-			q := f.queries[i%len(f.queries)]
-			res, err := f.searcher.ExactPlus(q, benchK, 1e-3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f1 += float64(res.Stats.F1Size)
-		}
-		b.ReportMetric(f1/float64(b.N), "F1-size")
-	}
-	b.Run("AnnulusOn", func(b *testing.B) { run(b, true) })
-	b.Run("AnnulusOff", func(b *testing.B) { run(b, false) })
 }
 
 // --- Harness smoke (exp registry) -------------------------------------------

@@ -143,48 +143,34 @@ func (s *Set) write(call func(*Client) error) error {
 	return fmt.Errorf("sac client: no endpoint accepted the write (%d tried): %w", len(s.clients), lastErr)
 }
 
-// Query runs one SAC query on any endpoint (round-robin with failover).
-func (s *Set) Query(ctx context.Context, q Query) (*Result, error) {
-	var out *Result
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.Query(ctx, q)
+// forward runs a value-returning call through walk — s.read or s.write — and
+// returns what the endpoint that settled it answered.
+func forward[T any](walk func(func(*Client) error) error, call func(*Client) (T, error)) (out T, err error) {
+	err = walk(func(c *Client) (e error) {
+		out, e = call(c)
 		return e
 	})
 	return out, err
+}
+
+// Query runs one SAC query on any endpoint (round-robin with failover).
+func (s *Set) Query(ctx context.Context, q Query) (*Result, error) {
+	return forward(s.read, func(c *Client) (*Result, error) { return c.Query(ctx, q) })
 }
 
 // Batch answers many queries on any endpoint (round-robin with failover).
 func (s *Set) Batch(ctx context.Context, queries []BatchQuery, opt *BatchOptions) ([]BatchItem, error) {
-	var out []BatchItem
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.Batch(ctx, queries, opt)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) ([]BatchItem, error) { return c.Batch(ctx, queries, opt) })
 }
 
 // Vertex fetches one vertex from any endpoint (round-robin with failover).
 func (s *Set) Vertex(ctx context.Context, id int64) (*Vertex, error) {
-	var out *Vertex
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.Vertex(ctx, id)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) (*Vertex, error) { return c.Vertex(ctx, id) })
 }
 
 // Algorithms fetches the registry from any endpoint.
 func (s *Set) Algorithms(ctx context.Context) ([]AlgoInfo, error) {
-	var out []AlgoInfo
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.Algorithms(ctx)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) ([]AlgoInfo, error) { return c.Algorithms(ctx) })
 }
 
 // CheckIn moves vertex v through whichever endpoint accepts writes.
@@ -195,11 +181,5 @@ func (s *Set) CheckIn(ctx context.Context, v int64, x, y float64) error {
 // Edge mutates one friendship edge through whichever endpoint accepts
 // writes.
 func (s *Set) Edge(ctx context.Context, u, v int64, insert bool) (*EdgeResult, error) {
-	var out *EdgeResult
-	err := s.write(func(c *Client) error {
-		var e error
-		out, e = c.Edge(ctx, u, v, insert)
-		return e
-	})
-	return out, err
+	return forward(s.write, func(c *Client) (*EdgeResult, error) { return c.Edge(ctx, u, v, insert) })
 }

@@ -101,56 +101,26 @@ func (c *Client) ShardRange(ctx context.Context, x, y, r float64) ([]ShardVertex
 
 // ShardInfo fetches shard info from any endpoint of the set.
 func (s *Set) ShardInfo(ctx context.Context) (*ShardInfo, error) {
-	var out *ShardInfo
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.ShardInfo(ctx)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) (*ShardInfo, error) { return c.ShardInfo(ctx) })
 }
 
 // ShardSearch asks any endpoint of the set for its certified verdict on q.
 func (s *Set) ShardSearch(ctx context.Context, q Query) (*ShardSearchResult, error) {
-	var out *ShardSearchResult
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.ShardSearch(ctx, q)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) (*ShardSearchResult, error) { return c.ShardSearch(ctx, q) })
 }
 
 // ShardExpand fetches the shard-local closure from any endpoint of the set.
 func (s *Set) ShardExpand(ctx context.Context, k int, seeds []int64) (*ShardExpansion, error) {
-	var out *ShardExpansion
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.ShardExpand(ctx, k, seeds)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) (*ShardExpansion, error) { return c.ShardExpand(ctx, k, seeds) })
 }
 
 // ShardRange fetches the in-disk owned vertices from any endpoint of the
 // set.
 func (s *Set) ShardRange(ctx context.Context, x, y, r float64) ([]ShardVertex, error) {
-	var out []ShardVertex
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.ShardRange(ctx, x, y, r)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) ([]ShardVertex, error) { return c.ShardRange(ctx, x, y, r) })
 }
 
 // Health fetches /v1/health from any endpoint of the set.
 func (s *Set) Health(ctx context.Context) (*Health, error) {
-	var out *Health
-	err := s.read(func(c *Client) error {
-		var e error
-		out, e = c.Health(ctx)
-		return e
-	})
-	return out, err
+	return forward(s.read, func(c *Client) (*Health, error) { return c.Health(ctx) })
 }

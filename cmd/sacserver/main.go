@@ -6,8 +6,7 @@
 //	sacserver -dataset brightkite -scale 0.05 -addr :8080
 //	sacserver -load graph.bin -data-dir /var/lib/sacsearch -fsync always
 //
-// Then (the versioned /v1 API; the unversioned /api/* aliases still answer
-// but are deprecated):
+// Then (the versioned /v1 API):
 //
 //	curl localhost:8080/v1/health
 //	curl localhost:8080/v1/algorithms
@@ -183,9 +182,11 @@ func main() {
 		// for the big presets) when the data dir holds nothing to recover.
 		var g *graph.Graph
 		if !store.HasState(*dataDir) {
-			if g, err = buildGraph(*load, *name, *scale); err != nil {
+			ds, err := dataset.LoadOrRead(*load, *name, *scale)
+			if err != nil {
 				log.Fatalf("sacserver: %v", err)
 			}
+			g = ds.Graph
 		}
 		st, err := store.Open(*dataDir, store.Options{Init: g, Fsync: policy, Metrics: reg})
 		if err != nil {
@@ -221,11 +222,11 @@ func main() {
 		if *listenRepl != "" || *bumpEpoch {
 			log.Fatal("sacserver: -listen-replication and -bump-epoch require -data-dir")
 		}
-		g, err := buildGraph(*load, *name, *scale)
+		ds, err := dataset.LoadOrRead(*load, *name, *scale)
 		if err != nil {
 			log.Fatalf("sacserver: %v", err)
 		}
-		api = server.NewWithConfig(srvName, g, cfg)
+		api = server.NewWithConfig(srvName, ds.Graph, cfg)
 	}
 	defer api.Close()
 
@@ -238,7 +239,7 @@ func main() {
 		vertices, edges = snap.Graph().NumVertices(), snap.Edges()
 	}
 
-	fmt.Printf("sacserver: serving %s (%d vertices, %d edges) on %s (API /v1, deprecated alias /api)\n",
+	fmt.Printf("sacserver: serving %s (%d vertices, %d edges) on %s (API /v1)\n",
 		srvName, vertices, edges, *addr)
 	if err := httpapi.ListenAndServe(*addr, api, *qTimeout, *grace, logger, api.DrainSubscriptions); err != nil {
 		log.Fatalf("sacserver: %v", err)
@@ -297,26 +298,4 @@ func graphName(load, name string) string {
 		return name
 	}
 	return strings.TrimSuffix(filepath.Base(load), filepath.Ext(load))
-}
-
-// buildGraph materializes the serving graph: a saved binary file with
-// -load, a dataset preset otherwise.
-func buildGraph(load, name string, scale float64) (*graph.Graph, error) {
-	if load == "" {
-		ds, err := dataset.Load(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Graph, nil
-	}
-	f, err := os.Open(load)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := graph.ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", load, err)
-	}
-	return g, nil
 }

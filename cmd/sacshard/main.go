@@ -45,10 +45,11 @@ func main() {
 		log.Fatal("sacshard: -load and -dataset are mutually exclusive")
 	}
 
-	g, err := buildGraph(*load, *name, *scale)
+	ds, err := dataset.LoadOrRead(*load, *name, *scale)
 	if err != nil {
 		log.Fatalf("sacshard: %v", err)
 	}
+	g := ds.Graph
 	m, err := shard.Partition(g, *shards)
 	if err != nil {
 		log.Fatalf("sacshard: %v", err)
@@ -103,24 +104,4 @@ func countGhosts(sub *graph.Graph, m *shard.Map, id int) (owned, ghosts int) {
 		return 0, 0
 	}
 	return sv.Counts(sub)
-}
-
-func buildGraph(load, name string, scale float64) (*graph.Graph, error) {
-	if load == "" {
-		ds, err := dataset.Load(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Graph, nil
-	}
-	f, err := os.Open(load)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := graph.ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", load, err)
-	}
-	return g, nil
 }

@@ -43,25 +43,6 @@ func TestFacadeBatch(t *testing.T) {
 	}
 }
 
-func TestFacadeBatchStream(t *testing.T) {
-	g := buildToy(t)
-	s := sacsearch.NewSearcher(g)
-	in := make(chan sacsearch.BatchQuery, 2)
-	in <- sacsearch.BatchQuery{Q: 0, K: 2}
-	in <- sacsearch.BatchQuery{Q: 3, K: 2}
-	close(in)
-	n := 0
-	for it := range sacsearch.BatchStream(context.Background(), s, in, sacsearch.BatchOptions{Workers: 2}) {
-		if it.Err != nil {
-			t.Fatalf("stream: %v", it.Err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("stream items = %d", n)
-	}
-}
-
 func TestFacadeKClique(t *testing.T) {
 	g := buildToy(t)
 	s := sacsearch.NewSearcherWithStructure(g, sacsearch.StructureKClique)

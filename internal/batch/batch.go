@@ -13,8 +13,7 @@
 //     batch to one graph state), each owning isolated scratch space and a
 //     candidate cache, so the batch saturates the machine without data
 //     races — and when the caller keeps the pool alive across batches
-//     (RunOn/StreamOn), the workers' warmed caches survive between batches
-//     too.
+//     (RunOn), the workers' warmed caches survive between batches too.
 //
 // A batch names its algorithm the way a single query does: Options.Template
 // is a core.Query (any registered algorithm, parameters included) whose Q
@@ -24,8 +23,7 @@
 // at their next loop boundary and return core.ErrCanceled, and queries not
 // yet dispatched are failed with the same error without running — a batch
 // deadline bounds the whole batch, not just the queries that happened to
-// start. Results come back in input order (Run/RunOn) or as they complete
-// (Stream/StreamOn).
+// start. Results come back in input order.
 package batch
 
 import (
@@ -196,66 +194,6 @@ func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 		}
 	}
 	return items
-}
-
-// Stream answers queries from in as they arrive on a transient worker pool
-// over s; see StreamOn for the pooled variant.
-func Stream(ctx context.Context, s *core.Searcher, in <-chan Query, opt Options) <-chan Item {
-	return StreamOn(ctx, core.NewPool(s), in, opt)
-}
-
-// StreamOn answers queries from in as they arrive and sends items on the
-// returned channel as they complete (not in input order). The channel is
-// closed when in is closed and all in-flight queries have finished.
-// Duplicate queries are not deduplicated — streams are unbounded, so the
-// memory of past answers is the caller's concern. When ctx fires, queries
-// still arriving come back immediately as core.ErrCanceled items; the
-// caller remains responsible for closing in. After cancellation, delivery
-// turns best-effort: a consumer that stopped draining out does not block
-// the workers (items are dropped instead), so canceling and walking away
-// leaks nothing as long as in is eventually closed.
-func StreamOn(ctx context.Context, p Source, in <-chan Query, opt Options) <-chan Item {
-	out := make(chan Item)
-	workers := opt.workers()
-	// send delivers one item, except after cancellation, when it refuses to
-	// block on an abandoned consumer: the worker must get back to draining
-	// in so the close-out contract (and the worker itself) survives. The
-	// non-blocking first attempt keeps delivery reliable for a consumer
-	// that is actively draining even after ctx fires (a two-way select
-	// would drop at random once Done is closed).
-	send := func(it Item) {
-		select {
-		case out <- it:
-			return
-		default:
-		}
-		select {
-		case out <- it:
-		case <-ctx.Done():
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := p.Get()
-			defer p.Put(ws)
-			for q := range in {
-				if err := ctx.Err(); err != nil {
-					send(Item{Query: q, Err: canceledErr(err)})
-					continue
-				}
-				res, err := run(ctx, ws, q, opt.Template)
-				send(Item{Query: q, Result: res, Err: err})
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
 }
 
 // Workload builds the all-pairs batch for one k over a set of query

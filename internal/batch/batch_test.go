@@ -251,46 +251,6 @@ func slicesEqualV(a, b []graph.V) bool {
 	return true
 }
 
-func TestStream(t *testing.T) {
-	g := clusteredGraph(29, 8, 6, 15)
-	s := core.NewSearcher(g)
-	var queries []Query
-	for v := 0; v < g.NumVertices(); v += 2 {
-		queries = append(queries, Query{Q: graph.V(v), K: 4})
-	}
-	in := make(chan Query)
-	out := Stream(context.Background(), s, in, Options{Workers: 3})
-	go func() {
-		for _, q := range queries {
-			in <- q
-		}
-		close(in)
-	}()
-	got := map[Query]*core.Result{}
-	for it := range out {
-		if it.Err != nil && !errors.Is(it.Err, core.ErrNoCommunity) {
-			t.Fatalf("stream item %v: %v", it.Query, it.Err)
-		}
-		got[it.Query] = it.Result
-	}
-	if len(got) != len(queries) {
-		t.Fatalf("stream returned %d distinct answers, want %d", len(got), len(queries))
-	}
-	// Spot-check against direct computation.
-	for _, q := range queries[:5] {
-		want, err := s.AppFast(q.Q, q.K, 0.5)
-		if err != nil {
-			if got[q] != nil {
-				t.Fatalf("query %v: stream answered, sequential errored", q)
-			}
-			continue
-		}
-		if !sameMembers(got[q].Members, want.Members) {
-			t.Fatalf("query %v: %v vs %v", q, got[q].Members, want.Members)
-		}
-	}
-}
-
 func TestWorkload(t *testing.T) {
 	qs := []graph.V{3, 1, 4}
 	w := Workload(qs, 5)

@@ -117,7 +117,7 @@ func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *a
 			// Pruning2 (inherited): O(cell.C, r) is known infeasible for
 			// r = InfeasibleR; if even r ≥ rcur + cover is infeasible, the
 			// cell cannot contain o.
-			if !s.noPruning2 && cell.InfeasibleR >= st.rcur+cover {
+			if cell.InfeasibleR >= st.rcur+cover {
 				s.stats.AnchorsPruned++
 				continue
 			}
@@ -142,7 +142,7 @@ func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *a
 			if c.C.Dist(qLoc) > st.rcur+c.CoverRadius() {
 				return false
 			}
-			return s.noPruning2 || c.InfeasibleR < st.rcur+c.CoverRadius()
+			return c.InfeasibleR < st.rcur+c.CoverRadius()
 		})
 	}
 	return st

@@ -75,7 +75,7 @@ func (s Structure) String() string {
 }
 
 // Stats records per-query work counters; they feed the efficiency figures
-// and the ablation benchmarks.
+// and the server's per-algorithm metrics.
 type Stats struct {
 	CandidateSize     int           // |X|: size of q's k-ĉore
 	FeasibilityChecks int           // restricted peeling invocations
@@ -191,15 +191,6 @@ type Searcher struct {
 	// acc is AppAcc's per-query state, reused across queries.
 	acc appAccState
 
-	// noPruning2 disables AppAcc's inherited-infeasibility pruning; it
-	// exists only so the ablation benchmarks can quantify what Pruning2
-	// buys (Pruning1 stays on — without it the quadtree frontier is
-	// unbounded).
-	noPruning2 bool
-	// noAnnulus disables ExactPlus's fixed-vertex annulus filter (F1 falls
-	// back to every candidate within O(q, 2γ)); ablation use only.
-	noAnnulus bool
-
 	// parallel is the worker budget for intra-query parallel circle
 	// enumeration (see parallel.go); 0 and 1 both mean serial. parWorkers
 	// caches the lazily cloned enumeration workers, and parGrid points a
@@ -220,15 +211,6 @@ type Searcher struct {
 	ctxTick   uint
 	qdeadline time.Time
 }
-
-// SetPruning2 toggles AppAcc's Pruning2 (on by default). Ablation use only.
-func (s *Searcher) SetPruning2(enabled bool) { s.noPruning2 = !enabled }
-
-// SetAnnulusPruning toggles ExactPlus's fixed-vertex annulus filter (on by
-// default). With it off, ExactPlus enumerates pairs and triples over the
-// whole candidate set inside O(q, 2γ), which is Exact restricted by
-// Corollary 2 only. Ablation use only.
-func (s *Searcher) SetAnnulusPruning(enabled bool) { s.noAnnulus = !enabled }
 
 // SetCandidateCaching toggles the candidate-set membership cache (on by
 // default). Turning it off also drops whatever is cached; the repeated-query
@@ -290,22 +272,21 @@ func NewSearcherWithStructure(g *graph.Graph, st Structure) *Searcher {
 
 // Clone returns an independent Searcher over the same graph, sharing the
 // immutable decompositions but not the scratch space or the candidate
-// cache, for use from another goroutine. Ablation and caching toggles carry
-// over; the clone's cache starts empty and warms up independently.
+// cache, for use from another goroutine. The caching toggle and the
+// parallelism budget carry over; the clone's cache starts empty and warms up
+// independently.
 func (s *Searcher) Clone() *Searcher {
 	n := s.g.NumVertices()
 	c := &Searcher{
-		g:          s.g,
-		structure:  s.structure,
-		cores:      s.cores,
-		truss:      s.truss,
-		peeler:     kcore.NewPeeler(s.g),
-		inX:        graph.NewMarker(n),
-		visited:    graph.NewMarker(n),
-		noCache:    s.noCache,
-		noPruning2: s.noPruning2,
-		noAnnulus:  s.noAnnulus,
-		parallel:   s.parallel,
+		g:         s.g,
+		structure: s.structure,
+		cores:     s.cores,
+		truss:     s.truss,
+		peeler:    kcore.NewPeeler(s.g),
+		inX:       graph.NewMarker(n),
+		visited:   graph.NewMarker(n),
+		noCache:   s.noCache,
+		parallel:  s.parallel,
 	}
 	switch s.structure {
 	case StructureKTruss:

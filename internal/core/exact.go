@@ -42,33 +42,8 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 	rcur := geom.MCC(s.ptsBuf).R
 	best := append(s.bestBuf[:0], X...)
 
-	// tryCircle tests one fixed circle and updates the incumbent.
-	tryCircle := func(cc geom.Circle) {
-		s.stats.CirclesExamined++
-		if cc.R >= rcur {
-			return
-		}
-		// The community contains q, so its MCC must cover q's location.
-		if !cc.Contains(qLoc) {
-			return
-		}
-		// Last boundary before the expensive member gather + peel: bounds
-		// post-cancellation work to the feasibility check already in flight.
-		if s.canceled() {
-			return
-		}
-		R := s.circleMembers(cc)
-		if c := s.feasible(R, q, k); c != nil {
-			mcc := s.g.MCCOf(c)
-			if mcc.R < rcur {
-				rcur = mcc.R
-				best = append(best[:0], c...)
-			}
-		}
-	}
-
 	if len(X) >= 2 {
-		tryCircle(geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])))
+		s.tryCircle(geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])), qLoc, q, k, &rcur, &best)
 	}
 
 	if ws := s.parWorkersFor(len(X) - 2); ws != nil {
@@ -90,7 +65,7 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 				pj := s.g.Loc(X[j])
 				pi := s.g.Loc(X[i])
 				if pj.Dist(pi) <= 2*rcur {
-					tryCircle(geom.CircleFrom2(pj, pi))
+					s.tryCircle(geom.CircleFrom2(pj, pi), qLoc, q, k, &rcur, &best)
 				}
 				for h := j + 1; h < i; h++ {
 					if s.canceledTick() {
@@ -101,13 +76,35 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 					if pj.Dist(ph) > 2*rcur || ph.Dist(pi) > 2*rcur || pj.Dist(pi) > 2*rcur {
 						continue
 					}
-					tryCircle(geom.CircleFrom3(pj, ph, pi))
+					s.tryCircle(geom.CircleFrom3(pj, ph, pi), qLoc, q, k, &rcur, &best)
 				}
 			}
 		}
 	}
 	s.bestBuf = best
 	return best, deltaIsRadius, nil
+}
+
+// tryCircle tests one fixed circle of a serial Exact or ExactPlus scan and
+// lowers the incumbent (*rcur, *best) when the circle holds a feasible
+// community whose own MCC is strictly smaller.
+func (s *Searcher) tryCircle(cc geom.Circle, qLoc geom.Point, q graph.V, k int, rcur *float64, best *[]graph.V) {
+	s.stats.CirclesExamined++
+	// The community contains q, so its MCC must cover q's location.
+	if cc.R >= *rcur || !cc.Contains(qLoc) {
+		return
+	}
+	// Last boundary before the expensive member gather + peel: bounds
+	// post-cancellation work to the feasibility check already in flight.
+	if s.canceled() {
+		return
+	}
+	if c := s.feasible(s.circleMembers(cc), q, k); c != nil {
+		if mcc := s.g.MCCOf(c); mcc.R < *rcur {
+			*rcur = mcc.R
+			*best = append((*best)[:0], c...)
+		}
+	}
 }
 
 // gridTargetPerCell is the bucket occupancy the per-query candidate grid

@@ -49,17 +49,13 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 	// (the old path scanned all of S once per surviving anchor). The marker
 	// deduplicates vertices that fall in several anchors' annuli.
 	f1 := s.f1Buf[:0]
-	if s.noAnnulus {
-		f1 = append(f1, st.S...)
-	} else {
-		s.inX.Reset()
-		for _, cell := range st.finalCells {
-			s.subBuf = s.sGrid.InAnnulus(cell.C, rMinus, rPlus, s.subBuf[:0])
-			for _, v := range s.subBuf {
-				if !s.inX.Has(v) {
-					s.inX.Mark(v)
-					f1 = append(f1, v)
-				}
+	s.inX.Reset()
+	for _, cell := range st.finalCells {
+		s.subBuf = s.sGrid.InAnnulus(cell.C, rMinus, rPlus, s.subBuf[:0])
+		for _, v := range s.subBuf {
+			if !s.inX.Has(v) {
+				s.inX.Mark(v)
+				f1 = append(f1, v)
 			}
 		}
 	}
@@ -69,25 +65,6 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 	rcur := st.rcur
 	best := append(s.bestBuf[:0], st.members...)
 	qLoc := s.g.Loc(q)
-
-	tryCircle := func(cc geom.Circle) {
-		s.stats.CirclesExamined++
-		if cc.R >= rcur || !cc.Contains(qLoc) {
-			return
-		}
-		// Last boundary before the member gather + peel (see Exact).
-		if s.canceled() {
-			return
-		}
-		R := s.circleMembers(cc)
-		if c := s.feasible(R, q, k); c != nil {
-			mcc := s.g.MCCOf(c)
-			if mcc.R < rcur {
-				rcur = mcc.R
-				best = append(best[:0], c...)
-			}
-		}
-	}
 
 	// Enumerate F1 pairs and triples with the distance filters of
 	// Algorithm 5, lines 6-10. rcur tightens as better solutions appear,
@@ -117,7 +94,7 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 					continue
 				}
 				// Two fixed vertices: diameter circle.
-				tryCircle(geom.CircleFrom2(p1, p2))
+				s.tryCircle(geom.CircleFrom2(p1, p2), qLoc, q, k, &rcur, &best)
 				// Third fixed vertex: no farther from v1 than v2 is (F3 filter).
 				for i3, v3 := range f1 {
 					if i3 == i1 || i3 == i2 {
@@ -130,7 +107,7 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 					if p1.Dist(p3) > d12+geom.Eps || p2.Dist(p3) > d12+geom.Eps {
 						continue
 					}
-					tryCircle(geom.CircleFrom3(p1, p2, p3))
+					s.tryCircle(geom.CircleFrom3(p1, p2, p3), qLoc, q, k, &rcur, &best)
 				}
 			}
 		}

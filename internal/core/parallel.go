@@ -211,16 +211,20 @@ func (w *Searcher) tryCirclePar(cc geom.Circle, ord enumOrd, qLoc geom.Point, q 
 	}
 }
 
-// exactScanPar runs Exact's pair/triple scan (exact.go) across ws, with
-// strips of the outer index claimed dynamically. seed is the incumbent
-// radius going in; the return mirrors reducePar. The parent's stats and
-// cancellation latch absorb the workers' on return; the winning member slice
-// is owned by the winning worker and must be copied before the next query.
-func (s *Searcher) exactScanPar(ws []*Searcher, X []graph.V, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+// scanPar is the strip-claiming driver both parallel scans run on: the
+// outer index range [first, n) is cut into strips of parStrip claimed
+// dynamically by ws, and each worker runs strip on the ones it claims until
+// the range is exhausted, its context check fires, or strip returns false
+// (the worker latched a cancellation, or nothing later in the range can
+// beat the incumbent). seed is the incumbent radius going in; the return
+// mirrors reducePar. The parent's stats and cancellation latch absorb the
+// workers' on return; the winning member slice is owned by the winning
+// worker and must be copied before the next query.
+func (s *Searcher) scanPar(ws []*Searcher, first, n int, seed float64, strip func(w *Searcher, lo, hi int, rsh *sharedRadius, b *parBest) bool) (float64, []graph.V, bool) {
 	var rsh sharedRadius
 	rsh.init(seed)
 	var next atomic.Int64
-	next.Store(2) // the serial loop starts at i = 2
+	next.Store(int64(first))
 	bests := make([]parBest, len(ws))
 	var wg sync.WaitGroup
 	for wi, w := range ws {
@@ -229,48 +233,10 @@ func (s *Searcher) exactScanPar(ws []*Searcher, X []graph.V, qLoc geom.Point, q 
 		wg.Add(1)
 		go func(w *Searcher, b *parBest) {
 			defer wg.Done()
-			for {
-				if w.canceled() {
-					return
-				}
+			for !w.canceled() {
 				lo := int(next.Add(parStrip)) - parStrip
-				if lo >= len(X) {
+				if lo >= n || !strip(w, lo, min(lo+parStrip, n), &rsh, b) {
 					return
-				}
-				hi := lo + parStrip
-				if hi > len(X) {
-					hi = len(X)
-				}
-				for i := lo; i < hi; i++ {
-					pi := s.g.Loc(X[i])
-					if qLoc.Dist(pi) > 2*rsh.load() {
-						// The distance from q ascends with i and the shared
-						// incumbent only shrinks, so no later strip can pass
-						// either (Algorithm 1, line 13).
-						return
-					}
-					for j := 0; j < i; j++ {
-						if w.canceled() {
-							return
-						}
-						pj := s.g.Loc(X[j])
-						rc := rsh.load()
-						if pj.Dist(pi) <= 2*rc {
-							w.tryCirclePar(geom.CircleFrom2(pj, pi), enumOrd{int32(i), int32(j), -1}, qLoc, q, k, &rsh, b)
-						}
-						for h := j + 1; h < i; h++ {
-							if w.canceledTick() {
-								return
-							}
-							ph := s.g.Loc(X[h])
-							rc = rsh.load()
-							// Lemma 2 filters against the shared incumbent.
-							if pj.Dist(ph) > 2*rc || ph.Dist(pi) > 2*rc || pj.Dist(pi) > 2*rc {
-								continue
-							}
-							w.tryCirclePar(geom.CircleFrom3(pj, ph, pi), enumOrd{int32(i), int32(j), int32(h)}, qLoc, q, k, &rsh, b)
-						}
-					}
 				}
 			}
 		}(w, &bests[wi])
@@ -280,66 +246,79 @@ func (s *Searcher) exactScanPar(ws []*Searcher, X []graph.V, qLoc geom.Point, q 
 	return reducePar(bests, seed)
 }
 
-// exactPlusScanPar runs ExactPlus's F1 pair/triple scan (exactplus.go)
-// across ws, strips of the first fixed-vertex index claimed dynamically.
-// Same contract as exactScanPar; rMinus is the fixed annulus inner radius of
-// the d12 filter (the 2·rcur upper bound reads the shared incumbent).
-func (s *Searcher) exactPlusScanPar(ws []*Searcher, f1 []graph.V, rMinus float64, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
-	var rsh sharedRadius
-	rsh.init(seed)
-	var next atomic.Int64
-	bests := make([]parBest, len(ws))
-	var wg sync.WaitGroup
-	for wi, w := range ws {
-		s.prepPar(w)
-		bests[wi].r = math.Inf(1)
-		wg.Add(1)
-		go func(w *Searcher, b *parBest) {
-			defer wg.Done()
-			for {
+// exactScanPar runs Exact's pair/triple scan (exact.go) across ws, strips of
+// the outer index claimed from i = 2, where the serial loop starts.
+func (s *Searcher) exactScanPar(ws []*Searcher, X []graph.V, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+	return s.scanPar(ws, 2, len(X), seed, func(w *Searcher, lo, hi int, rsh *sharedRadius, b *parBest) bool {
+		for i := lo; i < hi; i++ {
+			pi := s.g.Loc(X[i])
+			if qLoc.Dist(pi) > 2*rsh.load() {
+				// The distance from q ascends with i and the shared
+				// incumbent only shrinks, so no later strip can pass
+				// either (Algorithm 1, line 13).
+				return false
+			}
+			for j := 0; j < i; j++ {
 				if w.canceled() {
-					return
+					return false
 				}
-				lo := int(next.Add(parStrip)) - parStrip
-				if lo >= len(f1) {
-					return
+				pj := s.g.Loc(X[j])
+				rc := rsh.load()
+				if pj.Dist(pi) <= 2*rc {
+					w.tryCirclePar(geom.CircleFrom2(pj, pi), enumOrd{int32(i), int32(j), -1}, qLoc, q, k, rsh, b)
 				}
-				hi := lo + parStrip
-				if hi > len(f1) {
-					hi = len(f1)
-				}
-				for i1 := lo; i1 < hi; i1++ {
-					p1 := s.g.Loc(f1[i1])
-					for i2 := i1 + 1; i2 < len(f1); i2++ {
-						if w.canceled() {
-							return
-						}
-						p2 := s.g.Loc(f1[i2])
-						d12 := p1.Dist(p2)
-						// Algorithm 5 distance window, upper bound shared.
-						if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*rsh.load()+geom.Eps {
-							continue
-						}
-						w.tryCirclePar(geom.CircleFrom2(p1, p2), enumOrd{int32(i1), int32(i2), -1}, qLoc, q, k, &rsh, b)
-						for i3 := 0; i3 < len(f1); i3++ {
-							if i3 == i1 || i3 == i2 {
-								continue
-							}
-							if w.canceledTick() {
-								return
-							}
-							p3 := s.g.Loc(f1[i3])
-							if p1.Dist(p3) > d12+geom.Eps || p2.Dist(p3) > d12+geom.Eps {
-								continue
-							}
-							w.tryCirclePar(geom.CircleFrom3(p1, p2, p3), enumOrd{int32(i1), int32(i2), int32(i3)}, qLoc, q, k, &rsh, b)
-						}
+				for h := j + 1; h < i; h++ {
+					if w.canceledTick() {
+						return false
 					}
+					ph := s.g.Loc(X[h])
+					rc = rsh.load()
+					// Lemma 2 filters against the shared incumbent.
+					if pj.Dist(ph) > 2*rc || ph.Dist(pi) > 2*rc || pj.Dist(pi) > 2*rc {
+						continue
+					}
+					w.tryCirclePar(geom.CircleFrom3(pj, ph, pi), enumOrd{int32(i), int32(j), int32(h)}, qLoc, q, k, rsh, b)
 				}
 			}
-		}(w, &bests[wi])
-	}
-	wg.Wait()
-	s.joinPar(ws)
-	return reducePar(bests, seed)
+		}
+		return true
+	})
+}
+
+// exactPlusScanPar runs ExactPlus's F1 pair/triple scan (exactplus.go)
+// across ws, strips of the first fixed-vertex index claimed dynamically.
+// rMinus is the fixed annulus inner radius of the d12 filter (the 2·rcur
+// upper bound reads the shared incumbent).
+func (s *Searcher) exactPlusScanPar(ws []*Searcher, f1 []graph.V, rMinus float64, qLoc geom.Point, q graph.V, k int, seed float64) (float64, []graph.V, bool) {
+	return s.scanPar(ws, 0, len(f1), seed, func(w *Searcher, lo, hi int, rsh *sharedRadius, b *parBest) bool {
+		for i1 := lo; i1 < hi; i1++ {
+			p1 := s.g.Loc(f1[i1])
+			for i2 := i1 + 1; i2 < len(f1); i2++ {
+				if w.canceled() {
+					return false
+				}
+				p2 := s.g.Loc(f1[i2])
+				d12 := p1.Dist(p2)
+				// Algorithm 5 distance window, upper bound shared.
+				if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*rsh.load()+geom.Eps {
+					continue
+				}
+				w.tryCirclePar(geom.CircleFrom2(p1, p2), enumOrd{int32(i1), int32(i2), -1}, qLoc, q, k, rsh, b)
+				for i3 := 0; i3 < len(f1); i3++ {
+					if i3 == i1 || i3 == i2 {
+						continue
+					}
+					if w.canceledTick() {
+						return false
+					}
+					p3 := s.g.Loc(f1[i3])
+					if p1.Dist(p3) > d12+geom.Eps || p2.Dist(p3) > d12+geom.Eps {
+						continue
+					}
+					w.tryCirclePar(geom.CircleFrom3(p1, p2, p3), enumOrd{int32(i1), int32(i2), int32(i3)}, qLoc, q, k, rsh, b)
+				}
+			}
+		}
+		return true
+	})
 }

@@ -51,9 +51,6 @@ func NewPool(base *Searcher) *Pool {
 	return pl
 }
 
-// Base returns the Searcher the pool currently clones from.
-func (p *Pool) Base() *Searcher { return p.base.Load() }
-
 // SetBase atomically repoints the pool at a new base searcher: workers
 // created after this call clone the new base. Workers already in the pool
 // keep their old binding until a GetFor rebinds them — snapshot serving
@@ -61,7 +58,7 @@ func (p *Pool) Base() *Searcher { return p.base.Load() }
 func (p *Pool) SetBase(base *Searcher) { p.base.Store(base) }
 
 // Created returns the number of worker clones this pool has ever created —
-// the pool-size signal /api/health reports. Clones are only created when no
+// the pool-size signal /v1/health reports. Clones are only created when no
 // idle worker is left, so the count tracks peak concurrency (plus whatever
 // bursts beyond maxIdle had to re-clone).
 func (p *Pool) Created() int64 { return p.created.Load() }
@@ -100,12 +97,4 @@ func (p *Pool) Put(s *Searcher) {
 		p.idle = append(p.idle, s)
 	}
 	p.mu.Unlock()
-}
-
-// Do runs f with a pooled Searcher, returning the Searcher afterwards even
-// if f panics.
-func (p *Pool) Do(f func(*Searcher) error) error {
-	s := p.Get()
-	defer p.Put(s)
-	return f(s)
 }

@@ -80,29 +80,19 @@ func TestPoolMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPoolDo exercises the convenience wrapper and clone recycling.
+// TestPoolDo exercises clone recycling: a worker answers through Get, comes
+// back through Put with its warm cache, and is the one the next Get returns.
 func TestPoolDo(t *testing.T) {
 	g := figure3()
 	pool := NewPool(NewSearcher(g))
-	if pool.Base() == nil {
-		t.Fatal("Base is nil")
-	}
-	var members []graph.V
-	err := pool.Do(func(s *Searcher) error {
-		res, err := s.Exact(vQ, 2)
-		if err != nil {
-			return err
-		}
-		members = append(members[:0], res.Members...)
-		return nil
-	})
+	w := pool.Get()
+	res, err := w.Exact(vQ, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !membersEqual(members, vQ, vC, vD) {
-		t.Fatalf("Pool.Do result = %v", members)
+	if !membersEqual(res.Members, vQ, vC, vD) {
+		t.Fatalf("pooled worker's Exact = %v", res.Members)
 	}
-	w := pool.Get()
 	if _, err := w.AppFast(vQ, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +100,9 @@ func TestPoolDo(t *testing.T) {
 		t.Fatal("worker did not warm its cache")
 	}
 	pool.Put(w)
+	if got := pool.Get(); got != w || pool.Created() != 1 {
+		t.Fatalf("Get after Put cloned a new worker (created %d)", pool.Created())
+	}
 }
 
 // TestPoolKeepsWarmWorkersAcrossGC pins what the free list is for: an idle

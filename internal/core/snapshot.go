@@ -33,17 +33,15 @@ func (s *Searcher) SnapshotOnto(g *graph.Graph, coresFrom *Searcher) *Searcher {
 		cores = slices.Clone(cores)
 	}
 	snap := &Searcher{
-		g:          g,
-		structure:  s.structure,
-		cores:      cores,
-		truss:      s.truss,
-		peeler:     nil, // base searchers are cloned from, never queried
-		inX:        nil,
-		visited:    nil,
-		noCache:    s.noCache,
-		noPruning2: s.noPruning2,
-		noAnnulus:  s.noAnnulus,
-		parallel:   s.parallel,
+		g:         g,
+		structure: s.structure,
+		cores:     cores,
+		truss:     s.truss,
+		peeler:    nil, // base searchers are cloned from, never queried
+		inX:       nil,
+		visited:   nil,
+		noCache:   s.noCache,
+		parallel:  s.parallel,
 	}
 	return snap
 }

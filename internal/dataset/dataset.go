@@ -216,16 +216,23 @@ func (d *Dataset) SaveBinary(dir string) error {
 	return f.Close()
 }
 
-// OpenBinary loads a dataset previously written by SaveBinary.
-func OpenBinary(dir, name string) (*Dataset, error) {
-	f, err := os.Open(filepath.Join(dir, name+".sacg"))
+// LoadOrRead resolves the graph a daemon, a cut or an experiment runs on:
+// the binary graph file at path when one is given — what SaveBinary,
+// `sacgen -binary` and sacshard write; the dataset is named after the file —
+// and the named preset at scale otherwise.
+func LoadOrRead(path, name string, scale float64) (*Dataset, error) {
+	if path == "" {
+		return Load(name, scale)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	g, err := graph.ReadBinary(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return &Dataset{Name: name, Graph: g, Scale: 1}, nil
+	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	return &Dataset{Name: base, Graph: g, Scale: 1}, nil
 }

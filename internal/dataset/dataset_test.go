@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"sacsearch/internal/graph"
@@ -189,9 +190,12 @@ func TestSaveOpenBinaryRoundTrip(t *testing.T) {
 	if err := d.SaveBinary(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenBinary(dir, "syn1")
+	got, err := LoadOrRead(filepath.Join(dir, "syn1.sacg"), "", 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Name != "syn1" {
+		t.Fatalf("dataset read from syn1.sacg is named %q", got.Name)
 	}
 	if got.Graph.NumVertices() != d.Graph.NumVertices() || got.Graph.NumEdges() != d.Graph.NumEdges() {
 		t.Fatalf("size mismatch: (%d,%d) vs (%d,%d)",
@@ -204,8 +208,12 @@ func TestSaveOpenBinaryRoundTrip(t *testing.T) {
 		}
 	}
 	// A missing file fails cleanly.
-	if _, err := OpenBinary(dir, "nope"); err == nil {
+	if _, err := LoadOrRead(filepath.Join(dir, "nope.sacg"), "", 0); err == nil {
 		t.Fatal("missing binary dataset opened")
+	}
+	// No path: the preset.
+	if preset, err := LoadOrRead("", "syn1", 0.02); err != nil || preset.Graph.NumVertices() != d.Graph.NumVertices() {
+		t.Fatalf("LoadOrRead without a path did not build the preset: %v", err)
 	}
 }
 

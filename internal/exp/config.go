@@ -13,9 +13,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"sacsearch/internal/core"
@@ -73,30 +70,11 @@ func PaperConfig() Config {
 	}
 }
 
-// loadDataset resolves one experiment graph: the LoadPath file when set, the
-// named preset otherwise.
-func loadDataset(cfg Config, name string) (*dataset.Dataset, error) {
-	if cfg.LoadPath == "" {
-		return dataset.Load(name, cfg.Scale)
-	}
-	f, err := os.Open(cfg.LoadPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := graph.ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("exp: reading %s: %w", cfg.LoadPath, err)
-	}
-	base := strings.TrimSuffix(filepath.Base(cfg.LoadPath), filepath.Ext(cfg.LoadPath))
-	return &dataset.Dataset{Name: base, Graph: g, Scale: 1}, nil
-}
-
 // LoadWorkload builds one dataset and its query set. Exported for
 // cmd/sacbench's gates, which measure on the same workload the experiments
 // run.
 func LoadWorkload(cfg Config, name string) (*dataset.Dataset, []graph.V, error) {
-	ds, err := loadDataset(cfg, name)
+	ds, err := dataset.LoadOrRead(cfg.LoadPath, name, cfg.Scale)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -144,7 +144,7 @@ type Fig12ScaleRow struct {
 func Fig12Scale(cfg Config) ([]Fig12ScaleRow, error) {
 	var rows []Fig12ScaleRow
 	for _, name := range cfg.Datasets {
-		full, err := loadDataset(cfg, name)
+		full, err := dataset.LoadOrRead(cfg.LoadPath, name, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func DefaultEdgeChurnConfig() EdgeChurnConfig {
 // random fallback; deletions sample existing edges. Events are generated
 // against g's current topology without applying them, so a replayed stream
 // may contain occasional no-ops (re-inserting an edge a later event already
-// restored); appliers treat those as benign, the way the server's /api/edge
+// restored); appliers treat those as benign, the way the server's /v1/edge
 // reports changed = false.
 func EdgeChurn(g *graph.Graph, cfg EdgeChurnConfig, seed int64) []EdgeEvent {
 	rnd := rand.New(rand.NewSource(seed))

@@ -15,9 +15,8 @@
 //     SSE handler (subscribe.go).
 //
 // A front-end keeps only what genuinely differs: its routes, the prefix of
-// the request ids it mints, and its own pre-routing stamps (the server's
-// /api/* deprecation headers) and error mappings (the router's shard-leg
-// errors). The standing-query half of the core — when a subscription is
+// the request ids it mints, and its own error mappings (the server's write
+// errors, the router's shard-leg errors). The standing-query half of the core — when a subscription is
 // re-evaluated, and the argument for why skipping is sound — is
 // internal/subscribe's Dispatcher.
 package httpapi

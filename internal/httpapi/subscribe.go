@@ -31,24 +31,31 @@ type Subscriptions interface {
 func parseSubscribeQuery(r *http.Request) (core.Query, error) {
 	var cq core.Query
 	vals := r.URL.Query()
-	intField := func(name string) (int64, error) {
+	// q and k arrive as text from outside: each is parsed at the width of the
+	// field it lands in (graph.V is 32 bits), so a value the conversion
+	// would wrap into some other vertex or order is refused, not served.
+	intField := func(name string, bits int) (int64, error) {
 		raw := vals.Get(name)
 		if raw == "" {
 			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
 				Reason: fmt.Sprintf("missing required parameter %q", name)}
 		}
-		n, err := strconv.ParseInt(raw, 10, 64)
+		n, err := strconv.ParseInt(raw, 10, bits)
+		if errors.Is(err, strconv.ErrRange) {
+			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
+				Reason: fmt.Sprintf("%s %q out of range (%d-bit integer)", name, raw, bits)}
+		}
 		if err != nil {
 			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
 				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
 		}
 		return n, nil
 	}
-	q, err := intField("q")
+	q, err := intField("q", 32)
 	if err != nil {
 		return cq, err
 	}
-	k, err := intField("k")
+	k, err := intField("k", strconv.IntSize)
 	if err != nil {
 		return cq, err
 	}

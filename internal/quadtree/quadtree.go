@@ -83,13 +83,6 @@ func (f *Frontier) Half() float64 {
 	return f.cells[0].Half
 }
 
-// SetInfeasible records Pruning2 knowledge for the cell at index i.
-func (f *Frontier) SetInfeasible(i int, r float64) {
-	if r > f.cells[i].InfeasibleR {
-		f.cells[i].InfeasibleR = r
-	}
-}
-
 // Expand replaces the frontier with the children of the cells for which keep
 // returns true. It returns the number of kept parents.
 func (f *Frontier) Expand(keep func(Cell) bool) int {

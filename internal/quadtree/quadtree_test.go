@@ -106,18 +106,6 @@ func TestFrontierExpand(t *testing.T) {
 	}
 }
 
-func TestSetInfeasible(t *testing.T) {
-	f := NewFrontier(Root(geom.Point{X: 0, Y: 0}, 1))
-	f.SetInfeasible(0, 0.7)
-	if f.Cells()[0].InfeasibleR != 0.7 {
-		t.Fatalf("SetInfeasible did not record")
-	}
-	f.SetInfeasible(0, 0.5) // lower values do not overwrite
-	if f.Cells()[0].InfeasibleR != 0.7 {
-		t.Fatalf("lower value overwrote: %v", f.Cells()[0].InfeasibleR)
-	}
-}
-
 // The quadtree refinement underlying AppAcc: after L full expansions, cells
 // have half-width root.Half/2^L and every point of the root square lies in
 // exactly one cell whose center is within CoverRadius.

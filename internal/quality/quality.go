@@ -5,13 +5,11 @@
 //	CJS     — community Jaccard similarity, Equation 9
 //	CAO     — community area overlap, Equation 10
 //
-// plus the summary statistics the experiment tables report.
+// plus the mean the experiment tables report.
 package quality
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -104,21 +102,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (nearest-rank), 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

@@ -18,15 +18,13 @@ import (
 )
 
 // ShipperOptions tunes the leader side of replication. The zero value
-// serves: 500 ms heartbeats, 5 ms tail polling, 512-record batches.
+// serves: 500 ms heartbeats, 5 ms tail polling.
 type ShipperOptions struct {
 	// Heartbeat is the interval between heartbeat messages on an idle
 	// stream; a follower declares the leader dead after missing several.
 	Heartbeat time.Duration
 	// Poll paces the WAL tail polling loop when the cursor is caught up.
 	Poll time.Duration
-	// BatchMax bounds the records shipped in one stream message.
-	BatchMax int
 	// Logger receives connection-level events (defaults to slog.Default()).
 	Logger *slog.Logger
 	// Metrics, when non-nil, exports follower counts, the slowest acked
@@ -48,12 +46,8 @@ func (o ShipperOptions) poll() time.Duration {
 	return 5 * time.Millisecond
 }
 
-func (o ShipperOptions) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
-	}
-	return 512
-}
+// shipBatchMax bounds the records shipped in one stream message.
+const shipBatchMax = 512
 
 func (o ShipperOptions) logger() *slog.Logger {
 	if o.Logger != nil {
@@ -337,7 +331,7 @@ func (s *Shipper) ship(conn net.Conn, cur *wal.Cursor, epoch uint64) error {
 		if s.st.Fenced() {
 			return store.ErrFenced
 		}
-		recs, err := cur.Next(s.opt.batchMax())
+		recs, err := cur.Next(shipBatchMax)
 		if err != nil {
 			return err
 		}

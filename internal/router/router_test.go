@@ -18,6 +18,7 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/telemetry"
@@ -389,14 +390,14 @@ func TestRoutedBatchWorkersClamped(t *testing.T) {
 }
 
 // postRaw posts a JSON body and decodes the error envelope.
-func postRaw(t *testing.T, url string, body string) (int, server.ErrorJSON) {
+func postRaw(t *testing.T, url string, body string) (int, httpapi.ErrorJSON) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var env server.ErrorJSON
+	var env httpapi.ErrorJSON
 	_ = json.NewDecoder(resp.Body).Decode(&env)
 	return resp.StatusCode, env
 }
@@ -424,7 +425,7 @@ func TestEnvelopeParity(t *testing.T) {
 		if wantStatus != gotStatus || wantEnv.Code != gotEnv.Code {
 			t.Fatalf("body %s: single %d/%s, routed %d/%s", body, wantStatus, wantEnv.Code, gotStatus, gotEnv.Code)
 		}
-		if wantEnv.Error != gotEnv.Error && wantEnv.Code != server.CodeInvalidJSON {
+		if wantEnv.Error != gotEnv.Error && wantEnv.Code != httpapi.CodeInvalidJSON {
 			t.Fatalf("body %s: message %q single, %q routed", body, wantEnv.Error, gotEnv.Error)
 		}
 	}
@@ -534,8 +535,8 @@ func TestShardUnavailable(t *testing.T) {
 	}
 	_, err = cl.Query(t.Context(), client.Query{Q: dead1, K: 2})
 	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != server.CodeShardUnavailable {
-		t.Fatalf("query for the dead shard: got %v, want 503 %s", err, server.CodeShardUnavailable)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != httpapi.CodeShardUnavailable {
+		t.Fatalf("query for the dead shard: got %v, want 503 %s", err, httpapi.CodeShardUnavailable)
 	}
 	if err := cl.CheckIn(t.Context(), dead1, 0.5, 0.5); err == nil {
 		t.Fatal("checkin for the dead shard succeeded")
@@ -572,12 +573,12 @@ func TestWrongShardGuards(t *testing.T) {
 	}
 	status, env := postRaw(t, tp.shards[0].URL+"/v1/checkin",
 		fmt.Sprintf(`{"v":%d,"x":0.1,"y":0.2}`, foreign))
-	if status != http.StatusBadRequest || env.Code != server.CodeWrongShard {
-		t.Fatalf("foreign checkin: %d/%s, want 400 %s", status, env.Code, server.CodeWrongShard)
+	if status != http.StatusBadRequest || env.Code != httpapi.CodeWrongShard {
+		t.Fatalf("foreign checkin: %d/%s, want 400 %s", status, env.Code, httpapi.CodeWrongShard)
 	}
 	status, env = postRaw(t, tp.shards[0].URL+"/v1/shard/search",
 		fmt.Sprintf(`{"q":%d,"k":2}`, foreign))
-	if status != http.StatusBadRequest || env.Code != server.CodeWrongShard {
-		t.Fatalf("foreign shard search: %d/%s, want 400 %s", status, env.Code, server.CodeWrongShard)
+	if status != http.StatusBadRequest || env.Code != httpapi.CodeWrongShard {
+		t.Fatalf("foreign shard search: %d/%s, want 400 %s", status, env.Code, httpapi.CodeWrongShard)
 	}
 }

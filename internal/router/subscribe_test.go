@@ -1,14 +1,18 @@
 package router
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"sacsearch/client"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 )
 
 // replayView folds a subscription's event stream into the state a consumer
@@ -306,5 +310,27 @@ func TestRoutedSubscriptionDrain(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no bye after router drain")
 		}
+	}
+}
+
+// TestRoutedSubscribeRefusesWideVertex: the router parses /v1/subscribe with
+// the server's parser, so a q that does not fit a vertex id is the server's
+// 400 invalid_query (server.TestSubscribeErrorEnvelopes), naming the value
+// the client sent.
+func TestRoutedSubscribeRefusesWideVertex(t *testing.T) {
+	tp := newTopology(t, testGraph(80, 300, 5), 2)
+	resp, err := http.Get(tp.router.URL + "/v1/subscribe?q=4294967299&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var env httpapi.ErrorJSON
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || env.Code != "invalid_query" || env.Field != "q" || !strings.Contains(env.Error, "4294967299") {
+		t.Fatalf("envelope %+v (decode: %v)", env, err)
 	}
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net"
@@ -13,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"sacsearch/internal/geom"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/replica"
+	"sacsearch/internal/snapshot"
 	"sacsearch/internal/store"
 )
 
@@ -39,7 +44,7 @@ func (b *lockedBuffer) String() string {
 }
 
 // unmarshalErr decodes an error envelope, failing the test on bad JSON.
-func unmarshalErr(t *testing.T, body []byte, into *ErrorJSON) {
+func unmarshalErr(t *testing.T, body []byte, into *httpapi.ErrorJSON) {
 	t.Helper()
 	if err := json.Unmarshal(body, into); err != nil {
 		t.Fatalf("decoding error envelope %q: %v", body, err)
@@ -142,9 +147,9 @@ func TestReplicaServesReplicatedReads(t *testing.T) {
 	// Writes on the replica are refused before decoding.
 	for _, route := range []string{"/v1/checkin", "/v1/edge"} {
 		resp, body = postJSON(t, rep.URL+route, map[string]any{})
-		var e ErrorJSON
+		var e httpapi.ErrorJSON
 		unmarshalErr(t, body, &e)
-		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != CodeReadOnly {
+		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
 			t.Fatalf("replica write on %s: status %d code %q", route, resp.StatusCode, e.Code)
 		}
 	}
@@ -201,10 +206,10 @@ func TestReplicaShedsStaleReads(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			return false
 		}
-		var e ErrorJSON
+		var e httpapi.ErrorJSON
 		unmarshalErr(t, body, &e)
-		if e.Code != CodeStaleRead {
-			t.Fatalf("shed read code = %q, want %q", e.Code, CodeStaleRead)
+		if e.Code != httpapi.CodeStaleRead {
+			t.Fatalf("shed read code = %q, want %q", e.Code, httpapi.CodeStaleRead)
 		}
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("shed read missing Retry-After")
@@ -251,9 +256,9 @@ func TestReplicaNotReadyBeforeSync(t *testing.T) {
 		t.Fatal("unready response missing Retry-After")
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
-	var e ErrorJSON
+	var e httpapi.ErrorJSON
 	unmarshalErr(t, body, &e)
-	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != CodeNotReady {
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeNotReady {
 		t.Fatalf("unsynced replica query: status %d code %q", resp.StatusCode, e.Code)
 	}
 	var h replicaHealth
@@ -286,9 +291,9 @@ func TestFencedLeaderTurnsReadonly(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 1, X: 0.6, Y: 0.6})
-	var e ErrorJSON
+	var e httpapi.ErrorJSON
 	unmarshalErr(t, body, &e)
-	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != CodeReadOnly {
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
 		t.Fatalf("fenced checkin: status %d code %q", resp.StatusCode, e.Code)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 30, Op: "insert"})
@@ -303,6 +308,39 @@ func TestFencedLeaderTurnsReadonly(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/health", &h)
 	if h.Status != "readonly" || h.FencedBy != st.Epoch()+3 {
 		t.Fatalf("fenced health = %+v", h)
+	}
+}
+
+// TestQueuedWriteRefusedByFenceAnswersReadOnly: a write that was already past
+// the store's door check when the fence landed is refused where it would be
+// logged, and its error — a persist failure caused by the fence — must map to
+// the same 503 read_only the door gives, which is what sends client.Set on to
+// the new leader ("unavailable" would not). The engine has no door, so
+// writing through it after Fence is exactly such a write.
+func TestQueuedWriteRefusedByFenceAnswersReadOnly(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Init: testGraph(), CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithStore("test", st, Config{Logger: discardLogger})
+	t.Cleanup(srv.Close)
+	if err := st.Fence(st.Epoch() + 1); err != nil {
+		t.Fatal(err)
+	}
+	before := st.WalLastSeq()
+	werr := st.Engine().CheckIn(context.Background(), 1, geom.Point{X: 0.6, Y: 0.6})
+	if !errors.Is(werr, store.ErrFenced) || !errors.Is(werr, snapshot.ErrPersist) {
+		t.Fatalf("write queued behind a fence: err = %v, want ErrFenced wrapped in ErrPersist", werr)
+	}
+	if got := st.WalLastSeq(); got != before {
+		t.Fatalf("refused write moved the WAL from seq %d to %d", before, got)
+	}
+	rec := httptest.NewRecorder()
+	srv.writeWriteError(rec, httptest.NewRequest("POST", "/v1/checkin", nil), werr)
+	var e httpapi.ErrorJSON
+	unmarshalErr(t, rec.Body.Bytes(), &e)
+	if rec.Code != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
+		t.Fatalf("refused in-flight write: status %d code %q, want 503 %s", rec.Code, e.Code, httpapi.CodeReadOnly)
 	}
 }
 
@@ -335,11 +373,11 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if raw.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking route status = %d", raw.StatusCode)
 	}
-	var e ErrorJSON
+	var e httpapi.ErrorJSON
 	if err := json.NewDecoder(raw.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	if e.Code != CodeInternal || e.RequestID != "trace-me-123" {
+	if e.Code != httpapi.CodeInternal || e.RequestID != "trace-me-123" {
 		t.Fatalf("panic envelope = %+v", e)
 	}
 	out := logged.String()

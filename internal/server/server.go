@@ -14,14 +14,11 @@
 //	POST /v1/checkin           update one vertex's location (dynamic graphs)
 //	POST /v1/edge              insert or delete one friendship edge
 //
-// The original unversioned /api/* routes remain as deprecated aliases of
-// the same handlers; responses on them carry a Deprecation header and a
-// Link to the /v1 successor. Request decoding and validation are driven by
-// the core algorithm registry (core.Algorithms) — the server holds no
-// per-algorithm parameter code of its own. Every response carries an
-// X-Request-Id header, and every non-2xx response is a structured error
-// envelope (ErrorJSON) with a machine-readable code, the offending field
-// when known, and the request id.
+// Request decoding and validation are driven by the core algorithm registry
+// (core.Algorithms) — the server holds no per-algorithm parameter code of its
+// own. Every response carries an X-Request-Id header, and every non-2xx
+// response is a structured error envelope (httpapi.ErrorJSON) with a
+// machine-readable code, the offending field when known, and the request id.
 //
 // Concurrency model: snapshot isolation, no locks on the query path. A
 // single writer goroutine (internal/snapshot.Engine) owns the mutable
@@ -55,7 +52,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -72,32 +68,6 @@ import (
 	"sacsearch/internal/telemetry"
 	"sacsearch/internal/version"
 )
-
-// The error envelope and its machine-readable codes are defined once, in
-// internal/httpapi, for the server and the router alike; they are re-exported
-// here under the names this package's handlers, its tests and the fake
-// servers in client tests have always used.
-const (
-	CodeInvalidJSON         = httpapi.CodeInvalidJSON
-	CodeBodyTooLarge        = httpapi.CodeBodyTooLarge
-	CodeInvalidArgument     = httpapi.CodeInvalidArgument
-	CodeUnknownVertex       = httpapi.CodeUnknownVertex
-	CodeNoCommunity         = httpapi.CodeNoCommunity
-	CodeDeadlineExceeded    = httpapi.CodeDeadlineExceeded
-	CodeUnavailable         = httpapi.CodeUnavailable
-	CodeQueryFailed         = httpapi.CodeQueryFailed
-	CodeReadOnly            = httpapi.CodeReadOnly
-	CodeStaleRead           = httpapi.CodeStaleRead
-	CodeNotReady            = httpapi.CodeNotReady
-	CodeInternal            = httpapi.CodeInternal
-	CodeWrongShard          = httpapi.CodeWrongShard
-	CodeShardUnavailable    = httpapi.CodeShardUnavailable
-	CodeUnknownSubscription = httpapi.CodeUnknownSubscription
-	CodeSubscriptionLimit   = httpapi.CodeSubscriptionLimit
-)
-
-// ErrorJSON is the structured error envelope every non-2xx response carries.
-type ErrorJSON = httpapi.ErrorJSON
 
 // Config tunes a Server. The zero value serves defaults.
 type Config struct {
@@ -283,21 +253,14 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		"Goroutines the configured per-query parallelism budget would grant.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
 		"Goroutines actually granted after scaling the budget by in-flight load.")
-	// /v1 is the current surface; the unversioned /api prefix predates
-	// versioning and stays wired to the same handlers as a deprecated
-	// alias (ServeHTTP stamps those responses with a Deprecation header).
-	for _, p := range []string{"/v1", "/api"} {
-		s.mux.HandleFunc("GET "+p+"/health", s.handleHealth)
-		s.mux.HandleFunc("GET "+p+"/ready", s.handleReady)
-		s.mux.HandleFunc("GET "+p+"/algorithms", s.handleAlgorithms)
-		s.mux.HandleFunc("GET "+p+"/vertex/{id}", s.handleVertex)
-		s.mux.HandleFunc("POST "+p+"/query", s.handleQuery)
-		s.mux.HandleFunc("POST "+p+"/batch", s.handleBatch)
-		s.mux.HandleFunc("POST "+p+"/checkin", s.handleCheckin)
-		s.mux.HandleFunc("POST "+p+"/edge", s.handleEdge)
-	}
-	// Standing queries and the shard protocol post-date /api, so they exist
-	// only under /v1.
+	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
+	s.mux.HandleFunc("GET /v1/ready", s.handleReady)
+	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
+	s.mux.HandleFunc("GET /v1/vertex/{id}", s.handleVertex)
+	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
+	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mux.HandleFunc("POST /v1/checkin", s.handleCheckin)
+	s.mux.HandleFunc("POST /v1/edge", s.handleEdge)
 	s.mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe)
 	if cfg.Shard != nil {
 		s.mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
@@ -406,27 +369,23 @@ func (s *Server) readEngine(w http.ResponseWriter, r *http.Request) (*snapshot.E
 	rs := s.rep.Status()
 	if !rs.Synced {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
 			"replica has not completed its initial sync")
 		return nil, false
 	}
 	if bound := s.cfg.stalenessBound(); bound > 0 && rs.LagSeconds > bound.Seconds() {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeStaleRead, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeStaleRead, "",
 			fmt.Sprintf("replica is %.1fs behind the leader (bound %s)", rs.LagSeconds, bound))
 		return nil, false
 	}
 	return s.rep.Engine(), true
 }
 
-// ServeHTTP implements http.Handler: it stamps deprecation metadata on
-// legacy /api/* calls, then routes through the shared request middleware
-// (httpapi.Core.Serve: request id, root span, metrics, panic recovery).
+// ServeHTTP implements http.Handler: every request routes through the
+// shared middleware (httpapi.Core.Serve: request id, root span, metrics,
+// panic recovery).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/api/"); ok {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/`+rest+`>; rel="successor-version"`)
-	}
 	s.api.Serve(w, r, s.mux)
 }
 
@@ -595,7 +554,7 @@ type CheckinRequest struct {
 // the error envelope and returns false.
 func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n int) bool {
 	if req.V < 0 || int(req.V) >= n {
-		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "v",
+		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "v",
 			fmt.Sprintf("unknown vertex %d", req.V))
 		return false
 	}
@@ -603,7 +562,7 @@ func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n in
 	// every distance sort it touches and ±Inf breaks geom.MCC, silently, on
 	// queries that may run long after this request returned 200.
 	if !geom.Finite(req.X) || !geom.Finite(req.Y) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "x",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "x",
 			fmt.Sprintf("coordinates (%v, %v) must be finite", req.X, req.Y))
 		return false
 	}
@@ -618,12 +577,12 @@ func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n in
 func PathVertex(w http.ResponseWriter, r *http.Request, n int) (v graph.V, ok bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "id",
 			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
 		return 0, false
 	}
 	if id < 0 || id >= n {
-		httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "id",
+		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "id",
 			fmt.Sprintf("unknown vertex %d", id))
 		return 0, false
 	}
@@ -642,13 +601,13 @@ type EdgeRequest struct {
 func (req *EdgeRequest) Validate(w http.ResponseWriter, r *http.Request, n int) (insert, ok bool) {
 	for _, v := range [2]graph.V{req.U, req.V} {
 		if v < 0 || int(v) >= n {
-			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "",
+			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "",
 				fmt.Sprintf("unknown vertex %d", v))
 			return false, false
 		}
 	}
 	if req.U == req.V {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "",
 			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
 		return false, false
 	}
@@ -658,7 +617,7 @@ func (req *EdgeRequest) Validate(w http.ResponseWriter, r *http.Request, n int) 
 	case "delete":
 		return false, true
 	}
-	httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "op",
+	httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "op",
 		fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
 	return false, false
 }
@@ -771,7 +730,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.rep != nil {
 		if rs := s.rep.Status(); !rs.Synced {
 			w.Header().Set("Retry-After", "1")
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
 				"replica has not completed its initial sync")
 			return
 		}
@@ -927,7 +886,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// client's retry re-runs the batch.)
 	for _, it := range items {
 		if it.Err != nil && errors.Is(it.Err, core.ErrCanceled) {
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded, "",
 				"batch deadline exceeded: "+it.Err.Error())
 			return
 		}
@@ -949,21 +908,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.
 func (s *Server) writeWriteError(w http.ResponseWriter, r *http.Request, err error) {
-	status, code := http.StatusUnprocessableEntity, CodeQueryFailed
+	status, code := http.StatusUnprocessableEntity, httpapi.CodeQueryFailed
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status, code = http.StatusServiceUnavailable, CodeDeadlineExceeded
+		status, code = http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded
 	case errors.Is(err, snapshot.ErrClosed):
-		status, code = http.StatusServiceUnavailable, CodeUnavailable
-	case errors.Is(err, snapshot.ErrPersist):
-		// The WAL refused the write; the engine is read-only until the
-		// operator intervenes. 503, not 422 — the request was fine.
-		status, code = http.StatusServiceUnavailable, CodeUnavailable
+		status, code = http.StatusServiceUnavailable, httpapi.CodeUnavailable
 	case errors.Is(err, store.ErrFenced):
 		// A newer leader epoch exists; this node must never accept another
 		// write. 503 read_only so a failover-aware client retries the write
 		// against the rest of its endpoint set and finds the new leader.
-		status, code = http.StatusServiceUnavailable, CodeReadOnly
+		// Tested before ErrPersist: a write that was already queued when the
+		// fence landed is refused at the log and carries both.
+		status, code = http.StatusServiceUnavailable, httpapi.CodeReadOnly
+	case errors.Is(err, snapshot.ErrPersist):
+		// The WAL refused the write; the engine is read-only until the
+		// operator intervenes. 503, not 422 — the request was fine.
+		status, code = http.StatusServiceUnavailable, httpapi.CodeUnavailable
 	}
 	httpapi.WriteError(w, r, status, code, "", err.Error())
 }
@@ -974,7 +935,7 @@ func (s *Server) admitWrite(w http.ResponseWriter, r *http.Request) bool {
 	if s.rep == nil {
 		return true
 	}
-	httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeReadOnly, "",
+	httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeReadOnly, "",
 		"replica is read-only; send writes to the leader")
 	return false
 }
@@ -1012,7 +973,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	// assembled answer ever reads, and letting writes land on it would fork
 	// it from the owner's authoritative state.
 	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.V) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "v",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "v",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
 				req.V, s.cfg.Shard.Map.OwnerOf(req.V), s.cfg.Shard.ID))
 		return
@@ -1046,7 +1007,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	// endpoint; an edge owned entirely elsewhere belongs to other shards
 	// (the router fans a cross-shard edge to both owners).
 	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.U) && !s.cfg.Shard.Owns(req.V) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "",
 			fmt.Sprintf("edge (%d,%d) has no endpoint owned by shard %d", req.U, req.V, s.cfg.Shard.ID))
 		return
 	}

@@ -17,6 +17,7 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/store"
 )
 
@@ -95,7 +96,7 @@ func TestHealth(t *testing.T) {
 		Vertices int    `json:"vertices"`
 		Edges    int    `json:"edges"`
 	}
-	resp := getJSON(t, ts.URL+"/api/health", &out)
+	resp := getJSON(t, ts.URL+"/v1/health", &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -107,7 +108,7 @@ func TestHealth(t *testing.T) {
 func TestAlgorithms(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var out []map[string]any
-	resp := getJSON(t, ts.URL+"/api/algorithms", &out)
+	resp := getJSON(t, ts.URL+"/v1/algorithms", &out)
 	if resp.StatusCode != http.StatusOK || len(out) != 6 {
 		t.Fatalf("algorithms: status=%d n=%d", resp.StatusCode, len(out))
 	}
@@ -122,18 +123,18 @@ func TestVertex(t *testing.T) {
 		Degree int     `json:"degree"`
 		Core   int     `json:"core"`
 	}
-	resp := getJSON(t, ts.URL+"/api/vertex/3", &out)
+	resp := getJSON(t, ts.URL+"/v1/vertex/3", &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	if out.ID != 3 || out.Degree != g.Degree(3) || out.Core < 4 {
 		t.Fatalf("vertex = %+v", out)
 	}
-	if resp := getJSON(t, ts.URL+"/api/vertex/9999", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts.URL+"/v1/vertex/9999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown vertex status = %d", resp.StatusCode)
 	}
 	// A malformed id is a syntax error (400), not a miss (404).
-	if resp := getJSON(t, ts.URL+"/api/vertex/abc", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/vertex/abc", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage vertex status = %d", resp.StatusCode)
 	}
 }
@@ -142,7 +143,7 @@ func TestQueryAlgorithms(t *testing.T) {
 	ts, g := newTestServer(t)
 	s := core.NewSearcher(g)
 	for _, algo := range []string{"", "appfast", "appinc", "appacc", "exact+", "exact"} {
-		resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4, Algo: algo})
+		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: algo})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("algo %q: status %d body %s", algo, resp.StatusCode, body)
 		}
@@ -169,7 +170,7 @@ func TestQueryAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4, Algo: "theta", Theta: core.Float(0.2)})
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "theta", Theta: core.Float(0.2)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("theta: status %d body %s", resp.StatusCode, body)
 	}
@@ -185,11 +186,11 @@ func TestQueryAlgorithms(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// Unknown algorithm: a validation error, 400 with the registry's code.
-	resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4, Algo: "bogus"})
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "bogus"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus algo status = %d", resp.StatusCode)
 	}
-	var envelope ErrorJSON
+	var envelope httpapi.ErrorJSON
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +198,17 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatalf("bogus algo envelope = %+v", envelope)
 	}
 	// θ without a radius.
-	resp, _ = postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4, Algo: "theta"})
+	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "theta"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("theta without radius status = %d", resp.StatusCode)
 	}
 	// No community for absurd k.
-	resp, _ = postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 40})
+	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 40})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("k=40 status = %d", resp.StatusCode)
 	}
 	// Malformed JSON.
-	r, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader([]byte("{nope")))
+	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +217,8 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatalf("malformed JSON status = %d", r.StatusCode)
 	}
 	// Wrong method.
-	if resp := getJSON(t, ts.URL+"/api/query", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /api/query status = %d", resp.StatusCode)
+	if resp := getJSON(t, ts.URL+"/v1/query", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/query status = %d", resp.StatusCode)
 	}
 }
 
@@ -230,7 +231,7 @@ func TestBatch(t *testing.T) {
 			K int     `json:"k"`
 		}{q, 4})
 	}
-	resp, body := postJSON(t, ts.URL+"/api/batch", req)
+	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d body %s", resp.StatusCode, body)
 	}
@@ -251,7 +252,7 @@ func TestBatch(t *testing.T) {
 	}
 	// Batch with a failing query keeps the others.
 	req.Queries[1].Q = 9999
-	resp, body = postJSON(t, ts.URL+"/api/batch", req)
+	resp, body = postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mixed batch status = %d", resp.StatusCode)
 	}
@@ -265,14 +266,14 @@ func TestBatch(t *testing.T) {
 		t.Fatal("valid queries infected by the failing one")
 	}
 	// Empty batch.
-	resp, _ = postJSON(t, ts.URL+"/api/batch", BatchRequest{})
+	resp, _ = postJSON(t, ts.URL+"/v1/batch", BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d", resp.StatusCode)
 	}
 	// Unknown algorithm.
 	req2 := BatchRequest{Algo: "bogus"}
 	req2.Queries = req.Queries[:1]
-	resp, _ = postJSON(t, ts.URL+"/api/batch", req2)
+	resp, _ = postJSON(t, ts.URL+"/v1/batch", req2)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus batch algo status = %d", resp.StatusCode)
 	}
@@ -330,13 +331,13 @@ func TestBatchWorkersClamped(t *testing.T) {
 func TestCheckinMovesCommunities(t *testing.T) {
 	ts, g := newTestServer(t)
 	// Query before the move.
-	_, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
+	_, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
 	var before QueryResponse
 	if err := json.Unmarshal(body, &before); err != nil {
 		t.Fatal(err)
 	}
 	// Teleport q across the square.
-	resp, _ := postJSON(t, ts.URL+"/api/checkin", CheckinRequest{V: 0, X: 0.99, Y: 0.99})
+	resp, _ := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 0, X: 0.99, Y: 0.99})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkin status = %d", resp.StatusCode)
 	}
@@ -345,7 +346,7 @@ func TestCheckinMovesCommunities(t *testing.T) {
 	}
 	// The community's MCC must now be different (q moved away from its
 	// clique, so the circle covering clique+q grows).
-	_, body = postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
+	_, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
 	var after QueryResponse
 	if err := json.Unmarshal(body, &after); err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestCheckinMovesCommunities(t *testing.T) {
 		t.Fatalf("MCC radius did not grow after teleport: %v -> %v", before.MCC.R, after.MCC.R)
 	}
 	// Unknown vertex.
-	resp, _ = postJSON(t, ts.URL+"/api/checkin", CheckinRequest{V: 9999, X: 0.5, Y: 0.5})
+	resp, _ = postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 9999, X: 0.5, Y: 0.5})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown checkin status = %d", resp.StatusCode)
 	}
@@ -374,7 +375,7 @@ func TestConcurrentQueriesAndCheckins(t *testing.T) {
 				if w%2 == 0 {
 					q := graph.V((w*10 + i) % 36)
 					buf, _ := json.Marshal(QueryRequest{Q: q, K: 4})
-					resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(buf))
+					resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
 						return
@@ -386,7 +387,7 @@ func TestConcurrentQueriesAndCheckins(t *testing.T) {
 					}
 				} else {
 					buf, _ := json.Marshal(CheckinRequest{V: graph.V(i % 36), X: 0.5, Y: 0.5})
-					resp, err := http.Post(ts.URL+"/api/checkin", "application/json", bytes.NewReader(buf))
+					resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
 						return
@@ -436,13 +437,13 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	_, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 0, K: 2})
+	_, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 2})
 	var def QueryResponse
 	if err := json.Unmarshal(body, &def); err != nil {
 		t.Fatal(err)
 	}
 	zero := 0.0
-	_, body = postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 0, K: 2, EpsF: &zero})
+	_, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 2, EpsF: &zero})
 	var exact QueryResponse
 	if err := json.Unmarshal(body, &exact); err != nil {
 		t.Fatal(err)
@@ -467,14 +468,14 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 		return req
 	}
 	var out BatchResponse
-	_, body = postJSON(t, ts.URL+"/api/batch", mkBatch(nil))
+	_, body = postJSON(t, ts.URL+"/v1/batch", mkBatch(nil))
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Items) != 1 || len(out.Items[0].Members) != 7 {
 		t.Fatalf("batch default epsF = %+v, want 7 members", out.Items)
 	}
-	_, body = postJSON(t, ts.URL+"/api/batch", mkBatch(&zero))
+	_, body = postJSON(t, ts.URL+"/v1/batch", mkBatch(&zero))
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +499,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		// CheckinRequest marshals NaN/Inf illegally via encoding/json, so
 		// build the body by hand the way a hostile client would.
 		body := fmt.Sprintf(`{"v":%d,"x":%s,"y":%s}`, bad.V, jsonFloat(bad.X), jsonFloat(bad.Y))
-		resp, err := http.Post(ts.URL+"/api/checkin", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +512,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		t.Fatalf("rejected checkin still moved the vertex: %v", g.Loc(3))
 	}
 	// Non-finite epsilons are rejected on both endpoints.
-	resp, err := http.Post(ts.URL+"/api/query", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 		bytes.NewReader([]byte(`{"q":1,"k":4,"epsF":1e999}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +521,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("query with epsF=Inf accepted")
 	}
-	resp, err = http.Post(ts.URL+"/api/batch", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/batch", "application/json",
 		bytes.NewReader([]byte(`{"queries":[{"q":1,"k":4}],"epsA":1e999,"algo":"appacc"}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +554,7 @@ func jsonFloat(f float64) string {
 func TestEdgeEndpoint(t *testing.T) {
 	ts, g := newTestServer(t)
 	query := func() (*http.Response, QueryResponse) {
-		resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 0, K: 5, Algo: "appinc"})
+		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 5, Algo: "appinc"})
 		var out QueryResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, &out); err != nil {
@@ -570,7 +571,7 @@ func TestEdgeEndpoint(t *testing.T) {
 	}
 
 	edge := func(u, v graph.V, op string) (int, EdgeResponse) {
-		resp, body := postJSON(t, ts.URL+"/api/edge", EdgeRequest{U: u, V: v, Op: op})
+		resp, body := postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: u, V: v, Op: op})
 		var out EdgeResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, &out); err != nil {
@@ -631,16 +632,16 @@ func TestHealthSnapshotFields(t *testing.T) {
 		EventsApplied uint64 `json:"eventsApplied"`
 	}
 	var before health
-	getJSON(t, ts.URL+"/api/health", &before)
+	getJSON(t, ts.URL+"/v1/health", &before)
 	if before.SnapshotSeq < 1 || before.WriterQueue == nil || before.PoolClones == nil {
 		t.Fatalf("health missing snapshot fields: %+v", before)
 	}
 	// A check-in and an edge update must advance their epochs and the
 	// sequence number.
-	postJSON(t, ts.URL+"/api/checkin", CheckinRequest{V: 2, X: 0.4, Y: 0.4})
-	postJSON(t, ts.URL+"/api/edge", EdgeRequest{U: 0, V: 30, Op: "insert"})
+	postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 2, X: 0.4, Y: 0.4})
+	postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 30, Op: "insert"})
 	var after health
-	getJSON(t, ts.URL+"/api/health", &after)
+	getJSON(t, ts.URL+"/v1/health", &after)
 	if after.SnapshotSeq <= before.SnapshotSeq {
 		t.Fatalf("snapshotSeq did not advance: %d -> %d", before.SnapshotSeq, after.SnapshotSeq)
 	}
@@ -668,14 +669,14 @@ func TestOversizedBodyRejected(t *testing.T) {
 			K int     `json:"k"`
 		}{graph.V(i % 36), 4})
 	}
-	for _, ep := range []string{"/api/batch", "/api/query", "/api/checkin", "/api/edge"} {
+	for _, ep := range []string{"/v1/batch", "/v1/query", "/v1/checkin", "/v1/edge"} {
 		resp, _ := postJSON(t, ts.URL+ep, big)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized body: status = %d, want 413", ep, resp.StatusCode)
 		}
 	}
 	// Within the cap still works.
-	resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4})
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small body after cap: status = %d body %s", resp.StatusCode, body)
 	}
@@ -689,7 +690,7 @@ func TestQueryDeadline(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	resp, body := postJSON(t, ts.URL+"/api/query", QueryRequest{Q: 1, K: 4, Algo: "exact"})
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "exact"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline: status = %d body %s, want 503", resp.StatusCode, body)
 	}
@@ -705,7 +706,7 @@ func TestQueryDeadline(t *testing.T) {
 		Q graph.V `json:"q"`
 		K int     `json:"k"`
 	}{1, 4})
-	resp, body = postJSON(t, ts.URL+"/api/batch", req)
+	resp, body = postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired batch deadline: status = %d body %s, want 503", resp.StatusCode, body)
 	}
@@ -728,7 +729,7 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 				case 0: // queries
 					q := graph.V((w*12 + i) % 36)
 					buf, _ := json.Marshal(QueryRequest{Q: q, K: 4})
-					resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(buf))
+					resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
 						return
@@ -740,7 +741,7 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 					}
 				case 1: // check-ins
 					buf, _ := json.Marshal(CheckinRequest{V: graph.V(i % 36), X: 0.5, Y: 0.5})
-					resp, err := http.Post(ts.URL+"/api/checkin", "application/json", bytes.NewReader(buf))
+					resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
 						return
@@ -754,7 +755,7 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 					u := graph.V((w + i) % 6)
 					v := graph.V(18 + (w+i)%6)
 					buf, _ := json.Marshal(EdgeRequest{U: u, V: v, Op: op})
-					resp, err := http.Post(ts.URL+"/api/edge", "application/json", bytes.NewReader(buf))
+					resp, err := http.Post(ts.URL+"/v1/edge", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
 						return
@@ -792,7 +793,7 @@ func TestDurableServer(t *testing.T) {
 	ts, srv := open()
 
 	var health map[string]any
-	getJSON(t, ts.URL+"/api/health", &health)
+	getJSON(t, ts.URL+"/v1/health", &health)
 	if health["durable"] != true {
 		t.Fatalf("health durable = %v", health["durable"])
 	}
@@ -806,13 +807,13 @@ func TestDurableServer(t *testing.T) {
 	}
 
 	// Acknowledged writes: a check-in and an edge insert.
-	if resp, body := postJSON(t, ts.URL+"/api/checkin", CheckinRequest{V: 3, X: 0.25, Y: 0.75}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 3, X: 0.25, Y: 0.75}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkin: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/api/edge", EdgeRequest{U: 0, V: 18, Op: "insert"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 18, Op: "insert"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("edge: %d %s", resp.StatusCode, body)
 	}
-	getJSON(t, ts.URL+"/api/health", &health)
+	getJSON(t, ts.URL+"/v1/health", &health)
 	if got := health["walLastSeq"].(float64); got != 2 {
 		t.Fatalf("walLastSeq after two writes = %v", got)
 	}
@@ -834,7 +835,7 @@ func TestDurableServer(t *testing.T) {
 	// In-memory servers advertise durable=false and no WAL fields.
 	tsMem, _ := newTestServer(t)
 	health = nil // decoding into a non-nil map merges; start clean
-	getJSON(t, tsMem.URL+"/api/health", &health)
+	getJSON(t, tsMem.URL+"/v1/health", &health)
 	if health["durable"] != false {
 		t.Fatalf("in-memory health durable = %v", health["durable"])
 	}

@@ -150,7 +150,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.cfg.Shard.Owns(req.Q) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "q",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "q",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
 				req.Q, s.cfg.Shard.Map.OwnerOf(req.Q), s.cfg.Shard.ID))
 		return
@@ -191,7 +191,7 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.K < 1 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "k",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "k",
 			fmt.Sprintf("k must be >= 1, got %d", req.K))
 		return
 	}
@@ -203,12 +203,12 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	g := snap.Graph()
 	for _, v := range req.Seeds {
 		if v < 0 || int(v) >= g.NumVertices() {
-			httpapi.WriteError(w, r, http.StatusNotFound, CodeUnknownVertex, "seeds",
+			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "seeds",
 				fmt.Sprintf("unknown vertex %d", v))
 			return
 		}
 		if !s.cfg.Shard.Owns(v) {
-			httpapi.WriteError(w, r, http.StatusBadRequest, CodeWrongShard, "seeds",
+			httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "seeds",
 				fmt.Sprintf("seed %d is owned by shard %d, not shard %d",
 					v, s.cfg.Shard.Map.OwnerOf(v), s.cfg.Shard.ID))
 			return
@@ -228,7 +228,7 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !geom.Finite(req.X) || !geom.Finite(req.Y) || !geom.Finite(req.R) || req.R < 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "r",
+		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "r",
 			fmt.Sprintf("disk (%v, %v, r=%v) must be finite with r >= 0", req.X, req.Y, req.R))
 		return
 	}

@@ -33,7 +33,7 @@ func (s *Server) handleShardWatch(w http.ResponseWriter, r *http.Request) {
 	st, replay, err := s.feed.Attach(lastID, hasLast)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "", "server draining")
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "", "server draining")
 		return
 	}
 	defer s.feed.Detach(st)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"sacsearch/client"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/telemetry"
 )
 
@@ -171,7 +173,7 @@ func TestSubscribeErrorEnvelopes(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), CodeUnknownSubscription) {
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), httpapi.CodeUnknownSubscription) {
 		t.Fatalf("resume of unknown id: %d %s", resp.StatusCode, body)
 	}
 
@@ -184,6 +186,23 @@ func TestSubscribeErrorEnvelopes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid_query") {
 		t.Fatalf("missing k: %d %s", resp.StatusCode, body)
+	}
+
+	// A q too wide for a vertex id is refused as sent, not wrapped into
+	// vertex 3 (4294967299 mod 2^32) and served.
+	resp, err = http.Get(ts.URL + "/v1/subscribe?q=4294967299&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("out-of-range q: status %d, want 400", resp.StatusCode)
+	}
+	var env httpapi.ErrorJSON
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || env.Code != "invalid_query" || env.Field != "q" || !strings.Contains(env.Error, "4294967299") {
+		t.Fatalf("out-of-range q: envelope %+v (decode: %v)", env, err)
 	}
 
 	// Same id, different query: the id is bound.
@@ -222,7 +241,7 @@ func TestSubscribeLimit(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), CodeSubscriptionLimit) {
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), httpapi.CodeSubscriptionLimit) {
 		t.Fatalf("over limit: %d %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {

@@ -9,45 +9,26 @@ import (
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 )
 
-// TestV1AliasesAPI pins the versioning contract: /v1/* and the deprecated
-// /api/* serve identical answers from the same handlers, and only the
-// legacy prefix carries the Deprecation header plus a Link to its
-// successor.
+// TestV1AliasesAPI pins that /v1 is the only HTTP surface: every read route
+// answers under /v1 without a Deprecation header, and the same route under
+// the unversioned prefix that once aliased it is a 404 like any unknown path.
 func TestV1AliasesAPI(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var v1, legacy QueryResponse
-	req := QueryRequest{Q: 1, K: 4, Algo: "exact+"}
-	_, body := postJSON(t, ts.URL+"/v1/query", req)
-	if err := json.Unmarshal(body, &v1); err != nil {
-		t.Fatal(err)
-	}
-	_, body = postJSON(t, ts.URL+"/api/query", req)
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if len(v1.Members) == 0 || len(v1.Members) != len(legacy.Members) || v1.MCC != legacy.MCC {
-		t.Fatalf("v1 %+v != legacy %+v", v1, legacy)
-	}
-
 	for _, route := range []string{"/v1/health", "/v1/algorithms", "/v1/vertex/1"} {
-		if resp := getJSON(t, ts.URL+route, nil); resp.StatusCode != http.StatusOK {
+		resp := getJSON(t, ts.URL+route, nil)
+		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d", route, resp.StatusCode)
 		}
-	}
-
-	resp := getJSON(t, ts.URL+"/api/health", nil)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("/api/* response missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/health") ||
-		!strings.Contains(link, "successor-version") {
-		t.Fatalf("/api/* Link header = %q", link)
-	}
-	resp = getJSON(t, ts.URL+"/v1/health", nil)
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/* response carries a Deprecation header")
+		if resp.Header.Get("Deprecation") != "" {
+			t.Fatalf("%s response carries a Deprecation header", route)
+		}
+		legacy := strings.Replace(route, "/v1", "/api", 1)
+		if resp := getJSON(t, ts.URL+legacy, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s status = %d, want 404", legacy, resp.StatusCode)
+		}
 	}
 }
 
@@ -79,7 +60,7 @@ func TestErrorEnvelope(t *testing.T) {
 		code   string
 	}{
 		{"malformed JSON", func() *http.Response { return post("/v1/query", "{nope") },
-			http.StatusBadRequest, CodeInvalidJSON},
+			http.StatusBadRequest, httpapi.CodeInvalidJSON},
 		{"unknown algo", func() *http.Response { return post("/v1/query", `{"q":1,"k":4,"algo":"bogus"}`) },
 			http.StatusBadRequest, core.ErrCodeUnknownAlgorithm},
 		{"k below 1", func() *http.Response { return post("/v1/query", `{"q":1,"k":0}`) },
@@ -91,7 +72,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"structure mismatch", func() *http.Response { return post("/v1/query", `{"q":1,"k":4,"structure":"ktruss"}`) },
 			http.StatusBadRequest, core.ErrCodeStructureMismatch},
 		{"no community", func() *http.Response { return post("/v1/query", `{"q":1,"k":40}`) },
-			http.StatusNotFound, CodeNoCommunity},
+			http.StatusNotFound, httpapi.CodeNoCommunity},
 		{"empty batch", func() *http.Response { return post("/v1/batch", `{"queries":[]}`) },
 			http.StatusBadRequest, core.ErrCodeInvalidQuery},
 		{"batch bad epsA", func() *http.Response {
@@ -107,13 +88,13 @@ func TestErrorEnvelope(t *testing.T) {
 		},
 			http.StatusBadRequest, core.ErrCodeStructureMismatch},
 		{"checkin unknown vertex", func() *http.Response { return post("/v1/checkin", `{"v":9999,"x":0.5,"y":0.5}`) },
-			http.StatusNotFound, CodeUnknownVertex},
+			http.StatusNotFound, httpapi.CodeUnknownVertex},
 		{"edge bad op", func() *http.Response { return post("/v1/edge", `{"u":0,"v":1,"op":"sever"}`) },
-			http.StatusBadRequest, CodeInvalidArgument},
+			http.StatusBadRequest, httpapi.CodeInvalidArgument},
 		{"malformed vertex id", func() *http.Response { return get("/v1/vertex/abc") },
-			http.StatusBadRequest, CodeInvalidArgument},
+			http.StatusBadRequest, httpapi.CodeInvalidArgument},
 		{"unknown vertex id", func() *http.Response { return get("/v1/vertex/9999") },
-			http.StatusNotFound, CodeUnknownVertex},
+			http.StatusNotFound, httpapi.CodeUnknownVertex},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,7 +103,7 @@ func TestErrorEnvelope(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
 			}
-			var env ErrorJSON
+			var env httpapi.ErrorJSON
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 				t.Fatalf("non-2xx body is not an error envelope: %v", err)
 			}

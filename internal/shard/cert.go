@@ -46,15 +46,26 @@ import (
 type Cert struct {
 	g  *graph.Graph
 	sv *Serving
+	// maxDeg is the largest degree of an owned vertex: at any k above it the
+	// peel removes every owned vertex, so the outcome is known without one.
+	maxDeg int
 
-	mu   sync.Mutex
-	perK map[int]*kState
+	mu     sync.Mutex
+	states []*kState // most recently used first, at most maxStates
 }
+
+// maxStates is how many built per-k states a certificate keeps, least
+// recently used out. A state is 4n bytes and k arrives from outside
+// (/v1/shard/search and /v1/shard/expand check only k ≥ 1), so what is
+// retained must not follow what was asked. The paper's Table 5 sweeps
+// k ∈ {4, 7, 10, 13, 16}; 8 holds every k real traffic uses at once.
+const maxStates = 8
 
 // kState is one k's optimistic-peel outcome. Components cover owned
 // survivors only — a ghost is not a component member (it can border several
 // components at once) but flips ghosty on every component it touches.
 type kState struct {
+	k      int
 	comp   []int32 // per vertex: component id, -1 = non-owned or peeled
 	ghosty []bool  // per component: some member has a ghost neighbor
 }
@@ -62,17 +73,37 @@ type kState struct {
 // NewCert prepares certificates for one immutable (frozen snapshot) shard
 // graph. Concurrent callers share the lazily built per-k states.
 func NewCert(g *graph.Graph, sv *Serving) *Cert {
-	return &Cert{g: g, sv: sv, perK: make(map[int]*kState)}
+	c := &Cert{g: g, sv: sv}
+	id := uint16(sv.ID)
+	for v, o := range sv.Map.Owner {
+		if o == id {
+			c.maxDeg = max(c.maxDeg, g.Degree(graph.V(v)))
+		}
+	}
+	return c
 }
 
+// stateFor returns k's peel outcome, or nil when k exceeds every owned
+// degree and nothing owned survives.
 func (c *Cert) stateFor(k int) *kState {
+	if k > c.maxDeg {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st, ok := c.perK[k]; ok {
-		return st
+	for i, st := range c.states {
+		if st.k == k {
+			copy(c.states[1:i+1], c.states[:i])
+			c.states[0] = st
+			return st
+		}
 	}
 	st := c.build(k)
-	c.perK[k] = st
+	if len(c.states) < maxStates {
+		c.states = append(c.states, nil)
+	}
+	copy(c.states[1:], c.states) // the least recently used state falls off the end
+	c.states[0] = st
 	return st
 }
 
@@ -110,7 +141,7 @@ func (c *Cert) build(k int) *kState {
 		}
 	}
 
-	st := &kState{comp: make([]int32, n)}
+	st := &kState{k: k, comp: make([]int32, n)}
 	for v := range st.comp {
 		st.comp[v] = -1
 	}
@@ -150,11 +181,10 @@ func (c *Cert) build(k int) *kState {
 // and a dead q is certified ErrNoCommunity.
 func (c *Cert) Contained(q graph.V, k int) (alive, certified bool) {
 	st := c.stateFor(k)
-	cid := st.comp[q]
-	if cid < 0 {
+	if st == nil || st.comp[q] < 0 {
 		return false, true
 	}
-	return true, !st.ghosty[cid]
+	return true, !st.ghosty[st.comp[q]]
 }
 
 // Expand returns the owned members of the optimistic k-core components
@@ -164,6 +194,9 @@ func (c *Cert) Contained(q graph.V, k int) (alive, certified bool) {
 // dead. Members come back in ascending vertex order.
 func (c *Cert) Expand(seeds []graph.V, k int) (members, frontier []graph.V) {
 	st := c.stateFor(k)
+	if st == nil {
+		return nil, nil
+	}
 	want := make(map[int32]bool, len(seeds))
 	for _, s := range seeds {
 		if int(s) < 0 || int(s) >= len(st.comp) {

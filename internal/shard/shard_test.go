@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sacsearch/internal/dataset"
@@ -450,4 +452,75 @@ func TestPartitionGolden(t *testing.T) {
 				tc.dataset, tc.scale, tc.shards, got, tc.checksum)
 		}
 	}
+}
+
+// TestCertStatesBounded: k reaches a certificate from outside, so what the
+// certificate retains must not grow with the distinct values asked. 2 000
+// orders above every owned degree (each outcome is "all dead") and a sweep
+// of every order below it leave the certificate under 2 MB, and the answers
+// for the orders real traffic uses are the same before and after.
+func TestCertStatesBounded(t *testing.T) {
+	g := testGraph(5000, 20000, 57)
+	m, err := Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Subgraph(g, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewServing(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := NewCert(sub, sv)
+
+	type verdict struct{ alive, certified bool }
+	answers := func() (out []verdict, closure int) {
+		for _, k := range []int{3, 4, 7} {
+			for v := 0; v < g.NumVertices(); v++ {
+				if sv.Owns(graph.V(v)) {
+					alive, certified := cert.Contained(graph.V(v), k)
+					out = append(out, verdict{alive, certified})
+					if alive && v%50 == 0 {
+						members, frontier := cert.Expand([]graph.V{graph.V(v)}, k)
+						closure += len(members) + len(frontier)
+					}
+				}
+			}
+		}
+		return out, closure
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	want, wantClosure := answers()
+	before := heap()
+	seed := graph.V(0)
+	for !sv.Owns(seed) {
+		seed++
+	}
+	for k := 1000; k < 3000; k++ {
+		if alive, certified := cert.Contained(seed, k); alive || !certified {
+			t.Fatalf("k=%d above every degree: alive=%v certified=%v, want a certified death", k, alive, certified)
+		}
+		if members, frontier := cert.Expand([]graph.V{seed}, k); members != nil || frontier != nil {
+			t.Fatalf("k=%d above every degree: Expand returned %d members", k, len(members))
+		}
+	}
+	for k := 1; k < 200; k++ {
+		cert.Contained(seed, k)
+	}
+	if grown := int64(heap()) - int64(before); grown > 2<<20 {
+		t.Fatalf("certificate retains %d bytes after 2 199 distinct k, want under 2 MB", grown)
+	}
+	got, gotClosure := answers()
+	if !slices.Equal(got, want) || gotClosure != wantClosure {
+		t.Fatalf("answers for k in {3, 4, 7} changed across the sweep (closure %d vs %d)", gotClosure, wantClosure)
+	}
+	runtime.KeepAlive(cert)
 }

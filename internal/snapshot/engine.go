@@ -246,7 +246,7 @@ func (e *Engine) SetOnPublish(fn func(*Snap, []AppliedEvent)) {
 func (e *Engine) Current() *Snap { return e.cur.Load() }
 
 // QueueDepth returns the number of writes waiting for the writer goroutine —
-// the publication-lag signal /api/health reports.
+// the publication-lag signal /v1/health reports.
 func (e *Engine) QueueDepth() int { return len(e.events) }
 
 // Published returns the number of snapshots published so far.
@@ -256,7 +256,7 @@ func (e *Engine) Published() uint64 { return e.published.Load() }
 func (e *Engine) Applied() uint64 { return e.applied.Load() }
 
 // PoolClones returns the number of searcher workers ever created to serve
-// queries — the peak-concurrency signal /api/health reports.
+// queries — the peak-concurrency signal /v1/health reports.
 func (e *Engine) PoolClones() int64 { return e.pool.Created() }
 
 // PersistFailed reports whether the ErrPersist latch has tripped: the engine

@@ -95,8 +95,10 @@ func (s *Store) Fenced() bool { return s.fenced.Load() }
 
 // Fence records that epoch `by` exists elsewhere. When by exceeds the
 // store's own epoch the store fences itself — durably, before any
-// rejection is promised — and all later writes fail with ErrFenced. A by at
-// or below the current epoch is stale news and a no-op.
+// rejection is promised — and all later writes fail with ErrFenced, those
+// already queued in the engine included: once Fence returns, the WAL's last
+// sequence never moves again. A by at or below the current epoch is stale
+// news and a no-op.
 func (s *Store) Fence(by uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()

@@ -3,10 +3,13 @@ package store
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/snapshot"
 )
 
 func openTestStore(t *testing.T, dir string) *Store {
@@ -106,5 +109,74 @@ func TestBumpEpochClearsFenceAndOutranksFencer(t *testing.T) {
 	defer st2.Close()
 	if st2.Epoch() != 6 || st2.Fenced() {
 		t.Fatalf("reopened: epoch=%d fenced=%v, want 6/false", st2.Epoch(), st2.Fenced())
+	}
+}
+
+// TestFenceStopsTheLog pins the fence at the place a record becomes durable:
+// once Fence returns, the WAL's last sequence never moves — not for writes
+// that were already past the door check and queued in the engine — and a
+// reopened store recovers exactly that sequence. Every write either succeeded
+// (logged before the fence) or failed with ErrFenced.
+func TestFenceStopsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Init: testGraph(), CheckpointInterval: -1, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const writers = 64
+	var (
+		wg      sync.WaitGroup
+		started sync.WaitGroup
+		acked   atomic.Uint64
+	)
+	started.Add(writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				err := st.CheckIn(ctx, graph.V(w%8), geom.Point{X: float64(w) / writers, Y: float64(i%97) / 97})
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					if !errors.Is(err, ErrFenced) {
+						t.Errorf("writer %d: err = %v, want nil or ErrFenced", w, err)
+					}
+					return
+				}
+				acked.Add(1)
+			}
+		}(w)
+	}
+	started.Wait() // every writer has a write through; the queue stays busy from here
+	if err := st.Fence(7); err != nil {
+		t.Fatal(err)
+	}
+	atFence := st.WalLastSeq()
+	wg.Wait()
+	if got := st.WalLastSeq(); got != atFence {
+		t.Fatalf("WAL grew from seq %d to %d after Fence returned", atFence, got)
+	}
+	if got := acked.Load(); got != atFence {
+		t.Fatalf("%d writes acknowledged, WAL holds %d records", got, atFence)
+	}
+	// The hook itself refuses, whatever reaches it.
+	if _, err := st.persistBatch([]snapshot.AppliedEvent{{Checkin: true, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}); !errors.Is(err, ErrFenced) {
+		t.Fatalf("persistBatch on a fenced store: err = %v, want ErrFenced", err)
+	}
+	if got := st.WalLastSeq(); got != atFence {
+		t.Fatalf("a fenced persistBatch moved the WAL from seq %d to %d", atFence, got)
+	}
+	st.Crash()
+
+	st2, err := Open(dir, Options{CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := st2.WalLastSeq(); got != atFence || !st2.Fenced() {
+		t.Fatalf("reopened: seq %d fenced=%v, want seq %d and fenced", got, st2.Fenced(), atFence)
 	}
 }

@@ -94,7 +94,7 @@ func (o Options) checkpointInterval() time.Duration {
 	return o.CheckpointInterval
 }
 
-// Stats is the durability status /api/health reports.
+// Stats is the durability status /v1/health reports.
 type Stats struct {
 	// WalSegments and WalBytes size the live log.
 	WalSegments int   `json:"walSegments"`
@@ -137,8 +137,9 @@ type Store struct {
 	lastCkpt    atomic.Uint64
 	sinceCkpt   atomic.Uint64
 
-	// epochMu guards the persisted fencing state; fenced mirrors
-	// "fencedBy > 0" for the lock-free write-path check.
+	// epochMu guards the persisted fencing state, and WAL appends take it so
+	// none can land once a fence is durable (see persistBatch); fenced mirrors
+	// "fencedBy > 0" for the lock-free check at the door.
 	epochMu  sync.Mutex
 	epoch    uint64
 	fencedBy uint64
@@ -275,6 +276,18 @@ func Open(dataDir string, opt Options) (*Store, error) {
 // persistBatch is the engine's durability hook: it runs in the writer
 // goroutine, appending one publication's worth of state-changing events as a
 // single group commit.
+//
+// This is where the fence is authoritative. CheckIn and UpdateEdge turn
+// writes away at the door, but events that passed the door before Fence
+// flipped the flag are still queued in the engine, and logging them after
+// Fence returned — after the shipper told a peer this store is fenced — would
+// fork history. The check and the append therefore share the mutex Fence
+// holds: an append either completes before the fence is durable or is
+// refused with ErrFenced. The engine treats that like any persist failure —
+// the batch's waiters get the error and the engine latches read-only, because
+// the refused events were already applied to the writer's graph; a fenced
+// store that is promoted again (BumpEpoch) after refusing a batch here needs a
+// restart to accept writes.
 func (s *Store) persistBatch(batch []snapshot.AppliedEvent) (uint64, error) {
 	recs := s.recScratch[:0]
 	for _, ev := range batch {
@@ -285,7 +298,13 @@ func (s *Store) persistBatch(batch []snapshot.AppliedEvent) (uint64, error) {
 		}
 	}
 	s.recScratch = recs
+	s.epochMu.Lock()
+	if s.fencedBy > 0 {
+		s.epochMu.Unlock()
+		return 0, ErrFenced
+	}
 	seq, err := s.log.Append(recs)
+	s.epochMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -336,7 +355,8 @@ func (s *Store) Current() *snapshot.Snap { return s.eng.Current() }
 
 // CheckIn forwards to the engine; when it returns, the write is published
 // and logged (and, under FsyncAlways, on disk). A fenced store rejects the
-// write before it reaches the engine.
+// write before it reaches the engine; one that slipped past this check while
+// Fence was running is refused where it would be logged (persistBatch).
 func (s *Store) CheckIn(ctx context.Context, v graph.V, p geom.Point) error {
 	if s.fenced.Load() {
 		return ErrFenced

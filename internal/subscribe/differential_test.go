@@ -287,8 +287,12 @@ func TestDifferentialCommunityFlips(t *testing.T) {
 
 	// Quiesce between phases: the dispatcher coalesces publications, so
 	// without a barrier a delete+re-insert round can collapse into a single
-	// no-op evaluation. Each barrier forces the transition onto the stream.
+	// no-op evaluation. Each barrier forces the transition onto the stream —
+	// the first one the init itself: registration is answered by an
+	// asynchronous round, and one that pins a snapshot taken after the first
+	// deletes opens on no-community, leaving the first phase nothing to flip.
 	ctx := context.Background()
+	waitProcessed(t, mgr, eng.Current().Seq())
 	for round := 0; round < 3; round++ {
 		for _, e := range tri {
 			if _, err := eng.UpdateEdge(ctx, e[0], e[1], false); err != nil {

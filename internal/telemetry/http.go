@@ -37,23 +37,21 @@ func RouteLabel(path string) string {
 	if path == "/metrics" {
 		return "/metrics"
 	}
-	for _, p := range []string{"/v1", "/api"} {
-		rest, ok := strings.CutPrefix(path, p+"/")
-		if !ok {
-			continue
-		}
-		seg, tail, _ := strings.Cut(rest, "/")
-		switch seg {
-		case "health", "ready", "algorithms", "query", "batch", "checkin", "edge", "subscribe":
-			return p + "/" + seg
-		case "vertex":
-			return p + "/vertex/{id}"
-		case "shard":
-			verb, _, _ := strings.Cut(tail, "/")
-			switch verb {
-			case "info", "search", "expand", "range", "watch":
-				return p + "/shard/" + verb
-			}
+	rest, ok := strings.CutPrefix(path, "/v1/")
+	if !ok {
+		return "other"
+	}
+	seg, tail, _ := strings.Cut(rest, "/")
+	switch seg {
+	case "health", "ready", "algorithms", "query", "batch", "checkin", "edge", "subscribe":
+		return "/v1/" + seg
+	case "vertex":
+		return "/v1/vertex/{id}"
+	case "shard":
+		verb, _, _ := strings.Cut(tail, "/")
+		switch verb {
+		case "info", "search", "expand", "range", "watch":
+			return "/v1/shard/" + verb
 		}
 	}
 	return "other"

@@ -61,12 +61,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // End marks the span finished. Idempotent; safe on nil.
 func (s *Span) End() {
 	if s == nil {

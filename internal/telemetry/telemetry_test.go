@@ -239,9 +239,6 @@ func TestSpanTree(t *testing.T) {
 	child2.End()
 	root.End()
 
-	if SpanFromContext(ctx) != root {
-		t.Error("SpanFromContext did not return the root")
-	}
 	if got := len(root.Children()); got != 2 {
 		t.Fatalf("root has %d children, want 2", got)
 	}
@@ -313,7 +310,6 @@ func TestRouteLabel(t *testing.T) {
 		"/v1/subscribe":    "/v1/subscribe",
 		"/v1/shard/watch":  "/v1/shard/watch",
 		"/metrics":         "/metrics",
-		"/api/query":       "/api/query",
 		"/v1/shard/nope":   "other",
 		"/v2/query":        "other",
 		"/wp-login.php":    "other",

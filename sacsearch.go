@@ -8,35 +8,17 @@
 // possible minimum covering circle. The package provides the paper's two
 // exact algorithms (Exact, ExactPlus) and three approximations (AppInc,
 // AppFast, AppAcc), the θ-SAC variant, the Global/Local/GeoModu baselines it
-// compares against, dataset generators, quality metrics, and the harness
-// that regenerates every table and figure of the paper's evaluation.
+// compares against, dataset generators and quality metrics.
 //
-// The paper's Section 6 roadmap is implemented as well: alternative
-// structure metrics (k-truss, k-clique percolation), minimum-diameter
-// communities (Searcher.MinDiam2Approx, Searcher.MinDiamLens), batch query
-// processing (BatchSearch, BatchStream), and an HTTP prototype
-// (cmd/sacserver). Beyond the paper, topology is dynamic: Graph.AddEdge and
-// Graph.RemoveEdge churn friendships through a delta-CSR overlay,
-// Searcher.ApplyEdgeInsert/ApplyEdgeRemove keep the core decomposition
-// current incrementally, and ReplayWithEdges interleaves edge events with
-// check-in streams. Serving is snapshot-isolated: a ServingEngine owns the
-// mutable graph in one writer goroutine and publishes immutable
-// ServingSnapshot views through an atomic pointer, so queries run with zero
-// locks; Searcher.Search takes a context, and every algorithm honors its
-// cancellation and deadline mid-query (ErrCanceled). Serving state is
-// durable on request:
-// OpenStore wraps the engine with a write-ahead log, checkpoints and crash
-// recovery (write-visible implies logged; with FsyncAlways, on disk), and
-// SaveGraph/LoadGraph persist built graphs in the checksummed binary
-// format. Serving survives node loss too: NewReplicaShipper streams a
-// store's WAL to ReplicaFollower nodes that serve read-only replicas of the
-// state, with fencing epochs (FenceLeader, ErrFenced) guaranteeing a
-// deposed leader cannot fork history. Serving scales out as well:
-// PartitionGraph cuts a graph into spatially coherent shards (ShardMap,
-// ShardSubgraph), each shard runs the full engine stack on its subgraph
-// (`sacserver -shard-id/-shard-map`), and NewShardRouter fronts them with
-// the same /v1 API, answering single-shard queries from one shard and
-// scatter-gathering cross-shard ones exactly.
+// Beyond the algorithms, the declarations below are grouped by what they
+// export, each group under a comment saying what it is for: the unified
+// query API and its algorithm registry, alternative structure metrics
+// (k-truss, k-clique percolation) and the minimum-diameter variants of the
+// paper's Section 6, batch processing (BatchSearch), dynamic topology and
+// check-in replay, snapshot-isolated serving (ServingEngine), durable
+// serving (OpenStore), WAL-shipping replicas with fencing epochs
+// (NewReplicaShipper, FenceLeader), and spatial sharding behind a
+// scatter-gather router (PartitionGraph, NewShardRouter).
 //
 // # Quick start
 //
@@ -258,7 +240,7 @@ type (
 	// StoreOptions configures durability: initial graph, fsync policy, WAL
 	// segment size and checkpoint cadence.
 	StoreOptions = store.Options
-	// StoreStats is the durability status a Store reports (and /api/health
+	// StoreStats is the durability status a Store reports (and /v1/health
 	// exposes): WAL size, sequences, checkpoint progress, fsync policy.
 	StoreStats = store.Stats
 	// FsyncPolicy selects when WAL appends reach stable storage.
@@ -418,20 +400,6 @@ func BatchSearch(ctx context.Context, s *Searcher, queries []BatchQuery, opt Bat
 // pool across batches keeps the workers' candidate caches warm.
 func BatchSearchOn(ctx context.Context, p BatchSource, queries []BatchQuery, opt BatchOptions) []BatchItem {
 	return batch.RunOn(ctx, p, queries, opt)
-}
-
-// BatchStream answers queries from a channel as they arrive, emitting items
-// as they complete; the output channel closes when in closes and all
-// in-flight work is done. When ctx fires, queries still arriving come back
-// immediately as ErrCanceled items (the caller remains responsible for
-// closing in).
-func BatchStream(ctx context.Context, s *Searcher, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
-	return batch.Stream(ctx, s, in, opt)
-}
-
-// BatchStreamOn is BatchStream over an existing worker source.
-func BatchStreamOn(ctx context.Context, p BatchSource, in <-chan BatchQuery, opt BatchOptions) <-chan BatchItem {
-	return batch.StreamOn(ctx, p, in, opt)
 }
 
 // BatchWorkload pairs each query vertex with k.

@@ -25,6 +25,10 @@
 // envelope, the offending field when known, and the request id for
 // correlation with server logs. A query that finds no community satisfies
 // errors.Is(err, client.ErrNoCommunity).
+//
+// The request, response and event types are aliases of the one declaration of
+// the /v1 schema, internal/wire — the same types the servers encode — so the
+// two sides cannot drift; the client imports nothing else of this module.
 package client
 
 import (
@@ -40,6 +44,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"sacsearch/internal/wire"
 )
 
 // ErrNoCommunity is the sentinel matched (via errors.Is) by query errors
@@ -88,7 +94,7 @@ func (e *APIError) Error() string {
 // Is lets errors.Is match the well-known codes without the caller
 // inspecting Code by hand.
 func (e *APIError) Is(target error) bool {
-	return target == ErrNoCommunity && e.Code == "no_community"
+	return target == ErrNoCommunity && e.Code == wire.CodeNoCommunity
 }
 
 // Context keys carrying outbound correlation headers; set via
@@ -162,58 +168,25 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 
 // --- wire types -----------------------------------------------------------
 
-// Query is one SAC request: the query vertex, the degree threshold, the
-// algorithm (a /v1/algorithms name or alias; empty = server default,
-// AppFast) and its parameters. Parameter pointers distinguish "absent →
-// server default" from an explicit zero; build them with Float.
-type Query struct {
-	Q         int64    `json:"q"`
-	K         int      `json:"k"`
-	Algo      string   `json:"algo,omitempty"`
-	EpsF      *float64 `json:"epsF,omitempty"`
-	EpsA      *float64 `json:"epsA,omitempty"`
-	Theta     *float64 `json:"theta,omitempty"`
-	Structure string   `json:"structure,omitempty"`
-	// TimeoutMillis, when positive, asks the server to bound this query
-	// with its own deadline (the server's per-request deadline still caps
-	// it). The caller's context cancels client-side regardless.
-	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
-}
+// The /v1 schema's types, as internal/wire declares and documents them.
+// Query's parameter pointers distinguish "absent → server default" from an
+// explicit zero; build them with Float.
+type (
+	Query      = wire.Query
+	Circle     = wire.Circle
+	Stats      = wire.Stats
+	Result     = wire.Result
+	BatchQuery = wire.BatchQuery
+	BatchItem  = wire.BatchItem
+	AlgoParam  = wire.AlgoParam
+	AlgoInfo   = wire.AlgoInfo
+	Health     = wire.Health
+	Vertex     = wire.Vertex
+	EdgeResult = wire.EdgeResult
+)
 
 // Float returns a pointer to v, for setting optional parameters inline.
 func Float(v float64) *float64 { return &v }
-
-// Circle is a covering circle.
-type Circle struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
-}
-
-// Stats are the per-query work counters the server reports.
-type Stats struct {
-	CandidateSize     int    `json:"candidateSize"`
-	FeasibilityChecks int    `json:"feasibilityChecks"`
-	BinaryIters       int    `json:"binaryIters"`
-	ElapsedMicros     int64  `json:"elapsedMicros"`
-	Algorithm         string `json:"algorithm"`
-}
-
-// Result is one SAC answer.
-type Result struct {
-	Q       int64   `json:"q"`
-	K       int     `json:"k"`
-	Members []int64 `json:"members"`
-	MCC     Circle  `json:"mcc"`
-	Delta   float64 `json:"delta"`
-	Stats   Stats   `json:"stats"`
-}
-
-// BatchQuery is one (q, k) item of a batch.
-type BatchQuery struct {
-	Q int64 `json:"q"`
-	K int   `json:"k"`
-}
 
 // BatchOptions selects the algorithm and parameters shared by a whole
 // batch, plus the server-side worker count (0 = server default).
@@ -226,91 +199,11 @@ type BatchOptions struct {
 	Workers   int
 }
 
-// BatchItem is one answered batch query; Error is the per-item failure
-// message ("" on success).
-type BatchItem struct {
-	Q       int64   `json:"q"`
-	K       int     `json:"k"`
-	Members []int64 `json:"members"`
-	MCC     Circle  `json:"mcc"`
-	Error   string  `json:"error"`
-}
-
-// AlgoParam is one entry of an algorithm's parameter schema.
-type AlgoParam struct {
-	Name     string   `json:"name"`
-	Type     string   `json:"type"`
-	Doc      string   `json:"doc"`
-	Required bool     `json:"required"`
-	Default  *float64 `json:"default"`
-	Min      float64  `json:"min"`
-	Max      *float64 `json:"max"` // nil = unbounded
-	MinExcl  bool     `json:"minExclusive"`
-	MaxExcl  bool     `json:"maxExclusive"`
-}
-
-// AlgoInfo is one registered algorithm as served by /v1/algorithms.
-type AlgoInfo struct {
-	Name    string      `json:"name"`
-	Aliases []string    `json:"aliases"`
-	Ratio   string      `json:"ratio"`
-	Doc     string      `json:"doc"`
-	Params  []AlgoParam `json:"params"`
-}
-
-// Health is the server status report. Unversioned extras (durability
-// stats, replication lag) land in Extra.
-type Health struct {
-	// Status summarizes serving fitness: "ok", "readonly" (the node answers
-	// reads but rejects writes) or "degraded" (something needs an operator).
-	Status   string `json:"status"`
-	Dataset  string `json:"dataset"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
-	Durable  bool   `json:"durable"`
-	// Role is "standalone", "leader" or "replica".
-	Role string `json:"role"`
-	// Epoch is the fencing epoch (0 on non-durable standalone servers).
-	Epoch uint64 `json:"epoch"`
-
-	Extra map[string]json.RawMessage `json:"-"`
-}
-
-// UnmarshalJSON keeps the typed fields and the raw remainder.
-func (h *Health) UnmarshalJSON(data []byte) error {
-	type plain Health
-	if err := json.Unmarshal(data, (*plain)(h)); err != nil {
-		return err
-	}
-	return json.Unmarshal(data, &h.Extra)
-}
-
-// Vertex is one vertex's public view.
-type Vertex struct {
-	ID     int64   `json:"id"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Degree int     `json:"degree"`
-	Core   int     `json:"core"`
-}
-
-// EdgeResult reports an edge mutation: whether the graph changed (false
-// for idempotent repeats) and the edge count afterwards.
-type EdgeResult struct {
-	OK      bool `json:"ok"`
-	Changed bool `json:"changed"`
-	Edges   int  `json:"edges"`
-}
-
 // --- operations -----------------------------------------------------------
 
 // Health fetches /v1/health.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
-	var out Health
-	if err := c.do(ctx, http.MethodGet, "/v1/health", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[Health](ctx, c, http.MethodGet, "/v1/health", nil)
 }
 
 // Algorithms fetches the algorithm registry from /v1/algorithms.
@@ -324,42 +217,24 @@ func (c *Client) Algorithms(ctx context.Context) ([]AlgoInfo, error) {
 
 // Vertex fetches one vertex's location, degree and core number.
 func (c *Client) Vertex(ctx context.Context, id int64) (*Vertex, error) {
-	var out Vertex
-	if err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/vertex/%d", id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[Vertex](ctx, c, http.MethodGet, fmt.Sprintf("/v1/vertex/%d", id), nil)
 }
 
 // Query runs one SAC query.
 func (c *Client) Query(ctx context.Context, q Query) (*Result, error) {
-	var out Result
-	if err := c.do(ctx, http.MethodPost, "/v1/query", q, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[Result](ctx, c, http.MethodPost, "/v1/query", q)
 }
 
 // Batch answers many queries in one request; items come back in input
 // order, failed items with their Error set. A nil opt runs the server
 // defaults (AppFast on GOMAXPROCS workers).
 func (c *Client) Batch(ctx context.Context, queries []BatchQuery, opt *BatchOptions) ([]BatchItem, error) {
-	req := struct {
-		Queries   []BatchQuery `json:"queries"`
-		Algo      string       `json:"algo,omitempty"`
-		EpsF      *float64     `json:"epsF,omitempty"`
-		EpsA      *float64     `json:"epsA,omitempty"`
-		Theta     *float64     `json:"theta,omitempty"`
-		Structure string       `json:"structure,omitempty"`
-		Workers   int          `json:"workers,omitempty"`
-	}{Queries: queries}
+	req := wire.BatchRequest{Queries: queries}
 	if opt != nil {
 		req.Algo, req.EpsF, req.EpsA, req.Theta = opt.Algo, opt.EpsF, opt.EpsA, opt.Theta
 		req.Structure, req.Workers = opt.Structure, opt.Workers
 	}
-	var out struct {
-		Items []BatchItem `json:"items"`
-	}
+	var out wire.BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/batch", req, &out); err != nil {
 		return nil, err
 	}
@@ -369,12 +244,7 @@ func (c *Client) Batch(ctx context.Context, queries []BatchQuery, opt *BatchOpti
 // CheckIn moves vertex v to (x, y). The call returns once a snapshot
 // containing the move is published (read-your-writes).
 func (c *Client) CheckIn(ctx context.Context, v int64, x, y float64) error {
-	req := struct {
-		V int64   `json:"v"`
-		X float64 `json:"x"`
-		Y float64 `json:"y"`
-	}{v, x, y}
-	return c.do(ctx, http.MethodPost, "/v1/checkin", req, nil)
+	return c.do(ctx, http.MethodPost, "/v1/checkin", wire.CheckinRequest{V: v, X: x, Y: y}, nil)
 }
 
 // Edge inserts (insert = true) or deletes one undirected friendship edge.
@@ -383,16 +253,7 @@ func (c *Client) Edge(ctx context.Context, u, v int64, insert bool) (*EdgeResult
 	if insert {
 		op = "insert"
 	}
-	req := struct {
-		U  int64  `json:"u"`
-		V  int64  `json:"v"`
-		Op string `json:"op"`
-	}{u, v, op}
-	var out EdgeResult
-	if err := c.do(ctx, http.MethodPost, "/v1/edge", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[EdgeResult](ctx, c, http.MethodPost, "/v1/edge", wire.EdgeRequest{U: u, V: v, Op: op})
 }
 
 // --- transport ------------------------------------------------------------
@@ -401,6 +262,15 @@ func (c *Client) Edge(ctx context.Context, u, v int64, insert bool) (*EdgeResult
 // whose requests failed together does not retry together.
 func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
+}
+
+// call is do for the common shape: the 2xx body decodes into a fresh T.
+func call[T any](ctx context.Context, c *Client, method, path string, in any) (*T, error) {
+	out := new(T)
+	if err := c.do(ctx, method, path, in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // do sends one API call with retry-on-503/429: the request body is
@@ -470,7 +340,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		retryable := apiErr.Status == http.StatusServiceUnavailable ||
 			apiErr.Status == http.StatusTooManyRequests
-		if !retryable || apiErr.Code == "read_only" {
+		if !retryable || apiErr.Code == wire.CodeReadOnly {
 			return apiErr
 		}
 		retryAfter = apiErr.RetryAfter
@@ -497,12 +367,7 @@ func consume(resp *http.Response, out any) (*APIError, error) {
 		}
 		return nil, nil
 	}
-	var env struct {
-		Error     string `json:"error"`
-		Code      string `json:"code"`
-		Field     string `json:"field"`
-		RequestID string `json:"requestId"`
-	}
+	var env wire.Error
 	apiErr := &APIError{
 		Status:    resp.StatusCode,
 		RequestID: resp.Header.Get("X-Request-Id"),

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+
+	"sacsearch/internal/wire"
 )
 
 // Set is a client over a set of sacserver endpoints — typically one leader
@@ -90,7 +92,7 @@ func (s *Set) read(call func(*Client) error) error {
 // endpoint, unlike the transient conditions failoverWorthy covers.
 func isReadOnly(err error) bool {
 	var apiErr *APIError
-	return errors.As(err, &apiErr) && apiErr.Code == "read_only"
+	return errors.As(err, &apiErr) && apiErr.Code == wire.CodeReadOnly
 }
 
 // write runs call against endpoints starting at the last known writer,

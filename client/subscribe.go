@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"sacsearch/internal/wire"
 )
 
 // Standing queries: Subscribe registers a (q, k, algo) standing query on
@@ -23,30 +25,11 @@ import (
 // ended the stream with a terminal bye event (drain/shutdown).
 var ErrSubscriptionClosed = errors.New("sac client: subscription closed by server")
 
-// SubEvent is one standing-query event.
-type SubEvent struct {
-	// Kind is "init" (Members carries the full community), "delta"
-	// (Joined/Left carry the change) or "bye" (terminal; the stream ends).
-	Kind string
-	// Sub is the subscription id; Seq the per-subscription event sequence.
-	Sub string
-	Seq uint64
-	// The standing query, echoed on every event.
-	Q    int64
-	K    int
-	Algo string
-	// NoCommunity reports that the query vertex currently has no feasible
-	// community; MCC is nil then.
-	NoCommunity bool
-	Members     []int64
-	Joined      []int64
-	Left        []int64
-	MCC         *Circle
-	Delta       float64
-	// Hash fingerprints the full state after this event (FNV-1a, hex);
-	// replaying deltas over the init must reproduce it.
-	Hash string
-}
+// SubEvent is one standing-query event (declared in internal/wire): Kind is
+// "init" (Members carries the full community), "delta" (Joined/Left carry the
+// change) or "bye" (terminal; the stream ends); Hash fingerprints the full
+// state after the event, so replaying deltas over the init must reproduce it.
+type SubEvent = wire.SubEvent
 
 // SubscribeOptions tunes Subscribe.
 type SubscribeOptions struct {
@@ -101,15 +84,6 @@ func (s *Subscription) Close() {
 // (404 unknown_subscription) restarts fresh — the stream then carries a new
 // init frame. A nil opt takes the defaults.
 func (c *Client) Subscribe(ctx context.Context, q Query, opt *SubscribeOptions) (*Subscription, error) {
-	return subscribeWith(ctx, q, opt, func(ctx context.Context, q Query, id string, lastID uint64, hasLast bool) (*http.Response, error) {
-		return c.dialSubscribe(ctx, q, id, lastID, hasLast)
-	})
-}
-
-// dialer opens one subscription connection attempt.
-type dialer func(ctx context.Context, q Query, id string, lastID uint64, hasLast bool) (*http.Response, error)
-
-func subscribeWith(ctx context.Context, q Query, opt *SubscribeOptions, dial dialer) (*Subscription, error) {
 	var o SubscribeOptions
 	if opt != nil {
 		o = *opt
@@ -118,7 +92,7 @@ func subscribeWith(ctx context.Context, q Query, opt *SubscribeOptions, dial dia
 		o.Buffer = 16
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	resp, err := dial(sctx, q, o.ID, 0, false)
+	resp, err := c.dialSubscribe(sctx, q, o.ID, 0, false)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -131,12 +105,12 @@ func subscribeWith(ctx context.Context, q Query, opt *SubscribeOptions, dial dia
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	go sub.run(sctx, q, dial, resp)
+	go sub.run(sctx, c, q, resp)
 	return sub, nil
 }
 
 // run pumps one connection after another until a terminal condition.
-func (s *Subscription) run(ctx context.Context, q Query, dial dialer, resp *http.Response) {
+func (s *Subscription) run(ctx context.Context, c *Client, q Query, resp *http.Response) {
 	defer close(s.done)
 	defer close(s.events)
 	defer s.cancel()
@@ -144,7 +118,15 @@ func (s *Subscription) run(ctx context.Context, q Query, dial dialer, resp *http
 	var hasLast bool
 	backoff := 100 * time.Millisecond
 	for {
-		bye, got := s.pump(ctx, resp, &lastID, &hasLast)
+		bye, got := pumpSSE(ctx, resp, s.events, func(ev *SubEvent, kind string, id uint64, hasID bool) {
+			if ev.Sub != "" {
+				s.id = ev.Sub
+			}
+			ev.Kind, ev.Sub = kind, s.id
+			if hasID {
+				lastID, hasLast = id, true
+			}
+		})
 		if bye {
 			s.err = ErrSubscriptionClosed
 			return
@@ -163,13 +145,13 @@ func (s *Subscription) run(ctx context.Context, q Query, dial dialer, resp *http
 				backoff *= 2
 			}
 			var err error
-			resp, err = dial(ctx, q, s.id, lastID, hasLast)
+			resp, err = c.dialSubscribe(ctx, q, s.id, lastID, hasLast)
 			if err == nil {
 				break
 			}
 			var apiErr *APIError
 			if errors.As(err, &apiErr) {
-				if apiErr.Code == "unknown_subscription" {
+				if apiErr.Code == wire.CodeUnknownSubscription {
 					// Resume state expired server-side: start fresh and let
 					// the new init frame resynchronize the consumer.
 					hasLast, lastID = false, 0
@@ -187,11 +169,14 @@ func (s *Subscription) run(ctx context.Context, q Query, dial dialer, resp *http
 	}
 }
 
-// pump reads one SSE connection until it ends. Reports whether a terminal
-// bye arrived and whether any event was delivered (for backoff reset).
-func (s *Subscription) pump(ctx context.Context, resp *http.Response, lastID *uint64, hasLast *bool) (bye, got bool) {
+// pumpSSE is the one SSE read loop: until the connection ends or ctx fires
+// (closing the body unblocks the read), it skips heartbeats, decodes each
+// frame's JSON payload into an E (a payload that does not decode is skipped),
+// lets fill complete the event from the frame's event name and id, and sends
+// it on out. It reports whether the stream ended on a terminal bye, and
+// whether anything was delivered.
+func pumpSSE[E any](ctx context.Context, resp *http.Response, out chan<- E, fill func(ev *E, kind string, id uint64, hasID bool)) (bye, got bool) {
 	defer resp.Body.Close()
-	// Tie the read loop to the context: closing the body unblocks Read.
 	stop := context.AfterFunc(ctx, func() { resp.Body.Close() })
 	defer stop()
 	br := bufio.NewReader(resp.Body)
@@ -203,44 +188,18 @@ func (s *Subscription) pump(ctx context.Context, resp *http.Response, lastID *ui
 		if frame.event == "" && frame.data == nil {
 			continue // comment heartbeat
 		}
-		var payload struct {
-			Sub         string  `json:"sub"`
-			Seq         uint64  `json:"seq"`
-			Q           int64   `json:"q"`
-			K           int     `json:"k"`
-			Algo        string  `json:"algo"`
-			NoCommunity bool    `json:"noCommunity"`
-			Members     []int64 `json:"members"`
-			Joined      []int64 `json:"joined"`
-			Left        []int64 `json:"left"`
-			MCC         *Circle `json:"mcc"`
-			Delta       float64 `json:"delta"`
-			Hash        string  `json:"hash"`
-		}
-		if json.Unmarshal(frame.data, &payload) != nil {
+		var ev E
+		if json.Unmarshal(frame.data, &ev) != nil {
 			continue
 		}
-		if payload.Sub != "" {
-			s.id = payload.Sub
-		}
-		ev := SubEvent{
-			Kind: frame.event, Sub: s.id, Seq: payload.Seq,
-			Q: payload.Q, K: payload.K, Algo: payload.Algo,
-			NoCommunity: payload.NoCommunity, Members: payload.Members,
-			Joined: payload.Joined, Left: payload.Left,
-			MCC: payload.MCC, Delta: payload.Delta, Hash: payload.Hash,
-		}
+		id, err := strconv.ParseUint(frame.id, 10, 64)
+		fill(&ev, frame.event, id, err == nil)
 		select {
-		case s.events <- ev:
+		case out <- ev:
 		case <-ctx.Done():
 			return false, got
 		}
 		got = true
-		if frame.id != "" {
-			if id, err := strconv.ParseUint(frame.id, 10, 64); err == nil {
-				*lastID, *hasLast = id, true
-			}
-		}
 		if frame.event == "bye" {
 			return true, got
 		}
@@ -250,39 +209,18 @@ func (s *Subscription) pump(ctx context.Context, resp *http.Response, lastID *ui
 // dialSubscribe opens one GET /v1/subscribe connection; a non-200 response
 // is consumed into an *APIError.
 func (c *Client) dialSubscribe(ctx context.Context, q Query, id string, lastID uint64, hasLast bool) (*http.Response, error) {
-	vals := url.Values{}
-	vals.Set("q", strconv.FormatInt(q.Q, 10))
-	vals.Set("k", strconv.Itoa(q.K))
-	if q.Algo != "" {
-		vals.Set("algo", q.Algo)
-	}
-	if q.EpsF != nil {
-		vals.Set("epsF", strconv.FormatFloat(*q.EpsF, 'g', -1, 64))
-	}
-	if q.EpsA != nil {
-		vals.Set("epsA", strconv.FormatFloat(*q.EpsA, 'g', -1, 64))
-	}
-	if q.Theta != nil {
-		vals.Set("theta", strconv.FormatFloat(*q.Theta, 'g', -1, 64))
-	}
-	if q.Structure != "" {
-		vals.Set("structure", q.Structure)
-	}
+	vals := q.Values()
 	if id != "" {
 		vals.Set("id", id)
 	}
-	return c.dialSSE(ctx, "/v1/subscribe?"+vals.Encode(), lastID, hasLast)
+	return c.dialSSE(ctx, "/v1/subscribe", vals, lastID, hasLast)
 }
 
 // dialSSE opens one streaming GET, decoding non-200 responses into
 // *APIError like every other call.
-func (c *Client) dialSSE(ctx context.Context, pathAndQuery string, lastID uint64, hasLast bool) (*http.Response, error) {
-	parsed, err := url.Parse(pathAndQuery)
-	if err != nil {
-		return nil, fmt.Errorf("sac client: building request: %w", err)
-	}
-	u := c.base.JoinPath(parsed.Path)
-	u.RawQuery = parsed.RawQuery
+func (c *Client) dialSSE(ctx context.Context, path string, query url.Values, lastID uint64, hasLast bool) (*http.Response, error) {
+	u := c.base.JoinPath(path)
+	u.RawQuery = query.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("sac client: building request: %w", err)
@@ -355,17 +293,11 @@ func readSSEFrame(br *bufio.Reader) (sseFrame, error) {
 // --- shard watch (router-facing) -------------------------------------------
 
 // WatchEvent is one frame of a shard's publication firehose
-// (GET /v1/shard/watch): the vertices checked in and edges changed by one
-// published snapshot. Resync means the change history is unknown and every
-// derived answer must be recomputed. Bye means the shard is draining.
-type WatchEvent struct {
-	Seq      uint64
-	SnapSeq  uint64
-	Resync   bool
-	Bye      bool
-	Checkins []int64
-	Edges    [][2]int64
-}
+// (GET /v1/shard/watch; declared in internal/wire): the vertices checked in
+// and edges changed by one published snapshot. Resync means the change history
+// is unknown and every derived answer must be recomputed. Bye means the shard
+// is draining.
+type WatchEvent = wire.WatchEvent
 
 // WatchStream is one live shard-watch connection. It does not reconnect —
 // the consumer (the router) owns endpoint rotation and resume.
@@ -388,7 +320,7 @@ func (w *WatchStream) Close() {
 // frame when it cannot).
 func (c *Client) ShardWatch(ctx context.Context, lastID uint64, hasLast bool) (*WatchStream, error) {
 	wctx, cancel := context.WithCancel(ctx)
-	resp, err := c.dialSSE(wctx, "/v1/shard/watch", lastID, hasLast)
+	resp, err := c.dialSSE(wctx, "/v1/shard/watch", nil, lastID, hasLast)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -399,49 +331,12 @@ func (c *Client) ShardWatch(ctx context.Context, lastID uint64, hasLast bool) (*
 		defer close(ws.done)
 		defer close(events)
 		defer cancel()
-		defer resp.Body.Close()
-		stop := context.AfterFunc(wctx, func() { resp.Body.Close() })
-		defer stop()
-		br := bufio.NewReader(resp.Body)
-		for {
-			frame, err := readSSEFrame(br)
-			if err != nil {
-				return
+		pumpSSE(wctx, resp, events, func(ev *WatchEvent, kind string, id uint64, hasID bool) {
+			ev.Bye = kind == "bye"
+			if hasID {
+				ev.Seq = id
 			}
-			if frame.event == "" && frame.data == nil {
-				continue
-			}
-			ev := WatchEvent{}
-			if frame.event == "bye" {
-				ev.Bye = true
-			} else {
-				var payload struct {
-					Seq      uint64     `json:"seq"`
-					SnapSeq  uint64     `json:"snapSeq"`
-					Resync   bool       `json:"resync"`
-					Checkins []int64    `json:"checkins"`
-					Edges    [][2]int64 `json:"edges"`
-				}
-				if json.Unmarshal(frame.data, &payload) != nil {
-					continue
-				}
-				ev.Seq, ev.SnapSeq, ev.Resync = payload.Seq, payload.SnapSeq, payload.Resync
-				ev.Checkins, ev.Edges = payload.Checkins, payload.Edges
-			}
-			if frame.id != "" {
-				if id, err := strconv.ParseUint(frame.id, 10, 64); err == nil {
-					ev.Seq = id
-				}
-			}
-			select {
-			case events <- ev:
-			case <-wctx.Done():
-				return
-			}
-			if ev.Bye {
-				return
-			}
-		}
+		})
 	}()
 	return ws, nil
 }

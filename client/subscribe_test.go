@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"sacsearch/client"
-	"sacsearch/internal/httpapi"
+	"sacsearch/internal/wire"
 )
 
 // scriptedSSE serves GET /v1/subscribe from a per-connection script, so the
@@ -111,8 +111,8 @@ func TestSubscribeExpiredResumeRestartsFresh(t *testing.T) {
 			// Resume state gone: the wire contract's 404.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusNotFound)
-			json.NewEncoder(w).Encode(httpapi.ErrorJSON{
-				Error: "unknown subscription", Code: httpapi.CodeUnknownSubscription, Field: "id",
+			json.NewEncoder(w).Encode(wire.Error{
+				Error: "unknown subscription", Code: wire.CodeUnknownSubscription, Field: "id",
 			})
 		case 3:
 			if got := r.Header.Get("Last-Event-ID"); got != "" {
@@ -150,7 +150,7 @@ func TestSubscribeTerminalRejection(t *testing.T) {
 	handler.serve = func(conn int, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(httpapi.ErrorJSON{
+		json.NewEncoder(w).Encode(wire.Error{
 			Error: "k out of range", Code: "invalid_query", Field: "k",
 		})
 	}

@@ -32,6 +32,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/dataset"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/quality"
 )
 
@@ -134,18 +135,9 @@ func runRemote(baseURL string, q core.Query) error {
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	res, err := cl.Query(ctx, client.Query{
-		Q:         int64(q.Q),
-		K:         q.K,
-		Algo:      q.Algo,
-		EpsF:      q.EpsF,
-		EpsA:      q.EpsA,
-		Theta:     q.Theta,
-		Structure: q.Structure,
-		// The deadline rides the wire too, so the server bounds the query
-		// itself (within its own per-request cap) — not just this call.
-		TimeoutMillis: q.Timeout.Milliseconds(),
-	})
+	// The deadline rides the wire too (timeoutMillis), so the server bounds
+	// the query itself (within its own per-request cap) — not just this call.
+	res, err := cl.Query(ctx, httpapi.WireQuery(q))
 	var apiErr *client.APIError
 	if errors.Is(err, client.ErrNoCommunity) {
 		fmt.Println("no community")

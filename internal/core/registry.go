@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -32,34 +31,6 @@ type ParamSpec struct {
 	Max      float64 // +Inf = unbounded
 	MinExcl  bool
 	MaxExcl  bool
-}
-
-// MarshalJSON emits the schema shape /v1/algorithms serves: an unbounded
-// Max is omitted rather than emitted as +Inf (which JSON cannot express),
-// and Default appears only for optional parameters.
-func (p ParamSpec) MarshalJSON() ([]byte, error) {
-	type wire struct {
-		Name     string   `json:"name"`
-		Type     string   `json:"type"`
-		Doc      string   `json:"doc,omitempty"`
-		Required bool     `json:"required,omitempty"`
-		Default  *float64 `json:"default,omitempty"`
-		Min      float64  `json:"min"`
-		Max      *float64 `json:"max,omitempty"` // absent = unbounded
-		MinExcl  bool     `json:"minExclusive,omitempty"`
-		MaxExcl  bool     `json:"maxExclusive,omitempty"`
-	}
-	w := wire{Name: p.Name, Type: "float", Doc: p.Doc, Required: p.Required,
-		Min: p.Min, MinExcl: p.MinExcl, MaxExcl: p.MaxExcl}
-	if !p.Required {
-		d := p.Default
-		w.Default = &d
-	}
-	if !math.IsInf(p.Max, 1) {
-		m := p.Max
-		w.Max = &m
-	}
-	return json.Marshal(w)
 }
 
 // validate checks a provided value against the spec's range, rejecting
@@ -98,17 +69,17 @@ type resolvedParams struct {
 // Aliases, case-insensitively.
 type AlgoSpec struct {
 	// Name is the canonical wire name ("appfast", "exact+", ...).
-	Name string `json:"name"`
+	Name string
 	// Aliases are accepted alternative spellings.
-	Aliases []string `json:"aliases,omitempty"`
+	Aliases []string
 	// Ratio is the approximation ratio as a human-readable expression
 	// ("1", "2", "2+epsF", ...); "-" for θ-SAC, which answers a different
 	// problem.
-	Ratio string `json:"ratio"`
+	Ratio string
 	// Doc is a one-line description.
-	Doc string `json:"doc"`
+	Doc string
 	// Params are the algorithm-specific parameters (q and k are universal).
-	Params []ParamSpec `json:"params"`
+	Params []ParamSpec
 
 	// body is what Search's lifecycle runs; circleOnly marks θ-SAC, which
 	// gathers from O(q, θ) instead of the candidate set (see Searcher.run).

@@ -261,17 +261,15 @@ func TestMCCDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestMaxPairwiseDist(t *testing.T) {
-	if d := MaxPairwiseDist(nil); d != 0 {
-		t.Fatalf("empty = %v", d)
+// maxPairwiseDist is the largest distance between any two of pts (O(n²)).
+func maxPairwiseDist(pts []Point) float64 {
+	var best float64
+	for i := 1; i < len(pts); i++ {
+		for j := 0; j < i; j++ {
+			best = math.Max(best, pts[i].Dist2(pts[j]))
+		}
 	}
-	if d := MaxPairwiseDist([]Point{{0, 0}}); d != 0 {
-		t.Fatalf("single = %v", d)
-	}
-	pts := []Point{{0, 0}, {1, 0}, {0.5, 0.5}, {5, 0}}
-	if d := MaxPairwiseDist(pts); !almostEq(d, 5, 1e-12) {
-		t.Fatalf("got %v, want 5", d)
-	}
+	return math.Sqrt(best)
 }
 
 // Lemma 2 of the paper: for any point set, √3·r ≤ maxPairwise ≤ 2·r where r
@@ -287,7 +285,7 @@ func TestLemma2UpperBound(t *testing.T) {
 			pts[i] = Point{rnd.Float64(), rnd.Float64()}
 		}
 		r := MCC(pts).R
-		d := MaxPairwiseDist(pts)
+		d := maxPairwiseDist(pts)
 		if d > 2*r+1e-9 {
 			t.Fatalf("maxPairwise %v > 2r %v", d, 2*r)
 		}

@@ -1,9 +1,5 @@
 package geom
 
-import (
-	"math"
-)
-
 // mccSeed makes the Welzl shuffle deterministic so that repeated runs over
 // the same input produce bit-identical circles.
 const mccSeed = 0x5ac5ea2c
@@ -87,20 +83,4 @@ func mccWithTwo(pts []Point, q1, q2 Point) Circle {
 		}
 	}
 	return c
-}
-
-// MaxPairwiseDist returns the largest Euclidean distance between any two of
-// pts, 0 for fewer than two points. It is O(n²) and intended for community
-// sized inputs (the paper's Lemma 2 relates it to the MCC radius:
-// √3·r ≤ maxdist ≤ 2·r for sets whose MCC radius is r).
-func MaxPairwiseDist(pts []Point) float64 {
-	var best float64
-	for i := 1; i < len(pts); i++ {
-		for j := 0; j < i; j++ {
-			if d := pts[i].Dist2(pts[j]); d > best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
 }

@@ -25,6 +25,19 @@ import (
 // used by every algorithm compact.
 type V = int32
 
+// IDs widens vertex ids to the int64 they travel as outside the engine (the
+// /v1 wire carries no 32-bit type); nil stays nil.
+func IDs(vs []V) []int64 {
+	if vs == nil {
+		return nil
+	}
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = int64(v)
+	}
+	return out
+}
+
 // Graph is an undirected spatial graph in CSR form.
 type Graph struct {
 	// n is the vertex count. It is immutable for the life of the Graph and

@@ -7,45 +7,8 @@ import (
 	"net/http"
 
 	"sacsearch/internal/core"
+	"sacsearch/internal/wire"
 )
-
-// Machine-readable error codes of the /v1 error envelope. Codes originating
-// in query validation (core.QueryError) pass through verbatim:
-// unknown_algorithm, invalid_param, missing_param, invalid_query,
-// structure_mismatch.
-const (
-	CodeInvalidJSON      = "invalid_json"
-	CodeBodyTooLarge     = "body_too_large"
-	CodeInvalidArgument  = "invalid_argument"
-	CodeUnknownVertex    = "unknown_vertex"
-	CodeNoCommunity      = "no_community"
-	CodeDeadlineExceeded = "deadline_exceeded"
-	CodeUnavailable      = "unavailable"
-	CodeQueryFailed      = "query_failed"
-	CodeReadOnly         = "read_only"
-	CodeStaleRead        = "stale_read"
-	CodeNotReady         = "not_ready"
-	CodeInternal         = "internal"
-	CodeWrongShard       = "wrong_shard"
-	CodeShardUnavailable = "shard_unavailable"
-	// CodeUnknownSubscription: a Last-Event-ID resume names a subscription
-	// id this node no longer holds (expired, or a different node); the
-	// client should drop its resume state and subscribe fresh.
-	CodeUnknownSubscription = "unknown_subscription"
-	// CodeSubscriptionLimit: the standing-query table is full.
-	CodeSubscriptionLimit = "subscription_limit"
-)
-
-// ErrorJSON is the structured error envelope every non-2xx response
-// carries: a human-readable message (the legacy "error" field, kept for
-// pre-/v1 clients), a machine-readable code, the offending field when
-// known, and the request id for correlation.
-type ErrorJSON struct {
-	Error     string `json:"error"`
-	Code      string `json:"code"`
-	Field     string `json:"field,omitempty"`
-	RequestID string `json:"requestId,omitempty"`
-}
 
 // WriteJSON writes v with the given status; encoding errors are reported to
 // the client only through a truncated body (the status line is already out).
@@ -57,7 +20,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // WriteError emits the structured envelope on every non-2xx path.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, code, field, msg string) {
-	WriteJSON(w, status, ErrorJSON{Error: msg, Code: code, Field: field, RequestID: RequestID(r)})
+	WriteJSON(w, status, wire.Error{Error: msg, Code: code, Field: field, RequestID: RequestID(r)})
 }
 
 // WriteQueryError maps a query error onto a status code and envelope — one
@@ -69,13 +32,13 @@ func WriteQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.As(err, &qe):
 		WriteError(w, r, http.StatusBadRequest, qe.Code, qe.Field, err.Error())
 	case errors.Is(err, core.ErrNoCommunity):
-		WriteError(w, r, http.StatusNotFound, CodeNoCommunity, "", err.Error())
+		WriteError(w, r, http.StatusNotFound, wire.CodeNoCommunity, "", err.Error())
 	case errors.Is(err, core.ErrCanceled):
 		// The deadline fired (a vanished client never reads the response, so
 		// in practice this status reports server-side timeouts).
-		WriteError(w, r, http.StatusServiceUnavailable, CodeDeadlineExceeded, "", err.Error())
+		WriteError(w, r, http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, "", err.Error())
 	default:
-		WriteError(w, r, http.StatusUnprocessableEntity, CodeQueryFailed, "", err.Error())
+		WriteError(w, r, http.StatusUnprocessableEntity, wire.CodeQueryFailed, "", err.Error())
 	}
 }
 
@@ -91,11 +54,11 @@ func (c *Core) DecodeJSON(w http.ResponseWriter, r *http.Request, into any) bool
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			WriteError(w, r, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "",
+			WriteError(w, r, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge, "",
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		WriteError(w, r, http.StatusBadRequest, CodeInvalidJSON, "", "invalid JSON: "+err.Error())
+		WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidJSON, "", "invalid JSON: "+err.Error())
 		return false
 	}
 	return true

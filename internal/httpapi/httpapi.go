@@ -9,8 +9,12 @@
 //     trace span echoed in X-Trace-Span and linked to the caller's, the
 //     sac_http_* instruments, panic → 500 envelope, the slow-request log and
 //     the TraceHook.
-//   - The error envelope: ErrorJSON, the Code* constants, WriteJSON,
-//     WriteError, WriteQueryError, and the size-capped Core.DecodeJSON.
+//   - The error envelope (wire.Error and its codes): WriteJSON, WriteError,
+//     WriteQueryError, and the size-capped Core.DecodeJSON.
+//   - The boundary between the /v1 schema, declared once in internal/wire,
+//     and the engine's types (convert.go): CoreQuery / WireQuery / WireResult,
+//     the one checked narrowing of a wire vertex id to graph.V, and the
+//     request validators both front-ends run.
 //   - Core.ServeSubscribe, the GET /v1/subscribe register / resume / attach /
 //     SSE handler (subscribe.go).
 //
@@ -34,6 +38,7 @@ import (
 	"time"
 
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // Core carries one front-end's settings for the shared HTTP layer. The
@@ -96,7 +101,7 @@ func (c *Core) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) 
 				"method", r.Method, "path", r.URL.Path, "requestId", id,
 				"spanId", span.ID, "panic", p, "stack", string(debug.Stack()))
 			if !rw.wrote {
-				WriteError(rw, r, http.StatusInternalServerError, CodeInternal, "",
+				WriteError(rw, r, http.StatusInternalServerError, wire.CodeInternal, "",
 					"internal server error (request "+id+")")
 			}
 		}

@@ -1,17 +1,22 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"sacsearch/internal/core"
+	"sacsearch/internal/wire"
 )
 
 func subscribeRequest(rawQuery string) *http.Request {
@@ -91,7 +96,147 @@ func FuzzParseSubscribeQuery(f *testing.F) {
 				t.Fatalf("%q: accepted %s = %d for %q (%v)", rawQuery, name, got, vals.Get(name), perr)
 			}
 		}
+		// The client's encoder against the server's decoder: what ParseQuery
+		// accepted, Values must encode so that ParseQuery reads the same query
+		// back (floats compared by bits: NaN is a value here like any other).
+		wq, _ := wire.ParseQuery(vals)
+		again, bad := wire.ParseQuery(wq.Values())
+		same := bad == nil && again.Q == wq.Q && again.K == wq.K && again.Algo == wq.Algo && again.Structure == wq.Structure
+		for _, p := range [][2]*float64{{wq.EpsF, again.EpsF}, {wq.EpsA, again.EpsA}, {wq.Theta, again.Theta}} {
+			same = same && (p[0] == nil) == (p[1] == nil) && (p[0] == nil || math.Float64bits(*p[0]) == math.Float64bits(*p[1]))
+		}
+		if !same {
+			t.Fatalf("%q: ParseQuery(Values()) = %+v (%v), want %+v", rawQuery, again, bad, wq)
+		}
 	})
+}
+
+// jsonInt reads body's top-level (or, with item >= 0, queries[item]'s) integer
+// member name the way a reader with no schema would: ok is false when the
+// member is absent, is not an integer literal, or is spelled twice (the
+// struct decoder matches keys case-insensitively and lets the last one win,
+// which a map cannot reproduce).
+func jsonInt(body []byte, item int, name string) (n int64, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	var obj map[string]any
+	if dec.Decode(&obj) != nil {
+		return 0, false
+	}
+	if item >= 0 {
+		for key, v := range obj {
+			if strings.EqualFold(key, "queries") {
+				items, _ := v.([]any)
+				if item < len(items) {
+					obj, _ = items[item].(map[string]any)
+				}
+			}
+		}
+	}
+	seen := 0
+	for key, v := range obj {
+		if strings.EqualFold(key, name) {
+			seen++
+			num, _ := v.(json.Number)
+			n, ok = int64(0), false
+			if i, err := num.Int64(); err == nil {
+				n, ok = i, true
+			}
+		}
+	}
+	return n, ok && seen == 1
+}
+
+// FuzzQueryJSON: whatever a POST /v1/query or /v1/batch body holds, the
+// decoders answer with an error envelope or hand the engine a query whose q,
+// k and timeout are the integers in the body — never a panic, never a wrapped
+// value.
+func FuzzQueryJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"q":3,"k":4}`, `{"q":4294967299,"k":3}`, `{"q":-4294967293,"k":3}`, `{"q":3,"k":3,"timeoutMillis":9223372036854775807}`,
+		`{"q":3,"k":3,"timeoutMillis":-9223372036854775808}`, `{"q":1e2,"k":3}`, `{"q":3.0,"k":3}`, `{"Q":7,"k":2}`, `{"q":1,"q":2,"k":3}`,
+		`{"q":99999999999999999999,"k":3}`, `{"q":"7","k":3}`, `{"q":null,"k":null}`, `{"queries":[{"q":4294967299,"k":3},{"q":1,"k":2}]}`,
+		`{"queries":[{"q":1,"k":99999999999999999999}]}`, `{"queries":{"q":1}}`, `[]`, `{`, ``, `{"q":3,"k":4}{"q":5}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	c := &Core{}
+	post := func(path string, body []byte) *http.Request {
+		return httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	}
+	refused := func(t *testing.T, rec *httptest.ResponseRecorder) {
+		if env := decodeEnvelope(t, rec); rec.Code < 400 || env.Code == "" || env.Error == "" {
+			t.Fatalf("refusal is status %d envelope %+v", rec.Code, env)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// POST /v1/query, as both front-ends decode it.
+		rec, r := httptest.NewRecorder(), post("/v1/query", body)
+		var wq wire.Query
+		if !c.DecodeJSON(rec, r, &wq) {
+			refused(t, rec)
+		} else if cq, err := CoreQuery(wq); err != nil {
+			WriteQueryError(rec, r, err)
+			refused(t, rec)
+		} else {
+			for name, got := range map[string]int64{"q": int64(cq.Q), "k": int64(cq.K), "timeoutMillis": cq.Timeout.Milliseconds()} {
+				if want, ok := jsonInt(body, -1, name); ok && want != got {
+					t.Fatalf("%s: the engine got %s = %d", body, name, got)
+				}
+			}
+		}
+		// POST /v1/batch: every item is narrowed on its own.
+		rec, r = httptest.NewRecorder(), post("/v1/batch", body)
+		var br wire.BatchRequest
+		if !c.DecodeJSON(rec, r, &br) {
+			refused(t, rec)
+			return
+		}
+		for i, it := range br.Queries {
+			v, err := QueryVertex(it.Q)
+			if want, ok := jsonInt(body, i, "q"); err == nil && ok && want != int64(v) {
+				t.Fatalf("%s: item %d runs on vertex %d", body, i, v)
+			}
+			if err == nil && int64(v) != it.Q {
+				t.Fatalf("%s: item %d q = %d narrowed to %d", body, i, it.Q, v)
+			}
+		}
+	})
+}
+
+// TestCoreQuery: the wire → engine conversion refuses what no graph.V or
+// Duration can hold, naming the field and the value as sent, and its inverse
+// restores what it accepted.
+func TestCoreQuery(t *testing.T) {
+	for _, tc := range []struct {
+		q              wire.Query
+		field, mention string
+	}{
+		{wire.Query{Q: 4294967299, K: 3}, "q", "4294967299"},
+		{wire.Query{Q: -4294967293, K: 3}, "q", "-4294967293"},
+		{wire.Query{Q: 1 << 31, K: 3}, "q", "2147483648"},
+		{wire.Query{Q: 1, K: 3, TimeoutMillis: maxTimeoutMillis + 1}, "timeoutMillis", "9223372036855"},
+		{wire.Query{Q: 1, K: 3, TimeoutMillis: math.MinInt64}, "timeoutMillis", "-9223372036854775808"},
+	} {
+		_, err := CoreQuery(tc.q)
+		var qe *core.QueryError
+		if !errors.As(err, &qe) || qe.Code != core.ErrCodeInvalidQuery || qe.Field != tc.field || !strings.Contains(qe.Reason, tc.mention) {
+			t.Errorf("%+v: err = %v, want invalid_query on %s mentioning %s", tc.q, err, tc.field, tc.mention)
+		}
+	}
+	in := wire.Query{Q: math.MaxInt32, K: 4, Algo: "appacc", EpsA: core.Float(0.25), Structure: "kcore", TimeoutMillis: maxTimeoutMillis}
+	cq, err := CoreQuery(in)
+	if err != nil || cq.Q != math.MaxInt32 || cq.Timeout != time.Duration(maxTimeoutMillis)*time.Millisecond {
+		t.Fatalf("CoreQuery(%+v) = %+v, %v", in, cq, err)
+	}
+	if out := WireQuery(cq); !reflect.DeepEqual(out, in) {
+		t.Fatalf("WireQuery(CoreQuery(q)) = %+v, want %+v", out, in)
+	}
+	// ParseQuery raises two of the engine's validation codes under wire's
+	// spelling of them.
+	if wire.CodeInvalidQuery != core.ErrCodeInvalidQuery || wire.CodeInvalidParam != core.ErrCodeInvalidParam {
+		t.Fatal("wire's validation codes drifted from core's")
+	}
 }
 
 func TestSanitizeRequestID(t *testing.T) {
@@ -111,9 +256,9 @@ func TestSanitizeRequestID(t *testing.T) {
 	}
 }
 
-func decodeEnvelope(t *testing.T, rec *httptest.ResponseRecorder) ErrorJSON {
+func decodeEnvelope(t *testing.T, rec *httptest.ResponseRecorder) wire.Error {
 	t.Helper()
-	var env ErrorJSON
+	var env wire.Error
 	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
 		t.Fatalf("body is not an error envelope: %v", err)
 	}
@@ -134,11 +279,11 @@ func TestDecodeJSON(t *testing.T) {
 		t.Fatalf("small body: ok=%v decoded %v", ok, into)
 	}
 	rec, ok, _ := decode(`{"pad":"` + strings.Repeat("x", 200) + `"}`)
-	if env := decodeEnvelope(t, rec); ok || rec.Code != http.StatusRequestEntityTooLarge || env.Code != CodeBodyTooLarge {
+	if env := decodeEnvelope(t, rec); ok || rec.Code != http.StatusRequestEntityTooLarge || env.Code != wire.CodeBodyTooLarge {
 		t.Fatalf("oversized body: ok=%v status %d code %q", ok, rec.Code, env.Code)
 	}
 	rec, ok, _ = decode(`{nope`)
-	if env := decodeEnvelope(t, rec); ok || rec.Code != http.StatusBadRequest || env.Code != CodeInvalidJSON {
+	if env := decodeEnvelope(t, rec); ok || rec.Code != http.StatusBadRequest || env.Code != wire.CodeInvalidJSON {
 		t.Fatalf("malformed body: ok=%v status %d code %q", ok, rec.Code, env.Code)
 	}
 }
@@ -156,9 +301,9 @@ func TestWriteQueryError(t *testing.T) {
 			http.StatusBadRequest, core.ErrCodeInvalidParam, "epsF"},
 		{fmt.Errorf("leg 2: %w", &core.QueryError{Code: core.ErrCodeUnknownAlgorithm, Field: "algo", Reason: "nope"}),
 			http.StatusBadRequest, core.ErrCodeUnknownAlgorithm, "algo"},
-		{core.ErrNoCommunity, http.StatusNotFound, CodeNoCommunity, ""},
-		{fmt.Errorf("%w: deadline", core.ErrCanceled), http.StatusServiceUnavailable, CodeDeadlineExceeded, ""},
-		{errors.New("anything else"), http.StatusUnprocessableEntity, CodeQueryFailed, ""},
+		{core.ErrNoCommunity, http.StatusNotFound, wire.CodeNoCommunity, ""},
+		{fmt.Errorf("%w: deadline", core.ErrCanceled), http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, ""},
+		{errors.New("anything else"), http.StatusUnprocessableEntity, wire.CodeQueryFailed, ""},
 	} {
 		rec := httptest.NewRecorder()
 		WriteQueryError(rec, httptest.NewRequest(http.MethodPost, "/v1/query", nil), tc.err)

@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
 	"sacsearch/internal/subscribe"
+	"sacsearch/internal/wire"
 )
 
 // Standing queries: GET /v1/subscribe registers (or resumes) a standing SAC
@@ -25,56 +24,15 @@ type Subscriptions interface {
 }
 
 // parseSubscribeQuery decodes the standing query from /v1/subscribe URL
-// parameters — the GET-shaped twin of a POST /v1/query body. Numeric
-// failures surface as the same invalid_query envelopes a malformed POST
+// parameters — the GET-shaped twin of a POST /v1/query body, through the same
+// conversion, so numeric failures surface as the envelopes a malformed POST
 // body would get.
 func parseSubscribeQuery(r *http.Request) (core.Query, error) {
-	var cq core.Query
-	vals := r.URL.Query()
-	// q and k arrive as text from outside: each is parsed at the width of the
-	// field it lands in (graph.V is 32 bits), so a value the conversion
-	// would wrap into some other vertex or order is refused, not served.
-	intField := func(name string, bits int) (int64, error) {
-		raw := vals.Get(name)
-		if raw == "" {
-			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
-				Reason: fmt.Sprintf("missing required parameter %q", name)}
-		}
-		n, err := strconv.ParseInt(raw, 10, bits)
-		if errors.Is(err, strconv.ErrRange) {
-			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
-				Reason: fmt.Sprintf("%s %q out of range (%d-bit integer)", name, raw, bits)}
-		}
-		if err != nil {
-			return 0, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: name,
-				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
-		}
-		return n, nil
+	wq, bad := wire.ParseQuery(r.URL.Query())
+	if bad != nil {
+		return core.Query{}, &core.QueryError{Code: bad.Code, Field: bad.Field, Reason: bad.Reason}
 	}
-	q, err := intField("q", 32)
-	if err != nil {
-		return cq, err
-	}
-	k, err := intField("k", strconv.IntSize)
-	if err != nil {
-		return cq, err
-	}
-	cq.Q, cq.K = graph.V(q), int(k)
-	cq.Algo = vals.Get("algo")
-	cq.Structure = vals.Get("structure")
-	for _, name := range []string{"epsF", "epsA", "theta"} {
-		raw := vals.Get(name)
-		if raw == "" {
-			continue // absent: the registry default applies
-		}
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return cq, &core.QueryError{Code: core.ErrCodeInvalidParam, Field: name,
-				Reason: fmt.Sprintf("malformed %s %q", name, raw)}
-		}
-		_ = cq.SetParam(name, f) // the names above are exactly the ones it binds
-	}
-	return cq, nil
+	return CoreQuery(wq)
 }
 
 // ServeSubscribe serves GET /v1/subscribe against subs. Registration and
@@ -101,7 +59,7 @@ func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subsc
 	raw := r.URL.Query().Get("id")
 	id := sanitizeRequestID(raw)
 	if raw != "" && id == "" {
-		WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+		WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidArgument, "id",
 			fmt.Sprintf("malformed subscription id %q", raw))
 		return
 	}
@@ -110,7 +68,7 @@ func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subsc
 	if id != "" {
 		if existing, found := subs.Hub().Get(id); found {
 			if !subscribe.SameQuery(existing.Query, cq) {
-				WriteError(w, r, http.StatusBadRequest, CodeInvalidArgument, "id",
+				WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidArgument, "id",
 					fmt.Sprintf("subscription %q is bound to a different query", id))
 				return
 			}
@@ -121,7 +79,7 @@ func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subsc
 	}
 	if sub == nil {
 		if hasLast {
-			WriteError(w, r, http.StatusNotFound, CodeUnknownSubscription, "id",
+			WriteError(w, r, http.StatusNotFound, wire.CodeUnknownSubscription, "id",
 				fmt.Sprintf("unknown subscription %q: resume window expired, subscribe fresh", id))
 			return
 		}
@@ -136,12 +94,12 @@ func (c *Core) ServeSubscribe(w http.ResponseWriter, r *http.Request, subs Subsc
 	case err == nil:
 	case errors.Is(err, subscribe.ErrLimit):
 		w.Header().Set("Retry-After", "1")
-		WriteError(w, r, http.StatusTooManyRequests, CodeSubscriptionLimit, "",
+		WriteError(w, r, http.StatusTooManyRequests, wire.CodeSubscriptionLimit, "",
 			fmt.Sprintf("subscription limit reached (%d active)", subs.Hub().Active()))
 		return
 	default: // ErrClosed (draining), or a lost Register/Register race
 		w.Header().Set("Retry-After", "1")
-		WriteError(w, r, http.StatusServiceUnavailable, CodeNotReady, "",
+		WriteError(w, r, http.StatusServiceUnavailable, wire.CodeNotReady, "",
 			"subscriptions unavailable: "+err.Error())
 		return
 	}

@@ -295,21 +295,3 @@ func (c *Checker) KCliqueWithin(S []graph.V, q graph.V, k int) []graph.V {
 	ok := func(v graph.V) bool { return c.inS.Has(v) }
 	return percolate(c.g, q, k, ok)
 }
-
-// CountCliques returns the number of distinct k-cliques containing q —
-// exposed for tests and for workload characterization.
-func CountCliques(g *graph.Graph, q graph.V, k int) int {
-	if k <= 1 {
-		return 1
-	}
-	count := 0
-	seen := make(map[string]bool)
-	cliquesContaining(g, q, k, func(v graph.V) bool { return true }, func(c []graph.V) {
-		key := cliqueKey(c)
-		if !seen[key] {
-			seen[key] = true
-			count++
-		}
-	})
-	return count
-}

@@ -76,17 +76,6 @@ func Decompose(g *graph.Graph) []int32 {
 	return core
 }
 
-// MaxCore returns the largest core number in the decomposition.
-func MaxCore(core []int32) int32 {
-	var best int32
-	for _, c := range core {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}
-
 // CommunityOf returns the vertices of the connected k-ĉore containing q —
 // the community the Global baseline [29] returns — or nil when q's core
 // number is below k. core must be the output of Decompose for g.

@@ -12,8 +12,6 @@
 package ktruss
 
 import (
-	"sort"
-
 	"sacsearch/internal/graph"
 )
 
@@ -282,19 +280,4 @@ func (c *Checker) KTrussWithin(S []graph.V, q graph.V, k int) []graph.V {
 		}
 	}
 	return c.comp
-}
-
-// TrussNumbers returns the sorted distinct truss values present in a
-// decomposition — handy for tests and reporting.
-func TrussNumbers(truss map[uint64]int32) []int32 {
-	seen := map[int32]bool{}
-	for _, t := range truss {
-		seen[t] = true
-	}
-	out := make([]int32, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

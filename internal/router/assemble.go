@@ -2,14 +2,16 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/server"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // The slow path: when no single shard can certify a query, the router
@@ -41,7 +43,7 @@ import (
 // the query locally. owner is q's shard (already consulted and uncertified).
 // It also returns the gathered vertex ids — a superset of the candidate set
 // X, which the standing-query layer uses as its check-in watch set.
-func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*server.QueryResponse, []int64, error) {
+func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*wire.Result, []int64, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()
 	collected := make(map[int64]client.ShardVertex)
@@ -86,6 +88,9 @@ func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) 
 				if _, ok := collected[f]; ok {
 					continue
 				}
+				if f < 0 || f >= int64(rt.m.N) {
+					return nil, nil, &legFailure{shards[i], fmt.Errorf("frontier names vertex %d, outside the shard map", f)}
+				}
 				seeded[f] = true
 				o := rt.m.OwnerOf(graph.V(f))
 				pending[o] = append(pending[o], f)
@@ -115,7 +120,7 @@ func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) 
 // the query locally. Ownership is spatial only at partition time — vertices
 // drift arbitrarily afterwards — so every shard is asked; each reports its
 // owned vertices currently inside the disk.
-func (rt *Router) routeTheta(ctx context.Context, cq core.Query) (*server.QueryResponse, error) {
+func (rt *Router) routeTheta(ctx context.Context, cq core.Query) (*wire.Result, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()
 	owner := rt.m.OwnerOf(cq.Q)
@@ -156,7 +161,7 @@ func (rt *Router) routeTheta(ctx context.Context, cq core.Query) (*server.QueryR
 // (ascending), so every id-ordered traversal inside the algorithms visits
 // vertices in the same relative order as a single engine would and the
 // answer remaps back unchanged.
-func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int64]client.ShardVertex) (*server.QueryResponse, error) {
+func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int64]client.ShardVertex) (*wire.Result, error) {
 	ctx, span := telemetry.StartSpan(ctx, "merge")
 	defer span.End()
 	span.SetAttr("vertices", len(vertices))
@@ -201,12 +206,12 @@ func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int6
 	if err != nil {
 		return nil, err
 	}
-	// Remap the answer back to global ids in place: res is request-private.
-	for i, m := range res.Members {
-		res.Members[i] = graph.V(ids[m])
-	}
-	res.Query = cq.Q
+	// Remap the answer back to global ids, as the shards sent them.
 	spec, _ := core.LookupAlgo(cq.Algo)
-	resp := server.ToQueryResponse(spec.Name, res)
-	return &resp, nil
+	out := httpapi.WireResult(spec.Name, res)
+	out.Q = int64(cq.Q)
+	for i, m := range res.Members {
+		out.Members[i] = ids[m]
+	}
+	return out, nil
 }

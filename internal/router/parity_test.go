@@ -14,16 +14,16 @@ import (
 	"time"
 
 	"sacsearch/client"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // reply is what a client can observe of one response beyond its payload:
 // the part of the contract the shared HTTP layer owns.
 type reply struct {
 	status     int
-	env        httpapi.ErrorJSON
+	env        wire.Error
 	requestID  string
 	traceSpan  string
 	retryAfter string
@@ -69,32 +69,32 @@ func TestContractParity(t *testing.T) {
 		code, field              string
 	}{
 		{name: "malformed json", method: "POST", path: "/v1/query", body: `{"q":`,
-			status: 400, code: httpapi.CodeInvalidJSON},
+			status: 400, code: wire.CodeInvalidJSON},
 		{name: "oversized body", method: "POST", path: "/v1/query",
 			body:   `{"q":0,"k":3,"algo":"` + strings.Repeat("a", 1<<20) + `"}`,
-			status: 413, code: httpapi.CodeBodyTooLarge},
+			status: 413, code: wire.CodeBodyTooLarge},
 		{name: "unknown algorithm", method: "POST", path: "/v1/query", body: `{"q":0,"k":3,"algo":"nope"}`,
 			status: 400, code: "unknown_algorithm", field: "algo"},
 		{name: "no community", method: "POST", path: "/v1/query", body: `{"q":7,"k":40}`,
-			status: 404, code: httpapi.CodeNoCommunity},
+			status: 404, code: wire.CodeNoCommunity},
 		{name: "empty batch", method: "POST", path: "/v1/batch", body: `{"queries":[]}`,
 			status: 400, code: "invalid_query", field: "queries"},
 		{name: "malformed vertex id", method: "GET", path: "/v1/vertex/abc",
-			status: 400, code: httpapi.CodeInvalidArgument, field: "id"},
+			status: 400, code: wire.CodeInvalidArgument, field: "id"},
 		{name: "unknown vertex", method: "GET", path: "/v1/vertex/999999",
-			status: 404, code: httpapi.CodeUnknownVertex, field: "id"},
+			status: 404, code: wire.CodeUnknownVertex, field: "id"},
 		{name: "checkin unknown vertex", method: "POST", path: "/v1/checkin", body: `{"v":999999,"x":0,"y":0}`,
-			status: 404, code: httpapi.CodeUnknownVertex, field: "v"},
+			status: 404, code: wire.CodeUnknownVertex, field: "v"},
 		{name: "edge bad op", method: "POST", path: "/v1/edge", body: `{"u":0,"v":1,"op":"flip"}`,
-			status: 400, code: httpapi.CodeInvalidArgument, field: "op"},
+			status: 400, code: wire.CodeInvalidArgument, field: "op"},
 		{name: "subscribe missing k", method: "GET", path: "/v1/subscribe?q=0",
 			status: 400, code: "invalid_query", field: "k"},
 		{name: "subscribe unknown algorithm", method: "GET", path: "/v1/subscribe?q=0&k=3&algo=nope",
 			status: 400, code: "unknown_algorithm", field: "algo"},
 		{name: "subscribe malformed id", method: "GET", path: "/v1/subscribe?q=0&k=3&id=no%20spaces",
-			status: 400, code: httpapi.CodeInvalidArgument, field: "id"},
+			status: 400, code: wire.CodeInvalidArgument, field: "id"},
 		{name: "subscribe resume of unknown id", method: "GET", path: "/v1/subscribe?q=0&k=3&id=ghost",
-			lastEventID: "5", status: 404, code: httpapi.CodeUnknownSubscription, field: "id"},
+			lastEventID: "5", status: 404, code: wire.CodeUnknownSubscription, field: "id"},
 		{name: "wrong method", method: "GET", path: "/v1/query", status: 405},
 		{name: "no such route", method: "GET", path: "/v1/nope", status: 404},
 	}
@@ -141,7 +141,7 @@ func TestContractParity(t *testing.T) {
 	tp.single.Config.Handler.(*server.Server).DrainSubscriptions()
 	tp.rt.DrainSubscriptions()
 	t.Run("subscribe while draining", func(t *testing.T) {
-		check(t, "GET", "/v1/subscribe?q=0&k=3", "", "", 503, httpapi.CodeNotReady, "", "1")
+		check(t, "GET", "/v1/subscribe?q=0&k=3", "", "", 503, wire.CodeNotReady, "", "1")
 	})
 }
 

@@ -9,9 +9,8 @@ import (
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
 	"sacsearch/internal/httpapi"
-	"sacsearch/internal/server"
+	"sacsearch/internal/wire"
 )
 
 // legFailure marks an error as coming from one shard's leg of a fan-out,
@@ -45,50 +44,12 @@ func (rt *Router) validateQuery(cq core.Query) error {
 	return core.ValidateQuery(cq, rt.m.N, core.StructureKCore)
 }
 
-// toClientQuery converts the core request to the typed client's shape for a
-// shard leg.
-func toClientQuery(cq core.Query) client.Query {
-	return client.Query{
-		Q:             int64(cq.Q),
-		K:             cq.K,
-		Algo:          cq.Algo,
-		EpsF:          cq.EpsF,
-		EpsA:          cq.EpsA,
-		Theta:         cq.Theta,
-		Structure:     cq.Structure,
-		TimeoutMillis: cq.Timeout.Milliseconds(),
-	}
-}
-
-// fromClientResult converts a shard's typed answer back to the wire shape
-// the router serves.
-func fromClientResult(res *client.Result) server.QueryResponse {
-	members := make([]graph.V, len(res.Members))
-	for i, m := range res.Members {
-		members[i] = graph.V(m)
-	}
-	return server.QueryResponse{
-		Q:       graph.V(res.Q),
-		K:       res.K,
-		Members: members,
-		MCC:     server.CircleJSON{X: res.MCC.X, Y: res.MCC.Y, R: res.MCC.R},
-		Delta:   res.Delta,
-		Stats: server.StatsJSON{
-			CandidateSize:     res.Stats.CandidateSize,
-			FeasibilityChecks: res.Stats.FeasibilityChecks,
-			BinaryIters:       res.Stats.BinaryIters,
-			ElapsedMicros:     res.Stats.ElapsedMicros,
-			Algorithm:         res.Stats.Algorithm,
-		},
-	}
-}
-
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
+	var req wire.Query
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	cq, err := req.ToQuery()
+	cq, err := httpapi.CoreQuery(req)
 	if err == nil {
 		err = rt.validateQuery(cq)
 	}
@@ -98,36 +59,29 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	resp, err := rt.route(ctx, cq)
+	resp, _, err := rt.routeGathered(ctx, cq, false)
 	if err != nil {
 		rt.writeRouteError(w, r, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, *resp)
-}
-
-// route answers one validated query (see routeGathered, which it runs
-// without the watch-set leg).
-func (rt *Router) route(ctx context.Context, cq core.Query) (*server.QueryResponse, error) {
-	resp, _, err := rt.routeGathered(ctx, cq, false)
-	return resp, err
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
+	var req wire.BatchRequest
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	// The template fails the whole batch with one 400, exactly like the
 	// single server.
-	template, ok := req.Template(w, r, rt.validateQuery)
+	template, ok := httpapi.BatchTemplate(w, r, &req, rt.validateQuery)
 	if !ok {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	workers := min(req.FanOut(), len(req.Queries))
-	items := make([]server.BatchItemJSON, len(req.Queries))
+	workers := min(httpapi.BatchFanOut(&req), len(req.Queries))
+	items := make([]wire.BatchItem, len(req.Queries))
 	deadlined := make([]bool, len(req.Queries))
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -136,14 +90,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				items[i] = wire.BatchItem{Q: req.Queries[i].Q, K: req.Queries[i].K}
+				v, err := httpapi.QueryVertex(items[i].Q)
 				cq := template
-				cq.Q, cq.K = req.Queries[i].Q, req.Queries[i].K
-				items[i] = server.BatchItemJSON{Q: cq.Q, K: cq.K}
-				if err := rt.validateQuery(cq); err != nil {
+				cq.Q, cq.K = v, items[i].K
+				if err == nil {
+					err = rt.validateQuery(cq)
+				}
+				if err != nil {
 					items[i].Error = err.Error()
 					continue
 				}
-				resp, err := rt.route(ctx, cq)
+				resp, _, err := rt.routeGathered(ctx, cq, false)
 				if err != nil {
 					items[i].Error = routeErrorMessage(err)
 					deadlined[i] = isDeadline(err)
@@ -163,12 +121,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// 503, mirroring the single server's status-keyed behavior.
 	for i, d := range deadlined {
 		if d {
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, "",
 				"batch deadline exceeded: "+items[i].Error)
 			return
 		}
 	}
-	httpapi.WriteJSON(w, http.StatusOK, server.BatchResponse{Items: items})
+	httpapi.WriteJSON(w, http.StatusOK, wire.BatchResponse{Items: items})
 }
 
 // routeErrorMessage renders a routing error as a batch item's error string.
@@ -194,5 +152,5 @@ func isDeadline(err error) bool {
 		return true
 	}
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == httpapi.CodeDeadlineExceeded
+	return errors.As(err, &apiErr) && apiErr.Code == wire.CodeDeadlineExceeded
 }

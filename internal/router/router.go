@@ -45,12 +45,11 @@ import (
 	"time"
 
 	"sacsearch/client"
-	"sacsearch/internal/core"
 	"sacsearch/internal/httpapi"
-	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/telemetry"
 	"sacsearch/internal/version"
+	"sacsearch/internal/wire"
 )
 
 // Config assembles a Router.
@@ -207,7 +206,7 @@ func (rt *Router) writeLegError(w http.ResponseWriter, r *http.Request, shardID 
 	if errors.As(err, &apiErr) {
 		forward := apiErr.Status != http.StatusServiceUnavailable &&
 			apiErr.Status != http.StatusTooManyRequests
-		if apiErr.Code == httpapi.CodeDeadlineExceeded {
+		if apiErr.Code == wire.CodeDeadlineExceeded {
 			forward = true
 		}
 		if forward {
@@ -216,7 +215,7 @@ func (rt *Router) writeLegError(w http.ResponseWriter, r *http.Request, shardID 
 		}
 	}
 	w.Header().Set("Retry-After", "1")
-	httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeShardUnavailable, "",
+	httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeShardUnavailable, "",
 		fmt.Sprintf("shard %d unavailable: %v", shardID, err))
 }
 
@@ -308,25 +307,14 @@ func (rt *Router) CheckTopology(ctx context.Context) error {
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	type shardHealth struct {
-		Shard  int            `json:"shard"`
-		Status string         `json:"status"`
-		Error  string         `json:"error,omitempty"`
-		Health *client.Health `json:"health,omitempty"`
-	}
-	out := make([]shardHealth, len(rt.sets))
+	out := make([]wire.ShardHealth, len(rt.sets))
 	rt.legsTotal.With("health").Add(uint64(len(rt.sets)))
 	fanOut(len(rt.sets), func(i int) {
-		h, err := rt.sets[i].Health(ctx)
-		sh := shardHealth{Shard: i}
-		if err != nil {
-			sh.Status = "unreachable"
-			sh.Error = err.Error()
+		if h, err := rt.sets[i].Health(ctx); err != nil {
+			out[i] = wire.ShardHealth{Shard: i, Status: "unreachable", Error: err.Error()}
 		} else {
-			sh.Status = h.Status
-			sh.Health = h
+			out[i] = wire.ShardHealth{Shard: i, Status: h.Status, Health: h}
 		}
-		out[i] = sh
 	})
 	status := "ok"
 	for _, sh := range out {
@@ -358,7 +346,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	for id, p := range rt.probeShards(ctx) {
 		if problem := rt.probeProblem(id, p); problem != "" {
 			w.Header().Set("Retry-After", "1")
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeNotReady, "",
 				fmt.Sprintf("shard %d not ready: %s", id, problem))
 			return
 		}
@@ -370,7 +358,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // core package as the shards, so the schema cannot drift from what routed
 // queries accept.
 func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, core.Algorithms())
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.Algorithms())
 }
 
 // handleVertex proxies to the owner. The degree is global (an owner
@@ -378,7 +366,7 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // local one, a lower bound on the global core number — documented in the
 // README's sharding section.
 func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
-	id, ok := server.PathVertex(w, r, rt.m.N)
+	id, ok := httpapi.PathVertex(w, r, rt.m.N)
 	if !ok {
 		return
 	}
@@ -392,9 +380,7 @@ func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
 		rt.writeLegError(w, r, owner, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"id": v.ID, "x": v.X, "y": v.Y, "degree": v.Degree, "core": v.Core,
-	})
+	httpapi.WriteJSON(w, http.StatusOK, v)
 }
 
 // --- writes ----------------------------------------------------------------
@@ -403,18 +389,19 @@ func (rt *Router) handleVertex(w http.ResponseWriter, r *http.Request) {
 // other shards keep their partition-time location, which no certified or
 // assembled answer ever reads.
 func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
-	var req server.CheckinRequest
+	var req wire.CheckinRequest
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if !req.Validate(w, r, rt.m.N) {
+	v, ok := httpapi.CheckinVertex(w, r, &req, rt.m.N)
+	if !ok {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	owner := rt.m.OwnerOf(req.V)
+	owner := rt.m.OwnerOf(v)
 	lctx, span := rt.leg(ctx, "checkin", owner)
-	err := rt.sets[owner].CheckIn(lctx, int64(req.V), req.X, req.Y)
+	err := rt.sets[owner].CheckIn(lctx, req.V, req.X, req.Y)
 	span.End()
 	if err != nil {
 		rt.writeLegError(w, r, owner, err)
@@ -430,18 +417,18 @@ func (rt *Router) handleCheckin(w http.ResponseWriter, r *http.Request) {
 // half-applied until the client's retry converges it — edge ops are
 // idempotent, so the retry is always safe.
 func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
-	var req server.EdgeRequest
+	var req wire.EdgeRequest
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	insert, ok := req.Validate(w, r, rt.m.N)
+	u, v, insert, ok := httpapi.EdgeEndpoints(w, r, &req, rt.m.N)
 	if !ok {
 		return
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	owners := []int{rt.m.OwnerOf(req.U)}
-	if o2 := rt.m.OwnerOf(req.V); o2 != owners[0] {
+	owners := []int{rt.m.OwnerOf(u)}
+	if o2 := rt.m.OwnerOf(v); o2 != owners[0] {
 		owners = append(owners, o2)
 	}
 	results := make([]*client.EdgeResult, len(owners))
@@ -449,7 +436,7 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 	fanOut(len(owners), func(i int) {
 		lctx, span := rt.leg(ctx, "edge", owners[i])
 		defer span.End()
-		results[i], errs[i] = rt.sets[owners[i]].Edge(lctx, int64(req.U), int64(req.V), insert)
+		results[i], errs[i] = rt.sets[owners[i]].Edge(lctx, req.U, req.V, insert)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -467,7 +454,7 @@ func (rt *Router) handleEdge(w http.ResponseWriter, r *http.Request) {
 			rt.edges.Add(-1)
 		}
 	}
-	httpapi.WriteJSON(w, http.StatusOK, server.EdgeResponse{
+	httpapi.WriteJSON(w, http.StatusOK, wire.EdgeResult{
 		OK: true, Changed: changed, Edges: int(rt.edges.Load()),
 	})
 }

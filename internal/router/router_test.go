@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,10 +20,11 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/server"
 	"sacsearch/internal/shard"
+	"sacsearch/internal/store"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // testGraph builds a spatially clustered social graph. The small sigma
@@ -390,14 +393,14 @@ func TestRoutedBatchWorkersClamped(t *testing.T) {
 }
 
 // postRaw posts a JSON body and decodes the error envelope.
-func postRaw(t *testing.T, url string, body string) (int, httpapi.ErrorJSON) {
+func postRaw(t *testing.T, url string, body string) (int, wire.Error) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var env httpapi.ErrorJSON
+	var env wire.Error
 	_ = json.NewDecoder(resp.Body).Decode(&env)
 	return resp.StatusCode, env
 }
@@ -425,7 +428,7 @@ func TestEnvelopeParity(t *testing.T) {
 		if wantStatus != gotStatus || wantEnv.Code != gotEnv.Code {
 			t.Fatalf("body %s: single %d/%s, routed %d/%s", body, wantStatus, wantEnv.Code, gotStatus, gotEnv.Code)
 		}
-		if wantEnv.Error != gotEnv.Error && wantEnv.Code != httpapi.CodeInvalidJSON {
+		if wantEnv.Error != gotEnv.Error && wantEnv.Code != wire.CodeInvalidJSON {
 			t.Fatalf("body %s: message %q single, %q routed", body, wantEnv.Error, gotEnv.Error)
 		}
 	}
@@ -535,8 +538,8 @@ func TestShardUnavailable(t *testing.T) {
 	}
 	_, err = cl.Query(t.Context(), client.Query{Q: dead1, K: 2})
 	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != httpapi.CodeShardUnavailable {
-		t.Fatalf("query for the dead shard: got %v, want 503 %s", err, httpapi.CodeShardUnavailable)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != wire.CodeShardUnavailable {
+		t.Fatalf("query for the dead shard: got %v, want 503 %s", err, wire.CodeShardUnavailable)
 	}
 	if err := cl.CheckIn(t.Context(), dead1, 0.5, 0.5); err == nil {
 		t.Fatal("checkin for the dead shard succeeded")
@@ -573,12 +576,205 @@ func TestWrongShardGuards(t *testing.T) {
 	}
 	status, env := postRaw(t, tp.shards[0].URL+"/v1/checkin",
 		fmt.Sprintf(`{"v":%d,"x":0.1,"y":0.2}`, foreign))
-	if status != http.StatusBadRequest || env.Code != httpapi.CodeWrongShard {
-		t.Fatalf("foreign checkin: %d/%s, want 400 %s", status, env.Code, httpapi.CodeWrongShard)
+	if status != http.StatusBadRequest || env.Code != wire.CodeWrongShard {
+		t.Fatalf("foreign checkin: %d/%s, want 400 %s", status, env.Code, wire.CodeWrongShard)
 	}
 	status, env = postRaw(t, tp.shards[0].URL+"/v1/shard/search",
 		fmt.Sprintf(`{"q":%d,"k":2}`, foreign))
-	if status != http.StatusBadRequest || env.Code != httpapi.CodeWrongShard {
-		t.Fatalf("foreign shard search: %d/%s, want 400 %s", status, env.Code, httpapi.CodeWrongShard)
+	if status != http.StatusBadRequest || env.Code != wire.CodeWrongShard {
+		t.Fatalf("foreign shard search: %d/%s, want 400 %s", status, env.Code, wire.CodeWrongShard)
+	}
+}
+
+// TestWideIDsAreUnknownVertices: a vertex id no 32-bit graph.V can hold —
+// one that would wrap into vertex 3 if narrowed unchecked — gets, on every
+// id-carrying field of every route and on both front-ends, the status, code
+// and field that route gives an id that merely names no vertex, with a
+// message quoting the id as sent. A wide batch item is that item's error in a
+// 200 whose other items are answered.
+func TestWideIDsAreUnknownVertices(t *testing.T) {
+	tp := newTopology(t, testGraph(120, 500, 23), 2)
+	const absent = "999999"
+	shard0 := tp.shards[0].URL
+	var owned int // a vertex shard 0 owns, for the seed next to the wide one
+	for tp.m.OwnerOf(graph.V(owned)) != 0 {
+		owned++
+	}
+	routes := []struct {
+		method, path, body string // %s is the id
+		bases              []string
+	}{
+		{"POST", "/v1/query", `{"q":%s,"k":3}`, []string{tp.single.URL, tp.router.URL}},
+		{"POST", "/v1/checkin", `{"v":%s,"x":0.5,"y":0.5}`, []string{tp.single.URL, tp.router.URL, shard0}},
+		{"POST", "/v1/edge", `{"u":%s,"v":1,"op":"insert"}`, []string{tp.single.URL, tp.router.URL, shard0}},
+		{"POST", "/v1/edge", `{"u":1,"v":%s,"op":"delete"}`, []string{tp.single.URL, tp.router.URL, shard0}},
+		{"GET", "/v1/vertex/%s", "", []string{tp.single.URL, tp.router.URL, shard0}},
+		{"GET", "/v1/subscribe?q=%s&k=3", "", []string{tp.single.URL, tp.router.URL}},
+		{"POST", "/v1/shard/search", `{"q":%s,"k":3}`, []string{shard0}},
+		{"POST", "/v1/shard/expand", fmt.Sprintf(`{"k":3,"seeds":[%d,%%s]}`, owned), []string{shard0}},
+	}
+	call := func(base, method, path, body string) (int, wire.Error) {
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env wire.Error
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s %s: status %d, body is no envelope: %v", method, path, body, resp.StatusCode, err)
+		}
+		return resp.StatusCode, env
+	}
+	for _, wide := range []string{"4294967299", "-4294967293", "2147483648"} {
+		for _, rt := range routes {
+			for _, base := range rt.bases {
+				fill := func(id string) (string, string) {
+					path, body := rt.path, rt.body
+					if strings.Contains(path, "%s") {
+						path = fmt.Sprintf(path, id)
+					} else {
+						body = fmt.Sprintf(body, id)
+					}
+					return path, body
+				}
+				path, body := fill(absent)
+				wantStatus, want := call(base, rt.method, path, body)
+				path, body = fill(wide)
+				status, got := call(base, rt.method, path, body)
+				if status != wantStatus || got.Code != want.Code || got.Field != want.Field || !strings.Contains(got.Error, wide) {
+					t.Errorf("%s %s %s: %d %s/%q %q; id %s on the same route gets %d %s/%q",
+						rt.method, path, body, status, got.Code, got.Field, got.Error, absent, wantStatus, want.Code, want.Field)
+				}
+				if status != http.StatusBadRequest && status != http.StatusNotFound {
+					t.Errorf("%s %s %s: status %d", rt.method, path, body, status)
+				}
+			}
+		}
+		for _, base := range []string{tp.single.URL, tp.router.URL} {
+			resp, err := http.Post(base+"/v1/batch", "application/json",
+				strings.NewReader(`{"queries":[{"q":`+wide+`,"k":2},{"q":1,"k":2}],"algo":"appinc"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out wire.BatchResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(out.Items) != 2 {
+				t.Fatalf("batch with a wide item: status %d, %d items (%v)", resp.StatusCode, len(out.Items), err)
+			}
+			if !strings.Contains(out.Items[0].Error, wide) || out.Items[0].Members != nil {
+				t.Errorf("batch: the wide item answered %+v", out.Items[0])
+			}
+			if single, err := tp.singleCl.Query(t.Context(), client.Query{Q: 1, K: 2, Algo: "appinc"}); err != nil ||
+				!reflect.DeepEqual(out.Items[1].Members, single.Members) {
+				t.Errorf("batch: the item beside the wide one answered %+v (want %v, %v)", out.Items[1], single, err)
+			}
+		}
+	}
+}
+
+// TestRouterHealthKeepsShardFields: the router re-serves each shard's
+// /v1/health whole — the durability, snapshot and build fields an operator
+// reads there are outside the prefix client.Health types, and used to be
+// dropped on the way through.
+func TestRouterHealthKeepsShardFields(t *testing.T) {
+	g := testGraph(80, 300, 5)
+	m, err := shard.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([][]string, 2)
+	for id := range urls {
+		sub, err := shard.Subgraph(g, m, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := server.Config{}
+		if cfg.Shard, err = shard.NewServing(m, id); err != nil {
+			t.Fatal(err)
+		}
+		var srv *server.Server
+		if id == 0 { // shard 0 is durable
+			st, err := store.Open(t.TempDir(), store.Options{Init: sub})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv = server.NewWithStore("shard-0", st, cfg)
+		} else {
+			srv = server.NewWithConfig("shard-1", sub, cfg)
+		}
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		urls[id] = []string{ts.URL}
+	}
+	rt, err := New(Config{Map: m, Shards: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt)
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		ShardHealth []struct {
+			Health map[string]any `json:"health"`
+		} `json:"shardHealth"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil || len(health.ShardHealth) != 2 {
+		t.Fatalf("router health: %v, %d shards", err, len(health.ShardHealth))
+	}
+	for _, key := range []string{"walLastSeq", "fsyncPolicy", "snapshotSeq", "build", "shardId", "role", "durable"} {
+		if _, ok := health.ShardHealth[0].Health[key]; !ok {
+			t.Errorf("durable shard's health lost %q on the way through the router: %v", key, health.ShardHealth[0].Health)
+		}
+	}
+	if _, ok := health.ShardHealth[1].Health["snapshotSeq"]; !ok {
+		t.Errorf("in-memory shard's health lost snapshotSeq: %v", health.ShardHealth[1].Health)
+	}
+	if _, ok := health.ShardHealth[1].Health["walLastSeq"]; ok {
+		t.Errorf("in-memory shard's health gained a WAL field: %v", health.ShardHealth[1].Health)
+	}
+}
+
+// TestBogusFrontierIsALegFailure: an id in a shard's expansion is an integer
+// from outside like any other — one outside the shard map fails that leg (503
+// shard_unavailable, naming the shard) instead of indexing the owner table
+// with it.
+func TestBogusFrontierIsALegFailure(t *testing.T) {
+	g := testGraph(40, 120, 3)
+	m, err := shard.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bogus := range []string{"-1", "40", "4294967299"} {
+		lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			switch r.URL.Path {
+			case "/v1/shard/search":
+				fmt.Fprint(w, `{"contained":false}`)
+			case "/v1/shard/expand":
+				fmt.Fprintf(w, `{"members":[{"v":0,"x":0.5,"y":0.5,"adj":[]}],"frontier":[%s]}`, bogus)
+			}
+		}))
+		rt, err := New(Config{Map: m, Shards: [][]string{{lying.URL}, {lying.URL}},
+			ClientOptions: []client.Option{client.WithRetries(0)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(rt)
+		status, env := postRaw(t, ts.URL+"/v1/query", `{"q":0,"k":1}`)
+		ts.Close()
+		lying.Close()
+		if status != http.StatusServiceUnavailable || env.Code != wire.CodeShardUnavailable || !strings.Contains(env.Error, bogus) {
+			t.Errorf("frontier [%s]: %d %+v, want 503 shard_unavailable quoting it", bogus, status, env)
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
-	"sacsearch/internal/server"
+	"sacsearch/internal/httpapi"
 	"sacsearch/internal/subscribe"
+	"sacsearch/internal/wire"
 )
 
 // Router-held standing queries. The router serves the same GET /v1/subscribe
@@ -40,7 +41,7 @@ import (
 // vertex ids known to cover the candidate set X (nil = unknown; callers must
 // then treat every check-in as relevant), at the price of one more expand
 // leg on the certified path.
-func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*server.QueryResponse, []int64, error) {
+func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*wire.Result, []int64, error) {
 	spec, _ := core.LookupAlgo(cq.Algo)
 	if spec.Name == "theta" {
 		rt.queryPath.With("theta").Inc()
@@ -49,7 +50,7 @@ func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) 
 	}
 	owner := rt.m.OwnerOf(cq.Q)
 	lctx, span := rt.leg(ctx, "search", owner)
-	verdict, err := rt.sets[owner].ShardSearch(lctx, toClientQuery(cq))
+	verdict, err := rt.sets[owner].ShardSearch(lctx, httpapi.WireQuery(cq))
 	span.End()
 	if err != nil {
 		return nil, nil, &legFailure{owner, err}
@@ -62,9 +63,8 @@ func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) 
 		if verdict.Result == nil {
 			return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
 		}
-		resp := fromClientResult(verdict.Result)
 		if !watch {
-			return &resp, nil, nil
+			return verdict.Result, nil, nil
 		}
 		// Contained means the whole candidate set lives on the owner; one
 		// expansion round fetches it for the watch set. A failed expansion
@@ -79,7 +79,7 @@ func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) 
 				gathered = append(gathered, m.V)
 			}
 		}
-		return &resp, gathered, nil
+		return verdict.Result, gathered, nil
 	}
 	rt.queryPath.With("assembled").Inc()
 	return rt.routeAssembled(ctx, cq, owner)
@@ -250,7 +250,7 @@ func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalRes
 	switch {
 	case err == nil:
 		er.Members = resp.Members
-		er.MCC = subscribe.Circle{X: resp.MCC.X, Y: resp.MCC.Y, R: resp.MCC.R}
+		er.MCC = resp.MCC
 		er.Delta = resp.Delta
 		if watch != nil {
 			g.watch = make(map[int64]struct{}, len(watch))

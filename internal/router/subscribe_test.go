@@ -12,7 +12,7 @@ import (
 
 	"sacsearch/client"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/httpapi"
+	"sacsearch/internal/wire"
 )
 
 // replayView folds a subscription's event stream into the state a consumer
@@ -327,7 +327,7 @@ func TestRoutedSubscribeRefusesWideVertex(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	var env httpapi.ErrorJSON
+	var env wire.Error
 	err = json.NewDecoder(resp.Body).Decode(&env)
 	resp.Body.Close()
 	if err != nil || env.Code != "invalid_query" || env.Field != "q" || !strings.Contains(env.Error, "4294967299") {

@@ -16,10 +16,10 @@ import (
 	"time"
 
 	"sacsearch/internal/geom"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/replica"
 	"sacsearch/internal/snapshot"
 	"sacsearch/internal/store"
+	"sacsearch/internal/wire"
 )
 
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -44,7 +44,7 @@ func (b *lockedBuffer) String() string {
 }
 
 // unmarshalErr decodes an error envelope, failing the test on bad JSON.
-func unmarshalErr(t *testing.T, body []byte, into *httpapi.ErrorJSON) {
+func unmarshalErr(t *testing.T, body []byte, into *wire.Error) {
 	t.Helper()
 	if err := json.Unmarshal(body, into); err != nil {
 		t.Fatalf("decoding error envelope %q: %v", body, err)
@@ -126,7 +126,7 @@ func TestReplicaServesReplicatedReads(t *testing.T) {
 	})
 
 	// A write on the leader must become readable on the replica.
-	resp, body := postJSON(t, leader.URL+"/v1/checkin", CheckinRequest{V: 3, X: 0.25, Y: 0.75})
+	resp, body := postJSON(t, leader.URL+"/v1/checkin", wire.CheckinRequest{V: 3, X: 0.25, Y: 0.75})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("leader checkin: %d %s", resp.StatusCode, body)
 	}
@@ -139,7 +139,7 @@ func TestReplicaServesReplicatedReads(t *testing.T) {
 	})
 
 	// Queries answer from the replicated state.
-	resp, body = postJSON(t, rep.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "exact+"})
+	resp, body = postJSON(t, rep.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "exact+"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replica query: %d %s", resp.StatusCode, body)
 	}
@@ -147,9 +147,9 @@ func TestReplicaServesReplicatedReads(t *testing.T) {
 	// Writes on the replica are refused before decoding.
 	for _, route := range []string{"/v1/checkin", "/v1/edge"} {
 		resp, body = postJSON(t, rep.URL+route, map[string]any{})
-		var e httpapi.ErrorJSON
+		var e wire.Error
 		unmarshalErr(t, body, &e)
-		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
+		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != wire.CodeReadOnly {
 			t.Fatalf("replica write on %s: status %d code %q", route, resp.StatusCode, e.Code)
 		}
 	}
@@ -202,14 +202,14 @@ func TestReplicaShedsStaleReads(t *testing.T) {
 		return h.Status == "degraded"
 	})
 	waitHTTP(t, 10*time.Second, "read shedding past the staleness bound", func() bool {
-		resp, body := postJSON(t, rep.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
+		resp, body := postJSON(t, rep.URL+"/v1/query", wire.Query{Q: 1, K: 4})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			return false
 		}
-		var e httpapi.ErrorJSON
+		var e wire.Error
 		unmarshalErr(t, body, &e)
-		if e.Code != httpapi.CodeStaleRead {
-			t.Fatalf("shed read code = %q, want %q", e.Code, httpapi.CodeStaleRead)
+		if e.Code != wire.CodeStaleRead {
+			t.Fatalf("shed read code = %q, want %q", e.Code, wire.CodeStaleRead)
 		}
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("shed read missing Retry-After")
@@ -255,10 +255,10 @@ func TestReplicaNotReadyBeforeSync(t *testing.T) {
 	if readyResp.Header.Get("Retry-After") == "" {
 		t.Fatal("unready response missing Retry-After")
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
-	var e httpapi.ErrorJSON
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4})
+	var e wire.Error
 	unmarshalErr(t, body, &e)
-	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeNotReady {
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != wire.CodeNotReady {
 		t.Fatalf("unsynced replica query: status %d code %q", resp.StatusCode, e.Code)
 	}
 	var h replicaHealth
@@ -283,24 +283,24 @@ func TestFencedLeaderTurnsReadonly(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	resp, _ := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 1, X: 0.5, Y: 0.5})
+	resp, _ := postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 1, X: 0.5, Y: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-fence checkin status = %d", resp.StatusCode)
 	}
 	if err := st.Fence(st.Epoch() + 3); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 1, X: 0.6, Y: 0.6})
-	var e httpapi.ErrorJSON
+	resp, body := postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 1, X: 0.6, Y: 0.6})
+	var e wire.Error
 	unmarshalErr(t, body, &e)
-	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != wire.CodeReadOnly {
 		t.Fatalf("fenced checkin: status %d code %q", resp.StatusCode, e.Code)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 30, Op: "insert"})
+	resp, _ = postJSON(t, ts.URL+"/v1/edge", wire.EdgeRequest{U: 0, V: 30, Op: "insert"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("fenced edge status = %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
+	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fenced leader refused a read: %d", resp.StatusCode)
 	}
@@ -337,10 +337,10 @@ func TestQueuedWriteRefusedByFenceAnswersReadOnly(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	srv.writeWriteError(rec, httptest.NewRequest("POST", "/v1/checkin", nil), werr)
-	var e httpapi.ErrorJSON
+	var e wire.Error
 	unmarshalErr(t, rec.Body.Bytes(), &e)
-	if rec.Code != http.StatusServiceUnavailable || e.Code != httpapi.CodeReadOnly {
-		t.Fatalf("refused in-flight write: status %d code %q, want 503 %s", rec.Code, e.Code, httpapi.CodeReadOnly)
+	if rec.Code != http.StatusServiceUnavailable || e.Code != wire.CodeReadOnly {
+		t.Fatalf("refused in-flight write: status %d code %q, want 503 %s", rec.Code, e.Code, wire.CodeReadOnly)
 	}
 }
 
@@ -373,11 +373,11 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if raw.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking route status = %d", raw.StatusCode)
 	}
-	var e httpapi.ErrorJSON
+	var e wire.Error
 	if err := json.NewDecoder(raw.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	if e.Code != httpapi.CodeInternal || e.RequestID != "trace-me-123" {
+	if e.Code != wire.CodeInternal || e.RequestID != "trace-me-123" {
 		t.Fatalf("panic envelope = %+v", e)
 	}
 	out := logged.String()

@@ -14,11 +14,14 @@
 //	POST /v1/checkin           update one vertex's location (dynamic graphs)
 //	POST /v1/edge              insert or delete one friendship edge
 //
-// Request decoding and validation are driven by the core algorithm registry
-// (core.Algorithms) — the server holds no per-algorithm parameter code of its
-// own. Every response carries an X-Request-Id header, and every non-2xx
-// response is a structured error envelope (httpapi.ErrorJSON) with a
-// machine-readable code, the offending field when known, and the request id.
+// The JSON shapes of these routes are declared in internal/wire, not here;
+// internal/httpapi converts them to and from the engine's types and holds the
+// request validators this package shares with internal/router. Validation is
+// driven by the core algorithm registry (core.Algorithms) — the server holds
+// no per-algorithm parameter code of its own. Every response carries an
+// X-Request-Id header, and every non-2xx response is a structured error
+// envelope (wire.Error) with a machine-readable code, the offending field
+// when known, and the request id.
 //
 // Concurrency model: snapshot isolation, no locks on the query path. A
 // single writer goroutine (internal/snapshot.Engine) owns the mutable
@@ -48,10 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
-	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -67,6 +67,7 @@ import (
 	"sacsearch/internal/subscribe"
 	"sacsearch/internal/telemetry"
 	"sacsearch/internal/version"
+	"sacsearch/internal/wire"
 )
 
 // Config tunes a Server. The zero value serves defaults.
@@ -369,13 +370,13 @@ func (s *Server) readEngine(w http.ResponseWriter, r *http.Request) (*snapshot.E
 	rs := s.rep.Status()
 	if !rs.Synced {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeNotReady, "",
 			"replica has not completed its initial sync")
 		return nil, false
 	}
 	if bound := s.cfg.stalenessBound(); bound > 0 && rs.LagSeconds > bound.Seconds() {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeStaleRead, "",
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeStaleRead, "",
 			fmt.Sprintf("replica is %.1fs behind the leader (bound %s)", rs.LagSeconds, bound))
 		return nil, false
 	}
@@ -387,248 +388,6 @@ func (s *Server) readEngine(w http.ResponseWriter, r *http.Request) (*snapshot.E
 // panic recovery).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.api.Serve(w, r, s.mux)
-}
-
-// --- wire types -----------------------------------------------------------
-
-// CircleJSON is a JSON-friendly circle.
-type CircleJSON struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
-}
-
-// StatsJSON carries the per-query work counters.
-type StatsJSON struct {
-	CandidateSize     int    `json:"candidateSize"`
-	FeasibilityChecks int    `json:"feasibilityChecks"`
-	BinaryIters       int    `json:"binaryIters"`
-	ElapsedMicros     int64  `json:"elapsedMicros"`
-	Algorithm         string `json:"algorithm"`
-}
-
-// QueryRequest is one SAC query — the wire image of core.Query. Parameter
-// fields are pointers so the wire distinguishes "absent → registry default"
-// from an explicit zero: AppFast(0) is a legitimate request (it degenerates
-// to the AppInc answer) that a plain float64 field could never express.
-type QueryRequest struct {
-	Q     graph.V  `json:"q"`
-	K     int      `json:"k"`
-	Algo  string   `json:"algo,omitempty"`  // registry name or alias; "" = default
-	EpsF  *float64 `json:"epsF,omitempty"`  // AppFast (default 0.5)
-	EpsA  *float64 `json:"epsA,omitempty"`  // AppAcc / Exact+ (defaults 0.5 / 1e-3)
-	Theta *float64 `json:"theta,omitempty"` // θ-SAC's radius (required when algo = "theta")
-	// Structure optionally asserts the structure metric the query expects
-	// ("kcore", "ktruss", "kclique"); a server built with a different
-	// metric rejects the query instead of silently answering.
-	Structure string `json:"structure,omitempty"`
-	// TimeoutMillis, when positive, bounds this query with its own
-	// deadline; the server's per-request deadline still applies on top, so
-	// the effective bound is the smaller of the two.
-	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
-}
-
-// maxTimeoutMillis is the largest timeoutMillis a time.Duration can hold.
-const maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
-
-// ToQuery converts the wire shape to the core request. It is the one place
-// /v1/query, /v1/shard/search and the router turn timeoutMillis into a
-// Duration, so it is where a value the multiplication would wrap — into a
-// microsecond deadline, a negative one, or none at all — is refused.
-func (r QueryRequest) ToQuery() (core.Query, error) {
-	if r.TimeoutMillis > maxTimeoutMillis || r.TimeoutMillis < -maxTimeoutMillis {
-		return core.Query{}, &core.QueryError{Code: core.ErrCodeInvalidQuery, Field: "timeoutMillis",
-			Reason: fmt.Sprintf("timeoutMillis = %d out of range (at most %d)", r.TimeoutMillis, maxTimeoutMillis)}
-	}
-	return core.Query{
-		Algo:      r.Algo,
-		Q:         r.Q,
-		K:         r.K,
-		EpsF:      r.EpsF,
-		EpsA:      r.EpsA,
-		Theta:     r.Theta,
-		Structure: r.Structure,
-		Timeout:   time.Duration(r.TimeoutMillis) * time.Millisecond,
-	}, nil
-}
-
-// QueryResponse is one SAC answer.
-type QueryResponse struct {
-	Q       graph.V    `json:"q"`
-	K       int        `json:"k"`
-	Members []graph.V  `json:"members"`
-	MCC     CircleJSON `json:"mcc"`
-	Delta   float64    `json:"delta"`
-	Stats   StatsJSON  `json:"stats"`
-}
-
-// BatchQueryJSON is one (q, k) item of a batch.
-type BatchQueryJSON struct {
-	Q graph.V `json:"q"`
-	K int     `json:"k"`
-}
-
-// BatchRequest is a set of queries answered together with shared algorithm
-// parameters (same presence semantics as QueryRequest).
-type BatchRequest struct {
-	Queries   []BatchQueryJSON `json:"queries"`
-	Algo      string           `json:"algo,omitempty"`
-	EpsF      *float64         `json:"epsF,omitempty"`
-	EpsA      *float64         `json:"epsA,omitempty"`
-	Theta     *float64         `json:"theta,omitempty"`
-	Structure string           `json:"structure,omitempty"`
-	Workers   int              `json:"workers,omitempty"`
-}
-
-// FanOut is the number of workers the batch runs on: the request's
-// "workers", clamped to GOMAXPROCS — which is also the default when the
-// field is absent, so a client can only lower the fan-out. The field arrives
-// from outside and every worker holds a searcher with its own caches (a
-// cold one per cross-shard query on the router), so it must not size
-// anything unclamped.
-func (r *BatchRequest) FanOut() int {
-	if limit := runtime.GOMAXPROCS(0); r.Workers <= 0 || r.Workers > limit {
-		return limit
-	}
-	return r.Workers
-}
-
-// Template checks everything about the batch that is not per item and
-// returns the query each item completes with its own q and k. Validating the
-// template up front through the registry fails the whole batch with one 400
-// (empty batch, bad algorithm name, out-of-range epsilon, a structure metric
-// the front-end does not serve) before any worker runs, instead of a 200
-// whose every item errored; per-item problems — unknown vertex, k < 1 —
-// surface as item errors. validate is the front-end's whole-query check (a
-// searcher's ValidateQuery, the router's against its shard map), used for the
-// structure assertion. On a violation the error envelope is written and ok
-// is false.
-func (req *BatchRequest) Template(w http.ResponseWriter, r *http.Request, validate func(core.Query) error) (template core.Query, ok bool) {
-	if len(req.Queries) == 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
-		return template, false
-	}
-	template = core.Query{
-		Algo:      req.Algo,
-		EpsF:      req.EpsF,
-		EpsA:      req.EpsA,
-		Theta:     req.Theta,
-		Structure: req.Structure,
-	}
-	_, err := core.ValidateParams(template)
-	if err == nil && template.Structure != "" {
-		probe := template
-		probe.Q, probe.K = 0, 1
-		err = validate(probe)
-	}
-	if err != nil {
-		httpapi.WriteQueryError(w, r, err)
-		return template, false
-	}
-	return template, true
-}
-
-// BatchResponse carries per-query answers; failed queries have Error set.
-type BatchResponse struct {
-	Items []BatchItemJSON `json:"items"`
-}
-
-// BatchItemJSON is one batch answer.
-type BatchItemJSON struct {
-	Q       graph.V    `json:"q"`
-	K       int        `json:"k"`
-	Members []graph.V  `json:"members,omitempty"`
-	MCC     CircleJSON `json:"mcc"`
-	Error   string     `json:"error,omitempty"`
-}
-
-// CheckinRequest moves one vertex.
-type CheckinRequest struct {
-	V graph.V `json:"v"`
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-// Validate checks the request against a graph of n vertices — the single
-// server's, or the whole topology's on a router — and on a violation writes
-// the error envelope and returns false.
-func (req *CheckinRequest) Validate(w http.ResponseWriter, r *http.Request, n int) bool {
-	if req.V < 0 || int(req.V) >= n {
-		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "v",
-			fmt.Sprintf("unknown vertex %d", req.V))
-		return false
-	}
-	// Reject non-finite coordinates before they reach the graph: NaN poisons
-	// every distance sort it touches and ±Inf breaks geom.MCC, silently, on
-	// queries that may run long after this request returned 200.
-	if !geom.Finite(req.X) || !geom.Finite(req.Y) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "x",
-			fmt.Sprintf("coordinates (%v, %v) must be finite", req.X, req.Y))
-		return false
-	}
-	return true
-}
-
-// PathVertex reads the {id} segment of /v1/vertex/{id} against a graph of n
-// vertices. A malformed id is the caller's syntax error (400); a well-formed
-// id naming no vertex is a lookup miss (404) — conflating them hides client
-// bugs behind retry loops. On either it writes the error envelope and
-// returns ok false.
-func PathVertex(w http.ResponseWriter, r *http.Request, n int) (v graph.V, ok bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "id",
-			fmt.Sprintf("malformed vertex id %q", r.PathValue("id")))
-		return 0, false
-	}
-	if id < 0 || id >= n {
-		httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "id",
-			fmt.Sprintf("unknown vertex %d", id))
-		return 0, false
-	}
-	return graph.V(id), true
-}
-
-// EdgeRequest inserts or deletes one undirected friendship edge.
-type EdgeRequest struct {
-	U  graph.V `json:"u"`
-	V  graph.V `json:"v"`
-	Op string  `json:"op"` // insert | delete
-}
-
-// Validate checks the request against a graph of n vertices and decodes Op.
-// On a violation it writes the error envelope and returns ok false.
-func (req *EdgeRequest) Validate(w http.ResponseWriter, r *http.Request, n int) (insert, ok bool) {
-	for _, v := range [2]graph.V{req.U, req.V} {
-		if v < 0 || int(v) >= n {
-			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "",
-				fmt.Sprintf("unknown vertex %d", v))
-			return false, false
-		}
-	}
-	if req.U == req.V {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "",
-			fmt.Sprintf("self-loop (%d,%d) rejected", req.U, req.V))
-		return false, false
-	}
-	switch req.Op {
-	case "insert":
-		return true, true
-	case "delete":
-		return false, true
-	}
-	httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "op",
-		fmt.Sprintf("unknown op %q (want insert or delete)", req.Op))
-	return false, false
-}
-
-// EdgeResponse reports the outcome of an edge update. Changed is false when
-// the request was a no-op (inserting a present edge, deleting an absent
-// one); Edges is the undirected edge count afterwards.
-type EdgeResponse struct {
-	OK      bool `json:"ok"`
-	Changed bool `json:"changed"`
-	Edges   int  `json:"edges"`
 }
 
 // --- handlers ---------------------------------------------------------------
@@ -730,7 +489,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.rep != nil {
 		if rs := s.rep.Status(); !rs.Synced {
 			w.Header().Set("Retry-After", "1")
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "",
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeNotReady, "",
 				"replica has not completed its initial sync")
 			return
 		}
@@ -738,12 +497,10 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": s.role()})
 }
 
-// handleAlgorithms serves the algorithm registry verbatim: names, aliases,
-// ratios and full parameter schemas (type, required, default, range). The
-// response is generated from core.Algorithms, so it can never drift from
-// what /v1/query actually accepts.
+// handleAlgorithms serves the algorithm registry: names, aliases, ratios and
+// full parameter schemas (type, required, default, range).
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, core.Algorithms())
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.Algorithms())
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -753,17 +510,13 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := eng.Current()
 	g := snap.Graph()
-	v, ok := PathVertex(w, r, g.NumVertices())
+	v, ok := httpapi.PathVertex(w, r, g.NumVertices())
 	if !ok {
 		return
 	}
 	loc := g.Loc(v)
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"id":     v,
-		"x":      loc.X,
-		"y":      loc.Y,
-		"degree": g.Degree(v),
-		"core":   snap.CoreNumber(v),
+	httpapi.WriteJSON(w, http.StatusOK, wire.Vertex{
+		ID: int64(v), X: loc.X, Y: loc.Y, Degree: g.Degree(v), Core: snap.CoreNumber(v),
 	})
 }
 
@@ -774,7 +527,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.Query
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
@@ -782,7 +535,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q, err := req.ToQuery()
+	q, err := httpapi.CoreQuery(req)
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
@@ -824,7 +577,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qspan.SetAttr("q", req.Q)
 	qspan.SetAttr("k", req.K)
 	s.observeQuery(spec.Name, res.Stats)
-	httpapi.WriteJSON(w, http.StatusOK, ToQueryResponse(spec.Name, res))
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.WireResult(spec.Name, res))
 }
 
 // observeQuery records one successful search's latency and the paper's
@@ -842,7 +595,7 @@ func (s *Server) observeQuery(algo string, st core.Stats) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req wire.BatchRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
@@ -854,7 +607,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := eng.Current()
-	template, ok := req.Template(w, r, func(q core.Query) error {
+	template, ok := httpapi.BatchTemplate(w, r, &req, func(q core.Query) error {
 		worker := snap.Get()
 		defer snap.Put(worker)
 		return worker.ValidateQuery(q)
@@ -862,9 +615,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	queries := make([]batch.Query, len(req.Queries))
+	// An item whose q no vertex id can hold is answered here, like any other
+	// per-item problem; queries[j] is the item at resp.Items[at[j]].
+	resp := wire.BatchResponse{Items: make([]wire.BatchItem, len(req.Queries))}
+	queries := make([]batch.Query, 0, len(req.Queries))
+	at := make([]int, 0, len(req.Queries))
 	for i, q := range req.Queries {
-		queries[i] = batch.Query{Q: q.Q, K: q.K}
+		resp.Items[i] = wire.BatchItem{Q: q.Q, K: q.K}
+		v, err := httpapi.QueryVertex(q.Q)
+		if err != nil {
+			resp.Items[i].Error = err.Error()
+			continue
+		}
+		queries = append(queries, batch.Query{Q: v, K: q.K})
+		at = append(at, i)
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -874,57 +638,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	items := batch.RunOn(ctx, snap, queries, batch.Options{
-		Workers:  req.FanOut(),
+		Workers:  httpapi.BatchFanOut(&req),
 		Template: template,
 	})
-	// A batch whose deadline actually cut queries short is a server-side
-	// timeout, same as a single query's: report 503 rather than
-	// 200-with-error-items, so status-keyed clients and monitors see it.
-	// The signal is the items themselves, not ctx.Err() — a deadline that
-	// fires in the instant after the last query completed should not throw
-	// a fully successful batch away. (Partial results are discarded; the
-	// client's retry re-runs the batch.)
-	for _, it := range items {
-		if it.Err != nil && errors.Is(it.Err, core.ErrCanceled) {
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded, "",
+	for j, it := range items {
+		out := &resp.Items[at[j]]
+		switch {
+		case it.Err == nil:
+			out.Members = graph.IDs(it.Result.Members)
+			out.MCC = httpapi.WireCircle(it.Result.MCC)
+		case errors.Is(it.Err, core.ErrCanceled):
+			// A batch whose deadline actually cut queries short is a
+			// server-side timeout, same as a single query's: report 503
+			// rather than 200-with-error-items, so status-keyed clients and
+			// monitors see it. The signal is the items themselves, not
+			// ctx.Err() — a deadline that fires in the instant after the last
+			// query completed should not throw a fully successful batch away.
+			// (Partial results are discarded; the client's retry re-runs the
+			// batch.)
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, "",
 				"batch deadline exceeded: "+it.Err.Error())
 			return
-		}
-	}
-
-	resp := BatchResponse{Items: make([]BatchItemJSON, len(items))}
-	for i, it := range items {
-		out := BatchItemJSON{Q: it.Q, K: it.K}
-		if it.Err != nil {
+		default:
 			out.Error = it.Err.Error()
-		} else {
-			out.Members = it.Result.Members
-			out.MCC = CircleJSON{X: it.Result.MCC.C.X, Y: it.Result.MCC.C.Y, R: it.Result.MCC.R}
 		}
-		resp.Items[i] = out
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.
 func (s *Server) writeWriteError(w http.ResponseWriter, r *http.Request, err error) {
-	status, code := http.StatusUnprocessableEntity, httpapi.CodeQueryFailed
+	status, code := http.StatusUnprocessableEntity, wire.CodeQueryFailed
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeDeadlineExceeded
+		status, code = http.StatusServiceUnavailable, wire.CodeDeadlineExceeded
 	case errors.Is(err, snapshot.ErrClosed):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeUnavailable
+		status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
 	case errors.Is(err, store.ErrFenced):
 		// A newer leader epoch exists; this node must never accept another
 		// write. 503 read_only so a failover-aware client retries the write
 		// against the rest of its endpoint set and finds the new leader.
 		// Tested before ErrPersist: a write that was already queued when the
 		// fence landed is refused at the log and carries both.
-		status, code = http.StatusServiceUnavailable, httpapi.CodeReadOnly
+		status, code = http.StatusServiceUnavailable, wire.CodeReadOnly
 	case errors.Is(err, snapshot.ErrPersist):
 		// The WAL refused the write; the engine is read-only until the
 		// operator intervenes. 503, not 422 — the request was fine.
-		status, code = http.StatusServiceUnavailable, httpapi.CodeUnavailable
+		status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
 	}
 	httpapi.WriteError(w, r, status, code, "", err.Error())
 }
@@ -935,7 +695,7 @@ func (s *Server) admitWrite(w http.ResponseWriter, r *http.Request) bool {
 	if s.rep == nil {
 		return true
 	}
-	httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeReadOnly, "",
+	httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeReadOnly, "",
 		"replica is read-only; send writes to the leader")
 	return false
 }
@@ -961,26 +721,27 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	if !s.admitWrite(w, r) {
 		return
 	}
-	var req CheckinRequest
+	var req wire.CheckinRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	if !req.Validate(w, r, s.eng.NumVertices()) {
+	v, ok := httpapi.CheckinVertex(w, r, &req, s.eng.NumVertices())
+	if !ok {
 		return
 	}
 	// A sharded node only accepts check-ins for vertices it owns: a ghost's
 	// location here is a frozen partition-time copy that no certified or
 	// assembled answer ever reads, and letting writes land on it would fork
 	// it from the owner's authoritative state.
-	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.V) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "v",
+	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(v) {
+		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeWrongShard, "v",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
-				req.V, s.cfg.Shard.Map.OwnerOf(req.V), s.cfg.Shard.ID))
+				v, s.cfg.Shard.Map.OwnerOf(v), s.cfg.Shard.ID))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	if err := s.checkIn(ctx, req.V, geom.Point{X: req.X, Y: req.Y}); err != nil {
+	if err := s.checkIn(ctx, v, geom.Point{X: req.X, Y: req.Y}); err != nil {
 		s.writeWriteError(w, r, err)
 		return
 	}
@@ -995,47 +756,28 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	if !s.admitWrite(w, r) {
 		return
 	}
-	var req EdgeRequest
+	var req wire.EdgeRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	insert, ok := req.Validate(w, r, s.eng.NumVertices())
+	u, v, insert, ok := httpapi.EdgeEndpoints(w, r, &req, s.eng.NumVertices())
 	if !ok {
 		return
 	}
 	// A sharded node materializes exactly the edges with at least one owned
 	// endpoint; an edge owned entirely elsewhere belongs to other shards
 	// (the router fans a cross-shard edge to both owners).
-	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(req.U) && !s.cfg.Shard.Owns(req.V) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "",
-			fmt.Sprintf("edge (%d,%d) has no endpoint owned by shard %d", req.U, req.V, s.cfg.Shard.ID))
+	if s.cfg.Shard != nil && !s.cfg.Shard.Owns(u) && !s.cfg.Shard.Owns(v) {
+		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeWrongShard, "",
+			fmt.Sprintf("edge (%d,%d) has no endpoint owned by shard %d", u, v, s.cfg.Shard.ID))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	changed, err := s.updateEdge(ctx, req.U, req.V, insert)
+	changed, err := s.updateEdge(ctx, u, v, insert)
 	if err != nil {
 		s.writeWriteError(w, r, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, EdgeResponse{OK: true, Changed: changed, Edges: s.eng.Current().Edges()})
-}
-
-// ToQueryResponse converts a core result to the wire shape, labelling its
-// stats with the canonical algorithm name.
-func ToQueryResponse(algo string, res *core.Result) QueryResponse {
-	return QueryResponse{
-		Q:       res.Query,
-		K:       res.K,
-		Members: res.Members,
-		MCC:     CircleJSON{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R},
-		Delta:   res.Delta,
-		Stats: StatsJSON{
-			CandidateSize:     res.Stats.CandidateSize,
-			FeasibilityChecks: res.Stats.FeasibilityChecks,
-			BinaryIters:       res.Stats.BinaryIters,
-			ElapsedMicros:     res.Stats.Elapsed.Microseconds(),
-			Algorithm:         algo,
-		},
-	}
+	httpapi.WriteJSON(w, http.StatusOK, wire.EdgeResult{OK: true, Changed: changed, Edges: s.eng.Current().Edges()})
 }

@@ -19,6 +19,7 @@ import (
 	"sacsearch/internal/graph"
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/store"
+	"sacsearch/internal/wire"
 )
 
 // testGraph plants a handful of spatial cliques; every vertex has a tight
@@ -143,11 +144,11 @@ func TestQueryAlgorithms(t *testing.T) {
 	ts, g := newTestServer(t)
 	s := core.NewSearcher(g)
 	for _, algo := range []string{"", "appfast", "appinc", "appacc", "exact+", "exact"} {
-		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: algo})
+		resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: algo})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("algo %q: status %d body %s", algo, resp.StatusCode, body)
 		}
-		var out QueryResponse
+		var out wire.Result
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatalf("algo %q: %v", algo, err)
 		}
@@ -170,11 +171,11 @@ func TestQueryAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "theta", Theta: core.Float(0.2)})
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "theta", Theta: core.Float(0.2)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("theta: status %d body %s", resp.StatusCode, body)
 	}
-	var out QueryResponse
+	var out wire.Result
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestQueryAlgorithms(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// Unknown algorithm: a validation error, 400 with the registry's code.
-	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "bogus"})
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "bogus"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus algo status = %d", resp.StatusCode)
 	}
-	var envelope httpapi.ErrorJSON
+	var envelope wire.Error
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +199,12 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatalf("bogus algo envelope = %+v", envelope)
 	}
 	// θ without a radius.
-	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "theta"})
+	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "theta"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("theta without radius status = %d", resp.StatusCode)
 	}
 	// No community for absurd k.
-	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 40})
+	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 40})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("k=40 status = %d", resp.StatusCode)
 	}
@@ -224,18 +225,15 @@ func TestQueryErrors(t *testing.T) {
 
 func TestBatch(t *testing.T) {
 	ts, _ := newTestServer(t)
-	req := BatchRequest{Workers: 2}
-	for _, q := range []graph.V{1, 7, 13, 1} { // includes a duplicate
-		req.Queries = append(req.Queries, struct {
-			Q graph.V `json:"q"`
-			K int     `json:"k"`
-		}{q, 4})
+	req := wire.BatchRequest{Workers: 2}
+	for _, q := range []int64{1, 7, 13, 1} { // includes a duplicate
+		req.Queries = append(req.Queries, wire.BatchQuery{Q: q, K: 4})
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d body %s", resp.StatusCode, body)
 	}
-	var out BatchResponse
+	var out wire.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +264,12 @@ func TestBatch(t *testing.T) {
 		t.Fatal("valid queries infected by the failing one")
 	}
 	// Empty batch.
-	resp, _ = postJSON(t, ts.URL+"/v1/batch", BatchRequest{})
+	resp, _ = postJSON(t, ts.URL+"/v1/batch", wire.BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d", resp.StatusCode)
 	}
 	// Unknown algorithm.
-	req2 := BatchRequest{Algo: "bogus"}
+	req2 := wire.BatchRequest{Algo: "bogus"}
 	req2.Queries = req.Queries[:1]
 	resp, _ = postJSON(t, ts.URL+"/v1/batch", req2)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -285,13 +283,13 @@ func TestBatch(t *testing.T) {
 // still answers every item.
 func TestBatchWorkersClamped(t *testing.T) {
 	limit := runtime.GOMAXPROCS(0)
-	if got := (&BatchRequest{Workers: 100000}).FanOut(); got != limit {
+	if got := httpapi.BatchFanOut(&wire.BatchRequest{Workers: 100000}); got != limit {
 		t.Fatalf("FanOut() = %d for workers 100000, want GOMAXPROCS = %d", got, limit)
 	}
-	if got := (&BatchRequest{}).FanOut(); got != limit {
+	if got := httpapi.BatchFanOut(&wire.BatchRequest{}); got != limit {
 		t.Fatalf("FanOut() = %d for absent workers, want GOMAXPROCS = %d", got, limit)
 	}
-	if got := (&BatchRequest{Workers: 1}).FanOut(); got != 1 {
+	if got := httpapi.BatchFanOut(&wire.BatchRequest{Workers: 1}); got != 1 {
 		t.Fatalf("FanOut() = %d for workers 1, want 1", got)
 	}
 
@@ -303,15 +301,15 @@ func TestBatchWorkersClamped(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	req := BatchRequest{Workers: 100000}
+	req := wire.BatchRequest{Workers: 100000}
 	for i := 0; i < 8*limit+16; i++ { // distinct vertices: none deduplicated away
-		req.Queries = append(req.Queries, BatchQueryJSON{Q: graph.V(i * 7), K: 3})
+		req.Queries = append(req.Queries, wire.BatchQuery{Q: int64(i * 7), K: 3})
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d body %s", resp.StatusCode, body)
 	}
-	var out BatchResponse
+	var out wire.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -331,13 +329,13 @@ func TestBatchWorkersClamped(t *testing.T) {
 func TestCheckinMovesCommunities(t *testing.T) {
 	ts, g := newTestServer(t)
 	// Query before the move.
-	_, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
-	var before QueryResponse
+	_, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 4, Algo: "exact+"})
+	var before wire.Result
 	if err := json.Unmarshal(body, &before); err != nil {
 		t.Fatal(err)
 	}
 	// Teleport q across the square.
-	resp, _ := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 0, X: 0.99, Y: 0.99})
+	resp, _ := postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 0, X: 0.99, Y: 0.99})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkin status = %d", resp.StatusCode)
 	}
@@ -346,8 +344,8 @@ func TestCheckinMovesCommunities(t *testing.T) {
 	}
 	// The community's MCC must now be different (q moved away from its
 	// clique, so the circle covering clique+q grows).
-	_, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 4, Algo: "exact+"})
-	var after QueryResponse
+	_, body = postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 4, Algo: "exact+"})
+	var after wire.Result
 	if err := json.Unmarshal(body, &after); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +353,7 @@ func TestCheckinMovesCommunities(t *testing.T) {
 		t.Fatalf("MCC radius did not grow after teleport: %v -> %v", before.MCC.R, after.MCC.R)
 	}
 	// Unknown vertex.
-	resp, _ = postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 9999, X: 0.5, Y: 0.5})
+	resp, _ = postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 9999, X: 0.5, Y: 0.5})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown checkin status = %d", resp.StatusCode)
 	}
@@ -374,7 +372,7 @@ func TestConcurrentQueriesAndCheckins(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				if w%2 == 0 {
 					q := graph.V((w*10 + i) % 36)
-					buf, _ := json.Marshal(QueryRequest{Q: q, K: 4})
+					buf, _ := json.Marshal(wire.Query{Q: int64(q), K: 4})
 					resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
@@ -386,7 +384,7 @@ func TestConcurrentQueriesAndCheckins(t *testing.T) {
 						return
 					}
 				} else {
-					buf, _ := json.Marshal(CheckinRequest{V: graph.V(i % 36), X: 0.5, Y: 0.5})
+					buf, _ := json.Marshal(wire.CheckinRequest{V: int64(i % 36), X: 0.5, Y: 0.5})
 					resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
@@ -437,14 +435,14 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	_, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 2})
-	var def QueryResponse
+	_, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 2})
+	var def wire.Result
 	if err := json.Unmarshal(body, &def); err != nil {
 		t.Fatal(err)
 	}
 	zero := 0.0
-	_, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 2, EpsF: &zero})
-	var exact QueryResponse
+	_, body = postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 2, EpsF: &zero})
+	var exact wire.Result
 	if err := json.Unmarshal(body, &exact); err != nil {
 		t.Fatal(err)
 	}
@@ -459,15 +457,12 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 	}
 
 	// The batch path carries the same distinction in its template's EpsF pointer.
-	mkBatch := func(epsF *float64) BatchRequest {
-		req := BatchRequest{EpsF: epsF}
-		req.Queries = append(req.Queries, struct {
-			Q graph.V `json:"q"`
-			K int     `json:"k"`
-		}{0, 2})
+	mkBatch := func(epsF *float64) wire.BatchRequest {
+		req := wire.BatchRequest{EpsF: epsF}
+		req.Queries = append(req.Queries, wire.BatchQuery{Q: 0, K: 2})
 		return req
 	}
-	var out BatchResponse
+	var out wire.BatchResponse
 	_, body = postJSON(t, ts.URL+"/v1/batch", mkBatch(nil))
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
@@ -490,13 +485,13 @@ func TestQueryExplicitZeroEpsF(t *testing.T) {
 func TestNonFiniteInputsRejected(t *testing.T) {
 	ts, g := newTestServer(t)
 	before := g.Loc(3)
-	for _, bad := range []CheckinRequest{
+	for _, bad := range []wire.CheckinRequest{
 		{V: 3, X: math.NaN(), Y: 0.5},
 		{V: 3, X: 0.5, Y: math.NaN()},
 		{V: 3, X: math.Inf(1), Y: 0.5},
 		{V: 3, X: 0.5, Y: math.Inf(-1)},
 	} {
-		// CheckinRequest marshals NaN/Inf illegally via encoding/json, so
+		// wire.CheckinRequest marshals NaN/Inf illegally via encoding/json, so
 		// build the body by hand the way a hostile client would.
 		body := fmt.Sprintf(`{"v":%d,"x":%s,"y":%s}`, bad.V, jsonFloat(bad.X), jsonFloat(bad.Y))
 		resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader([]byte(body)))
@@ -553,9 +548,9 @@ func jsonFloat(f float64) string {
 // pooled workers' caches follow along (no stale communities).
 func TestEdgeEndpoint(t *testing.T) {
 	ts, g := newTestServer(t)
-	query := func() (*http.Response, QueryResponse) {
-		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 0, K: 5, Algo: "appinc"})
-		var out QueryResponse
+	query := func() (*http.Response, wire.Result) {
+		resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 5, Algo: "appinc"})
+		var out wire.Result
 		if resp.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatal(err)
@@ -570,9 +565,9 @@ func TestEdgeEndpoint(t *testing.T) {
 		t.Fatalf("pre-churn query: status=%d members=%v", resp.StatusCode, before.Members)
 	}
 
-	edge := func(u, v graph.V, op string) (int, EdgeResponse) {
-		resp, body := postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: u, V: v, Op: op})
-		var out EdgeResponse
+	edge := func(u, v int64, op string) (int, wire.EdgeResult) {
+		resp, body := postJSON(t, ts.URL+"/v1/edge", wire.EdgeRequest{U: u, V: v, Op: op})
+		var out wire.EdgeResult
 		if resp.StatusCode == http.StatusOK {
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatal(err)
@@ -638,8 +633,8 @@ func TestHealthSnapshotFields(t *testing.T) {
 	}
 	// A check-in and an edge update must advance their epochs and the
 	// sequence number.
-	postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 2, X: 0.4, Y: 0.4})
-	postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 30, Op: "insert"})
+	postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 2, X: 0.4, Y: 0.4})
+	postJSON(t, ts.URL+"/v1/edge", wire.EdgeRequest{U: 0, V: 30, Op: "insert"})
 	var after health
 	getJSON(t, ts.URL+"/v1/health", &after)
 	if after.SnapshotSeq <= before.SnapshotSeq {
@@ -662,12 +657,9 @@ func TestOversizedBodyRejected(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	big := BatchRequest{}
+	big := wire.BatchRequest{}
 	for i := 0; i < 2000; i++ {
-		big.Queries = append(big.Queries, struct {
-			Q graph.V `json:"q"`
-			K int     `json:"k"`
-		}{graph.V(i % 36), 4})
+		big.Queries = append(big.Queries, wire.BatchQuery{Q: int64(i % 36), K: 4})
 	}
 	for _, ep := range []string{"/v1/batch", "/v1/query", "/v1/checkin", "/v1/edge"} {
 		resp, _ := postJSON(t, ts.URL+ep, big)
@@ -676,7 +668,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 		}
 	}
 	// Within the cap still works.
-	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4})
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small body after cap: status = %d body %s", resp.StatusCode, body)
 	}
@@ -690,7 +682,7 @@ func TestQueryDeadline(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Q: 1, K: 4, Algo: "exact"})
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "exact"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline: status = %d body %s, want 503", resp.StatusCode, body)
 	}
@@ -701,11 +693,8 @@ func TestQueryDeadline(t *testing.T) {
 		t.Fatalf("expired deadline: body %s", body)
 	}
 	// Batches report the same way: 503, not 200 with per-item errors.
-	req := BatchRequest{}
-	req.Queries = append(req.Queries, struct {
-		Q graph.V `json:"q"`
-		K int     `json:"k"`
-	}{1, 4})
+	req := wire.BatchRequest{}
+	req.Queries = append(req.Queries, wire.BatchQuery{Q: int64(1), K: 4})
 	resp, body = postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired batch deadline: status = %d body %s, want 503", resp.StatusCode, body)
@@ -728,7 +717,7 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 				switch w % 3 {
 				case 0: // queries
 					q := graph.V((w*12 + i) % 36)
-					buf, _ := json.Marshal(QueryRequest{Q: q, K: 4})
+					buf, _ := json.Marshal(wire.Query{Q: int64(q), K: 4})
 					resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
@@ -740,7 +729,7 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 						return
 					}
 				case 1: // check-ins
-					buf, _ := json.Marshal(CheckinRequest{V: graph.V(i % 36), X: 0.5, Y: 0.5})
+					buf, _ := json.Marshal(wire.CheckinRequest{V: int64(i % 36), X: 0.5, Y: 0.5})
 					resp, err := http.Post(ts.URL+"/v1/checkin", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
@@ -752,9 +741,9 @@ func TestConcurrentQueriesCheckinsAndEdges(t *testing.T) {
 					if i%2 == 1 {
 						op = "delete"
 					}
-					u := graph.V((w + i) % 6)
-					v := graph.V(18 + (w+i)%6)
-					buf, _ := json.Marshal(EdgeRequest{U: u, V: v, Op: op})
+					u := int64((w + i) % 6)
+					v := int64(18 + (w+i)%6)
+					buf, _ := json.Marshal(wire.EdgeRequest{U: u, V: v, Op: op})
 					resp, err := http.Post(ts.URL+"/v1/edge", "application/json", bytes.NewReader(buf))
 					if err != nil {
 						errs <- err
@@ -807,10 +796,10 @@ func TestDurableServer(t *testing.T) {
 	}
 
 	// Acknowledged writes: a check-in and an edge insert.
-	if resp, body := postJSON(t, ts.URL+"/v1/checkin", CheckinRequest{V: 3, X: 0.25, Y: 0.75}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 3, X: 0.25, Y: 0.75}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkin: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/edge", EdgeRequest{U: 0, V: 18, Op: "insert"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/edge", wire.EdgeRequest{U: 0, V: 18, Op: "insert"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("edge: %d %s", resp.StatusCode, body)
 	}
 	getJSON(t, ts.URL+"/v1/health", &health)

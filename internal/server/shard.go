@@ -10,6 +10,7 @@ import (
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/shard"
 	"sacsearch/internal/snapshot"
+	"sacsearch/internal/wire"
 )
 
 // The /v1/shard/* protocol is the router-facing half of the sharded
@@ -23,65 +24,6 @@ import (
 // All three POST endpoints serve from one pinned snapshot per request, so a
 // reply is internally consistent; replicas of a shard serve them too (the
 // usual staleness gate applies).
-
-// ShardInfoResponse describes this node's place in the topology.
-type ShardInfoResponse struct {
-	ShardID int `json:"shardId"`
-	Shards  int `json:"shards"`
-	// MapChecksum identifies the shard-map artifact; the router refuses to
-	// mix shards loaded from different maps.
-	MapChecksum uint32 `json:"mapChecksum"`
-	Vertices    int    `json:"vertices"` // global id space
-	Owned       int    `json:"owned"`
-	Ghosts      int    `json:"ghosts"`
-	Edges       int    `json:"edges"` // edges materialized on this shard
-	Role        string `json:"role"`
-}
-
-// ShardSearchResponse is a shard's verdict on one query. Contained=true
-// means the attached outcome is certified equal to a whole-graph answer;
-// contained=false means the candidate community may cross shard boundaries
-// and the router must scatter-gather.
-type ShardSearchResponse struct {
-	Contained   bool           `json:"contained"`
-	NoCommunity bool           `json:"noCommunity,omitempty"`
-	Result      *QueryResponse `json:"result,omitempty"`
-}
-
-// ShardExpandRequest asks for the optimistic k-core closure around seeds
-// this shard owns.
-type ShardExpandRequest struct {
-	K     int       `json:"k"`
-	Seeds []graph.V `json:"seeds"`
-}
-
-// ShardVertexJSON is one owned vertex with its authoritative location and
-// full adjacency — the unit of the router's subgraph assembly.
-type ShardVertexJSON struct {
-	V   graph.V   `json:"v"`
-	X   float64   `json:"x"`
-	Y   float64   `json:"y"`
-	Adj []graph.V `json:"adj"`
-}
-
-// ShardExpandResponse carries the owned members of the seed components and
-// the frontier ghosts (owned by other shards) bordering them.
-type ShardExpandResponse struct {
-	Members  []ShardVertexJSON `json:"members"`
-	Frontier []graph.V         `json:"frontier"`
-}
-
-// ShardRangeRequest asks for every owned vertex inside the closed disk.
-type ShardRangeRequest struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
-}
-
-// ShardRangeResponse lists the owned vertices inside the disk.
-type ShardRangeResponse struct {
-	Members []ShardVertexJSON `json:"members"`
-}
 
 // certCache pins one certificate to the engine lineage and topology epoch
 // it was built for. The engine pointer matters on replicas, which swap
@@ -114,7 +56,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	g := snap.Graph()
 	owned, ghosts := s.cfg.Shard.Counts(g)
-	httpapi.WriteJSON(w, http.StatusOK, ShardInfoResponse{
+	httpapi.WriteJSON(w, http.StatusOK, wire.ShardInfo{
 		ShardID:     s.cfg.Shard.ID,
 		Shards:      s.cfg.Shard.Map.Shards,
 		MapChecksum: s.cfg.Shard.Map.Checksum(),
@@ -130,7 +72,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // holds. Validation runs exactly as /v1/query's would, so a router
 // forwarding the error envelope is indistinguishable from a single server.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.Query
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
@@ -141,7 +83,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	searcher := snap.Get()
 	defer snap.Put(searcher)
-	q, err := req.ToQuery()
+	q, err := httpapi.CoreQuery(req)
 	if err == nil {
 		err = searcher.ValidateQuery(q)
 	}
@@ -149,27 +91,27 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	if !s.cfg.Shard.Owns(req.Q) {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "q",
+	if !s.cfg.Shard.Owns(q.Q) {
+		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeWrongShard, "q",
 			fmt.Sprintf("vertex %d is owned by shard %d, not shard %d",
-				req.Q, s.cfg.Shard.Map.OwnerOf(req.Q), s.cfg.Shard.ID))
+				q.Q, s.cfg.Shard.Map.OwnerOf(q.Q), s.cfg.Shard.ID))
 		return
 	}
 	// The certificate covers the k-core candidate construction; θ-SAC scans
 	// a fixed disk instead and is always assembled router-side.
 	if spec, _ := core.LookupAlgo(req.Algo); spec != nil && spec.Name == "theta" {
-		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
+		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: false})
 		return
 	}
-	alive, certified := s.certFor(eng, snap).Contained(req.Q, req.K)
+	alive, certified := s.certFor(eng, snap).Contained(q.Q, q.K)
 	if !alive {
 		// q has fewer than k supporting neighbors even if every unseen edge
 		// survives: ErrNoCommunity is the exact global answer.
-		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, NoCommunity: true})
+		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, NoCommunity: true})
 		return
 	}
 	if !certified {
-		httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: false})
+		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: false})
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -181,17 +123,16 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, _ := core.LookupAlgo(req.Algo)
 	s.observeQuery(spec.Name, res.Stats)
-	resp := ToQueryResponse(spec.Name, res)
-	httpapi.WriteJSON(w, http.StatusOK, ShardSearchResponse{Contained: true, Result: &resp})
+	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, Result: httpapi.WireResult(spec.Name, res)})
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
-	var req ShardExpandRequest
+	var req wire.ShardExpandRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.K < 1 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "k",
+		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidArgument, "k",
 			fmt.Sprintf("k must be >= 1, got %d", req.K))
 		return
 	}
@@ -201,21 +142,22 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := eng.Current()
 	g := snap.Graph()
-	for _, v := range req.Seeds {
-		if v < 0 || int(v) >= g.NumVertices() {
-			httpapi.WriteError(w, r, http.StatusNotFound, httpapi.CodeUnknownVertex, "seeds",
-				fmt.Sprintf("unknown vertex %d", v))
+	seeds := make([]graph.V, len(req.Seeds))
+	for i, id := range req.Seeds {
+		v, ok := httpapi.KnownVertex(w, r, id, g.NumVertices(), "seeds")
+		if !ok {
 			return
 		}
+		seeds[i] = v
 		if !s.cfg.Shard.Owns(v) {
-			httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeWrongShard, "seeds",
+			httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeWrongShard, "seeds",
 				fmt.Sprintf("seed %d is owned by shard %d, not shard %d",
 					v, s.cfg.Shard.Map.OwnerOf(v), s.cfg.Shard.ID))
 			return
 		}
 	}
-	members, frontier := s.certFor(eng, snap).Expand(req.Seeds, req.K)
-	resp := ShardExpandResponse{Members: make([]ShardVertexJSON, len(members)), Frontier: frontier}
+	members, frontier := s.certFor(eng, snap).Expand(seeds, req.K)
+	resp := wire.ShardExpansion{Members: make([]wire.ShardVertex, len(members)), Frontier: graph.IDs(frontier)}
 	for i, v := range members {
 		resp.Members[i] = shardVertex(g, v)
 	}
@@ -223,12 +165,12 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
-	var req ShardRangeRequest
+	var req wire.ShardRangeRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !geom.Finite(req.X) || !geom.Finite(req.Y) || !geom.Finite(req.R) || req.R < 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, httpapi.CodeInvalidArgument, "r",
+		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidArgument, "r",
 			fmt.Sprintf("disk (%v, %v, r=%v) must be finite with r >= 0", req.X, req.Y, req.R))
 		return
 	}
@@ -239,7 +181,7 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	g := snap.Graph()
 	circle := geom.Circle{C: geom.Point{X: req.X, Y: req.Y}, R: req.R}
-	var resp ShardRangeResponse
+	var resp wire.ShardRangeResponse
 	// Same closed-disk predicate (geom.Eps tolerance) as θ-SAC's own scan,
 	// so the assembled membership matches a single-engine run bit for bit.
 	for v := 0; v < g.NumVertices(); v++ {
@@ -253,12 +195,11 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 // shardVertex snapshots one owned vertex for the wire: location plus full
 // adjacency (complete by the subgraph invariant — every edge of an owned
 // vertex is materialized on its owner).
-func shardVertex(g *graph.Graph, v graph.V) ShardVertexJSON {
+func shardVertex(g *graph.Graph, v graph.V) wire.ShardVertex {
 	loc := g.Loc(v)
-	adj := g.Neighbors(v)
-	out := ShardVertexJSON{V: v, X: loc.X, Y: loc.Y}
-	if len(adj) > 0 {
-		out.Adj = append([]graph.V(nil), adj...)
+	out := wire.ShardVertex{V: int64(v), X: loc.X, Y: loc.Y}
+	if adj := g.Neighbors(v); len(adj) > 0 {
+		out.Adj = graph.IDs(adj)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/subscribe"
+	"sacsearch/internal/wire"
 )
 
 // handleSubscribe serves GET /v1/subscribe through the shared handler; the
@@ -33,7 +34,7 @@ func (s *Server) handleShardWatch(w http.ResponseWriter, r *http.Request) {
 	st, replay, err := s.feed.Attach(lastID, hasLast)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		httpapi.WriteError(w, r, http.StatusServiceUnavailable, httpapi.CodeNotReady, "", "server draining")
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeNotReady, "", "server draining")
 		return
 	}
 	defer s.feed.Detach(st)

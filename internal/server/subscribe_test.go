@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"sacsearch/client"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // sseFrame is one parsed frame off a raw /v1/subscribe stream.
@@ -173,7 +173,7 @@ func TestSubscribeErrorEnvelopes(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), httpapi.CodeUnknownSubscription) {
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), wire.CodeUnknownSubscription) {
 		t.Fatalf("resume of unknown id: %d %s", resp.StatusCode, body)
 	}
 
@@ -198,7 +198,7 @@ func TestSubscribeErrorEnvelopes(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("out-of-range q: status %d, want 400", resp.StatusCode)
 	}
-	var env httpapi.ErrorJSON
+	var env wire.Error
 	err = json.NewDecoder(resp.Body).Decode(&env)
 	resp.Body.Close()
 	if err != nil || env.Code != "invalid_query" || env.Field != "q" || !strings.Contains(env.Error, "4294967299") {
@@ -241,7 +241,7 @@ func TestSubscribeLimit(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), httpapi.CodeSubscriptionLimit) {
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), wire.CodeSubscriptionLimit) {
 		t.Fatalf("over limit: %d %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {

@@ -9,7 +9,7 @@ import (
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/httpapi"
+	"sacsearch/internal/wire"
 )
 
 // TestV1AliasesAPI pins that /v1 is the only HTTP surface: every read route
@@ -60,7 +60,7 @@ func TestErrorEnvelope(t *testing.T) {
 		code   string
 	}{
 		{"malformed JSON", func() *http.Response { return post("/v1/query", "{nope") },
-			http.StatusBadRequest, httpapi.CodeInvalidJSON},
+			http.StatusBadRequest, wire.CodeInvalidJSON},
 		{"unknown algo", func() *http.Response { return post("/v1/query", `{"q":1,"k":4,"algo":"bogus"}`) },
 			http.StatusBadRequest, core.ErrCodeUnknownAlgorithm},
 		{"k below 1", func() *http.Response { return post("/v1/query", `{"q":1,"k":0}`) },
@@ -72,7 +72,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"structure mismatch", func() *http.Response { return post("/v1/query", `{"q":1,"k":4,"structure":"ktruss"}`) },
 			http.StatusBadRequest, core.ErrCodeStructureMismatch},
 		{"no community", func() *http.Response { return post("/v1/query", `{"q":1,"k":40}`) },
-			http.StatusNotFound, httpapi.CodeNoCommunity},
+			http.StatusNotFound, wire.CodeNoCommunity},
 		{"empty batch", func() *http.Response { return post("/v1/batch", `{"queries":[]}`) },
 			http.StatusBadRequest, core.ErrCodeInvalidQuery},
 		{"batch bad epsA", func() *http.Response {
@@ -88,13 +88,13 @@ func TestErrorEnvelope(t *testing.T) {
 		},
 			http.StatusBadRequest, core.ErrCodeStructureMismatch},
 		{"checkin unknown vertex", func() *http.Response { return post("/v1/checkin", `{"v":9999,"x":0.5,"y":0.5}`) },
-			http.StatusNotFound, httpapi.CodeUnknownVertex},
+			http.StatusNotFound, wire.CodeUnknownVertex},
 		{"edge bad op", func() *http.Response { return post("/v1/edge", `{"u":0,"v":1,"op":"sever"}`) },
-			http.StatusBadRequest, httpapi.CodeInvalidArgument},
+			http.StatusBadRequest, wire.CodeInvalidArgument},
 		{"malformed vertex id", func() *http.Response { return get("/v1/vertex/abc") },
-			http.StatusBadRequest, httpapi.CodeInvalidArgument},
+			http.StatusBadRequest, wire.CodeInvalidArgument},
 		{"unknown vertex id", func() *http.Response { return get("/v1/vertex/9999") },
-			http.StatusNotFound, httpapi.CodeUnknownVertex},
+			http.StatusNotFound, wire.CodeUnknownVertex},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +103,7 @@ func TestErrorEnvelope(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
 			}
-			var env httpapi.ErrorJSON
+			var env wire.Error
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 				t.Fatalf("non-2xx body is not an error envelope: %v", err)
 			}
@@ -190,15 +190,15 @@ func TestAlgorithmsFromRegistry(t *testing.T) {
 // endpoint could not express before the registry-driven request shape.
 func TestV1BatchTheta(t *testing.T) {
 	ts, g := newTestServer(t)
-	req := BatchRequest{Algo: "theta", Theta: core.Float(0.2), Workers: 2}
-	for _, q := range []graph.V{1, 7} {
-		req.Queries = append(req.Queries, BatchQueryJSON{Q: q, K: 4})
+	req := wire.BatchRequest{Algo: "theta", Theta: core.Float(0.2), Workers: 2}
+	for _, q := range []int64{1, 7} {
+		req.Queries = append(req.Queries, wire.BatchQuery{Q: q, K: 4})
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d body %s", resp.StatusCode, body)
 	}
-	var out BatchResponse
+	var out wire.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/snapshot"
+	"sacsearch/internal/wire"
 )
 
 // The differential contract: for every algorithm, replaying a standing
@@ -27,7 +28,7 @@ import (
 // client would hold after consuming it.
 type replayState struct {
 	members     map[int64]bool
-	mcc         Circle
+	mcc         wire.Circle
 	delta       float64
 	noCommunity bool
 	sawInit     bool

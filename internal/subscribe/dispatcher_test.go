@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
 	"sacsearch/internal/telemetry"
 )
 
@@ -68,9 +67,9 @@ func (b *fakeBackend) Evaluate(sub *Sub, _ *fakePend) (*EvalResult, error) {
 		b.fail[sub.ID]--
 		return nil, errors.New("scripted failure")
 	}
-	members := make([]graph.V, b.evals[sub.ID])
+	members := make([]int64, b.evals[sub.ID])
 	for i := range members {
-		members[i] = graph.V(i)
+		members[i] = int64(i)
 	}
 	return &EvalResult{Members: members}, nil
 }

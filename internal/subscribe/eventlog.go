@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // eventLog is the delivery machinery a subscription (Sub) and a shard's
@@ -92,7 +93,7 @@ func (l *eventLog) attach(lastEventID uint64, hasLast bool, synth func(latest ui
 // take it (a full buffer outranks the goodbye), after whatever it already
 // buffered, and every stream is closed. A second bye is a no-op. Caller
 // holds mu.
-func (l *eventLog) bye(payload ByeJSON) {
+func (l *eventLog) bye(payload wire.Bye) {
 	if l.closed {
 		return
 	}

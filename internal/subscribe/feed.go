@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"sacsearch/internal/snapshot"
+	"sacsearch/internal/wire"
 )
 
 // Feed event kinds on the /v1/shard/watch wire.
@@ -11,18 +12,6 @@ const (
 	KindPub    = "pub"    // one publication's change summary
 	KindResync = "resync" // the watcher's view is stale: re-evaluate everything
 )
-
-// WatchJSON is the payload of one feed event: the vertices and edges one
-// published snapshot changed. A Resync frame means the change history is
-// unknown (fresh attach, a resume gap, or an engine swap after a replica
-// resync) and every derived answer must be recomputed.
-type WatchJSON struct {
-	Seq      uint64     `json:"seq"`
-	SnapSeq  uint64     `json:"snapSeq,omitempty"`
-	Resync   bool       `json:"resync,omitempty"`
-	Checkins []int64    `json:"checkins,omitempty"`
-	Edges    [][2]int64 `json:"edges,omitempty"`
-}
 
 // Feed is a shard's publication firehose: every published snapshot becomes
 // one compact change-summary event fanned to attached watchers (routers)
@@ -48,7 +37,7 @@ func NewFeed(opt Options) *Feed {
 // (check-ins deduplicated, edges verbatim) into a feed event. A nil events
 // slice — an engine swap after a replica resync — becomes a resync frame.
 func (f *Feed) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
-	var payload WatchJSON
+	var payload wire.WatchEvent
 	if snap != nil {
 		payload.SnapSeq = snap.Seq()
 	}
@@ -94,7 +83,7 @@ func (f *Feed) Attach(lastEventID uint64, hasLast bool) (*Stream, []Event, error
 		return nil, nil, ErrClosed
 	}
 	st, replay := f.attach(lastEventID, hasLast, func(latest uint64) Event {
-		data, _ := json.Marshal(WatchJSON{Seq: latest, Resync: true})
+		data, _ := json.Marshal(wire.WatchEvent{Seq: latest, Resync: true})
 		return Event{Seq: latest, Kind: KindResync, Data: data}
 	})
 	return st, replay, nil
@@ -112,5 +101,5 @@ func (f *Feed) Detach(st *Stream) {
 func (f *Feed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.bye(ByeJSON{Reason: "server draining"})
+	f.bye(wire.Bye{Reason: "server draining"})
 }

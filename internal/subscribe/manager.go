@@ -9,6 +9,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/snapshot"
+	"sacsearch/internal/wire"
 )
 
 // ManagerOptions assembles a Manager.
@@ -209,8 +210,8 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	var er EvalResult
 	switch {
 	case err == nil:
-		er.Members = res.Members
-		er.MCC = Circle{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R}
+		er.Members = graph.IDs(res.Members)
+		er.MCC = wire.Circle{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R}
 		er.Delta = res.Delta
 	case errors.Is(err, core.ErrNoCommunity):
 		er.NoCommunity = true

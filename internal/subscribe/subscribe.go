@@ -31,8 +31,8 @@ import (
 	"time"
 
 	"sacsearch/internal/core"
-	"sacsearch/internal/graph"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wire"
 )
 
 // Errors returned by Hub.Register. The HTTP layer maps ErrLimit onto a 429
@@ -60,57 +60,25 @@ type Event struct {
 	Data []byte
 }
 
-// Circle is the wire shape of a covering circle.
-type Circle struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
-}
-
-// EventJSON is the payload of init and delta events. An init carries the
-// full membership in Members; a delta carries only Joined/Left relative to
-// the previous event. MCC is present whenever a community exists, and Hash
-// fingerprints the full (members, mcc, noCommunity) state after the event,
-// so a client can verify its replayed view without refetching.
-type EventJSON struct {
-	Sub         string  `json:"sub"`
-	Seq         uint64  `json:"seq"`
-	Q           int64   `json:"q"`
-	K           int     `json:"k"`
-	Algo        string  `json:"algo"`
-	NoCommunity bool    `json:"noCommunity"`
-	Members     []int64 `json:"members,omitempty"`
-	Joined      []int64 `json:"joined,omitempty"`
-	Left        []int64 `json:"left,omitempty"`
-	MCC         *Circle `json:"mcc,omitempty"`
-	Delta       float64 `json:"delta,omitempty"`
-	Hash        string  `json:"hash"`
-}
-
-// ByeJSON is the payload of the terminal bye event.
-type ByeJSON struct {
-	Sub    string `json:"sub"`
-	Reason string `json:"reason"`
-}
+// EventJSON is the payload of init and delta events (wire.SubEvent). The
+// alias exists only because bench/trace.go names it; see ROADMAP item 8.
+type EventJSON = wire.SubEvent
 
 // EvalResult is one evaluation's outcome, handed to Sub.Apply by the
 // dispatcher.
 // Members must be ascending (core.Result order) and are retained.
 type EvalResult struct {
-	Members     []graph.V
-	MCC         Circle
+	Members     []int64
+	MCC         wire.Circle
 	Delta       float64
 	NoCommunity bool
 }
 
-// state is the last delivered result of one subscription.
+// state is the last delivered result of one subscription and its hash.
 type state struct {
-	valid       bool // false until the first Apply
-	noCommunity bool
-	members     []graph.V // ascending
-	mcc         Circle
-	delta       float64
-	hash        uint64
+	EvalResult
+	valid bool // false until the first Apply
+	hash  uint64
 }
 
 // resultHash fingerprints a result with FNV-1a so "did anything change?" is
@@ -363,32 +331,15 @@ func (sub *Sub) Apply(r *EvalResult, publishedAt time.Time) {
 	if sub.st.valid && sub.st.hash == hash {
 		return
 	}
-	var payload EventJSON
+	prev := sub.st
+	sub.st = state{EvalResult: *r, valid: true, hash: hash}
+	payload := sub.payload()
 	kind := KindDelta
-	if !sub.st.valid {
+	if !prev.valid {
 		kind = KindInit
-		payload.Members = toInt64s(r.Members)
+		payload.Members = r.Members
 	} else {
-		payload.Joined, payload.Left = diffMembers(sub.st.members, r.Members)
-	}
-	payload.Sub = sub.ID
-	payload.Q = int64(sub.Query.Q)
-	payload.K = sub.Query.K
-	payload.Algo = sub.Query.Algo
-	payload.NoCommunity = r.NoCommunity
-	payload.Hash = fmt.Sprintf("%016x", hash)
-	if !r.NoCommunity {
-		mcc := r.MCC
-		payload.MCC = &mcc
-		payload.Delta = r.Delta
-	}
-	sub.st = state{
-		valid:       true,
-		noCommunity: r.NoCommunity,
-		members:     r.Members,
-		mcc:         r.MCC,
-		delta:       r.Delta,
-		hash:        hash,
+		payload.Joined, payload.Left = diffMembers(prev.Members, r.Members)
 	}
 	sub.append(kind, func(seq uint64) any {
 		payload.Seq = seq
@@ -423,25 +374,31 @@ func (sub *Sub) Attach(lastEventID uint64, hasLast bool) (*Stream, []Event, erro
 	return st, replay, nil
 }
 
-// initEvent synthesizes a full-state init frame at the given seq (the state
-// after every event ≤ seq). Caller holds sub.mu.
-func (sub *Sub) initEvent(seq uint64) Event {
-	payload := EventJSON{
+// payload is the event payload for the last delivered state, less what an
+// init (Members) or a delta (Joined/Left) adds and the sequence number.
+// Caller holds sub.mu.
+func (sub *Sub) payload() wire.SubEvent {
+	p := wire.SubEvent{
 		Sub:         sub.ID,
-		Seq:         seq,
 		Q:           int64(sub.Query.Q),
 		K:           sub.Query.K,
 		Algo:        sub.Query.Algo,
-		NoCommunity: sub.st.noCommunity,
-		Members:     toInt64s(sub.st.members),
+		NoCommunity: sub.st.NoCommunity,
 		Hash:        fmt.Sprintf("%016x", sub.st.hash),
 	}
-	if !sub.st.noCommunity {
-		mcc := sub.st.mcc
-		payload.MCC = &mcc
-		payload.Delta = sub.st.delta
+	if !sub.st.NoCommunity {
+		mcc := sub.st.MCC
+		p.MCC, p.Delta = &mcc, sub.st.Delta
 	}
-	data, _ := json.Marshal(payload)
+	return p
+}
+
+// initEvent synthesizes a full-state init frame at the given seq (the state
+// after every event ≤ seq). Caller holds sub.mu.
+func (sub *Sub) initEvent(seq uint64) Event {
+	p := sub.payload()
+	p.Seq, p.Members = seq, sub.st.Members
+	data, _ := json.Marshal(p)
 	return Event{Seq: seq, Kind: KindInit, Data: data}
 }
 
@@ -460,7 +417,7 @@ func (sub *Sub) Detach(st *Stream) {
 func (sub *Sub) terminate(reason string) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
-	sub.bye(ByeJSON{Sub: sub.ID, Reason: reason})
+	sub.bye(wire.Bye{Sub: sub.ID, Reason: reason})
 }
 
 // SameQuery reports whether two validated queries denote the same standing
@@ -480,20 +437,9 @@ func sameParam(a, b *float64) bool {
 	return a == nil || *a == *b
 }
 
-func toInt64s(vs []graph.V) []int64 {
-	if vs == nil {
-		return nil
-	}
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
-	}
-	return out
-}
-
 // diffMembers computes joined/left between two ascending member lists by a
 // single merge pass.
-func diffMembers(old, cur []graph.V) (joined, left []int64) {
+func diffMembers(old, cur []int64) (joined, left []int64) {
 	i, j := 0, 0
 	for i < len(old) && j < len(cur) {
 		switch {
@@ -501,18 +447,18 @@ func diffMembers(old, cur []graph.V) (joined, left []int64) {
 			i++
 			j++
 		case old[i] < cur[j]:
-			left = append(left, int64(old[i]))
+			left = append(left, old[i])
 			i++
 		default:
-			joined = append(joined, int64(cur[j]))
+			joined = append(joined, cur[j])
 			j++
 		}
 	}
 	for ; i < len(old); i++ {
-		left = append(left, int64(old[i]))
+		left = append(left, old[i])
 	}
 	for ; j < len(cur); j++ {
-		joined = append(joined, int64(cur[j]))
+		joined = append(joined, cur[j])
 	}
 	return joined, left
 }

@@ -398,11 +398,13 @@ func BenchmarkRepeatedCommunityQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkColdView times the uncached-view query: AppFast and AppInc over a
-// stream of distinct query vertices on syn1 at full scale (one 30 000-vertex
-// 4-core), so every query pays distance + sort + prefix-oracle build — the
-// cost of any query that follows a write. It is for local iteration on that
-// rebuild; the evidence for a claim is the bench/ run.
+// BenchmarkColdView times the uncached-view query: AppFast, AppInc and AppAcc
+// over a stream of distinct query vertices on syn1 at full scale (one
+// 30 000-vertex 4-core), so every query pays distance + sort + prefix-oracle
+// build — the cost of any query that follows a write — and AppAcc its anchor
+// refinement on top, whose size feas/op (feasibility checks) and anchors/op
+// (anchors binary-searched) report. It is for local iteration on the rebuild
+// and on the circle peel; the evidence for a claim is the bench/ run.
 func BenchmarkColdView(b *testing.B) {
 	ds, err := sacsearch.LoadDataset("syn1", 1)
 	if err != nil {
@@ -413,20 +415,29 @@ func BenchmarkColdView(b *testing.B) {
 	queries := sacsearch.QueryWorkload(ds.Graph, benchK, 512, benchSeed)
 	for _, algo := range []struct {
 		name string
-		run  func(s *sacsearch.Searcher, q sacsearch.V) error
+		run  func(s *sacsearch.Searcher, q sacsearch.V) (*sacsearch.Result, error)
 	}{
-		{"AppFast", func(s *sacsearch.Searcher, q sacsearch.V) error { _, err := s.AppFast(q, benchK, 0.5); return err }},
-		{"AppInc", func(s *sacsearch.Searcher, q sacsearch.V) error { _, err := s.AppInc(q, benchK); return err }},
+		{"AppFast", func(s *sacsearch.Searcher, q sacsearch.V) (*sacsearch.Result, error) {
+			return s.AppFast(q, benchK, 0.5)
+		}},
+		{"AppInc", func(s *sacsearch.Searcher, q sacsearch.V) (*sacsearch.Result, error) { return s.AppInc(q, benchK) }},
+		{"AppAcc", func(s *sacsearch.Searcher, q sacsearch.V) (*sacsearch.Result, error) { return s.AppAcc(q, benchK, 0.5) }},
 	} {
 		b.Run(algo.name, func(b *testing.B) {
 			s := sacsearch.NewSearcher(ds.Graph)
+			var feas, anchors int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := algo.run(s, queries[i%len(queries)]); err != nil {
+				res, err := algo.run(s, queries[i%len(queries)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				feas += res.Stats.FeasibilityChecks
+				anchors += res.Stats.AnchorsProcessed
 			}
+			b.ReportMetric(float64(feas)/float64(b.N), "feas/op")
+			b.ReportMetric(float64(anchors)/float64(b.N), "anchors/op")
 		})
 	}
 }

@@ -14,8 +14,8 @@ const sqrt2 = 1.4142135623730951
 // appAccState is everything AppAcc learns about a query; ExactPlus builds
 // its annulus pruning (Section 4.5) on top of it. One instance lives inside
 // the Searcher and is reset per query, so the refinement allocates nothing
-// in steady state. The anchor gathers run circle range queries against the
-// Searcher's per-query grid over S instead of sorting S per anchor.
+// in steady state (TestAppAccAllocs). The anchor probes are circle
+// feasibility checks against the Searcher's per-query index of S.
 type appAccState struct {
 	members []graph.V // Γ: best community found
 	delta   float64   // δ from AppFast(0)
@@ -24,9 +24,10 @@ type appAccState struct {
 
 	S []graph.V // the k-ĉore containing q inside O(q, 2γ) — contains Ψ
 
-	finalCells []quadtree.Cell // surviving anchors of the last processed level
-	finalHalf  float64         // half-width of those cells
-	degenerate bool            // γ == 0: Φ is already optimal
+	frontier   quadtree.Frontier // the anchor level being refined
+	finalCells []quadtree.Cell   // surviving anchors of the last processed level
+	finalHalf  float64           // half-width of those cells
+	degenerate bool              // γ == 0: Φ is already optimal
 }
 
 // reset prepares the state for a new query, keeping backing storage.
@@ -63,7 +64,7 @@ func (s *Searcher) appAccBody(cand *candidateSet, q graph.V, k int, p resolvedPa
 func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *appAccState {
 	// Step 1: Φ, δ, γ via the εF = 0 binary search (Algorithm 4, line 2).
 	phi, delta := s.appFastSearch(cand, q, k, 0)
-	gamma := s.g.MCCOf(phi).R
+	gamma := s.mccOf(phi).R
 
 	st := &s.acc
 	st.reset()
@@ -86,15 +87,16 @@ func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *a
 		// Cannot happen: Φ ⊆ O(q, δ) ⊆ O(q, 2γ) is feasible. Guard anyway.
 		st.S = append(st.S, phi...)
 	}
-	// Index S once; every anchor prefix gather below — and ExactPlus's
-	// annulus filter and circle enumeration afterwards — range-query it.
-	s.sGrid.Build(s.g, st.S, gridTargetPerCell)
+	// Index S once; every anchor probe below — and ExactPlus's annulus
+	// filter and circle enumeration afterwards — cuts its circle from it.
+	s.indexWorkingSet(st.S, q)
 
 	// Step 3: level-by-level anchor refinement.
 	qLoc := s.g.Loc(q)
 	betaMin := delta * epsA / (sqrt2 * (2 + epsA)) // threshold on cell width β
 	alphaP := delta * epsA / 4                     // binary-search gap α'
-	frontier := quadtree.NewFrontier(quadtree.Root(qLoc, gamma))
+	frontier := &st.frontier
+	frontier.Reset(quadtree.Root(qLoc, gamma))
 
 	for frontier.Len() > 0 && frontier.Half()*2 >= betaMin {
 		if s.canceled() {
@@ -153,16 +155,8 @@ func (s *Searcher) appAcc(cand *candidateSet, q graph.V, k int, epsA float64) *a
 // cell's infeasibility knowledge.
 func (s *Searcher) anchorSearch(st *appAccState, cell *quadtree.Cell, q graph.V, k int, alphaP, cover float64) {
 	p := cell.C
-	// prefix(r) = S members within distance r of p, gathered by a circle
-	// range query against the per-query grid over S (output-sensitive; the
-	// old path sorted all of S by anchor distance for every anchor).
-	prefix := func(r float64) []graph.V {
-		s.subBuf = s.sGrid.InCircle(geom.Circle{C: p, R: r}, s.subBuf[:0])
-		return s.subBuf
-	}
-
 	u := st.rcur + cover
-	c0 := s.feasible(prefix(u), q, k)
+	c0 := s.circleFeasible(geom.Circle{C: p, R: u}, q, k, nil)
 	if c0 == nil {
 		// No feasible solution within the widest useful radius: record for
 		// Pruning2 and stop.
@@ -172,7 +166,11 @@ func (s *Searcher) anchorSearch(st *appAccState, cell *quadtree.Cell, q graph.V,
 		return
 	}
 	bestMembers := append(s.anchorBuf[:0], c0...)
-	defer func() { s.anchorBuf = bestMembers[:0] }()
+	// Every later probe of this anchor is a smaller circle around p than the
+	// one bestMembers was found in — r < u ≤ that circle's radius + Eps, by
+	// more than Eps while the loop runs — so it cuts its vertices from
+	// bestMembers' positions instead of from the grid.
+	held := s.holdAnswer()
 	l := st.delta / 2 // r_p ≥ ropt ≥ δ/2 (Lemma 3)
 	if cell.InfeasibleR > l {
 		l = cell.InfeasibleR
@@ -183,8 +181,9 @@ func (s *Searcher) anchorSearch(st *appAccState, cell *quadtree.Cell, q graph.V,
 		}
 		s.stats.BinaryIters++
 		r := (l + u) / 2
-		if c := s.feasible(prefix(r), q, k); c != nil {
+		if c := s.circleFeasible(geom.Circle{C: p, R: r}, q, k, held); c != nil {
 			bestMembers = append(bestMembers[:0], c...)
+			held = s.holdAnswer()
 			// Shrink to the actual farthest member, not just r.
 			u = s.maxDistFrom(p, bestMembers)
 		} else {
@@ -196,8 +195,9 @@ func (s *Searcher) anchorSearch(st *appAccState, cell *quadtree.Cell, q graph.V,
 	}
 	// The community found in the smallest feasible anchor circle; its true
 	// MCC may be smaller still.
-	if mcc := s.g.MCCOf(bestMembers); mcc.R < st.rcur {
+	if mcc := s.mccOf(bestMembers); mcc.R < st.rcur {
 		st.rcur = mcc.R
 		st.members = append(st.members[:0], bestMembers...)
 	}
+	s.anchorBuf = bestMembers[:0]
 }

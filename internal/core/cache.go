@@ -84,10 +84,9 @@ type cacheEntry struct {
 	// Induced-subgraph CSR over members, in local ids (positions in
 	// members), built lazily on the first feasibility check into the
 	// community. Every candidate set an algorithm peels is a subset of
-	// members, so restricted k-core checks can walk this dense, cross-
-	// community-edge-free adjacency instead of the global CSR — the
-	// feasibility probes of the binary searches are the hot path's hottest
-	// loop. adjOff is nil until built.
+	// members, so the prefix oracle sweeps this dense, cross-community-edge-
+	// free adjacency instead of the global CSR, and a query's working set
+	// cuts its own CSR out of it (circle.go). adjOff is nil until built.
 	adjOff   []int32
 	adjLocal []int32
 }
@@ -119,6 +118,26 @@ func (e *cacheEntry) buildInduced(g *graph.Graph, localOf []int32, valid *graph.
 			}
 		}
 	}
+}
+
+// bindLocal points the Searcher's global→local id translation at e. Binding
+// is O(|members|) and skipped when e is already bound, so repeated queries
+// into the same community pay nothing.
+func (s *Searcher) bindLocal(e *cacheEntry) {
+	if s.localEntry == e {
+		return
+	}
+	if s.localOf == nil {
+		n := s.g.NumVertices()
+		s.localOf = make([]int32, n)
+		s.localValid = graph.NewMarker(n)
+	}
+	s.localValid.Reset()
+	for i, v := range e.members {
+		s.localOf[v] = int32(i)
+		s.localValid.Mark(v)
+	}
+	s.localEntry = e
 }
 
 // maxCachedVertices bounds the total member slots held by one Searcher's

@@ -22,6 +22,22 @@
 // Structure cohesiveness is pluggable: the default is the minimum-degree
 // k-core metric; the k-truss and k-clique metrics (Section 3 "Remarks") are
 // available via StructureKTruss and StructureKClique.
+//
+// Every algorithm reduces to one question asked many times — which connected
+// k-structure holding q lies inside this vertex set? — and for the k-core
+// metric it has three answers that agree on the members (the last two on
+// their order as well, a BFS from q; the oracle's is its own, see there):
+//
+//   - the prefix oracle (oracle.go), for a distance prefix of q's cached
+//     sorted view: one sweep answers every prefix, a probe is a binary search;
+//   - the grid peel (circle.go), for the vertices of the query's working set
+//     inside a circle, or any subset of it: the per-query spatial.SubGrid is
+//     the id space of a compact CSR cut from the cached community's induced
+//     rows, and the peel runs over grid positions;
+//   - the global kcore.Peeler, for vertex sets that are a subset of nothing
+//     cached: θ-SAC's circle, and every query with candidate caching off.
+//
+// k-truss and k-clique have one checker each (Searcher.feasible dispatches).
 package core
 
 import (
@@ -37,7 +53,6 @@ import (
 	"sacsearch/internal/kclique"
 	"sacsearch/internal/kcore"
 	"sacsearch/internal/ktruss"
-	"sacsearch/internal/spatial"
 )
 
 // ErrNoCommunity is returned when the query vertex belongs to no connected
@@ -151,15 +166,15 @@ type Searcher struct {
 
 	// curEntry/curView identify the cache entry and sorted view of the query
 	// in flight (nil when caching is off or the query bypassed the cache);
-	// the k-core feasibility fast paths peel the entry's induced adjacency
-	// and answer prefix probes through the view's oracle.
+	// the k-core feasibility fast paths answer prefix probes through the
+	// view's oracle and cut the working set's CSR from the entry's induced
+	// adjacency.
 	curEntry *cacheEntry
 	curView  *sortedView
-	// Global→local id translation for localEntry's members (see localpeel.go).
+	// Global→local id translation for localEntry's members (see bindLocal).
 	localEntry *cacheEntry
 	localOf    []int32
 	localValid *graph.Marker
-	lp         localPeeler
 	oracleBuf  oracleScratch
 
 	// Scratch buffers shared by the algorithms.
@@ -169,6 +184,7 @@ type Searcher struct {
 	fastBuf   []graph.V // appFastSearch's incumbent community Λ
 	bestBuf   []graph.V // Exact's incumbent community
 	anchorBuf []graph.V // anchorSearch's incumbent community
+	anchorPos []int32   // and its positions in the working set (holdAnswer)
 	f1Buf     []graph.V // ExactPlus's potential fixed vertices F1
 	ptsBuf    []geom.Point
 	inX       *graph.Marker
@@ -182,23 +198,24 @@ type Searcher struct {
 	sortKeys []float64
 	distSort distSorter
 
-	// sGrid indexes the working candidate set of the query in flight: X for
-	// Exact, S (the k-ĉore inside O(q, 2γ)) for AppAcc/ExactPlus. Circle
-	// enumeration and anchor gathers run range queries against it instead of
-	// scanning the whole set per circle.
-	sGrid spatial.SubGrid
+	// ws indexes the working set of the query in flight: X for Exact, S (the
+	// k-ĉore inside O(q, 2γ)) for AppAcc/ExactPlus. Circle enumeration and
+	// anchor probes go through circleFeasible against it (circle.go), with pk
+	// as the peel's scratch.
+	ws workingSet
+	pk posPeeler
 
 	// acc is AppAcc's per-query state, reused across queries.
 	acc appAccState
 
 	// parallel is the worker budget for intra-query parallel circle
 	// enumeration (see parallel.go); 0 and 1 both mean serial. parWorkers
-	// caches the lazily cloned enumeration workers, and parGrid points a
-	// worker at the dispatching searcher's per-query candidate grid
-	// (read-only after Build) for the duration of one scan.
+	// caches the lazily cloned enumeration workers, and wsFrom points a
+	// worker at the dispatching searcher's working set (read-only once
+	// indexed) for the duration of one scan.
 	parallel   int
 	parWorkers []*Searcher
-	parGrid    *spatial.SubGrid
+	wsFrom     *workingSet
 
 	stats Stats // counters for the query in flight
 
@@ -329,8 +346,10 @@ func (s *Searcher) trivialK(q graph.V, k int) (members []graph.V, delta float64,
 	return []graph.V{q, nn}, s.g.Dist(q, nn), true, nil
 }
 
-// feasible returns the maximal connected structure (k-core or k-truss)
-// containing q within G[S], or nil. The returned slice is scratch-owned.
+// feasible returns the maximal connected structure (k-core, k-truss or
+// k-clique community) containing q within G[S], or nil. The returned slice is
+// scratch-owned. Circle subsets of the working set do not come here with
+// their ids: they go through circleFeasible.
 func (s *Searcher) feasible(S []graph.V, q graph.V, k int) []graph.V {
 	s.stats.FeasibilityChecks++
 	switch s.structure {
@@ -339,18 +358,17 @@ func (s *Searcher) feasible(S []graph.V, q graph.V, k int) []graph.V {
 	case StructureKClique:
 		return s.cliqueChk.KCliqueWithin(S, q, k)
 	default:
-		// Queries that went through the candidate cache get two fast paths:
-		// distance-prefix probes (the binary searches) are answered by the
-		// view's prefix oracle in O(answer), and arbitrary member subsets
-		// (circle gathers) peel the cached community's induced adjacency —
-		// dense local ids, no cross-community edges. ThetaSAC and uncached
-		// queries take the global peeler (their S is not guaranteed to be a
-		// member subset).
-		if s.curEntry != nil {
-			if vw := s.curView; vw != nil && len(S) > 0 && len(S) <= len(vw.verts) && &S[0] == &vw.verts[0] {
-				return s.prefixFeasible(s.curEntry, vw, len(S), q, k)
-			}
-			return s.kcoreWithinCached(s.curEntry, S, q, k)
+		// Three k-core paths, all returning the members the last one would. A
+		// distance prefix of the cached view (the binary searches) is answered
+		// by the view's prefix oracle in O(answer). Any other subset of an
+		// indexed working set is translated to grid positions and peeled over
+		// the working set's own CSR (circle.go). θ-SAC and uncached queries
+		// take the global peeler: their S is not a subset of anything cached.
+		if vw := s.curView; vw != nil && len(S) > 0 && len(S) <= len(vw.verts) && &S[0] == &vw.verts[0] {
+			return s.prefixFeasible(s.curEntry, vw, len(S), q, k)
+		}
+		if s.ws.peelable {
+			return s.subsetFeasible(S, k)
 		}
 		return s.peeler.KCoreWithin(S, q, k)
 	}
@@ -499,8 +517,7 @@ func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float6
 	ms := make([]graph.V, len(members))
 	copy(ms, members)
 	slices.Sort(ms)
-	s.ptsBuf = s.g.Points(ms, s.ptsBuf[:0])
-	mcc := geom.MCC(s.ptsBuf)
+	mcc := s.mccOf(ms)
 	if delta == deltaIsRadius {
 		delta = mcc.R
 	}
@@ -553,6 +570,14 @@ func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, 
 	res := s.buildResult(q, k, members, delta)
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// mccOf returns the minimum covering circle of the given vertices' locations:
+// graph.MCCOf, bit for bit, on the searcher's point buffer instead of two
+// fresh copies per call.
+func (s *Searcher) mccOf(vs []graph.V) geom.Circle {
+	s.ptsBuf = s.g.Points(vs, s.ptsBuf[:0])
+	return geom.MCCInPlace(s.ptsBuf)
 }
 
 // maxDistFrom returns the largest distance from p to any member's location.

@@ -37,6 +37,7 @@ func (s *Searcher) begin(ctx context.Context) {
 	s.stats = Stats{}
 	s.curEntry = nil
 	s.curView = nil
+	s.ws.peelable = false
 	s.qctx = nil
 	s.ctxErr = nil
 	s.qdeadline = time.Time{}

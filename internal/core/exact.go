@@ -29,17 +29,17 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 	X := cand.verts
 	qLoc := s.g.Loc(q)
 
-	// Index the candidate set once; every enumerated circle then gathers its
-	// members with an output-sensitive range query instead of scanning X.
-	s.sGrid.Build(s.g, X, gridTargetPerCell)
+	// Index the candidate set once; every enumerated circle then cuts its
+	// members from it with an output-sensitive range query instead of
+	// scanning X.
+	s.indexWorkingSet(X, q)
 
 	// Seed the incumbent before the scan, not after it: X itself is feasible
 	// (it is the connected k-structure containing q), so its MCC bounds ropt
 	// from above and makes the d[i] > 2·rcur break and the Lemma 2 filters
 	// tight from the first iteration. The degenerate pair {X[0], X[1]} — the
 	// loop starts at i = 2 and never forms it — is likewise tried up front.
-	s.ptsBuf = s.g.Points(X, s.ptsBuf[:0])
-	rcur := geom.MCC(s.ptsBuf).R
+	rcur := s.mccOf(X).R
 	best := append(s.bestBuf[:0], X...)
 
 	if len(X) >= 2 {
@@ -99,23 +99,10 @@ func (s *Searcher) tryCircle(cc geom.Circle, qLoc geom.Point, q graph.V, k int, 
 	if s.canceled() {
 		return
 	}
-	if c := s.feasible(s.circleMembers(cc), q, k); c != nil {
-		if mcc := s.g.MCCOf(c); mcc.R < *rcur {
+	if c := s.circleFeasible(cc, q, k, nil); c != nil {
+		if mcc := s.mccOf(c); mcc.R < *rcur {
 			*rcur = mcc.R
 			*best = append((*best)[:0], c...)
 		}
 	}
-}
-
-// gridTargetPerCell is the bucket occupancy the per-query candidate grid
-// aims for; ~4 keeps range queries touching a handful of cells.
-const gridTargetPerCell = 4
-
-// circleMembers gathers the working candidate set's vertices inside cc via
-// the per-query grid (built by Exact over X, by appAcc over S), appending to
-// the shared scratch buffer. Output-sensitive: cost is proportional to the
-// grid cells the circle touches, not the candidate-set size.
-func (s *Searcher) circleMembers(cc geom.Circle) []graph.V {
-	s.vertBuf = s.sGrid.InCircle(cc, s.vertBuf[:0])
-	return s.vertBuf
 }

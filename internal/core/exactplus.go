@@ -51,7 +51,7 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 	f1 := s.f1Buf[:0]
 	s.inX.Reset()
 	for _, cell := range st.finalCells {
-		s.subBuf = s.sGrid.InAnnulus(cell.C, rMinus, rPlus, s.subBuf[:0])
+		s.subBuf = s.ws.grid.InAnnulus(cell.C, rMinus, rPlus, s.subBuf[:0])
 		for _, v := range s.subBuf {
 			if !s.inX.Has(v) {
 				s.inX.Mark(v)

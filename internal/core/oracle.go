@@ -47,8 +47,8 @@ import (
 // is not order-independent at the ulp level, and AppAcc's anchors and
 // Exact+'s δ are built on such radii). It applies only to the k-core structure metric and
 // only to probes whose S is literally a prefix of the current sorted view;
-// everything else (circle subsets, θ-SAC, k-truss/k-clique) takes the
-// generic peelers.
+// circle subsets take the grid peel (circle.go), θ-SAC the global peeler,
+// k-truss/k-clique their checkers.
 type prefixOracle struct {
 	built       bool
 	minFeasible int32     // joinAt[q]: smallest feasible prefix length

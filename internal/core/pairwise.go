@@ -97,6 +97,9 @@ func (s *Searcher) minDiamLens(cand *candidateSet, q graph.V, k int, _ resolvedP
 	// Candidates that can participate in any solution beating the bound:
 	// every member is within bestDiam of q.
 	X := cand.prefixWithin(bestDiam)
+	// Every lens below is a subset of X: index it, so the lens feasibility
+	// checks peel X's own CSR.
+	s.indexWorkingSet(X, q)
 
 	// Pairs in ascending distance. q itself participates as a degenerate
 	// "pair" only through its own membership in X; every real pair must
@@ -165,6 +168,7 @@ func (s *Searcher) minDiamBrute(cand *candidateSet, q graph.V, k int, _ resolved
 	if len(X) > maxBrute {
 		return nil, 0, fmt.Errorf("core: MinDiamBrute candidate set too large (%d > %d)", len(X), maxBrute)
 	}
+	s.indexWorkingSet(X, q)
 	qi := -1
 	for i, v := range X {
 		if v == q {

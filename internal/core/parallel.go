@@ -125,27 +125,17 @@ func (s *Searcher) parWorkersFor(width int) []*Searcher {
 }
 
 // prepPar arms one worker for a scan: fresh per-query state under the
-// parent's armed context, the parent's candidate grid, and — when the
-// parent's query went through the candidate cache — the parent's cache entry,
-// with the induced CSR forced ahead of time so the workers' concurrent
-// feasibility checks never race on the lazy build. Workers never see the
-// parent's sorted view: their gathers are circle subsets, which take the
-// kcoreWithinCached path against the shared (now read-only) entry.
+// parent's armed context, and the parent's working set — grid and, for a
+// cached k-core query, position CSR — which indexWorkingSet finished before
+// the scan began and nothing writes during it. The peel's scratch is the
+// worker's own.
 func (s *Searcher) prepPar(w *Searcher) {
 	w.begin(s.qctx)
-	w.parGrid = &s.sGrid
-	if e := s.curEntry; e != nil {
-		if e.adjOff == nil {
-			e.buildInduced(s.g, s.localOf, s.localValid)
-		}
-		w.curEntry = e
-		w.bindLocal(e)
-	}
+	w.wsFrom = &s.ws
 }
 
 // joinPar absorbs the workers' counters and cancellation latches into the
-// parent and drops every borrowed pointer so cache entries and grids are not
-// pinned between queries.
+// parent and drops the borrowed working set.
 func (s *Searcher) joinPar(ws []*Searcher) {
 	for _, w := range ws {
 		s.stats.CirclesExamined += w.stats.CirclesExamined
@@ -153,9 +143,7 @@ func (s *Searcher) joinPar(ws []*Searcher) {
 		if s.ctxErr == nil && w.ctxErr != nil {
 			s.ctxErr = w.ctxErr
 		}
-		w.curEntry = nil
-		w.localEntry = nil
-		w.parGrid = nil
+		w.wsFrom = nil
 		w.qctx = nil
 	}
 }
@@ -181,10 +169,10 @@ func reducePar(bests []parBest, seed float64) (float64, []graph.V, bool) {
 	return bests[win].r, bests[win].members, true
 }
 
-// tryCirclePar is Exact's tryCircle against the shared incumbent: gather and
-// peel with the worker's private scratch, publish improvements through the
-// CAS-min, and track the worker's own (radius, order) best for the
-// deterministic reduction. Acceptance into the local best is lexicographic —
+// tryCirclePar is Exact's tryCircle against the shared incumbent: cut the
+// circle from the parent's working set, peel with the worker's private
+// scratch, publish improvements through the CAS-min, and track the worker's
+// own (radius, order) best for the deterministic reduction. Acceptance into the local best is lexicographic —
 // a radius tie with a smaller enumeration index still updates — so the
 // reduction sees the order-minimal achiever of the final radius no matter
 // which worker's CAS landed first.
@@ -197,12 +185,11 @@ func (w *Searcher) tryCirclePar(cc geom.Circle, ord enumOrd, qLoc geom.Point, q 
 	if w.canceled() {
 		return
 	}
-	w.vertBuf = w.parGrid.InCircle(cc, w.vertBuf[:0])
-	c := w.feasible(w.vertBuf, q, k)
+	c := w.circleFeasible(cc, q, k, nil)
 	if c == nil {
 		return
 	}
-	mcc := w.g.MCCOf(c)
+	mcc := w.mccOf(c)
 	rsh.lower(mcc.R)
 	if mcc.R < b.r || (mcc.R == b.r && ord.before(b.ord)) {
 		b.r = mcc.R

@@ -227,12 +227,13 @@ func (e *cacheEntry) respliceRow(g *graph.Graph, lv int32, localOf []int32, vali
 // in e's induced subgraph: a BFS from each end, always advancing the side
 // with the shorter backlog, until one reaches a vertex the other has seen or
 // runs dry. On a dense community the two meet after a few hundred vertices.
+// The two seen-sets are the searcher's vertex markers, free while a candidate
+// set is being built and as good over local ids as over global ones.
 func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 	if a == b {
 		return true
 	}
-	s.lp.ensure(len(e.members))
-	seen := [2]*graph.Marker{s.lp.inS, s.lp.visited}
+	seen := [2]*graph.Marker{s.inX, s.visited}
 	queue := [2][]int32{append(s.rep.side[0][:0], a), append(s.rep.side[1][:0], b)}
 	defer func() { s.rep.side = queue }()
 	seen[0].Reset()

@@ -378,3 +378,33 @@ func BenchmarkMCC(b *testing.B) {
 		_ = MCC(pts)
 	}
 }
+
+// TestMCCInPlaceMatchesMCC pins the contract the query path relies on: the
+// in-place variant returns MCC's circle bit for bit (same shuffle, same
+// walk), and MCC leaves its argument alone.
+func TestMCCInPlaceMatchesMCC(t *testing.T) {
+	rnd := rand.New(rand.NewSource(12))
+	for n := 0; n <= 60; n++ {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{rnd.Float64(), rnd.Float64()}
+			if n%5 == 0 { // lattice: ties and co-located points
+				pts[i] = Point{float64(rnd.Intn(4)) / 4, float64(rnd.Intn(4)) / 4}
+			}
+		}
+		orig := append([]Point(nil), pts...)
+		want := MCC(pts)
+		for i := range pts {
+			if pts[i] != orig[i] {
+				t.Fatalf("n=%d: MCC reordered its argument", n)
+			}
+		}
+		if got := MCCInPlace(pts); got != want {
+			t.Fatalf("n=%d: MCCInPlace = %+v, MCC = %+v", n, got, want)
+		}
+	}
+	buf := make([]Point, 50)
+	if allocs := testing.AllocsPerRun(10, func() { MCCInPlace(buf) }); allocs != 0 {
+		t.Fatalf("MCCInPlace allocates %v times", allocs)
+	}
+}

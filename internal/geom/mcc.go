@@ -5,24 +5,35 @@ package geom
 const mccSeed = 0x5ac5ea2c
 
 // MCC returns the minimum covering circle of pts (Definition 2). The empty
-// set yields a zero Circle; a single point yields a radius-0 circle.
+// set yields a zero Circle; a single point yields a radius-0 circle. pts is
+// left as it was: MCC is MCCInPlace over a copy.
+func MCC(pts []Point) Circle {
+	if len(pts) <= 3 {
+		return MCCInPlace(pts) // reorders nothing this short
+	}
+	p := make([]Point, len(pts))
+	copy(p, pts)
+	return MCCInPlace(p)
+}
+
+// MCCInPlace is MCC for a caller that owns p and has no further use for its
+// order: the shuffle runs on p itself, so a caller that refills one buffer
+// per call allocates nothing. The circle is the one MCC returns, bit for bit.
 //
 // The implementation is the classic randomized incremental algorithm of
 // Welzl with expected linear running time; the shuffle is seeded so results
 // are deterministic.
-func MCC(pts []Point) Circle {
-	switch len(pts) {
+func MCCInPlace(p []Point) Circle {
+	switch len(p) {
 	case 0:
 		return Circle{}
 	case 1:
-		return Circle{C: pts[0]}
+		return Circle{C: p[0]}
 	case 2:
-		return CircleFrom2(pts[0], pts[1])
+		return CircleFrom2(p[0], p[1])
 	case 3:
-		return CircleFrom3(pts[0], pts[1], pts[2])
+		return CircleFrom3(p[0], p[1], p[2])
 	}
-	p := make([]Point, len(pts))
-	copy(p, pts)
 	// Deterministic in-place Fisher–Yates driven by splitmix64. MCC sits on
 	// the query hot path (once per result, once per improving circle in the
 	// exact algorithms); seeding a math/rand source per call cost more than

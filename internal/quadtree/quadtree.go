@@ -56,16 +56,21 @@ func (c Cell) CoverRadius() float64 { return sqrt2 * c.Half }
 
 const sqrt2 = 1.4142135623730951
 
-// Frontier is one breadth-first level of an implicit region quadtree.
+// Frontier is one breadth-first level of an implicit region quadtree. The
+// zero value is empty; Reset starts a walk. A Frontier keeps the storage of
+// the level it left for the level after next, so a walk — and every later
+// walk on the same Frontier — allocates only while a level is wider than any
+// before it.
 type Frontier struct {
 	cells []Cell
+	spare []Cell // the previous level's storage, the next level's
 }
 
-// NewFrontier starts a frontier at the four children of the root, matching
-// AppAcc's initial achList (Algorithm 4, line 4).
-func NewFrontier(root Cell) *Frontier {
+// Reset starts the frontier at the four children of root, matching AppAcc's
+// initial achList (Algorithm 4, line 4).
+func (f *Frontier) Reset(root Cell) {
 	ch := root.Children()
-	return &Frontier{cells: ch[:]}
+	f.cells = append(f.cells[:0], ch[:]...)
 }
 
 // Cells returns the current level's cells; the slice is owned by the
@@ -86,7 +91,7 @@ func (f *Frontier) Half() float64 {
 // Expand replaces the frontier with the children of the cells for which keep
 // returns true. It returns the number of kept parents.
 func (f *Frontier) Expand(keep func(Cell) bool) int {
-	next := make([]Cell, 0, 4*len(f.cells))
+	next := f.spare[:0]
 	kept := 0
 	for _, c := range f.cells {
 		if !keep(c) {
@@ -96,6 +101,6 @@ func (f *Frontier) Expand(keep func(Cell) bool) int {
 		ch := c.Children()
 		next = append(next, ch[:]...)
 	}
-	f.cells = next
+	f.cells, f.spare = next, f.cells
 	return kept
 }

@@ -81,7 +81,8 @@ func TestInfeasibleInheritance(t *testing.T) {
 }
 
 func TestFrontierExpand(t *testing.T) {
-	f := NewFrontier(Root(geom.Point{X: 0, Y: 0}, 1))
+	var f Frontier
+	f.Reset(Root(geom.Point{X: 0, Y: 0}, 1))
 	if f.Len() != 4 {
 		t.Fatalf("initial len = %d", f.Len())
 	}
@@ -111,7 +112,8 @@ func TestFrontierExpand(t *testing.T) {
 // exactly one cell whose center is within CoverRadius.
 func TestRefinementCoversSquare(t *testing.T) {
 	root := Root(geom.Point{X: 0.5, Y: 0.5}, 0.5)
-	f := NewFrontier(root)
+	var f Frontier
+	f.Reset(root)
 	for level := 0; level < 3; level++ {
 		f.Expand(func(Cell) bool { return true })
 	}
@@ -130,5 +132,26 @@ func TestRefinementCoversSquare(t *testing.T) {
 		if !covered {
 			t.Fatalf("point %v not covered at final level", p)
 		}
+	}
+}
+
+// TestFrontierAppAccAllocs pins the ping-pong buffers: AppAcc walks one
+// Frontier per query, Reset after Reset, and once a walk has grown the two
+// level buffers a later walk of the same shape allocates nothing.
+func TestFrontierAppAccAllocs(t *testing.T) {
+	var f Frontier
+	walk := func() {
+		f.Reset(Root(geom.Point{X: 0.5, Y: 0.5}, 0.5))
+		for level := 0; level < 4; level++ {
+			f.Expand(func(c Cell) bool { return c.C.X > 0.3 })
+		}
+	}
+	walk()
+	want := f.Len()
+	if allocs := testing.AllocsPerRun(20, walk); allocs != 0 {
+		t.Fatalf("a repeated walk allocates %v times", allocs)
+	}
+	if f.Len() != want || f.Half() != 0.5/32 {
+		t.Fatalf("repeated walk ended at %d cells of half-width %v, first at %d", f.Len(), f.Half(), want)
 	}
 }

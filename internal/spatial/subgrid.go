@@ -3,6 +3,14 @@
 // (AppAcc's anchor probes, the Exact / Exact+ circle enumeration, Exact+'s
 // annulus filter); SubGrid answers those range queries in time proportional
 // to the number of touched cells instead of the whole candidate set.
+//
+// The grid is also an id space. Build groups the indexed vertices by cell, and
+// a vertex's index in that order — its position (IDs) — is dense, stable until
+// the next Build, and close in memory to the positions of the vertices near
+// it. A caller that runs many range queries and then walks adjacency among
+// what each returned (the restricted k-core peel of internal/core) keys its
+// per-vertex arrays by position and asks a Disk for positions, so a query's
+// answer indexes those arrays directly.
 package spatial
 
 import (
@@ -36,6 +44,10 @@ type SubGrid struct {
 
 // Len returns the number of indexed vertices.
 func (sg *SubGrid) Len() int { return len(sg.ids) }
+
+// IDs returns the indexed vertices in cell order: IDs()[p] is the vertex at
+// position p. The slice is the grid's own; it stands until the next Build.
+func (sg *SubGrid) IDs() []graph.V { return sg.ids }
 
 // Build indexes the current locations of vs in gr, aiming for roughly
 // targetPerCell vertices per cell (<= 0 defaults to 4). Previous contents
@@ -123,32 +135,92 @@ func (sg *SubGrid) Build(gr *graph.Graph, vs []graph.V, targetPerCell int) {
 	sg.start[0] = 0
 }
 
-func (sg *SubGrid) cellOf(p geom.Point) int {
-	cx := clampInt(int((p.X-sg.minX)/sg.cell), 0, sg.cols-1)
-	cy := clampInt(int((p.Y-sg.minY)/sg.cell), 0, sg.rows-1)
-	return cy*sg.cols + cx
-}
+// col and row are the cell column of an x coordinate and the cell row of a y
+// coordinate, clamped to the grid. Both are monotone, which Disk.Holds uses.
+func (sg *SubGrid) col(x float64) int { return clampInt(int((x-sg.minX)/sg.cell), 0, sg.cols-1) }
+func (sg *SubGrid) row(y float64) int { return clampInt(int((y-sg.minY)/sg.cell), 0, sg.rows-1) }
+
+func (sg *SubGrid) cellOf(p geom.Point) int { return sg.row(p.Y)*sg.cols + sg.col(p.X) }
 
 // InCircle appends every indexed vertex inside the closed disk c (with
 // geom.Eps tolerance) to dst and returns dst.
 func (sg *SubGrid) InCircle(c geom.Circle, dst []graph.V) []graph.V {
-	if c.R < 0 || len(sg.ids) == 0 {
-		return dst
+	d := sg.Disk(c)
+	base := len(dst)
+	dst = d.Positions(dst) // graph.V is int32: positions first, ids over them
+	for i := base; i < len(dst); i++ {
+		dst[i] = sg.ids[dst[i]]
 	}
-	loX := clampInt(int((c.C.X-c.R-sg.minX)/sg.cell), 0, sg.cols-1)
-	hiX := clampInt(int((c.C.X+c.R-sg.minX)/sg.cell), 0, sg.cols-1)
-	loY := clampInt(int((c.C.Y-c.R-sg.minY)/sg.cell), 0, sg.rows-1)
-	hiY := clampInt(int((c.C.Y+c.R-sg.minY)/sg.cell), 0, sg.rows-1)
-	r2 := (c.R + geom.Eps) * (c.R + geom.Eps)
-	for cy := loY; cy <= hiY; cy++ {
+	return dst
+}
+
+// Disk is one closed disk prepared against a grid: the window of cells
+// InCircle scans for it and the squared radius it tests with. Its methods
+// speak positions, and all three agree with InCircle on exactly which
+// vertices the disk holds — including the vertices InCircle leaves out
+// because they pass the distance test only by the tolerance and sit in a cell
+// outside the window. A Disk is valid until the grid's next Build.
+type Disk struct {
+	sg                 *SubGrid
+	c                  geom.Point
+	r2                 float64 // (R+Eps)²; negative for a disk that holds nothing
+	x0, x1, y0, y1     float64 // the disk's bounding box, whose cells are the window
+	loX, hiX, loY, hiY int
+}
+
+// Disk prepares c. A negative radius, like an empty grid, holds nothing.
+func (sg *SubGrid) Disk(c geom.Circle) Disk {
+	d := Disk{sg: sg, c: c.C, r2: -1, hiX: -1, hiY: -1}
+	if c.R < 0 || len(sg.ids) == 0 {
+		return d
+	}
+	d.x0, d.x1, d.y0, d.y1 = c.C.X-c.R, c.C.X+c.R, c.C.Y-c.R, c.C.Y+c.R
+	d.loX, d.hiX, d.loY, d.hiY = sg.col(d.x0), sg.col(d.x1), sg.row(d.y0), sg.row(d.y1)
+	d.r2 = (c.R + geom.Eps) * (c.R + geom.Eps)
+	return d
+}
+
+// Positions appends the position of every vertex the disk holds to dst, in
+// cell order, and returns dst.
+func (d *Disk) Positions(dst []int32) []int32 {
+	sg := d.sg
+	for cy := d.loY; cy <= d.hiY; cy++ {
 		row := cy * sg.cols
-		for cx := loX; cx <= hiX; cx++ {
+		for cx := d.loX; cx <= d.hiX; cx++ {
 			lo, hi := sg.start[row+cx], sg.start[row+cx+1]
 			for i := lo; i < hi; i++ {
-				if sg.pts[i].Dist2(c.C) <= r2 {
-					dst = append(dst, sg.ids[i])
+				if sg.pts[i].Dist2(d.c) <= d.r2 {
+					dst = append(dst, i)
 				}
 			}
+		}
+	}
+	return dst
+}
+
+// Holds reports whether the disk holds the vertex at position pos. A vertex
+// inside the bounding box is inside the window, col and row being monotone;
+// only one that passes the distance test from outside the box has its cell
+// looked up.
+func (d *Disk) Holds(pos int32) bool {
+	p := d.sg.pts[pos]
+	if !(p.Dist2(d.c) <= d.r2) {
+		return false
+	}
+	if p.X >= d.x0 && p.X <= d.x1 && p.Y >= d.y0 && p.Y <= d.y1 {
+		return true
+	}
+	cx, cy := d.sg.col(p.X), d.sg.row(p.Y)
+	return cx >= d.loX && cx <= d.hiX && cy >= d.loY && cy <= d.hiY
+}
+
+// Of appends the positions in from that the disk holds to dst, in from's
+// order, and returns dst. When from is known to contain everything the
+// caller wants of the disk, this replaces the scan of the window.
+func (d *Disk) Of(from, dst []int32) []int32 {
+	for _, pos := range from {
+		if d.Holds(pos) {
+			dst = append(dst, pos)
 		}
 	}
 	return dst

@@ -303,3 +303,82 @@ func TestInCircleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// diskAgreesWithInCircle checks the three position queries of a Disk against
+// InCircle, the definition of what the disk holds: Positions is InCircle
+// read through IDs, Holds answers membership position by position, and Of
+// filters an arbitrary position list in its own order.
+func diskAgreesWithInCircle(t *testing.T, sg *SubGrid, c geom.Circle) {
+	t.Helper()
+	want := sg.InCircle(c, nil)
+	d := sg.Disk(c)
+	pos := d.Positions(nil)
+	got := make([]graph.V, len(pos))
+	for i, p := range pos {
+		got[i] = sg.IDs()[p]
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("circle %+v: Positions = %v, InCircle = %v", c, got, want)
+	}
+	var from, held []int32
+	for p := int32(sg.Len()) - 1; p >= 0; p-- { // descending: Of keeps from's order
+		from = append(from, p)
+		if slices.Contains(pos, p) != d.Holds(p) {
+			t.Fatalf("circle %+v: Holds(%d) = %v, InCircle disagrees", c, p, d.Holds(p))
+		}
+		if d.Holds(p) {
+			held = append(held, p)
+		}
+	}
+	if got := d.Of(from, nil); !slices.Equal(got, held) {
+		t.Fatalf("circle %+v: Of = %v, want %v", c, got, held)
+	}
+}
+
+func TestDiskAgreesWithInCircle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 30; trial++ {
+		pts := randomPoints(1+rnd.Intn(300), int64(trial))
+		if trial%3 == 0 { // a lattice: co-located points, points exactly on boundaries
+			for i := range pts {
+				pts[i] = geom.Point{X: float64(rnd.Intn(6)) / 6, Y: float64(rnd.Intn(6)) / 6}
+			}
+		}
+		sg := allVerticesGrid(pts, 1+trial%4)
+		for probe := 0; probe < 20; probe++ {
+			a, b := pts[rnd.Intn(len(pts))], pts[rnd.Intn(len(pts))]
+			diskAgreesWithInCircle(t, sg, geom.Circle{C: a, R: a.Dist(b)})
+			diskAgreesWithInCircle(t, sg, geom.CircleFrom2(a, b))
+			diskAgreesWithInCircle(t, sg, geom.Circle{C: geom.Point{X: rnd.Float64() * 1.2, Y: rnd.Float64() * 1.2}, R: rnd.Float64() * 0.5})
+		}
+		diskAgreesWithInCircle(t, sg, geom.Circle{C: pts[0], R: -1})
+		diskAgreesWithInCircle(t, sg, geom.Circle{C: pts[0], R: 0})
+		diskAgreesWithInCircle(t, sg, geom.Circle{C: pts[0], R: 10})
+	}
+	var empty SubGrid
+	empty.Build(nil, nil, 4)
+	if d := empty.Disk(geom.Circle{R: 1}); len(d.Positions(nil)) != 0 {
+		t.Fatal("a disk over an empty grid holds something")
+	}
+}
+
+// TestDiskOutsideWindow builds the one case where the distance test and the
+// cell window disagree: a vertex within Eps beyond the circle's leftmost
+// point, in the cell column left of the one that point falls in. InCircle
+// never scans that cell, so Holds must say no although the distance passes.
+func TestDiskOutsideWindow(t *testing.T) {
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 0.25 - 5e-10, Y: 0.5}, {X: 0.25, Y: 0.5}}
+	for len(pts) < 16 {
+		pts = append(pts, geom.Point{X: 0.9, Y: 0.1})
+	}
+	sg := allVerticesGrid(pts, 1) // unit extent, 16 cells: cell edge exactly 0.25
+	c := geom.Circle{C: geom.Point{X: 0.5, Y: 0.5}, R: 0.25}
+	if !c.Contains(pts[2]) {
+		t.Fatal("fixture: the vertex is not within tolerance of the circle")
+	}
+	got := sg.InCircle(c, nil)
+	if slices.Contains(got, 2) || !slices.Contains(got, 3) {
+		t.Fatalf("fixture: InCircle = %v, want vertex 3 and not vertex 2", got)
+	}
+	diskAgreesWithInCircle(t, sg, c)
+}

@@ -25,18 +25,23 @@ func (s *Searcher) appFast(cand *candidateSet, q graph.V, k int, p resolvedParam
 
 // queryNeighborLowerBound returns the distance to q's needQ-th nearest
 // neighbor inside the candidate set — the lower bound l of Eq (1). It
-// iterates q's adjacency once, O(deg(q) + candidate marking), instead of the
-// old O(|X|·log deg(q)) HasEdge probe per candidate.
+// iterates q's adjacency once, O(deg(q) log deg(q)): with caching on, X is
+// the bound entry's member set, which localValid already marks; only an
+// uncached query marks X itself, O(|X|).
 func (s *Searcher) queryNeighborLowerBound(cand *candidateSet, q graph.V, needQ int) float64 {
 	if needQ <= 0 {
 		return 0
 	}
-	s.inX.Reset()
-	s.inX.MarkAll(cand.verts)
+	inX := s.localValid
+	if s.curEntry == nil {
+		inX = s.inX
+		inX.Reset()
+		inX.MarkAll(cand.verts)
+	}
 	nbr := s.distBuf[:0]
 	qp := s.g.Loc(q)
 	for _, u := range s.g.Neighbors(q) {
-		if s.inX.Has(u) {
+		if inX.Has(u) {
 			nbr = append(nbr, qp.Dist(s.g.Loc(u)))
 		}
 	}
@@ -51,9 +56,11 @@ func (s *Searcher) queryNeighborLowerBound(cand *candidateSet, q graph.V, needQ 
 // appFastSearch runs the radius binary search over the candidate set and
 // returns the best community found together with the radius δ of the
 // smallest q-centered circle known to contain it. The returned slice is
-// scratch-owned (valid until the next appFastSearch call on this Searcher);
-// callers that retain it must copy. The context is checked once per
-// binary-search iteration.
+// read-only and borrowed: it is the candidate set itself, the view's oracle
+// answer or fastBuf, valid until the next query (or appFastSearch call) on
+// this Searcher; callers that retain it must copy. On the prefix oracle's
+// path nothing here copies or scans X: a feasible probe updates Λ and u in
+// O(1). The context is checked once per binary-search iteration.
 func (s *Searcher) appFastSearch(cand *candidateSet, q graph.V, k int, epsF float64) ([]graph.V, float64) {
 	// Lower/upper bounds of Eq (1): any feasible solution keeps at least
 	// minQueryNeighbors(k) of q's neighbors inside the circle, so δ is at
@@ -61,9 +68,8 @@ func (s *Searcher) appFastSearch(cand *candidateSet, q graph.V, k int, epsF floa
 	l := s.queryNeighborLowerBound(cand, q, s.minQueryNeighbors(k))
 	u := cand.maxDist()
 
-	// Λ starts as the whole k-ĉore X (always feasible).
-	best := append(s.fastBuf[:0], cand.verts...)
-	s.fastBuf = best
+	// Λ starts as the whole k-ĉore X (always feasible), held by reference.
+	best := cand.verts
 	bestDelta := u
 
 	// Iterate until the bracket collapses. The guard is an order of
@@ -80,8 +86,16 @@ func (s *Searcher) appFastSearch(cand *candidateSet, q graph.V, k int, epsF floa
 		alpha := r * epsF / (2 + epsF)
 		S := cand.prefixWithin(r)
 		if c := s.feasible(S, q, k); c != nil {
-			best = append(best[:0], c...)
-			bestDelta = s.maxDistFrom(s.g.Loc(q), c)
+			if s.isOracleAnswer(c) {
+				// The oracle's answer stands until the view changes, and its
+				// last member is its farthest (oracle.go).
+				best = c
+				bestDelta = distFrom(cand.qp, cand.locs, c[len(c)-1])
+			} else {
+				best = append(s.fastBuf[:0], c...)
+				s.fastBuf = best
+				bestDelta = s.maxDistFrom(cand.qp, c)
+			}
 			if r-l <= alpha {
 				return best, bestDelta
 			}

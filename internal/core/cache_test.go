@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sacsearch/internal/geom"
@@ -194,7 +195,7 @@ func TestSortByDist(t *testing.T) {
 	// Random distances drawn from few distinct values: long tie runs on both
 	// sides of the insertion/radix threshold.
 	rnd := rand.New(rand.NewSource(3))
-	for _, n := range []int{distInsertionThreshold - 1, distInsertionThreshold, 2000} {
+	for _, n := range []int{insertionThreshold - 1, insertionThreshold, 2000} {
 		r := make([]float64, n)
 		for i := range r {
 			r[i] = math.Sqrt(float64(rnd.Intn(n/4+1))) / 7
@@ -225,6 +226,46 @@ func TestSortByDist(t *testing.T) {
 			if dists[v[i]] != d[i] {
 				t.Fatalf("case %d: verts and dists desynchronized at %d", ci, i)
 			}
+		}
+	}
+}
+
+// TestSortIDs checks buildResult's id radix sort against slices.Sort on each
+// path: empty, below the insertion threshold, and one, two, three and four
+// byte passes (the last with ids up to math.MaxInt32), with and without
+// duplicates. src must come through untouched.
+func TestSortIDs(t *testing.T) {
+	rnd := rand.New(rand.NewSource(25))
+	ids := func(n int, lo, hi int64) []graph.V {
+		out := make([]graph.V, n)
+		for i := range out {
+			out[i] = graph.V(lo + rnd.Int63n(hi-lo+1))
+		}
+		return out
+	}
+	var sorter distSorter
+	for _, c := range []struct {
+		name string
+		src  []graph.V
+	}{
+		{"empty", []graph.V{}},
+		{"below threshold", ids(insertionThreshold-1, 0, 1<<20)},
+		{"all zero", make([]graph.V, 300)},
+		{"one byte", ids(200, 0, 255)},
+		{"two bytes", ids(3000, 0, 1<<16-1)},
+		{"three bytes", ids(3000, 0, 1<<24-1)},
+		{"near MaxInt32", append(ids(500, math.MaxInt32-1000, math.MaxInt32), 0, 255, 256, math.MaxInt32)},
+	} {
+		orig := slices.Clone(c.src)
+		want := slices.Clone(c.src)
+		slices.Sort(want)
+		got := make([]graph.V, len(c.src))
+		sorter.sortIDs(got, c.src)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: sortIDs = %v, want %v", c.name, got, want)
+		}
+		if !slices.Equal(c.src, orig) {
+			t.Fatalf("%s: sortIDs modified its source", c.name)
 		}
 	}
 }

@@ -181,7 +181,7 @@ type Searcher struct {
 	distBuf   []float64
 	vertBuf   []graph.V
 	subBuf    []graph.V
-	fastBuf   []graph.V // appFastSearch's incumbent community Λ
+	fastBuf   []graph.V // appFastSearch's Λ when it is neither X nor an oracle answer
 	bestBuf   []graph.V // Exact's incumbent community
 	anchorBuf []graph.V // anchorSearch's incumbent community
 	anchorPos []int32   // and its positions in the working set (holdAnswer)
@@ -512,11 +512,11 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 // feasibility check happened to emit the community in.
 const deltaIsRadius = -1
 
-// buildResult copies members, computes their MCC and snapshots the stats.
+// buildResult copies members in id order, computes their MCC and snapshots
+// the stats.
 func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float64) *Result {
 	ms := make([]graph.V, len(members))
-	copy(ms, members)
-	slices.Sort(ms)
+	s.distSort.sortIDs(ms, members)
 	mcc := s.mccOf(ms)
 	if delta == deltaIsRadius {
 		delta = mcc.R

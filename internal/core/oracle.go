@@ -49,6 +49,18 @@ import (
 // only to probes whose S is literally a prefix of the current sorted view;
 // circle subsets take the grid peel (circle.go), θ-SAC the global peeler,
 // k-truss/k-clique their checkers.
+//
+// Farthest-member lemma: an answer comm[:cnt] ends with its farthest member
+// from q, verts[J-1] for J = joinAt[cnt-1]. Proof: some vertex joins at J, so
+// q's component C of core(X[:J]) is not inside q's component of
+// core(X[:J-1]). If C missed w = verts[J-1], the only vertex of X[:J] outside
+// X[:J-1], it would be a connected subgraph of G[X[:J-1]] with minimum degree
+// ≥ k holding q, hence inside q's component of core(X[:J-1]) — so w ∈ C, w
+// joins at exactly J, and having the largest rank of the prefix it is the
+// last of the joinAt-J run. Every member has rank < J and the view ascends by
+// distance, so w is the farthest; its distance is the same float64 as the
+// maximum over the answer. appFastSearch reads Algorithm 3's
+// u = max_{v∈Λ}|q,v| off it in O(1), behind isOracleAnswer.
 type prefixOracle struct {
 	built       bool
 	minFeasible int32     // joinAt[q]: smallest feasible prefix length
@@ -72,6 +84,14 @@ func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.
 	// The members with joinAt ≤ i: everything before the first joinAt ≥ i+1.
 	cnt, _ := slices.BinarySearch(o.joinAt, int32(i)+1)
 	return o.comm[:cnt]
+}
+
+// isOracleAnswer reports whether c is an answer prefixFeasible handed out
+// for the current view — the aliasing test feasible applies to S — so the
+// farthest-member lemma holds for it and it stands until the view changes.
+func (s *Searcher) isOracleAnswer(c []graph.V) bool {
+	vw := s.curView
+	return vw != nil && len(c) > 0 && len(c) <= len(vw.oracle.comm) && &c[0] == &vw.oracle.comm[0]
 }
 
 // oracleScratch is the working memory of buildPrefixOracle, indexed by local

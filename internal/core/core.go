@@ -99,6 +99,7 @@ type Stats struct {
 	AnchorsPruned     int           // AppAcc anchors cut by Pruning1/Pruning2
 	BinaryIters       int           // binary-search iterations (AppFast, AppAcc)
 	F1Size            int           // |F1| potential fixed vertices (Exact+)
+	Workers           int           // searchers the circle scan ran on (Exact, Exact+; 1 = inline)
 	CacheHits         int           // candidate sets served from the membership cache
 	ViewHits          int           // sorted views reused as they stood
 	ViewRepairs       int           // sorted views brought current by moving checked-in members
@@ -208,11 +209,11 @@ type Searcher struct {
 	// acc is AppAcc's per-query state, reused across queries.
 	acc appAccState
 
-	// parallel is the worker budget for intra-query parallel circle
-	// enumeration (see parallel.go); 0 and 1 both mean serial. parWorkers
-	// caches the lazily cloned enumeration workers, and wsFrom points a
-	// worker at the dispatching searcher's working set (read-only once
-	// indexed) for the duration of one scan.
+	// parallel is the worker budget of the Exact / Exact+ circle scan (see
+	// parallel.go), before it is divided by the queries in flight; below 2
+	// the scan runs inline. parWorkers caches the lazily cloned scan
+	// workers, and wsFrom points a worker at the dispatching searcher's
+	// working set (read-only once indexed) for the duration of one scan.
 	parallel   int
 	parWorkers []*Searcher
 	wsFrom     *workingSet
@@ -243,22 +244,16 @@ func (s *Searcher) SetCandidateCaching(enabled bool) {
 // memoized by the candidate cache.
 func (s *Searcher) CachedCommunities() int { return s.cache.entries() }
 
-// SetParallelism sets the worker budget for intra-query parallel circle
-// enumeration (Exact and ExactPlus pair/triple scans). 0 and 1 both mean
-// serial — the default, which runs the exact byte-for-byte serial code
-// path. n ≥ 2 fans the outer enumeration loop out over up to n workers;
-// results are pinned identical to serial by the differential suite. The
-// budget carries across Clone and SnapshotOnto, so setting it on a pool or
-// snapshot base propagates to every worker drawn from it.
+// SetParallelism sets the worker budget of the Exact and ExactPlus circle
+// scans. A scan runs on the budget divided by the queries running in the
+// process (floor 1), so the budget is a ceiling, not a grant; below 2 workers
+// the scan runs inline on this searcher, which is the default (0). Answers
+// are identical at every budget. The budget carries across Clone and
+// SnapshotOnto, so setting it on a pool or snapshot base propagates to every
+// worker drawn from it.
 func (s *Searcher) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.parallel = n
+	s.parallel = max(n, 0)
 }
-
-// Parallelism returns the current intra-query parallelism budget.
-func (s *Searcher) Parallelism() int { return s.parallel }
 
 // NewSearcher creates a Searcher with the default k-core structure metric.
 func NewSearcher(g *graph.Graph) *Searcher {
@@ -545,6 +540,8 @@ type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolved
 // the candidate set and has no trivial k; its body gets a nil cand.
 func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, body algoBody, circleOnly bool) (*Result, error) {
 	start := time.Now()
+	queriesInFlight.Add(1)
+	defer queriesInFlight.Add(-1)
 	s.begin(ctx)
 	var (
 		cand    *candidateSet

@@ -22,12 +22,11 @@ func (s *Searcher) Exact(q graph.V, k int) (*Result, error) {
 	return s.Search(context.Background(), Query{Algo: "exact", Q: q, K: k})
 }
 
-// exact is Exact's body. The context is checked once per enumerated
-// candidate pair, bounding the work after cancellation to the triples of one
-// pair.
+// exact is Exact's body: the pair/triple scan of Algorithm 1, run by
+// scanPar. The context is checked once per enumerated candidate pair,
+// bounding the work after cancellation to the triples of one pair.
 func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
 	X := cand.verts
-	qLoc := s.g.Loc(q)
 
 	// Index the candidate set once; every enumerated circle then cuts its
 	// members from it with an output-sensitive range query instead of
@@ -38,71 +37,46 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 	// (it is the connected k-structure containing q), so its MCC bounds ropt
 	// from above and makes the d[i] > 2·rcur break and the Lemma 2 filters
 	// tight from the first iteration. The degenerate pair {X[0], X[1]} — the
-	// loop starts at i = 2 and never forms it — is likewise tried up front.
-	rcur := s.mccOf(X).R
-	best := append(s.bestBuf[:0], X...)
-
+	// scan starts at i = 2 and never forms it — is likewise tried up front,
+	// at the index it would have at i = 1.
+	best := parBest{r: s.mccOf(X).R, ord: ordSeed, members: append(s.bestBuf[:0], X...)}
+	sc := s.newScan(q, k, best.r)
 	if len(X) >= 2 {
-		s.tryCircle(geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])), qLoc, q, k, &rcur, &best)
+		s.tryCircle(sc, geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])), enumOrd{1, 0, -1}, &best)
 	}
-
-	if ws := s.parWorkersFor(len(X) - 2); ws != nil {
-		if r, c, ok := s.exactScanPar(ws, X, qLoc, q, k, rcur); ok {
-			rcur = r
-			best = append(best[:0], c...)
-		}
-	} else {
-	enum:
-		for i := 2; i < len(X); i++ {
-			if cand.dist(i) > 2*rcur {
-				break // Algorithm 1, line 13
+	s.scanPar(sc, 2, len(X), &best, func(w *Searcher, lo, hi int, b *parBest) bool {
+		for i := lo; i < hi; i++ {
+			pi := s.g.Loc(X[i])
+			if sc.qLoc.Dist(pi) > 2*sc.r.load() {
+				// Algorithm 1, line 13. The distance from q ascends with i
+				// and the incumbent only shrinks, so no later i passes.
+				return false
 			}
 			for j := 0; j < i; j++ {
-				if s.canceled() {
-					break enum
+				if w.canceled() {
+					return false
 				}
 				// Pair-fixed circle: segment X[j]X[i] as diameter (Lemma 1).
 				pj := s.g.Loc(X[j])
-				pi := s.g.Loc(X[i])
-				if pj.Dist(pi) <= 2*rcur {
-					s.tryCircle(geom.CircleFrom2(pj, pi), qLoc, q, k, &rcur, &best)
+				if pj.Dist(pi) <= 2*sc.r.load() {
+					w.tryCircle(sc, geom.CircleFrom2(pj, pi), enumOrd{int32(i), int32(j), -1}, b)
 				}
 				for h := j + 1; h < i; h++ {
-					if s.canceledTick() {
-						break enum
+					if w.canceledTick() {
+						return false
 					}
 					ph := s.g.Loc(X[h])
 					// Lemma 2: all pairwise distances in Ψ are ≤ 2·ropt < 2·rcur.
-					if pj.Dist(ph) > 2*rcur || ph.Dist(pi) > 2*rcur || pj.Dist(pi) > 2*rcur {
+					rc := sc.r.load()
+					if pj.Dist(ph) > 2*rc || ph.Dist(pi) > 2*rc || pj.Dist(pi) > 2*rc {
 						continue
 					}
-					s.tryCircle(geom.CircleFrom3(pj, ph, pi), qLoc, q, k, &rcur, &best)
+					w.tryCircle(sc, geom.CircleFrom3(pj, ph, pi), enumOrd{int32(i), int32(j), int32(h)}, b)
 				}
 			}
 		}
-	}
-	s.bestBuf = best
-	return best, deltaIsRadius, nil
-}
-
-// tryCircle tests one fixed circle of a serial Exact or ExactPlus scan and
-// lowers the incumbent (*rcur, *best) when the circle holds a feasible
-// community whose own MCC is strictly smaller.
-func (s *Searcher) tryCircle(cc geom.Circle, qLoc geom.Point, q graph.V, k int, rcur *float64, best *[]graph.V) {
-	s.stats.CirclesExamined++
-	// The community contains q, so its MCC must cover q's location.
-	if cc.R >= *rcur || !cc.Contains(qLoc) {
-		return
-	}
-	// Last boundary before the expensive member gather + peel: bounds
-	// post-cancellation work to the feasibility check already in flight.
-	if s.canceled() {
-		return
-	}
-	if c := s.circleFeasible(cc, q, k, nil); c != nil {
-		if mcc := s.mccOf(c); mcc.R < *rcur {
-			*rcur = mcc.R
-			*best = append((*best)[:0], c...)
-		}
-	}
+		return true
+	})
+	s.bestBuf = best.members
+	return best.members, deltaIsRadius, nil
 }

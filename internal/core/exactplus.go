@@ -22,9 +22,9 @@ func (s *Searcher) ExactPlus(q graph.V, k int, epsA float64) (*Result, error) {
 	return s.Search(context.Background(), Query{Algo: "exact+", Q: q, K: k, EpsA: &epsA})
 }
 
-// exactPlus is ExactPlus's body. The AppAcc phase checks the context per
-// anchor and per binary-search iteration, the enumeration phase once per F1
-// pair.
+// exactPlus is ExactPlus's body: the AppAcc phase, then the F1 pair/triple
+// scan of Algorithm 5, run by scanPar. The AppAcc phase checks the context
+// per anchor and per binary-search iteration, the scan once per F1 pair.
 func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
 	epsA := p.epsA
 	st := s.appAcc(cand, q, k, epsA)
@@ -62,56 +62,47 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 	s.f1Buf = f1
 	s.stats.F1Size = len(f1)
 
-	rcur := st.rcur
-	best := append(s.bestBuf[:0], st.members...)
-	qLoc := s.g.Loc(q)
+	best := parBest{r: st.rcur, ord: ordSeed, members: append(s.bestBuf[:0], st.members...)}
+	sc := s.newScan(q, k, best.r)
 
 	// Enumerate F1 pairs and triples with the distance filters of
-	// Algorithm 5, lines 6-10. rcur tightens as better solutions appear,
-	// narrowing the filters further.
-	if ws := s.parWorkersFor(len(f1)); ws != nil {
-		if r, c, ok := s.exactPlusScanPar(ws, f1, rMinus, qLoc, q, k, rcur); ok {
-			rcur = r
-			best = append(best[:0], c...)
-		}
-	} else {
-	enum:
-		for i1, v1 := range f1 {
-			p1 := s.g.Loc(v1)
-			for i2, v2 := range f1 {
-				if i2 <= i1 {
-					continue
+	// Algorithm 5, lines 6-10. The incumbent tightens as better solutions
+	// appear, narrowing the filters further.
+	s.scanPar(sc, 0, len(f1), &best, func(w *Searcher, lo, hi int, b *parBest) bool {
+		for i1 := lo; i1 < hi; i1++ {
+			p1 := s.g.Loc(f1[i1])
+			for i2 := i1 + 1; i2 < len(f1); i2++ {
+				if w.canceled() {
+					return false
 				}
-				if s.canceled() {
-					break enum
-				}
-				p2 := s.g.Loc(v2)
+				p2 := s.g.Loc(f1[i2])
 				d12 := p1.Dist(p2)
 				// v2 plays the farthest-fixed-vertex role: Lemma 2 puts the
 				// largest fixed-vertex distance in [√3·ropt, 2·ropt] ⊆
 				// [√3·rMinus, 2·rcur].
-				if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*rcur+geom.Eps {
+				if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*sc.r.load()+geom.Eps {
 					continue
 				}
 				// Two fixed vertices: diameter circle.
-				s.tryCircle(geom.CircleFrom2(p1, p2), qLoc, q, k, &rcur, &best)
+				w.tryCircle(sc, geom.CircleFrom2(p1, p2), enumOrd{int32(i1), int32(i2), -1}, b)
 				// Third fixed vertex: no farther from v1 than v2 is (F3 filter).
-				for i3, v3 := range f1 {
+				for i3 := range f1 {
 					if i3 == i1 || i3 == i2 {
 						continue
 					}
-					if s.canceledTick() {
-						break enum
+					if w.canceledTick() {
+						return false
 					}
-					p3 := s.g.Loc(v3)
+					p3 := s.g.Loc(f1[i3])
 					if p1.Dist(p3) > d12+geom.Eps || p2.Dist(p3) > d12+geom.Eps {
 						continue
 					}
-					s.tryCircle(geom.CircleFrom3(p1, p2, p3), qLoc, q, k, &rcur, &best)
+					w.tryCircle(sc, geom.CircleFrom3(p1, p2, p3), enumOrd{int32(i1), int32(i2), int32(i3)}, b)
 				}
 			}
 		}
-	}
-	s.bestBuf = best
-	return best, deltaIsRadius, nil
+		return true
+	})
+	s.bestBuf = best.members
+	return best.members, deltaIsRadius, nil
 }

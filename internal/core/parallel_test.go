@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sacsearch/internal/geom"
@@ -55,10 +57,10 @@ func diffResults(t *testing.T, label string, serial, par *Result) {
 	}
 }
 
-// TestParallelExactMatchesSerial pins the tentpole determinism guarantee:
-// the strip-parallel Exact returns byte-identical results to the serial scan
-// at every worker count, and workers=1 is the serial path outright (equal
-// work counters included).
+// TestParallelExactMatchesSerial pins the scan's determinism guarantee: the
+// strip-parallel Exact returns byte-identical results to the inline scan of
+// a budget-0 searcher at every worker count, and a budget of 1 is that
+// inline scan outright (equal work counters included).
 func TestParallelExactMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := clusteredGraph(seed, 2, 32, 20)
@@ -90,11 +92,11 @@ func TestParallelExactMatchesSerial(t *testing.T) {
 						t.Fatalf("seed %d q=%d k=%d workers=%d: no circles examined", seed, q, k, workers)
 					}
 					if workers == 1 {
-						// One worker is the serial code path by definition:
-						// the full work counters must match, not just results.
+						// A budget of 1 runs inline, like budget 0: the
+						// full work counters must match, not just results.
 						if pres.Stats.CirclesExamined != sres.Stats.CirclesExamined ||
 							pres.Stats.FeasibilityChecks != sres.Stats.FeasibilityChecks {
-							t.Fatalf("seed %d q=%d k=%d workers=1: counters diverge from serial: %+v vs %+v",
+							t.Fatalf("seed %d q=%d k=%d workers=1: counters diverge from budget 0: %+v vs %+v",
 								seed, q, k, pres.Stats, sres.Stats)
 						}
 					}
@@ -171,6 +173,67 @@ func TestParallelExactPlusMatchesSerial(t *testing.T) {
 	}
 	if !engaged {
 		t.Fatalf("parallel exact+ path never engaged on any fixture (F1 always under parMinWidth=%d)", parMinWidth)
+	}
+}
+
+// heldCtx parks the query it is given at that query's first context check,
+// which happens inside Searcher.run: the query counts as in flight until
+// release is closed.
+type heldCtx struct {
+	context.Context
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (c *heldCtx) Done() <-chan struct{} { return c.release }
+func (c *heldCtx) Err() error {
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	return nil
+}
+
+// TestScanBudgetSharedByQueriesInFlight pins the one budget rule: a scan
+// runs on its searcher's budget divided by the queries inside run across
+// the process, floor 1. With held queries parked in flight, a budget-4
+// Exact+ on the spread clique (|F1| = 36, nine strips) scans on 4, 2 and 1
+// workers, and answers what a budget-0 searcher does.
+func TestScanBudgetSharedByQueriesInFlight(t *testing.T) {
+	g := spreadClique(5, 64)
+	query := Query{Algo: "exact+", Q: 0, K: 20, EpsA: Float(0.5)}
+	want, err := NewSearcher(g).Search(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.Workers != 1 {
+		t.Fatalf("budget 0 scanned on %d workers, want 1 (inline)", want.Stats.Workers)
+	}
+	for _, held := range []int{0, 1, 3} {
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < held; i++ {
+			ctx := &heldCtx{Context: context.Background(), entered: make(chan struct{}), release: release}
+			hs := NewSearcher(g)
+			hs.SetParallelism(4)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hs.Search(ctx, query)
+			}()
+			<-ctx.entered
+		}
+		s := NewSearcher(g)
+		s.SetParallelism(4)
+		got, err := s.Search(context.Background(), query)
+		close(release)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := max(1, 4/(held+1)); got.Stats.Workers != w {
+			t.Fatalf("%d queries held in flight: budget 4 scanned on %d workers, want %d", held, got.Stats.Workers, w)
+		}
+		diffResults(t, fmt.Sprintf("held=%d", held), want, got)
 	}
 }
 

@@ -188,18 +188,7 @@ func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int6
 	}
 	g := b.Build()
 	searcher := core.NewSearcher(g)
-	// The assembled searcher is request-private, so the only coordination
-	// needed for intra-query parallelism is scaling the budget by how many
-	// assembly runs are active right now.
-	if n := rt.cfg.QueryParallelism; n > 1 {
-		inf := rt.inflight.Add(1)
-		defer rt.inflight.Add(-1)
-		eff := n / int(inf)
-		if eff < 1 {
-			eff = 1
-		}
-		searcher.SetParallelism(eff)
-	}
+	searcher.SetParallelism(rt.cfg.QueryParallelism)
 	lq := cq
 	lq.Q = rank[int64(cq.Q)]
 	res, err := searcher.Search(ctx, lq)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,6 +164,19 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
+// watchAttached is a router transport counting the /v1/shard/watch streams
+// a shard has answered: by then the shard's handler has attached its feed
+// stream and is serving it.
+type watchAttached struct{ n atomic.Int32 }
+
+func (w *watchAttached) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/v1/shard/watch" && resp.StatusCode == http.StatusOK {
+		w.n.Add(1)
+	}
+	return resp, err
+}
+
 // TestStreamsNotLoggedSlow: with a slow-request threshold every request
 // exceeds, ordinary requests are logged slow under their own route label,
 // but SSE streams — /v1/subscribe on a server and on a router, and the
@@ -178,11 +192,13 @@ func TestStreamsNotLoggedSlow(t *testing.T) {
 		}
 	}
 	g := testGraph(200, 900, 17)
+	var watches watchAttached
 	tp := newTopologyWith(t, g, 2,
 		server.Config{SlowQueryThreshold: time.Nanosecond, TraceHook: hook,
 			Logger: slog.New(slog.NewTextHandler(&serverLog, nil))},
 		Config{SlowQueryThreshold: time.Nanosecond, TraceHook: hook,
-			Logger: slog.New(slog.NewTextHandler(&routerLog, nil))})
+			Logger:        slog.New(slog.NewTextHandler(&routerLog, nil)),
+			ClientOptions: []client.Option{client.WithHTTPClient(&http.Client{Transport: &watches})}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -210,6 +226,13 @@ func TestStreamsNotLoggedSlow(t *testing.T) {
 	// Control: a non-streaming request under the same threshold is logged.
 	for _, base := range []string{tp.single.URL, tp.router.URL} {
 		do(t, "GET", base+"/v1/algorithms", "", nil)
+	}
+	// The router starts its shard watchers in the background on the first
+	// registration; a drain that beats one leaves its shard no stream to end.
+	for deadline := time.Now().Add(10 * time.Second); watches.n.Load() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 2 shard-watch streams attached", watches.n.Load())
+		}
 	}
 	// End both subscription streams and the router's two shard-watch streams,
 	// and wait until all four handlers have run their middleware epilogue.

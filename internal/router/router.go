@@ -80,11 +80,12 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// TraceHook, when set, receives every finished root span (tests).
 	TraceHook func(*telemetry.Span)
-	// QueryParallelism is the intra-query parallelism budget for the local
-	// assembly run of a cross-shard query (the merged-subgraph Exact /
-	// ExactPlus enumeration). As on the server, the budget is divided by the
-	// number of assembly runs in flight (floor 1) so a busy router degrades
-	// to serial per query instead of oversubscribing cores. 0 disables.
+	// QueryParallelism is the circle-scan budget (core.Searcher's
+	// SetParallelism) of the local assembly run of a cross-shard query: its
+	// Exact or ExactPlus scan runs on up to this many workers. As on the
+	// server, core divides it by the queries running in the process (floor
+	// 1), so a busy router scans on one worker per query instead of
+	// oversubscribing cores. 0, the default, disables the feature.
 	QueryParallelism int
 	// MaxSubscriptions caps concurrently live standing queries held by this
 	// router (GET /v1/subscribe). Default 1024.
@@ -112,10 +113,7 @@ type Router struct {
 	// router: the partition-time count plus every Changed mutation routed
 	// here. Writes that bypass the router are not reflected.
 	edges atomic.Int64
-	// inflight counts local assembly runs in progress; it scales the
-	// per-query parallelism budget down under concurrent load.
-	inflight atomic.Int64
-	start    time.Time
+	start time.Time
 
 	// legsTotal counts outbound shard calls by kind (search, expand, range,
 	// vertex, checkin, edge, info, health).

@@ -303,6 +303,30 @@ func TestRoutedExactAlgorithms(t *testing.T) {
 	tp.diffQueries(t, "exact post-churn", queries)
 }
 
+// TestRoutedExactPlusParallel runs Exact+ through a router whose scan budget
+// is 4 against a single engine at budget 0. The graph is a clique of 64
+// scattered vertices, so every answer spans both shards and is assembled at
+// the router, where F1 is wide enough for the scan to fan out; the answers
+// must still be the single engine's.
+func TestRoutedExactPlusParallel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	b := graph.NewBuilder(64)
+	for v := 0; v < 64; v++ {
+		b.SetLoc(graph.V(v), geom.Point{X: rnd.Float64(), Y: rnd.Float64()})
+		for j := 0; j < v; j++ {
+			b.AddEdge(graph.V(v), graph.V(j))
+		}
+	}
+	tp := newTopologyWith(t, b.Build(), 2, server.Config{}, Config{QueryParallelism: 4})
+	queries := []client.Query{
+		{Q: 0, K: 20, Algo: "exact+", EpsA: client.Float(0.5)},
+		{Q: 17, K: 40, Algo: "exact+", EpsA: client.Float(0.5)},
+	}
+	if cross := tp.diffQueries(t, "parallel exact+", queries); cross != len(queries) {
+		t.Fatalf("%d of %d answers were cross-shard; the fixture should assemble every one", cross, len(queries))
+	}
+}
+
 // TestRoutedBatch pins the batch surface: same members and circles, same
 // per-item error strings for infeasible items.
 func TestRoutedBatch(t *testing.T) {

@@ -116,15 +116,15 @@ type Config struct {
 	// GET /v1/subscribe; past it registrations fail with 429
 	// subscription_limit. Default 1024.
 	MaxSubscriptions int
-	// QueryParallelism is the intra-query parallelism budget for /v1/query:
-	// a lone Exact or ExactPlus request fans its circle enumeration over up
-	// to this many goroutines. The budget is divided by the number of query
-	// and batch requests in flight (floor 1), so a saturated server degrades
-	// to one goroutine per query instead of oversubscribing cores and
-	// collapsing p99 — per-query parallelism helps latency when cores are
-	// idle, never throughput when they are not. Batch requests themselves
-	// always run their queries serially (the batch's own workers are the
-	// parallelism). 0, the default, disables the feature.
+	// QueryParallelism is the circle-scan budget (core.Searcher's
+	// SetParallelism) of a /v1/query request: an Exact or ExactPlus scan runs
+	// on up to this many workers. Core divides it by the queries running in
+	// the process (floor 1), so a lone query on an idle server gets the whole
+	// budget and a saturated server runs every scan on one — per-query
+	// parallelism helps latency when cores are idle, never throughput when
+	// they are not. Batch items and shard legs always scan on one worker (a
+	// batch's own workers are its parallelism). 0, the default, disables the
+	// feature.
 	QueryParallelism int
 }
 
@@ -164,12 +164,8 @@ type Server struct {
 	statRepairs  *telemetry.CounterVec // sorted views repaired from the mutation journal
 	statRebuilds *telemetry.CounterVec // sorted views computed from scratch
 	statDropped  *telemetry.CounterVec // cached communities invalidated
-	parBudget    *telemetry.Counter    // requested parallelism-budget goroutines
-	parEffective *telemetry.Counter    // goroutines actually granted under load
-
-	// inflight counts query and batch requests being served right now; it
-	// scales the per-query parallelism budget down under concurrent load.
-	inflight atomic.Int64
+	parBudget    *telemetry.Counter    // circle-scan workers the budget asked for
+	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
 
 	// cert caches the shard exactness certificate for the current topology
 	// (sharded nodes only; see certFor).
@@ -251,9 +247,9 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	s.statDropped = reg.CounterVec("sac_query_cache_entries_dropped_total",
 		"Cached communities dropped because an edge op changed them or the mutation journal no longer reached them, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
-		"Goroutines the configured per-query parallelism budget would grant.")
+		"Circle-scan workers the per-query parallelism budget asked for, over /v1/query Exact and Exact+ scans.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
-		"Goroutines actually granted after scaling the budget by in-flight load.")
+		"Circle-scan workers those scans ran on, the budget divided by the queries in flight.")
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/ready", s.handleReady)
 	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
@@ -548,22 +544,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	snap := eng.Current()
 	searcher := snap.Get()
 	defer snap.Put(searcher)
-	// Scale the per-query parallelism budget by the in-flight count: an idle
-	// server gives this query the whole budget, a saturated one hands out
-	// serial searchers. The previous value is restored before the worker
-	// returns to the pool (defers run LIFO, so this precedes snap.Put).
+	// The scan budget is this request's; core divides it by the load. The
+	// worker goes back to the pool with the default 0 (defers run LIFO, so
+	// the reset precedes snap.Put).
 	if n := s.cfg.QueryParallelism; n > 1 {
-		inf := s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		eff := n / int(inf)
-		if eff < 1 {
-			eff = 1
-		}
-		s.parBudget.Add(uint64(n))
-		s.parEffective.Add(uint64(eff))
-		prev := searcher.Parallelism()
-		searcher.SetParallelism(eff)
-		defer searcher.SetParallelism(prev)
+		searcher.SetParallelism(n)
+		defer searcher.SetParallelism(0)
 	}
 	ctx, qspan := telemetry.StartSpan(ctx, "search")
 	res, err := searcher.Search(ctx, q)
@@ -577,6 +563,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qspan.SetAttr("q", req.Q)
 	qspan.SetAttr("k", req.K)
 	s.observeQuery(spec.Name, res.Stats)
+	if workers := res.Stats.Workers; workers > 0 {
+		s.parBudget.Add(uint64(max(s.cfg.QueryParallelism, 1)))
+		s.parEffective.Add(uint64(workers))
+	}
 	httpapi.WriteJSON(w, http.StatusOK, httpapi.WireResult(spec.Name, res))
 }
 
@@ -632,11 +622,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	// Batches count toward the in-flight load that scales down single-query
-	// parallelism, but their own workers stay serial: the batch already owns
-	// its cores via worker fan-out.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	items := batch.RunOn(ctx, snap, queries, batch.Options{
 		Workers:  httpapi.BatchFanOut(&req),
 		Template: template,

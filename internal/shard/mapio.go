@@ -126,19 +126,18 @@ func ReadMap(r io.Reader) (*Map, error) {
 	if m.N < 0 || m.N > 1<<31 {
 		return nil, fmt.Errorf("shard: shard map declares %d vertices", m.N)
 	}
-	m.Owner = make([]uint16, m.N)
+	// The owner table grows with the bytes actually read, never with the
+	// header's claim: a short file declaring 2^31 vertices fails as truncated
+	// without allocating 4 GiB first.
 	buf := make([]byte, 2*4096)
-	for off := 0; off < m.N; {
-		chunk := (m.N - off) * 2
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
+	m.Owner = make([]uint16, 0, min(m.N, len(buf)/2))
+	for len(m.Owner) < m.N {
+		chunk := 2 * min(m.N-len(m.Owner), len(buf)/2)
 		if err := read(buf[:chunk]); err != nil {
 			return nil, err
 		}
 		for i := 0; i < chunk; i += 2 {
-			m.Owner[off] = binary.LittleEndian.Uint16(buf[i:])
-			off++
+			m.Owner = append(m.Owner, binary.LittleEndian.Uint16(buf[i:]))
 		}
 	}
 	want := crc

@@ -256,10 +256,11 @@ type sseFrame struct {
 	data  []byte
 }
 
-// readSSEFrame reads lines up to one blank-line frame boundary.
+// readSSEFrame reads lines up to one blank-line frame boundary. Several data
+// lines join with "\n" between them, as the SSE specification requires.
 func readSSEFrame(br *bufio.Reader) (sseFrame, error) {
 	var f sseFrame
-	started := false
+	started, hasData := false, false
 	for {
 		line, err := br.ReadBytes('\n')
 		if err != nil {
@@ -285,7 +286,11 @@ func readSSEFrame(br *bufio.Reader) (sseFrame, error) {
 		case "event":
 			f.event = string(val)
 		case "data":
+			if hasData {
+				f.data = append(f.data, '\n')
+			}
 			f.data = append(f.data, val...)
+			hasData = true
 		}
 	}
 }

@@ -25,23 +25,16 @@ func (s *Searcher) appFast(cand *candidateSet, q graph.V, k int, p resolvedParam
 
 // queryNeighborLowerBound returns the distance to q's needQ-th nearest
 // neighbor inside the candidate set — the lower bound l of Eq (1). It
-// iterates q's adjacency once, O(deg(q) log deg(q)): with caching on, X is
-// the bound entry's member set, which localValid already marks; only an
-// uncached query marks X itself, O(|X|).
-func (s *Searcher) queryNeighborLowerBound(cand *candidateSet, q graph.V, needQ int) float64 {
+// iterates q's adjacency once, O(deg(q) log deg(q)): X is the bound cache
+// entry's member set, which localValid already marks.
+func (s *Searcher) queryNeighborLowerBound(q graph.V, needQ int) float64 {
 	if needQ <= 0 {
 		return 0
-	}
-	inX := s.localValid
-	if s.curEntry == nil {
-		inX = s.inX
-		inX.Reset()
-		inX.MarkAll(cand.verts)
 	}
 	nbr := s.distBuf[:0]
 	qp := s.g.Loc(q)
 	for _, u := range s.g.Neighbors(q) {
-		if inX.Has(u) {
+		if s.localValid.Has(u) {
 			nbr = append(nbr, qp.Dist(s.g.Loc(u)))
 		}
 	}
@@ -65,7 +58,7 @@ func (s *Searcher) appFastSearch(cand *candidateSet, q graph.V, k int, epsF floa
 	// Lower/upper bounds of Eq (1): any feasible solution keeps at least
 	// minQueryNeighbors(k) of q's neighbors inside the circle, so δ is at
 	// least the distance to the needQ-th nearest of them.
-	l := s.queryNeighborLowerBound(cand, q, s.minQueryNeighbors(k))
+	l := s.queryNeighborLowerBound(q, s.minQueryNeighbors(k))
 	u := cand.maxDist()
 
 	// Λ starts as the whole k-ĉore X (always feasible), held by reference.

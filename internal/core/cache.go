@@ -29,7 +29,9 @@ import (
 // between reuses everything at zero cost.
 //
 // The cache belongs to one Searcher and inherits its no-concurrent-use
-// contract; Clone starts with an empty cache.
+// contract; Clone starts with an empty cache. Every query but θ-SAC takes its
+// candidate set from it: there is no path around the cache, only a cold one
+// (SetCandidateCaching).
 
 // cacheKey identifies a (vertex, k) membership lookup.
 type cacheKey struct {
@@ -232,14 +234,4 @@ func (e *cacheEntry) viewFor(q graph.V) (vw *sortedView, held bool) {
 func (c *candCache) clear() {
 	c.index = nil
 	c.vertices = 0
-}
-
-// entries returns the number of distinct cached communities (negative
-// entries included once per vertex they are keyed by).
-func (c *candCache) entries() int {
-	seen := make(map[*cacheEntry]struct{}, len(c.index))
-	for _, e := range c.index {
-		seen[e] = struct{}{}
-	}
-	return len(seen)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -25,8 +26,8 @@ func TestCandidateCacheHits(t *testing.T) {
 	if r1.Stats.CacheHits != 0 {
 		t.Fatalf("first query reported %d cache hits", r1.Stats.CacheHits)
 	}
-	if s.CachedCommunities() != 1 {
-		t.Fatalf("CachedCommunities = %d, want 1", s.CachedCommunities())
+	if cachedCommunities(s) != 1 {
+		t.Fatalf("cached communities = %d, want 1", cachedCommunities(s))
 	}
 
 	r2, err := s.AppFast(vQ, 2, 0.5)
@@ -48,8 +49,8 @@ func TestCandidateCacheHits(t *testing.T) {
 	if r3.Stats.CacheHits == 0 {
 		t.Fatal("same-community query from another member missed the cache")
 	}
-	if s.CachedCommunities() != 1 {
-		t.Fatalf("CachedCommunities = %d after same-community query, want 1", s.CachedCommunities())
+	if cachedCommunities(s) != 1 {
+		t.Fatalf("cached communities = %d after same-community query, want 1", cachedCommunities(s))
 	}
 
 	// A different k is a different community.
@@ -137,35 +138,88 @@ func TestCandidateCacheAfterSetLoc(t *testing.T) {
 	}
 }
 
-// TestCandidateCachingDisabled verifies the toggle bypasses and drops the
-// cache while leaving results unchanged.
+// cachedCommunities returns the number of distinct entries in s's candidate
+// cache (a negative entry once per vertex it is keyed by).
+func cachedCommunities(s *Searcher) int {
+	seen := map[*cacheEntry]bool{}
+	for _, e := range s.cache.index {
+		seen[e] = true
+	}
+	return len(seen)
+}
+
+// TestCandidateCachingDisabled verifies that with caching off every query
+// starts from a cold cache on the one candidate path — what it leaves behind
+// is its own entry only, never a hit — with results unchanged, and that
+// turning caching back on lets the next query hit.
 func TestCandidateCachingDisabled(t *testing.T) {
 	g := figure3()
 	s := NewSearcher(g)
-	if _, err := s.AppFast(vQ, 2, 0.5); err != nil {
-		t.Fatal(err)
+	if _, err := s.AppFast(vC, 3, 0.5); !errors.Is(err, ErrNoCommunity) {
+		t.Fatalf("k=3 query: %v, want ErrNoCommunity", err)
 	}
-	s.SetCandidateCaching(false)
-	if s.CachedCommunities() != 0 {
-		t.Fatal("disabling caching did not drop the cache")
-	}
-	res, err := s.AppFast(vQ, 2, 0.5)
+	want, err := s.AppFast(vQ, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 0 || s.CachedCommunities() != 0 {
-		t.Fatal("disabled cache still used")
-	}
-	if !membersEqual(res.Members, vQ, vA, vB) {
-		t.Fatalf("uncached members = %v, want {Q,A,B}", res.Members)
+	s.SetCandidateCaching(false)
+	for round := 0; round < 2; round++ {
+		res, err := s.AppFast(vQ, 2, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.CacheHits != 0 || res.Stats.ViewRebuilds != 1 || cachedCommunities(s) != 1 {
+			t.Fatalf("round %d: query with caching off was not cold: %+v, %d entries", round, res.Stats, cachedCommunities(s))
+		}
+		if !slices.Equal(res.Members, want.Members) || res.MCC != want.MCC || res.Delta != want.Delta {
+			t.Fatalf("round %d: cold answer %v differs from the warm %v", round, res.Members, want.Members)
+		}
 	}
 	s.SetCandidateCaching(true)
-	if _, err := s.AppFast(vQ, 2, 0.5); err != nil {
-		t.Fatal(err)
+	if res, err := s.AppFast(vQ, 2, 0.5); err != nil || res.Stats.CacheHits != 1 {
+		t.Fatalf("re-enabled cache not used: %v, %+v", err, res)
 	}
-	if s.CachedCommunities() != 1 {
-		t.Fatal("re-enabled cache not repopulated")
+}
+
+// TestOnlyThetaReachesTheGlobalPeeler pins the one candidate path: with the
+// searcher's kcore.Peeler gone, every algorithm but θ-SAC still answers, with
+// the cache on and off — their feasibility checks go to the prefix oracle or
+// the grid peel — and θ-SAC, whose circle is a subset of nothing cached, is
+// the one that reaches for it.
+func TestOnlyThetaReachesTheGlobalPeeler(t *testing.T) {
+	ctx := context.Background()
+	for _, f := range []struct {
+		g  *graph.Graph
+		qs []graph.V
+	}{
+		{figure3(), []graph.V{vQ, vF, vI}},
+		{latticeGraph(4, 90, 400, 9), []graph.V{3, 40, 77}},
+	} {
+		for _, caching := range []bool{true, false} {
+			s := NewSearcher(f.g)
+			s.SetCandidateCaching(caching)
+			s.peeler = nil
+			for _, q := range f.qs {
+				for k := 1; k <= 4; k++ {
+					for _, spec := range Algorithms() {
+						if spec.Name != "theta" {
+							s.Search(ctx, Query{Algo: spec.Name, Q: q, K: k})
+						}
+					}
+					s.MinDiam2Approx(q, k)
+					s.MinDiamLens(q, k)
+				}
+			}
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("θ-SAC answered without the global peeler")
+		}
+	}()
+	s := NewSearcher(figure3())
+	s.peeler = nil
+	s.ThetaSAC(vQ, 2, 3.1)
 }
 
 // TestSortByDist checks the dual-slice sort on adversarial-ish inputs: the
@@ -284,25 +338,24 @@ func TestCandidateCacheKCliqueOverlap(t *testing.T) {
 		b.SetLoc(graph.V(v), geom.Point{X: 0.1 * float64(v+1), Y: 0.5})
 	}
 	g := b.Build()
-	cached := NewSearcherWithStructure(g, StructureKClique)
-	uncached := NewSearcherWithStructure(g, StructureKClique)
-	uncached.SetCandidateCaching(false)
-	// Warm the cache from vertex 0, then query every vertex and require
-	// the cached searcher to match the uncached one exactly.
-	if _, err := cached.AppInc(0, 3); err != nil {
+	warm := NewSearcherWithStructure(g, StructureKClique)
+	// Warm the cache from vertex 0, then query every vertex and require the
+	// warm searcher to match a fresh one, whose cache holds nothing to be
+	// served by mistake.
+	if _, err := warm.AppInc(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	for q := graph.V(0); q < 5; q++ {
-		rc, errC := cached.AppInc(q, 3)
-		ru, errU := uncached.AppInc(q, 3)
-		if (errC == nil) != (errU == nil) {
-			t.Fatalf("q=%d: cached err %v, uncached err %v", q, errC, errU)
+		rw, errW := warm.AppInc(q, 3)
+		rf, errF := NewSearcherWithStructure(g, StructureKClique).AppInc(q, 3)
+		if (errW == nil) != (errF == nil) {
+			t.Fatalf("q=%d: warm err %v, fresh err %v", q, errW, errF)
 		}
-		if errC != nil {
+		if errW != nil {
 			continue
 		}
-		if !membersEqual(rc.Members, ru.Members...) {
-			t.Fatalf("q=%d: cached members %v != uncached %v", q, rc.Members, ru.Members)
+		if !membersEqual(rw.Members, rf.Members...) {
+			t.Fatalf("q=%d: warm members %v != fresh %v", q, rw.Members, rf.Members)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // the candidate prefix for the lens search — is indexed once per query
 // (indexWorkingSet) and every such question goes through circleFeasible.
 //
-// For the k-core metric on a cached community the per-query grid is also the
-// id space of the answer. A vertex's position in the grid's cell order keys a
+// For the k-core metric the per-query grid is also the id space of the
+// answer. A vertex's position in the grid's cell order keys a
 // compact CSR of the working set's induced subgraph, cut from the cache
 // entry's induced rows, and one state array; the grid returns positions, and
 // the peel touches nothing a circle's worth of cells away from the rest of
@@ -36,8 +36,7 @@ const gridTargetPerCell = 4
 type workingSet struct {
 	grid spatial.SubGrid
 
-	// peelable is set for a k-core query that went through the candidate
-	// cache: the rest is then valid. Row p of (off, adj) lists the positions
+	// peelable is set for a k-core query: the rest is then valid. Row p of (off, adj) lists the positions
 	// of the neighbours of grid.IDs()[p] inside the working set, in ascending
 	// global id — the order of the entry's induced rows and of the graph's
 	// own, so a BFS over these rows visits what one over those would.
@@ -80,16 +79,16 @@ func (p *posPeeler) advance(n int) uint32 {
 }
 
 // indexWorkingSet makes vs, which must hold q, the working set of the query
-// in flight: the grid is rebuilt over it and, for a k-core query on a cached
-// community, so is the position CSR — from the entry's induced rows, which
-// already hold no edge that leaves the community.
+// in flight: the grid is rebuilt over it and, for a k-core query, so is the
+// position CSR — from the cache entry's induced rows, which already hold no
+// edge that leaves the community.
 func (s *Searcher) indexWorkingSet(vs []graph.V, q graph.V) {
 	ws := &s.ws
 	ws.grid.Build(s.g, vs, gridTargetPerCell)
-	e := s.curEntry
-	if e == nil || s.structure != StructureKCore {
+	if s.structure != StructureKCore {
 		return
 	}
+	e := s.curEntry
 	if e.adjOff == nil {
 		e.buildInduced(s.g, s.localOf, s.localValid)
 	}
@@ -154,8 +153,7 @@ func (s *Searcher) workingSet() *workingSet {
 // surviving neighbour outside D on either side, so the BFS emits the same
 // sequence.
 //
-// k-truss, k-clique and uncached queries gather the ids and go through
-// feasible.
+// k-truss and k-clique queries gather the ids and go through feasible.
 func (s *Searcher) circleFeasible(cc geom.Circle, q graph.V, k int, from []int32) []graph.V {
 	ws := s.workingSet()
 	if !ws.peelable {

@@ -223,18 +223,21 @@ func TestGridPeelIDSubsets(t *testing.T) {
 			}
 		}
 	}
-	// And end to end: the lens search answers the same with the cache — and
-	// so the position peel — off.
+	// And end to end: the lens search on the warm searcher answers what a
+	// fresh one does, and its answer is a connected 3-core holding q by the
+	// global peeler's reckoning — KCoreWithin keeps all of it — whose
+	// diameter is the δ reported.
 	for _, q := range eligible(s, 3, 4) {
-		cold := NewSearcher(g)
-		cold.SetCandidateCaching(false)
 		a, errA := s.MinDiamLens(q, 3)
-		b, errB := cold.MinDiamLens(q, 3)
+		b, errB := NewSearcher(g).MinDiamLens(q, 3)
 		if errA != nil || errB != nil {
 			t.Fatalf("q=%d: %v / %v", q, errA, errB)
 		}
 		if !slices.Equal(a.Members, b.Members) || a.Delta != b.Delta {
-			t.Fatalf("q=%d: lens search diverges with the cache off: %v (%v) vs %v (%v)", q, a.Members, a.Delta, b.Members, b.Delta)
+			t.Fatalf("q=%d: lens search depends on cache history: %v (%v) vs %v (%v)", q, a.Members, a.Delta, b.Members, b.Delta)
+		}
+		if c := kcore.NewPeeler(g).KCoreWithin(a.Members, q, 3); len(c) != len(a.Members) || a.Delta != DiameterOf(g, a.Members) {
+			t.Fatalf("q=%d: lens answer %v (δ %v) is not a connected 3-core of diameter δ", q, a.Members, a.Delta)
 		}
 	}
 }

@@ -29,15 +29,21 @@
 // their order as well, a BFS from q; the oracle's is its own, see there):
 //
 //   - the prefix oracle (oracle.go), for a distance prefix of q's cached
-//     sorted view: one sweep answers every prefix, a probe is a binary search;
+//     sorted view: one sweep answers every prefix, a probe is a binary search.
+//     AppInc's growth, AppFast's bisection and AppAcc's first phase reach it.
 //   - the grid peel (circle.go), for the vertices of the query's working set
 //     inside a circle, or any subset of it: the per-query spatial.SubGrid is
 //     the id space of a compact CSR cut from the cached community's induced
-//     rows, and the peel runs over grid positions;
-//   - the global kcore.Peeler, for vertex sets that are a subset of nothing
-//     cached: θ-SAC's circle, and every query with candidate caching off.
+//     rows, and the peel runs over grid positions. AppAcc's anchor probes,
+//     the Exact / Exact+ circle scans and the minimum-diameter searches
+//     reach it.
+//   - the global kcore.Peeler, for a vertex set that is a subset of nothing
+//     cached. Only θ-SAC's circle is: every other query takes its candidate
+//     set from the cache (candidates), so it never comes here.
 //
 // k-truss and k-clique have one checker each (Searcher.feasible dispatches).
+// The independent side of every differential is reference_test.go: the
+// paper's definitions brute-forced over the graph alone.
 package core
 
 import (
@@ -155,20 +161,22 @@ type Searcher struct {
 	trussChk  *ktruss.Checker
 	cliqueChk *kclique.Checker
 
-	// Candidate-set cache (see cache.go). noCache disables it; the repeated-
-	// query benchmarks use the toggle to measure what the cache buys. Entries
-	// and views carry the timeline stamp they reflect and are repaired from
-	// the graph's mutation journal when a lookup finds them behind
-	// (repair.go); rep is that repair's scratch and the free list of oracle
-	// buffers invalidated views hand back.
+	// Candidate-set cache (see cache.go), the only source of a query's
+	// candidate set. noCache empties it as each query starts, so every query
+	// runs from a cold cache on the same path; the repeated-query benchmarks
+	// use it to measure what a warm cache buys. Entries and views carry the
+	// timeline stamp they reflect and are repaired from the graph's mutation
+	// journal when a lookup finds them behind (repair.go); rep is that
+	// repair's scratch and the free list of oracle buffers invalidated views
+	// hand back.
 	cache   candCache
 	noCache bool
 	rep     repairScratch
 
 	// curEntry/curView identify the cache entry and sorted view of the query
-	// in flight (nil when caching is off or the query bypassed the cache);
-	// the k-core feasibility fast paths answer prefix probes through the
-	// view's oracle and cut the working set's CSR from the entry's induced
+	// in flight (nil for θ-SAC, which gathers from its circle instead); the
+	// k-core feasibility fast paths answer prefix probes through the view's
+	// oracle and cut the working set's CSR from the entry's induced
 	// adjacency.
 	curEntry *cacheEntry
 	curView  *sortedView
@@ -191,11 +199,10 @@ type Searcher struct {
 	inX       *graph.Marker
 	visited   *graph.Marker
 
-	// cand is the query's candidate set view. With caching on it aliases the
-	// cache entry's sorted view; with caching off it owns ownVerts. sortKeys
-	// holds the distances a sort runs on and nothing afterwards.
+	// cand is the query's candidate set: it aliases the cache entry's sorted
+	// view. sortKeys holds the distances a sort runs on and nothing
+	// afterwards.
 	cand     candidateSet
-	ownVerts []graph.V
 	sortKeys []float64
 	distSort distSorter
 
@@ -230,19 +237,12 @@ type Searcher struct {
 	qdeadline time.Time
 }
 
-// SetCandidateCaching toggles the candidate-set membership cache (on by
-// default). Turning it off also drops whatever is cached; the repeated-query
-// benchmarks use the toggle to compare against the from-scratch path.
-func (s *Searcher) SetCandidateCaching(enabled bool) {
-	s.noCache = !enabled
-	if !enabled {
-		s.cache.clear()
-	}
-}
-
-// CachedCommunities returns the number of distinct communities currently
-// memoized by the candidate cache.
-func (s *Searcher) CachedCommunities() int { return s.cache.entries() }
+// SetCandidateCaching(false) makes every later query start from a cold
+// candidate cache: candidates empties the cache as the query begins, and the
+// query then fills it and runs exactly as a first query would. It is not a
+// second implementation; answers are the same either way. The repeated-query
+// benchmarks use it to time the from-scratch cost. On is the default.
+func (s *Searcher) SetCandidateCaching(enabled bool) { s.noCache = !enabled }
 
 // SetParallelism sets the worker budget of the Exact and ExactPlus circle
 // scans. A scan runs on the budget divided by the queries running in the
@@ -357,8 +357,8 @@ func (s *Searcher) feasible(S []graph.V, q graph.V, k int) []graph.V {
 		// distance prefix of the cached view (the binary searches) is answered
 		// by the view's prefix oracle in O(answer). Any other subset of an
 		// indexed working set is translated to grid positions and peeled over
-		// the working set's own CSR (circle.go). θ-SAC and uncached queries
-		// take the global peeler: their S is not a subset of anything cached.
+		// the working set's own CSR (circle.go). θ-SAC takes the global
+		// peeler: its circle is not a subset of anything cached.
 		if vw := s.curView; vw != nil && len(S) > 0 && len(S) <= len(vw.verts) && &S[0] == &vw.verts[0] {
 			return s.prefixFeasible(s.curEntry, vw, len(S), q, k)
 		}
@@ -421,13 +421,6 @@ func (c *candidateSet) nextDistAfter(r float64) float64 {
 // maxDist returns the largest candidate distance.
 func (c *candidateSet) maxDist() float64 { return c.dist(len(c.verts) - 1) }
 
-// bindCand points the query's candidate set at verts, sorted around q.
-func (s *Searcher) bindCand(q graph.V, verts []graph.V) *candidateSet {
-	s.cand = candidateSet{verts: verts, locs: s.g.Locs(), qp: s.g.Loc(q)}
-	s.stats.CandidateSize = len(verts)
-	return &s.cand
-}
-
 // sortAround puts verts in ascending (distance from q, id) order.
 func (s *Searcher) sortAround(q graph.V, verts []graph.V) {
 	keys := slices.Grow(s.sortKeys[:0], len(verts))
@@ -454,14 +447,13 @@ func (s *Searcher) communityOf(q graph.V, k int) []graph.V {
 
 // candidates builds the candidate set for (q, k), or ErrNoCommunity.
 //
-// With caching on (the default), membership comes from the per-community
-// cache whenever any member of q's community was queried before at this k,
-// and the order from the view q left there. Either may be behind the graph —
-// the searcher's own graph was mutated, or a pooled worker adopted a newer
-// snapshot — and is then brought current from the mutation journal: see
-// revalidate for what keeps an entry across edge ops and refreshView for how
-// a view follows check-ins. What cannot be repaired is recomputed here, as
-// on first use.
+// Membership comes from the per-community cache whenever any member of q's
+// community was queried before at this k, and the order from the view q left
+// there. Either may be behind the graph — the searcher's own graph was
+// mutated, or a pooled worker adopted a newer snapshot — and is then brought
+// current from the mutation journal: see revalidate for what keeps an entry
+// across edge ops and refreshView for how a view follows check-ins. What
+// cannot be repaired is recomputed here, as on first use.
 func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	// Candidate construction — community BFS, induced CSR, distance sort —
 	// is the dominant pre-loop cost of the cheap algorithms on a cold
@@ -471,13 +463,7 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 		return nil, s.canceledError()
 	}
 	if s.noCache {
-		members := s.communityOf(q, k)
-		if members == nil {
-			return nil, ErrNoCommunity
-		}
-		s.ownVerts = append(s.ownVerts[:0], members...)
-		s.sortAround(q, s.ownVerts)
-		return s.bindCand(q, s.ownVerts), nil
+		s.cache.clear()
 	}
 
 	e, ok := s.cache.lookup(q, k)
@@ -498,7 +484,9 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	vw := s.refreshView(e, q)
 	s.curEntry = e
 	s.curView = vw
-	return s.bindCand(q, vw.verts), nil
+	s.cand = candidateSet{verts: vw.verts, locs: s.g.Locs(), qp: s.g.Loc(q)}
+	s.stats.CandidateSize = len(vw.verts)
+	return &s.cand, nil
 }
 
 // deltaIsRadius is the δ a body returns to report the result's own MCC

@@ -373,93 +373,6 @@ func clusteredGraph(seed int64, nc, cs, extra int) *graph.Graph {
 	return b.Build()
 }
 
-// bruteOptimal enumerates every subset of the candidate k-ĉore (must be
-// small) and returns the minimum MCC radius over feasible subsets.
-func bruteOptimal(t *testing.T, g *graph.Graph, s *Searcher, q graph.V, k int) float64 {
-	t.Helper()
-	cand, err := s.candidates(q, k)
-	if err != nil {
-		t.Fatalf("bruteOptimal: %v", err)
-	}
-	X := cand.verts
-	if len(X) > 18 {
-		t.Fatalf("bruteOptimal: candidate set too large (%d)", len(X))
-	}
-	qi := -1
-	for i, v := range X {
-		if v == q {
-			qi = i
-		}
-	}
-	best := math.Inf(1)
-	visited := graph.NewMarker(g.NumVertices())
-	for mask := 1; mask < 1<<len(X); mask++ {
-		if mask&(1<<qi) == 0 {
-			continue
-		}
-		var members []graph.V
-		for i := range X {
-			if mask&(1<<i) != 0 {
-				members = append(members, X[i])
-			}
-		}
-		// Min degree within subset.
-		in := map[graph.V]bool{}
-		for _, v := range members {
-			in[v] = true
-		}
-		ok := true
-		for _, v := range members {
-			d := 0
-			for _, u := range g.Neighbors(v) {
-				if in[u] {
-					d++
-				}
-			}
-			if d < k {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		reach := graph.BFSFrom(g, q, func(v graph.V) bool { return in[v] }, visited, nil)
-		if len(reach) != len(members) {
-			continue
-		}
-		if r := g.MCCOf(members).R; r < best {
-			best = r
-		}
-	}
-	return best
-}
-
-func TestExactMatchesBruteForceOracle(t *testing.T) {
-	// Tiny graphs whose candidate sets stay under 18 vertices.
-	for seed := int64(0); seed < 8; seed++ {
-		g := clusteredGraph(seed, 3, 5, 4)
-		s := NewSearcher(g)
-		q := graph.V(0)
-		k := 3
-		if s.CoreNumber(q) < k {
-			continue
-		}
-		cand, _ := s.candidates(q, k)
-		if len(cand.verts) > 16 {
-			continue
-		}
-		want := bruteOptimal(t, g, s, q, k)
-		res, err := s.Exact(q, k)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if math.Abs(res.Radius()-want) > 1e-7 {
-			t.Fatalf("seed %d: Exact radius %v, brute %v", seed, res.Radius(), want)
-		}
-	}
-}
-
 func TestAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := clusteredGraph(seed, 6, 8, 30)

@@ -38,16 +38,16 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 	// from above and makes the d[i] > 2·rcur break and the Lemma 2 filters
 	// tight from the first iteration. The degenerate pair {X[0], X[1]} — the
 	// scan starts at i = 2 and never forms it — is likewise tried up front,
-	// at the index it would have at i = 1.
-	best := parBest{r: s.mccOf(X).R, ord: ordSeed, members: append(s.bestBuf[:0], X...)}
-	sc := s.newScan(q, k, best.r)
+	// where i = 1 would put it.
+	best := parBest{r: s.mccOf(X).R, members: append(s.bestBuf[:0], X...)}
+	sc := s.newScan(q, k)
 	if len(X) >= 2 {
-		s.tryCircle(sc, geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])), enumOrd{1, 0, -1}, &best)
+		s.tryCircle(sc, geom.CircleFrom2(s.g.Loc(X[0]), s.g.Loc(X[1])), &best)
 	}
 	s.scanPar(sc, 2, len(X), &best, func(w *Searcher, lo, hi int, b *parBest) bool {
 		for i := lo; i < hi; i++ {
 			pi := s.g.Loc(X[i])
-			if sc.qLoc.Dist(pi) > 2*sc.r.load() {
+			if sc.qLoc.Dist(pi) > 2*b.r {
 				// Algorithm 1, line 13. The distance from q ascends with i
 				// and the incumbent only shrinks, so no later i passes.
 				return false
@@ -58,8 +58,8 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 				}
 				// Pair-fixed circle: segment X[j]X[i] as diameter (Lemma 1).
 				pj := s.g.Loc(X[j])
-				if pj.Dist(pi) <= 2*sc.r.load() {
-					w.tryCircle(sc, geom.CircleFrom2(pj, pi), enumOrd{int32(i), int32(j), -1}, b)
+				if pj.Dist(pi) <= 2*b.r {
+					w.tryCircle(sc, geom.CircleFrom2(pj, pi), b)
 				}
 				for h := j + 1; h < i; h++ {
 					if w.canceledTick() {
@@ -67,11 +67,11 @@ func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams)
 					}
 					ph := s.g.Loc(X[h])
 					// Lemma 2: all pairwise distances in Ψ are ≤ 2·ropt < 2·rcur.
-					rc := sc.r.load()
+					rc := b.r
 					if pj.Dist(ph) > 2*rc || ph.Dist(pi) > 2*rc || pj.Dist(pi) > 2*rc {
 						continue
 					}
-					w.tryCircle(sc, geom.CircleFrom3(pj, ph, pi), enumOrd{int32(i), int32(j), int32(h)}, b)
+					w.tryCircle(sc, geom.CircleFrom3(pj, ph, pi), b)
 				}
 			}
 		}

@@ -62,8 +62,8 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 	s.f1Buf = f1
 	s.stats.F1Size = len(f1)
 
-	best := parBest{r: st.rcur, ord: ordSeed, members: append(s.bestBuf[:0], st.members...)}
-	sc := s.newScan(q, k, best.r)
+	best := parBest{r: st.rcur, members: append(s.bestBuf[:0], st.members...)}
+	sc := s.newScan(q, k)
 
 	// Enumerate F1 pairs and triples with the distance filters of
 	// Algorithm 5, lines 6-10. The incumbent tightens as better solutions
@@ -80,11 +80,11 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 				// v2 plays the farthest-fixed-vertex role: Lemma 2 puts the
 				// largest fixed-vertex distance in [√3·ropt, 2·ropt] ⊆
 				// [√3·rMinus, 2·rcur].
-				if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*sc.r.load()+geom.Eps {
+				if d12 < sqrt3*rMinus-geom.Eps || d12 > 2*b.r+geom.Eps {
 					continue
 				}
 				// Two fixed vertices: diameter circle.
-				w.tryCircle(sc, geom.CircleFrom2(p1, p2), enumOrd{int32(i1), int32(i2), -1}, b)
+				w.tryCircle(sc, geom.CircleFrom2(p1, p2), b)
 				// Third fixed vertex: no farther from v1 than v2 is (F3 filter).
 				for i3 := range f1 {
 					if i3 == i1 || i3 == i2 {
@@ -97,7 +97,7 @@ func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedPar
 					if p1.Dist(p3) > d12+geom.Eps || p2.Dist(p3) > d12+geom.Eps {
 						continue
 					}
-					w.tryCircle(sc, geom.CircleFrom3(p1, p2, p3), enumOrd{int32(i1), int32(i2), int32(i3)}, b)
+					w.tryCircle(sc, geom.CircleFrom3(p1, p2, p3), b)
 				}
 			}
 		}

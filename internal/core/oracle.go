@@ -45,9 +45,10 @@ import (
 // the view, hence a function of the graph and q alone and not of which
 // member's BFS filled the cache — is pinned because MCC arithmetic over it
 // is not order-independent at the ulp level, and AppAcc's anchors and
-// Exact+'s δ are built on such radii). It applies only to the k-core structure metric and
-// only to probes whose S is literally a prefix of the current sorted view;
-// circle subsets take the grid peel (circle.go), θ-SAC the global peeler,
+// Exact+'s δ are built on such radii). It applies only to the k-core
+// structure metric and only to probes whose S is literally a prefix of the
+// current sorted view, which every query but θ-SAC has: circle subsets take
+// the grid peel (circle.go), θ-SAC's circle the global peeler,
 // k-truss/k-clique their checkers.
 //
 // Farthest-member lemma: an answer comm[:cnt] ends with its farthest member

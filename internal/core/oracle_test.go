@@ -72,52 +72,6 @@ func TestPrefixOracleMatchesPeeler(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncachedAlgorithms runs every algorithm with caching on
-// and off on the same graphs and requires identical members and radii —
-// the cache fast paths must be behavior-preserving.
-func TestCachedMatchesUncachedAlgorithms(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g := clusteredGraph(seed+50, 6, 8, 35)
-		cached := NewSearcher(g)
-		uncached := NewSearcher(g)
-		uncached.SetCandidateCaching(false)
-		rnd := rand.New(rand.NewSource(seed * 13))
-		for trial := 0; trial < 3; trial++ {
-			q := graph.V(rnd.Intn(g.NumVertices()))
-			k := 2 + rnd.Intn(3)
-			for _, algo := range []struct {
-				name string
-				run  func(s *Searcher) (*Result, error)
-			}{
-				{"AppInc", func(s *Searcher) (*Result, error) { return s.AppInc(q, k) }},
-				{"AppFast0", func(s *Searcher) (*Result, error) { return s.AppFast(q, k, 0) }},
-				{"AppFast05", func(s *Searcher) (*Result, error) { return s.AppFast(q, k, 0.5) }},
-				{"AppAcc", func(s *Searcher) (*Result, error) { return s.AppAcc(q, k, 0.4) }},
-				{"Exact", func(s *Searcher) (*Result, error) { return s.Exact(q, k) }},
-				{"ExactPlus", func(s *Searcher) (*Result, error) { return s.ExactPlus(q, k, 0.2) }},
-			} {
-				rc, errC := algo.run(cached)
-				ru, errU := algo.run(uncached)
-				if (errC == nil) != (errU == nil) {
-					t.Fatalf("seed %d %s q=%d k=%d: cached err %v, uncached err %v",
-						seed, algo.name, q, k, errC, errU)
-				}
-				if errC != nil {
-					continue
-				}
-				if !membersEqual(rc.Members, ru.Members...) {
-					t.Fatalf("seed %d %s q=%d k=%d: cached members %v != uncached %v",
-						seed, algo.name, q, k, rc.Members, ru.Members)
-				}
-				if rc.MCC != ru.MCC || rc.Delta != ru.Delta {
-					t.Fatalf("seed %d %s q=%d k=%d: cached MCC/δ %v/%v != uncached %v/%v",
-						seed, algo.name, q, k, rc.MCC, rc.Delta, ru.MCC, ru.Delta)
-				}
-			}
-		}
-	}
-}
-
 // latticeGraph is a random graph whose vertices sit on a coarse side×side
 // lattice, so many are co-located and many more are equidistant from any
 // query vertex: the tie-heavy input the sorted view and the oracle's
@@ -209,7 +163,8 @@ func TestPrefixOracleDuplicateDistances(t *testing.T) {
 // end: AppInc grows its prefix one vertex at a time, so among co-located
 // vertices its answer depends on their order in the view. Two searchers
 // whose membership cache was filled by different first queries (different
-// BFS orders) must agree exactly with each other and with an uncached one.
+// BFS orders) must agree exactly with each other, with a fresh one, and
+// with AppInc run on the global peeler over X in (distance, id) order.
 func TestViewIndependentOfCacheHistory(t *testing.T) {
 	g := latticeGraph(7, 300, 1500, 9)
 	base := NewSearcher(g)
@@ -226,8 +181,8 @@ func TestViewIndependentOfCacheHistory(t *testing.T) {
 	if len(members) < 100 {
 		t.Fatalf("4-core community has %d members; fixture too small", len(members))
 	}
-	a, b, fresh := NewSearcher(g), NewSearcher(g), NewSearcher(g)
-	fresh.SetCandidateCaching(false)
+	a, b := NewSearcher(g), NewSearcher(g)
+	peeler := kcore.NewPeeler(g)
 	if _, err := a.AppInc(members[0], 4); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +192,7 @@ func TestViewIndependentOfCacheHistory(t *testing.T) {
 	for _, q := range members[:40] {
 		ra, errA := a.AppInc(q, 4)
 		rb, errB := b.AppInc(q, 4)
-		rf, errF := fresh.AppInc(q, 4)
+		rf, errF := NewSearcher(g).AppInc(q, 4)
 		if errA != nil || errB != nil || errF != nil {
 			t.Fatalf("q=%d: %v / %v / %v", q, errA, errB, errF)
 		}
@@ -245,6 +200,25 @@ func TestViewIndependentOfCacheHistory(t *testing.T) {
 			if !slices.Equal(ra.Members, r.Members) || ra.MCC != r.MCC || ra.Delta != r.Delta {
 				t.Fatalf("q=%d: AppInc depends on cache history: %d members δ=%v vs %d members δ=%v",
 					q, len(ra.Members), ra.Delta, len(r.Members), r.Delta)
+			}
+		}
+		// AppInc by its definition, on the global peeler: the shortest prefix
+		// of X in (distance, id) order that holds a community, and that
+		// community.
+		order := slices.Clone(members)
+		sort.Slice(order, func(i, j int) bool {
+			di, dj := g.Dist(q, order[i]), g.Dist(q, order[j])
+			return di < dj || di == dj && order[i] < order[j]
+		})
+		for i := 1; i <= len(order); i++ {
+			if c := peeler.KCoreWithin(order[:i], q, 4); c != nil {
+				want := slices.Clone(c)
+				slices.Sort(want)
+				if !slices.Equal(ra.Members, want) || ra.Delta != g.Dist(q, order[i-1]) {
+					t.Fatalf("q=%d: AppInc answers %d members at δ=%v, the peeler %d at %v",
+						q, len(ra.Members), ra.Delta, len(want), g.Dist(q, order[i-1]))
+				}
+				break
 			}
 		}
 	}
@@ -428,9 +402,9 @@ func boundaryGraph(seed int64) (*graph.Graph, graph.V) {
 // lemma (oracle.go) that appFastSearch's O(1) u rests on: for every feasible
 // prefix of a view, the oracle's answer ends with verts[J-1], J its last
 // joinAt, at exactly the distance maxDistFrom finds over the whole answer.
-// The same graphs pin both sides of isOracleAnswer to one answer: AppFast's δ
-// is the farthest distance of the community it returns, and AppFast, AppAcc
-// and Exact+ agree with caching on (lemma) and off (maxDistFrom).
+// On the same graphs, end to end: AppFast's δ is the farthest distance of the
+// community it returns, that community is what the global peeler finds among
+// the candidates within δ of q, and AppAcc's δ is AppFast(0)'s.
 func TestOracleLastIsFarthest(t *testing.T) {
 	type fixture struct {
 		name string
@@ -459,8 +433,7 @@ func TestOracleLastIsFarthest(t *testing.T) {
 	ctx := t.Context()
 	checked := 0
 	for _, f := range fixtures {
-		cached, uncached := NewSearcher(f.g), NewSearcher(f.g)
-		uncached.SetCandidateCaching(false)
+		cached, peeler := NewSearcher(f.g), kcore.NewPeeler(f.g)
 		for _, q := range f.qs {
 			for k := 2; k <= 4 && k <= cached.CoreNumber(q); k++ {
 				cached.begin(ctx)
@@ -492,24 +465,38 @@ func TestOracleLastIsFarthest(t *testing.T) {
 						t.Fatalf("%s q=%d k=%d εF=%v: δ = %v, farthest member at %v", f.name, q, k, epsF, delta, far)
 					}
 				}
+				X := slices.Clone(cand.verts)
+				var fast0 *Result
 				for _, query := range []Query{
 					{Algo: "appfast", EpsF: Float(0)},
 					{Algo: "appfast", EpsF: Float(0.5)},
 					{Algo: "appacc", EpsA: Float(0.5)},
-					{Algo: "exact+", EpsA: Float(0.2)},
 				} {
-					if query.Algo == "exact+" && q != f.qs[0] {
-						continue // the cubic scan: one query a fixture keeps -race affordable
-					}
 					query.Q, query.K = q, k
-					rc, errC := cached.Search(ctx, query)
-					ru, errU := uncached.Search(ctx, query)
-					if errC != nil || errU != nil {
-						t.Fatalf("%s %s q=%d k=%d: %v / %v", f.name, query.Algo, q, k, errC, errU)
+					res, err := cached.Search(ctx, query)
+					if err != nil {
+						t.Fatalf("%s %s q=%d k=%d: %v", f.name, query.Algo, q, k, err)
 					}
-					if !slices.Equal(rc.Members, ru.Members) || rc.Delta != ru.Delta {
-						t.Fatalf("%s %s q=%d k=%d: cached %d members δ=%v, uncached %d members δ=%v",
-							f.name, query.Algo, q, k, len(rc.Members), rc.Delta, len(ru.Members), ru.Delta)
+					if query.Algo == "appacc" {
+						if res.Delta != fast0.Delta {
+							t.Fatalf("%s q=%d k=%d: AppAcc δ=%v, AppFast(0) δ=%v", f.name, q, k, res.Delta, fast0.Delta)
+						}
+						continue
+					}
+					if fast0 == nil {
+						fast0 = res
+					}
+					var within []graph.V
+					for _, v := range X {
+						if f.g.Dist(q, v) <= res.Delta {
+							within = append(within, v)
+						}
+					}
+					want := slices.Clone(peeler.KCoreWithin(within, q, k))
+					slices.Sort(want)
+					if !slices.Equal(res.Members, want) {
+						t.Fatalf("%s %s q=%d k=%d: %d members at δ=%v, the peeler finds %d within δ",
+							f.name, query.Algo, q, k, len(res.Members), res.Delta, len(want))
 					}
 				}
 			}

@@ -12,32 +12,37 @@ import (
 // The circle scan. Exact and ExactPlus spend nearly all their time in their
 // pair/triple scans — loops over a read-only working set whose outer
 // iterations are independent. Each algorithm writes its scan once, as a body
-// over a range of outer indices run by one searcher, and scanPar runs it in
-// one of two ways:
+// run by one searcher over a range of outer indices from a starting
+// incumbent, and scanPar runs it in one of two ways:
 //
 //   - inline: the dispatching searcher runs the body once over the whole
 //     range. This is the scan whenever fewer than two workers are granted or
 //     the loop is narrower than parMinWidth, and it is the serial scan outright
 //     — the same circles, the same feasibility checks and the same context
 //     checks in the same order.
-//   - in strips: the range is cut into contiguous strips claimed dynamically
-//     by a bounded group of worker searchers (lazily cloned from the
-//     dispatching searcher and rebound to it with AdoptFrom, so they share the
-//     immutable decomposition and its working set but own their scratch,
-//     peeler and markers).
+//   - in strips: the range is cut into contiguous strips claimed in order by
+//     a bounded group of worker searchers (lazily cloned from the dispatching
+//     searcher and rebound to it with AdoptFrom, so they share the immutable
+//     decomposition and its working set but own their scratch, peeler and
+//     markers).
+//
+// A run over a range is a function of the range and the incumbent radius it
+// starts from: that radius decides which circles it prunes, which it probes
+// and which community it keeps. So strips commit in order, each from the
+// radius the strips before it left, and what they commit is what the inline
+// scan computes. A worker runs a strip speculatively from the radius committed
+// when it claimed it; when the strips before it have lowered that radius by
+// the time it commits, it runs the strip again from the committed one. The
+// answer is therefore the same at every budget whatever the schedule, even
+// where two different communities tie on a bit-equal radius. (A running
+// minimum shared across workers would not be: a worker pruned by a later
+// strip's find can skip the circle the inline scan accepts and keep the
+// other community of the tie.)
 //
 // The grant is one rule for every caller: the searcher's budget
 // (SetParallelism) divided by the queries running in the process
 // (queriesInFlight, counted by run), floor 1 — a lone Exact on an idle
 // process gets the whole budget, a saturated process runs every scan inline.
-//
-// Workers share the incumbent radius through a CAS-min over the IEEE bit
-// pattern (non-negative float64s order identically to their bits), so every
-// prune — cc.R ≥ rcur, d[i] > 2·rcur, the Lemma 2 distance filters — stays as
-// tight across workers as it is within one. Each runner also keeps its own
-// best (radius, enumeration index) pair; the reduction picks the
-// lexicographic minimum, which reproduces the inline scan's first-wins
-// acceptance order independent of goroutine scheduling.
 //
 // Cancellation propagates through the runners' own tick-amortized context
 // checks: every worker arms the query context, checks it at strip grabs and
@@ -59,82 +64,31 @@ const parStrip = 4
 // or request-private, shares them.
 var queriesInFlight atomic.Int64
 
-// sharedRadius is the incumbent radius a scan's runners prune against.
-// Radii are non-negative and +Inf is the top element, so a CAS-min over
-// math.Float64bits is a lock-free strict minimum.
-type sharedRadius struct{ bits atomic.Uint64 }
-
-func (r *sharedRadius) init(v float64) { r.bits.Store(math.Float64bits(v)) }
-func (r *sharedRadius) load() float64  { return math.Float64frombits(r.bits.Load()) }
-
-// lower CAS-lowers the incumbent to v. Ties do not lower, matching the
-// strict-< acceptance of a better circle.
-func (r *sharedRadius) lower(v float64) {
-	nb := math.Float64bits(v)
-	for {
-		ob := r.bits.Load()
-		if nb >= ob || r.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
-}
-
-// enumOrd is the enumeration index of one circle in the inline scan: outer,
-// middle and inner loop indices, with h = -1 for the absent third vertex of
-// a pair circle (a pair precedes its own triples, and -1 sorts first). The
-// incumbent a scan starts from has ordSeed, which precedes every enumerated
-// circle, so an equal-radius circle never displaces it.
-type enumOrd struct{ i, j, h int32 }
-
-var ordSeed = enumOrd{-1, -1, -1}
-
-func (a enumOrd) before(b enumOrd) bool {
-	if a.i != b.i {
-		return a.i < b.i
-	}
-	if a.j != b.j {
-		return a.j < b.j
-	}
-	return a.h < b.h
-}
-
-// parBest is one runner's incumbent: the smallest (radius, enumeration index)
-// pair among the circles it accepted, with its own copy of the community.
+// parBest is a run's incumbent: the smallest MCC radius it has accepted and
+// that community. A circle must beat r strictly to be probed or accepted.
 type parBest struct {
 	r       float64
-	ord     enumOrd
 	members []graph.V
 }
 
-// beatenBy reports whether a circle of radius r at index ord displaces b.
-func (b *parBest) beatenBy(r float64, ord enumOrd) bool {
-	return r < b.r || (r == b.r && ord.before(b.ord))
-}
-
-// circleScan is what one scan's runners share: the query and the incumbent
-// radius.
+// circleScan is what one scan's runners share: the query.
 type circleScan struct {
-	r    sharedRadius
 	qLoc geom.Point
 	q    graph.V
 	k    int
 }
 
-// newScan starts a scan for (q, k) from an incumbent of radius r.
-func (s *Searcher) newScan(q graph.V, k int, r float64) *circleScan {
-	sc := &circleScan{qLoc: s.g.Loc(q), q: q, k: k}
-	sc.r.init(r)
-	return sc
+// newScan starts a scan for (q, k).
+func (s *Searcher) newScan(q graph.V, k int) *circleScan {
+	return &circleScan{qLoc: s.g.Loc(q), q: q, k: k}
 }
 
-// tryCircle tests one fixed circle, at enumeration index ord, on the runner
-// w: when the circle holds a feasible community whose own MCC is smaller
-// than the incumbent, the shared radius drops to it and, if it beats b's
-// (radius, index), b keeps the community.
-func (w *Searcher) tryCircle(sc *circleScan, cc geom.Circle, ord enumOrd, b *parBest) {
+// tryCircle tests one fixed circle on the runner w: when the circle holds a
+// feasible community whose own MCC is smaller than b's radius, b keeps it.
+func (w *Searcher) tryCircle(sc *circleScan, cc geom.Circle, b *parBest) {
 	w.stats.CirclesExamined++
 	// The community contains q, so its MCC must cover q's location.
-	if cc.R >= sc.r.load() || !cc.Contains(sc.qLoc) {
+	if cc.R >= b.r || !cc.Contains(sc.qLoc) {
 		return
 	}
 	// Last boundary before the expensive member gather + peel: bounds
@@ -146,23 +100,29 @@ func (w *Searcher) tryCircle(sc *circleScan, cc geom.Circle, ord enumOrd, b *par
 	if c == nil {
 		return
 	}
-	mcc := w.mccOf(c)
-	sc.r.lower(mcc.R)
-	if b.beatenBy(mcc.R, ord) {
-		b.r, b.ord = mcc.R, ord
+	if mcc := w.mccOf(c); mcc.R < b.r {
+		b.r = mcc.R
 		b.members = append(b.members[:0], c...)
 	}
 }
 
 // scanBody is one algorithm's scan over the outer indices [lo, hi), run by w
-// into w's incumbent b. It returns false once nothing later in the range
-// can beat the incumbent, or when w latched a cancellation.
+// from and into the incumbent b. It returns false once nothing later in the
+// range can beat the incumbent, or when w latched a cancellation.
 type scanBody func(w *Searcher, lo, hi int, b *parBest) bool
 
+// stripRun is one run of one strip: the radius it started from, what it
+// accepted (members nil: nothing) and whether it ended the scan.
+type stripRun struct {
+	from float64
+	best parBest
+	stop bool
+	ran  bool
+}
+
 // scanPar runs body over the outer index range [first, n) and leaves in
-// best, which comes in holding the incumbent, the lexicographically smallest
-// (radius, enumeration index) circle any runner accepted. The workers'
-// counters and cancellation latch are absorbed into s's.
+// best, which comes in holding the incumbent, what the inline scan would.
+// The workers' counters and cancellation latch are absorbed into s's.
 func (s *Searcher) scanPar(sc *circleScan, first, n int, best *parBest, body scanBody) {
 	ws := s.parWorkersFor(n - first)
 	if ws == nil {
@@ -171,29 +131,58 @@ func (s *Searcher) scanPar(sc *circleScan, first, n int, best *parBest, body sca
 		return
 	}
 	s.stats.Workers = len(ws)
-	var next atomic.Int64
-	next.Store(int64(first))
-	bests := make([]parBest, len(ws))
-	var wg sync.WaitGroup
-	for wi, w := range ws {
+	runs := make([]stripRun, (n-first+parStrip-1)/parStrip)
+	run := func(w *Searcher, i int, from float64) stripRun {
+		lo := first + i*parStrip
+		r := stripRun{from: from, best: parBest{r: from}, ran: true}
+		r.stop = !body(w, lo, min(lo+parStrip, n), &r.best)
+		return r
+	}
+	var (
+		next      atomic.Int64
+		mu        sync.Mutex // guards runs, committed and best
+		committed int
+		stopped   atomic.Bool
+		from      atomic.Uint64 // best.r after the committed strips, as bits
+		wg        sync.WaitGroup
+	)
+	from.Store(math.Float64bits(best.r))
+	for _, w := range ws {
 		// A worker runs under the query's context and cuts its circles from
 		// s's working set, which nothing writes during the scan.
 		w.begin(s.qctx)
 		w.wsFrom = &s.ws
-		bests[wi] = parBest{r: best.r, ord: best.ord}
 		wg.Add(1)
-		go func(w *Searcher, b *parBest) {
+		go func(w *Searcher) {
 			defer wg.Done()
-			for !w.canceled() {
-				lo := int(next.Add(parStrip)) - parStrip
-				if lo >= n || !body(w, lo, min(lo+parStrip, n), b) {
+			for !w.canceled() && !stopped.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(runs) {
 					return
 				}
+				r := run(w, i, math.Float64frombits(from.Load()))
+				mu.Lock()
+				runs[i] = r
+				for ; committed < len(runs) && runs[committed].ran && !stopped.Load(); committed++ {
+					c := &runs[committed]
+					if c.from != best.r {
+						*c = run(w, committed, best.r)
+					}
+					if c.best.members != nil {
+						best.r = c.best.r
+						best.members = append(best.members[:0], c.best.members...)
+					}
+					if c.stop {
+						stopped.Store(true)
+					}
+				}
+				from.Store(math.Float64bits(best.r))
+				mu.Unlock()
 			}
-		}(w, &bests[wi])
+		}(w)
 	}
 	wg.Wait()
-	for wi, w := range ws {
+	for _, w := range ws {
 		s.stats.CirclesExamined += w.stats.CirclesExamined
 		s.stats.FeasibilityChecks += w.stats.FeasibilityChecks
 		if s.ctxErr == nil && w.ctxErr != nil {
@@ -201,10 +190,6 @@ func (s *Searcher) scanPar(sc *circleScan, first, n int, best *parBest, body sca
 		}
 		w.wsFrom = nil
 		w.qctx = nil
-		if b := &bests[wi]; b.members != nil && best.beatenBy(b.r, b.ord) {
-			best.r, best.ord = b.r, b.ord
-			best.members = append(best.members[:0], b.members...)
-		}
 	}
 }
 

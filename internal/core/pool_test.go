@@ -96,7 +96,7 @@ func TestPoolDo(t *testing.T) {
 	if _, err := w.AppFast(vQ, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if w.CachedCommunities() == 0 {
+	if cachedCommunities(w) == 0 {
 		t.Fatal("worker did not warm its cache")
 	}
 	pool.Put(w)
@@ -119,7 +119,7 @@ func TestPoolKeepsWarmWorkersAcrossGC(t *testing.T) {
 	pool.Put(warm)
 	runtime.GC()
 	runtime.GC()
-	if got := pool.Get(); got != warm || got.CachedCommunities() == 0 {
+	if got := pool.Get(); got != warm || cachedCommunities(got) == 0 {
 		t.Fatal("Get after GC did not return the most recently used, still warm worker")
 	}
 	if got := pool.Get(); got != cold {

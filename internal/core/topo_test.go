@@ -128,7 +128,7 @@ func TestTopoEpochInvalidatesCache(t *testing.T) {
 	if !membersEqual(r1.Members, vQ, vC, vD) {
 		t.Fatalf("paper optimum before churn = %v, want {Q,C,D}", r1.Members)
 	}
-	if s.CachedCommunities() == 0 {
+	if cachedCommunities(s) == 0 {
 		t.Fatal("first query did not populate the cache")
 	}
 	// Breaking {C, D} destroys the {Q,C,D} triangle; the optimum becomes
@@ -177,7 +177,7 @@ func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.CachedCommunities() == 0 {
+	if cachedCommunities(w) == 0 {
 		t.Fatal("worker cache not warmed")
 	}
 
@@ -246,8 +246,8 @@ func TestApplyEdgeKClique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := NewSearcherWithStructure(rebuildFrom(g), StructureKClique)
-	want, err := uncached.AppInc(vQ, 3)
+	fresh := NewSearcherWithStructure(rebuildFrom(g), StructureKClique)
+	want, err := fresh.AppInc(vQ, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return nil
 }
 
+// BinarySize returns the number of bytes WriteBinary writes for g.
+func BinarySize(g *Graph) int64 {
+	n, m := int64(g.NumVertices()), int64(g.NumEdges())
+	return 8 + 16 + 4*(n+1) + 4*2*m + 16*n + 4
+}
+
 // crcReader tees everything read into a CRC-32.
 type crcReader struct {
 	r   io.Reader

@@ -56,6 +56,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			t.Fatalf("n=%d: write: %v", tc.n, err)
 		}
+		if int64(buf.Len()) != BinarySize(g) {
+			t.Fatalf("n=%d: wrote %d bytes, BinarySize says %d", tc.n, buf.Len(), BinarySize(g))
+		}
 		got, err := ReadBinary(&buf)
 		if err != nil {
 			t.Fatalf("n=%d: read: %v", tc.n, err)

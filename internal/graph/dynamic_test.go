@@ -286,6 +286,9 @@ func TestWriteBinaryWithDeltas(t *testing.T) {
 	if g.PatchedVertices() != patched {
 		t.Fatalf("WriteBinary mutated the graph: %d patched vertices, had %d", g.PatchedVertices(), patched)
 	}
+	if int64(buf.Len()) != BinarySize(g) {
+		t.Fatalf("wrote %d bytes, BinarySize says %d", buf.Len(), BinarySize(g))
+	}
 	back, err := ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,6 @@ import (
 type FollowerOptions struct {
 	// Leader is the leader's replication address (host:port).
 	Leader string
-	// Dial overrides the connection factory (tests route through the fault
-	// proxy here). Defaults to a 5-second TCP dial.
-	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// BackoffMin/BackoffMax bound the jittered reconnect backoff
 	// (defaults 50 ms / 2 s).
 	BackoffMin, BackoffMax time.Duration
@@ -35,16 +32,6 @@ type FollowerOptions struct {
 	// Metrics, when non-nil, exports replication lag, connection state and
 	// resync/reconnect counters.
 	Metrics *telemetry.Registry
-}
-
-func (o FollowerOptions) dial() func(context.Context, string) (net.Conn, error) {
-	if o.Dial != nil {
-		return o.Dial
-	}
-	d := &net.Dialer{Timeout: 5 * time.Second}
-	return func(ctx context.Context, addr string) (net.Conn, error) {
-		return d.DialContext(ctx, "tcp", addr)
-	}
 }
 
 func (o FollowerOptions) backoffMin() time.Duration {
@@ -269,7 +256,8 @@ func (f *Follower) run() {
 // handshake completed and records/heartbeats flowed — the signal that the
 // leader is alive and backoff should reset.
 func (f *Follower) session() (streamed bool, err error) {
-	conn, err := f.opt.dial()(f.ctx, f.opt.Leader)
+	d := net.Dialer{Timeout: 5 * time.Second}
+	conn, err := d.DialContext(f.ctx, "tcp", f.opt.Leader)
 	if err != nil {
 		return false, fmt.Errorf("dial: %w", err)
 	}

@@ -184,7 +184,6 @@ func diffCheckFollower(t *testing.T, label string, f *Follower, ref *graph.Graph
 	w := snap.Get()
 	defer snap.Put(w)
 	cold := core.NewSearcher(ref)
-	cold.SetCandidateCaching(false)
 	for _, q := range []graph.V{0, 7, 20, 41} {
 		answersEqualRegistry(t, label, w, cold, q, 3)
 	}

@@ -102,13 +102,6 @@ type Options struct {
 	// so a replica promotion that builds a fresh engine points the scrape
 	// at the live one.
 	Metrics *telemetry.Registry
-	// OnPublish, when non-nil, is called by the writer goroutine right after
-	// each snapshot publication with the published snapshot and the
-	// state-changing events the publication contains (the same list the
-	// Persist hook logs). The events slice is the hook's to keep. The call
-	// runs on the writer's critical path — it must hand work off, never
-	// block. Replaceable later via SetOnPublish.
-	OnPublish func(*Snap, []AppliedEvent)
 }
 
 const (
@@ -202,9 +195,6 @@ func New(g *graph.Graph, opt Options) *Engine {
 		persist: opt.Persist,
 		walSeq:  opt.InitialSeq,
 	}
-	if opt.OnPublish != nil {
-		e.SetOnPublish(opt.OnPublish)
-	}
 	snap := e.freeze()
 	e.pool = core.NewPool(snap.base)
 	e.cur.Store(snap)
@@ -228,10 +218,12 @@ func New(g *graph.Graph, opt Options) *Engine {
 }
 
 // SetOnPublish installs (or, with nil, removes) the post-publication hook.
-// The writer goroutine calls the installed hook after each publication with
-// the new snapshot and its state-changing events; the hook must hand work
-// off rather than block the writer. Safe to call at any time; publications
-// racing the swap see either hook.
+// The writer goroutine calls the installed hook right after each publication
+// with the new snapshot and the state-changing events it contains (the same
+// list the Persist hook logs); the events slice is the hook's to keep. The
+// call runs on the writer's critical path — the hook must hand work off,
+// never block. Safe to call at any time; publications racing the swap see
+// either hook.
 func (e *Engine) SetOnPublish(fn func(*Snap, []AppliedEvent)) {
 	if fn == nil {
 		e.onPublish.Store(nil)

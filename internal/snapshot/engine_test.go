@@ -249,7 +249,6 @@ func TestDifferentialUnderChurn(t *testing.T) {
 				snap.Put(w)
 
 				cold := core.NewSearcher(snap.Graph())
-				cold.SetCandidateCaching(false)
 				want := runAll(t, cold, q, k)
 
 				for name, res := range want {

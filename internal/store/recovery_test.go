@@ -69,7 +69,6 @@ func diffCheck(t *testing.T, label string, st *Store, ref *graph.Graph) {
 	w := snap.Get()
 	defer snap.Put(w)
 	cold := core.NewSearcher(ref)
-	cold.SetCandidateCaching(false)
 	for _, q := range []graph.V{0, 7, 20, 41} {
 		answersEqual(t, label, w, cold, q, 3)
 	}

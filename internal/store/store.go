@@ -70,9 +70,6 @@ type Options struct {
 	// Fsync selects when WAL appends reach stable storage (default
 	// FsyncAlways). See the wal package for the trade-offs.
 	Fsync FsyncPolicy
-	// FsyncInterval paces the background fsync under FsyncInterval policy
-	// (default 100 ms).
-	FsyncInterval time.Duration
 	// SegmentBytes rotates WAL segments past this size (default 16 MiB).
 	SegmentBytes int64
 	// CheckpointInterval is the background checkpoint period (default 1m;
@@ -202,10 +199,9 @@ func Open(dataDir string, opt Options) (*Store, error) {
 	}
 
 	log, err := wal.Open(dataDir, ckptSeq, wal.Options{
-		Policy:        opt.Fsync,
-		SegmentBytes:  opt.SegmentBytes,
-		FlushInterval: opt.FsyncInterval,
-		Metrics:       opt.Metrics,
+		Policy:       opt.Fsync,
+		SegmentBytes: opt.SegmentBytes,
+		Metrics:      opt.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -570,6 +566,15 @@ func loadCheckpoint(path string) (*graph.Graph, uint64, error) {
 	g, err := graph.ReadBinary(f)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: checkpoint graph: %w", err)
+	}
+	// Bytes after the graph's checksum are covered by no CRC; ReadBinary
+	// reads ahead, so they are counted from the file's size.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: checkpoint size: %w", err)
+	}
+	if want := int64(len(hdr)) + graph.BinarySize(g); fi.Size() != want {
+		return nil, 0, fmt.Errorf("store: %s holds %d bytes after its graph", path, fi.Size()-want)
 	}
 	return g, seq, nil
 }

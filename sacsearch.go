@@ -249,7 +249,8 @@ type (
 
 // Fsync policy choices: FsyncAlways makes every acknowledged write durable
 // before it is acknowledged (one fsync per published batch); FsyncInterval
-// bounds loss to the flush interval; FsyncNever leaves flushing to the OS.
+// bounds loss to the WAL's 100 ms flush interval; FsyncNever leaves flushing
+// to the OS.
 const (
 	FsyncAlways   = store.FsyncAlways
 	FsyncInterval = store.FsyncInterval

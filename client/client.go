@@ -220,9 +220,15 @@ func (c *Client) Vertex(ctx context.Context, id int64) (*Vertex, error) {
 	return call[Vertex](ctx, c, http.MethodGet, fmt.Sprintf("/v1/vertex/%d", id), nil)
 }
 
-// Query runs one SAC query.
+// Query runs one SAC query. The answer is read by wire.DecodeResult, the
+// single pass over the layout the servers write.
 func (c *Client) Query(ctx context.Context, q Query) (*Result, error) {
-	return call[Result](ctx, c, http.MethodPost, "/v1/query", q)
+	out := new(Result)
+	decode := bodyDecoder(func(raw []byte) error { return wire.DecodeResult(raw, out) })
+	if err := c.do(ctx, http.MethodPost, "/v1/query", q, decode); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Batch answers many queries in one request; items come back in input
@@ -263,6 +269,10 @@ func (c *Client) Edge(ctx context.Context, u, v int64, insert bool) (*EdgeResult
 func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
+
+// bodyDecoder is an out for do that reads the 2xx body itself; any other
+// non-nil out is filled by json.Unmarshal.
+type bodyDecoder func(raw []byte) error
 
 // call is do for the common shape: the 2xx body decodes into a fresh T.
 func call[T any](ctx context.Context, c *Client, method, path string, in any) (*T, error) {
@@ -354,15 +364,25 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // is not an envelope — a proxy's bare 502, say).
 func consume(resp *http.Response, out any) (*APIError, error) {
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	// One read into a buffer sized by Content-Length when the server sent it
+	// (a /v1/query answer runs to tens of kilobytes), capped like the body.
+	const maxBody = 64 << 20
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxBody)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody)); err != nil {
 		return nil, fmt.Errorf("sac client: reading response: %w", err)
 	}
+	raw := buf.Bytes()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out == nil {
 			return nil, nil
 		}
-		if err := json.Unmarshal(raw, out); err != nil {
+		var err error
+		if dec, ok := out.(bodyDecoder); ok {
+			err = dec(raw)
+		} else {
+			err = json.Unmarshal(raw, out)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("sac client: decoding response: %w", err)
 		}
 		return nil, nil

@@ -2,10 +2,12 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -522,5 +524,36 @@ func TestSetSkipsKnownReadOnlyEndpoints(t *testing.T) {
 	}
 	if aWrites.Load() != aBefore {
 		t.Fatalf("known-read-only endpoint was re-probed after a healthy write (a=%d, was %d)", aWrites.Load(), aBefore)
+	}
+}
+
+// TestQueryDecodeResult: Query reads an answer through wire.DecodeResult, so
+// a body in the servers' layout and one outside it (whitespace, an unknown
+// key) give the value json.Unmarshal gives, and a body that is not an answer
+// is a decoding error, not a zero Result.
+func TestQueryDecodeResult(t *testing.T) {
+	layout := `{"q":3,"k":2,"members":[1,3,5],"mcc":{"x":0.5,"y":0.25,"r":1e-7},"delta":0.125,"stats":{"candidateSize":9,"feasibilityChecks":2,"binaryIters":1,"elapsedMicros":40,"algorithm":"appfast"}}` + "\n"
+	other := `{"explain":{}, "q":3, "k":2, "members":[1, 3, 5], "delta":0.125, "mcc":{"x":0.5,"y":0.25,"r":1e-7}, "stats":{"candidateSize":9,"feasibilityChecks":2,"binaryIters":1,"elapsedMicros":40,"algorithm":"appfast"}}`
+	for _, tc := range []struct{ name, body string }{{"layout", layout}, {"other", other}, {"broken", `{"q":3,"members":[1,`}} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(tc.body))
+		}))
+		cl, err := client.New(srv.URL, client.WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Query(context.Background(), client.Query{Q: 3, K: 2})
+		srv.Close()
+		var want client.Result
+		if wantErr := json.Unmarshal([]byte(tc.body), &want); wantErr != nil {
+			if err == nil {
+				t.Fatalf("%s: decoded %+v from a body json.Unmarshal refuses (%v)", tc.name, got, wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("%s: got %+v (%v), want %+v", tc.name, got, err, want)
+		}
 	}
 }

@@ -227,6 +227,10 @@ type Searcher struct {
 
 	stats Stats // counters for the query in flight
 
+	// finished counts the id sorts and MCCs finish has run, which is how the
+	// memo's tests tell a repeat from a recomputation.
+	finished struct{ sorts, mccs int }
+
 	// qctx is the context of the query in flight (nil when the query is not
 	// cancellable); ctxErr latches the first context error observed at a loop
 	// boundary so later boundaries short-circuit, and ctxTick amortizes the
@@ -495,12 +499,10 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 // feasibility check happened to emit the community in.
 const deltaIsRadius = -1
 
-// buildResult copies members in id order, computes their MCC and snapshots
-// the stats.
+// buildResult finishes members — a fresh copy in id order and their MCC, see
+// finish — and snapshots the stats.
 func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float64) *Result {
-	ms := make([]graph.V, len(members))
-	s.distSort.sortIDs(ms, members)
-	mcc := s.mccOf(ms)
+	ms, mcc := s.finish(members)
 	if delta == deltaIsRadius {
 		delta = mcc.R
 	}
@@ -512,6 +514,41 @@ func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float6
 		Delta:   delta,
 		Stats:   s.stats,
 	}
+}
+
+// finish returns members in id order, freshly allocated, and their MCC. An
+// answer the current view's prefix oracle handed out is finished through the
+// oracle's memo: the first time it is seen at the view's stamp the memo keeps
+// its MCC, the second time its sorted ids, and from then on a repeat copies
+// the ids and reuses the MCC. The memo is keyed on the stamp and not only on
+// the oracle, because a check-in can move a member without changing its rank
+// — the oracle and the answer stand, its MCC does not. Only the second
+// sighting keeps ids: a view queried once (a cold workload) never pays for a
+// copy it would not reuse.
+func (s *Searcher) finish(members []graph.V) ([]graph.V, geom.Circle) {
+	ms := make([]graph.V, len(members))
+	var m *answerMemo
+	if s.isOracleAnswer(members) {
+		m = &s.curView.oracle.memo
+		if m.n == len(members) && m.at == s.curView.at {
+			if len(m.ids) == m.n {
+				copy(ms, m.ids)
+			} else {
+				s.finished.sorts++
+				s.distSort.sortIDs(ms, members)
+				m.ids = append(m.ids[:0], ms...)
+			}
+			return ms, m.mcc
+		}
+	}
+	s.finished.sorts++
+	s.distSort.sortIDs(ms, members)
+	s.finished.mccs++
+	mcc := s.mccOf(ms)
+	if m != nil {
+		*m = answerMemo{n: len(members), at: s.curView.at, mcc: mcc, ids: m.ids[:0]}
+	}
+	return ms, mcc
 }
 
 // algoBody is what one algorithm contributes to a query: from the armed

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 )
 
@@ -67,6 +68,19 @@ type prefixOracle struct {
 	minFeasible int32     // joinAt[q]: smallest feasible prefix length
 	comm        []graph.V // q's community members in ascending joinAt order
 	joinAt      []int32   // parallel to comm, ascending
+	memo        answerMemo
+}
+
+// answerMemo is the finished form of the last answer buildResult took from
+// an oracle (finish, in core.go). Every answer of one build is a prefix of
+// comm, so its length names it. The memo holds only at the stamp it was
+// recorded at: a check-in that moves a member without changing its rank
+// keeps the oracle — and the answer — but moves the MCC.
+type answerMemo struct {
+	n   int         // the answer's length; 0 = none since the build
+	at  stamp       // the view's stamp when the answer was finished
+	mcc geom.Circle // the MCC of the answer's members at that stamp
+	ids []graph.V   // the answer in id order, once seen twice (len n), else empty
 }
 
 // prefixFeasible answers feasible(view.verts[:i], q, k) via the oracle,
@@ -249,6 +263,7 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 		o.joinAt[p] = -c
 	}
 	o.minFeasible = -coreAt[qLocal]
+	o.memo = answerMemo{ids: o.memo.ids[:0]}
 	o.built = true
 	return true
 }

@@ -535,3 +535,108 @@ func TestAppFastHitAllocs(t *testing.T) {
 		t.Fatalf("a hot AppFast query allocates %v times, buildResult alone %v", got, floor)
 	}
 }
+
+// TestAnswerMemoFollowsCheckins pins the oracle's answer memo (finish): a
+// repeat is finished from the memo — the third identical hot query sorts no
+// ids and computes no MCC — but never across a check-in. Rotating a member
+// that defines the answer's MCC about q keeps its distance, so its rank and
+// the oracle stand and the answer's members do not change; its MCC does, and
+// the next hot answer must carry the new one, bit for bit what a fresh
+// searcher computes. Two query vertices of one community, queried in turn,
+// each keep their own view's memo.
+func TestAnswerMemoFollowsCheckins(t *testing.T) {
+	ds, err := dataset.Load("syn1", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	s := NewSearcher(g)
+	q := eligible(s, 4, 1)[0]
+	ctx := context.Background()
+	hot := func(v graph.V) *Result {
+		t.Helper()
+		res, err := s.Search(ctx, Query{Algo: "appfast", Q: v, K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fresh := func(v graph.V) *Result {
+		t.Helper()
+		res, err := NewSearcher(g).Search(ctx, Query{Algo: "appfast", Q: v, K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	checkFresh := func(what string, v graph.V, got *Result) {
+		t.Helper()
+		if want := fresh(v); !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || math.Float64bits(got.Delta) != math.Float64bits(want.Delta) {
+			t.Fatalf("%s: q=%d answers %d members, MCC %v, δ %v; a fresh searcher %d, %v, %v",
+				what, v, len(got.Members), got.MCC, got.Delta, len(want.Members), want.MCC, want.Delta)
+		}
+	}
+
+	// First sighting: sort and MCC; second: the sort only; third: neither.
+	// A rebuilt oracle — as a recycled view slot is, at an unchanged stamp —
+	// starts over.
+	var res *Result
+	for i, want := range []struct{ sorts, mccs int }{{1, 1}, {1, 0}, {0, 0}, {1, 1}, {1, 0}, {0, 0}} {
+		if i == 3 {
+			s.curView.oracle.built = false
+		}
+		before := s.finished
+		res = hot(q)
+		got := s.finished
+		got.sorts -= before.sorts
+		got.mccs -= before.mccs
+		if got != want {
+			t.Fatalf("hot query %d: %d id sorts and %d MCCs, want %d and %d", i+1, got.sorts, got.mccs, want.sorts, want.mccs)
+		}
+		checkFresh("repeat", q, res)
+	}
+	if !s.isOracleAnswer(s.curView.oracle.comm[:len(res.Members)]) || res.Stats.ViewHits != 1 {
+		t.Fatalf("fixture: q=%d is not a hot query answered by the oracle: %+v", q, res.Stats)
+	}
+
+	// A member on the MCC's boundary with no other member at its location,
+	// so that moving it moves the circle.
+	at := map[geom.Point]int{}
+	for _, m := range res.Members {
+		at[g.Loc(m)]++
+	}
+	b := graph.V(-1)
+	for _, m := range res.Members {
+		if d := res.MCC.C.Dist(g.Loc(m)); m != q && at[g.Loc(m)] == 1 && (b < 0 || d > res.MCC.C.Dist(g.Loc(b))) {
+			b = m
+		}
+	}
+	rank := slices.Index(s.curView.verts, b)
+	qp, bp := g.Loc(q), g.Loc(b)
+	sin, cos := math.Sincos(0.05)
+	dx, dy := bp.X-qp.X, bp.Y-qp.Y
+	g.SetLoc(b, geom.Point{X: qp.X + dx*cos - dy*sin, Y: qp.Y + dx*sin + dy*cos})
+
+	moved := hot(q)
+	if moved.Stats.ViewRepairs != 1 || moved.Stats.ViewRebuilds != 0 || slices.Index(s.curView.verts, b) != rank {
+		t.Fatalf("fixture: the check-in of %d did not keep its rank %d in a repaired view: rank %d, %+v",
+			b, rank, slices.Index(s.curView.verts, b), moved.Stats)
+	}
+	if want := fresh(q); !slices.Equal(want.Members, res.Members) || want.MCC == res.MCC {
+		t.Fatalf("fixture: rotating %d about q changed the members (%v) or left the MCC (%v)",
+			b, !slices.Equal(want.Members, res.Members), want.MCC == res.MCC)
+	}
+	checkFresh("after the check-in", q, moved)
+	checkFresh("repeat after the check-in", q, hot(q))
+
+	// Two query vertices of one community, in turn.
+	q2 := res.Members[len(res.Members)/2]
+	if q2 == q {
+		q2 = res.Members[0]
+	}
+	for i := 0; i < 3; i++ {
+		for _, v := range []graph.V{q, q2} {
+			checkFresh("alternating", v, hot(v))
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/wire"
@@ -16,6 +18,29 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// resultBufs holds the buffers WriteResult encodes into.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteResult writes a 200 /v1/query answer, for the server and the router
+// alike: res in wire.AppendResult's layout — the bytes WriteJSON would write —
+// appended into a pooled buffer and sent with its length. A result
+// encoding/json would refuse (a non-finite float) gets the 500 envelope.
+func WriteResult(w http.ResponseWriter, r *http.Request, res *wire.Result) {
+	bp := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(bp)
+	body, err := wire.AppendResult((*bp)[:0], res)
+	if err != nil {
+		WriteError(w, r, http.StatusInternalServerError, wire.CodeInternal, "", "encoding the result: "+err.Error())
+		return
+	}
+	*bp = body
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client gone; there is no one to tell
 }
 
 // WriteError emits the structured envelope on every non-2xx path.

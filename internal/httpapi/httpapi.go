@@ -10,7 +10,8 @@
 //     sac_http_* instruments, panic → 500 envelope, the slow-request log and
 //     the TraceHook.
 //   - The error envelope (wire.Error and its codes): WriteJSON, WriteError,
-//     WriteQueryError, and the size-capped Core.DecodeJSON.
+//     WriteQueryError, and the size-capped Core.DecodeJSON; and WriteResult,
+//     the one writer of a /v1/query answer (wire.AppendResult's layout).
 //   - The boundary between the /v1 schema, declared once in internal/wire,
 //     and the engine's types (convert.go): CoreQuery / WireQuery / WireResult,
 //     the one checked narrowing of a wire vertex id to graph.V, and the

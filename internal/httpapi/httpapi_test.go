@@ -313,3 +313,29 @@ func TestWriteQueryError(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteResult: a /v1/query answer goes out with the body WriteJSON would
+// have written, a Content-Length, and — for a result encoding/json refuses —
+// the 500 envelope instead of a 200 with an empty body.
+func TestWriteResult(t *testing.T) {
+	res := &wire.Result{Q: 3, K: 2, Members: []int64{1, 3, 8}, MCC: wire.Circle{X: 0.5, Y: 1e-9, R: 0.25},
+		Delta: 0.3, Stats: wire.Stats{CandidateSize: 9, Algorithm: "exact+"}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+	want := httptest.NewRecorder()
+	WriteJSON(want, http.StatusOK, res)
+	for i := 0; i < 3; i++ { // the pooled buffer is reused
+		got := httptest.NewRecorder()
+		WriteResult(got, req, res)
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() ||
+			got.Header().Get("Content-Type") != "application/json" || got.Header().Get("Content-Length") != strconv.Itoa(want.Body.Len()) {
+			t.Fatalf("WriteResult: %d %v %q, WriteJSON: %q", got.Code, got.Header(), got.Body, want.Body)
+		}
+	}
+	res.Delta = math.NaN()
+	got := httptest.NewRecorder()
+	WriteResult(got, req, res)
+	var env wire.Error
+	if err := json.Unmarshal(got.Body.Bytes(), &env); err != nil || got.Code != http.StatusInternalServerError || env.Code != wire.CodeInternal {
+		t.Fatalf("a NaN δ: %d %q (%v)", got.Code, got.Body, err)
+	}
+}

@@ -64,7 +64,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeRouteError(w, r, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, resp)
+	httpapi.WriteResult(w, r, resp)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -567,7 +567,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.parBudget.Add(uint64(max(s.cfg.QueryParallelism, 1)))
 		s.parEffective.Add(uint64(workers))
 	}
-	httpapi.WriteJSON(w, http.StatusOK, httpapi.WireResult(spec.Name, res))
+	httpapi.WriteResult(w, r, httpapi.WireResult(spec.Name, res))
 }
 
 // observeQuery records one successful search's latency and the paper's

@@ -24,6 +24,12 @@
 // yet dispatched are failed with the same error without running — a batch
 // deadline bounds the whole batch, not just the queries that happened to
 // start. Results come back in input order.
+//
+// Fan is the one driver behind all of it, generic in what answers a query:
+// Run and RunOn hand it a search on a worker drawn from a Source, and the
+// HTTP front-ends' /v1/batch (internal/httpapi's ServeBatch) hand it the
+// function that answers their /v1/query, so a server and a router fan a
+// batch out alike.
 package batch
 
 import (
@@ -31,6 +37,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
@@ -50,17 +57,20 @@ type Query struct {
 	K int
 }
 
-// Item is one answered query. Exactly one of Result and Err is set.
+// Outcome is one answered query. Exactly one of Result and Err is set.
 //
 // Deduplicated batches alias: every occurrence of the same (q, k) in a
-// Run/RunOn batch carries the SAME *core.Result pointer. Results are
-// read-only by contract, so the sharing is safe; callers that mutate a
-// result (sorting Members in place, say) must copy it first.
-type Item struct {
+// batch carries the SAME Result. Results are read-only by contract, so the
+// sharing is safe; callers that mutate a result (sorting Members in place,
+// say) must copy it first.
+type Outcome[R any] struct {
 	Query
-	Result *core.Result
+	Result R
 	Err    error
 }
+
+// Item is one query answered by a searcher.
+type Item = Outcome[*core.Result]
 
 // Options configures a batch run. The zero value runs the registry's
 // default algorithm (AppFast(0.5)) on GOMAXPROCS workers.
@@ -81,20 +91,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// run dispatches one query on one searcher through the unified Search entry
-// point (and so through the algorithm registry).
-func run(ctx context.Context, s *core.Searcher, q Query, t core.Query) (*core.Result, error) {
-	t.Q, t.K = q.Q, q.K
-	return s.Search(ctx, t)
-}
-
-// canceledErr is the error stamped on queries a fired context kept from
-// running; it matches the in-flight shape (errors.Is on core.ErrCanceled and
-// on the context cause both hold).
-func canceledErr(cause error) error {
-	return fmt.Errorf("%w: %w", core.ErrCanceled, cause)
-}
-
 // Run answers every query and returns the items in input order, using a
 // transient worker pool over s. Prefer RunOn with a long-lived core.Pool
 // when batches repeat against the same graph — pooled workers keep their
@@ -103,14 +99,30 @@ func Run(ctx context.Context, s *core.Searcher, queries []Query, opt Options) []
 	return RunOn(ctx, core.NewPool(s), queries, opt)
 }
 
-// RunOn answers every query on workers drawn from p and returns the items
-// in input order. Duplicate (q, k) pairs are answered once and fanned back
-// out. A pool's base searcher is never used directly, so it may be in use
-// elsewhere as long as the graph's locations are not mutated concurrently;
-// snapshot sources have no such caveat. When ctx fires, undispatched
-// queries fail with core.ErrCanceled without running.
+// RunOn answers every query on workers drawn from p — one per query, for
+// the length of its search — and returns the items in input order.
+// Duplicate (q, k) pairs are answered once and fanned back out. A pool's
+// base searcher is never used directly, so it may be in use elsewhere as
+// long as the graph's locations are not mutated concurrently; snapshot
+// sources have no such caveat. When ctx fires, undispatched queries fail
+// with core.ErrCanceled without running.
 func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
-	items := make([]Item, len(queries))
+	return Fan(ctx, queries, opt.workers(), func(ctx context.Context, q Query) (*core.Result, error) {
+		w := p.Get()
+		defer p.Put(w)
+		t := opt.Template
+		t.Q, t.K = q.Q, q.K
+		return w.Search(ctx, t)
+	})
+}
+
+// Fan answers every query with answer, at most workers (at least one) at a
+// time, and returns the outcomes in input order. Each distinct (q, k) is
+// answered once and its outcome fanned back out to every occurrence. When
+// ctx fires, queries not yet dispatched fail with core.ErrCanceled without
+// running; answer sees ctx and is expected to give up on it too.
+func Fan[R any](ctx context.Context, queries []Query, workers int, answer func(context.Context, Query) (R, error)) []Outcome[R] {
+	items := make([]Outcome[R], len(queries))
 
 	// Deduplicate: first occurrence owns the computation.
 	type slot struct {
@@ -128,63 +140,28 @@ func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 		order = append(order, q)
 	}
 
-	// cancelFrom fails every query from order[i:] on without running it.
-	cancelFrom := func(i int, cause error) {
-		err := canceledErr(cause)
-		for _, q := range order[i:] {
-			items[slots[q].first] = Item{Query: q, Err: err}
-		}
-	}
-
-	workers := opt.workers()
-	if workers > len(order) {
-		workers = len(order)
-	}
-
-	if workers <= 1 {
-		// Run inline on a single pooled worker; no goroutines to coordinate.
-		// The deferred Put matches the worker-goroutine path: if run panics
-		// (a searcher bug surfaced by a query), the worker still returns to
-		// the pool instead of leaking.
-		func() {
-			w := p.Get()
-			defer p.Put(w)
-			for i, q := range order {
+	// Each worker claims the next undispatched query until none is left; one
+	// claimed after ctx fired is failed instead of run, with the error an
+	// in-flight query would return (errors.Is holds for core.ErrCanceled and
+	// for the context's cause).
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(workers, 1), len(order)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(order); i = int(next.Add(1) - 1) {
+				o := Outcome[R]{Query: order[i]}
 				if err := ctx.Err(); err != nil {
-					cancelFrom(i, err)
-					return
+					o.Err = fmt.Errorf("%w: %w", core.ErrCanceled, err)
+				} else {
+					o.Result, o.Err = answer(ctx, o.Query)
 				}
-				res, err := run(ctx, w, q, opt.Template)
-				items[slots[q].first] = Item{Query: q, Result: res, Err: err}
+				items[slots[o.Query].first] = o
 			}
 		}()
-	} else {
-		feed := make(chan Query)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := p.Get()
-				defer p.Put(ws)
-				for q := range feed {
-					res, err := run(ctx, ws, q, opt.Template)
-					items[slots[q].first] = Item{Query: q, Result: res, Err: err}
-				}
-			}()
-		}
-	feedLoop:
-		for i, q := range order {
-			select {
-			case feed <- q:
-			case <-ctx.Done():
-				cancelFrom(i, ctx.Err())
-				break feedLoop
-			}
-		}
-		close(feed)
-		wg.Wait()
 	}
+	wg.Wait()
 
 	// Fan duplicate answers back out.
 	for q, sl := range slots {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -81,9 +80,6 @@ func WireQuery(q core.Query) wire.Query {
 	}
 }
 
-// WireCircle converts a covering circle.
-func WireCircle(c geom.Circle) wire.Circle { return wire.Circle{X: c.C.X, Y: c.C.Y, R: c.R} }
-
 // WireResult converts an engine result, labelling its stats with the
 // canonical algorithm name.
 func WireResult(algo string, res *core.Result) *wire.Result {
@@ -91,7 +87,7 @@ func WireResult(algo string, res *core.Result) *wire.Result {
 		Q:       int64(res.Query),
 		K:       res.K,
 		Members: graph.IDs(res.Members),
-		MCC:     WireCircle(res.MCC),
+		MCC:     wire.Circle{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R},
 		Delta:   res.Delta,
 		Stats: wire.Stats{
 			CandidateSize:     res.Stats.CandidateSize,
@@ -126,54 +122,6 @@ func Algorithms() []wire.AlgoInfo {
 		}
 	}
 	return out
-}
-
-// BatchFanOut is the number of workers a batch runs on: the request's
-// "workers", clamped to GOMAXPROCS — which is also the default when the field
-// is absent, so a client can only lower the fan-out. The field arrives from
-// outside and every worker holds a searcher with its own caches (a cold one
-// per cross-shard query on the router), so it must not size anything
-// unclamped.
-func BatchFanOut(req *wire.BatchRequest) int {
-	if limit := runtime.GOMAXPROCS(0); req.Workers <= 0 || req.Workers > limit {
-		return limit
-	}
-	return req.Workers
-}
-
-// BatchTemplate checks everything about the batch that is not per item and
-// returns the query each item completes with its own q and k. Validating the
-// template up front through the registry fails the whole batch with one 400
-// (empty batch, bad algorithm name, out-of-range epsilon, a structure metric
-// the front-end does not serve) before any worker runs, instead of a 200
-// whose every item errored; per-item problems — unknown vertex, k < 1 —
-// surface as item errors. validate is the front-end's whole-query check (a
-// searcher's ValidateQuery, the router's against its shard map), used for the
-// structure assertion. On a violation the error envelope is written and ok
-// is false.
-func BatchTemplate(w http.ResponseWriter, r *http.Request, req *wire.BatchRequest, validate func(core.Query) error) (template core.Query, ok bool) {
-	if len(req.Queries) == 0 {
-		WriteError(w, r, http.StatusBadRequest, core.ErrCodeInvalidQuery, "queries", "empty batch")
-		return template, false
-	}
-	template = core.Query{
-		Algo:      req.Algo,
-		EpsF:      req.EpsF,
-		EpsA:      req.EpsA,
-		Theta:     req.Theta,
-		Structure: req.Structure,
-	}
-	_, err := core.ValidateParams(template)
-	if err == nil && template.Structure != "" {
-		probe := template
-		probe.Q, probe.K = 0, 1
-		err = validate(probe)
-	}
-	if err != nil {
-		WriteQueryError(w, r, err)
-		return template, false
-	}
-	return template, true
 }
 
 // KnownVertex narrows id against a graph of n vertices — the single server's,

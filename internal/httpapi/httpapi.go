@@ -16,12 +16,16 @@
 //     and the engine's types (convert.go): CoreQuery / WireQuery / WireResult,
 //     the one checked narrowing of a wire vertex id to graph.V, and the
 //     request validators both front-ends run.
+//   - ServeBatch, the POST /v1/batch body (batch.go): template check, per-item
+//     narrowing and validation, the fan-out, the one deadline rule; each item
+//     is answered by the function that answers the front-end's /v1/query.
 //   - Core.ServeSubscribe, the GET /v1/subscribe register / resume / attach /
 //     SSE handler (subscribe.go).
 //
 // A front-end keeps only what genuinely differs: its routes, the prefix of
-// the request ids it mints, and its own error mappings (the server's write
-// errors, the router's shard-leg errors). The standing-query half of the core — when a subscription is
+// the request ids it mints, how it answers one query, and its own error
+// mappings (the server's write errors, the router's shard-leg errors). The
+// standing-query half of the core — when a subscription is
 // re-evaluated, and the argument for why skipping is sound — is
 // internal/subscribe's Dispatcher.
 package httpapi

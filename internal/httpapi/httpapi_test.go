@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,8 +11,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,6 +239,107 @@ func TestCoreQuery(t *testing.T) {
 	// spelling of them.
 	if wire.CodeInvalidQuery != core.ErrCodeInvalidQuery || wire.CodeInvalidParam != core.ErrCodeInvalidParam {
 		t.Fatal("wire's validation codes drifted from core's")
+	}
+}
+
+// TestBatchFanOut pins the bound on the client-supplied fan-out: "workers"
+// far above GOMAXPROCS must not size the worker set — every worker holds a
+// searcher with its own caches — and an absent field means GOMAXPROCS.
+func TestBatchFanOut(t *testing.T) {
+	limit := runtime.GOMAXPROCS(0)
+	if got := batchFanOut(&wire.BatchRequest{Workers: 100000}); got != limit {
+		t.Fatalf("FanOut() = %d for workers 100000, want GOMAXPROCS = %d", got, limit)
+	}
+	if got := batchFanOut(&wire.BatchRequest{}); got != limit {
+		t.Fatalf("FanOut() = %d for absent workers, want GOMAXPROCS = %d", got, limit)
+	}
+	if got := batchFanOut(&wire.BatchRequest{Workers: 1}); got != 1 {
+		t.Fatalf("FanOut() = %d for workers 1, want 1", got)
+	}
+}
+
+// serveBatch runs ServeBatch over body with a validator that accepts q < 100
+// and the given answer.
+func serveBatch(t *testing.T, body string, answer func(context.Context, core.Query) (*wire.Result, error)) (*httptest.ResponseRecorder, wire.BatchResponse) {
+	t.Helper()
+	var req wire.BatchRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	validate := func(q core.Query) error { return core.ValidateQuery(q, 100, core.StructureKCore) }
+	rec := httptest.NewRecorder()
+	ServeBatch(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", nil), &req, validate, answer)
+	var resp wire.BatchResponse
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec, resp
+}
+
+// TestServeBatch pins the /v1/batch body both front-ends serve: an item that
+// names no vertex or fails validation is answered in place and never reaches
+// answer; each distinct (q, k) reaches it once, its answer shared by every
+// duplicate; any other failure is that item's error string in a 200.
+func TestServeBatch(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[[2]int64]int{}
+	answer := func(_ context.Context, q core.Query) (*wire.Result, error) {
+		mu.Lock()
+		calls[[2]int64{int64(q.Q), int64(q.K)}]++
+		mu.Unlock()
+		if q.Q == 9 {
+			return nil, core.ErrNoCommunity
+		}
+		return &wire.Result{Members: []int64{int64(q.Q), int64(q.K)}, MCC: wire.Circle{R: float64(q.Q)}}, nil
+	}
+	rec, resp := serveBatch(t, `{"queries":[{"q":1,"k":2},{"q":4294967299,"k":2},{"q":1,"k":2},{"q":500,"k":2},{"q":9,"k":2},{"q":1,"k":3}],"workers":3}`, answer)
+	if rec.Code != http.StatusOK || len(resp.Items) != 6 {
+		t.Fatalf("status %d, %d items: %s", rec.Code, len(resp.Items), rec.Body)
+	}
+	want := map[[2]int64]int{{1, 2}: 1, {9, 2}: 1, {1, 3}: 1}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("answer calls %v, want %v", calls, want)
+	}
+	for _, i := range []int{0, 2} {
+		if it := resp.Items[i]; it.Q != 1 || it.K != 2 || it.Error != "" || !reflect.DeepEqual(it.Members, []int64{1, 2}) || it.MCC.R != 1 {
+			t.Errorf("item %d = %+v", i, it)
+		}
+	}
+	for i, mention := range map[int]string{1: "4294967299", 3: "out of range", 4: "no feasible community"} {
+		if it := resp.Items[i]; !strings.Contains(it.Error, mention) || it.Members != nil {
+			t.Errorf("item %d = %+v, want an error mentioning %q", i, it, mention)
+		}
+	}
+}
+
+// TestServeBatchDeadline pins the one deadline rule: an item cut short by a
+// deadline — core.ErrCanceled, or context.DeadlineExceeded anywhere in its
+// chain — fails the whole batch with 503 deadline_exceeded quoting the first
+// such item in input order.
+func TestServeBatchDeadline(t *testing.T) {
+	for _, late := range []error{
+		fmt.Errorf("%w: %w", core.ErrCanceled, context.DeadlineExceeded),
+		fmt.Errorf("shard 1 unavailable: %w", context.DeadlineExceeded),
+	} {
+		answer := func(_ context.Context, q core.Query) (*wire.Result, error) {
+			switch q.Q {
+			case 1:
+				return nil, errors.New("not late")
+			case 2:
+				return nil, fmt.Errorf("item 2: %w", late)
+			case 3:
+				return nil, fmt.Errorf("item 3: %w", late)
+			}
+			return &wire.Result{}, nil
+		}
+		rec, _ := serveBatch(t, `{"queries":[{"q":0,"k":2},{"q":1,"k":2},{"q":3,"k":2},{"q":2,"k":2}]}`, answer)
+		env := decodeEnvelope(t, rec)
+		if rec.Code != http.StatusServiceUnavailable || env.Code != wire.CodeDeadlineExceeded ||
+			env.Error != "batch deadline exceeded: item 3: "+late.Error() {
+			t.Errorf("%v: status %d envelope %+v", late, rec.Code, env)
+		}
 	}
 }
 

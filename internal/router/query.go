@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
@@ -20,8 +19,26 @@ type legFailure struct {
 	err   error
 }
 
-func (e *legFailure) Error() string { return fmt.Sprintf("shard %d: %v", e.shard, e.err) }
+// Error renders the failure as a batch item reports it. A forwarded shard
+// verdict uses the shard's own message, so item errors read the same as a
+// single server's; anything else names the shard as unavailable.
+func (e *legFailure) Error() string {
+	var apiErr *client.APIError
+	if errors.As(e.err, &apiErr) && apiErr.Status != http.StatusServiceUnavailable &&
+		apiErr.Status != http.StatusTooManyRequests && apiErr.Message != "" {
+		return apiErr.Message
+	}
+	return fmt.Sprintf("shard %d unavailable: %v", e.shard, e.err)
+}
+
 func (e *legFailure) Unwrap() error { return e.err }
+
+// Is reports a shard's deadline_exceeded answer as core.ErrCanceled: the
+// query was cut short by a deadline, as a local one would have been.
+func (e *legFailure) Is(target error) bool {
+	var apiErr *client.APIError
+	return target == core.ErrCanceled && errors.As(e.err, &apiErr) && apiErr.Code == wire.CodeDeadlineExceeded
+}
 
 // writeRouteError maps a routing error onto the wire: leg failures through
 // writeLegError (forward or shard_unavailable), everything else — errors
@@ -44,6 +61,13 @@ func (rt *Router) validateQuery(cq core.Query) error {
 	return core.ValidateQuery(cq, rt.m.N, core.StructureKCore)
 }
 
+// route answers one validated query, for /v1/query and every /v1/batch item
+// alike.
+func (rt *Router) route(ctx context.Context, cq core.Query) (*wire.Result, error) {
+	resp, _, err := rt.routeGathered(ctx, cq, false)
+	return resp, err
+}
+
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.Query
 	if !rt.api.DecodeJSON(w, r, &req) {
@@ -59,7 +83,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	resp, _, err := rt.routeGathered(ctx, cq, false)
+	resp, err := rt.route(ctx, cq)
 	if err != nil {
 		rt.writeRouteError(w, r, err)
 		return
@@ -72,85 +96,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !rt.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	// The template fails the whole batch with one 400, exactly like the
-	// single server.
-	template, ok := httpapi.BatchTemplate(w, r, &req, rt.validateQuery)
-	if !ok {
-		return
-	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	workers := min(httpapi.BatchFanOut(&req), len(req.Queries))
-	items := make([]wire.BatchItem, len(req.Queries))
-	deadlined := make([]bool, len(req.Queries))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				items[i] = wire.BatchItem{Q: req.Queries[i].Q, K: req.Queries[i].K}
-				v, err := httpapi.QueryVertex(items[i].Q)
-				cq := template
-				cq.Q, cq.K = v, items[i].K
-				if err == nil {
-					err = rt.validateQuery(cq)
-				}
-				if err != nil {
-					items[i].Error = err.Error()
-					continue
-				}
-				resp, _, err := rt.routeGathered(ctx, cq, false)
-				if err != nil {
-					items[i].Error = routeErrorMessage(err)
-					deadlined[i] = isDeadline(err)
-					continue
-				}
-				items[i].Members = resp.Members
-				items[i].MCC = resp.MCC
-			}
-		}()
-	}
-	for i := range req.Queries {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	// A deadline that actually cut queries short fails the whole batch with
-	// 503, mirroring the single server's status-keyed behavior.
-	for i, d := range deadlined {
-		if d {
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, "",
-				"batch deadline exceeded: "+items[i].Error)
-			return
-		}
-	}
-	httpapi.WriteJSON(w, http.StatusOK, wire.BatchResponse{Items: items})
-}
-
-// routeErrorMessage renders a routing error as a batch item's error string.
-// Forwarded shard verdicts use the shard's own message, so item errors read
-// the same as a single server's.
-func routeErrorMessage(err error) string {
-	var lf *legFailure
-	if errors.As(err, &lf) {
-		var apiErr *client.APIError
-		if errors.As(lf.err, &apiErr) && apiErr.Status != http.StatusServiceUnavailable &&
-			apiErr.Status != http.StatusTooManyRequests && apiErr.Message != "" {
-			return apiErr.Message
-		}
-		return fmt.Sprintf("shard %d unavailable: %v", lf.shard, lf.err)
-	}
-	return err.Error()
-}
-
-// isDeadline reports whether a routing error is a deadline/cancellation —
-// the condition that fails a whole batch.
-func isDeadline(err error) bool {
-	if errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == wire.CodeDeadlineExceeded
+	httpapi.ServeBatch(w, r.WithContext(ctx), &req, rt.validateQuery, rt.route)
 }

@@ -363,17 +363,19 @@ func TestRoutedBatch(t *testing.T) {
 }
 
 // searchLegPeak is a transport that records how many /v1/shard/search legs
-// were in flight at once. A routed query opens with exactly one such leg, so
-// the peak is the number of batch workers routing concurrently.
+// were in flight at once, and how many were opened. A routed k-core query
+// opens with exactly one such leg, so the peak is the number of batch
+// workers routing concurrently and the total the number of queries routed.
 type searchLegPeak struct {
-	mu        sync.Mutex
-	cur, peak int
+	mu               sync.Mutex
+	cur, peak, total int
 }
 
 func (p *searchLegPeak) add(d int) {
 	p.mu.Lock()
 	p.cur += d
 	p.peak = max(p.peak, p.cur)
+	p.total += max(d, 0)
 	p.mu.Unlock()
 }
 
@@ -413,6 +415,52 @@ func TestRoutedBatchWorkersClamped(t *testing.T) {
 	if peak < 1 || peak > limit {
 		t.Fatalf("batch of %d queries with workers=100000 ran %d search legs at once, want 1..GOMAXPROCS (%d)",
 			len(qs), peak, limit)
+	}
+}
+
+// TestRoutedBatchDeduplicates: a routed batch answers each distinct (q, k)
+// once, like a single server's — one /v1/shard/search leg apiece — and every
+// duplicate item carries the same answer as its first occurrence.
+func TestRoutedBatchDeduplicates(t *testing.T) {
+	g := testGraph(300, 1300, 55)
+	var legs searchLegPeak
+	tp := newTopologyWith(t, g, 2, server.Config{}, Config{
+		ClientOptions: []client.Option{client.WithHTTPClient(&http.Client{Transport: &legs})},
+	})
+	var qs []client.BatchQuery
+	first := map[client.BatchQuery]int{}
+	for i := 0; i < 30; i++ {
+		q := client.BatchQuery{Q: int64(i % 5 * 37), K: 2 + i%3}
+		if _, ok := first[q]; !ok {
+			first[q] = i
+		}
+		qs = append(qs, q)
+	}
+	items, err := tp.routerCl.Batch(t.Context(), qs, &client.BatchOptions{Algo: "appfast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs.mu.Lock()
+	total := legs.total
+	legs.mu.Unlock()
+	if total != len(first) {
+		t.Fatalf("batch of %d items over %d distinct (q, k) opened %d search legs", len(qs), len(first), total)
+	}
+	for i, q := range qs {
+		if want := items[first[q]]; !reflect.DeepEqual(items[i], want) {
+			t.Fatalf("item %d (q=%d k=%d) = %+v, its first occurrence %+v", i, q.Q, q.K, items[i], want)
+		}
+	}
+}
+
+// TestRoutedBatchDeadline is the router half of the server's
+// TestQueryDeadline: with an immediately expiring budget a batch is 503
+// deadline_exceeded, not 200 with per-item errors.
+func TestRoutedBatchDeadline(t *testing.T) {
+	tp := newTopologyWith(t, testGraph(200, 900, 17), 2, server.Config{}, Config{QueryTimeout: time.Nanosecond})
+	status, env := postRaw(t, tp.router.URL+"/v1/batch", `{"queries":[{"q":1,"k":4}]}`)
+	if status != http.StatusServiceUnavailable || env.Code != wire.CodeDeadlineExceeded {
+		t.Fatalf("expired batch deadline: %d %+v, want 503 %s", status, env, wire.CodeDeadlineExceeded)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	GET  /v1/algorithms        the algorithm registry: names, ratios, parameter schemas
 //	GET  /v1/vertex/{id}       one vertex: location, degree, core number
 //	POST /v1/query             one SAC query (unified request shape)
-//	POST /v1/batch             many SAC queries, answered in parallel
+//	POST /v1/batch             many SAC queries, each answered as /v1/query would be
 //	POST /v1/checkin           update one vertex's location (dynamic graphs)
 //	POST /v1/edge              insert or delete one friendship edge
 //
@@ -22,6 +22,10 @@
 // X-Request-Id header, and every non-2xx response is a structured error
 // envelope (wire.Error) with a machine-readable code, the offending field
 // when known, and the request id.
+//
+// Every search runs through Server.search: /v1/query, the certified leg of
+// /v1/shard/search, and each /v1/batch item (httpapi.ServeBatch, the
+// router's batch body too, here pinned to one snapshot).
 //
 // Concurrency model: snapshot isolation, no locks on the query path. A
 // single writer goroutine (internal/snapshot.Engine) owns the mutable
@@ -55,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sacsearch/internal/batch"
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -229,7 +232,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		MaxBodyBytes: cfg.MaxBodyBytes,
 	}
 	s.queryDur = reg.HistogramVec("sac_query_duration_seconds",
-		"SAC search latency by algorithm (single queries and shard legs).", nil, "algo")
+		"SAC search latency by algorithm (single queries, batch items and shard legs).", nil, "algo")
 	s.statCand = reg.CounterVec("sac_query_candidate_vertices_total",
 		"Candidate-set vertices examined, by algorithm (paper Section 5 counter).", "algo")
 	s.statFeas = reg.CounterVec("sac_query_feasibility_checks_total",
@@ -247,7 +250,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	s.statDropped = reg.CounterVec("sac_query_cache_entries_dropped_total",
 		"Cached communities dropped because an edge op changed them or the mutation journal no longer reached them, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
-		"Circle-scan workers the per-query parallelism budget asked for, over /v1/query Exact and Exact+ scans.")
+		"Circle-scan workers the per-query parallelism budget asked for (at least 1), over Exact and Exact+ scans.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
 		"Circle-scan workers those scans ran on, the budget divided by the queries in flight.")
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -538,36 +541,53 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	// Pin the current snapshot and dispatch through the unified Search
-	// entry point on a pooled worker rebound to it — registry-validated,
-	// no locks anywhere on this path.
-	snap := eng.Current()
-	searcher := snap.Get()
-	defer snap.Put(searcher)
-	// The scan budget is this request's; core divides it by the load. The
-	// worker goes back to the pool with the default 0 (defers run LIFO, so
-	// the reset precedes snap.Put).
-	if n := s.cfg.QueryParallelism; n > 1 {
-		searcher.SetParallelism(n)
-		defer searcher.SetParallelism(0)
-	}
-	ctx, qspan := telemetry.StartSpan(ctx, "search")
-	res, err := searcher.Search(ctx, q)
-	qspan.End()
+	res, err := s.search(ctx, eng.Current(), q, s.cfg.QueryParallelism)
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	spec, _ := core.LookupAlgo(req.Algo) // Search succeeded, so the name resolves
-	qspan.SetAttr("algo", spec.Name)
-	qspan.SetAttr("q", req.Q)
-	qspan.SetAttr("k", req.K)
+	httpapi.WriteResult(w, r, res)
+}
+
+// search is the server's one call into the engine, for /v1/query, the
+// certified leg of /v1/shard/search and every /v1/batch item alike: q runs
+// through the unified Search entry point — registry-validated, no locks
+// anywhere on this path — on a pooled worker rebound to snap, under a
+// "search" span, with budget as its circle-scan budget (core divides it by
+// the load; 0 scans on one worker). A success is recorded in sac_query_* and
+// returned in wire form.
+func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query, budget int) (*wire.Result, error) {
+	worker := snap.Get()
+	defer snap.Put(worker)
+	// The worker goes back to the pool with the default budget 0 (defers run
+	// LIFO, so the reset precedes snap.Put).
+	if budget > 1 {
+		worker.SetParallelism(budget)
+		defer worker.SetParallelism(0)
+	}
+	ctx, span := telemetry.StartSpan(ctx, "search")
+	res, err := worker.Search(ctx, q)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	spec, _ := core.LookupAlgo(q.Algo) // Search succeeded, so the name resolves
+	span.SetAttr("algo", spec.Name)
+	span.SetAttr("q", int64(q.Q))
+	span.SetAttr("k", q.K)
 	s.observeQuery(spec.Name, res.Stats)
 	if workers := res.Stats.Workers; workers > 0 {
-		s.parBudget.Add(uint64(max(s.cfg.QueryParallelism, 1)))
+		s.parBudget.Add(uint64(max(budget, 1)))
 		s.parEffective.Add(uint64(workers))
 	}
-	httpapi.WriteResult(w, r, httpapi.WireResult(spec.Name, res))
+	return httpapi.WireResult(spec.Name, res), nil
+}
+
+// validate is a worker's own validation of q against snap.
+func validate(snap *snapshot.Snap, q core.Query) error {
+	worker := snap.Get()
+	defer snap.Put(worker)
+	return worker.ValidateQuery(q)
 }
 
 // observeQuery records one successful search's latency and the paper's
@@ -584,71 +604,24 @@ func (s *Server) observeQuery(algo string, st core.Stats) {
 	s.statDropped.With(algo).Add(uint64(st.EntriesDropped))
 }
 
+// handleBatch answers every item as /v1/query would, through s.search, with
+// the whole batch pinned to one snapshot: every worker is rebound to the same
+// published state, and the batch deadline cancels stragglers mid-algorithm.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchRequest
 	if !s.api.DecodeJSON(w, r, &req) {
 		return
 	}
-	// The whole batch runs pinned to one snapshot: the Snap is the worker
-	// source, so every worker is rebound to the same published state and the
-	// batch deadline cancels stragglers mid-algorithm.
 	eng, ok := s.readEngine(w, r)
 	if !ok {
 		return
 	}
 	snap := eng.Current()
-	template, ok := httpapi.BatchTemplate(w, r, &req, func(q core.Query) error {
-		worker := snap.Get()
-		defer snap.Put(worker)
-		return worker.ValidateQuery(q)
-	})
-	if !ok {
-		return
-	}
-	// An item whose q no vertex id can hold is answered here, like any other
-	// per-item problem; queries[j] is the item at resp.Items[at[j]].
-	resp := wire.BatchResponse{Items: make([]wire.BatchItem, len(req.Queries))}
-	queries := make([]batch.Query, 0, len(req.Queries))
-	at := make([]int, 0, len(req.Queries))
-	for i, q := range req.Queries {
-		resp.Items[i] = wire.BatchItem{Q: q.Q, K: q.K}
-		v, err := httpapi.QueryVertex(q.Q)
-		if err != nil {
-			resp.Items[i].Error = err.Error()
-			continue
-		}
-		queries = append(queries, batch.Query{Q: v, K: q.K})
-		at = append(at, i)
-	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	items := batch.RunOn(ctx, snap, queries, batch.Options{
-		Workers:  httpapi.BatchFanOut(&req),
-		Template: template,
-	})
-	for j, it := range items {
-		out := &resp.Items[at[j]]
-		switch {
-		case it.Err == nil:
-			out.Members = graph.IDs(it.Result.Members)
-			out.MCC = httpapi.WireCircle(it.Result.MCC)
-		case errors.Is(it.Err, core.ErrCanceled):
-			// A batch whose deadline actually cut queries short is a
-			// server-side timeout, same as a single query's: report 503
-			// rather than 200-with-error-items, so status-keyed clients and
-			// monitors see it. The signal is the items themselves, not
-			// ctx.Err() — a deadline that fires in the instant after the last
-			// query completed should not throw a fully successful batch away.
-			// (Partial results are discarded; the client's retry re-runs the
-			// batch.)
-			httpapi.WriteError(w, r, http.StatusServiceUnavailable, wire.CodeDeadlineExceeded, "",
-				"batch deadline exceeded: "+it.Err.Error())
-			return
-		default:
-			out.Error = it.Err.Error()
-		}
-	}
-	httpapi.WriteJSON(w, http.StatusOK, resp)
+	httpapi.ServeBatch(w, r.WithContext(ctx), &req,
+		func(q core.Query) error { return validate(snap, q) },
+		func(ctx context.Context, q core.Query) (*wire.Result, error) { return s.search(ctx, snap, q, 0) })
 }
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.

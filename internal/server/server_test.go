@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -17,8 +18,8 @@ import (
 	"sacsearch/internal/gen"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/store"
+	"sacsearch/internal/telemetry"
 	"sacsearch/internal/wire"
 )
 
@@ -277,22 +278,47 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchItemsObserved: a batch item is a search like a single query, so
+// a batch of N distinct valid items raises sac_query_duration_seconds_count
+// by N under the batch's algorithm.
+func TestBatchItemsObserved(t *testing.T) {
+	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry(), ServeMetrics: true})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	const count = `sac_query_duration_seconds_count{algo="appinc"}`
+	observed := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		return metricValue(t, string(text), count)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 1, K: 4, Algo: "appinc"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	before := observed()
+	req := wire.BatchRequest{Algo: "appinc"}
+	for _, q := range []int64{1, 7, 13, 19, 25} {
+		req.Queries = append(req.Queries, wire.BatchQuery{Q: q, K: 4})
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/batch", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	if got := observed() - before; got != float64(len(req.Queries)) {
+		t.Fatalf("a batch of %d distinct items raised %s by %v", len(req.Queries), count, got)
+	}
+}
+
 // TestBatchWorkersClamped pins the bound on the client-supplied fan-out:
 // "workers" far above GOMAXPROCS must not size the worker set — every
 // worker is a pooled searcher clone with its own caches — and the batch
 // still answers every item.
 func TestBatchWorkersClamped(t *testing.T) {
 	limit := runtime.GOMAXPROCS(0)
-	if got := httpapi.BatchFanOut(&wire.BatchRequest{Workers: 100000}); got != limit {
-		t.Fatalf("FanOut() = %d for workers 100000, want GOMAXPROCS = %d", got, limit)
-	}
-	if got := httpapi.BatchFanOut(&wire.BatchRequest{}); got != limit {
-		t.Fatalf("FanOut() = %d for absent workers, want GOMAXPROCS = %d", got, limit)
-	}
-	if got := httpapi.BatchFanOut(&wire.BatchRequest{Workers: 1}); got != 1 {
-		t.Fatalf("FanOut() = %d for workers 1, want 1", got)
-	}
-
 	// Queries slow enough (a 3000-vertex graph, every view cold) that an
 	// unclamped run has all its workers holding a clone at once.
 	b := gen.SocialGraph(3000, 13000, 5)

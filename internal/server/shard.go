@@ -81,11 +81,9 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := eng.Current()
-	searcher := snap.Get()
-	defer snap.Put(searcher)
 	q, err := httpapi.CoreQuery(req)
 	if err == nil {
-		err = searcher.ValidateQuery(q)
+		err = validate(snap, q)
 	}
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
@@ -116,14 +114,12 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := searcher.Search(ctx, q)
+	res, err := s.search(ctx, snap, q, 0)
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	spec, _ := core.LookupAlgo(req.Algo)
-	s.observeQuery(spec.Name, res.Stats)
-	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, Result: httpapi.WireResult(spec.Name, res)})
+	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, Result: res})
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {

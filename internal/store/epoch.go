@@ -14,8 +14,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-
-	"sacsearch/internal/wal"
 )
 
 // ErrFenced rejects writes on a store that has seen a higher leadership
@@ -25,8 +23,8 @@ var ErrFenced = errors.New("store: fenced by a newer leader epoch")
 
 // Epoch file layout (epoch.fence, 28 bytes): magic "SACEPOC1", the store's
 // own epoch, the highest foreign epoch that fenced it (0 = not fenced), and
-// a CRC-32 of the first 24 bytes. Written via tmp+rename+dir-fsync so a
-// crash can never leave a half-written fence.
+// a CRC-32 of the first 24 bytes. Written through installFile (tmp, fsync,
+// rename, dir-fsync) so a crash can never leave a half-written fence.
 
 var epochMagic = [8]byte{'S', 'A', 'C', 'E', 'P', 'O', 'C', '1'}
 
@@ -38,24 +36,14 @@ func writeEpochFile(dir string, epoch, fencedBy uint64) error {
 	binary.LittleEndian.PutUint64(buf[8:], epoch)
 	binary.LittleEndian.PutUint64(buf[16:], fencedBy)
 	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[:24]))
-	path := filepath.Join(dir, epochFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf[:], 0o644); err != nil {
+	err := installFile(dir, epochFile, func(f *os.File) error {
+		_, err := f.Write(buf[:])
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("store: writing epoch file: %w", err)
 	}
-	if f, err := os.Open(tmp); err == nil {
-		err = f.Sync()
-		f.Close()
-		if err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("store: syncing epoch file: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing epoch file: %w", err)
-	}
-	return wal.SyncDir(dir)
+	return nil
 }
 
 func loadEpochFile(dir string) (epoch, fencedBy uint64, found bool, err error) {

@@ -516,32 +516,47 @@ func parseCkptName(name string) (uint64, bool) {
 }
 
 func writeCheckpoint(dir string, g *graph.Graph, seq uint64) error {
-	path := filepath.Join(dir, ckptName(seq))
+	err := installFile(dir, ckptName(seq), func(f *os.File) error {
+		var hdr [20]byte
+		copy(hdr[:8], ckptMagic[:])
+		binary.LittleEndian.PutUint64(hdr[8:], seq)
+		binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(hdr[:16]))
+		if _, err := f.Write(hdr[:]); err != nil {
+			return err
+		}
+		return graph.WriteBinary(f, g)
+	})
+	if err != nil {
+		return fmt.Errorf("store: writing checkpoint %d: %w", seq, err)
+	}
+	return nil
+}
+
+// installFile is the store's one atomic file install: write fills
+// <name>.tmp, which is fsynced on the same handle, closed, renamed over name,
+// and the directory fsynced, every step checked. A crash at any point leaves
+// either the old file or the new one, plus at most a .tmp that Open removes.
+// On an error the .tmp is removed and name is untouched.
+func installFile(dir, name string, write func(*os.File) error) error {
+	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: creating checkpoint: %w", err)
+		return err
 	}
-	var hdr [20]byte
-	copy(hdr[:8], ckptMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], seq)
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(hdr[:16]))
-	if _, err := f.Write(hdr[:]); err == nil {
-		err = graph.WriteBinary(f, g)
-	}
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: writing checkpoint %d: %w", seq, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing checkpoint %d: %w", seq, err)
+		return err
 	}
 	return wal.SyncDir(dir)
 }
@@ -651,7 +666,8 @@ func pruneCheckpoints(dir string, keep int) (uint64, error) {
 	return seqs[0], nil
 }
 
-// removeStaleTemp drops .tmp leftovers from a crash mid-checkpoint.
+// removeStaleTemp drops the .tmp leftovers of a crash mid-install: a
+// checkpoint's or the epoch file's.
 func removeStaleTemp(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -659,7 +675,7 @@ func removeStaleTemp(dir string) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, ".tmp") {
+		if strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, ".tmp") || name == epochFile+".tmp" {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}

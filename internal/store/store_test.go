@@ -348,10 +348,13 @@ func TestStaleTempCheckpointIgnored(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A crash mid-checkpoint leaves a .tmp; it must not confuse recovery.
-	tmp := filepath.Join(dir, ckptName(9999)+".tmp")
-	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	// A crash mid-install — of a checkpoint or of the epoch fence — leaves a
+	// .tmp; it must not confuse recovery, and Open removes it.
+	stale := []string{ckptName(9999) + ".tmp", epochFile + ".tmp"}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st2, err := Open(dir, Options{})
 	if err != nil {
@@ -359,8 +362,10 @@ func TestStaleTempCheckpointIgnored(t *testing.T) {
 	}
 	defer st2.Close()
 	graphsEqual(t, "tmp ignored", st2.Current().Graph(), refGraph(t, events, len(events)))
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("stale .tmp not cleaned up")
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale %s not cleaned up (%v)", name, err)
+		}
 	}
 }
 

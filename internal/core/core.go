@@ -151,8 +151,8 @@ type Searcher struct {
 	cores []int32          // k-core numbers, computed eagerly
 	truss map[uint64]int32 // k-truss numbers, computed lazily
 
-	// maint keeps cores current across topology updates routed through
-	// ApplyEdgeInsert/ApplyEdgeRemove (lazily created; see maintain.go in
+	// maint keeps cores current across edge writes routed through Apply
+	// (lazily created; see maintain.go in
 	// internal/kcore). cores is shared across clones, so one searcher's
 	// maintainer refreshes every worker drawn from the same pool.
 	maint *kcore.Maintainer

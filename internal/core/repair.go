@@ -46,7 +46,7 @@ const (
 // repairScratch is the working memory of the repair paths plus the free list
 // of prefix-oracle buffers. It belongs to one Searcher.
 type repairScratch struct {
-	gap   []graph.Mutation
+	gap   []graph.Write
 	moved []movedMember
 	rows  []int32    // local ids of members whose induced row changed
 	cuts  [][2]int32 // local endpoints of in-community edges the gap removed
@@ -148,18 +148,18 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 	defer func() { s.rep.rows, s.rep.cuts = rows, cuts }()
 	removals := false
 	for _, m := range gap {
-		if m.Kind == graph.MutSetLoc {
+		if m.Kind == graph.WriteCheckin {
 			continue
 		}
-		removals = removals || m.Kind == graph.MutRemoveEdge
-		if s.localValid.Has(m.U) && s.localValid.Has(m.W) {
-			lu, lw := s.localOf[m.U], s.localOf[m.W]
+		removals = removals || m.Kind == graph.WriteRemoveEdge
+		if s.localValid.Has(m.V) && s.localValid.Has(m.W) {
+			lu, lw := s.localOf[m.V], s.localOf[m.W]
 			rows = append(rows, lu, lw)
-			if m.Kind == graph.MutRemoveEdge {
+			if m.Kind == graph.WriteRemoveEdge {
 				cuts = append(cuts, [2]int32{lu, lw})
 			}
-		} else if m.Kind == graph.MutAddEdge &&
-			s.cores[m.U] >= kk && s.cores[m.W] >= kk && s.g.HasEdge(m.U, m.W) {
+		} else if m.Kind == graph.WriteAddEdge &&
+			s.cores[m.V] >= kk && s.cores[m.W] >= kk && s.g.HasEdge(m.V, m.W) {
 			return false // (b)
 		}
 	}
@@ -300,13 +300,13 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 	s.inX.Reset()
 	nMoved := 0
 	for _, m := range gap {
-		if m.Kind != graph.MutSetLoc || !s.localValid.Has(m.U) || s.inX.Has(m.U) {
+		if m.Kind != graph.WriteCheckin || !s.localValid.Has(m.V) || s.inX.Has(m.V) {
 			continue
 		}
-		if m.U == q || nMoved == maxRepositioned {
+		if m.V == q || nMoved == maxRepositioned {
 			return false
 		}
-		s.inX.Mark(m.U)
+		s.inX.Mark(m.V)
 		nMoved++
 	}
 	if nMoved == 0 {

@@ -87,7 +87,7 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 				e := inserted[i]
 				inserted[i] = inserted[len(inserted)-1]
 				inserted = inserted[:len(inserted)-1]
-				if ok, err := warm.ApplyEdgeRemove(e[0], e[1]); err != nil {
+				if ok, err := warm.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: e[0], W: e[1]}); err != nil {
 					t.Fatal(err)
 				} else if ok {
 					edgeOps++
@@ -95,7 +95,7 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 			case r < 16: // delete some edge
 				u := graph.V(rnd.Intn(n))
 				if nb := g.Neighbors(u); len(nb) > 0 {
-					if ok, err := warm.ApplyEdgeRemove(u, nb[rnd.Intn(len(nb))]); err != nil {
+					if ok, err := warm.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: u, W: nb[rnd.Intn(len(nb))]}); err != nil {
 						t.Fatal(err)
 					} else if ok {
 						edgeOps++
@@ -103,7 +103,7 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 				}
 			default: // insert
 				u, w := graph.V(rnd.Intn(n)), graph.V(rnd.Intn(n))
-				if ok, err := warm.ApplyEdgeInsert(u, w); err != nil {
+				if ok, err := warm.Apply(graph.Write{Kind: graph.WriteAddEdge, V: u, W: w}); err != nil {
 					t.Fatal(err)
 				} else if ok {
 					inserted = append(inserted, [2]graph.V{u, w})
@@ -281,9 +281,9 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 		insert = !insert
 		var err error
 		if insert {
-			_, err = s.ApplyEdgeInsert(mover, other)
+			_, err = s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: mover, W: other})
 		} else {
-			_, err = s.ApplyEdgeRemove(mover, other)
+			_, err = s.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: mover, W: other})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -9,53 +9,41 @@ import (
 
 // Dynamic topology. A Searcher precomputes its structure decomposition, so
 // mutating the graph's edge set out from under it (graph.AddEdge /
-// graph.RemoveEdge directly) would leave stale core numbers behind. Edge
-// updates therefore go through the Searcher: ApplyEdgeInsert and
-// ApplyEdgeRemove mutate the graph AND incrementally repair the shared core
-// decomposition (kcore.Maintainer), keeping maintenance cost proportional to
-// the affected community instead of O(m).
+// graph.RemoveEdge directly) would leave stale core numbers behind. Writes
+// therefore go through the Searcher: Apply mutates the graph AND, for an
+// edge write, incrementally repairs the shared core decomposition
+// (kcore.Maintainer), keeping maintenance cost proportional to the affected
+// community instead of O(m).
 //
 // The decomposition slice is shared by every clone, so applying an update
 // through any one searcher refreshes all workers drawn from the same pool;
-// candidate caches check the journaled edge ops against their communities on
-// the next query and keep what the ops left intact (repair.go). Like SetLoc,
-// updates must be serialized with ALL queries on ALL searchers over the
-// graph.
+// candidate caches check the journaled writes against their views and
+// communities on the next query and keep what the writes left intact
+// (repair.go). Like a check-in, updates must be serialized with ALL queries
+// on ALL searchers over the graph.
 
-// ApplyEdgeInsert inserts the undirected edge {u, v} and incrementally
-// updates the shared k-core decomposition. It reports whether the edge set
-// changed (false for self-loops and already-present edges).
+// Apply checks w against the graph and applies it, reporting whether the
+// graph changed (see graph.Graph.Apply). A check-in goes to the graph; an
+// edge write also updates the shared k-core decomposition.
 //
-// Supported for the k-core and k-clique structure metrics. The k-truss
-// metric precomputes truss numbers that have no incremental maintenance
-// here, so k-truss searchers reject updates rather than serve stale results.
-func (s *Searcher) ApplyEdgeInsert(u, v graph.V) (bool, error) {
-	if err := s.checkEdgeUpdate(u, v); err != nil {
-		return false, err
+// Edge writes are supported for the k-core and k-clique structure metrics.
+// The k-truss metric precomputes truss numbers that have no incremental
+// maintenance here, so k-truss searchers reject them rather than serve stale
+// results.
+func (s *Searcher) Apply(w graph.Write) (bool, error) {
+	if w.Kind == graph.WriteCheckin {
+		return s.g.Apply(w)
 	}
-	return s.maintainer().InsertEdge(u, v), nil
-}
-
-// ApplyEdgeRemove deletes the undirected edge {u, v} and incrementally
-// updates the shared k-core decomposition. It reports whether the edge
-// existed. Same structure-metric restrictions as ApplyEdgeInsert.
-func (s *Searcher) ApplyEdgeRemove(u, v graph.V) (bool, error) {
-	if err := s.checkEdgeUpdate(u, v); err != nil {
+	if err := w.Check(s.g.NumVertices()); err != nil {
 		return false, err
-	}
-	return s.maintainer().RemoveEdge(u, v), nil
-}
-
-// checkEdgeUpdate validates endpoints and the structure metric.
-func (s *Searcher) checkEdgeUpdate(u, v graph.V) error {
-	n := s.g.NumVertices()
-	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-		return fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
 	if s.structure == StructureKTruss {
-		return fmt.Errorf("core: dynamic topology is not supported with the %s metric", s.structure)
+		return false, fmt.Errorf("core: dynamic topology is not supported with the %s metric", s.structure)
 	}
-	return nil
+	if w.Kind == graph.WriteAddEdge {
+		return s.maintainer().InsertEdge(w.V, w.W), nil
+	}
+	return s.maintainer().RemoveEdge(w.V, w.W), nil
 }
 
 // maintainer lazily wraps the searcher's graph and shared core slice.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/kcore"
 )
@@ -92,9 +93,9 @@ func TestTopoChurnDifferential(t *testing.T) {
 			}
 			var err error
 			if g.HasEdge(u, v) && rnd.Float64() < 0.5 {
-				_, err = warm.ApplyEdgeRemove(u, v)
+				_, err = warm.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: u, W: v})
 			} else {
-				_, err = warm.ApplyEdgeInsert(u, v)
+				_, err = warm.Apply(graph.Write{Kind: graph.WriteAddEdge, V: u, W: v})
 			}
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
@@ -133,8 +134,8 @@ func TestTopoEpochInvalidatesCache(t *testing.T) {
 	}
 	// Breaking {C, D} destroys the {Q,C,D} triangle; the optimum becomes
 	// {Q, A, B}. A stale cached candidate set would still offer C and D.
-	if ok, err := s.ApplyEdgeRemove(vC, vD); err != nil || !ok {
-		t.Fatalf("ApplyEdgeRemove: ok=%v err=%v", ok, err)
+	if ok, err := s.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: vC, W: vD}); err != nil || !ok {
+		t.Fatalf("Apply(remove): ok=%v err=%v", ok, err)
 	}
 	r2, err := s.Exact(vQ, 2)
 	if err != nil {
@@ -145,8 +146,8 @@ func TestTopoEpochInvalidatesCache(t *testing.T) {
 	}
 	validateCommunity(t, g, r2, vQ, 2)
 	// Re-adding the edge restores the original optimum.
-	if ok, err := s.ApplyEdgeInsert(vC, vD); err != nil || !ok {
-		t.Fatalf("ApplyEdgeInsert: ok=%v err=%v", ok, err)
+	if ok, err := s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: vC, W: vD}); err != nil || !ok {
+		t.Fatalf("Apply(insert): ok=%v err=%v", ok, err)
 	}
 	r3, err := s.Exact(vQ, 2)
 	if err != nil {
@@ -192,7 +193,7 @@ func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 			if u == q || removed >= 3 {
 				continue
 			}
-			if ok, err := base.ApplyEdgeRemove(v, u); err == nil && ok {
+			if ok, err := base.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: v, W: u}); err == nil && ok {
 				removed++
 			}
 		}
@@ -214,18 +215,25 @@ func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 func TestApplyEdgeValidation(t *testing.T) {
 	g := figure3()
 	s := NewSearcher(g)
-	if _, err := s.ApplyEdgeInsert(0, 99); err == nil {
+	if _, err := s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: 0, W: 99}); err == nil {
 		t.Fatal("out-of-range insert accepted")
 	}
-	if _, err := s.ApplyEdgeRemove(-1, 2); err == nil {
+	if _, err := s.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: -1, W: 2}); err == nil {
 		t.Fatal("out-of-range remove accepted")
 	}
-	if ok, err := s.ApplyEdgeInsert(vQ, vQ); err != nil || ok {
+	if ok, err := s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: vQ, W: vQ}); err != nil || ok {
 		t.Fatalf("self-loop: ok=%v err=%v, want no-op", ok, err)
 	}
 	ts := NewSearcherWithStructure(figure3(), StructureKTruss)
-	if _, err := ts.ApplyEdgeInsert(vQ, vE); err == nil {
+	if _, err := ts.Apply(graph.Write{Kind: graph.WriteAddEdge, V: vQ, W: vE}); err == nil {
 		t.Fatal("k-truss searcher accepted a topology update")
+	}
+	// A check-in changes no structure number, so every metric takes it.
+	if ok, err := ts.Apply(graph.Write{Kind: graph.WriteCheckin, V: vQ, Loc: geom.Point{X: 2, Y: 2}}); err != nil || !ok {
+		t.Fatalf("k-truss check-in: ok=%v err=%v", ok, err)
+	}
+	if _, err := s.Apply(graph.Write{Kind: graph.WriteCheckin, V: 99}); err == nil {
+		t.Fatal("out-of-range check-in accepted")
 	}
 }
 
@@ -239,8 +247,8 @@ func TestApplyEdgeKClique(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop {Q, C}: triangle {Q,C,D} dies; {Q,A,B} remains Q's only 3-clique.
-	if ok, err := s.ApplyEdgeRemove(vQ, vC); err != nil || !ok {
-		t.Fatalf("ApplyEdgeRemove: ok=%v err=%v", ok, err)
+	if ok, err := s.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: vQ, W: vC}); err != nil || !ok {
+		t.Fatalf("Apply(remove): ok=%v err=%v", ok, err)
 	}
 	res, err := s.AppInc(vQ, 3)
 	if err != nil {

@@ -50,7 +50,7 @@ func Replay(ctx context.Context, g *graph.Graph, checkins []gen.Checkin, tracked
 
 // EdgeApplyFunc applies one friendship change during a replay. It must
 // mutate the graph AND whatever decomposition state the search function
-// depends on — core.Searcher.ApplyEdgeInsert/ApplyEdgeRemove do both. The
+// depends on — core.Searcher.Apply does both. The
 // boolean result (edge set changed) is ignored by the replay, so streams
 // with benign no-op events (see gen.EdgeChurn) replay cleanly; an error
 // aborts.
@@ -60,12 +60,11 @@ type EdgeApplyFunc func(u, v graph.V, insert bool) error
 // EdgeApplyFunc, the usual way to wire ReplayWithEdges.
 func ApplyVia(s *core.Searcher) EdgeApplyFunc {
 	return func(u, v graph.V, insert bool) error {
-		var err error
+		w := graph.Write{Kind: graph.WriteRemoveEdge, V: u, W: v}
 		if insert {
-			_, err = s.ApplyEdgeInsert(u, v)
-		} else {
-			_, err = s.ApplyEdgeRemove(u, v)
+			w.Kind = graph.WriteAddEdge
 		}
+		_, err := s.Apply(w)
 		return err
 	}
 }
@@ -80,12 +79,15 @@ func ReplayWithEdges(ctx context.Context, g *graph.Graph, checkins []gen.Checkin
 	if len(edges) > 0 && apply == nil {
 		return nil, fmt.Errorf("dynamic: %d edge events but no apply function", len(edges))
 	}
-	// Validate ordering up front, before any mutation: a replay that fails
-	// validation must leave the graph untouched, not mutated by whatever
-	// sorted prefix preceded the violation.
-	for i := 1; i < len(checkins); i++ {
-		if checkins[i].Time < checkins[i-1].Time {
+	// Validate ordering and every check-in up front, before any mutation: a
+	// replay that fails validation must leave the graph untouched, not
+	// mutated by whatever prefix preceded the violation.
+	for i, c := range checkins {
+		if i > 0 && c.Time < checkins[i-1].Time {
 			return nil, fmt.Errorf("dynamic: check-ins not time sorted at index %d", i)
+		}
+		if err := checkinWrite(c).Check(g.NumVertices()); err != nil {
+			return nil, fmt.Errorf("dynamic: check-in %d: %w", i, err)
 		}
 	}
 	for i := 1; i < len(edges); i++ {
@@ -110,7 +112,9 @@ func ReplayWithEdges(ctx context.Context, g *graph.Graph, checkins []gen.Checkin
 			}
 			ei++
 		}
-		g.SetLoc(c.User, c.Loc)
+		if _, err := g.Apply(checkinWrite(c)); err != nil {
+			return nil, fmt.Errorf("dynamic: check-in %d: %w", i, err)
+		}
 		if c.Time < splitTime || !isTracked[c.User] {
 			continue
 		}
@@ -135,6 +139,11 @@ func ReplayWithEdges(ctx context.Context, g *graph.Graph, checkins []gen.Checkin
 		}
 	}
 	return out, nil
+}
+
+// checkinWrite is the graph write a check-in record makes.
+func checkinWrite(c gen.Checkin) graph.Write {
+	return graph.Write{Kind: graph.WriteCheckin, V: c.User, Loc: c.Loc}
 }
 
 // DecayPoint is one (η, average CJS, average CAO) measurement.

@@ -271,3 +271,26 @@ func TestReplayWithEdgesValidation(t *testing.T) {
 		t.Fatal("out-of-range edge event accepted")
 	}
 }
+
+// TestReplayRefusesBadCheckin: a check-in that names a vertex the graph
+// lacks, or a location that is not finite, fails the replay before any event
+// is applied — it used to panic with an index out of range, or move the
+// vertex to NaN and poison every later MCC.
+func TestReplayRefusesBadCheckin(t *testing.T) {
+	for _, bad := range []gen.Checkin{
+		{User: 99, Time: 2, Loc: geom.Point{X: 0.5, Y: 0.5}},
+		{User: 1, Time: 2, Loc: geom.Point{X: math.NaN(), Y: 0.5}},
+	} {
+		g := movingWorld()
+		s := core.NewSearcher(g)
+		want := g.Clone()
+		checkins := []gen.Checkin{{User: 0, Time: 1, Loc: geom.Point{X: 0.1, Y: 0.1}}, bad}
+		edges := []gen.EdgeEvent{{U: 1, V: 2, Time: 0.5}}
+		if _, err := ReplayWithEdges(context.Background(), g, checkins, edges, nil, 0, 2, searchWith(s), ApplyVia(s)); err == nil {
+			t.Fatalf("check-in %+v accepted", bad)
+		}
+		if g.Seq() != 0 || g.NumEdges() != want.NumEdges() || g.Loc(0) != want.Loc(0) {
+			t.Fatalf("a refused replay touched the graph (seq %d)", g.Seq())
+		}
+	}
+}

@@ -27,8 +27,8 @@ import (
 // graph — core decompositions, candidate caches, spatial candidate indexes.
 // Consumers detect it by comparing TopoEpoch (or Seq) and learn which edges
 // changed from the mutation journal (journal.go); core numbers are kept
-// current incrementally by kcore.Maintainer (or a Searcher's
-// ApplyEdgeInsert/ApplyEdgeRemove, which wraps one).
+// current incrementally by kcore.Maintainer (or a Searcher's Apply, which
+// wraps one).
 
 // compactMinPatched and compactFraction gate automatic compaction: the delta
 // layer is folded into the CSR when more than 1/compactFraction of the
@@ -70,7 +70,7 @@ func (g *Graph) AddEdge(u, v V) bool {
 	g.insertArc(v, u)
 	g.m++
 	g.topoEpoch++
-	g.record(MutAddEdge, u, v)
+	g.record(Write{Kind: WriteAddEdge, V: u, W: v})
 	g.maybeCompact()
 	return true
 }
@@ -95,7 +95,7 @@ func (g *Graph) RemoveEdge(u, v V) bool {
 	g.removeArc(v, u)
 	g.m--
 	g.topoEpoch++
-	g.record(MutRemoveEdge, u, v)
+	g.record(Write{Kind: WriteRemoveEdge, V: u, W: v})
 	g.maybeCompact()
 	return true
 }

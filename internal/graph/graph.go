@@ -84,7 +84,7 @@ type Graph struct {
 
 	// journal remembers the last journalLen mutations, so a cache stamped
 	// with an older Seq can ask what happened since (see journal.go).
-	journal [journalLen]Mutation
+	journal [journalLen]Write
 }
 
 // NumVertices returns |V|. Safe to call concurrently with topology
@@ -135,7 +135,7 @@ func (g *Graph) SetLoc(v V, p geom.Point) {
 	g.mustBeMutable()
 	g.locs[v] = p
 	g.locEpoch++
-	g.record(MutSetLoc, v, 0)
+	g.record(Write{Kind: WriteCheckin, V: v, Loc: p})
 }
 
 // Freeze marks the graph immutable: every later SetLoc, AddEdge, RemoveEdge

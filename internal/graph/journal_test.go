@@ -9,22 +9,23 @@ import (
 
 // journalScript applies a deterministic mix of moves, inserts and deletes to
 // g and returns the records it should have journaled, in order.
-func journalScript(g *Graph, steps int, seed int) []Mutation {
-	var want []Mutation
+func journalScript(g *Graph, steps int, seed int) []Write {
+	var want []Write
 	n := g.NumVertices()
 	for i := 0; i < steps; i++ {
 		u, w := V((seed+7*i)%n), V((seed+11*i+3)%n)
 		switch i % 3 {
 		case 0:
-			g.SetLoc(u, geom.Point{X: float64(i%97) / 97, Y: float64(i%89) / 89})
-			want = append(want, Mutation{Kind: MutSetLoc, U: u})
+			p := geom.Point{X: float64(i%97) / 97, Y: float64(i%89) / 89}
+			g.SetLoc(u, p)
+			want = append(want, Write{Kind: WriteCheckin, V: u, Loc: p})
 		case 1:
 			if g.AddEdge(u, w) {
-				want = append(want, Mutation{Kind: MutAddEdge, U: u, W: w})
+				want = append(want, Write{Kind: WriteAddEdge, V: u, W: w})
 			}
 		default:
 			if g.RemoveEdge(u, w) {
-				want = append(want, Mutation{Kind: MutRemoveEdge, U: u, W: w})
+				want = append(want, Write{Kind: WriteRemoveEdge, V: u, W: w})
 			}
 		}
 	}
@@ -52,11 +53,11 @@ func TestJournalRecordsTimeline(t *testing.T) {
 	}
 	now := uint64(len(want))
 	for _, back := range []uint64{0, 1, 2, 17, journalLen - 1, journalLen} {
-		got, ok := g.MutationsSince(now-back, []Mutation{{Kind: MutSetLoc, U: -1}})
+		got, ok := g.MutationsSince(now-back, []Write{{Kind: WriteCheckin, V: -1}})
 		if !ok {
 			t.Fatalf("gap of %d out of reach", back)
 		}
-		if got[0].U != -1 || !slices.Equal(got[1:], want[now-back:]) {
+		if got[0].V != -1 || !slices.Equal(got[1:], want[now-back:]) {
 			t.Fatalf("gap of %d: got %v want %v", back, got[1:], want[now-back:])
 		}
 	}
@@ -112,7 +113,7 @@ func TestJournalCloneCarriesHistory(t *testing.T) {
 	branch := frozen.Clone()
 	branch.SetLoc(1, geom.Point{X: 0.5, Y: 0.5})
 	got, ok = branch.MutationsSince(frozen.Seq(), nil)
-	if !ok || !slices.Equal(got, []Mutation{{Kind: MutSetLoc, U: 1}}) {
+	if !ok || !slices.Equal(got, []Write{{Kind: WriteCheckin, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}) {
 		t.Fatalf("branch gap %v, %v", got, ok)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,9 +83,11 @@ type FollowerStatus struct {
 
 // Follower maintains a replication session to a leader: it bootstraps via
 // snapshot transfer, tails the WAL stream verifying every CRC and the seq
-// chain, applies records onto its own snapshot engine, and reconnects with
-// jittered backoff — resuming from the last applied seq when the leader can
-// still serve it, or re-syncing from a fresh snapshot when it cannot.
+// chain, applies each shipped message onto its own snapshot engine as one
+// Engine.Apply call (one publication per 128 records, not per record), and
+// reconnects with jittered backoff — resuming from the last applied seq when
+// the leader can still serve it, or re-syncing from a fresh snapshot when it
+// cannot.
 type Follower struct {
 	opt FollowerOptions
 
@@ -108,7 +111,7 @@ type Follower struct {
 
 	// onPublish is the post-publish hook stamped onto every engine this
 	// follower builds — the standing-query layer's feed. See SetOnPublish.
-	onPublish atomic.Pointer[func(*snapshot.Snap, []snapshot.AppliedEvent)]
+	onPublish atomic.Pointer[func(*snapshot.Snap, []graph.Write)]
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -170,7 +173,7 @@ func (f *Follower) Current() *snapshot.Snap {
 // as a full invalidation (snapshot sequence numbers also restart at 1
 // across swaps). Like Engine.SetOnPublish, fn runs on writer critical paths
 // and must only hand work off.
-func (f *Follower) SetOnPublish(fn func(*snapshot.Snap, []snapshot.AppliedEvent)) {
+func (f *Follower) SetOnPublish(fn func(*snapshot.Snap, []graph.Write)) {
 	if fn == nil {
 		f.onPublish.Store(nil)
 	} else {
@@ -342,7 +345,7 @@ func (f *Follower) session() (streamed bool, err error) {
 		buf = payload[:0]
 		switch typ {
 		case msgRecords:
-			if err := f.applyRecords(payload); err != nil {
+			if err := f.applyMessage(payload); err != nil {
 				return true, err
 			}
 			if err := sendAck(); err != nil {
@@ -385,6 +388,11 @@ func (f *Follower) receiveSnapshot(conn net.Conn, resp response) error {
 	if err != nil {
 		return err
 	}
+	// ReadBinary reads ahead, so bytes the prefix claims past the graph
+	// would vanish into its buffer: the prefix must be the graph's size.
+	if size := graph.BinarySize(g); n != uint64(size) {
+		return fmt.Errorf("snapshot length prefix is %d bytes, the graph in it is %d", n, size)
+	}
 	eng := snapshot.New(g, snapshot.Options{})
 	if fn := f.onPublish.Load(); fn != nil {
 		eng.SetOnPublish(*fn)
@@ -409,55 +417,51 @@ func (f *Follower) receiveSnapshot(conn net.Conn, resp response) error {
 	return nil
 }
 
-// applyRecords decodes one msgRecords payload — concatenated wal frames —
-// verifying each frame's CRC and the seq chain, and applies them in order.
-// Any violation aborts the session; a divergence that a tail resume cannot
-// heal (apply failure, no-op replicated mutation) additionally forces the
-// next session into snapshot mode rather than trusting local state.
-func (f *Follower) applyRecords(payload []byte) error {
+// applyMessage decodes one msgRecords payload — concatenated wal frames —
+// whole, verifying every frame's CRC and the seq chain, then applies it as
+// one Engine.Apply call, so a message applies whole or not at all and the
+// applied seq advances once per message. Any violation aborts the session; a
+// divergence that a tail resume cannot heal (a refused write, a replicated
+// write that changed nothing locally) additionally forces the next session
+// into snapshot mode rather than trusting local state.
+func (f *Follower) applyMessage(payload []byte) error {
 	eng := f.eng.Load()
 	if eng == nil {
 		return errors.New("records before any snapshot")
 	}
+	first := f.applied.Load() + 1
+	var ws []graph.Write
 	for off := 0; off < len(payload); {
-		n, rec, ok := wal.DecodeFrame(payload[off:])
+		n, seq, w, ok := wal.DecodeFrame(payload[off:])
 		if !ok {
 			return fmt.Errorf("undecodable record frame at byte %d of message", off)
 		}
+		if want := first + uint64(len(ws)); seq != want {
+			return fmt.Errorf("record seq %d, want %d", seq, want)
+		}
+		ws = append(ws, w)
 		off += n
-		want := f.applied.Load() + 1
-		if rec.Seq != want {
-			return fmt.Errorf("record seq %d, want %d", rec.Seq, want)
+	}
+	if len(ws) == 0 {
+		return nil
+	}
+	last := first + uint64(len(ws)) - 1
+	changed, err := eng.Apply(f.ctx, ws)
+	if err == nil {
+		if i := slices.Index(changed, false); i >= 0 {
+			// The leader only logs writes that change state; a replicated
+			// no-op means our state diverged from the prefix it applies to.
+			err = fmt.Errorf("replicated write seq %d (%+v) was a no-op locally", first+uint64(i), ws[i])
 		}
-		if err := f.applyOne(eng, rec); err != nil {
-			// Local state can no longer be trusted to extend: re-bootstrap.
-			f.appliedEpoch.Store(0)
-			return fmt.Errorf("applying seq %d: %w (forcing snapshot re-sync)", rec.Seq, err)
-		}
-		f.applied.Store(rec.Seq)
-		if rec.Seq > f.leaderSeq.Load() {
-			f.leaderSeq.Store(rec.Seq)
-		}
+	}
+	if err != nil {
+		// Local state can no longer be trusted to extend: re-bootstrap.
+		f.appliedEpoch.Store(0)
+		return fmt.Errorf("applying seqs %d..%d: %w (forcing snapshot re-sync)", first, last, err)
+	}
+	f.applied.Store(last)
+	if last > f.leaderSeq.Load() {
+		f.leaderSeq.Store(last)
 	}
 	return nil
-}
-
-func (f *Follower) applyOne(eng *snapshot.Engine, r wal.Record) error {
-	switch r.Kind {
-	case wal.KindCheckin:
-		return eng.CheckIn(f.ctx, r.V, r.Loc)
-	case wal.KindEdge:
-		changed, err := eng.UpdateEdge(f.ctx, r.U, r.W, r.Insert)
-		if err != nil {
-			return err
-		}
-		if !changed {
-			// The leader only logs state-changing events; a replicated no-op
-			// means our state diverged from the prefix it applies to.
-			return fmt.Errorf("replicated edge (%d,%d,insert=%v) was a no-op locally", r.U, r.W, r.Insert)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown record kind %d", r.Kind)
-	}
 }

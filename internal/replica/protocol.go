@@ -21,10 +21,12 @@
 //	snapshot   (status 2 only): uint64 byte length, then exactly that many
 //	  bytes of graph.WriteBinary output — the leader state as of startSeq.
 //	  Length-prefixed because ReadBinary buffers reads and must not swallow
-//	  stream bytes that follow.
+//	  stream bytes that follow; a length other than graph.BinarySize of the
+//	  graph read fails the session.
 //	stream     leader → follower, repeated messages:
 //	  type u8 | len u32 | crc u32 (IEEE, of payload) | payload
-//	  type 1 = records:   concatenated wal frames, consecutive seqs
+//	  type 1 = records:   concatenated wal frames, consecutive seqs, as the
+//	                      leader's log stores them; applied whole or not at all
 //	  type 2 = heartbeat: leaderLastSeq uint64, unixNano int64, epoch uint64
 //	acks       follower → leader, same framing on the same connection:
 //	  type 3 = ack:       appliedSeq uint64 — sent once the session is

@@ -331,15 +331,14 @@ func (s *Shipper) ship(conn net.Conn, cur *wal.Cursor, epoch uint64) error {
 		if s.st.Fenced() {
 			return store.ErrFenced
 		}
-		recs, err := cur.Next(shipBatchMax)
+		// The cursor hands out the frames as the log stores them, CRC and seq
+		// chain already checked: they go on the wire as they are.
+		frames, n, err := cur.Next(payload[:0], shipBatchMax)
+		payload = frames
 		if err != nil {
 			return err
 		}
-		if len(recs) > 0 {
-			payload = payload[:0]
-			for i := range recs {
-				payload = wal.EncodeFrame(payload, &recs[i])
-			}
+		if n > 0 {
 			conn.SetWriteDeadline(time.Now().Add(writeDeadline))
 			if err := writeMessage(conn, msgRecords, payload); err != nil {
 				return err

@@ -282,7 +282,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	if cfg.Shard != nil {
 		s.feed = subscribe.NewFeed(subscribe.Options{Metrics: reg})
 	}
-	hook := func(sn *snapshot.Snap, evs []snapshot.AppliedEvent) {
+	hook := func(sn *snapshot.Snap, evs []graph.Write) {
 		s.subs.Notify(sn, evs)
 		if s.feed != nil {
 			s.feed.Notify(sn, evs)

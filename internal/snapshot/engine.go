@@ -6,11 +6,11 @@
 //
 // Architecture:
 //
-//	CheckIn / UpdateEdge ──► events channel ──► writer goroutine
-//	                                            │  applies a batch to the
-//	                                            │  mutable graph (SetLoc,
-//	                                            │  kcore.Maintainer repair)
-//	                                            ▼
+//	Apply ([]graph.Write) ──► write queue ──► writer goroutine
+//	                                          │  applies a batch to the
+//	                                          │  mutable graph (SetLoc,
+//	                                          │  kcore.Maintainer repair)
+//	                                          ▼
 //	                              publish: Clone + Freeze the graph,
 //	                              SnapshotOnto a base Searcher (O(n) core
 //	                              copy, no re-decomposition), store the
@@ -21,13 +21,19 @@
 //	                                        warm candidate cache kept and
 //	                                        repaired from the journal)
 //
-// Writers batch: every event waits for the publication that contains it
-// (read-your-writes), but a burst of events is applied together and
-// published once, so publication cost amortizes over the burst. That cost is
-// an O(n) location copy, plus an O(n) core-slice copy only when the batch
-// held an edge op: the CSR, the delta layer's rows and — until the writer's
-// next edge op — its row map are shared with the clone, and a location-only
-// publication shares the previous snapshot's core slice too.
+// Every write is a graph.Write, the type the WAL, the replication stream,
+// the standing-query layer and the graph's journal carry too. Apply checks
+// a call's writes before it queues any (so a bad write fails the whole call
+// at the door), and the writer takes up to batchMax queued writes per
+// publication, waiting for the rest of a call it has begun so that a
+// replicated message of n records publishes ⌈n/batchMax⌉ times. Every write
+// waits for the publication that contains it (read-your-writes), and a burst
+// is applied together and published once, so publication cost amortizes
+// over the burst. That cost is an O(n) location copy, plus an O(n)
+// core-slice copy only when the batch held an edge op: the CSR, the delta
+// layer's rows and — until the writer's next edge op — its row map are
+// shared with the clone, and a location-only publication shares the
+// previous snapshot's core slice too.
 //
 // Workers rebind across snapshots instead of re-cloning. The clone carries
 // the writer graph's epochs and mutation journal, so a worker's candidate
@@ -44,6 +50,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,26 +70,11 @@ var ErrClosed = errors.New("snapshot: engine closed")
 // failed batch's writes and every later rejected write.
 var ErrPersist = errors.New("snapshot: persist failed")
 
-// AppliedEvent describes one state-changing event the writer applied: a
-// check-in, or an edge mutation that actually altered the edge set (no-op
-// re-inserts and rejected events are not reported). The durability layer
-// appends these to its write-ahead log before the snapshot containing them
-// is published.
-type AppliedEvent struct {
-	// Checkin discriminates the two event shapes.
-	Checkin bool
-	// V and Loc describe a check-in.
-	V   graph.V
-	Loc geom.Point
-	// U, W and Insert describe an edge mutation.
-	U, W   graph.V
-	Insert bool
-}
-
 // Options configures an Engine. The zero value serves defaults.
 type Options struct {
 	// Persist, when non-nil, is the durability hook: the writer goroutine
-	// calls it with each batch's state-changing events after applying them
+	// calls it with each batch's state-changing writes — every check-in, and
+	// every edge write that changed the edge set — after applying them
 	// and before publishing the snapshot that contains them — so a write
 	// visible to Current is already in the log (group commit: one call, and
 	// under an fsync-always log one fsync, per publication). It returns the
@@ -91,7 +83,7 @@ type Options struct {
 	// published, every write in it fails with the error, and the engine
 	// stops accepting writes (reads keep serving the last durable snapshot):
 	// a non-durable write must never look committed.
-	Persist func([]AppliedEvent) (seq uint64, err error)
+	Persist func([]graph.Write) (seq uint64, err error)
 	// InitialSeq is the log sequence number already covered by the graph the
 	// engine starts from (the recovered checkpoint plus replayed tail).
 	// Snapshots report it as WalSeq until the first persisted batch.
@@ -108,7 +100,7 @@ const (
 	// queueLen is the writer queue capacity; writes beyond it block the
 	// submitter (back-pressure, not unbounded buffering).
 	queueLen = 1024
-	// batchMax is the most events the writer applies before publishing a
+	// batchMax is the most writes the writer applies before publishing a
 	// snapshot. Larger batches amortize publication cost under write bursts
 	// at the price of write latency.
 	batchMax = 128
@@ -121,7 +113,7 @@ type Engine struct {
 	pool *core.Pool
 	cur  atomic.Pointer[Snap]
 
-	events chan event
+	queue  chan item
 	stop   chan struct{}
 	done   chan struct{}
 	closed sync.Once
@@ -138,7 +130,7 @@ type Engine struct {
 	// Durability state, also writer-owned: the persist hook, the log
 	// sequence the next publication will carry, and the latched persistence
 	// failure that turns the engine read-only.
-	persist    func([]AppliedEvent) (uint64, error)
+	persist    func([]graph.Write) (uint64, error)
 	walSeq     uint64
 	persistErr error
 	// persistFail mirrors persistErr != nil for readers outside the writer
@@ -146,40 +138,34 @@ type Engine struct {
 	persistFail atomic.Bool
 
 	published atomic.Uint64 // snapshots published (== latest Snap.Seq)
-	applied   atomic.Uint64 // events applied
+	applied   atomic.Uint64 // writes applied
 
 	// onPublish is the post-publication hook, swappable at runtime (the
 	// subscription layer attaches after the engine exists; a replica
 	// re-attaches across engine swaps). The writer loads it once per
 	// publication.
-	onPublish atomic.Pointer[func(*Snap, []AppliedEvent)]
+	onPublish atomic.Pointer[func(*Snap, []graph.Write)]
 
 	// Nil-safe instruments observed by the writer goroutine.
 	publishDur  *telemetry.Histogram
 	batchEvents *telemetry.Histogram
 }
 
-type opKind uint8
-
-const (
-	opCheckin opKind = iota
-	opEdge
-)
-
-// result is one applied event's outcome, delivered after the snapshot
-// containing the event is published.
+// result is one applied write's outcome, delivered after the snapshot
+// containing the write is published.
 type result struct {
 	changed bool
 	err     error
 }
 
-type event struct {
-	op     opKind
-	v      graph.V    // opCheckin
-	loc    geom.Point // opCheckin
-	u, w   graph.V    // opEdge
-	insert bool       // opEdge
-	done   chan result
+// item is one queued write. lead is what the item adds to the number of
+// writes the queue still owes the writer: n-1 on the first of a call's n
+// writes, -1 on each later one. The writes of one call share done, and their
+// results arrive on it in order.
+type item struct {
+	w    graph.Write
+	lead int
+	done chan result
 }
 
 // New takes ownership of g (the caller must not mutate or query it again),
@@ -189,7 +175,7 @@ func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{
 		g:       g,
 		base:    core.NewSearcher(g),
-		events:  make(chan event, queueLen),
+		queue:   make(chan item, queueLen),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		persist: opt.Persist,
@@ -219,12 +205,12 @@ func New(g *graph.Graph, opt Options) *Engine {
 
 // SetOnPublish installs (or, with nil, removes) the post-publication hook.
 // The writer goroutine calls the installed hook right after each publication
-// with the new snapshot and the state-changing events it contains (the same
-// list the Persist hook logs); the events slice is the hook's to keep. The
+// with the new snapshot and the state-changing writes it contains (the same
+// list the Persist hook logs); the slice is the hook's to keep. The
 // call runs on the writer's critical path — the hook must hand work off,
 // never block. Safe to call at any time; publications racing the swap see
 // either hook.
-func (e *Engine) SetOnPublish(fn func(*Snap, []AppliedEvent)) {
+func (e *Engine) SetOnPublish(fn func(*Snap, []graph.Write)) {
 	if fn == nil {
 		e.onPublish.Store(nil)
 		return
@@ -239,12 +225,12 @@ func (e *Engine) Current() *Snap { return e.cur.Load() }
 
 // QueueDepth returns the number of writes waiting for the writer goroutine —
 // the publication-lag signal /v1/health reports.
-func (e *Engine) QueueDepth() int { return len(e.events) }
+func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Published returns the number of snapshots published so far.
 func (e *Engine) Published() uint64 { return e.published.Load() }
 
-// Applied returns the number of write events applied so far.
+// Applied returns the number of writes applied so far.
 func (e *Engine) Applied() uint64 { return e.applied.Load() }
 
 // PoolClones returns the number of searcher workers ever created to serve
@@ -259,36 +245,74 @@ func (e *Engine) PersistFailed() bool { return e.persistFail.Load() }
 // NumVertices returns the (immutable) vertex count.
 func (e *Engine) NumVertices() int { return e.g.NumVertices() }
 
-// CheckIn moves vertex v to p in the next published snapshot. It returns
-// after that snapshot is visible to Current (read-your-writes), when ctx
-// fires (the write may still be applied afterwards), or when the engine
-// closes.
+// Apply is the engine's one door for writes. It checks every write against
+// the graph before it queues any, so a bad write fails the whole call and
+// none of it is applied. It returns, in order, whether each write changed the
+// graph, after the last publication containing them is visible to Current
+// (read-your-writes). ctx is honoured until the first write is queued and
+// while waiting: a call it cuts short may still be applied afterwards. A
+// call that fails after queueing (ErrClosed, ErrPersist, ctx) may have
+// applied a prefix of its writes.
+func (e *Engine) Apply(ctx context.Context, ws []graph.Write) ([]bool, error) {
+	n := e.NumVertices()
+	for _, w := range ws {
+		if err := w.Check(n); err != nil {
+			return nil, fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	done := make(chan result, len(ws))
+	cancel := ctx.Done()
+	for i, w := range ws {
+		it := item{w: w, lead: -1, done: done}
+		if i == 0 {
+			it.lead = len(ws) - 1
+		}
+		select {
+		case e.queue <- it:
+		case <-e.stop:
+			return nil, ErrClosed
+		case <-cancel:
+			return nil, ctx.Err()
+		}
+		// The writer waits for the rest of a call it has begun, so once the
+		// first write is queued the others follow whatever ctx does.
+		cancel = nil
+	}
+	changed := make([]bool, len(ws))
+	for i := range ws {
+		r, err := e.wait(ctx, done)
+		if err == nil {
+			err = r.err
+		}
+		if err != nil {
+			return nil, err
+		}
+		changed[i] = r.changed
+	}
+	return changed, nil
+}
+
+// CheckIn moves vertex v to p in the next published snapshot, with Apply's
+// checks and blocking semantics.
 func (e *Engine) CheckIn(ctx context.Context, v graph.V, p geom.Point) error {
-	if v < 0 || int(v) >= e.NumVertices() {
-		return fmt.Errorf("snapshot: vertex %d out of range [0,%d)", v, e.NumVertices())
-	}
-	if !geom.Finite(p.X) || !geom.Finite(p.Y) {
-		return fmt.Errorf("snapshot: coordinates (%v, %v) must be finite", p.X, p.Y)
-	}
-	r, err := e.submit(ctx, event{op: opCheckin, v: v, loc: p, done: make(chan result, 1)})
-	if err != nil {
-		return err
-	}
-	// A check-in itself cannot fail, but its group commit can: r.err carries
-	// the persistence failure that made the write non-durable.
-	return r.err
+	_, err := e.Apply(ctx, []graph.Write{{Kind: graph.WriteCheckin, V: v, Loc: p}})
+	return err
 }
 
 // UpdateEdge inserts (insert=true) or deletes the undirected edge {u, v} in
 // the next published snapshot, repairing the writer's core decomposition
-// incrementally. It reports whether the edge set changed, with the same
-// blocking semantics as CheckIn.
+// incrementally. It reports whether the edge set changed, with Apply's
+// checks and blocking semantics.
 func (e *Engine) UpdateEdge(ctx context.Context, u, v graph.V, insert bool) (bool, error) {
-	r, err := e.submit(ctx, event{op: opEdge, u: u, w: v, insert: insert, done: make(chan result, 1)})
+	w := graph.Write{Kind: graph.WriteRemoveEdge, V: u, W: v}
+	if insert {
+		w.Kind = graph.WriteAddEdge
+	}
+	changed, err := e.Apply(ctx, []graph.Write{w})
 	if err != nil {
 		return false, err
 	}
-	return r.changed, r.err
+	return changed[0], nil
 }
 
 // Close stops the writer goroutine and fails pending writes with ErrClosed.
@@ -298,40 +322,33 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// submit enqueues ev and waits for its post-publication result.
-func (e *Engine) submit(ctx context.Context, ev event) (result, error) {
+// wait receives the next result of a queued call.
+func (e *Engine) wait(ctx context.Context, done chan result) (result, error) {
 	select {
-	case e.events <- ev:
-	case <-e.stop:
-		return result{}, ErrClosed
-	case <-ctx.Done():
-		return result{}, ctx.Err()
-	}
-	select {
-	case r := <-ev.done:
+	case r := <-done:
 		return r, nil
 	case <-e.stop:
 		// The writer finishes a batch it has already dequeued even as stop
 		// closes, so an applied-and-published write must never be reported
 		// as failed: wait for the writer to exit (e.done), then a final
-		// non-blocking drain of ev.done is authoritative — nothing can send
-		// on it afterwards.
+		// non-blocking drain of done is authoritative — nothing can send on
+		// it afterwards.
 		select {
-		case r := <-ev.done:
+		case r := <-done:
 			return r, nil
 		case <-e.done:
 		}
 		select {
-		case r := <-ev.done:
+		case r := <-done:
 			return r, nil
 		default:
 		}
 		return result{}, ErrClosed
 	case <-ctx.Done():
-		// The event may still be applied later (documented); prefer a
+		// The write may still be applied later (documented); prefer a
 		// result that already landed.
 		select {
-		case r := <-ev.done:
+		case r := <-done:
 			return r, nil
 		default:
 		}
@@ -340,46 +357,63 @@ func (e *Engine) submit(ctx context.Context, ev event) (result, error) {
 }
 
 // writer is the single goroutine that owns the mutable graph: it drains
-// bursts of events, applies them, logs the batch through the persist hook
+// bursts of writes, applies them, logs the batch through the persist hook
 // (one group commit per burst), publishes one snapshot, and only then
-// releases the events' waiters.
+// releases the writes' waiters.
 func (e *Engine) writer() {
 	defer close(e.done)
-	pending := make([]event, 0, batchMax)
+	pending := make([]item, 0, batchMax)
 	results := make([]result, 0, batchMax)
-	applied := make([]AppliedEvent, 0, batchMax)
+	applied := make([]graph.Write, 0, batchMax)
+	owed := 0 // writes of calls already begun that are still to be dequeued
 	for {
 		select {
 		case <-e.stop:
 			return
-		case ev := <-e.events:
-			pending = append(pending[:0], ev)
+		case it := <-e.queue:
+			pending = append(pending[:0], it)
+			owed += it.lead
 		drain:
 			for len(pending) < batchMax {
-				select {
-				case more := <-e.events:
-					pending = append(pending, more)
-				default:
-					break drain
+				var more item
+				if owed > 0 {
+					// A call is still queueing its writes: wait for them, so
+					// that it publishes in as few snapshots as batchMax allows.
+					select {
+					case more = <-e.queue:
+					case <-e.stop:
+						return
+					}
+				} else {
+					select {
+					case more = <-e.queue:
+					default:
+						break drain
+					}
 				}
+				pending = append(pending, more)
+				owed += more.lead
 			}
 			// After a persistence failure the engine is read-only: the
 			// mutable graph already diverged from the last durable state, so
 			// applying anything more could only widen the gap. Fail the
 			// whole batch without touching the graph.
 			if e.persistErr != nil {
-				for _, ev := range pending {
-					ev.done <- result{err: e.persistErr}
+				for _, it := range pending {
+					it.done <- result{err: e.persistErr}
 				}
 				continue
 			}
 			results = results[:0]
 			applied = applied[:0]
-			for _, ev := range pending {
-				r := e.apply(ev)
-				results = append(results, r)
-				if r.err == nil && (ev.op == opCheckin || r.changed) {
-					applied = append(applied, toApplied(ev))
+			for _, it := range pending {
+				changed, err := e.base.Apply(it.w)
+				if err == nil {
+					e.applied.Add(1)
+				}
+				results = append(results, result{changed: changed, err: err})
+				if changed {
+					applied = append(applied, it.w)
 				}
 			}
 			// Group commit: the whole batch becomes durable with one hook
@@ -391,18 +425,15 @@ func (e *Engine) writer() {
 				if err != nil {
 					e.persistErr = fmt.Errorf("%w, engine is read-only: %w", ErrPersist, err)
 					e.persistFail.Store(true)
-					for i := range results {
-						results[i] = result{err: e.persistErr}
-					}
-					for i, ev := range pending {
-						ev.done <- results[i]
+					for _, it := range pending {
+						it.done <- result{err: e.persistErr}
 					}
 					continue
 				}
 				e.walSeq = seq
 			}
 			// Publish only when the batch actually moved an epoch: a batch
-			// of rejected or no-op events (re-inserting a present edge, say)
+			// of rejected or no-op writes (re-inserting a present edge, say)
 			// changed nothing, so the previous snapshot already contains
 			// every write — skipping the O(n) clone keeps garbage write
 			// traffic from turning into allocation churn, and snapshotSeq
@@ -417,47 +448,13 @@ func (e *Engine) writer() {
 				if fn := e.onPublish.Load(); fn != nil {
 					// The hook keeps the slice; the writer's scratch buffer
 					// is reused next batch, so hand over a copy.
-					evs := make([]AppliedEvent, len(applied))
-					copy(evs, applied)
-					(*fn)(snap, evs)
+					(*fn)(snap, slices.Clone(applied))
 				}
 			}
-			for i, ev := range pending {
-				ev.done <- results[i]
+			for i, it := range pending {
+				it.done <- results[i]
 			}
 		}
-	}
-}
-
-// toApplied converts an applied writer event to its durable description.
-func toApplied(ev event) AppliedEvent {
-	if ev.op == opCheckin {
-		return AppliedEvent{Checkin: true, V: ev.v, Loc: ev.loc}
-	}
-	return AppliedEvent{U: ev.u, W: ev.w, Insert: ev.insert}
-}
-
-// apply mutates the writer's graph with one event. Only events that
-// actually reached the graph count toward Applied; rejected ones (edge
-// validation errors) do not.
-func (e *Engine) apply(ev event) result {
-	switch ev.op {
-	case opCheckin:
-		e.g.SetLoc(ev.v, ev.loc)
-		e.applied.Add(1)
-		return result{changed: true}
-	default:
-		var changed bool
-		var err error
-		if ev.insert {
-			changed, err = e.base.ApplyEdgeInsert(ev.u, ev.w)
-		} else {
-			changed, err = e.base.ApplyEdgeRemove(ev.u, ev.w)
-		}
-		if err == nil {
-			e.applied.Add(1)
-		}
-		return result{changed: changed, err: err}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,6 +121,44 @@ func TestValidation(t *testing.T) {
 	}
 	if changed, err := e.UpdateEdge(ctx, 2, 2, true); err != nil || changed {
 		t.Fatalf("self-loop: changed=%v err=%v (want no-op)", changed, err)
+	}
+}
+
+// TestApplyIsAllOrNothingAtTheDoor: one bad write fails the whole call
+// before any of it is queued, and a good call reports each write's change in
+// order and publishes once.
+func TestApplyIsAllOrNothingAtTheDoor(t *testing.T) {
+	e := newEngine(t)
+	ctx := context.Background()
+	before := e.Current()
+	good := graph.Write{Kind: graph.WriteCheckin, V: 3, Loc: geom.Point{X: 0.9, Y: 0.9}}
+	for _, bad := range []graph.Write{
+		{Kind: graph.WriteCheckin, V: 36},
+		{Kind: graph.WriteCheckin, V: 4, Loc: geom.Point{X: math.NaN()}},
+		{Kind: graph.WriteAddEdge, V: 0, W: -1},
+		{V: 1, W: 2},
+	} {
+		if _, err := e.Apply(ctx, []graph.Write{good, bad}); err == nil {
+			t.Fatalf("Apply accepted %+v", bad)
+		}
+	}
+	if e.Current() != before || e.Applied() != 0 {
+		t.Fatal("a refused call reached the graph")
+	}
+	changed, err := e.Apply(ctx, []graph.Write{
+		good,
+		{Kind: graph.WriteAddEdge, V: 0, W: 6}, // present: a no-op
+		{Kind: graph.WriteAddEdge, V: 0, W: 18},
+		{Kind: graph.WriteRemoveEdge, V: 18, W: 0},
+	})
+	if err != nil || !slices.Equal(changed, []bool{true, false, true, true}) {
+		t.Fatalf("Apply = %v, %v", changed, err)
+	}
+	if got := e.Published(); got != 2 {
+		t.Fatalf("one four-write call published %d snapshots after the initial one", got-1)
+	}
+	if changed, err := e.Apply(ctx, nil); err != nil || len(changed) != 0 {
+		t.Fatalf("empty Apply = %v, %v", changed, err)
 	}
 }
 
@@ -343,11 +382,11 @@ func TestPublicationBatching(t *testing.T) {
 // published, and published snapshots carry the hook's sequence.
 func TestPersistHookOrdering(t *testing.T) {
 	var mu sync.Mutex
-	var logged []AppliedEvent
+	var logged []graph.Write
 	var seq uint64
 	e := New(testGraph(), Options{
 		InitialSeq: 100,
-		Persist: func(batch []AppliedEvent) (uint64, error) {
+		Persist: func(batch []graph.Write) (uint64, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			logged = append(logged, batch...)
@@ -389,11 +428,11 @@ func TestPersistHookOrdering(t *testing.T) {
 	if len(logged) != 2 {
 		t.Fatalf("logged %d events, want 2: %+v", len(logged), logged)
 	}
-	if !logged[0].Checkin || logged[0].V != 2 || logged[0].Loc.X != 0.3 {
-		t.Fatalf("logged[0] = %+v", logged[0])
+	if want := (graph.Write{Kind: graph.WriteCheckin, V: 2, Loc: geom.Point{X: 0.3, Y: 0.4}}); logged[0] != want {
+		t.Fatalf("logged[0] = %+v, want %+v", logged[0], want)
 	}
-	if logged[1].Checkin || logged[1].U != 0 || logged[1].W != 18 || !logged[1].Insert {
-		t.Fatalf("logged[1] = %+v", logged[1])
+	if want := (graph.Write{Kind: graph.WriteAddEdge, V: 0, W: 18}); logged[1] != want {
+		t.Fatalf("logged[1] = %+v, want %+v", logged[1], want)
 	}
 }
 
@@ -404,7 +443,7 @@ func TestPersistFailureTurnsEngineReadOnly(t *testing.T) {
 	fail := errors.New("disk on fire")
 	calls := 0
 	e := New(testGraph(), Options{
-		Persist: func(batch []AppliedEvent) (uint64, error) {
+		Persist: func(batch []graph.Write) (uint64, error) {
 			calls++
 			if calls > 1 {
 				return 0, fail

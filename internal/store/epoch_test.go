@@ -9,7 +9,6 @@ import (
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/snapshot"
 )
 
 func openTestStore(t *testing.T, dir string) *Store {
@@ -163,7 +162,7 @@ func TestFenceStopsTheLog(t *testing.T) {
 		t.Fatalf("%d writes acknowledged, WAL holds %d records", got, atFence)
 	}
 	// The hook itself refuses, whatever reaches it.
-	if _, err := st.persistBatch([]snapshot.AppliedEvent{{Checkin: true, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}); !errors.Is(err, ErrFenced) {
+	if _, err := st.persistBatch([]graph.Write{{Kind: graph.WriteCheckin, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("persistBatch on a fenced store: err = %v, want ErrFenced", err)
 	}
 	if got := st.WalLastSeq(); got != atFence {

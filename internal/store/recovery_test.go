@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sacsearch/internal/core"
+	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/wal"
 )
@@ -339,9 +340,9 @@ func TestWalRecordsOnlyStateChanges(t *testing.T) {
 	}
 	events := driveChurn(t, st, 55, 80)
 	st.Crash()
-	var recs []wal.Record
-	if _, err := wal.Replay(dir, 0, func(r wal.Record) error {
-		recs = append(recs, r)
+	var recs []graph.Write
+	if _, err := wal.Replay(dir, 0, func(_ uint64, w graph.Write) error {
+		recs = append(recs, w)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -351,14 +352,45 @@ func TestWalRecordsOnlyStateChanges(t *testing.T) {
 	}
 	for i, r := range recs {
 		ev := events[i]
-		if (r.Kind == wal.KindCheckin) != ev.checkin {
-			t.Fatalf("record %d kind mismatch: %+v vs %+v", i, r, ev)
+		want := graph.Write{Kind: graph.WriteCheckin, V: ev.v, Loc: ev.loc}
+		if !ev.checkin {
+			want = graph.Write{Kind: graph.WriteRemoveEdge, V: ev.u, W: ev.w}
+			if ev.insert {
+				want.Kind = graph.WriteAddEdge
+			}
 		}
-		if ev.checkin && (r.V != ev.v || r.Loc != ev.loc) {
+		if r != want {
 			t.Fatalf("record %d: %+v vs %+v", i, r, ev)
 		}
-		if !ev.checkin && (r.U != ev.u || r.W != ev.w || r.Insert != ev.insert) {
-			t.Fatalf("record %d: %+v vs %+v", i, r, ev)
-		}
+	}
+}
+
+// TestRecoveryRefusesLoggedNoOp: the leader logs only writes that change
+// state, so a WAL record that changes nothing on replay — here, re-inserting
+// an edge the checkpoint already holds — means the log and the checkpoint
+// diverged. Recovery fails and names the record, as a follower refuses the
+// same bytes shipped to it.
+func TestRecoveryRefusesLoggedNoOp(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Init: testGraph(), CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
+	l, err := wal.Open(dir, 0, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]graph.Write{
+		{Kind: graph.WriteCheckin, V: 2, Loc: geom.Point{X: 0.5, Y: 0.5}},
+		{Kind: graph.WriteAddEdge, V: 0, W: 1}, // in the checkpoint already
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "WAL seq 2") {
+		t.Fatalf("a logged no-op recovered: err = %v, want one naming WAL seq 2", err)
 	}
 }

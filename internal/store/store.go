@@ -2,7 +2,9 @@
 // engine (internal/snapshot) with a write-ahead log (internal/wal) and
 // periodic checkpoints, so the serving state survives restarts and crashes.
 //
-// Write path — group commit through the engine's writer loop:
+// Write path — group commit through the engine's writer loop. Every write is
+// a graph.Write, and the batch the engine applied is the batch the log
+// appends, with no conversion between them:
 //
 //	CheckIn / UpdateEdge ──► writer applies the batch to the mutable graph
 //	                     ──► persist hook appends the batch to the WAL
@@ -20,9 +22,12 @@
 //
 // Open(dataDir) recovers: newest valid checkpoint (falling back to the
 // previous one if the newest is damaged), then the WAL tail replayed onto it
-// — tolerating a torn final record, refusing loudly on mid-log corruption or
-// missing history — and resumes the engine with the recovered sequence, so
-// epochs and WAL seqs stay monotonic across restarts.
+// with graph.Apply — tolerating a torn final record, refusing loudly on
+// mid-log corruption, missing history, or a record that does not change the
+// state it replays onto (the leader logs only writes that do, so such a
+// record means the log and the checkpoint diverged) — and resumes the engine
+// with the recovered sequence, so epochs and WAL seqs stay monotonic across
+// restarts.
 package store
 
 import (
@@ -149,8 +154,6 @@ type Store struct {
 	closeOnce   sync.Once
 	closeErr    error
 
-	recScratch []wal.Record // persist-hook scratch; writer goroutine only
-
 	ckptDur *telemetry.Histogram // nil-safe checkpoint-latency instrument
 }
 
@@ -213,8 +216,15 @@ func Open(dataDir string, opt Options) (*Store, error) {
 		log.Close()
 		return nil, fmt.Errorf("store: %s has %d WAL records but no checkpoint to apply them to", dataDir, log.LastSeq())
 	}
-	replayed, err := wal.Replay(dataDir, ckptSeq, func(r wal.Record) error {
-		return applyRecord(g, r)
+	replayed, err := wal.Replay(dataDir, ckptSeq, func(seq uint64, w graph.Write) error {
+		changed, err := g.Apply(w)
+		if err == nil && !changed {
+			err = fmt.Errorf("%+v changes nothing: the log and the checkpoint diverged", w)
+		}
+		if err != nil {
+			return fmt.Errorf("store: WAL seq %d: %w", seq, err)
+		}
+		return nil
 	})
 	if err != nil {
 		log.Close()
@@ -270,76 +280,38 @@ func Open(dataDir string, opt Options) (*Store, error) {
 }
 
 // persistBatch is the engine's durability hook: it runs in the writer
-// goroutine, appending one publication's worth of state-changing events as a
+// goroutine, appending one publication's worth of state-changing writes as a
 // single group commit.
 //
 // This is where the fence is authoritative. CheckIn and UpdateEdge turn
-// writes away at the door, but events that passed the door before Fence
+// writes away at the door, but writes that passed the door before Fence
 // flipped the flag are still queued in the engine, and logging them after
 // Fence returned — after the shipper told a peer this store is fenced — would
 // fork history. The check and the append therefore share the mutex Fence
 // holds: an append either completes before the fence is durable or is
 // refused with ErrFenced. The engine treats that like any persist failure —
 // the batch's waiters get the error and the engine latches read-only, because
-// the refused events were already applied to the writer's graph; a fenced
+// the refused writes were already applied to the writer's graph; a fenced
 // store that is promoted again (BumpEpoch) after refusing a batch here needs a
 // restart to accept writes.
-func (s *Store) persistBatch(batch []snapshot.AppliedEvent) (uint64, error) {
-	recs := s.recScratch[:0]
-	for _, ev := range batch {
-		if ev.Checkin {
-			recs = append(recs, wal.Record{Kind: wal.KindCheckin, V: ev.V, Loc: ev.Loc})
-		} else {
-			recs = append(recs, wal.Record{Kind: wal.KindEdge, U: ev.U, W: ev.W, Insert: ev.Insert})
-		}
-	}
-	s.recScratch = recs
+func (s *Store) persistBatch(batch []graph.Write) (uint64, error) {
 	s.epochMu.Lock()
 	if s.fencedBy > 0 {
 		s.epochMu.Unlock()
 		return 0, ErrFenced
 	}
-	seq, err := s.log.Append(recs)
+	seq, err := s.log.Append(batch)
 	s.epochMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if n := s.sinceCkpt.Add(uint64(len(recs))); s.opt.CheckpointEvents > 0 && n >= s.opt.CheckpointEvents {
+	if n := s.sinceCkpt.Add(uint64(len(batch))); s.opt.CheckpointEvents > 0 && n >= s.opt.CheckpointEvents {
 		select {
 		case s.kick <- struct{}{}:
 		default:
 		}
 	}
 	return seq, nil
-}
-
-// applyRecord replays one WAL record directly onto the pre-engine graph.
-// Records were validated before logging, so a failure here means the log
-// belongs to a different graph — fail loudly.
-func applyRecord(g *graph.Graph, r wal.Record) error {
-	n := graph.V(g.NumVertices())
-	switch r.Kind {
-	case wal.KindCheckin:
-		if r.V < 0 || r.V >= n {
-			return fmt.Errorf("store: WAL seq %d moves vertex %d, graph has %d", r.Seq, r.V, n)
-		}
-		if !geom.Finite(r.Loc.X) || !geom.Finite(r.Loc.Y) {
-			return fmt.Errorf("store: WAL seq %d has non-finite location", r.Seq)
-		}
-		g.SetLoc(r.V, r.Loc)
-	case wal.KindEdge:
-		if r.U < 0 || r.U >= n || r.W < 0 || r.W >= n || r.U == r.W {
-			return fmt.Errorf("store: WAL seq %d touches edge (%d,%d), graph has %d vertices", r.Seq, r.U, r.W, n)
-		}
-		if r.Insert {
-			g.AddEdge(r.U, r.W)
-		} else {
-			g.RemoveEdge(r.U, r.W)
-		}
-	default:
-		return fmt.Errorf("store: WAL seq %d has unknown kind %d", r.Seq, r.Kind)
-	}
-	return nil
 }
 
 // Engine exposes the underlying snapshot engine; queries and writes through

@@ -252,7 +252,7 @@ func TestWalWithoutCheckpointFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]wal.Record{{Kind: wal.KindCheckin, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}); err != nil {
+	if _, err := l.Append([]graph.Write{{Kind: graph.WriteCheckin, V: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -280,7 +280,7 @@ func TestForeignWalFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]wal.Record{{Kind: wal.KindCheckin, V: 100000, Loc: geom.Point{X: 0.5, Y: 0.5}}}); err != nil {
+	if _, err := l.Append([]graph.Write{{Kind: graph.WriteCheckin, V: 100000, Loc: geom.Point{X: 0.5, Y: 0.5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

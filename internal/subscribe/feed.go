@@ -3,6 +3,7 @@ package subscribe
 import (
 	"encoding/json"
 
+	"sacsearch/internal/graph"
 	"sacsearch/internal/snapshot"
 	"sacsearch/internal/wire"
 )
@@ -36,7 +37,7 @@ func NewFeed(opt Options) *Feed {
 // Notify is the engine's post-publish hook: it summarizes one publication
 // (check-ins deduplicated, edges verbatim) into a feed event. A nil events
 // slice — an engine swap after a replica resync — becomes a resync frame.
-func (f *Feed) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
+func (f *Feed) Notify(snap *snapshot.Snap, events []graph.Write) {
 	var payload wire.WatchEvent
 	if snap != nil {
 		payload.SnapSeq = snap.Seq()
@@ -47,14 +48,14 @@ func (f *Feed) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
 		seen := make(map[int64]struct{}, len(events))
 		for i := range events {
 			ev := &events[i]
-			if ev.Checkin {
+			if ev.Kind == graph.WriteCheckin {
 				v := int64(ev.V)
 				if _, dup := seen[v]; !dup {
 					seen[v] = struct{}{}
 					payload.Checkins = append(payload.Checkins, v)
 				}
 			} else {
-				payload.Edges = append(payload.Edges, [2]int64{int64(ev.U), int64(ev.W)})
+				payload.Edges = append(payload.Edges, [2]int64{int64(ev.V), int64(ev.W)})
 			}
 		}
 	}

@@ -36,10 +36,10 @@ const evalTimeout = 10 * time.Second
 const maxPendEvents = 4096
 
 // pend is the engine's pending summary: the latest published snapshot and
-// every applied event since the last round.
+// every applied write since the last round.
 type pend struct {
 	snap   *snapshot.Snap
-	events []snapshot.AppliedEvent
+	events []graph.Write
 	full   bool // unknown or oversized change set: gate everything in
 }
 
@@ -100,7 +100,7 @@ func NewManager(opt ManagerOptions) *Manager {
 // the events, kick the dispatcher. A nil events slice means the change set
 // is unknown (a replica resync swapped the whole engine) and every
 // subscription must re-evaluate.
-func (m *Manager) Notify(snap *snapshot.Snap, events []snapshot.AppliedEvent) {
+func (m *Manager) Notify(snap *snapshot.Snap, events []graph.Write) {
 	m.Merge(func(p *pend) {
 		p.snap = snap
 		if events == nil {
@@ -147,13 +147,13 @@ func (engineBackend) Gate(sub *Sub, p *pend) bool {
 	topo := false
 	for i := range p.events {
 		ev := &p.events[i]
-		if ev.Checkin {
+		if ev.Kind == graph.WriteCheckin {
 			if g.in[ev.V] == inMember {
 				return true
 			}
 		} else {
 			topo = true
-			if g.in[ev.U] != 0 || g.in[ev.W] != 0 {
+			if g.in[ev.V] != 0 || g.in[ev.W] != 0 {
 				return true
 			}
 		}

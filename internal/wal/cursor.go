@@ -13,7 +13,7 @@ import (
 // it must restart from a snapshot, never skip silently.
 var ErrGap = errors.New("wal: history gap")
 
-// Cursor tails a live log directory: it streams records in sequence order,
+// Cursor tails a live log directory: it streams frames in sequence order,
 // tolerating concurrent appends to the active segment (a partial frame at
 // the tail is an in-progress write, retried on the next call) and following
 // segment rotations. Unlike Replay it may run while the owning Log appends;
@@ -21,7 +21,9 @@ var ErrGap = errors.New("wal: history gap")
 // batch as data. A Cursor is not safe for concurrent use.
 //
 // The replication shipper is the intended caller: one cursor per follower,
-// polled for new records since the follower's acknowledged sequence.
+// polled for new records since the follower's acknowledged sequence. It
+// hands out the frames' bytes as the log stores them, already checked (CRC,
+// payload, seq chain), so the shipper forwards them without re-encoding.
 type Cursor struct {
 	dir    string
 	f      *os.File
@@ -95,28 +97,29 @@ func (c *Cursor) open(s segment) error {
 	return nil
 }
 
-// Next returns up to max records past the cursor's position, without
-// blocking: an empty result means the cursor is caught up with the log (or a
+// Next appends to dst the frames of up to max records past the cursor's
+// position, returning the extended buffer and how many frames it appended,
+// without blocking: none means the cursor is caught up with the log (or a
 // tail append is still in flight). Errors are permanent: ErrGap when needed
 // history was truncated away, anything else is corruption.
-func (c *Cursor) Next(max int) ([]Record, error) {
-	var out []Record
+func (c *Cursor) Next(dst []byte, max int) ([]byte, int, error) {
+	got := 0
 	for {
 		if c.f == nil {
 			segs, err := listSegments(c.dir)
 			if err != nil || len(segs) == 0 {
-				return out, err
+				return dst, got, err
 			}
 			if segs[0].first > c.emit {
-				return out, fmt.Errorf("%w: log starts at seq %d, cursor wants %d", ErrGap, segs[0].first, c.emit)
+				return dst, got, fmt.Errorf("%w: log starts at seq %d, cursor wants %d", ErrGap, segs[0].first, c.emit)
 			}
 			if err := c.open(segs[0]); err != nil {
-				return out, err
+				return dst, got, err
 			}
 		}
 		fi, err := c.f.Stat()
 		if err != nil {
-			return out, fmt.Errorf("wal: cursor stat: %w", err)
+			return dst, got, fmt.Errorf("wal: cursor stat: %w", err)
 		}
 		leftover := 0
 		if fi.Size() > c.off {
@@ -130,27 +133,28 @@ func (c *Cursor) Next(max int) ([]Record, error) {
 			}
 			rn, err := c.f.ReadAt(c.buf[:need], c.off)
 			if err != nil && err != io.EOF {
-				return out, fmt.Errorf("wal: cursor read: %w", err)
+				return dst, got, fmt.Errorf("wal: cursor read: %w", err)
 			}
 			data := c.buf[:rn]
 			pos := 0
 			for pos < len(data) {
-				fn, rec, ok := DecodeFrame(data[pos:])
+				fn, seq, _, ok := DecodeFrame(data[pos:])
 				if !ok {
 					break
 				}
-				if rec.Seq != c.expect {
-					return out, fmt.Errorf("wal: cursor: %s: record seq %d, want %d", c.f.Name(), rec.Seq, c.expect)
+				if seq != c.expect {
+					return dst, got, fmt.Errorf("wal: cursor: %s: record seq %d, want %d", c.f.Name(), seq, c.expect)
 				}
 				c.expect++
+				if seq >= c.emit {
+					dst = append(dst, data[pos:pos+fn]...)
+					got++
+					c.emit = seq + 1
+				}
 				pos += fn
 				c.off += int64(fn)
-				if rec.Seq >= c.emit {
-					out = append(out, rec)
-					c.emit = rec.Seq + 1
-					if len(out) >= max {
-						return out, nil
-					}
+				if got >= max {
+					return dst, got, nil
 				}
 			}
 			leftover = len(data) - pos
@@ -159,7 +163,7 @@ func (c *Cursor) Next(max int) ([]Record, error) {
 				// dozen bytes, so an unparseable full-size chunk is corruption,
 				// not a torn tail; otherwise re-read from the new offset.
 				if pos == 0 {
-					return out, fmt.Errorf("wal: cursor: corrupt record in segment %s at byte %d", segName(c.first), c.off)
+					return dst, got, fmt.Errorf("wal: cursor: corrupt record in segment %s at byte %d", segName(c.first), c.off)
 				}
 				continue
 			}
@@ -168,10 +172,10 @@ func (c *Cursor) Next(max int) ([]Record, error) {
 		// or the segment is sealed and the chain continues in its successor.
 		advanced, err := c.advance(leftover)
 		if err != nil {
-			return out, err
+			return dst, got, err
 		}
 		if !advanced {
-			return out, nil
+			return dst, got, nil
 		}
 	}
 }

@@ -4,16 +4,31 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"sacsearch/internal/graph"
 )
 
-// nextBatch polls a cursor once, failing the test on error.
-func nextBatch(t *testing.T, c *Cursor, max int) []Record {
+// nextBatch polls a cursor once, failing the test on error, and decodes the
+// frames it handed out.
+func nextBatch(t *testing.T, c *Cursor, max int) []logged {
 	t.Helper()
-	got, err := c.Next(max)
+	frames, n, err := c.Next(nil, max)
 	if err != nil {
 		t.Fatalf("cursor next: %v", err)
 	}
-	return got
+	var out []logged
+	for off := 0; off < len(frames); {
+		fn, seq, w, ok := DecodeFrame(frames[off:])
+		if !ok {
+			t.Fatalf("cursor handed out an undecodable frame at byte %d", off)
+		}
+		out = append(out, logged{seq, w})
+		off += fn
+	}
+	if len(out) != n {
+		t.Fatalf("cursor counted %d frames, handed out %d", n, len(out))
+	}
+	return out
 }
 
 func TestCursorTailsLiveLog(t *testing.T) {
@@ -35,10 +50,8 @@ func TestCursorTailsLiveLog(t *testing.T) {
 		t.Fatalf("first poll = %+v", got)
 	}
 	for i, r := range got {
-		w := rec(i)
-		w.Seq = r.Seq
-		if r != w {
-			t.Fatalf("record %d: %+v != %+v", i, r, w)
+		if r.W != rec(i) {
+			t.Fatalf("record %d: %+v != %+v", i, r.W, rec(i))
 		}
 	}
 	// Caught up: nothing new, no error.
@@ -107,7 +120,7 @@ func TestCursorFollowsRotation(t *testing.T) {
 	}
 	// Keep rotating while the cursor is live.
 	appendN(t, l, 64, 64)
-	var tail []Record
+	var tail []logged
 	for len(tail) < 64 {
 		batch := nextBatch(t, c, 10)
 		if len(batch) == 0 {
@@ -207,14 +220,14 @@ func TestCursorGapOnSegmentRemovedUnderneath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		got, err := c.Next(1000)
+		_, got, err := c.Next(nil, 1000)
 		if err != nil {
 			if !errors.Is(err, ErrGap) {
 				t.Fatalf("removed-segment poll: err = %v, want ErrGap", err)
 			}
 			return
 		}
-		if len(got) == 0 {
+		if got == 0 {
 			t.Fatal("cursor idles over a removed segment instead of reporting ErrGap")
 		}
 	}
@@ -242,8 +255,8 @@ func TestReplayMissingMiddleSegmentFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []uint64
-	_, err = Replay(dir, 0, func(r Record) error {
-		seen = append(seen, r.Seq)
+	_, err = Replay(dir, 0, func(seq uint64, _ graph.Write) error {
+		seen = append(seen, seq)
 		return nil
 	})
 	if err == nil {
@@ -271,7 +284,7 @@ func TestReplayMissingFirstSegmentFailsLoudly(t *testing.T) {
 	if err := os.Remove(segs[0].path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(dir, 0, func(Record) error { return nil }); err == nil {
+	if _, err := Replay(dir, 0, func(uint64, graph.Write) error { return nil }); err == nil {
 		t.Fatal("replay with the first segment missing succeeded silently")
 	}
 }
@@ -294,9 +307,9 @@ func TestReplaySegmentDeletedMidReplayFailsLoudly(t *testing.T) {
 	// simulating a concurrent truncation racing an in-progress read.
 	removed := false
 	count := 0
-	_, err = Replay(dir, 0, func(r Record) error {
+	_, err = Replay(dir, 0, func(seq uint64, _ graph.Write) error {
 		count++
-		if !removed && r.Seq == 2 {
+		if !removed && seq == 2 {
 			removed = true
 			if err := os.Remove(segs[1].path); err != nil {
 				t.Fatal(err)

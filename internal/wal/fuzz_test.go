@@ -3,15 +3,17 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"testing"
 
 	"sacsearch/internal/geom"
+	"sacsearch/internal/graph"
 )
 
 // frame wraps payload in a frame header with a freshly computed CRC, so a
-// mutated payload reaches decodePayload instead of failing the checksum.
+// mutated payload reaches the payload decoder instead of failing the checksum.
 func frame(payload []byte) []byte {
 	out := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(out[0:], uint32(len(payload)))
@@ -20,39 +22,71 @@ func frame(payload []byte) []byte {
 }
 
 // TestDecodeRejectsNonCanonicalInsertFlag: an edge record's insert byte is
-// 0 or 1 as appendFrame writes it. A frame carrying any other value, with a
+// 0 or 1 as EncodeFrame writes it. A frame carrying any other value, with a
 // valid CRC, used to decode as a delete — a write the log never recorded.
 func TestDecodeRejectsNonCanonicalInsertFlag(t *testing.T) {
 	for _, flag := range []byte{2, 0x80, 0xff} {
-		r := Record{Seq: 5, Kind: KindEdge, U: 3, W: 9, Insert: true}
-		payload := EncodeFrame(nil, &r)[frameHeaderLen:]
+		payload := EncodeFrame(nil, 5, graph.Write{Kind: graph.WriteAddEdge, V: 3, W: 9})[frameHeaderLen:]
 		payload[17] = flag
-		if _, got, ok := DecodeFrame(frame(payload)); ok {
+		if _, _, got, ok := DecodeFrame(frame(payload)); ok {
 			t.Fatalf("insert byte %#x decoded as %+v, want ok=false", flag, got)
 		}
 	}
-	for _, insert := range []bool{false, true} {
-		r := Record{Seq: 5, Kind: KindEdge, U: 3, W: 9, Insert: insert}
-		if _, got, ok := DecodeFrame(EncodeFrame(nil, &r)); !ok || got != r {
-			t.Fatalf("canonical edge frame decoded as %+v ok=%v, want %+v", got, ok, r)
+	for _, kind := range []graph.WriteKind{graph.WriteRemoveEdge, graph.WriteAddEdge} {
+		w := graph.Write{Kind: kind, V: 3, W: 9}
+		if _, seq, got, ok := DecodeFrame(EncodeFrame(nil, 5, w)); !ok || seq != 5 || got != w {
+			t.Fatalf("canonical edge frame decoded as %d %+v ok=%v, want 5 %+v", seq, got, ok, w)
+		}
+	}
+}
+
+// TestFrameBytesPinned: the bytes a segment file stores and a follower
+// receives, recorded before the log took graph.Write. A check-in, an insert,
+// a delete, the largest sequence and the largest vertex id.
+func TestFrameBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seq uint64
+		w   graph.Write
+		hex string
+	}{
+		{1, graph.Write{Kind: graph.WriteCheckin, V: 7, Loc: geom.Point{X: 0.25, Y: 0.75}},
+			"1d0000009ced959801000000000000000107000000000000000000d03f000000000000e83f"},
+		{2, graph.Write{Kind: graph.WriteAddEdge, V: 3, W: 9},
+			"12000000d11aa025020000000000000002030000000900000001"},
+		{3, graph.Write{Kind: graph.WriteRemoveEdge, V: 3, W: 9},
+			"12000000a69cf5bd030000000000000002030000000900000000"},
+		{math.MaxUint64, graph.Write{Kind: graph.WriteCheckin, V: math.MaxInt32, Loc: geom.Point{X: -1.5, Y: 1e300}},
+			"1d000000a187b0dcffffffffffffffff01ffffff7f000000000000f8bf9c7500883ce4377e"},
+		{5, graph.Write{Kind: graph.WriteRemoveEdge, V: math.MaxInt32, W: 0},
+			"120000001e815280050000000000000002ffffff7f0000000000"},
+	} {
+		fr := EncodeFrame(nil, tc.seq, tc.w)
+		if got := hex.EncodeToString(fr); got != tc.hex {
+			t.Fatalf("frame of %d %+v = %s, want %s", tc.seq, tc.w, got, tc.hex)
+		}
+		if n, seq, w, ok := DecodeFrame(fr); !ok || n != len(fr) || seq != tc.seq || w != tc.w {
+			t.Fatalf("%s decoded as %d bytes, %d %+v, ok=%v", tc.hex, n, seq, w, ok)
 		}
 	}
 }
 
 // FuzzDecodeFrame fuzzes a frame's payload, re-framed with a fresh CRC so the
-// fuzzer explores decodePayload, and the same bytes read raw as a frame; each
+// fuzzer explores the payload decoder, and the same bytes read raw as a frame; each
 // is also cut at a fuzzed torn tail. Whatever the input, DecodeFrame must not
 // panic, and when it accepts it must have read no more than it was given and
 // the record must re-encode to exactly the bytes it consumed. A genuine frame
 // torn short, or with a CRC byte flipped, never decodes.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, r := range []Record{
-		{Seq: 1, Kind: KindCheckin, V: 7, Loc: geom.Point{X: 0.25, Y: 0.75}},
-		{Seq: 2, Kind: KindEdge, U: 3, W: 9, Insert: true},
-		{Seq: math.MaxUint64, Kind: KindEdge, U: math.MaxInt32, W: 0},
-		{Seq: 4, Kind: KindCheckin, V: -1, Loc: geom.Point{X: math.NaN(), Y: math.Inf(-1)}},
+	for _, r := range []struct {
+		seq uint64
+		w   graph.Write
+	}{
+		{1, graph.Write{Kind: graph.WriteCheckin, V: 7, Loc: geom.Point{X: 0.25, Y: 0.75}}},
+		{2, graph.Write{Kind: graph.WriteAddEdge, V: 3, W: 9}},
+		{math.MaxUint64, graph.Write{Kind: graph.WriteRemoveEdge, V: math.MaxInt32, W: 0}},
+		{4, graph.Write{Kind: graph.WriteCheckin, V: -1, Loc: geom.Point{X: math.NaN(), Y: math.Inf(-1)}}},
 	} {
-		fr := EncodeFrame(nil, &r)
+		fr := EncodeFrame(nil, r.seq, r.w)
 		f.Add(fr[frameHeaderLen:], uint16(len(fr)/2), byte(1))
 		f.Add(fr, uint16(len(fr)-1), byte(0x80))
 	}
@@ -65,17 +99,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			checkDecode(t, data)
 			checkDecode(t, data[:int(cut)%(len(data)+1)])
 		}
-		if _, _, ok := DecodeFrame(framed); !ok {
+		if _, _, _, ok := DecodeFrame(framed); !ok {
 			return
 		}
 		c := int(cut) % len(framed)
-		if _, _, ok := DecodeFrame(framed[:c]); ok {
+		if _, _, _, ok := DecodeFrame(framed[:c]); ok {
 			t.Fatalf("frame torn to %d of %d bytes decoded", c, len(framed))
 		}
 		if flip != 0 {
 			bad := bytes.Clone(framed)
 			bad[4+int(cut)%4] ^= flip
-			if _, _, ok := DecodeFrame(bad); ok {
+			if _, _, _, ok := DecodeFrame(bad); ok {
 				t.Fatalf("frame with a flipped CRC byte decoded: %x", bad)
 			}
 		}
@@ -85,14 +119,14 @@ func FuzzDecodeFrame(f *testing.F) {
 // checkDecode asserts DecodeFrame's acceptance contract on data.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
-	n, r, ok := DecodeFrame(data)
+	n, seq, w, ok := DecodeFrame(data)
 	if !ok {
 		return
 	}
 	if n > len(data) {
 		t.Fatalf("decoded %d bytes out of %d", n, len(data))
 	}
-	if re := EncodeFrame(nil, &r); !bytes.Equal(re, data[:n]) {
-		t.Fatalf("%+v re-encodes to %x, decoded from %x", r, re, data[:n])
+	if re := EncodeFrame(nil, seq, w); !bytes.Equal(re, data[:n]) {
+		t.Fatalf("%d %+v re-encodes to %x, decoded from %x", seq, w, re, data[:n])
 	}
 }

@@ -1,10 +1,13 @@
 // Package wal implements the write-ahead log of the durable serving store:
-// append-only segment files of check-in and friendship-edge records, each
-// record length-prefixed and CRC-32-protected, with segment rotation by size
-// and a configurable fsync policy. The snapshot engine's writer loop appends
-// one batch per publication (group commit: one fsync covers the whole
-// batch), so under PolicyAlways a write that became visible to readers is
-// also durable on disk.
+// append-only segment files of graph.Write records (check-ins and
+// friendship-edge changes), each record length-prefixed and CRC-32-protected,
+// with segment rotation by size and a configurable fsync policy. The
+// snapshot engine's writer loop appends one batch per publication (group
+// commit: one fsync covers the whole batch), so under PolicyAlways a write
+// that became visible to readers is also durable on disk. A record is a
+// graph.Write plus the sequence number the log gives it; the sequence is the
+// log's coordinate and travels beside the write (Append returns it, Replay
+// and DecodeFrame hand it back), never inside it.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -17,7 +20,7 @@
 //	      seq   uint64                (global, strictly consecutive)
 //	      kind  uint8                 (1 = check-in, 2 = edge)
 //	      check-in: v int32, x float64 bits, y float64 bits
-//	      edge:     u int32, v int32, insert uint8
+//	      edge:     v int32, w int32, insert uint8 (1 = add, 0 = remove)
 //
 // Recovery scans segments in order, validating every frame and the seq
 // chain. A damaged frame at the very tail of the last segment is a torn
@@ -32,7 +35,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -73,27 +75,18 @@ func ParsePolicy(s string) (Policy, error) {
 	return "", fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// Kind discriminates record payloads.
-type Kind uint8
+// Record and KindCheckin are the names the benchmark module still spells
+// for a logged write; they go when it moves to graph.Write.
+type Record = graph.Write
 
+const KindCheckin = graph.WriteCheckin
+
+// Payload kind bytes. Both edge kinds share kindEdge and differ in the
+// insert byte.
 const (
-	// KindCheckin is one vertex location update.
-	KindCheckin Kind = 1
-	// KindEdge is one friendship-edge insertion or deletion.
-	KindEdge Kind = 2
+	kindCheckin = 1
+	kindEdge    = 2
 )
-
-// Record is one logged graph mutation.
-type Record struct {
-	Seq  uint64 // assigned by Append; strictly consecutive across segments
-	Kind Kind
-
-	V   graph.V    // KindCheckin: the vertex
-	Loc geom.Point // KindCheckin: its new location
-
-	U, W   graph.V // KindEdge: the endpoints
-	Insert bool    // KindEdge: insert (true) or delete
-}
 
 const (
 	frameHeaderLen = 8 // length (4) + crc (4)
@@ -102,7 +95,7 @@ const (
 	// The largest real payload is a check-in: seq(8)+kind(1)+v(4)+x(8)+y(8).
 	maxPayloadLen  = 29
 	checkinPayload = 29
-	edgePayload    = 18 // seq(8)+kind(1)+u(4)+v(4)+insert(1)
+	edgePayload    = 18 // seq(8)+kind(1)+v(4)+w(4)+insert(1)
 )
 
 var segMagic = [8]byte{'S', 'A', 'C', 'W', 'A', 'L', '0', '1'}
@@ -360,14 +353,14 @@ func (l *Log) createSegment(firstSeq uint64) error {
 	return nil
 }
 
-// Append assigns consecutive sequence numbers to recs (filling in their Seq
-// fields), writes them as one contiguous byte run and applies the fsync
-// policy once — the group commit. It returns the last assigned sequence.
+// Append assigns consecutive sequence numbers to ws, writes them as one
+// contiguous byte run and applies the fsync policy once — the group commit.
+// It returns the last assigned sequence.
 // After any I/O or fsync failure the log is poisoned: the failed batch and
 // every later Append return the error, so a caller can never treat a
 // non-durable write as committed.
-func (l *Log) Append(recs []Record) (uint64, error) {
-	if len(recs) == 0 {
+func (l *Log) Append(ws []graph.Write) (uint64, error) {
+	if len(ws) == 0 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		return l.lastSeq, l.err
@@ -378,10 +371,9 @@ func (l *Log) Append(recs []Record) (uint64, error) {
 		return l.lastSeq, l.err
 	}
 	l.buf = l.buf[:0]
-	for i := range recs {
+	for _, w := range ws {
 		l.lastSeq++
-		recs[i].Seq = l.lastSeq
-		l.buf = appendFrame(l.buf, &recs[i])
+		l.buf = EncodeFrame(l.buf, l.lastSeq, w)
 	}
 	if _, err := l.f.Write(l.buf); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
@@ -524,12 +516,12 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// Replay streams every valid record with Seq > afterSeq, in order, to fn.
+// Replay streams every valid record with seq > afterSeq, in order, to fn.
 // It verifies the chain is gap-free: when the log holds records newer than
 // afterSeq, the first one replayed must be afterSeq+1 — anything else means
 // a needed segment was lost, and recovery must fail rather than skip
 // history. Stops early if fn returns an error.
-func Replay(dir string, afterSeq uint64, fn func(Record) error) (replayed int, err error) {
+func Replay(dir string, afterSeq uint64, fn func(seq uint64, w graph.Write) error) (replayed int, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return 0, err
@@ -537,21 +529,21 @@ func Replay(dir string, afterSeq uint64, fn func(Record) error) (replayed int, e
 	expect := uint64(0) // next seq the chain must produce; 0 = not yet anchored
 	for i, s := range segs {
 		isLast := i == len(segs)-1
-		_, err := scanRecords(s.path, s.first, isLast, func(r Record) error {
+		_, err := scanRecords(s.path, s.first, isLast, func(seq uint64, w graph.Write) error {
 			if expect == 0 {
-				expect = r.Seq
-			} else if r.Seq != expect {
-				return fmt.Errorf("wal: sequence gap in %s: got %d, want %d", s.path, r.Seq, expect)
+				expect = seq
+			} else if seq != expect {
+				return fmt.Errorf("wal: sequence gap in %s: got %d, want %d", s.path, seq, expect)
 			}
-			expect = r.Seq + 1
-			if r.Seq <= afterSeq {
+			expect = seq + 1
+			if seq <= afterSeq {
 				return nil
 			}
-			if replayed == 0 && r.Seq != afterSeq+1 {
-				return fmt.Errorf("wal: history gap: replay needs seq %d, log starts at %d", afterSeq+1, r.Seq)
+			if replayed == 0 && seq != afterSeq+1 {
+				return fmt.Errorf("wal: history gap: replay needs seq %d, log starts at %d", afterSeq+1, seq)
 			}
 			replayed++
-			return fn(r)
+			return fn(seq, w)
 		})
 		if err != nil {
 			return replayed, err
@@ -563,8 +555,8 @@ func Replay(dir string, afterSeq uint64, fn func(Record) error) (replayed int, e
 // scanSegment validates a whole segment in one pass, returning its last
 // record's seq (0 when empty) and the byte length of the valid prefix.
 func scanSegment(path string, firstSeq uint64, isLast bool) (lastSeq uint64, validSize int64, err error) {
-	validSize, err = scanRecords(path, firstSeq, isLast, func(r Record) error {
-		lastSeq = r.Seq
+	validSize, err = scanRecords(path, firstSeq, isLast, func(seq uint64, _ graph.Write) error {
+		lastSeq = seq
 		return nil
 	})
 	if err != nil {
@@ -573,37 +565,11 @@ func scanSegment(path string, firstSeq uint64, isLast bool) (lastSeq uint64, val
 	return lastSeq, validSize, nil
 }
 
-// nextFrame parses one frame at off, returning the offset past it. ok=false
-// on any framing failure (short data, bad length, CRC mismatch).
-func nextFrame(data []byte, off int64) (next int64, rec Record, ok bool) {
-	if off+frameHeaderLen > int64(len(data)) {
-		return off, rec, false
-	}
-	length := binary.LittleEndian.Uint32(data[off:])
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if length == 0 || length > maxPayloadLen {
-		return off, rec, false
-	}
-	end := off + frameHeaderLen + int64(length)
-	if end > int64(len(data)) {
-		return off, rec, false
-	}
-	payload := data[off+frameHeaderLen : end]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return off, rec, false
-	}
-	r, err := decodePayload(payload)
-	if err != nil {
-		return off, rec, false
-	}
-	return end, r, true
-}
-
 // scanRecords walks one segment file frame by frame, returning the byte
 // offset past the last valid frame. A framing failure at the tail of the
 // last segment is tolerated (torn write); one followed by more non-zero
 // data, or in a sealed segment, is corruption and errors.
-func scanRecords(path string, firstSeq uint64, isLast bool, fn func(Record) error) (validEnd int64, err error) {
+func scanRecords(path string, firstSeq uint64, isLast bool, fn func(uint64, graph.Write) error) (validEnd int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: reading %s: %w", path, err)
@@ -614,7 +580,7 @@ func scanRecords(path string, firstSeq uint64, isLast bool, fn func(Record) erro
 	off := int64(len(segMagic))
 	expect := firstSeq
 	for off < int64(len(data)) {
-		next, rec, ok := nextFrame(data, off)
+		n, seq, w, ok := DecodeFrame(data[off:])
 		if !ok {
 			if !isLast {
 				return off, fmt.Errorf("wal: corrupt record in sealed segment %s at byte %d", path, off)
@@ -628,14 +594,14 @@ func scanRecords(path string, firstSeq uint64, isLast bool, fn func(Record) erro
 			}
 			return off, nil
 		}
-		if rec.Seq != expect {
-			return off, fmt.Errorf("wal: %s: record seq %d, want %d", path, rec.Seq, expect)
+		if seq != expect {
+			return off, fmt.Errorf("wal: %s: record seq %d, want %d", path, seq, expect)
 		}
 		expect++
-		if err := fn(rec); err != nil {
+		if err := fn(seq, w); err != nil {
 			return off, err
 		}
-		off = next
+		off += int64(n)
 	}
 	return off, nil
 }
@@ -649,45 +615,32 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// EncodeFrame appends one record's wire frame — length, CRC-32, payload,
-// exactly the bytes a segment file stores — to buf. The replication shipper
-// reuses it so followers ingest the same CRC-framed, gap-checked format
-// recovery validates.
-func EncodeFrame(buf []byte, r *Record) []byte { return appendFrame(buf, r) }
-
-// DecodeFrame parses one frame at the start of data, returning the bytes
-// consumed. ok=false on short data, a bad length field, a CRC mismatch or an
-// undecodable payload — the caller decides whether that is a torn tail to
-// wait out or corruption to reject.
-func DecodeFrame(data []byte) (n int, r Record, ok bool) {
-	next, rec, ok := nextFrame(data, 0)
-	if !ok {
-		return 0, rec, false
-	}
-	return int(next), rec, true
-}
-
-// appendFrame encodes one record (Seq already assigned) onto buf.
-func appendFrame(buf []byte, r *Record) []byte {
+// EncodeFrame appends the frame of write w at sequence seq — length,
+// CRC-32, payload, exactly the bytes a segment file stores — to buf. The
+// replication shipper forwards these bytes as the cursor read them, so
+// followers ingest the same CRC-framed, gap-checked format recovery
+// validates.
+func EncodeFrame(buf []byte, seq uint64, w graph.Write) []byte {
 	var payload [maxPayloadLen]byte
-	binary.LittleEndian.PutUint64(payload[0:], r.Seq)
-	payload[8] = byte(r.Kind)
+	binary.LittleEndian.PutUint64(payload[0:], seq)
 	var n int
-	switch r.Kind {
-	case KindCheckin:
-		binary.LittleEndian.PutUint32(payload[9:], uint32(r.V))
-		binary.LittleEndian.PutUint64(payload[13:], math.Float64bits(r.Loc.X))
-		binary.LittleEndian.PutUint64(payload[21:], math.Float64bits(r.Loc.Y))
+	switch w.Kind {
+	case graph.WriteCheckin:
+		payload[8] = kindCheckin
+		binary.LittleEndian.PutUint32(payload[9:], uint32(w.V))
+		binary.LittleEndian.PutUint64(payload[13:], math.Float64bits(w.Loc.X))
+		binary.LittleEndian.PutUint64(payload[21:], math.Float64bits(w.Loc.Y))
 		n = checkinPayload
-	case KindEdge:
-		binary.LittleEndian.PutUint32(payload[9:], uint32(r.U))
-		binary.LittleEndian.PutUint32(payload[13:], uint32(r.W))
-		if r.Insert {
+	case graph.WriteAddEdge, graph.WriteRemoveEdge:
+		payload[8] = kindEdge
+		binary.LittleEndian.PutUint32(payload[9:], uint32(w.V))
+		binary.LittleEndian.PutUint32(payload[13:], uint32(w.W))
+		if w.Kind == graph.WriteAddEdge {
 			payload[17] = 1
 		}
 		n = edgePayload
 	default:
-		panic(fmt.Sprintf("wal: unknown record kind %d", r.Kind))
+		panic(fmt.Sprintf("wal: unknown write kind %d", w.Kind))
 	}
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
@@ -696,38 +649,46 @@ func appendFrame(buf []byte, r *Record) []byte {
 	return append(buf, payload[:n]...)
 }
 
-// decodePayload parses a CRC-validated payload.
-func decodePayload(p []byte) (Record, error) {
-	var r Record
-	if len(p) < 9 {
-		return r, io.ErrUnexpectedEOF
+// DecodeFrame parses one frame at the start of data, returning the bytes
+// consumed, the record's sequence and its write. ok=false on short data, a
+// bad length field, a CRC mismatch or an undecodable payload — the caller
+// decides whether that is a torn tail to wait out or corruption to reject.
+//
+// Vertex ids are read back as the int32 they were written from, so a frame
+// never holds an id wider than graph.V; one that reads negative is refused
+// by the applier's Write.Check, not here.
+func DecodeFrame(data []byte) (n int, seq uint64, w graph.Write, ok bool) {
+	if len(data) < frameHeaderLen {
+		return 0, 0, w, false
 	}
-	r.Seq = binary.LittleEndian.Uint64(p[0:])
-	r.Kind = Kind(p[8])
-	switch r.Kind {
-	case KindCheckin:
-		if len(p) != checkinPayload {
-			return r, fmt.Errorf("wal: check-in payload is %d bytes, want %d", len(p), checkinPayload)
+	length := binary.LittleEndian.Uint32(data)
+	if length == 0 || length > maxPayloadLen || int(length) > len(data)-frameHeaderLen {
+		return 0, 0, w, false
+	}
+	p := data[frameHeaderLen : frameHeaderLen+int(length)]
+	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(data[4:]) || len(p) < 9 {
+		return 0, 0, w, false
+	}
+	seq = binary.LittleEndian.Uint64(p)
+	switch {
+	case p[8] == kindCheckin && len(p) == checkinPayload:
+		w = graph.Write{Kind: graph.WriteCheckin, V: graph.V(binary.LittleEndian.Uint32(p[9:])), Loc: geom.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(p[13:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(p[21:])),
+		}}
+	// EncodeFrame writes an insert byte of 0 or 1; any other value is not a
+	// frame this log produced, and reading it as a remove would apply a
+	// write nobody made.
+	case p[8] == kindEdge && len(p) == edgePayload && p[17] <= 1:
+		w = graph.Write{Kind: graph.WriteRemoveEdge,
+			V: graph.V(binary.LittleEndian.Uint32(p[9:])), W: graph.V(binary.LittleEndian.Uint32(p[13:]))}
+		if p[17] == 1 {
+			w.Kind = graph.WriteAddEdge
 		}
-		r.V = graph.V(binary.LittleEndian.Uint32(p[9:]))
-		r.Loc.X = math.Float64frombits(binary.LittleEndian.Uint64(p[13:]))
-		r.Loc.Y = math.Float64frombits(binary.LittleEndian.Uint64(p[21:]))
-	case KindEdge:
-		if len(p) != edgePayload {
-			return r, fmt.Errorf("wal: edge payload is %d bytes, want %d", len(p), edgePayload)
-		}
-		r.U = graph.V(binary.LittleEndian.Uint32(p[9:]))
-		r.W = graph.V(binary.LittleEndian.Uint32(p[13:]))
-		// appendFrame writes 0 or 1; any other byte is not a frame this log
-		// produced, and reading it as a delete would apply a write nobody made.
-		if p[17] > 1 {
-			return r, fmt.Errorf("wal: edge insert flag is %d, want 0 or 1", p[17])
-		}
-		r.Insert = p[17] == 1
 	default:
-		return r, fmt.Errorf("wal: unknown record kind %d", r.Kind)
+		return 0, 0, graph.Write{}, false
 	}
-	return r, nil
+	return frameHeaderLen + int(length), seq, w, true
 }
 
 // syncDir fsyncs a directory so segment creation, removal and checkpoint

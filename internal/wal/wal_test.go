@@ -11,18 +11,28 @@ import (
 	"sacsearch/internal/graph"
 )
 
-func rec(i int) Record {
+func rec(i int) graph.Write {
 	if i%3 == 0 {
-		return Record{Kind: KindEdge, U: graph.V(i), W: graph.V(i + 1), Insert: i%2 == 0}
+		w := graph.Write{Kind: graph.WriteRemoveEdge, V: graph.V(i), W: graph.V(i + 1)}
+		if i%2 == 0 {
+			w.Kind = graph.WriteAddEdge
+		}
+		return w
 	}
-	return Record{Kind: KindCheckin, V: graph.V(i), Loc: geom.Point{X: float64(i) * 0.25, Y: float64(i) * 0.5}}
+	return graph.Write{Kind: graph.WriteCheckin, V: graph.V(i), Loc: geom.Point{X: float64(i) * 0.25, Y: float64(i) * 0.5}}
+}
+
+// logged is one record as the log hands it back: its sequence and write.
+type logged struct {
+	Seq uint64
+	W   graph.Write
 }
 
 func appendN(t *testing.T, l *Log, from, n int) uint64 {
 	t.Helper()
 	var last uint64
 	for i := from; i < from+n; i++ {
-		seq, err := l.Append([]Record{rec(i)})
+		seq, err := l.Append([]graph.Write{rec(i)})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -31,11 +41,11 @@ func appendN(t *testing.T, l *Log, from, n int) uint64 {
 	return last
 }
 
-func collect(t *testing.T, dir string, afterSeq uint64) []Record {
+func collect(t *testing.T, dir string, afterSeq uint64) []logged {
 	t.Helper()
-	var out []Record
-	if _, err := Replay(dir, afterSeq, func(r Record) error {
-		out = append(out, r)
+	var out []logged
+	if _, err := Replay(dir, afterSeq, func(seq uint64, w graph.Write) error {
+		out = append(out, logged{seq, w})
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -50,7 +60,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One multi-record batch plus single appends: both framing paths.
-	batch := []Record{rec(100), rec(101), rec(102)}
+	batch := []graph.Write{rec(100), rec(101), rec(102)}
 	if seq, err := l.Append(batch); err != nil || seq != 3 {
 		t.Fatalf("batch append: seq=%d err=%v", seq, err)
 	}
@@ -66,15 +76,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("replayed %d records, want 8", len(got))
 	}
-	want := append(append([]Record{}, batch...), rec(103), rec(104), rec(105), rec(106), rec(107))
+	want := append(append([]graph.Write{}, batch...), rec(103), rec(104), rec(105), rec(106), rec(107))
 	for i, r := range got {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("record %d: seq %d", i, r.Seq)
 		}
-		w := want[i]
-		w.Seq = r.Seq
-		if r != w {
-			t.Fatalf("record %d: %+v != %+v", i, r, w)
+		if r.W != want[i] {
+			t.Fatalf("record %d: %+v != %+v", i, r.W, want[i])
 		}
 	}
 	// Partial replay skips the prefix.
@@ -182,7 +190,7 @@ func TestMidSegmentCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(dir, 0, func(Record) error { return nil }); err == nil {
+	if _, err := Replay(dir, 0, func(uint64, graph.Write) error { return nil }); err == nil {
 		t.Fatal("mid-segment corruption replayed silently")
 	}
 	if _, err := Open(dir, 0, Options{}); err == nil {
@@ -212,7 +220,7 @@ func TestSealedSegmentCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(dir, 0, func(Record) error { return nil }); err == nil {
+	if _, err := Replay(dir, 0, func(uint64, graph.Write) error { return nil }); err == nil {
 		t.Fatal("sealed-segment corruption replayed silently")
 	}
 }
@@ -253,7 +261,7 @@ func TestTruncateThrough(t *testing.T) {
 	}
 	// Replaying from before the truncation horizon must fail loudly: that
 	// history is gone.
-	if _, err := Replay(dir, 10, func(Record) error { return nil }); err == nil {
+	if _, err := Replay(dir, 10, func(uint64, graph.Write) error { return nil }); err == nil {
 		t.Fatal("replay across truncated history succeeded silently")
 	}
 }
@@ -266,7 +274,7 @@ func TestStartSeqSeedsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l.Append([]Record{rec(1)})
+	seq, err := l.Append([]graph.Write{rec(1)})
 	if err != nil || seq != 501 {
 		t.Fatalf("first seq = %d err=%v, want 501", seq, err)
 	}
@@ -364,7 +372,7 @@ func TestLostTailNeverRegressesBelowStartSeq(t *testing.T) {
 	if got := l2.LastSeq(); got != 5 {
 		t.Fatalf("lastSeq = %d, want 5 (the checkpoint seq)", got)
 	}
-	seq, err := l2.Append([]Record{rec(9)})
+	seq, err := l2.Append([]graph.Write{rec(9)})
 	if err != nil || seq != 6 {
 		t.Fatalf("resumed append: seq=%d err=%v, want 6", seq, err)
 	}

@@ -499,7 +499,7 @@ func ReplayWithEdges(ctx context.Context, g *Graph, checkins []Checkin, edges []
 }
 
 // ApplyEdgesVia adapts a Searcher's incremental topology updates
-// (ApplyEdgeInsert/ApplyEdgeRemove) to an EdgeApplyFunc.
+// (Searcher.Apply) to an EdgeApplyFunc.
 func ApplyEdgesVia(s *Searcher) EdgeApplyFunc { return dynamic.ApplyVia(s) }
 
 // GenerateEdgeChurn produces a time-sorted synthetic friendship-event stream

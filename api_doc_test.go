@@ -1,7 +1,13 @@
 package sacsearch
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -93,5 +99,86 @@ func TestFacadeRegistryExports(t *testing.T) {
 	}
 	if st, err := ParseStructure("ktruss"); err != nil || st != StructureKTruss {
 		t.Fatalf("ParseStructure = %v, %v", st, err)
+	}
+}
+
+// TestFacadeSurface keeps the facade the library a caller drives: every
+// exported func and var declared in sacsearch.go must be named outside its
+// own declaration — as sacsearch.N in a .go file under examples/ or cmd/,
+// as `N`, `N( or sacsearch.N in README.md, or in this file. Type aliases
+// and constants are exempt: they are reached through the funcs that return
+// or take them. A re-export nothing drives is a second surface that only
+// costs review and links its package into every binary that imports this
+// one.
+func TestFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	used := map[string]bool{}
+	for _, root := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			ast.Inspect(parse(path), func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sacsearch" {
+						used[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ast.Inspect(parse("api_doc_test.go"), func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			used[id.Name] = true
+		}
+		return true
+	})
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inReadme := func(name string) bool {
+		return regexp.MustCompile("`" + name + "[`(]|sacsearch\\." + name + `\b`).Match(raw)
+	}
+
+	exported := 0
+	for _, decl := range parse("sacsearch.go").Decls {
+		var names []*ast.Ident
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name)
+		case *ast.GenDecl:
+			if d.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range d.Specs {
+				names = append(names, spec.(*ast.ValueSpec).Names...)
+			}
+		}
+		for _, id := range names {
+			if !id.IsExported() {
+				continue
+			}
+			exported++
+			if !used[id.Name] && !inReadme(id.Name) {
+				t.Errorf("sacsearch.%s is named by no example, command, README line or api_doc_test.go", id.Name)
+			}
+		}
+	}
+	if exported == 0 {
+		t.Fatal("found no exported func or var in sacsearch.go")
 	}
 }

@@ -156,7 +156,7 @@ func (f *benchFixture) ratioOf(q sacsearch.V, radius float64) float64 {
 // reports its vertex and edge counts (the paper's Table 4 columns) as
 // metrics.
 func BenchmarkTable4Datasets(b *testing.B) {
-	for _, p := range sacsearch.DatasetPresets() {
+	for _, p := range dataset.Presets {
 		b.Run(p.Name, func(b *testing.B) {
 			var vertices, edges, avgDeg float64
 			for i := 0; i < b.N; i++ {
@@ -619,7 +619,7 @@ func BenchmarkFig13Dynamic(b *testing.B) {
 			}
 			return res.Members, res.MCC, nil
 		}
-		timelines, err := sacsearch.Replay(context.Background(), g, checkins, movers, ccfg.Days*0.25, benchK, search)
+		timelines, err := sacsearch.ReplayWithEdges(context.Background(), g, checkins, nil, movers, ccfg.Days*0.25, benchK, search, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package sacsearch_test
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"sacsearch"
@@ -61,40 +60,5 @@ func TestSaveLoadGraphRoundTrip(t *testing.T) {
 	raw[len(raw)/2] ^= 0xff
 	if _, err := sacsearch.LoadGraph(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted graph loaded silently")
-	}
-}
-
-// TestOpenStoreFacade exercises the durable store through the facade alone:
-// bootstrap, write, close, recover.
-func TestOpenStoreFacade(t *testing.T) {
-	dir := t.TempDir()
-	st, err := sacsearch.OpenStore(dir, sacsearch.StoreOptions{
-		Init:  buildToy(t),
-		Fsync: sacsearch.FsyncAlways,
-	})
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	if err := st.CheckIn(context.Background(), 1, sacsearch.Point{X: 0.42, Y: 0.24}); err != nil {
-		t.Fatal(err)
-	}
-	var stats sacsearch.StoreStats = st.Stats()
-	if stats.WalLastSeq != 1 || stats.FsyncPolicy != string(sacsearch.FsyncAlways) {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := sacsearch.OpenStore(dir, sacsearch.StoreOptions{})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer st2.Close()
-	if !st2.Stats().Recovered {
-		t.Fatal("second open did not recover")
-	}
-	if loc := st2.Current().Graph().Loc(1); loc.X != 0.42 || loc.Y != 0.24 {
-		t.Fatalf("write lost across OpenStore: %v", loc)
 	}
 }

@@ -12,8 +12,8 @@
 //     Source (a core.Pool, or a published snapshot that pins the whole
 //     batch to one graph state), each owning isolated scratch space and a
 //     candidate cache, so the batch saturates the machine without data
-//     races — and when the caller keeps the pool alive across batches
-//     (RunOn), the workers' warmed caches survive between batches too.
+//     races — and when the caller keeps the pool alive across batches, the
+//     workers' warmed caches survive between batches too.
 //
 // A batch names its algorithm the way a single query does: Options.Template
 // is a core.Query (any registered algorithm, parameters included) whose Q
@@ -26,7 +26,7 @@
 // start. Results come back in input order.
 //
 // Fan is the one driver behind all of it, generic in what answers a query:
-// Run and RunOn hand it a search on a worker drawn from a Source, and the
+// Run hands it a search on a worker drawn from a Source, and the
 // HTTP front-ends' /v1/batch (internal/httpapi's ServeBatch) hand it the
 // function that answers their /v1/query, so a server and a router fan a
 // batch out alike.
@@ -91,22 +91,15 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run answers every query and returns the items in input order, using a
-// transient worker pool over s. Prefer RunOn with a long-lived core.Pool
-// when batches repeat against the same graph — pooled workers keep their
-// warmed candidate caches between batches.
-func Run(ctx context.Context, s *core.Searcher, queries []Query, opt Options) []Item {
-	return RunOn(ctx, core.NewPool(s), queries, opt)
-}
-
-// RunOn answers every query on workers drawn from p — one per query, for
+// Run answers every query on workers drawn from p — one per query, for
 // the length of its search — and returns the items in input order.
-// Duplicate (q, k) pairs are answered once and fanned back out. A pool's
-// base searcher is never used directly, so it may be in use elsewhere as
-// long as the graph's locations are not mutated concurrently; snapshot
+// Duplicate (q, k) pairs are answered once and fanned back out. A long-lived
+// core.Pool keeps its workers' warmed candidate caches between batches. A
+// pool's base searcher is never used directly, so it may be in use elsewhere
+// as long as the graph's locations are not mutated concurrently; snapshot
 // sources have no such caveat. When ctx fires, undispatched queries fail
 // with core.ErrCanceled without running.
-func RunOn(ctx context.Context, p Source, queries []Query, opt Options) []Item {
+func Run(ctx context.Context, p Source, queries []Query, opt Options) []Item {
 	return Fan(ctx, queries, opt.workers(), func(ctx context.Context, q Query) (*core.Result, error) {
 		w := p.Get()
 		defer p.Put(w)

@@ -60,7 +60,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v += 3 {
 		queries = append(queries, Query{Q: graph.V(v), K: 4})
 	}
-	items := Run(context.Background(), s, queries, Options{Workers: 4})
+	items := Run(context.Background(), core.NewPool(s), queries, Options{Workers: 4})
 	if len(items) != len(queries) {
 		t.Fatalf("got %d items for %d queries", len(items), len(queries))
 	}
@@ -91,7 +91,7 @@ func TestRunDeduplicates(t *testing.T) {
 		{Q: 0, K: 3}, // same vertex, different k — not a duplicate
 		{Q: 0, K: 4}, // duplicate of 0
 	}
-	items := Run(context.Background(), s, queries, Options{Workers: 2})
+	items := Run(context.Background(), core.NewPool(s), queries, Options{Workers: 2})
 	if items[0].Result == nil || items[2].Result == nil {
 		t.Fatal("duplicate queries not answered")
 	}
@@ -111,7 +111,7 @@ func TestRunDeduplicatedAliasingSafe(t *testing.T) {
 	g := clusteredGraph(11, 6, 6, 8)
 	pool := core.NewPool(core.NewSearcher(g))
 	queries := []Query{{Q: 0, K: 4}, {Q: 0, K: 4}, {Q: 0, K: 4}}
-	items := RunOn(context.Background(), pool, queries, Options{Workers: 1})
+	items := Run(context.Background(), pool, queries, Options{Workers: 1})
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
@@ -128,7 +128,7 @@ func TestRunDeduplicatedAliasingSafe(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v++ {
 		wide = append(wide, Query{Q: graph.V(v), K: 3})
 	}
-	RunOn(context.Background(), pool, wide, Options{Workers: 4})
+	Run(context.Background(), pool, wide, Options{Workers: 4})
 
 	if !sameMembers(items[0].Result.Members, members) || items[0].Result.MCC != mcc {
 		t.Fatalf("shared result mutated by a later batch: %v (was %v)", items[0].Result.Members, members)
@@ -140,7 +140,7 @@ func TestRunErrorsPerQuery(t *testing.T) {
 	s := core.NewSearcher(g)
 	bad := graph.V(g.NumVertices() + 5)
 	queries := []Query{{Q: 0, K: 4}, {Q: bad, K: 4}, {Q: 1, K: 4}}
-	items := Run(context.Background(), s, queries, Options{})
+	items := Run(context.Background(), core.NewPool(s), queries, Options{})
 	if items[0].Err != nil || items[2].Err != nil {
 		t.Fatalf("valid queries errored: %v %v", items[0].Err, items[2].Err)
 	}
@@ -159,7 +159,7 @@ func TestRunNoCommunity(t *testing.T) {
 	b.SetLoc(4, geom.Point{X: 0.4, Y: 0.5})
 	g := b.Build()
 	s := core.NewSearcher(g)
-	items := Run(context.Background(), s, []Query{{Q: 2, K: 3}}, Options{})
+	items := Run(context.Background(), core.NewPool(s), []Query{{Q: 2, K: 3}}, Options{})
 	if !errors.Is(items[0].Err, core.ErrNoCommunity) {
 		t.Fatalf("err = %v, want ErrNoCommunity", items[0].Err)
 	}
@@ -176,9 +176,9 @@ func TestRunWorkerCountsAgree(t *testing.T) {
 		return qs
 	}(), 4)
 
-	base := Run(context.Background(), s, queries, Options{Workers: 1})
+	base := Run(context.Background(), core.NewPool(s), queries, Options{Workers: 1})
 	for _, workers := range []int{2, 4, 16} {
-		got := Run(context.Background(), s, queries, Options{Workers: workers})
+		got := Run(context.Background(), core.NewPool(s), queries, Options{Workers: workers})
 		for i := range base {
 			if (base[i].Err != nil) != (got[i].Err != nil) {
 				t.Fatalf("workers=%d item %d: error mismatch", workers, i)
@@ -205,7 +205,7 @@ func TestRunAlgorithms(t *testing.T) {
 		if spec.Name == "theta" {
 			tmpl.Theta = core.Float(0.4) // θ-SAC's one required parameter
 		}
-		items := Run(context.Background(), s, queries, Options{Template: tmpl, Workers: 2})
+		items := Run(context.Background(), core.NewPool(s), queries, Options{Template: tmpl, Workers: 2})
 		for i, it := range items {
 			if it.Err != nil && !errors.Is(it.Err, core.ErrNoCommunity) {
 				t.Fatalf("%s item %d: %v", spec.Name, i, it.Err)
@@ -223,7 +223,7 @@ func TestTemplateTheta(t *testing.T) {
 	g := clusteredGraph(23, 5, 6, 10)
 	s := core.NewSearcher(g)
 	queries := []Query{{Q: 0, K: 3}, {Q: 6, K: 3}}
-	items := Run(context.Background(), s, queries, Options{
+	items := Run(context.Background(), core.NewPool(s), queries, Options{
 		Template: core.Query{Algo: "theta", Theta: core.Float(0.4)},
 		Workers:  2,
 	})
@@ -270,7 +270,7 @@ func BenchmarkBatch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Run(context.Background(), s, queries, Options{Workers: workers})
+				Run(context.Background(), core.NewPool(s), queries, Options{Workers: workers})
 			}
 		})
 	}

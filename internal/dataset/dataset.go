@@ -138,7 +138,7 @@ func SubgraphPercent(d *Dataset, pct int, seed int64) (*Dataset, error) {
 // vertices with core number ≥ minCore, the paper's workload construction
 // (Section 5.1: 200 random vertices with core number 4 or more). The
 // selection is deterministic in seed. It returns fewer when the graph lacks
-// eligible vertices.
+// eligible vertices, and none for a count ≤ 0.
 func QueryWorkload(g *graph.Graph, minCore, count int, seed int64) []graph.V {
 	cores := kcore.Decompose(g)
 	var eligible []graph.V
@@ -149,10 +149,7 @@ func QueryWorkload(g *graph.Graph, minCore, count int, seed int64) []graph.V {
 	}
 	rnd := rand.New(rand.NewSource(seed))
 	rnd.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-	if len(eligible) > count {
-		eligible = eligible[:count]
-	}
-	sorted := append([]graph.V(nil), eligible...)
+	sorted := append([]graph.V(nil), eligible[:min(len(eligible), max(count, 0))]...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted
 }

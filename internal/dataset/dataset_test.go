@@ -152,6 +152,28 @@ func TestQueryWorkload(t *testing.T) {
 	}
 }
 
+// TestQueryWorkloadCounts: the count bounds the workload from both sides —
+// a count ≤ 0 asks for nothing, one past the eligible set gets all of it.
+func TestQueryWorkloadCounts(t *testing.T) {
+	// A 5-clique (core number 4) with a pendant path (core 1).
+	b := graph.NewBuilder(7)
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			b.AddEdge(graph.V(u), graph.V(v))
+		}
+	}
+	b.AddEdge(4, 5)
+	b.AddEdge(5, 6)
+	g := b.Build()
+	for _, tc := range []struct{ count, want int }{
+		{-1, 0}, {0, 0}, {2, 2}, {5, 5}, {100, 5},
+	} {
+		if got := QueryWorkload(g, 4, tc.count, 1); len(got) != tc.want {
+			t.Errorf("count %d: got %v, want %d queries", tc.count, got, tc.want)
+		}
+	}
+}
+
 func TestSaveOpenRoundTrip(t *testing.T) {
 	dir, err := os.MkdirTemp("", "sacds")
 	if err != nil {

@@ -5,11 +5,11 @@
 // resulting per-user community timelines feed the CJS/CAO-versus-η decay
 // curves of Figure 13 and the moving-user portraits of Figure 2.
 //
-// ReplayWithEdges extends the paper's setting with friendship churn: edge
-// events (gen.EdgeChurn, or real unfriend/befriend logs) interleave with the
-// check-in stream on one clock, applied through the searcher's incremental
-// topology path so every snapshot sees the graph exactly as it stood at
-// that instant.
+// ReplayWithEdges runs it, and extends the paper's setting with friendship
+// churn: edge events (gen.EdgeChurn, or real unfriend/befriend logs)
+// interleave with the check-in stream on one clock, applied through the
+// searcher's incremental topology path so every snapshot sees the graph
+// exactly as it stood at that instant.
 package dynamic
 
 import (
@@ -37,17 +37,6 @@ type Snapshot struct {
 // the replay, wrapped with the user and time it occurred at.
 type SearchFunc func(q graph.V, k int) ([]graph.V, geom.Circle, error)
 
-// Replay applies the check-in stream to g (mutating vertex locations) and
-// returns the community timeline of every tracked user. Check-ins before
-// splitTime only move users; from splitTime on, each check-in by a tracked
-// user also runs search. The graph is left at its final replayed state.
-// Long replays honor ctx: cancellation aborts between events with the
-// context's error, and the search calls themselves can observe the same
-// context when wired through a *Ctx algorithm.
-func Replay(ctx context.Context, g *graph.Graph, checkins []gen.Checkin, tracked []graph.V, splitTime float64, k int, search SearchFunc) (map[graph.V][]Snapshot, error) {
-	return ReplayWithEdges(ctx, g, checkins, nil, tracked, splitTime, k, search, nil)
-}
-
 // EdgeApplyFunc applies one friendship change during a replay. It must
 // mutate the graph AND whatever decomposition state the search function
 // depends on — core.Searcher.Apply does both. The
@@ -69,12 +58,17 @@ func ApplyVia(s *core.Searcher) EdgeApplyFunc {
 	}
 }
 
-// ReplayWithEdges replays friendship churn interleaved with check-ins: both
-// streams advance on one clock, with edge events applied before check-ins
-// that share an instant (the friendship exists by the time the user reports
-// a location). Tracked users' searches observe the graph exactly as it was
-// at each check-in — moved locations and churned edges both. edges may be
-// nil (pure location replay); apply is required when it is not.
+// ReplayWithEdges applies the check-in stream to g (mutating vertex
+// locations) and returns the community timeline of every tracked user.
+// Check-ins before splitTime only move users; from splitTime on, each
+// check-in by a tracked user also runs search. Friendship churn interleaves
+// on the same clock, with edge events applied before check-ins that share an
+// instant (the friendship exists by the time the user reports a location),
+// so tracked users' searches observe the graph exactly as it was at each
+// check-in — moved locations and churned edges both. edges may be nil (the
+// paper's pure location replay); apply is required when it is not. The
+// graph is left at its final replayed state. Long replays honor ctx:
+// cancellation aborts between events with the context's error.
 func ReplayWithEdges(ctx context.Context, g *graph.Graph, checkins []gen.Checkin, edges []gen.EdgeEvent, tracked []graph.V, splitTime float64, k int, search SearchFunc, apply EdgeApplyFunc) (map[graph.V][]Snapshot, error) {
 	if len(edges) > 0 && apply == nil {
 		return nil, fmt.Errorf("dynamic: %d edge events but no apply function", len(edges))

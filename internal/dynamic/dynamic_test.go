@@ -49,7 +49,7 @@ func TestReplayMovingUser(t *testing.T) {
 		{User: 0, Time: 1.0, Loc: geom.Point{X: 0.11, Y: 0.1}}, // near triangle 1
 		{User: 0, Time: 2.0, Loc: geom.Point{X: 0.89, Y: 0.9}}, // moved to triangle 2
 	}
-	timelines, err := Replay(context.Background(), g, checkins, []graph.V{0}, 0.9, 2, searchWith(s))
+	timelines, err := ReplayWithEdges(context.Background(), g, checkins, nil, []graph.V{0}, 0.9, 2, searchWith(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReplayRejectsUnsorted(t *testing.T) {
 		{User: 0, Time: 2, Loc: geom.Point{X: 0.1, Y: 0.1}},
 		{User: 0, Time: 1, Loc: geom.Point{X: 0.2, Y: 0.1}},
 	}
-	if _, err := Replay(context.Background(), g, checkins, []graph.V{0}, 0, 2, searchWith(s)); err == nil {
+	if _, err := ReplayWithEdges(context.Background(), g, checkins, nil, []graph.V{0}, 0, 2, searchWith(s), nil); err == nil {
 		t.Fatal("unsorted stream accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestReplaySkipsInfeasible(t *testing.T) {
 	g := b.Build()
 	s := core.NewSearcher(g)
 	checkins := []gen.Checkin{{User: 0, Time: 1, Loc: geom.Point{X: 0.5, Y: 0.5}}}
-	timelines, err := Replay(context.Background(), g, checkins, []graph.V{0}, 0, 2, searchWith(s))
+	timelines, err := ReplayWithEdges(context.Background(), g, checkins, nil, []graph.V{0}, 0, 2, searchWith(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDecayEndToEnd(t *testing.T) {
 		}
 		return res.Members, res.MCC, nil
 	}
-	timelines, err := Replay(context.Background(), g, checkins, movers, 10, 3, search)
+	timelines, err := ReplayWithEdges(context.Background(), g, checkins, nil, movers, 10, 3, search, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestReplayPropagatesGenuineErrors(t *testing.T) {
 		}
 		return nil, geom.Circle{}, boom
 	}
-	_, err := Replay(context.Background(), g, checkins, []graph.V{0}, 0, 2, search)
+	_, err := ReplayWithEdges(context.Background(), g, checkins, nil, []graph.V{0}, 0, 2, search, nil)
 	if err == nil {
 		t.Fatal("genuine search error swallowed")
 	}

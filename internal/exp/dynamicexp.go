@@ -71,7 +71,7 @@ func Fig13(cfg Fig13Config) ([]dynamic.DecayPoint, error) {
 		}
 		return res.Members, res.MCC, nil
 	}
-	timelines, err := dynamic.Replay(context.Background(), g, checkins, movers, cfg.Days*cfg.SplitFrac, cfg.K, search)
+	timelines, err := dynamic.ReplayWithEdges(context.Background(), g, checkins, nil, movers, cfg.Days*cfg.SplitFrac, cfg.K, search, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -125,7 +125,7 @@ func ExtBatch(cfg Config) ([]ExtBatchRow, error) {
 		}
 		for _, workers := range workerSweep {
 			start := time.Now()
-			items := batch.Run(context.Background(), s, queries, batch.Options{Workers: workers})
+			items := batch.Run(context.Background(), core.NewPool(s), queries, batch.Options{Workers: workers})
 			answered := 0
 			for _, it := range items {
 				if it.Err == nil {

@@ -102,8 +102,9 @@ func TravelDistance(checkins []Checkin, n int) []float64 {
 	return dist
 }
 
-// SelectMovers returns up to count users ranked by descending total travel
-// distance among those with at least minFriends neighbors — the paper's
+// SelectMovers returns up to count users (none for a count ≤ 0) ranked by
+// descending total travel distance among those with at least minFriends
+// neighbors — the paper's
 // query-set construction for the dynamic experiment (100 users, ≥ 20
 // friends, longest travel).
 func SelectMovers(g *graph.Graph, checkins []Checkin, minFriends, count int) []graph.V {
@@ -124,9 +125,7 @@ func SelectMovers(g *graph.Graph, checkins []Checkin, minFriends, count int) []g
 		}
 		return cands[i].v < cands[j].v
 	})
-	if len(cands) > count {
-		cands = cands[:count]
-	}
+	cands = cands[:min(len(cands), max(count, 0))]
 	out := make([]graph.V, len(cands))
 	for i, c := range cands {
 		out[i] = c.v

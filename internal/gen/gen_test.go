@@ -207,6 +207,24 @@ func TestSelectMovers(t *testing.T) {
 	}
 }
 
+// TestSelectMoversCounts: the count bounds the selection from both sides —
+// a count ≤ 0 asks for nobody, one past the eligible set gets all of it.
+func TestSelectMoversCounts(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for i := 1; i < 4; i++ {
+		b.AddEdge(0, graph.V(i))
+	}
+	g := b.Build()
+	cs := []Checkin{{User: 0, Time: 0, Loc: pt(0, 0)}, {User: 0, Time: 1, Loc: pt(0.5, 0)}}
+	for _, tc := range []struct{ count, want int }{
+		{-1, 0}, {0, 0}, {1, 1}, {4, 4}, {100, 4},
+	} {
+		if got := SelectMovers(g, cs, 1, tc.count); len(got) != tc.want {
+			t.Errorf("count %d: got %v, want %d movers", tc.count, got, tc.want)
+		}
+	}
+}
+
 func pt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
 
 func TestEdgeChurn(t *testing.T) {

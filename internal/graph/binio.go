@@ -25,7 +25,8 @@ import (
 //	crc      uint32 little-endian           (IEEE CRC-32 of everything above)
 //
 // ReadBinary validates the checksum and the structural invariants (monotone
-// offsets, sorted in-range adjacency rows, finite coordinates) so a
+// offsets, sorted in-range adjacency rows that list every edge from both
+// ends and no self-loop, finite coordinates) so a
 // truncated or corrupted file fails loudly instead of producing a graph that
 // crashes algorithms later.
 
@@ -219,6 +220,35 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			if i > 0 && row[i-1] >= u {
 				return nil, fmt.Errorf("graph: adjacency row of %d not strictly sorted", v)
 			}
+		}
+	}
+	// Every edge is listed from both ends and no vertex lists itself, checked
+	// in one O(n+m) pass: cursor[u] is u's first neighbour above u not yet
+	// matched, and each v, visited in ascending order, must be exactly that
+	// neighbour of every u < v it lists.
+	asymmetric := func(a, b V) error {
+		return fmt.Errorf("graph: adjacency not symmetric: %d lists %d but %d does not list %d", a, b, b, a)
+	}
+	cursor := make([]int32, n)
+	for v := 0; v < int(n); v++ {
+		i := offsets[v]
+		for ; i < offsets[v+1] && adj[i] < V(v); i++ {
+			u := adj[i]
+			if c := cursor[u]; c == offsets[u+1] || adj[c] > V(v) {
+				return nil, asymmetric(V(v), u)
+			} else if adj[c] < V(v) {
+				return nil, asymmetric(u, adj[c])
+			}
+			cursor[u]++
+		}
+		if i < offsets[v+1] && adj[i] == V(v) {
+			return nil, fmt.Errorf("graph: vertex %d lists itself as a neighbor", v)
+		}
+		cursor[v] = i
+	}
+	for u := 0; u < int(n); u++ {
+		if c := cursor[u]; c < offsets[u+1] {
+			return nil, asymmetric(V(u), adj[c])
 		}
 	}
 

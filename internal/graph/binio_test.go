@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -145,6 +147,60 @@ func TestBinaryHeaderSanity(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0})                         // m
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Fatal("absurd header accepted")
+	}
+}
+
+// encodeRows writes adjacency rows in the binary format exactly as given,
+// with every location at the origin and a valid checksum — the bytes a
+// writer that breaks the format's invariants would produce.
+func encodeRows(rows [][]V) []byte {
+	le := binary.LittleEndian
+	entries := 0
+	for _, r := range rows {
+		entries += len(r)
+	}
+	out := append([]byte(nil), binMagic[:]...)
+	out = le.AppendUint64(out, uint64(len(rows)))
+	out = le.AppendUint64(out, uint64(entries/2))
+	out = le.AppendUint32(out, 0)
+	off := uint32(0)
+	for _, r := range rows {
+		off += uint32(len(r))
+		out = le.AppendUint32(out, off)
+	}
+	for _, r := range rows {
+		for _, u := range r {
+			out = le.AppendUint32(out, uint32(u))
+		}
+	}
+	out = append(out, make([]byte, 16*len(rows))...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestBinaryRefusesAsymmetricOrLoopedAdjacency: no graph in memory has an
+// edge listed from one end only or a self-loop (Builder.Build drops loops,
+// AddEdge refuses them), so a checksummed file that has one must not load.
+func TestBinaryRefusesAsymmetricOrLoopedAdjacency(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows [][]V
+		want string
+	}{
+		{"one-sided edge", [][]V{{2}, {2}, {}}, "0 lists 2 but 2 does not list 0"},
+		{"one-sided from above", [][]V{{}, {}, {0, 1}}, "2 lists 0 but 0 does not list 2"},
+		{"mismatched rows", [][]V{{1, 2}, {0}, {1}}, "2 lists 1 but 1 does not list 2"},
+		{"row skips its lower neighbour", [][]V{{1, 2}, {2}, {0, 1}, {4}, {}}, "0 lists 1 but 1 does not list 0"},
+		{"self-loop", [][]V{{0}, {1}}, "vertex 0 lists itself"},
+		{"self-loop in a symmetric graph", [][]V{{1}, {0, 1, 2}, {1, 2}}, "vertex 1 lists itself"},
+	} {
+		_, err := ReadBinary(bytes.NewReader(encodeRows(tc.rows)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The same encoder's symmetric, loop-free rows load.
+	if _, err := ReadBinary(bytes.NewReader(encodeRows([][]V{{1, 2}, {0}, {0}}))); err != nil {
+		t.Fatalf("valid rows refused: %v", err)
 	}
 }
 

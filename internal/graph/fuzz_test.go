@@ -44,6 +44,10 @@ func FuzzReadBinary(f *testing.F) {
 			f.Add(corrupt)
 		}
 	}
+	// Checksummed files an in-memory graph cannot produce: an edge listed
+	// from one end only, and a self-loop.
+	f.Add(encodeRows([][]V{{2}, {2}, {}}))
+	f.Add(encodeRows([][]V{{0}, {1}}))
 	f.Add([]byte("NOTAGRAPHFILE...."))
 	{
 		// Header claims 2^63-ish vertices over an empty stream.
@@ -71,13 +75,20 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted input: the graph must satisfy the structural contract
-		// well enough to serialize and round-trip bit-compatibly.
+		// Accepted input: the graph must satisfy the structural contract —
+		// in-range, symmetric, loop-free adjacency — well enough to serialize
+		// and round-trip bit-compatibly.
 		n := g.NumVertices()
 		for v := 0; v < n; v++ {
 			for _, u := range g.Neighbors(V(v)) {
 				if u < 0 || int(u) >= n {
 					t.Fatalf("accepted graph has out-of-range neighbor %d of %d", u, v)
+				}
+				if u == V(v) {
+					t.Fatalf("accepted graph has a self-loop at %d", v)
+				}
+				if !g.HasEdge(u, V(v)) {
+					t.Fatalf("accepted graph lists %d in N(%d) but not %d in N(%d)", u, v, v, u)
 				}
 			}
 		}

@@ -328,7 +328,7 @@ func TestBatchPinnedToSnapshot(t *testing.T) {
 	}
 
 	queries := batch.Workload([]graph.V{1, 7, 13, 1}, 4)
-	items := batch.RunOn(ctx, snap, queries, batch.Options{Workers: 2})
+	items := batch.Run(ctx, snap, queries, batch.Options{Workers: 2})
 	cold := core.NewSearcher(snap.Graph())
 	for _, it := range items {
 		if it.Err != nil {

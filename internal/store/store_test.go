@@ -152,6 +152,9 @@ func TestBootstrapCloseReopen(t *testing.T) {
 	if walSeq != uint64(len(events)) {
 		t.Fatalf("WalSeq %d, %d state-changing events", walSeq, len(events))
 	}
+	if s := st.Stats(); s.WalLastSeq != walSeq {
+		t.Fatalf("Stats().WalLastSeq = %d, want %d", s.WalLastSeq, walSeq)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

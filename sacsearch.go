@@ -14,11 +14,11 @@
 // export, each group under a comment saying what it is for: the unified
 // query API and its algorithm registry, alternative structure metrics
 // (k-truss, k-clique percolation) and the minimum-diameter variants of the
-// paper's Section 6, batch processing (BatchSearch), dynamic topology and
-// check-in replay, snapshot-isolated serving (ServingEngine), durable
-// serving (OpenStore), WAL-shipping replicas with fencing epochs
-// (NewReplicaShipper, FenceLeader), and spatial sharding behind a
-// scatter-gather router (PartitionGraph, NewShardRouter).
+// paper's Section 6, batch processing (BatchSearch), and dynamic topology and
+// check-in replay (ReplayWithEdges). This package is the library only; the
+// serving tier (snapshot engine, WAL, replicas, shards, router) is run as
+// the cmd/sacserver, cmd/sacshard and cmd/sacrouter daemons, and SaveGraph
+// is the bridge that hands them a graph built here.
 //
 // # Quick start
 //
@@ -59,8 +59,6 @@ package sacsearch
 import (
 	"context"
 	"io"
-	"net"
-	"time"
 
 	"sacsearch/internal/batch"
 	"sacsearch/internal/community"
@@ -71,11 +69,6 @@ import (
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/quality"
-	"sacsearch/internal/replica"
-	"sacsearch/internal/router"
-	"sacsearch/internal/shard"
-	"sacsearch/internal/snapshot"
-	"sacsearch/internal/store"
 )
 
 // Geometry.
@@ -86,10 +79,6 @@ type (
 	// circle as one.
 	Circle = geom.Circle
 )
-
-// MCC returns the minimum covering circle of the given points (expected
-// linear time, deterministic).
-func MCC(pts []Point) Circle { return geom.MCC(pts) }
 
 // Graph model.
 type (
@@ -198,181 +187,6 @@ func NewSearcherWithStructure(g *Graph, st Structure) *Searcher {
 	return core.NewSearcherWithStructure(g, st)
 }
 
-// Pool is a concurrency-safe pool of Searcher clones — the parallel
-// execution layer batch and server traffic run on. Pooled workers keep
-// their scratch space and warmed candidate caches across queries.
-type Pool = core.Pool
-
-// NewPool creates a worker pool of clones of s.
-func NewPool(s *Searcher) *Pool { return core.NewPool(s) }
-
-// Snapshot-isolated serving (the production concurrency model; the HTTP
-// server in cmd/sacserver runs on it). A ServingEngine owns the mutable
-// graph in a single writer goroutine and publishes immutable
-// ServingSnapshot values through an atomic pointer: queries pin a snapshot
-// (one atomic load) and run lock-free on pooled workers, writers batch and
-// never block readers.
-type (
-	// ServingEngine is the writer loop plus snapshot publication.
-	ServingEngine = snapshot.Engine
-	// ServingSnapshot is one immutable published graph view; it is a
-	// BatchSource, so whole batches run pinned to one state.
-	ServingSnapshot = snapshot.Snap
-	// ServingOptions wires an engine's durability, metrics and post-publish
-	// hooks; the zero value serves an in-memory engine.
-	ServingOptions = snapshot.Options
-)
-
-// NewServingEngine takes ownership of g and starts serving snapshots of it.
-// Release the writer goroutine with Close.
-func NewServingEngine(g *Graph, opt ServingOptions) *ServingEngine {
-	return snapshot.New(g, opt)
-}
-
-// Durable serving (the production persistence model; `sacserver -data-dir`
-// runs on it). A Store wraps a ServingEngine with a write-ahead log and
-// background checkpoints: a write that became visible to readers is already
-// logged (and, under FsyncAlways, on disk), and OpenStore recovers the last
-// served state after a crash or restart.
-type (
-	// Store is a durable ServingEngine rooted in a data directory.
-	Store = store.Store
-	// StoreOptions configures durability: initial graph, fsync policy, WAL
-	// segment size and checkpoint cadence.
-	StoreOptions = store.Options
-	// StoreStats is the durability status a Store reports (and /v1/health
-	// exposes): WAL size, sequences, checkpoint progress, fsync policy.
-	StoreStats = store.Stats
-	// FsyncPolicy selects when WAL appends reach stable storage.
-	FsyncPolicy = store.FsyncPolicy
-)
-
-// Fsync policy choices: FsyncAlways makes every acknowledged write durable
-// before it is acknowledged (one fsync per published batch); FsyncInterval
-// bounds loss to the WAL's 100 ms flush interval; FsyncNever leaves flushing
-// to the OS.
-const (
-	FsyncAlways   = store.FsyncAlways
-	FsyncInterval = store.FsyncInterval
-	FsyncNever    = store.FsyncNever
-)
-
-// OpenStore recovers (or, with opt.Init on first boot, creates) the durable
-// store rooted at dataDir: the newest valid checkpoint is loaded, the WAL
-// tail replayed — tolerating a torn final record, failing loudly on real
-// corruption — and the serving engine resumed with monotonic sequences.
-// Release it with Close (which writes a final checkpoint).
-func OpenStore(dataDir string, opt StoreOptions) (*Store, error) {
-	return store.Open(dataDir, opt)
-}
-
-// Replication & failover (`sacserver -listen-replication` /
-// `-replicate-from` run on these). A ReplicaShipper streams a durable
-// Store's WAL — snapshot bootstrap plus CRC-verified live tail — to
-// followers; a ReplicaFollower applies that stream onto its own serving
-// engine and reconnects with jittered backoff, resuming from its last
-// applied sequence or re-syncing via snapshot when the leader's history
-// moved on. Fencing epochs (Store.Epoch, Store.Fence, Store.BumpEpoch,
-// FenceLeader) guarantee a deposed leader's writes are rejected (ErrFenced)
-// instead of forking history.
-type (
-	// ReplicaShipper is the leader side: it serves the replication protocol
-	// on a listener, one WAL cursor per follower.
-	ReplicaShipper = replica.Shipper
-	// ReplicaShipperOptions tunes heartbeat cadence, tail polling and batch
-	// size; the zero value serves defaults.
-	ReplicaShipperOptions = replica.ShipperOptions
-	// ReplicaFollower is the follower side: replicated read-only state plus
-	// the replication session management.
-	ReplicaFollower = replica.Follower
-	// ReplicaFollowerOptions configures a follower; Leader is required.
-	ReplicaFollowerOptions = replica.FollowerOptions
-	// ReplicaStatus is a follower's point-in-time replication state: sync
-	// and connection flags, applied/leader sequences, epochs, lag.
-	ReplicaStatus = replica.FollowerStatus
-)
-
-// NewReplicaShipper starts shipping st's WAL to followers connecting on ln
-// (owned by the shipper from then on). Release with Close.
-func NewReplicaShipper(st *Store, ln net.Listener, opt ReplicaShipperOptions) *ReplicaShipper {
-	return replica.NewShipper(st, ln, opt)
-}
-
-// NewReplicaFollower starts replicating from opt.Leader. The follower
-// serves no state until its first sync completes (Engine returns nil before
-// then); Close stops replication but leaves the last synced state readable.
-func NewReplicaFollower(opt ReplicaFollowerOptions) (*ReplicaFollower, error) {
-	return replica.NewFollower(opt)
-}
-
-// FenceLeader tells the leader at addr (its replication address) that epoch
-// exists, fencing it if that outranks its own epoch — the operator-facing
-// half of follower promotion. Returns the leader's reported epoch.
-func FenceLeader(addr string, epoch uint64, timeout time.Duration) (uint64, error) {
-	return replica.FenceLeader(addr, epoch, timeout)
-}
-
-// ErrFenced reports a write rejected because a newer leader epoch fenced
-// this store.
-var ErrFenced = store.ErrFenced
-
-// Spatial sharding & scatter-gather routing (cmd/sacshard cuts the
-// artifacts, `sacserver -shard-id -shard-map` serves one shard, and
-// cmd/sacrouter — or an embedded ShardRouter — fronts the topology with
-// the unchanged /v1 API). A ShardMap is the deterministic spatial
-// partition of a graph's vertices; each shard serves the ShardSubgraph
-// induced by its owned vertices plus ghost copies of their cross-shard
-// neighbors, on the same engine/WAL/replication stack a single node runs.
-type (
-	// ShardMap assigns every vertex to exactly one owning shard; the same
-	// graph and shard count always produce the identical map, and its
-	// Checksum is how router and shards verify they agree.
-	ShardMap = shard.Map
-	// ShardServing is one node's identity inside a sharded topology: the
-	// map plus this node's shard id.
-	ShardServing = shard.Serving
-	// ShardRouter is the scatter-gather /v1 front: owner-first routing for
-	// single-shard answers, exact cross-shard assembly otherwise.
-	ShardRouter = router.Router
-	// ShardRouterConfig configures a ShardRouter: the map plus one
-	// endpoint group (leader first, then read replicas) per shard.
-	ShardRouterConfig = router.Config
-)
-
-// PartitionGraph cuts g into the given number of spatially coherent shards
-// (1 to 65536) by walking a location grid, balancing owned-vertex counts.
-// The cut is deterministic: identical input yields an identical map.
-func PartitionGraph(g *Graph, shards int) (*ShardMap, error) {
-	return shard.Partition(g, shards)
-}
-
-// ShardSubgraph extracts the subgraph shard id serves: the full vertex-id
-// space with every edge incident to an owned vertex, so owned vertices see
-// their true global degree and cross-shard neighbors appear as ghosts.
-func ShardSubgraph(g *Graph, m *ShardMap, id int) (*Graph, error) {
-	return shard.Subgraph(g, m, id)
-}
-
-// NewShardServing validates and packages one node's shard identity.
-func NewShardServing(m *ShardMap, id int) (*ShardServing, error) {
-	return shard.NewServing(m, id)
-}
-
-// WriteShardMap writes m in the versioned, checksummed artifact format
-// sacshard produces and `sacserver -shard-map`/sacrouter read.
-func WriteShardMap(w io.Writer, m *ShardMap) error { return m.WriteMap(w) }
-
-// ReadShardMap reads a shard-map artifact, verifying its checksum.
-func ReadShardMap(r io.Reader) (*ShardMap, error) { return shard.ReadMap(r) }
-
-// NewShardRouter creates the scatter-gather router over an already-running
-// sharded topology. It is an http.Handler serving the same /v1 contract as
-// a single sacserver; Router.CheckTopology verifies every shard is
-// reachable and serving the same map.
-func NewShardRouter(cfg ShardRouterConfig) (*ShardRouter, error) {
-	return router.New(cfg)
-}
-
 // Batch processing (Section 6 future work: answering many SAC queries at
 // once with a shared decomposition and parallel workers).
 type (
@@ -385,22 +199,12 @@ type (
 	BatchOptions = batch.Options
 )
 
-// BatchSource supplies searcher workers to a batch: a *Pool, or a published
-// ServingSnapshot (which pins the whole batch to one graph state).
-type BatchSource = batch.Source
-
 // BatchSearch answers every query using cloned searchers on parallel
 // workers, deduplicating identical queries; items come back in input order.
 // When ctx fires, in-flight queries return ErrCanceled at their next loop
 // boundary and undispatched queries fail without running.
 func BatchSearch(ctx context.Context, s *Searcher, queries []BatchQuery, opt BatchOptions) []BatchItem {
-	return batch.Run(ctx, s, queries, opt)
-}
-
-// BatchSearchOn is BatchSearch over an existing worker source; reusing one
-// pool across batches keeps the workers' candidate caches warm.
-func BatchSearchOn(ctx context.Context, p BatchSource, queries []BatchQuery, opt BatchOptions) []BatchItem {
-	return batch.RunOn(ctx, p, queries, opt)
+	return batch.Run(ctx, core.NewPool(s), queries, opt)
 }
 
 // BatchWorkload pairs each query vertex with k.
@@ -426,12 +230,7 @@ func RunGeoModu(g *Graph, mu float64) *Partition { return community.RunGeoModu(g
 type (
 	// Dataset is a named spatial graph (a Table 4 stand-in or a file load).
 	Dataset = dataset.Dataset
-	// Preset describes one Table 4 dataset.
-	Preset = dataset.Preset
 )
-
-// DatasetPresets lists the Table 4 datasets this package can regenerate.
-func DatasetPresets() []Preset { return dataset.Presets }
 
 // LoadDataset builds the named dataset ("brightkite", "gowalla", "flickr",
 // "foursquare", "syn1", "syn2") at the given scale ∈ (0,1].
@@ -483,17 +282,13 @@ type (
 	EdgeApplyFunc = dynamic.EdgeApplyFunc
 )
 
-// Replay applies a check-in stream to g and snapshots the tracked users'
-// communities from splitTime on. When ctx fires the replay aborts between
-// events with the context's error.
-func Replay(ctx context.Context, g *Graph, checkins []Checkin, tracked []V, splitTime float64, k int, search SearchFunc) (map[V][]Snapshot, error) {
-	return dynamic.Replay(ctx, g, checkins, tracked, splitTime, k, search)
-}
-
-// ReplayWithEdges replays friendship churn interleaved with check-ins on one
-// clock; each tracked search sees the graph exactly as it stood at that
-// instant. Wire apply with ApplyEdgesVia(searcher) so the searcher's core
-// decomposition stays current incrementally. Cancellation is as in Replay.
+// ReplayWithEdges applies a check-in stream to g, interleaved with
+// friendship churn on one clock, and snapshots the tracked users'
+// communities from splitTime on; each tracked search sees the graph exactly
+// as it stood at that instant. edges and apply may be nil for the paper's
+// check-in-only replay; otherwise wire apply with ApplyEdgesVia(searcher) so
+// the searcher's core decomposition stays current incrementally. When ctx
+// fires the replay aborts between events with the context's error.
 func ReplayWithEdges(ctx context.Context, g *Graph, checkins []Checkin, edges []EdgeEvent, tracked []V, splitTime float64, k int, search SearchFunc, apply EdgeApplyFunc) (map[V][]Snapshot, error) {
 	return dynamic.ReplayWithEdges(ctx, g, checkins, edges, tracked, splitTime, k, search, apply)
 }
@@ -528,9 +323,6 @@ func CommunityDistPr(g *Graph, members []V, seed int64) float64 {
 
 // CJS is the community Jaccard similarity (Equation 9).
 func CJS(a, b []V) float64 { return quality.CJS(a, b) }
-
-// CAO is the community area overlap of two MCCs (Equation 10).
-func CAO(a, b Circle) float64 { return quality.CAO(a, b) }
 
 // AvgInternalDegree returns the mean degree of members within the subgraph
 // they induce.

@@ -83,19 +83,9 @@ func TestFacadeMetrics(t *testing.T) {
 	if got := sacsearch.CJS([]sacsearch.V{1, 2}, []sacsearch.V{2, 3}); math.Abs(got-1.0/3) > 1e-12 {
 		t.Fatalf("CJS = %v", got)
 	}
-	c := sacsearch.MCC([]sacsearch.Point{{X: 0, Y: 0}, {X: 1, Y: 0}})
-	if math.Abs(c.R-0.5) > 1e-12 {
-		t.Fatalf("MCC = %+v", c)
-	}
-	if got := sacsearch.CAO(c, c); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("CAO = %v", got)
-	}
 }
 
 func TestFacadeDatasetAndWorkload(t *testing.T) {
-	if len(sacsearch.DatasetPresets()) != 6 {
-		t.Fatal("expected six Table 4 presets")
-	}
 	ds, err := sacsearch.LoadDataset("syn1", 0.02)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +131,7 @@ func TestFacadeDynamicReplay(t *testing.T) {
 		}
 		return res.Members, res.MCC, nil
 	}
-	timelines, err := sacsearch.Replay(context.Background(), g, checkins, movers, 200, 3, search)
+	timelines, err := sacsearch.ReplayWithEdges(context.Background(), g, checkins, nil, movers, 200, 3, search, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,3 +141,42 @@ func TestPoolKeepsWarmWorkersAcrossGC(t *testing.T) {
 		t.Fatalf("pool retains %d idle workers, want the cap %d", len(pool.idle), pool.maxIdle)
 	}
 }
+
+// TestPoolIdleCapUnderBurst: 64 goroutines each hold a worker at once, so 64
+// are cloned; once all are back the free list keeps exactly 2×GOMAXPROCS of
+// them, and it stays LIFO — the next Get returns the last worker put back.
+func TestPoolIdleCapUnderBurst(t *testing.T) {
+	const burst = 64
+	pool := NewPool(NewSearcher(figure3()))
+	var holding, done sync.WaitGroup
+	release := make(chan struct{})
+	holding.Add(burst)
+	done.Add(burst)
+	for i := 0; i < burst; i++ {
+		go func() {
+			defer done.Done()
+			w := pool.Get()
+			holding.Done()
+			<-release
+			pool.Put(w)
+		}()
+	}
+	holding.Wait()
+	close(release)
+	done.Wait()
+	if c := pool.Created(); c != burst {
+		t.Fatalf("Created = %d after %d concurrent Gets, want %d", c, burst, burst)
+	}
+	if want := 2 * runtime.GOMAXPROCS(0); len(pool.idle) != want {
+		t.Fatalf("pool retains %d idle workers after the burst, want 2×GOMAXPROCS = %d", len(pool.idle), want)
+	}
+	a, b := pool.Get(), pool.Get()
+	pool.Put(a)
+	pool.Put(b)
+	if got := pool.Get(); got != b {
+		t.Fatal("Get did not return the last worker put back")
+	}
+	if c := pool.Created(); c != burst {
+		t.Fatalf("Created = %d, want %d: recycling cloned", c, burst)
+	}
+}

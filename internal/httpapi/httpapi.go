@@ -90,9 +90,9 @@ func (c *Core) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) 
 		id = c.newRequestID()
 	}
 	w.Header().Set("X-Request-Id", id)
-	route := telemetry.RouteLabel(r.URL.Path)
+	route, method := telemetry.RouteLabel(r.URL.Path), telemetry.MethodLabel(r.Method)
 	ctx := context.WithValue(r.Context(), requestIDKey{}, id)
-	ctx, span := telemetry.StartSpan(ctx, r.Method+" "+route)
+	ctx, span := telemetry.StartSpan(ctx, method+" "+route)
 	span.Remote = sanitizeRequestID(r.Header.Get(telemetry.TraceHeader))
 	w.Header().Set(telemetry.TraceHeader, span.ID)
 	r = r.WithContext(ctx)
@@ -113,7 +113,7 @@ func (c *Core) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) 
 		span.End()
 		elapsed := time.Since(start)
 		c.Metrics.Inflight.Add(-1)
-		c.Metrics.Requests.With(route, r.Method, strconv.Itoa(rw.status())).Inc()
+		c.Metrics.Requests.With(route, method, strconv.Itoa(rw.status())).Inc()
 		c.Metrics.Duration.With(route).Observe(elapsed.Seconds())
 		// A stream's lifetime is its consumer's choice, not a latency: SSE
 		// responses never count as slow.

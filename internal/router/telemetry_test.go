@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -280,6 +281,39 @@ func TestRouterSpanTreeDifferential(t *testing.T) {
 		if !strings.Contains(text, needle) {
 			t.Errorf("metrics missing %q", needle)
 		}
+	}
+}
+
+// TestMadeUpMethodsShareOneSeries: the router, like a server, counts every
+// method net/http accepts but no standard names under one method="other"
+// series and names its spans "other /v1/query".
+func TestMadeUpMethodsShareOneSeries(t *testing.T) {
+	url, _, sl := newTracedTopology(t)
+	for i := 0; i < 50; i++ {
+		req, err := http.NewRequest(fmt.Sprintf("M%d", i), url+"/v1/query", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	series := strings.Split(grepLines(string(body), `sac_http_requests_total{`), "\n")
+	series = slices.DeleteFunc(series, func(line string) bool { return !strings.Contains(line, `route="/v1/query"`) })
+	if len(series) != 1 || !strings.Contains(series[0], `method="other"`) || !strings.HasSuffix(series[0], " 50") {
+		t.Fatalf("fifty made-up methods gave these /v1/query series:\n%s", strings.Join(series, "\n"))
+	}
+	roots := sl.snapshot()
+	if len(roots) < 50 || slices.IndexFunc(roots[:50], func(s *telemetry.Span) bool { return s.Name != "other /v1/query" }) >= 0 {
+		t.Fatalf("%d root spans; the first fifty must be named \"other /v1/query\"", len(roots))
 	}
 }
 

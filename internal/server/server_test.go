@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +312,52 @@ func TestBatchItemsObserved(t *testing.T) {
 	}
 	if got := observed() - before; got != float64(len(req.Queries)) {
 		t.Fatalf("a batch of %d distinct items raised %s by %v", len(req.Queries), count, got)
+	}
+}
+
+// TestMadeUpMethodsShareOneSeries: net/http accepts any token as a method, so
+// fifty made-up ones must count under one method="other" series and name
+// their spans "other /v1/query", not mint fifty series.
+func TestMadeUpMethodsShareOneSeries(t *testing.T) {
+	var mu sync.Mutex
+	var spans []string
+	srv := NewWithConfig("test", testGraph(), Config{
+		Metrics: telemetry.NewRegistry(), ServeMetrics: true,
+		TraceHook: func(s *telemetry.Span) { mu.Lock(); spans = append(spans, s.Name); mu.Unlock() },
+	})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	for i := 0; i < 50; i++ {
+		req, err := http.NewRequest(fmt.Sprintf("M%d", i), ts.URL+"/v1/query", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	var series []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "sac_http_requests_total{") && strings.Contains(line, `route="/v1/query"`) {
+			series = append(series, line)
+		}
+	}
+	if len(series) != 1 || !strings.Contains(series[0], `method="other"`) || !strings.HasSuffix(series[0], " 50") {
+		t.Fatalf("fifty made-up methods gave these /v1/query series:\n%s", strings.Join(series, "\n"))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(spans) < 50 || slices.IndexFunc(spans[:50], func(name string) bool { return name != "other /v1/query" }) >= 0 {
+		t.Fatalf("root spans of fifty made-up methods: %q", spans)
 	}
 }
 

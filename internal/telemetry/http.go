@@ -56,3 +56,15 @@ func RouteLabel(path string) string {
 	}
 	return "other"
 }
+
+// MethodLabel maps a request method onto a bounded label set: the nine
+// standard methods keep their name and everything else becomes "other" —
+// net/http accepts any token as a method, so a client could otherwise mint
+// one series per method it makes up.
+func MethodLabel(method string) string {
+	switch method {
+	case "GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "CONNECT", "OPTIONS", "TRACE":
+		return method
+	}
+	return "other"
+}

@@ -319,3 +319,18 @@ func TestRouteLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestMethodLabel: the nine standard methods keep their name; any other
+// token net/http accepts, lower-case spellings included, is "other".
+func TestMethodLabel(t *testing.T) {
+	for _, m := range []string{"GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "CONNECT", "OPTIONS", "TRACE"} {
+		if got := MethodLabel(m); got != m {
+			t.Errorf("MethodLabel(%q) = %q", m, got)
+		}
+	}
+	for _, m := range []string{"M0", "get", "PROPFIND", "BREW", ""} {
+		if got := MethodLabel(m); got != "other" {
+			t.Errorf("MethodLabel(%q) = %q, want other", m, got)
+		}
+	}
+}

@@ -20,7 +20,8 @@ import (
 // shortest 'f' form, 'e' below 1e-6 and from 1e21 on, e-07 written e-7),
 // null for nil Members and HTML-escaped strings. Like encoding/json it
 // refuses a NaN or infinite float, returning dst unchanged and the error
-// json.Marshal would give.
+// json.Marshal would give. A members array it has written twice comes from
+// its memo (memo.go) as a copy of the stored bytes.
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	out := append(dst, `{"q":`...)
 	out = strconv.AppendInt(out, r.Q, 10)
@@ -30,14 +31,7 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	if r.Members == nil {
 		out = append(out, "null"...)
 	} else {
-		out = append(out, '[')
-		for i, m := range r.Members {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = strconv.AppendInt(out, m, 10)
-		}
-		out = append(out, ']')
+		out = membersMemo.appendMembers(out, r.Members)
 	}
 	for _, f := range [...]struct {
 		key string

@@ -100,20 +100,24 @@ func randResult(rnd *rand.Rand, names []string) *wire.Result {
 }
 
 // TestAppendResultMatchesEncoder is the codec's property test: on random
-// results, AppendResult writes the bytes json.NewEncoder(w).Encode writes,
-// and DecodeResult reads them back in its single pass to the same value.
+// results, AppendResult writes the bytes json.NewEncoder(w).Encode writes —
+// the first time a members array is seen (recorded), the second (stored) and
+// the third (copied from the memo) — and DecodeResult reads them back in its
+// single pass to the same value.
 func TestAppendResultMatchesEncoder(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	names := append(algoNames(), "")
 	for i := 0; i < 5000; i++ {
 		r := randResult(rnd, names)
 		want, _ := encoded(r)
-		got, err := wire.AppendResult([]byte("prefix"), r)
-		if err != nil {
-			t.Fatalf("%+v: %v", r, err)
-		}
-		if !bytes.Equal(got[len("prefix"):], want) {
-			t.Fatalf("AppendResult differs from the encoder\n got: %s\nwant: %s", got[len("prefix"):], want)
+		for _, sighting := range []string{"record", "store", "hit"} {
+			got, err := wire.AppendResult([]byte("prefix"), r)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", sighting, r, err)
+			}
+			if !bytes.Equal(got[len("prefix"):], want) {
+				t.Fatalf("%s: AppendResult differs from the encoder\n got: %s\nwant: %s", sighting, got[len("prefix"):], want)
+			}
 		}
 		var back wire.Result
 		if !wire.DecodeFast(want, &back) {

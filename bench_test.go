@@ -451,8 +451,11 @@ func BenchmarkColdView(b *testing.B) {
 // random edge and deletes it the next time round, so the cached community
 // must survive an edge op. Hit is the same loop with no write, the floor
 // both are measured against — allocations included: a repaired view should
-// allocate what a hit does. For local iteration; the evidence for a claim
-// is the bench/ run.
+// allocate what a hit does. Each arm also reports, per op, the prefix
+// oracles built from nothing (builds/op), those repaired from their last
+// build (repairs/op) and the prefix lengths the repairs recomputed
+// (span/op). For local iteration; the evidence for a claim is the bench/
+// run.
 func BenchmarkChurnQuery(b *testing.B) {
 	ds, err := sacsearch.LoadDataset("syn1", 1)
 	if err != nil {
@@ -483,18 +486,23 @@ func BenchmarkChurnQuery(b *testing.B) {
 			eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
 			defer eng.Close()
 			rnd := rand.New(rand.NewSource(benchSeed))
+			var st sacsearch.Stats
 			query := func(i int) {
 				sn := eng.Current()
 				w := sn.Get()
-				_, err := w.AppFast(hot[i%len(hot)], benchK, 0.5)
+				res, err := w.AppFast(hot[i%len(hot)], benchK, 0.5)
 				sn.Put(w)
 				if err != nil {
 					b.Fatal(err)
 				}
+				st.OracleBuilds += res.Stats.OracleBuilds
+				st.OracleRepairs += res.Stats.OracleRepairs
+				st.OracleRepairSpan += res.Stats.OracleRepairSpan
 			}
 			for i := range hot {
 				query(i)
 			}
+			st = sacsearch.Stats{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -505,6 +513,10 @@ func BenchmarkChurnQuery(b *testing.B) {
 				b.StartTimer()
 				query(i)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(st.OracleBuilds)/float64(b.N), "builds/op")
+			b.ReportMetric(float64(st.OracleRepairs)/float64(b.N), "repairs/op")
+			b.ReportMetric(float64(st.OracleRepairSpan)/float64(b.N), "span/op")
 		})
 	}
 }

@@ -57,8 +57,8 @@ func (s *Searcher) now() stamp { return stamp{loc: s.g.LocEpoch(), topo: s.g.Top
 // id) order as of the locations at at. Distances are not stored: the one at
 // rank i is recomputed from the graph (candidateSet.dist) by the expression
 // the sort keyed on. The embedded oracle memoizes prefix-feasibility answers
-// for this ordering (see oracle.go); it stands until the order or an induced
-// edge changes.
+// for this ordering (see oracle.go); a change to the order or to an induced
+// edge marks the prefix lengths it touched for repair.
 type sortedView struct {
 	q      graph.V
 	at     stamp
@@ -225,7 +225,6 @@ func (e *cacheEntry) viewFor(q graph.V) (vw *sortedView, held bool) {
 	v := e.views[len(e.views)-1]
 	copy(e.views[1:], e.views[:len(e.views)-1])
 	v.q = q
-	v.oracle.built = false
 	e.views[0] = v
 	return &e.views[0], false
 }

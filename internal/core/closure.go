@@ -7,8 +7,13 @@ import (
 // CandidateClosure returns the candidate set X of (q, k) — the connected
 // k-structure containing q — together with its frontier: the vertices
 // outside X adjacent to a member. members is nil when q has no community at
-// this k. Both slices are freshly allocated; the marking runs on the
-// searcher's scratch, so like a query this is not safe for concurrent use.
+// this k. When the cache holds (q, k)'s community — a query on this searcher
+// has just searched it, as a standing query's evaluation does before it asks
+// — members is that entry's, brought current from the journal: shared and
+// immutable, so callers must not modify it. Otherwise (θ-SAC and the trivial
+// orders never fill the cache) it is walked afresh. frontier is always
+// freshly allocated; the marking runs on the searcher's scratch, so like a
+// query this is not safe for concurrent use.
 //
 // The standing-query layer uses the closure as an invalidation gate: every
 // registered algorithm except θ-SAC is a pure function of induced(X) and the
@@ -19,7 +24,11 @@ func (s *Searcher) CandidateClosure(q graph.V, k int) (members, frontier []graph
 	if q < 0 || int(q) >= s.g.NumVertices() || k < 1 {
 		return nil, nil
 	}
-	members = s.communityOf(q, k)
+	if e, ok := s.cache.lookup(q, k); ok && s.revalidate(e, q, k) {
+		members = e.members
+	} else {
+		members = s.communityOf(q, k)
+	}
 	if members == nil {
 		return nil, nil
 	}

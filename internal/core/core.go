@@ -111,6 +111,9 @@ type Stats struct {
 	ViewRepairs       int           // sorted views brought current by moving checked-in members
 	ViewRebuilds      int           // sorted views computed and sorted from scratch
 	EntriesDropped    int           // cached communities a topology change (or a lost journal) invalidated
+	OracleBuilds      int           // prefix oracles built from nothing
+	OracleRepairs     int           // prefix oracles repaired from their last build
+	OracleRepairSpan  int           // prefix lengths the repairs' windows covered
 	Elapsed           time.Duration // wall-clock time of the query
 }
 
@@ -167,8 +170,8 @@ type Searcher struct {
 	// use it to measure what a warm cache buys. Entries and views carry the
 	// timeline stamp they reflect and are repaired from the graph's mutation
 	// journal when a lookup finds them behind (repair.go); rep is that
-	// repair's scratch and the free list of oracle buffers invalidated views
-	// hand back.
+	// repair's scratch and the free list of buffers oracles hand back when
+	// they go out of service or are released.
 	cache   candCache
 	noCache bool
 	rep     repairScratch

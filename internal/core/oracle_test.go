@@ -578,12 +578,12 @@ func TestAnswerMemoFollowsCheckins(t *testing.T) {
 	}
 
 	// First sighting: sort and MCC; second: the sort only; third: neither.
-	// A rebuilt oracle — as a recycled view slot is, at an unchanged stamp —
-	// starts over.
+	// A released oracle — as a recycled view slot's is, at an unchanged
+	// stamp — starts over.
 	var res *Result
 	for i, want := range []struct{ sorts, mccs int }{{1, 1}, {1, 0}, {0, 0}, {1, 1}, {1, 0}, {0, 0}} {
 		if i == 3 {
-			s.curView.oracle.built = false
+			s.releaseOracle(&s.curView.oracle)
 		}
 		before := s.finished
 		res = hot(q)

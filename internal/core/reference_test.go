@@ -9,6 +9,7 @@ package core_test
 // checked against it on small graphs built to tie.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -315,7 +316,7 @@ func refOptimum(st core.Structure, g *graph.Graph, q graph.V, k int) float64 {
 		pts[i] = g.Loc(v)
 	}
 	circles := refCircles(pts)
-	sort.SliceStable(circles, func(i, j int) bool { return circles[i].r < circles[j].r })
+	slices.SortStableFunc(circles, func(a, b refDisk) int { return cmp.Compare(a.r, b.r) })
 	for _, d := range circles {
 		if !d.holds(g.Loc(q)) {
 			continue
@@ -739,4 +740,77 @@ func TestExactMatchesBruteForceOracle(t *testing.T) {
 			t.Fatalf("seed %d: Exact radius %v, the reference optimum %v", seed, res.Radius(), want)
 		}
 	}
+}
+
+// TestReferenceAcrossWrites takes one warm searcher through check-ins and
+// edge ops on graphs built to tie and holds every AppInc, AppFast and AppAcc
+// answer it gives after each round of writes to the reference on the graph
+// as it stands — validity, the optimum bounds and the ratios — and to a
+// fresh searcher, bit for bit. A check-in moves a vertex onto another
+// vertex's point, so ties keep forming. The warm searcher answers from views
+// and prefix oracles repaired across the writes, and the test requires that
+// some were: this is the repaired path held to the paper's definitions, not
+// only to the core's own fresh build.
+func TestReferenceAcrossWrites(t *testing.T) {
+	ctx := context.Background()
+	repairs := 0
+	for seed := int64(1); seed <= 2; seed++ {
+		bg, bq := refBoundary(seed + 5)
+		lattice, colocated := refLattice(seed+60, 40, 190, 8), refLattice(seed+70, 30, 120, 3)
+		for _, f := range []refFixture{
+			{"lattice", lattice, refPick(lattice, seed, 2)},
+			{"co-located", colocated, refPick(colocated, seed, 2)},
+			{"boundary", bg, []graph.V{bq, bq + 25}},
+		} {
+			g, n := f.g, f.g.NumVertices()
+			warm := core.NewSearcher(g)
+			rnd := rand.New(rand.NewSource(seed * 31))
+			for step := 0; step < 6; step++ {
+				for w := rnd.Intn(4); w >= 0; w-- {
+					u, v := graph.V(rnd.Intn(n)), graph.V(rnd.Intn(n))
+					switch r := rnd.Intn(4); {
+					case r < 2:
+						g.SetLoc(u, g.Loc(v))
+					case r == 2 && u != v:
+						if _, err := warm.Apply(graph.Write{Kind: graph.WriteAddEdge, V: u, W: v}); err != nil {
+							t.Fatal(err)
+						}
+					case r == 3:
+						if nb := g.Neighbors(u); len(nb) > 0 {
+							if _, err := warm.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: u, W: nb[rnd.Intn(len(nb))]}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				for _, q := range f.qs {
+					for k := 2; k <= 4; k++ {
+						opt := refOpt{refOptimum(core.StructureKCore, g, q, k), refDeltaStar(core.StructureKCore, g, q, k)}
+						for _, query := range []core.Query{
+							{Algo: "appinc"},
+							{Algo: "appfast", EpsF: core.Float(0)},
+							{Algo: "appfast"},
+							{Algo: "appfast", EpsF: core.Float(2)},
+							{Algo: "appacc"},
+							{Algo: "appacc", EpsA: core.Float(0.1)},
+						} {
+							query.Q, query.K = q, k
+							label := fmt.Sprintf("%s seed %d step %d q=%d k=%d %s%s", f.name, seed, step, q, k, query.Algo, refParams(query))
+							res, err := warm.Search(ctx, query)
+							checkAnswer(t, label, core.StructureKCore, g, query, opt, res, err)
+							want, wantErr := core.NewSearcher(g).Search(ctx, query)
+							sameAnswer(t, label, want, res, wantErr, err)
+							if err == nil {
+								repairs += res.Stats.OracleRepairs
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if repairs == 0 {
+		t.Fatal("no answer came from a repaired oracle")
+	}
+	t.Logf("%d answers from a repaired oracle", repairs)
 }

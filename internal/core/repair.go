@@ -16,6 +16,14 @@ import (
 // worker went back to an older snapshot) and what is too large to be worth
 // patching falls back to the from-scratch path, which first use takes anyway.
 // Which path runs is decided by the journal alone.
+//
+// A view's prefix oracle follows the same way: a check-in that moves a
+// member to another rank, or an edge op inside the community, records the
+// prefix lengths it may have changed, and the next probe repairs those
+// (oracle.go, "Repair"). An oracle is still released — all its buffers to
+// the free list — when its entry is dropped, its view is recycled for
+// another vertex or re-sorted from scratch, or when it kept no state to
+// repair from (a view built once): the next build starts from nothing.
 
 // The limits are set from measurements (CHANGES.md, PR 17, has the runs): in
 // process on syn1@1.0, one community of 30 000 members and 600 k induced
@@ -35,12 +43,14 @@ const (
 	// can name would take 85 ms. single_churn patched exactly 2 rows every
 	// time; only TestRepairMatchesFresh* runs the rebuild side.
 	maxSplicedRows = 16
-	// maxFreeOracles is the number of invalidated oracles whose buffers are
-	// kept for the next builds; an edge op invalidates every view of a
-	// community at once and only the few queried next are rebuilt.
-	// single_churn: 2 % of releases found the list full, 6 % of builds found
-	// no buffer and allocated.
-	maxFreeOracles = 4
+	// maxFreeBuffers is the number of oracle buffers kept for the next
+	// builds. An oracle taken out of service hands back its answer's
+	// buffers — a repairable one keeps its coreAt and its old joinAt — and
+	// one released (see above) hands back all of them. A single_churn write
+	// takes every hot view out of service at once and only the few queried
+	// next are rebuilt, so the list holds what those need, two buffers a
+	// view, and nothing that would keep an idle view's answer alive.
+	maxFreeBuffers = 8
 )
 
 // repairScratch is the working memory of the repair paths plus the free list
@@ -50,9 +60,10 @@ type repairScratch struct {
 	moved []movedMember
 	rows  []int32    // local ids of members whose induced row changed
 	cuts  [][2]int32 // local endpoints of in-community edges the gap removed
+	ops   []edgeOp   // every in-community edge op of the gap
 	side  [2][]int32 // the two BFS queues of connectedInside
 
-	freeOracles []prefixOracle // buffers only; built is false
+	free [][]int32 // oracle buffers (comm, joinAt, coreAt, joinOf), length 0
 }
 
 // movedMember is a member taken out of a view's order for reinsertion.
@@ -62,24 +73,76 @@ type movedMember struct {
 	rank int32 // where it sat
 }
 
-// releaseOracle invalidates vw's oracle and hands its buffers to the free
-// list (or, when that is full, to the collector): an invalid oracle's memory
-// should serve the next build, whichever view that is for.
-func (s *Searcher) releaseOracle(vw *sortedView) {
-	o := &vw.oracle
-	if cap(o.comm) > 0 && len(s.rep.freeOracles) < maxFreeOracles {
-		s.rep.freeOracles = append(s.rep.freeOracles, prefixOracle{comm: o.comm[:0], joinAt: o.joinAt[:0]})
+// freeBuf hands b to the free list, or to the collector when the list is
+// full.
+func (s *Searcher) freeBuf(b []int32) {
+	if cap(b) > 0 && len(s.rep.free) < maxFreeBuffers {
+		s.rep.free = append(s.rep.free, b[:0])
 	}
-	*o = prefixOracle{}
 }
 
-// adoptOracleBuffers gives an oracle without buffers a pair off the free
-// list, if there is one.
-func (s *Searcher) adoptOracleBuffers(o *prefixOracle) {
-	if n := len(s.rep.freeOracles); n > 0 && cap(o.comm) == 0 {
-		o.comm, o.joinAt = s.rep.freeOracles[n-1].comm, s.rep.freeOracles[n-1].joinAt
-		s.rep.freeOracles[n-1] = prefixOracle{}
-		s.rep.freeOracles = s.rep.freeOracles[:n-1]
+// takeBuf returns b when it has storage, else a buffer off the free list, if
+// there is one.
+func (s *Searcher) takeBuf(b []int32) []int32 {
+	if n := len(s.rep.free); cap(b) == 0 && n > 0 {
+		b = s.rep.free[n-1]
+		s.rep.free[n-1] = nil
+		s.rep.free = s.rep.free[:n-1]
+	}
+	return b
+}
+
+// releaseOracle drops o and hands all its buffers to the free list: its
+// memory should serve the next build, whichever view that is for. builds
+// survives; the caller resets it when the view changes hands.
+func (s *Searcher) releaseOracle(o *prefixOracle) {
+	s.freeBuf(o.comm)
+	s.freeBuf(o.joinAt)
+	s.freeBuf(o.coreAt)
+	s.freeBuf(o.joinOf)
+	*o = prefixOracle{builds: o.builds, dirty: o.dirty[:0], edges: o.edges[:0]}
+}
+
+// staleOracle takes o out of service until its next build and reports
+// whether it keeps the state a repair starts from, with room for one more
+// record; when it does not, it is released. A built oracle hands back its
+// answer — comm, and the memo — keeping, if it is repairable, its joinAt
+// turned from answer order into local ids over the same buffer. s.localOf
+// must be bound to o's entry.
+func (s *Searcher) staleOracle(o *prefixOracle) bool {
+	if o.built {
+		o.built = false
+		o.memo = answerMemo{}
+		if !o.kept {
+			s.releaseOracle(o)
+			return false
+		}
+		old := s.oracleBuf.order[:len(o.joinAt)]
+		copy(old, o.joinAt)
+		for p, v := range o.comm {
+			o.joinAt[s.localOf[v]] = old[p]
+		}
+		s.freeBuf(o.comm)
+		o.comm, o.joinAt, o.joinOf = nil, nil, o.joinAt
+	}
+	if o.kept && len(o.dirty)+len(o.edges) == maxDirty {
+		s.releaseOracle(o)
+	}
+	return o.kept
+}
+
+// touchOracle records that o's view may hold another set in the prefixes of
+// lengths [a, b].
+func (s *Searcher) touchOracle(o *prefixOracle, a, b int32) {
+	if s.staleOracle(o) {
+		o.dirty = append(o.dirty, [2]int32{a, b})
+	}
+}
+
+// touchOracleEdge records an edge op between two members.
+func (s *Searcher) touchOracleEdge(o *prefixOracle, op edgeOp) {
+	if s.staleOracle(o) {
+		o.edges = append(o.edges, op)
 	}
 }
 
@@ -106,10 +169,10 @@ func (s *Searcher) adoptOracleBuffers(o *prefixOracle) {
 // that stops at its first member runs over old edges only. Hence Y would
 // have been in M's component of G0's k-core, which is M itself — Y is empty.
 //
-// A kept entry's induced CSR is patched row by row and, if any row changed,
-// the oracles of all its views are invalidated. k-truss and k-clique entries
-// have no such test and are dropped on any edge op, as is any entry whose
-// gap the journal cannot produce.
+// A kept entry's induced CSR is patched row by row, and every view's oracle
+// records the edge ops inside M for its next repair. k-truss and k-clique
+// entries have no such test and are dropped on any edge op, as is any entry
+// whose gap the journal cannot produce.
 func (s *Searcher) revalidate(e *cacheEntry, q graph.V, k int) bool {
 	// With no edge op since the stamp there is nothing to absorb, and moving
 	// the stamp up keeps the next gap short of the check-ins in between.
@@ -123,7 +186,7 @@ func (s *Searcher) revalidate(e *cacheEntry, q graph.V, k int) bool {
 		s.localEntry = nil
 	}
 	for i := range e.views {
-		s.releaseOracle(&e.views[i])
+		s.releaseOracle(&e.views[i].oracle)
 	}
 	s.stats.EntriesDropped++
 	return false
@@ -144,8 +207,8 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 		return false
 	}
 	s.bindLocal(e)
-	rows, cuts := s.rep.rows[:0], s.rep.cuts[:0]
-	defer func() { s.rep.rows, s.rep.cuts = rows, cuts }()
+	rows, cuts, ops := s.rep.rows[:0], s.rep.cuts[:0], s.rep.ops[:0]
+	defer func() { s.rep.rows, s.rep.cuts, s.rep.ops = rows, cuts, ops }()
 	removals := false
 	for _, m := range gap {
 		if m.Kind == graph.WriteCheckin {
@@ -155,6 +218,7 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 		if s.localValid.Has(m.V) && s.localValid.Has(m.W) {
 			lu, lw := s.localOf[m.V], s.localOf[m.W]
 			rows = append(rows, lu, lw)
+			ops = append(ops, edgeOp{u: lu, w: lw, insert: m.Kind == graph.WriteAddEdge})
 			if m.Kind == graph.WriteRemoveEdge {
 				cuts = append(cuts, [2]int32{lu, lw})
 			}
@@ -188,7 +252,9 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 		}
 	}
 	for i := range e.views {
-		s.releaseOracle(&e.views[i])
+		for _, op := range ops {
+			s.touchOracleEdge(&e.views[i].oracle, op)
+		}
 	}
 	return true
 }
@@ -266,9 +332,10 @@ func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 // stamp out of the order and reinserts it at its new rank; a check-in of a
 // non-member costs nothing. q's own move changes every key, so it — like
 // more than maxRepositioned moved members, a gap out of the journal's reach,
-// or a slot that held another vertex's view — is sorted from scratch. The
-// prefix oracle depends on the order alone (and on induced edges, which
-// revalidate watches), so it stands unless a member's rank changed.
+// or a slot that held another vertex's view — is sorted from scratch, and
+// the oracle starts over. The prefix oracle depends on the order alone (and
+// on induced edges, which revalidate watches), so a repositioned view keeps
+// it and records the prefix lengths each member that changed rank crossed.
 func (s *Searcher) refreshView(e *cacheEntry, q graph.V) *sortedView {
 	now := s.now()
 	vw, held := e.viewFor(q)
@@ -280,7 +347,10 @@ func (s *Searcher) refreshView(e *cacheEntry, q graph.V) *sortedView {
 	default:
 		vw.verts = append(vw.verts[:0], e.members...)
 		s.sortAround(q, vw.verts)
-		vw.oracle.built = false
+		s.releaseOracle(&vw.oracle)
+		if !held {
+			vw.oracle.builds = 0
+		}
 		s.stats.ViewRebuilds++
 	}
 	vw.at = now
@@ -337,8 +407,10 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 	s.rep.moved = moved
 
 	// Merge them back in from the far end: moved[j] lands after the idx kept
-	// members that precede it and the j moved ones that do.
-	changed := false
+	// members that precede it and the j moved ones that do. The kept members
+	// fill the other ranks in unchanged relative order, so a prefix holds
+	// another set only if some moved member crossed its end: the lengths
+	// between its old and new rank are what it dirties.
 	for j := len(moved) - 1; j >= 0; j-- {
 		mv := moved[j]
 		idx := sort.Search(kept, func(i int) bool {
@@ -347,14 +419,10 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 		})
 		copy(verts[idx+j+1:kept+j+1], verts[idx:kept])
 		verts[idx+j] = mv.v
-		changed = changed || int32(idx+j) != mv.rank
+		if at := int32(idx + j); at != mv.rank {
+			s.touchOracle(&vw.oracle, min(at, mv.rank)+1, max(at, mv.rank))
+		}
 		kept = idx
-	}
-	// The kept members fill the other ranks in unchanged relative order, so
-	// the order is the old one exactly when every moved member is back at
-	// the rank it left.
-	if changed {
-		s.releaseOracle(vw)
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -21,6 +22,8 @@ type repairTally struct {
 	viewHits     int
 	viewRepairs  int
 	viewRebuilds int
+	builds       int // prefix oracles built from nothing
+	repairs      int // prefix oracles repaired from their last build
 }
 
 func (a *repairTally) add(b repairTally) {
@@ -31,6 +34,8 @@ func (a *repairTally) add(b repairTally) {
 	a.viewHits += b.viewHits
 	a.viewRepairs += b.viewRepairs
 	a.viewRebuilds += b.viewRebuilds
+	a.builds += b.builds
+	a.repairs += b.repairs
 }
 
 // repairAlgos are the algorithms the churn scripts rotate through. Exact+ is
@@ -47,7 +52,9 @@ var repairAlgos = []Query{
 // runRepairScript drives one warm searcher through steps rounds of "a few
 // mutations, then a query" on its own graph and requires every answer — and
 // the repaired view's order — to equal a fresh searcher's on the graph as it
-// stands. Mutations pile up between queries: small steps, teleports, moves
+// stands, and its view's prefix oracle — comm, joinAt and minFeasible,
+// whether it was built or repaired — to equal the fresh one bit for bit.
+// Mutations pile up between queries: small steps, teleports, moves
 // of the query vertices themselves, edge inserts and deletes, and now and
 // then a burst longer than the reposition limit or the journal itself.
 func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, steps int, seed int64) repairTally {
@@ -125,6 +132,8 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 		tally.viewHits += st.ViewHits
 		tally.viewRepairs += st.ViewRepairs
 		tally.viewRebuilds += st.ViewRebuilds
+		tally.builds += st.OracleBuilds
+		tally.repairs += st.OracleRepairs
 		if st.CacheHits > 0 && edgeOps > 0 {
 			// The entry predates the edge ops, so revalidate kept it.
 			if gotErr == nil {
@@ -154,6 +163,14 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 		if !slices.Equal(warm.curView.verts, fresh.curView.verts) {
 			t.Fatalf("seed %d step %d q=%d k=%d: repaired view order differs from a fresh sort",
 				seed, step, query.Q, query.K)
+		}
+		// A query that probed no prefix leaves the fresh oracle unbuilt; the
+		// warm one may still stand from an earlier query.
+		if w, f := &warm.curView.oracle, &fresh.curView.oracle; f.built &&
+			(!w.built || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible) {
+			t.Fatalf("seed %d step %d %s q=%d k=%d: warm oracle (built %v, %d members, minFeasible %d, repairs %d) differs from a fresh build (built %v, %d members, minFeasible %d)",
+				seed, step, query.Algo, query.Q, query.K, w.built, len(w.comm), w.minFeasible, st.OracleRepairs,
+				f.built, len(f.comm), f.minFeasible)
 		}
 	}
 	return tally
@@ -203,7 +220,8 @@ func TestRepairMatchesFreshDense(t *testing.T) {
 		total.add(runRepairScript(t, ds.Graph, []int{c.k}, hot, steps, int64(100+c.k)))
 	}
 	t.Logf("dense: %+v", total)
-	if total.kept == 0 || total.viewRepairs == 0 || total.viewRebuilds == 0 || total.viewHits == 0 {
+	if total.kept == 0 || total.viewRepairs == 0 || total.viewRebuilds == 0 || total.viewHits == 0 ||
+		total.builds == 0 || total.repairs == 0 {
 		t.Fatalf("a repair outcome never occurred: %+v", total)
 	}
 }
@@ -233,15 +251,15 @@ func TestRepairMatchesFreshSparse(t *testing.T) {
 	if total.kept == 0 || total.keptNegative == 0 || total.dropped == 0 {
 		t.Fatalf("need both kept and dropped entries: %+v", total)
 	}
-	if total.viewRepairs == 0 || total.viewRebuilds == 0 || total.viewHits == 0 {
+	if total.viewRepairs == 0 || total.viewRebuilds == 0 || total.viewHits == 0 || total.builds == 0 || total.repairs == 0 {
 		t.Fatalf("a view outcome never occurred: %+v", total)
 	}
 }
 
 // TestRepairDoesNotAllocate pins the steady state under churn: once the
 // scratch has grown, bringing a cached community and a view across a write —
-// a member moved to a new rank, an inside edge toggled — and rebuilding the
-// invalidated oracle allocates nothing beyond what the write itself does.
+// a member moved to a new rank, an inside edge toggled — and repairing the
+// view's prefix oracle allocates nothing beyond what the write itself does.
 func TestRepairDoesNotAllocate(t *testing.T) {
 	g := latticeGraph(3, 400, 2400, 40)
 	s := NewSearcher(g)
@@ -267,15 +285,21 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 	}
 	probe()
 
+	// The mover alternates between q's side, where it ranks near the front,
+	// and q's opposite corner, where it ranks last: every move changes its
+	// rank.
 	far := false
+	qp := g.Loc(q)
 	move := func() {
 		far = !far
-		p := geom.Point{X: 0.01, Y: 0.01}
+		p := geom.Point{X: qp.X + 1e-6, Y: qp.Y}
 		if far {
-			p = geom.Point{X: 0.99, Y: 0.99}
+			p = geom.Point{X: math.Round(1 - qp.X), Y: math.Round(1 - qp.Y)}
 		}
 		g.SetLoc(mover, p)
 	}
+	move()
+	probe() // the second build, from which the oracle keeps what a repair needs
 	insert := false
 	toggle := func() {
 		insert = !insert
@@ -299,10 +323,12 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 	} {
 		before := s.curView.oracle.comm
 		writeOnly := testing.AllocsPerRun(20, c.write)
+		probe() // catch up with the odd number of writes just made
 		both := testing.AllocsPerRun(20, func() {
 			c.write()
 			probe()
-			if c.count() != 1 || s.stats.EntriesDropped != 0 || s.stats.ViewRebuilds != 0 {
+			if c.count() != 1 || s.stats.EntriesDropped != 0 || s.stats.ViewRebuilds != 0 ||
+				s.stats.OracleRepairs != 1 || s.stats.OracleBuilds != 0 {
 				t.Fatalf("%s: not repaired: %+v", c.name, s.stats)
 			}
 		})
@@ -310,7 +336,158 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: repair allocated %v times per run on top of the write's %v", c.name, both-writeOnly, writeOnly)
 		}
 		if !s.curView.oracle.built || &s.curView.oracle.comm[0] != &before[0] {
-			t.Errorf("%s: the rebuilt oracle is not on the buffers the invalidated one released", c.name)
+			t.Errorf("%s: the repaired oracle is not on the buffers it handed back", c.name)
+		}
+	}
+}
+
+// TestOracleRepairEachInterval drives each kind of dirty interval through
+// one warm view and requires, after every write, the repaired oracle to
+// equal a fresh build bit for bit — comm, joinAt, minFeasible and the
+// answer — and the path that ran to be the one the write calls for: a
+// repair over a short window for a small step, over nearly every length for
+// a member teleported to the far corner, over no window for an insert past
+// both ends' join point; a build from nothing when q itself moves or more
+// than maxRepositioned members do.
+func TestOracleRepairEachInterval(t *testing.T) {
+	ds, err := dataset.Load("syn1", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	const k = 4
+	s := NewSearcher(g)
+	q := eligible(s, k, 1)[0]
+	ctx := context.Background()
+	query := func(what string) Stats {
+		t.Helper()
+		got, err := s.Search(ctx, Query{Algo: "appinc", Q: q, K: k})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		fresh := NewSearcher(g)
+		want, err := fresh.Search(ctx, Query{Algo: "appinc", Q: q, K: k})
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", what, err)
+		}
+		w, f := &s.curView.oracle, &fresh.curView.oracle
+		if !w.built || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
+			t.Fatalf("%s: oracle (built %v, %d members, minFeasible %d) differs from a fresh build (%d members, minFeasible %d)",
+				what, w.built, len(w.comm), w.minFeasible, len(f.comm), f.minFeasible)
+		}
+		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
+			t.Fatalf("%s: answer differs from a fresh searcher's: %d/%d members, MCC %v/%v, δ %v/%v", what, len(got.Members), len(want.Members), got.MCC, want.MCC, got.Delta, want.Delta)
+		}
+		return got.Stats
+	}
+	// rankOf and joinOf read the warm view as the last query left it.
+	rankOf := func(v graph.V) int32 { return int32(slices.Index(s.curView.verts, v)) }
+	joinOf := func(v graph.V) int32 { return s.curView.oracle.joinAt[slices.Index(s.curView.oracle.comm, v)] }
+	moveTo := func(v graph.V, d float64) { // along the ray from q, to distance d
+		qp, vp := g.Loc(q), g.Loc(v)
+		r := qp.Dist(vp)
+		g.SetLoc(v, geom.Point{X: qp.X + (vp.X-qp.X)*d/r, Y: qp.Y + (vp.Y-qp.Y)*d/r})
+	}
+	distAt := func(rank int32) float64 { return g.Loc(q).Dist(g.Loc(s.curView.verts[rank])) }
+	// findPair returns two non-adjacent members whose ends satisfy ok.
+	findPair := func(ok func(u, w graph.V) bool) (graph.V, graph.V) {
+		t.Helper()
+		vs := s.curView.verts
+		for i := len(vs) / 4; i < len(vs); i++ {
+			for j := i + 1; j < len(vs) && j < i+200; j++ {
+				if u, w := vs[i], vs[j]; u != q && w != q && !g.HasEdge(u, w) && ok(u, w) {
+					return u, w
+				}
+			}
+		}
+		t.Fatal("fixture: no such pair")
+		return -1, -1
+	}
+
+	query("first build")
+	n := int32(len(s.curView.verts))
+	moveTo(s.curView.verts[n/2], distAt(n/2+3))
+	if st := query("second build"); st.OracleBuilds != 1 || n < 1000 {
+		t.Fatalf("fixture: the second build is not from nothing (%+v) or |X| = %d is small", st, n)
+	}
+
+	type step struct {
+		name  string
+		write func()
+		check func(st Stats) bool
+	}
+	var insU, insW graph.V
+	repaired := func(lo, hi int) func(Stats) bool {
+		return func(st Stats) bool {
+			return st.OracleRepairs == 1 && st.OracleBuilds == 0 && st.OracleRepairSpan >= lo && st.OracleRepairSpan <= hi
+		}
+	}
+	built := func(st Stats) bool { return st.OracleBuilds == 1 && st.OracleRepairs == 0 && st.ViewRebuilds == 1 }
+	for _, c := range []step{
+		{"small step", func() {
+			r := n / 3
+			moveTo(s.curView.verts[r], (distAt(r+5)+distAt(r+6))/2)
+		}, repaired(1, 12)},
+		{"teleport to the far corner", func() {
+			v := s.curView.verts[5]
+			qp := g.Loc(q)
+			g.SetLoc(v, geom.Point{X: math.Round(1 - qp.X), Y: math.Round(1 - qp.Y)})
+		}, repaired(int(n)*3/4, int(n))},
+		{"a repair cut short by its context, then run", func() {
+			r := n / 4
+			moveTo(s.curView.verts[r], (distAt(r+5)+distAt(r+6))/2)
+			s.begin(ctx)
+			if _, err := s.candidates(q, k); err != nil {
+				t.Fatal(err)
+			}
+			s.qctx = newCountdown(0)
+			if s.buildPrefixOracle(s.curEntry, s.curView, q, k) || s.curView.oracle.built || !s.curView.oracle.kept {
+				t.Fatal("a canceled repair completed, or dropped the state it starts from")
+			}
+		}, repaired(1, 12)},
+		{"co-located tie", func() {
+			r := n / 2
+			g.SetLoc(s.curView.verts[r], g.Loc(s.curView.verts[r+7]))
+		}, repaired(1, 12)},
+		{"insert before the join point", func() {
+			insU, insW = findPair(func(u, w graph.V) bool {
+				return max(joinOf(u), joinOf(w)) > max(rankOf(u), rankOf(w))+1
+			})
+			if _, err := s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: insU, W: insW}); err != nil {
+				t.Fatal(err)
+			}
+		}, repaired(1, int(n))},
+		{"delete", func() {
+			if _, err := s.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: insU, W: insW}); err != nil {
+				t.Fatal(err)
+			}
+		}, repaired(1, int(n))},
+		{"insert past the join point", func() {
+			insU, insW = findPair(func(u, w graph.V) bool {
+				return joinOf(u) == rankOf(u)+1 && joinOf(w) == rankOf(w)+1
+			})
+			if _, err := s.Apply(graph.Write{Kind: graph.WriteAddEdge, V: insU, W: insW}); err != nil {
+				t.Fatal(err)
+			}
+		}, repaired(0, 0)},
+		{"q's own move", func() {
+			p := g.Loc(q)
+			g.SetLoc(q, geom.Point{X: p.X + 0.002, Y: p.Y})
+		}, built},
+		{"a burst past maxRepositioned", func() {
+			for r := int32(1); r <= maxRepositioned+1; r++ {
+				v := s.curView.verts[r*(n/(maxRepositioned+2))]
+				p := g.Loc(v)
+				g.SetLoc(v, geom.Point{X: p.X + 1e-4, Y: p.Y})
+			}
+		}, built},
+	} {
+		c.write()
+		st := query(c.name)
+		t.Logf("%s: builds %d, repairs %d over %d of %d lengths", c.name, st.OracleBuilds, st.OracleRepairs, st.OracleRepairSpan, n)
+		if !c.check(st) {
+			t.Errorf("%s: took the wrong path: builds %d, repairs %d over %d lengths (|X| = %d), view rebuilds %d",
+				c.name, st.OracleBuilds, st.OracleRepairs, st.OracleRepairSpan, n, st.ViewRebuilds)
 		}
 	}
 }

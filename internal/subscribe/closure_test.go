@@ -2,7 +2,9 @@ package subscribe
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sacsearch/internal/core"
@@ -80,5 +82,70 @@ func TestClosureCarriedWhileTopologyStands(t *testing.T) {
 	moveMember(0.6) // forces a later round, so the full one has completed
 	if got := closure(); same(got, second) || len(got) != len(second) {
 		t.Fatal("closure carried across a notification with an unknown change set")
+	}
+}
+
+// TestClosureMatchesFreshWalk pins the closure an evaluation takes from the
+// pooled worker's cache — the community its Search has just revalidated —
+// against a fresh walk of the topology: after every edge op the gate's
+// members and frontier must be, as sets, what a searcher with an empty cache
+// finds on the evaluated snapshot. Inserts and deletes land inside the
+// community, on its frontier and far away, so some change the set and some
+// leave it standing.
+func TestClosureMatchesFreshWalk(t *testing.T) {
+	g := churnGraph(t, 150, 600, 11)
+	n := g.NumVertices()
+	eng := snapshot.New(g, snapshot.Options{})
+	defer eng.Close()
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{StreamBuf: 4096}})
+	defer mgr.Close()
+	eng.SetOnPublish(mgr.Notify)
+
+	const k = 3
+	q := graph.V(0)
+	for v := 1; v < n; v++ {
+		if g.Degree(graph.V(v)) > g.Degree(q) {
+			q = graph.V(v)
+		}
+	}
+	sub, err := mgr.Register("closure", core.Query{Q: q, K: k, Algo: "appfast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := func(vs []graph.V) []graph.V {
+		out := slices.Clone(vs)
+		slices.Sort(out)
+		return out
+	}
+	rnd := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	compared := 0
+	for i := 0; i < 150; i++ {
+		u, w := graph.V(rnd.Intn(n)), graph.V(rnd.Intn(n))
+		if nb := eng.Current().Graph().Neighbors(u); rnd.Intn(2) == 0 && len(nb) > 0 {
+			w = nb[rnd.Intn(len(nb))]
+		}
+		insert := !eng.Current().Graph().HasEdge(u, w)
+		if u == w {
+			continue
+		}
+		if _, err := eng.UpdateEdge(ctx, u, w, insert); err != nil {
+			t.Fatal(err)
+		}
+		sn := eng.Current()
+		waitProcessed(t, mgr, sn.Seq())
+		gt := sub.Gate.(*gate)
+		if gt.lastSeq != sn.Seq() {
+			continue // gated out: the op touched neither X nor its frontier
+		}
+		wantM, wantF := core.NewSearcher(sn.Graph()).CandidateClosure(q, k)
+		if !slices.Equal(sorted(gt.members), sorted(wantM)) || !slices.Equal(sorted(gt.frontier), sorted(wantF)) {
+			t.Fatalf("op %d (%d-%d insert=%v): closure has %d members and %d frontier vertices, a fresh walk %d and %d",
+				i, u, w, insert, len(gt.members), len(gt.frontier), len(wantM), len(wantF))
+		}
+		compared++
+	}
+	if compared < 20 {
+		t.Fatalf("only %d evaluations compared", compared)
 	}
 }

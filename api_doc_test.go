@@ -46,7 +46,7 @@ func TestReadmeMatchesRegistry(t *testing.T) {
 	for _, route := range []string{
 		"/v1/health", "/v1/ready", "/v1/algorithms", "/v1/vertex/{id}",
 		"/v1/query", "/v1/batch", "/v1/checkin", "/v1/edge",
-		"/v1/shard/info", "/v1/shard/search", "/v1/shard/expand", "/v1/shard/range",
+		"/v1/shard/info", "/v1/shard/search", "/v1/shard/expand",
 		"/v1/subscribe", "/v1/shard/watch",
 		"/metrics",
 	} {
@@ -65,6 +65,7 @@ func TestReadmeMatchesRegistry(t *testing.T) {
 		"read_only", "stale_read", "not_ready", "internal", // replication + recovery codes
 		"wrong_shard", "shard_unavailable", // sharded-topology codes
 		"unknown_subscription", "subscription_limit", // standing-query codes
+		"unknown_route", // no route takes the path or method
 	}
 	for _, code := range codes {
 		if !strings.Contains(section, code) {

@@ -35,16 +35,6 @@ func (c *Client) ShardExpand(ctx context.Context, k int, seeds []int64) (*ShardE
 	return call[ShardExpansion](ctx, c, http.MethodPost, "/v1/shard/expand", wire.ShardExpandRequest{K: k, Seeds: seeds})
 }
 
-// ShardRange fetches every vertex the shard owns inside the closed disk of
-// radius r around (x, y).
-func (c *Client) ShardRange(ctx context.Context, x, y, r float64) ([]ShardVertex, error) {
-	var out wire.ShardRangeResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/range", wire.ShardRangeRequest{X: x, Y: y, R: r}, &out); err != nil {
-		return nil, err
-	}
-	return out.Members, nil
-}
-
 // ShardInfo fetches shard info from any endpoint of the set.
 func (s *Set) ShardInfo(ctx context.Context) (*ShardInfo, error) {
 	return forward(s.read, func(c *Client) (*ShardInfo, error) { return c.ShardInfo(ctx) })
@@ -58,12 +48,6 @@ func (s *Set) ShardSearch(ctx context.Context, q Query) (*ShardSearchResult, err
 // ShardExpand fetches the shard-local closure from any endpoint of the set.
 func (s *Set) ShardExpand(ctx context.Context, k int, seeds []int64) (*ShardExpansion, error) {
 	return forward(s.read, func(c *Client) (*ShardExpansion, error) { return c.ShardExpand(ctx, k, seeds) })
-}
-
-// ShardRange fetches the in-disk owned vertices from any endpoint of the
-// set.
-func (s *Set) ShardRange(ctx context.Context, x, y, r float64) ([]ShardVertex, error) {
-	return forward(s.read, func(c *Client) ([]ShardVertex, error) { return c.ShardRange(ctx, x, y, r) })
 }
 
 // Health fetches /v1/health from any endpoint of the set.

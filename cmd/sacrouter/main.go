@@ -78,7 +78,6 @@ func main() {
 		QueryParallelism:   *queryPar,
 		Logger:             logger,
 		Metrics:            reg,
-		ServeMetrics:       *metrics,
 		SlowQueryThreshold: *slowQuery,
 	})
 	if err != nil {

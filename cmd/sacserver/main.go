@@ -134,7 +134,7 @@ func main() {
 
 	cfg := server.Config{
 		QueryTimeout: *qTimeout, MaxBodyBytes: *maxBody, StalenessBound: *staleBound,
-		QueryParallelism: *queryPar, Logger: logger, Metrics: reg, ServeMetrics: *metrics,
+		QueryParallelism: *queryPar, Logger: logger, Metrics: reg,
 		SlowQueryThreshold: *slowQuery,
 	}
 	srvName := graphName(*load, *name)

@@ -16,10 +16,11 @@ import (
 // query this is not safe for concurrent use.
 //
 // The standing-query layer uses the closure as an invalidation gate: every
-// registered algorithm except θ-SAC is a pure function of induced(X) and the
-// locations of X, and (for the k-core metric) X can only change when an
-// applied event touches X itself or moves a frontier vertex into the k-core,
-// so a publication disjoint from the closure cannot change the answer.
+// registered algorithm (θ-SAC by theta.go's lemma) is a pure function of
+// induced(X) and the locations of X, and (for the k-core metric) X can only
+// change when an applied event touches X itself or moves a frontier vertex
+// into the k-core, so a publication disjoint from the closure cannot change
+// the answer.
 func (s *Searcher) CandidateClosure(q graph.V, k int) (members, frontier []graph.V) {
 	if q < 0 || int(q) >= s.g.NumVertices() || k < 1 {
 		return nil, nil

@@ -356,12 +356,13 @@ func refDeltaStar(st core.Structure, g *graph.Graph, q graph.V, k int) float64 {
 	panic("reference: X holds no community")
 }
 
-// refTheta is θ-SAC's answer: q's connected k-structure among the vertices of
-// O(q, θ).
-func refTheta(st core.Structure, g *graph.Graph, q graph.V, k int, theta float64) []graph.V {
+// refTheta is θ-SAC's answer drawn from set: q's connected k-structure among
+// the vertices of set inside O(q, θ). Over all of G it is θ-SAC's definition;
+// over q's community X it is the lemma's side (theta.go).
+func refTheta(st core.Structure, g *graph.Graph, set []graph.V, q graph.V, k int, theta float64) []graph.V {
 	disk := refDisk{g.Loc(q), theta}
 	var in []graph.V
-	for _, v := range refAll(g) {
+	for _, v := range set {
 		if disk.holds(g.Loc(v)) {
 			in = append(in, v)
 		}
@@ -532,7 +533,12 @@ func checkAnswer(t *testing.T, label string, st core.Structure, g *graph.Graph, 
 	t.Helper()
 	q, k := query.Q, query.K
 	if query.Algo == "theta" {
-		want := refTheta(st, g, q, k, *query.Theta)
+		want := refTheta(st, g, refAll(g), q, k, *query.Theta)
+		// The lemma the shard certificate, the router's gather and the
+		// standing-query gate rest on: the disk's answer is read from X alone.
+		if inX := refTheta(st, g, refStructure(st, g, refAll(g), q, k), q, k, *query.Theta); !slices.Equal(inX, want) {
+			t.Fatalf("%s: θ-SAC's %v over all of G is %v, over q's community %v", label, st, want, inX)
+		}
 		if want == nil {
 			if !errors.Is(err, core.ErrNoCommunity) {
 				t.Fatalf("%s: θ-SAC answered %v, %v; the reference finds no community", label, res, err)

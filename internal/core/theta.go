@@ -7,6 +7,27 @@ import (
 	"sacsearch/internal/graph"
 )
 
+// θ-SAC reads only the candidate set. Call a connected subgraph of G[S] that
+// holds q and meets the structure metric (minimum degree ≥ k; every edge in
+// ≥ k-2 of its triangles; k-cliques percolating from one through q) a
+// structure of q in S. Structures are closed under union, so S has a largest,
+// St(S) (Searcher.feasible), and the candidate set every other algorithm
+// reads is X = St(V) (Searcher.candidates).
+//
+// Lemma. With R the vertices reachable from q inside O(q, θ) (θ-SAC's BFS),
+// θ-SAC's answer St(R) equals St(X ∩ O(q, θ)).
+//
+// Proof. (a) A structure of q in any S is one in V, each metric being a
+// property of the subgraph alone, so St(S) ⊆ X. (b) A structure of q inside
+// O(q, θ) is connected, so it lies in R. By (a), St(R) is a structure in
+// X ∩ O(q, θ), hence inside St(X ∩ O(q, θ)); by (b), St(X ∩ O(q, θ)) lies
+// in R, hence inside St(R). □
+//
+// So θ-SAC's answer is a function of X, its induced edges and its members'
+// locations, as every other algorithm's is, and the serving layers treat it
+// alike. The body still gathers by BFS: answering from q's cached view of X
+// measured slower (ROADMAP, parked items).
+
 // ThetaSAC is the θ-SAC search of Section 3: a variant of Global [29] that
 // first gathers the vertices connected to q inside the fixed circle O(q, θ)
 // by BFS, then returns the k-ĉore containing q within them. Unlike SAC

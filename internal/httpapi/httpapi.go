@@ -76,15 +76,16 @@ func (c *Core) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// Serve runs one request through next with the shared request discipline: it
+// Serve runs one request through mux with the shared request discipline: it
 // assigns the request id, starts the request's root trace span (linking it to
 // the caller's span when the X-Trace-Span header names one), and on the way
 // out observes the sac_http_* metrics, logs slow requests with their full
 // span tree, and hands the finished span to TraceHook. A handler panic is
 // recovered here: the stack is logged with the request and span ids, and — if
 // the handler had not started its response — the client gets a 500 envelope
-// instead of a severed connection.
-func (c *Core) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) {
+// instead of a severed connection. A request no route of mux takes gets the
+// envelope too: 404 or 405 (with Allow), code unknown_route.
+func (c *Core) Serve(w http.ResponseWriter, r *http.Request, mux *http.ServeMux) {
 	id := sanitizeRequestID(r.Header.Get("X-Request-Id"))
 	if id == "" {
 		id = c.newRequestID()
@@ -126,8 +127,30 @@ func (c *Core) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) 
 			c.TraceHook(span)
 		}
 	}()
-	next.ServeHTTP(rw, r)
+	if _, pattern := mux.Handler(r); pattern == "" {
+		mux.ServeHTTP(unrouted{rw, r}, r)
+		return
+	}
+	mux.ServeHTTP(rw, r)
 }
+
+// unrouted carries net/http's answer to a request no route takes — 404, 405
+// with Allow, or a redirect to the cleaned path — without its plain-text
+// body, and a 404 or 405 as the envelope.
+type unrouted struct {
+	http.ResponseWriter
+	r *http.Request
+}
+
+func (u unrouted) WriteHeader(code int) {
+	if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+		WriteError(u.ResponseWriter, u.r, code, wire.CodeUnknownRoute, "", "no route takes "+u.r.Method+" "+u.r.URL.Path)
+		return
+	}
+	u.ResponseWriter.WriteHeader(code)
+}
+
+func (unrouted) Write(b []byte) (int, error) { return len(b), nil }
 
 // trackingWriter records whether the response has started (so the panic
 // recovery knows if a 500 envelope can still be sent) and the status code

@@ -443,3 +443,48 @@ func TestWriteResult(t *testing.T) {
 		t.Fatalf("a NaN δ: %d %q (%v)", got.Code, got.Body, err)
 	}
 }
+
+// TestServeUnknownRoute: a request no route takes gets the envelope, code
+// unknown_route, with net/http's status (404 for a path nothing serves, 405
+// and its Allow header for a method the path's routes do not take), and a
+// matched route is still served with its path values. A redirect to the
+// cleaned path is net/http's, untouched.
+func TestServeUnknownRoute(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, "query") })
+	mux.HandleFunc("GET /v1/vertex/{id}", func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, r.PathValue("id")) })
+	c := &Core{IDPrefix: "req-"}
+	serve := func(method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		c.Serve(rec, httptest.NewRequest(method, path, nil), mux)
+		return rec
+	}
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, ""},
+		{http.MethodGet, "/", http.StatusNotFound, ""},
+		{http.MethodPost, "/v1/shard/range", http.StatusNotFound, ""},
+		{http.MethodDelete, "/v1/query", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodGet, "/v1/query", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPost, "/v1/vertex/7", http.StatusMethodNotAllowed, "GET, HEAD"},
+	} {
+		rec := serve(tc.method, tc.path)
+		env := decodeEnvelope(t, rec)
+		if rec.Code != tc.status || env.Code != wire.CodeUnknownRoute || env.Error == "" ||
+			rec.Header().Get("Content-Type") != "application/json" || rec.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s %s: %d %v %+v, want %d unknown_route, Allow %q", tc.method, tc.path, rec.Code, rec.Header(), env, tc.status, tc.allow)
+		}
+		if env.RequestID == "" || env.RequestID != rec.Header().Get("X-Request-Id") {
+			t.Errorf("%s %s: requestId %q, header %q", tc.method, tc.path, env.RequestID, rec.Header().Get("X-Request-Id"))
+		}
+	}
+	if rec := serve(http.MethodGet, "/v1/vertex/7"); rec.Code != http.StatusOK || rec.Body.String() != "\"7\"\n" {
+		t.Errorf("GET /v1/vertex/7: %d %q", rec.Code, rec.Body)
+	}
+	if rec := serve(http.MethodGet, "/v1/../v1/nope"); rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/v1/nope" {
+		t.Errorf("GET /v1/../v1/nope: %d %v", rec.Code, rec.Header())
+	}
+}

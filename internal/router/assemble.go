@@ -32,18 +32,14 @@ import (
 // min-degree-k subgraph of the full graph, hence inside the global k-core.
 // So the component of q is X exactly, locations match the owners', and the
 // assembled Search returns the single-engine answer (members, circle,
-// radius; work counters can differ).
-//
-// θ-SAC instead gathers O(loc(q), θ) by disk: every shard reports its owned
-// vertices inside the circle under the same closed-disk predicate the
-// algorithm itself uses, so the assembled BFS component and feasibility
-// peel are the single-engine ones verbatim.
+// radius; work counters can differ). θ-SAC's answer reads only X too
+// (internal/core/theta.go), so the same gather answers it.
 
 // routeAssembled gathers the cross-shard k-core closure around q and runs
 // the query locally. owner is q's shard (already consulted and uncertified).
-// It also returns the gathered vertex ids — a superset of the candidate set
-// X, which the standing-query layer uses as its check-in watch set.
-func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*wire.Result, []int64, error) {
+// It also returns the gathered vertex ids, no community or not — a superset
+// of the candidate set X, the standing-query layer's check-in watch set.
+func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*wire.Result, map[int64]struct{}, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()
 	collected := make(map[int64]client.ShardVertex)
@@ -99,61 +95,18 @@ func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) 
 	}
 	aspan.SetAttr("rounds", rounds)
 	aspan.SetAttr("gathered", len(collected))
+	gathered := make(map[int64]struct{}, len(collected))
+	for id := range collected {
+		gathered[id] = struct{}{}
+	}
 	if _, ok := collected[int64(cq.Q)]; !ok {
 		// q was alive when its shard declined to certify but dead by the
 		// time the closure ran (concurrent topology churn): at the closure's
 		// snapshot q is outside the global k-core.
-		return nil, nil, core.ErrNoCommunity
-	}
-	gathered := make([]int64, 0, len(collected))
-	for id := range collected {
-		gathered = append(gathered, id)
+		return nil, gathered, core.ErrNoCommunity
 	}
 	resp, err := rt.runLocal(ctx, cq, collected)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp, gathered, nil
-}
-
-// routeTheta gathers the θ-SAC catchment disk across all shards and runs
-// the query locally. Ownership is spatial only at partition time — vertices
-// drift arbitrarily afterwards — so every shard is asked; each reports its
-// owned vertices currently inside the disk.
-func (rt *Router) routeTheta(ctx context.Context, cq core.Query) (*wire.Result, error) {
-	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
-	defer aspan.End()
-	owner := rt.m.OwnerOf(cq.Q)
-	lctx, vspan := rt.leg(ctx, "vertex", owner)
-	loc, err := rt.sets[owner].Vertex(lctx, int64(cq.Q))
-	vspan.End()
-	if err != nil {
-		return nil, &legFailure{owner, err}
-	}
-	theta := *cq.Theta // required parameter; validated before routing
-	gathered := make([][]client.ShardVertex, rt.m.Shards)
-	errs := make([]error, rt.m.Shards)
-	fanOut(rt.m.Shards, func(s int) {
-		lctx, span := rt.leg(ctx, "range", s)
-		defer span.End()
-		gathered[s], errs[s] = rt.sets[s].ShardRange(lctx, loc.X, loc.Y, theta)
-	})
-	collected := make(map[int64]client.ShardVertex)
-	for s, vs := range gathered {
-		if errs[s] != nil {
-			return nil, &legFailure{s, errs[s]}
-		}
-		for _, v := range vs {
-			collected[v.V] = v
-		}
-	}
-	aspan.SetAttr("gathered", len(collected))
-	if _, ok := collected[int64(cq.Q)]; !ok {
-		// q moved off the fetched location between the two legs; at the
-		// gather's view it is outside its own disk, so no community.
-		return nil, core.ErrNoCommunity
-	}
-	return rt.runLocal(ctx, cq, collected)
+	return resp, gathered, err
 }
 
 // runLocal builds the induced subgraph over the gathered vertices and runs

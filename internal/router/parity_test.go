@@ -96,8 +96,10 @@ func TestContractParity(t *testing.T) {
 			status: 400, code: wire.CodeInvalidArgument, field: "id"},
 		{name: "subscribe resume of unknown id", method: "GET", path: "/v1/subscribe?q=0&k=3&id=ghost",
 			lastEventID: "5", status: 404, code: wire.CodeUnknownSubscription, field: "id"},
-		{name: "wrong method", method: "GET", path: "/v1/query", status: 405},
-		{name: "no such route", method: "GET", path: "/v1/nope", status: 404},
+		{name: "wrong method", method: "GET", path: "/v1/query", status: 405, code: wire.CodeUnknownRoute},
+		{name: "no such route", method: "GET", path: "/v1/nope", status: 404, code: wire.CodeUnknownRoute},
+		{name: "method no route takes", method: "DELETE", path: "/v1/query", status: 405, code: wire.CodeUnknownRoute},
+		{name: "removed shard route", method: "POST", path: "/v1/shard/range", body: `{}`, status: 404, code: wire.CodeUnknownRoute},
 	}
 	check := func(t *testing.T, method, path, body, lastEventID string, status int, code, field, retryAfter string) {
 		t.Helper()

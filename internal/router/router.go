@@ -13,10 +13,10 @@
 //   - Queries go to the shard owning q first (/v1/shard/search). The shard
 //     answers alone iff its optimistic-peel certificate proves its answer
 //     equals the whole-graph one; otherwise the router gathers the global
-//     candidate set across shards (/v1/shard/expand closure, or a
-//     /v1/shard/range disk gather for θ-SAC), assembles the induced
-//     subgraph, and runs the algorithm itself. Either way the answer's
-//     members, circle and radius are exactly the single-engine ones.
+//     candidate set across shards (the /v1/shard/expand closure), assembles
+//     the induced subgraph, and runs the algorithm itself. Every algorithm,
+//     θ-SAC included, takes this one path. Either way the answer's members,
+//     circle and radius are exactly the single-engine ones.
 //   - Check-ins go to the owner of the vertex; an edge write fans to both
 //     endpoints' owners (each materializes every edge touching a vertex it
 //     owns). Edge ops are idempotent, so a partial cross-shard failure is
@@ -69,12 +69,9 @@ type Config struct {
 	ClientOptions []client.Option
 	// Logger receives router-level structured logs. Default slog.Default().
 	Logger *slog.Logger
-	// Metrics is the registry router instruments register on. Nil disables
-	// metrics entirely (all instruments no-op).
+	// Metrics is the registry router instruments register on, served on
+	// GET /metrics. Nil disables metrics entirely (all instruments no-op).
 	Metrics *telemetry.Registry
-	// ServeMetrics mounts GET /metrics on the router's own mux (Prometheus
-	// text format) when Metrics is non-nil.
-	ServeMetrics bool
 	// SlowQueryThreshold logs any request slower than this at Warn with the
 	// full span tree attached. 0 disables.
 	SlowQueryThreshold time.Duration
@@ -115,12 +112,12 @@ type Router struct {
 	edges atomic.Int64
 	start time.Time
 
-	// legsTotal counts outbound shard calls by kind (search, expand, range,
-	// vertex, checkin, edge, info, health).
+	// legsTotal counts outbound shard calls by kind (search, expand, vertex,
+	// checkin, edge, info, health).
 	legsTotal *telemetry.CounterVec
 	// queryPath counts how each routed query was answered: certified (one
-	// shard proved its local answer global), assembled (cross-shard k-core
-	// closure), or theta (disk gather).
+	// shard proved its local answer global) or assembled (cross-shard k-core
+	// closure).
 	queryPath *telemetry.CounterVec
 	// expandRounds counts frontier-expansion rounds across assembled queries.
 	expandRounds *telemetry.Counter
@@ -160,7 +157,7 @@ func New(cfg Config) (*Router, error) {
 	rt.legsTotal = cfg.Metrics.CounterVec("sac_router_legs_total",
 		"Outbound shard calls issued by the router, by kind.", "kind")
 	rt.queryPath = cfg.Metrics.CounterVec("sac_router_query_path_total",
-		"Routed queries by answer path: certified, assembled or theta.", "path")
+		"Routed queries by answer path: certified or assembled.", "path")
 	rt.expandRounds = cfg.Metrics.Counter("sac_router_expand_rounds_total",
 		"Frontier-expansion rounds run across all assembled queries.")
 	rt.edges.Store(int64(cfg.Map.Edges))
@@ -181,7 +178,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/edge", rt.handleEdge)
 	rt.mux.HandleFunc("GET /v1/subscribe", rt.handleSubscribe)
 	rt.subs = newRouterSubs(rt)
-	if cfg.Metrics != nil && cfg.ServeMetrics {
+	if cfg.Metrics != nil {
 		rt.mux.Handle("GET /metrics", cfg.Metrics.Handler())
 	}
 	return rt, nil

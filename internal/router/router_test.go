@@ -547,14 +547,11 @@ func TestVertexProxyAndHealth(t *testing.T) {
 	}
 }
 
-// TestShardUnavailable kills one shard and checks the partial-failure
-// contract: queries owned (and certified) by the surviving shard still
-// answer; anything needing the dead shard returns the structured 503
-// shard_unavailable envelope; health degrades; ready gates.
-func TestShardUnavailable(t *testing.T) {
-	// Two 8-cliques in opposite corners: the spatial cut puts one whole
-	// clique on each shard, so each shard has a certified community and
-	// owns vertices the other shard never needs.
+// cornerCliques builds two 8-cliques in opposite corners: vertices 0–7 on a
+// 0.01 grid from (0.1, 0.1), 8–15 from (0.9, 0.9). The spatial cut puts one
+// whole clique on each shard of two, so each shard has a certified community
+// and owns vertices the other shard never needs.
+func cornerCliques() *graph.Graph {
 	b := graph.NewBuilder(16)
 	for c := 0; c < 2; c++ {
 		base, cx := c*8, 0.1+0.8*float64(c)
@@ -565,8 +562,15 @@ func TestShardUnavailable(t *testing.T) {
 			}
 		}
 	}
-	g := b.Build()
-	tp := newTopology(t, g, 2)
+	return b.Build()
+}
+
+// TestShardUnavailable kills one shard and checks the partial-failure
+// contract: queries owned (and certified) by the surviving shard still
+// answer; anything needing the dead shard returns the structured 503
+// shard_unavailable envelope; health degrades; ready gates.
+func TestShardUnavailable(t *testing.T) {
+	tp := newTopology(t, cornerCliques(), 2)
 	if tp.m.OwnerOf(0) == tp.m.OwnerOf(8) {
 		t.Fatal("cliques landed on the same shard; test graph needs adjusting")
 	}

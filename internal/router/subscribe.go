@@ -27,27 +27,21 @@ import (
 // anywhere re-evaluates everything (topology changes are what reshape
 // candidate sets), while check-ins re-evaluate only subscriptions whose
 // gathered candidate superset — the certified shard's expansion, or the
-// assembled path's collected vertex set — contains the moved vertex. A
-// resync frame (watcher reconnected with a gap, or a shard re-synced)
-// re-evaluates everything. Evaluations reuse the certified / assembled
-// routing paths, so a standing query's answers are exactly what /v1/query
-// would have returned at the same moment.
+// assembled path's collected vertex set, gathered even with no community —
+// contains the moved vertex (θ-SAC too reads only the candidate set,
+// internal/core/theta.go). A resync frame (watcher reconnected with a gap,
+// or a shard re-synced) re-evaluates everything. Evaluations reuse the
+// certified / assembled routing paths, so a standing query's answers are
+// exactly what /v1/query would have returned at the same moment.
 
-// routeGathered answers one validated query: owner-first with the
-// certificate fast path, falling back to cross-shard assembly. θ-SAC always
-// assembles — its catchment disk is defined over current locations, which
-// drift across ownership boundaries, so no shard can certify containment
-// topologically. With watch set it also returns the gathered watch set:
-// vertex ids known to cover the candidate set X (nil = unknown; callers must
-// then treat every check-in as relevant), at the price of one more expand
-// leg on the certified path.
-func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*wire.Result, []int64, error) {
-	spec, _ := core.LookupAlgo(cq.Algo)
-	if spec.Name == "theta" {
-		rt.queryPath.With("theta").Inc()
-		resp, err := rt.routeTheta(ctx, cq)
-		return resp, nil, err
-	}
+// routeGathered answers one validated query, whatever its algorithm (each
+// reads only the candidate set X; θ-SAC by internal/core/theta.go):
+// owner-first with the certificate fast path, falling back to cross-shard
+// assembly. With watch set it also returns the gathered watch set: vertex
+// ids known to cover X (nil = unknown; callers must then treat every
+// check-in as relevant), at the price of one more expand leg on the
+// certified path.
+func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*wire.Result, map[int64]struct{}, error) {
 	owner := rt.m.OwnerOf(cq.Q)
 	lctx, span := rt.leg(ctx, "search", owner)
 	verdict, err := rt.sets[owner].ShardSearch(lctx, httpapi.WireQuery(cq))
@@ -55,34 +49,35 @@ func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) 
 	if err != nil {
 		return nil, nil, &legFailure{owner, err}
 	}
-	if verdict.Contained {
-		rt.queryPath.With("certified").Inc()
-		if verdict.NoCommunity {
-			return nil, nil, core.ErrNoCommunity
-		}
-		if verdict.Result == nil {
-			return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
-		}
-		if !watch {
-			return verdict.Result, nil, nil
-		}
-		// Contained means the whole candidate set lives on the owner; one
-		// expansion round fetches it for the watch set. A failed expansion
-		// degrades to watch-everything, never to a missed invalidation.
-		ectx, espan := rt.leg(ctx, "expand", owner)
-		exp, eerr := rt.sets[owner].ShardExpand(ectx, cq.K, []int64{int64(cq.Q)})
-		espan.End()
-		var gathered []int64
-		if eerr == nil {
-			gathered = make([]int64, 0, len(exp.Members))
-			for _, m := range exp.Members {
-				gathered = append(gathered, m.V)
-			}
-		}
-		return verdict.Result, gathered, nil
+	if !verdict.Contained {
+		rt.queryPath.With("assembled").Inc()
+		return rt.routeAssembled(ctx, cq, owner)
 	}
-	rt.queryPath.With("assembled").Inc()
-	return rt.routeAssembled(ctx, cq, owner)
+	rt.queryPath.With("certified").Inc()
+	switch {
+	case verdict.NoCommunity:
+		err = core.ErrNoCommunity
+	case verdict.Result == nil:
+		return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
+	}
+	if !watch {
+		return verdict.Result, nil, err
+	}
+	// Contained means the whole candidate set lives on the owner (none of
+	// it when q is outside the k-core); one expansion round fetches it for
+	// the watch set. A failed expansion degrades to watch-everything, never
+	// to a missed invalidation.
+	ectx, espan := rt.leg(ctx, "expand", owner)
+	exp, eerr := rt.sets[owner].ShardExpand(ectx, cq.K, []int64{int64(cq.Q)})
+	espan.End()
+	var gathered map[int64]struct{}
+	if eerr == nil {
+		gathered = make(map[int64]struct{}, len(exp.Members))
+		for _, m := range exp.Members {
+			gathered[m.V] = struct{}{}
+		}
+	}
+	return verdict.Result, gathered, err
 }
 
 // maxPendCheckins bounds the coalesced check-in set between dispatch
@@ -95,13 +90,6 @@ type rpend struct {
 	full     bool // resync (or overflow): evaluate everything
 	topo     bool // at least one edge event
 	checkins map[int64]struct{}
-}
-
-// rgate is the router's per-subscription gate state (Sub.Gate), rebuilt by
-// every successful evaluation.
-type rgate struct {
-	noCommunity bool
-	watch       map[int64]struct{} // candidate superset; nil = unknown
 }
 
 // routerSubs drives the router's standing queries: the shared dispatcher
@@ -222,17 +210,17 @@ func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
 		return true
 	}
 	// Only check-ins remain. A move reshapes the answer only if it touches
-	// the candidate set, and a no-community verdict (q outside the global
-	// k-core) is purely topological — moves cannot flip it.
-	g := sub.Gate.(*rgate)
-	if g.noCommunity || len(p.checkins) == 0 {
+	// the candidate set; when q is outside the global k-core that set is
+	// empty, and so is the watch set.
+	watch := sub.Gate.(map[int64]struct{})
+	if len(p.checkins) == 0 {
 		return false
 	}
-	if g.watch == nil {
+	if watch == nil {
 		return true // candidate superset unknown: stay conservative
 	}
 	for v := range p.checkins {
-		if _, ok := g.watch[v]; ok {
+		if _, ok := watch[v]; ok {
 			return true
 		}
 	}
@@ -240,30 +228,21 @@ func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
 }
 
 // Evaluate answers one standing query through the routed paths and records
-// the gathered watch set for the gate.
+// the gathered watch set as sub.Gate.
 func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rs.rt.cfg.queryTimeout())
 	defer cancel()
 	resp, watch, err := rs.rt.routeGathered(ctx, sub.Query, true)
 	var er subscribe.EvalResult
-	g := &rgate{}
 	switch {
 	case err == nil:
-		er.Members = resp.Members
-		er.MCC = resp.MCC
-		er.Delta = resp.Delta
-		if watch != nil {
-			g.watch = make(map[int64]struct{}, len(watch))
-			for _, v := range watch {
-				g.watch[v] = struct{}{}
-			}
-		}
+		er = subscribe.EvalResult{Members: resp.Members, MCC: resp.MCC, Delta: resp.Delta}
 	case errors.Is(err, core.ErrNoCommunity):
-		er.NoCommunity, g.noCommunity = true, true
+		er.NoCommunity = true
 	default:
 		return nil, err
 	}
-	sub.Gate = g
+	sub.Gate = watch
 	return &er, nil
 }
 

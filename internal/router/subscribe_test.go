@@ -160,58 +160,128 @@ func TestRoutedSubscriptionDifferential(t *testing.T) {
 }
 
 // TestRoutedSubscriptionGate: with the candidate watch set wholly inside
-// one shard, far-away check-ins must be absorbed by the router's gate.
+// one shard, far-away check-ins must be absorbed by the router's gate — for
+// θ-SAC as for any other algorithm, since its answer reads only the
+// candidate set too (internal/core/theta.go), and also while its disk holds
+// no community.
 func TestRoutedSubscriptionGate(t *testing.T) {
-	g := testGraph(200, 900, 17)
-	tp := newTopology(t, g, 2)
-	rtHandler := tp.routerHandler(t)
+	for _, tc := range []struct {
+		name string
+		q    client.Query
+	}{
+		{"appfast", client.Query{Q: 3, K: 3, Algo: "appfast"}},
+		{"theta", client.Query{Q: 3, K: 3, Algo: "theta", Theta: client.Float(0.3)}},
+		{"theta empty disk", client.Query{Q: 3, K: 3, Algo: "theta", Theta: client.Float(1e-6)}},
+	} {
+		q := tc.q
+		t.Run(tc.name, func(t *testing.T) {
+			g := testGraph(200, 900, 17)
+			tp := newTopology(t, g, 2)
+			rtHandler := tp.routerHandler(t)
 
-	sub, err := tp.routerCl.Subscribe(t.Context(), client.Query{Q: 3, K: 3, Algo: "appfast"},
-		&client.SubscribeOptions{ID: "gated", Buffer: 1024})
+			sub, err := tp.routerCl.Subscribe(t.Context(), q, &client.SubscribeOptions{ID: "gated", Buffer: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			select {
+			case <-sub.Events:
+			case <-time.After(15 * time.Second):
+				t.Fatal("no init")
+			}
+
+			gsub, ok := rtHandler.subs.Hub().Get("gated")
+			if !ok {
+				t.Fatal("subscription not registered on the router")
+			}
+			watch := gsub.Gate.(map[int64]struct{})
+			if watch == nil {
+				t.Fatal("the evaluation gathered no watch set")
+			}
+			// Pick movers outside the watch set.
+			var movers []int64
+			for v := 0; v < g.NumVertices() && len(movers) < 10; v++ {
+				if _, in := watch[int64(v)]; !in {
+					movers = append(movers, int64(v))
+				}
+			}
+			awaitShardWatchers(t, tp, watch)
+			skipped0 := rtHandler.subs.Hub().Skipped().Value()
+			evals0 := rtHandler.subs.Hub().Evals().Value()
+			ctx := t.Context()
+			for i, v := range movers {
+				if err := tp.routerCl.CheckIn(ctx, v, 0.9+float64(i)*0.001, 0.9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for rtHandler.subs.Hub().Skipped().Value() <= skipped0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("router gate never skipped: skipped %d -> %d, evals %d -> %d",
+						skipped0, rtHandler.subs.Hub().Skipped().Value(), evals0, rtHandler.subs.Hub().Evals().Value())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := rtHandler.subs.Hub().Evals().Value(); got != evals0 {
+				t.Errorf("far-away moves re-evaluated the routed standing query (%d -> %d)", evals0, got)
+			}
+		})
+	}
+}
+
+// TestRoutedThetaCertifiedEmptyDisk: a certified θ-SAC query whose disk
+// holds no community is the shard's certified no-community verdict, answered
+// as a single server answers it; a standing one still watches the candidate
+// set, so members moving into the disk bring the community in.
+func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
+	tp := newTopology(t, cornerCliques(), 2)
+	q := client.Query{Q: 0, K: 2, Algo: "theta", Theta: client.Float(0.005)} // the disk holds q alone
+	certified := tp.rt.queryPath.With("certified").Value()
+	var want, got *client.APIError
+	if _, err := tp.singleCl.Query(t.Context(), q); !errors.As(err, &want) || want.Code != wire.CodeNoCommunity {
+		t.Fatalf("single server: %v, want no_community", err)
+	}
+	if _, err := tp.routerCl.Query(t.Context(), q); !errors.As(err, &got) || got.Status != want.Status ||
+		got.Code != want.Code || got.Message != want.Message {
+		t.Fatalf("routed %v, single %v", err, want)
+	}
+	if tp.rt.queryPath.With("certified").Value() != certified+1 {
+		t.Fatal("the query was not certified")
+	}
+
+	sub, err := tp.routerCl.Subscribe(t.Context(), q, &client.SubscribeOptions{ID: "tight", Buffer: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	var view replayView
 	select {
-	case <-sub.Events:
+	case ev := <-sub.Events:
+		view.apply(t, ev)
 	case <-time.After(15 * time.Second):
 		t.Fatal("no init")
 	}
+	if !view.noCommunity {
+		t.Fatalf("init holds %v, want no community", view.sorted())
+	}
+	gsub, _ := tp.rt.subs.Hub().Get("tight")
+	if w := gsub.Gate.(map[int64]struct{}); len(w) != 8 {
+		t.Fatalf("watch set %v, want q's clique", w)
+	}
 
-	gsub, ok := rtHandler.subs.Hub().Get("gated")
-	if !ok {
-		t.Fatal("subscription not registered on the router")
-	}
-	rg := gsub.Gate.(*rgate)
-	if rg.watch == nil {
-		t.Skip("watch set unknown (assembled answer too wide); gate degrades to evaluate-all")
-	}
-	// Pick movers outside the watch set.
-	var movers []int64
-	for v := 0; v < g.NumVertices() && len(movers) < 10; v++ {
-		if _, in := rg.watch[int64(v)]; !in {
-			movers = append(movers, int64(v))
-		}
-	}
-	awaitShardWatchers(t, tp, rg.watch)
-	skipped0 := rtHandler.subs.Hub().Skipped().Value()
-	evals0 := rtHandler.subs.Hub().Evals().Value()
-	ctx := t.Context()
-	for i, v := range movers {
-		if err := tp.routerCl.CheckIn(ctx, v, 0.9+float64(i)*0.001, 0.9); err != nil {
+	for _, v := range []int64{1, 2} {
+		if err := tp.routerCl.CheckIn(t.Context(), v, 0.1, 0.1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for rtHandler.subs.Hub().Skipped().Value() <= skipped0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("router gate never skipped: skipped %d -> %d, evals %d -> %d",
-				skipped0, rtHandler.subs.Hub().Skipped().Value(), evals0, rtHandler.subs.Hub().Evals().Value())
+	deadline := time.After(15 * time.Second)
+	for view.noCommunity || fmt.Sprint(view.sorted()) != "[0 1 2]" {
+		select {
+		case ev := <-sub.Events:
+			view.apply(t, ev)
+		case <-deadline:
+			t.Fatalf("after two members moved onto q the stream holds %v (no community: %v)", view.sorted(), view.noCommunity)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := rtHandler.subs.Hub().Evals().Value(); got != evals0 {
-		t.Errorf("far-away moves re-evaluated the routed standing query (%d -> %d)", evals0, got)
 	}
 }
 

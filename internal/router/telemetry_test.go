@@ -113,11 +113,10 @@ func newTracedTopology(t *testing.T) (routerURL string, rec *headerRecorder, sl 
 	}
 	sl = &spanLog{}
 	rt, err := New(Config{
-		Map:          m,
-		Shards:       urls,
-		Metrics:      telemetry.NewRegistry(),
-		ServeMetrics: true,
-		TraceHook:    sl.hook,
+		Map:       m,
+		Shards:    urls,
+		Metrics:   telemetry.NewRegistry(),
+		TraceHook: sl.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +185,11 @@ func TestRouterForwardsRequestID(t *testing.T) {
 // TestRouterSpanTreeDifferential asserts the trace tree's shape tracks the
 // routing decision: a certified query shows exactly one search leg and no
 // assembly; an assembled query shows the declined search leg plus an
-// assemble span with expand legs and a merge; θ-SAC shows an assemble span
-// gathering every shard. The differential then cross-checks the trees
-// against sac_router_query_path_total on /metrics.
+// assemble span with expand legs and a merge. θ-SAC takes the same path as
+// the default algorithm for every (q, k) — the certificate and the gather
+// are about the candidate set, which the two share — with no leg of its
+// own. The differential then cross-checks the trees against
+// sac_router_query_path_total on /metrics.
 func TestRouterSpanTreeDifferential(t *testing.T) {
 	url, _, sl := newTracedTopology(t)
 	cl, err := client.New(url)
@@ -196,58 +197,56 @@ func TestRouterSpanTreeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := t.Context()
-	for v := int64(0); v < 200; v += 17 {
-		for _, k := range []int{3, 4, 5} {
-			_, err := cl.Query(ctx, client.Query{Q: v, K: k})
-			if err != nil {
-				if _, ok := err.(*client.APIError); !ok {
-					t.Fatalf("query q=%d k=%d: %v", v, k, err)
+	var paths [2][]string // per pass: each query's path, in order
+	total := map[string]int{}
+	for pass, theta := range []*float64{nil, client.Float(0.2)} {
+		before := len(sl.snapshot())
+		for v := int64(0); v < 200; v += 17 {
+			for _, k := range []int{3, 4, 5} {
+				q := client.Query{Q: v, K: k}
+				if theta != nil {
+					q.Algo, q.Theta = "theta", theta
+				}
+				if _, err := cl.Query(ctx, q); err != nil {
+					if _, ok := err.(*client.APIError); !ok {
+						t.Fatalf("query q=%d k=%d algo=%q: %v", v, k, q.Algo, err)
+					}
 				}
 			}
 		}
-	}
-	if _, err := cl.Query(ctx, client.Query{Q: 3, K: 2, Algo: "theta", Theta: client.Float(0.2)}); err != nil {
-		if _, ok := err.(*client.APIError); !ok {
-			t.Fatalf("theta query: %v", err)
+		for _, root := range sl.snapshot()[before:] {
+			if !strings.HasPrefix(root.Name, "POST /v1/query") {
+				continue
+			}
+			search := findChild(root, "shard-search")
+			assemble := findChild(root, "assemble")
+			switch {
+			case search != nil && assemble == nil:
+				paths[pass] = append(paths[pass], "certified")
+				total["certified"]++
+				if n := len(root.Children()); n != 1 {
+					t.Errorf("certified query has %d children %v, want just the search leg",
+						n, childNames(root))
+				}
+			case search != nil && assemble != nil:
+				paths[pass] = append(paths[pass], "assembled")
+				total["assembled"]++
+				if names := childNames(assemble); findChild(assemble, "shard-expand") == nil ||
+					findChild(assemble, "merge") == nil || slices.ContainsFunc(names, func(n string) bool {
+					return n != "shard-expand" && n != "merge"
+				}) {
+					t.Errorf("assembled query's assemble span has %v, want expand legs and a merge", names)
+				}
+			default:
+				t.Errorf("query span without a search leg: %v", childNames(root))
+			}
 		}
 	}
-
-	var certified, assembled, theta int
-	for _, root := range sl.snapshot() {
-		if !strings.HasPrefix(root.Name, "POST /v1/query") {
-			continue
-		}
-		search := findChild(root, "shard-search")
-		assemble := findChild(root, "assemble")
-		switch {
-		case search != nil && assemble == nil:
-			certified++
-			if n := len(root.Children()); n != 1 {
-				t.Errorf("certified query has %d children %v, want just the search leg",
-					n, childNames(root))
-			}
-		case search != nil && assemble != nil:
-			assembled++
-			if findChild(assemble, "shard-expand") == nil {
-				t.Errorf("assembled query's assemble span has no expand leg: %v", childNames(assemble))
-			}
-			if findChild(assemble, "merge") == nil {
-				t.Errorf("assembled query's assemble span has no merge: %v", childNames(assemble))
-			}
-		case search == nil && assemble != nil:
-			theta++
-			if findChild(assemble, "shard-range") == nil {
-				t.Errorf("theta query's assemble span has no range leg: %v", childNames(assemble))
-			}
-		default:
-			t.Errorf("query span with neither search nor assemble children: %v", childNames(root))
-		}
+	if !slices.Contains(paths[0], "certified") || !slices.Contains(paths[0], "assembled") {
+		t.Fatalf("differential needs both paths: %v", paths[0])
 	}
-	if certified == 0 || assembled == 0 {
-		t.Fatalf("differential needs both paths: %d certified, %d assembled", certified, assembled)
-	}
-	if theta != 1 {
-		t.Fatalf("expected exactly 1 theta trace, saw %d", theta)
+	if !slices.Equal(paths[0], paths[1]) {
+		t.Fatalf("θ-SAC took paths %v, the default algorithm %v", paths[1], paths[0])
 	}
 
 	resp, err := http.Get(url + "/metrics")
@@ -260,20 +259,21 @@ func TestRouterSpanTreeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for metric, want := range map[string]int{
-		`sac_router_query_path_total{path="certified"}`: certified,
-		`sac_router_query_path_total{path="assembled"}`: assembled,
-		`sac_router_query_path_total{path="theta"}`:     theta,
-	} {
-		if !strings.Contains(text, fmt.Sprintf("%s %d", metric, want)) {
-			t.Errorf("metrics missing %s %d:\n%s", metric, want,
-				grepLines(text, "sac_router_query_path_total"))
+	series := func(family string) []string { return strings.Split(grepLines(text, family+"{"), "\n") }
+	for path, n := range total {
+		metric := fmt.Sprintf(`sac_router_query_path_total{path=%q} %d`, path, n)
+		if !slices.Contains(series("sac_router_query_path_total"), metric) {
+			t.Errorf("metrics missing %s:\n%s", metric, grepLines(text, "sac_router_query_path_total"))
+		}
+	}
+	for family, n := range map[string]int{"sac_router_query_path_total": 2, "sac_router_legs_total": 2} {
+		if got := series(family); len(got) != n {
+			t.Errorf("%s has %d series, want %d:\n%s", family, len(got), n, strings.Join(got, "\n"))
 		}
 	}
 	for _, needle := range []string{
 		`sac_router_legs_total{kind="search"}`,
 		`sac_router_legs_total{kind="expand"}`,
-		`sac_router_legs_total{kind="range"}`,
 		"sac_router_expand_rounds_total",
 		"sac_http_requests_total",
 		"sac_http_request_duration_seconds_bucket",

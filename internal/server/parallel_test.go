@@ -40,7 +40,7 @@ func TestQueryParallelismBudget(t *testing.T) {
 	var got [2]wire.Result
 	for i, budget := range []int{0, 4} {
 		srv := NewWithConfig("test", spreadClique(5, 64), Config{
-			QueryParallelism: budget, Metrics: telemetry.NewRegistry(), ServeMetrics: true,
+			QueryParallelism: budget, Metrics: telemetry.NewRegistry(),
 		})
 		t.Cleanup(srv.Close)
 		ts := httptest.NewServer(srv)

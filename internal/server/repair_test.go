@@ -17,7 +17,7 @@ import (
 // first query builds its view, a member's check-in is absorbed by a repair,
 // and an edge that merges two communities drops the cached one.
 func TestViewOutcomesOnMetrics(t *testing.T) {
-	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry(), ServeMetrics: true})
+	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry()})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -92,14 +92,10 @@ type Config struct {
 	// Logger receives server-level structured events — recovered panics,
 	// slow queries — keyed by request and span id. Default slog.Default().
 	Logger *slog.Logger
-	// Metrics, when non-nil, receives the server's instrumentation
-	// (sac_http_*, sac_query_*, engine gauges). The same registry should be
-	// shared with the store/follower/shipper so one scrape covers the node.
+	// Metrics, when non-nil, receives the server's instrumentation, served on
+	// GET /metrics. The same registry should be shared with the
+	// store/follower/shipper so one scrape covers the node.
 	Metrics *telemetry.Registry
-	// ServeMetrics mounts GET /metrics on the public mux (requires
-	// Metrics). Deployments that want the scrape firewalled separately
-	// leave this false and scrape the debugserve listener instead.
-	ServeMetrics bool
 	// SlowQueryThreshold, when positive, logs any request slower than this
 	// at Warn level with its full span tree.
 	SlowQueryThreshold time.Duration
@@ -266,7 +262,6 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		s.mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
 		s.mux.HandleFunc("POST /v1/shard/search", s.handleShardSearch)
 		s.mux.HandleFunc("POST /v1/shard/expand", s.handleShardExpand)
-		s.mux.HandleFunc("POST /v1/shard/range", s.handleShardRange)
 		s.mux.HandleFunc("GET /v1/shard/watch", s.handleShardWatch)
 	}
 	s.subs = subscribe.NewManager(subscribe.ManagerOptions{
@@ -293,7 +288,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	} else {
 		eng.SetOnPublish(hook)
 	}
-	if cfg.Metrics != nil && cfg.ServeMetrics {
+	if cfg.Metrics != nil {
 		s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
 	}
 	return s

@@ -284,7 +284,7 @@ func TestBatch(t *testing.T) {
 // a batch of N distinct valid items raises sac_query_duration_seconds_count
 // by N under the batch's algorithm.
 func TestBatchItemsObserved(t *testing.T) {
-	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry(), ServeMetrics: true})
+	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry()})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -322,7 +322,7 @@ func TestMadeUpMethodsShareOneSeries(t *testing.T) {
 	var mu sync.Mutex
 	var spans []string
 	srv := NewWithConfig("test", testGraph(), Config{
-		Metrics: telemetry.NewRegistry(), ServeMetrics: true,
+		Metrics:   telemetry.NewRegistry(),
 		TraceHook: func(s *telemetry.Span) { mu.Lock(); spans = append(spans, s.Name); mu.Unlock() },
 	})
 	t.Cleanup(srv.Close)

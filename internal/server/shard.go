@@ -1,11 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 
 	"sacsearch/internal/core"
-	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/shard"
@@ -18,10 +18,10 @@ import (
 // the answer equals the single-engine one (the optimistic-peel certificate,
 // internal/shard); otherwise it reports contained=false and the router
 // assembles the global candidate set via /v1/shard/expand across shards.
-// /v1/shard/range serves the θ-SAC path: every vertex this shard owns
-// inside a disk, with authoritative location and full adjacency.
+// The certificate serves every algorithm: each reads only the candidate set
+// (θ-SAC by internal/core/theta.go), which a certified shard holds whole.
 //
-// All three POST endpoints serve from one pinned snapshot per request, so a
+// Both POST endpoints serve from one pinned snapshot per request, so a
 // reply is internally consistent; replicas of a shard serve them too (the
 // usual staleness gate applies).
 
@@ -95,31 +95,21 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 				q.Q, s.cfg.Shard.Map.OwnerOf(q.Q), s.cfg.Shard.ID))
 		return
 	}
-	// The certificate covers the k-core candidate construction; θ-SAC scans
-	// a fixed disk instead and is always assembled router-side.
-	if spec, _ := core.LookupAlgo(req.Algo); spec != nil && spec.Name == "theta" {
+	if _, certified := s.certFor(eng, snap).Contained(q.Q, q.K); !certified {
 		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: false})
 		return
 	}
-	alive, certified := s.certFor(eng, snap).Contained(q.Q, q.K)
-	if !alive {
-		// q has fewer than k supporting neighbors even if every unseen edge
-		// survives: ErrNoCommunity is the exact global answer.
-		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, NoCommunity: true})
-		return
-	}
-	if !certified {
-		httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: false})
-		return
-	}
+	// A dead q is certified too (it has fewer than k supporting neighbors even
+	// if every unseen edge survives): its local search finds no community, the
+	// exact global answer — as θ-SAC's can for a live q with an empty disk.
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	res, err := s.search(ctx, snap, q, 0)
-	if err != nil {
+	if err != nil && !errors.Is(err, core.ErrNoCommunity) {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, Result: res})
+	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, NoCommunity: err != nil, Result: res})
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
@@ -156,34 +146,6 @@ func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
 	resp := wire.ShardExpansion{Members: make([]wire.ShardVertex, len(members)), Frontier: graph.IDs(frontier)}
 	for i, v := range members {
 		resp.Members[i] = shardVertex(g, v)
-	}
-	httpapi.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
-	var req wire.ShardRangeRequest
-	if !s.api.DecodeJSON(w, r, &req) {
-		return
-	}
-	if !geom.Finite(req.X) || !geom.Finite(req.Y) || !geom.Finite(req.R) || req.R < 0 {
-		httpapi.WriteError(w, r, http.StatusBadRequest, wire.CodeInvalidArgument, "r",
-			fmt.Sprintf("disk (%v, %v, r=%v) must be finite with r >= 0", req.X, req.Y, req.R))
-		return
-	}
-	eng, ok := s.readEngine(w, r)
-	if !ok {
-		return
-	}
-	snap := eng.Current()
-	g := snap.Graph()
-	circle := geom.Circle{C: geom.Point{X: req.X, Y: req.Y}, R: req.R}
-	var resp wire.ShardRangeResponse
-	// Same closed-disk predicate (geom.Eps tolerance) as θ-SAC's own scan,
-	// so the assembled membership matches a single-engine run bit for bit.
-	for v := 0; v < g.NumVertices(); v++ {
-		if s.cfg.Shard.Owns(graph.V(v)) && circle.Contains(g.Loc(graph.V(v))) {
-			resp.Members = append(resp.Members, shardVertex(g, graph.V(v)))
-		}
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -288,7 +288,7 @@ func TestSubscribeDrainSendsBye(t *testing.T) {
 func TestSubscribeGateOnMetrics(t *testing.T) {
 	g := testGraph()
 	reg := telemetry.NewRegistry()
-	srv := NewWithConfig("test", g, Config{Metrics: reg, ServeMetrics: true})
+	srv := NewWithConfig("test", g, Config{Metrics: reg})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

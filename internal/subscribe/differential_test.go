@@ -286,7 +286,7 @@ func TestDifferentialCommunityFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := sub.Attach(0, false)
+	st, replay, err := sub.Attach(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestDifferentialCommunityFlips(t *testing.T) {
 	waitProcessed(t, mgr, final.Seq())
 
 	var rs replayState
-	for _, ev := range drainStream(st) {
+	for _, ev := range append(replay, drainStream(st)...) { // the init is replayed when its round beat the Attach
 		rs.apply(t, ev)
 	}
 	if !rs.sawInit {

@@ -26,9 +26,9 @@ const sweepEvery = 30 * time.Second
 // change summarized in p can alter sub's answer, judged against whatever
 // Evaluate recorded in sub.Gate the last time it succeeded. A rule that
 // cannot prove that must return true; nothing else in the dispatcher can
-// make a skipped re-evaluation safe. (θ-SAC never reaches Gate: its
-// catchment disk reads every location, so the dispatcher re-evaluates it on
-// every notification.)
+// make a skipped re-evaluation safe. Every algorithm, θ-SAC included
+// (internal/core/theta.go), reads only the candidate set X, so one gate on
+// X serves them all.
 type Backend[P any] interface {
 	// Begin fixes the state one dispatch round runs against. p is the
 	// coalesced summary — its zero value on a registration-only round — and
@@ -200,7 +200,7 @@ func (d *Dispatcher[P]) round() bool {
 			evals = append(evals, sub)
 		case !has:
 			// registration-only round: nothing changed for this sub
-		case sub.always || d.be.Gate(sub, &p):
+		case d.be.Gate(sub, &p):
 			evals = append(evals, sub)
 		default:
 			d.hub.skipped.Inc()

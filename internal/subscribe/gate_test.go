@@ -3,6 +3,7 @@ package subscribe
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestGateSkipsFarAwayMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := sub.Attach(0, false)
+	st, replay, err := sub.Attach(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,8 @@ func TestGateSkipsFarAwayMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitProcessed(t, mgr, eng.Current().Seq())
-	if got := len(drainStream(st)); got != 1 {
+	// The init lands in the replay when its round beat the Attach.
+	if got := len(replay) + len(drainStream(st)); got != 1 {
 		t.Fatalf("expected exactly the init event before the burst, got %d", got)
 	}
 
@@ -130,7 +132,7 @@ func TestGateNoCommunityIgnoresMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := sub.Attach(0, false)
+	st, replay, err := sub.Attach(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestGateNoCommunityIgnoresMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitProcessed(t, mgr, eng.Current().Seq())
-	evs := drainStream(st)
+	evs := append(replay, drainStream(st)...)
 	if len(evs) != 1 || evs[0].Kind != KindInit {
 		t.Fatalf("expected one init, got %v", evs)
 	}
@@ -159,6 +161,77 @@ func TestGateNoCommunityIgnoresMoves(t *testing.T) {
 	waitProcessed(t, mgr, eng.Current().Seq())
 	if got := mgr.Hub().Evals().Value(); got != evals0 {
 		t.Errorf("moves re-evaluated a no-community subscription %d times", got-evals0)
+	}
+}
+
+// TestGateThetaReadsOnlyX: θ-SAC's answer is read from the candidate set X
+// alone (internal/core/theta.go), so its standing queries are gated like any
+// other: moves outside X are skipped, with or without a community in the
+// disk, and a move inside X re-evaluates — here one that brings a community
+// into a disk that held none.
+func TestGateThetaReadsOnlyX(t *testing.T) {
+	const size = 6
+	eng := snapshot.New(twoClusterGraph(size), snapshot.Options{})
+	defer eng.Close()
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{Metrics: telemetry.NewRegistry(), StreamBuf: 1024}})
+	defer mgr.Close()
+	eng.SetOnPublish(mgr.Notify)
+
+	streams, replays := map[string]*Stream{}, map[string][]Event{}
+	for id, theta := range map[string]float64{"disk": 0.5, "tight": 0.015} {
+		sub, err := mgr.Register(id, core.Query{Q: 0, K: 3, Algo: "theta", Theta: core.Float(theta)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streams[id], replays[id], err = sub.Attach(0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	checkIn := func(v graph.V, p geom.Point) {
+		t.Helper()
+		if err := eng.CheckIn(ctx, v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkIn(graph.V(size), geom.Point{X: 100, Y: 100.5})
+	waitProcessed(t, mgr, eng.Current().Seq())
+	state := map[string]*replayState{}
+	for id, st := range streams {
+		evs := append(replays[id], drainStream(st)...)
+		if len(evs) != 1 || evs[0].Kind != KindInit {
+			t.Fatalf("%s: expected one init, got %v", id, evs)
+		}
+		state[id] = &replayState{}
+		state[id].apply(t, evs[0])
+	}
+	if state["disk"].noCommunity || !state["tight"].noCommunity {
+		t.Fatalf("initial answers: disk %v, tight %v; want a community, then none",
+			state["disk"].sorted(), state["tight"].sorted())
+	}
+
+	evals0, skipped0 := mgr.Hub().Evals().Value(), mgr.Hub().Skipped().Value()
+	for i := 0; i < 20; i++ {
+		checkIn(graph.V(size+i%size), geom.Point{X: 100 + float64(i)*0.003, Y: 100})
+	}
+	waitProcessed(t, mgr, eng.Current().Seq())
+	if got := mgr.Hub().Evals().Value(); got != evals0 {
+		t.Errorf("moves outside X re-evaluated θ-SAC %d times", got-evals0)
+	}
+	if got := mgr.Hub().Skipped().Value(); got <= skipped0 {
+		t.Errorf("skipped_by_gate did not grow: %d -> %d", skipped0, got)
+	}
+
+	// Members 2 and 3 move next to q: the tight disk now holds the 4-clique
+	// {0, 1, 2, 3}, a 3-core.
+	checkIn(graph.V(2), geom.Point{X: 0.005, Y: 0.005})
+	checkIn(graph.V(3), geom.Point{X: 0.005, Y: -0.005})
+	waitProcessed(t, mgr, eng.Current().Seq())
+	for _, ev := range drainStream(streams["tight"]) {
+		state["tight"].apply(t, ev)
+	}
+	if got := state["tight"].sorted(); state["tight"].noCommunity || !slices.Equal(got, []int64{0, 1, 2, 3}) {
+		t.Fatalf("after members moved into the tight disk the stream holds %v (no community: %v)", got, state["tight"].noCommunity)
 	}
 }
 

@@ -49,12 +49,11 @@ type gate struct {
 	kcore   bool // structure metric is k-core (core-number scans are valid)
 	lastSeq uint64
 	// Candidate closure of (q, k) as of the last evaluation. members is the
-	// candidate set X (nil when q had no community), frontier its outside
-	// neighbors, in marks members 1 and frontier 2; in is nil for θ-SAC,
-	// which the dispatcher never gates. The closure is a function of
-	// topology alone, so an evaluation on a snapshot at the same topology
-	// epoch (topo) as the last one takes it over instead of walking the
-	// community again.
+	// candidate set X (nil when q is outside the k-core), frontier its
+	// outside neighbors, in marks members 1 and frontier 2. The closure is a
+	// function of topology alone, so an evaluation on a snapshot at the same
+	// topology epoch (topo) as the last one takes it over instead of walking
+	// the community again.
 	topo     uint64
 	members  []graph.V
 	frontier []graph.V
@@ -72,19 +71,19 @@ const (
 // and the affected ones re-run on pooled workers pinned to the published
 // snapshot.
 //
-// Gate soundness (k-core structure): every registered algorithm except
-// θ-SAC is a pure function of induced(X) and the locations of X, where X is
-// the connected component of q in the global k-core. So a publication
-// cannot change the answer unless it (a) moves a member of X, or (b)
-// changes X itself. X changes only through topology events, and only when —
-// on the *new* snapshot — an edge touches the old closure, a member's core
-// number fell below k (it left the k-core, or X lost a vertex reachable
-// only through it... any member loss shows as some member's edge or core
-// change), or a frontier vertex's core number reached k (X can only grow
-// through its frontier, or via a new edge landing on X, which case (a
-// touched endpoint) already catches). A subscription with no community
-// re-evaluates only when q's own core number reaches k. Non-k-core structure
-// metrics fall back to always-evaluate on any topology event.
+// Gate soundness (k-core structure): every registered algorithm, θ-SAC
+// included (internal/core/theta.go), is a pure function of induced(X) and
+// the locations of X, where X is the connected component of q in the global
+// k-core. So a publication cannot change the answer unless it (a) moves a
+// member of X, or (b) changes X itself. X changes only through topology
+// events, and only when — on the *new* snapshot — an edge touches the old
+// closure, a member's core number fell below k (it left the k-core, or X
+// lost a vertex reachable only through it... any member loss shows as some
+// member's edge or core change), or a frontier vertex's core number reached
+// k (X can only grow through its frontier, or via a new edge landing on X,
+// which case (a touched endpoint) already catches). A subscription with an
+// empty X re-evaluates only when q's own core number reaches k. Non-k-core
+// structure metrics fall back to always-evaluate on any topology event.
 type Manager struct {
 	*Dispatcher[pend]
 }
@@ -220,7 +219,6 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	}
 	g := &gate{lastSeq: p.snap.Seq(), kcore: s.Structure() == core.StructureKCore, topo: p.snap.TopoEpoch()}
 	switch {
-	case sub.always:
 	case prev != nil && prev.in != nil && prev.topo == g.topo:
 		g.members, g.frontier, g.in = prev.members, prev.frontier, prev.in
 	default:

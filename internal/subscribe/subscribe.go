@@ -210,7 +210,6 @@ func (h *Hub) Register(id string, q core.Query) (*Sub, error) {
 		// The dispatcher's flags are set before the Sub is published in the
 		// table, so a concurrent round never sees one half-built.
 		needsInit: true,
-		always:    q.Algo == "theta",
 		hub:       h,
 		eventLog:  eventLog{streamBuf: h.opt.streamBuf(), sheds: h.sheds, streams: make(map[*Stream]struct{})},
 		// Starts detached: a subscription whose client never attaches (or
@@ -306,7 +305,6 @@ type Sub struct {
 	// Evaluation bookkeeping, owned by the dispatcher's rounds like Gate.
 	needsInit bool // no result delivered yet: evaluate on the next round
 	retry     bool // last evaluation failed: evaluate on the next round
-	always    bool // θ-SAC: the catchment disk reads every location, never gated
 
 	hub *Hub
 

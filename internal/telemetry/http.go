@@ -50,7 +50,7 @@ func RouteLabel(path string) string {
 	case "shard":
 		verb, _, _ := strings.Cut(tail, "/")
 		switch verb {
-		case "info", "search", "expand", "range", "watch":
+		case "info", "search", "expand", "watch":
 			return "/v1/shard/" + verb
 		}
 	}

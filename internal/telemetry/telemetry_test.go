@@ -306,7 +306,7 @@ func TestRouteLabel(t *testing.T) {
 		"/v1/shard/info":   "/v1/shard/info",
 		"/v1/shard/search": "/v1/shard/search",
 		"/v1/shard/expand": "/v1/shard/expand",
-		"/v1/shard/range":  "/v1/shard/range",
+		"/v1/shard/range":  "other",
 		"/v1/subscribe":    "/v1/subscribe",
 		"/v1/shard/watch":  "/v1/shard/watch",
 		"/metrics":         "/metrics",

@@ -48,8 +48,6 @@ func decodeTarget(r row, status string) any {
 		return new(client.ShardSearchResult)
 	case has("expand"):
 		return new(client.ShardExpansion)
-	case has("range"):
-		return new(wire.ShardRangeResponse)
 	}
 	return nil // {"ok":true} and /v1/ready: no declared shape
 }

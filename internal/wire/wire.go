@@ -336,18 +336,6 @@ type ShardExpansion struct {
 	Frontier []int64       `json:"frontier"`
 }
 
-// ShardRangeRequest asks for every owned vertex inside the closed disk.
-type ShardRangeRequest struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	R float64 `json:"r"`
-}
-
-// ShardRangeResponse lists the owned vertices inside the disk.
-type ShardRangeResponse struct {
-	Members []ShardVertex `json:"members"`
-}
-
 // SubEvent is one /v1/subscribe event. Kind is the SSE event name — "init"
 // (Members carries the full community), "delta" (Joined/Left relative to the
 // previous event) or "bye" (terminal) — and is not part of the JSON payload.
@@ -422,6 +410,7 @@ const (
 	CodeUnknownSubscription = "unknown_subscription"
 	// CodeSubscriptionLimit: the standing-query table is full.
 	CodeSubscriptionLimit = "subscription_limit"
+	CodeUnknownRoute      = "unknown_route" // no route takes the path (404) or the method (405)
 
 	// Query validation's codes originate in the engine (core.ErrCode*) and
 	// pass through verbatim; the two ParseQuery raises are spelled here, and

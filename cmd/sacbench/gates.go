@@ -165,9 +165,10 @@ func measureParallel(g *graph.Graph, queries []graph.V, cfg exp.Config) float64 
 	s := core.NewSearcher(g)
 	ladder := workerLadder()
 	speedup := func(run func() error) float64 {
+		// A scan's workers are GOMAXPROCS over the queries in flight, so
+		// each arm runs at its worker count of processors.
 		bench := func(workers int) float64 {
-			s.SetParallelism(workers)
-			defer s.SetParallelism(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if err := run(); err != nil {
@@ -177,7 +178,7 @@ func measureParallel(g *graph.Graph, queries []graph.V, cfg exp.Config) float64 
 			})
 			return float64(r.NsPerOp())
 		}
-		serial := bench(0)
+		serial := bench(1)
 		best := 0.0
 		for _, w := range ladder {
 			if ns := bench(w); ns > 0 && serial/ns > best {

@@ -40,7 +40,6 @@ func main() {
 		maxBody   = flag.Int64("max-body", 1<<20, "maximum POST body size in bytes")
 		bootWait  = flag.Duration("boot-wait", 30*time.Second, "how long to wait for all shards to come up at boot (0 = don't wait)")
 		grace     = flag.Duration("grace", 20*time.Second, "shutdown drain period for in-flight requests")
-		queryPar  = flag.Int("query-parallelism", 0, "intra-query parallelism budget for local assembly runs, scaled down by in-flight load (0 = serial)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty; keep it firewalled)")
 		metrics   = flag.Bool("metrics", true, "register internal instruments and serve Prometheus text format on /metrics")
 		slowQuery = flag.Duration("slow-query", time.Second, "log requests slower than this with their span tree (0 disables)")
@@ -75,7 +74,6 @@ func main() {
 		Shards:             groups,
 		QueryTimeout:       *qTimeout,
 		MaxBodyBytes:       *maxBody,
-		QueryParallelism:   *queryPar,
 		Logger:             logger,
 		Metrics:            reg,
 		SlowQueryThreshold: *slowQuery,

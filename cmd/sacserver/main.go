@@ -99,7 +99,6 @@ func main() {
 		shardID  = flag.Int("shard-id", -1, "serve as this shard of a partitioned topology (requires -shard-map)")
 		shardMap = flag.String("shard-map", "", "shard-map artifact written by sacshard (requires -shard-id)")
 
-		queryPar  = flag.Int("query-parallelism", 0, "intra-query parallelism budget per query, scaled down by in-flight load (0 = serial)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty; keep it firewalled)")
 		metrics   = flag.Bool("metrics", true, "register internal instruments and serve Prometheus text format on /metrics")
 		slowQuery = flag.Duration("slow-query", time.Second, "log requests slower than this with their span tree (0 disables)")
@@ -134,7 +133,7 @@ func main() {
 
 	cfg := server.Config{
 		QueryTimeout: *qTimeout, MaxBodyBytes: *maxBody, StalenessBound: *staleBound,
-		QueryParallelism: *queryPar, Logger: logger, Metrics: reg,
+		Logger: logger, Metrics: reg,
 		SlowQueryThreshold: *slowQuery,
 	}
 	srvName := graphName(*load, *name)

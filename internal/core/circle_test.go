@@ -243,20 +243,22 @@ func TestGridPeelIDSubsets(t *testing.T) {
 }
 
 // TestGridPeelParallelSharesCSR runs the strip-parallel exact scans on a
-// cached k-core query, where both workers peel the dispatching searcher's
-// CSR through a pointer with their own state arrays: the race detector's
-// case, and answers identical to the serial scan.
+// cached k-core query at GOMAXPROCS 2, where the dispatching searcher and
+// its helper both peel the dispatcher's CSR through a pointer with their own
+// state arrays: the race detector's case, and answers identical to the
+// serial scan.
 func TestGridPeelParallelSharesCSR(t *testing.T) {
 	g := spreadClique(4, 40)
 	serial, par := NewSearcher(g), NewSearcher(g)
-	par.SetParallelism(2)
 	for _, algo := range []string{"exact", "exact+"} {
 		for _, q := range []graph.V{0, 17} {
 			query := Query{Algo: algo, Q: q, K: 30}
+			SetProcs(t, 1)
 			want, err := serial.Search(context.Background(), query)
 			if err != nil {
 				t.Fatal(err)
 			}
+			SetProcs(t, 2)
 			got, err := par.Search(context.Background(), query)
 			if err != nil {
 				t.Fatal(err)
@@ -267,17 +269,21 @@ func TestGridPeelParallelSharesCSR(t *testing.T) {
 	if !par.ws.peelable {
 		t.Fatal("the parallel searcher did not index a position CSR")
 	}
+	if par.pool == nil {
+		t.Fatal("no scan borrowed a helper")
+	}
+	// The helpers are back in the pool the searcher made for itself.
 	peeled := 0
-	for _, w := range par.parWorkers {
+	for _, w := range par.pool.idle {
 		if w.ws.peelable || w.wsFrom != nil {
-			t.Fatal("a worker indexed a working set of its own or kept its parent's")
+			t.Fatal("a helper indexed a working set of its own or kept its parent's")
 		}
 		if w.pk.epoch > 0 {
 			peeled++
 		}
 	}
-	if peeled == 0 { // a short scan can be over before the second worker claims a strip
-		t.Fatalf("none of %d workers peeled positions", len(par.parWorkers))
+	if peeled == 0 { // a short scan can be over before a helper claims a strip
+		t.Fatalf("none of %d helpers peeled positions", len(par.pool.idle))
 	}
 }
 

@@ -219,14 +219,13 @@ type Searcher struct {
 	// acc is AppAcc's per-query state, reused across queries.
 	acc appAccState
 
-	// parallel is the worker budget of the Exact / Exact+ circle scan (see
-	// parallel.go), before it is divided by the queries in flight; below 2
-	// the scan runs inline. parWorkers caches the lazily cloned scan
-	// workers, and wsFrom points a worker at the dispatching searcher's
-	// working set (read-only once indexed) for the duration of one scan.
-	parallel   int
-	parWorkers []*Searcher
-	wsFrom     *workingSet
+	// pool is the pool this searcher was cloned by (recorded by Pool.Get),
+	// or the one it makes for itself on its first scan in strips; the Exact
+	// and Exact+ circle scan borrows its helpers from it (parallel.go).
+	// wsFrom points a helper at the dispatching searcher's working set
+	// (read-only once indexed) for the duration of one scan.
+	pool   *Pool
+	wsFrom *workingSet
 
 	stats Stats // counters for the query in flight
 
@@ -250,17 +249,6 @@ type Searcher struct {
 // second implementation; answers are the same either way. The repeated-query
 // benchmarks use it to time the from-scratch cost. On is the default.
 func (s *Searcher) SetCandidateCaching(enabled bool) { s.noCache = !enabled }
-
-// SetParallelism sets the worker budget of the Exact and ExactPlus circle
-// scans. A scan runs on the budget divided by the queries running in the
-// process (floor 1), so the budget is a ceiling, not a grant; below 2 workers
-// the scan runs inline on this searcher, which is the default (0). Answers
-// are identical at every budget. The budget carries across Clone and
-// SnapshotOnto, so setting it on a pool or snapshot base propagates to every
-// worker drawn from it.
-func (s *Searcher) SetParallelism(n int) {
-	s.parallel = max(n, 0)
-}
 
 // NewSearcher creates a Searcher with the default k-core structure metric.
 func NewSearcher(g *graph.Graph) *Searcher {
@@ -291,9 +279,8 @@ func NewSearcherWithStructure(g *graph.Graph, st Structure) *Searcher {
 
 // Clone returns an independent Searcher over the same graph, sharing the
 // immutable decompositions but not the scratch space or the candidate
-// cache, for use from another goroutine. The caching toggle and the
-// parallelism budget carry over; the clone's cache starts empty and warms up
-// independently.
+// cache, for use from another goroutine. The caching toggle carries over;
+// the clone's cache starts empty and warms up independently.
 func (s *Searcher) Clone() *Searcher {
 	n := s.g.NumVertices()
 	c := &Searcher{
@@ -305,7 +292,6 @@ func (s *Searcher) Clone() *Searcher {
 		inX:       graph.NewMarker(n),
 		visited:   graph.NewMarker(n),
 		noCache:   s.noCache,
-		parallel:  s.parallel,
 	}
 	switch s.structure {
 	case StructureKTruss:

@@ -80,8 +80,11 @@ func ctxQueries(t *testing.T) []Query {
 // Search, for every registered algorithm, (a) returns ErrCanceled wrapping
 // the context error, (b) performs at most one further loop-boundary check
 // after the firing one — the latch in Searcher.canceled — and (c) leaves the
-// searcher reusable.
+// searcher reusable. It runs at GOMAXPROCS 1, so the Exact scans run inline
+// on the one searcher whose latch it counts (TestParallelExactCancellation
+// bounds the latch of every worker of a scan in strips).
 func TestCtxCancellationBounded(t *testing.T) {
+	SetProcs(t, 1)
 	g := ctxTestGraph()
 	for _, q := range ctxQueries(t) {
 		s := NewSearcher(g)

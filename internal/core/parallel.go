@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -21,10 +22,13 @@ import (
 //     — the same circles, the same feasibility checks and the same context
 //     checks in the same order.
 //   - in strips: the range is cut into contiguous strips claimed in order by
-//     a bounded group of worker searchers (lazily cloned from the dispatching
-//     searcher and rebound to it with AdoptFrom, so they share the immutable
-//     decomposition and its working set but own their scratch, peeler and
-//     markers).
+//     the dispatching searcher and its helpers — workers borrowed from the
+//     pool it was drawn from (or, for a searcher no pool handed out, the one
+//     it makes for itself on its first such scan) and rebound to it with
+//     GetFor, so they share the immutable decomposition and its working set
+//     but own their scratch, peeler and markers. They go back to the pool
+//     when the scan ends: a helper is a full searcher clone, and the pool's
+//     idle cap bounds how many of them outlive the scan.
 //
 // A run over a range is a function of the range and the incumbent radius it
 // starts from: that radius decides which circles it prunes, which it probes
@@ -33,21 +37,21 @@ import (
 // scan computes. A worker runs a strip speculatively from the radius committed
 // when it claimed it; when the strips before it have lowered that radius by
 // the time it commits, it runs the strip again from the committed one. The
-// answer is therefore the same at every budget whatever the schedule, even
-// where two different communities tie on a bit-equal radius. (A running
+// answer is therefore the same at every worker count whatever the schedule,
+// even where two different communities tie on a bit-equal radius. (A running
 // minimum shared across workers would not be: a worker pruned by a later
 // strip's find can skip the circle the inline scan accepts and keep the
 // other community of the tie.)
 //
-// The grant is one rule for every caller: the searcher's budget
-// (SetParallelism) divided by the queries running in the process
+// The grant is one rule for every caller and has no knob: the machine's
+// processors (GOMAXPROCS) divided by the queries running in the process
 // (queriesInFlight, counted by run), floor 1 — a lone Exact on an idle
-// process gets the whole budget, a saturated process runs every scan inline.
+// process gets every processor, a saturated process runs every scan inline.
 //
 // Cancellation propagates through the runners' own tick-amortized context
-// checks: every worker arms the query context, checks it at strip grabs and
-// per middle-loop iteration, and latches at most 16 inner iterations of work
-// after the context fires, exactly like the inline scan.
+// checks: every helper arms the query context, every runner checks it at
+// strip grabs and per middle-loop iteration, and latches at most 16 inner
+// iterations of work after the context fires, exactly like the inline scan.
 
 // parMinWidth is the minimum outer-loop width worth fanning out; below it
 // goroutine startup dominates the strips.
@@ -59,9 +63,9 @@ const parMinWidth = 24
 const parStrip = 4
 
 // queriesInFlight counts the queries inside Searcher.run across the process.
-// A scan divides its searcher's parallelism budget by it. It is process-wide
-// because the CPUs a scan's workers compete for are: every searcher, pooled
-// or request-private, shares them.
+// A scan divides GOMAXPROCS by it. It is process-wide because the CPUs a
+// scan's workers compete for are: every searcher, pooled or request-private,
+// shares them.
 var queriesInFlight atomic.Int64
 
 // parBest is a run's incumbent: the smallest MCC radius it has accepted and
@@ -122,15 +126,15 @@ type stripRun struct {
 
 // scanPar runs body over the outer index range [first, n) and leaves in
 // best, which comes in holding the incumbent, what the inline scan would.
-// The workers' counters and cancellation latch are absorbed into s's.
+// The helpers' counters and cancellation latch are absorbed into s's.
 func (s *Searcher) scanPar(sc *circleScan, first, n int, best *parBest, body scanBody) {
-	ws := s.parWorkersFor(n - first)
-	if ws == nil {
-		s.stats.Workers = 1
+	helpers := s.scanHelpers(n - first)
+	s.stats.Workers = 1 + len(helpers)
+	if len(helpers) == 0 {
 		body(s, first, n, best)
 		return
 	}
-	s.stats.Workers = len(ws)
+	defer s.putHelpers(helpers)
 	runs := make([]stripRun, (n-first+parStrip-1)/parStrip)
 	run := func(w *Searcher, i int, from float64) stripRun {
 		lo := first + i*parStrip
@@ -147,68 +151,80 @@ func (s *Searcher) scanPar(sc *circleScan, first, n int, best *parBest, body sca
 		wg        sync.WaitGroup
 	)
 	from.Store(math.Float64bits(best.r))
-	for _, w := range ws {
-		// A worker runs under the query's context and cuts its circles from
-		// s's working set, which nothing writes during the scan.
-		w.begin(s.qctx)
-		w.wsFrom = &s.ws
-		wg.Add(1)
-		go func(w *Searcher) {
-			defer wg.Done()
-			for !w.canceled() && !stopped.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				r := run(w, i, math.Float64frombits(from.Load()))
-				mu.Lock()
-				runs[i] = r
-				for ; committed < len(runs) && runs[committed].ran && !stopped.Load(); committed++ {
-					c := &runs[committed]
-					if c.from != best.r {
-						*c = run(w, committed, best.r)
-					}
-					if c.best.members != nil {
-						best.r = c.best.r
-						best.members = append(best.members[:0], c.best.members...)
-					}
-					if c.stop {
-						stopped.Store(true)
-					}
-				}
-				from.Store(math.Float64bits(best.r))
-				mu.Unlock()
+	work := func(w *Searcher) {
+		for !w.canceled() && !stopped.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(runs) {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, w := range ws {
-		s.stats.CirclesExamined += w.stats.CirclesExamined
-		s.stats.FeasibilityChecks += w.stats.FeasibilityChecks
-		if s.ctxErr == nil && w.ctxErr != nil {
-			s.ctxErr = w.ctxErr
+			r := run(w, i, math.Float64frombits(from.Load()))
+			mu.Lock()
+			runs[i] = r
+			for ; committed < len(runs) && runs[committed].ran && !stopped.Load(); committed++ {
+				c := &runs[committed]
+				if c.from != best.r {
+					*c = run(w, committed, best.r)
+				}
+				if c.best.members != nil {
+					best.r = c.best.r
+					best.members = append(best.members[:0], c.best.members...)
+				}
+				if c.stop {
+					stopped.Store(true)
+				}
+			}
+			from.Store(math.Float64bits(best.r))
+			mu.Unlock()
 		}
-		w.wsFrom = nil
-		w.qctx = nil
+	}
+	for _, h := range helpers {
+		// A helper runs under the query's context and cuts its circles from
+		// s's working set, which nothing writes during the scan.
+		h.begin(s.qctx)
+		h.wsFrom = &s.ws
+		wg.Add(1)
+		go func(h *Searcher) {
+			defer wg.Done()
+			work(h)
+		}(h)
+	}
+	work(s)
+	wg.Wait()
+	for _, h := range helpers {
+		s.stats.CirclesExamined += h.stats.CirclesExamined
+		s.stats.FeasibilityChecks += h.stats.FeasibilityChecks
+		if s.ctxErr == nil && h.ctxErr != nil {
+			s.ctxErr = h.ctxErr
+		}
 	}
 }
 
-// parWorkersFor returns the worker group for an outer loop of the given
-// width, or nil when the scan runs inline: fewer than two workers granted,
-// or a loop too narrow to pay for the fan-out. Workers are cloned lazily,
-// cached, and rebound to s with AdoptFrom.
-func (s *Searcher) parWorkersFor(width int) []*Searcher {
-	n := s.parallel / max(1, int(queriesInFlight.Load()))
+// scanHelpers borrows the helpers of a scan over an outer loop of the given
+// width, or returns nil when the scan runs inline: fewer than two workers
+// granted, or a loop too narrow to pay for the fan-out. The grant is
+// GOMAXPROCS over the queries in flight, capped at one worker per strip; s is
+// one of the workers, so it borrows one helper fewer.
+func (s *Searcher) scanHelpers(width int) []*Searcher {
+	n := runtime.GOMAXPROCS(0) / max(1, int(queriesInFlight.Load()))
 	if n < 2 || width < parMinWidth {
 		return nil
 	}
 	n = min(n, (width+parStrip-1)/parStrip)
-	for len(s.parWorkers) < n {
-		s.parWorkers = append(s.parWorkers, s.Clone())
+	if s.pool == nil {
+		s.pool = NewPool(s)
 	}
-	ws := s.parWorkers[:n]
-	for _, w := range ws {
-		w.AdoptFrom(s)
+	helpers := make([]*Searcher, n-1)
+	for i := range helpers {
+		helpers[i] = s.pool.GetFor(s)
 	}
-	return ws
+	return helpers
+}
+
+// putHelpers unbinds a scan's helpers from it and returns them to s's pool.
+func (s *Searcher) putHelpers(helpers []*Searcher) {
+	for _, h := range helpers {
+		h.wsFrom = nil
+		h.qctx = nil
+		s.pool.Put(h)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -42,6 +43,16 @@ func sameMembersList(a, b []graph.V) bool {
 	return true
 }
 
+// SetProcs sets GOMAXPROCS to n for the rest of the test and restores it in
+// t.Cleanup. A circle scan's worker count is GOMAXPROCS over the queries in
+// flight, so on an otherwise idle process this picks the scan's fan-out.
+// Exported for the external test package.
+func SetProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // diffResults fails the test unless the parallel result is byte-identical to
 // the serial one: same members, bitwise-equal MCC and Delta.
 func diffResults(t *testing.T, label string, serial, par *Result) {
@@ -58,9 +69,9 @@ func diffResults(t *testing.T, label string, serial, par *Result) {
 }
 
 // TestParallelExactMatchesSerial pins the scan's determinism guarantee: the
-// strip-parallel Exact returns byte-identical results to the inline scan of
-// a budget-0 searcher at every worker count, and a budget of 1 is that
-// inline scan outright (equal work counters included).
+// strip-parallel Exact returns byte-identical results to the inline scan at
+// GOMAXPROCS 1 at every worker count, and a fresh searcher at GOMAXPROCS 1
+// runs that inline scan outright (equal work counters included).
 func TestParallelExactMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := clusteredGraph(seed, 2, 32, 20)
@@ -71,9 +82,10 @@ func TestParallelExactMatchesSerial(t *testing.T) {
 		for _, k := range []int{4, 8} {
 			for qi := 0; qi < 3; qi++ {
 				q := graph.V(rnd.Intn(g.NumVertices()))
+				SetProcs(t, 1)
 				sres, serr := serial.Exact(q, k)
 				for _, workers := range []int{1, 2, 8} {
-					ps.SetParallelism(workers)
+					SetProcs(t, workers)
 					pres, perr := ps.Exact(q, k)
 					if (serr == nil) != (perr == nil) {
 						t.Fatalf("seed %d q=%d k=%d workers=%d: error diverges: serial %v, parallel %v",
@@ -91,12 +103,16 @@ func TestParallelExactMatchesSerial(t *testing.T) {
 					if pres.Stats.CirclesExamined <= 0 {
 						t.Fatalf("seed %d q=%d k=%d workers=%d: no circles examined", seed, q, k, workers)
 					}
+					if pres.Stats.Workers >= 2 {
+						engaged = true
+					}
 					if workers == 1 {
-						// A budget of 1 runs inline, like budget 0: the
-						// full work counters must match, not just results.
+						// One processor runs inline, like the serial
+						// searcher: the full work counters must match,
+						// not just results.
 						if pres.Stats.CirclesExamined != sres.Stats.CirclesExamined ||
 							pres.Stats.FeasibilityChecks != sres.Stats.FeasibilityChecks {
-							t.Fatalf("seed %d q=%d k=%d workers=1: counters diverge from budget 0: %+v vs %+v",
+							t.Fatalf("seed %d q=%d k=%d workers=1: counters diverge from the serial searcher: %+v vs %+v",
 								seed, q, k, pres.Stats, sres.Stats)
 						}
 					}
@@ -105,9 +121,6 @@ func TestParallelExactMatchesSerial(t *testing.T) {
 					validateCommunity(t, g, sres, q, k)
 				}
 			}
-		}
-		if len(ps.parWorkers) > 0 {
-			engaged = true
 		}
 		if !engaged {
 			t.Fatalf("seed %d: parallel path never engaged (candidate sets too narrow for parMinWidth=%d)",
@@ -130,9 +143,10 @@ func TestParallelExactPlusMatchesSerial(t *testing.T) {
 				q := graph.V(rnd.Intn(g.NumVertices()))
 				// A loose εA keeps the annulus filter set F1 wide enough for
 				// the strips to engage on this small fixture.
+				SetProcs(t, 1)
 				sres, serr := serial.ExactPlus(q, k, 0.5)
 				for _, workers := range []int{1, 2, 8} {
-					ps.SetParallelism(workers)
+					SetProcs(t, workers)
 					pres, perr := ps.ExactPlus(q, k, 0.5)
 					if (serr == nil) != (perr == nil) {
 						t.Fatalf("seed %d q=%d k=%d workers=%d: error diverges: serial %v, parallel %v",
@@ -142,11 +156,11 @@ func TestParallelExactPlusMatchesSerial(t *testing.T) {
 						continue
 					}
 					diffResults(t, "exact+", sres, pres)
+					if pres.Stats.Workers >= 2 {
+						engaged = true
+					}
 				}
 			}
-		}
-		if len(ps.parWorkers) > 0 {
-			engaged = true
 		}
 	}
 	// The clustered fixtures may legitimately produce thin F1 sets (serial
@@ -156,20 +170,21 @@ func TestParallelExactPlusMatchesSerial(t *testing.T) {
 	serial := NewSearcher(g)
 	ps := NewSearcher(g)
 	for _, k := range []int{20, 40} {
+		SetProcs(t, 1)
 		sres, serr := serial.ExactPlus(0, k, 0.5)
 		for _, workers := range []int{2, 8} {
-			ps.SetParallelism(workers)
+			SetProcs(t, workers)
 			pres, perr := ps.ExactPlus(0, k, 0.5)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("spread clique k=%d workers=%d: error diverges: %v vs %v", k, workers, serr, perr)
 			}
 			if serr == nil {
 				diffResults(t, "exact+ spread", sres, pres)
+				if pres.Stats.Workers >= 2 {
+					engaged = true
+				}
 			}
 		}
-	}
-	if len(ps.parWorkers) > 0 {
-		engaged = true
 	}
 	if !engaged {
 		t.Fatalf("parallel exact+ path never engaged on any fixture (F1 always under parMinWidth=%d)", parMinWidth)
@@ -194,27 +209,28 @@ func (c *heldCtx) Err() error {
 }
 
 // TestScanBudgetSharedByQueriesInFlight pins the one budget rule: a scan
-// runs on its searcher's budget divided by the queries inside run across
-// the process, floor 1. With held queries parked in flight, a budget-4
-// Exact+ on the spread clique (|F1| = 36, nine strips) scans on 4, 2 and 1
-// workers, and answers what a budget-0 searcher does.
+// runs on GOMAXPROCS divided by the queries inside run across the process,
+// floor 1. With held queries parked in flight, an Exact+ at GOMAXPROCS 4 on
+// the spread clique (|F1| = 36, nine strips) scans on 4, 2 and 1 workers,
+// and answers what a searcher at GOMAXPROCS 1 does.
 func TestScanBudgetSharedByQueriesInFlight(t *testing.T) {
 	g := spreadClique(5, 64)
 	query := Query{Algo: "exact+", Q: 0, K: 20, EpsA: Float(0.5)}
+	SetProcs(t, 1)
 	want, err := NewSearcher(g).Search(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Stats.Workers != 1 {
-		t.Fatalf("budget 0 scanned on %d workers, want 1 (inline)", want.Stats.Workers)
+		t.Fatalf("GOMAXPROCS 1 scanned on %d workers, want 1 (inline)", want.Stats.Workers)
 	}
+	SetProcs(t, 4)
 	for _, held := range []int{0, 1, 3} {
 		release := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := 0; i < held; i++ {
 			ctx := &heldCtx{Context: context.Background(), entered: make(chan struct{}), release: release}
 			hs := NewSearcher(g)
-			hs.SetParallelism(4)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -223,7 +239,6 @@ func TestScanBudgetSharedByQueriesInFlight(t *testing.T) {
 			<-ctx.entered
 		}
 		s := NewSearcher(g)
-		s.SetParallelism(4)
 		got, err := s.Search(context.Background(), query)
 		close(release)
 		wg.Wait()
@@ -231,28 +246,29 @@ func TestScanBudgetSharedByQueriesInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w := max(1, 4/(held+1)); got.Stats.Workers != w {
-			t.Fatalf("%d queries held in flight: budget 4 scanned on %d workers, want %d", held, got.Stats.Workers, w)
+			t.Fatalf("%d queries held in flight: GOMAXPROCS 4 scanned on %d workers, want %d", held, got.Stats.Workers, w)
 		}
 		diffResults(t, fmt.Sprintf("held=%d", held), want, got)
 	}
 }
 
 // TestParallelSearchRegistryAgrees runs every registered algorithm through
-// the unified Search entry point serially and with a parallelism budget, on
-// the same graph: algorithms without a parallel path must be untouched, the
-// exact ones byte-identical.
+// the unified Search entry point at GOMAXPROCS 1 and 8, on the same graph:
+// algorithms without a parallel path must be untouched, the exact ones
+// byte-identical.
 func TestParallelSearchRegistryAgrees(t *testing.T) {
 	g := clusteredGraph(7, 2, 32, 20)
 	serial := NewSearcher(g)
 	ps := NewSearcher(g)
-	ps.SetParallelism(8)
 	ctx := context.Background()
 	for _, spec := range Algorithms() {
 		q := Query{Algo: spec.Name, Q: 5, K: 4}
 		if spec.Name == "theta" {
 			q.Theta = Float(0.1)
 		}
+		SetProcs(t, 1)
 		sres, serr := serial.Search(ctx, q)
+		SetProcs(t, 8)
 		pres, perr := ps.Search(ctx, q)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("%s: error diverges: serial %v, parallel %v", spec.Name, serr, perr)
@@ -272,6 +288,7 @@ func TestParallelExactCancellation(t *testing.T) {
 	g := spreadClique(11, 64)
 	const q, k = 3, 40
 	serial := NewSearcher(g)
+	SetProcs(t, 1)
 	want, werr := serial.Exact(q, k)
 	if werr != nil {
 		t.Fatalf("serial baseline: %v", werr)
@@ -285,7 +302,7 @@ func TestParallelExactCancellation(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		const countdown = 200
 		ps := NewSearcher(g)
-		ps.SetParallelism(workers)
+		SetProcs(t, workers)
 		// The shared countdownCtx fake (ctx_test.go) fires after countdown
 		// Err consultations — deterministic mid-enumeration cancellation.
 		ctx := newCountdown(countdown)

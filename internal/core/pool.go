@@ -7,7 +7,8 @@ import (
 )
 
 // Pool is a concurrency-safe pool of Searcher clones over one graph — the
-// parallel execution substrate for batch and server traffic. A single
+// parallel execution substrate for batch and server traffic, and where a
+// circle scan run in strips borrows its helpers (parallel.go). A single
 // Searcher is cheap to query repeatedly but owns mutable scratch space and a
 // candidate cache, so it must not be shared across goroutines; Pool hands
 // each concurrent caller its own clone (sharing the immutable core/truss
@@ -66,7 +67,8 @@ func (p *Pool) Created() int64 { return p.created.Load() }
 // Get returns a Searcher for exclusive use by the calling goroutine, bound
 // to whatever base it last served (the pool's current base for fresh
 // clones). Return it with Put when done; Searchers that are never Put are
-// simply collected. Snapshot readers use GetFor instead.
+// simply collected. Snapshot readers use GetFor instead. The worker records
+// p as its pool: a circle scan it runs in strips borrows its helpers here.
 func (p *Pool) Get() *Searcher {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -78,7 +80,9 @@ func (p *Pool) Get() *Searcher {
 	}
 	p.mu.Unlock()
 	p.created.Add(1)
-	return p.base.Load().Clone()
+	w := p.base.Load().Clone()
+	w.pool = p
+	return w
 }
 
 // GetFor returns a Searcher rebound to base's graph and decomposition — the

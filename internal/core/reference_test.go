@@ -617,10 +617,12 @@ func sameAnswer(t *testing.T, label string, want, got *core.Result, wantErr, got
 // runReference checks every registry algorithm for every fixture query and
 // k ≤ 4 against the reference, and requires the answer to be a function of
 // (graph, query) alone: a fresh searcher, a warm one that served every other
-// query first in shuffled order, a pooled worker (another order) and a
-// searcher scanning with a budget of two workers answer bit for bit alike.
+// query first in shuffled order, a pooled worker (another order), all at
+// GOMAXPROCS 1, and a searcher scanning at GOMAXPROCS 2 answer bit for bit
+// alike.
 func runReference(t *testing.T, st core.Structure, fixtures []refFixture) (parallelScans int) {
 	ctx := context.Background()
+	core.SetProcs(t, 1)
 	for fi, f := range fixtures {
 		type job struct {
 			query core.Query
@@ -649,19 +651,20 @@ func runReference(t *testing.T, st core.Structure, fixtures []refFixture) (paral
 
 		warm := core.NewSearcherWithStructure(f.g, st)
 		pool := core.NewPool(core.NewSearcherWithStructure(f.g, st))
-		budget := core.NewSearcherWithStructure(f.g, st)
-		budget.SetParallelism(2)
+		twoProcs := core.NewSearcherWithStructure(f.g, st)
 		rnd := rand.New(rand.NewSource(int64(fi) + 1))
 		for _, path := range []struct {
 			name  string
+			procs int
 			order []int
 			get   func() *core.Searcher
 			put   func(*core.Searcher)
 		}{
-			{"warm", rnd.Perm(len(jobs)), func() *core.Searcher { return warm }, func(*core.Searcher) {}},
-			{"pooled", rnd.Perm(len(jobs)), pool.Get, pool.Put},
-			{"budget 2", rnd.Perm(len(jobs)), func() *core.Searcher { return budget }, func(*core.Searcher) {}},
+			{"warm", 1, rnd.Perm(len(jobs)), func() *core.Searcher { return warm }, func(*core.Searcher) {}},
+			{"pooled", 1, rnd.Perm(len(jobs)), pool.Get, pool.Put},
+			{"GOMAXPROCS 2", 2, rnd.Perm(len(jobs)), func() *core.Searcher { return twoProcs }, func(*core.Searcher) {}},
 		} {
+			core.SetProcs(t, path.procs)
 			for _, i := range path.order {
 				j := jobs[i]
 				s := path.get()
@@ -705,7 +708,7 @@ func TestReference(t *testing.T) {
 		fixtures = append(fixtures, refFixture{"clustered", g, refPick(g, seed, 2)})
 	}
 	if runReference(t, core.StructureKCore, fixtures) == 0 {
-		t.Fatal("no query ran its circle scan on two workers: the budget-2 path went unchecked")
+		t.Fatal("no query ran its circle scan on two workers: the GOMAXPROCS 2 path went unchecked")
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	"sacsearch/internal/graph"
 )
 
-// scanCounters is the work the Exact and Exact+ circle scans did at budget 0
-// (no intra-query parallelism), recorded at 7eb1d3c, when the one-worker
-// scan was a serial loop of its own: CirclesExamined, FeasibilityChecks and
-// F1Size per query. "clustered" rows are every exact / exact+ row of
-// searchGolden (clusteredGraph(17, 5, 7, 25), εA = 1e-3); "spread" rows are
-// spreadClique(5, 64) with εA = 0.5, wide enough that a budget of 2 or more
-// would fan the scan out. Zero counters are the trivial-k and
-// no-community rows. A scan that examines a circle more or less, or probes
-// one more or less, fails here even when its answer does not change.
+// scanCounters is the work the Exact and Exact+ circle scans did on one
+// worker (GOMAXPROCS 1: no intra-query parallelism), recorded at 7eb1d3c,
+// when the one-worker scan was a serial loop of its own: CirclesExamined,
+// FeasibilityChecks and F1Size per query. "clustered" rows are every exact /
+// exact+ row of searchGolden (clusteredGraph(17, 5, 7, 25), εA = 1e-3);
+// "spread" rows are spreadClique(5, 64) with εA = 0.5, wide enough that two
+// or more workers would fan the scan out. Zero counters are the trivial-k
+// and no-community rows. A scan that examines a circle more or less, or
+// probes one more or less, fails here even when its answer does not change.
 var scanCounters = []struct {
 	graph         string
 	algo          string
@@ -179,8 +179,9 @@ var scanCounters = []struct {
 }
 
 // TestScanCountersPinned replays scanCounters on one searcher per graph at
-// budget 0 and requires every counter to match.
+// GOMAXPROCS 1 and requires every counter to match.
 func TestScanCountersPinned(t *testing.T) {
+	SetProcs(t, 1)
 	searchers := map[string]*Searcher{
 		"clustered": NewSearcher(clusteredGraph(17, 5, 7, 25)),
 		"spread":    NewSearcher(spreadClique(5, 64)),

@@ -41,7 +41,6 @@ func (s *Searcher) SnapshotOnto(g *graph.Graph, coresFrom *Searcher) *Searcher {
 		inX:       nil,
 		visited:   nil,
 		noCache:   s.noCache,
-		parallel:  s.parallel,
 	}
 	return snap
 }

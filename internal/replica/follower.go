@@ -31,7 +31,8 @@ type FollowerOptions struct {
 	// Logger receives connection-level events (defaults to slog.Default()).
 	Logger *slog.Logger
 	// Metrics, when non-nil, exports replication lag, connection state and
-	// resync/reconnect counters.
+	// resync/reconnect counters, and the sac_engine_* instruments of the
+	// engine holding the replicated state.
 	Metrics *telemetry.Registry
 }
 
@@ -393,7 +394,10 @@ func (f *Follower) receiveSnapshot(conn net.Conn, resp response) error {
 	if size := graph.BinarySize(g); n != uint64(size) {
 		return fmt.Errorf("snapshot length prefix is %d bytes, the graph in it is %d", n, size)
 	}
-	eng := snapshot.New(g, snapshot.Options{})
+	// The engine's sac_engine_* instruments go on the follower's registry:
+	// gauges are last-wins and histograms get-or-create, so after a re-sync
+	// the scrape reads the live engine.
+	eng := snapshot.New(g, snapshot.Options{Metrics: f.opt.Metrics})
 	if fn := f.onPublish.Load(); fn != nil {
 		eng.SetOnPublish(*fn)
 	}

@@ -1,12 +1,15 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/store"
+	"sacsearch/internal/telemetry"
 )
 
 // discard swallows connection-level log lines: reconnect storms are the
@@ -436,4 +440,70 @@ func TestShipperAcks(t *testing.T) {
 	waitFor(t, 5*time.Second, "closed follower leaves the status", func() bool {
 		return sh.Status().Followers == 1
 	})
+}
+
+// TestFollowerExportsEngineMetrics pins a replica's sac_engine_* series: they
+// describe the engine the follower serves from — after the initial sync, and
+// again after a re-sync replaced that engine with a fresh one.
+func TestFollowerExportsEngineMetrics(t *testing.T) {
+	st, sh := startLeader(t, store.Options{SegmentBytes: 1 << 10, CheckpointInterval: -1})
+	reg := telemetry.NewRegistry()
+	f, err := NewFollower(FollowerOptions{
+		Leader:     sh.Addr().String(),
+		BackoffMin: 5 * time.Millisecond,
+		BackoffMax: 100 * time.Millisecond,
+		Logger:     discard,
+		Metrics:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	// scraped is the replica's sac_engine_published sample, -1 when absent.
+	scraped := func() float64 {
+		var buf bytes.Buffer
+		reg.WriteText(&buf)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "sac_engine_published "); ok {
+				n, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("sac_engine_published sample %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		return -1
+	}
+	live := func() bool { return scraped() == float64(f.Engine().Published()) }
+
+	waitFor(t, 5*time.Second, "initial sync", func() bool { return f.Status().Synced })
+	waitFor(t, 5*time.Second, "sac_engine_published of the synced engine", live)
+	driveChurn(t, st, 7, 40)
+	waitFor(t, 5*time.Second, "catch-up", caughtUp(st, f))
+	waitFor(t, 5*time.Second, "sac_engine_published after the tail", live)
+
+	// Force a re-sync as TestFollowerResyncsAcrossTruncatedHistory does:
+	// partition, truncate the WAL past the follower, heal.
+	first := f.Engine()
+	sh.Close()
+	for seed := int64(8); seed <= 9; seed++ {
+		driveChurn(t, st, seed, 200)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", sh.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh2 := NewShipper(st, ln, ShipperOptions{Heartbeat: 20 * time.Millisecond, Poll: time.Millisecond, Logger: discard})
+	defer sh2.Close()
+	waitFor(t, 10*time.Second, "re-sync catch-up", caughtUp(st, f))
+	if f.Engine() == first || f.Status().Resyncs < 2 {
+		t.Fatalf("no re-sync happened (resyncs %d)", f.Status().Resyncs)
+	}
+	waitFor(t, 5*time.Second, "sac_engine_published of the re-synced engine", live)
+	if got, stale := scraped(), float64(first.Published()); got == stale {
+		t.Fatalf("sac_engine_published %v still reads the retired engine", got)
+	}
 }

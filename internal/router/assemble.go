@@ -113,7 +113,8 @@ func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) 
 // the stock Search on it. Global ids map to local ranks monotonically
 // (ascending), so every id-ordered traversal inside the algorithms visits
 // vertices in the same relative order as a single engine would and the
-// answer remaps back unchanged.
+// answer remaps back unchanged. An Exact or Exact+ scan sizes itself as on a
+// server, with helpers from a pool the searcher makes on first need.
 func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int64]client.ShardVertex) (*wire.Result, error) {
 	ctx, span := telemetry.StartSpan(ctx, "merge")
 	defer span.End()
@@ -141,7 +142,6 @@ func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int6
 	}
 	g := b.Build()
 	searcher := core.NewSearcher(g)
-	searcher.SetParallelism(rt.cfg.QueryParallelism)
 	lq := cq
 	lq.Q = rank[int64(cq.Q)]
 	res, err := searcher.Search(ctx, lq)

@@ -77,13 +77,6 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// TraceHook, when set, receives every finished root span (tests).
 	TraceHook func(*telemetry.Span)
-	// QueryParallelism is the circle-scan budget (core.Searcher's
-	// SetParallelism) of the local assembly run of a cross-shard query: its
-	// Exact or ExactPlus scan runs on up to this many workers. As on the
-	// server, core divides it by the queries running in the process (floor
-	// 1), so a busy router scans on one worker per query instead of
-	// oversubscribing cores. 0, the default, disables the feature.
-	QueryParallelism int
 	// MaxSubscriptions caps concurrently live standing queries held by this
 	// router (GET /v1/subscribe). Default 1024.
 	MaxSubscriptions int

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -303,8 +304,8 @@ func TestRoutedExactAlgorithms(t *testing.T) {
 	tp.diffQueries(t, "exact post-churn", queries)
 }
 
-// TestRoutedExactPlusParallel runs Exact+ through a router whose scan budget
-// is 4 against a single engine at budget 0. The graph is a clique of 64
+// TestRoutedExactPlusParallel runs Exact+ through a router at GOMAXPROCS 4
+// against a single engine at GOMAXPROCS 1. The graph is a clique of 64
 // scattered vertices, so every answer spans both shards and is assembled at
 // the router, where F1 is wide enough for the scan to fan out; the answers
 // must still be the single engine's.
@@ -317,13 +318,36 @@ func TestRoutedExactPlusParallel(t *testing.T) {
 			b.AddEdge(graph.V(v), graph.V(j))
 		}
 	}
-	tp := newTopologyWith(t, b.Build(), 2, server.Config{}, Config{QueryParallelism: 4})
+	tp := newTopology(t, b.Build(), 2)
 	queries := []client.Query{
 		{Q: 0, K: 20, Algo: "exact+", EpsA: client.Float(0.5)},
 		{Q: 17, K: 40, Algo: "exact+", EpsA: client.Float(0.5)},
 	}
+	setProcs := func(n int) {
+		prev := runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	setProcs(1)
+	serial := make([]*client.Result, len(queries))
+	for i, q := range queries {
+		res, err := tp.singleCl.Query(t.Context(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = res
+	}
+	setProcs(4)
 	if cross := tp.diffQueries(t, "parallel exact+", queries); cross != len(queries) {
 		t.Fatalf("%d of %d answers were cross-shard; the fixture should assemble every one", cross, len(queries))
+	}
+	for i, q := range queries {
+		got, err := tp.routerCl.Query(t.Context(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Members, serial[i].Members) || got.MCC != serial[i].MCC || !deltaClose(got.Delta, serial[i].Delta) {
+			t.Fatalf("q=%d k=%d: routed at GOMAXPROCS 4 %+v, single engine at GOMAXPROCS 1 %+v", q.Q, q.K, got, serial[i])
+		}
 	}
 }
 

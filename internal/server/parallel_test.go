@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -31,23 +32,24 @@ func spreadClique(seed int64, n int) *graph.Graph {
 	return b.Build()
 }
 
-// TestQueryParallelismBudget pins the server's side of the scan budget: an
-// Exact+ over /v1/query answers the same members, MCC and δ with
-// QueryParallelism 4 as with 0, and the workers its scan ran on reach
-// sac_query_parallelism_effective_total — all four on an otherwise idle
-// server, one (the inline scan) at budget 0.
+// TestQueryParallelismBudget pins the server's side of the scan budget, which
+// is the machine's: with a default Config (metrics on), an Exact+ over
+// /v1/query on an otherwise idle server answers the same members, MCC and δ
+// at GOMAXPROCS 4 as at 1, and its scan runs on GOMAXPROCS workers — all four,
+// or one (the inline scan) — which sac_query_parallelism_budget_total and
+// sac_query_parallelism_effective_total both count.
 func TestQueryParallelismBudget(t *testing.T) {
 	var got [2]wire.Result
-	for i, budget := range []int{0, 4} {
-		srv := NewWithConfig("test", spreadClique(5, 64), Config{
-			QueryParallelism: budget, Metrics: telemetry.NewRegistry(),
-		})
+	for i, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		srv := NewWithConfig("test", spreadClique(5, 64), Config{Metrics: telemetry.NewRegistry()})
 		t.Cleanup(srv.Close)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Q: 0, K: 20, Algo: "exact+", EpsA: core.Float(0.5)})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("budget %d: status %d body %s", budget, resp.StatusCode, body)
+			t.Fatalf("GOMAXPROCS %d: status %d body %s", procs, resp.StatusCode, body)
 		}
 		if err := json.Unmarshal(body, &got[i]); err != nil {
 			t.Fatal(err)
@@ -60,11 +62,11 @@ func TestQueryParallelismBudget(t *testing.T) {
 		mresp.Body.Close()
 		asked := metricValue(t, string(text), "sac_query_parallelism_budget_total")
 		ran := metricValue(t, string(text), "sac_query_parallelism_effective_total")
-		if want := float64(max(budget, 1)); asked != want || ran != want {
-			t.Errorf("budget %d: budget_total %v, effective_total %v; want %v each", budget, asked, ran, want)
+		if want := float64(procs); asked != want || ran != want {
+			t.Errorf("GOMAXPROCS %d: budget_total %v, effective_total %v; want %v each", procs, asked, ran, want)
 		}
 	}
 	if !slices.Equal(got[0].Members, got[1].Members) || got[0].MCC != got[1].MCC || got[0].Delta != got[1].Delta {
-		t.Fatalf("budget 4 answered %+v, budget 0 %+v", got[1], got[0])
+		t.Fatalf("GOMAXPROCS 4 answered %+v, GOMAXPROCS 1 %+v", got[1], got[0])
 	}
 }

@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -115,16 +116,6 @@ type Config struct {
 	// GET /v1/subscribe; past it registrations fail with 429
 	// subscription_limit. Default 1024.
 	MaxSubscriptions int
-	// QueryParallelism is the circle-scan budget (core.Searcher's
-	// SetParallelism) of a /v1/query request: an Exact or ExactPlus scan runs
-	// on up to this many workers. Core divides it by the queries running in
-	// the process (floor 1), so a lone query on an idle server gets the whole
-	// budget and a saturated server runs every scan on one — per-query
-	// parallelism helps latency when cores are idle, never throughput when
-	// they are not. Batch items and shard legs always scan on one worker (a
-	// batch's own workers are its parallelism). 0, the default, disables the
-	// feature.
-	QueryParallelism int
 }
 
 func (c Config) queryTimeout() time.Duration {
@@ -163,7 +154,7 @@ type Server struct {
 	statRepairs  *telemetry.CounterVec // sorted views repaired from the mutation journal
 	statRebuilds *telemetry.CounterVec // sorted views computed from scratch
 	statDropped  *telemetry.CounterVec // cached communities invalidated
-	parBudget    *telemetry.Counter    // circle-scan workers the budget asked for
+	parBudget    *telemetry.Counter    // circle-scan workers the machine offered (GOMAXPROCS per scan)
 	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
 
 	// cert caches the shard exactness certificate for the current topology
@@ -246,9 +237,9 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	s.statDropped = reg.CounterVec("sac_query_cache_entries_dropped_total",
 		"Cached communities dropped because an edge op changed them or the mutation journal no longer reached them, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
-		"Circle-scan workers the per-query parallelism budget asked for (at least 1), over Exact and Exact+ scans.")
+		"Circle-scan workers the machine offers, GOMAXPROCS added once per Exact and Exact+ scan.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
-		"Circle-scan workers those scans ran on, the budget divided by the queries in flight.")
+		"Circle-scan workers those scans ran on, GOMAXPROCS divided by the queries in flight.")
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/ready", s.handleReady)
 	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
@@ -536,7 +527,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.search(ctx, eng.Current(), q, s.cfg.QueryParallelism)
+	res, err := s.search(ctx, eng.Current(), q)
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
@@ -548,18 +539,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // certified leg of /v1/shard/search and every /v1/batch item alike: q runs
 // through the unified Search entry point — registry-validated, no locks
 // anywhere on this path — on a pooled worker rebound to snap, under a
-// "search" span, with budget as its circle-scan budget (core divides it by
-// the load; 0 scans on one worker). A success is recorded in sac_query_* and
-// returned in wire form.
-func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query, budget int) (*wire.Result, error) {
+// "search" span. An Exact or Exact+ circle scan sizes itself (GOMAXPROCS over
+// the queries in flight) and borrows its helpers from the same pool. A
+// success is recorded in sac_query_* and returned in wire form.
+func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) (*wire.Result, error) {
 	worker := snap.Get()
 	defer snap.Put(worker)
-	// The worker goes back to the pool with the default budget 0 (defers run
-	// LIFO, so the reset precedes snap.Put).
-	if budget > 1 {
-		worker.SetParallelism(budget)
-		defer worker.SetParallelism(0)
-	}
 	ctx, span := telemetry.StartSpan(ctx, "search")
 	res, err := worker.Search(ctx, q)
 	span.End()
@@ -572,7 +557,7 @@ func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query, 
 	span.SetAttr("k", q.K)
 	s.observeQuery(spec.Name, res.Stats)
 	if workers := res.Stats.Workers; workers > 0 {
-		s.parBudget.Add(uint64(max(budget, 1)))
+		s.parBudget.Add(uint64(runtime.GOMAXPROCS(0)))
 		s.parEffective.Add(uint64(workers))
 	}
 	return httpapi.WireResult(spec.Name, res), nil
@@ -616,7 +601,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	httpapi.ServeBatch(w, r.WithContext(ctx), &req,
 		func(q core.Query) error { return validate(snap, q) },
-		func(ctx context.Context, q core.Query) (*wire.Result, error) { return s.search(ctx, snap, q, 0) })
+		func(ctx context.Context, q core.Query) (*wire.Result, error) { return s.search(ctx, snap, q) })
 }
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.

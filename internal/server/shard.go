@@ -104,7 +104,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	// exact global answer — as θ-SAC's can for a live q with an empty disk.
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.search(ctx, snap, q, 0)
+	res, err := s.search(ctx, snap, q)
 	if err != nil && !errors.Is(err, core.ErrNoCommunity) {
 		httpapi.WriteQueryError(w, r, err)
 		return

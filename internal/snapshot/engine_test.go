@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -482,5 +483,43 @@ func TestPersistFailureTurnsEngineReadOnly(t *testing.T) {
 	defer after.Put(w)
 	if _, err := w.AppInc(0, 4); err != nil {
 		t.Fatalf("read on read-only engine: %v", err)
+	}
+}
+
+// TestScanHelpersComeFromThePool pins where a circle scan's helpers come
+// from: fifty sequential wide Exact+ queries through one engine at
+// GOMAXPROCS 4 each scan on four workers — the pooled worker and three
+// helpers it borrows from the same pool and returns to it — so the pool
+// never clones more than those four searchers.
+func TestScanHelpersComeFromThePool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	// A clique of 64 scattered vertices: at k = 20 and εA = 0.5 Exact+'s F1
+	// holds 36 of them, nine strips.
+	rnd := rand.New(rand.NewSource(5))
+	b := graph.NewBuilder(64)
+	for v := 0; v < 64; v++ {
+		b.SetLoc(graph.V(v), geom.Point{X: rnd.Float64(), Y: rnd.Float64()})
+		for j := 0; j < v; j++ {
+			b.AddEdge(graph.V(v), graph.V(j))
+		}
+	}
+	e := New(b.Build(), Options{})
+	t.Cleanup(e.Close)
+	query := core.Query{Algo: "exact+", Q: 0, K: 20, EpsA: core.Float(0.5)}
+	for i := 0; i < 50; i++ {
+		snap := e.Current()
+		w := snap.Get()
+		res, err := w.Search(context.Background(), query)
+		snap.Put(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Workers != 4 {
+			t.Fatalf("query %d scanned on %d workers, want 4", i, res.Stats.Workers)
+		}
+	}
+	if n := e.PoolClones(); n > 4 {
+		t.Fatalf("fifty scans on four workers made %d pool clones, want at most 4", n)
 	}
 }

@@ -26,7 +26,7 @@ import (
 // emptied by the garbage collector, and a worker's value is its warm cache —
 // after a collection every Get would clone a cold searcher and the next
 // queries would each rebuild a view. The list hands out the most recently
-// returned (warmest) worker first and keeps at most maxIdle of them, so
+// returned (warmest) worker first and keeps at most idleCap of them, so
 // what it retains is bounded by the concurrency the machine can actually
 // run; a burst beyond that is cloned on demand and dropped on Put.
 //
@@ -35,7 +35,6 @@ import (
 type Pool struct {
 	base    atomic.Pointer[Searcher]
 	created atomic.Int64
-	maxIdle int
 
 	mu   sync.Mutex
 	idle []*Searcher
@@ -44,10 +43,7 @@ type Pool struct {
 // NewPool creates a pool of clones of base. base itself is never handed
 // out, so it remains safe to use on the caller's own goroutine.
 func NewPool(base *Searcher) *Pool {
-	// Twice the processors: a request that is preempted between its query
-	// and its Put still finds room, so steady traffic never drops a warm
-	// worker.
-	pl := &Pool{maxIdle: 2 * runtime.GOMAXPROCS(0)}
+	pl := &Pool{}
 	pl.base.Store(base)
 	return pl
 }
@@ -61,7 +57,7 @@ func (p *Pool) SetBase(base *Searcher) { p.base.Store(base) }
 // Created returns the number of worker clones this pool has ever created —
 // the pool-size signal /v1/health reports. Clones are only created when no
 // idle worker is left, so the count tracks peak concurrency (plus whatever
-// bursts beyond maxIdle had to re-clone).
+// bursts beyond idleCap had to re-clone).
 func (p *Pool) Created() int64 { return p.created.Load() }
 
 // Get returns a Searcher for exclusive use by the calling goroutine, bound
@@ -94,10 +90,17 @@ func (p *Pool) GetFor(base *Searcher) *Searcher {
 	return w
 }
 
+// idleCap is the most idle workers Put keeps: twice the processors, read at
+// each Put so a pool made before GOMAXPROCS rose keeps enough for the
+// machine it now runs on. Twice, so a request that is preempted between its
+// query and its Put still finds room and steady traffic never drops a warm
+// worker.
+func idleCap() int { return 2 * runtime.GOMAXPROCS(0) }
+
 // Put returns a Searcher obtained from Get or GetFor to the pool.
 func (p *Pool) Put(s *Searcher) {
 	p.mu.Lock()
-	if len(p.idle) < p.maxIdle {
+	if len(p.idle) < idleCap() {
 		p.idle = append(p.idle, s)
 	}
 	p.mu.Unlock()

@@ -130,15 +130,15 @@ func TestPoolKeepsWarmWorkersAcrossGC(t *testing.T) {
 	}
 
 	// A burst beyond the idle cap is cloned on demand and not retained.
-	burst := make([]*Searcher, pool.maxIdle+3)
+	burst := make([]*Searcher, idleCap()+3)
 	for i := range burst {
 		burst[i] = pool.Get()
 	}
 	for _, w := range burst {
 		pool.Put(w)
 	}
-	if len(pool.idle) != pool.maxIdle {
-		t.Fatalf("pool retains %d idle workers, want the cap %d", len(pool.idle), pool.maxIdle)
+	if len(pool.idle) != idleCap() {
+		t.Fatalf("pool retains %d idle workers, want the cap %d", len(pool.idle), idleCap())
 	}
 }
 
@@ -178,5 +178,24 @@ func TestPoolIdleCapUnderBurst(t *testing.T) {
 	}
 	if c := pool.Created(); c != burst {
 		t.Fatalf("Created = %d, want %d: recycling cloned", c, burst)
+	}
+}
+
+// TestPoolIdleCapFollowsGOMAXPROCS: a pool made at GOMAXPROCS 2 and then
+// served at 8 keeps 2×8 idle workers, not the 2×2 it was made with, so a
+// burst as wide as the machine now runs is not re-cloned on every op.
+func TestPoolIdleCapFollowsGOMAXPROCS(t *testing.T) {
+	SetProcs(t, 2)
+	pool := NewPool(NewSearcher(figure3()))
+	runtime.GOMAXPROCS(8)
+	held := make([]*Searcher, 16)
+	for i := range held {
+		held[i] = pool.Get()
+	}
+	for _, w := range held {
+		pool.Put(w)
+	}
+	if len(pool.idle) != 16 {
+		t.Fatalf("pool made at GOMAXPROCS 2 retains %d idle workers at 8, want 16", len(pool.idle))
 	}
 }

@@ -131,6 +131,30 @@ func ValidateQuery(q Query, n int, st Structure) error {
 	return err
 }
 
+// Resolved is a query as the registry resolves it: the canonical algorithm
+// name, q, k, every parameter the algorithm takes with its default applied
+// (zero for one it does not take) and the metric it runs under. Two queries
+// that resolve alike ask one graph state the same question — an alias and
+// its canonical name, an omitted parameter and its default, a timeout or
+// none — so a Resolved is the key of an answer (it is comparable).
+type Resolved struct {
+	Algo              string
+	Q                 graph.V
+	K                 int
+	EpsF, EpsA, Theta float64
+	Structure         Structure
+}
+
+// Resolve validates q over an n-vertex graph served under st, as
+// ValidateQuery does, and returns it resolved.
+func Resolve(q Query, n int, st Structure) (Resolved, error) {
+	spec, p, err := resolveQuery(q, n, st)
+	if err != nil {
+		return Resolved{}, err
+	}
+	return Resolved{Algo: spec.Name, Q: q.Q, K: q.K, EpsF: p.epsF, EpsA: p.epsA, Theta: p.theta, Structure: st}, nil
+}
+
 func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParams, error) {
 	var p resolvedParams
 	spec, ok := LookupAlgo(q.Algo)
@@ -173,39 +197,37 @@ func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParam
 // does not take so a typo'd request fails loudly instead of running with a
 // silently ignored knob.
 func resolveParams(spec *AlgoSpec, q Query) (resolvedParams, error) {
-	var p resolvedParams
+	// The values are bound by index, not through pointers to the result: a
+	// pointer into it would travel with the names into an error and move the
+	// result to the heap on every call.
 	bindings := [...]struct {
 		name string
 		ptr  *float64
-		dst  *float64
-	}{
-		{"epsF", q.EpsF, &p.epsF},
-		{"epsA", q.EpsA, &p.epsA},
-		{"theta", q.Theta, &p.theta},
-	}
-	for _, b := range bindings {
+	}{{"epsF", q.EpsF}, {"epsA", q.EpsA}, {"theta", q.Theta}}
+	var vals [len(bindings)]float64
+	for i, b := range bindings {
 		ps, accepts := spec.Param(b.name)
 		if !accepts {
 			if b.ptr != nil {
-				return p, &QueryError{Code: ErrCodeInvalidParam, Field: b.name,
+				return resolvedParams{}, &QueryError{Code: ErrCodeInvalidParam, Field: b.name,
 					Reason: fmt.Sprintf("%s is not a parameter of %s", b.name, spec.Name)}
 			}
 			continue
 		}
 		if b.ptr == nil {
 			if ps.Required {
-				return p, &QueryError{Code: ErrCodeMissingParam, Field: b.name,
+				return resolvedParams{}, &QueryError{Code: ErrCodeMissingParam, Field: b.name,
 					Reason: fmt.Sprintf("%s requires parameter %s", spec.Name, b.name)}
 			}
-			*b.dst = ps.Default
+			vals[i] = ps.Default
 			continue
 		}
 		if err := ps.validate(*b.ptr); err != nil {
-			return p, err
+			return resolvedParams{}, err
 		}
-		*b.dst = *b.ptr
+		vals[i] = *b.ptr
 	}
-	return p, nil
+	return resolvedParams{epsF: vals[0], epsA: vals[1], theta: vals[2]}, nil
 }
 
 // ValidateParams checks a query's algorithm name and parameters against the

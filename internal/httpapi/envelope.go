@@ -36,6 +36,19 @@ func WriteResult(w http.ResponseWriter, r *http.Request, res *wire.Result) {
 		return
 	}
 	*bp = body
+	writeBody(w, body)
+}
+
+// WriteStored writes a 200 /v1/query answer stored in AppendResult's layout
+// (a snapshot memo's), reporting micros as its elapsedMicros.
+func WriteStored(w http.ResponseWriter, stored []byte, micros int64) {
+	bp := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(bp)
+	*bp = wire.AppendElapsed((*bp)[:0], stored, micros)
+	writeBody(w, *bp)
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))

@@ -16,9 +16,11 @@ import (
 	"time"
 
 	"sacsearch/internal/geom"
+	"sacsearch/internal/graph"
 	"sacsearch/internal/replica"
 	"sacsearch/internal/snapshot"
 	"sacsearch/internal/store"
+	"sacsearch/internal/telemetry"
 	"sacsearch/internal/wire"
 )
 
@@ -389,5 +391,103 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	// The server still serves after the panic.
 	if resp := getJSON(t, ts.URL+"/v1/health", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("health after panic = %d", resp.StatusCode)
+	}
+}
+
+// TestReplicaMemoAcrossResync: a re-sync swaps in a new engine, whose
+// snapshots start with empty memos, so after it a query the replica had
+// stored is searched again on the new state and answers what the leader does.
+func TestReplicaMemoAcrossResync(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Init: testGraph(), CheckpointInterval: -1, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := replica.ShipperOptions{Heartbeat: 20 * time.Millisecond, Poll: time.Millisecond, Logger: discardLogger}
+	sh := replica.NewShipper(st, ln, opts)
+	srvL := NewWithStore("test", st, Config{Logger: discardLogger})
+	t.Cleanup(srvL.Close)
+	t.Cleanup(func() { sh.Close() })
+	leader := httptest.NewServer(srvL)
+	t.Cleanup(leader.Close)
+	f, err := replica.NewFollower(replica.FollowerOptions{
+		Leader: sh.Addr().String(), BackoffMin: 5 * time.Millisecond,
+		BackoffMax: 50 * time.Millisecond, Logger: discardLogger,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvR := NewReplica("test", f, Config{Logger: discardLogger, StalenessBound: -1, Metrics: telemetry.NewRegistry()})
+	t.Cleanup(srvR.Close)
+	rep := httptest.NewServer(srvR)
+	t.Cleanup(rep.Close)
+	waitHTTP(t, 10*time.Second, "initial sync", func() bool { return f.Status().Synced })
+
+	q := wire.Query{Q: 1, K: 3, Algo: "appacc"}
+	ask := func(url string) string {
+		t.Helper()
+		resp, body := postJSON(t, url+"/v1/query", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %s: %d %s", url, resp.StatusCode, body)
+		}
+		return masked(body)
+	}
+	before := ask(rep.URL)
+	for range 2 {
+		if got := ask(rep.URL); got != before {
+			t.Fatalf("a repeat answered\n%s\nthe first\n%s", got, before)
+		}
+	}
+	if hit, _, _ := memoCounts(t, rep.URL); hit != 1 {
+		t.Fatalf("memo hits %v before the re-sync, want 1", hit)
+	}
+
+	// Partition, move q's community away and truncate the log past the
+	// follower, then heal: the follower must re-sync from a snapshot.
+	first := f.Engine()
+	sh.Close()
+	ctx := context.Background()
+	for round := range 2 {
+		for v := range 6 {
+			p := geom.Point{X: 0.9 - 0.01*float64(v+round), Y: 0.1 + 0.01*float64(v)}
+			if err := st.CheckIn(ctx, graph.V(v), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 100 {
+			if err := st.CheckIn(ctx, graph.V(12+i%24), geom.Point{X: 0.5, Y: 0.5 + 0.001*float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln2, err := net.Listen("tcp", sh.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh2 := replica.NewShipper(st, ln2, opts)
+	t.Cleanup(func() { sh2.Close() })
+	waitHTTP(t, 10*time.Second, "re-sync", func() bool {
+		return f.Engine() != first && f.Status().Synced && f.Status().AppliedSeq == st.WalLastSeq()
+	})
+	if f.Status().Resyncs < 2 {
+		t.Fatalf("the follower resumed the tail (resyncs %d); no re-sync happened", f.Status().Resyncs)
+	}
+
+	_, missesBefore, _ := memoCounts(t, rep.URL)
+	after := ask(rep.URL)
+	if _, misses, _ := memoCounts(t, rep.URL); misses != missesBefore+1 {
+		t.Fatal("the first query after the re-sync was not a search")
+	}
+	if want := ask(leader.URL); after != want {
+		t.Fatalf("after the re-sync the replica answers\n%s\nthe leader\n%s", after, want)
+	}
+	if after == before {
+		t.Fatal("the writes did not change the answer; the test shows nothing")
 	}
 }

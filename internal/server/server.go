@@ -25,7 +25,9 @@
 //
 // Every search runs through Server.search: /v1/query, the certified leg of
 // /v1/shard/search, and each /v1/batch item (httpapi.ServeBatch, the
-// router's batch body too, here pinned to one snapshot).
+// router's batch body too, here pinned to one snapshot). It answers a query
+// the pinned snapshot has already answered twice from that snapshot's memo,
+// without a worker or a search.
 //
 // Concurrency model: snapshot isolation, no locks on the query path. A
 // single writer goroutine (internal/snapshot.Engine) owns the mutable
@@ -34,7 +36,8 @@
 // current snapshot with one atomic load and runs on a pooled worker rebound
 // to that snapshot — readers never block writers, writers never block
 // readers, and a query observes exactly one published state from start to
-// finish. Mutating requests return once the snapshot containing their write
+// finish; validation reads the snapshot alone and takes no worker. Mutating
+// requests return once the snapshot containing their write
 // is published (read-your-writes). Each request carries a context with a
 // per-request deadline: an abandoned client or an expired deadline cancels
 // the query at its next loop boundary instead of burning CPU to completion.
@@ -156,6 +159,9 @@ type Server struct {
 	statDropped  *telemetry.CounterVec // cached communities invalidated
 	parBudget    *telemetry.Counter    // circle-scan workers the machine offered (GOMAXPROCS per scan)
 	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
+	memoHit      *telemetry.Counter    // searches answered from the snapshot's memo
+	memoMiss     *telemetry.Counter    // searches the memo did not answer
+	memoStored   *telemetry.Counter    // answers those searches stored in it
 
 	// cert caches the shard exactness certificate for the current topology
 	// (sharded nodes only; see certFor).
@@ -240,6 +246,9 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		"Circle-scan workers the machine offers, GOMAXPROCS added once per Exact and Exact+ scan.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
 		"Circle-scan workers those scans ran on, GOMAXPROCS divided by the queries in flight.")
+	memo := reg.CounterVec("sac_query_memo_total",
+		"Searches answered from the pinned snapshot's memo (hit) or run (miss), and answers stored in it (stored).", "outcome")
+	s.memoHit, s.memoMiss, s.memoStored = memo.With("hit"), memo.With("miss"), memo.With("stored")
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/ready", s.handleReady)
 	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
@@ -527,47 +536,88 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.search(ctx, eng.Current(), q)
+	a, err := s.search(ctx, eng.Current(), q)
 	if err != nil {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	httpapi.WriteResult(w, r, res)
+	if a.body != nil {
+		httpapi.WriteStored(w, a.body, a.micros)
+		return
+	}
+	httpapi.WriteResult(w, r, a.res)
 }
 
-// search is the server's one call into the engine, for /v1/query, the
-// certified leg of /v1/shard/search and every /v1/batch item alike: q runs
-// through the unified Search entry point — registry-validated, no locks
-// anywhere on this path — on a pooled worker rebound to snap, under a
-// "search" span. An Exact or Exact+ circle scan sizes itself (GOMAXPROCS over
-// the queries in flight) and borrows its helpers from the same pool. A
-// success is recorded in sac_query_* and returned in wire form.
-func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) (*wire.Result, error) {
-	worker := snap.Get()
-	defer snap.Put(worker)
-	ctx, span := telemetry.StartSpan(ctx, "search")
-	res, err := worker.Search(ctx, q)
-	span.End()
-	if err != nil {
-		return nil, err
+// answer is what search hands back. On a memo hit res and body are the
+// stored answer's, shared with every other hit: neither may be modified.
+type answer struct {
+	res    *wire.Result // stats as the search that found it reported them
+	body   []byte       // res in wire.AppendResult's layout when the memo holds it
+	micros int64        // this call's elapsedMicros
+}
+
+// result is res reporting this call's elapsedMicros (nil for no answer).
+func (a answer) result() *wire.Result {
+	if a.res == nil || a.res.Stats.ElapsedMicros == a.micros {
+		return a.res
 	}
-	spec, _ := core.LookupAlgo(q.Algo) // Search succeeded, so the name resolves
-	span.SetAttr("algo", spec.Name)
-	span.SetAttr("q", int64(q.Q))
-	span.SetAttr("k", q.K)
-	s.observeQuery(spec.Name, res.Stats)
+	r := *a.res
+	r.Stats.ElapsedMicros = a.micros
+	return &r
+}
+
+// search is the server's one door to a snapshot's answers, for /v1/query,
+// the certified leg of /v1/shard/search and every /v1/batch item alike,
+// under a "search" span. q is resolved through the registry — the
+// validation Search runs, so every error is the one it gives — and looked up
+// in snap's memo: a query snap has answered twice is answered from there, in
+// the time the lookup took, with no worker, no search and no copy. Otherwise
+// q runs through the unified Search entry point on a pooled worker rebound to
+// snap — no locks anywhere on this path — and its answer is offered to the
+// memo. An Exact or Exact+ circle scan sizes itself (GOMAXPROCS over the
+// queries in flight) and borrows its helpers from the same pool. Every
+// success is recorded in sac_query_duration_seconds; only a search adds to
+// the work counters.
+func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) (answer, error) {
+	start := time.Now()
+	ctx, span := telemetry.StartSpan(ctx, "search")
+	defer span.End()
+	key, err := core.Resolve(q, snap.Graph().NumVertices(), snap.Structure())
+	if err != nil {
+		return answer{}, err
+	}
+	span.SetAttr("algo", key.Algo)
+	span.SetAttr("q", int64(key.Q))
+	span.SetAttr("k", key.K)
+	memo := snap.Memo()
+	if hit := memo.Lookup(key); hit != nil {
+		elapsed := time.Since(start)
+		s.memoHit.Inc()
+		s.queryDur.With(key.Algo).Observe(elapsed.Seconds())
+		span.SetAttr("memo", "hit")
+		return answer{res: hit.Result, body: hit.Body, micros: elapsed.Microseconds()}, nil
+	}
+	s.memoMiss.Inc()
+	res, err := snap.Search(ctx, q)
+	if err != nil {
+		return answer{}, err
+	}
+	s.observeQuery(key.Algo, res.Stats)
 	if workers := res.Stats.Workers; workers > 0 {
 		s.parBudget.Add(uint64(runtime.GOMAXPROCS(0)))
 		s.parEffective.Add(uint64(workers))
 	}
-	return httpapi.WireResult(spec.Name, res), nil
+	a := answer{res: httpapi.WireResult(key.Algo, res), micros: res.Stats.Elapsed.Microseconds()}
+	if stored := memo.Offer(key, a.res); stored != nil {
+		s.memoStored.Inc()
+		a.body = stored.Body
+	}
+	return a, nil
 }
 
-// validate is a worker's own validation of q against snap.
+// validate is /v1/query's validation of q against snap, without a worker.
 func validate(snap *snapshot.Snap, q core.Query) error {
-	worker := snap.Get()
-	defer snap.Put(worker)
-	return worker.ValidateQuery(q)
+	return core.ValidateQuery(q, snap.Graph().NumVertices(), snap.Structure())
 }
 
 // observeQuery records one successful search's latency and the paper's
@@ -601,7 +651,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	httpapi.ServeBatch(w, r.WithContext(ctx), &req,
 		func(q core.Query) error { return validate(snap, q) },
-		func(ctx context.Context, q core.Query) (*wire.Result, error) { return s.search(ctx, snap, q) })
+		func(ctx context.Context, q core.Query) (*wire.Result, error) {
+			a, err := s.search(ctx, snap, q) // an item carries no stats, so a hit's res serves as stored
+			return a.res, err
+		})
 }
 
 // writeWriteError maps a mutation error (checkin/edge) onto a status code.

@@ -104,12 +104,12 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	// exact global answer — as θ-SAC's can for a live q with an empty disk.
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.search(ctx, snap, q)
+	a, err := s.search(ctx, snap, q)
 	if err != nil && !errors.Is(err, core.ErrNoCommunity) {
 		httpapi.WriteQueryError(w, r, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, NoCommunity: err != nil, Result: res})
+	httpapi.WriteJSON(w, http.StatusOK, wire.ShardSearchResult{Contained: true, NoCommunity: err != nil, Result: a.result()})
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {

@@ -16,12 +16,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.api.ServeSubscribe(w, r, s.subs, func(cq core.Query) error {
-		sn := eng.Current()
-		worker := sn.Get()
-		defer sn.Put(worker)
-		return worker.ValidateQuery(cq)
-	})
+	s.api.ServeSubscribe(w, r, s.subs, func(cq core.Query) error { return validate(eng.Current(), cq) })
 }
 
 // handleShardWatch serves GET /v1/shard/watch: the shard's publication

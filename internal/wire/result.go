@@ -20,8 +20,7 @@ import (
 // shortest 'f' form, 'e' below 1e-6 and from 1e21 on, e-07 written e-7),
 // null for nil Members and HTML-escaped strings. Like encoding/json it
 // refuses a NaN or infinite float, returning dst unchanged and the error
-// json.Marshal would give. A members array it has written twice comes from
-// its memo (memo.go) as a copy of the stored bytes.
+// json.Marshal would give.
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	out := append(dst, `{"q":`...)
 	out = strconv.AppendInt(out, r.Q, 10)
@@ -31,7 +30,7 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	if r.Members == nil {
 		out = append(out, "null"...)
 	} else {
-		out = membersMemo.appendMembers(out, r.Members)
+		out = appendIDs(out, r.Members)
 	}
 	for _, f := range [...]struct {
 		key string
@@ -49,11 +48,38 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	out = strconv.AppendInt(out, int64(st.FeasibilityChecks), 10)
 	out = append(out, `,"binaryIters":`...)
 	out = strconv.AppendInt(out, int64(st.BinaryIters), 10)
-	out = append(out, `,"elapsedMicros":`...)
+	out = append(out, elapsedKey...)
 	out = strconv.AppendInt(out, st.ElapsedMicros, 10)
-	out = append(out, `,"algorithm":`...)
+	out = append(out, algorithmKey...)
 	out = appendString(out, st.Algorithm)
 	return append(out, "}}\n"...), nil
+}
+
+// The keys around stats.elapsedMicros, the one value AppendElapsed changes.
+const elapsedKey, algorithmKey = `,"elapsedMicros":`, `,"algorithm":`
+
+// AppendElapsed appends body, a Result in AppendResult's layout, with its
+// stats.elapsedMicros replaced by micros: an answer stored once and served
+// again reports the time of the call that served it. The key is found from
+// the end, where it is the last but one, so no member id or float is read.
+func AppendElapsed(dst, body []byte, micros int64) []byte {
+	at := bytes.LastIndex(body, []byte(elapsedKey)) + len(elapsedKey)
+	end := at + bytes.Index(body[at:], []byte(algorithmKey))
+	dst = append(dst, body[:at]...)
+	dst = strconv.AppendInt(dst, micros, 10)
+	return append(dst, body[end:]...)
+}
+
+// appendIDs formats ids as a JSON array of integers.
+func appendIDs(dst []byte, ids []int64) []byte {
+	dst = append(dst, '[')
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, id, 10)
+	}
+	return append(dst, ']')
 }
 
 // appendFloat is encoding/json's float64 encoding (ES6 number-to-string).
@@ -116,8 +142,8 @@ func decodeFast(raw []byte, r *Result) bool {
 		d.lit(`,"stats":{"candidateSize":`) && d.int(&out.Stats.CandidateSize) &&
 		d.lit(`,"feasibilityChecks":`) && d.int(&out.Stats.FeasibilityChecks) &&
 		d.lit(`,"binaryIters":`) && d.int(&out.Stats.BinaryIters) &&
-		d.lit(`,"elapsedMicros":`) && d.int64(&out.Stats.ElapsedMicros) &&
-		d.lit(`,"algorithm":`) && d.str(&out.Stats.Algorithm) &&
+		d.lit(elapsedKey) && d.int64(&out.Stats.ElapsedMicros) &&
+		d.lit(algorithmKey) && d.str(&out.Stats.Algorithm) &&
 		d.lit(`}}`) && d.end()
 	if ok {
 		*r = out

@@ -100,24 +100,31 @@ func randResult(rnd *rand.Rand, names []string) *wire.Result {
 }
 
 // TestAppendResultMatchesEncoder is the codec's property test: on random
-// results, AppendResult writes the bytes json.NewEncoder(w).Encode writes —
-// the first time a members array is seen (recorded), the second (stored) and
-// the third (copied from the memo) — and DecodeResult reads them back in its
-// single pass to the same value.
+// results, AppendResult writes the bytes json.NewEncoder(w).Encode writes,
+// AppendElapsed turns them into the encoder's bytes for the same result with
+// another elapsedMicros, and DecodeResult reads them back in its single pass
+// to the same value.
 func TestAppendResultMatchesEncoder(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	names := append(algoNames(), "")
 	for i := 0; i < 5000; i++ {
 		r := randResult(rnd, names)
 		want, _ := encoded(r)
-		for _, sighting := range []string{"record", "store", "hit"} {
-			got, err := wire.AppendResult([]byte("prefix"), r)
-			if err != nil {
-				t.Fatalf("%s %+v: %v", sighting, r, err)
-			}
-			if !bytes.Equal(got[len("prefix"):], want) {
-				t.Fatalf("%s: AppendResult differs from the encoder\n got: %s\nwant: %s", sighting, got[len("prefix"):], want)
-			}
+		got, err := wire.AppendResult([]byte("prefix"), r)
+		if err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("AppendResult differs from the encoder\n got: %s\nwant: %s", got[len("prefix"):], want)
+		}
+		served := *r
+		served.Stats.ElapsedMicros = rnd.Int63n(1 << uint(rnd.Intn(63)))
+		if rnd.Intn(4) == 0 {
+			served.Stats.ElapsedMicros = -served.Stats.ElapsedMicros
+		}
+		wantServed, _ := encoded(&served)
+		if gotServed := wire.AppendElapsed([]byte("prefix"), want, served.Stats.ElapsedMicros); !bytes.Equal(gotServed[len("prefix"):], wantServed) {
+			t.Fatalf("AppendElapsed(%d) differs from the encoder\n got: %s\nwant: %s", served.Stats.ElapsedMicros, gotServed[len("prefix"):], wantServed)
 		}
 		var back wire.Result
 		if !wire.DecodeFast(want, &back) {
@@ -283,6 +290,52 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeResult %+v, json.Unmarshal %+v", got, want)
+		}
+	})
+}
+
+// hotResult is a hot answer's shape: n sorted ids below 30 000, from first.
+func hotResult(n int, first int64) *wire.Result {
+	r := &wire.Result{
+		Q: first, K: 4,
+		MCC:   wire.Circle{X: 0.4816, Y: 0.5173, R: 0.0392},
+		Delta: 0.0784,
+		Stats: wire.Stats{CandidateSize: 29871, FeasibilityChecks: 7, BinaryIters: 6, ElapsedMicros: 88, Algorithm: "appfast"},
+	}
+	r.Members = make([]int64, n)
+	for i := range r.Members {
+		r.Members[i] = first + int64(9*i+i%7)
+	}
+	return r
+}
+
+// TestAppendElapsedAllocs: once dst has grown, serving a stored body
+// allocates nothing.
+func TestAppendElapsedAllocs(t *testing.T) {
+	body, _ := wire.AppendResult(nil, hotResult(3100, 0))
+	dst := wire.AppendElapsed(nil, body, 1<<40)
+	if n := testing.AllocsPerRun(100, func() { dst = wire.AppendElapsed(dst[:0], body, 3) }); n != 0 {
+		t.Fatalf("AppendElapsed allocates %v times a call", n)
+	}
+}
+
+// BenchmarkAppendResult encodes a 3 100-id answer (a hot syn1 AppFast
+// answer's size). Encode formats it; Stored serves its stored body with
+// another elapsedMicros, as a snapshot memo hit does.
+func BenchmarkAppendResult(b *testing.B) {
+	r := hotResult(3100, 0)
+	var dst []byte
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst, _ = wire.AppendResult(dst[:0], r)
+		}
+	})
+	body, _ := wire.AppendResult(nil, r)
+	b.Run("Stored", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = wire.AppendElapsed(dst[:0], body, int64(i))
 		}
 	})
 }

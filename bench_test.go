@@ -405,8 +405,11 @@ func BenchmarkRepeatedCommunityQueries(b *testing.B) {
 // 30 000-vertex 4-core), so every query pays distance + sort + prefix-oracle
 // build — the cost of any query that follows a write — and AppAcc its anchor
 // refinement on top, whose size feas/op (feasibility checks) and anchors/op
-// (anchors binary-searched) report. It is for local iteration on the rebuild
-// and on the circle peel; the evidence for a claim is the bench/ run.
+// (anchors binary-searched) report. TwoReaders is AppFast from two
+// goroutines at once, each on its own pooled worker of one engine and its
+// own query vertex of the same community: the contention arm, which must not
+// serialize the two. It is for local iteration on the rebuild and on the
+// circle peel; the evidence for a claim is the bench/ run.
 func BenchmarkColdView(b *testing.B) {
 	ds, err := sacsearch.LoadDataset("syn1", 1)
 	if err != nil {
@@ -442,6 +445,29 @@ func BenchmarkColdView(b *testing.B) {
 			b.ReportMetric(float64(anchors)/float64(b.N), "anchors/op")
 		})
 	}
+	b.Run("TwoReaders", func(b *testing.B) {
+		eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
+		defer eng.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for r := range 2 {
+				wg.Add(1)
+				go func(q sacsearch.V) {
+					defer wg.Done()
+					sn := eng.Current()
+					w := sn.Get()
+					_, err := w.AppFast(q, benchK, 0.5)
+					sn.Put(w)
+					if err != nil {
+						b.Error(err)
+					}
+				}(queries[(2*i+r)%len(queries)])
+			}
+			wg.Wait()
+		}
+	})
 }
 
 // BenchmarkChurnQuery times what a hot query costs right after a write, in
@@ -455,8 +481,11 @@ func BenchmarkColdView(b *testing.B) {
 // allocate what a hit does. Each arm also reports, per op, the prefix
 // oracles built from nothing (builds/op), those repaired from their last
 // build (repairs/op) and the prefix lengths the repairs recomputed
-// (span/op). For local iteration; the evidence for a claim is the bench/
-// run.
+// (span/op). Each Parallel arm is its arm with GOMAXPROCS readers: after
+// every write, one query per reader runs at once on its own pooled worker,
+// reader j of op i on hot vertex i·GOMAXPROCS+j, so every hot view is
+// queried by whichever worker comes next. For local iteration; the evidence
+// for a claim is the bench/ run.
 func BenchmarkChurnQuery(b *testing.B) {
 	ds, err := sacsearch.LoadDataset("syn1", 1)
 	if err != nil {
@@ -465,7 +494,7 @@ func BenchmarkChurnQuery(b *testing.B) {
 	hot := sacsearch.QueryWorkload(ds.Graph, benchK, 16, benchSeed)
 	eligible := sacsearch.QueryWorkload(ds.Graph, benchK, 4096, benchSeed+1)
 	ctx := context.Background()
-	for _, arm := range []struct {
+	arms := []struct {
 		name  string
 		write func(eng *snapshot.Engine, rnd *rand.Rand, i int) error
 	}{
@@ -482,44 +511,77 @@ func BenchmarkChurnQuery(b *testing.B) {
 			_, err := eng.UpdateEdge(ctx, u, w, i%2 == 0)
 			return err
 		}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
-			defer eng.Close()
-			rnd := rand.New(rand.NewSource(benchSeed))
-			var st sacsearch.Stats
-			query := func(i int) {
-				sn := eng.Current()
-				w := sn.Get()
-				res, err := w.AppFast(hot[i%len(hot)], benchK, 0.5)
-				sn.Put(w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.OracleBuilds += res.Stats.OracleBuilds
-				st.OracleRepairs += res.Stats.OracleRepairs
-				st.OracleRepairSpan += res.Stats.OracleRepairSpan
-			}
-			for i := range hot {
-				query(i)
-			}
-			st = sacsearch.Stats{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := arm.write(eng, rnd, i); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				query(i)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(st.OracleBuilds)/float64(b.N), "builds/op")
-			b.ReportMetric(float64(st.OracleRepairs)/float64(b.N), "repairs/op")
-			b.ReportMetric(float64(st.OracleRepairSpan)/float64(b.N), "span/op")
-		})
 	}
+	for _, readers := range []int{0, runtime.GOMAXPROCS(0)} {
+		for _, arm := range arms {
+			name := arm.name
+			if readers > 0 {
+				name = "Parallel" + name
+			}
+			b.Run(name, func(b *testing.B) { churnQuery(b, ds, hot, arm.write, readers) })
+		}
+	}
+}
+
+// churnQuery is one BenchmarkChurnQuery arm: before every op an untimed
+// write, then the op queries the hot set — once, or with readers goroutines
+// at once.
+func churnQuery(b *testing.B, ds *sacsearch.Dataset, hot []sacsearch.V, write func(*snapshot.Engine, *rand.Rand, int) error, readers int) {
+	eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
+	defer eng.Close()
+	rnd := rand.New(rand.NewSource(benchSeed))
+	var (
+		mu sync.Mutex
+		st sacsearch.Stats
+	)
+	one := func(q sacsearch.V) {
+		sn := eng.Current()
+		w := sn.Get()
+		res, err := w.AppFast(q, benchK, 0.5)
+		sn.Put(w)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		mu.Lock()
+		st.OracleBuilds += res.Stats.OracleBuilds
+		st.OracleRepairs += res.Stats.OracleRepairs
+		st.OracleRepairSpan += res.Stats.OracleRepairSpan
+		mu.Unlock()
+	}
+	query := func(i int) {
+		if readers == 0 {
+			one(hot[i%len(hot)])
+			return
+		}
+		var wg sync.WaitGroup
+		for j := range readers {
+			wg.Add(1)
+			go func(q sacsearch.V) {
+				defer wg.Done()
+				one(q)
+			}(hot[(i*readers+j)%len(hot)])
+		}
+		wg.Wait()
+	}
+	for i := range hot {
+		query(i)
+	}
+	st = sacsearch.Stats{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := write(eng, rnd, i); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		query(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.OracleBuilds)/float64(b.N), "builds/op")
+	b.ReportMetric(float64(st.OracleRepairs)/float64(b.N), "repairs/op")
+	b.ReportMetric(float64(st.OracleRepairSpan)/float64(b.N), "span/op")
 }
 
 // --- Figure 12(f-j): exact algorithms vs k ---------------------------------

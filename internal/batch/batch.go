@@ -10,10 +10,10 @@
 //     answered once and fanned back out,
 //   - queries run on a configurable number of workers drawn from a
 //     Source (a core.Pool, or a published snapshot that pins the whole
-//     batch to one graph state), each owning isolated scratch space and a
-//     candidate cache, so the batch saturates the machine without data
-//     races — and when the caller keeps the pool alive across batches, the
-//     workers' warmed caches survive between batches too.
+//     batch to one graph state), each owning isolated scratch space and
+//     sharing the pool's candidate cache, so the batch saturates the
+//     machine without data races — and when the caller keeps the pool alive
+//     across batches, the cache it warmed survives between batches too.
 //
 // A batch names its algorithm the way a single query does: Options.Template
 // is a core.Query (any registered algorithm, parameters included) whose Q

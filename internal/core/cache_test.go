@@ -141,8 +141,10 @@ func TestCandidateCacheAfterSetLoc(t *testing.T) {
 // cachedCommunities returns the number of distinct entries in s's candidate
 // cache (a negative entry once per vertex it is keyed by).
 func cachedCommunities(s *Searcher) int {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
 	seen := map[*cacheEntry]bool{}
-	for _, e := range s.cache.index {
+	for _, e := range s.store.index {
 		seen[e] = true
 	}
 	return len(seen)

@@ -89,9 +89,6 @@ func (s *Searcher) indexWorkingSet(vs []graph.V, q graph.V) {
 		return
 	}
 	e := s.curEntry
-	if e.adjOff == nil {
-		e.buildInduced(s.g, s.localOf, s.localValid)
-	}
 	ids := ws.grid.IDs()
 	n := len(ids)
 	posOf := slices.Grow(ws.posOf[:0], len(e.members))[:len(e.members)]

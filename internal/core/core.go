@@ -165,14 +165,13 @@ type Searcher struct {
 	cliqueChk *kclique.Checker
 
 	// Candidate-set cache (see cache.go), the only source of a query's
-	// candidate set. noCache empties it as each query starts, so every query
-	// runs from a cold cache on the same path; the repeated-query benchmarks
-	// use it to measure what a warm cache buys. Entries and views carry the
-	// timeline stamp they reflect and are repaired from the graph's mutation
-	// journal when a lookup finds them behind (repair.go); rep is that
-	// repair's scratch and the free list of buffers oracles hand back when
-	// they go out of service or are released.
-	cache   candCache
+	// candidate set, shared with every searcher of the pool. Entries and views
+	// carry the timeline stamp they reflect and are repaired from the graph's
+	// mutation journal when a lookup finds them behind (repair.go); rep is
+	// that repair's scratch and the free list of buffers oracles hand back
+	// when they go out of service or are released. noCache: see
+	// SetCandidateCaching.
+	store   *viewStore
 	noCache bool
 	rep     repairScratch
 
@@ -180,14 +179,18 @@ type Searcher struct {
 	// in flight (nil for θ-SAC, which gathers from its circle instead); the
 	// k-core feasibility fast paths answer prefix probes through the view's
 	// oracle and cut the working set's CSR from the entry's induced
-	// adjacency.
+	// adjacency. holds says the query holds both shared (release). own is the
+	// view of a query the shared one cannot serve (refreshView).
 	curEntry *cacheEntry
 	curView  *sortedView
-	// Global→local id translation for localEntry's members (see bindLocal).
-	localEntry *cacheEntry
-	localOf    []int32
-	localValid *graph.Marker
-	oracleBuf  oracleScratch
+	holds    bool
+	own      sortedView
+	// Global→local id translation for the members of localMembers (see
+	// bindLocal).
+	localMembers []graph.V
+	localOf      []int32
+	localValid   *graph.Marker
+	oracleBuf    oracleScratch
 
 	// Scratch buffers shared by the algorithms.
 	distBuf   []float64
@@ -243,11 +246,13 @@ type Searcher struct {
 	qdeadline time.Time
 }
 
-// SetCandidateCaching(false) makes every later query start from a cold
-// candidate cache: candidates empties the cache as the query begins, and the
-// query then fills it and runs exactly as a first query would. It is not a
-// second implementation; answers are the same either way. The repeated-query
-// benchmarks use it to time the from-scratch cost. On is the default.
+// SetCandidateCaching(false) makes every later query of this searcher start
+// from a cold candidate cache: candidates gives the searcher an empty store
+// of its own as the query begins, and the query then fills it and runs
+// exactly as a first query would. The store the searcher shared with its
+// pool is left alone. It is not a second implementation; answers are the
+// same either way. The repeated-query benchmarks use it to time the
+// from-scratch cost. On is the default.
 func (s *Searcher) SetCandidateCaching(enabled bool) { s.noCache = !enabled }
 
 // NewSearcher creates a Searcher with the default k-core structure metric.
@@ -255,6 +260,7 @@ func NewSearcher(g *graph.Graph) *Searcher {
 	return &Searcher{
 		g:         g,
 		structure: StructureKCore,
+		store:     &viewStore{},
 		cores:     kcore.Decompose(g),
 		peeler:    kcore.NewPeeler(g),
 		inX:       graph.NewMarker(g.NumVertices()),
@@ -277,15 +283,16 @@ func NewSearcherWithStructure(g *graph.Graph, st Structure) *Searcher {
 	return s
 }
 
-// Clone returns an independent Searcher over the same graph, sharing the
-// immutable decompositions but not the scratch space or the candidate
-// cache, for use from another goroutine. The caching toggle carries over;
-// the clone's cache starts empty and warms up independently.
+// Clone returns a Searcher over the same graph for use from another
+// goroutine. It shares the immutable decompositions and the candidate cache
+// (the store is safe for concurrent use, see cache.go), but not the scratch
+// space. The caching toggle carries over.
 func (s *Searcher) Clone() *Searcher {
 	n := s.g.NumVertices()
 	c := &Searcher{
 		g:         s.g,
 		structure: s.structure,
+		store:     s.store,
 		cores:     s.cores,
 		truss:     s.truss,
 		peeler:    kcore.NewPeeler(s.g),
@@ -442,11 +449,12 @@ func (s *Searcher) communityOf(q graph.V, k int) []graph.V {
 //
 // Membership comes from the per-community cache whenever any member of q's
 // community was queried before at this k, and the order from the view q left
-// there. Either may be behind the graph — the searcher's own graph was
-// mutated, or a pooled worker adopted a newer snapshot — and is then brought
-// current from the mutation journal: see revalidate for what keeps an entry
-// across edge ops and refreshView for how a view follows check-ins. What
-// cannot be repaired is recomputed here, as on first use.
+// there. Either may be behind the graph — the graph was mutated, or the
+// query is pinned to a newer snapshot than the one that last touched them —
+// and is then brought current from the mutation journal: see revalidate for
+// what keeps an entry across edge ops and refreshView for how a view follows
+// check-ins. What cannot be repaired is recomputed here, as on first use.
+// The entry and the view stay held until the query ends (release).
 func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	// Candidate construction — community BFS, induced CSR, distance sort —
 	// is the dominant pre-loop cost of the cheap algorithms on a cold
@@ -456,18 +464,11 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 		return nil, s.canceledError()
 	}
 	if s.noCache {
-		s.cache.clear()
+		s.store = &viewStore{}
 	}
 
-	e, ok := s.cache.lookup(q, k)
-	ok = ok && s.revalidate(e, q, k)
-	if !ok {
-		// k-clique communities overlap (clique percolation), so their
-		// entries are keyed by the query vertex alone; k-core and k-truss
-		// communities partition vertices per k and fan out to every member.
-		fanout := s.structure != StructureKClique
-		e = s.cache.store(q, k, s.communityOf(q, k), s.now(), fanout)
-	} else {
+	e, hit := s.enter(q, k)
+	if hit {
 		s.stats.CacheHits++
 	}
 	if e.members == nil {
@@ -475,7 +476,6 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	}
 	s.bindLocal(e)
 	vw := s.refreshView(e, q)
-	s.curEntry = e
 	s.curView = vw
 	s.cand = candidateSet{verts: vw.verts, locs: s.g.Locs(), qp: s.g.Loc(q)}
 	s.stats.CandidateSize = len(vw.verts)
@@ -513,13 +513,17 @@ func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float6
 // the oracle, because a check-in can move a member without changing its rank
 // — the oracle and the answer stand, its MCC does not. Only the second
 // sighting keeps ids: a view queried once (a cold workload) never pays for a
-// copy it would not reuse.
+// copy it would not reuse. The view's readers take turns at the memo (fill).
 func (s *Searcher) finish(members []graph.V) ([]graph.V, geom.Circle) {
 	ms := make([]graph.V, len(members))
-	var m *answerMemo
-	if s.isOracleAnswer(members) {
-		m = &s.curView.oracle.memo
-		if m.n == len(members) && m.at == s.curView.at {
+	vw := s.curView
+	if !s.isOracleAnswer(members) {
+		vw = nil
+	}
+	if vw != nil {
+		vw.fill.Lock()
+		defer vw.fill.Unlock()
+		if m := &vw.oracle.memo; m.n == len(members) && m.at == vw.at {
 			if len(m.ids) == m.n {
 				copy(ms, m.ids)
 			} else {
@@ -534,8 +538,9 @@ func (s *Searcher) finish(members []graph.V) ([]graph.V, geom.Circle) {
 	s.distSort.sortIDs(ms, members)
 	s.finished.mccs++
 	mcc := s.mccOf(ms)
-	if m != nil {
-		*m = answerMemo{n: len(members), at: s.curView.at, mcc: mcc, ids: m.ids[:0]}
+	if vw != nil {
+		m := &vw.oracle.memo
+		*m = answerMemo{n: len(members), at: vw.at, mcc: mcc, ids: m.ids[:0]}
 	}
 	return ms, mcc
 }
@@ -557,6 +562,7 @@ func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, 
 	queriesInFlight.Add(1)
 	defer queriesInFlight.Add(-1)
 	s.begin(ctx)
+	defer s.release()
 	var (
 		cand    *candidateSet
 		members []graph.V

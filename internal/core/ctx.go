@@ -34,6 +34,7 @@ var ErrCanceled = errors.New("core: query canceled")
 // goroutine by a full preemption quantum (~10ms), and a compute loop that
 // polls Err would inherit that delay.
 func (s *Searcher) begin(ctx context.Context) {
+	s.release()
 	s.stats = Stats{}
 	s.curEntry = nil
 	s.curView = nil

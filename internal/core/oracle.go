@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -108,7 +109,10 @@ import (
 // maximum over the answer. appFastSearch reads Algorithm 3's
 // u = max_{v∈Λ}|q,v| off it in O(1), behind isOracleAnswer.
 type prefixOracle struct {
-	built       bool
+	// built is set once the fields below answer probes, and cleared only
+	// while the view is held exclusively: a reader that finds it set reads
+	// them without a lock.
+	built       atomic.Bool
 	minFeasible int32     // joinAt[q]: smallest feasible prefix length
 	comm        []graph.V // q's community members in ascending joinAt order
 	joinAt      []int32   // parallel to comm, ascending
@@ -166,10 +170,10 @@ type answerMemo struct {
 // A build abandoned by cancellation answers nil; the caller's next loop
 // boundary reports the latched context error.
 func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.V, k int) []graph.V {
-	if !vw.oracle.built && !s.buildPrefixOracle(e, vw, q, k) {
+	o := &vw.oracle
+	if !o.built.Load() && !s.fillOracle(e, vw, q, k) {
 		return nil
 	}
-	o := &vw.oracle
 	if int32(i) < o.minFeasible {
 		return nil
 	}
@@ -178,12 +182,20 @@ func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.
 	return o.comm[:cnt]
 }
 
+// fillOracle builds vw's oracle for a query holding the view shared, unless
+// another reader of the view built it first.
+func (s *Searcher) fillOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
+	vw.fill.Lock()
+	defer vw.fill.Unlock()
+	return vw.oracle.built.Load() || s.buildPrefixOracle(e, vw, q, k)
+}
+
 // isOracleAnswer reports whether c is an answer prefixFeasible handed out
 // for the current view — the aliasing test feasible applies to S — so the
 // farthest-member lemma holds for it and it stands until the view changes.
 func (s *Searcher) isOracleAnswer(c []graph.V) bool {
 	vw := s.curView
-	return vw != nil && len(c) > 0 && len(c) <= len(vw.oracle.comm) && &c[0] == &vw.oracle.comm[0]
+	return vw != nil && vw.oracle.built.Load() && len(c) > 0 && len(c) <= len(vw.oracle.comm) && &c[0] == &vw.oracle.comm[0]
 }
 
 // oracleScratch is the working memory of buildPrefixOracle, indexed by local
@@ -227,13 +239,11 @@ const deadDeg = math.MinInt32 / 2
 // buildPrefixOracle brings vw's oracle for k up to date in O(n) plus the
 // arcs of the vertices it recomputes: a repair of the windows its record
 // names when it kept its last build's state, the window (0, n] otherwise. It
-// runs when a view is first probed and again after its order or an induced
-// edge changed. It reports false, leaving the oracle as it was — unbuilt,
-// its record intact — when the query's context fires mid-build.
+// runs, with fill held (fillOracle), when a view is first probed and again
+// after its order or an induced edge changed. It reports false, leaving the
+// oracle as it was — unbuilt, its record intact — when the query's context
+// fires mid-build.
 func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
-	if e.adjOff == nil {
-		e.buildInduced(s.g, s.localOf, s.localValid)
-	}
 	n := len(vw.verts)
 	sc := &s.oracleBuf
 	sc.ensure(n)
@@ -329,7 +339,7 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 	}
 	o.minFeasible = -coreAt[s.localOf[q]]
 	o.memo = answerMemo{ids: o.memo.ids[:0]}
-	o.built = true
+	o.built.Store(true)
 	return true
 }
 

@@ -310,7 +310,7 @@ func TestViewRebuildDoesNotAllocate(t *testing.T) {
 	}
 	rebuild(q1)
 	rebuild(q2)
-	if s.curEntry.views[1].q != q1 || len(s.curView.verts) < 200 {
+	if s.curEntry.views.views[1].q != q1 || len(s.curView.verts) < 200 {
 		t.Fatalf("fixture: q1=%d and q2=%d must share one large community", q1, q2)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -344,7 +344,7 @@ func TestCancelInsideOracleBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.qctx = newCountdown(0)
-	if s.buildPrefixOracle(s.curEntry, s.curView, q, 4) || s.curView.oracle.built {
+	if s.buildPrefixOracle(s.curEntry, s.curView, q, 4) || s.curView.oracle.built.Load() {
 		t.Fatal("oracle build completed under a dead context")
 	}
 

@@ -9,26 +9,32 @@ import (
 // Pool is a concurrency-safe pool of Searcher clones over one graph — the
 // parallel execution substrate for batch and server traffic, and where a
 // circle scan run in strips borrows its helpers (parallel.go). A single
-// Searcher is cheap to query repeatedly but owns mutable scratch space and a
-// candidate cache, so it must not be shared across goroutines; Pool hands
-// each concurrent caller its own clone (sharing the immutable core/truss
-// decompositions) and recycles clones across requests so their scratch
-// buffers and warmed candidate caches survive between queries — the
-// property that makes repeated-community server traffic cheap.
+// Searcher is cheap to query repeatedly but owns mutable scratch space, so it
+// must not be shared across goroutines; Pool hands each concurrent caller
+// its own clone (sharing the immutable core/truss decompositions) and
+// recycles clones across requests so their scratch buffers survive between
+// queries.
+//
+// The candidate cache is not per worker: the pool has one store (cache.go),
+// its base's — a clone shares its source's, and so does a snapshot base
+// (SnapshotOnto) — and every worker it hands out reads and repairs it. A view one
+// worker sorted or repaired is current for the next worker that queries the
+// same vertex, so a write is absorbed once per view, not once per worker,
+// and a worker dropped after a burst takes nothing warm with it.
 //
 // Snapshot-isolated serving adds one twist: the graph a worker should query
 // changes with every published snapshot. SetBase repoints the pool at the
 // latest snapshot's base searcher (new clones start there), and GetFor hands
 // out a worker rebound to the exact snapshot a reader pinned — an O(1)
-// pointer adoption that keeps the worker's warmed cache, not a re-clone.
+// pointer adoption, not a re-clone.
 //
 // Idle workers sit on a LIFO free list, not in a sync.Pool: a sync.Pool is
-// emptied by the garbage collector, and a worker's value is its warm cache —
-// after a collection every Get would clone a cold searcher and the next
-// queries would each rebuild a view. The list hands out the most recently
-// returned (warmest) worker first and keeps at most idleCap of them, so
-// what it retains is bounded by the concurrency the machine can actually
-// run; a burst beyond that is cloned on demand and dropped on Put.
+// emptied by the garbage collector, and after a collection every Get would
+// clone a searcher and allocate its vertex-sized markers and peeler again.
+// The list hands out the most recently returned worker first and keeps at
+// most idleCap of them, so what it retains is bounded by the concurrency the
+// machine can actually run; a burst beyond that is cloned on demand and
+// dropped on Put.
 //
 // The zero Pool is not usable; create one with NewPool. All methods are safe
 // for concurrent use.
@@ -40,8 +46,9 @@ type Pool struct {
 	idle []*Searcher
 }
 
-// NewPool creates a pool of clones of base. base itself is never handed
-// out, so it remains safe to use on the caller's own goroutine.
+// NewPool creates a pool of clones of base, sharing base's candidate cache.
+// base itself is never handed out, so it remains safe to use on the caller's
+// own goroutine.
 func NewPool(base *Searcher) *Pool {
 	pl := &Pool{}
 	pl.base.Store(base)
@@ -83,7 +90,7 @@ func (p *Pool) Get() *Searcher {
 
 // GetFor returns a Searcher rebound to base's graph and decomposition — the
 // snapshot-pinned variant of Get. The rebind is O(1) and keeps the worker's
-// scratch space and candidate cache (see Searcher.AdoptFrom).
+// scratch space (see Searcher.AdoptFrom).
 func (p *Pool) GetFor(base *Searcher) *Searcher {
 	w := p.Get()
 	w.AdoptFrom(base)
@@ -93,8 +100,8 @@ func (p *Pool) GetFor(base *Searcher) *Searcher {
 // idleCap is the most idle workers Put keeps: twice the processors, read at
 // each Put so a pool made before GOMAXPROCS rose keeps enough for the
 // machine it now runs on. Twice, so a request that is preempted between its
-// query and its Put still finds room and steady traffic never drops a warm
-// worker.
+// query and its Put still finds room and steady traffic never drops a
+// worker it will need again.
 func idleCap() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // Put returns a Searcher obtained from Get or GetFor to the pool.

@@ -81,7 +81,8 @@ func TestPoolMatchesSequential(t *testing.T) {
 }
 
 // TestPoolDo exercises clone recycling: a worker answers through Get, comes
-// back through Put with its warm cache, and is the one the next Get returns.
+// back through Put, and is the one the next Get returns; the cache it warmed
+// is the pool's, so another worker finds the view it sorted.
 func TestPoolDo(t *testing.T) {
 	g := figure3()
 	pool := NewPool(NewSearcher(g))
@@ -97,18 +98,23 @@ func TestPoolDo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cachedCommunities(w) == 0 {
-		t.Fatal("worker did not warm its cache")
+		t.Fatal("worker did not warm the pool's cache")
 	}
+	other := pool.Get()
+	if res, err := other.AppFast(vQ, 2, 0.5); err != nil || res.Stats.ViewHits != 1 {
+		t.Fatalf("another worker did not find the view the first one sorted: %v %+v", err, res)
+	}
+	pool.Put(other)
 	pool.Put(w)
-	if got := pool.Get(); got != w || pool.Created() != 1 {
+	if got := pool.Get(); got != w || pool.Created() != 2 {
 		t.Fatalf("Get after Put cloned a new worker (created %d)", pool.Created())
 	}
 }
 
 // TestPoolKeepsWarmWorkersAcrossGC pins what the free list is for: an idle
-// worker, with its warm cache, outlives garbage collections (a sync.Pool
-// drops it within two), the warmest worker is handed out first, and
-// retention is capped.
+// worker, with its scratch, outlives garbage collections (a sync.Pool drops
+// it within two), the most recently used worker is handed out first, and
+// retention is capped. The warm cache is the pool's and survives with it.
 func TestPoolKeepsWarmWorkersAcrossGC(t *testing.T) {
 	pool := NewPool(NewSearcher(figure3()))
 	cold, warm := pool.Get(), pool.Get()

@@ -9,13 +9,14 @@ import (
 )
 
 // Journal-driven cache repair. A cache entry or a sorted view that is behind
-// the searcher's graph — the graph was mutated in place, or a pooled worker
-// adopted a newer snapshot — asks the graph's mutation journal what happened
-// since its stamp and absorbs exactly that. What the journal cannot answer
-// (the ring was lapped, or the stamp lies in the graph's future because the
-// worker went back to an older snapshot) and what is too large to be worth
-// patching falls back to the from-scratch path, which first use takes anyway.
-// Which path runs is decided by the journal alone.
+// the searcher's graph — the graph was mutated in place, or the query is
+// pinned to a newer snapshot than the last one to touch it — asks the graph's
+// mutation journal what happened since its stamp and absorbs exactly that.
+// What the journal cannot answer (the ring was lapped) and what is too large
+// to be worth patching falls back to the from-scratch path, which first use
+// takes anyway. A stamp in the graph's future — a query pinned to an older
+// snapshot — is never repaired backwards: that query answers from state of
+// its own (cache.go).
 //
 // A view's prefix oracle follows the same way: a check-in that moves a
 // member to another rank, or an edge op inside the community, records the
@@ -60,7 +61,6 @@ type repairScratch struct {
 	moved []movedMember
 	rows  []int32    // local ids of members whose induced row changed
 	cuts  [][2]int32 // local endpoints of in-community edges the gap removed
-	ops   []edgeOp   // every in-community edge op of the gap
 	side  [2][]int32 // the two BFS queues of connectedInside
 
 	free [][]int32 // oracle buffers (comm, joinAt, coreAt, joinOf), length 0
@@ -110,13 +110,14 @@ func (s *Searcher) releaseOracle(o *prefixOracle) {
 // turned from answer order into local ids over the same buffer. s.localOf
 // must be bound to o's entry.
 func (s *Searcher) staleOracle(o *prefixOracle) bool {
-	if o.built {
-		o.built = false
+	if o.built.Load() {
+		o.built.Store(false)
 		o.memo = answerMemo{}
 		if !o.kept {
 			s.releaseOracle(o)
 			return false
 		}
+		s.oracleBuf.ensure(len(o.joinAt))
 		old := s.oracleBuf.order[:len(o.joinAt)]
 		copy(old, o.joinAt)
 		for p, v := range o.comm {
@@ -146,8 +147,10 @@ func (s *Searcher) touchOracleEdge(o *prefixOracle, op edgeOp) {
 	}
 }
 
-// revalidate brings e, found under (q, k), up to the graph's topology, or
-// drops it from the cache and reports false.
+// revalidate brings e, found under (q, k) behind the graph's topology and
+// held exclusively by the caller (bringForward), up to it, or reports false:
+// the community did not survive, or the journal cannot say, and e's CSR may
+// be left half patched.
 //
 // A negative entry records core(q) < k, which the current core numbers
 // confirm or refute directly. A k-core entry (M, k) stamped at an older
@@ -169,27 +172,19 @@ func (s *Searcher) touchOracleEdge(o *prefixOracle, op edgeOp) {
 // that stops at its first member runs over old edges only. Hence Y would
 // have been in M's component of G0's k-core, which is M itself — Y is empty.
 //
-// A kept entry's induced CSR is patched row by row, and every view's oracle
-// records the edge ops inside M for its next repair. k-truss and k-clique
-// entries have no such test and are dropped on any edge op, as is any entry
-// whose gap the journal cannot produce.
+// A kept entry's induced CSR is patched row by row; each view's oracle
+// records the edge ops inside M when the view next comes forward
+// (reposition). k-truss and k-clique entries have no such test and are
+// dropped on any edge op, as is any entry whose gap the journal cannot
+// produce.
 func (s *Searcher) revalidate(e *cacheEntry, q graph.V, k int) bool {
-	// With no edge op since the stamp there is nothing to absorb, and moving
-	// the stamp up keeps the next gap short of the check-ins in between.
+	if !s.topologyAbsorbed(e, q, k) {
+		return false
+	}
 	now := s.now()
-	if e.at.topo == now.topo || s.topologyAbsorbed(e, q, k) {
-		e.at = now
-		return true
-	}
-	s.cache.remove(e, q, k)
-	if s.localEntry == e {
-		s.localEntry = nil
-	}
-	for i := range e.views {
-		s.releaseOracle(&e.views[i].oracle)
-	}
-	s.stats.EntriesDropped++
-	return false
+	e.topo.Store(now.topo)
+	e.seq.Store(now.seq())
+	return true
 }
 
 // topologyAbsorbed runs revalidate's keep test and patches e's induced CSR.
@@ -201,14 +196,14 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 	if e.members == nil {
 		return s.cores[q] < kk
 	}
-	gap, ok := s.g.MutationsSince(e.at.seq(), s.rep.gap[:0])
+	gap, ok := s.g.MutationsSince(e.seq.Load(), s.rep.gap[:0])
 	s.rep.gap = gap
 	if !ok {
 		return false
 	}
 	s.bindLocal(e)
-	rows, cuts, ops := s.rep.rows[:0], s.rep.cuts[:0], s.rep.ops[:0]
-	defer func() { s.rep.rows, s.rep.cuts, s.rep.ops = rows, cuts, ops }()
+	rows, cuts := s.rep.rows[:0], s.rep.cuts[:0]
+	defer func() { s.rep.rows, s.rep.cuts = rows, cuts }()
 	removals := false
 	for _, m := range gap {
 		if m.Kind == graph.WriteCheckin {
@@ -218,7 +213,6 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 		if s.localValid.Has(m.V) && s.localValid.Has(m.W) {
 			lu, lw := s.localOf[m.V], s.localOf[m.W]
 			rows = append(rows, lu, lw)
-			ops = append(ops, edgeOp{u: lu, w: lw, insert: m.Kind == graph.WriteAddEdge})
 			if m.Kind == graph.WriteRemoveEdge {
 				cuts = append(cuts, [2]int32{lu, lw})
 			}
@@ -235,11 +229,11 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 		}
 	}
 	if len(rows) == 0 {
-		return true // nothing inside M changed: the CSR and the oracles stand
+		return true // nothing inside M changed: the CSR stands
 	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
-	if e.adjOff == nil || len(rows) > maxSplicedRows {
+	if len(rows) > maxSplicedRows {
 		e.buildInduced(s.g, s.localOf, s.localValid)
 	} else {
 		for _, lv := range rows {
@@ -249,11 +243,6 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 	for _, c := range cuts {
 		if !s.connectedInside(e, c[0], c[1]) {
 			return false // (c)
-		}
-	}
-	for i := range e.views {
-		for _, op := range ops {
-			s.touchOracleEdge(&e.views[i].oracle, op)
 		}
 	}
 	return true
@@ -327,38 +316,78 @@ func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 	return false
 }
 
-// refreshView returns q's view of e in current (distance, id) order. A view
-// behind the graph's locations takes each member that checked in since its
-// stamp out of the order and reinserts it at its new rank; a check-in of a
-// non-member costs nothing. q's own move changes every key, so it — like
-// more than maxRepositioned moved members, a gap out of the journal's reach,
-// or a slot that held another vertex's view — is sorted from scratch, and
-// the oracle starts over. The prefix oracle depends on the order alone (and
-// on induced edges, which revalidate watches), so a repositioned view keeps
-// it and records the prefix lengths each member that changed rank crossed.
+// refreshView returns q's view of e in current (distance, id) order, held
+// shared until release. A view behind the graph's locations takes each
+// member that checked in since its stamp out of the order and reinserts it at
+// its new rank; a check-in of a non-member costs nothing. q's own move
+// changes every key, so it — like more than maxRepositioned moved members, a
+// gap out of the journal's reach, or a slot that held another vertex's view —
+// is sorted from scratch, and the oracle starts over. The prefix oracle
+// depends on the order alone (and on induced edges, which the same gap
+// names), so a repositioned view keeps it and records the prefix lengths each
+// member that changed rank crossed, and the edge ops inside the community.
+//
+// One query at a time brings a view forward (fill), and the next finds it
+// current. A view ahead of the query's snapshot is left as it stands, and so
+// is one behind it that another query is reading: the query then sorts a
+// view of its own, as it does when every slot of the entry is held.
 func (s *Searcher) refreshView(e *cacheEntry, q graph.V) *sortedView {
 	now := s.now()
-	vw, held := e.viewFor(q)
-	switch {
-	case held && vw.at.loc == now.loc:
-		s.stats.ViewHits++
-	case held && s.reposition(vw, q):
-		// brought current (or found untouched) from the journal
-	default:
-		vw.verts = append(vw.verts[:0], e.members...)
-		s.sortAround(q, vw.verts)
-		s.releaseOracle(&vw.oracle)
-		if !held {
-			vw.oracle.builds = 0
+	for {
+		vw, fresh := e.views.viewFor(q)
+		if vw == nil {
+			return s.ownView(e, q, now)
 		}
-		s.stats.ViewRebuilds++
+		if !fresh {
+			vw.fill.Lock()
+			switch {
+			case vw.q != q: // recycled for another vertex in between
+				vw.fill.Unlock()
+				continue
+			case vw.at == now:
+				s.stats.ViewHits++
+				vw.mu.RLock()
+				vw.fill.Unlock()
+				return vw
+			case now.before(vw.at) || !vw.mu.TryLock():
+				vw.fill.Unlock()
+				return s.ownView(e, q, now)
+			}
+		}
+		if fresh || !s.reposition(vw, q) {
+			s.sortView(e, vw, q, fresh)
+		}
+		vw.at = now
+		vw.share()
+		return vw
 	}
-	vw.at = now
+}
+
+// sortView sorts vw from scratch around q, starting its oracle over; fresh
+// says the view just took q, so its build count starts over too.
+func (s *Searcher) sortView(e *cacheEntry, vw *sortedView, q graph.V, fresh bool) {
+	vw.verts = append(vw.verts[:0], e.members...)
+	s.sortAround(q, vw.verts)
+	s.releaseOracle(&vw.oracle)
+	if fresh {
+		vw.oracle.builds = 0
+	}
+	s.stats.ViewRebuilds++
+}
+
+// ownView is the searcher's own view of q in e, for a query the shared one
+// cannot serve; it is held like a shared one, so release treats both alike.
+func (s *Searcher) ownView(e *cacheEntry, q graph.V, now stamp) *sortedView {
+	vw := &s.own
+	s.sortView(e, vw, q, true)
+	vw.q, vw.at = q, now
+	vw.mu.RLock()
 	return vw
 }
 
-// reposition repairs vw's order from the journal, reporting false when the
-// view must be sorted from scratch instead. e is bound (bindLocal), so
+// reposition repairs vw's order and records its oracle's edge ops from the
+// journal, reporting false when the view must be sorted from scratch
+// instead. e is bound (bindLocal), so
 // localValid answers membership.
 func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 	gap, ok := s.g.MutationsSince(vw.at.seq(), s.rep.gap[:0])
@@ -366,18 +395,23 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 	if !ok {
 		return false
 	}
-	// The distinct members that moved, marked in inX (free between queries).
+	// The distinct members that moved, marked in inX (free between queries),
+	// and the edge ops inside the community, recorded as they come.
 	s.inX.Reset()
 	nMoved := 0
 	for _, m := range gap {
-		if m.Kind != graph.WriteCheckin || !s.localValid.Has(m.V) || s.inX.Has(m.V) {
-			continue
-		}
-		if m.V == q || nMoved == maxRepositioned {
+		switch {
+		case m.Kind != graph.WriteCheckin:
+			if s.localValid.Has(m.V) && s.localValid.Has(m.W) {
+				s.touchOracleEdge(&vw.oracle, edgeOp{u: s.localOf[m.V], w: s.localOf[m.W], insert: m.Kind == graph.WriteAddEdge})
+			}
+		case !s.localValid.Has(m.V) || s.inX.Has(m.V):
+		case m.V == q || nMoved == maxRepositioned:
 			return false
+		default:
+			s.inX.Mark(m.V)
+			nMoved++
 		}
-		s.inX.Mark(m.V)
-		nMoved++
 	}
 	if nMoved == 0 {
 		s.stats.ViewHits++

@@ -166,11 +166,11 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 		}
 		// A query that probed no prefix leaves the fresh oracle unbuilt; the
 		// warm one may still stand from an earlier query.
-		if w, f := &warm.curView.oracle, &fresh.curView.oracle; f.built &&
-			(!w.built || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible) {
+		if w, f := &warm.curView.oracle, &fresh.curView.oracle; f.built.Load() &&
+			(!w.built.Load() || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible) {
 			t.Fatalf("seed %d step %d %s q=%d k=%d: warm oracle (built %v, %d members, minFeasible %d, repairs %d) differs from a fresh build (built %v, %d members, minFeasible %d)",
-				seed, step, query.Algo, query.Q, query.K, w.built, len(w.comm), w.minFeasible, st.OracleRepairs,
-				f.built, len(f.comm), f.minFeasible)
+				seed, step, query.Algo, query.Q, query.K, w.built.Load(), len(w.comm), w.minFeasible, st.OracleRepairs,
+				f.built.Load(), len(f.comm), f.minFeasible)
 		}
 	}
 	return tally
@@ -335,7 +335,7 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 		if both > writeOnly {
 			t.Errorf("%s: repair allocated %v times per run on top of the write's %v", c.name, both-writeOnly, writeOnly)
 		}
-		if !s.curView.oracle.built || &s.curView.oracle.comm[0] != &before[0] {
+		if !s.curView.oracle.built.Load() || &s.curView.oracle.comm[0] != &before[0] {
 			t.Errorf("%s: the repaired oracle is not on the buffers it handed back", c.name)
 		}
 	}
@@ -371,9 +371,9 @@ func TestOracleRepairEachInterval(t *testing.T) {
 			t.Fatalf("%s: fresh: %v", what, err)
 		}
 		w, f := &s.curView.oracle, &fresh.curView.oracle
-		if !w.built || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
+		if !w.built.Load() || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
 			t.Fatalf("%s: oracle (built %v, %d members, minFeasible %d) differs from a fresh build (%d members, minFeasible %d)",
-				what, w.built, len(w.comm), w.minFeasible, len(f.comm), f.minFeasible)
+				what, w.built.Load(), len(w.comm), w.minFeasible, len(f.comm), f.minFeasible)
 		}
 		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
 			t.Fatalf("%s: answer differs from a fresh searcher's: %d/%d members, MCC %v/%v, δ %v/%v", what, len(got.Members), len(want.Members), got.MCC, want.MCC, got.Delta, want.Delta)
@@ -441,7 +441,7 @@ func TestOracleRepairEachInterval(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.qctx = newCountdown(0)
-			if s.buildPrefixOracle(s.curEntry, s.curView, q, k) || s.curView.oracle.built || !s.curView.oracle.kept {
+			if s.buildPrefixOracle(s.curEntry, s.curView, q, k) || s.curView.oracle.built.Load() || !s.curView.oracle.kept {
 				t.Fatal("a canceled repair completed, or dropped the state it starts from")
 			}
 		}, repaired(1, 12)},

@@ -11,14 +11,17 @@ import (
 // views cheap. SnapshotOnto derives a base Searcher for a freshly published
 // clone without re-running the O(m) decomposition, and AdoptFrom rebinds a
 // pooled worker to a snapshot's base in O(1) so the worker's scratch space
-// and warmed candidate cache survive across publications — the snapshot's
-// graph carries the mutation journal of the timeline it was cut from, and
-// the cache repairs itself from it on the next query (repair.go).
+// survives across publications. The candidate cache is the pool's, one for
+// every snapshot of the engine: the snapshot's graph carries the mutation
+// journal of the timeline it was cut from, and the cache repairs itself from
+// it on the next query (repair.go).
 
 // SnapshotOnto returns a base Searcher over g — an immutable clone of this
 // searcher's graph — carrying a private copy of the current core
 // decomposition, so it is detached from later in-place maintainer updates on
 // this searcher. Cost is O(n) (the copy), not O(m) (a re-decomposition).
+// The base shares this searcher's candidate cache, so a pool over it shares
+// it too.
 //
 // coresFrom, when non-nil, must be a previous snapshot base whose topology
 // epoch equals g's: its (immutable) core slice is shared instead of copied,
@@ -35,6 +38,7 @@ func (s *Searcher) SnapshotOnto(g *graph.Graph, coresFrom *Searcher) *Searcher {
 	snap := &Searcher{
 		g:         g,
 		structure: s.structure,
+		store:     s.store,
 		cores:     cores,
 		truss:     s.truss,
 		peeler:    nil, // base searchers are cloned from, never queried
@@ -48,15 +52,16 @@ func (s *Searcher) SnapshotOnto(g *graph.Graph, coresFrom *Searcher) *Searcher {
 // AdoptFrom rebinds this searcher to base's graph and decomposition. It is
 // the pooled-worker half of snapshot serving: the graph pointer, core slice
 // and truss map are swapped in O(1); scratch buffers (sized to the vertex
-// count, which snapshots never change) and the candidate cache carry over.
-// Cached memberships, induced subgraphs and sorted views are stamped with the
-// point of the mutation timeline they reflect; the next query compares the
-// stamp with the adopted graph's and absorbs the journaled mutations in
-// between — or starts over when the adopted snapshot is older than the stamp
-// or more than a journal's length ahead of it. All snapshots a worker adopts
-// must come off one timeline (one engine's writer graph and its clones), so
-// an equal epoch means an unchanged graph and a journal gap is the whole
-// difference.
+// count, which snapshots never change) carry over, and the candidate cache
+// stays the pool's. Cached memberships, induced subgraphs and sorted views are
+// stamped with the point of the mutation timeline they reflect; the next
+// query compares the stamp with the adopted graph's and absorbs the journaled
+// mutations in between — or starts over when the adopted snapshot is more
+// than a journal's length ahead of it. A query on a snapshot older than the
+// stamp leaves the cached state as it stands and answers from its own (see
+// cache.go). All snapshots a worker adopts must come off one timeline (one
+// engine's writer graph and its clones), so an equal epoch means an
+// unchanged graph and a journal gap is the whole difference.
 //
 // Both searchers must use the same structure metric and vertex count;
 // mismatches panic (adoption across datasets is a programming bug).

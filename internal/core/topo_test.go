@@ -159,7 +159,7 @@ func TestTopoEpochInvalidatesCache(t *testing.T) {
 }
 
 // TestPoolWorkerNotStaleAfterRemoveEdge mirrors the SetLoc-replay test for
-// topology: a pooled worker with a warmed cache must not serve a stale
+// topology: a pooled worker over a warmed cache must not serve a stale
 // community after an edge removal applied through the base searcher.
 func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 	g := clusteredGraph(7, 5, 8, 30)
@@ -171,8 +171,8 @@ func TestPoolWorkerNotStaleAfterRemoveEdge(t *testing.T) {
 		t.Skip("fixture lacks a 3-core at q")
 	}
 
-	// Warm one worker's cache and keep it checked out so we provably re-use
-	// the warmed searcher.
+	// Warm the pool's cache through one worker and keep it checked out so we
+	// provably re-use the warmed searcher.
 	w := pool.Get()
 	r1, err := w.AppFast(q, k, 0.5)
 	if err != nil {

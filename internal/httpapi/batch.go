@@ -78,8 +78,8 @@ func ServeBatch(w http.ResponseWriter, r *http.Request, req *wire.BatchRequest,
 // batchFanOut is the number of workers a batch runs on: the request's
 // "workers", clamped to GOMAXPROCS — which is also the default when the field
 // is absent, so a client can only lower the fan-out. The field arrives from
-// outside and every worker holds a searcher with its own caches (a cold one
-// per cross-shard query on the router), so it must not size anything
+// outside and every worker holds a searcher with its own scratch (and a cold
+// cache per cross-shard query on the router), so it must not size anything
 // unclamped.
 func batchFanOut(req *wire.BatchRequest) int {
 	if limit := runtime.GOMAXPROCS(0); req.Workers <= 0 || req.Workers > limit {

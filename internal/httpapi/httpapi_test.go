@@ -244,7 +244,7 @@ func TestCoreQuery(t *testing.T) {
 
 // TestBatchFanOut pins the bound on the client-supplied fan-out: "workers"
 // far above GOMAXPROCS must not size the worker set — every worker holds a
-// searcher with its own caches — and an absent field means GOMAXPROCS.
+// searcher with its own scratch — and an absent field means GOMAXPROCS.
 func TestBatchFanOut(t *testing.T) {
 	limit := runtime.GOMAXPROCS(0)
 	if got := batchFanOut(&wire.BatchRequest{Workers: 100000}); got != limit {

@@ -157,6 +157,10 @@ type Server struct {
 	statRepairs  *telemetry.CounterVec // sorted views repaired from the mutation journal
 	statRebuilds *telemetry.CounterVec // sorted views computed from scratch
 	statDropped  *telemetry.CounterVec // cached communities invalidated
+	statViewHits *telemetry.CounterVec // sorted views reused as they stood
+	statOBuilds  *telemetry.CounterVec // prefix oracles built from nothing
+	statORepairs *telemetry.CounterVec // prefix oracles repaired from their last build
+	statOSpan    *telemetry.CounterVec // prefix lengths those repairs recomputed
 	parBudget    *telemetry.Counter    // circle-scan workers the machine offered (GOMAXPROCS per scan)
 	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
 	memoHit      *telemetry.Counter    // searches answered from the snapshot's memo
@@ -242,6 +246,14 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 		"Sorted candidate views computed and sorted from scratch, by algorithm.", "algo")
 	s.statDropped = reg.CounterVec("sac_query_cache_entries_dropped_total",
 		"Cached communities dropped because an edge op changed them or the mutation journal no longer reached them, by algorithm.", "algo")
+	s.statViewHits = reg.CounterVec("sac_query_view_hits_total",
+		"Sorted candidate views reused as they stood, by algorithm.", "algo")
+	s.statOBuilds = reg.CounterVec("sac_query_oracle_builds_total",
+		"Prefix oracles built from nothing, by algorithm.", "algo")
+	s.statORepairs = reg.CounterVec("sac_query_oracle_repairs_total",
+		"Prefix oracles repaired over the prefix lengths writes changed since their last build, by algorithm.", "algo")
+	s.statOSpan = reg.CounterVec("sac_query_oracle_repair_span_total",
+		"Prefix lengths the oracle repairs recomputed, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
 		"Circle-scan workers the machine offers, GOMAXPROCS added once per Exact and Exact+ scan.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
@@ -632,6 +644,10 @@ func (s *Server) observeQuery(algo string, st core.Stats) {
 	s.statRepairs.With(algo).Add(uint64(st.ViewRepairs))
 	s.statRebuilds.With(algo).Add(uint64(st.ViewRebuilds))
 	s.statDropped.With(algo).Add(uint64(st.EntriesDropped))
+	s.statViewHits.With(algo).Add(uint64(st.ViewHits))
+	s.statOBuilds.With(algo).Add(uint64(st.OracleBuilds))
+	s.statORepairs.With(algo).Add(uint64(st.OracleRepairs))
+	s.statOSpan.With(algo).Add(uint64(st.OracleRepairSpan))
 }
 
 // handleBatch answers every item as /v1/query would, through s.search, with

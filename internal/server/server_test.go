@@ -363,7 +363,7 @@ func TestMadeUpMethodsShareOneSeries(t *testing.T) {
 
 // TestBatchWorkersClamped pins the bound on the client-supplied fan-out:
 // "workers" far above GOMAXPROCS must not size the worker set — every
-// worker is a pooled searcher clone with its own caches — and the batch
+// worker is a pooled searcher clone with its own scratch — and the batch
 // still answers every item.
 func TestBatchWorkersClamped(t *testing.T) {
 	limit := runtime.GOMAXPROCS(0)

@@ -17,9 +17,9 @@
 //	                              Snap in an atomic.Pointer
 //	                                            ▼
 //	queries ──► Current() ──► Snap.Get() ──► pooled worker rebound to the
-//	            (atomic load)               pinned snapshot (AdoptFrom: O(1),
-//	                                        warm candidate cache kept and
-//	                                        repaired from the journal)
+//	            (atomic load)               pinned snapshot (AdoptFrom: O(1)),
+//	                                        reading the engine's one candidate
+//	                                        cache, repaired from the journal
 //
 // Every write is a graph.Write, the type the WAL, the replication stream,
 // the standing-query layer and the graph's journal carry too. Apply checks
@@ -35,15 +35,17 @@
 // shared with the clone, and a location-only publication shares the
 // previous snapshot's core slice too.
 //
-// Workers rebind across snapshots instead of re-cloning. The clone carries
-// the writer graph's epochs and mutation journal, so a worker's candidate
-// cache, stamped with the timeline point it last reflected, repairs itself
-// from the journaled gap on its next query: members that checked in move to
+// Workers rebind across snapshots instead of re-cloning, and all of them
+// share one candidate cache: the pool's, which every snapshot base shares
+// with the writer's searcher (core.Searcher.SnapshotOnto). The clone carries
+// the writer graph's epochs and mutation journal, so the cache, stamped with
+// the timeline point it last reflected, repairs itself from the journaled
+// gap on the next query that reaches it: members that checked in move to
 // their new rank in a sorted view, a community re-checks the edges that came
-// and went and is kept unless they changed it (core.Searcher.AdoptFrom,
-// internal/core/repair.go). Adopting an older snapshot than the worker last
-// served, or one more than a journal's length ahead, starts that cache state
-// over.
+// and went and is kept unless they changed it (internal/core/repair.go). A
+// query pinned to a snapshot older than the cache answers from state of its
+// own and leaves the cache as it stands; one more than a journal's length
+// ahead starts that cache state over.
 package snapshot
 
 import (

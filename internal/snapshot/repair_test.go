@@ -13,15 +13,16 @@ import (
 	"sacsearch/internal/graph"
 )
 
-// TestRepairAcrossSnapshots drives the worker cache's journal repair the way
+// TestRepairAcrossSnapshots drives the engine cache's journal repair the way
 // serving does: one pooled worker (sequential Get/Put on a LIFO pool) is
 // rebound, query after query, between the newest snapshot and an older
 // pinned one while check-ins and edge ops publish new ones. Going forward
 // the cache absorbs the journal gap; going back its stamps lie in the
-// adopted graph's future and it must start over; a pinned snapshot left far
-// enough behind is beyond the ring. Every answer must equal a fresh
-// searcher's on that snapshot's frozen graph. Under -race this also checks
-// that frozen clones and the writer's graph can share adjacency rows.
+// adopted graph's future, so the older query answers from state of its own
+// and leaves the cache as it stands — the next query on the newest snapshot
+// finds its view current. Every answer must equal a fresh searcher's on that
+// snapshot's frozen graph. Under -race this also checks that frozen clones
+// and the writer's graph can share adjacency rows.
 func TestRepairAcrossSnapshots(t *testing.T) {
 	ds, err := dataset.Load("syn1", 0.02)
 	if err != nil {
@@ -50,6 +51,7 @@ func TestRepairAcrossSnapshots(t *testing.T) {
 		steps = 40
 	}
 	var st core.Stats
+	forward := 0 // newest-snapshot queries after an older one that found their view current
 	pinned := eng.Current()
 	for step := 0; step < steps; step++ {
 		for i := rnd.Intn(4); i > 0; i-- {
@@ -81,7 +83,7 @@ func TestRepairAcrossSnapshots(t *testing.T) {
 			pinned = eng.Current()
 		}
 		query := core.Query{Algo: algos[step%len(algos)], Q: hot[rnd.Intn(len(hot))], K: k}
-		for _, sn := range []*Snap{eng.Current(), pinned, eng.Current()} {
+		for i, sn := range []*Snap{eng.Current(), pinned, eng.Current()} {
 			w := sn.Get()
 			got, gotErr := w.Search(ctx, query)
 			sn.Put(w)
@@ -100,6 +102,13 @@ func TestRepairAcrossSnapshots(t *testing.T) {
 					len(got.Members), got.Stats.CandidateSize, got.Delta,
 					len(want.Members), want.Stats.CandidateSize, want.Delta)
 			}
+			if i == 2 && pinned.Seq() < sn.Seq() {
+				if got.Stats.ViewHits != 1 || got.Stats.ViewRebuilds != 0 || got.Stats.CacheHits != 1 {
+					t.Fatalf("step %d %s q=%d: the query on snapshot %d after one on %d did not find its view current: %+v",
+						step, query.Algo, query.Q, sn.Seq(), pinned.Seq(), got.Stats)
+				}
+				forward++
+			}
 			st.CacheHits += got.Stats.CacheHits
 			st.ViewHits += got.Stats.ViewHits
 			st.ViewRepairs += got.Stats.ViewRepairs
@@ -110,9 +119,9 @@ func TestRepairAcrossSnapshots(t *testing.T) {
 	if eng.PoolClones() != 1 {
 		t.Fatalf("%d pool workers served a sequential loop; the test wants one cache seeing every snapshot", eng.PoolClones())
 	}
-	t.Logf("hits %d, views hit/repaired/rebuilt %d/%d/%d, entries dropped %d",
-		st.CacheHits, st.ViewHits, st.ViewRepairs, st.ViewRebuilds, st.EntriesDropped)
-	if st.ViewHits == 0 || st.ViewRepairs == 0 || st.ViewRebuilds == 0 || st.EntriesDropped == 0 || st.CacheHits == 0 {
+	t.Logf("hits %d, views hit/repaired/rebuilt %d/%d/%d, entries dropped %d, forward after back %d",
+		st.CacheHits, st.ViewHits, st.ViewRepairs, st.ViewRebuilds, st.EntriesDropped, forward)
+	if st.ViewHits == 0 || st.ViewRepairs == 0 || st.ViewRebuilds == 0 || forward == 0 || st.CacheHits == 0 {
 		t.Fatalf("an outcome never occurred: %+v", st)
 	}
 }

@@ -86,7 +86,7 @@ func TestClosureCarriedWhileTopologyStands(t *testing.T) {
 }
 
 // TestClosureMatchesFreshWalk pins the closure an evaluation takes from the
-// pooled worker's cache — the community its Search has just revalidated —
+// pool's cache — the community its Search has just revalidated —
 // against a fresh walk of the topology: after every edge op the gate's
 // members and frontier must be, as sets, what a searcher with an empty cache
 // finds on the evaluated snapshot. Inserts and deletes land inside the

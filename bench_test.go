@@ -478,14 +478,23 @@ func BenchmarkColdView(b *testing.B) {
 // random edge and deletes it the next time round, so the cached community
 // must survive an edge op. Hit is the same loop with no write, the floor
 // both are measured against — allocations included: a repaired view should
-// allocate what a hit does. Each arm also reports, per op, the prefix
-// oracles built from nothing (builds/op), those repaired from their last
-// build (repairs/op) and the prefix lengths the repairs recomputed
-// (span/op). Each Parallel arm is its arm with GOMAXPROCS readers: after
-// every write, one query per reader runs at once on its own pooled worker,
-// reader j of op i on hot vertex i·GOMAXPROCS+j, so every hot view is
-// queried by whichever worker comes next. For local iteration; the evidence
-// for a claim is the bench/ run.
+// allocate what a hit does. AfterDelete and AfterHubMove query the first hot
+// vertex alone, after every write, as a standing query's evaluation does:
+// AfterDelete's write inserts an edge between two community members, lets
+// the view absorb it, and deletes it again, so the timed query repairs a
+// lone delete; AfterHubMove sends the lowest-id member of that vertex's
+// community other than itself (under preferential attachment its hub) to
+// the corner farthest from it and, the next time, home again, as
+// single_churn's targeted check-in does. Each arm also reports, per op, the
+// prefix oracles built from nothing (builds/op), those repaired from their
+// last build (repairs/op), the prefix lengths the repairs' records dirtied
+// (span/op), the repairs that ran windows (windows/op), the vertices the
+// replays evaluated or settled (replayed/op), and what a repair touched
+// (touched/op: a window's lengths plus the replay's vertices). Each Parallel
+// arm is its arm with GOMAXPROCS readers: after every write, one query per
+// reader runs at once on its own pooled worker, reader j of op i on query
+// vertex i·GOMAXPROCS+j, so every view is queried by whichever worker comes
+// next. For local iteration; the evidence for a claim is the bench/ run.
 func BenchmarkChurnQuery(b *testing.B) {
 	ds, err := sacsearch.LoadDataset("syn1", 1)
 	if err != nil {
@@ -494,22 +503,72 @@ func BenchmarkChurnQuery(b *testing.B) {
 	hot := sacsearch.QueryWorkload(ds.Graph, benchK, 16, benchSeed)
 	eligible := sacsearch.QueryWorkload(ds.Graph, benchK, 4096, benchSeed+1)
 	ctx := context.Background()
+	pair := func(i int) (sacsearch.V, sacsearch.V) {
+		return eligible[(i*7)%len(eligible)], eligible[(i*13+1)%len(eligible)]
+	}
+	// The hub AfterHubMove moves, and the corner it goes to.
+	res, err := sacsearch.NewSearcher(ds.Graph).AppFast(hot[0], benchK, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hub := res.Members[0]
+	if hub == hot[0] {
+		hub = res.Members[1]
+	}
+	home, qp := ds.Graph.Loc(hub), ds.Graph.Loc(hot[0])
+	corner := geom.Point{X: 0.001, Y: 0.001}
+	if qp.X < 0.5 {
+		corner.X = 0.999
+	}
+	if qp.Y < 0.5 {
+		corner.Y = 0.999
+	}
 	arms := []struct {
-		name  string
-		write func(eng *snapshot.Engine, rnd *rand.Rand, i int) error
+		name    string
+		queries []sacsearch.V
+		write   func(eng *snapshot.Engine, rnd *rand.Rand, i int) error
 	}{
-		{"Hit", func(*snapshot.Engine, *rand.Rand, int) error { return nil }},
-		{"AfterCheckin", func(eng *snapshot.Engine, rnd *rand.Rand, _ int) error {
+		{"Hit", hot, func(*snapshot.Engine, *rand.Rand, int) error { return nil }},
+		{"AfterCheckin", hot, func(eng *snapshot.Engine, rnd *rand.Rand, _ int) error {
 			v := sacsearch.V(rnd.Intn(eng.NumVertices()))
 			p := eng.Current().Graph().Loc(v)
 			return eng.CheckIn(ctx, v, geom.Point{X: p.X + rnd.NormFloat64()*0.01, Y: p.Y + rnd.NormFloat64()*0.01})
 		}},
-		{"AfterEdge", func(eng *snapshot.Engine, _ *rand.Rand, i int) error {
+		{"AfterEdge", hot, func(eng *snapshot.Engine, _ *rand.Rand, i int) error {
 			// Round i/2 inserts its edge on the even call and deletes it on
 			// the odd one, so |E| stays put.
-			u, w := eligible[(i/2*7)%len(eligible)], eligible[(i/2*13+1)%len(eligible)]
+			u, w := pair(i / 2)
 			_, err := eng.UpdateEdge(ctx, u, w, i%2 == 0)
 			return err
+		}},
+		{"AfterDelete", hot[:1], func(eng *snapshot.Engine, _ *rand.Rand, i int) error {
+			var u, w sacsearch.V
+			for j := i; ; j++ { // the first pair from round i on not adjacent yet
+				u, w = pair(j)
+				inserted, err := eng.UpdateEdge(ctx, u, w, true)
+				if err != nil {
+					return err
+				}
+				if inserted {
+					break
+				}
+			}
+			sn := eng.Current()
+			wk := sn.Get()
+			_, err := wk.AppFast(hot[0], benchK, 0.5)
+			sn.Put(wk)
+			if err != nil {
+				return err
+			}
+			_, err = eng.UpdateEdge(ctx, u, w, false)
+			return err
+		}},
+		{"AfterHubMove", hot[:1], func(eng *snapshot.Engine, _ *rand.Rand, i int) error {
+			p := corner
+			if i%2 == 1 {
+				p = home
+			}
+			return eng.CheckIn(ctx, hub, p)
 		}},
 	}
 	for _, readers := range []int{0, runtime.GOMAXPROCS(0)} {
@@ -518,21 +577,22 @@ func BenchmarkChurnQuery(b *testing.B) {
 			if readers > 0 {
 				name = "Parallel" + name
 			}
-			b.Run(name, func(b *testing.B) { churnQuery(b, ds, hot, arm.write, readers) })
+			b.Run(name, func(b *testing.B) { churnQuery(b, ds, arm.queries, arm.write, readers) })
 		}
 	}
 }
 
 // churnQuery is one BenchmarkChurnQuery arm: before every op an untimed
-// write, then the op queries the hot set — once, or with readers goroutines
-// at once.
+// write, then the op queries the query vertices in turn — once, or with
+// readers goroutines at once.
 func churnQuery(b *testing.B, ds *sacsearch.Dataset, hot []sacsearch.V, write func(*snapshot.Engine, *rand.Rand, int) error, readers int) {
 	eng := snapshot.New(ds.Graph.Clone(), snapshot.Options{})
 	defer eng.Close()
 	rnd := rand.New(rand.NewSource(benchSeed))
 	var (
-		mu sync.Mutex
-		st sacsearch.Stats
+		mu               sync.Mutex
+		st               sacsearch.Stats
+		windows, touched int
 	)
 	one := func(q sacsearch.V) {
 		sn := eng.Current()
@@ -543,10 +603,18 @@ func churnQuery(b *testing.B, ds *sacsearch.Dataset, hot []sacsearch.V, write fu
 			b.Error(err)
 			return
 		}
+		r := res.Stats
 		mu.Lock()
-		st.OracleBuilds += res.Stats.OracleBuilds
-		st.OracleRepairs += res.Stats.OracleRepairs
-		st.OracleRepairSpan += res.Stats.OracleRepairSpan
+		st.OracleBuilds += r.OracleBuilds
+		st.OracleRepairs += r.OracleRepairs
+		st.OracleRepairSpan += r.OracleRepairSpan
+		st.OracleReplayed += r.OracleReplayed
+		touched += r.OracleReplayed
+		if r.OracleRepairs > r.OracleReplays && r.OracleRepairSpan > 0 {
+			// A repair with dirty lengths that no replay settled swept them.
+			windows++
+			touched += r.OracleRepairSpan
+		}
 		mu.Unlock()
 	}
 	query := func(i int) {
@@ -567,7 +635,7 @@ func churnQuery(b *testing.B, ds *sacsearch.Dataset, hot []sacsearch.V, write fu
 	for i := range hot {
 		query(i)
 	}
-	st = sacsearch.Stats{}
+	st, windows, touched = sacsearch.Stats{}, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -582,6 +650,9 @@ func churnQuery(b *testing.B, ds *sacsearch.Dataset, hot []sacsearch.V, write fu
 	b.ReportMetric(float64(st.OracleBuilds)/float64(b.N), "builds/op")
 	b.ReportMetric(float64(st.OracleRepairs)/float64(b.N), "repairs/op")
 	b.ReportMetric(float64(st.OracleRepairSpan)/float64(b.N), "span/op")
+	b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
+	b.ReportMetric(float64(st.OracleReplayed)/float64(b.N), "replayed/op")
+	b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
 }
 
 // --- Figure 12(f-j): exact algorithms vs k ---------------------------------

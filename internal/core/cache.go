@@ -92,7 +92,7 @@ func (st stamp) before(at stamp) bool { return st.loc < at.loc || st.topo < at.t
 // rank i is recomputed from the graph (candidateSet.dist) by the expression
 // the sort keyed on. The embedded oracle memoizes prefix-feasibility answers
 // for this ordering (see oracle.go); a change to the order or to an induced
-// edge marks the prefix lengths it touched for repair.
+// edge goes on the oracle's record for repair.
 //
 // mu is held shared by every query reading the view, and exclusively —
 // always by TryLock, with fill held too — by the one changing q, at, verts

@@ -113,7 +113,9 @@ type Stats struct {
 	EntriesDropped    int           // cached communities a topology change (or a lost journal) invalidated
 	OracleBuilds      int           // prefix oracles built from nothing
 	OracleRepairs     int           // prefix oracles repaired from their last build
-	OracleRepairSpan  int           // prefix lengths the repairs' windows covered
+	OracleRepairSpan  int           // prefix lengths the repaired records dirtied, whether windows or a replay settled them
+	OracleReplays     int           // repairs a replay settled, of OracleRepairs
+	OracleReplayed    int           // vertices the replays evaluated or settled, those that fell back to windows too
 	Elapsed           time.Duration // wall-clock time of the query
 }
 

@@ -19,12 +19,13 @@ import (
 // its own (cache.go).
 //
 // A view's prefix oracle follows the same way: a check-in that moves a
-// member to another rank, or an edge op inside the community, records the
-// prefix lengths it may have changed, and the next probe repairs those
-// (oracle.go, "Repair"). An oracle is still released — all its buffers to
-// the free list — when its entry is dropped, its view is recycled for
-// another vertex or re-sorted from scratch, or when it kept no state to
-// repair from (a view built once): the next build starts from nothing.
+// member to another rank, or an edge op inside the community, goes on the
+// oracle's record, and the next probe repairs what the record can have
+// changed (oracle.go, "Repair"). An oracle is still released — all its
+// buffers to the free list — when its entry is dropped, its view is
+// recycled for another vertex or re-sorted from scratch, or when it kept no
+// state to repair from (a view built once): the next build starts from
+// nothing.
 
 // The limits are set from measurements (CHANGES.md, PR 17, has the runs): in
 // process on syn1@1.0, one community of 30 000 members and 600 k induced
@@ -45,12 +46,12 @@ const (
 	// time; only TestRepairMatchesFresh* runs the rebuild side.
 	maxSplicedRows = 16
 	// maxFreeBuffers is the number of oracle buffers kept for the next
-	// builds. An oracle taken out of service hands back its answer's
-	// buffers — a repairable one keeps its coreAt and its old joinAt — and
-	// one released (see above) hands back all of them. A single_churn write
-	// takes every hot view out of service at once and only the few queried
-	// next are rebuilt, so the list holds what those need, two buffers a
-	// view, and nothing that would keep an idle view's answer alive.
+	// builds. An oracle taken out of service that kept no repair state hands
+	// back its answer's two buffers, and one released (see above) hands back
+	// all four; a kept one keeps them all, for its repair. A single_churn
+	// write takes every hot view out of service at once and only the few
+	// queried next are rebuilt, so the list holds what those need and
+	// nothing that would keep an idle view's answer alive.
 	maxFreeBuffers = 8
 )
 
@@ -63,7 +64,7 @@ type repairScratch struct {
 	cuts  [][2]int32 // local endpoints of in-community edges the gap removed
 	side  [2][]int32 // the two BFS queues of connectedInside
 
-	free [][]int32 // oracle buffers (comm, joinAt, coreAt, joinOf), length 0
+	free [][]int32 // oracle buffers (comm, joinAt, coreAt, parent), length 0
 }
 
 // movedMember is a member taken out of a view's order for reinsertion.
@@ -99,16 +100,14 @@ func (s *Searcher) releaseOracle(o *prefixOracle) {
 	s.freeBuf(o.comm)
 	s.freeBuf(o.joinAt)
 	s.freeBuf(o.coreAt)
-	s.freeBuf(o.joinOf)
-	*o = prefixOracle{builds: o.builds, dirty: o.dirty[:0], edges: o.edges[:0]}
+	s.freeBuf(o.parent)
+	*o = prefixOracle{builds: o.builds, moves: o.moves[:0], edges: o.edges[:0]}
 }
 
 // staleOracle takes o out of service until its next build and reports
 // whether it keeps the state a repair starts from, with room for one more
-// record; when it does not, it is released. A built oracle hands back its
-// answer — comm, and the memo — keeping, if it is repairable, its joinAt
-// turned from answer order into local ids over the same buffer. s.localOf
-// must be bound to o's entry.
+// record; when it does not, it is released. A kept oracle keeps its answer
+// too, for a restore (oracle.go, "Repair"); only the memo goes.
 func (s *Searcher) staleOracle(o *prefixOracle) bool {
 	if o.built.Load() {
 		o.built.Store(false)
@@ -117,26 +116,17 @@ func (s *Searcher) staleOracle(o *prefixOracle) bool {
 			s.releaseOracle(o)
 			return false
 		}
-		s.oracleBuf.ensure(len(o.joinAt))
-		old := s.oracleBuf.order[:len(o.joinAt)]
-		copy(old, o.joinAt)
-		for p, v := range o.comm {
-			o.joinAt[s.localOf[v]] = old[p]
-		}
-		s.freeBuf(o.comm)
-		o.comm, o.joinAt, o.joinOf = nil, nil, o.joinAt
 	}
-	if o.kept && len(o.dirty)+len(o.edges) == maxDirty {
+	if o.kept && len(o.moves)+len(o.edges) == maxDirty {
 		s.releaseOracle(o)
 	}
 	return o.kept
 }
 
-// touchOracle records that o's view may hold another set in the prefixes of
-// lengths [a, b].
-func (s *Searcher) touchOracle(o *prefixOracle, a, b int32) {
+// touchOracle records that a member of o's view moved to another rank.
+func (s *Searcher) touchOracle(o *prefixOracle, mv moveOp) {
 	if s.staleOracle(o) {
-		o.dirty = append(o.dirty, [2]int32{a, b})
+		o.moves = append(o.moves, mv)
 	}
 }
 
@@ -324,8 +314,8 @@ func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 // gap out of the journal's reach, or a slot that held another vertex's view —
 // is sorted from scratch, and the oracle starts over. The prefix oracle
 // depends on the order alone (and on induced edges, which the same gap
-// names), so a repositioned view keeps it and records the prefix lengths each
-// member that changed rank crossed, and the edge ops inside the community.
+// names), so a repositioned view keeps it and records each member that
+// changed rank, and the edge ops inside the community.
 //
 // One query at a time brings a view forward (fill), and the next finds it
 // current. A view ahead of the query's snapshot is left as it stands, and so
@@ -454,7 +444,11 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 		copy(verts[idx+j+1:kept+j+1], verts[idx:kept])
 		verts[idx+j] = mv.v
 		if at := int32(idx + j); at != mv.rank {
-			s.touchOracle(&vw.oracle, min(at, mv.rank)+1, max(at, mv.rank))
+			op := moveOp{lv: s.localOf[mv.v], from: mv.rank, to: at}
+			if len(moved) > 1 {
+				op.lv = -1
+			}
+			s.touchOracle(&vw.oracle, op)
 		}
 		kept = idx
 	}

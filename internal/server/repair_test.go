@@ -1,13 +1,16 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"sacsearch/internal/graph"
 	"sacsearch/internal/telemetry"
 )
 
@@ -19,6 +22,9 @@ import (
 // which it keeps what a repair needs), a non-member's costs nothing, the
 // member's next move is absorbed by an oracle repair over the prefix lengths
 // it crossed, and an edge that merges two communities drops the cached one.
+// How the repair went does not show: a delete the certificate vouches for
+// is restored — one repair, no span — and a lone check-in replayed counts
+// one repair and the lengths it crossed, as the windows would have.
 func TestViewOutcomesOnMetrics(t *testing.T) {
 	srv := NewWithConfig("test", testGraph(), Config{Metrics: telemetry.NewRegistry()})
 	t.Cleanup(srv.Close)
@@ -63,6 +69,19 @@ func TestViewOutcomesOnMetrics(t *testing.T) {
 
 	none := func(n int) bool { return n == 0 }
 	some := func(n int) bool { return n > 0 }
+	span := 0 // the span total at the last expect
+	same := func(n int) bool { return n == span }
+	more := func(n int) bool { return n > span }
+	spanNow := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return int(metricValue(t, string(body), `sac_query_oracle_repair_span_total{algo="appfast"}`))
+	}
 	query()
 	expect(counts{0, 1, 0, 0, 1, 0}, none)
 	post("/v1/checkin", map[string]any{"v": 7, "x": 0.4, "y": 0.6}) // a member of 0's 3-core
@@ -75,7 +94,22 @@ func TestViewOutcomesOnMetrics(t *testing.T) {
 	post("/v1/checkin", map[string]any{"v": 7, "x": p0.X + 1e-3, "y": p0.Y}) // the member again, next to q
 	query()
 	expect(counts{2, 1, 0, 1, 2, 1}, some)
+	// q's clique's two members farthest from it keep four clique-mates each
+	// and an earlier way in: deleting their edge leaves every prefix as it
+	// was, the view stands and the oracle is restored.
+	g := testGraph()
+	clique := []int{1, 2, 3, 4, 5}
+	slices.SortFunc(clique, func(a, b int) int { return cmp.Compare(p0.Dist(g.Loc(graph.V(a))), p0.Dist(g.Loc(graph.V(b)))) })
+	span = spanNow()
+	post("/v1/edge", map[string]any{"u": clique[3], "v": clique[4], "op": "delete"})
+	query()
+	expect(counts{2, 1, 0, 2, 2, 2}, same)
+	// A member of the next clique sent to the far side of the square crosses
+	// every rank above its own: one repair, those lengths.
+	post("/v1/checkin", map[string]any{"v": 8, "x": 1 - p0.X, "y": 1 - p0.Y})
+	query()
+	expect(counts{3, 1, 0, 2, 2, 3}, more)
 	post("/v1/edge", map[string]any{"u": 0, "v": 30, "op": "insert"}) // clique 5 joins
 	query()
-	expect(counts{2, 2, 1, 1, 3, 1}, some)
+	expect(counts{3, 2, 1, 2, 3, 3}, some)
 }

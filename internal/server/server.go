@@ -160,7 +160,7 @@ type Server struct {
 	statViewHits *telemetry.CounterVec // sorted views reused as they stood
 	statOBuilds  *telemetry.CounterVec // prefix oracles built from nothing
 	statORepairs *telemetry.CounterVec // prefix oracles repaired from their last build
-	statOSpan    *telemetry.CounterVec // prefix lengths those repairs recomputed
+	statOSpan    *telemetry.CounterVec // prefix lengths those repairs' records dirtied
 	parBudget    *telemetry.Counter    // circle-scan workers the machine offered (GOMAXPROCS per scan)
 	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
 	memoHit      *telemetry.Counter    // searches answered from the snapshot's memo
@@ -251,9 +251,9 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	s.statOBuilds = reg.CounterVec("sac_query_oracle_builds_total",
 		"Prefix oracles built from nothing, by algorithm.", "algo")
 	s.statORepairs = reg.CounterVec("sac_query_oracle_repairs_total",
-		"Prefix oracles repaired over the prefix lengths writes changed since their last build, by algorithm.", "algo")
+		"Prefix oracles brought up to date from their last build — restored, replayed or re-swept over dirty windows — by algorithm.", "algo")
 	s.statOSpan = reg.CounterVec("sac_query_oracle_repair_span_total",
-		"Prefix lengths the oracle repairs recomputed, by algorithm.", "algo")
+		"Prefix lengths the records of repaired oracles dirtied, whether windows or a replay settled them, by algorithm.", "algo")
 	s.parBudget = reg.Counter("sac_query_parallelism_budget_total",
 		"Circle-scan workers the machine offers, GOMAXPROCS added once per Exact and Exact+ scan.")
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",

@@ -16,8 +16,8 @@ import (
 // membership per community and per k: every member vertex maps to the same
 // entry, and any later query from any member skips the BFS / decomposition
 // walk entirely. An entry also keeps the community's induced CSR and, per
-// recent query vertex, the members in (distance, id) order with the prefix
-// oracle built over that order (oracle.go).
+// recent query vertex, a view: the members in (distance, id) order with the
+// prefix oracle built over that order (oracle.go).
 //
 // Both locations (check-ins) and topology (edge ops) change under a live
 // store. Entries and views are stamped with the point of the graph's
@@ -34,31 +34,18 @@ import (
 // NewSearcher owns one, and Clone and Pool share their source's. So every
 // pooled worker and every standing-query evaluation reads and repairs the
 // same views, and a write is absorbed once per view, by whichever query
-// reaches it first. Scratch stays per searcher. The store's locking keeps
-// concurrent queries apart without one lock per community, and no query
-// ever waits for another one's search:
+// reaches it first. Scratch stays per searcher.
 //
-//   - a query holds its entry and its view shared, from candidates to the
-//     end of run (release). Whatever changes them in place takes them
-//     exclusively, and only by TryLock: a change never waits for a reader;
-//   - an entry's members never change. A topology change the community
-//     survives is absorbed in place when no query holds the entry, and
-//     otherwise into a copy that takes the entry's place in the store, while
-//     the queries holding it finish on it (bringForward). Copies share the
-//     entry's views;
-//   - one query at a time brings a view forward, under the view's fill lock,
-//     and the next finds it current (singleflight). A view some query is
-//     reading is never changed under it: a query that finds it behind and
-//     held sorts a view of its own. The same lock orders the prefix oracle's
-//     lazy build and the answer memo among the view's readers, and different
-//     views of one entry build and repair in parallel;
-//   - entries and views only move forward along the timeline. A reader
-//     pinned to a snapshot older than what the store holds never rebuilds it
-//     backwards: it answers from an entry or a view it keeps to itself, and
-//     stores nothing.
-//
-// A wait is only ever for a bounded piece of work — a revalidation, a
-// view's refresh, an oracle build — never for a search.
+// Entries and views are values: a version never changes; a newer one
+// replaces it. A query pins the entry and view version it reads until it
+// ends (release), and takes no lock. Bringing one forward copies it,
+// repairs the copy and publishes it in its slot; queries that pinned the old
+// one finish on it, and the last to leave hands its buffers to the store's
+// free list. Writers of a slot take turns, so the next query finds it
+// current (singleflight), and only forward: a query pinned to a snapshot
+// older than the slot's version makes one of its own and publishes nothing.
+// The one exception is a stamp, which advances atomically, forward only,
+// over a gap that changed nothing the version holds.
 //
 // Every query but θ-SAC takes its candidate set from the store: there is no
 // path around it, only a cold one (SetCandidateCaching).
@@ -87,54 +74,63 @@ func (s *Searcher) now() stamp { return stamp{loc: s.g.LocEpoch(), topo: s.g.Top
 // epoch decides: both only grow.
 func (st stamp) before(at stamp) bool { return st.loc < at.loc || st.topo < at.topo }
 
-// sortedView is a community's candidate set in ascending (distance from q,
-// id) order as of the locations at at. Distances are not stored: the one at
-// rank i is recomputed from the graph (candidateSet.dist) by the expression
-// the sort keyed on. The embedded oracle memoizes prefix-feasibility answers
-// for this ordering (see oracle.go); a change to the order or to an induced
-// edge goes on the oracle's record for repair.
-//
-// mu is held shared by every query reading the view, and exclusively —
-// always by TryLock, with fill held too — by the one changing q, at, verts
-// or the oracle's record. fill serializes the view's writers: the refresh
-// that brings it forward, and, among readers holding mu shared, the oracle's
-// lazy build and the answer memo. q changes only under the view list's lock
-// as well.
-type sortedView struct {
-	mu     sync.RWMutex
-	fill   sync.Mutex
+// pins counts the queries reading an entry or a view version, two a query,
+// with retiredBit set once a newer one replaced it. No query pins a retired
+// value, so whoever brings its count to zero hands its buffers on, once.
+type pins struct{ w atomic.Int64 }
+
+const retiredBit = 1
+
+// claim gives a value just made, new or off a free list, its maker's pin.
+// Until it is published a query that pins it finds it in no slot and lets
+// go. One that stays private is retired at once: the maker recycles it.
+func (p *pins) claim() { p.w.Store(2) }
+
+// pin adds a reader unless the value is retired.
+func (p *pins) pin() bool {
+	for {
+		w := p.w.Load()
+		if w&retiredBit != 0 {
+			return false
+		}
+		if p.w.CompareAndSwap(w, w+2) {
+			return true
+		}
+	}
+}
+
+// unpin drops a reader: true when it was a retired value's last.
+func (p *pins) unpin() bool { return p.w.Add(-2) == retiredBit }
+
+// retire marks the value replaced, once: true when nobody reads it.
+func (p *pins) retire() bool { return p.w.Add(retiredBit) == retiredBit }
+
+func (p *pins) retired() bool { return p.w.Load()&retiredBit != 0 }
+
+// viewVersion is one state of q's view of a community: the members in
+// ascending (distance from q, id) order as of the locations at at, and the
+// prefix oracle over that order (k-core only). Distances are not stored: the
+// one at rank i is recomputed (candidateSet.dist) by the sort's expression.
+type viewVersion struct {
+	pins   pins
 	q      graph.V
 	at     stamp
 	verts  []graph.V
 	oracle prefixOracle
 }
 
-// tryHold takes vw exclusively if nobody holds or fills it.
-func (vw *sortedView) tryHold() bool {
-	if !vw.fill.TryLock() {
-		return false
-	}
-	if !vw.mu.TryLock() {
-		vw.fill.Unlock()
-		return false
-	}
-	return true
+// viewSlot holds the published version of a recent query vertex's view.
+type viewSlot struct {
+	q    graph.V // whose slot it is: the view list's, under its lock
+	next sync.Mutex
+	cur  atomic.Pointer[viewVersion]
 }
 
-// share turns vw, held exclusively, into held shared. Every writer holds
-// fill, so nothing changes the view in between.
-func (vw *sortedView) share() {
-	vw.mu.Unlock()
-	vw.mu.RLock()
-	vw.fill.Unlock()
-}
-
-// viewList is a community's distance-sorted views of recent query vertices,
-// most recent first. An entry and the copies revalidation makes of it share
-// one: their members are the same, and so is every view of them.
+// viewList is a community's view slots, most recent first, shared by an
+// entry and its copies: their members are the same, and so are the views.
 type viewList struct {
 	mu    sync.Mutex
-	views []*sortedView
+	views []*viewSlot
 }
 
 // maxViewsPerEntry bounds the distance-sorted views kept per community —
@@ -148,25 +144,14 @@ const maxViewsPerEntry = 32
 // entry (q has no feasible community at this k); negative entries are keyed
 // only by the query vertex itself.
 type cacheEntry struct {
-	// mu is held shared by every query reading the entry, and exclusively —
-	// by TryLock, with next held too — by the one absorbing a topology change
-	// in place. next serializes the queries that bring the entry forward.
-	mu      sync.RWMutex
-	next    sync.Mutex
+	pins    pins
 	members []graph.V // immutable; discovery (BFS) order
-	// dropped: a topology change invalidated the entry or a copy took its
-	// place (bringForward); nothing starts on it any more.
-	dropped atomic.Bool
-	// topo is the topology epoch members and the induced CSR reflect. It is
-	// stored under mu held exclusively, or before anyone else can see the
-	// entry, and the store reads it too.
+	// topo is the topology epoch members and the induced CSR reflect; it
+	// advances in place over a gap that changed no edge inside the community.
 	topo atomic.Uint64
-	// stored is the store generation that indexed the entry, 0 for none:
-	// the store's to read and write, under its lock.
-	stored uint64
 	// seq is a timeline point at topo, the latest a reader has recorded:
 	// where the journal gap to a later topology starts. Any point at topo
-	// will do, so readers holding mu shared may race to record theirs.
+	// will do, so readers may race to record theirs.
 	seq atomic.Uint64
 
 	views *viewList // shared with the entry's copies
@@ -176,39 +161,59 @@ type cacheEntry struct {
 	// members, so the prefix oracle sweeps this dense, cross-community-edge-
 	// free adjacency instead of the global CSR, and a query's working set
 	// cuts its own CSR out of it (circle.go). A k-core entry builds it before
-	// anyone else can see the entry, and a copy patches its own; other
-	// structures never use it.
+	// anyone else can see the entry; other structures never use it.
 	adjOff   []int32
 	adjLocal []int32
 }
 
-// buildInduced materializes the induced adjacency, into the entry's previous
-// arrays when they are large enough. localOf must already map every member
-// to its local id, with valid marking membership. A row lists the member's
-// neighbors in ascending global id, which respliceRow reproduces.
-func (e *cacheEntry) buildInduced(g *graph.Graph, localOf []int32, valid *graph.Marker) {
+// buildInduced writes e's induced CSR, its members bound (bindLocal), on
+// the storage e has: the rows named in rows (ascending) are read from the
+// graph, and runs of the others copied from src, an entry of the same
+// members; with no src every row is read. A row lists the member's
+// neighbours in ascending global id.
+func (s *Searcher) buildInduced(e, src *cacheEntry, rows []int32) {
 	n := len(e.members)
-	e.adjOff = slices.Grow(e.adjOff[:0], n+1)[:n+1]
-	e.adjOff[0] = 0
+	off := sized(e.adjOff, n+1)
+	off[0] = 0
+	next := 0
 	for i, v := range e.members {
-		d := int32(0)
-		for _, u := range g.Neighbors(v) {
-			if valid.Has(u) {
-				d++
-			}
-		}
-		e.adjOff[i+1] = e.adjOff[i] + d
-	}
-	e.adjLocal = slices.Grow(e.adjLocal[:0], int(e.adjOff[n]))[:e.adjOff[n]]
-	cursor := int32(0)
-	for _, v := range e.members {
-		for _, u := range g.Neighbors(v) {
-			if valid.Has(u) {
-				e.adjLocal[cursor] = localOf[u]
-				cursor++
-			}
+		if src == nil || next < len(rows) && rows[next] == int32(i) {
+			next++
+			off[i+1] = off[i] + s.inducedRow(nil, v)
+		} else {
+			off[i+1] = off[i] + src.adjOff[i+1] - src.adjOff[i]
 		}
 	}
+	adj := sized(e.adjLocal, int(off[n]))
+	if src == nil {
+		for i, v := range e.members {
+			s.inducedRow(adj[off[i]:off[i+1]], v)
+		}
+	} else {
+		from := int32(0) // the first row of the run still to copy
+		for _, r := range rows {
+			copy(adj[off[from]:off[r]], src.adjLocal[src.adjOff[from]:src.adjOff[r]])
+			s.inducedRow(adj[off[r]:off[r+1]], e.members[r])
+			from = r + 1
+		}
+		copy(adj[off[from]:off[n]], src.adjLocal[src.adjOff[from]:src.adjOff[n]])
+	}
+	e.adjOff, e.adjLocal = off, adj
+}
+
+// inducedRow writes v's neighbours among the bound members, as local ids,
+// into dst unless it is nil, and counts them.
+func (s *Searcher) inducedRow(dst []int32, v graph.V) int32 {
+	d := int32(0)
+	for _, u := range s.g.Neighbors(v) {
+		if s.localValid.Has(u) {
+			if dst != nil {
+				dst[d] = s.localOf[u]
+			}
+			d++
+		}
+	}
+	return d
 }
 
 // bindLocal points the Searcher's global→local id translation at e's
@@ -239,26 +244,38 @@ func (s *Searcher) bindLocal(e *cacheEntry) {
 // Queries holding a dropped entry finish on it; nothing finds it again.
 const maxCachedVertices = 1 << 20
 
+// entrySlot holds a community's published entry: every key leads to it, so
+// a newer entry replaces the old one without re-keying the index.
+type entrySlot struct {
+	next   sync.Mutex
+	cur    atomic.Pointer[cacheEntry]
+	stored uint64 // the generation that indexed it, 0 once it left: under the store's lock
+}
+
 // viewStore memoizes community membership per (member vertex, k). It is
 // shared by every searcher of a pool; mu guards the index alone.
 type viewStore struct {
 	mu       sync.Mutex
-	index    map[cacheKey]*cacheEntry
+	index    map[cacheKey]*entrySlot
 	vertices int    // Σ len(members) over the indexed entries
 	gen      uint64 // bumped whenever the index is dropped whole
+
+	views   spares[viewVersion]
+	entries spares[cacheEntry]
 }
 
-// lookup returns the entry covering (v, k), or nil.
-func (c *viewStore) lookup(v graph.V, k int) *cacheEntry {
+// lookup returns the slot of the community covering (v, k), or nil.
+func (c *viewStore) lookup(v graph.V, k int) *entrySlot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.index[cacheKey{v, int32(k)}]
 }
 
-// put indexes e as the community of (q, k), unless the store already holds
-// that community at e's topology or a later one (a query on a newer
-// snapshot, or one racing this one, stored it first): e then serves its
-// query alone. e.members is retained; callers must not mutate it afterwards.
+// put indexes e, in a slot of its own, as the community of (q, k) and
+// reports true, unless the store already holds that community at e's
+// topology or a later one (a query on a newer snapshot, or one racing this
+// one, stored it first): e then serves its query alone. e.members is
+// retained; callers must not mutate it afterwards.
 //
 // fanout keys the entry by every member, so any later query from the same
 // community hits it. That is sound only when communities partition vertices
@@ -266,188 +283,209 @@ func (c *viewStore) lookup(v graph.V, k int) *cacheEntry {
 // fixed subgraph) but NOT for k-clique percolation, where communities
 // overlap at shared vertices; overlapping structures must pass fanout=false
 // so the entry is keyed by q alone.
-func (c *viewStore) put(q graph.V, k int, e *cacheEntry, fanout bool) {
+func (c *viewStore) put(q graph.V, k int, e *cacheEntry, fanout bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := cacheKey{q, int32(k)}
 	if old := c.index[key]; old != nil {
-		if old.topo.Load() >= e.topo.Load() {
-			return
+		if old.cur.Load().topo.Load() >= e.topo.Load() {
+			return false
 		}
 		c.removeLocked(old, q, k)
 	}
 	if c.index == nil || c.vertices+len(e.members) > maxCachedVertices {
-		c.index = make(map[cacheKey]*cacheEntry)
+		c.index = make(map[cacheKey]*entrySlot)
 		c.vertices = 0
 		c.gen++
 	}
-	e.stored = c.gen
+	sl := &entrySlot{stored: c.gen}
+	sl.cur.Store(e)
 	if e.members == nil || !fanout {
-		c.index[key] = e
+		c.index[key] = sl
 	} else {
 		for _, v := range e.members {
-			c.index[cacheKey{v, int32(k)}] = e
+			c.index[cacheKey{v, int32(k)}] = sl
 		}
 	}
 	c.vertices += len(e.members)
+	return true
 }
 
-// remove drops e, found under (q, k), and every key that leads to it.
-func (c *viewStore) remove(e *cacheEntry, q graph.V, k int) {
+// remove drops sl, found under (q, k), and every key that leads to it.
+func (c *viewStore) remove(sl *entrySlot, q graph.V, k int) {
 	c.mu.Lock()
-	c.removeLocked(e, q, k)
+	c.removeLocked(sl, q, k)
 	c.mu.Unlock()
 }
 
-func (c *viewStore) removeLocked(e *cacheEntry, q graph.V, k int) {
-	if e.stored != c.gen || e.stored == 0 { // dropped already, or with the whole index
+func (c *viewStore) removeLocked(sl *entrySlot, q graph.V, k int) {
+	if sl.stored != c.gen || sl.stored == 0 { // dropped already, or with the whole index
 		return
 	}
-	if key := (cacheKey{q, int32(k)}); c.index[key] == e {
+	if key := (cacheKey{q, int32(k)}); c.index[key] == sl {
 		delete(c.index, key)
 	}
-	for _, v := range e.members {
-		if key := (cacheKey{v, int32(k)}); c.index[key] == e {
+	members := sl.cur.Load().members
+	for _, v := range members {
+		if key := (cacheKey{v, int32(k)}); c.index[key] == sl {
 			delete(c.index, key)
 		}
 	}
-	c.vertices -= len(e.members)
-	e.stored = 0
+	c.vertices -= len(members)
+	sl.stored = 0
 }
 
-// viewFor returns q's view in l, moved to the front, and fresh = false; the
-// caller locks it. Without one it takes a new slot under the cap, else
-// recycles the least recently used slot nobody holds, and returns it for q
-// held exclusively (tryHold) with fresh = true: its backing storage is
-// reusable, and the caller must fill verts and stamp it. When every slot is
-// held and the list is full it returns nil, and the caller uses a view of
-// its own.
-func (l *viewList) viewFor(q graph.V) (vw *sortedView, fresh bool) {
+// viewFor returns q's slot in l, moved to the front: a new one under the
+// cap, else the least recently used, whose version stays published until
+// q's replaces it.
+func (l *viewList) viewFor(q graph.V) *viewSlot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := slices.IndexFunc(l.views, func(vw *sortedView) bool { return vw.q == q })
+	i := slices.IndexFunc(l.views, func(sl *viewSlot) bool { return sl.q == q })
 	if i < 0 {
-		fresh = true
 		if len(l.views) < maxViewsPerEntry {
-			l.views = append(l.views, &sortedView{})
+			l.views = append(l.views, &viewSlot{})
 		}
-		for i = len(l.views) - 1; i >= 0 && !l.views[i].tryHold(); i-- {
-		}
-		if i < 0 {
-			return nil, false
-		}
+		i = len(l.views) - 1
 		l.views[i].q = q
 	}
-	vw = l.views[i]
+	sl := l.views[i]
 	copy(l.views[1:i+1], l.views[:i])
-	l.views[0] = vw
-	return vw, fresh
+	l.views[0] = sl
+	return sl
 }
 
-// enter returns the entry of (q, k) at the searcher's topology, held shared
-// until release, as curEntry (what an earlier call left held is let go
-// first); hit reports that it came from the store. Without a current stored
-// entry the community is walked afresh and stored — unless by then the store
+// enter returns the entry of (q, k) at the searcher's topology, pinned until
+// release, as curEntry (what an earlier call left pinned is let go first);
+// hit reports that it came from the store. Without a current stored entry
+// the community is walked afresh and stored — unless by then the store
 // holds it at this topology or a later one, and the new entry then serves
 // this query alone.
 func (s *Searcher) enter(q graph.V, k int) (e *cacheEntry, hit bool) {
 	s.release()
-	s.holds, s.curView = true, nil
-	if s.curEntry = s.current(q, k); s.curEntry != nil {
-		return s.curEntry, true
+	if e = s.current(q, k); e == nil {
+		now := s.now()
+		members := s.communityOf(q, k)
+		e = s.spareEntry(len(members))
+		e.members, e.views = members, &viewList{}
+		e.topo.Store(now.topo)
+		e.seq.Store(now.seq())
+		if s.structure == StructureKCore && e.members != nil {
+			s.bindLocal(e)
+			s.buildInduced(e, nil, nil)
+		}
+		// k-clique communities overlap (clique percolation), so their entries
+		// are keyed by the query vertex alone; k-core and k-truss communities
+		// partition vertices per k and fan out to every member.
+		if !s.store.put(q, k, e, s.structure != StructureKClique) {
+			e.pins.retire()
+		}
+	} else {
+		hit = true
 	}
-	now := s.now()
-	e = &cacheEntry{members: s.communityOf(q, k), views: &viewList{}}
-	e.topo.Store(now.topo)
-	e.seq.Store(now.seq())
-	if s.structure == StructureKCore && e.members != nil {
-		s.bindLocal(e)
-		e.buildInduced(s.g, s.localOf, s.localValid)
-	}
-	e.mu.RLock()
-	s.curEntry = e
-	// k-clique communities overlap (clique percolation), so their entries are
-	// keyed by the query vertex alone; k-core and k-truss communities
-	// partition vertices per k and fan out to every member.
-	s.store.put(q, k, e, s.structure != StructureKClique)
-	return e, false
+	s.curEntry, s.pinnedEntry = e, e
+	return e, hit
 }
 
 // current returns the stored entry of (q, k) brought to the searcher's
-// topology and held shared, or nil: the store holds none, holds one ahead of
-// this reader's snapshot (entries only move forward), or a topology change
-// since the entry's stamp invalidated it (bringForward).
+// topology and pinned, or nil: the store holds none, holds one ahead of this
+// reader's snapshot (entries only move forward), or a topology change since
+// the entry's stamp invalidated it (bringForward).
 func (s *Searcher) current(q graph.V, k int) *cacheEntry {
 	now := s.now()
 	for {
-		e := s.store.lookup(q, k)
-		if e == nil {
+		sl := s.store.lookup(q, k)
+		if sl == nil {
 			return nil
 		}
-		e.mu.RLock()
-		if e.topo.Load() == now.topo && !e.dropped.Load() {
+		e := sl.cur.Load()
+		if !e.pins.pin() {
+			continue // replaced: the store leads elsewhere by now
+		}
+		if sl.cur.Load() != e { // replaced, recycled and made again meanwhile
+			s.unpinEntry(e)
+			continue
+		}
+		topo := e.topo.Load()
+		if topo == now.topo {
 			if now.seq() > e.seq.Load() {
 				e.seq.Store(now.seq())
 			}
 			return e
 		}
-		e.mu.RUnlock()
-		if e.topo.Load() > now.topo || !s.bringForward(e, q, k) {
+		forward := topo < now.topo && s.bringForward(sl, e, q, k)
+		s.unpinEntry(e)
+		if !forward {
 			return nil
 		}
 	}
 }
 
-// bringForward absorbs the topology changes since e's stamp, found under
-// (q, k), and reports whether the store should be asked again: false when
-// they invalidated the community, which leaves the store. Queries bringing e
-// forward take turns; one that finds it done, or e replaced, returns at once.
-// With no query holding e the change is absorbed in place; otherwise into a
-// copy of e — the same members and views, its own CSR — that replaces e in
-// the store, while e's readers finish on e as it stands.
-func (s *Searcher) bringForward(e *cacheEntry, q graph.V, k int) bool {
-	e.next.Lock()
-	defer e.next.Unlock()
-	if e.dropped.Load() || e.topo.Load() >= s.now().topo {
+// bringForward absorbs the topology changes since the stamp of e, sl's
+// entry found under (q, k) and pinned by the caller, and reports whether to
+// ask the store again: false when they invalidated the community, which
+// leaves the store. Queries bringing e forward take turns; one that finds it
+// done or replaced returns at once. What the community survives revalidate
+// absorbs, into a copy that replaces e in its slot while e's readers finish
+// on it, or by advancing e's stamp.
+func (s *Searcher) bringForward(sl *entrySlot, e *cacheEntry, q graph.V, k int) bool {
+	sl.next.Lock()
+	defer sl.next.Unlock()
+	if e.pins.retired() || e.topo.Load() >= s.now().topo {
 		return true
 	}
-	c := e
-	if !e.mu.TryLock() {
-		c = &cacheEntry{members: e.members, views: e.views, adjOff: slices.Clone(e.adjOff), adjLocal: slices.Clone(e.adjLocal)}
-		c.topo.Store(e.topo.Load())
-		c.seq.Store(e.seq.Load())
-	}
-	kept := s.revalidate(c, q, k)
+	c, kept := s.revalidate(e, q, k)
 	if kept && c == e {
-		e.mu.Unlock()
 		return true
 	}
-	// e, failed or copied, ends here; marked before a half-patched CSR is let
-	// go, and before the store stops leading to it.
-	e.dropped.Store(true)
-	if c == e {
-		e.mu.Unlock()
+	// Nothing may lead to e once it is retired.
+	if kept {
+		sl.cur.Store(c)
+		s.unpinEntry(c)
+	} else {
+		s.store.remove(sl, q, k)
+	}
+	if e.pins.retire() {
+		s.recycleEntry(e)
 	}
 	if !kept {
-		s.store.remove(e, q, k)
 		s.stats.EntriesDropped++
-		return false
 	}
-	s.store.put(q, k, c, s.structure != StructureKClique)
-	return true
+	return kept
 }
 
-// release lets go of the entry and the view the query in flight holds; they
-// stay named in curEntry and curView, for tests to inspect.
+// release unpins what the query in flight pinned; curEntry and curView
+// still name it, for tests to inspect.
 func (s *Searcher) release() {
-	if !s.holds {
-		return
+	if e := s.pinnedEntry; e != nil {
+		s.unpinEntry(e)
 	}
-	s.holds = false
-	if s.curView != nil {
-		s.curView.mu.RUnlock()
+	if vw := s.pinnedView; vw != nil {
+		s.unpinView(vw)
 	}
-	if s.curEntry != nil {
-		s.curEntry.mu.RUnlock()
+	s.pinnedEntry, s.pinnedView = nil, nil
+}
+
+func (s *Searcher) unpinEntry(e *cacheEntry) {
+	if e.pins.unpin() {
+		s.recycleEntry(e)
 	}
+}
+
+// spareEntry returns an entry to fill for n members, claimed by the
+// searcher: one off the free list unless its CSR is over twice that.
+func (s *Searcher) spareEntry(n int) *cacheEntry {
+	e := s.store.entries.take()
+	if e == nil || cap(e.adjOff) > 2*n+64 {
+		e = &cacheEntry{}
+	}
+	e.pins.claim()
+	return e
+}
+
+// recycleEntry hands a replaced entry nobody reads to the store's free list,
+// keeping its CSR's storage; its members and views live on in its successor.
+func (s *Searcher) recycleEntry(e *cacheEntry) {
+	e.members, e.views, e.adjOff, e.adjLocal = nil, nil, e.adjOff[:0], e.adjLocal[:0]
+	s.store.entries.keep(e)
 }

@@ -143,9 +143,9 @@ func TestCandidateCacheAfterSetLoc(t *testing.T) {
 func cachedCommunities(s *Searcher) int {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
-	seen := map[*cacheEntry]bool{}
-	for _, e := range s.store.index {
-		seen[e] = true
+	seen := map[*entrySlot]bool{}
+	for _, sl := range s.store.index {
+		seen[sl] = true
 	}
 	return len(seen)
 }

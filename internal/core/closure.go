@@ -8,10 +8,11 @@ import (
 // k-structure containing q — together with its frontier: the vertices
 // outside X adjacent to a member. members is nil when q has no community at
 // this k. When the cache holds (q, k)'s community — a query on this
-// searcher's pool has searched it, as a standing query's evaluation does
-// before it asks — members is that entry's, brought current from the
-// journal: shared and immutable, so callers must not modify it. Otherwise
-// (θ-SAC and the trivial orders never fill the cache) it is walked afresh.
+// searcher's pool has searched it, as the search behind a standing query's
+// answer has before its evaluation asks — members is that entry's, brought
+// current from the journal: shared and immutable, so callers must not
+// modify it. Otherwise (θ-SAC and the trivial orders never fill the cache)
+// it is walked afresh.
 // frontier is always freshly allocated; the marking runs on the searcher's
 // scratch, so like a query this is not safe for concurrent use.
 //
@@ -27,7 +28,7 @@ func (s *Searcher) CandidateClosure(q graph.V, k int) (members, frontier []graph
 	}
 	if e := s.current(q, k); e != nil {
 		members = e.members
-		e.mu.RUnlock()
+		s.unpinEntry(e)
 	} else {
 		members = s.communityOf(q, k)
 	}

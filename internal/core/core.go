@@ -167,26 +167,19 @@ type Searcher struct {
 	cliqueChk *kclique.Checker
 
 	// Candidate-set cache (see cache.go), the only source of a query's
-	// candidate set, shared with every searcher of the pool. Entries and views
-	// carry the timeline stamp they reflect and are repaired from the graph's
-	// mutation journal when a lookup finds them behind (repair.go); rep is
-	// that repair's scratch and the free list of buffers oracles hand back
-	// when they go out of service or are released. noCache: see
-	// SetCandidateCaching.
+	// candidate set, shared with every searcher of the pool; rep is the
+	// scratch of its repairs (repair.go). noCache: see SetCandidateCaching.
 	store   *viewStore
 	noCache bool
 	rep     repairScratch
 
-	// curEntry/curView identify the cache entry and sorted view of the query
-	// in flight (nil for θ-SAC, which gathers from its circle instead); the
-	// k-core feasibility fast paths answer prefix probes through the view's
-	// oracle and cut the working set's CSR from the entry's induced
-	// adjacency. holds says the query holds both shared (release). own is the
-	// view of a query the shared one cannot serve (refreshView).
-	curEntry *cacheEntry
-	curView  *sortedView
-	holds    bool
-	own      sortedView
+	// curEntry/curView identify the cache entry and view version of the
+	// query in flight (nil for θ-SAC, which gathers from its circle
+	// instead); the k-core feasibility fast paths answer prefix probes
+	// through the view's oracle and cut the working set's CSR from the
+	// entry's induced adjacency. The query pins both until release.
+	curEntry, pinnedEntry *cacheEntry
+	curView, pinnedView   *viewVersion
 	// Global→local id translation for the members of localMembers (see
 	// bindLocal).
 	localMembers []graph.V
@@ -233,10 +226,6 @@ type Searcher struct {
 	wsFrom *workingSet
 
 	stats Stats // counters for the query in flight
-
-	// finished counts the id sorts and MCCs finish has run, which is how the
-	// memo's tests tell a repeat from a recomputation.
-	finished struct{ sorts, mccs int }
 
 	// qctx is the context of the query in flight (nil when the query is not
 	// cancellable); ctxErr latches the first context error observed at a loop
@@ -362,7 +351,7 @@ func (s *Searcher) feasible(S []graph.V, q graph.V, k int) []graph.V {
 		// the working set's own CSR (circle.go). θ-SAC takes the global
 		// peeler: its circle is not a subset of anything cached.
 		if vw := s.curView; vw != nil && len(S) > 0 && len(S) <= len(vw.verts) && &S[0] == &vw.verts[0] {
-			return s.prefixFeasible(s.curEntry, vw, len(S), q, k)
+			return vw.prefixFeasible(len(S))
 		}
 		if s.ws.peelable {
 			return s.subsetFeasible(S, k)
@@ -454,9 +443,9 @@ func (s *Searcher) communityOf(q graph.V, k int) []graph.V {
 // there. Either may be behind the graph — the graph was mutated, or the
 // query is pinned to a newer snapshot than the one that last touched them —
 // and is then brought current from the mutation journal: see revalidate for
-// what keeps an entry across edge ops and refreshView for how a view follows
+// what keeps an entry across edge ops and makeView for how a view follows
 // check-ins. What cannot be repaired is recomputed here, as on first use.
-// The entry and the view stay held until the query ends (release).
+// The entry and the view stay pinned until the query ends (release).
 func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 	// Candidate construction — community BFS, induced CSR, distance sort —
 	// is the dominant pre-loop cost of the cheap algorithms on a cold
@@ -477,8 +466,11 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 		return nil, ErrNoCommunity
 	}
 	s.bindLocal(e)
-	vw := s.refreshView(e, q)
-	s.curView = vw
+	vw := s.refreshView(e, q, k)
+	if vw == nil {
+		return nil, s.canceledError()
+	}
+	s.curView, s.pinnedView = vw, vw
 	s.cand = candidateSet{verts: vw.verts, locs: s.g.Locs(), qp: s.g.Loc(q)}
 	s.stats.CandidateSize = len(vw.verts)
 	return &s.cand, nil
@@ -507,44 +499,11 @@ func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float6
 	}
 }
 
-// finish returns members in id order, freshly allocated, and their MCC. An
-// answer the current view's prefix oracle handed out is finished through the
-// oracle's memo: the first time it is seen at the view's stamp the memo keeps
-// its MCC, the second time its sorted ids, and from then on a repeat copies
-// the ids and reuses the MCC. The memo is keyed on the stamp and not only on
-// the oracle, because a check-in can move a member without changing its rank
-// — the oracle and the answer stand, its MCC does not. Only the second
-// sighting keeps ids: a view queried once (a cold workload) never pays for a
-// copy it would not reuse. The view's readers take turns at the memo (fill).
+// finish returns members in id order, freshly allocated, and their MCC.
 func (s *Searcher) finish(members []graph.V) ([]graph.V, geom.Circle) {
 	ms := make([]graph.V, len(members))
-	vw := s.curView
-	if !s.isOracleAnswer(members) {
-		vw = nil
-	}
-	if vw != nil {
-		vw.fill.Lock()
-		defer vw.fill.Unlock()
-		if m := &vw.oracle.memo; m.n == len(members) && m.at == vw.at {
-			if len(m.ids) == m.n {
-				copy(ms, m.ids)
-			} else {
-				s.finished.sorts++
-				s.distSort.sortIDs(ms, members)
-				m.ids = append(m.ids[:0], ms...)
-			}
-			return ms, m.mcc
-		}
-	}
-	s.finished.sorts++
 	s.distSort.sortIDs(ms, members)
-	s.finished.mccs++
-	mcc := s.mccOf(ms)
-	if vw != nil {
-		m := &vw.oracle.memo
-		*m = answerMemo{n: len(members), at: vw.at, mcc: mcc, ids: m.ids[:0]}
-	}
-	return ms, mcc
+	return ms, s.mccOf(ms)
 }
 
 // algoBody is what one algorithm contributes to a query: from the armed

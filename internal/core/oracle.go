@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync/atomic"
 
-	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 )
 
@@ -32,14 +30,14 @@ import (
 //     (integers in [1, n]): O(n).
 //
 // The whole build is O(n + E_induced) on Searcher-owned scratch and
-// allocates nothing once that scratch has grown and the view has output
-// slices — its own, or buffers another oracle handed to the searcher's free
-// list (repair.go).
+// allocates nothing once that scratch has grown and the store's free list
+// holds the versions the new ones replaced (repair.go).
 //
 // Repair. A write that changes the view's order or an induced edge does not
-// throw the oracle away: it goes on the oracle's record, and the next probe
-// brings the oracle up to date by the cheapest exact means the record
-// allows — a restore, a replay or windows. Write core_i for the maximal
+// throw the oracle away: it goes on the record of the gap the view comes
+// forward over, and the view's new version brings a copy of the oracle up to
+// date by the cheapest exact means the record allows — a restore, a replay
+// or windows. Write core_i for the maximal
 // k-core of G[X[:i]] and call a prefix length i clean when X[:i] and its
 // induced edges are what the last build saw, or when the writes since
 // provably left core_i and q's component in it as they were; then for every
@@ -87,11 +85,11 @@ import (
 //     clauses hold for any batch of deletes.
 //
 // A record whose spans all come out empty — certified deletes, inserts past
-// both ends' join — is restored as it stood: a kept oracle keeps its answer
-// (comm, joinAt) while out of service, so a restore re-emits nothing. Its
-// cost is the record's plus one pass that reads the answer's joinAt back by
-// local id, which the certificate reads; it re-points what the certificate
-// re-pointed.
+// both ends' join — is restored as it stood: the copy of a kept oracle holds
+// its answer (comm, joinAt) too, so a restore re-emits nothing. Its cost is
+// the copy's and the record's plus one pass that reads the answer's joinAt
+// back by local id, which the certificate reads; it re-points what the
+// certificate re-pointed.
 //
 // A maximal dirty run of lengths (lo, T) — lo clean or 0, T the clean length
 // above it or n — is a window. core_T is {coreAt_old ≤ T} (core_n is all of
@@ -197,28 +195,19 @@ import (
 // maximum over the answer. appFastSearch reads Algorithm 3's
 // u = max_{v∈Λ}|q,v| off it in O(1), behind isOracleAnswer.
 type prefixOracle struct {
-	// built is set once the fields below answer probes, and cleared only
-	// while the view is held exclusively: a reader that finds it set reads
-	// them without a lock.
-	built       atomic.Bool
 	minFeasible int32     // joinAt[q]: smallest feasible prefix length
 	comm        []graph.V // q's community members in ascending joinAt order
 	joinAt      []int32   // parallel to comm, ascending
-	memo        answerMemo
 
 	// What a repair starts from. builds counts the builds since the view
 	// took its vertex; from the second on the oracle is kept: it holds every
 	// member's coreAt and join parent by local id (its joinAt is in the
-	// answer), so a view queried once holds no more than its answer. A kept
-	// oracle taken out of service keeps all of it, its answer too (repair.go:
-	// staleOracle), and every write since is on record: moves the check-ins
-	// that changed a member's rank, edges the induced edge ops.
+	// answer), so a view queried once holds no more than its answer. The
+	// next version's copy takes all of it over (repair.go: copyView).
 	builds int
 	kept   bool
 	coreAt []int32
 	parent []int32 // the neighbour through which a member joined; -1 for q
-	moves  []moveOp
-	edges  []edgeOp
 }
 
 // moveOp is a check-in that moved a member from rank from to rank to: member
@@ -236,39 +225,20 @@ type edgeOp struct {
 	insert bool
 }
 
-// maxDirty bounds the moves and edge ops an oracle records before it gives
-// its old state up and the next build starts from nothing. Records pile up
-// on a view that many writes pass between probes, and their spans soon
-// cover most lengths: on syn1@1.0 sixteen σ = 0.01 check-ins dirty a
-// quarter of a 30 000-member view, and a member sent to the far corner, or
-// a delete the certificate cannot vouch for, everything above it. Past 32 a
-// repair is close to a full build, and the 16 bytes a member the state
-// holds are better freed: under single_churn the rarely queried hot views
-// drop it, the often queried keep it.
+// maxDirty bounds the moves and edge ops a repair settles; a longer record
+// starts the oracle from nothing. Records grow with the writes that pass
+// between two queries of a view, and their spans soon cover most lengths:
+// on syn1@1.0 sixteen σ = 0.01 check-ins dirty a quarter of a 30 000-member
+// view, and a member sent to the far corner, or a delete the certificate
+// cannot vouch for, everything above it. Past 32 a repair is close to a
+// full build.
 const maxDirty = 32
 
-// answerMemo is the finished form of the last answer buildResult took from
-// an oracle (finish, in core.go). Every answer of one build is a prefix of
-// comm, so its length names it. The memo holds only at the stamp it was
-// recorded at: a check-in that moves a member without changing its rank
-// keeps the oracle — and the answer — but moves the MCC.
-type answerMemo struct {
-	n   int         // the answer's length; 0 = none since the build
-	at  stamp       // the view's stamp when the answer was finished
-	mcc geom.Circle // the MCC of the answer's members at that stamp
-	ids []graph.V   // the answer in id order, once seen twice (len n), else empty
-}
-
-// prefixFeasible answers feasible(view.verts[:i], q, k) via the oracle,
-// building it on first use. The returned slice is oracle-owned; callers
-// that retain it must copy (they already must, for every feasible path).
-// A build abandoned by cancellation answers nil; the caller's next loop
-// boundary reports the latched context error.
-func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.V, k int) []graph.V {
+// prefixFeasible answers feasible(vw.verts[:i], q, k) via the oracle. The
+// returned slice is the version's; callers that retain it must copy (they
+// already must, for every feasible path).
+func (vw *viewVersion) prefixFeasible(i int) []graph.V {
 	o := &vw.oracle
-	if !o.built.Load() && !s.fillOracle(e, vw, q, k) {
-		return nil
-	}
 	if int32(i) < o.minFeasible {
 		return nil
 	}
@@ -277,20 +247,12 @@ func (s *Searcher) prefixFeasible(e *cacheEntry, vw *sortedView, i int, q graph.
 	return o.comm[:cnt]
 }
 
-// fillOracle builds vw's oracle for a query holding the view shared, unless
-// another reader of the view built it first.
-func (s *Searcher) fillOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
-	vw.fill.Lock()
-	defer vw.fill.Unlock()
-	return vw.oracle.built.Load() || s.buildPrefixOracle(e, vw, q, k)
-}
-
 // isOracleAnswer reports whether c is an answer prefixFeasible handed out
 // for the current view — the aliasing test feasible applies to S — so the
-// farthest-member lemma holds for it and it stands until the view changes.
+// farthest-member lemma holds for it and it stands as long as the query.
 func (s *Searcher) isOracleAnswer(c []graph.V) bool {
 	vw := s.curView
-	return vw != nil && vw.oracle.built.Load() && len(c) > 0 && len(c) <= len(vw.oracle.comm) && &c[0] == &vw.oracle.comm[0]
+	return vw != nil && len(c) > 0 && len(c) <= len(vw.oracle.comm) && &c[0] == &vw.oracle.comm[0]
 }
 
 // oracleScratch is the working memory of buildPrefixOracle, indexed by local
@@ -354,37 +316,39 @@ func (sc *oracleScratch) ensure(n, k int) {
 // does not track, so that no later decrement can bring it to k-1.
 const deadDeg = math.MinInt32 / 2
 
-// buildPrefixOracle brings vw's oracle for k up to date: from nothing — the
-// window (0, n] — when it kept no state, else by the cheapest exact means its
-// record allows (see "Repair" above): a restore when no length is dirty, a
-// replay when the record holds one check-in at most, the windows otherwise
-// or when the replay runs past its budget. It runs, with fill held
-// (fillOracle), when a view is first probed and again after its order or an
-// induced edge changed. It reports false, leaving the oracle as it was —
-// unbuilt, its record intact — when the query's context fires mid-build.
-func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k int) bool {
+// buildPrefixOracle brings the oracle of vw, a version being made, up to
+// date for k: from nothing — the window (0, n] — when from, the oracle vw
+// replaces, kept no state or the record is over maxDirty, else by the
+// cheapest exact means the record allows (see "Repair" above): a restore, a
+// replay (one check-in at most), or the windows. It reads from's coreAt and
+// answer and re-points vw's copy of the join forest, and reports false when
+// the query's context fires mid-build.
+func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *viewVersion, from *prefixOracle, q graph.V, k int) bool {
 	n := len(vw.verts)
 	sc := &s.oracleBuf
 	sc.ensure(n, k)
 	o := &vw.oracle
+	moves := s.rep.moves
 	qLocal := s.localOf[q]
-	repair := o.kept && len(o.coreAt) == n
+	repair := from != nil && from.kept && len(from.coreAt) == n && len(moves)+len(s.rep.edges) <= maxDirty
+	// What a repair starts from: the old coreAt, read only, and the forest.
+	prev := prefixOracle{coreAt: o.coreAt, parent: o.parent}
 	wins := append(sc.windows[:0], window{lo: 0, t: int32(n)})
 	replay := false
 	if repair {
-		s.joinOfAnswer(o)
-		wins, replay = s.dirtyWindows(e, o, vw.verts, k)
+		prev.coreAt = from.coreAt
+		s.joinOfAnswer(from)
+		wins, replay = s.dirtyWindows(e, &prev, vw.verts, k)
 		if len(wins) == 0 {
 			sc.paths.restored++
-			s.finishRepair(o, 0)
-			o.memo = answerMemo{ids: o.memo.ids[:0]}
-			o.built.Store(true)
+			s.stats.OracleRepairs++
+			o.standAs(from)
 			return true
 		}
 		// A move inward whose lengths reach down to q's own join lands among
 		// the late entrants of q's first component, nearly all of which the
 		// arrival search reaches: the windows cost less.
-		replay = replay && (len(o.moves) == 0 || o.moves[0].to > o.moves[0].from || wins[0].lo >= o.minFeasible)
+		replay = replay && (len(moves) == 0 || moves[0].to > moves[0].from || wins[0].lo >= from.minFeasible)
 	}
 	sc.windows = wins
 	span := 0
@@ -396,25 +360,27 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 		localAt[pos] = s.localOf[v]
 	}
 	if replay {
-		work, ok := s.replayRecord(e, o, localAt, qLocal, k, span)
+		work, ok := s.replayRecord(e, &prev, localAt, qLocal, k, span)
 		s.stats.OracleReplayed += work
 		if ok {
 			if s.canceled() {
 				return false
 			}
 			// The replay left coreAt, joinAt and the parents in scratch.
+			o.coreAt = sized(o.coreAt, n)
 			copy(o.coreAt, coreAt)
 			copy(o.parent, sc.parent[:n])
 			for lv, j := range sc.join[:n] {
 				coreAt[lv] = -j
 			}
 			s.stats.OracleReplays++
-			s.finishRepair(o, span)
+			s.stats.OracleRepairs++
+			s.stats.OracleRepairSpan += span
 			s.emit(o, vw.verts, localAt, qLocal)
 			return true
 		}
 		sc.paths.fellBack++
-		s.joinOfAnswer(o) // the replay worked over it
+		s.joinOfAnswer(from) // the replay worked over it
 	}
 
 	// One window of every length holds every vertex: nothing to look up.
@@ -434,7 +400,7 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 		}
 	}
 	if repair {
-		copy(coreAt, o.coreAt)
+		copy(coreAt, prev.coreAt)
 	}
 	s.sweep(e, localAt, coreAt, wins, whole, k)
 	if s.canceled() {
@@ -444,7 +410,8 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 	o.builds++
 	keep := o.builds >= 2
 	if keep {
-		o.coreAt = append(s.takeBuf(o.coreAt)[:0], coreAt...)
+		o.coreAt = sized(o.coreAt, n)
+		copy(o.coreAt, coreAt)
 	}
 	parent := sc.parent[:n]
 	if repair {
@@ -457,20 +424,22 @@ func (s *Searcher) buildPrefixOracle(e *cacheEntry, vw *sortedView, q graph.V, k
 				}
 			}
 		}
-		s.finishRepair(o, span)
+		s.stats.OracleRepairs++
+		s.stats.OracleRepairSpan += span
 	} else {
 		s.stats.OracleBuilds++
 	}
 	s.joinWalk(e, coreAt, parent, wins, qLocal)
 	if keep {
-		o.parent = append(s.takeBuf(o.parent)[:0], parent...)
+		o.parent = sized(o.parent, n)
+		copy(o.parent, parent)
 		o.kept = true
 	}
 	s.emit(o, vw.verts, localAt, qLocal)
 	return true
 }
 
-// joinOfAnswer writes the last build's joinAt by local id into sc.join. The
+// joinOfAnswer writes the joinAt of o's answer by local id into sc.join. The
 // answer holds every member: the community is connected, so every member
 // joins by the full length.
 func (s *Searcher) joinOfAnswer(o *prefixOracle) {
@@ -480,12 +449,11 @@ func (s *Searcher) joinOfAnswer(o *prefixOracle) {
 	}
 }
 
-// finishRepair counts a repair of span dirty lengths and clears the record
-// it settled.
-func (s *Searcher) finishRepair(o *prefixOracle, span int) {
-	s.stats.OracleRepairs++
-	s.stats.OracleRepairSpan += span
-	o.moves, o.edges = o.moves[:0], o.edges[:0]
+// standAs takes from's answer and coreAt over as they stand.
+func (o *prefixOracle) standAs(from *prefixOracle) {
+	o.minFeasible = from.minFeasible
+	o.comm, o.joinAt = append(o.comm[:0], from.comm...), append(o.joinAt[:0], from.joinAt...)
+	o.coreAt = append(o.coreAt[:0], from.coreAt...)
 }
 
 // emit writes q's community into o in ascending join order, ties by view
@@ -509,8 +477,8 @@ func (s *Searcher) emit(o *prefixOracle, verts []graph.V, localAt []int32, qLoca
 		count[j] = total
 		total += c
 	}
-	o.comm = slices.Grow(s.takeBuf(o.comm)[:0], int(total))[:total]
-	o.joinAt = slices.Grow(s.takeBuf(o.joinAt)[:0], int(total))[:total]
+	o.comm = sized(o.comm, int(total))
+	o.joinAt = sized(o.joinAt, int(total))
 	for rank, lv := range localAt {
 		c := coreAt[lv]
 		if c > 0 {
@@ -522,8 +490,6 @@ func (s *Searcher) emit(o *prefixOracle, verts []graph.V, localAt []int32, qLoca
 		o.joinAt[p] = -c
 	}
 	o.minFeasible = -coreAt[qLocal]
-	o.memo = answerMemo{ids: o.memo.ids[:0]}
-	o.built.Store(true)
 }
 
 // dirtyWindows turns o's record into its windows, ascending, and reports
@@ -539,12 +505,12 @@ func (s *Searcher) dirtyWindows(e *cacheEntry, o *prefixOracle, verts []graph.V,
 	sc := &s.oracleBuf
 	n := int32(len(verts))
 	spans := sc.spans[:0]
-	for _, mv := range o.moves {
+	for _, mv := range s.rep.moves {
 		spans = append(spans, [2]int32{min(mv.from, mv.to) + 1, max(mv.from, mv.to)})
 	}
 	lost, inserts := sc.lost[:0], false
 	var rankOf []int32
-	for _, ed := range o.edges {
+	for _, ed := range s.rep.edges {
 		if !ed.insert {
 			if s.deleteCertified(e, o, ed, k) {
 				sc.paths.certified++
@@ -576,9 +542,10 @@ func (s *Searcher) dirtyWindows(e *cacheEntry, o *prefixOracle, verts []graph.V,
 		}
 		wins = append(wins, window{lo: lo, t: min(hi+1, n)})
 	}
-	one := len(o.moves) == 1 && o.moves[0].lv >= 0
-	inward := one && o.moves[0].to < o.moves[0].from
-	return wins, (len(o.moves) == 0 || one) && !inserts && !(inward && len(lost) > 0)
+	moves := s.rep.moves
+	one := len(moves) == 1 && moves[0].lv >= 0
+	inward := one && moves[0].to < moves[0].from
+	return wins, (len(moves) == 0 || one) && !inserts && !(inward && len(lost) > 0)
 }
 
 // deleteCertified reports whether the delete certificate (see "Repair")

@@ -4,28 +4,27 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 
 	"sacsearch/internal/graph"
 )
 
-// Journal-driven cache repair. A cache entry or a sorted view that is behind
-// the searcher's graph — the graph was mutated in place, or the query is
-// pinned to a newer snapshot than the last one to touch it — asks the graph's
-// mutation journal what happened since its stamp and absorbs exactly that.
-// What the journal cannot answer (the ring was lapped) and what is too large
-// to be worth patching falls back to the from-scratch path, which first use
-// takes anyway. A stamp in the graph's future — a query pinned to an older
-// snapshot — is never repaired backwards: that query answers from state of
-// its own (cache.go).
+// Journal-driven cache repair. A cache entry or a view that is behind the
+// searcher's graph — the graph was mutated in place, or the query is pinned
+// to a newer snapshot than the last one to touch it — asks the graph's
+// mutation journal what happened since its stamp and absorbs exactly that,
+// into a copy that replaces it (cache.go). What the journal cannot answer
+// (the ring was lapped) and what is too large to be worth patching falls
+// back to the from-scratch path, which first use takes anyway. A stamp in
+// the graph's future — a query pinned to an older snapshot — is never
+// repaired backwards: that query answers from a version of its own.
 //
 // A view's prefix oracle follows the same way: a check-in that moves a
 // member to another rank, or an edge op inside the community, goes on the
-// oracle's record, and the next probe repairs what the record can have
-// changed (oracle.go, "Repair"). An oracle is still released — all its
-// buffers to the free list — when its entry is dropped, its view is
-// recycled for another vertex or re-sorted from scratch, or when it kept no
-// state to repair from (a view built once): the next build starts from
-// nothing.
+// record of the gap, and the copy's oracle is repaired from what the old
+// version kept over what the record can have changed (oracle.go, "Repair").
+// A version whose oracle kept no state to repair from (a view built once),
+// or whose record is too long, starts its oracle from nothing.
 
 // The limits are set from measurements (CHANGES.md, PR 17, has the runs): in
 // process on syn1@1.0, one community of 30 000 members and 600 k induced
@@ -38,25 +37,15 @@ const (
 	// 64 costs 0.09 ms and the re-sort 1.41 ms. single_churn: 2 moved members
 	// at the median, 19 at p90, 1.5 % of stale views over the limit.
 	maxRepositioned = 64
-	// maxSplicedRows bounds the induced-CSR rows patched in place before the
-	// CSR is rebuilt. A splice moves the tail of the arc array, 0.17 ms a row
-	// against 3.7 ms for buildInduced, both linear in the community: the
-	// break-even is near 22 rows at any size, and the 512 rows a full journal
-	// can name would take 85 ms. single_churn patched exactly 2 rows every
-	// time; only TestRepairMatchesFresh* runs the rebuild side.
-	maxSplicedRows = 16
-	// maxFreeBuffers is the number of oracle buffers kept for the next
-	// builds. An oracle taken out of service that kept no repair state hands
-	// back its answer's two buffers, and one released (see above) hands back
-	// all four; a kept one keeps them all, for its repair. A single_churn
-	// write takes every hot view out of service at once and only the few
-	// queried next are rebuilt, so the list holds what those need and
-	// nothing that would keep an idle view's answer alive.
-	maxFreeBuffers = 8
+	// maxSpare is the number of replaced view versions, and of replaced
+	// entries, a store keeps, buffers and all, for the next ones its
+	// searchers make: what one write's repairs recycle, and nothing that
+	// would keep an idle view's answer alive.
+	maxSpare = 4
 )
 
-// repairScratch is the working memory of the repair paths plus the free list
-// of prefix-oracle buffers. It belongs to one Searcher.
+// repairScratch is the working memory of the repair paths. It belongs to one
+// Searcher.
 type repairScratch struct {
 	gap   []graph.Write
 	moved []movedMember
@@ -64,7 +53,10 @@ type repairScratch struct {
 	cuts  [][2]int32 // local endpoints of in-community edges the gap removed
 	side  [2][]int32 // the two BFS queues of connectedInside
 
-	free [][]int32 // oracle buffers (comm, joinAt, coreAt, parent), length 0
+	// The record of a view's gap: the check-ins that changed a member's rank
+	// and the induced edge ops, what its oracle's repair settles.
+	moves []moveOp
+	edges []edgeOp
 }
 
 // movedMember is a member taken out of a view's order for reinsertion.
@@ -74,73 +66,38 @@ type movedMember struct {
 	rank int32 // where it sat
 }
 
-// freeBuf hands b to the free list, or to the collector when the list is
-// full.
-func (s *Searcher) freeBuf(b []int32) {
-	if cap(b) > 0 && len(s.rep.free) < maxFreeBuffers {
-		s.rep.free = append(s.rep.free, b[:0])
-	}
+// spares is a store's free list of replaced view versions or entries that
+// their last reader let go of, buffers and all, for whichever searcher makes
+// the next ones.
+type spares[T any] struct {
+	mu   sync.Mutex
+	list []*T
 }
 
-// takeBuf returns b when it has storage, else a buffer off the free list, if
-// there is one.
-func (s *Searcher) takeBuf(b []int32) []int32 {
-	if n := len(s.rep.free); cap(b) == 0 && n > 0 {
-		b = s.rep.free[n-1]
-		s.rep.free[n-1] = nil
-		s.rep.free = s.rep.free[:n-1]
+func (sp *spares[T]) take() (x *T) {
+	sp.mu.Lock()
+	if n := len(sp.list); n > 0 {
+		x, sp.list = sp.list[n-1], sp.list[:n-1]
 	}
-	return b
+	sp.mu.Unlock()
+	return x
 }
 
-// releaseOracle drops o and hands all its buffers to the free list: its
-// memory should serve the next build, whichever view that is for. builds
-// survives; the caller resets it when the view changes hands.
-func (s *Searcher) releaseOracle(o *prefixOracle) {
-	s.freeBuf(o.comm)
-	s.freeBuf(o.joinAt)
-	s.freeBuf(o.coreAt)
-	s.freeBuf(o.parent)
-	*o = prefixOracle{builds: o.builds, moves: o.moves[:0], edges: o.edges[:0]}
+func (sp *spares[T]) keep(x *T) {
+	sp.mu.Lock()
+	if len(sp.list) < maxSpare {
+		sp.list = append(sp.list, x)
+	}
+	sp.mu.Unlock()
 }
 
-// staleOracle takes o out of service until its next build and reports
-// whether it keeps the state a repair starts from, with room for one more
-// record; when it does not, it is released. A kept oracle keeps its answer
-// too, for a restore (oracle.go, "Repair"); only the memo goes.
-func (s *Searcher) staleOracle(o *prefixOracle) bool {
-	if o.built.Load() {
-		o.built.Store(false)
-		o.memo = answerMemo{}
-		if !o.kept {
-			s.releaseOracle(o)
-			return false
-		}
-	}
-	if o.kept && len(o.moves)+len(o.edges) == maxDirty {
-		s.releaseOracle(o)
-	}
-	return o.kept
-}
+// sized returns b at length n, on its own storage when that holds n.
+func sized(b []int32, n int) []int32 { return slices.Grow(b[:0], n)[:n] }
 
-// touchOracle records that a member of o's view moved to another rank.
-func (s *Searcher) touchOracle(o *prefixOracle, mv moveOp) {
-	if s.staleOracle(o) {
-		o.moves = append(o.moves, mv)
-	}
-}
-
-// touchOracleEdge records an edge op between two members.
-func (s *Searcher) touchOracleEdge(o *prefixOracle, op edgeOp) {
-	if s.staleOracle(o) {
-		o.edges = append(o.edges, op)
-	}
-}
-
-// revalidate brings e, found under (q, k) behind the graph's topology and
-// held exclusively by the caller (bringForward), up to it, or reports false:
-// the community did not survive, or the journal cannot say, and e's CSR may
-// be left half patched.
+// revalidate brings e, found under (q, k) behind the graph's topology, up to
+// it: it returns e with its stamp advanced when no edge inside the community
+// changed, a copy of e with its CSR patched when one did, or false: the
+// community did not survive, or the journal cannot say.
 //
 // A negative entry records core(q) < k, which the current core numbers
 // confirm or refute directly. A k-core entry (M, k) stamped at an older
@@ -162,34 +119,32 @@ func (s *Searcher) touchOracleEdge(o *prefixOracle, op edgeOp) {
 // that stops at its first member runs over old edges only. Hence Y would
 // have been in M's component of G0's k-core, which is M itself — Y is empty.
 //
-// A kept entry's induced CSR is patched row by row; each view's oracle
-// records the edge ops inside M when the view next comes forward
-// (reposition). k-truss and k-clique entries have no such test and are
-// dropped on any edge op, as is any entry whose gap the journal cannot
-// produce.
-func (s *Searcher) revalidate(e *cacheEntry, q graph.V, k int) bool {
-	if !s.topologyAbsorbed(e, q, k) {
-		return false
+// A kept entry's copy reads the rows the gap changed from the graph and
+// copies the rest (buildInduced); each view's oracle records the edge ops
+// inside M when the view next comes forward (readGap). k-truss and k-clique
+// entries have no such test and are dropped on any edge op, as is any entry
+// whose gap the journal cannot produce.
+func (s *Searcher) revalidate(e *cacheEntry, q graph.V, k int) (*cacheEntry, bool) {
+	if s.structure != StructureKCore {
+		return nil, false
 	}
 	now := s.now()
-	e.topo.Store(now.topo)
-	e.seq.Store(now.seq())
-	return true
-}
-
-// topologyAbsorbed runs revalidate's keep test and patches e's induced CSR.
-func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
-	if s.structure != StructureKCore {
-		return false
+	advance := func() (*cacheEntry, bool) {
+		e.seq.Store(now.seq())
+		e.topo.Store(now.topo)
+		return e, true
 	}
 	kk := int32(k)
 	if e.members == nil {
-		return s.cores[q] < kk
+		if s.cores[q] >= kk {
+			return nil, false
+		}
+		return advance()
 	}
 	gap, ok := s.g.MutationsSince(e.seq.Load(), s.rep.gap[:0])
 	s.rep.gap = gap
 	if !ok {
-		return false
+		return nil, false
 	}
 	s.bindLocal(e)
 	rows, cuts := s.rep.rows[:0], s.rep.cuts[:0]
@@ -208,64 +163,34 @@ func (s *Searcher) topologyAbsorbed(e *cacheEntry, q graph.V, k int) bool {
 			}
 		} else if m.Kind == graph.WriteAddEdge &&
 			s.cores[m.V] >= kk && s.cores[m.W] >= kk && s.g.HasEdge(m.V, m.W) {
-			return false // (b)
+			return nil, false // (b)
 		}
 	}
 	if removals { // insertions never lower a core number
 		for _, v := range e.members {
 			if s.cores[v] < kk {
-				return false // (a)
+				return nil, false // (a)
 			}
 		}
 	}
 	if len(rows) == 0 {
-		return true // nothing inside M changed: the CSR stands
+		return advance() // nothing inside M changed: the CSR stands
 	}
 	slices.Sort(rows)
 	rows = slices.Compact(rows)
-	if len(rows) > maxSplicedRows {
-		e.buildInduced(s.g, s.localOf, s.localValid)
-	} else {
-		for _, lv := range rows {
-			e.respliceRow(s.g, lv, s.localOf, s.localValid)
+	c := s.spareEntry(len(e.members))
+	c.members, c.views = e.members, e.views
+	c.topo.Store(now.topo)
+	c.seq.Store(now.seq())
+	s.buildInduced(c, e, rows)
+	for _, cut := range cuts {
+		if !s.connectedInside(c, cut[0], cut[1]) {
+			c.pins.retire()
+			s.unpinEntry(c)
+			return nil, false // (c)
 		}
 	}
-	for _, c := range cuts {
-		if !s.connectedInside(e, c[0], c[1]) {
-			return false // (c)
-		}
-	}
-	return true
-}
-
-// respliceRow recomputes member lv's row of the induced CSR from the graph
-// and splices it in, moving the tail of the arc array when the row's length
-// changed. The result is what buildInduced would produce.
-func (e *cacheEntry) respliceRow(g *graph.Graph, lv int32, localOf []int32, valid *graph.Marker) {
-	nbrs := g.Neighbors(e.members[lv])
-	deg := int32(0)
-	for _, u := range nbrs {
-		if valid.Has(u) {
-			deg++
-		}
-	}
-	lo, hi := e.adjOff[lv], e.adjOff[lv+1]
-	if d := deg - (hi - lo); d != 0 {
-		total := int32(len(e.adjLocal))
-		moved := slices.Grow(e.adjLocal, max(int(d), 0))[:total+d]
-		copy(moved[hi+d:], e.adjLocal[hi:total])
-		e.adjLocal = moved
-		for i := int(lv) + 1; i < len(e.adjOff); i++ {
-			e.adjOff[i] += d
-		}
-	}
-	at := lo
-	for _, u := range nbrs {
-		if valid.Has(u) {
-			e.adjLocal[at] = localOf[u]
-			at++
-		}
-	}
+	return c, true
 }
 
 // connectedInside reports whether members a and b (local ids) are connected
@@ -306,110 +231,176 @@ func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 	return false
 }
 
-// refreshView returns q's view of e in current (distance, id) order, held
-// shared until release. A view behind the graph's locations takes each
-// member that checked in since its stamp out of the order and reinserts it at
-// its new rank; a check-in of a non-member costs nothing. q's own move
-// changes every key, so it — like more than maxRepositioned moved members, a
-// gap out of the journal's reach, or a slot that held another vertex's view —
-// is sorted from scratch, and the oracle starts over. The prefix oracle
-// depends on the order alone (and on induced edges, which the same gap
-// names), so a repositioned view keeps it and records each member that
-// changed rank, and the edge ops inside the community.
-//
-// One query at a time brings a view forward (fill), and the next finds it
-// current. A view ahead of the query's snapshot is left as it stands, and so
-// is one behind it that another query is reading: the query then sorts a
-// view of its own, as it does when every slot of the entry is held.
-func (s *Searcher) refreshView(e *cacheEntry, q graph.V) *sortedView {
+// refreshView returns q's view of e at the searcher's stamp, pinned until
+// release, or nil when the query's context fired first. A current version
+// serves as it stands; one behind is brought forward and published by one
+// query at a time (the slot's next); for one ahead of the query's snapshot
+// the query makes a version of its own and publishes nothing.
+func (s *Searcher) refreshView(e *cacheEntry, q graph.V, k int) *viewVersion {
 	now := s.now()
-	for {
-		vw, fresh := e.views.viewFor(q)
-		if vw == nil {
-			return s.ownView(e, q, now)
+	sl := e.views.viewFor(q)
+	vw := s.loadView(sl, q)
+	if vw == nil || vw.at.before(now) {
+		if vw != nil {
+			s.unpinView(vw)
 		}
-		if !fresh {
-			vw.fill.Lock()
-			switch {
-			case vw.q != q: // recycled for another vertex in between
-				vw.fill.Unlock()
-				continue
-			case vw.at == now:
-				s.stats.ViewHits++
-				vw.mu.RLock()
-				vw.fill.Unlock()
-				return vw
-			case now.before(vw.at) || !vw.mu.TryLock():
-				vw.fill.Unlock()
-				return s.ownView(e, q, now)
+		sl.next.Lock()
+		if vw = s.loadView(sl, q); vw == nil || vw.at.before(now) {
+			nv := s.makeView(e, vw, q, k, now)
+			if nv != nil {
+				if prev := sl.cur.Swap(nv); prev != nil && prev.pins.retire() {
+					s.recycleView(prev)
+				}
 			}
+			if vw != nil {
+				s.unpinView(vw)
+			}
+			sl.next.Unlock()
+			return nv
 		}
-		if fresh || !s.reposition(vw, q) {
-			s.sortView(e, vw, q, fresh)
-		}
-		vw.at = now
-		vw.share()
+		sl.next.Unlock()
+	}
+	if vw.at == now {
+		s.stats.ViewHits++
 		return vw
 	}
-}
-
-// sortView sorts vw from scratch around q, starting its oracle over; fresh
-// says the view just took q, so its build count starts over too.
-func (s *Searcher) sortView(e *cacheEntry, vw *sortedView, q graph.V, fresh bool) {
-	vw.verts = append(vw.verts[:0], e.members...)
-	s.sortAround(q, vw.verts)
-	s.releaseOracle(&vw.oracle)
-	if fresh {
-		vw.oracle.builds = 0
+	s.unpinView(vw)
+	if vw = s.makeView(e, nil, q, k, now); vw != nil {
+		vw.pins.retire() // private: the query's release recycles it
 	}
-	s.stats.ViewRebuilds++
-}
-
-// ownView is the searcher's own view of q in e, for a query the shared one
-// cannot serve; it is held like a shared one, so release treats both alike.
-func (s *Searcher) ownView(e *cacheEntry, q graph.V, now stamp) *sortedView {
-	vw := &s.own
-	s.sortView(e, vw, q, true)
-	vw.q, vw.at = q, now
-	vw.mu.RLock()
 	return vw
 }
 
-// reposition repairs vw's order and records its oracle's edge ops from the
-// journal, reporting false when the view must be sorted from scratch
-// instead. e is bound (bindLocal), so
-// localValid answers membership.
-func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
-	gap, ok := s.g.MutationsSince(vw.at.seq(), s.rep.gap[:0])
-	s.rep.gap = gap
-	if !ok {
-		return false
+// makeView makes q's view of e at now, pinned and not published, or nil when
+// the query's context fired first. A copy of old, q's view at an earlier
+// stamp, absorbs the journal's gap: moved members go to their new ranks and
+// the oracle is repaired (oracle.go, "Repair"). Without old, or past what a
+// repair pays for, the members are sorted afresh and the oracle built anew.
+func (s *Searcher) makeView(e *cacheEntry, old *viewVersion, q graph.V, k int, now stamp) *viewVersion {
+	moved, repair := 0, false
+	if old != nil {
+		moved, repair = s.readGap(old.at, q)
 	}
-	// The distinct members that moved, marked in inX (free between queries),
-	// and the edge ops inside the community, recorded as they come.
+	vw := s.spareView(len(e.members))
+	vw.q, vw.at = q, now
+	o := &vw.oracle
+	var from *prefixOracle
+	switch {
+	case repair:
+		// The order, and the join forest a repair re-points; the repair
+		// reads the rest of the old oracle where it stands.
+		from = &old.oracle
+		vw.verts = append(vw.verts[:0], old.verts...)
+		o.builds, o.kept = from.builds, from.kept
+		o.parent = append(o.parent[:0], from.parent...)
+		if moved == 0 {
+			s.stats.ViewHits++
+			if len(s.rep.edges) == 0 { // nothing the oracle answers changed
+				o.standAs(from)
+				return vw
+			}
+		} else {
+			s.stats.ViewRepairs++
+			s.moveMembers(vw, q)
+		}
+	default:
+		vw.verts = append(vw.verts[:0], e.members...)
+		s.sortAround(q, vw.verts)
+		if old != nil { // q's view again: its build count goes on
+			o.builds = old.oracle.builds
+		}
+		s.stats.ViewRebuilds++
+	}
+	if s.structure == StructureKCore && !s.buildPrefixOracle(e, vw, from, q, k) {
+		vw.pins.retire()
+		s.unpinView(vw)
+		return nil
+	}
+	return vw
+}
+
+// loadView returns sl's published version of q pinned, or nil.
+func (s *Searcher) loadView(sl *viewSlot, q graph.V) *viewVersion {
+	for {
+		vw := sl.cur.Load()
+		if vw == nil {
+			return nil
+		}
+		if vw.pins.pin() {
+			if sl.cur.Load() == vw { // else replaced, recycled and made again meanwhile
+				if vw.q == q {
+					return vw
+				}
+				s.unpinView(vw)
+				return nil
+			}
+			s.unpinView(vw)
+		}
+	}
+}
+
+func (s *Searcher) unpinView(vw *viewVersion) {
+	if vw.pins.unpin() {
+		s.recycleView(vw)
+	}
+}
+
+// spareView returns a version to fill for n members, claimed by the
+// searcher: one off the free list unless its buffers are over twice that.
+func (s *Searcher) spareView(n int) *viewVersion {
+	vw := s.store.views.take()
+	if vw == nil || cap(vw.verts) > 2*n+64 {
+		vw = &viewVersion{}
+	}
+	vw.pins.claim()
+	return vw
+}
+
+// recycleView hands a replaced version nobody reads to the store's free
+// list, keeping its buffers' storage.
+func (s *Searcher) recycleView(vw *viewVersion) {
+	o := &vw.oracle
+	*o = prefixOracle{comm: o.comm[:0], joinAt: o.joinAt[:0], coreAt: o.coreAt[:0], parent: o.parent[:0]}
+	vw.verts = vw.verts[:0]
+	s.store.views.keep(vw)
+}
+
+// readGap reads the journal's gap since at for a view of q: it marks in inX
+// the members that checked in, records the edge ops between two members in
+// the record, and reports how many members moved. It reports false when the
+// view must be sorted afresh instead: the journal no longer reaches at, q
+// itself moved (which changes every key), or more than maxRepositioned
+// members did. The view's entry is bound (bindLocal), so localValid answers
+// membership.
+func (s *Searcher) readGap(at stamp, q graph.V) (moved int, ok bool) {
+	gap, ok := s.g.MutationsSince(at.seq(), s.rep.gap[:0])
+	s.rep.gap = gap
+	s.rep.moves, s.rep.edges = s.rep.moves[:0], s.rep.edges[:0]
+	if !ok {
+		return 0, false
+	}
 	s.inX.Reset()
-	nMoved := 0
 	for _, m := range gap {
 		switch {
 		case m.Kind != graph.WriteCheckin:
 			if s.localValid.Has(m.V) && s.localValid.Has(m.W) {
-				s.touchOracleEdge(&vw.oracle, edgeOp{u: s.localOf[m.V], w: s.localOf[m.W], insert: m.Kind == graph.WriteAddEdge})
+				s.rep.edges = append(s.rep.edges, edgeOp{u: s.localOf[m.V], w: s.localOf[m.W], insert: m.Kind == graph.WriteAddEdge})
 			}
 		case !s.localValid.Has(m.V) || s.inX.Has(m.V):
-		case m.V == q || nMoved == maxRepositioned:
-			return false
+		case m.V == q || moved == maxRepositioned:
+			return 0, false
 		default:
 			s.inX.Mark(m.V)
-			nMoved++
+			moved++
 		}
 	}
-	if nMoved == 0 {
-		s.stats.ViewHits++
-		return true
-	}
-	s.stats.ViewRepairs++
+	return moved, true
+}
 
-	// Take the moved members out; the rest keep their keys and their order.
+// moveMembers takes the members readGap marked out of vw's order and
+// reinserts them at their new ranks, recording each one that changed rank.
+// The rest keep their keys and their order.
+func (s *Searcher) moveMembers(vw *viewVersion, q graph.V) {
 	verts := vw.verts
 	moved := s.rep.moved[:0]
 	kept := 0
@@ -448,9 +439,8 @@ func (s *Searcher) reposition(vw *sortedView, q graph.V) bool {
 			if len(moved) > 1 {
 				op.lv = -1
 			}
-			s.touchOracle(&vw.oracle, op)
+			s.rep.moves = append(s.rep.moves, op)
 		}
 		kept = idx
 	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -166,11 +167,11 @@ func runRepairScript(t *testing.T, g *graph.Graph, ks []int, hot []graph.V, step
 		}
 		// A query that probed no prefix leaves the fresh oracle unbuilt; the
 		// warm one may still stand from an earlier query.
-		if w, f := &warm.curView.oracle, &fresh.curView.oracle; f.built.Load() &&
-			(!w.built.Load() || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible) {
+		if w, f := &warm.curView.oracle, &fresh.curView.oracle; built(f) &&
+			(!built(w) || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible) {
 			t.Fatalf("seed %d step %d %s q=%d k=%d: warm oracle (built %v, %d members, minFeasible %d, repairs %d) differs from a fresh build (built %v, %d members, minFeasible %d)",
-				seed, step, query.Algo, query.Q, query.K, w.built.Load(), len(w.comm), w.minFeasible, st.OracleRepairs,
-				f.built.Load(), len(f.comm), f.minFeasible)
+				seed, step, query.Algo, query.Q, query.K, built(w), len(w.comm), w.minFeasible, st.OracleRepairs,
+				built(f), len(f.comm), f.minFeasible)
 		}
 	}
 	return tally
@@ -256,11 +257,14 @@ func TestRepairMatchesFreshSparse(t *testing.T) {
 	}
 }
 
-// TestRepairDoesNotAllocate pins the steady state under churn: once the
-// scratch has grown, bringing a cached community and a view across a write —
-// a member moved to a new rank, an inside edge toggled — and repairing the
-// view's prefix oracle allocates nothing beyond what the write itself does.
-func TestRepairDoesNotAllocate(t *testing.T) {
+// TestRepairAllocatesNoMemberArray pins the steady state under churn with no
+// concurrent reader: once the scratch has grown, bringing a cached community
+// and a view across a write — a member moved to a new rank, an inside edge
+// toggled — onto new versions, the view's prefix oracle repaired, takes
+// every member-sized array off the free lists the versions they replace
+// fill. A check-in allocates nothing beyond what the write itself does; an
+// edge op allocates the new entry's header, and no array.
+func TestRepairAllocatesNoMemberArray(t *testing.T) {
 	g := latticeGraph(3, 400, 2400, 40)
 	s := NewSearcher(g)
 	var members []graph.V
@@ -279,7 +283,7 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.prefixFeasible(s.curEntry, s.curView, len(cand.verts), q, 4) == nil {
+		if s.curView.prefixFeasible(len(cand.verts)) == nil {
 			t.Fatal("full candidate set infeasible")
 		}
 	}
@@ -313,18 +317,20 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	n := len(s.curView.verts)
 	for _, c := range []struct {
-		name  string
-		write func()
-		count func() int
+		name   string
+		write  func()
+		count  func() int
+		allocs float64 // beyond the write's
 	}{
-		{"check-in", move, func() int { return s.stats.ViewRepairs }},
-		{"edge op", toggle, func() int { return s.stats.CacheHits }},
+		{"check-in", move, func() int { return s.stats.ViewRepairs }, 0},
+		{"edge op", toggle, func() int { return s.stats.CacheHits }, 1},
 	} {
-		before := s.curView.oracle.comm
-		writeOnly := testing.AllocsPerRun(20, c.write)
+		writeOnly, writeBytes := allocsPerRun(c.write)
 		probe() // catch up with the odd number of writes just made
-		both := testing.AllocsPerRun(20, func() {
+		before := s.curView
+		both, bothBytes := allocsPerRun(func() {
 			c.write()
 			probe()
 			if c.count() != 1 || s.stats.EntriesDropped != 0 || s.stats.ViewRebuilds != 0 ||
@@ -332,13 +338,29 @@ func TestRepairDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s: not repaired: %+v", c.name, s.stats)
 			}
 		})
-		if both > writeOnly {
-			t.Errorf("%s: repair allocated %v times per run on top of the write's %v", c.name, both-writeOnly, writeOnly)
+		if s.curView == before {
+			t.Errorf("%s: the view was repaired in place, not onto a new version", c.name)
 		}
-		if !s.curView.oracle.built.Load() || &s.curView.oracle.comm[0] != &before[0] {
-			t.Errorf("%s: the repaired oracle is not on the buffers it handed back", c.name)
+		if both-writeOnly > c.allocs || bothBytes-writeBytes >= uint64(4*n) {
+			t.Errorf("%s: repair allocated %v times and %d bytes per run on top of the write's %v and %d (members %d)",
+				c.name, both-writeOnly, bothBytes-writeBytes, writeOnly, writeBytes, n)
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun, and the bytes a run of f allocates
+// over as many runs again.
+func allocsPerRun(f func()) (float64, uint64) {
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, f)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return allocs, (ms.TotalAlloc - start) / runs
 }
 
 // TestOracleRepairEachInterval drives each kind of dirty interval through
@@ -371,9 +393,9 @@ func TestOracleRepairEachInterval(t *testing.T) {
 			t.Fatalf("%s: fresh: %v", what, err)
 		}
 		w, f := &s.curView.oracle, &fresh.curView.oracle
-		if !w.built.Load() || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
+		if !built(w) || !slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
 			t.Fatalf("%s: oracle (built %v, %d members, minFeasible %d) differs from a fresh build (%d members, minFeasible %d)",
-				what, w.built.Load(), len(w.comm), w.minFeasible, len(f.comm), f.minFeasible)
+				what, built(w), len(w.comm), w.minFeasible, len(f.comm), f.minFeasible)
 		}
 		if !slices.Equal(got.Members, want.Members) || got.MCC != want.MCC || got.Delta != want.Delta {
 			t.Fatalf("%s: answer differs from a fresh searcher's: %d/%d members, MCC %v/%v, δ %v/%v", what, len(got.Members), len(want.Members), got.MCC, want.MCC, got.Delta, want.Delta)
@@ -435,15 +457,14 @@ func TestOracleRepairEachInterval(t *testing.T) {
 		}, repaired(int(n)*3/4, int(n))},
 		{"a repair cut short by its context, then run", func() {
 			r := n / 4
+			published := s.curView
 			moveTo(s.curView.verts[r], (distAt(r+5)+distAt(r+6))/2)
-			s.begin(ctx)
-			if _, err := s.candidates(q, k); err != nil {
-				t.Fatal(err)
+			s.begin(newCountdown(1)) // candidates' own check passes, the repair's fires
+			if _, err := s.candidates(q, k); !errors.Is(err, ErrCanceled) ||
+				s.curEntry.views.views[0].cur.Load() != published || !published.oracle.kept {
+				t.Fatalf("a canceled repair completed (%v), or dropped the state it starts from", err)
 			}
-			s.qctx = newCountdown(0)
-			if s.buildPrefixOracle(s.curEntry, s.curView, q, k) || s.curView.oracle.built.Load() || !s.curView.oracle.kept {
-				t.Fatal("a canceled repair completed, or dropped the state it starts from")
-			}
+			s.release()
 		}, repaired(1, 12)},
 		{"co-located tie", func() {
 			r := n / 2

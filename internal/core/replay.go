@@ -48,8 +48,8 @@ func (s *Searcher) replayRecord(e *cacheEntry, o *prefixOracle, localAt []int32,
 
 	var mv moveOp
 	sh := lengthShift{hi: -1}
-	if len(o.moves) == 1 {
-		mv = o.moves[0]
+	if len(s.rep.moves) == 1 {
+		mv = s.rep.moves[0]
 		if mv.to > mv.from {
 			sh = lengthShift{lo: mv.from + 2, hi: mv.to + 1, d: -1}
 		} else {

@@ -231,13 +231,13 @@ func runPathsScript(t *testing.T, g *graph.Graph, k, steps int, seed int64) repa
 			}
 			return
 		}
-		warm.prefixFeasible(warm.curEntry, warm.curView, len(cand.verts), q, k)
-		fresh.prefixFeasible(fresh.curEntry, fresh.curView, len(fcand.verts), q, k)
+		warm.curView.prefixFeasible(len(cand.verts))
+		fresh.curView.prefixFeasible(len(fcand.verts))
 		w, f := &warm.curView.oracle, &fresh.curView.oracle
-		if !slices.Equal(warm.curView.verts, fresh.curView.verts) || !w.built.Load() ||
+		if !slices.Equal(warm.curView.verts, fresh.curView.verts) || !built(w) ||
 			!slices.Equal(w.comm, f.comm) || !slices.Equal(w.joinAt, f.joinAt) || w.minFeasible != f.minFeasible {
 			t.Fatalf("seed %d step %d q=%d: warm oracle (built %v, %d members, minFeasible %d) differs from a fresh build (%d members, minFeasible %d); paths %+v",
-				seed, step, q, w.built.Load(), len(w.comm), w.minFeasible, len(f.comm), f.minFeasible, warm.oracleBuf.paths)
+				seed, step, q, built(w), len(w.comm), w.minFeasible, len(f.comm), f.minFeasible, warm.oracleBuf.paths)
 		}
 		if !w.kept {
 			return

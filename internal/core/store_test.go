@@ -129,7 +129,7 @@ func TestStoreOutlivesDroppedClones(t *testing.T) {
 
 // TestStoreBoundsPerEngine: four workers querying 200 distinct vertices each
 // of one community leave at most maxViewsPerEntry views in its entry — for
-// the whole pool, not per worker — one per vertex, none still held, and the
+// the whole pool, not per worker — one per vertex, none still pinned, and the
 // store's member count is that of the entries it indexes, within
 // maxCachedVertices.
 func TestStoreBoundsPerEngine(t *testing.T) {
@@ -155,8 +155,8 @@ func TestStoreBoundsPerEngine(t *testing.T) {
 	together(fns...)
 	st := pool.base.Load().store
 	entries := map[*cacheEntry]bool{}
-	for _, e := range st.index {
-		entries[e] = true
+	for _, sl := range st.index {
+		entries[sl.cur.Load()] = true
 	}
 	members := 0
 	for e := range entries {
@@ -165,17 +165,14 @@ func TestStoreBoundsPerEngine(t *testing.T) {
 			t.Errorf("an entry keeps %d views, over the bound %d", len(e.views.views), maxViewsPerEntry)
 		}
 		seen := map[graph.V]bool{}
-		for _, vw := range e.views.views {
-			if seen[vw.q] {
-				t.Errorf("two views of q=%d in one entry", vw.q)
+		for _, sl := range e.views.views {
+			if seen[sl.q] {
+				t.Errorf("two views of q=%d in one entry", sl.q)
 			}
-			seen[vw.q] = true
-			if !vw.tryHold() {
-				t.Errorf("the view of q=%d is still held after every query ended", vw.q)
-				continue
+			seen[sl.q] = true
+			if vw := sl.cur.Load(); vw == nil || vw.pins.w.Load() != 0 {
+				t.Errorf("the view of q=%d is missing or still pinned after every query ended", sl.q)
 			}
-			vw.mu.Unlock()
-			vw.fill.Unlock()
 		}
 	}
 	if members != st.vertices || st.vertices > maxCachedVertices {
@@ -355,7 +352,7 @@ func withinDeadline(t *testing.T, w *Searcher, q Query) Stats {
 
 // holdInFlight puts w in the state of a long query of (q, 4) — an Exact+
 // scan, say — on base's snapshot: from candidates to the end of its run it
-// holds q's entry and view shared. The hold ends with the test.
+// pins q's entry and view version. The pins go with the test.
 func holdInFlight(t *testing.T, pool *Pool, base *Searcher, q graph.V) *Searcher {
 	t.Helper()
 	w := pool.GetFor(base)
@@ -369,13 +366,15 @@ func holdInFlight(t *testing.T, pool *Pool, base *Searcher, q graph.V) *Searcher
 
 // TestStoreShortQueryBesideLongOne: a cheap query of q under a 100 ms
 // deadline, sent while a long query of the same q holds q's view, answers in
-// time — from the held view when both are on one snapshot, from a view of
-// its own when a check-in has put the held one behind its snapshot.
+// time — from the held view when both are on one snapshot, from a new
+// version it repairs and publishes when a check-in has put the held one
+// behind its snapshot, which stays as its reader found it.
 func TestStoreShortQueryBesideLongOne(t *testing.T) {
 	g, q, mover := storeFixture(t)
 	ss := &storeSnapshots{writer: NewSearcher(g)}
 	ss.publish()
-	holdInFlight(t, ss.pool, ss.bases[0], q)
+	long := holdInFlight(t, ss.pool, ss.bases[0], q)
+	held, order := long.curView, slices.Clone(long.curView.verts)
 	short := ss.pool.GetFor(ss.bases[0])
 	for _, algo := range []string{"appfast", "appinc"} {
 		if st := withinDeadline(t, short, Query{Algo: algo, Q: q, K: 4}); st.ViewHits != 1 || st.ViewRebuilds != 0 {
@@ -387,24 +386,29 @@ func TestStoreShortQueryBesideLongOne(t *testing.T) {
 	}
 	ss.publish()
 	short = ss.pool.GetFor(ss.bases[1])
-	for _, algo := range []string{"appfast", "appinc"} {
-		if st := withinDeadline(t, short, Query{Algo: algo, Q: q, K: 4}); st.CacheHits != 1 || st.ViewRebuilds != 1 {
-			t.Fatalf("%s behind a held view did not sort its own: %+v", algo, st)
+	for i, algo := range []string{"appfast", "appinc"} {
+		st := withinDeadline(t, short, Query{Algo: algo, Q: q, K: 4})
+		if st.CacheHits != 1 || st.ViewRebuilds != 0 || i == 0 && st.ViewRepairs != 1 || i == 1 && st.ViewHits != 1 {
+			t.Fatalf("%s behind a held view did not take it to a new version: %+v", algo, st)
 		}
+	}
+	if long.curView != held || held.at != ss.bases[0].now() || !slices.Equal(held.verts, order) {
+		t.Fatal("the held view was changed under its reader")
 	}
 }
 
 // TestStoreEdgeOpBesideHeldEntry: an edge op inside a community lands while
-// a long query holds the community's entry. A query on the newest snapshot
-// answers within its deadline, from a copy of the entry that took its place
-// in the store; the held entry stays as its reader found it, and once the
-// reader lets go, q's view follows the edge op onto the copy.
+// a long query holds the community's entry and q's view. A query on the
+// newest snapshot answers within its deadline, from a copy of the entry that
+// took its place in the store; the held entry stays as its reader found it.
+// q's view follows the edge op onto a new version while the reader holds
+// the old one, and is current once the reader lets go.
 func TestStoreEdgeOpBesideHeldEntry(t *testing.T) {
 	g, q, _ := storeFixture(t)
 	ss := &storeSnapshots{writer: NewSearcher(g)}
 	ss.publish()
 	long := holdInFlight(t, ss.pool, ss.bases[0], q)
-	held := long.curEntry
+	held, heldView := long.curEntry, long.curView
 	csr := slices.Clone(held.adjLocal)
 	var u, w graph.V = -1, -1
 	for _, a := range held.members[1:] {
@@ -425,16 +429,76 @@ func TestStoreEdgeOpBesideHeldEntry(t *testing.T) {
 	if st.CacheHits != 1 || st.EntriesDropped != 0 {
 		t.Fatalf("the edge op did not carry the held entry over: %+v", st)
 	}
-	stored := ss.pool.base.Load().store.lookup(q, 4)
-	if stored == held || stored.topo.Load() != newest.g.TopoEpoch() || !held.dropped.Load() ||
+	stored := ss.pool.base.Load().store.lookup(q, 4).cur.Load()
+	if stored == held || stored.topo.Load() != newest.g.TopoEpoch() || !held.pins.retired() ||
 		held.topo.Load() != ss.bases[0].g.TopoEpoch() || !slices.Equal(held.adjLocal, csr) {
 		t.Fatal("the held entry was changed under its reader, or not replaced in the store")
 	}
-	if st := withinDeadline(t, ss.pool.GetFor(newest), Query{Algo: "appinc", Q: q, K: 4}); st.ViewRebuilds != 1 {
-		t.Fatalf("q's view, held at the older topology, was not left to its reader: %+v", st)
+	if st := withinDeadline(t, ss.pool.GetFor(newest), Query{Algo: "appinc", Q: q, K: 4}); st.ViewRebuilds != 0 || st.ViewHits != 1 {
+		t.Fatalf("q's view, held at the older topology, was not brought onto a new version: %+v", st)
+	}
+	if long.curView != heldView || heldView.at != ss.bases[0].now() || stored.views.views[0].cur.Load() == heldView {
+		t.Fatal("q's view was changed under its reader, or not replaced")
 	}
 	long.release()
 	if st := withinDeadline(t, ss.pool.GetFor(newest), Query{Algo: "appinc", Q: q, K: 4}); st.ViewHits != 1 || st.ViewRebuilds != 0 {
 		t.Fatalf("q's view, let go, did not follow the edge op onto the copy: %+v", st)
+	}
+}
+
+// TestStoreVersionStandsForItsReader: a reader holds q's entry and view
+// version while writes land — check-ins, an edge op inside the community —
+// and other workers repair the view onto new versions, again and again, so
+// replaced versions go to the free list and come back as new ones. What the
+// reader loaded stays bit-equal: its order, its oracle's answer, its stamp
+// and its entry's CSR. Once it lets go, its versions are recycled.
+func TestStoreVersionStandsForItsReader(t *testing.T) {
+	g, q, mover := storeFixture(t)
+	ss := &storeSnapshots{writer: NewSearcher(g)}
+	ss.publish()
+	long := holdInFlight(t, ss.pool, ss.bases[0], q)
+	e, vw := long.curEntry, long.curView
+	at, order := vw.at, slices.Clone(vw.verts)
+	comm, joinAt, minFeasible := slices.Clone(vw.oracle.comm), slices.Clone(vw.oracle.joinAt), vw.oracle.minFeasible
+	adjOff, adjLocal := slices.Clone(e.adjOff), slices.Clone(e.adjLocal)
+	var u, w graph.V = -1, -1
+	for _, a := range e.members[1:] {
+		if b := e.members[len(e.members)-1]; a != b && !g.HasEdge(a, b) {
+			u, w = a, b
+			break
+		}
+	}
+	if u < 0 {
+		t.Fatal("fixture: no two members without an edge")
+	}
+	rnd := rand.New(rand.NewSource(5))
+	qp := g.Loc(q)
+	for round := range 6 {
+		write := graph.Write{Kind: graph.WriteCheckin, V: mover, Loc: geom.Point{X: qp.X + rnd.Float64()*0.1, Y: qp.Y + rnd.Float64()*0.1}}
+		if round == 2 {
+			write = graph.Write{Kind: graph.WriteAddEdge, V: u, W: w}
+		}
+		if _, err := ss.writer.Apply(write); err != nil {
+			t.Fatal(err)
+		}
+		ss.publish()
+		st := withinDeadline(t, ss.pool.GetFor(ss.bases[len(ss.bases)-1]), Query{Algo: "appinc", Q: q, K: 4})
+		if st.ViewRebuilds != 0 {
+			t.Fatalf("round %d: q's view was sorted afresh, not repaired onto a new version: %+v", round, st)
+		}
+	}
+	if ss.pool.base.Load().store.lookup(q, 4).cur.Load() == e || e.views.views[0].cur.Load() == vw {
+		t.Fatal("fixture: the writes did not replace the entry and the view")
+	}
+	if long.curView != vw || vw.q != q || vw.at != at || !slices.Equal(vw.verts, order) ||
+		!slices.Equal(vw.oracle.comm, comm) || !slices.Equal(vw.oracle.joinAt, joinAt) || vw.oracle.minFeasible != minFeasible {
+		t.Fatal("the view version changed under its reader")
+	}
+	if !slices.Equal(e.adjOff, adjOff) || !slices.Equal(e.adjLocal, adjLocal) {
+		t.Fatal("the entry's CSR changed under its reader")
+	}
+	long.release()
+	if !vw.pins.retired() || vw.pins.w.Load() != retiredBit || !e.pins.retired() || e.pins.w.Load() != retiredBit {
+		t.Fatalf("the replaced versions are not retired and free once their reader let go: view %d, entry %d", vw.pins.w.Load(), e.pins.w.Load())
 	}
 }

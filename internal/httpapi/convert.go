@@ -80,25 +80,6 @@ func WireQuery(q core.Query) wire.Query {
 	}
 }
 
-// WireResult converts an engine result, labelling its stats with the
-// canonical algorithm name.
-func WireResult(algo string, res *core.Result) *wire.Result {
-	return &wire.Result{
-		Q:       int64(res.Query),
-		K:       res.K,
-		Members: graph.IDs(res.Members),
-		MCC:     wire.Circle{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R},
-		Delta:   res.Delta,
-		Stats: wire.Stats{
-			CandidateSize:     res.Stats.CandidateSize,
-			FeasibilityChecks: res.Stats.FeasibilityChecks,
-			BinaryIters:       res.Stats.BinaryIters,
-			ElapsedMicros:     res.Stats.Elapsed.Microseconds(),
-			Algorithm:         algo,
-		},
-	}
-}
-
 // Algorithms renders the registry as /v1/algorithms serves it. It is
 // generated from core.Algorithms, so the schema cannot drift from what
 // /v1/query accepts; an unbounded Max is omitted rather than emitted as +Inf

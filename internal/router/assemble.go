@@ -9,7 +9,7 @@ import (
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
-	"sacsearch/internal/httpapi"
+	"sacsearch/internal/snapshot"
 	"sacsearch/internal/telemetry"
 	"sacsearch/internal/wire"
 )
@@ -150,7 +150,7 @@ func (rt *Router) runLocal(ctx context.Context, cq core.Query, vertices map[int6
 	}
 	// Remap the answer back to global ids, as the shards sent them.
 	spec, _ := core.LookupAlgo(cq.Algo)
-	out := httpapi.WireResult(spec.Name, res)
+	out := snapshot.WireResult(spec.Name, res)
 	out.Q = int64(cq.Q)
 	for i, m := range res.Members {
 		out.Members[i] = ids[m]

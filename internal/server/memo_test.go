@@ -9,12 +9,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/httpapi"
 	"sacsearch/internal/shard"
+	"sacsearch/internal/snapshot"
 	"sacsearch/internal/telemetry"
 	"sacsearch/internal/wire"
 )
@@ -46,7 +48,7 @@ func freshBody(t *testing.T, g *graph.Graph, q core.Query) string {
 		t.Fatalf("fresh %+v: %v", q, err)
 	}
 	spec, _ := core.LookupAlgo(q.Algo)
-	body, err := wire.AppendResult(nil, httpapi.WireResult(spec.Name, res))
+	body, err := wire.AppendResult(nil, snapshot.WireResult(spec.Name, res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +230,47 @@ func TestMemoMissesAfterWrites(t *testing.T) {
 	expect(2, 5)
 }
 
+// TestMemoHitAfterStandingEvaluation: after a write, the standing query's
+// evaluation answers its key first, on the new snapshot, and stores the
+// answer there, so the first /v1/query of the same key on that snapshot is a
+// memo hit — and equals a fresh search.
+func TestMemoHitAfterStandingEvaluation(t *testing.T) {
+	mirror := testGraph()
+	_, ts := newMemoServer(t, testGraph(), Config{})
+	q := core.Query{Algo: "appfast", Q: 1, K: 3}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resp, br := openStream(t, ctx, ts.URL+"/v1/subscribe?"+httpapi.WireQuery(q).Values().Encode(), "")
+	defer resp.Body.Close()
+	if f := readFrames(t, br, 1, 5*time.Second); f[0].event != "init" {
+		t.Fatalf("first frame %+v, want init", f[0])
+	}
+
+	// A member of 1's community moves away: the answer changes, so the
+	// evaluation delivers a delta, after it stored its answer.
+	w := graph.Write{Kind: graph.WriteCheckin, V: 2, Loc: geom.Point{X: 0.9, Y: 0.1}}
+	if _, err := mirror.Apply(w); err != nil {
+		t.Fatal(err)
+	}
+	if r, body := postJSON(t, ts.URL+"/v1/checkin", wire.CheckinRequest{V: 2, X: 0.9, Y: 0.1}); r.StatusCode != http.StatusOK {
+		t.Fatalf("checkin: %d %s", r.StatusCode, body)
+	}
+	if f := readFrames(t, br, 1, 5*time.Second); f[0].event != "delta" {
+		t.Fatalf("frame after the check-in %+v, want delta", f[0])
+	}
+	hit, miss, _ := memoCounts(t, ts.URL)
+	r, body := postJSON(t, ts.URL+"/v1/query", httpapi.WireQuery(q))
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", r.StatusCode, body)
+	}
+	if got, want := masked(body), freshBody(t, mirror, q); got != want {
+		t.Fatalf("query answers\n%s\nfresh\n%s", got, want)
+	}
+	if h, m, _ := memoCounts(t, ts.URL); h != hit+1 || m != miss {
+		t.Fatalf("the first query after the evaluation: memo hits %v → %v, misses %v → %v; want one more hit", hit, h, miss, m)
+	}
+}
+
 // TestMemoKeepsValidation: once an answer is stored, a query naming it by an
 // alias, by its canonical name in other case, with its default parameter
 // spelled out or with a timeout is a hit, and every request validation
@@ -300,7 +343,7 @@ func parentSearch(s *Server, ctx context.Context, snap interface {
 	span.SetAttr("q", int64(q.Q))
 	span.SetAttr("k", q.K)
 	s.observeQuery(spec.Name, res.Stats)
-	return httpapi.WireResult(spec.Name, res), nil
+	return snapshot.WireResult(spec.Name, res), nil
 }
 
 // TestMemoNeverRepeatingStream: a stream whose queries never repeat stores

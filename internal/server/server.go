@@ -578,53 +578,42 @@ func (a answer) result() *wire.Result {
 	return &r
 }
 
-// search is the server's one door to a snapshot's answers, for /v1/query,
-// the certified leg of /v1/shard/search and every /v1/batch item alike,
-// under a "search" span. q is resolved through the registry — the
-// validation Search runs, so every error is the one it gives — and looked up
-// in snap's memo: a query snap has answered twice is answered from there, in
-// the time the lookup took, with no worker, no search and no copy. Otherwise
-// q runs through the unified Search entry point on a pooled worker rebound to
-// snap — no locks anywhere on this path — and its answer is offered to the
-// memo. An Exact or Exact+ circle scan sizes itself (GOMAXPROCS over the
-// queries in flight) and borrows its helpers from the same pool. Every
-// success is recorded in sac_query_duration_seconds; only a search adds to
-// the work counters.
+// search answers q on snap for /v1/query, the certified leg of
+// /v1/shard/search and every /v1/batch item alike, under a "search" span,
+// through the snapshot's one door to its answers (Snap.Answer): a memo hit
+// or a search on a pooled worker, whose answer is offered to the memo.
+// Every success is recorded in sac_query_duration_seconds; only a search
+// adds to the work counters.
 func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) (answer, error) {
 	start := time.Now()
 	ctx, span := telemetry.StartSpan(ctx, "search")
 	defer span.End()
-	key, err := core.Resolve(q, snap.Graph().NumVertices(), snap.Structure())
+	r, err := snap.Answer(ctx, q, false)
+	if key := r.Key; key.Algo != "" { // q resolved, and the memo was asked
+		span.SetAttr("algo", key.Algo)
+		span.SetAttr("q", int64(key.Q))
+		span.SetAttr("k", key.K)
+		if r.Hit {
+			elapsed := time.Since(start)
+			s.memoHit.Inc()
+			s.queryDur.With(key.Algo).Observe(elapsed.Seconds())
+			span.SetAttr("memo", "hit")
+			return answer{res: r.Result, body: r.Body, micros: elapsed.Microseconds()}, nil
+		}
+		s.memoMiss.Inc()
+	}
 	if err != nil {
 		return answer{}, err
 	}
-	span.SetAttr("algo", key.Algo)
-	span.SetAttr("q", int64(key.Q))
-	span.SetAttr("k", key.K)
-	memo := snap.Memo()
-	if hit := memo.Lookup(key); hit != nil {
-		elapsed := time.Since(start)
-		s.memoHit.Inc()
-		s.queryDur.With(key.Algo).Observe(elapsed.Seconds())
-		span.SetAttr("memo", "hit")
-		return answer{res: hit.Result, body: hit.Body, micros: elapsed.Microseconds()}, nil
-	}
-	s.memoMiss.Inc()
-	res, err := snap.Search(ctx, q)
-	if err != nil {
-		return answer{}, err
-	}
-	s.observeQuery(key.Algo, res.Stats)
-	if workers := res.Stats.Workers; workers > 0 {
+	s.observeQuery(r.Key.Algo, r.Stats)
+	if workers := r.Stats.Workers; workers > 0 {
 		s.parBudget.Add(uint64(runtime.GOMAXPROCS(0)))
 		s.parEffective.Add(uint64(workers))
 	}
-	a := answer{res: httpapi.WireResult(key.Algo, res), micros: res.Stats.Elapsed.Microseconds()}
-	if stored := memo.Offer(key, a.res); stored != nil {
+	if r.Stored {
 		s.memoStored.Inc()
-		a.body = stored.Body
 	}
-	return a, nil
+	return answer{res: r.Result, body: r.Body, micros: r.Stats.Elapsed.Microseconds()}, nil
 }
 
 // validate is /v1/query's validation of q against snap, without a worker.

@@ -541,13 +541,6 @@ func (sn *Snap) Structure() core.Structure { return sn.base.Structure() }
 // publication and is dropped with the snapshot.
 func (sn *Snap) Memo() *Memo { return &sn.memo }
 
-// Search runs q on a pooled worker rebound to this snapshot.
-func (sn *Snap) Search(ctx context.Context, q core.Query) (*core.Result, error) {
-	w := sn.Get()
-	defer sn.Put(w)
-	return w.Search(ctx, q)
-}
-
 // Get returns a pooled worker rebound to this snapshot. Queries on it see
 // exactly the published state, whatever the writer does meanwhile. Return
 // the worker with Put.

@@ -149,3 +149,33 @@ func TestClosureMatchesFreshWalk(t *testing.T) {
 		t.Fatalf("only %d evaluations compared", compared)
 	}
 }
+
+// TestEvaluationStoresItsAnswer: a standing query's evaluation answers
+// through the snapshot's one door and stores its answer in the snapshot's
+// memo at once, for the hot queries of its key that follow the write; the
+// members it hands the hub are a copy, so nothing the hub does to them can
+// reach the stored answer.
+func TestEvaluationStoresItsAnswer(t *testing.T) {
+	eng := snapshot.New(twoClusterGraph(6), snapshot.Options{})
+	defer eng.Close()
+	snap := eng.Current()
+	sub := &Sub{Query: core.Query{Q: 0, K: 3, Algo: "appfast"}}
+	er, err := engineBackend{eng.Current}.Evaluate(sub, &pend{snap: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := core.Resolve(sub.Query, snap.Graph().NumVertices(), snap.Structure())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := snap.Memo().Lookup(key)
+	if stored == nil {
+		t.Fatal("the evaluation's answer is not in the snapshot's memo")
+	}
+	if len(er.Members) == 0 || !slices.Equal(er.Members, stored.Result.Members) {
+		t.Fatalf("delivered %v, stored %v", er.Members, stored.Result.Members)
+	}
+	if &er.Members[0] == &stored.Result.Members[0] {
+		t.Fatal("the delivered members alias the stored answer's")
+	}
+}

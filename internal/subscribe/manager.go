@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"slices"
 	"time"
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/snapshot"
-	"sacsearch/internal/wire"
 )
 
 // ManagerOptions assembles a Manager.
@@ -190,7 +190,9 @@ func coreCascade(g *gate, q core.Query, snap *snapshot.Snap) bool {
 	return false
 }
 
-// Evaluate re-runs one standing query pinned to the round's snapshot and
+// Evaluate answers one standing query on the round's snapshot, through the
+// snapshot's one door to its answers, which stores the answer in the
+// snapshot's memo for the hot queries of its key that follow the write, and
 // refreshes the gate closure.
 func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	prev, _ := sub.Gate.(*gate)
@@ -201,28 +203,29 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 		// later, ordinary round cannot take it over either.
 		prev.in = nil
 	}
-	s := p.snap.Get()
-	defer p.snap.Put(s)
 	ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
 	defer cancel()
-	res, err := s.Search(ctx, sub.Query)
+	r, err := p.snap.Answer(ctx, sub.Query, true)
 	var er EvalResult
 	switch {
 	case err == nil:
-		er.Members = graph.IDs(res.Members)
-		er.MCC = wire.Circle{X: res.MCC.C.X, Y: res.MCC.C.Y, R: res.MCC.R}
-		er.Delta = res.Delta
+		// The memo keeps r.Result for later readers: the hub gets a copy.
+		er.Members = slices.Clone(r.Result.Members)
+		er.MCC = r.Result.MCC
+		er.Delta = r.Result.Delta
 	case errors.Is(err, core.ErrNoCommunity):
 		er.NoCommunity = true
 	default:
 		return nil, err
 	}
-	g := &gate{lastSeq: p.snap.Seq(), kcore: s.Structure() == core.StructureKCore, topo: p.snap.TopoEpoch()}
+	g := &gate{lastSeq: p.snap.Seq(), kcore: p.snap.Structure() == core.StructureKCore, topo: p.snap.TopoEpoch()}
 	switch {
 	case prev != nil && prev.in != nil && prev.topo == g.topo:
 		g.members, g.frontier, g.in = prev.members, prev.frontier, prev.in
 	default:
+		s := p.snap.Get()
 		g.members, g.frontier = s.CandidateClosure(sub.Query.Q, sub.Query.K)
+		p.snap.Put(s)
 		g.in = make(map[graph.V]byte, len(g.members)+len(g.frontier))
 		for _, v := range g.members {
 			g.in[v] = inMember

@@ -28,7 +28,10 @@ const sweepEvery = 30 * time.Second
 // cannot prove that must return true; nothing else in the dispatcher can
 // make a skipped re-evaluation safe. Every algorithm, θ-SAC included
 // (internal/core/theta.go), reads only the candidate set X, so one gate on
-// X serves them all.
+// X serves them all: a single engine asks its view store whether X stood
+// and no write moved a member or joined two (core.Searcher.Stood); the
+// router re-evaluates on any topology change and on a check-in of a vertex
+// its last evaluation gathered.
 type Backend[P any] interface {
 	// Begin fixes the state one dispatch round runs against. p is the
 	// coalesced summary — its zero value on a registration-only round — and

@@ -2,14 +2,18 @@ package subscribe
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sacsearch/internal/core"
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/kcore"
 	"sacsearch/internal/snapshot"
 	"sacsearch/internal/telemetry"
 )
@@ -29,6 +33,22 @@ func twoClusterGraph(size int) *graph.Graph {
 			}
 		}
 	}
+	return b.Build()
+}
+
+// withLoner copies g and adds one isolated vertex, the last, at (50, 50).
+func withLoner(g *graph.Graph) *graph.Graph {
+	n := g.NumVertices()
+	b := graph.NewBuilder(n + 1)
+	for v := range graph.V(n) {
+		b.SetLoc(v, g.Loc(v))
+		for _, u := range g.Neighbors(v) {
+			if u < v {
+				b.AddEdge(v, u)
+			}
+		}
+	}
+	b.SetLoc(graph.V(n), geom.Point{X: 50, Y: 50})
 	return b.Build()
 }
 
@@ -114,6 +134,141 @@ func TestGateSkipsFarAwayMoves(t *testing.T) {
 	waitProcessed(t, mgr, eng.Current().Seq())
 	if got := mgr.Hub().Evals().Value(); got == evals0 {
 		t.Error("member move did not re-evaluate")
+	}
+}
+
+// TestGateSkipsOneSidedEdge: an edge from a member of X to a vertex that
+// stays outside the k-core leaves X, the edges inside it and its members'
+// locations as they were, so the gate skips it — the evaluation count does
+// not move, skipped_by_gate grows and the stream stays silent — while a
+// member's move afterwards still re-evaluates.
+func TestGateSkipsOneSidedEdge(t *testing.T) {
+	const size = 6
+	loner := graph.V(2 * size)
+	eng := snapshot.New(withLoner(twoClusterGraph(size)), snapshot.Options{})
+	defer eng.Close()
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{Metrics: telemetry.NewRegistry(), StreamBuf: 1024}})
+	defer mgr.Close()
+	eng.SetOnPublish(mgr.Notify)
+
+	sub, err := mgr.Register("near", core.Query{Q: 0, K: 3, Algo: "appfast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, replay, err := sub.Attach(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := eng.CheckIn(ctx, graph.V(size), geom.Point{X: 100, Y: 100.5}); err != nil {
+		t.Fatal(err)
+	}
+	waitProcessed(t, mgr, eng.Current().Seq())
+	if got := len(replay) + len(drainStream(st)); got != 1 {
+		t.Fatalf("expected exactly the init event before the edge, got %d", got)
+	}
+
+	evals0, skipped0 := mgr.Hub().Evals().Value(), mgr.Hub().Skipped().Value()
+	if _, err := eng.UpdateEdge(ctx, 0, loner, true); err != nil {
+		t.Fatal(err)
+	}
+	waitProcessed(t, mgr, eng.Current().Seq())
+	if got := mgr.Hub().Evals().Value(); got != evals0 {
+		t.Errorf("an edge to a vertex outside the 3-core re-evaluated %d times", got-evals0)
+	}
+	if got := mgr.Hub().Skipped().Value(); got <= skipped0 {
+		t.Errorf("skipped_by_gate did not grow: %d -> %d", skipped0, got)
+	}
+	if got := len(drainStream(st)); got != 0 {
+		t.Errorf("the one-sided edge produced %d events on the stream", got)
+	}
+
+	if err := eng.CheckIn(ctx, graph.V(1), geom.Point{X: 5, Y: 5}); err != nil {
+		t.Fatal(err)
+	}
+	waitProcessed(t, mgr, eng.Current().Seq())
+	if got := mgr.Hub().Evals().Value(); got == evals0 {
+		t.Error("a member's move after the edge did not re-evaluate")
+	}
+}
+
+// TestGateHeapFlatAsSubscriptionsGrow: a subscription's gate holds a token,
+// not a copy of its community, so 1 000 θ-SAC subscriptions with small
+// answers on one community of thousands of members add far less than a
+// byte per member each to the heap.
+func TestGateHeapFlatAsSubscriptionsGrow(t *testing.T) {
+	const k, subs = 3, 1000
+	g := churnGraph(t, 6000, 24000, 3)
+	cores := kcore.Decompose(g)
+	q := graph.V(0)
+	for v := range g.NumVertices() {
+		if g.Degree(graph.V(v)) > g.Degree(q) {
+			q = graph.V(v)
+		}
+	}
+	X := kcore.CommunityOf(g, cores, q, k)
+	if len(X) < 2*subs {
+		t.Fatalf("the community has %d members, want at least %d", len(X), 2*subs)
+	}
+	outsider := graph.V(-1)
+	for v := range g.NumVertices() {
+		if cores[v] < k {
+			outsider = graph.V(v)
+		}
+	}
+	if outsider < 0 {
+		t.Fatal("every vertex is in the 3-core")
+	}
+	eng := snapshot.New(g, snapshot.Options{})
+	defer eng.Close()
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{Metrics: telemetry.NewRegistry(), MaxSubscriptions: subs, StreamBuf: 1}})
+	defer mgr.Close()
+	eng.SetOnPublish(mgr.Notify)
+
+	ctx := context.Background()
+	// settle waits for n evaluations, then for the round of a check-in
+	// outside X, which starts only once theirs has ended and which the gate
+	// skips for every subscription.
+	settle := func(n int) uint64 {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for mgr.Hub().Evals().Value() < uint64(n) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d evaluations ran", mgr.Hub().Evals().Value(), n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		p := g.Loc(outsider)
+		if err := eng.CheckIn(ctx, outsider, geom.Point{X: p.X + 1e-3, Y: p.Y}); err != nil {
+			t.Fatal(err)
+		}
+		waitProcessed(t, mgr, eng.Current().Seq())
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	register := func(i int) {
+		t.Helper()
+		if _, err := mgr.Register(fmt.Sprint("s", i), core.Query{Q: X[i], K: k, Algo: "theta", Theta: core.Float(1e-4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One subscription first, so the community the store holds, the pool's
+	// workers and the first snapshots are there before the baseline.
+	register(0)
+	before := settle(1)
+	for i := 1; i < subs; i++ {
+		register(i)
+	}
+	after := settle(subs)
+	if got := mgr.Hub().Evals().Value(); got != subs {
+		t.Fatalf("%d evaluations, want one a subscription (%d)", got, subs)
+	}
+	per := (float64(after) - float64(before)) / (subs - 1)
+	t.Logf("|X| = %d, heap per subscription %.0f B", len(X), per)
+	if per >= float64(len(X)) {
+		t.Fatalf("each subscription adds %.0f B to the heap, over a byte per member of X (%d)", per, len(X))
 	}
 }
 

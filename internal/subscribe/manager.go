@@ -44,26 +44,12 @@ type pend struct {
 }
 
 // gate is the engine backend's per-subscription invalidation state
-// (Sub.Gate), rebuilt by every successful evaluation.
+// (Sub.Gate), set by every successful evaluation: the snapshot it answered
+// on and the token of (q, k)'s community there (core.Searcher.Token).
 type gate struct {
-	kcore   bool // structure metric is k-core (core-number scans are valid)
 	lastSeq uint64
-	// Candidate closure of (q, k) as of the last evaluation. members is the
-	// candidate set X (nil when q is outside the k-core), frontier its
-	// outside neighbors, in marks members 1 and frontier 2. The closure is a
-	// function of topology alone, so an evaluation on a snapshot at the same
-	// topology epoch (topo) as the last one takes it over instead of walking
-	// the community again.
-	topo     uint64
-	members  []graph.V
-	frontier []graph.V
-	in       map[graph.V]byte
+	token   core.Token
 }
-
-const (
-	inMember   = 1
-	inFrontier = 2
-)
 
 // Manager drives standing queries off one snapshot engine: the Dispatcher
 // with the single-engine Backend. Notify coalesces post-publish
@@ -71,19 +57,13 @@ const (
 // and the affected ones re-run on pooled workers pinned to the published
 // snapshot.
 //
-// Gate soundness (k-core structure): every registered algorithm, θ-SAC
-// included (internal/core/theta.go), is a pure function of induced(X) and
-// the locations of X, where X is the connected component of q in the global
-// k-core. So a publication cannot change the answer unless it (a) moves a
-// member of X, or (b) changes X itself. X changes only through topology
-// events, and only when — on the *new* snapshot — an edge touches the old
-// closure, a member's core number fell below k (it left the k-core, or X
-// lost a vertex reachable only through it... any member loss shows as some
-// member's edge or core change), or a frontier vertex's core number reached
-// k (X can only grow through its frontier, or via a new edge landing on X,
-// which case (a touched endpoint) already catches). A subscription with an
-// empty X re-evaluates only when q's own core number reaches k. Non-k-core
-// structure metrics fall back to always-evaluate on any topology event.
+// Gate soundness: a round skips a subscription only when the view store
+// proves that the round's writes left its answer alone
+// (core.Searcher.Stood): (q, k)'s community is still the one the last
+// evaluation read, by revalidate's proof (internal/core/repair.go), and no
+// write moved a member or joined two members. An unknown change set (a
+// replica resync may have replaced the engine) re-evaluates every
+// subscription, so a token is only compared in the store it came from.
 type Manager struct {
 	*Dispatcher[pend]
 }
@@ -143,66 +123,16 @@ func (engineBackend) Gate(sub *Sub, p *pend) bool {
 	if p.snap.Seq() <= g.lastSeq {
 		return false // already evaluated this state (the initial eval ran on it)
 	}
-	topo := false
-	for i := range p.events {
-		ev := &p.events[i]
-		if ev.Kind == graph.WriteCheckin {
-			if g.in[ev.V] == inMember {
-				return true
-			}
-		} else {
-			topo = true
-			if g.in[ev.V] != 0 || g.in[ev.W] != 0 {
-				return true
-			}
-		}
-	}
-	if !topo {
-		return false
-	}
-	if !g.kcore {
-		// Truss/clique communities have no cheap remote-cascade test; any
-		// topology change re-evaluates.
-		return true
-	}
-	return coreCascade(g, sub.Query, p.snap)
-}
-
-// coreCascade scans the new snapshot's core numbers for the non-local ways
-// X can change: a member dropping out of the k-core, or a frontier vertex
-// entering it. (Frontier vertices have core < k at evaluation time: a
-// frontier vertex already in the k-core would be a k-core neighbor of X and
-// hence inside X.)
-func coreCascade(g *gate, q core.Query, snap *snapshot.Snap) bool {
-	if g.members == nil {
-		return snap.CoreNumber(q.Q) >= q.K
-	}
-	for _, v := range g.members {
-		if snap.CoreNumber(v) < q.K {
-			return true
-		}
-	}
-	for _, f := range g.frontier {
-		if snap.CoreNumber(f) >= q.K {
-			return true
-		}
-	}
-	return false
+	s := p.snap.Get()
+	defer p.snap.Put(s)
+	return !s.Stood(sub.Query.Q, sub.Query.K, g.token, p.events)
 }
 
 // Evaluate answers one standing query on the round's snapshot, through the
 // snapshot's one door to its answers, which stores the answer in the
 // snapshot's memo for the hot queries of its key that follow the write, and
-// refreshes the gate closure.
+// records the token of the community it read for the next Gate.
 func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
-	prev, _ := sub.Gate.(*gate)
-	if p.full && prev != nil {
-		// An unknown change set can mean the engine itself was swapped
-		// (replica resync), and epochs of different engines do not compare.
-		// Forget the closure before anything can fail, so that a retry in a
-		// later, ordinary round cannot take it over either.
-		prev.in = nil
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
 	defer cancel()
 	r, err := p.snap.Answer(ctx, sub.Query, true)
@@ -218,22 +148,8 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	default:
 		return nil, err
 	}
-	g := &gate{lastSeq: p.snap.Seq(), kcore: p.snap.Structure() == core.StructureKCore, topo: p.snap.TopoEpoch()}
-	switch {
-	case prev != nil && prev.in != nil && prev.topo == g.topo:
-		g.members, g.frontier, g.in = prev.members, prev.frontier, prev.in
-	default:
-		s := p.snap.Get()
-		g.members, g.frontier = s.CandidateClosure(sub.Query.Q, sub.Query.K)
-		p.snap.Put(s)
-		g.in = make(map[graph.V]byte, len(g.members)+len(g.frontier))
-		for _, v := range g.members {
-			g.in[v] = inMember
-		}
-		for _, f := range g.frontier {
-			g.in[f] = inFrontier
-		}
-	}
-	sub.Gate = g
+	s := p.snap.Get()
+	sub.Gate = &gate{lastSeq: p.snap.Seq(), token: s.Token(sub.Query.Q, sub.Query.K)}
+	p.snap.Put(s)
 	return &er, nil
 }

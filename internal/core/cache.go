@@ -16,8 +16,9 @@ import (
 // membership per community and per k: every member vertex maps to the same
 // entry, and any later query from any member skips the BFS / decomposition
 // walk entirely. An entry also keeps the community's induced CSR and, per
-// recent query vertex, a view: the members in (distance, id) order with the
-// prefix oracle built over that order (oracle.go).
+// recent query vertex that earned one (viewFor), a view: the members in
+// (distance, id) order with the prefix oracle built over that order
+// (oracle.go).
 //
 // Both locations (check-ins) and topology (edge ops) change under a live
 // store. Entries and views are stamped with the point of the graph's
@@ -121,7 +122,11 @@ type viewVersion struct {
 
 // viewSlot holds the published version of a recent query vertex's view.
 type viewSlot struct {
-	q    graph.V // whose slot it is: the view list's, under its lock
+	q     graph.V // whose slot it is: the view list's, under its lock
+	trial bool    // probationary: q was seen once; under the list's lock
+	// busy counts the queries between viewFor and the end of refreshView:
+	// raised under the list's lock, lowered without it.
+	busy atomic.Int32
 	next sync.Mutex
 	cur  atomic.Pointer[viewVersion]
 }
@@ -129,16 +134,30 @@ type viewSlot struct {
 // viewList is a community's view slots, most recent first, shared by an
 // entry and its copies: their members are the same, and so are the views.
 type viewList struct {
-	mu    sync.Mutex
-	views []*viewSlot
+	mu     sync.Mutex
+	views  []*viewSlot
+	trials int // how many of views are probationary
+
+	seen      [seenOnce]graph.V // the last first sightings, a ring
+	sightings int
 }
 
-// maxViewsPerEntry bounds the distance-sorted views kept per community —
-// one per recent query vertex, for the whole store. Server traffic
-// concentrates on a modest set of hot users per community; the views list is
-// move-to-front, so the hottest stay resident and the lookup scan stays short
-// in practice (hot vertices are found in the first few slots).
-const maxViewsPerEntry = 32
+// maxViewsPerEntry bounds the distance-sorted views kept per community, one
+// per query vertex, for the whole store. Move-to-front alone would not keep
+// the hot ones: a view costs 12 B a member, built once, and one-shot query
+// vertices, which never ask again, are most of a cold stream, so 32 of them
+// would evict every hot view. A view earns its slot by reuse instead (a
+// segmented LRU, viewFor): a vertex's first view is probationary, at most
+// maxTrialViews of those are published per community, and a later sighting
+// protects the slot; protected views are an LRU of the rest. A list
+// remembers its last seenOnce first sightings, so that a second one earns a
+// protected slot whether or not the first got a slot. Hot vertices sit in
+// the first few slots, so the lookup scan stays short.
+const (
+	maxViewsPerEntry = 32
+	maxTrialViews    = 4
+	seenOnce         = 64
+)
 
 // cacheEntry is one community's cached state. members is nil for a negative
 // entry (q has no feasible community at this k); negative entries are keyed
@@ -335,24 +354,84 @@ func (c *viewStore) removeLocked(sl *entrySlot, q graph.V, k int) {
 	sl.stored = 0
 }
 
-// viewFor returns q's slot in l, moved to the front: a new one under the
-// cap, else the least recently used, whose version stays published until
-// q's replaces it.
+// viewFor returns q's slot in l, moved to the front and busy for the caller
+// until refreshView ends, or nil: q answers on a private version. A vertex
+// seen again has its slot protected, or gets a protected one: a new one
+// under the cap, else the least recently used protected one. A vertex seen
+// for the first time is remembered and gets a probationary slot: a new one
+// under maxTrialViews, else the least recently used probationary one that
+// no query is using — or none, so that it never waits on another's build.
+// A replaced slot's version stays published until q's replaces it.
 func (l *viewList) viewFor(q graph.V) *viewSlot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	i := slices.IndexFunc(l.views, func(sl *viewSlot) bool { return sl.q == q })
-	if i < 0 {
-		if len(l.views) < maxViewsPerEntry {
-			l.views = append(l.views, &viewSlot{})
+	seen := i >= 0 || slices.Contains(l.seen[:min(l.sightings, seenOnce)], q)
+	switch {
+	case !seen:
+		l.seen[l.sightings%seenOnce] = q
+		l.sightings++
+		if l.trials < maxTrialViews {
+			l.views = append(l.views, &viewSlot{trial: true})
+			l.trials++
 		}
-		i = len(l.views) - 1
+		if i = l.lastOf(true); i < 0 {
+			return nil
+		}
+		l.views[i].q = q
+	case i < 0:
+		if i = l.lastOf(false); len(l.views)-l.trials < maxViewsPerEntry-maxTrialViews {
+			l.views = append(l.views, &viewSlot{})
+			i = len(l.views) - 1
+		}
 		l.views[i].q = q
 	}
 	sl := l.views[i]
 	copy(l.views[1:i+1], l.views[:i])
 	l.views[0] = sl
+	if seen && sl.trial {
+		// Protected now; if that overflows the protected LRU, its least
+		// recently used slot turns probationary.
+		sl.trial = false
+		if l.trials--; len(l.views)-l.trials > maxViewsPerEntry-maxTrialViews {
+			l.views[l.lastOf(false)].trial = true
+			l.trials++
+		}
+	}
+	sl.busy.Add(1)
 	return sl
+}
+
+// lastOf returns the index of the least recently used slot that is
+// probationary (trial) and idle, or protected (!trial); -1 if none is.
+func (l *viewList) lastOf(trial bool) int {
+	for i := len(l.views) - 1; i >= 0; i-- {
+		if sl := l.views[i]; sl.trial == trial && (!trial || sl.busy.Load() == 0) {
+			return i
+		}
+	}
+	return -1
+}
+
+// PublishedViews counts the view versions published for the community the
+// store holds under (q, k), with the member slots they hold: what the
+// community's views cost, for tests and benchmarks to report. It reads the
+// store alone, and only at rest: with no query in flight.
+func PublishedViews(s *Searcher, q graph.V, k int) (views, slots int) {
+	sl := s.store.lookup(q, k)
+	if sl == nil {
+		return 0, 0
+	}
+	l := sl.cur.Load().views
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, v := range l.views {
+		if vw := v.cur.Load(); vw != nil {
+			views++
+			slots += len(vw.verts)
+		}
+	}
+	return views, slots
 }
 
 // enter returns the entry of (q, k) at the searcher's topology, pinned until

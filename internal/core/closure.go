@@ -21,11 +21,16 @@ func tokenOf(e *cacheEntry) Token {
 // read it: the stored entry brought to the searcher's topology (current),
 // or, where the store holds none — θ-SAC's search never fills it — the
 // community walked afresh and stored. A later Stood of (q, k) compares it;
-// a walk the store would not keep gets a token no stored entry carries, so
-// that Stood reports false.
+// where the store holds the community at a later topology, which it would
+// not trade for a walk behind it, the token is a fresh one that no entry
+// carries, taken without a walk, so that Stood reports false.
 func (s *Searcher) Token(q graph.V, k int) Token {
 	if q < 0 || int(q) >= s.g.NumVertices() || k < 1 {
 		return Token{}
+	}
+	// Read unpinned: a misread entry only means the walk below.
+	if sl := s.store.lookup(q, k); sl != nil && sl.cur.Load().topo.Load() > s.g.TopoEpoch() {
+		return Token{new(graph.V)}
 	}
 	e, _ := s.enter(q, k)
 	tok := tokenOf(e)

@@ -234,11 +234,16 @@ func (s *Searcher) connectedInside(e *cacheEntry, a, b int32) bool {
 // refreshView returns q's view of e at the searcher's stamp, pinned until
 // release, or nil when the query's context fired first. A current version
 // serves as it stands; one behind is brought forward and published by one
-// query at a time (the slot's next); for one ahead of the query's snapshot
+// query at a time (the slot's next); for one ahead of the query's snapshot,
+// or a first sighting of q that finds no probationary slot free (viewFor),
 // the query makes a version of its own and publishes nothing.
 func (s *Searcher) refreshView(e *cacheEntry, q graph.V, k int) *viewVersion {
 	now := s.now()
 	sl := e.views.viewFor(q)
+	if sl == nil {
+		return s.privateView(e, q, k, now)
+	}
+	defer sl.busy.Add(-1)
 	vw := s.loadView(sl, q)
 	if vw == nil || vw.at.before(now) {
 		if vw != nil {
@@ -265,8 +270,15 @@ func (s *Searcher) refreshView(e *cacheEntry, q graph.V, k int) *viewVersion {
 		return vw
 	}
 	s.unpinView(vw)
-	if vw = s.makeView(e, nil, q, k, now); vw != nil {
-		vw.pins.retire() // private: the query's release recycles it
+	return s.privateView(e, q, k, now)
+}
+
+// privateView makes q's view of e at now for the query alone: published in
+// no slot, it is retired at once, and the query's release recycles it.
+func (s *Searcher) privateView(e *cacheEntry, q graph.V, k int, now stamp) *viewVersion {
+	vw := s.makeView(e, nil, q, k, now)
+	if vw != nil {
+		vw.pins.retire()
 	}
 	return vw
 }

@@ -194,3 +194,48 @@ func TestStoreStoodMatchesFreshWalk(t *testing.T) {
 		})
 	}
 }
+
+// TestStoreTokenBehindStoreDoesNotWalk: a worker pinned to an older snapshot
+// asks for the token of (q, k) after a query on a newer one, past an edge
+// op inside the community, stored the entry at the later topology. The
+// store will not trade that entry for a walk behind it, so the token is a
+// fresh one, taken without walking the community (whose walk and induced
+// CSR allocate |X|-sized arrays), and Stood matches it on neither snapshot.
+func TestStoreTokenBehindStoreDoesNotWalk(t *testing.T) {
+	g, q, _ := storeFixture(t)
+	ss := &storeSnapshots{writer: NewSearcher(g)}
+	ss.publish()
+	x := NewSearcher(g).communityOf(q, 4)
+	var u, w graph.V = -1, -1
+	for _, a := range x[1:] {
+		if b := x[len(x)-1]; a != b && !g.HasEdge(a, b) {
+			u, w = a, b
+			break
+		}
+	}
+	if u < 0 {
+		t.Fatal("fixture: no two members without an edge")
+	}
+	if _, err := ss.writer.Apply(graph.Write{Kind: graph.WriteAddEdge, V: u, W: w}); err != nil {
+		t.Fatal(err)
+	}
+	ss.publish()
+	newer := ss.pool.GetFor(ss.bases[1])
+	if _, err := newer.AppFast(q, 4, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if e := ss.pool.base.Load().store.lookup(q, 4).cur.Load(); e.topo.Load() != ss.bases[1].g.TopoEpoch() {
+		t.Fatal("fixture: the newer query did not store the entry at its topology")
+	}
+	old := ss.pool.GetFor(ss.bases[0])
+	var tok Token
+	if allocs := testing.AllocsPerRun(20, func() { tok = old.Token(q, 4) }); allocs > 2 {
+		t.Fatalf("Token behind the store allocated %v times per call (|X| = %d): it walked the community", allocs, len(x))
+	}
+	if tok == (Token{}) {
+		t.Fatal("Token behind the store returned the empty community's token")
+	}
+	if old.Stood(q, 4, tok, nil) || newer.Stood(q, 4, tok, nil) {
+		t.Fatal("a token taken behind the store stood")
+	}
+}

@@ -88,6 +88,8 @@ func TestStoreRepairsAViewOnce(t *testing.T) {
 // TestStoreOutlivesDroppedClones: a burst of concurrent queries wider than
 // the pool's idle cap clones workers the pool then drops, and a view one of
 // them sorted is still there for the next worker that queries its vertex.
+// Each worker of the burst asks for its vertex twice, so that the view has
+// earned a protected slot (viewFor).
 func TestStoreOutlivesDroppedClones(t *testing.T) {
 	SetProcs(t, 2)
 	g, q0, _ := storeFixture(t)
@@ -104,8 +106,10 @@ func TestStoreOutlivesDroppedClones(t *testing.T) {
 	for i := range fns {
 		fns[i] = func() {
 			workers[i] = pool.Get()
-			if _, err := workers[i].AppFast(qs[i], 4, 0.5); err != nil {
-				t.Error(err)
+			for range 2 {
+				if _, err := workers[i].AppFast(qs[i], 4, 0.5); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}
@@ -124,6 +128,85 @@ func TestStoreOutlivesDroppedClones(t *testing.T) {
 	}
 	if st := res.Stats; st.CacheHits != 1 || st.ViewHits != 1 || st.ViewRebuilds != 0 || st.OracleBuilds != 0 {
 		t.Fatalf("q=%d, served only by a dropped clone, is not a view hit on another worker: %+v", qs[i], st)
+	}
+}
+
+// coldTraffic queries every vertex of qs once, AppFast at k = 4, from two
+// pooled workers at once, each taking every other vertex.
+func coldTraffic(t *testing.T, pool *Pool, qs []graph.V) {
+	t.Helper()
+	fns := make([]func(), 2)
+	for i := range fns {
+		fns[i] = func() {
+			w := pool.Get()
+			defer pool.Put(w)
+			for j := i; j < len(qs); j += len(fns) {
+				if _, err := w.AppFast(qs[j], 4, 0.5); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}
+	together(fns...)
+}
+
+// oneCommunity returns n vertices of the fixture's community at k = 4 and
+// the size of that community.
+func oneCommunity(t *testing.T, g *graph.Graph, n int) ([]graph.V, int) {
+	t.Helper()
+	s := NewSearcher(g)
+	qs := eligible(s, 4, n)
+	x := s.communityOf(qs[0], 4)
+	if len(qs) < n || slices.ContainsFunc(qs, func(v graph.V) bool { return !slices.Contains(x, v) }) {
+		t.Fatalf("fixture: want %d vertices of one community, have %d", n, len(qs))
+	}
+	return qs, len(x)
+}
+
+// TestStoreHotViewsSurviveColdTraffic: eight hot vertices are each seen
+// twice, then 200 one-shot vertices of the same community are queried from
+// two workers. One-shot views are probationary and take no protected slot,
+// so every hot vertex is still a view hit that rebuilds nothing.
+func TestStoreHotViewsSurviveColdTraffic(t *testing.T) {
+	g, _, _ := storeFixture(t)
+	pool := NewPool(NewSearcher(g))
+	qs, _ := oneCommunity(t, g, 208)
+	hot, cold := qs[:8], qs[8:]
+	query := func(q graph.V) Stats {
+		w := pool.Get()
+		defer pool.Put(w)
+		res, err := w.AppFast(q, 4, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	for range 2 {
+		for _, q := range hot {
+			query(q)
+		}
+	}
+	coldTraffic(t, pool, cold)
+	for _, q := range hot {
+		if st := query(q); st.CacheHits != 1 || st.ViewHits != 1 || st.ViewRebuilds != 0 || st.OracleBuilds != 0 {
+			t.Errorf("hot q=%d after 200 one-shot queries is not a view hit: %+v", q, st)
+		}
+	}
+}
+
+// TestStoreOneShotViewsBounded: 200 one-shot queries of one community, from
+// two workers, leave at most maxTrialViews views published in its entry —
+// at most maxTrialViews·|X| member slots — not one per recent vertex.
+func TestStoreOneShotViewsBounded(t *testing.T) {
+	g, _, _ := storeFixture(t)
+	pool := NewPool(NewSearcher(g))
+	qs, n := oneCommunity(t, g, 200)
+	coldTraffic(t, pool, qs)
+	views, slots := PublishedViews(pool.base.Load(), qs[0], 4)
+	if views == 0 || views > maxTrialViews || slots > maxTrialViews*n {
+		t.Fatalf("after 200 one-shot queries the entry publishes %d views, %d member slots; want 1 to %d views, at most %d slots",
+			views, slots, maxTrialViews, maxTrialViews*n)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // walk entirely. An entry also keeps the community's induced CSR and, per
 // recent query vertex that earned one (viewFor), a view: the members in
 // (distance, id) order with the prefix oracle built over that order
-// (oracle.go).
+// (oracle.go) and the answers finished on it (answers.go).
 //
 // Both locations (check-ins) and topology (edge ops) change under a live
 // store. Entries and views are stamped with the point of the graph's
@@ -113,11 +113,12 @@ func (p *pins) retired() bool { return p.w.Load()&retiredBit != 0 }
 // prefix oracle over that order (k-core only). Distances are not stored: the
 // one at rank i is recomputed (candidateSet.dist) by the sort's expression.
 type viewVersion struct {
-	pins   pins
-	q      graph.V
-	at     stamp
-	verts  []graph.V
-	oracle prefixOracle
+	pins    pins
+	q       graph.V
+	at      stamp
+	verts   []graph.V
+	oracle  prefixOracle
+	answers answerTable // finished on this version or carried to it (answers.go)
 }
 
 // viewSlot holds the published version of a recent query vertex's view.
@@ -174,6 +175,9 @@ type cacheEntry struct {
 	seq atomic.Uint64
 
 	views *viewList // shared with the entry's copies
+	// answers holds θ-SAC's finished answers, which take no view
+	// (answers.go); a copy starts without them.
+	answers answerTable
 
 	// Induced-subgraph CSR over members, in local ids (positions in
 	// members). Every candidate set an algorithm peels is a subset of
@@ -365,31 +369,41 @@ func (c *viewStore) removeLocked(sl *entrySlot, q graph.V, k int) {
 func (l *viewList) viewFor(q graph.V) *viewSlot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := slices.IndexFunc(l.views, func(sl *viewSlot) bool { return sl.q == q })
-	seen := i >= 0 || slices.Contains(l.seen[:min(l.sightings, seenOnce)], q)
-	switch {
-	case !seen:
-		l.seen[l.sightings%seenOnce] = q
-		l.sightings++
-		if l.trials < maxTrialViews {
-			l.views = append(l.views, &viewSlot{trial: true})
-			l.trials++
-		}
-		if i = l.lastOf(true); i < 0 {
-			return nil
-		}
-		l.views[i].q = q
-	case i < 0:
-		if i = l.lastOf(false); len(l.views)-l.trials < maxViewsPerEntry-maxTrialViews {
+	sl := l.touch(q)
+	if sl == nil {
+		var i int
+		if !slices.Contains(l.seen[:min(l.sightings, seenOnce)], q) {
+			l.seen[l.sightings%seenOnce] = q
+			l.sightings++
+			if l.trials < maxTrialViews {
+				l.views = append(l.views, &viewSlot{trial: true})
+				l.trials++
+			}
+			if i = l.lastOf(true); i < 0 {
+				return nil
+			}
+		} else if i = l.lastOf(false); len(l.views)-l.trials < maxViewsPerEntry-maxTrialViews {
 			l.views = append(l.views, &viewSlot{})
 			i = len(l.views) - 1
 		}
-		l.views[i].q = q
+		sl = l.views[i]
+		sl.q = q
+		l.toFront(i)
+	}
+	sl.busy.Add(1)
+	return sl
+}
+
+// touch returns q's slot in l, moved to the front and protected, or nil if l
+// has none: q is seen again. Under l's lock.
+func (l *viewList) touch(q graph.V) *viewSlot {
+	i := slices.IndexFunc(l.views, func(sl *viewSlot) bool { return sl.q == q })
+	if i < 0 {
+		return nil
 	}
 	sl := l.views[i]
-	copy(l.views[1:i+1], l.views[:i])
-	l.views[0] = sl
-	if seen && sl.trial {
+	l.toFront(i)
+	if sl.trial {
 		// Protected now; if that overflows the protected LRU, its least
 		// recently used slot turns probationary.
 		sl.trial = false
@@ -398,8 +412,14 @@ func (l *viewList) viewFor(q graph.V) *viewSlot {
 			l.trials++
 		}
 	}
-	sl.busy.Add(1)
 	return sl
+}
+
+// toFront moves the slot at i to the front of l.
+func (l *viewList) toFront(i int) {
+	sl := l.views[i]
+	copy(l.views[1:i+1], l.views[:i])
+	l.views[0] = sl
 }
 
 // lastOf returns the index of the least recently used slot that is
@@ -477,13 +497,9 @@ func (s *Searcher) current(q graph.V, k int) *cacheEntry {
 		if sl == nil {
 			return nil
 		}
-		e := sl.cur.Load()
-		if !e.pins.pin() {
+		e := s.loadEntry(sl)
+		if e == nil {
 			continue // replaced: the store leads elsewhere by now
-		}
-		if sl.cur.Load() != e { // replaced, recycled and made again meanwhile
-			s.unpinEntry(e)
-			continue
 		}
 		topo := e.topo.Load()
 		if topo == now.topo {
@@ -498,6 +514,20 @@ func (s *Searcher) current(q graph.V, k int) *cacheEntry {
 			return nil
 		}
 	}
+}
+
+// loadEntry returns sl's published entry pinned, or nil when it was
+// replaced before it could be pinned.
+func (s *Searcher) loadEntry(sl *entrySlot) *cacheEntry {
+	e := sl.cur.Load()
+	if !e.pins.pin() {
+		return nil
+	}
+	if sl.cur.Load() != e { // replaced, recycled and made again meanwhile
+		s.unpinEntry(e)
+		return nil
+	}
+	return e
 }
 
 // bringForward absorbs the topology changes since the stamp of e, sl's
@@ -566,5 +596,6 @@ func (s *Searcher) spareEntry(n int) *cacheEntry {
 // keeping its CSR's storage; its members and views live on in its successor.
 func (s *Searcher) recycleEntry(e *cacheEntry) {
 	e.members, e.views, e.adjOff, e.adjLocal = nil, nil, e.adjOff[:0], e.adjLocal[:0]
+	e.answers.clear()
 	s.store.entries.keep(e)
 }

@@ -286,7 +286,7 @@ func TestSortByDist(t *testing.T) {
 	}
 }
 
-// TestSortIDs checks buildResult's id radix sort against slices.Sort on each
+// TestSortIDs checks buildAnswer's id radix sort against slices.Sort on each
 // path: empty, below the insertion threshold, and one, two, three and four
 // byte passes (the last with ids up to math.MaxInt32), with and without
 // duplicates. src must come through untouched.

@@ -302,18 +302,19 @@ func TestAppAccAllocs(t *testing.T) {
 	// The lifecycle below Search, whose lookup of the algorithm's name is not
 	// the refinement's to answer for.
 	hot := func() *Result {
-		res, err := s.run(context.Background(), q, 4, resolvedParams{epsA: 0.5}, (*Searcher).appAccBody, false)
+		// No registry key: no answer table, so every run runs the body.
+		a, err := s.run(context.Background(), Resolved{Q: q, K: 4}, resolvedParams{epsA: 0.5}, (*Searcher).appAccBody, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return &a.Result
 	}
 	res := hot()
 	if res.Stats.AnchorsProcessed < 4 || res.Stats.FeasibilityChecks < 10 {
 		t.Fatalf("fixture: the refinement barely ran: %+v", res.Stats)
 	}
-	floor := testing.AllocsPerRun(20, func() { s.buildResult(q, 4, res.Members, res.Delta) })
+	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(nil, q, 4, res.Members, res.Delta) })
 	if got := testing.AllocsPerRun(20, func() { hot() }); got > floor {
-		t.Fatalf("a hot AppAcc query allocates %v times, buildResult alone %v", got, floor)
+		t.Fatalf("a hot AppAcc query allocates %v times, buildAnswer alone %v", got, floor)
 	}
 }

@@ -116,6 +116,7 @@ type Stats struct {
 	OracleRepairSpan  int           // prefix lengths the repaired records dirtied, whether windows or a replay settled them
 	OracleReplays     int           // repairs a replay settled, of OracleRepairs
 	OracleReplayed    int           // vertices the replays evaluated or settled, those that fell back to windows too
+	AnswerHits        int           // finished answers read from a table: no algorithm ran (answers.go)
 	Elapsed           time.Duration // wall-clock time of the query
 }
 
@@ -482,21 +483,18 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 // feasibility check happened to emit the community in.
 const deltaIsRadius = -1
 
-// buildResult finishes members — a fresh copy in id order and their MCC, see
-// finish — and snapshots the stats.
-func (s *Searcher) buildResult(q graph.V, k int, members []graph.V, delta float64) *Result {
+// buildAnswer finishes members into a — a fresh copy in id order and their
+// MCC, see finish — with the stats so far; into a new Answer when a is nil.
+func (s *Searcher) buildAnswer(a *Answer, q graph.V, k int, members []graph.V, delta float64) *Answer {
 	ms, mcc := s.finish(members)
 	if delta == deltaIsRadius {
 		delta = mcc.R
 	}
-	return &Result{
-		Query:   q,
-		K:       k,
-		Members: ms,
-		MCC:     mcc,
-		Delta:   delta,
-		Stats:   s.stats,
+	if a == nil {
+		a = &Answer{}
 	}
+	a.Result = Result{Query: q, K: k, Members: ms, MCC: mcc, Delta: delta, Stats: s.stats}
+	return a
 }
 
 // finish returns members in id order, freshly allocated, and their MCC.
@@ -516,24 +514,72 @@ type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolved
 // state and arm ctx, open the way Algorithm 1 does (lines 2-3: trivial k,
 // then q's k-ĉore sorted by distance from q), hand the candidate set to the
 // algorithm's body, and turn what it found — or the cancellation it latched —
-// into the Result. circleOnly is θ-SAC, which gathers from O(q, θ) instead of
-// the candidate set and has no trivial k; its body gets a nil cand.
-func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, body algoBody, circleOnly bool) (*Result, error) {
+// into the Answer, leaving the query's own counters in s.stats. circleOnly is
+// θ-SAC, which gathers from O(q, θ) instead of the candidate set and has no
+// trivial k; its body gets a nil cand.
+//
+// A query the registry resolved (key.Algo set) keeps its answer in a table
+// (answers.go): the view version candidates pinned, or for θ-SAC the (q, k)
+// entry when the store holds one at the searcher's topology. An answer the
+// table holds already is returned as it stands, with no body run; one that
+// another query's search has claimed is waited for.
+func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body algoBody, circleOnly bool) (*Answer, error) {
 	start := time.Now()
 	queriesInFlight.Add(1)
 	defer queriesInFlight.Add(-1)
 	s.begin(ctx)
 	defer s.release()
+	q, k := key.Q, key.K
 	var (
 		cand    *candidateSet
+		table   *answerTable
 		members []graph.V
 		delta   float64
 		handled bool
 		err     error
 	)
-	if !circleOnly {
+	now := s.now()
+	switch {
+	case circleOnly:
+		if key.Algo != "" {
+			if e := s.heldEntry(q, k, now); e != nil {
+				s.pinnedEntry, table = e, &e.answers
+			}
+		}
+	default:
 		if members, delta, handled, err = s.trivialK(q, k); !handled {
-			cand, err = s.candidates(q, k)
+			if cand, err = s.candidates(q, k); err == nil && key.Algo != "" {
+				table = &s.curView.answers
+			}
+		}
+	}
+	var claim *Answer
+	if table != nil {
+		loc := anyLoc
+		if circleOnly {
+			loc = now.loc
+		}
+		a := table.lookup(key, loc)
+		if a == nil {
+			var mine bool
+			if a, mine = table.claim(key, loc); mine {
+				claim, a = a, nil
+				defer func() {
+					if claim.state.Load() == pending { // the search ended without an answer
+						claim.end(failed)
+					}
+				}()
+			} else if !a.wait(s) {
+				a = nil // its search failed: this one runs on its own
+			}
+		}
+		if a != nil {
+			s.stats.AnswerHits++
+			s.stats.Elapsed = time.Since(start)
+			return a, nil
+		}
+		if s.canceled() {
+			return nil, s.canceledError()
 		}
 	}
 	if !handled && err == nil {
@@ -545,9 +591,13 @@ func (s *Searcher) run(ctx context.Context, q graph.V, k int, p resolvedParams, 
 	if err != nil {
 		return nil, err
 	}
-	res := s.buildResult(q, k, members, delta)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	a := s.buildAnswer(claim, q, k, members, delta)
+	a.Stats.Elapsed = time.Since(start)
+	s.stats.Elapsed = a.Stats.Elapsed
+	if claim != nil {
+		claim.end(ready)
+	}
+	return a, nil
 }
 
 // mccOf returns the minimum covering circle of the given vertices' locations:

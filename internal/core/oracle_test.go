@@ -515,7 +515,7 @@ func TestOracleLastIsFarthest(t *testing.T) {
 
 // TestAppFastHitAllocs pins a hot AppFast query — cached community, warm
 // view, built oracle — through the lifecycle below Search to the allocations
-// of its result: exactly what buildResult makes, as TestAppAccAllocs pins for
+// of its result: exactly what buildAnswer makes, as TestAppAccAllocs pins for
 // AppAcc. No probe copies the candidate set or its answers.
 func TestAppFastHitAllocs(t *testing.T) {
 	ds, err := dataset.Load("syn1", 0.05)
@@ -525,20 +525,21 @@ func TestAppFastHitAllocs(t *testing.T) {
 	s := NewSearcher(ds.Graph)
 	q := eligible(s, 4, 1)[0]
 	hot := func() *Result {
-		res, err := s.run(context.Background(), q, 4, resolvedParams{epsF: 0.5}, (*Searcher).appFast, false)
+		// No registry key: no answer table, so every run runs the body.
+		a, err := s.run(context.Background(), Resolved{Q: q, K: 4}, resolvedParams{epsF: 0.5}, (*Searcher).appFast, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return &a.Result
 	}
 	hot()
 	res := hot()
 	if res.Stats.CacheHits != 1 || res.Stats.ViewHits != 1 || len(res.Members) >= res.Stats.CandidateSize {
 		t.Fatalf("fixture: not a hot query that shrank X: %d of %d members, %+v", len(res.Members), res.Stats.CandidateSize, res.Stats)
 	}
-	floor := testing.AllocsPerRun(20, func() { s.buildResult(q, 4, res.Members, res.Delta) })
+	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(nil, q, 4, res.Members, res.Delta) })
 	if got := testing.AllocsPerRun(20, func() { hot() }); got != floor {
-		t.Fatalf("a hot AppFast query allocates %v times, buildResult alone %v", got, floor)
+		t.Fatalf("a hot AppFast query allocates %v times, buildAnswer alone %v", got, floor)
 	}
 }
 

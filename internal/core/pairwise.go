@@ -68,7 +68,11 @@ func (s *Searcher) minDiam(q graph.V, k int, body algoBody) (*Result, error) {
 	if err := s.ValidateQuery(Query{Q: q, K: k}); err != nil {
 		return nil, err
 	}
-	return s.run(context.Background(), q, k, resolvedParams{}, body, false)
+	a, err := s.run(context.Background(), Resolved{Q: q, K: k}, resolvedParams{}, body, false)
+	if err != nil {
+		return nil, err
+	}
+	return &a.Result, nil
 }
 
 // MinDiamLens returns a connected k-structure community containing q whose

@@ -83,9 +83,11 @@ func TestParallelExactMatchesSerial(t *testing.T) {
 			for qi := 0; qi < 3; qi++ {
 				q := graph.V(rnd.Intn(g.NumVertices()))
 				SetProcs(t, 1)
+				dropAnswers(serial)
 				sres, serr := serial.Exact(q, k)
 				for _, workers := range []int{1, 2, 8} {
 					SetProcs(t, workers)
+					dropAnswers(ps) // scan again, not the last worker count's answer
 					pres, perr := ps.Exact(q, k)
 					if (serr == nil) != (perr == nil) {
 						t.Fatalf("seed %d q=%d k=%d workers=%d: error diverges: serial %v, parallel %v",

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sacsearch/internal/graph"
@@ -152,7 +153,11 @@ func Resolve(q Query, n int, st Structure) (Resolved, error) {
 	if err != nil {
 		return Resolved{}, err
 	}
-	return Resolved{Algo: spec.Name, Q: q.Q, K: q.K, EpsF: p.epsF, EpsA: p.epsA, Theta: p.theta, Structure: st}, nil
+	return resolvedOf(spec, q, p, st), nil
+}
+
+func resolvedOf(spec *AlgoSpec, q Query, p resolvedParams, st Structure) Resolved {
+	return Resolved{Algo: spec.Name, Q: q.Q, K: q.K, EpsF: p.epsF, EpsA: p.epsA, Theta: p.theta, Structure: st}
 }
 
 func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParams, error) {
@@ -261,16 +266,41 @@ func (s *Searcher) ValidateQuery(q Query) error {
 // happens. A positive q.Timeout bounds the query with its own deadline on
 // top of ctx; cancellation surfaces as ErrCanceled. The per-algorithm methods
 // (Exact, AppFast, ...) are conveniences that build a Query and call Search
-// with a background context.
+// with a background context. A repeat on an unchanged state is answered
+// from the answer the store kept (Answer), in a copy of the caller's own.
 func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
-	spec, p, err := s.resolve(q)
+	a, st, err := s.Answer(ctx, q)
 	if err != nil {
 		return nil, err
+	}
+	if !a.held {
+		return &a.Result, nil
+	}
+	res := a.Result
+	res.Members = slices.Clone(a.Members)
+	res.Stats = st
+	return &res, nil
+}
+
+// Answer is Search for a caller that shares answers: it returns the query's
+// finished answer — read from a table that held it already, or finished by
+// this search and, where a table takes it, kept there (answers.go) — and the
+// stats of this search, whose AnswerHits says which. The Answer may be
+// shared with other queries and must not be modified; its stats are those of
+// the search that finished it.
+func (s *Searcher) Answer(ctx context.Context, q Query) (*Answer, Stats, error) {
+	spec, p, err := s.resolve(q)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	if q.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	return s.run(ctx, q.Q, q.K, p, spec.body, spec.circleOnly)
+	a, err := s.run(ctx, resolvedOf(spec, q, p, s.structure), p, spec.body, spec.circleOnly)
+	if err != nil {
+		return nil, s.stats, err
+	}
+	return a, s.stats, nil
 }

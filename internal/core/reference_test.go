@@ -618,7 +618,9 @@ func sameAnswer(t *testing.T, label string, want, got *core.Result, wantErr, got
 // k ≤ 4 against the reference, and requires the answer to be a function of
 // (graph, query) alone: a fresh searcher, a warm one that served every other
 // query first in shuffled order, a pooled worker (another order), all at
-// GOMAXPROCS 1, and a searcher scanning at GOMAXPROCS 2 answer bit for bit
+// GOMAXPROCS 1, a searcher scanning at GOMAXPROCS 2, and the repeat of each
+// query on one searcher — answered from the table its first answer went to
+// (answers.go), and judged against the reference too — answer bit for bit
 // alike.
 func runReference(t *testing.T, st core.Structure, fixtures []refFixture) (parallelScans int) {
 	ctx := context.Background()
@@ -652,30 +654,48 @@ func runReference(t *testing.T, st core.Structure, fixtures []refFixture) (paral
 		warm := core.NewSearcherWithStructure(f.g, st)
 		pool := core.NewPool(core.NewSearcherWithStructure(f.g, st))
 		twoProcs := core.NewSearcherWithStructure(f.g, st)
+		again := core.NewSearcherWithStructure(f.g, st)
+		tableHits := 0
 		rnd := rand.New(rand.NewSource(int64(fi) + 1))
 		for _, path := range []struct {
-			name  string
-			procs int
-			order []int
-			get   func() *core.Searcher
-			put   func(*core.Searcher)
+			name   string
+			procs  int
+			order  []int
+			get    func() *core.Searcher
+			put    func(*core.Searcher)
+			repeat bool
 		}{
-			{"warm", 1, rnd.Perm(len(jobs)), func() *core.Searcher { return warm }, func(*core.Searcher) {}},
-			{"pooled", 1, rnd.Perm(len(jobs)), pool.Get, pool.Put},
-			{"GOMAXPROCS 2", 2, rnd.Perm(len(jobs)), func() *core.Searcher { return twoProcs }, func(*core.Searcher) {}},
+			{"warm", 1, rnd.Perm(len(jobs)), func() *core.Searcher { return warm }, func(*core.Searcher) {}, false},
+			{"pooled", 1, rnd.Perm(len(jobs)), pool.Get, pool.Put, false},
+			{"GOMAXPROCS 2", 2, rnd.Perm(len(jobs)), func() *core.Searcher { return twoProcs }, func(*core.Searcher) {}, false},
+			{"repeated", 1, rnd.Perm(len(jobs)), func() *core.Searcher { return again }, func(*core.Searcher) {}, true},
 		} {
 			core.SetProcs(t, path.procs)
 			for _, i := range path.order {
 				j := jobs[i]
 				s := path.get()
+				if path.repeat {
+					if _, err := s.Search(ctx, j.query); err != nil && !errors.Is(err, core.ErrNoCommunity) {
+						t.Fatal(err)
+					}
+				}
 				res, err := s.Search(ctx, j.query)
 				path.put(s)
 				if err == nil && res.Stats.Workers >= 2 {
 					parallelScans++
 				}
 				label := fmt.Sprintf("%s %v q=%d k=%d %s%s (%s)", f.name, st, j.query.Q, j.query.K, j.query.Algo, refParams(j.query), path.name)
+				if path.repeat {
+					checkAnswer(t, label, st, f.g, j.query, j.opt, res, err)
+					if err == nil {
+						tableHits += res.Stats.AnswerHits
+					}
+				}
 				sameAnswer(t, label, fresh[i].res, res, fresh[i].err, err)
 			}
+		}
+		if tableHits == 0 {
+			t.Fatalf("%s %v: no repeat was answered from its table", f.name, st)
 		}
 	}
 	return parallelScans

@@ -124,7 +124,7 @@ func newTopologyWith(t *testing.T, g *graph.Graph, shards int, scfg server.Confi
 }
 
 // deltaClose compares deltas up to ULP-scale noise. Members and the result
-// MCC are pinned byte-equal (buildResult sorts members before computing the
+// MCC are pinned byte-equal (buildAnswer sorts members before computing the
 // MCC, so both engines feed it identical input); delta alone gets this
 // slack because Exact+ reports the MCC radius of the last circle that
 // improved its enumeration, and that intermediate radius is computed on

@@ -79,10 +79,11 @@ func newMemoServer(t *testing.T, g *graph.Graph, cfg Config) (*Server, *httptest
 	return srv, ts
 }
 
-// TestMemoHitMatchesFreshSearch: for every registry algorithm, the third
-// identical query on one snapshot is a memo hit, through /v1/query, a
-// /v1/batch item and a certified /v1/shard/search leg alike, and answers
-// what a fresh searcher does, stats included, except elapsedMicros.
+// TestMemoHitMatchesFreshSearch: for every registry algorithm, the second
+// and third identical queries on one snapshot are memo hits, through
+// /v1/query, a /v1/batch item and a certified /v1/shard/search leg alike,
+// and answer what a fresh searcher does, stats included, except
+// elapsedMicros.
 func TestMemoHitMatchesFreshSearch(t *testing.T) {
 	g := testGraph()
 	_, ts := newMemoServer(t, testGraph(), Config{})
@@ -120,10 +121,10 @@ func TestMemoHitMatchesFreshSearch(t *testing.T) {
 				t.Fatalf("%s query %d answers\n%s\nfresh\n%s", spec.Name, i, got, want)
 			}
 		}
-		if hit, _, _ := memoCounts(t, ts.URL); hit != hits+1 {
-			t.Fatalf("%s: the third query was not a memo hit (hits %v, were %v)", spec.Name, hit, hits)
+		if hit, _, _ := memoCounts(t, ts.URL); hit != hits+2 {
+			t.Fatalf("%s: the second and third queries were not memo hits (hits %v, were %v)", spec.Name, hit, hits)
 		}
-		hits++
+		hits += 2
 
 		var fresh wire.Result
 		if err := wire.DecodeResult([]byte(want), &fresh); err != nil {
@@ -132,6 +133,7 @@ func TestMemoHitMatchesFreshSearch(t *testing.T) {
 		wq := httpapi.WireQuery(q)
 		req := wire.BatchRequest{Algo: wq.Algo, EpsF: wq.EpsF, EpsA: wq.EpsA, Theta: wq.Theta,
 			Queries: []wire.BatchQuery{{Q: 7, K: 4}, {Q: wq.Q, K: wq.K}}}
+		wantHits := hits + 2
 		for i := 1; i <= 2; i++ {
 			resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 			var out wire.BatchResponse
@@ -141,11 +143,14 @@ func TestMemoHitMatchesFreshSearch(t *testing.T) {
 			if it := out.Items[1]; !slices.Equal(it.Members, fresh.Members) || it.MCC != fresh.MCC {
 				t.Fatalf("%s batch %d: item %+v, fresh %+v", spec.Name, i, it, fresh)
 			}
+			if i == 1 && out.Items[0].Error == "" {
+				wantHits++ // the first item's second sighting, in the second batch
+			}
 		}
-		if hit, _, _ := memoCounts(t, ts.URL); hit != hits+2 {
-			t.Fatalf("%s: the batch items were not memo hits (hits %v, were %v)", spec.Name, hit, hits)
+		if hit, _, _ := memoCounts(t, ts.URL); hit != wantHits {
+			t.Fatalf("%s: the batch items were not memo hits (hits %v, were %v, want %v)", spec.Name, hit, hits, wantHits)
 		}
-		hits += 2
+		hits = wantHits
 
 		sq := registryQuery(spec, owned, 4)
 		wantLeg := freshBody(t, sub, sq)
@@ -167,14 +172,15 @@ func TestMemoHitMatchesFreshSearch(t *testing.T) {
 			}
 		}
 	}
-	if hit, _, _ := memoCounts(t, shardTS.URL); hit != float64(len(core.Algorithms())) {
-		t.Fatalf("shard legs hit the memo %v times, want one per algorithm", hit)
+	if hit, _, _ := memoCounts(t, shardTS.URL); hit != float64(2*len(core.Algorithms())) {
+		t.Fatalf("shard legs hit the memo %v times, want two per algorithm", hit)
 	}
 }
 
-// TestMemoMissesAfterWrites: a check-in and an edge op each publish a new
-// snapshot whose memo starts empty, so the next query after either is a
-// search, and answers what a fresh searcher over the written graph does.
+// TestMemoMissesAfterWrites: a check-in that moves a member and an edge op
+// inside the community each publish a new snapshot on which no answer is
+// held yet, so the next query after either is a search, and answers what a
+// fresh searcher over the written graph does.
 func TestMemoMissesAfterWrites(t *testing.T) {
 	mirror := testGraph()
 	_, ts := newMemoServer(t, testGraph(), Config{})
@@ -198,7 +204,7 @@ func TestMemoMissesAfterWrites(t *testing.T) {
 	for range 3 {
 		ask(freshBody(t, mirror, q))
 	}
-	expect(1, 2)
+	expect(2, 1)
 
 	// A member of 1's community moves away: the answer changes.
 	w := graph.Write{Kind: graph.WriteCheckin, V: 2, Loc: geom.Point{X: 0.9, Y: 0.1}}
@@ -213,11 +219,11 @@ func TestMemoMissesAfterWrites(t *testing.T) {
 		t.Fatalf("checkin: %d %s", resp.StatusCode, body)
 	}
 	ask(freshBody(t, mirror, q))
-	expect(1, 3)
+	expect(2, 2)
 	for range 2 {
 		ask(freshBody(t, mirror, q))
 	}
-	expect(2, 4)
+	expect(4, 2)
 
 	// An edge from 1 to a far vertex: the snapshot after it searches again.
 	if _, err := mirror.Apply(graph.Write{Kind: graph.WriteRemoveEdge, V: 1, W: 3}); err != nil {
@@ -227,7 +233,7 @@ func TestMemoMissesAfterWrites(t *testing.T) {
 		t.Fatalf("edge: %d %s", resp.StatusCode, body)
 	}
 	ask(freshBody(t, mirror, q))
-	expect(2, 5)
+	expect(4, 3)
 }
 
 // TestMemoHitAfterStandingEvaluation: after a write, the standing query's
@@ -296,7 +302,7 @@ func TestMemoKeepsValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%+v: %d %s", q, resp.StatusCode, body)
 		}
-		if hit, _, _ := memoCounts(t, ts.URL); hit != float64(i+1) {
+		if hit, _, _ := memoCounts(t, ts.URL); hit != float64(i+2) {
 			t.Fatalf("%+v was not a memo hit", q)
 		}
 	}
@@ -319,8 +325,8 @@ func TestMemoKeepsValidation(t *testing.T) {
 			t.Fatalf("%+v: %d %s, want %d %s", c.q, resp.StatusCode, body, c.status, c.code)
 		}
 	}
-	if hit, _, _ := memoCounts(t, ts.URL); hit != 4 {
-		t.Fatalf("memo hits %v after the refused requests, want 4", hit)
+	if hit, _, _ := memoCounts(t, ts.URL); hit != 5 {
+		t.Fatalf("memo hits %v after the refused requests, want 5", hit)
 	}
 }
 
@@ -392,7 +398,7 @@ func TestMemoNeverRepeatingStream(t *testing.T) {
 }
 
 // TestMemoHitTakesNoWorker: a hit neither takes nor clones a pooled worker,
-// and its memo lookup allocates nothing.
+// and its lookup in the store allocates nothing.
 func TestMemoHitTakesNoWorker(t *testing.T) {
 	srv, _ := newMemoServer(t, testGraph(), Config{})
 	snap := srv.Engine().Current()
@@ -425,15 +431,17 @@ func TestMemoHitTakesNoWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := snap.Get()
+	defer snap.Put(w)
 	if n := testing.AllocsPerRun(100, func() {
-		if snap.Memo().Lookup(key) == nil {
+		if w.Finished(key) == nil {
 			t.Fatal("the stored answer is gone")
 		}
 	}); n != 0 {
 		t.Fatalf("a memo lookup allocates %v times", n)
 	}
-	if hit, stored := srv.memoHit.Value(), srv.memoStored.Value(); hit != 50 || stored != 1 {
-		t.Fatalf("memo hits %d stored %d, want 50 and 1", hit, stored)
+	if hit, stored := srv.memoHit.Value(), srv.memoStored.Value(); hit != 51 || stored != 1 {
+		t.Fatalf("memo hits %d stored %d, want 51 and 1", hit, stored)
 	}
 }
 
@@ -448,7 +456,7 @@ func TestMemoOnSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.End()
-		if tree := root.Tree(); strings.Contains(tree, "memo=hit") != (i == 3) {
+		if tree := root.Tree(); strings.Contains(tree, "memo=hit") != (i >= 2) {
 			t.Fatalf("query %d: span tree\n%s", i, tree)
 		}
 	}
@@ -495,7 +503,7 @@ func TestMemoHitOnMetrics(t *testing.T) {
 			t.Errorf("a hit moved %s from %v to %v, want %v", name, metricValue(t, before, name), got, want)
 		}
 	}
-	if hit := metricValue(t, after, `sac_query_memo_total{outcome="hit"}`); hit != 1 {
-		t.Errorf("sac_query_memo_total{outcome=\"hit\"} = %v, want 1", hit)
+	if hit := metricValue(t, after, `sac_query_memo_total{outcome="hit"}`); hit != 2 {
+		t.Errorf("sac_query_memo_total{outcome=\"hit\"} = %v, want 2", hit)
 	}
 }

@@ -394,9 +394,9 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestReplicaMemoAcrossResync: a re-sync swaps in a new engine, whose
-// snapshots start with empty memos, so after it a query the replica had
-// stored is searched again on the new state and answers what the leader does.
+// TestReplicaMemoAcrossResync: a re-sync swaps in a new engine, whose view
+// store starts empty, so after it a query the replica had stored is
+// searched again on the new state and answers what the leader does.
 func TestReplicaMemoAcrossResync(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{Init: testGraph(), CheckpointInterval: -1, SegmentBytes: 1 << 10})
 	if err != nil {
@@ -441,8 +441,8 @@ func TestReplicaMemoAcrossResync(t *testing.T) {
 			t.Fatalf("a repeat answered\n%s\nthe first\n%s", got, before)
 		}
 	}
-	if hit, _, _ := memoCounts(t, rep.URL); hit != 1 {
-		t.Fatalf("memo hits %v before the re-sync, want 1", hit)
+	if hit, _, _ := memoCounts(t, rep.URL); hit != 2 {
+		t.Fatalf("memo hits %v before the re-sync, want 2", hit)
 	}
 
 	// Partition, move q's community away and truncate the log past the

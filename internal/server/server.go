@@ -26,8 +26,8 @@
 // Every search runs through Server.search: /v1/query, the certified leg of
 // /v1/shard/search, and each /v1/batch item (httpapi.ServeBatch, the
 // router's batch body too, here pinned to one snapshot). It answers a query
-// the pinned snapshot has already answered twice from that snapshot's memo,
-// without a worker or a search.
+// already answered on the pinned snapshot's state from the answer the
+// engine's view store keeps for it, without a worker or a search.
 //
 // Concurrency model: snapshot isolation, no locks on the query path. A
 // single writer goroutine (internal/snapshot.Engine) owns the mutable
@@ -163,9 +163,9 @@ type Server struct {
 	statOSpan    *telemetry.CounterVec // prefix lengths those repairs' records dirtied
 	parBudget    *telemetry.Counter    // circle-scan workers the machine offered (GOMAXPROCS per scan)
 	parEffective *telemetry.Counter    // circle-scan workers granted under load (core.Stats.Workers)
-	memoHit      *telemetry.Counter    // searches answered from the snapshot's memo
-	memoMiss     *telemetry.Counter    // searches the memo did not answer
-	memoStored   *telemetry.Counter    // answers those searches stored in it
+	memoHit      *telemetry.Counter    // searches answered from an answer the store held
+	memoMiss     *telemetry.Counter    // searches that took a worker
+	memoStored   *telemetry.Counter    // answers whose body a call encoded and attached
 
 	// cert caches the shard exactness certificate for the current topology
 	// (sharded nodes only; see certFor).
@@ -259,7 +259,7 @@ func newServer(name string, eng *snapshot.Engine, st *store.Store, rep *replica.
 	s.parEffective = reg.Counter("sac_query_parallelism_effective_total",
 		"Circle-scan workers those scans ran on, GOMAXPROCS divided by the queries in flight.")
 	memo := reg.CounterVec("sac_query_memo_total",
-		"Searches answered from the pinned snapshot's memo (hit) or run (miss), and answers stored in it (stored).", "outcome")
+		"Searches answered from an answer the engine kept for the pinned state (hit) or run on a worker (miss), and answers whose body was encoded for reuse (stored).", "outcome")
 	s.memoHit, s.memoMiss, s.memoStored = memo.With("hit"), memo.With("miss"), memo.With("stored")
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/ready", s.handleReady)
@@ -564,7 +564,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // stored answer's, shared with every other hit: neither may be modified.
 type answer struct {
 	res    *wire.Result // stats as the search that found it reported them
-	body   []byte       // res in wire.AppendResult's layout when the memo holds it
+	body   []byte       // res in wire.AppendResult's layout once it is reused
 	micros int64        // this call's elapsedMicros
 }
 
@@ -580,15 +580,19 @@ func (a answer) result() *wire.Result {
 
 // search answers q on snap for /v1/query, the certified leg of
 // /v1/shard/search and every /v1/batch item alike, under a "search" span,
-// through the snapshot's one door to its answers (Snap.Answer): a memo hit
-// or a search on a pooled worker, whose answer is offered to the memo.
-// Every success is recorded in sac_query_duration_seconds; only a search
-// adds to the work counters.
+// through the snapshot's one door to its answers (Snap.Answer): a memo hit,
+// an answer the engine's store holds for the snapshot's state, or a search
+// on a pooled worker, which keeps its answer there. Every success is
+// recorded in sac_query_duration_seconds; only a search adds to the work
+// counters, and "stored" counts the answers whose body a call encoded.
 func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) (answer, error) {
 	start := time.Now()
 	ctx, span := telemetry.StartSpan(ctx, "search")
 	defer span.End()
 	r, err := snap.Answer(ctx, q, false)
+	if r.Stored {
+		s.memoStored.Inc()
+	}
 	if key := r.Key; key.Algo != "" { // q resolved, and the memo was asked
 		span.SetAttr("algo", key.Algo)
 		span.SetAttr("q", int64(key.Q))
@@ -609,9 +613,6 @@ func (s *Server) search(ctx context.Context, snap *snapshot.Snap, q core.Query) 
 	if workers := r.Stats.Workers; workers > 0 {
 		s.parBudget.Add(uint64(runtime.GOMAXPROCS(0)))
 		s.parEffective.Add(uint64(workers))
-	}
-	if r.Stored {
-		s.memoStored.Inc()
 	}
 	return answer{res: r.Result, body: r.Body, micros: r.Stats.Elapsed.Microseconds()}, nil
 }

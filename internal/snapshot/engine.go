@@ -493,8 +493,8 @@ func (e *Engine) freeze() *Snap {
 
 // Snap is one immutable published view: a frozen graph plus a base searcher
 // carrying the core decomposition as of publication, keyed by the location
-// and topology epochs it was frozen at, and the memo of the answers it has
-// finished (memo.go). A Snap is safe for any number of concurrent readers;
+// and topology epochs it was frozen at. Its answers come through one door,
+// Answer (answer.go). A Snap is safe for any number of concurrent readers;
 // Get/Put satisfy the batch package's searcher source, so whole batches run
 // pinned to one snapshot.
 type Snap struct {
@@ -506,7 +506,6 @@ type Snap struct {
 	locEpoch  uint64
 	topoEpoch uint64
 	walSeq    uint64
-	memo      Memo
 }
 
 // Graph returns the frozen graph view. It never mutates; reading it
@@ -536,10 +535,6 @@ func (sn *Snap) CoreNumber(v graph.V) int { return sn.base.CoreNumber(v) }
 
 // Structure returns the structure-cohesiveness metric the snapshot serves.
 func (sn *Snap) Structure() core.Structure { return sn.base.Structure() }
-
-// Memo returns the snapshot's memo of finished answers. It starts empty at
-// publication and is dropped with the snapshot.
-func (sn *Snap) Memo() *Memo { return &sn.memo }
 
 // Get returns a pooled worker rebound to this snapshot. Queries on it see
 // exactly the published state, whatever the writer does meanwhile. Return

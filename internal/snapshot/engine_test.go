@@ -490,7 +490,8 @@ func TestPersistFailureTurnsEngineReadOnly(t *testing.T) {
 // from: fifty sequential wide Exact+ queries through one engine at
 // GOMAXPROCS 4 each scan on four workers — the pooled worker and three
 // helpers it borrows from the same pool and returns to it — so the pool
-// never clones more than those four searchers.
+// never clones more than those four searchers. Each query's εA differs in
+// its last digits, so no query is answered by the one before it.
 func TestScanHelpersComeFromThePool(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -506,8 +507,8 @@ func TestScanHelpersComeFromThePool(t *testing.T) {
 	}
 	e := New(b.Build(), Options{})
 	t.Cleanup(e.Close)
-	query := core.Query{Algo: "exact+", Q: 0, K: 20, EpsA: core.Float(0.5)}
 	for i := 0; i < 50; i++ {
+		query := core.Query{Algo: "exact+", Q: 0, K: 20, EpsA: core.Float(0.5 + 1e-9*float64(i))}
 		snap := e.Current()
 		w := snap.Get()
 		res, err := w.Search(context.Background(), query)

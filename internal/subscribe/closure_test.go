@@ -92,10 +92,10 @@ func TestClosureCarriedWhileTopologyStands(t *testing.T) {
 }
 
 // TestEvaluationStoresItsAnswer: a standing query's evaluation answers
-// through the snapshot's one door and stores its answer in the snapshot's
-// memo at once, for the hot queries of its key that follow the write; the
-// members it hands the hub are a copy, so nothing the hub does to them can
-// reach the stored answer.
+// through the snapshot's one door, which keeps its answer, body encoded at
+// once, where the engine's store finds it for the snapshot's state, for the
+// hot queries of its key that follow the write; the members it hands the hub
+// are a copy, so nothing the hub does to them can reach the stored answer.
 func TestEvaluationStoresItsAnswer(t *testing.T) {
 	eng := snapshot.New(twoClusterGraph(6), snapshot.Options{})
 	defer eng.Close()
@@ -109,9 +109,15 @@ func TestEvaluationStoresItsAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := snap.Memo().Lookup(key)
-	if stored == nil {
-		t.Fatal("the evaluation's answer is not in the snapshot's memo")
+	w := snap.Get()
+	a := w.Finished(key)
+	snap.Put(w)
+	if a == nil {
+		t.Fatal("the evaluation's answer is not in the store")
+	}
+	stored, ok := a.Attached().(*snapshot.Answer)
+	if !ok {
+		t.Fatal("the evaluation's answer has no body attached")
 	}
 	if len(er.Members) == 0 || !slices.Equal(er.Members, stored.Result.Members) {
 		t.Fatalf("delivered %v, stored %v", er.Members, stored.Result.Members)

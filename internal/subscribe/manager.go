@@ -129,8 +129,8 @@ func (engineBackend) Gate(sub *Sub, p *pend) bool {
 }
 
 // Evaluate answers one standing query on the round's snapshot, through the
-// snapshot's one door to its answers, which stores the answer in the
-// snapshot's memo for the hot queries of its key that follow the write, and
+// snapshot's one door to its answers, which keeps the answer, body encoded,
+// on the view it read for the hot queries of its key that follow the write, and
 // records the token of the community it read for the next Gate.
 func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
@@ -139,7 +139,7 @@ func (engineBackend) Evaluate(sub *Sub, p *pend) (*EvalResult, error) {
 	var er EvalResult
 	switch {
 	case err == nil:
-		// The memo keeps r.Result for later readers: the hub gets a copy.
+		// The store keeps r.Result for later readers: the hub gets a copy.
 		er.Members = slices.Clone(r.Result.Members)
 		er.MCC = r.Result.MCC
 		er.Delta = r.Result.Delta

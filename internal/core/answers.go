@@ -20,47 +20,31 @@ import (
 //
 // A table is read in one place, answerTable.lookup, by two callers: run,
 // right after candidates, and Finished, the store's answer to a caller that
-// holds no worker (a snapshot's door asks it before it takes one). A run
-// that finds no ready answer claims the key (claim), and a run of the same
-// key that comes while the claim's search is under way waits for its answer.
+// holds no worker (a snapshot's door asks it before it takes one). A search
+// that found none keeps the answer it finishes (keep).
 
-// maxAnswers bounds the answers a table holds. The key comes from the
-// client (εF, εA and θ are floats), so the bound is a constant: a table
-// fills its slots in turn, and an answer's members are a subset of its
-// holder's X, so a version holds at most maxAnswers·|X| member ids beside
-// its own |X|.
-const maxAnswers = 8
-
-// anyLoc is the location epoch of an answer a view version holds: valid
-// wherever its holder is.
-const anyLoc = ^uint64(0)
+// A table's bounds. The key comes from the client (εF, εA and θ are floats),
+// so both are constants: a table holds at most maxAnswers answers, filled in
+// turn, and their members together number at most min(|X|, maxAnswerIDs),
+// X its holder's members. So the answers a store keeps never hold more ids
+// than its views do, and one community's — its views' and its entry's —
+// at most (maxViewsPerEntry+1) · maxAnswerIDs, however large it is; an
+// answer over the bound is searched every time.
+const (
+	maxAnswers   = 8
+	maxAnswerIDs = 1 << 15
+)
 
 // Answer is one finished answer: its members in id order, their MCC, δ and
 // the stats of the search that finished it. An Answer a table holds is
 // shared by every query that reads it and must not be modified; the serving
 // layer may attach its encoding of it once (Attach).
-//
-// A search claims its key's slot before its body runs, so a query of the
-// same key on the same holder that comes meanwhile waits for that answer
-// instead of finishing it a second time: the claimed Answer is pending until
-// the search fills it in (ready) or ends without it (failed).
 type Answer struct {
 	Result
 	key      Resolved
-	loc      uint64 // the location epoch it is valid at, or anyLoc
-	held     bool   // a table holds it: its members are not one caller's
+	loc      uint64 // θ-SAC's: the location epoch it is valid at
 	attached atomic.Value
-
-	state atomic.Int32  // pending, ready or failed
-	mu    sync.Mutex    // orders done against the end of the claim
-	done  chan struct{} // made by the first waiter, closed when the claim ends
 }
-
-const (
-	pending int32 = iota
-	ready
-	failed
-)
 
 // Attached returns what the serving layer attached to a, or nil.
 func (a *Answer) Attached() any { return a.attached.Load() }
@@ -75,98 +59,68 @@ func (a *Answer) Attach(v any) any {
 	return a.attached.Load()
 }
 
-// end ends a's claim, ready or failed, and wakes its waiters.
-func (a *Answer) end(state int32) {
-	a.mu.Lock()
-	a.state.Store(state)
-	if a.done != nil {
-		close(a.done)
-	}
-	a.mu.Unlock()
-}
-
-// wait waits until a's claim ends or the query's context fires, and
-// reports whether a is ready.
-func (a *Answer) wait(s *Searcher) bool {
-	a.mu.Lock()
-	if a.state.Load() == pending && a.done == nil {
-		a.done = make(chan struct{})
-	}
-	done := a.done
-	a.mu.Unlock()
-	if done != nil {
-		var fired <-chan struct{}
-		if s.qctx != nil {
-			fired = s.qctx.Done()
-		}
-		select {
-		case <-done:
-		case <-fired:
-			return false
-		}
-	}
-	return a.state.Load() == ready
-}
-
-// answerTable is a holder's finished answers, immutable once ready: a
-// reader loads a slot and takes no lock. Claims take turns (mu).
+// answerTable is a holder's finished answers, each immutable: a reader
+// loads a slot and takes no lock. Writers take turns (mu).
 type answerTable struct {
 	slots [maxAnswers]atomic.Pointer[Answer]
-	hand  int // the slot claimed last; under mu
 	mu    sync.Mutex
+	hand  int // the slot filled last; under mu
+	ids   int // the members the slots hold; under mu
 }
 
-// lookup returns t's ready answer to key valid at location epoch loc, or nil.
+// lookup returns t's answer to key at location epoch loc, or nil.
 func (t *answerTable) lookup(key Resolved, loc uint64) *Answer {
 	for i := range t.slots {
-		if a := t.slots[i].Load(); a != nil && a.key == key && (a.loc == anyLoc || a.loc == loc) && a.state.Load() == ready {
+		if a := t.slots[i].Load(); a != nil && a.key == key && a.loc == loc {
 			return a
 		}
 	}
 	return nil
 }
 
-// claim returns t's answer to key at loc, ready or pending, or else a new
-// pending one it holds, claimed by the caller (mine): in the slot of an
-// answer to key that failed or is valid at another location epoch (θ-SAC's,
-// stale), else in an empty slot, else in the next slot in turn.
-func (t *answerTable) claim(key Resolved, loc uint64) (a *Answer, mine bool) {
+// keep makes t, whose holder has x members, hold a — in the slot of an
+// answer to the same key (one another search of it finished meanwhile, or
+// θ-SAC's at another location epoch), else in the next slot in turn —
+// emptying the slots after it until t is within its bounds. An answer over
+// them alone is not kept.
+func (t *answerTable) keep(a *Answer, x int) {
+	limit := min(x, maxAnswerIDs)
+	if len(a.Members) > limit {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	stale, empty := -1, -1
+	i := (t.hand + 1) % maxAnswers
 	for j := range t.slots {
-		switch b := t.slots[j].Load(); {
-		case b == nil:
-			if empty < 0 {
-				empty = j
-			}
-		case b.key != key:
-		case b.loc == loc && b.state.Load() != failed:
-			return b, false
-		default:
-			stale = j
+		if b := t.slots[j].Load(); b != nil && b.key == a.key {
+			i = j
 		}
 	}
-	i := stale
-	if i < 0 {
-		i = empty
+	t.hand = i
+	t.drop(i)
+	for j := i; t.ids+len(a.Members) > limit; {
+		j = (j + 1) % maxAnswers
+		t.drop(j)
 	}
-	if i < 0 {
-		t.hand = (t.hand + 1) % maxAnswers
-		i = t.hand
-	}
-	a = &Answer{key: key, loc: loc, held: true}
 	t.slots[i].Store(a)
-	return a, true
+	t.ids += len(a.Members)
 }
 
-// carry makes t, a table nobody reads yet, hold from's ready answers.
-func (t *answerTable) carry(from *answerTable) {
-	for i := range t.slots {
-		if a := from.slots[i].Load(); a != nil && a.state.Load() == ready {
-			t.slots[i].Store(a)
-		}
+// drop empties slot i. Under t's lock.
+func (t *answerTable) drop(i int) {
+	if b := t.slots[i].Swap(nil); b != nil {
+		t.ids -= len(b.Members)
 	}
+}
+
+// carry makes t, a table nobody reads yet, hold what from holds.
+func (t *answerTable) carry(from *answerTable) {
+	from.mu.Lock()
+	defer from.mu.Unlock()
+	for i := range t.slots {
+		t.slots[i].Store(from.slots[i].Load())
+	}
+	t.hand, t.ids = from.hand, from.ids
 }
 
 // clear drops every answer of a holder about to be recycled.
@@ -174,6 +128,7 @@ func (t *answerTable) clear() {
 	for i := range t.slots {
 		t.slots[i].Store(nil)
 	}
+	t.hand, t.ids = 0, 0
 }
 
 // Finished returns the finished answer to key the store holds for the
@@ -211,7 +166,7 @@ func (s *Searcher) Finished(key Resolved) *Answer {
 	if vw.at != now {
 		return nil
 	}
-	return vw.answers.lookup(key, now.loc)
+	return vw.answers.lookup(key, 0)
 }
 
 // heldEntry returns the non-negative entry of (q, k) the store holds at

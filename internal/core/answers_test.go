@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"sacsearch/internal/geom"
 	"sacsearch/internal/graph"
@@ -83,7 +82,7 @@ func heldAnswers(s *Searcher, q graph.V, k int, theta bool) (held []*Answer, mem
 
 // TestStoreAnswerReusedOnSecondSighting: a search keeps its answer where its
 // view is, with nothing attached; the second sighting of the key reads it —
-// no feasibility check, the same members, MCC and δ, in a copy of its own —
+// no feasibility check, the same members, MCC and δ, shared with every repeat —
 // the serving layer's attachment is set once, only the whole key finds the
 // answer, and a trivial k, which no search answers, takes no table.
 func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
@@ -103,16 +102,13 @@ func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 	if held == nil || !slices.Equal(held.Members, first.Members) || held.MCC != first.MCC || held.Attached() != nil {
 		t.Fatal("the first search's answer is not held as it finished, or came with something attached")
 	}
-	if &held.Members[0] == &first.Members[0] {
-		t.Fatal("the caller's members alias the held answer's")
-	}
 	second, err := s.Search(ctx, query)
 	if err != nil || second.Stats.AnswerHits != 1 || second.Stats.FeasibilityChecks != 0 {
 		t.Fatalf("the second sighting was not answered from the table: %v %+v", err, second.Stats)
 	}
 	sameAs(t, "second sighting", second, first, nil, nil)
-	if &second.Members[0] == &held.Members[0] {
-		t.Fatal("the second caller's members alias the held answer's")
+	if &second.Members[0] != &held.Members[0] {
+		t.Fatal("the second sighting copied the held answer's members")
 	}
 	if held.Attach("body") != "body" || held.Attach("another") != "body" || held.Attached() != "body" {
 		t.Fatal("the attachment is not the first one attached")
@@ -139,12 +135,36 @@ func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 // TestStoreAnswersBounded: 1 000 queries on one vertex, each with its own
 // εF, and 1 000 θ-SAC queries, each with its own θ, leave at most
 // maxAnswers answers on its view version and on its entry, every one of
-// them a subset of X, none with a body, and each query answers what a
-// fresh searcher does.
+// them a subset of X, none with a body, within the table's id bound, and
+// each query answers what a fresh searcher does and is kept. Distinct keys
+// asked twice on every member leave no published version over the bounds.
+// A table fills its slots in turn, an answer replaces its key's, and one
+// over the id bound alone is not kept.
 func TestStoreAnswersBounded(t *testing.T) {
 	g, q, _ := storeFixture(t)
 	s := NewSearcher(g)
 	ctx := context.Background()
+	within := func(label string, tb *answerTable, x []graph.V) {
+		t.Helper()
+		n, ids := 0, 0
+		for i := range tb.slots {
+			if a := tb.slots[i].Load(); a != nil {
+				n, ids = n+1, ids+len(a.Members)
+				if a.Attached() != nil {
+					t.Fatalf("%s: a body attached to an answer nobody reused", label)
+				}
+				for _, v := range a.Members {
+					if !slices.Contains(x, v) {
+						t.Fatalf("%s: a held answer's member %d is not in X", label, v)
+					}
+				}
+			}
+		}
+		if n > maxAnswers || ids != tb.ids || ids > min(len(x), maxAnswerIDs) {
+			t.Fatalf("%s: %d answers of %d ids held (counted %d), over the bounds %d and %d",
+				label, n, ids, tb.ids, maxAnswers, min(len(x), maxAnswerIDs))
+		}
+	}
 	for _, theta := range []bool{false, true} {
 		for i := range 1000 {
 			query := Query{Algo: "appfast", Q: q, K: 4, EpsF: Float(float64(i) / 500)}
@@ -155,24 +175,62 @@ func TestStoreAnswersBounded(t *testing.T) {
 			want, wantErr := NewSearcher(g).Search(ctx, query)
 			label := fmt.Sprintf("%s%s", query.Algo, fmt.Sprint(*cmpOr(query.EpsF, query.Theta)))
 			sameAs(t, label, got, want, err, wantErr)
-			held, x := heldAnswers(s, q, 4, theta)
-			if len(held) > maxAnswers {
-				t.Fatalf("%s: %d answers held, over the bound %d", label, len(held), maxAnswers)
+			if err == nil && s.Finished(keyOf(t, s, query)) == nil {
+				t.Fatalf("%s: the answer is not kept", label)
 			}
-			for _, a := range held {
-				if a.Attached() != nil {
-					t.Fatalf("%s: a body attached to an answer nobody reused", label)
-				}
-				for _, v := range a.Members {
-					if !slices.Contains(x, v) {
-						t.Fatalf("%s: a held answer's member %d is not in X", label, v)
-					}
-				}
+			e := s.store.lookup(q, 4).cur.Load()
+			tb := &e.answers
+			if !theta {
+				tb = &e.views.views[0].cur.Load().answers
 			}
-			if i == 999 && len(held) != maxAnswers {
-				t.Fatalf("%s: %d answers held after 1 000 keys; the table does not fill", label, len(held))
+			within(label, tb, e.members)
+		}
+	}
+	e := s.store.lookup(q, 4).cur.Load()
+	for _, v := range e.members {
+		for i := range 10 {
+			query := Query{Algo: "appfast", Q: v, K: 4, EpsF: Float(float64(i) / 10)}
+			for range 2 {
+				if _, err := s.Search(ctx, query); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+	}
+	for _, sl := range e.views.views {
+		if vw := sl.cur.Load(); vw != nil {
+			within(fmt.Sprintf("view of %d", vw.q), &vw.answers, e.members)
+		}
+	}
+
+	var tb answerTable
+	answer := func(key, n int) *Answer {
+		return &Answer{key: Resolved{Q: graph.V(key)}, Result: Result{Members: make([]graph.V, n)}}
+	}
+	held := func() (keys []graph.V) {
+		for i := range tb.slots {
+			if a := tb.slots[i].Load(); a != nil {
+				keys = append(keys, a.key.Q)
+			}
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	for i := range 20 {
+		tb.keep(answer(i, 1), 100)
+	}
+	tb.keep(answer(19, 2), 100)
+	if got := held(); !slices.Equal(got, []graph.V{12, 13, 14, 15, 16, 17, 18, 19}) || tb.ids != 9 {
+		t.Fatalf("20 keys kept in turn leave %v (%d ids), want the last 8 (9 ids)", got, tb.ids)
+	}
+	tb.keep(answer(30, 95), 100)
+	if got := held(); !slices.Contains(got, 30) || tb.ids > 100 {
+		t.Fatalf("after a 95-id answer: %v, %d ids", got, tb.ids)
+	}
+	tb.keep(answer(31, 101), 100)
+	tb.keep(answer(32, maxAnswerIDs+1), 1<<20)
+	if got := held(); slices.Contains(got, 31) || slices.Contains(got, 32) || !slices.Contains(got, 30) {
+		t.Fatalf("an answer over the bound alone was kept: %v", got)
 	}
 }
 
@@ -426,81 +484,6 @@ func TestStoreAnswerRepeatRunsNoSearch(t *testing.T) {
 			t.Fatalf("%s: worker B searched again: A %+v, B %+v", spec.Name, ra.Stats, rb.Stats)
 		}
 		sameAs(t, spec.Name, rb, ra, nil, nil)
-	}
-}
-
-// TestStoreAnswerWaitsForClaimedSearch: a query whose key another query's
-// search has claimed on the same view version waits for that answer instead
-// of finishing it a second time; when the claim fails it searches itself,
-// and when its own context fires while it waits it reports ErrCanceled.
-func TestStoreAnswerWaitsForClaimedSearch(t *testing.T) {
-	g, q, _ := storeFixture(t)
-	pool := NewPool(NewSearcher(g))
-	ctx := context.Background()
-	w := pool.Get()
-	if _, err := w.AppFast(q, 4, 0.5); err != nil { // q's view
-		t.Fatal(err)
-	}
-	vw := w.store.lookup(q, 4).cur.Load().views.views[0].cur.Load()
-	pool.Put(w)
-	query := Query{Algo: "appinc", Q: q, K: 4}
-	key := keyOf(t, w, query)
-	want, err := NewSearcher(g).Search(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, outcome := range []string{"canceled", "failed", "ready"} {
-		claim, mine := vw.answers.claim(key, anyLoc)
-		if !mine {
-			t.Fatalf("%s: the key is claimed already", outcome)
-		}
-		qctx, cancel := context.WithCancel(ctx)
-		type reply struct {
-			res *Result
-			err error
-		}
-		done := make(chan reply, 1)
-		go func() {
-			b := pool.Get()
-			defer pool.Put(b)
-			res, err := b.Search(qctx, query)
-			done <- reply{res, err}
-		}()
-		for waiting := false; !waiting; {
-			select {
-			case r := <-done:
-				t.Fatalf("%s: the query did not wait for the claimed search: %+v", outcome, r)
-			case <-time.After(time.Millisecond):
-			}
-			claim.mu.Lock()
-			waiting = claim.done != nil
-			claim.mu.Unlock()
-		}
-		switch outcome {
-		case "canceled":
-			cancel()
-			if r := <-done; !errors.Is(r.err, ErrCanceled) {
-				t.Fatalf("canceled while waiting: %v", r.err)
-			}
-			claim.end(failed)
-		case "failed":
-			claim.end(failed)
-			r := <-done
-			sameAs(t, outcome, r.res, want, r.err, nil)
-			if r.res.Stats.AnswerHits != 0 || r.res.Stats.FeasibilityChecks == 0 {
-				t.Fatalf("failed: the waiter did not search itself: %+v", r.res.Stats)
-			}
-		case "ready":
-			claim.Result = *want
-			claim.Members = slices.Clone(want.Members)
-			claim.end(ready)
-			r := <-done
-			sameAs(t, outcome, r.res, want, r.err, nil)
-			if r.res.Stats.AnswerHits != 1 || r.res.Stats.FeasibilityChecks != 0 {
-				t.Fatalf("ready: the waiter searched again: %+v", r.res.Stats)
-			}
-		}
-		cancel()
 	}
 }
 

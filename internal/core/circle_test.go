@@ -313,7 +313,7 @@ func TestAppAccAllocs(t *testing.T) {
 	if res.Stats.AnchorsProcessed < 4 || res.Stats.FeasibilityChecks < 10 {
 		t.Fatalf("fixture: the refinement barely ran: %+v", res.Stats)
 	}
-	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(nil, q, 4, res.Members, res.Delta) })
+	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(q, 4, res.Members, res.Delta) })
 	if got := testing.AllocsPerRun(20, func() { hot() }); got > floor {
 		t.Fatalf("a hot AppAcc query allocates %v times, buildAnswer alone %v", got, floor)
 	}

@@ -120,7 +120,9 @@ type Stats struct {
 	Elapsed           time.Duration // wall-clock time of the query
 }
 
-// Result is the outcome of one SAC query.
+// Result is the outcome of one SAC query. Members is read-only: a repeat of
+// the query on the same state is answered from the answer the store kept
+// (answers.go), and every repeat shares its Members.
 type Result struct {
 	Query   graph.V
 	K       int
@@ -483,18 +485,14 @@ func (s *Searcher) candidates(q graph.V, k int) (*candidateSet, error) {
 // feasibility check happened to emit the community in.
 const deltaIsRadius = -1
 
-// buildAnswer finishes members into a — a fresh copy in id order and their
-// MCC, see finish — with the stats so far; into a new Answer when a is nil.
-func (s *Searcher) buildAnswer(a *Answer, q graph.V, k int, members []graph.V, delta float64) *Answer {
+// buildAnswer finishes members — a fresh copy in id order and their MCC,
+// see finish — into an Answer with the stats so far.
+func (s *Searcher) buildAnswer(q graph.V, k int, members []graph.V, delta float64) *Answer {
 	ms, mcc := s.finish(members)
 	if delta == deltaIsRadius {
 		delta = mcc.R
 	}
-	if a == nil {
-		a = &Answer{}
-	}
-	a.Result = Result{Query: q, K: k, Members: ms, MCC: mcc, Delta: delta, Stats: s.stats}
-	return a
+	return &Answer{Result: Result{Query: q, K: k, Members: ms, MCC: mcc, Delta: delta, Stats: s.stats}}
 }
 
 // finish returns members in id order, freshly allocated, and their MCC.
@@ -521,8 +519,7 @@ type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolved
 // A query the registry resolved (key.Algo set) keeps its answer in a table
 // (answers.go): the view version candidates pinned, or for θ-SAC the (q, k)
 // entry when the store holds one at the searcher's topology. An answer the
-// table holds already is returned as it stands, with no body run; one that
-// another query's search has claimed is waited for.
+// table holds already is returned as it stands, with no body run.
 func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body algoBody, circleOnly bool) (*Answer, error) {
 	start := time.Now()
 	queriesInFlight.Add(1)
@@ -533,53 +530,32 @@ func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body
 	var (
 		cand    *candidateSet
 		table   *answerTable
+		x       int    // the table's holder's members
+		loc     uint64 // θ-SAC's location epoch; a view's answers need none
 		members []graph.V
 		delta   float64
 		handled bool
 		err     error
 	)
-	now := s.now()
 	switch {
 	case circleOnly:
-		if key.Algo != "" {
+		if now := s.now(); key.Algo != "" {
 			if e := s.heldEntry(q, k, now); e != nil {
-				s.pinnedEntry, table = e, &e.answers
+				s.pinnedEntry, table, x, loc = e, &e.answers, len(e.members), now.loc
 			}
 		}
 	default:
 		if members, delta, handled, err = s.trivialK(q, k); !handled {
 			if cand, err = s.candidates(q, k); err == nil && key.Algo != "" {
-				table = &s.curView.answers
+				table, x = &s.curView.answers, len(s.curView.verts)
 			}
 		}
 	}
-	var claim *Answer
 	if table != nil {
-		loc := anyLoc
-		if circleOnly {
-			loc = now.loc
-		}
-		a := table.lookup(key, loc)
-		if a == nil {
-			var mine bool
-			if a, mine = table.claim(key, loc); mine {
-				claim, a = a, nil
-				defer func() {
-					if claim.state.Load() == pending { // the search ended without an answer
-						claim.end(failed)
-					}
-				}()
-			} else if !a.wait(s) {
-				a = nil // its search failed: this one runs on its own
-			}
-		}
-		if a != nil {
+		if a := table.lookup(key, loc); a != nil {
 			s.stats.AnswerHits++
 			s.stats.Elapsed = time.Since(start)
 			return a, nil
-		}
-		if s.canceled() {
-			return nil, s.canceledError()
 		}
 	}
 	if !handled && err == nil {
@@ -591,11 +567,12 @@ func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body
 	if err != nil {
 		return nil, err
 	}
-	a := s.buildAnswer(claim, q, k, members, delta)
+	a := s.buildAnswer(q, k, members, delta)
 	a.Stats.Elapsed = time.Since(start)
 	s.stats.Elapsed = a.Stats.Elapsed
-	if claim != nil {
-		claim.end(ready)
+	if table != nil {
+		a.key, a.loc = key, loc
+		table.keep(a, x)
 	}
 	return a, nil
 }

@@ -537,7 +537,7 @@ func TestAppFastHitAllocs(t *testing.T) {
 	if res.Stats.CacheHits != 1 || res.Stats.ViewHits != 1 || len(res.Members) >= res.Stats.CandidateSize {
 		t.Fatalf("fixture: not a hot query that shrank X: %d of %d members, %+v", len(res.Members), res.Stats.CandidateSize, res.Stats)
 	}
-	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(nil, q, 4, res.Members, res.Delta) })
+	floor := testing.AllocsPerRun(20, func() { s.buildAnswer(q, 4, res.Members, res.Delta) })
 	if got := testing.AllocsPerRun(20, func() { hot() }); got != floor {
 		t.Fatalf("a hot AppFast query allocates %v times, buildAnswer alone %v", got, floor)
 	}

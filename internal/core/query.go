@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"sacsearch/internal/graph"
@@ -267,31 +266,11 @@ func (s *Searcher) ValidateQuery(q Query) error {
 // top of ctx; cancellation surfaces as ErrCanceled. The per-algorithm methods
 // (Exact, AppFast, ...) are conveniences that build a Query and call Search
 // with a background context. A repeat on an unchanged state is answered
-// from the answer the store kept (Answer), in a copy of the caller's own.
+// from the answer the store kept (answers.go), with this search's stats.
 func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
-	a, st, err := s.Answer(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if !a.held {
-		return &a.Result, nil
-	}
-	res := a.Result
-	res.Members = slices.Clone(a.Members)
-	res.Stats = st
-	return &res, nil
-}
-
-// Answer is Search for a caller that shares answers: it returns the query's
-// finished answer — read from a table that held it already, or finished by
-// this search and, where a table takes it, kept there (answers.go) — and the
-// stats of this search, whose AnswerHits says which. The Answer may be
-// shared with other queries and must not be modified; its stats are those of
-// the search that finished it.
-func (s *Searcher) Answer(ctx context.Context, q Query) (*Answer, Stats, error) {
 	spec, p, err := s.resolve(q)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	if q.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -300,7 +279,9 @@ func (s *Searcher) Answer(ctx context.Context, q Query) (*Answer, Stats, error) 
 	}
 	a, err := s.run(ctx, resolvedOf(spec, q, p, s.structure), p, spec.body, spec.circleOnly)
 	if err != nil {
-		return nil, s.stats, err
+		return nil, err
 	}
-	return a, s.stats, nil
+	res := a.Result
+	res.Stats = s.stats
+	return &res, nil
 }

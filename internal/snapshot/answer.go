@@ -58,16 +58,20 @@ func (sn *Snap) Answer(ctx context.Context, q core.Query, standing bool) (Reply,
 		return r, nil
 	}
 	w := sn.Get()
-	a, st, err := w.Answer(ctx, q)
+	res, err := w.Search(ctx, q)
 	sn.Put(w)
 	if err != nil {
 		return r, err
 	}
-	r.Stats = st
-	if standing || st.AnswerHits > 0 {
+	r.Stats = res.Stats
+	var a *core.Answer
+	if standing || res.Stats.AnswerHits > 0 { // asking again would count q's first sighting twice
+		a = sn.base.Finished(key)
+	}
+	if a != nil {
 		r.Answer, r.Stored = attach(key, a)
 	} else {
-		r.Result = WireResult(key.Algo, &a.Result)
+		r.Result = WireResult(key.Algo, res)
 	}
 	return r, nil
 }

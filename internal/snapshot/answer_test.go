@@ -165,3 +165,37 @@ func TestStoreAnswersMatchFreshSearch(t *testing.T) {
 		t.Fatal("no answer was carried across a write")
 	}
 }
+
+// TestAnswerMissIsOneSighting: a key asked once through the door is one
+// sighting of its vertex, as on a searcher: a stream of distinct query
+// vertices in one community leaves only probationary views published, and
+// a vertex asked again earns a protected one.
+func TestAnswerMissIsOneSighting(t *testing.T) {
+	g := cliqueGraph(3, 2, 40, 0)
+	eng := New(g, Options{})
+	defer eng.Close()
+	snap := eng.Current()
+	ctx := context.Background()
+	const k = 3
+	for v := range graph.V(30) {
+		if _, err := snap.Answer(ctx, core.Query{Algo: "appfast", Q: v, K: k}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if views, _ := core.PublishedViews(snap.base, 0, k); views > 4 {
+		t.Fatalf("30 first sightings left %d views published, over the 4 probationary ones", views)
+	}
+	for range 2 {
+		if _, err := snap.Answer(ctx, core.Query{Algo: "appinc", Q: 29, K: k}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := range graph.V(4) {
+		if _, err := snap.Answer(ctx, core.Query{Algo: "appfast", Q: 30 + v, K: k}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, err := snap.Answer(ctx, core.Query{Algo: "appinc", Q: 29, K: k}, false); err != nil || !r.Hit {
+		t.Fatalf("a vertex seen three times lost its view to first sightings: %v, hit %v", err, r.Hit)
+	}
+}

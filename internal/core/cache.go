@@ -109,9 +109,10 @@ func (p *pins) retire() bool { return p.w.Add(retiredBit) == retiredBit }
 func (p *pins) retired() bool { return p.w.Load()&retiredBit != 0 }
 
 // viewVersion is one state of q's view of a community: the members in
-// ascending (distance from q, id) order as of the locations at at, and the
-// prefix oracle over that order (k-core only). Distances are not stored: the
-// one at rank i is recomputed (candidateSet.dist) by the sort's expression.
+// ascending (distance from q, id) order as of the locations at at, the
+// prefix oracle over that order (k-core only), and the answers valid at at
+// (answers.go). Distances are not stored: the one at rank i is recomputed
+// (candidateSet.dist) by the sort's expression.
 type viewVersion struct {
 	pins    pins
 	q       graph.V

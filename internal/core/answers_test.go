@@ -11,21 +11,18 @@ import (
 	"sacsearch/internal/graph"
 )
 
-// dropAnswers empties every answer table s's store holds, for a test that
-// repeats a query to watch its algorithm run again on warm views. Only at
-// rest: with no query in flight.
+// dropAnswers empties every view version s's store holds of its answer, for
+// a test that repeats a query to watch its algorithm run again on warm
+// views. Only at rest: with no query in flight.
 func dropAnswers(s *Searcher) {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
 	for _, sl := range s.store.index {
-		e := sl.cur.Load()
-		e.answers.clear()
-		if e.views == nil {
-			continue
-		}
-		for _, v := range e.views.views {
-			if vw := v.cur.Load(); vw != nil {
-				vw.answers.clear()
+		if e := sl.cur.Load(); e.views != nil {
+			for _, v := range e.views.views {
+				if vw := v.cur.Load(); vw != nil {
+					vw.answer.Store(nil)
+				}
 			}
 		}
 	}
@@ -53,38 +50,11 @@ func sameAs(t *testing.T, label string, got, want *Result, gotErr, wantErr error
 	}
 }
 
-// heldAnswers returns the answers the store holds for q at k — those of q's
-// published view, or for θ-SAC its entry's — with their holder's members.
-func heldAnswers(s *Searcher, q graph.V, k int, theta bool) (held []*Answer, members []graph.V) {
-	sl := s.store.lookup(q, k)
-	if sl == nil {
-		return nil, nil
-	}
-	e := sl.cur.Load()
-	table := &e.answers
-	if !theta {
-		table = nil
-		for _, v := range e.views.views {
-			if vw := v.cur.Load(); v.q == q && vw != nil {
-				table = &vw.answers
-			}
-		}
-	}
-	if table != nil {
-		for i := range table.slots {
-			if a := table.slots[i].Load(); a != nil {
-				held = append(held, a)
-			}
-		}
-	}
-	return held, e.members
-}
-
 // TestStoreAnswerReusedOnSecondSighting: a search keeps its answer where its
 // view is, with nothing attached; the second sighting of the key reads it —
 // no feasibility check, the same members, MCC and δ, shared with every repeat —
 // the serving layer's attachment is set once, only the whole key finds the
-// answer, and a trivial k, which no search answers, takes no table.
+// answer, and a trivial k, which no search answers, keeps none.
 func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 	g, q, other := storeFixture(t)
 	s := NewSearcher(g)
@@ -104,7 +74,7 @@ func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 	}
 	second, err := s.Search(ctx, query)
 	if err != nil || second.Stats.AnswerHits != 1 || second.Stats.FeasibilityChecks != 0 {
-		t.Fatalf("the second sighting was not answered from the table: %v %+v", err, second.Stats)
+		t.Fatalf("the second sighting was not answered from the view version: %v %+v", err, second.Stats)
 	}
 	sameAs(t, "second sighting", second, first, nil, nil)
 	if &second.Members[0] != &held.Members[0] {
@@ -116,7 +86,7 @@ func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 	trivial := Query{Algo: "appfast", Q: q, K: 1}
 	for range 2 {
 		if res, err := s.Search(ctx, trivial); err != nil || res.Stats.AnswerHits != 0 || s.Finished(keyOf(t, s, trivial)) != nil {
-			t.Fatalf("a trivial k took a table: %v %+v", err, res.Stats)
+			t.Fatalf("a trivial k kept an answer: %v %+v", err, res.Stats)
 		}
 	}
 	for _, k := range []Resolved{
@@ -132,37 +102,34 @@ func TestStoreAnswerReusedOnSecondSighting(t *testing.T) {
 	}
 }
 
-// TestStoreAnswersBounded: 1 000 queries on one vertex, each with its own
-// εF, and 1 000 θ-SAC queries, each with its own θ, leave at most
-// maxAnswers answers on its view version and on its entry, every one of
-// them a subset of X, none with a body, within the table's id bound, and
-// each query answers what a fresh searcher does and is kept. Distinct keys
-// asked twice on every member leave no published version over the bounds.
-// A table fills its slots in turn, an answer replaces its key's, and one
-// over the id bound alone is not kept.
+// TestStoreAnswersBounded: a view version holds one answer, the last
+// finished on it, so the answers kept are bounded by construction. 1 000
+// queries on one vertex, each with its own εF, each answer what a fresh
+// searcher does and leave exactly that answer on q's version, a subset of X
+// with nothing attached; 1 000 θ-SAC queries, each with its own θ, answer
+// what a fresh searcher does and keep nothing. Two keys alternated on one
+// vertex each answer what a fresh searcher does, the second replacing the
+// first, and a repeat of the last reads it. Distinct keys asked twice on
+// every member leave each published version holding at most an answer of
+// its own vertex, within X. An answer over maxAnswerIDs members is not kept.
 func TestStoreAnswersBounded(t *testing.T) {
 	g, q, _ := storeFixture(t)
 	s := NewSearcher(g)
 	ctx := context.Background()
-	within := func(label string, tb *answerTable, x []graph.V) {
+	e := func() *cacheEntry { return s.store.lookup(q, 4).cur.Load() }
+	// bare fails unless vw holds no answer, or one to a key of vw's vertex
+	// whose members are in X, with nothing attached.
+	bare := func(label string, vw *viewVersion, x []graph.V) {
 		t.Helper()
-		n, ids := 0, 0
-		for i := range tb.slots {
-			if a := tb.slots[i].Load(); a != nil {
-				n, ids = n+1, ids+len(a.Members)
-				if a.Attached() != nil {
-					t.Fatalf("%s: a body attached to an answer nobody reused", label)
-				}
-				for _, v := range a.Members {
-					if !slices.Contains(x, v) {
-						t.Fatalf("%s: a held answer's member %d is not in X", label, v)
-					}
+		if a := vw.answer.Load(); a != nil {
+			if a.key.Q != vw.q || a.Attached() != nil {
+				t.Fatalf("%s: the answer held for %d is %+v's, attached %v", label, vw.q, a.key, a.Attached())
+			}
+			for _, v := range a.Members {
+				if !slices.Contains(x, v) {
+					t.Fatalf("%s: a held answer's member %d is not in X", label, v)
 				}
 			}
-		}
-		if n > maxAnswers || ids != tb.ids || ids > min(len(x), maxAnswerIDs) {
-			t.Fatalf("%s: %d answers of %d ids held (counted %d), over the bounds %d and %d",
-				label, n, ids, tb.ids, maxAnswers, min(len(x), maxAnswerIDs))
 		}
 	}
 	for _, theta := range []bool{false, true} {
@@ -173,21 +140,40 @@ func TestStoreAnswersBounded(t *testing.T) {
 			}
 			got, err := s.Search(ctx, query)
 			want, wantErr := NewSearcher(g).Search(ctx, query)
-			label := fmt.Sprintf("%s%s", query.Algo, fmt.Sprint(*cmpOr(query.EpsF, query.Theta)))
+			label := fmt.Sprintf("%s %+v", query.Algo, query)
 			sameAs(t, label, got, want, err, wantErr)
-			if err == nil && s.Finished(keyOf(t, s, query)) == nil {
-				t.Fatalf("%s: the answer is not kept", label)
+			key := keyOf(t, s, query)
+			if theta {
+				if err == nil && (got.Stats.AnswerHits != 0 || s.Finished(key) != nil) {
+					t.Fatalf("%s: a θ-SAC answer was kept", label)
+				}
+				continue
 			}
-			e := s.store.lookup(q, 4).cur.Load()
-			tb := &e.answers
-			if !theta {
-				tb = &e.views.views[0].cur.Load().answers
+			vw := e().views.views[0].cur.Load()
+			if a := vw.answer.Load(); a == nil || a.key != key || a != s.Finished(key) {
+				t.Fatalf("%s: q's version does not hold this answer", label)
 			}
-			within(label, tb, e.members)
+			bare(label, vw, e().members)
 		}
 	}
-	e := s.store.lookup(q, 4).cur.Load()
-	for _, v := range e.members {
+
+	first, second := Query{Algo: "appfast", Q: q, K: 4}, Query{Algo: "appfast", Q: q, K: 4, EpsF: Float(0)}
+	for i := range 6 {
+		query, other := first, second
+		if i%2 == 1 {
+			query, other = second, first
+		}
+		got, err := s.Search(ctx, query)
+		want, wantErr := NewSearcher(g).Search(ctx, query)
+		sameAs(t, fmt.Sprintf("alternation %d", i), got, want, err, wantErr)
+		if err != nil || i > 0 && got.Stats.AnswerHits != 0 || s.Finished(keyOf(t, s, query)) == nil || s.Finished(keyOf(t, s, other)) != nil {
+			t.Fatalf("alternation %d: %v, %+v: the second key did not replace the first", i, err, got.Stats)
+		}
+	}
+	if again, err := s.Search(ctx, second); err != nil || again.Stats.AnswerHits != 1 {
+		t.Fatalf("a repeat of the last key searched: %v", err)
+	}
+	for _, v := range e().members {
 		for i := range 10 {
 			query := Query{Algo: "appfast", Q: v, K: 4, EpsF: Float(float64(i) / 10)}
 			for range 2 {
@@ -197,40 +183,16 @@ func TestStoreAnswersBounded(t *testing.T) {
 			}
 		}
 	}
-	for _, sl := range e.views.views {
+	for _, sl := range e().views.views {
 		if vw := sl.cur.Load(); vw != nil {
-			within(fmt.Sprintf("view of %d", vw.q), &vw.answers, e.members)
+			bare(fmt.Sprintf("view of %d", vw.q), vw, e().members)
 		}
 	}
 
-	var tb answerTable
-	answer := func(key, n int) *Answer {
-		return &Answer{key: Resolved{Q: graph.V(key)}, Result: Result{Members: make([]graph.V, n)}}
-	}
-	held := func() (keys []graph.V) {
-		for i := range tb.slots {
-			if a := tb.slots[i].Load(); a != nil {
-				keys = append(keys, a.key.Q)
-			}
-		}
-		slices.Sort(keys)
-		return keys
-	}
-	for i := range 20 {
-		tb.keep(answer(i, 1), 100)
-	}
-	tb.keep(answer(19, 2), 100)
-	if got := held(); !slices.Equal(got, []graph.V{12, 13, 14, 15, 16, 17, 18, 19}) || tb.ids != 9 {
-		t.Fatalf("20 keys kept in turn leave %v (%d ids), want the last 8 (9 ids)", got, tb.ids)
-	}
-	tb.keep(answer(30, 95), 100)
-	if got := held(); !slices.Contains(got, 30) || tb.ids > 100 {
-		t.Fatalf("after a 95-id answer: %v, %d ids", got, tb.ids)
-	}
-	tb.keep(answer(31, 101), 100)
-	tb.keep(answer(32, maxAnswerIDs+1), 1<<20)
-	if got := held(); slices.Contains(got, 31) || slices.Contains(got, 32) || !slices.Contains(got, 30) {
-		t.Fatalf("an answer over the bound alone was kept: %v", got)
+	var vw viewVersion
+	vw.keep(&Answer{Result: Result{Members: make([]graph.V, maxAnswerIDs+1)}})
+	if vw.answer.Load() != nil {
+		t.Fatal("an answer over maxAnswerIDs members was kept")
 	}
 }
 
@@ -243,16 +205,6 @@ func thetaFor(t *testing.T, g *graph.Graph, q graph.V, k int) float64 {
 		t.Fatal(err)
 	}
 	return 1.01 * res.Delta
-}
-
-// cmpOr returns the first non-nil pointer.
-func cmpOr(ps ...*float64) *float64 {
-	for _, p := range ps {
-		if p != nil {
-			return p
-		}
-	}
-	return nil
 }
 
 // TestStoreAnswersRace: goroutines on pooled workers ask a few keys of one
@@ -331,8 +283,8 @@ func TestStoreAnswerLookupAllocs(t *testing.T) {
 // TestStoreAnswerNeverCrossesSnapshots: on each structure metric, a reader
 // on a snapshot finds only an answer valid on it, across each kind of write
 // between two snapshots: a member's check-in (which changes the answer), a
-// check-in outside X (which carries the view's answer forward, and not
-// θ-SAC's) and an edge op inside X (not for k-truss, which rejects edge
+// check-in outside X (which carries the view's answer forward; θ-SAC keeps
+// none) and an edge op inside X (not for k-truss, which rejects edge
 // writes). The newer snapshot's reader finds nothing before its first
 // search and then the answer a fresh searcher gives on it; the older one's,
 // pinned behind the store, never finds the newer answer and answers what a
@@ -431,7 +383,10 @@ func TestStoreAnswerNeverCrossesSnapshots(t *testing.T) {
 					if carried != (kind == "check-in outside X" && i == 0) {
 						t.Fatalf("%s: carried %v across the write (%+v)", label, carried, res.Stats)
 					}
-					if err == nil {
+					if err == nil && i == 1 && cur.Finished(key) != nil {
+						t.Fatalf("%s: a θ-SAC answer was kept", label)
+					}
+					if err == nil && i == 0 {
 						after := cur.Finished(key)
 						if after == nil {
 							t.Fatalf("%s: the newer snapshot's answer is not held", label)
@@ -461,7 +416,8 @@ func TestStoreAnswerNeverCrossesSnapshots(t *testing.T) {
 
 // TestStoreAnswerRepeatRunsNoSearch: worker A of a pool finishes a key on a
 // snapshot, then worker B asks for it on the same snapshot: B's query reads
-// A's answer, with no feasibility check, for every registry algorithm.
+// A's answer, with no feasibility check, for every registry algorithm but
+// θ-SAC, which keeps none: B searches it again.
 func TestStoreAnswerRepeatRunsNoSearch(t *testing.T) {
 	g, q, _ := storeFixture(t)
 	ss := &storeSnapshots{writer: NewSearcher(g)}
@@ -480,18 +436,21 @@ func TestStoreAnswerRepeatRunsNoSearch(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatalf("%s: %v, %v", spec.Name, errA, errB)
 		}
-		if ra.Stats.FeasibilityChecks == 0 || rb.Stats.FeasibilityChecks != 0 || rb.Stats.AnswerHits != 1 {
+		if spec.Name == "theta" { // keeps no answer: B searches too
+			if rb.Stats.FeasibilityChecks == 0 || rb.Stats.AnswerHits != 0 {
+				t.Fatalf("%s: worker B read a kept answer: A %+v, B %+v", spec.Name, ra.Stats, rb.Stats)
+			}
+		} else if ra.Stats.FeasibilityChecks == 0 || rb.Stats.FeasibilityChecks != 0 || rb.Stats.AnswerHits != 1 {
 			t.Fatalf("%s: worker B searched again: A %+v, B %+v", spec.Name, ra.Stats, rb.Stats)
 		}
 		sameAs(t, spec.Name, rb, ra, nil, nil)
 	}
 }
 
-// TestStoreThetaTakesNoWalk: θ-SAC keeps its answers on the (q, k) entry
-// only when the store holds one at the searcher's topology, and to find one
-// it walks, builds and brings forward nothing: with no entry every repeat is
-// a search and the store stays empty; with a current entry the repeat reads
-// the answer; with an entry behind an edge op the query leaves it as it was.
+// TestStoreThetaTakesNoWalk: θ-SAC keeps no answer, and it walks, builds
+// and brings forward nothing: with no entry every repeat is a search and the
+// store stays empty; with a current entry the repeat is a search too; with
+// an entry behind an edge op the query leaves it as it was.
 func TestStoreThetaTakesNoWalk(t *testing.T) {
 	g, q, _ := storeFixture(t)
 	s := NewSearcher(g)
@@ -514,8 +473,8 @@ func TestStoreThetaTakesNoWalk(t *testing.T) {
 	if _, err := s.AppFast(q, 4, 0.5); err != nil { // the entry
 		t.Fatal(err)
 	}
-	if _, second := twice(); second.AnswerHits != 1 {
-		t.Fatalf("with a current entry the repeat searched: %+v", second)
+	if _, second := twice(); second.AnswerHits != 0 {
+		t.Fatalf("with a current entry the repeat read a kept answer: %+v", second)
 	}
 	e := s.store.lookup(q, 4).cur.Load()
 	var u graph.V

@@ -18,7 +18,7 @@ import (
 // walk entirely. An entry also keeps the community's induced CSR and, per
 // recent query vertex that earned one (viewFor), a view: the members in
 // (distance, id) order with the prefix oracle built over that order
-// (oracle.go) and the answers finished on it (answers.go).
+// (oracle.go) and the last answer finished on it (answers.go).
 //
 // Both locations (check-ins) and topology (edge ops) change under a live
 // store. Entries and views are stamped with the point of the graph's
@@ -110,16 +110,16 @@ func (p *pins) retired() bool { return p.w.Load()&retiredBit != 0 }
 
 // viewVersion is one state of q's view of a community: the members in
 // ascending (distance from q, id) order as of the locations at at, the
-// prefix oracle over that order (k-core only), and the answers valid at at
-// (answers.go). Distances are not stored: the one at rank i is recomputed
+// prefix oracle over that order (k-core only), and the last answer finished
+// at at (answers.go). Distances are not stored: the one at rank i is recomputed
 // (candidateSet.dist) by the sort's expression.
 type viewVersion struct {
-	pins    pins
-	q       graph.V
-	at      stamp
-	verts   []graph.V
-	oracle  prefixOracle
-	answers answerTable // finished on this version or carried to it (answers.go)
+	pins   pins
+	q      graph.V
+	at     stamp
+	verts  []graph.V
+	oracle prefixOracle
+	answer atomic.Pointer[Answer] // finished on this version or carried to it (answers.go)
 }
 
 // viewSlot holds the published version of a recent query vertex's view.
@@ -176,9 +176,6 @@ type cacheEntry struct {
 	seq atomic.Uint64
 
 	views *viewList // shared with the entry's copies
-	// answers holds θ-SAC's finished answers, which take no view
-	// (answers.go); a copy starts without them.
-	answers answerTable
 
 	// Induced-subgraph CSR over members, in local ids (positions in
 	// members). Every candidate set an algorithm peels is a subset of
@@ -597,6 +594,5 @@ func (s *Searcher) spareEntry(n int) *cacheEntry {
 // keeping its CSR's storage; its members and views live on in its successor.
 func (s *Searcher) recycleEntry(e *cacheEntry) {
 	e.members, e.views, e.adjOff, e.adjLocal = nil, nil, e.adjOff[:0], e.adjLocal[:0]
-	e.answers.clear()
 	s.store.entries.keep(e)
 }

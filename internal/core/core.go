@@ -96,7 +96,10 @@ func (s Structure) String() string {
 }
 
 // Stats records per-query work counters; they feed the efficiency figures
-// and the server's per-algorithm metrics.
+// and the server's per-algorithm metrics. At two or more workers an Exact or
+// Exact+ scan's FeasibilityChecks and CirclesExamined depend on how its
+// strips interleave (parallel.go), so one query on one state may report
+// different counts from run to run; its answer does not differ.
 type Stats struct {
 	CandidateSize     int           // |X|: size of q's k-ĉore
 	FeasibilityChecks int           // restricted peeling invocations
@@ -116,13 +119,16 @@ type Stats struct {
 	OracleRepairSpan  int           // prefix lengths the repaired records dirtied, whether windows or a replay settled them
 	OracleReplays     int           // repairs a replay settled, of OracleRepairs
 	OracleReplayed    int           // vertices the replays evaluated or settled, those that fell back to windows too
-	AnswerHits        int           // finished answers read from a table: no algorithm ran (answers.go)
+	AnswerHits        int           // finished answers read from a view version: no algorithm ran (answers.go)
 	Elapsed           time.Duration // wall-clock time of the query
 }
 
 // Result is the outcome of one SAC query. Members is read-only: a repeat of
 // the query on the same state is answered from the answer the store kept
-// (answers.go), and every repeat shares its Members.
+// (answers.go), and every repeat shares its Members. Search gives a repeat
+// its own stats; the kept Answer's are those of the search that finished
+// it, the exact scans' interleaving-dependent counts included (see Stats),
+// and a snapshot's door reports them on every hit.
 type Result struct {
 	Query   graph.V
 	K       int
@@ -516,10 +522,9 @@ type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolved
 // θ-SAC, which gathers from O(q, θ) instead of the candidate set and has no
 // trivial k; its body gets a nil cand.
 //
-// A query the registry resolved (key.Algo set) keeps its answer in a table
-// (answers.go): the view version candidates pinned, or for θ-SAC the (q, k)
-// entry when the store holds one at the searcher's topology. An answer the
-// table holds already is returned as it stands, with no body run.
+// A query the registry resolved (key.Algo set), θ-SAC's aside, keeps its
+// answer on the view version candidates pinned (answers.go). An answer the
+// version holds already is returned as it stands, with no body run.
 func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body algoBody, circleOnly bool) (*Answer, error) {
 	start := time.Now()
 	queriesInFlight.Add(1)
@@ -529,33 +534,22 @@ func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body
 	q, k := key.Q, key.K
 	var (
 		cand    *candidateSet
-		table   *answerTable
-		x       int    // the table's holder's members
-		loc     uint64 // θ-SAC's location epoch; a view's answers need none
+		vw      *viewVersion // the version whose answer key reads and keeps
 		members []graph.V
 		delta   float64
 		handled bool
 		err     error
 	)
-	switch {
-	case circleOnly:
-		if now := s.now(); key.Algo != "" {
-			if e := s.heldEntry(q, k, now); e != nil {
-				s.pinnedEntry, table, x, loc = e, &e.answers, len(e.members), now.loc
-			}
-		}
-	default:
+	if !circleOnly {
 		if members, delta, handled, err = s.trivialK(q, k); !handled {
 			if cand, err = s.candidates(q, k); err == nil && key.Algo != "" {
-				table, x = &s.curView.answers, len(s.curView.verts)
+				vw = s.curView
+				if a := vw.lookup(key); a != nil {
+					s.stats.AnswerHits++
+					s.stats.Elapsed = time.Since(start)
+					return a, nil
+				}
 			}
-		}
-	}
-	if table != nil {
-		if a := table.lookup(key, loc); a != nil {
-			s.stats.AnswerHits++
-			s.stats.Elapsed = time.Since(start)
-			return a, nil
 		}
 	}
 	if !handled && err == nil {
@@ -570,9 +564,9 @@ func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body
 	a := s.buildAnswer(q, k, members, delta)
 	a.Stats.Elapsed = time.Since(start)
 	s.stats.Elapsed = a.Stats.Elapsed
-	if table != nil {
-		a.key, a.loc = key, loc
-		table.keep(a, x)
+	if vw != nil {
+		a.key = key
+		vw.keep(a)
 	}
 	return a, nil
 }

@@ -332,17 +332,17 @@ func (s *Searcher) makeView(e *cacheEntry, old *viewVersion, q graph.V, k int, n
 }
 
 // standAs makes vw, a copy of old's order at a later stamp, stand for old:
-// it takes old's oracle and old's finished answers over as they stand. makeView
+// it takes old's oracle and old's finished answer over as they stand. makeView
 // calls it when the journal's gap between the two stamps checked no member
 // in and added or removed no edge between two members; the entry both views
 // belong to is current, and old's members are its members, so X is the same
 // set. Every registered algorithm's answer is a function of X, the edges
 // inside X and its members' locations (theta.go's lemma, θ-SAC included;
 // the others read nothing else), and the gap changed none of the three: so
-// every answer finished on old is the answer on vw's state, stats and all.
+// the answer finished on old is the answer on vw's state, stats and all.
 func (vw *viewVersion) standAs(old *viewVersion) {
 	vw.oracle.standAs(&old.oracle)
-	vw.answers.carry(&old.answers)
+	vw.answer.Store(old.answer.Load())
 }
 
 // loadView returns sl's published version of q pinned, or nil.
@@ -388,7 +388,7 @@ func (s *Searcher) recycleView(vw *viewVersion) {
 	o := &vw.oracle
 	*o = prefixOracle{comm: o.comm[:0], joinAt: o.joinAt[:0], coreAt: o.coreAt[:0], parent: o.parent[:0]}
 	vw.verts = vw.verts[:0]
-	vw.answers.clear()
+	vw.answer.Store(nil)
 	s.store.views.keep(vw)
 }
 

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"sacsearch/internal/graph"
 	"sacsearch/internal/store"
 	"sacsearch/internal/telemetry"
+	"sacsearch/internal/wal"
 )
 
 // discard swallows connection-level log lines: reconnect storms are the
@@ -505,5 +508,88 @@ func TestFollowerExportsEngineMetrics(t *testing.T) {
 	waitFor(t, 5*time.Second, "sac_engine_published of the re-synced engine", live)
 	if got, stale := scraped(), float64(first.Published()); got == stale {
 		t.Fatalf("sac_engine_published %v still reads the retired engine", got)
+	}
+}
+
+// TestFollowerResyncsPastLostTail: a follower at seq 3 while the leader loses
+// its WAL tail below a checkpoint at 5 (a lax fsync policy: the log keeps
+// records 1..3 and resumes at 6 in a new segment) cannot tail-resume, since
+// the leader no longer holds 4 and 5: it must take a snapshot and catch up,
+// not reconnect forever.
+func TestFollowerResyncsPastLostTail(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Init: testGraph(), Fsync: store.FsyncNever, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipperOpt := ShipperOptions{Heartbeat: 20 * time.Millisecond, Poll: time.Millisecond, Logger: discard}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShipper(st, ln, shipperOpt)
+	f := startFollower(t, sh.Addr().String())
+	waitFor(t, 5*time.Second, "initial sync", func() bool { return f.Status().Synced })
+
+	var events []churnEvent
+	checkin := func(st *store.Store, v graph.V) {
+		t.Helper()
+		ev := churnEvent{checkin: true, v: v, loc: geom.Point{X: 0.1 * float64(v+1), Y: 0.9}}
+		if err := st.CheckIn(context.Background(), ev.v, ev.loc); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	for v := range graph.V(3) {
+		checkin(st, v)
+	}
+	waitFor(t, 5*time.Second, "catch-up to seq 3", caughtUp(st, f))
+	sh.Close()
+	for v := range graph.V(2) {
+		checkin(st, 3+v)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
+
+	// The power loss: the segment keeps its first three frames.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("fixture: segments %v, %v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 8 // the segment's magic
+	for range 3 {
+		n, _, _, ok := wal.DecodeFrame(data[off:])
+		if !ok {
+			t.Fatal("fixture: an undecodable frame")
+		}
+		off += n
+	}
+	if err := os.Truncate(segs[0], int64(off)); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{Fsync: store.FsyncNever, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	checkin(st2, 7)
+	ln2, err := net.Listen("tcp", sh.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh2 := NewShipper(st2, ln2, shipperOpt)
+	defer sh2.Close()
+
+	waitFor(t, 10*time.Second, "catch-up past the lost tail", caughtUp(st2, f))
+	diffCheckFollower(t, "past the lost tail", f, refGraph(t, events, len(events)))
+	if s := f.Status(); s.Resyncs < 2 {
+		t.Fatalf("resyncs = %d, want ≥ 2 (the lost tail must force a snapshot re-sync)", s.Resyncs)
 	}
 }

@@ -9,12 +9,13 @@ import (
 )
 
 // Between two writes the answer to a query depends on the published state
-// alone, and the engine's view store keeps each finished answer on the view
-// version it was read from (core.Answer, internal/core/answers.go), valid at
+// alone, and the engine's view store keeps the last answer finished on a
+// view version with it (core.Answer, internal/core/answers.go), valid at
 // exactly that version's stamp. Every answer a snapshot gives goes through
 // one door, Snap.Answer, which asks the store for it (core.Searcher.Finished)
 // before it takes a pooled worker: a hit runs no search and copies no
-// members. A key's second sighting on a state is a hit.
+// members. A key's second sighting on a state is a hit unless another key
+// of the same vertex finished between the two; θ-SAC is searched every time.
 //
 // The store holds an answer in core terms; its wire form and encoded body
 // are attached to it once (attach), on its first reuse, or at once for a

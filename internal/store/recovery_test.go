@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -393,4 +394,72 @@ func TestRecoveryRefusesLoggedNoOp(t *testing.T) {
 	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "WAL seq 2") {
 		t.Fatalf("a logged no-op recovered: err = %v, want one naming WAL seq 2", err)
 	}
+}
+
+// TestRecoveryPastTailLostBelowCheckpoint: under a lax fsync policy a
+// checkpoint at seq 5 can be durable while the WAL keeps only records 1..3.
+// The log then resumes at 6 in a new segment, and every later recovery
+// starts from the checkpoint and replays 6 on: the jump from 3 to 6 lies
+// below the checkpoint and is no gap.
+func TestRecoveryPastTailLostBelowCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Init: testGraph(), Fsync: FsyncNever, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []churnEvent
+	checkin := func(st *Store, v graph.V) {
+		t.Helper()
+		ev := churnEvent{checkin: true, v: v, loc: geom.Point{X: 0.1 * float64(v+1), Y: 0.9}}
+		if err := st.CheckIn(context.Background(), ev.v, ev.loc); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	for v := range graph.V(5) {
+		checkin(st, v)
+	}
+	if err := st.Checkpoint(); err != nil || st.Stats().LastCheckpointSeq != 5 {
+		t.Fatalf("fixture: checkpoint at %d, %v; want 5", st.Stats().LastCheckpointSeq, err)
+	}
+	st.Crash()
+
+	// The power loss: the segment keeps its first three frames.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("fixture: segments %v, %v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 8 // the segment's magic
+	for range 3 {
+		n, _, _, ok := wal.DecodeFrame(data[off:])
+		if !ok {
+			t.Fatal("fixture: an undecodable frame")
+		}
+		off += n
+	}
+	if err := os.Truncate(segs[0], int64(off)); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("recovery after the loss: %v", err)
+	}
+	graphsEqual(t, "after the loss", st2.Current().Graph(), refGraph(t, events, 5))
+	checkin(st2, 7)
+	st2.Crash()
+
+	st3, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("recovery past the loss: %v", err)
+	}
+	defer st3.Close()
+	if n := st3.Stats().ReplayedRecords; n != 1 {
+		t.Fatalf("replayed %d records, want 1 (seq 6)", n)
+	}
+	diffCheck(t, "past the loss", st3, refGraph(t, events, len(events)))
 }

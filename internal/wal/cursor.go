@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 )
 
@@ -40,7 +41,9 @@ const maxCursorRead = 1 << 20
 
 // OpenCursor positions a cursor to stream records with Seq > afterSeq from
 // dir. It fails with ErrGap when the log no longer holds afterSeq+1 (the
-// segments covering it were truncated) — the caller must fall back to a full
+// segments covering it were truncated) or the chain from there breaks
+// before the active segment (a tail lost below a checkpoint, which Open
+// resumes past in a new segment) — the caller must fall back to a full
 // snapshot rather than resume past a hole.
 func OpenCursor(dir string, afterSeq uint64) (*Cursor, error) {
 	c := &Cursor{dir: dir, emit: afterSeq + 1}
@@ -56,16 +59,20 @@ func OpenCursor(dir string, afterSeq uint64) (*Cursor, error) {
 		}
 		return c, nil
 	}
-	// The segment holding emit is the last one starting at or before it; a
-	// fresh rotation may also name the active segment exactly emit.
-	idx := -1
-	for i, s := range segs {
-		if s.first <= c.emit {
-			idx = i
-		}
-	}
+	idx := holding(segs, c.emit)
 	if idx < 0 {
 		return nil, fmt.Errorf("%w: log starts at seq %d, cursor wants %d", ErrGap, segs[0].first, c.emit)
+	}
+	// Each sealed segment from there on must end right before its successor
+	// starts (an empty one, last 0, ends before it begins).
+	for i := idx; i < len(segs)-1; i++ {
+		last, _, err := scanSegment(segs[i].path, segs[i].first, false)
+		if errors.Is(err, fs.ErrNotExist) || err == nil && max(last, segs[i].first-1)+1 != segs[i+1].first {
+			return nil, fmt.Errorf("%w: the chain from seq %d breaks after segment %s", ErrGap, c.emit, segs[i].path)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if err := c.open(segs[idx]); err != nil {
 		return nil, err

@@ -321,3 +321,27 @@ func TestReplaySegmentDeletedMidReplayFailsLoudly(t *testing.T) {
 		t.Fatalf("replay over a segment deleted mid-read succeeded, delivered %d records", count)
 	}
 }
+
+// TestCursorGapBelowLostTail: a cursor that wants a record of the lost tail
+// (4 or 5), or one whose chain runs into it (after 0, 2 or 3), fails at open
+// with ErrGap, so a follower there takes a snapshot instead of failing on
+// every Next; one after the checkpoint streams on.
+func TestCursorGapBelowLostTail(t *testing.T) {
+	dir := lossBelowCheckpoint(t)
+	for _, after := range []uint64{0, 2, 3, 4} {
+		if c, err := OpenCursor(dir, after); !errors.Is(err, ErrGap) {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("cursor after %d: err = %v, want ErrGap", after, err)
+		}
+	}
+	c, err := OpenCursor(dir, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := nextBatch(t, c, 10); len(got) != 1 || got[0].Seq != 6 {
+		t.Fatalf("cursor after the checkpoint = %+v, want seq 6", got)
+	}
+}

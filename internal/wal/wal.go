@@ -252,8 +252,9 @@ func Open(dir string, startSeq uint64, opt Options) (*Log, error) {
 	// startSeq — the checkpoint already contains those records' effects, so
 	// the right resume point is still startSeq. Regressing would hand out
 	// already-covered sequence numbers to new writes, and the next recovery
-	// would silently skip them as "before the checkpoint".
-	resumePastLoss := len(segs) > 0 && segLast < l.lastSeq
+	// would silently skip them as "before the checkpoint". An empty segment
+	// named at the resume point is one an earlier Open made: resume in it.
+	resumePastLoss := len(segs) > 0 && segLast < l.lastSeq && segs[len(segs)-1].first != l.lastSeq+1
 	if segLast > l.lastSeq {
 		l.lastSeq = segLast
 	}
@@ -516,19 +517,21 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// Replay streams every valid record with seq > afterSeq, in order, to fn.
-// It verifies the chain is gap-free: when the log holds records newer than
-// afterSeq, the first one replayed must be afterSeq+1 — anything else means
-// a needed segment was lost, and recovery must fail rather than skip
-// history. Stops early if fn returns an error.
+// Replay streams every valid record with seq > afterSeq, in order, to fn,
+// from the segment holding afterSeq+1, as a cursor does: a jump below it (a
+// tail lost under a checkpoint, which Open resumes past) is no gap. From
+// there the chain must be gap-free, its first record afterSeq+1 when the log
+// holds newer ones: anything else means a needed segment was lost, and
+// recovery must fail rather than skip history. Stops early if fn errs.
 func Replay(dir string, afterSeq uint64, fn func(seq uint64, w graph.Write) error) (replayed int, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return 0, err
 	}
+	from := max(holding(segs, afterSeq+1), 0)
 	expect := uint64(0) // next seq the chain must produce; 0 = not yet anchored
-	for i, s := range segs {
-		isLast := i == len(segs)-1
+	for i := from; i < len(segs); i++ {
+		s, isLast := segs[i], i == len(segs)-1
 		_, err := scanRecords(s.path, s.first, isLast, func(seq uint64, w graph.Write) error {
 			if expect == 0 {
 				expect = seq
@@ -550,6 +553,13 @@ func Replay(dir string, afterSeq uint64, fn func(seq uint64, w graph.Write) erro
 		}
 	}
 	return replayed, nil
+}
+
+// holding returns the index of the segment of segs (ascending) that holds
+// seq, if any: the last one starting at or before it (a fresh rotation may
+// name a segment exactly seq). -1 when every segment starts after seq.
+func holding(segs []segment, seq uint64) int {
+	return sort.Search(len(segs), func(i int) bool { return segs[i].first > seq }) - 1
 }
 
 // scanSegment validates a whole segment in one pass, returning its last

@@ -383,3 +383,96 @@ func TestLostTailNeverRegressesBelowStartSeq(t *testing.T) {
 		t.Fatalf("replay after resume = %+v", got)
 	}
 }
+
+// lostTail lays out the log a lax fsync policy can leave after a power
+// loss: records 1..5 appended, a checkpoint at seq 5 (the caller's), and the
+// segment cut back to its first three frames. It returns the directory.
+func lostTail(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := Open(dir, 0, Options{Policy: PolicyNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 5)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := listSegments(dir)
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(segMagic)
+	for range 3 {
+		n, _, _, ok := DecodeFrame(data[off:])
+		if !ok {
+			t.Fatal("fixture: an undecodable frame")
+		}
+		off += n
+	}
+	if err := os.Truncate(segs[0].path, int64(off)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// lossBelowCheckpoint is lostTail reopened at the checkpoint (which resumes
+// at 6 in a new segment) and given one record: its segments hold [1..3] and
+// [6].
+func lossBelowCheckpoint(t *testing.T) string {
+	t.Helper()
+	dir := lostTail(t)
+	l, err := Open(dir, 5, Options{Policy: PolicyNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := appendN(t, l, 5, 1); seq != 6 {
+		t.Fatalf("fixture: the record after the loss is seq %d, want 6", seq)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := listSegments(dir); len(segs) != 2 || segs[1].first != 6 {
+		t.Fatalf("fixture: segments %+v, want [1..3] and [6..]", segs)
+	}
+	return dir
+}
+
+// TestReopenPastLossBeforeAnyAppend: a log reopened past a lost tail and
+// closed (or crashed) before its first append opens again, onto the empty
+// segment it made, and resumes at 6.
+func TestReopenPastLossBeforeAnyAppend(t *testing.T) {
+	dir := lostTail(t)
+	for i := range 3 {
+		l, err := Open(dir, 5, Options{Policy: PolicyNever})
+		if err != nil {
+			t.Fatalf("reopen %d: %v", i, err)
+		}
+		if i == 2 {
+			if seq := appendN(t, l, 5, 1); seq != 6 {
+				t.Fatalf("the record after the loss is seq %d, want 6", seq)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := collect(t, dir, 5); len(got) != 1 || got[0].Seq != 6 {
+		t.Fatalf("replay after the checkpoint = %+v, want seq 6 alone", got)
+	}
+}
+
+// TestReplayPastLossBelowCheckpoint: replaying after the checkpoint at 5
+// starts at the segment holding 6, so the jump from 3 to 6 below the
+// checkpoint is not read as a gap; from 3 on, where the log lacks 4 and 5,
+// replay still fails.
+func TestReplayPastLossBelowCheckpoint(t *testing.T) {
+	dir := lossBelowCheckpoint(t)
+	if got := collect(t, dir, 5); len(got) != 1 || got[0].Seq != 6 || got[0].W != rec(5) {
+		t.Fatalf("replay after the checkpoint = %+v, want seq 6 alone", got)
+	}
+	if _, err := Replay(dir, 3, func(uint64, graph.Write) error { return nil }); err == nil {
+		t.Fatal("replay from seq 4 skipped the lost records 4 and 5")
+	}
+}

@@ -271,7 +271,7 @@ func TestStoreAnswerLookupAllocs(t *testing.T) {
 		t.Fatalf("a lookup allocates %v times", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		a, err := s.run(context.Background(), key, resolvedParams{epsF: 0.5}, (*Searcher).appFast, false)
+		a, err := s.run(context.Background(), key, (*Searcher).appFast, false)
 		if err != nil || s.stats.AnswerHits != 1 || a != s.Finished(key) {
 			t.Fatalf("not the held answer: %v %+v", err, s.stats)
 		}

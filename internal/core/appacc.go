@@ -53,8 +53,8 @@ func (s *Searcher) AppAcc(q graph.V, k int, epsA float64) (*Result, error) {
 }
 
 // appAccBody is AppAcc's body.
-func (s *Searcher) appAccBody(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
-	st := s.appAcc(cand, q, k, p.epsA)
+func (s *Searcher) appAccBody(cand *candidateSet, q graph.V, k int, p Resolved) ([]graph.V, float64, error) {
+	st := s.appAcc(cand, q, k, p.EpsA)
 	return st.members, st.delta, nil
 }
 

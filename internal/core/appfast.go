@@ -18,8 +18,8 @@ func (s *Searcher) AppFast(q graph.V, k int, epsF float64) (*Result, error) {
 }
 
 // appFast is AppFast's body.
-func (s *Searcher) appFast(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
-	members, delta := s.appFastSearch(cand, q, k, p.epsF)
+func (s *Searcher) appFast(cand *candidateSet, q graph.V, k int, p Resolved) ([]graph.V, float64, error) {
+	members, delta := s.appFastSearch(cand, q, k, p.EpsF)
 	return members, delta, nil
 }
 

@@ -18,7 +18,7 @@ func (s *Searcher) AppInc(q graph.V, k int) (*Result, error) {
 
 // appInc is AppInc's body: the growth loop, which checks the context once
 // per grown prefix.
-func (s *Searcher) appInc(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) appInc(cand *candidateSet, q graph.V, k int, _ Resolved) ([]graph.V, float64, error) {
 	// inX marks the growing prefix S; qNbrs counts |S ∩ nb(q)|.
 	s.inX.Reset()
 	qNbrs := 0

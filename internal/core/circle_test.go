@@ -303,7 +303,7 @@ func TestAppAccAllocs(t *testing.T) {
 	// the refinement's to answer for.
 	hot := func() *Result {
 		// No registry key: no answer table, so every run runs the body.
-		a, err := s.run(context.Background(), Resolved{Q: q, K: 4}, resolvedParams{epsA: 0.5}, (*Searcher).appAccBody, false)
+		a, err := s.run(context.Background(), Resolved{Q: q, K: 4, EpsA: 0.5}, (*Searcher).appAccBody, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -509,10 +509,10 @@ func (s *Searcher) finish(members []graph.V) ([]graph.V, geom.Circle) {
 }
 
 // algoBody is what one algorithm contributes to a query: from the armed
-// searcher, the candidate set, q, k and the resolved parameters to the
-// community and its δ. The returned slice may be scratch-owned; run copies
-// it.
-type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolvedParams) (members []graph.V, delta float64, err error)
+// searcher, the candidate set, q, k and the resolved query, whose parameters
+// it reads, to the community and its δ. The returned slice may be
+// scratch-owned; run copies it.
+type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p Resolved) (members []graph.V, delta float64, err error)
 
 // run is the query lifecycle, the only place one runs: reset the per-query
 // state and arm ctx, open the way Algorithm 1 does (lines 2-3: trivial k,
@@ -525,7 +525,7 @@ type algoBody func(s *Searcher, cand *candidateSet, q graph.V, k int, p resolved
 // A query the registry resolved (key.Algo set), θ-SAC's aside, keeps its
 // answer on the view version candidates pinned (answers.go). An answer the
 // version holds already is returned as it stands, with no body run.
-func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body algoBody, circleOnly bool) (*Answer, error) {
+func (s *Searcher) run(ctx context.Context, key Resolved, body algoBody, circleOnly bool) (*Answer, error) {
 	start := time.Now()
 	queriesInFlight.Add(1)
 	defer queriesInFlight.Add(-1)
@@ -553,7 +553,7 @@ func (s *Searcher) run(ctx context.Context, key Resolved, p resolvedParams, body
 		}
 	}
 	if !handled && err == nil {
-		members, delta, err = body(s, cand, q, k, p)
+		members, delta, err = body(s, cand, q, k, key)
 	}
 	if s.ctxErr != nil {
 		return nil, s.canceledError()

@@ -25,7 +25,7 @@ func (s *Searcher) Exact(q graph.V, k int) (*Result, error) {
 // exact is Exact's body: the pair/triple scan of Algorithm 1, run by
 // scanPar. The context is checked once per enumerated candidate pair,
 // bounding the work after cancellation to the triples of one pair.
-func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) exact(cand *candidateSet, q graph.V, k int, _ Resolved) ([]graph.V, float64, error) {
 	X := cand.verts
 
 	// Index the candidate set once; every enumerated circle then cuts its

@@ -25,8 +25,8 @@ func (s *Searcher) ExactPlus(q graph.V, k int, epsA float64) (*Result, error) {
 // exactPlus is ExactPlus's body: the AppAcc phase, then the F1 pair/triple
 // scan of Algorithm 5, run by scanPar. The AppAcc phase checks the context
 // per anchor and per binary-search iteration, the scan once per F1 pair.
-func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
-	epsA := p.epsA
+func (s *Searcher) exactPlus(cand *candidateSet, q graph.V, k int, p Resolved) ([]graph.V, float64, error) {
+	epsA := p.EpsA
 	st := s.appAcc(cand, q, k, epsA)
 	if s.ctxErr != nil {
 		return nil, 0, nil

@@ -526,7 +526,7 @@ func TestAppFastHitAllocs(t *testing.T) {
 	q := eligible(s, 4, 1)[0]
 	hot := func() *Result {
 		// No registry key: no answer table, so every run runs the body.
-		a, err := s.run(context.Background(), Resolved{Q: q, K: 4}, resolvedParams{epsF: 0.5}, (*Searcher).appFast, false)
+		a, err := s.run(context.Background(), Resolved{Q: q, K: 4, EpsF: 0.5}, (*Searcher).appFast, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func (s *Searcher) MinDiam2Approx(q graph.V, k int) (*Result, error) {
 	return s.minDiam(q, k, (*Searcher).minDiam2Approx)
 }
 
-func (s *Searcher) minDiam2Approx(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) minDiam2Approx(cand *candidateSet, q graph.V, k int, _ Resolved) ([]graph.V, float64, error) {
 	members, _ := s.appFastSearch(cand, q, k, 0)
 	return members, DiameterOf(s.g, members), nil
 }
@@ -68,7 +68,7 @@ func (s *Searcher) minDiam(q graph.V, k int, body algoBody) (*Result, error) {
 	if err := s.ValidateQuery(Query{Q: q, K: k}); err != nil {
 		return nil, err
 	}
-	a, err := s.run(context.Background(), Resolved{Q: q, K: k}, resolvedParams{}, body, false)
+	a, err := s.run(context.Background(), Resolved{Q: q, K: k}, body, false)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (s *Searcher) MinDiamLens(q graph.V, k int) (*Result, error) {
 	return s.minDiam(q, k, (*Searcher).minDiamLens)
 }
 
-func (s *Searcher) minDiamLens(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) minDiamLens(cand *candidateSet, q graph.V, k int, _ Resolved) ([]graph.V, float64, error) {
 	// Upper bound from the 2-approximation.
 	bestMembers, _ := s.appFastSearch(cand, q, k, 0)
 	bestDiam := DiameterOf(s.g, bestMembers)
@@ -167,7 +167,7 @@ func (s *Searcher) MinDiamBrute(q graph.V, k int) (*Result, error) {
 	return s.minDiam(q, k, (*Searcher).minDiamBrute)
 }
 
-func (s *Searcher) minDiamBrute(cand *candidateSet, q graph.V, k int, _ resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) minDiamBrute(cand *candidateSet, q graph.V, k int, _ Resolved) ([]graph.V, float64, error) {
 	X := cand.verts
 	if len(X) > maxBrute {
 		return nil, 0, fmt.Errorf("core: MinDiamBrute candidate set too large (%d > %d)", len(X), maxBrute)

@@ -116,12 +116,6 @@ func ParseStructure(name string) (Structure, error) {
 // prepared with.
 func (s *Searcher) Structure() Structure { return s.structure }
 
-// resolve validates and defaults a Query against this searcher, returning
-// the algorithm spec and the concrete parameter values to run with.
-func (s *Searcher) resolve(q Query) (*AlgoSpec, resolvedParams, error) {
-	return resolveQuery(q, s.g.NumVertices(), s.structure)
-}
-
 // ValidateQuery reports whether q is a well-formed request over an n-vertex
 // graph served under structure metric st — Searcher.ValidateQuery for a
 // caller that holds no searcher (the shard router validates against its
@@ -148,19 +142,14 @@ type Resolved struct {
 // Resolve validates q over an n-vertex graph served under st, as
 // ValidateQuery does, and returns it resolved.
 func Resolve(q Query, n int, st Structure) (Resolved, error) {
-	spec, p, err := resolveQuery(q, n, st)
-	if err != nil {
-		return Resolved{}, err
-	}
-	return resolvedOf(spec, q, p, st), nil
+	_, key, err := resolveQuery(q, n, st)
+	return key, err
 }
 
-func resolvedOf(spec *AlgoSpec, q Query, p resolvedParams, st Structure) Resolved {
-	return Resolved{Algo: spec.Name, Q: q.Q, K: q.K, EpsF: p.epsF, EpsA: p.epsA, Theta: p.theta, Structure: st}
-}
-
-func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParams, error) {
-	var p resolvedParams
+// resolveQuery validates q over an n-vertex graph served under structure and
+// returns the algorithm's spec and q resolved.
+func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, Resolved, error) {
+	var p Resolved
 	spec, ok := LookupAlgo(q.Algo)
 	if !ok {
 		return nil, p, &QueryError{Code: ErrCodeUnknownAlgorithm, Field: "algo",
@@ -193,14 +182,16 @@ func resolveQuery(q Query, n int, structure Structure) (*AlgoSpec, resolvedParam
 	if err != nil {
 		return nil, p, err
 	}
+	p.Structure = structure
 	return spec, p, nil
 }
 
 // resolveParams binds each provided parameter to the spec's schema,
 // applying defaults and range checks, and rejects parameters the algorithm
 // does not take so a typo'd request fails loudly instead of running with a
-// silently ignored knob.
-func resolveParams(spec *AlgoSpec, q Query) (resolvedParams, error) {
+// silently ignored knob. It fills everything of the Resolved but its
+// Structure.
+func resolveParams(spec *AlgoSpec, q Query) (Resolved, error) {
 	// The values are bound by index, not through pointers to the result: a
 	// pointer into it would travel with the names into an error and move the
 	// result to the heap on every call.
@@ -213,25 +204,25 @@ func resolveParams(spec *AlgoSpec, q Query) (resolvedParams, error) {
 		ps, accepts := spec.Param(b.name)
 		if !accepts {
 			if b.ptr != nil {
-				return resolvedParams{}, &QueryError{Code: ErrCodeInvalidParam, Field: b.name,
+				return Resolved{}, &QueryError{Code: ErrCodeInvalidParam, Field: b.name,
 					Reason: fmt.Sprintf("%s is not a parameter of %s", b.name, spec.Name)}
 			}
 			continue
 		}
 		if b.ptr == nil {
 			if ps.Required {
-				return resolvedParams{}, &QueryError{Code: ErrCodeMissingParam, Field: b.name,
+				return Resolved{}, &QueryError{Code: ErrCodeMissingParam, Field: b.name,
 					Reason: fmt.Sprintf("%s requires parameter %s", spec.Name, b.name)}
 			}
 			vals[i] = ps.Default
 			continue
 		}
 		if err := ps.validate(*b.ptr); err != nil {
-			return resolvedParams{}, err
+			return Resolved{}, err
 		}
 		vals[i] = *b.ptr
 	}
-	return resolvedParams{epsF: vals[0], epsA: vals[1], theta: vals[2]}, nil
+	return Resolved{Algo: spec.Name, Q: q.Q, K: q.K, EpsF: vals[0], EpsA: vals[1], Theta: vals[2]}, nil
 }
 
 // ValidateParams checks a query's algorithm name and parameters against the
@@ -254,7 +245,7 @@ func ValidateParams(q Query) (*AlgoSpec, error) {
 // ValidateQuery reports whether q is a well-formed request for this
 // searcher — same checks as Search, without running anything.
 func (s *Searcher) ValidateQuery(q Query) error {
-	_, _, err := s.resolve(q)
+	_, _, err := resolveQuery(q, s.g.NumVertices(), s.structure)
 	return err
 }
 
@@ -268,7 +259,7 @@ func (s *Searcher) ValidateQuery(q Query) error {
 // with a background context. A repeat on an unchanged state is answered
 // from the answer the store kept (answers.go), with this search's stats.
 func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
-	spec, p, err := s.resolve(q)
+	spec, key, err := resolveQuery(q, s.g.NumVertices(), s.structure)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +268,7 @@ func (s *Searcher) Search(ctx context.Context, q Query) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	a, err := s.run(ctx, resolvedOf(spec, q, p, s.structure), p, spec.body, spec.circleOnly)
+	a, err := s.run(ctx, key, spec.body, spec.circleOnly)
 	if err != nil {
 		return nil, err
 	}

@@ -58,13 +58,6 @@ func (p ParamSpec) validate(v float64) error {
 	return nil
 }
 
-// resolvedParams is the validated, defaulted parameter set Search hands to
-// an algorithm runner. A plain struct (not a map) so the per-query hot path
-// allocates nothing for dispatch.
-type resolvedParams struct {
-	epsF, epsA, theta float64
-}
-
 // AlgoSpec describes one registered algorithm. Lookup is by Name or any of
 // Aliases, case-insensitively.
 type AlgoSpec struct {

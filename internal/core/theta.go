@@ -41,11 +41,11 @@ func (s *Searcher) ThetaSAC(q graph.V, k int, theta float64) (*Result, error) {
 // thetaSAC is ThetaSAC's body; it gathers from the circle, not from the
 // candidate set, so cand is nil. The context is checked before the BFS gather
 // and before the single feasibility peel (the two O(m) phases).
-func (s *Searcher) thetaSAC(_ *candidateSet, q graph.V, k int, p resolvedParams) ([]graph.V, float64, error) {
+func (s *Searcher) thetaSAC(_ *candidateSet, q graph.V, k int, p Resolved) ([]graph.V, float64, error) {
 	if s.canceled() {
 		return nil, 0, nil
 	}
-	circle := geom.Circle{C: s.g.Loc(q), R: p.theta}
+	circle := geom.Circle{C: s.g.Loc(q), R: p.Theta}
 	inCircle := func(v graph.V) bool { return circle.Contains(s.g.Loc(v)) }
 	S := graph.BFSFrom(s.g, q, inCircle, s.visited, s.vertBuf[:0])
 	s.vertBuf = S
@@ -54,7 +54,7 @@ func (s *Searcher) thetaSAC(_ *candidateSet, q graph.V, k int, p resolvedParams)
 		return nil, 0, nil
 	}
 	if c := s.feasible(S, q, k); c != nil {
-		return c, p.theta, nil
+		return c, p.Theta, nil
 	}
 	return nil, 0, ErrNoCommunity
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"sacsearch/internal/geom"
 )
@@ -36,10 +37,9 @@ var binMagic = [8]byte{'S', 'A', 'C', 'G', 'R', 'P', 'H', '1'}
 // multi-terabyte allocation.
 const maxBinVertices = 1 << 31
 
-// WriteBinary serializes g to w in the binary CSR format. Adjacency rows go
-// through Neighbors, which merges the delta layer, so a graph mid-churn
-// serializes its current edge set without being mutated — WriteBinary is a
-// pure reader and may run under the same read lock as queries.
+// WriteBinary serializes g to w in the binary CSR format, joining its pages
+// into one CSR. It is a pure reader and may run under the same read lock as
+// queries.
 func WriteBinary(w io.Writer, g *Graph) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
@@ -67,8 +67,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		_, err := bw.Write(b4[:])
 		return err
 	}
-	// Offsets are recomputed from the merged adjacency rather than dumped
-	// from g.offsets, which goes stale for patched vertices.
 	off := int32(0)
 	if err := writeI32(off); err != nil {
 		return fmt.Errorf("graph: writing offsets: %w", err)
@@ -168,13 +166,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// hostile header claiming 2^31 vertices over a 50-byte stream must fail
 	// at the stream's real end having allocated at most the bytes that were
 	// really there, never the terabytes the header promised.
-	readI32s := func(count int, what string) ([]int32, error) {
-		initial := count
-		if initial > 1<<20 {
-			initial = 1 << 20
-		}
-		out := make([]int32, 0, initial)
-		buf := make([]byte, 4*1024)
+	buf := make([]byte, 4*1024)
+	readI32s := func(out []int32, count int, what string) ([]int32, error) {
+		out = slices.Grow(out, min(count, 1<<20))
 		for done := 0; done < count; {
 			chunk := len(buf) / 4
 			if rem := count - done; rem < chunk {
@@ -191,7 +185,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return out, nil
 	}
 
-	offsets, err := readI32s(int(n)+1, "offsets")
+	offsets, err := readI32s(nil, int(n)+1, "offsets")
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +201,19 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: offsets[n] = %d, want 2m = %d", offsets[n], 2*m)
 	}
 
-	adj, err := readI32s(int(2*m), "adjacency")
-	if err != nil {
-		return nil, err
+	// The rows are read a page at a time and cut straight into pages, so the
+	// adjacency is never held twice.
+	g := &Graph{n: int(n), m: int(m)}
+	var rows []int32
+	for lo := 0; lo < int(n); lo += pageSize {
+		off := offsets[lo : min(lo+pageSize, int(n))+1]
+		if rows, err = readI32s(rows[:0], int(off[len(off)-1]-off[0]), "adjacency"); err != nil {
+			return nil, err
+		}
+		g.pages = append(g.pages, pagesOf(off, rows)...)
 	}
 	for v := 0; v < int(n); v++ {
-		row := adj[offsets[v]:offsets[v+1]]
+		row := g.Neighbors(V(v))
 		for i, u := range row {
 			if u < 0 || uint64(u) >= n {
 				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, u)
@@ -223,32 +224,32 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	// Every edge is listed from both ends and no vertex lists itself, checked
-	// in one O(n+m) pass: cursor[u] is u's first neighbour above u not yet
-	// matched, and each v, visited in ascending order, must be exactly that
-	// neighbour of every u < v it lists.
+	// in one O(n+m) pass: cursor[u] indexes u's first neighbour above u not
+	// yet matched, and each v, visited in ascending order, must be exactly
+	// that neighbour of every u < v it lists.
 	asymmetric := func(a, b V) error {
 		return fmt.Errorf("graph: adjacency not symmetric: %d lists %d but %d does not list %d", a, b, b, a)
 	}
 	cursor := make([]int32, n)
 	for v := 0; v < int(n); v++ {
-		i := offsets[v]
-		for ; i < offsets[v+1] && adj[i] < V(v); i++ {
-			u := adj[i]
-			if c := cursor[u]; c == offsets[u+1] || adj[c] > V(v) {
+		row, i := g.Neighbors(V(v)), 0
+		for ; i < len(row) && row[i] < V(v); i++ {
+			u := row[i]
+			if nb, c := g.Neighbors(u), cursor[u]; int(c) == len(nb) || nb[c] > V(v) {
 				return nil, asymmetric(V(v), u)
-			} else if adj[c] < V(v) {
-				return nil, asymmetric(u, adj[c])
+			} else if nb[c] < V(v) {
+				return nil, asymmetric(u, nb[c])
 			}
 			cursor[u]++
 		}
-		if i < offsets[v+1] && adj[i] == V(v) {
+		if i < len(row) && row[i] == V(v) {
 			return nil, fmt.Errorf("graph: vertex %d lists itself as a neighbor", v)
 		}
-		cursor[v] = i
+		cursor[v] = int32(i)
 	}
 	for u := 0; u < int(n); u++ {
-		if c := cursor[u]; c < offsets[u+1] {
-			return nil, asymmetric(V(u), adj[c])
+		if nb, c := g.Neighbors(V(u)), cursor[u]; int(c) < len(nb) {
+			return nil, asymmetric(V(u), nb[c])
 		}
 	}
 
@@ -256,7 +257,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if initialLocs > 1<<19 {
 		initialLocs = 1 << 19 // same header-skepticism as readI32s
 	}
-	locs := make([]geom.Point, 0, initialLocs)
+	g.locs = make([]geom.Point, 0, initialLocs)
 	{
 		buf := make([]byte, 16*1024)
 		for done := 0; done < int(n); {
@@ -273,7 +274,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 				if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 					return nil, fmt.Errorf("graph: vertex %d has non-finite location", done+i)
 				}
-				locs = append(locs, geom.Point{X: x, Y: y})
+				g.locs = append(g.locs, geom.Point{X: x, Y: y})
 			}
 			done += chunk
 		}
@@ -288,5 +289,5 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: checksum mismatch (file %08x, computed %08x)", got, wantSum)
 	}
 
-	return &Graph{n: int(n), offsets: offsets, adj: adj, locs: locs, m: int(m)}, nil
+	return g, nil
 }

@@ -156,55 +156,71 @@ func TestEdgeChurnDifferential(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesTopology pins that compaction is representation-only:
-// same adjacency, same epoch, empty delta layer.
-func TestCompactPreservesTopology(t *testing.T) {
-	g, edges := randomGraphEdges(40, 80, 3)
-	rnd := rand.New(rand.NewSource(9))
-	for i := 0; i < 50; i++ {
-		u, v := V(rnd.Intn(40)), V(rnd.Intn(40))
-		if u == v {
-			continue
+// TestPageBoundaryChurn drives random edge ops on the vertices either side
+// of the first page boundary and on the last vertex, across a chain of
+// clones with a frozen middle, for a graph with a partial last page, one
+// smaller than a page, and graphs of one and no vertices. Each side must
+// match a graph rebuilt from its own edge set, survive a binary round trip,
+// and keep taking edge ops afterwards.
+func TestPageBoundaryChurn(t *testing.T) {
+	for _, n := range []int{2*pageSize + 3, pageSize / 3, 1, 0} {
+		g, edges := randomGraphEdges(n, n/2, int64(n))
+		sides := []*Graph{g, g.Clone(), nil}
+		sides[2] = sides[1].Clone()
+		sides[1].Freeze()
+		sets := []map[[2]V]bool{edges, maps.Clone(edges), maps.Clone(edges)}
+		var ends []V
+		for _, v := range []int{pageSize - 1, pageSize, n - 1} {
+			if v >= 0 && v < n {
+				ends = append(ends, V(v))
+			}
 		}
-		if u > v {
-			u, v = v, u
+		rnd := rand.New(rand.NewSource(int64(n) + 31))
+		for step := 0; step < 600 && len(ends) > 0; step++ {
+			i := 2 * rnd.Intn(2) // the writer or the far clone
+			u, w := ends[rnd.Intn(len(ends))], V(rnd.Intn(n))
+			if rnd.Intn(3) == 0 {
+				w = ends[rnd.Intn(len(ends))]
+			}
+			if u == w {
+				continue
+			}
+			key := [2]V{min(u, w), max(u, w)}
+			if sets[i][key] {
+				if !sides[i].RemoveEdge(u, w) {
+					t.Fatalf("n=%d step %d: RemoveEdge(%d,%d) = false for a present edge", n, step, u, w)
+				}
+				delete(sets[i], key)
+			} else {
+				if !sides[i].AddEdge(u, w) {
+					t.Fatalf("n=%d step %d: AddEdge(%d,%d) = false for an absent edge", n, step, u, w)
+				}
+				sets[i][key] = true
+			}
 		}
-		if g.AddEdge(u, v) {
-			edges[[2]V{u, v}] = true
+		for i, side := range sides {
+			want := rebuild(n, sets[i], side.Locs())
+			requireSameTopology(t, side, want)
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, side); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadBinary(&buf)
+			if err != nil {
+				t.Fatalf("n=%d side %d: %v", n, i, err)
+			}
+			requireSameTopology(t, back, want)
+			if i == 1 {
+				continue
+			}
+			// Churn keeps working after the checks.
+			for e := range sets[i] {
+				if !side.RemoveEdge(e[1], e[0]) || side.HasEdge(e[0], e[1]) {
+					t.Fatalf("n=%d side %d: RemoveEdge(%d,%d) did not take", n, i, e[1], e[0])
+				}
+				break
+			}
 		}
-	}
-	if g.PatchedVertices() == 0 {
-		t.Fatal("churn left no patched vertices")
-	}
-	epoch := g.TopoEpoch()
-	g.Compact()
-	if g.PatchedVertices() != 0 {
-		t.Fatalf("Compact left %d patched vertices", g.PatchedVertices())
-	}
-	if g.TopoEpoch() != epoch {
-		t.Fatalf("Compact bumped epoch %d -> %d", epoch, g.TopoEpoch())
-	}
-	requireSameTopology(t, g, rebuild(40, edges, g.Locs()))
-	// Further churn after compaction still works.
-	if !g.RemoveEdge(g.Neighbors(0)[0], 0) {
-		t.Fatal("RemoveEdge after Compact failed")
-	}
-}
-
-// TestAutoCompaction checks that heavy churn folds the delta layer back into
-// the CSR on its own.
-func TestAutoCompaction(t *testing.T) {
-	const n = 100 // > compactMinPatched vertices will be patched
-	b := NewBuilder(n)
-	g := b.Build()
-	for v := 1; v < n; v++ {
-		g.AddEdge(0, V(v))
-	}
-	if g.PatchedVertices() > compactMinPatched {
-		t.Fatalf("auto-compaction never fired: %d patched", g.PatchedVertices())
-	}
-	if g.NumEdges() != n-1 {
-		t.Fatalf("m = %d, want %d", g.NumEdges(), n-1)
 	}
 }
 
@@ -212,10 +228,10 @@ func TestAutoCompaction(t *testing.T) {
 // either direction.
 func TestCloneIsolatesTopology(t *testing.T) {
 	g, _ := randomGraphEdges(20, 30, 5)
-	g.AddEdge(0, 19) // ensure a patched row exists before cloning
+	g.AddEdge(0, 19) // ensure a copied page exists before cloning
 	c := g.Clone()
 	if !c.HasEdge(0, 19) {
-		t.Fatal("clone lost patched edge")
+		t.Fatal("clone lost an edge added before the clone")
 	}
 	epoch := c.TopoEpoch()
 	g.RemoveEdge(0, 19)
@@ -232,21 +248,21 @@ func TestCloneIsolatesTopology(t *testing.T) {
 }
 
 // TestCloneSharesEdgeHistory pins what publication cost depends on: with
-// hundreds of patched rows a Clone allocates a fixed handful of objects (it
-// shares the rows and the map), and a chain of clones still diverges
-// correctly whichever side mutates which row afterwards — checked against
-// graphs rebuilt from each side's own edge set.
+// hundreds of edge ops behind it a Clone allocates a fixed handful of objects
+// (it shares the pages), and a chain of clones still diverges correctly
+// whichever side mutates which row afterwards — checked against graphs
+// rebuilt from each side's own edge set.
 func TestCloneSharesEdgeHistory(t *testing.T) {
-	const n = 4000 // below the compaction threshold at 600 patched rows
+	const n = 4000
 	g, edges := randomGraphEdges(n, 3*n, 17)
-	for v := V(0); g.PatchedVertices() < 600; v++ {
+	for v := V(0); v < 300; v++ {
 		if w := v + n/2; g.AddEdge(v, w) {
 			edges[[2]V{v, w}] = true
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, func() { g.Clone() }); allocs > 3 {
-		t.Fatalf("Clone with %d patched rows allocates %v objects, want the struct and the location copy",
-			g.PatchedVertices(), allocs)
+		t.Fatalf("Clone after 300 edge ops allocates %v objects, want the struct, the location copy and the table",
+			allocs)
 	}
 
 	sides := []*Graph{g, g.Clone(), nil}
@@ -272,20 +288,17 @@ func TestCloneSharesEdgeHistory(t *testing.T) {
 	}
 }
 
-// TestWriteBinaryWithDeltas round-trips a graph whose topology lives partly
-// in the delta layer — without mutating it (WriteBinary is a pure reader).
+// TestWriteBinaryWithDeltas round-trips a graph that took an edge op after
+// its build — without mutating it (WriteBinary is a pure reader).
 func TestWriteBinaryWithDeltas(t *testing.T) {
 	g, edges := randomGraphEdges(25, 40, 11)
 	g.AddEdge(0, 24)
 	edges[[2]V{0, 24}] = true
-	patched := g.PatchedVertices()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if g.PatchedVertices() != patched {
-		t.Fatalf("WriteBinary mutated the graph: %d patched vertices, had %d", g.PatchedVertices(), patched)
-	}
+	requireSameTopology(t, g, rebuild(25, edges, g.Locs()))
 	if int64(buf.Len()) != BinarySize(g) {
 		t.Fatalf("wrote %d bytes, BinarySize says %d", buf.Len(), BinarySize(g))
 	}
@@ -298,10 +311,10 @@ func TestWriteBinaryWithDeltas(t *testing.T) {
 
 // TestNumVerticesSafeDuringCompaction pins the concurrency contract the
 // server relies on: NumVertices (range checks, clone scratch sizing) may be
-// read without the caller's lock even while churn triggers Compact, which
-// replaces the offsets slice. Run with -race.
+// read without the caller's lock even during edge churn, which swaps pages
+// in the table. Run with -race.
 func TestNumVerticesSafeDuringCompaction(t *testing.T) {
-	const n = 400 // big enough that auto-compaction fires repeatedly
+	const n = 400 // edge ops across both pages
 	g := NewBuilder(n).Build()
 	done := make(chan struct{})
 	go func() {

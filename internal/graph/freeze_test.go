@@ -47,7 +47,6 @@ func TestFreeze(t *testing.T) {
 	mustPanic("SetLoc", func() { g.SetLoc(0, geom.Point{X: 0.9, Y: 0.9}) })
 	mustPanic("AddEdge", func() { g.AddEdge(0, 3) })
 	mustPanic("RemoveEdge", func() { g.RemoveEdge(0, 1) })
-	mustPanic("Compact", func() { g.Compact() })
 
 	// Clone is mutable and diverges alone.
 	c := g.Clone()

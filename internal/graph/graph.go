@@ -1,14 +1,16 @@
 // Package graph implements the spatial-graph substrate of the paper's data
 // model (Section 3): an undirected graph G(V, E) whose vertices carry 2-D
 // locations. Vertices are dense int32 indices 0..n-1; adjacency is stored in
-// compressed sparse row (CSR) form so neighbor iteration is allocation-free.
+// compressed sparse row (CSR) form, cut into pages of pageSize consecutive
+// vertices, so neighbor iteration is allocation-free.
 //
 // Locations are mutable (SetLoc) because the dynamic experiment of Section
 // 5.2.3 replays check-ins that move users. Topology is mutable too — real
-// geo-social backends churn friendships, not just locations — through a
-// copy-on-write delta layer over the CSR (AddEdge, RemoveEdge, dynamic.go)
-// that is periodically compacted back into CSR form; a separate topology
-// epoch versions the edge set the way the location epoch versions locations.
+// geo-social backends churn friendships, not just locations — through
+// copy-on-write pages (AddEdge, RemoveEdge, dynamic.go): a page is never
+// written once built, an edge op stores new copies of its endpoints' pages,
+// and a clone shares every page. A separate topology epoch versions the edge
+// set the way the location epoch versions locations.
 package graph
 
 import (
@@ -16,7 +18,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"sacsearch/internal/geom"
 )
@@ -38,30 +39,35 @@ func IDs(vs []V) []int64 {
 	return out
 }
 
-// Graph is an undirected spatial graph in CSR form.
+// pageBits sets the page size: a page holds the rows of pageSize consecutive
+// vertices, so an edge op copies O(pageSize) offsets and rows per endpoint
+// and a clone copies n/pageSize pointers.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+// page is a small CSR over the pageSize vertices from some multiple of
+// pageSize on: the row of the page's i-th vertex is adj[off[i]:off[i+1]].
+// Offsets past the graph's last vertex repeat len(adj). A page owns its
+// storage and is never written once built, so any number of graphs may
+// share it.
+type page struct {
+	off [pageSize + 1]int32
+	adj []V
+}
+
+// Graph is an undirected spatial graph in paged CSR form.
 type Graph struct {
-	// n is the vertex count. It is immutable for the life of the Graph and
-	// deliberately NOT derived from offsets: Compact replaces the offsets
-	// slice under topology mutation, so every accessor that must stay safe
-	// without the caller's lock (NumVertices, and through it range checks
-	// and Searcher.Clone scratch sizing) reads this field instead.
+	// n is the vertex count. It is immutable for the life of the Graph, so
+	// every accessor that must stay safe without the caller's lock
+	// (NumVertices, and through it range checks and Searcher.Clone scratch
+	// sizing) reads this field while edge ops swap pages.
 	n int
 
-	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
-	adj     []V
-
-	// patched holds the adjacency rows mutated since the last compaction
-	// (see dynamic.go). A row is immutable once stored — AddEdge/RemoveEdge
-	// store a new one — so clones share rows, and share the map itself until
-	// one side's next edge mutation copies it (patchedShared). nil when the
-	// graph has no pending deltas, which keeps the static read path at one
-	// nil check.
-	patched map[V][]V
-	// patchedShared is set on both sides by Clone: some other Graph may be
-	// reading this map, so the next edge mutation must copy it first. Atomic
-	// because Clone is a read of the graph as far as callers are concerned,
-	// and concurrent readers are legal.
-	patchedShared atomic.Bool
+	// pages is this graph's table: vertex v's row lives in pages[v>>pageBits].
+	// The table is the graph's own (Clone copies it); the pages are shared.
+	pages []*page
 
 	locs   []geom.Point
 	m      int      // number of undirected edges
@@ -105,25 +111,18 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // Neighbors returns the adjacency list of v as a shared slice, sorted
-// ascending. Callers must not modify it; it is valid until the next topology
-// mutation.
+// ascending. Callers must not modify it. Pages are never edited, so the row
+// stays valid for as long as its holder lives; an edge op on the graph
+// afterwards is not reflected in it.
 func (g *Graph) Neighbors(v V) []V {
-	if g.patched != nil {
-		if nb, ok := g.patched[v]; ok {
-			return nb
-		}
-	}
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
+	p, i := g.pages[v>>pageBits], v&(pageSize-1)
+	return p.adj[p.off[i]:p.off[i+1]]
 }
 
 // Degree returns deg_G(v).
 func (g *Graph) Degree(v V) int {
-	if g.patched != nil {
-		if nb, ok := g.patched[v]; ok {
-			return len(nb)
-		}
-	}
-	return int(g.offsets[v+1] - g.offsets[v])
+	p, i := g.pages[v>>pageBits], v&(pageSize-1)
+	return int(p.off[i+1] - p.off[i])
 }
 
 // Loc returns the location of v.
@@ -138,8 +137,8 @@ func (g *Graph) SetLoc(v V, p geom.Point) {
 	g.record(Write{Kind: WriteCheckin, V: v, Loc: p})
 }
 
-// Freeze marks the graph immutable: every later SetLoc, AddEdge, RemoveEdge
-// or Compact panics. A frozen graph is safe for concurrent readers without
+// Freeze marks the graph immutable: every later SetLoc, SetLabels, AddEdge or
+// RemoveEdge panics. A frozen graph is safe for concurrent readers without
 // any locking — the property snapshot publication relies on. Freezing is
 // one-way; Clone returns a mutable copy.
 func (g *Graph) Freeze() { g.frozen = true }
@@ -227,31 +226,20 @@ func (g *Graph) NearestNeighbor(q V) V {
 
 // Clone returns an independent copy of the graph: either side can mutate
 // without the other seeing it, which the dynamic-replay experiments and
-// snapshot publication rely on. Locations and labels are copied. Adjacency
-// is shared — the CSR slices and the delta layer's rows are never edited in
-// place, and the delta layer's map is copied by whichever side mutates an
-// edge next — so a clone costs the location copy however much edge history
-// the graph carries. The mutation journal and both epochs carry over: the
-// clone continues the same timeline. The clone is always mutable, even when
-// g is frozen.
+// snapshot publication rely on. Locations are copied. Labels are shared:
+// SetLabels replaces the slice, never writes it. Adjacency is shared too:
+// the clone gets a copy of the page table and shares every page, and an edge
+// op on either side stores new pages in its own table only, so a clone costs
+// the location copy and n/pageSize pointers however much edge history the
+// graph carries. The mutation journal and both epochs carry over: the clone
+// continues the same timeline. The clone is always mutable, even when g is
+// frozen.
 func (g *Graph) Clone() *Graph {
-	locs := make([]geom.Point, len(g.locs))
-	copy(locs, g.locs)
-	var labels []string
-	if g.labels != nil {
-		labels = make([]string, len(g.labels))
-		copy(labels, g.labels)
-	}
-	c := &Graph{
-		n: g.n, offsets: g.offsets, adj: g.adj, patched: g.patched,
-		locs: locs, m: g.m, labels: labels,
+	return &Graph{
+		n: g.n, pages: slices.Clone(g.pages),
+		locs: slices.Clone(g.locs), m: g.m, labels: g.labels,
 		locEpoch: g.locEpoch, topoEpoch: g.topoEpoch, journal: g.journal,
 	}
-	if g.patched != nil {
-		c.patchedShared.Store(true)
-		g.patchedShared.Store(true)
-	}
-	return c
 }
 
 // Builder accumulates edges and locations, then produces an immutable Graph.
@@ -344,13 +332,23 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	outOff[n] = written
-	// out aliases adj; copy the compacted prefix into a right-sized slice.
-	finalAdj := make([]V, written)
-	copy(finalAdj, out)
-	m := 0
-	for v := 0; v < n; v++ {
-		m += int(outOff[v+1] - outOff[v])
+	return &Graph{n: n, pages: pagesOf(outOff, out), locs: b.locs, m: int(written) / 2}
+}
+
+// pagesOf cuts a CSR into pages, each copying its rows onto storage of its
+// own, so no page pins the array it was cut from: off holds the row offsets
+// of consecutive vertices from a multiple of pageSize on (one entry more
+// than there are vertices), and adj the rows from off[0] on.
+func pagesOf(off []int32, adj []V) []*page {
+	n := len(off) - 1
+	pages := make([]*page, 0, (n+pageSize-1)/pageSize)
+	for lo := 0; lo < n; lo += pageSize {
+		hi := min(lo+pageSize, n)
+		p := &page{adj: append([]V(nil), adj[off[lo]-off[0]:off[hi]-off[0]]...)}
+		for i := range p.off {
+			p.off[i] = off[min(lo+i, hi)] - off[lo]
+		}
+		pages = append(pages, p)
 	}
-	g := &Graph{n: n, offsets: outOff, adj: finalAdj, locs: b.locs, m: m / 2}
-	return g
+	return pages
 }

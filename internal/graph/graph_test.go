@@ -167,6 +167,23 @@ func TestClone(t *testing.T) {
 	if c.NumEdges() != g.NumEdges() {
 		t.Fatal("clone lost edges")
 	}
+	// Labels are shared, and SetLabels on either side leaves the other's.
+	if err := g.SetLabels([]string{"a", "b", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	c = g.Clone()
+	if err := c.SetLabels([]string{"x", "y", "z"}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Label(0) != "a" || c.Label(0) != "x" {
+		t.Fatalf("labels after SetLabels on the clone: g %q, c %q", g.Label(0), c.Label(0))
+	}
+	if err := g.SetLabels([]string{"p", "q", "r"}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Label(1) != "q" || c.Label(1) != "y" {
+		t.Fatalf("labels after SetLabels on the original: g %q, c %q", g.Label(1), c.Label(1))
+	}
 }
 
 func TestMarker(t *testing.T) {

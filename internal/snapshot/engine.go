@@ -30,10 +30,9 @@
 // waits for the publication that contains it (read-your-writes), and a burst
 // is applied together and published once, so publication cost amortizes
 // over the burst. That cost is an O(n) location copy, plus an O(n)
-// core-slice copy only when the batch held an edge op: the CSR, the delta
-// layer's rows and — until the writer's next edge op — its row map are
-// shared with the clone, and a location-only publication shares the
-// previous snapshot's core slice too.
+// core-slice copy only when the batch held an edge op: the graph's page
+// table is copied and the pages shared with the clone, and a location-only
+// publication shares the previous snapshot's core slice too.
 //
 // Workers rebind across snapshots instead of re-cloning, and all of them
 // share one candidate cache: the pool's, which every snapshot base shares

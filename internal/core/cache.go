@@ -455,33 +455,46 @@ func PublishedViews(s *Searcher, q graph.V, k int) (views, slots int) {
 // enter returns the entry of (q, k) at the searcher's topology, pinned until
 // release, as curEntry (what an earlier call left pinned is let go first);
 // hit reports that it came from the store. Without a current stored entry
-// the community is walked afresh and stored — unless by then the store
-// holds it at this topology or a later one, and the new entry then serves
-// this query alone.
+// the community is walked afresh (fresh).
 func (s *Searcher) enter(q graph.V, k int) (e *cacheEntry, hit bool) {
 	s.release()
 	if e = s.current(q, k); e == nil {
-		now := s.now()
-		members := s.communityOf(q, k)
-		e = s.spareEntry(len(members))
-		e.members, e.views = members, &viewList{}
-		e.topo.Store(now.topo)
-		e.seq.Store(now.seq())
-		if s.structure == StructureKCore && e.members != nil {
-			s.bindLocal(e)
-			s.buildInduced(e, nil, nil)
-		}
-		// k-clique communities overlap (clique percolation), so their entries
-		// are keyed by the query vertex alone; k-core and k-truss communities
-		// partition vertices per k and fan out to every member.
-		if !s.store.put(q, k, e, s.structure != StructureKClique) {
-			e.pins.retire()
-		}
+		e = s.fresh(q, k)
 	} else {
 		hit = true
 	}
 	s.curEntry, s.pinnedEntry = e, e
 	return e, hit
+}
+
+// fresh walks the community of (q, k) into a new entry, stores it and
+// returns it pinned. A walk whose put lost to one at this topology (a
+// concurrent walk's) takes the stored entry and retires its own, so that
+// the queries and tokens of one topology share one entry; one that lost to
+// an entry at a later topology serves this query alone.
+func (s *Searcher) fresh(q graph.V, k int) *cacheEntry {
+	now := s.now()
+	members := s.communityOf(q, k)
+	e := s.spareEntry(len(members))
+	e.members, e.views = members, &viewList{}
+	e.topo.Store(now.topo)
+	e.seq.Store(now.seq())
+	if s.structure == StructureKCore && e.members != nil {
+		s.bindLocal(e)
+		s.buildInduced(e, nil, nil)
+	}
+	// k-clique communities overlap (clique percolation), so their entries
+	// are keyed by the query vertex alone; k-core and k-truss communities
+	// partition vertices per k and fan out to every member.
+	if s.store.put(q, k, e, s.structure != StructureKClique) {
+		return e
+	}
+	e.pins.retire()
+	if won := s.current(q, k); won != nil {
+		s.unpinEntry(e)
+		return won
+	}
+	return e
 }
 
 // current returns the stored entry of (q, k) brought to the searcher's

@@ -239,3 +239,32 @@ func TestStoreTokenBehindStoreDoesNotWalk(t *testing.T) {
 		t.Fatal("a token taken behind the store stood")
 	}
 }
+
+// TestLostPutTakesStoredEntry: two searchers of one pool walk (q, k) at one
+// topology in a forced order. a misses the store; b's Token walks and
+// stores the community; a's walk then loses its put. a must come away with
+// the stored entry, so its token is the one the store holds and a later gate
+// finds, not the address of members no store holds (the standing-query
+// gate re-evaluated on that mismatch).
+func TestLostPutTakesStoredEntry(t *testing.T) {
+	g, q, _ := storeFixture(t)
+	pool := NewPool(NewSearcher(g))
+	a, b := pool.Get(), pool.Get()
+	defer pool.Put(a)
+	defer pool.Put(b)
+	if a.current(q, 4) != nil {
+		t.Fatal("fixture: the store holds (q, 4) before any walk")
+	}
+	tok := b.Token(q, 4)
+	if tok == (Token{}) {
+		t.Fatal("fixture: q has no 4-community")
+	}
+	e := a.fresh(q, 4)
+	defer a.unpinEntry(e)
+	if tokenOf(e) != tok {
+		t.Fatal("a walk whose put lost kept its own entry, not the stored one")
+	}
+	if stored := tokenOf(a.store.lookup(q, 4).cur.Load()); stored != tok || a.Token(q, 4) != stored {
+		t.Fatal("Token differs from the stored entry's")
+	}
+}

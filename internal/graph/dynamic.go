@@ -7,10 +7,11 @@ import (
 
 // Dynamic topology. A graph's adjacency lives in pages (graph.go), and a
 // page is never written once built. AddEdge and RemoveEdge therefore give
-// each endpoint's page a new copy with the changed row — O(page) per
-// endpoint — and store it in this graph's own table, leaving the old page
-// intact for every clone and snapshot still holding it. Neighbors stays
-// allocation-free and safe for concurrent readers between mutations.
+// each endpoint's page a new copy with the changed row — O(page) per page,
+// one copy when both endpoints share a page — and store it in this graph's
+// own table, leaving the old page intact for every clone and snapshot still
+// holding it. Neighbors stays allocation-free and safe for concurrent
+// readers between mutations.
 //
 // Mutating topology stales every topology-derived structure built from the
 // graph — core decompositions, candidate caches, spatial candidate indexes.
@@ -41,8 +42,7 @@ func (g *Graph) AddEdge(u, v V) bool {
 	if g.HasEdge(u, v) {
 		return false
 	}
-	g.setArc(u, v, true)
-	g.setArc(v, u, true)
+	g.setArcs(u, v, true)
 	g.m++
 	g.topoEpoch++
 	g.record(Write{Kind: WriteAddEdge, V: u, W: v})
@@ -64,29 +64,51 @@ func (g *Graph) RemoveEdge(u, v V) bool {
 	if !g.HasEdge(u, v) {
 		return false
 	}
-	g.setArc(u, v, false)
-	g.setArc(v, u, false)
+	g.setArcs(u, v, false)
 	g.m--
 	g.topoEpoch++
 	g.record(Write{Kind: WriteRemoveEdge, V: u, W: v})
 	return true
 }
 
-// setArc stores in g's table a copy of u's page whose row of u has v
-// inserted, or deleted when insert is false, keeping it sorted. The caller
-// has already checked that the arc is absent, or present.
-func (g *Graph) setArc(u, v V, insert bool) {
-	old, i := g.pages[u>>pageBits], u&(pageSize-1)
-	at := old.off[i]
-	j, _ := slices.BinarySearch(old.adj[at:old.off[i+1]], v)
-	at += int32(j)
-	mid, tail, d := []V(nil), at+1, int32(-1)
+// setArcs stores in g's table copies of u's and v's pages whose rows of u
+// and v gain the arc to the other, or lose it when insert is false. When u
+// and v share a page, one copy carries both rows. The caller has already
+// checked that the edge is absent, or present.
+func (g *Graph) setArcs(u, v V, insert bool) {
+	u, v = min(u, v), max(u, v) // rows in page order
+	if pu, pv := u>>pageBits, v>>pageBits; pu == pv {
+		g.pages[pu] = g.pages[pu].with(insert, [2]V{u, v}, [2]V{v, u})
+	} else {
+		g.pages[pu] = g.pages[pu].with(insert, [2]V{u, v})
+		g.pages[pv] = g.pages[pv].with(insert, [2]V{v, u})
+	}
+}
+
+// with returns a copy of p whose rows gain, or lose, the given arcs
+// {row's vertex, neighbour}, keeping each row sorted. The arcs' rows are in
+// p and ascending.
+func (p *page) with(insert bool, arcs ...[2]V) *page {
+	d := int32(-1)
 	if insert {
-		mid, tail, d = []V{v}, at, 1
+		d = 1
 	}
-	p := &page{off: old.off, adj: slices.Concat(old.adj[:at], mid, old.adj[tail:])}
-	for k := i + 1; k <= pageSize; k++ {
-		p.off[k] += d
+	c := &page{off: p.off, adj: make([]V, 0, len(p.adj)+len(arcs))}
+	from := int32(0)
+	for _, a := range arcs {
+		i := a[0] & (pageSize - 1)
+		j, _ := slices.BinarySearch(p.adj[p.off[i]:p.off[i+1]], a[1])
+		at := p.off[i] + int32(j)
+		c.adj = append(c.adj, p.adj[from:at]...)
+		if insert {
+			c.adj, from = append(c.adj, a[1]), at
+		} else {
+			from = at + 1 // drop the arc
+		}
+		for k := i + 1; k <= pageSize; k++ {
+			c.off[k] += d
+		}
 	}
-	g.pages[u>>pageBits] = p
+	c.adj = append(c.adj, p.adj[from:]...)
+	return c
 }

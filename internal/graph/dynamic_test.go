@@ -331,3 +331,27 @@ func TestNumVerticesSafeDuringCompaction(t *testing.T) {
 	}
 	<-done
 }
+
+// TestSamePageEdgeOpCopiesOnePage: an edge op whose endpoints share a page
+// stores one copy of it, a page and its row array, instead of copying it
+// once per endpoint and dropping the first copy.
+func TestSamePageEdgeOpCopiesOnePage(t *testing.T) {
+	b := NewBuilder(4 * pageSize)
+	for v := 1; v < 4*pageSize; v++ {
+		b.AddEdge(V(v-1), V(v))
+	}
+	g := b.Build()
+	for _, tc := range []struct {
+		u, v   V
+		allocs float64
+	}{{3, pageSize - 1, 2}, {pageSize + 7, pageSize + 2, 2}, {3, 2*pageSize + 5, 4}} {
+		per := testing.AllocsPerRun(50, func() {
+			if !g.AddEdge(tc.u, tc.v) || !g.RemoveEdge(tc.u, tc.v) {
+				t.Fatalf("edge op on (%d,%d) did not take", tc.u, tc.v)
+			}
+		}) / 2
+		if per > tc.allocs {
+			t.Fatalf("edge op on (%d,%d) allocated %v times, want at most %v", tc.u, tc.v, per, tc.allocs)
+		}
+	}
+}

@@ -422,12 +422,14 @@ func (f *Follower) receiveSnapshot(conn net.Conn, resp response) error {
 }
 
 // applyMessage decodes one msgRecords payload — concatenated wal frames —
-// whole, verifying every frame's CRC and the seq chain, then applies it as
-// one Engine.Apply call, so a message applies whole or not at all and the
-// applied seq advances once per message. Any violation aborts the session; a
-// divergence that a tail resume cannot heal (a refused write, a replicated
-// write that changed nothing locally) additionally forces the next session
-// into snapshot mode rather than trusting local state.
+// whole with the log's own reader, wal.WalkFrames (every frame's CRC, the
+// seq chain from the applied seq on). A message arrives whole, so a byte no
+// frame parses from is corruption, as in a sealed segment. It then applies
+// the writes as one Engine.Apply call, so a message applies whole or not at
+// all and the applied seq advances once per message. Any violation aborts
+// the session; a divergence that a tail resume cannot heal (a refused write,
+// a replicated write that changed nothing locally) additionally forces the
+// next session into snapshot mode rather than trusting local state.
 func (f *Follower) applyMessage(payload []byte) error {
 	eng := f.eng.Load()
 	if eng == nil {
@@ -435,19 +437,15 @@ func (f *Follower) applyMessage(payload []byte) error {
 	}
 	first := f.applied.Load() + 1
 	var ws []graph.Write
-	for off := 0; off < len(payload); {
-		n, seq, w, ok := wal.DecodeFrame(payload[off:])
-		if !ok {
-			return fmt.Errorf("undecodable record frame at byte %d of message", off)
-		}
-		if want := first + uint64(len(ws)); seq != want {
-			return fmt.Errorf("record seq %d, want %d", seq, want)
-		}
+	n, _, err := wal.WalkFrames(payload, first, func(_ []byte, _ uint64, w graph.Write) error {
 		ws = append(ws, w)
-		off += n
-	}
-	if len(ws) == 0 {
 		return nil
+	})
+	if err == nil && n < len(payload) {
+		err = fmt.Errorf("undecodable record frame at byte %d of message", n)
+	}
+	if err != nil || len(ws) == 0 {
+		return err
 	}
 	last := first + uint64(len(ws)) - 1
 	changed, err := eng.Apply(f.ctx, ws)

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
+
+	"sacsearch/internal/graph"
 )
 
 // ErrGap reports that a cursor's next record is no longer in the log: the
@@ -15,11 +16,13 @@ import (
 var ErrGap = errors.New("wal: history gap")
 
 // Cursor tails a live log directory: it streams frames in sequence order,
-// tolerating concurrent appends to the active segment (a partial frame at
-// the tail is an in-progress write, retried on the next call) and following
-// segment rotations. Unlike Replay it may run while the owning Log appends;
-// it reads only CRC-valid complete frames, so it can never observe a torn
-// batch as data. A Cursor is not safe for concurrent use.
+// tolerating concurrent appends to the active segment and following segment
+// rotations. It reads by recovery's rules, the log's one reader: frames run
+// on in seq (WalkFrames), the bytes past a segment's last whole frame are
+// judged by tail — an append in flight is waited for, corruption is an
+// error on every poll — and the segment after by successor. It reads only
+// CRC-valid complete frames, so it can never observe a torn batch as data.
+// Replay and Open are cursors too. A Cursor is not safe for concurrent use.
 //
 // The replication shipper is the intended caller: one cursor per follower,
 // polled for new records since the follower's acknowledged sequence. It
@@ -28,56 +31,37 @@ var ErrGap = errors.New("wal: history gap")
 type Cursor struct {
 	dir    string
 	f      *os.File
-	first  uint64 // current segment's first sequence
-	off    int64  // byte offset past the last complete frame
-	expect uint64 // next sequence the current segment's chain must produce
-	emit   uint64 // next sequence to deliver to the caller
+	first  uint64   // current segment's first sequence
+	off    int64    // byte offset past the last complete frame
+	expect uint64   // next sequence the chain must produce
+	emit   uint64   // next sequence to deliver to the caller
+	succ   *segment // the segment after the current one, once seen: the current one is sealed
 	buf    []byte
 }
 
-// maxCursorRead bounds one Next call's read so a huge backlog streams in
-// chunks instead of one giant allocation.
+// maxCursorRead bounds one read so a huge backlog streams in chunks instead
+// of one giant allocation.
 const maxCursorRead = 1 << 20
 
 // OpenCursor positions a cursor to stream records with Seq > afterSeq from
-// dir. It fails with ErrGap when the log no longer holds afterSeq+1 (the
-// segments covering it were truncated) or the chain from there breaks
-// before the active segment (a tail lost below a checkpoint, which Open
-// resumes past in a new segment) — the caller must fall back to a full
-// snapshot rather than resume past a hole.
+// dir. It walks the chain from there to the end of the log once, by the
+// rules Next reads it by, and fails with ErrGap when the log no longer holds
+// afterSeq+1 (the segments covering it were truncated, or none is written
+// yet while afterSeq > 0) or the chain breaks on the way (a tail lost below
+// a checkpoint, which Open resumes past in a new segment) — the caller must
+// fall back to a full snapshot rather than resume past a hole — and with
+// the corruption it finds.
 func OpenCursor(dir string, afterSeq uint64) (*Cursor, error) {
-	c := &Cursor{dir: dir, emit: afterSeq + 1}
-	segs, err := listSegments(dir)
+	probe := &Cursor{dir: dir, expect: afterSeq + 1}
+	_, err := probe.walk(0, nil)
+	if err == nil && probe.f == nil && afterSeq > 0 {
+		err = fmt.Errorf("%w: log is empty, cursor wants seq %d", ErrGap, afterSeq+1)
+	}
+	probe.Close()
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
-		// Nothing written yet; the first Next call finds the segment once it
-		// exists. Valid only when no history is being skipped.
-		if afterSeq > 0 {
-			return nil, fmt.Errorf("%w: log is empty, cursor wants seq %d", ErrGap, afterSeq+1)
-		}
-		return c, nil
-	}
-	idx := holding(segs, c.emit)
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: log starts at seq %d, cursor wants %d", ErrGap, segs[0].first, c.emit)
-	}
-	// Each sealed segment from there on must end right before its successor
-	// starts (an empty one, last 0, ends before it begins).
-	for i := idx; i < len(segs)-1; i++ {
-		last, _, err := scanSegment(segs[i].path, segs[i].first, false)
-		if errors.Is(err, fs.ErrNotExist) || err == nil && max(last, segs[i].first-1)+1 != segs[i+1].first {
-			return nil, fmt.Errorf("%w: the chain from seq %d breaks after segment %s", ErrGap, c.emit, segs[i].path)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := c.open(segs[idx]); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &Cursor{dir: dir, expect: afterSeq + 1, emit: afterSeq + 1}, nil
 }
 
 // open switches the cursor to segment s, validating its magic.
@@ -94,13 +78,8 @@ func (c *Cursor) open(s segment) error {
 		f.Close()
 		return fmt.Errorf("wal: cursor: %s: bad segment magic", s.path)
 	}
-	if c.f != nil {
-		c.f.Close()
-	}
-	c.f = f
-	c.first = s.first
-	c.off = int64(len(segMagic))
-	c.expect = s.first
+	c.Close()
+	c.f, c.first, c.off, c.expect, c.succ = f, s.first, int64(len(segMagic)), s.first, nil
 	return nil
 }
 
@@ -110,115 +89,145 @@ func (c *Cursor) open(s segment) error {
 // tail append is still in flight). Errors are permanent: ErrGap when needed
 // history was truncated away, anything else is corruption.
 func (c *Cursor) Next(dst []byte, max int) ([]byte, int, error) {
-	got := 0
+	n, err := c.walk(max, func(frame []byte, _ uint64, _ graph.Write) error {
+		dst = append(dst, frame...)
+		return nil
+	})
+	return dst, n, err
+}
+
+// errFull ends a walk that has handed out as many records as asked for.
+var errFull = errors.New("wal: cursor batch full")
+
+// walk hands fn the records past the cursor's position in order, each with
+// its frame, up to max of them, and returns how many it handed out. It
+// reads on until the log's last segment has no whole frame left (an append
+// may be in flight), an error, or max. A nil fn takes nothing: the walk
+// only checks the chain to the end of the log.
+func (c *Cursor) walk(max int, fn func(frame []byte, seq uint64, w graph.Write) error) (got int, err error) {
+	whole := false // read the segment's whole remainder: a capped chunk began with no frame
 	for {
 		if c.f == nil {
 			segs, err := listSegments(c.dir)
 			if err != nil || len(segs) == 0 {
-				return dst, got, err
+				return got, err // nothing written yet: the segment is found once it exists
 			}
-			if segs[0].first > c.emit {
-				return dst, got, fmt.Errorf("%w: log starts at seq %d, cursor wants %d", ErrGap, segs[0].first, c.emit)
+			i := holding(segs, c.expect)
+			if i < 0 {
+				return got, successor(segs[0], c.expect)
 			}
-			if err := c.open(segs[0]); err != nil {
-				return dst, got, err
+			if err := c.open(segs[i]); err != nil {
+				return got, err
 			}
 		}
 		fi, err := c.f.Stat()
 		if err != nil {
-			return dst, got, fmt.Errorf("wal: cursor stat: %w", err)
+			return got, fmt.Errorf("wal: cursor stat: %w", err)
 		}
-		leftover := 0
-		if fi.Size() > c.off {
-			need := fi.Size() - c.off
-			capped := need > maxCursorRead
-			if capped {
-				need = maxCursorRead
-			}
-			if int64(cap(c.buf)) < need {
-				c.buf = make([]byte, need)
-			}
-			rn, err := c.f.ReadAt(c.buf[:need], c.off)
-			if err != nil && err != io.EOF {
-				return dst, got, fmt.Errorf("wal: cursor read: %w", err)
-			}
-			data := c.buf[:rn]
-			pos := 0
-			for pos < len(data) {
-				fn, seq, _, ok := DecodeFrame(data[pos:])
-				if !ok {
-					break
-				}
-				if seq != c.expect {
-					return dst, got, fmt.Errorf("wal: cursor: %s: record seq %d, want %d", c.f.Name(), seq, c.expect)
-				}
-				c.expect++
-				if seq >= c.emit {
-					dst = append(dst, data[pos:pos+fn]...)
-					got++
-					c.emit = seq + 1
-				}
-				pos += fn
-				c.off += int64(fn)
-				if got >= max {
-					return dst, got, nil
-				}
-			}
-			leftover = len(data) - pos
-			if capped {
-				// More bytes exist past this chunk. A frame is at most a few
-				// dozen bytes, so an unparseable full-size chunk is corruption,
-				// not a torn tail; otherwise re-read from the new offset.
-				if pos == 0 {
-					return dst, got, fmt.Errorf("wal: cursor: corrupt record in segment %s at byte %d", segName(c.first), c.off)
-				}
-				continue
-			}
+		need := fi.Size() - c.off
+		capped := need > maxCursorRead && !whole
+		if capped {
+			need = maxCursorRead
 		}
-		// Nothing more parses here: either caught up on the active segment,
-		// or the segment is sealed and the chain continues in its successor.
-		advanced, err := c.advance(leftover)
+		if int64(cap(c.buf)) < need {
+			c.buf = make([]byte, need)
+		}
+		rn, err := c.f.ReadAt(c.buf[:need], c.off)
+		if err != nil && err != io.EOF {
+			return got, fmt.Errorf("wal: cursor read: %w", err)
+		}
+		data := c.buf[:rn]
+		n, next, err := WalkFrames(data, c.expect, func(frame []byte, seq uint64, w graph.Write) error {
+			if fn == nil || seq < c.emit {
+				return nil
+			}
+			if got == max {
+				return errFull
+			}
+			if err := fn(frame, seq, w); err != nil {
+				return err
+			}
+			got, c.emit = got+1, seq+1
+			return nil
+		})
+		if errors.Is(err, errSeq) {
+			err = fmt.Errorf("%s at byte %d: %w", c.f.Name(), c.off+int64(n), err)
+		}
+		c.off, c.expect = c.off+int64(n), next
 		if err != nil {
-			return dst, got, err
+			if err == errFull {
+				err = nil
+			}
+			return got, err
 		}
-		if !advanced {
-			return dst, got, nil
+		if capped {
+			whole = n == 0 // else read on from the frame the chunk cut
+			continue
+		}
+		whole = false
+		if c.succ == nil {
+			if c.succ, err = c.successorOf(); err != nil {
+				return got, err
+			}
+			if c.succ != nil {
+				continue // sealed now: what the read caught in flight is whole
+			}
+		}
+		if err := tail(c.f.Name(), c.off, data[n:], c.succ != nil); err != nil || c.succ == nil {
+			return got, err
+		}
+		if err := successor(*c.succ, c.expect); err != nil {
+			return got, err
+		}
+		if err := c.open(*c.succ); err != nil {
+			return got, err
 		}
 	}
 }
 
-// advance moves to the successor segment when the current one is sealed and
-// fully consumed. leftover is the count of unparseable bytes at the current
-// read position: on the active (last) segment that is an in-progress append;
-// on a sealed segment it is corruption.
-func (c *Cursor) advance(leftover int) (bool, error) {
+// successorOf lists the log for the segment after the cursor's: nil while
+// the cursor's is the last. The cursor's own gone is ErrGap: it was
+// truncated away under the cursor.
+func (c *Cursor) successorOf() (*segment, error) {
 	segs, err := listSegments(c.dir)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	present := false
-	var succ *segment
-	for i := range segs {
-		if segs[i].first == c.first {
-			present = true
-		}
-		if segs[i].first > c.first && (succ == nil || segs[i].first < succ.first) {
-			succ = &segs[i]
-		}
+	i := holding(segs, c.first)
+	if i < 0 || segs[i].first != c.first {
+		return nil, fmt.Errorf("%w: segment %s removed under cursor at seq %d", ErrGap, segName(c.first), c.expect)
 	}
-	if !present {
-		return false, fmt.Errorf("%w: segment %s removed under cursor at seq %d", ErrGap, segName(c.first), c.expect)
+	if i+1 == len(segs) {
+		return nil, nil
 	}
-	if succ == nil {
-		return false, nil // active segment: wait for more appends
+	return &segs[i+1], nil
+}
+
+// tail is the log's one tail rule. rest is what follows the last whole
+// frame of the segment at path, read to its end, from byte off. In a sealed
+// segment any byte is corruption. In the last segment up to one largest
+// frame, or zero padding, is an append a crash cut short (Open truncates
+// it) or one still in flight (a cursor waits for it); more is corruption,
+// over history that may hold acknowledged writes.
+func tail(path string, off int64, rest []byte, sealed bool) error {
+	if len(rest) == 0 || !sealed && (len(rest) <= frameHeaderLen+maxPayloadLen || allZero(rest)) {
+		return nil
 	}
-	if leftover > 0 {
-		return false, fmt.Errorf("wal: cursor: corrupt record in sealed segment %s at byte %d", segName(c.first), c.off)
+	return fmt.Errorf("wal: corrupt record in %s at byte %d (%d bytes follow, sealed %t)", path, off, len(rest), sealed)
+}
+
+// successor is the log's one successor rule: the segment after one whose
+// chain runs up to next must start at next. Starting later, it leaves a
+// hole, history truncated away or lost: ErrGap. Starting earlier, it
+// overlaps history the log already holds: corruption.
+func successor(s segment, next uint64) error {
+	if s.first > next {
+		return fmt.Errorf("%w: segment %s starts at seq %d, want %d", ErrGap, s.path, s.first, next)
 	}
-	if succ.first != c.expect {
-		return false, fmt.Errorf("wal: cursor: segment after %s starts at seq %d, want %d", segName(c.first), succ.first, c.expect)
+	if s.first < next {
+		return fmt.Errorf("wal: segment %s starts at seq %d, before %d", s.path, s.first, next)
 	}
-	return true, c.open(*succ)
+	return nil
 }
 
 // Pos returns the sequence of the last record delivered (the next Next call

@@ -345,3 +345,68 @@ func TestCursorGapBelowLostTail(t *testing.T) {
 		t.Fatalf("cursor after the checkpoint = %+v, want seq 6", got)
 	}
 }
+
+// flipInFrame returns a copy of a segment's bytes with one payload byte of
+// its i-th frame (from 0) flipped, so the frame fails its CRC.
+func flipInFrame(t *testing.T, seg []byte, i int) []byte {
+	t.Helper()
+	off := len(segMagic)
+	for range i {
+		n, _, _, ok := DecodeFrame(seg[off:])
+		if !ok {
+			t.Fatal("fixture: an undecodable frame")
+		}
+		off += n
+	}
+	bad := append([]byte(nil), seg...)
+	bad[off+frameHeaderLen+2] ^= 0xff
+	return bad
+}
+
+// TestCursorMidSegmentCorruptionFailsLoudly mirrors
+// TestMidSegmentCorruptionFailsLoudly through OpenCursor and Next: one byte
+// flipped in record 21 of 40 in the last segment is bit rot, not an append
+// in flight. A cursor tailing the log hands out records 1–20 and then fails
+// on that poll, never idling as caught up; a cursor opened on the damaged
+// log fails at open. Neither answers ErrGap, which would send a follower to
+// a snapshot of a leader that can no longer restart.
+func TestCursorMidSegmentCorruptionFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 40)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenCursor(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	segs, _ := listSegments(dir)
+	full, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0].path, flipInFrame(t, full, 20), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	frames, n, err := live.Next(nil, 100)
+	if err == nil || errors.Is(err, ErrGap) {
+		t.Fatalf("poll over a corrupt record: %d records, err = %v, want corruption", n, err)
+	}
+	if n != 20 || len(frames) == 0 || live.Pos() != 20 {
+		t.Fatalf("poll over a corrupt record handed out %d records to seq %d, want 1..20", n, live.Pos())
+	}
+	if _, _, err := live.Next(nil, 100); err == nil {
+		t.Fatal("a repoll over a corrupt record idles as caught up")
+	}
+	if c, err := OpenCursor(dir, 0); err == nil || errors.Is(err, ErrGap) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("cursor opened over a corrupt record: err = %v, want corruption", err)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sacsearch/internal/geom"
@@ -129,4 +131,72 @@ func checkDecode(t *testing.T, data []byte) {
 	if re := EncodeFrame(nil, seq, w); !bytes.Equal(re, data[:n]) {
 		t.Fatalf("%d %+v re-encodes to %x, decoded from %x", seq, w, re, data[:n])
 	}
+}
+
+// FuzzReplayMatchesCursor fuzzes the bytes of the last segment, past its
+// magic, behind a sealed segment holding records 1..5. The log's readers
+// must agree on them: Replay(dir, 0) and a cursor from 0 drained until it is
+// caught up both fail, or both stop cleanly having delivered the same
+// records, and Open fails exactly when they do. The seeds are the segment as
+// written (records 6..45), torn, zero-padded, and with one byte of its 21st
+// record flipped: a cursor once handed out 20 records there and then idled
+// as caught up, while Replay and Open failed.
+func FuzzReplayMatchesCursor(f *testing.F) {
+	var seg []byte
+	for i := range 40 {
+		seg = EncodeFrame(seg, uint64(6+i), rec(i))
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-5])
+	f.Add(append(bytes.Clone(seg), make([]byte, 64)...))
+	off := 0
+	for range 20 {
+		n, _, _, _ := DecodeFrame(seg[off:])
+		off += n
+	}
+	bad := bytes.Clone(seg)
+	bad[off+frameHeaderLen+2] ^= 0xff
+	f.Add(bad)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		sealed := append([]byte(nil), segMagic[:]...)
+		for i := range 5 {
+			sealed = EncodeFrame(sealed, uint64(1+i), rec(100+i))
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(6)), append(segMagic[:], data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var replayed, drained []byte
+		_, rerr := Replay(dir, 0, func(seq uint64, w graph.Write) error {
+			replayed = EncodeFrame(replayed, seq, w)
+			return nil
+		})
+		c, cerr := OpenCursor(dir, 0)
+		for cerr == nil {
+			var n int
+			if drained, n, cerr = c.Next(drained, 7); n == 0 {
+				break
+			}
+		}
+		if c != nil {
+			c.Close()
+		}
+		if (rerr == nil) != (cerr == nil) {
+			t.Fatalf("Replay err = %v, drained cursor err = %v", rerr, cerr)
+		}
+		if rerr == nil && !bytes.Equal(replayed, drained) {
+			t.Fatalf("Replay delivered %x, the cursor %x", replayed, drained)
+		}
+		l, oerr := Open(dir, 0, Options{})
+		if oerr == nil {
+			l.Close()
+		}
+		if (oerr == nil) != (rerr == nil) {
+			t.Fatalf("Open err = %v, Replay err = %v", oerr, rerr)
+		}
+	})
 }

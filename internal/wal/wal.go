@@ -22,17 +22,22 @@
 //	      check-in: v int32, x float64 bits, y float64 bits
 //	      edge:     v int32, w int32, insert uint8 (1 = add, 0 = remove)
 //
-// Recovery scans segments in order, validating every frame and the seq
-// chain. A damaged frame at the very tail of the last segment is a torn
-// write — the crash interrupted an append — and is tolerated: the log is
-// truncated to the last valid frame and appends resume there. A damaged
-// frame anywhere else (an earlier segment, or followed by more data that is
-// not zero padding) is bit rot that may have eaten acknowledged writes, and
-// Open fails loudly rather than silently serving a hole in history.
+// The log has one reader, and recovery, Replay, the replication Cursor and a
+// follower applying shipped frames all read by its rules (cursor.go). Frames
+// run on in seq from each segment's first (WalkFrames). What follows a
+// segment's last whole frame is judged by one tail rule: in a sealed segment
+// any byte is corruption; in the last one up to one largest frame, or zero
+// padding, is an append a crash cut short (Open truncates it) or one still
+// in flight (a cursor waits for it), and more is bit rot that may have eaten
+// acknowledged writes. The segment after is judged by one successor rule: it
+// starts at the next seq; later is a gap (ErrGap), earlier is corruption.
+// Open, Replay and every cursor fail loudly on corruption rather than
+// silently serving a hole in history.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -182,9 +187,7 @@ type segment struct {
 }
 
 // Log is an append-only record log over segment files in one directory.
-// Append/TruncateThrough/Stats/Close are safe for concurrent use; Replay
-// reads the files directly and must not race with Append (recovery runs it
-// before serving starts).
+// Append/TruncateThrough/Stats/Close are safe for concurrent use.
 type Log struct {
 	dir string
 	opt Options
@@ -219,62 +222,61 @@ func Open(dir string, startSeq uint64, opt Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{dir: dir, opt: opt, lastSeq: startSeq}
-	segLast := uint64(0) // newest seq found across segments
-	for i := range segs {
-		isLast := i == len(segs)-1
-		last, validSize, err := scanSegment(segs[i].path, segs[i].first, isLast)
-		if err != nil {
-			return nil, err
-		}
-		if last > 0 {
-			if last < segLast {
-				// A segment ending before its predecessor would mean the
-				// files were shuffled; listSegments ordering makes this a
-				// directory-level inconsistency.
-				return nil, fmt.Errorf("wal: segment %s ends at seq %d, before %d", segs[i].path, last, segLast)
-			}
-			segLast = last
-		}
-		segs[i].size = validSize
-		if isLast {
-			// Repair the torn tail so new frames land after the last valid
-			// one instead of interleaving with garbage.
-			if fi, err := os.Stat(segs[i].path); err == nil && fi.Size() > validSize {
-				if err := os.Truncate(segs[i].path, validSize); err != nil {
-					return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", segs[i].path, err)
-				}
-			}
-		}
-	}
-	// The chain never moves backwards past startSeq: a log whose tail
-	// records were lost (power loss under a lax fsync policy zeroing the
-	// active segment) may scan to a seq below the checkpoint that seeded
-	// startSeq — the checkpoint already contains those records' effects, so
-	// the right resume point is still startSeq. Regressing would hand out
-	// already-covered sequence numbers to new writes, and the next recovery
-	// would silently skip them as "before the checkpoint". An empty segment
-	// named at the resume point is one an earlier Open made: resume in it.
-	resumePastLoss := len(segs) > 0 && segLast < l.lastSeq && segs[len(segs)-1].first != l.lastSeq+1
-	if segLast > l.lastSeq {
-		l.lastSeq = segLast
-	}
 	if len(segs) == 0 {
-		if err := l.createSegment(l.lastSeq + 1); err != nil {
+		if err := l.createSegment(startSeq + 1); err != nil {
 			return nil, err
 		}
 	} else {
-		l.active = segs[len(segs)-1]
-		l.sealed = segs[:len(segs)-1]
-		f, err := os.OpenFile(l.active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		// Recovery reads the log as a cursor does, handing out nothing. A gap
+		// between two segments is a tail lost below a checkpoint: Open
+		// resumes past it, and Replay judges it against the checkpoint.
+		c := &Cursor{dir: dir, expect: segs[0].first}
+		defer c.Close()
+		for {
+			_, err := c.walk(0, nil)
+			if errors.Is(err, ErrGap) && c.succ != nil {
+				err = c.open(*c.succ)
+			} else if err == nil {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		// The walk ended in the last segment, at the end of its last whole
+		// frame: cut what the tail rule let pass, so new frames land there
+		// instead of interleaving with garbage. A sealed segment is whole.
+		last := &segs[len(segs)-1]
+		if err := os.Truncate(last.path, c.off); err != nil {
+			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", last.path, err)
+		}
+		last.size = c.off
+		for i := range segs[:len(segs)-1] {
+			fi, err := os.Stat(segs[i].path)
+			if err != nil {
+				return nil, fmt.Errorf("wal: %w", err)
+			}
+			segs[i].size = fi.Size()
+		}
+		l.active, l.sealed = *last, segs[:len(segs)-1]
+		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening active segment: %w", err)
 		}
 		l.f = f
-		if resumePastLoss {
-			// The surviving segments end before the resume point, so the
-			// next record (lastSeq+1) cannot extend their seq chain — seal
-			// them and start a fresh segment named at the resume point.
-			if err := l.createSegment(l.lastSeq + 1); err != nil {
+		// The chain never moves backwards past startSeq: a log whose tail
+		// records were lost (power loss under a lax fsync policy zeroing the
+		// active segment) may end below the checkpoint that seeded
+		// startSeq — the checkpoint already contains those records' effects,
+		// so the right resume point is still startSeq. Regressing would hand
+		// out already-covered sequence numbers to new writes, and the next
+		// recovery would silently skip them as "before the checkpoint".
+		l.lastSeq = max(startSeq, c.expect-1)
+		if c.expect <= startSeq {
+			// The last segment cannot take startSeq+1 next (an empty one an
+			// earlier Open named there can, and is resumed in): seal it and
+			// start a fresh segment named at the resume point.
+			if err := l.createSegment(startSeq + 1); err != nil {
 				return nil, err
 			}
 		}
@@ -517,42 +519,17 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// Replay streams every valid record with seq > afterSeq, in order, to fn,
-// from the segment holding afterSeq+1, as a cursor does: a jump below it (a
-// tail lost under a checkpoint, which Open resumes past) is no gap. From
-// there the chain must be gap-free, its first record afterSeq+1 when the log
-// holds newer ones: anything else means a needed segment was lost, and
+// Replay streams every record with seq > afterSeq, in order, to fn: it is a
+// cursor at afterSeq drained to the end of the log, read by the same rules.
+// It starts in the segment holding afterSeq+1, so a jump below it (a tail
+// lost under a checkpoint, which Open resumes past) is no gap. From there
+// the chain must run on: a log that no longer holds afterSeq+1 while it
+// holds newer records, or a segment missing later on, is ErrGap, and
 // recovery must fail rather than skip history. Stops early if fn errs.
 func Replay(dir string, afterSeq uint64, fn func(seq uint64, w graph.Write) error) (replayed int, err error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	from := max(holding(segs, afterSeq+1), 0)
-	expect := uint64(0) // next seq the chain must produce; 0 = not yet anchored
-	for i := from; i < len(segs); i++ {
-		s, isLast := segs[i], i == len(segs)-1
-		_, err := scanRecords(s.path, s.first, isLast, func(seq uint64, w graph.Write) error {
-			if expect == 0 {
-				expect = seq
-			} else if seq != expect {
-				return fmt.Errorf("wal: sequence gap in %s: got %d, want %d", s.path, seq, expect)
-			}
-			expect = seq + 1
-			if seq <= afterSeq {
-				return nil
-			}
-			if replayed == 0 && seq != afterSeq+1 {
-				return fmt.Errorf("wal: history gap: replay needs seq %d, log starts at %d", afterSeq+1, seq)
-			}
-			replayed++
-			return fn(seq, w)
-		})
-		if err != nil {
-			return replayed, err
-		}
-	}
-	return replayed, nil
+	c := &Cursor{dir: dir, expect: afterSeq + 1, emit: afterSeq + 1}
+	defer c.Close()
+	return c.walk(math.MaxInt, func(_ []byte, seq uint64, w graph.Write) error { return fn(seq, w) })
 }
 
 // holding returns the index of the segment of segs (ascending) that holds
@@ -562,58 +539,33 @@ func holding(segs []segment, seq uint64) int {
 	return sort.Search(len(segs), func(i int) bool { return segs[i].first > seq }) - 1
 }
 
-// scanSegment validates a whole segment in one pass, returning its last
-// record's seq (0 when empty) and the byte length of the valid prefix.
-func scanSegment(path string, firstSeq uint64, isLast bool) (lastSeq uint64, validSize int64, err error) {
-	validSize, err = scanRecords(path, firstSeq, isLast, func(seq uint64, _ graph.Write) error {
-		lastSeq = seq
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return lastSeq, validSize, nil
-}
+// errSeq marks a frame out of sequence: corruption, never a torn tail.
+var errSeq = errors.New("wal: record out of sequence")
 
-// scanRecords walks one segment file frame by frame, returning the byte
-// offset past the last valid frame. A framing failure at the tail of the
-// last segment is tolerated (torn write); one followed by more non-zero
-// data, or in a sealed segment, is corruption and errors.
-func scanRecords(path string, firstSeq uint64, isLast bool, fn func(uint64, graph.Write) error) (validEnd int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: reading %s: %w", path, err)
-	}
-	if int64(len(data)) < int64(len(segMagic)) || [8]byte(data[:8]) != segMagic {
-		return 0, fmt.Errorf("wal: %s: bad segment magic", path)
-	}
-	off := int64(len(segMagic))
-	expect := firstSeq
-	for off < int64(len(data)) {
-		n, seq, w, ok := DecodeFrame(data[off:])
+// WalkFrames is the log's one frame reader. It decodes the frames at the
+// start of data in order, the first of which must carry seq next, and hands
+// each to fn with its bytes. It stops at the first byte no frame parses
+// from, returning the bytes the frames fn took span and the seq the frame
+// after them must carry. A frame out of sequence stops it with an error, and
+// so does fn's, before the frame fn refused. Whether bytes left unparsed
+// are a torn tail or corruption is the caller's to judge: tail, for a
+// segment.
+func WalkFrames(data []byte, next uint64, fn func(frame []byte, seq uint64, w graph.Write) error) (n int, _ uint64, err error) {
+	for n < len(data) {
+		size, seq, w, ok := DecodeFrame(data[n:])
 		if !ok {
-			if !isLast {
-				return off, fmt.Errorf("wal: corrupt record in sealed segment %s at byte %d", path, off)
-			}
-			// A torn final append occupies less than one max-size frame; a
-			// larger damaged region, unless it is all zero padding, means
-			// valid history was overwritten — refuse to guess.
-			rest := data[off:]
-			if int64(len(rest)) > frameHeaderLen+maxPayloadLen && !allZero(rest) {
-				return off, fmt.Errorf("wal: corrupt record mid-segment %s at byte %d (%d bytes follow)", path, off, len(rest))
-			}
-			return off, nil
+			break
 		}
-		if seq != expect {
-			return off, fmt.Errorf("wal: %s: record seq %d, want %d", path, seq, expect)
+		if seq != next {
+			return n, next, fmt.Errorf("%w: seq %d, want %d", errSeq, seq, next)
 		}
-		expect++
-		if err := fn(seq, w); err != nil {
-			return off, err
+		if err := fn(data[n:n+size], seq, w); err != nil {
+			return n, next, err
 		}
-		off += int64(n)
+		n += size
+		next++
 	}
-	return off, nil
+	return n, next, nil
 }
 
 func allZero(b []byte) bool {

@@ -12,7 +12,8 @@
 //	sacbench -datasets syn1 -scale 1 -gate-parallel 2  # CI: scaling gate
 //	sacbench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //
-// Output goes to stdout; redirect to keep a record alongside EXPERIMENTS.md.
+// Output goes to stdout; redirect it to a file to keep a record (the repo
+// commits none yet).
 // Performance is tracked by the bench/ module, which drives real server
 // processes over HTTP; nothing here records a trajectory.
 //

@@ -259,10 +259,11 @@ func (s *Searcher) bindLocal(e *cacheEntry) {
 }
 
 // maxCachedVertices bounds the total member slots a store holds. When a
-// store would exceed it, the whole store is dropped — eviction is
-// all-or-nothing because entries are shared by every member vertex and
-// per-entry removal would need reverse indexes the common case never uses.
-// Queries holding a dropped entry finish on it; nothing finds it again.
+// store would exceed it, the whole store is dropped. Dropping one entry is
+// cheap (removeLocked walks its members' keys), but the store keeps no
+// order — no recency, no cost — from which to pick the entry to drop, so
+// eviction is all-or-nothing. Queries holding a dropped entry finish on it;
+// nothing finds it again.
 const maxCachedVertices = 1 << 20
 
 // entrySlot holds a community's published entry: every key leads to it, so

@@ -5,8 +5,9 @@
 // bench_test.go, or programmatically.
 //
 // Absolute numbers differ from the paper (different hardware, language and
-// — for the real datasets — synthetic stand-ins; see DESIGN.md §3), but the
-// qualitative shapes are preserved and recorded in EXPERIMENTS.md.
+// — for the real datasets — synthetic stand-ins, internal/dataset), but the
+// qualitative shapes are preserved; exp_test.go asserts each experiment's
+// shape on the quick config.
 package exp
 
 import (

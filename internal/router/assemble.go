@@ -36,9 +36,10 @@ import (
 // (internal/core/theta.go), so the same gather answers it.
 
 // routeAssembled gathers the cross-shard k-core closure around q and runs
-// the query locally. owner is q's shard (already consulted and uncertified).
-// It also returns the gathered vertex ids, no community or not — a superset
-// of the candidate set X, the standing-query layer's check-in watch set.
+// the query locally; it is the router's one expand caller. owner is q's
+// shard (already consulted and uncertified). It also returns the gathered
+// vertex ids, no community or not — a superset of X, which an assembled
+// standing query keeps as its gate state.
 func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*wire.Result, map[int64]struct{}, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()

@@ -301,7 +301,7 @@ func TestRoutedDrainFlushesPendingChange(t *testing.T) {
 	if err := tp.routerCl.CheckIn(t.Context(), mover, 0.999, 0.999); err != nil {
 		t.Fatal(err)
 	}
-	tp.rt.subs.note(client.WatchEvent{Resync: true})
+	tp.rt.subs.note(tp.m.OwnerOf(3), client.WatchEvent{Resync: true})
 	tp.rt.DrainSubscriptions()
 	sawDelta := false
 	for deadline := time.After(10 * time.Second); ; {

@@ -61,11 +61,32 @@ func (rt *Router) validateQuery(cq core.Query) error {
 	return core.ValidateQuery(cq, rt.m.N, core.StructureKCore)
 }
 
-// route answers one validated query, for /v1/query and every /v1/batch item
-// alike.
-func (rt *Router) route(ctx context.Context, cq core.Query) (*wire.Result, error) {
-	resp, _, err := rt.routeGathered(ctx, cq, false)
-	return resp, err
+// route answers one validated query — /v1/query, each /v1/batch item and
+// each standing-query evaluation — whatever its algorithm: owner-first
+// through the certificate, else by cross-shard assembly. It also returns the
+// gate state a standing query keeps (subscribe.go): the owner's shard id
+// (an int) for a certified answer, the gathered ids (a map[int64]struct{})
+// for an assembled one.
+func (rt *Router) route(ctx context.Context, cq core.Query) (*wire.Result, any, error) {
+	owner := rt.m.OwnerOf(cq.Q)
+	lctx, span := rt.leg(ctx, "search", owner)
+	verdict, err := rt.sets[owner].ShardSearch(lctx, httpapi.WireQuery(cq))
+	span.End()
+	if err != nil {
+		return nil, nil, &legFailure{owner, err}
+	}
+	if !verdict.Contained {
+		rt.queryPath.With("assembled").Inc()
+		return rt.routeAssembled(ctx, cq, owner)
+	}
+	rt.queryPath.With("certified").Inc()
+	switch {
+	case verdict.NoCommunity:
+		return nil, owner, core.ErrNoCommunity
+	case verdict.Result == nil:
+		return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
+	}
+	return verdict.Result, owner, nil
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +104,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	resp, err := rt.route(ctx, cq)
+	resp, _, err := rt.route(ctx, cq)
 	if err != nil {
 		rt.writeRouteError(w, r, err)
 		return
@@ -98,5 +119,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	httpapi.ServeBatch(w, r.WithContext(ctx), &req, rt.validateQuery, rt.route)
+	httpapi.ServeBatch(w, r.WithContext(ctx), &req, rt.validateQuery, func(ctx context.Context, cq core.Query) (*wire.Result, error) {
+		resp, _, err := rt.route(ctx, cq)
+		return resp, err
+	})
 }

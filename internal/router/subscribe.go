@@ -9,76 +9,38 @@ import (
 
 	"sacsearch/client"
 	"sacsearch/internal/core"
-	"sacsearch/internal/httpapi"
 	"sacsearch/internal/subscribe"
-	"sacsearch/internal/wire"
 )
 
-// Router-held standing queries. The router serves the same GET /v1/subscribe
-// contract as a single server through the same handler and the same
-// dispatcher (subscribe.Dispatcher); this file is the router's Backend. Its
-// invalidation signal is the shards' publication firehoses
-// (GET /v1/shard/watch): one watcher per shard tails the feed (failing over
-// across the shard's endpoints) and merges each frame into the dispatcher's
-// pending summary.
+// Router-held standing queries: the router's Backend for the shared
+// subscribe.Dispatcher, behind the same GET /v1/subscribe handler as a
+// single server's. One watcher per shard tails the shard's publication feed
+// (GET /v1/shard/watch, failing over across its endpoints) and merges each
+// frame, with the shard it came from, into the pending summary. Evaluations
+// take route, so a standing query's answers are what /v1/query would have
+// returned at the same moment, and keep the gate state route returns.
 //
-// Gate soundness: the router cannot scan global core numbers the way a
-// single engine can, so its gate is coarser but still sound: any edge event
-// anywhere re-evaluates everything (topology changes are what reshape
-// candidate sets), while check-ins re-evaluate only subscriptions whose
-// gathered candidate superset — the certified shard's expansion, or the
-// assembled path's collected vertex set, gathered even with no community —
-// contains the moved vertex (θ-SAC too reads only the candidate set,
-// internal/core/theta.go). A resync frame (watcher reconnected with a gap,
-// or a shard re-synced) re-evaluates everything. Evaluations reuse the
-// certified / assembled routing paths, so a standing query's answers are
-// exactly what /v1/query would have returned at the same moment.
-
-// routeGathered answers one validated query, whatever its algorithm (each
-// reads only the candidate set X; θ-SAC by internal/core/theta.go):
-// owner-first with the certificate fast path, falling back to cross-shard
-// assembly. With watch set it also returns the gathered watch set: vertex
-// ids known to cover X (nil = unknown; callers must then treat every
-// check-in as relevant), at the price of one more expand leg on the
-// certified path.
-func (rt *Router) routeGathered(ctx context.Context, cq core.Query, watch bool) (*wire.Result, map[int64]struct{}, error) {
-	owner := rt.m.OwnerOf(cq.Q)
-	lctx, span := rt.leg(ctx, "search", owner)
-	verdict, err := rt.sets[owner].ShardSearch(lctx, httpapi.WireQuery(cq))
-	span.End()
-	if err != nil {
-		return nil, nil, &legFailure{owner, err}
-	}
-	if !verdict.Contained {
-		rt.queryPath.With("assembled").Inc()
-		return rt.routeAssembled(ctx, cq, owner)
-	}
-	rt.queryPath.With("certified").Inc()
-	switch {
-	case verdict.NoCommunity:
-		err = core.ErrNoCommunity
-	case verdict.Result == nil:
-		return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
-	}
-	if !watch {
-		return verdict.Result, nil, err
-	}
-	// Contained means the whole candidate set lives on the owner (none of
-	// it when q is outside the k-core); one expansion round fetches it for
-	// the watch set. A failed expansion degrades to watch-everything, never
-	// to a missed invalidation.
-	ectx, espan := rt.leg(ctx, "expand", owner)
-	exp, eerr := rt.sets[owner].ShardExpand(ectx, cq.K, []int64{int64(cq.Q)})
-	espan.End()
-	var gathered map[int64]struct{}
-	if eerr == nil {
-		gathered = make(map[int64]struct{}, len(exp.Members))
-		for _, m := range exp.Members {
-			gathered[m.V] = struct{}{}
-		}
-	}
-	return verdict.Result, gathered, err
-}
+// A certified answer keeps its owner shard's id and wakes on that shard's
+// frames alone, a resync included. Every algorithm reads only X (q's
+// component of the global k-core), X's edges and its members' locations
+// (θ-SAC too, internal/core/theta.go). The certificate (internal/shard/cert.go)
+// proved X a ghost-free component of the owner's optimistic peel, or q dead
+// in it for a certified no-community answer. That peel reads only the
+// owner's subgraph: its owned vertices, their edges and their ghosts, which
+// it never peels. Only writes routed to the owner change that subgraph (a
+// check-in goes to its vertex's owner, an edge op to both endpoints'), and
+// the owner publishes each on its feed. So until an owner frame the peel,
+// the certificate and the members' locations stand, and so does the
+// answer; a resync from the owner hides its writes, so it wakes too. The
+// re-evaluation is one search leg, which the owner's view store answers
+// from the answer it kept if no member moved (core's standAs).
+//
+// An assembled answer keeps the gathered vertex ids, a superset of X
+// (routeAssembled). The router cannot scan global core numbers the way a
+// single engine can, so this gate is coarser but still sound: any edge
+// event anywhere, any resync, or a check-in of a gathered vertex
+// re-evaluates. Each evaluation's answer may be of either kind; the gate
+// state follows it.
 
 // maxPendCheckins bounds the coalesced check-in set between dispatch
 // rounds; past it the round degrades to evaluate-everything.
@@ -87,8 +49,9 @@ const maxPendCheckins = 4096
 // rpend is the router's pending summary: the feed frames coalesced between
 // dispatch rounds.
 type rpend struct {
-	full     bool // resync (or overflow): evaluate everything
-	topo     bool // at least one edge event
+	from     []bool // per shard: it sent a frame, a resync included
+	full     bool   // a resync (or overflow): evaluate every assembled answer
+	topo     bool   // at least one edge event
 	checkins map[int64]struct{}
 }
 
@@ -130,9 +93,13 @@ func (rs *routerSubs) Register(id string, cq core.Query) (*subscribe.Sub, error)
 	return sub, err
 }
 
-// note merges one feed event into the pending summary.
-func (rs *routerSubs) note(ev client.WatchEvent) {
+// note merges one frame of shard s's feed into the pending summary.
+func (rs *routerSubs) note(s int, ev client.WatchEvent) {
 	rs.Merge(func(p *rpend) {
+		if p.from == nil {
+			p.from = make([]bool, rs.rt.m.Shards)
+		}
+		p.from[s] = true
 		if ev.Resync {
 			p.full = true
 			p.checkins = nil
@@ -192,7 +159,7 @@ func (rs *routerSubs) watchShard(s int) {
 			if ev.Bye {
 				break
 			}
-			rs.note(ev)
+			rs.note(s, ev)
 			lastID, hasLast = ev.Seq, true
 		}
 		ws.Close()
@@ -206,33 +173,30 @@ func (rs *routerSubs) Begin(*rpend) (uint64, bool) { return 0, true }
 // Gate is the router's invalidation gate; see the file comment above for
 // the soundness argument.
 func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
+	if owner, certified := sub.Gate.(int); certified {
+		return p.from[owner]
+	}
 	if p.full || p.topo {
 		return true
 	}
 	// Only check-ins remain. A move reshapes the answer only if it touches
 	// the candidate set; when q is outside the global k-core that set is
-	// empty, and so is the watch set.
-	watch := sub.Gate.(map[int64]struct{})
-	if len(p.checkins) == 0 {
-		return false
-	}
-	if watch == nil {
-		return true // candidate superset unknown: stay conservative
-	}
+	// empty, and so may be the gathered set.
+	gathered := sub.Gate.(map[int64]struct{})
 	for v := range p.checkins {
-		if _, ok := watch[v]; ok {
+		if _, ok := gathered[v]; ok {
 			return true
 		}
 	}
 	return false
 }
 
-// Evaluate answers one standing query through the routed paths and records
-// the gathered watch set as sub.Gate.
+// Evaluate answers one standing query through route and records the gate
+// state it returned as sub.Gate.
 func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rs.rt.cfg.queryTimeout())
 	defer cancel()
-	resp, watch, err := rs.rt.routeGathered(ctx, sub.Query, true)
+	resp, gate, err := rs.rt.route(ctx, sub.Query)
 	var er subscribe.EvalResult
 	switch {
 	case err == nil:
@@ -242,7 +206,7 @@ func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalRes
 	default:
 		return nil, err
 	}
-	sub.Gate = watch
+	sub.Gate = gate
 	return &er, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"sacsearch/client"
 	"sacsearch/internal/graph"
+	"sacsearch/internal/server"
 	"sacsearch/internal/wire"
 )
 
@@ -231,8 +232,9 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 
 // TestRoutedThetaCertifiedEmptyDisk: a certified θ-SAC query whose disk
 // holds no community is the shard's certified no-community verdict, answered
-// as a single server answers it; a standing one still watches the candidate
-// set, so members moving into the disk bring the community in.
+// as a single server answers it; a standing one keeps q's owner shard as its
+// gate state, so the owner's frames for members moving into the disk bring
+// the community in.
 func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
 	tp := newTopology(t, cornerCliques(), 2)
 	q := client.Query{Q: 0, K: 2, Algo: "theta", Theta: client.Float(0.005)} // the disk holds q alone
@@ -264,11 +266,6 @@ func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
 	if !view.noCommunity {
 		t.Fatalf("init holds %v, want no community", view.sorted())
 	}
-	gsub, _ := tp.rt.subs.Hub().Get("tight")
-	if w := gsub.Gate.(map[int64]struct{}); len(w) != 8 {
-		t.Fatalf("watch set %v, want q's clique", w)
-	}
-
 	for _, v := range []int64{1, 2} {
 		if err := tp.routerCl.CheckIn(t.Context(), v, 0.1, 0.1); err != nil {
 			t.Fatal(err)
@@ -281,6 +278,181 @@ func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
 			view.apply(t, ev)
 		case <-deadline:
 			t.Fatalf("after two members moved onto q the stream holds %v (no community: %v)", view.sorted(), view.noCommunity)
+		}
+	}
+	// Draining joins the dispatcher, so the gate state reads race-free.
+	gsub, _ := tp.rt.subs.Hub().Get("tight")
+	tp.rt.DrainSubscriptions()
+	if owner := tp.m.OwnerOf(0); gsub.Gate != any(owner) {
+		t.Fatalf("gate state %v, want q's owner shard %d", gsub.Gate, owner)
+	}
+}
+
+// TestRoutedCertifiedWakesOnOwnerAlone: a certified standing query keeps its
+// owner shard as its gate state (the proof heads subscribe.go). Check-ins,
+// edge ops and a resync on the other shard evaluate nothing and send no
+// leg; a member's move on the owner is one evaluation of one search leg, and
+// the stream then holds what a fresh routed query answers.
+func TestRoutedCertifiedWakesOnOwnerAlone(t *testing.T) {
+	tp := newTopology(t, cornerCliques(), 2)
+	owner, other := tp.m.OwnerOf(0), tp.m.OwnerOf(8)
+	if owner == other {
+		t.Fatal("cliques landed on the same shard; test graph needs adjusting")
+	}
+	q := client.Query{Q: 0, K: 2, Algo: "appfast"}
+	sub, err := tp.routerCl.Subscribe(t.Context(), q, &client.SubscribeOptions{ID: "owned", Buffer: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var view replayView
+	select {
+	case ev := <-sub.Events:
+		view.apply(t, ev)
+	case <-time.After(15 * time.Second):
+		t.Fatal("no init")
+	}
+	// q's clique stands in for a watch set: the owner's every vertex is in
+	// it, so only the other shard's probe has to be skipped.
+	clique := make(map[int64]struct{})
+	for v := int64(0); v < 8; v++ {
+		clique[v] = struct{}{}
+	}
+	awaitShardWatchers(t, tp, clique)
+	hub := tp.rt.subs.Hub()
+
+	legs := func() (search, expand uint64) {
+		return tp.rt.legsTotal.With("search").Value(), tp.rt.legsTotal.With("expand").Value()
+	}
+	evals0 := hub.Evals().Value()
+	search0, expand0 := legs()
+	// gated runs write and waits until the frame it caused has been through
+	// the gate.
+	gated := func(what string, write func() error) {
+		t.Helper()
+		skipped := hub.Skipped().Value()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); hub.Skipped().Value() == skipped; {
+			if hub.Evals().Value() != evals0 {
+				t.Fatalf("%s on shard %d re-evaluated the certified subscription", what, other)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached the gate", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	ctx := t.Context()
+	for i := 0; i < 10; i++ {
+		v := int64(8 + i%8)
+		gated(fmt.Sprintf("a check-in of %d", v), func() error {
+			return tp.routerCl.CheckIn(ctx, v, 0.9+float64(i)*0.001, 0.95)
+		})
+	}
+	for u := int64(8); u < 15; u++ {
+		gated(fmt.Sprintf("deleting edge (%d,%d)", u, u+1), func() error {
+			_, err := tp.routerCl.Edge(ctx, u, u+1, false)
+			return err
+		})
+	}
+	gated("a resync", func() error {
+		tp.rt.subs.note(other, client.WatchEvent{Resync: true})
+		return nil
+	})
+	if got := hub.Evals().Value(); got != evals0 {
+		t.Fatalf("the other shard's frames cost %d evaluations", got-evals0)
+	}
+	// A round that skipped it ran after its last evaluation: its gate state
+	// reads race-free.
+	if gsub, _ := hub.Get("owned"); gsub.Gate != any(owner) {
+		t.Fatalf("gate state %v, want q's owner shard %d", gsub.Gate, owner)
+	}
+	if s, e := legs(); s != search0 || e != expand0 {
+		t.Fatalf("the other shard's frames cost %d search and %d expand legs", s-search0, e-expand0)
+	}
+
+	// A member's move on the owner wakes it: one evaluation, one search leg.
+	members := view.sorted()
+	mover := members[len(members)-1]
+	if mover == 0 {
+		t.Fatalf("the community %v holds q alone", members)
+	}
+	if err := tp.routerCl.CheckIn(ctx, mover, 0.3, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if s, _ := legs(); s > search0 && hub.Evals().Value() > evals0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the move of member %d never re-evaluated the subscription", mover)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // room for a second evaluation or leg to show
+	if s, e := legs(); hub.Evals().Value() != evals0+1 || s != search0+1 || e != expand0 {
+		t.Fatalf("a member's move cost %d evaluations, %d search and %d expand legs; want 1, 1, 0",
+			hub.Evals().Value()-evals0, s-search0, e-expand0)
+	}
+	deadline := time.After(15 * time.Second)
+	for !view.matchesFresh(tp, t, q) {
+		select {
+		case ev := <-sub.Events:
+			view.apply(t, ev)
+		case <-deadline:
+			t.Fatalf("after member %d moved the stream holds %v", mover, view.sorted())
+		}
+	}
+}
+
+// TestRoutedCheckinOverflowEvaluatesAssembled pins maxPendCheckins: a round
+// of maxPendCheckins distinct check-ins, none of them gathered, leaves an
+// assembled subscription alone; one more overflows the coalesced set into
+// evaluate-everything. Each round is one frame injected through note, its
+// ids past the graph's last vertex.
+func TestRoutedCheckinOverflowEvaluatesAssembled(t *testing.T) {
+	tp := newTopology(t, testGraph(200, 900, 17), 2)
+	// With the shards' feeds closed, only the injected frames reach the gate.
+	for _, sh := range tp.shards {
+		sh.Config.Handler.(*server.Server).DrainSubscriptions()
+	}
+	sub, err := tp.routerCl.Subscribe(t.Context(), client.Query{Q: 3, K: 3, Algo: "appfast"},
+		&client.SubscribeOptions{ID: "flooded", Buffer: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	select {
+	case <-sub.Events:
+	case <-time.After(15 * time.Second):
+		t.Fatal("no init")
+	}
+	hub := tp.rt.subs.Hub()
+	for _, tc := range []struct {
+		checkins  int
+		evaluates bool
+	}{{maxPendCheckins, false}, {maxPendCheckins + 1, true}} {
+		ev := client.WatchEvent{Checkins: make([]int64, tc.checkins)}
+		for i := range ev.Checkins {
+			ev.Checkins[i] = int64(tp.g.NumVertices() + i)
+		}
+		evals0, skipped0 := hub.Evals().Value(), hub.Skipped().Value()
+		tp.rt.subs.note(tp.m.OwnerOf(3), ev)
+		for deadline := time.Now().Add(10 * time.Second); hub.Evals().Value() == evals0 && hub.Skipped().Value() == skipped0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d check-ins never reached the gate", tc.checkins)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if evaluated := hub.Evals().Value() > evals0; evaluated != tc.evaluates {
+			t.Errorf("%d coalesced check-ins outside the gathered set: evaluated %v, want %v",
+				tc.checkins, evaluated, tc.evaluates)
+		}
+		if gsub, _ := hub.Get("flooded"); !tc.evaluates {
+			if _, assembled := gsub.Gate.(map[int64]struct{}); !assembled {
+				t.Fatalf("gate state %v: the query was not assembled", gsub.Gate)
+			}
 		}
 	}
 }

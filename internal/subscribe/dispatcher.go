@@ -19,7 +19,8 @@ const sweepEvery = 30 * time.Second
 // moved, and how one standing query is answered. P is the front-end's
 // pending summary — whatever it coalesces between dispatch rounds (Merge):
 // applied events plus the published snapshot on a single engine, moved
-// vertices and a topology flag off the shard feeds on a router.
+// vertices, a topology flag and the shards heard from off the shard feeds
+// on a router.
 //
 // Gate and Evaluate are the seam every invalidation rule plugs into. The
 // soundness obligation is Gate's alone: it may return false only when no
@@ -30,8 +31,9 @@ const sweepEvery = 30 * time.Second
 // (internal/core/theta.go), reads only the candidate set X, so one gate on
 // X serves them all: a single engine asks its view store whether X stood
 // and no write moved a member or joined two (core.Searcher.Stood); the
-// router re-evaluates on any topology change and on a check-in of a vertex
-// its last evaluation gathered.
+// router wakes a certified answer on its owner shard's frames alone, and an
+// assembled one on any topology change, any resync and a check-in of a
+// vertex its last evaluation gathered.
 type Backend[P any] interface {
 	// Begin fixes the state one dispatch round runs against. p is the
 	// coalesced summary — its zero value on a registration-only round — and

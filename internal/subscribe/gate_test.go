@@ -279,7 +279,7 @@ func TestGateNoCommunityIgnoresMoves(t *testing.T) {
 	g := twoClusterGraph(size)
 	eng := snapshot.New(g, snapshot.Options{})
 	defer eng.Close()
-	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{StreamBuf: 1024}})
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{Metrics: telemetry.NewRegistry(), StreamBuf: 1024}})
 	defer mgr.Close()
 	eng.SetOnPublish(mgr.Notify)
 
@@ -316,6 +316,51 @@ func TestGateNoCommunityIgnoresMoves(t *testing.T) {
 	waitProcessed(t, mgr, eng.Current().Seq())
 	if got := mgr.Hub().Evals().Value(); got != evals0 {
 		t.Errorf("moves re-evaluated a no-community subscription %d times", got-evals0)
+	}
+}
+
+// TestGateOverflowEvaluatesEverything pins maxPendEvents: a round of
+// maxPendEvents coalesced writes, every one a move in the far cluster, is
+// skipped by the gate; one write more overflows the pending list into
+// evaluate-everything. Each round is one Notify of the engine's newest
+// snapshot, published with the hook off, so the round sees exactly the list
+// given.
+func TestGateOverflowEvaluatesEverything(t *testing.T) {
+	const size = 6
+	eng := snapshot.New(twoClusterGraph(size), snapshot.Options{})
+	defer eng.Close()
+	mgr := NewManager(ManagerOptions{Current: eng.Current, Hub: Options{Metrics: telemetry.NewRegistry(), StreamBuf: 1024}})
+	defer mgr.Close()
+	eng.SetOnPublish(mgr.Notify)
+	if _, err := mgr.Register("near", core.Query{Q: 0, K: 3, Algo: "appfast"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	far := graph.V(size)
+	if err := eng.CheckIn(ctx, far, geom.Point{X: 100, Y: 100.5}); err != nil {
+		t.Fatal(err)
+	}
+	waitProcessed(t, mgr, eng.Current().Seq())
+	eng.SetOnPublish(nil)
+
+	for i, tc := range []struct {
+		writes    int
+		evaluates bool
+	}{{maxPendEvents, false}, {maxPendEvents + 1, true}} {
+		loc := geom.Point{X: 100, Y: 101 + float64(i)}
+		if err := eng.CheckIn(ctx, far, loc); err != nil {
+			t.Fatal(err)
+		}
+		writes := make([]graph.Write, tc.writes)
+		for j := range writes {
+			writes[j] = graph.Write{Kind: graph.WriteCheckin, V: far, Loc: loc}
+		}
+		evals0 := mgr.Hub().Evals().Value()
+		mgr.Notify(eng.Current(), writes)
+		waitProcessed(t, mgr, eng.Current().Seq())
+		if evaluated := mgr.Hub().Evals().Value() > evals0; evaluated != tc.evaluates {
+			t.Errorf("%d coalesced far-away writes: evaluated %v, want %v", tc.writes, evaluated, tc.evaluates)
+		}
 	}
 }
 

@@ -84,9 +84,10 @@ type (
 type (
 	// V is the dense vertex id type.
 	V = graph.V
-	// Graph is a spatial graph in CSR form with a delta overlay: locations
-	// mutate via SetLoc (check-ins) and topology via AddEdge/RemoveEdge
-	// (friendship churn), each versioned by its own epoch.
+	// Graph is a spatial graph in CSR form, cut into copy-on-write pages:
+	// locations mutate via SetLoc (check-ins) and topology via
+	// AddEdge/RemoveEdge (friendship churn), which store new copies of the
+	// endpoints' pages, each versioned by its own epoch.
 	Graph = graph.Graph
 	// Builder accumulates edges and locations for a Graph.
 	Builder = graph.Builder

@@ -37,10 +37,11 @@ import (
 
 // routeAssembled gathers the cross-shard k-core closure around q and runs
 // the query locally; it is the router's one expand caller. owner is q's
-// shard (already consulted and uncertified). It also returns the gathered
-// vertex ids, no community or not — a superset of X, which an assembled
+// shard (already consulted and uncertified); at picks the endpoint each
+// shard's expand legs read. It also returns the gathered vertex ids, no
+// community or not and never nil — a superset of X, which an assembled
 // standing query keeps as its gate state.
-func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) (*wire.Result, map[int64]struct{}, error) {
+func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int, at func(s int) shardReader) (*wire.Result, map[int64]struct{}, error) {
 	ctx, aspan := telemetry.StartSpan(ctx, "assemble")
 	defer aspan.End()
 	collected := make(map[int64]client.ShardVertex)
@@ -66,7 +67,7 @@ func (rt *Router) routeAssembled(ctx context.Context, cq core.Query, owner int) 
 			s := shards[i]
 			lctx, span := rt.leg(ctx, "expand", s)
 			defer span.End()
-			expansions[i], errs[i] = rt.sets[s].ShardExpand(lctx, cq.K, pending[s])
+			expansions[i], errs[i] = at(s).ShardExpand(lctx, cq.K, pending[s])
 		})
 		pending = make([][]int64, rt.m.Shards)
 		for i, exp := range expansions {

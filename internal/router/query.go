@@ -61,32 +61,41 @@ func (rt *Router) validateQuery(cq core.Query) error {
 	return core.ValidateQuery(cq, rt.m.N, core.StructureKCore)
 }
 
+// shardReader is a shard's endpoint set (client.Set) or one of its endpoints.
+type shardReader interface {
+	ShardSearch(ctx context.Context, q client.Query) (*client.ShardSearchResult, error)
+	ShardExpand(ctx context.Context, k int, seeds []int64) (*client.ShardExpansion, error)
+}
+
+// anyEndpoint is the read path of /v1/query and /v1/batch.
+func (rt *Router) anyEndpoint(s int) shardReader { return rt.sets[s] }
+
 // route answers one validated query — /v1/query, each /v1/batch item and
 // each standing-query evaluation — whatever its algorithm: owner-first
-// through the certificate, else by cross-shard assembly. It also returns the
-// gate state a standing query keeps (subscribe.go): the owner's shard id
-// (an int) for a certified answer, the gathered ids (a map[int64]struct{})
-// for an assembled one.
-func (rt *Router) route(ctx context.Context, cq core.Query) (*wire.Result, any, error) {
+// through the certificate, else by cross-shard assembly. at picks the
+// endpoint each shard's leg reads. It also returns the gathered vertex ids
+// of an assembled answer, which a standing query keeps (subscribe.go); they
+// are nil for a certified answer.
+func (rt *Router) route(ctx context.Context, cq core.Query, at func(s int) shardReader) (*wire.Result, map[int64]struct{}, error) {
 	owner := rt.m.OwnerOf(cq.Q)
 	lctx, span := rt.leg(ctx, "search", owner)
-	verdict, err := rt.sets[owner].ShardSearch(lctx, httpapi.WireQuery(cq))
+	verdict, err := at(owner).ShardSearch(lctx, httpapi.WireQuery(cq))
 	span.End()
 	if err != nil {
 		return nil, nil, &legFailure{owner, err}
 	}
 	if !verdict.Contained {
 		rt.queryPath.With("assembled").Inc()
-		return rt.routeAssembled(ctx, cq, owner)
+		return rt.routeAssembled(ctx, cq, owner, at)
 	}
 	rt.queryPath.With("certified").Inc()
 	switch {
 	case verdict.NoCommunity:
-		return nil, owner, core.ErrNoCommunity
+		return nil, nil, core.ErrNoCommunity
 	case verdict.Result == nil:
 		return nil, nil, &legFailure{owner, errors.New("contained verdict carried no result")}
 	}
-	return verdict.Result, owner, nil
+	return verdict.Result, nil, nil
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +113,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
-	resp, _, err := rt.route(ctx, cq)
+	resp, _, err := rt.route(ctx, cq, rt.anyEndpoint)
 	if err != nil {
 		rt.writeRouteError(w, r, err)
 		return
@@ -120,7 +129,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.requestCtx(r)
 	defer cancel()
 	httpapi.ServeBatch(w, r.WithContext(ctx), &req, rt.validateQuery, func(ctx context.Context, cq core.Query) (*wire.Result, error) {
-		resp, _, err := rt.route(ctx, cq)
+		resp, _, err := rt.route(ctx, cq, rt.anyEndpoint)
 		return resp, err
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sacsearch/client"
@@ -18,16 +19,16 @@ import (
 // (GET /v1/shard/watch, failing over across its endpoints) and merges each
 // frame, with the shard it came from, into the pending summary. Evaluations
 // take route, so a standing query's answers are what /v1/query would have
-// returned at the same moment, and keep the gate state route returns.
+// returned at the same moment, and keep the gathered set route returns.
 //
-// A certified answer keeps its owner shard's id and wakes on that shard's
-// frames alone, a resync included. Every algorithm reads only X (q's
-// component of the global k-core), X's edges and its members' locations
-// (θ-SAC too, internal/core/theta.go). The certificate (internal/shard/cert.go)
-// proved X a ghost-free component of the owner's optimistic peel, or q dead
-// in it for a certified no-community answer. That peel reads only the
-// owner's subgraph: its owned vertices, their edges and their ghosts, which
-// it never peels. Only writes routed to the owner change that subgraph (a
+// A certified answer (no gathered set) wakes on its owner shard's frames
+// alone, a resync included. Every algorithm reads only X (q's component of
+// the global k-core), X's edges and its members' locations (θ-SAC too,
+// internal/core/theta.go). The certificate (internal/shard/cert.go) proved
+// X a ghost-free component of the owner's optimistic peel, or q dead in it
+// for a certified no-community answer. That peel reads only the owner's
+// subgraph: its owned vertices, their edges and their ghosts, which it
+// never peels. Only writes routed to the owner change that subgraph (a
 // check-in goes to its vertex's owner, an edge op to both endpoints'), and
 // the owner publishes each on its feed. So until an owner frame the peel,
 // the certificate and the members' locations stand, and so does the
@@ -41,6 +42,14 @@ import (
 // event anywhere, any resync, or a check-in of a gathered vertex
 // re-evaluates. Each evaluation's answer may be of either kind; the gate
 // state follows it.
+//
+// Both arguments assume an evaluation reads each shard no older than the
+// frames that woke it. Each endpoint of a shard (leader or replica) publishes
+// a write once it is readable there, so evaluations read the endpoint the
+// watcher tails (tailed): a round-robin read could land on a replica that
+// lacks the frame's write, and its stale answer would stand. Before a
+// watcher first attaches they read any endpoint; the attach's resync, like
+// that of a move to another endpoint, wakes them again.
 
 // maxPendCheckins bounds the coalesced check-in set between dispatch
 // rounds; past it the round degrades to evaluate-everything.
@@ -59,7 +68,8 @@ type rpend struct {
 // over the routed evaluation paths, fed by one feed watcher per shard.
 type routerSubs struct {
 	*subscribe.Dispatcher[rpend]
-	rt *Router
+	rt      *Router
+	tailing []atomic.Int32 // per shard: 1 + the index of the endpoint the watcher tails
 
 	// Watchers start with the first registration and run until drain.
 	watchOnce sync.Once
@@ -69,7 +79,7 @@ type routerSubs struct {
 }
 
 func newRouterSubs(rt *Router) *routerSubs {
-	rs := &routerSubs{rt: rt}
+	rs := &routerSubs{rt: rt, tailing: make([]atomic.Int32, rt.m.Shards)}
 	rs.ctx, rs.cancel = context.WithCancel(context.Background())
 	rs.Dispatcher = subscribe.NewDispatcher[rpend](subscribe.Options{
 		Metrics:          rt.cfg.Metrics,
@@ -154,6 +164,7 @@ func (rs *routerSubs) watchShard(s int) {
 			continue
 		}
 		lastEndpoint = i
+		rs.tailing[s].Store(int32(i) + 1)
 		backoff = 100 * time.Millisecond
 		for ev := range ws.Events {
 			if ev.Bye {
@@ -167,14 +178,24 @@ func (rs *routerSubs) watchShard(s int) {
 	}
 }
 
+// tailed reads shard s where its watcher tails the feed (file comment). A
+// read that fails there is retried on the next frame.
+func (rs *routerSubs) tailed(s int) shardReader {
+	if i := rs.tailing[s].Load(); i > 0 {
+		return rs.rt.sets[s].Clients()[i-1]
+	}
+	return rs.rt.sets[s]
+}
+
 // Begin has no state to pin: every routed evaluation reads the shards live.
 func (rs *routerSubs) Begin(*rpend) (uint64, bool) { return 0, true }
 
 // Gate is the router's invalidation gate; see the file comment above for
 // the soundness argument.
 func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
-	if owner, certified := sub.Gate.(int); certified {
-		return p.from[owner]
+	gathered := sub.Gate.(map[int64]struct{})
+	if gathered == nil { // certified
+		return p.from[rs.rt.m.OwnerOf(sub.Query.Q)]
 	}
 	if p.full || p.topo {
 		return true
@@ -182,7 +203,6 @@ func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
 	// Only check-ins remain. A move reshapes the answer only if it touches
 	// the candidate set; when q is outside the global k-core that set is
 	// empty, and so may be the gathered set.
-	gathered := sub.Gate.(map[int64]struct{})
 	for v := range p.checkins {
 		if _, ok := gathered[v]; ok {
 			return true
@@ -191,12 +211,13 @@ func (rs *routerSubs) Gate(sub *subscribe.Sub, p *rpend) bool {
 	return false
 }
 
-// Evaluate answers one standing query through route and records the gate
-// state it returned as sub.Gate.
+// Evaluate answers one standing query through route, reading each shard on
+// its tailed endpoint, and records the gathered set it returned (nil for a
+// certified answer) as sub.Gate.
 func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rs.rt.cfg.queryTimeout())
 	defer cancel()
-	resp, gate, err := rs.rt.route(ctx, sub.Query)
+	resp, gathered, err := rs.rt.route(ctx, sub.Query, rs.tailed)
 	var er subscribe.EvalResult
 	switch {
 	case err == nil:
@@ -206,7 +227,7 @@ func (rs *routerSubs) Evaluate(sub *subscribe.Sub, _ *rpend) (*subscribe.EvalRes
 	default:
 		return nil, err
 	}
-	sub.Gate = gate
+	sub.Gate = gathered
 	return &er, nil
 }
 

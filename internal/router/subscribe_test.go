@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"sacsearch/client"
 	"sacsearch/internal/graph"
 	"sacsearch/internal/server"
+	"sacsearch/internal/shard"
 	"sacsearch/internal/wire"
 )
 
@@ -232,9 +234,9 @@ func TestRoutedSubscriptionGate(t *testing.T) {
 
 // TestRoutedThetaCertifiedEmptyDisk: a certified θ-SAC query whose disk
 // holds no community is the shard's certified no-community verdict, answered
-// as a single server answers it; a standing one keeps q's owner shard as its
-// gate state, so the owner's frames for members moving into the disk bring
-// the community in.
+// as a single server answers it; a standing one keeps no gathered set and
+// wakes on q's owner shard's frames, so the owner's frames for members
+// moving into the disk bring the community in.
 func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
 	tp := newTopology(t, cornerCliques(), 2)
 	q := client.Query{Q: 0, K: 2, Algo: "theta", Theta: client.Float(0.005)} // the disk holds q alone
@@ -283,16 +285,17 @@ func TestRoutedThetaCertifiedEmptyDisk(t *testing.T) {
 	// Draining joins the dispatcher, so the gate state reads race-free.
 	gsub, _ := tp.rt.subs.Hub().Get("tight")
 	tp.rt.DrainSubscriptions()
-	if owner := tp.m.OwnerOf(0); gsub.Gate != any(owner) {
-		t.Fatalf("gate state %v, want q's owner shard %d", gsub.Gate, owner)
+	if gathered := gsub.Gate.(map[int64]struct{}); gathered != nil {
+		t.Fatalf("gathered set %v, want none: a certified answer wakes on q's owner shard", gathered)
 	}
 }
 
-// TestRoutedCertifiedWakesOnOwnerAlone: a certified standing query keeps its
-// owner shard as its gate state (the proof heads subscribe.go). Check-ins,
-// edge ops and a resync on the other shard evaluate nothing and send no
-// leg; a member's move on the owner is one evaluation of one search leg, and
-// the stream then holds what a fresh routed query answers.
+// TestRoutedCertifiedWakesOnOwnerAlone: a certified standing query keeps no
+// gathered set and wakes on its owner shard alone (the proof heads
+// subscribe.go). Check-ins, edge ops and a resync on the other shard
+// evaluate nothing and send no leg; a member's move on the owner is one
+// evaluation of one search leg, and the stream then holds what a fresh
+// routed query answers.
 func TestRoutedCertifiedWakesOnOwnerAlone(t *testing.T) {
 	tp := newTopology(t, cornerCliques(), 2)
 	owner, other := tp.m.OwnerOf(0), tp.m.OwnerOf(8)
@@ -366,8 +369,8 @@ func TestRoutedCertifiedWakesOnOwnerAlone(t *testing.T) {
 	}
 	// A round that skipped it ran after its last evaluation: its gate state
 	// reads race-free.
-	if gsub, _ := hub.Get("owned"); gsub.Gate != any(owner) {
-		t.Fatalf("gate state %v, want q's owner shard %d", gsub.Gate, owner)
+	if gsub, _ := hub.Get("owned"); gsub.Gate.(map[int64]struct{}) != nil {
+		t.Fatalf("gathered set %v, want none: a certified answer wakes on q's owner shard", gsub.Gate)
 	}
 	if s, e := legs(); s != search0 || e != expand0 {
 		t.Fatalf("the other shard's frames cost %d search and %d expand legs", s-search0, e-expand0)
@@ -402,6 +405,94 @@ func TestRoutedCertifiedWakesOnOwnerAlone(t *testing.T) {
 			view.apply(t, ev)
 		case <-deadline:
 			t.Fatalf("after member %d moved the stream holds %v", mover, view.sorted())
+		}
+	}
+}
+
+// TestRoutedStandingReadsTailedEndpoint: a standing query reads its owner
+// on the endpoint whose feed woke it. Here q's owner has a second endpoint, a
+// replica that never applies a write: a round-robin read would land on it
+// every other evaluation and keep its stale answer until the owner's next
+// frame. Each of the owner's writes must instead bring the stream to the
+// single engine's answer.
+func TestRoutedStandingReadsTailedEndpoint(t *testing.T) {
+	tp := newTopology(t, cornerCliques(), 2)
+	owner := tp.m.OwnerOf(0)
+	lagging, err := shard.Subgraph(tp.g, tp.m, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := shard.NewServing(tp.m, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewWithConfig("lagging", lagging, server.Config{Shard: sv})
+	t.Cleanup(srv.Close)
+	replica := httptest.NewServer(srv)
+	t.Cleanup(replica.Close)
+	urls := [][]string{{tp.shards[0].URL}, {tp.shards[1].URL}}
+	urls[owner] = append(urls[owner], replica.URL) // the leader stays first: the watcher tails it
+	rt, err := New(Config{Map: tp.m, Shards: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.DrainSubscriptions)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	cl, err := client.New(front.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q := client.Query{Q: 0, K: 2, Algo: "appfast"}
+	sub, err := cl.Subscribe(t.Context(), q, &client.SubscribeOptions{ID: "tailed", Buffer: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var view replayView
+	select {
+	case ev := <-sub.Events:
+		view.apply(t, ev)
+	case <-time.After(15 * time.Second):
+		t.Fatal("no init")
+	}
+	stale := fmt.Sprint(view.sorted()) // what the replica answers throughout
+	for deadline := time.Now().Add(10 * time.Second); rt.subs.tailing[owner].Load() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner's watcher never attached to its leader")
+		}
+	}
+	for step := 0; step < 4; step++ {
+		members := view.sorted()
+		mover := members[len(members)-1]
+		if mover == 0 {
+			t.Fatalf("the community %v holds q alone", members)
+		}
+		x := 0.5 + 0.05*float64(step)
+		if err := cl.CheckIn(t.Context(), mover, x, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.singleCl.CheckIn(t.Context(), mover, x, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tp.singleCl.Query(t.Context(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(res.Members)
+		if want == stale {
+			t.Fatalf("moving member %d left the answer %s as the replica holds it; test graph needs adjusting", mover, want)
+		}
+		deadline := time.After(10 * time.Second)
+		for fmt.Sprint(view.sorted()) != want {
+			select {
+			case ev := <-sub.Events:
+				view.apply(t, ev)
+			case <-deadline:
+				t.Fatalf("after member %d moved the stream holds %v, want %s (the replica holds %s)",
+					mover, view.sorted(), want, stale)
+			}
 		}
 	}
 }
@@ -450,8 +541,8 @@ func TestRoutedCheckinOverflowEvaluatesAssembled(t *testing.T) {
 				tc.checkins, evaluated, tc.evaluates)
 		}
 		if gsub, _ := hub.Get("flooded"); !tc.evaluates {
-			if _, assembled := gsub.Gate.(map[int64]struct{}); !assembled {
-				t.Fatalf("gate state %v: the query was not assembled", gsub.Gate)
+			if gsub.Gate.(map[int64]struct{}) == nil {
+				t.Fatal("no gathered set: the query was not assembled")
 			}
 		}
 	}
